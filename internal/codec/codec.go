@@ -61,6 +61,10 @@ const (
 	// MsgReplicateResult is a wire.ReplicateResult (KindReplicate
 	// replies).
 	MsgReplicateResult byte = 11
+	// MsgRoute is a wire.Route envelope (KindRoute frames).
+	MsgRoute byte = 12
+	// MsgRouteResult is a wire.RouteResult (KindRoute replies).
+	MsgRouteResult byte = 13
 )
 
 // Wire types, the low two bits of every field tag.
@@ -80,10 +84,11 @@ var ErrNotBinary = errors.New("codec: not a binary payload")
 // start (see FrameScanner.Offset).
 var ErrTorn = errors.New("codec: torn trailing frame")
 
-// IsBinary reports whether a payload or file begins with the binary
-// header. One byte is enough: legacy JSON payloads start with '{' and
-// DGL documents with '<'.
-func IsBinary(b []byte) bool {
+// IsBinary reports whether a payload or file — as bytes, or held in a
+// string the way Record.Request and envelope document fields hold one —
+// begins with the binary header. One byte is enough: legacy JSON
+// payloads start with '{' and DGL documents with '<'.
+func IsBinary[T []byte | string](b T) bool {
 	return len(b) > 0 && b[0] == Magic
 }
 
@@ -320,20 +325,29 @@ func NewDecoder(payload []byte, msgType byte) (Decoder, error) {
 // there the shared copy would duplicate megabytes of embedded payloads
 // to back a handful of short strings.
 func NewDecoderTransient(payload []byte, msgType byte) (Decoder, error) {
-	if !IsBinary(payload) {
-		return Decoder{}, ErrNotBinary
-	}
-	if len(payload) < headerLen {
-		return Decoder{}, fmt.Errorf("codec: truncated header (%d bytes)", len(payload))
-	}
-	if payload[1] != Version {
-		return Decoder{}, fmt.Errorf("codec: unsupported format version %d", payload[1])
-	}
-	if payload[2] != msgType {
-		return Decoder{}, fmt.Errorf("codec: message type %d, want %d", payload[2], msgType)
+	if err := checkHeader(payload, msgType); err != nil {
+		return Decoder{}, err
 	}
 	syms := make([]string, 0, 16)
 	return Decoder{data: payload, pos: headerLen, end: len(payload), syms: &syms}, nil
+}
+
+// checkHeader validates a payload's 3-byte header against the expected
+// message type.
+func checkHeader(payload []byte, msgType byte) error {
+	if !IsBinary(payload) {
+		return ErrNotBinary
+	}
+	if len(payload) < headerLen {
+		return fmt.Errorf("codec: truncated header (%d bytes)", len(payload))
+	}
+	if payload[1] != Version {
+		return fmt.Errorf("codec: unsupported format version %d", payload[1])
+	}
+	if payload[2] != msgType {
+		return fmt.Errorf("codec: message type %d, want %d", payload[2], msgType)
+	}
+	return nil
 }
 
 // MsgType reads the message type of a binary payload without decoding

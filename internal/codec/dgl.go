@@ -243,6 +243,48 @@ func opFields(e *Encoder, op *dgl.Operation) {
 	}
 }
 
+// RequestDoc encodes req as a request document: the MsgRequest payload
+// as a string, the form lifecycle records store (Record.Request) and
+// peer envelopes embed. XML stops at the client edge — every document
+// the system writes for itself is this one.
+func RequestDoc(req *dgl.Request) string {
+	e := GetEncoder()
+	AppendRequest(e, req)
+	doc := string(e.Bytes())
+	PutEncoder(e)
+	return doc
+}
+
+// DecodeRequestDoc decodes a request document in either encoding,
+// sniffed from its first byte: binary (RequestDoc, a binary client's
+// frame) or XML (a text client's frame, a record written before stored
+// requests went binary). It is the one decode point for every request
+// read from a peer or a disk; like both decoders behind it, it does not
+// validate — callers validate against the executing engine's operation
+// registry.
+func DecodeRequestDoc(doc []byte) (*dgl.Request, error) {
+	if IsBinary(doc) {
+		return DecodeRequest(doc)
+	}
+	return dgl.DecodeRequest(doc)
+}
+
+// UpgradeRequestDoc returns doc in the binary encoding: an XML document
+// is parsed and re-encoded, a binary one (or one that does not parse —
+// replay will report it) is returned as it is. Store compaction runs
+// every live request through it, which is how a directory written with
+// XML requests converges.
+func UpgradeRequestDoc(doc string) string {
+	if doc == "" || IsBinary(doc) {
+		return doc
+	}
+	req, err := dgl.DecodeRequest([]byte(doc))
+	if err != nil {
+		return doc
+	}
+	return RequestDoc(req)
+}
+
 // DecodeRequest decodes a MsgRequest payload.
 func DecodeRequest(payload []byte) (*dgl.Request, error) {
 	d, err := NewDecoder(payload, MsgRequest)

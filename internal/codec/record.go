@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"encoding/json"
 	"sort"
 	"time"
 )
@@ -15,8 +16,13 @@ type Record struct {
 	Type string    `json:"type"`
 	ID   string    `json:"id"` // execution id
 	Time time.Time `json:"time"`
-	// Request holds the marshaled DGL request document (exec.start,
-	// exec.snap).
+	// Request holds the DGL request document (exec.start, exec.snap):
+	// the codec-encoded request (RequestDoc) as raw bytes, or the XML
+	// document records written before the binary form carry — readers
+	// sniff with DecodeRequestDoc. A binary frame stores the bytes as they
+	// are; a JSONL line carries a binary document base64'd under
+	// "requestBin" (MarshalJSON), because JSON string escaping would
+	// mangle it.
 	Request string `json:"request,omitempty"`
 	// Node is the restart-stable node path, e.g. "/pipeline/stage-in"
 	// (step.done, deleg.start, deleg.done).
@@ -39,6 +45,39 @@ type Record struct {
 	// execution (exec.snap written by Compact): one record carries both
 	// the snapshot and the passivation marker.
 	Passivated bool `json:"passivated,omitempty"`
+}
+
+// plainRecord is Record without its JSON methods; recordJSON is the
+// JSONL line: the same keys plus requestBin.
+type plainRecord Record
+
+type recordJSON struct {
+	plainRecord
+	RequestBin []byte `json:"requestBin,omitempty"`
+}
+
+// MarshalJSON renders the JSONL form. A binary request document moves
+// from "request" to the base64 "requestBin" key so it survives a JSON
+// sink byte-for-byte; every other record marshals as its plain fields.
+func (r Record) MarshalJSON() ([]byte, error) {
+	j := recordJSON{plainRecord: plainRecord(r)}
+	if IsBinary(r.Request) {
+		j.RequestBin, j.Request = []byte(r.Request), ""
+	}
+	return json.Marshal(&j)
+}
+
+// UnmarshalJSON is MarshalJSON's inverse.
+func (r *Record) UnmarshalJSON(data []byte) error {
+	var j recordJSON
+	if err := json.Unmarshal(data, &j); err != nil {
+		return err
+	}
+	*r = Record(j.plainRecord)
+	if len(j.RequestBin) > 0 {
+		r.Request = string(j.RequestBin)
+	}
+	return nil
 }
 
 // Record types. The first five are the journal's lifecycle types; the
@@ -131,12 +170,29 @@ func recordFields(e *Encoder, rec *Record) {
 }
 
 // DecodeRecord decodes a MsgRecord payload (Begin layout, as returned
-// by FrameScanner.Next).
+// by FrameScanner.Next). Loops over many records use a RecordDecoder.
 func DecodeRecord(payload []byte) (Record, error) {
-	d, err := NewDecoder(payload, MsgRecord)
-	if err != nil {
+	rd := RecordDecoder{syms: make([]string, 0, 16)}
+	return rd.Decode(payload)
+}
+
+// A RecordDecoder decodes a stream of MsgRecord payloads — segment
+// replay, journal replay, replication blocks — through one symbol table
+// that is reset per record, where DecodeRecord would allocate a fresh
+// table for each. The zero value is ready to use; not safe for
+// concurrent use.
+type RecordDecoder struct {
+	syms []string
+}
+
+// Decode decodes one MsgRecord payload.
+func (rd *RecordDecoder) Decode(payload []byte) (Record, error) {
+	if err := checkHeader(payload, MsgRecord); err != nil {
 		return Record{}, err
 	}
+	clear(rd.syms) // drop the previous record's strings
+	rd.syms = rd.syms[:0]
+	d := Decoder{data: payload, str: string(payload), pos: headerLen, end: len(payload), syms: &rd.syms}
 	var rec Record
 	for d.Next() {
 		switch d.Field() {

@@ -368,14 +368,14 @@ func (f *Federation) runRemote(ctx context.Context, name string, req matrix.Dele
 		o.Counter("federation_unsupported_peers_total", "peer", name).Inc()
 		return nil, false
 	}
-	doc, err := dgl.Marshal(dgl.NewAsyncRequest(req.User, "", req.Flow))
+	doc, err := client.EncodeRequest(dgl.NewAsyncRequest(req.User, "", req.Flow))
 	if err != nil {
 		return nil, false // unmarshalable flow will not improve elsewhere
 	}
 	res, err := client.Delegate(ctx, wire.Delegate{
 		User:       req.User,
 		Token:      req.Token,
-		Request:    string(doc),
+		Request:    doc,
 		Origin:     f.peer.Name,
 		ParentExec: req.ParentExec,
 		ParentNode: req.ParentNode,

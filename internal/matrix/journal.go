@@ -228,7 +228,7 @@ func (e *Engine) RecoverFromJournal(path string) ([]*Execution, error) {
 		case journalExecStart:
 			// Decode only: validation runs below against this engine's
 			// full operation registry, not the built-ins alone.
-			req, err := dgl.DecodeRequest([]byte(rec.Request))
+			req, err := codec.DecodeRequestDoc([]byte(rec.Request))
 			if err != nil {
 				return fmt.Errorf("%w: journal %s record %d: %v", dgferr.ErrInvalid, path, line, err)
 			}
@@ -288,6 +288,7 @@ func scanJournalRecords(path string, f *os.File, fold func(*journalRecord, int) 
 	r := bufio.NewReaderSize(f, 1<<20)
 	if first, err := r.Peek(1); err == nil && first[0] == codec.Magic {
 		sc := codec.NewFrameScanner(r)
+		var rd codec.RecordDecoder
 		n := 0
 		for {
 			_, payload, err := sc.Next()
@@ -298,7 +299,7 @@ func scanJournalRecords(path string, f *os.File, fold func(*journalRecord, int) 
 				return fmt.Errorf("matrix: journal %s: %w", path, err)
 			}
 			n++
-			rec, err := codec.DecodeRecord(payload)
+			rec, err := rd.Decode(payload)
 			if err != nil {
 				return fmt.Errorf("%w: journal %s record %d: %v", dgferr.ErrInvalid, path, n, err)
 			}

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"time"
 
+	"datagridflow/internal/codec"
 	"datagridflow/internal/dgferr"
 	"datagridflow/internal/dgl"
 	"datagridflow/internal/provenance"
@@ -66,11 +67,7 @@ func (e *Engine) storeAppend(rec journalRecord) error {
 // scope's variables, and every node path proven complete — succeeded
 // and skipped steps, whole delegated subtrees, plus the not-yet-reached
 // checkpoint set a restart or resurrection seeded this run with.
-func (ex *Execution) snapshotRecord() (journalRecord, error) {
-	doc, err := dgl.Marshal(ex.req)
-	if err != nil {
-		return journalRecord{}, fmt.Errorf("matrix: snapshot %s: %w", ex.ID, err)
-	}
+func (ex *Execution) snapshotRecord() journalRecord {
 	abs := make(map[string]bool)
 	ex.root.collectSucceeded(abs)
 	done := make(map[string]bool, len(abs)+len(ex.skip))
@@ -86,11 +83,11 @@ func (ex *Execution) snapshotRecord() (journalRecord, error) {
 	}
 	return journalRecord{
 		Type: journalExecSnap, ID: ex.ID,
-		Request: string(doc),
+		Request: codec.RequestDoc(ex.req),
 		Vars:    ex.scope.Snapshot(),
 		Done:    rel,
 		Paused:  ex.Paused(),
-	}, nil
+	}
 }
 
 // SnapshotExecution writes a snapshot of one resident execution to the
@@ -100,11 +97,7 @@ func (e *Engine) SnapshotExecution(id string) error {
 	if !ok {
 		return fmt.Errorf("%w: execution %s", ErrNotFound, id)
 	}
-	rec, err := ex.snapshotRecord()
-	if err != nil {
-		return err
-	}
-	if err := e.storeAppend(rec); err != nil {
+	if err := e.storeAppend(ex.snapshotRecord()); err != nil {
 		return err
 	}
 	ex.dirty.Store(false)
@@ -135,11 +128,7 @@ func (e *Engine) SnapshotAll() int {
 		if !ex.dirty.Load() {
 			continue
 		}
-		rec, err := ex.snapshotRecord()
-		if err != nil {
-			continue
-		}
-		if e.storeAppend(rec) == nil {
+		if e.storeAppend(ex.snapshotRecord()) == nil {
 			ex.dirty.Store(false)
 			count++
 		}
@@ -166,11 +155,7 @@ func (e *Engine) Passivate(id string) error {
 		return fmt.Errorf("%w: %s already terminal", ErrNotRestartable, id)
 	default:
 	}
-	rec, err := ex.snapshotRecord()
-	if err != nil {
-		return err
-	}
-	if err := e.storeAppend(rec); err != nil {
+	if err := e.storeAppend(ex.snapshotRecord()); err != nil {
 		return err
 	}
 	if err := e.storeAppend(journalRecord{
@@ -258,7 +243,7 @@ func (e *Engine) ResurrectFor(id, path string) (*Execution, error) {
 	if !ok || ent.Ended || ent.Pruned {
 		return nil, fmt.Errorf("%w: execution %s", ErrNotFound, id)
 	}
-	req, err := dgl.DecodeRequest([]byte(ent.Request))
+	req, err := codec.DecodeRequestDoc([]byte(ent.Request))
 	if err != nil {
 		return nil, fmt.Errorf("%w: stored request for %s: %v", dgl.ErrInvalid, id, err)
 	}
@@ -353,7 +338,7 @@ func (e *Engine) RecoverFromStore() ([]*Execution, error) {
 		if ent.Passivated {
 			continue
 		}
-		req, err := dgl.DecodeRequest([]byte(ent.Request))
+		req, err := codec.DecodeRequestDoc([]byte(ent.Request))
 		if err != nil {
 			return out, fmt.Errorf("%w: stored request for %s: %v", dgl.ErrInvalid, ent.ID, err)
 		}
@@ -412,7 +397,7 @@ func (e *Engine) AdoptEntries(entries []store.Entry, source string) []AdoptedFlo
 		if ent.Ended || ent.Pruned {
 			continue
 		}
-		req, err := dgl.DecodeRequest([]byte(ent.Request))
+		req, err := codec.DecodeRequestDoc([]byte(ent.Request))
 		if err != nil {
 			o.Counter("matrix_adoptions_total", "outcome", "invalid").Inc()
 			continue

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"datagridflow/internal/codec"
 	"datagridflow/internal/dgferr"
 	"datagridflow/internal/dgl"
 	"datagridflow/internal/expr"
@@ -30,13 +31,11 @@ func (ex *Execution) run() {
 		FlowID: ex.ID, Target: ex.req.Flow.Name,
 	})
 	if ex.engine.journaling() {
-		// Marshalling the request document is only worth paying for
-		// when a journal or store will actually persist it.
-		if doc, merr := dgl.Marshal(ex.req); merr == nil {
-			ex.engine.journalAppend(journalRecord{
-				Type: journalExecStart, ID: ex.ID, Request: string(doc),
-			})
-		}
+		// Encoding the request document is only worth paying for when a
+		// journal or store will actually persist it.
+		ex.engine.journalAppend(journalRecord{
+			Type: journalExecStart, ID: ex.ID, Request: codec.RequestDoc(ex.req),
+		})
 	}
 	err := ex.runFlowScoped(ex.req.Flow, ex.root, ex.scope)
 	ex.mu.Lock()

@@ -125,6 +125,7 @@ func DecodeBlock(block []byte) ([]store.Record, error) {
 	}
 	if block[0] == codec.Magic {
 		sc := codec.NewFrameScanner(bytes.NewReader(block))
+		var rd codec.RecordDecoder
 		var recs []store.Record
 		for {
 			_, payload, err := sc.Next()
@@ -134,7 +135,7 @@ func DecodeBlock(block []byte) ([]store.Record, error) {
 			if err != nil {
 				return nil, fmt.Errorf("replica: block frame %d: %w", len(recs)+1, err)
 			}
-			rec, err := codec.DecodeRecord(payload)
+			rec, err := rd.Decode(payload)
 			if err != nil {
 				return nil, fmt.Errorf("replica: block frame %d: %w", len(recs)+1, err)
 			}

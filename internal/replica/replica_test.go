@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"datagridflow/internal/codec"
 	"datagridflow/internal/obs"
 	"datagridflow/internal/store"
 )
@@ -271,13 +272,21 @@ func TestMixedCodecReplication(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			recv := newTestReceiver(t, tc.followerBin, nil)
+			// f1 carries a binary request document: whichever side is JSONL
+			// must hand it on byte-for-byte (codec.Record's requestBin key).
+			f1 := snapRec("f1")
+			f1.Request = string([]byte{codec.Magic, codec.Version, codec.MsgRequest, 0xff, 0x00, 0xfe})
 			ack := recv.Apply(Frame{Op: OpAppend, Source: "own", Seq: 1, Count: 3,
-				Block: mustBlock(t, tc.ownerBin, snapRec("f1"), snapRec("f2"), endRec("f2"))})
+				Block: mustBlock(t, tc.ownerBin, f1, snapRec("f2"), endRec("f2"))})
 			if !ack.OK || ack.AckSeq != 3 {
 				t.Fatalf("apply: %+v", ack)
 			}
-			if ids := liveIDs(t, recv, "own"); !reflect.DeepEqual(ids, []string{"f1"}) {
-				t.Fatalf("live: %v", ids)
+			entries, err := recv.Promote("own")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != 1 || entries[0].ID != "f1" || entries[0].Request != f1.Request {
+				t.Fatalf("live after promotion: %+v", entries)
 			}
 		})
 	}

@@ -341,6 +341,7 @@ func (s *Store) replaySegment(path string, repair bool) error {
 // complete frame that fails to decode is real corruption.
 func (s *Store) replayBinarySegment(path string, r io.Reader, repair bool) error {
 	sc := codec.NewFrameScanner(r)
+	var rd codec.RecordDecoder
 	n := 0
 	for {
 		_, payload, err := sc.Next()
@@ -360,7 +361,7 @@ func (s *Store) replayBinarySegment(path string, r io.Reader, repair bool) error
 			return fmt.Errorf("store: %s: %w", path, err)
 		}
 		n++
-		rec, err := codec.DecodeRecord(payload)
+		rec, err := rd.Decode(payload)
 		if err != nil {
 			return fmt.Errorf("store: %s frame %d: %v", path, n, err)
 		}
@@ -696,7 +697,7 @@ func (s *Store) Compact() (CompactStats, error) {
 		liveOrder = append(liveOrder, id)
 		rec := Record{
 			Type: TypeExecSnap, ID: id, Time: now,
-			Request: st.req, Vars: st.vars, Done: sortedKeys(st.done),
+			Request: codec.UpgradeRequestDoc(st.req), Vars: st.vars, Done: sortedKeys(st.done),
 			Paused: st.paused, Passivated: st.passivated,
 		}
 		// The replacement segment is written in the configured encoding:

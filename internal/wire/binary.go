@@ -10,7 +10,7 @@ import (
 )
 
 // Binary codecs for the wire's JSON envelope types (Control, Batch,
-// Delegate and their results). The DGL documents themselves are encoded
+// Delegate, Route, Replicate and their results). The DGL documents themselves are encoded
 // by internal/codec's Request/Response codecs; the envelopes here carry
 // those payloads as opaque blobs, each sniffed independently — a binary
 // batch may legally contain XML items and vice versa, which is what
@@ -495,9 +495,9 @@ func decodeBatchResult(payload []byte) (ok bool, errText string, responses [][]b
 }
 
 // appendDelegate encodes a delegation envelope. The embedded request
-// document stays in whatever encoding the federation produced (XML
-// today): delegation is not a hot path, and keeping the document
-// opaque means provenance and journals see the same bytes both sides.
+// document rides as an opaque blob in the encoding the sender produced
+// (Client.EncodeRequest: binary on a binary session); the receiver
+// sniffs it.
 func appendDelegate(e *codec.Encoder, dl *Delegate) {
 	e.Begin(codec.MsgDelegate)
 	e.Sym(1, dl.User)
@@ -559,6 +559,79 @@ func decodeDelegateResult(payload []byte) (DelegateResult, error) {
 			r.ID = d.Sym()
 		case 4:
 			r.Status = string(d.Blob())
+		default:
+			d.Skip()
+		}
+	}
+	return r, d.Err()
+}
+
+// appendRoute encodes a routing envelope. The embedded request document
+// is an opaque blob, sniffed by the receiver like a delegate's.
+func appendRoute(e *codec.Encoder, rt *Route) {
+	e.Begin(codec.MsgRoute)
+	e.Sym(1, rt.User)
+	e.Str(2, rt.Token)
+	e.Str(3, rt.Request)
+	e.Uint(4, uint64(rt.Shard))
+	e.Sym(5, rt.Origin)
+}
+
+// decodeRoute decodes a binary routing envelope. Transient decode: the
+// payload is almost entirely the request document, which the regular
+// decoder's shared-string copy would duplicate.
+func decodeRoute(payload []byte) (Route, error) {
+	d, err := codec.NewDecoderTransient(payload, codec.MsgRoute)
+	if err != nil {
+		return Route{}, err
+	}
+	var rt Route
+	for d.Next() {
+		switch d.Field() {
+		case 1:
+			rt.User = d.Sym()
+		case 2:
+			rt.Token = d.Str()
+		case 3:
+			rt.Request = d.Str()
+		case 4:
+			rt.Shard = int(d.Uint())
+		case 5:
+			rt.Origin = d.Sym()
+		default:
+			d.Skip()
+		}
+	}
+	return rt, d.Err()
+}
+
+func appendRouteResult(e *codec.Encoder, r *RouteResult) {
+	e.Begin(codec.MsgRouteResult)
+	e.Bool(1, r.OK)
+	e.Str(2, r.Error)
+	e.Bool(3, r.NotOwner)
+	e.Sym(4, r.Owner)
+	e.Str(5, r.Response)
+}
+
+func decodeRouteResult(payload []byte) (RouteResult, error) {
+	d, err := codec.NewDecoderTransient(payload, codec.MsgRouteResult)
+	if err != nil {
+		return RouteResult{}, err
+	}
+	var r RouteResult
+	for d.Next() {
+		switch d.Field() {
+		case 1:
+			r.OK = d.Bool()
+		case 2:
+			r.Error = d.Str()
+		case 3:
+			r.NotOwner = d.Bool()
+		case 4:
+			r.Owner = d.Sym()
+		case 5:
+			r.Response = d.Str()
 		default:
 			d.Skip()
 		}

@@ -451,6 +451,19 @@ func (c *Client) submitOne(ctx context.Context, req *dgl.Request) (*dgl.Response
 	return parseResponsePayload(payload)
 }
 
+// EncodeRequest renders a request document for embedding in a peer
+// envelope (Delegate.Request, Route.Request): codec-encoded when the
+// session negotiated binary, XML otherwise. Delegate and Route pick the
+// envelope encoding to match, so a binary document never rides a JSON
+// envelope, whose string escaping would mangle it.
+func (c *Client) EncodeRequest(req *dgl.Request) (string, error) {
+	if c.Binary() {
+		return codec.RequestDoc(req), nil
+	}
+	data, err := dgl.Marshal(req)
+	return string(data), err
+}
+
 // parseResponsePayload sniffs a DGL response payload's encoding —
 // servers mirror the request encoding, but decoding never assumes.
 func parseResponsePayload(payload []byte) (*dgl.Response, error) {
@@ -619,7 +632,16 @@ func (c *Client) SubmitAsyncContext(ctx context.Context, user string, flow dgl.F
 
 // Status queries the status of an execution, flow or step id.
 func (c *Client) Status(user, id string, detail bool) (*dgl.FlowStatus, error) {
-	resp, err := c.submitOne(context.Background(), dgl.NewStatusRequest(user, id, detail))
+	return c.statusAs(user, "", id, detail)
+}
+
+// statusAs is Status carrying an explicit bearer token — the caller's,
+// when a peer forwards a query on the caller's behalf. An empty token
+// leaves the session's own (SetToken) to be attached.
+func (c *Client) statusAs(user, token, id string, detail bool) (*dgl.FlowStatus, error) {
+	req := dgl.NewStatusRequest(user, id, detail)
+	req.Token = token
+	resp, err := c.submitOne(context.Background(), req)
 	if err != nil {
 		return nil, err
 	}
@@ -789,7 +811,7 @@ func (c *Client) Delegate(ctx context.Context, d Delegate) (*DelegateResult, err
 			dgferr.ErrProtocol, ProtoVersion(ProtoMajor, delegateMinor))
 	}
 	var payload []byte
-	if c.Binary() {
+	if c.Binary() || codec.IsBinary(d.Request) {
 		enc := codec.GetEncoder()
 		defer codec.PutEncoder(enc)
 		appendDelegate(enc, &d)
@@ -843,11 +865,21 @@ func (c *Client) Route(ctx context.Context, rt Route) (*RouteResult, error) {
 		return nil, fmt.Errorf("%w: server does not accept route frames (need >= %s)",
 			dgferr.ErrProtocol, ProtoVersion(ProtoMajor, routeMinor))
 	}
-	// Route envelopes always ride JSON: the hot payload is the embedded
-	// request document, which keeps whatever encoding the origin chose.
-	payload, err := json.Marshal(rt)
-	if err != nil {
-		return nil, err
+	// Most submits on a sharded fleet take this hop, so it rides binary
+	// like the client's own frames: the JSON envelope (and the XML
+	// document inside it) is only the fallback for a session that did not
+	// negotiate the codec.
+	var payload []byte
+	if c.Binary() || codec.IsBinary(rt.Request) {
+		enc := codec.GetEncoder()
+		defer codec.PutEncoder(enc)
+		appendRoute(enc, &rt)
+		payload = enc.Bytes()
+	} else {
+		var err error
+		if payload, err = json.Marshal(rt); err != nil {
+			return nil, err
+		}
 	}
 	kind, resp, err := c.roundTrip(ctx, KindRoute, payload)
 	if err != nil {
@@ -856,8 +888,13 @@ func (c *Client) Route(ctx context.Context, rt Route) (*RouteResult, error) {
 	if kind != KindRoute {
 		return nil, errors.New("wire: unexpected frame kind in route response")
 	}
+	// Servers mirror the request encoding, but decoding never assumes.
 	var res RouteResult
-	if err := json.Unmarshal(resp, &res); err != nil {
+	if codec.IsBinary(resp) {
+		if res, err = decodeRouteResult(resp); err != nil {
+			return nil, fmt.Errorf("wire: bad route reply: %w", err)
+		}
+	} else if err := json.Unmarshal(resp, &res); err != nil {
 		return nil, fmt.Errorf("wire: bad route reply: %w", err)
 	}
 	if !res.OK && res.Error != "" {

@@ -52,11 +52,14 @@ const (
 	// protocol-1.3 feature: clients only send it after a hello exchange
 	// in which the server advertised >= 1.3.
 	KindDelegate byte = 4
-	// KindRoute frames carry a JSON routing envelope: a peer that
-	// accepted a flow submission hands the whole request to the shard
-	// owner the consistent-hash ring names for it (docs/FEDERATION.md,
-	// "Sharded ownership"). The receiver is the terminal hop — it
-	// executes locally, never re-routes. A protocol-1.5 feature:
+	// KindRoute frames carry a routing envelope: a peer that accepted a
+	// flow submission hands the whole request to the shard owner the
+	// consistent-hash ring names for it (docs/FEDERATION.md, "Sharded
+	// ownership"). The receiver is the terminal hop — it executes
+	// locally, never re-routes. Between binary sessions the envelope and
+	// the request document inside it are both codec-encoded; JSON
+	// carrying XML is the fallback for a session that did not negotiate
+	// the codec. A protocol-1.5 feature:
 	// clients only send it after a hello exchange in which the server
 	// advertised >= 1.5; older peers simply keep local-accept.
 	KindRoute byte = 5
@@ -127,7 +130,7 @@ const (
 	// KindDelegate frames (federated subflow execution).
 	delegateMinor = 3
 	// binaryMinor is the minimum minor version that accepts binary
-	// (internal/codec) payloads inside kind 1-4 frames. Negotiation is
+	// (internal/codec) payloads inside every frame kind. Negotiation is
 	// per payload, not per session: hello stays JSON in both directions,
 	// and after a >= 1.4 hello either end may send binary — the receiver
 	// sniffs each payload's first byte and mirrors the encoding in its
@@ -435,10 +438,12 @@ type Delegate struct {
 	// docs/TENANCY.md). The receiving peer re-verifies it against its
 	// own authority (shared secret).
 	Token string `json:"token,omitempty"`
-	// Request is a complete XML dataGridRequest document carrying the
+	// Request is a complete dataGridRequest document carrying the
 	// subflow, with the delegating peer's parent-scope variable values
 	// already bound into the flow's variable block (late binding
-	// resolves on the delegating side; see docs/FEDERATION.md).
+	// resolves on the delegating side; see docs/FEDERATION.md). The
+	// sender renders it with Client.EncodeRequest — codec-encoded bytes
+	// on a binary session, XML otherwise — and the receiver sniffs it.
 	Request string `json:"request"`
 	// Origin names the delegating peer, for the remote server's logs
 	// and provenance.
@@ -464,9 +469,10 @@ type DelegateResult struct {
 	Status string `json:"status,omitempty"`
 }
 
-// Route is the JSON payload of a KindRoute frame: the accepting peer
-// hands a whole flow submission to the shard owner the ring names for
-// it. Unlike Delegate (a subtree of a running flow), a routed request
+// Route is the payload of a KindRoute frame — a binary envelope
+// (codec.MsgRoute) between binary sessions, JSON otherwise: the
+// accepting peer hands a whole flow submission to the shard owner the
+// ring names for it. Unlike Delegate (a subtree of a running flow), a routed request
 // becomes the receiver's own top-level execution — the receiver *is*
 // the owner, and the flow's id carries its prefix. The receiver is
 // the terminal hop: it verifies it still holds the shard's lease,
@@ -479,9 +485,11 @@ type Route struct {
 	// shard-owner hop preserves the authenticated identity (wire >=
 	// 1.7, docs/TENANCY.md).
 	Token string `json:"token,omitempty"`
-	// Request is the complete XML dataGridRequest document. Route
-	// envelopes always ride JSON/XML — they are peer control traffic,
-	// off the client hot path the binary codec serves.
+	// Request is the complete dataGridRequest document, rendered by the
+	// sender with Client.EncodeRequest: codec-encoded bytes on the
+	// binary envelope, XML on the JSON one (a JSON string cannot carry
+	// the binary form). About 0.7 of a sharded fleet's submits take this
+	// hop, so it is as hot as the client's own frame.
 	Request string `json:"request"`
 	// Shard is the shard index the routing peer mapped the submission
 	// to; the receiver refuses (NotOwner) if it no longer holds its
@@ -491,7 +499,8 @@ type Route struct {
 	Origin string `json:"origin,omitempty"`
 }
 
-// RouteResult is the JSON reply to a route frame.
+// RouteResult is the reply to a route frame, in the encoding the frame
+// arrived in (codec.MsgRouteResult or JSON).
 type RouteResult struct {
 	OK bool `json:"ok"`
 	// Error is the typed (dgferr-encoded) failure — transport-level,
@@ -505,8 +514,9 @@ type RouteResult struct {
 	// Owner is the receiver's current view of the shard's holder, a
 	// redirect hint alongside NotOwner.
 	Owner string `json:"owner,omitempty"`
-	// Response is the XML dataGridResponse of the executed submission
-	// (ack for async, final status for sync).
+	// Response is the dataGridResponse of the executed submission (ack
+	// for async, final status for sync), in the encoding Route.Request
+	// came in; the sender decodes it by sniffing.
 	Response string `json:"response,omitempty"`
 }
 

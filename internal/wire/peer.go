@@ -751,7 +751,7 @@ func (p *Peer) Start(addr, lookupAddr string) (string, error) {
 	// Route incoming wire status queries through the peer network, so a
 	// client of any peer can resolve any execution id (README's two-peer
 	// session and docs/WIRE.md §3).
-	p.server.statusRouter = p.Status
+	p.server.statusRouter = p.routeStatus
 	bound, err := p.server.Listen(addr)
 	if err != nil {
 		return "", err
@@ -856,6 +856,14 @@ func OwnerOf(id string) string {
 // the id belongs to this peer, otherwise by forwarding to the owning
 // peer via the lookup service.
 func (p *Peer) Status(user, id string, detail bool) (*dgl.FlowStatus, error) {
+	return p.routeStatus(user, "", id, detail)
+}
+
+// routeStatus is Status carrying the caller's bearer token: the
+// forwarded hop presents it to the owner the way Route.Token does for
+// submissions, so an owner that requires tokens (-tenant-require)
+// re-verifies the same identity instead of refusing the query.
+func (p *Peer) routeStatus(user, token, id string, detail bool) (*dgl.FlowStatus, error) {
 	engine := p.server.Engine()
 	o := engine.Obs()
 	owner := OwnerOf(id)
@@ -897,7 +905,7 @@ func (p *Peer) Status(user, id string, detail bool) (*dgl.FlowStatus, error) {
 	if err != nil {
 		return nil, err
 	}
-	return client.Status(user, id, detail)
+	return client.statusAs(user, token, id, detail)
 }
 
 // SubmitTo submits a flow to a named peer (itself included).

@@ -97,7 +97,9 @@ type Server struct {
 	// statusRouter, when set (by a Peer, before Listen), answers DGL
 	// status queries — routing ids owned by other peers across the
 	// network. Plain servers leave it nil and answer from the engine.
-	statusRouter func(user, id string, detail bool) (*dgl.FlowStatus, error)
+	// token is the caller's bearer token, forwarded on the peer hop so a
+	// fleet that requires tokens still answers cross-peer queries.
+	statusRouter func(user, token, id string, detail bool) (*dgl.FlowStatus, error)
 	// submitRouter, when set (by a sharded Peer, before Listen), owns
 	// flow submissions entirely: it routes to the shard owner or accepts
 	// locally, returning the response to send. Plain servers leave it
@@ -510,10 +512,14 @@ func (s *Server) handleFrame(ctx context.Context, kind byte, payload []byte, mux
 			data, err = json.Marshal(res)
 		}
 	case KindRoute:
-		// Route envelopes always ride JSON (the hot payload is the
-		// embedded request document, which keeps its own encoding).
 		res := s.serveRoute(ctx, payload)
-		data, err = json.Marshal(res)
+		if bin {
+			enc = codec.GetEncoder()
+			appendRouteResult(enc, &res)
+			data = enc.Bytes()
+		} else {
+			data, err = json.Marshal(res)
+		}
 	case KindReplicate:
 		res := s.serveReplicate(payload)
 		if bin {
@@ -528,16 +534,6 @@ func (s *Server) handleFrame(ctx context.Context, kind byte, payload []byte, mux
 		o.Counter("codec_encode_bytes_total").Add(int64(len(data)))
 	}
 	return data, enc, upgrade, err
-}
-
-// decodeRequestPayload sniffs a DGL request payload's encoding and
-// decodes accordingly: binary via internal/codec, anything else via the
-// XML parser.
-func decodeRequestPayload(payload []byte) (*dgl.Request, error) {
-	if codec.IsBinary(payload) {
-		return codec.DecodeRequest(payload)
-	}
-	return dgl.DecodeRequest(payload)
 }
 
 // admit runs a request through the admission scheduler, tracking the
@@ -565,7 +561,7 @@ func (s *Server) release() {
 // services it. Errors become error responses rather than dropped
 // connections — clients always get an answer per request.
 func (s *Server) serveDGL(ctx context.Context, payload []byte) *dgl.Response {
-	req, err := decodeRequestPayload(payload)
+	req, err := codec.DecodeRequestDoc(payload)
 	if err != nil {
 		return &dgl.Response{Error: dgferr.Encode(err)}
 	}
@@ -594,7 +590,7 @@ func (s *Server) serveDGL(ctx context.Context, payload []byte) *dgl.Response {
 // dispatchDGL services a decoded, admitted DGL request.
 func (s *Server) dispatchDGL(req *dgl.Request) *dgl.Response {
 	if q := req.StatusQuery; q != nil && req.Flow == nil && s.statusRouter != nil {
-		st, err := s.statusRouter(req.User.Name, q.ID, q.Detail)
+		st, err := s.statusRouter(req.User.Name, req.Token, q.ID, q.Detail)
 		if err != nil {
 			return &dgl.Response{Error: dgferr.Encode(err)}
 		}
@@ -626,7 +622,13 @@ func (s *Server) serveRoute(ctx context.Context, payload []byte) RouteResult {
 			dgferr.ErrProtocol, ProtoVersion(ProtoMajor, routeMinor), s.proto()))}
 	}
 	var rt Route
-	if err := json.Unmarshal(payload, &rt); err != nil {
+	if codec.IsBinary(payload) {
+		var derr error
+		if rt, derr = decodeRoute(payload); derr != nil {
+			return RouteResult{Error: dgferr.Encode(
+				fmt.Errorf("%w: bad route frame: %v", dgferr.ErrInvalid, derr))}
+		}
+	} else if err := json.Unmarshal(payload, &rt); err != nil {
 		return RouteResult{Error: dgferr.Encode(
 			fmt.Errorf("%w: bad route frame: %v", dgferr.ErrInvalid, err))}
 	}
@@ -734,7 +736,7 @@ func (s *Server) serveBatch(ctx context.Context, payload []byte) ([]byte, *codec
 	out := make([][]byte, len(items))
 	for i, doc := range items {
 		var resp *dgl.Response
-		req, err := decodeRequestPayload(doc)
+		req, err := codec.DecodeRequestDoc(doc)
 		if err != nil {
 			resp = &dgl.Response{Error: dgferr.Encode(err)}
 		} else {
@@ -824,7 +826,7 @@ func (s *Server) serveDelegate(ctx context.Context, payload []byte) DelegateResu
 		return DelegateResult{Error: dgferr.Encode(
 			fmt.Errorf("%w: bad delegate frame: %v", dgferr.ErrInvalid, err))}
 	}
-	req, err := decodeRequestPayload([]byte(d.Request))
+	req, err := codec.DecodeRequestDoc([]byte(d.Request))
 	if err != nil {
 		outcome("invalid")
 		return DelegateResult{Error: dgferr.Encode(

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"datagridflow/internal/codec"
 	"datagridflow/internal/dgferr"
 	"datagridflow/internal/dgl"
 	"datagridflow/internal/shard"
@@ -99,13 +100,9 @@ func (p *Peer) routeSubmit(req *dgl.Request) *dgl.Response {
 	if holder == p.Name {
 		return p.acceptLocal(req, sh, "local")
 	}
-	data, err := dgl.Marshal(req)
-	if err != nil {
-		return &dgl.Response{Error: dgferr.Encode(err)}
-	}
 	// The token rides the route envelope so the owning peer re-verifies
 	// the same identity the accepting peer did (docs/TENANCY.md).
-	rt := Route{User: req.User.Name, Token: req.Token, Request: string(data), Shard: sh, Origin: p.Name}
+	rt := Route{User: req.User.Name, Token: req.Token, Shard: sh, Origin: p.Name}
 	for attempt := 0; attempt < routeRetries; attempt++ {
 		client, cerr := p.clientFor(holder)
 		if cerr != nil {
@@ -126,6 +123,10 @@ func (p *Peer) routeSubmit(req *dgl.Request) *dgl.Response {
 			// so the flow stays where it was submitted — mixed-version
 			// interop keeps every peer accepting (docs/WIRE.md).
 			return p.acceptLocal(req, sh, "unsupported")
+		}
+		var err error
+		if rt.Request, err = client.EncodeRequest(req); err != nil {
+			return &dgl.Response{Error: dgferr.Encode(err)}
 		}
 		res, rerr := client.Route(context.Background(), rt)
 		if res == nil {
@@ -221,7 +222,7 @@ func (p *Peer) handleRoute(rt Route) RouteResult {
 		return RouteResult{NotOwner: true, Owner: holder, Error: dgferr.Encode(fmt.Errorf(
 			"%w: peer %s does not own shard %d", dgferr.ErrResourceDown, p.Name, rt.Shard))}
 	}
-	req, err := decodeRequestPayload([]byte(rt.Request))
+	req, err := codec.DecodeRequestDoc([]byte(rt.Request))
 	if err != nil {
 		return RouteResult{Error: dgferr.Encode(
 			fmt.Errorf("%w: bad routed request: %v", dgferr.ErrInvalid, err))}
@@ -238,12 +239,23 @@ func (p *Peer) handleRoute(rt Route) RouteResult {
 	if resp.Ack != nil && resp.Ack.Valid {
 		mgr.Track(resp.Ack.ID, rt.Shard)
 	}
-	data, merr := dgl.Marshal(resp)
-	if merr != nil {
-		return RouteResult{Error: dgferr.Encode(merr)}
+	// The reply document mirrors the request document's encoding, so a
+	// binary one only ever rides the binary envelope that carried it in.
+	var doc string
+	if codec.IsBinary(rt.Request) {
+		enc := codec.GetEncoder()
+		codec.AppendResponse(enc, resp)
+		doc = string(enc.Bytes())
+		codec.PutEncoder(enc)
+	} else {
+		data, merr := dgl.Marshal(resp)
+		if merr != nil {
+			return RouteResult{Error: dgferr.Encode(merr)}
+		}
+		doc = string(data)
 	}
 	p.countRoute("served")
-	return RouteResult{OK: true, Response: string(data)}
+	return RouteResult{OK: true, Response: doc}
 }
 
 // resolveOwner services the "owner" control verb: which peer owns an

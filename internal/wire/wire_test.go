@@ -12,12 +12,15 @@ import (
 	"datagridflow/internal/dgms"
 	"datagridflow/internal/matrix"
 	"datagridflow/internal/namespace"
+	"datagridflow/internal/obs"
 	"datagridflow/internal/vfs"
 )
 
 func newEngine(t testing.TB, prefix string) *matrix.Engine {
 	t.Helper()
-	g := dgms.New(dgms.Options{})
+	// A registry per engine: tests assert on metric values, and peers of
+	// one test must not read each other's (or an earlier test's) counts.
+	g := dgms.New(dgms.Options{Obs: obs.NewRegistry()})
 	if err := g.RegisterResource(vfs.New("disk"+prefix, "sdsc", vfs.Disk, 0)); err != nil {
 		t.Fatal(err)
 	}
