@@ -174,6 +174,34 @@ func TestWhileLoop(t *testing.T) {
 	}
 }
 
+// TestIterationIDs pins the exact strings iterNode builds, two digits
+// included: the iteration's name and id are the parent's plus "[i]", and
+// the id is what a status query is addressed by.
+func TestIterationIDs(t *testing.T) {
+	e := newTestEngine(t)
+	flow := dgl.NewFlow("outer").
+		SubFlow(dgl.NewFlow("body").Repeat("i", 13).
+			Step("work", dgl.Op(dgl.OpNoop, nil))).Flow()
+	ex := mustRun(t, e, flow)
+	body := ex.Status(true).Children[0]
+	if len(body.Children) != 13 {
+		t.Fatalf("iterations = %d", len(body.Children))
+	}
+	for _, i := range []int{0, 9, 12} {
+		it := body.Children[i]
+		suffix := fmt.Sprintf("[%d]", i)
+		if it.Name != "body"+suffix || it.ID != body.ID+suffix {
+			t.Errorf("iteration %d: name %q id %q, want %q and %q", i, it.Name, it.ID, "body"+suffix, body.ID+suffix)
+		}
+		if len(it.Children) != 1 || it.Children[0].ID != body.ID+suffix+"/work" {
+			t.Errorf("iteration %d: children %+v, want one step %q", i, it.Children, body.ID+suffix+"/work")
+		}
+		if st, err := ex.StatusOf(it.ID, false); err != nil || st.Name != it.Name {
+			t.Errorf("StatusOf(%q) = %q, %v", it.ID, st.Name, err)
+		}
+	}
+}
+
 func TestWhileLoopGuard(t *testing.T) {
 	g := dgms.New(dgms.Options{})
 	e := NewEngineConfig(g, Config{MaxLoopIterations: 10})

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"strconv"
 	"strings"
 	"time"
 
@@ -228,8 +229,8 @@ func (ex *Execution) runChildDelegable(f *dgl.Flow, i int, under *node, scope *S
 // iterNode wraps one loop iteration so each pass gets distinct,
 // queryable status ids ("...ingest[3]/step").
 func iterNode(parent *node, i int) *node {
-	name := fmt.Sprintf("%s[%d]", parent.name, i)
-	c := &node{id: fmt.Sprintf("%s[%d]", parent.id, i), name: name, kind: "flow", state: StatePending}
+	idx := strconv.Itoa(i)
+	c := &node{id: parent.id + "[" + idx + "]", name: parent.name + "[" + idx + "]", kind: "flow", state: StatePending}
 	parent.addChild(c)
 	return c
 }

@@ -43,7 +43,7 @@ func (p Perm) Allows(q Perm) bool { return p >= q }
 func (ns *Namespace) SetPermission(path, user string, p Perm) error {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	n, _, err := ns.resolve(path)
+	n, err := ns.resolve(path)
 	if err != nil {
 		return err
 	}
@@ -64,31 +64,25 @@ const Wildcard = "*"
 // the Wildcard user applies to everyone, but a same-depth grant naming
 // the user specifically takes precedence.
 func (ns *Namespace) Permission(path, user string) (Perm, error) {
+	clean, err := CleanPath(path)
+	if err != nil {
+		return PermNone, err
+	}
 	ns.mu.RLock()
 	defer ns.mu.RUnlock()
-	n, ancestors, err := ns.resolve(path)
+	eff := PermNone
+	_, _, n, err := ns.find(clean, path, func(a *node) {
+		if p, ok := a.acl[user]; ok {
+			eff = p // deepest explicit grant wins
+		} else if p, ok := a.acl[Wildcard]; ok {
+			eff = p
+		}
+	})
 	if err != nil {
 		return PermNone, err
 	}
 	if n.owner == user {
 		return PermOwn, nil
-	}
-	eff := PermNone
-	found := false
-	for _, a := range ancestors {
-		if a.acl == nil {
-			continue
-		}
-		if p, ok := a.acl[user]; ok {
-			eff = p // deepest explicit grant wins
-			found = true
-		} else if p, ok := a.acl[Wildcard]; ok {
-			eff = p
-			found = true
-		}
-	}
-	if !found {
-		return PermNone, nil
 	}
 	return eff, nil
 }

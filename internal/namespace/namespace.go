@@ -106,26 +106,91 @@ func New(admin string) *Namespace {
 	}}
 }
 
-// resolve walks to the node at path. Caller must hold at least RLock.
-func (ns *Namespace) resolve(path string) (*node, []*node, error) {
-	parts, err := SplitPath(path)
+// descend walks the canonical path clean from the root, one component
+// at a time by index, and returns the node it names, the collection
+// holding it and the name it is held under (nil and "" for the root).
+// When only the last component is missing, n is nil and parent and name
+// say where it would go, so lookups, creators and removers share one
+// walk. The errors are the bare ErrNotFound (a missing intermediate) and
+// ErrNotCollection (a walk through an object); callers wrap them with
+// the path they quote. visit, when non-nil, sees every node on the way
+// down, root first. Caller must hold at least RLock.
+func (ns *Namespace) descend(clean string, visit func(*node)) (parent *node, name string, n *node, err error) {
+	n = ns.root
+	for i := 1; i < len(clean); {
+		if visit != nil {
+			visit(n)
+		}
+		if n.kind != KindCollection {
+			return nil, "", nil, ErrNotCollection
+		}
+		end := len(clean)
+		if j := strings.IndexByte(clean[i:], '/'); j >= 0 {
+			end = i + j
+		}
+		parent, name = n, clean[i:end]
+		if n = parent.children[name]; n == nil {
+			if end < len(clean) {
+				return nil, "", nil, ErrNotFound
+			}
+			return parent, name, nil, nil
+		}
+		i = end + 1
+	}
+	if visit != nil {
+		visit(n)
+	}
+	return parent, name, n, nil
+}
+
+// find is descend for an entry that must exist; errors quote the path
+// the caller was given.
+func (ns *Namespace) find(clean, quote string, visit func(*node)) (parent *node, name string, n *node, err error) {
+	parent, name, n, err = ns.descend(clean, visit)
+	if err == nil && n == nil {
+		err = ErrNotFound
+	}
 	if err != nil {
-		return nil, nil, err
+		return nil, "", nil, fmt.Errorf("%w: %s", err, quote)
 	}
-	cur := ns.root
-	ancestors := []*node{cur}
-	for _, part := range parts {
-		if cur.kind != KindCollection {
-			return nil, nil, fmt.Errorf("%w: %s", ErrNotCollection, path)
-		}
-		next, ok := cur.children[part]
-		if !ok {
-			return nil, nil, fmt.Errorf("%w: %s", ErrNotFound, path)
-		}
-		cur = next
-		ancestors = append(ancestors, cur)
+	return parent, name, n, nil
+}
+
+// resolve walks to the node at path, which need not be clean. Caller
+// must hold at least RLock.
+func (ns *Namespace) resolve(path string) (*node, error) {
+	clean, err := CleanPath(path)
+	if err != nil {
+		return nil, err
 	}
-	return cur, ancestors, nil
+	_, _, n, err := ns.find(clean, path, nil)
+	return n, err
+}
+
+// insert files n under parent as name. The name is cloned, at creation
+// only and never on lookup: CleanPath returns a canonical argument
+// untouched, so name is a substring of whatever the caller passed — an
+// interpolated parameter, a decoded request document — and a node must
+// not keep that whole buffer alive.
+func (parent *node) insert(name string, n *node) {
+	n.name = strings.Clone(name)
+	parent.children[n.name] = n
+}
+
+// createAt is the shared body of MkCollection and CreateObject: one walk
+// finds the parent collection and the free name, then n goes in.
+func (ns *Namespace) createAt(clean string, n *node) error {
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
+	parent, name, existing, err := ns.descend(clean, nil)
+	if err != nil {
+		return fmt.Errorf("%w: %s", err, Parent(clean))
+	}
+	if existing != nil {
+		return fmt.Errorf("%w: %s", ErrExists, clean)
+	}
+	parent.insert(name, n)
+	return nil
 }
 
 // MkCollection creates a collection at path; the parent must exist.
@@ -137,21 +202,11 @@ func (ns *Namespace) MkCollection(path, owner, domain string, now time.Time) err
 	if clean == "/" {
 		return fmt.Errorf("%w: /", ErrExists)
 	}
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	parent, _, err := ns.resolve(Parent(clean))
-	if err != nil {
-		return err
-	}
-	if parent.kind != KindCollection {
-		return fmt.Errorf("%w: %s", ErrNotCollection, Parent(clean))
-	}
-	name := Base(clean)
-	if _, ok := parent.children[name]; ok {
-		return fmt.Errorf("%w: %s", ErrExists, clean)
-	}
-	parent.children[name] = &node{
-		name:     name,
+	return ns.createAt(clean, newCollection(owner, domain, now))
+}
+
+func newCollection(owner, domain string, now time.Time) *node {
+	return &node{
 		kind:     KindCollection,
 		owner:    owner,
 		domain:   domain,
@@ -159,7 +214,6 @@ func (ns *Namespace) MkCollection(path, owner, domain string, now time.Time) err
 		children: make(map[string]*node),
 		meta:     make(map[string]string),
 	}
-	return nil
 }
 
 // MkCollectionAll creates a collection and any missing ancestors, like
@@ -178,16 +232,8 @@ func (ns *Namespace) MkCollectionAll(path, owner, domain string, now time.Time) 
 		}
 		next, ok := cur.children[part]
 		if !ok {
-			next = &node{
-				name:     part,
-				kind:     KindCollection,
-				owner:    owner,
-				domain:   domain,
-				created:  now,
-				children: make(map[string]*node),
-				meta:     make(map[string]string),
-			}
-			cur.children[part] = next
+			next = newCollection(owner, domain, now)
+			cur.insert(part, next)
 		}
 		cur = next
 	}
@@ -211,29 +257,14 @@ func (ns *Namespace) CreateObject(path, owner, domain string, size int64, now ti
 	if size < 0 {
 		return fmt.Errorf("%w: negative size", ErrBadPath)
 	}
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	parent, _, err := ns.resolve(Parent(clean))
-	if err != nil {
-		return err
-	}
-	if parent.kind != KindCollection {
-		return fmt.Errorf("%w: %s", ErrNotCollection, Parent(clean))
-	}
-	name := Base(clean)
-	if _, ok := parent.children[name]; ok {
-		return fmt.Errorf("%w: %s", ErrExists, clean)
-	}
-	parent.children[name] = &node{
-		name:    name,
+	return ns.createAt(clean, &node{
 		kind:    KindObject,
 		owner:   owner,
 		domain:  domain,
 		size:    size,
 		created: now,
 		meta:    make(map[string]string),
-	}
-	return nil
+	})
 }
 
 // Lookup returns the entry at path.
@@ -244,7 +275,7 @@ func (ns *Namespace) Lookup(path string) (Entry, error) {
 	}
 	ns.mu.RLock()
 	defer ns.mu.RUnlock()
-	n, _, err := ns.resolve(clean)
+	_, _, n, err := ns.find(clean, clean, nil)
 	if err != nil {
 		return Entry{}, err
 	}
@@ -266,7 +297,7 @@ func (ns *Namespace) List(path string) ([]Entry, error) {
 	}
 	ns.mu.RLock()
 	defer ns.mu.RUnlock()
-	n, _, err := ns.resolve(clean)
+	_, _, n, err := ns.find(clean, clean, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -299,7 +330,7 @@ func (ns *Namespace) Walk(root string, fn func(Entry) error) error {
 	}
 	ns.mu.RLock()
 	defer ns.mu.RUnlock()
-	n, _, err := ns.resolve(clean)
+	_, _, n, err := ns.find(clean, clean, nil)
 	if err != nil {
 		return err
 	}
@@ -338,18 +369,14 @@ func (ns *Namespace) Remove(path string) error {
 	}
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	n, _, err := ns.resolve(clean)
+	parent, name, n, err := ns.find(clean, clean, nil)
 	if err != nil {
 		return err
 	}
 	if n.kind != KindObject {
 		return fmt.Errorf("%w: %s", ErrNotObject, clean)
 	}
-	parent, _, err := ns.resolve(Parent(clean))
-	if err != nil {
-		return err
-	}
-	delete(parent.children, Base(clean))
+	delete(parent.children, name)
 	return nil
 }
 
@@ -365,7 +392,7 @@ func (ns *Namespace) RemoveCollection(path string, recursive bool) error {
 	}
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	n, _, err := ns.resolve(clean)
+	parent, name, n, err := ns.find(clean, clean, nil)
 	if err != nil {
 		return err
 	}
@@ -375,11 +402,7 @@ func (ns *Namespace) RemoveCollection(path string, recursive bool) error {
 	if !recursive && len(n.children) > 0 {
 		return fmt.Errorf("%w: %s", ErrNotEmpty, clean)
 	}
-	parent, _, err := ns.resolve(Parent(clean))
-	if err != nil {
-		return err
-	}
-	delete(parent.children, Base(clean))
+	delete(parent.children, name)
 	return nil
 }
 
@@ -404,27 +427,19 @@ func (ns *Namespace) Move(src, dst string) error {
 	}
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	n, _, err := ns.resolve(cs)
+	srcParent, srcName, n, err := ns.find(cs, cs, nil)
 	if err != nil {
 		return err
 	}
-	dstParent, _, err := ns.resolve(Parent(cd))
+	dstParent, dstName, existing, err := ns.descend(cd, nil)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %s", err, Parent(cd))
 	}
-	if dstParent.kind != KindCollection {
-		return fmt.Errorf("%w: %s", ErrNotCollection, Parent(cd))
-	}
-	if _, ok := dstParent.children[Base(cd)]; ok {
+	if existing != nil {
 		return fmt.Errorf("%w: %s", ErrExists, cd)
 	}
-	srcParent, _, err := ns.resolve(Parent(cs))
-	if err != nil {
-		return err
-	}
-	delete(srcParent.children, Base(cs))
-	n.name = Base(cd)
-	dstParent.children[n.name] = n
+	delete(srcParent.children, srcName)
+	dstParent.insert(dstName, n)
 	return nil
 }
 
@@ -480,7 +495,7 @@ func (ns *Namespace) objectNode(path string) (*node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, _, err := ns.resolve(clean)
+	_, _, n, err := ns.find(clean, clean, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -494,7 +509,7 @@ func (ns *Namespace) objectNode(path string) (*node, error) {
 func (ns *Namespace) SetMeta(path, attr, value string) error {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	n, _, err := ns.resolve(path)
+	n, err := ns.resolve(path)
 	if err != nil {
 		return err
 	}
@@ -507,7 +522,7 @@ func (ns *Namespace) SetMeta(path, attr, value string) error {
 func (ns *Namespace) DeleteMeta(path, attr string) error {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	n, _, err := ns.resolve(path)
+	n, err := ns.resolve(path)
 	if err != nil {
 		return err
 	}
@@ -519,7 +534,7 @@ func (ns *Namespace) DeleteMeta(path, attr string) error {
 func (ns *Namespace) GetMeta(path, attr string) (string, bool, error) {
 	ns.mu.RLock()
 	defer ns.mu.RUnlock()
-	n, _, err := ns.resolve(path)
+	n, err := ns.resolve(path)
 	if err != nil {
 		return "", false, err
 	}

@@ -37,10 +37,15 @@ var (
 
 // CleanPath normalizes a logical path: it must be absolute, components are
 // separated by single slashes, "." and empty components collapse, and ".."
-// is rejected (grid paths are not relative).
+// is rejected (grid paths are not relative). A path that is already
+// canonical — nearly every path the grid sees after its first hop — is
+// returned as is, without allocating.
 func CleanPath(p string) (string, error) {
 	if p == "" || p[0] != '/' {
 		return "", fmt.Errorf("%w: %q must be absolute", ErrBadPath, p)
+	}
+	if isCanonical(p) {
+		return p, nil
 	}
 	parts := strings.Split(p, "/")
 	out := make([]string, 0, len(parts))
@@ -57,6 +62,27 @@ func CleanPath(p string) (string, error) {
 		return "/", nil
 	}
 	return "/" + strings.Join(out, "/"), nil
+}
+
+// isCanonical reports whether the absolute path p is what CleanPath
+// would return for it: "/" itself, or slash-led components none of which
+// is empty, "." or "..", with no trailing slash.
+func isCanonical(p string) bool {
+	if p == "/" {
+		return true
+	}
+	for i := 0; i < len(p); {
+		j := i + 1 // p[i] is the slash that opens a component
+		for j < len(p) && p[j] != '/' {
+			j++
+		}
+		switch p[i+1 : j] {
+		case "", ".", "..":
+			return false
+		}
+		i = j
+	}
+	return true
 }
 
 // SplitPath returns the cleaned components of an absolute path; "/" yields

@@ -168,25 +168,67 @@ func (r *Registry) Now() time.Time {
 // Trace returns the registry's trace-event stream.
 func (r *Registry) Trace() *TraceBuffer { return r.trace }
 
-// key canonicalizes a metric identity: name plus sorted label pairs.
-func key(name string, labels map[string]string) string {
-	if len(labels) == 0 {
-		return name
+// appendKey appends the canonical identity of a series to b: the name,
+// then "|k=v" for each label pair in key order. It reads kv in place —
+// pairs are ordered through a small index, a repeated key keeps its last
+// value and a trailing odd key an empty one, exactly as labelMap does —
+// so a caller holding a stack buffer pays no allocation. `\`, `|` and `=`
+// in a value are backslash-escaped: values come from user documents
+// (op, tenant), and unescaped, ("a", "b|c=d") and ("a", "b", "c", "d")
+// would name the same series.
+func appendKey(b []byte, name string, kv []string) []byte {
+	b = append(b, name...)
+	var idx [8]int
+	order := idx[:0] // offsets into kv of the keys, stably sorted by key
+	for i := 0; i < len(kv); i += 2 {
+		j := len(order)
+		order = append(order, i)
+		for ; j > 0 && kv[order[j-1]] > kv[i]; j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = i
 	}
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
+	for n, i := range order {
+		if n+1 < len(order) && kv[order[n+1]] == kv[i] {
+			continue
+		}
+		b = append(b, '|')
+		b = append(b, kv[i]...)
+		b = append(b, '=')
+		if i+1 == len(kv) {
+			continue
+		}
+		v := kv[i+1]
+		for j := strings.IndexAny(v, `\|=`); j >= 0; j = strings.IndexAny(v, `\|=`) {
+			b = append(append(b, v[:j]...), '\\', v[j])
+			v = v[j+1:]
+		}
+		b = append(b, v...)
 	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString(name)
-	for _, k := range keys {
-		b.WriteByte('|')
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(labels[k])
+	return b
+}
+
+// lookup returns the series of m with the given identity, making it with
+// mk on first use. A hit builds the key on the stack and takes only the
+// read lock; the labels map, the key string and the write lock are paid
+// once, at registration.
+func lookup[T any](r *Registry, m map[string]*T, name string, kv []string, mk func(labels map[string]string) *T) *T {
+	var buf [128]byte
+	k := appendKey(buf[:0], name, kv)
+	r.mu.RLock()
+	v, ok := m[string(k)]
+	r.mu.RUnlock()
+	if ok {
+		return v
 	}
-	return b.String()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if v, ok := m[string(k)]; ok {
+		return v
+	}
+	v = mk(labelMap(kv))
+	m[string(k)] = v
+	return v
 }
 
 // labelMap pairs up a variadic "k1, v1, k2, v2, ..." list. A trailing
@@ -209,43 +251,17 @@ func labelMap(kv []string) map[string]string {
 // Counter returns (creating on first use) the counter with the given
 // name and label pairs ("k1", "v1", "k2", "v2", ...).
 func (r *Registry) Counter(name string, kv ...string) *Counter {
-	labels := labelMap(kv)
-	k := key(name, labels)
-	r.mu.RLock()
-	c, ok := r.counters[k]
-	r.mu.RUnlock()
-	if ok {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.counters[k]; ok {
-		return c
-	}
-	c = &Counter{name: name, labels: labels}
-	r.counters[k] = c
-	return c
+	return lookup(r, r.counters, name, kv, func(labels map[string]string) *Counter {
+		return &Counter{name: name, labels: labels}
+	})
 }
 
 // Gauge returns (creating on first use) the gauge with the given name
 // and label pairs.
 func (r *Registry) Gauge(name string, kv ...string) *Gauge {
-	labels := labelMap(kv)
-	k := key(name, labels)
-	r.mu.RLock()
-	g, ok := r.gauges[k]
-	r.mu.RUnlock()
-	if ok {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.gauges[k]; ok {
-		return g
-	}
-	g = &Gauge{name: name, labels: labels}
-	r.gauges[k] = g
-	return g
+	return lookup(r, r.gauges, name, kv, func(labels map[string]string) *Gauge {
+		return &Gauge{name: name, labels: labels}
+	})
 }
 
 // Histogram returns (creating on first use) the histogram with the given
@@ -258,24 +274,11 @@ func (r *Registry) Histogram(name string, kv ...string) *Histogram {
 // for unit-less distributions like scope depth). The bounds of the first
 // registration win; later calls with different bounds reuse the series.
 func (r *Registry) HistogramBuckets(name string, bounds []float64, kv ...string) *Histogram {
-	labels := labelMap(kv)
-	k := key(name, labels)
-	r.mu.RLock()
-	h, ok := r.hists[k]
-	r.mu.RUnlock()
-	if ok {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok := r.hists[k]; ok {
-		return h
-	}
-	b := append([]float64(nil), bounds...)
-	sort.Float64s(b)
-	h = &Histogram{name: name, labels: labels, bounds: b, counts: make([]int64, len(b)+1)}
-	r.hists[k] = h
-	return h
+	return lookup(r, r.hists, name, kv, func(labels map[string]string) *Histogram {
+		b := append([]float64(nil), bounds...)
+		sort.Float64s(b)
+		return &Histogram{name: name, labels: labels, bounds: b, counts: make([]int64, len(b)+1)}
+	})
 }
 
 // Point is one counter or gauge sample in a snapshot.
