@@ -352,32 +352,13 @@ func TestOperationHelpers(t *testing.T) {
 	if o.ParamOr("z", "dflt") != "dflt" || o.ParamOr("a", "x") != "1" {
 		t.Errorf("ParamOr wrong")
 	}
-	m := o.ParamMap()
-	if len(m) != 2 || m["b"] != "2" {
-		t.Errorf("ParamMap = %v", m)
-	}
-	var empty Operation
-	if empty.ParamMap() != nil {
-		t.Errorf("empty ParamMap should be nil")
-	}
 }
 
 func TestFlowHelpers(t *testing.T) {
 	f := sampleFlow()
-	names := f.ChildNames()
-	if fmt.Sprint(names) != "[ingest-stage fixity drain route]" {
-		t.Errorf("ChildNames = %v", names)
-	}
 	// ingest-stage has 1 step, fixity 2, drain 1, route 2 (one per subflow).
 	if got := f.CountSteps(); got != 6 {
 		t.Errorf("CountSteps = %d", got)
-	}
-	r, ok := FindRule(f.Logic.Rules, RuleBeforeEntry)
-	if !ok || r.Name != RuleBeforeEntry {
-		t.Errorf("FindRule missed beforeEntry")
-	}
-	if _, ok := FindRule(f.Logic.Rules, "nope"); ok {
-		t.Errorf("FindRule false positive")
 	}
 	if !strings.Contains(NewRequest("u", "vo", f).String(), "dataGridRequest") {
 		t.Errorf("Request.String not XML")

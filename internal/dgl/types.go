@@ -321,18 +321,6 @@ func (o *Operation) ParamOr(name, def string) string {
 	return def
 }
 
-// ParamMap returns all parameters as a map (later duplicates win).
-func (o *Operation) ParamMap() map[string]string {
-	if len(o.Params) == 0 {
-		return nil
-	}
-	m := make(map[string]string, len(o.Params))
-	for _, p := range o.Params {
-		m[p.Name] = p.Value
-	}
-	return m
-}
-
 // Op constructs an Operation from a type and a param map, with
 // deterministic parameter order.
 func Op(typ string, params map[string]string) Operation {
@@ -354,18 +342,6 @@ func sortStrings(s []string) {
 			s[j], s[j-1] = s[j-1], s[j]
 		}
 	}
-}
-
-// Rule lookup helpers.
-
-// FindRule returns the rule with the given name, if present.
-func FindRule(rules []Rule, name string) (Rule, bool) {
-	for _, r := range rules {
-		if r.Name == name {
-			return r, true
-		}
-	}
-	return Rule{}, false
 }
 
 // Marshal renders any DGL document (Request, Response, Flow...) as
@@ -430,18 +406,6 @@ func (r *Request) String() string {
 		return fmt.Sprintf("<invalid request: %v>", err)
 	}
 	return string(b)
-}
-
-// ChildNames returns the names of a flow's children in document order.
-func (f *Flow) ChildNames() []string {
-	var out []string
-	for i := range f.Flows {
-		out = append(out, f.Flows[i].Name)
-	}
-	for i := range f.Steps {
-		out = append(out, f.Steps[i].Name)
-	}
-	return out
 }
 
 // CountSteps returns the total number of steps in the flow tree.

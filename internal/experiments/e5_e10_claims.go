@@ -678,7 +678,7 @@ func E10LongRun(s Scale) (*Report, error) {
 			mmu.Lock()
 			defer mmu.Unlock()
 			matrixRuns++
-			if c.Params["i"] == fmt.Sprint(failAt) && !failedOnce {
+			if c.ParamOr("i", "") == fmt.Sprint(failAt) && !failedOnce {
 				failedOnce = true
 				return errors.New("outage")
 			}
@@ -758,7 +758,7 @@ func E10LongRun(s Scale) (*Report, error) {
 				mu.Lock()
 				defer mu.Unlock()
 				runs++
-				if failing && c.Params["i"] == fmt.Sprint(failAt) {
+				if failing && c.ParamOr("i", "") == fmt.Sprint(failAt) {
 					return errors.New("process death")
 				}
 				return nil

@@ -206,20 +206,6 @@ func TestInterpolate(t *testing.T) {
 	}
 }
 
-func TestInterpolateAll(t *testing.T) {
-	env := MapEnv{"f": String("a.dat")}
-	out, err := InterpolateAll(map[string]string{"src": "/in/$f", "dst": "/out/$f"}, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out["src"] != "/in/a.dat" || out["dst"] != "/out/a.dat" {
-		t.Errorf("InterpolateAll = %v", out)
-	}
-	if m, err := InterpolateAll(nil, env); err != nil || m != nil {
-		t.Errorf("InterpolateAll(nil) = %v, %v", m, err)
-	}
-}
-
 func TestVars(t *testing.T) {
 	e := MustParse("$a > 1 && contains($b, 'x') || !($c + $a > 2)")
 	vars := e.Vars()

@@ -117,11 +117,29 @@ func (v Value) AsNumber() (float64, bool) {
 		}
 		return 0, true
 	case KindString:
-		f, err := strconv.ParseFloat(strings.TrimSpace(v.s), 64)
+		s := strings.TrimSpace(v.s)
+		// Most strings that reach here are names and paths. ParseFloat
+		// would build a *NumError (and clone s into it) only for the
+		// failure to be dropped, so text that cannot open a float — not a
+		// digit, sign, point, or the first letter of inf/nan — is turned
+		// away first.
+		if s == "" || !floatStart(s[0]) {
+			return 0, false
+		}
+		f, err := strconv.ParseFloat(s, 64)
 		return f, err == nil
 	default:
 		return 0, true
 	}
+}
+
+// floatStart reports whether c can begin a strconv.ParseFloat input.
+func floatStart(c byte) bool {
+	switch c {
+	case '+', '-', '.', 'i', 'I', 'n', 'N':
+		return true
+	}
+	return '0' <= c && c <= '9'
 }
 
 // AsString renders the value as a string. Numbers print without a trailing
@@ -143,6 +161,15 @@ func (v Value) AsString() string {
 	default:
 		return ""
 	}
+}
+
+// appendTo appends AsString's rendering to b without the intermediate
+// string.
+func (v Value) appendTo(b []byte) []byte {
+	if v.kind == KindNumber && v.n == math.Trunc(v.n) && math.Abs(v.n) < 1e15 {
+		return strconv.AppendInt(b, int64(v.n), 10)
+	}
+	return append(b, v.AsString()...)
 }
 
 // Equal reports deep equality with numeric coercion: a numeric string

@@ -25,6 +25,7 @@ import (
 	"datagridflow/internal/dgferr"
 	"datagridflow/internal/dgl"
 	"datagridflow/internal/matrix"
+	"datagridflow/internal/obs"
 	"datagridflow/internal/provenance"
 	"datagridflow/internal/scheduler"
 	"datagridflow/internal/wire"
@@ -280,7 +281,7 @@ func (f *Federation) Delegate(ctx context.Context, req matrix.DelegateRequest) (
 	defer stop()
 
 	o := f.peer.Engine().Obs()
-	o.StartSpan("delegate", req.Flow.Name, req.ParentNode, nil)
+	o.StartSpan("delegate", req.Flow.Name, req.ParentNode)
 	resp, err := f.place(dctx, req)
 	outcome := "ok"
 	switch {
@@ -293,9 +294,8 @@ func (f *Federation) Delegate(ctx context.Context, req matrix.DelegateRequest) (
 	if resp != nil {
 		peerName = resp.Peer
 	}
-	o.EndSpan("delegate", req.Flow.Name, req.ParentNode, map[string]string{
-		"outcome": outcome, "peer": peerName,
-	})
+	o.EndSpan("delegate", req.Flow.Name, req.ParentNode,
+		obs.Attr{Key: "outcome", Value: outcome}, obs.Attr{Key: "peer", Value: peerName})
 	return resp, err
 }
 

@@ -151,11 +151,12 @@ func shardFlow(f *dgl.Flow, i int) *dgl.Flow {
 }
 
 // maybeDelegate offers the subflow rooted at n to the engine's
-// delegator. handled=false means the caller must run it inline (no
-// delegator attached, or the delegator declined with ErrDelegateLocal);
-// handled=true means the node reached a terminal state here and err is
-// the subflow's outcome.
-func (ex *Execution) maybeDelegate(f *dgl.Flow, n *node, scope *Scope) (handled bool, err error) {
+// delegator: f is the document to ship — pf's own, or the shard wrapping
+// one iteration of it. handled=false means the caller must run it inline
+// (no delegator attached, or the delegator declined with
+// ErrDelegateLocal); handled=true means the node reached a terminal
+// state here and err is the subflow's outcome.
+func (ex *Execution) maybeDelegate(pf *planFlow, f *dgl.Flow, n *node, scope *Scope) (handled bool, err error) {
 	d := ex.engine.delegator()
 	if d == nil {
 		return false, nil
@@ -187,7 +188,7 @@ func (ex *Execution) maybeDelegate(f *dgl.Flow, n *node, scope *Scope) (handled 
 		Token:      ex.req.Token,
 		Flow:       *bound,
 		Hint:       resourceHint(bound),
-		VdataHint:  ex.vdataPeerHint(bound, scope),
+		VdataHint:  ex.vdataPeerHint(pf, scope),
 		ParentExec: ex.ID,
 		ParentNode: n.id,
 	}
@@ -268,7 +269,7 @@ func (e *Engine) delegateProcedure(c *OpContext, name string, args map[string]st
 	if !ok {
 		return "", nil, false
 	}
-	body := p.Flow
+	body := p.Flow // a copy: the variable block below is this call's
 	declared := make(map[string]bool, len(body.Variables))
 	for _, v := range body.Variables {
 		declared[v.Name] = true

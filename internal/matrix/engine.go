@@ -10,6 +10,7 @@ import (
 	"datagridflow/internal/dgferr"
 	"datagridflow/internal/dgl"
 	"datagridflow/internal/dgms"
+	"datagridflow/internal/expr"
 	"datagridflow/internal/obs"
 	"datagridflow/internal/provenance"
 	"datagridflow/internal/sim"
@@ -17,8 +18,12 @@ import (
 	"datagridflow/internal/vdata"
 )
 
-// OpContext is handed to operation handlers: the resolved (interpolated)
-// parameters, the variable scope, identity and infrastructure handles.
+// OpContext is handed to operation handlers: the step's parameters, the
+// variable scope, identity and infrastructure handles. Parameters are
+// read through the accessors — Param, ParamOr and Lookup give the value
+// after $variable interpolation, RawParam the text as the document has
+// it, EvalParam the value of an expression-valued parameter — which
+// resolve against the plan's ordered slots; no per-step map exists.
 type OpContext struct {
 	// Engine executing the step.
 	Engine *Engine
@@ -26,13 +31,6 @@ type OpContext struct {
 	Grid *dgms.Grid
 	// User is the submitting grid user (operations run as this user).
 	User string
-	// Params are the step's parameters after $variable interpolation.
-	Params map[string]string
-	// Raw holds the parameters before interpolation. Handlers that accept
-	// expression-valued parameters (setVariable's "expr") must read them
-	// here: the expression evaluator resolves $variables itself, and
-	// pre-interpolating would corrupt string-valued variables.
-	Raw map[string]string
 	// Scope is the live variable environment (handlers may Set results).
 	Scope *Scope
 	// ExecID and NodeID locate the step for provenance.
@@ -42,12 +40,30 @@ type OpContext struct {
 	// real-clock sleep above all — select on it to return promptly
 	// with ErrCancelled instead of pinning a goroutine for the wait.
 	Cancel <-chan struct{}
+
+	// op is the planned operation; vals[i] is op.slots[i] rendered against
+	// Scope when the step was bound. The usual handful of parameters
+	// lives in inline, so binding allocates this context and nothing else.
+	op     *planOp
+	vals   []string
+	inline [4]string
+}
+
+// Lookup returns a parameter after $variable interpolation and whether
+// the step sets it at all (it may be set and empty).
+func (c *OpContext) Lookup(name string) (string, bool) {
+	for i := range c.vals {
+		if c.op.slots[i].name == name {
+			return c.vals[i], true
+		}
+	}
+	return "", false
 }
 
 // Param returns a required parameter or an error naming it.
 func (c *OpContext) Param(name string) (string, error) {
-	v, ok := c.Params[name]
-	if !ok || v == "" {
+	v, _ := c.Lookup(name)
+	if v == "" {
 		return "", fmt.Errorf("matrix: operation missing parameter %q", name)
 	}
 	return v, nil
@@ -55,10 +71,41 @@ func (c *OpContext) Param(name string) (string, error) {
 
 // ParamOr returns an optional parameter with a default.
 func (c *OpContext) ParamOr(name, def string) string {
-	if v, ok := c.Params[name]; ok && v != "" {
+	if v, _ := c.Lookup(name); v != "" {
 		return v
 	}
 	return def
+}
+
+// RawParam returns a parameter as the document has it, before
+// interpolation, and whether the step sets it.
+func (c *OpContext) RawParam(name string) (string, bool) {
+	if s := c.op.slot(name); s != nil {
+		return s.value.Src(), true
+	}
+	return "", false
+}
+
+// EachParam calls fn with every parameter, interpolated, in document
+// order.
+func (c *OpContext) EachParam(fn func(name, value string)) {
+	for i, v := range c.vals {
+		fn(c.op.slots[i].name, v)
+	}
+}
+
+// EvalParam evaluates an expression-valued parameter (setVariable's
+// "expr") in the scope; set is false when the step has no such
+// parameter. The expression is the parameter's raw text — the evaluator
+// resolves $variables itself, and pre-interpolating would corrupt
+// string-valued variables — parsed once however often the step runs.
+func (c *OpContext) EvalParam(name string) (v expr.Value, set bool, err error) {
+	s := c.op.slot(name)
+	if s == nil {
+		return expr.Null, false, nil
+	}
+	v, err = s.asExpr().eval(c.Scope)
+	return v, true, err
 }
 
 // OpHandler executes one operation type.
@@ -88,7 +135,7 @@ type Engine struct {
 	mu       sync.RWMutex
 	execs    map[string]*Execution
 	handlers map[string]OpHandler
-	procs    map[string]Procedure
+	procs    map[string]*storedProc
 	journal  *Journal
 	store    *store.Store
 	deleg    Delegator
@@ -123,7 +170,7 @@ func NewEngineConfig(grid *dgms.Grid, cfg Config) *Engine {
 		cfg:      cfg,
 		execs:    make(map[string]*Execution),
 		handlers: make(map[string]OpHandler),
-		procs:    make(map[string]Procedure),
+		procs:    make(map[string]*storedProc),
 	}
 	e.registerBuiltins()
 	e.registerCallOp()
@@ -222,7 +269,7 @@ func (e *Engine) Submit(req *dgl.Request) (*dgl.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	exec := e.newExecution(req, nil)
+	exec := e.newExecution(req, nil, nil)
 	exec.governed.Store(governed)
 	if req.Async {
 		go exec.run()
@@ -277,7 +324,7 @@ func (e *Engine) Start(user string, flow dgl.Flow) (*Execution, error) {
 	if err != nil {
 		return nil, err
 	}
-	exec := e.newExecution(req, nil)
+	exec := e.newExecution(req, nil, nil)
 	exec.governed.Store(governed)
 	go exec.run()
 	return exec, nil
@@ -303,7 +350,7 @@ func (e *Engine) RunContext(ctx context.Context, user string, flow dgl.Flow) (*E
 	if err != nil {
 		return nil, err
 	}
-	exec := e.newExecution(req, nil)
+	exec := e.newExecution(req, nil, nil)
 	exec.governed.Store(governed)
 	go exec.run()
 	select {
@@ -342,7 +389,7 @@ func (e *Engine) Restart(execID string) (*Execution, error) {
 	}
 	// Checkpoint ids are recorded relative to the prior execution id;
 	// rewrite them for the new execution in newExecution.
-	next := e.newExecution(prior.req, skip)
+	next := e.newExecution(prior.req, skip, nil)
 	next.governed.Store(governed)
 	e.Obs().Counter("matrix_flows_restarted_total").Inc()
 	go next.run()
@@ -387,7 +434,7 @@ func (e *Engine) RestartFromProvenance(priorExecID string, req *dgl.Request) (*E
 	if err != nil {
 		return nil, err
 	}
-	next := e.newExecution(req, skip)
+	next := e.newExecution(req, skip, nil)
 	next.governed.Store(governed)
 	e.Obs().Counter("matrix_flows_restarted_total").Inc()
 	go next.run()
@@ -522,8 +569,12 @@ func indexByte(s string, b byte) int {
 
 // newExecution registers a fresh execution for req. skip carries
 // checkpoint ids from a prior run (already rebased to generic node
-// paths).
-func (e *Engine) newExecution(req *dgl.Request, skip map[string]bool) *Execution {
+// paths). p is req.Flow's plan when the caller holds one (a stored
+// procedure's, shared by its calls); nil lowers the flow here.
+func (e *Engine) newExecution(req *dgl.Request, skip map[string]bool, p *plan) *Execution {
+	if p == nil {
+		p = buildPlan(req.Flow)
+	}
 	id := fmt.Sprintf("%sdgf-%06d", e.cfg.IDPrefix, e.nextExec.Add(1))
 	rebased := make(map[string]bool, len(skip))
 	for k := range skip {
@@ -537,6 +588,7 @@ func (e *Engine) newExecution(req *dgl.Request, skip map[string]bool) *Execution
 		ID:     id,
 		engine: e,
 		req:    req,
+		plan:   p,
 		ctrl:   newControl(),
 		scope:  NewScope(nil),
 		skip:   rebased,

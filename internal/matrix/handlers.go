@@ -76,15 +76,14 @@ func (e *Engine) registerBuiltins() {
 		// "expr" is evaluated in the scope (read raw — the evaluator
 		// resolves $variables itself); "value" is taken literally after
 		// the usual interpolation.
-		if src, ok := c.Raw["expr"]; ok {
-			v, err := expr.EvalString(src, c.Scope)
+		if v, ok, err := c.EvalParam("expr"); ok {
 			if err != nil {
 				return fmt.Errorf("matrix: setVariable %s: %w", name, err)
 			}
 			c.Scope.Set(name, v)
 			return nil
 		}
-		v, ok := c.Params["value"]
+		v, ok := c.Lookup("value")
 		if !ok {
 			return fmt.Errorf("matrix: setVariable %s needs value or expr", name)
 		}
@@ -114,7 +113,7 @@ func (e *Engine) registerBuiltins() {
 			return fmt.Errorf("matrix: ingest %s: bad size: %w", path, err)
 		}
 		var data []byte
-		if s, ok := c.Params["data"]; ok {
+		if s, ok := c.Lookup("data"); ok {
 			data = []byte(s)
 			size = int64(len(data))
 		}

@@ -266,7 +266,7 @@ func (e *Engine) RecoverFromJournal(path string) ([]*Execution, error) {
 		if err := dgl.ValidateFlow(p.req.Flow, e.knownOps()); err != nil {
 			return out, fmt.Errorf("matrix: journal %s: execution %s: %w", path, id, err)
 		}
-		next := e.newExecution(p.req, p.skip)
+		next := e.newExecution(p.req, p.skip, nil)
 		e.Obs().Counter("matrix_recoveries_total").Inc()
 		e.record(provenance.Record{
 			Actor: p.req.User.Name, Action: "flow.recover",

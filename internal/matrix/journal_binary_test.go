@@ -19,7 +19,7 @@ func TestJournalBinaryRecovery(t *testing.T) {
 	e1 := newTestEngine(t)
 	ran1 := map[string]int{}
 	e1.RegisterOp("work", func(c *OpContext) error {
-		ran1[c.Params["i"]]++
+		ran1[c.ParamOr("i", "")]++
 		return nil
 	})
 	j1, err := OpenJournalOptions(jpath, JournalOptions{Binary: true})

@@ -34,7 +34,7 @@ func TestJournalCrashRecovery(t *testing.T) {
 		e := newTestEngine(t)
 		runs[label] = map[string]int{}
 		e.RegisterOp("work", func(c *OpContext) error {
-			i := c.Params["i"]
+			i := c.ParamOr("i", "")
 			mu.Lock()
 			runs[label][i]++
 			mu.Unlock()

@@ -709,7 +709,7 @@ func TestRestartSkipsSucceededSteps(t *testing.T) {
 	e.RegisterOp("count", func(c *OpContext) error {
 		mu.Lock()
 		defer mu.Unlock()
-		name := c.Params["tag"]
+		name := c.ParamOr("tag", "")
 		runs[name]++
 		if name == "s2" && failFirst {
 			return errors.New("transient outage")

@@ -54,8 +54,8 @@ func TestForEachParallelRunsConcurrently(t *testing.T) {
 func TestForEachParallelCollectsErrors(t *testing.T) {
 	e := newTestEngine(t)
 	e.RegisterOp("failodd", func(c *OpContext) error {
-		if c.Params["x"] == "1" || c.Params["x"] == "3" {
-			return errors.New("odd failure " + c.Params["x"])
+		if c.ParamOr("x", "") == "1" || c.ParamOr("x", "") == "3" {
+			return errors.New("odd failure " + c.ParamOr("x", ""))
 		}
 		return nil
 	})

@@ -281,6 +281,7 @@ func (e *Engine) adoptExecution(id string, req *dgl.Request, ent store.Entry) (*
 		ID:          id,
 		engine:      e,
 		req:         req,
+		plan:        buildPlan(req.Flow),
 		ctrl:        newControl(),
 		scope:       NewScope(nil),
 		skip:        skip,

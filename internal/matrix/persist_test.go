@@ -48,7 +48,7 @@ func registerBlockingOp(e *Engine, name, blockAt string) *blockingOp {
 		release: make(chan struct{}),
 	}
 	e.RegisterOp(name, func(c *OpContext) error {
-		i := c.Params["i"]
+		i := c.ParamOr("i", "")
 		b.mu.Lock()
 		b.runs[i]++
 		first := b.runs[i] == 1
@@ -212,7 +212,7 @@ func TestResurrectRestoresVariables(t *testing.T) {
 	var mu sync.Mutex
 	e.RegisterOp("observe", func(c *OpContext) error {
 		mu.Lock()
-		got = c.Params["v"]
+		got = c.ParamOr("v", "")
 		mu.Unlock()
 		return nil
 	})

@@ -56,13 +56,22 @@ func (e *Engine) StoreProcedure(p Procedure) error {
 		}
 		seen[param] = true
 	}
+	// The body is lowered once, here; every call runs the same plan.
+	sp := &storedProc{Procedure: p}
+	sp.plan = buildPlan(&sp.Flow)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if _, ok := e.procs[p.Name]; ok {
 		return fmt.Errorf("%w: %s", ErrProcedureExists, p.Name)
 	}
-	e.procs[p.Name] = p
+	e.procs[p.Name] = sp
 	return nil
+}
+
+// storedProc is a registered procedure with its body's plan.
+type storedProc struct {
+	Procedure
+	plan *plan
 }
 
 // DropProcedure removes a stored procedure.
@@ -104,7 +113,7 @@ func (e *Engine) CallProcedure(user, name string, args map[string]string) (*Exec
 		}
 	}
 	req := dgl.NewRequest(user, "", p.Flow)
-	exec := e.newExecution(req, nil)
+	exec := e.newExecution(req, nil, p.plan)
 	for k, v := range args {
 		exec.scope.Declare(k, expr.String(v))
 	}
@@ -122,13 +131,12 @@ func (e *Engine) registerCallOp() {
 		if err != nil {
 			return err
 		}
-		args := make(map[string]string, len(c.Params))
-		for k, v := range c.Params {
-			if k == "procedure" || k == "resultVar" {
-				continue
+		args := make(map[string]string)
+		c.EachParam(func(k, v string) {
+			if k != "procedure" && k != "resultVar" {
+				args[k] = v
 			}
-			args[k] = v
-		}
+		})
 		// Offer the invocation to the federation first: a delegated
 		// procedure runs as its own execution on whichever peer placement
 		// picks (docs/FEDERATION.md).

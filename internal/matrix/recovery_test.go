@@ -46,7 +46,7 @@ func TestRestartFromProvenanceCrossProcess(t *testing.T) {
 			mu.Lock()
 			defer mu.Unlock()
 			runs++
-			if failing && c.Params["i"] == "6" {
+			if failing && c.ParamOr("i", "") == "6" {
 				return errors.New("process about to die")
 			}
 			return nil

@@ -27,7 +27,7 @@ func countingOps(e *Engine) func(op, i string) int {
 		op := op
 		e.RegisterOp(op, func(c *OpContext) error {
 			mu.Lock()
-			runs[op+c.Params["i"]]++
+			runs[op+c.ParamOr("i", "")]++
 			mu.Unlock()
 			return nil
 		})

@@ -6,6 +6,8 @@ import (
 	"hash/fnv"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"datagridflow/internal/codec"
@@ -13,6 +15,7 @@ import (
 	"datagridflow/internal/dgl"
 	"datagridflow/internal/expr"
 	"datagridflow/internal/namespace"
+	"datagridflow/internal/obs"
 	"datagridflow/internal/provenance"
 )
 
@@ -21,6 +24,9 @@ import (
 // for asynchronous ones.
 func (ex *Execution) run() {
 	defer close(ex.done)
+	// The plan serves the run and nothing after it: a terminal or
+	// passivated execution keeps its request and status tree, as before.
+	defer func() { ex.plan = nil }()
 	defer ex.endGoverned() // release the tenant admission slot
 	defer ex.delegCancel() // release any outstanding delegations
 	o := ex.engine.Obs()
@@ -38,7 +44,12 @@ func (ex *Execution) run() {
 			Type: journalExecStart, ID: ex.ID, Request: codec.RequestDoc(ex.req),
 		})
 	}
-	err := ex.runFlowScoped(ex.req.Flow, ex.root, ex.scope)
+	root := ex.plan.root
+	var reg region // stays empty when the root flow loops: its iterations open their own
+	if root.body == nil {
+		reg = ex.plan.shape.open(ex.root, root)
+	}
+	err := ex.runFlowScoped(root, ex.root, ex.scope, reg)
 	ex.mu.Lock()
 	ex.err = err
 	ex.mu.Unlock()
@@ -81,20 +92,23 @@ func (ex *Execution) relID(id string) string {
 func (ex *Execution) now() time.Time { return ex.engine.Clock().Now() }
 
 // runFlow interprets one flow into the status node n with the enclosing
-// variable environment parent, pushing a fresh scope for the flow.
-func (ex *Execution) runFlow(f *dgl.Flow, n *node, parent *Scope) error {
-	return ex.runFlowScoped(f, n, NewScope(parent))
+// variable environment parent, pushing a fresh scope for the flow. reg is
+// the region n belongs to, which also holds the nodes of pf's children
+// unless pf loops.
+func (ex *Execution) runFlow(pf *planFlow, n *node, parent *Scope, reg region) error {
+	return ex.runFlowScoped(pf, n, NewScope(parent), reg)
 }
 
 // runFlowScoped interprets one flow using scope as the flow's own scope.
 // The root flow runs directly in the execution scope so its variables are
 // visible through Execution.Vars.
-func (ex *Execution) runFlowScoped(f *dgl.Flow, n *node, scope *Scope) error {
+func (ex *Execution) runFlowScoped(pf *planFlow, n *node, scope *Scope, reg region) error {
+	f := pf.src
 	if err := ex.ctrl.checkpoint(); err != nil {
 		n.setState(StateCancelled, ex.now())
 		return err
 	}
-	if err := scope.declareAll(f.Variables); err != nil {
+	if err := scope.declareAll(pf.vars); err != nil {
 		n.setError(err)
 		n.setState(StateFailed, ex.now())
 		return err
@@ -111,7 +125,7 @@ func (ex *Execution) runFlowScoped(f *dgl.Flow, n *node, scope *Scope) error {
 	n.setState(StateRunning, ex.now())
 	o := ex.engine.Obs()
 	o.HistogramBuckets("matrix_scope_depth", scopeDepthBuckets).Observe(float64(scope.Depth()))
-	o.StartSpan("flow", f.Name, n.id, map[string]string{"control": string(f.Logic.Control)})
+	o.StartSpan("flow", f.Name, n.id, obs.Attr{Key: "control", Value: string(f.Logic.Control)})
 	ex.engine.record(provenance.Record{
 		Actor: ex.req.User.Name, Action: "flow.start",
 		FlowID: ex.ID, StepID: n.id, Target: f.Name,
@@ -123,35 +137,35 @@ func (ex *Execution) runFlowScoped(f *dgl.Flow, n *node, scope *Scope) error {
 			state = StateCancelled
 		}
 		n.setState(state, ex.now())
-		o.EndSpan("flow", f.Name, n.id, map[string]string{"state": string(state)})
+		o.EndSpan("flow", f.Name, n.id, obs.Attr{Key: "state", Value: string(state)})
 		return err
 	}
-	if err := ex.fireRule(f.Logic.Rules, dgl.RuleBeforeEntry, scope, n.id); err != nil {
+	if err := ex.fireRule(pf.before, scope, n.id); err != nil {
 		return fail(err)
 	}
 	var err error
 	switch f.Logic.Control {
 	case dgl.Sequential:
-		err = ex.runChildrenSequential(f, n, scope)
+		err = ex.runChildrenSequential(pf, n, scope, reg)
 	case dgl.Parallel:
-		err = ex.runChildrenParallel(f, n, scope)
+		err = ex.runChildrenParallel(pf, n, scope, reg)
 	case dgl.While:
-		err = ex.runWhile(f, n, scope)
+		err = ex.runWhile(pf, n, scope)
 	case dgl.ForEach:
-		err = ex.runForEach(f, n, scope)
+		err = ex.runForEach(pf, n, scope)
 	case dgl.Switch:
-		err = ex.runSwitch(f, n, scope)
+		err = ex.runSwitch(pf, n, scope, reg)
 	default:
 		err = fmt.Errorf("%w: unknown control %q", dgl.ErrInvalid, f.Logic.Control)
 	}
 	if err != nil {
 		return fail(err)
 	}
-	if err := ex.fireRule(f.Logic.Rules, dgl.RuleAfterExit, scope, n.id); err != nil {
+	if err := ex.fireRule(pf.after, scope, n.id); err != nil {
 		return fail(err)
 	}
 	n.setState(StateSucceeded, ex.now())
-	o.EndSpan("flow", f.Name, n.id, map[string]string{"state": string(StateSucceeded)})
+	o.EndSpan("flow", f.Name, n.id, obs.Attr{Key: "state", Value: string(StateSucceeded)})
 	ex.engine.record(provenance.Record{
 		Actor: ex.req.User.Name, Action: "flow.finish",
 		FlowID: ex.ID, StepID: n.id, Target: f.Name,
@@ -163,82 +177,112 @@ func (ex *Execution) runFlowScoped(f *dgl.Flow, n *node, scope *Scope) error {
 // levels (not seconds): deeply nested flow documents surface here.
 var scopeDepthBuckets = []float64{1, 2, 4, 8, 16, 32, 64}
 
-// childNode allocates a status node for a child under parent.
-func childNode(parent *node, name, kind string) *node {
-	c := &node{id: parent.id + "/" + name, name: name, kind: kind, state: StatePending}
-	parent.addChild(c)
-	return c
-}
-
 // runChild dispatches one child (sub-flow or step) under the given node.
-func (ex *Execution) runChild(f *dgl.Flow, i int, under *node, scope *Scope) error {
-	if i < len(f.Flows) {
-		child := &f.Flows[i]
-		return ex.runFlow(child, childNode(under, child.Name, "flow"), scope)
+func (ex *Execution) runChild(pf *planFlow, i int, under *node, scope *Scope, reg region) error {
+	k, n := &pf.kids[i], reg.attach(pf, i, under)
+	if k.flow != nil {
+		return ex.runFlow(k.flow, n, scope, reg)
 	}
-	st := &f.Steps[i-len(f.Flows)]
-	return ex.runStep(st, childNode(under, st.Name, "step"), scope)
+	return ex.runStep(k.step, n, scope)
 }
 
-// childCount is the number of children (flows xor steps by validation).
-func childCount(f *dgl.Flow) int { return len(f.Flows) + len(f.Steps) }
-
-func (ex *Execution) runChildrenSequential(f *dgl.Flow, under *node, scope *Scope) error {
-	for i := 0; i < childCount(f); i++ {
-		if err := ex.runChild(f, i, under, scope); err != nil {
+func (ex *Execution) runChildrenSequential(pf *planFlow, under *node, scope *Scope, reg region) error {
+	for i := range pf.kids {
+		if err := ex.runChild(pf, i, under, scope, reg); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (ex *Execution) runChildrenParallel(f *dgl.Flow, under *node, scope *Scope) error {
-	n := childCount(f)
-	sem := make(chan struct{}, ex.engine.cfg.MaxParallel)
+// fanOut runs fn for every index below n on min(n, MaxParallel) workers
+// that pull indices in order — the engine's per-flow parallelism cap,
+// without a parked goroutine per item of a forEach over a query that
+// matched a million objects. Every index runs to completion whatever its
+// neighbours return; the errors join in index order.
+func (ex *Execution) fanOut(n int, fn func(i int) error) error {
 	errs := make([]error, n)
-	done := make(chan int, n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			errs[i] = ex.runChildDelegable(f, i, under, scope)
-			done <- i
-		}(i)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	work := func() {
+		defer wg.Done()
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			errs[i] = fn(i)
+		}
 	}
-	for i := 0; i < n; i++ {
-		<-done
+	workers := min(n, ex.engine.cfg.MaxParallel)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go work()
 	}
+	wg.Wait()
 	return errors.Join(errs...)
+}
+
+func (ex *Execution) runChildrenParallel(pf *planFlow, under *node, scope *Scope, reg region) error {
+	return ex.fanOut(len(pf.kids), func(i int) error {
+		return ex.runChildDelegable(pf, i, under, scope, reg)
+	})
 }
 
 // runChildDelegable runs one parallel child, offering child *flows* to
 // the delegation plane first — parallel branches are the natural
 // distribution unit (steps and sequential children always run locally).
-func (ex *Execution) runChildDelegable(f *dgl.Flow, i int, under *node, scope *Scope) error {
-	if i < len(f.Flows) && ex.engine.delegator() != nil {
-		child := &f.Flows[i]
-		n := childNode(under, child.Name, "flow")
-		if handled, err := ex.maybeDelegate(child, n, scope); handled {
+func (ex *Execution) runChildDelegable(pf *planFlow, i int, under *node, scope *Scope, reg region) error {
+	if child := pf.kids[i].flow; child != nil && ex.engine.delegator() != nil {
+		n := reg.attach(pf, i, under)
+		if handled, err := ex.maybeDelegate(child, child.src, n, scope); handled {
 			return err
 		}
-		return ex.runFlow(child, n, scope)
+		return ex.runFlow(child, n, scope, reg)
 	}
-	return ex.runChild(f, i, under, scope)
+	return ex.runChild(pf, i, under, scope, reg)
 }
 
 // iterNode wraps one loop iteration so each pass gets distinct,
-// queryable status ids ("...ingest[3]/step").
+// queryable status ids ("...ingest[3]/step"). A node's id ends in its
+// name, so the iteration's name is the tail of its id.
 func iterNode(parent *node, i int) *node {
-	idx := strconv.Itoa(i)
-	c := &node{id: parent.id + "[" + idx + "]", name: parent.name + "[" + idx + "]", kind: "flow", state: StatePending}
+	c := &node{id: parent.id + "[" + strconv.Itoa(i) + "]", kind: "flow", state: StatePending}
+	c.name = c.id[len(parent.id)-len(parent.name):]
 	parent.addChild(c)
 	return c
 }
 
-func (ex *Execution) runIteration(f *dgl.Flow, parent *node, i int, scope *Scope) error {
-	in := iterNode(parent, i)
+// iterNodes allocates the status nodes of a forEach's m iterations at
+// once — the nodes, their ids and the parent's children slice are one
+// allocation each — without attaching them: iterations appear under the
+// parent as they are reached (sequential) or all up front (parallel).
+func iterNodes(parent *node, m int) []node {
+	digits := 0 // of 0..m-1, written out
+	for lo, hi, width := 0, 10, 1; lo < m; lo, hi, width = hi, hi*10, width+1 {
+		digits += (min(m, hi) - lo) * width
+	}
+	var ids strings.Builder
+	ids.Grow(m*(len(parent.id)+2) + digits)
+	nodes := make([]node, m)
+	var num [20]byte
+	for i := range nodes {
+		at := ids.Len()
+		ids.WriteString(parent.id)
+		ids.WriteByte('[')
+		ids.Write(strconv.AppendInt(num[:0], int64(i), 10))
+		ids.WriteByte(']')
+		c := &nodes[i]
+		c.id, c.kind, c.state = ids.String()[at:], "flow", StatePending
+		c.name = c.id[len(parent.id)-len(parent.name):]
+	}
+	parent.mu.Lock()
+	parent.children = make([]*node, 0, m)
+	parent.mu.Unlock()
+	return nodes
+}
+
+// runIteration runs the loop body once under the iteration node in,
+// whose static subtree is one region.
+func (ex *Execution) runIteration(pf *planFlow, in *node, scope *Scope) error {
 	in.setState(StateRunning, ex.now())
-	if err := ex.runChildrenSequential(f, in, scope); err != nil {
+	if err := ex.runChildrenSequential(pf, in, scope, pf.body.open(in, pf)); err != nil {
 		in.setError(err)
 		if errors.Is(err, ErrCancelled) {
 			in.setState(StateCancelled, ex.now())
@@ -251,47 +295,49 @@ func (ex *Execution) runIteration(f *dgl.Flow, parent *node, i int, scope *Scope
 	return nil
 }
 
-func (ex *Execution) runWhile(f *dgl.Flow, n *node, scope *Scope) error {
-	cond, err := expr.Parse(f.Logic.Condition)
-	if err != nil {
-		return err
+func (ex *Execution) runWhile(pf *planFlow, n *node, scope *Scope) error {
+	if pf.cond.err != nil {
+		return pf.cond.err
 	}
+	name := pf.src.Name
 	for i := 0; ; i++ {
 		if err := ex.ctrl.checkpoint(); err != nil {
 			return err
 		}
 		if i >= ex.engine.cfg.MaxLoopIterations {
-			return fmt.Errorf("matrix: while loop in %s exceeded %d iterations", f.Name, i)
+			return fmt.Errorf("matrix: while loop in %s exceeded %d iterations", name, i)
 		}
-		ok, err := cond.EvalBool(scope)
+		ok, err := pf.cond.eval(scope)
 		if err != nil {
-			return fmt.Errorf("matrix: while condition in %s: %w", f.Name, err)
+			return fmt.Errorf("matrix: while condition in %s: %w", name, err)
 		}
-		if !ok {
+		if !ok.AsBool() {
 			return nil
 		}
-		if err := ex.runIteration(f, n, i, scope); err != nil {
+		if err := ex.runIteration(pf, iterNode(n, i), scope); err != nil {
 			return err
 		}
 	}
 }
 
-func (ex *Execution) runForEach(f *dgl.Flow, n *node, scope *Scope) error {
-	it := f.Logic.Iterate
+func (ex *Execution) runForEach(pf *planFlow, n *node, scope *Scope) error {
+	it := pf.iter
 	items, err := ex.iterItems(it, scope)
 	if err != nil {
 		return err
 	}
-	if it.Parallel {
-		return ex.runForEachParallel(f, n, scope, items)
+	nodes := iterNodes(n, len(items))
+	if it.src.Parallel {
+		return ex.runForEachParallel(pf, n, scope, items, nodes)
 	}
 	for i, item := range items {
 		if err := ex.ctrl.checkpoint(); err != nil {
 			return err
 		}
 		iterScope := NewScope(scope)
-		iterScope.Declare(it.Var, expr.String(item))
-		if err := ex.runIteration(f, n, i, iterScope); err != nil {
+		iterScope.Declare(it.src.Var, expr.String(item))
+		n.addChild(&nodes[i])
+		if err := ex.runIteration(pf, &nodes[i], iterScope); err != nil {
 			return err
 		}
 	}
@@ -300,66 +346,38 @@ func (ex *Execution) runForEach(f *dgl.Flow, n *node, scope *Scope) error {
 
 // runForEachParallel fans iterations out under the engine's parallelism
 // cap. All iterations run to completion; errors join.
-func (ex *Execution) runForEachParallel(f *dgl.Flow, n *node, scope *Scope, items []string) error {
-	it := f.Logic.Iterate
-	sem := make(chan struct{}, ex.engine.cfg.MaxParallel)
-	errs := make([]error, len(items))
-	done := make(chan int, len(items))
-	// Allocate iteration nodes up front so status ids stay ordered.
-	nodes := make([]*node, len(items))
-	for i := range items {
-		nodes[i] = iterNode(n, i)
+func (ex *Execution) runForEachParallel(pf *planFlow, n *node, scope *Scope, items []string, nodes []node) error {
+	// Attach the iteration nodes up front so status ids stay ordered.
+	for i := range nodes {
+		n.addChild(&nodes[i])
 	}
-	for i, item := range items {
-		go func(i int, item string) {
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if err := ex.ctrl.checkpoint(); err != nil {
-				nodes[i].setState(StateCancelled, ex.now())
-				errs[i] = err
-				done <- i
-				return
+	return ex.fanOut(len(items), func(i int) error {
+		in := &nodes[i]
+		if err := ex.ctrl.checkpoint(); err != nil {
+			in.setState(StateCancelled, ex.now())
+			return err
+		}
+		iterScope := NewScope(scope)
+		iterScope.Declare(pf.iter.src.Var, expr.String(items[i]))
+		if ex.engine.delegator() != nil {
+			// Parallel foreach shards delegate as synthetic sequential
+			// flows with the iteration variable bound.
+			if handled, err := ex.maybeDelegate(pf, shardFlow(pf.src, i), in, iterScope); handled {
+				return err
 			}
-			iterScope := NewScope(scope)
-			iterScope.Declare(it.Var, expr.String(item))
-			in := nodes[i]
-			if ex.engine.delegator() != nil {
-				// Parallel foreach shards delegate as synthetic sequential
-				// flows with the iteration variable bound.
-				if handled, err := ex.maybeDelegate(shardFlow(f, i), in, iterScope); handled {
-					errs[i] = err
-					done <- i
-					return
-				}
-			}
-			in.setState(StateRunning, ex.now())
-			if err := ex.runChildrenSequential(f, in, iterScope); err != nil {
-				in.setError(err)
-				if errors.Is(err, ErrCancelled) {
-					in.setState(StateCancelled, ex.now())
-				} else {
-					in.setState(StateFailed, ex.now())
-				}
-				errs[i] = err
-			} else {
-				in.setState(StateSucceeded, ex.now())
-			}
-			done <- i
-		}(i, item)
-	}
-	for range items {
-		<-done
-	}
-	return errors.Join(errs...)
+		}
+		return ex.runIteration(pf, in, iterScope)
+	})
 }
 
 // iterItems materializes the forEach item list: an inline list, a repeat
 // count, or the paths matched by a datagrid query evaluated *now* — late
 // binding of the working set, per the paper.
-func (ex *Execution) iterItems(it *dgl.Iterate, scope *Scope) ([]string, error) {
+func (ex *Execution) iterItems(pi *planIter, scope *Scope) ([]string, error) {
+	it := pi.src
 	switch {
 	case it.In != "":
-		raw, err := expr.Interpolate(it.In, scope)
+		raw, err := pi.in.Render(scope)
 		if err != nil {
 			return nil, err
 		}
@@ -374,7 +392,7 @@ func (ex *Execution) iterItems(it *dgl.Iterate, scope *Scope) ([]string, error) 
 	case it.Times > 0:
 		items := make([]string, it.Times)
 		for i := range items {
-			items[i] = fmt.Sprint(i)
+			items[i] = strconv.Itoa(i)
 		}
 		return items, nil
 	case it.Query != nil:
@@ -382,8 +400,8 @@ func (ex *Execution) iterItems(it *dgl.Iterate, scope *Scope) ([]string, error) 
 			Scope:       it.Query.Scope,
 			ObjectsOnly: it.Query.ObjectsOnly,
 		}
-		for _, c := range it.Query.Conditions {
-			val, err := expr.Interpolate(c.Value, scope)
+		for i, c := range it.Query.Conditions {
+			val, err := pi.conds[i].Render(scope)
 			if err != nil {
 				return nil, err
 			}
@@ -405,50 +423,42 @@ func (ex *Execution) iterItems(it *dgl.Iterate, scope *Scope) ([]string, error) 
 	}
 }
 
-func (ex *Execution) runSwitch(f *dgl.Flow, n *node, scope *Scope) error {
-	sel, err := expr.EvalString(f.Logic.Condition, scope)
+func (ex *Execution) runSwitch(pf *planFlow, n *node, scope *Scope, reg region) error {
+	sel, err := pf.cond.eval(scope)
 	if err != nil {
-		return fmt.Errorf("matrix: switch condition in %s: %w", f.Name, err)
+		return fmt.Errorf("matrix: switch condition in %s: %w", pf.src.Name, err)
 	}
 	want := sel.AsString()
-	chosen := -1
-	names := f.ChildNames()
-	for i, name := range names {
-		if name == want {
-			chosen = i
-			break
-		}
-	}
-	if chosen < 0 {
-		for i, name := range names {
-			if name == "default" {
+	chosen, fallback := -1, -1
+	for i := range pf.kids {
+		switch pf.kids[i].name {
+		case want:
+			if chosen < 0 {
 				chosen = i
-				break
+			}
+		case "default":
+			if fallback < 0 {
+				fallback = i
 			}
 		}
 	}
-	for i, name := range names {
-		if i == chosen {
-			continue
+	if chosen < 0 {
+		chosen = fallback
+	}
+	for i := range pf.kids {
+		if i != chosen {
+			reg.attach(pf, i, n).setState(StateSkipped, ex.now())
 		}
-		skipped := childNode(n, name, childKind(f, i))
-		skipped.setState(StateSkipped, ex.now())
 	}
 	if chosen < 0 {
 		return nil // no arm matched and no default: nothing to do
 	}
-	return ex.runChild(f, chosen, n, scope)
-}
-
-func childKind(f *dgl.Flow, i int) string {
-	if i < len(f.Flows) {
-		return "flow"
-	}
-	return "step"
+	return ex.runChild(pf, chosen, n, scope, reg)
 }
 
 // runStep executes one step with fault handling and rules.
-func (ex *Execution) runStep(st *dgl.Step, n *node, parent *Scope) error {
+func (ex *Execution) runStep(ps *planStep, n *node, parent *Scope) error {
+	st := ps.src
 	if err := ex.ctrl.checkpoint(); err != nil {
 		n.setState(StateCancelled, ex.now())
 		return err
@@ -474,9 +484,9 @@ func (ex *Execution) runStep(st *dgl.Step, n *node, parent *Scope) error {
 	// enclosing flow scope, so results they Set (resultVar and friends)
 	// bind where the rest of the flow can see them.
 	scope := parent
-	if len(st.Variables) > 0 {
+	if len(ps.vars) > 0 {
 		scope = NewScope(parent)
-		if err := scope.declareAll(st.Variables); err != nil {
+		if err := scope.declareAll(ps.vars); err != nil {
 			n.setError(err)
 			n.setState(StateFailed, ex.now())
 			return err
@@ -485,22 +495,27 @@ func (ex *Execution) runStep(st *dgl.Step, n *node, parent *Scope) error {
 	// Virtual-data memoization (docs/VDATA.md): a pure step whose
 	// derivation the catalog already holds skips execution entirely. The
 	// binding is resolved once, before execution, so a post-success
-	// publish uses the exact key the lookup hashed.
+	// publish uses the exact key the lookup hashed — and the first
+	// attempt runs on the parameters the key was derived from.
 	var vd *vdataBinding
+	var bound *OpContext
 	if st.Pure {
-		if vd = ex.vdataResolve(st, scope); vd != nil && ex.vdataHit(vd, st, n, scope) {
-			return nil
+		if vd = ex.vdataResolve(ps, scope, n.id); vd != nil {
+			if ex.vdataHit(vd, st, n, scope) {
+				return nil
+			}
+			bound = vd.ctx
 		}
 	}
-	op := st.Operation.Type
+	op := ps.op.typ
 	started := ex.now()
 	n.setState(StateRunning, started)
 	o.Counter("matrix_steps_total", "op", op).Inc()
-	o.StartSpan("step", st.Name, n.id, map[string]string{"op": op})
+	o.StartSpan("step", st.Name, n.id, obs.Attr{Key: "op", Value: op})
 	finish := func(state State) {
 		now := ex.now()
 		o.Histogram("matrix_step_seconds", "op", op).Observe(now.Sub(started).Seconds())
-		o.EndSpan("step", st.Name, n.id, map[string]string{"op": op, "state": string(state)})
+		o.EndSpan("step", st.Name, n.id, obs.Attr{Key: "op", Value: op}, obs.Attr{Key: "state", Value: string(state)})
 	}
 	ex.engine.record(provenance.Record{
 		Actor: ex.req.User.Name, Action: "step.start",
@@ -518,14 +533,10 @@ func (ex *Execution) runStep(st *dgl.Step, n *node, parent *Scope) error {
 		})
 		return err
 	}
-	if err := ex.fireRule(st.Rules, dgl.RuleBeforeEntry, scope, n.id); err != nil {
+	if err := ex.fireRule(ps.before, scope, n.id); err != nil {
 		return fail(err)
 	}
-	attempts := 1
-	if st.OnError == dgl.OnErrorRetry {
-		attempts = st.Retries + 1
-	}
-	timing := st.Timing()
+	attempts, timing := ps.attempts, ps.timing
 	var opErr error
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
@@ -541,7 +552,8 @@ func (ex *Execution) runStep(st *dgl.Step, n *node, parent *Scope) error {
 			})
 		}
 		attemptStart := ex.now()
-		opErr = ex.execOperation(&st.Operation, scope, n.id)
+		opErr = ex.execOperation(&ps.op, scope, n.id, bound)
+		bound = nil // a retry binds afresh, against the scope as it is then
 		if timing.Timeout > 0 {
 			// Under the virtual clock an operation cannot be interrupted
 			// mid-flight; the budget is checked against the virtual time
@@ -595,7 +607,7 @@ func (ex *Execution) runStep(st *dgl.Step, n *node, parent *Scope) error {
 		}
 		return fail(opErr)
 	}
-	if err := ex.fireRule(st.Rules, dgl.RuleAfterExit, scope, n.id); err != nil {
+	if err := ex.fireRule(ps.after, scope, n.id); err != nil {
 		return fail(err)
 	}
 	n.setState(StateSucceeded, ex.now())
@@ -644,61 +656,74 @@ func retryDelay(t dgl.RetryTiming, nodeID string, attempt int) time.Duration {
 	return d + time.Duration(float64(d)*frac)
 }
 
-// fireRule evaluates the named rule (if declared): the condition's string
-// value selects the action to execute, per the paper's UserDefinedRule
-// semantics ("The Actions are executed if the condition statement
-// evaluates to the name of the action"). Boolean conditions select the
-// actions named "true"/"false".
-func (ex *Execution) fireRule(rules []dgl.Rule, name string, scope *Scope, nodeID string) error {
-	rule, ok := dgl.FindRule(rules, name)
-	if !ok {
+// fireRule evaluates one of the implicitly fired rules (nil when the
+// flow or step declares none): the condition's string value selects the
+// action to execute, per the paper's UserDefinedRule semantics ("The
+// Actions are executed if the condition statement evaluates to the name
+// of the action"). Boolean conditions select the actions named
+// "true"/"false".
+func (ex *Execution) fireRule(rule *planRule, scope *Scope, nodeID string) error {
+	if rule == nil {
 		return nil
 	}
-	return ex.fireRuleDirect(rule, scope, nodeID)
-}
-
-func (ex *Execution) fireRuleDirect(rule dgl.Rule, scope *Scope, nodeID string) error {
-	v, err := expr.EvalString(rule.Condition, scope)
+	v, err := rule.cond.eval(scope)
 	if err != nil {
-		return fmt.Errorf("matrix: rule %q condition: %w", rule.Name, err)
+		return fmt.Errorf("matrix: rule %q condition: %w", rule.name, err)
 	}
 	want := v.AsString()
-	for _, a := range rule.Actions {
-		if a.Name != want {
+	for i := range rule.actions {
+		a := &rule.actions[i]
+		if a.name != want {
 			continue
 		}
-		if a.Operation == nil {
+		if a.op == nil {
 			return nil
 		}
-		if err := ex.execOperation(a.Operation, scope, nodeID+"#"+rule.Name); err != nil {
-			return fmt.Errorf("matrix: rule %q action %q: %w", rule.Name, a.Name, err)
+		if err := ex.execOperation(a.op, scope, nodeID+"#"+rule.name, nil); err != nil {
+			return fmt.Errorf("matrix: rule %q action %q: %w", rule.name, a.name, err)
 		}
 		return nil
 	}
 	return nil // no action matched: nothing to execute
 }
 
-// execOperation interpolates the operation's parameters against the live
-// scope (late binding) and dispatches to the registered handler.
-func (ex *Execution) execOperation(op *dgl.Operation, scope *Scope, nodeID string) error {
-	h, ok := ex.engine.handler(op.Type)
-	if !ok {
-		return fmt.Errorf("matrix: no handler for operation %q", op.Type)
-	}
-	raw := op.ParamMap()
-	params, err := expr.InterpolateAll(raw, scope)
-	if err != nil {
-		return err
-	}
-	return h(&OpContext{
+// bind renders the operation's parameters against the live scope (late
+// binding) into the context its handler will read them from.
+func (ex *Execution) bind(op *planOp, scope *Scope, nodeID string) (*OpContext, error) {
+	c := &OpContext{
 		Engine: ex.engine,
 		Grid:   ex.engine.grid,
 		User:   ex.req.User.Name,
-		Params: params,
-		Raw:    raw,
 		Scope:  scope,
 		ExecID: ex.ID,
 		NodeID: nodeID,
 		Cancel: ex.ctrl.cancelled(),
-	})
+		op:     op,
+	}
+	c.vals = c.inline[:0]
+	for i := range op.slots {
+		v, err := op.slots[i].value.Render(scope)
+		if err != nil {
+			return nil, fmt.Errorf("parameter %q: %w", op.slots[i].name, err)
+		}
+		c.vals = append(c.vals, v)
+	}
+	return c, nil
+}
+
+// execOperation binds the operation's parameters — unless the caller
+// already has (a pure step binds once, for its derivation key and for
+// its first attempt) — and dispatches to the registered handler.
+func (ex *Execution) execOperation(op *planOp, scope *Scope, nodeID string, bound *OpContext) error {
+	h, ok := ex.engine.handler(op.typ)
+	if !ok {
+		return fmt.Errorf("matrix: no handler for operation %q", op.typ)
+	}
+	if bound == nil {
+		var err error
+		if bound, err = ex.bind(op, scope, nodeID); err != nil {
+			return err
+		}
+	}
+	return h(bound)
 }

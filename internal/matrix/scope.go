@@ -17,7 +17,6 @@ package matrix
 import (
 	"sync"
 
-	"datagridflow/internal/dgl"
 	"datagridflow/internal/expr"
 )
 
@@ -26,21 +25,50 @@ import (
 // in the nearest scope that already declares the name, or the local scope
 // otherwise. Scopes are safe for the concurrent access parallel flows
 // perform.
+//
+// Names resolve dynamically, by walking the chain at each lookup: Set may
+// declare a name locally at run time, so a name's scope is not known when
+// the flow is planned. A level holds a handful of bindings (a loop
+// variable, a flow's variable block), kept in a slice whose first few
+// entries live in the Scope itself — one allocation per scope, none on
+// the first Declare.
 type Scope struct {
 	mu     sync.RWMutex
-	vars   map[string]expr.Value
+	vars   []binding
+	inline [3]binding
 	parent *Scope
+}
+
+type binding struct {
+	name string
+	val  expr.Value
 }
 
 // NewScope returns a scope with the given parent (nil for a root scope).
 func NewScope(parent *Scope) *Scope {
-	return &Scope{vars: make(map[string]expr.Value), parent: parent}
+	s := &Scope{parent: parent}
+	s.vars = s.inline[:0]
+	return s
+}
+
+// find returns the index of name in this level, or -1. Callers hold mu.
+func (s *Scope) find(name string) int {
+	for i := range s.vars {
+		if s.vars[i].name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // Declare binds name in this scope, shadowing any outer binding.
 func (s *Scope) Declare(name string, v expr.Value) {
 	s.mu.Lock()
-	s.vars[name] = v
+	if i := s.find(name); i >= 0 {
+		s.vars[i].val = v
+	} else {
+		s.vars = append(s.vars, binding{name, v})
+	}
 	s.mu.Unlock()
 }
 
@@ -48,11 +76,12 @@ func (s *Scope) Declare(name string, v expr.Value) {
 func (s *Scope) Lookup(name string) (expr.Value, bool) {
 	for cur := s; cur != nil; cur = cur.parent {
 		cur.mu.RLock()
-		v, ok := cur.vars[name]
-		cur.mu.RUnlock()
-		if ok {
+		if i := cur.find(name); i >= 0 {
+			v := cur.vars[i].val
+			cur.mu.RUnlock()
 			return v, true
 		}
+		cur.mu.RUnlock()
 	}
 	return expr.Null, false
 }
@@ -64,8 +93,8 @@ func (s *Scope) Lookup(name string) (expr.Value, bool) {
 func (s *Scope) Set(name string, v expr.Value) {
 	for cur := s; cur != nil; cur = cur.parent {
 		cur.mu.Lock()
-		if _, ok := cur.vars[name]; ok {
-			cur.vars[name] = v
+		if i := cur.find(name); i >= 0 {
+			cur.vars[i].val = v
 			cur.mu.Unlock()
 			return
 		}
@@ -95,24 +124,24 @@ func (s *Scope) Snapshot() map[string]string {
 	// Outermost first so inner bindings overwrite.
 	for i := len(chain) - 1; i >= 0; i-- {
 		chain[i].mu.RLock()
-		for k, v := range chain[i].vars {
-			out[k] = v.AsString()
+		for _, b := range chain[i].vars {
+			out[b.name] = b.val.AsString()
 		}
 		chain[i].mu.RUnlock()
 	}
 	return out
 }
 
-// declareAll declares a flow's variable block, interpolating each value
-// against the enclosing environment so declarations can reference outer
-// variables.
-func (s *Scope) declareAll(vars []dgl.Variable) error {
-	for _, v := range vars {
-		val, err := expr.Interpolate(v.Value, s)
+// declareAll declares a flow's (or step's) variable block, rendering
+// each value against the enclosing environment so declarations can
+// reference outer variables — and earlier ones of the same block.
+func (s *Scope) declareAll(vars []planVar) error {
+	for i := range vars {
+		val, err := vars[i].value.Render(s)
 		if err != nil {
 			return err
 		}
-		s.Declare(v.Name, expr.String(val))
+		s.Declare(vars[i].name, expr.String(val))
 	}
 	return nil
 }

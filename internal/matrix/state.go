@@ -283,9 +283,12 @@ type Execution struct {
 
 	engine *Engine
 	req    *dgl.Request
-	root   *node
-	ctrl   *control
-	scope  *Scope
+	// plan is req.Flow lowered for the interpreter (plan.go). The run
+	// goroutine drops it on exit; nothing outside the run reads it.
+	plan  *plan
+	root  *node
+	ctrl  *control
+	scope *Scope
 
 	// skip holds step ids that succeeded in a prior run (restart mode).
 	skip map[string]bool

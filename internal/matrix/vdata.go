@@ -78,25 +78,30 @@ type vdataBinding struct {
 	tenant  string
 	params  map[string]string
 	outputs []string
+	// ctx is the step's bound parameters the key was derived from; the
+	// step's first attempt executes on it rather than binding again.
+	ctx *OpContext
 }
 
-// vdataResolve derives st's binding under the current scope. It returns
+// vdataResolve derives ps's binding under the current scope. It returns
 // nil when no catalog (or remote hook) is attached or when the step's
 // parameters do not interpolate — execution then proceeds normally and
 // surfaces the same interpolation error itself.
-func (ex *Execution) vdataResolve(st *dgl.Step, scope *Scope) *vdataBinding {
+func (ex *Execution) vdataResolve(ps *planStep, scope *Scope, nodeID string) *vdataBinding {
 	cat, remote := ex.engine.vdataHooks()
 	if cat == nil && remote == nil {
 		return nil
 	}
-	params, err := expr.InterpolateAll(st.Operation.ParamMap(), scope)
+	ctx, err := ex.bind(&ps.op, scope, nodeID)
 	if err != nil {
 		return nil
 	}
-	outs := st.OutputList()
-	resources := make([]string, 0, len(outs))
-	for _, out := range outs {
-		v, err := expr.Interpolate(out, scope)
+	// The catalog keys on, and keeps, the bindings as a map.
+	params := make(map[string]string, len(ctx.vals))
+	ctx.EachParam(func(k, v string) { params[k] = v })
+	resources := make([]string, 0, len(ps.outputs))
+	for i := range ps.outputs {
+		v, err := ps.outputs[i].Render(scope)
 		if err != nil {
 			return nil
 		}
@@ -108,30 +113,31 @@ func (ex *Execution) vdataResolve(st *dgl.Step, scope *Scope) *vdataBinding {
 	// declare different outputs are different derivations.
 	ten := tenant.Canonical(ex.req.User.Name)
 	return &vdataBinding{
-		key:     vdata.Key(st.Operation.Type, resources, params, ten),
+		key:     vdata.Key(ps.op.typ, resources, params, ten),
 		tenant:  ten,
 		params:  params,
 		outputs: resources,
+		ctx:     ctx,
 	}
 }
 
 // vdataPeerHint names the peer already holding a memoized derivation
-// for one of f's pure steps — the vdata-locality placement hint. Best
+// for one of pf's pure steps — the vdata-locality placement hint. Best
 // effort by construction: a step whose parameters do not interpolate
 // under the delegating scope simply contributes no hint, and a stale
 // hint only costs the fallback to least-loaded.
-func (ex *Execution) vdataPeerHint(f *dgl.Flow, scope *Scope) string {
+func (ex *Execution) vdataPeerHint(pf *planFlow, scope *Scope) string {
 	cat, _ := ex.engine.vdataHooks()
 	locate := ex.engine.vdataLocator()
 	if cat == nil && locate == nil {
 		return ""
 	}
-	for i := range f.Steps {
-		st := &f.Steps[i]
-		if !st.Pure {
+	for i := range pf.kids {
+		ps := pf.kids[i].step
+		if ps == nil || !ps.src.Pure {
 			continue
 		}
-		vd := ex.vdataResolve(st, scope)
+		vd := ex.vdataResolve(ps, scope, "")
 		if vd == nil {
 			continue
 		}
@@ -146,9 +152,11 @@ func (ex *Execution) vdataPeerHint(f *dgl.Flow, scope *Scope) string {
 			}
 		}
 	}
-	for i := range f.Flows {
-		if h := ex.vdataPeerHint(&f.Flows[i], scope); h != "" {
-			return h
+	for i := range pf.kids {
+		if child := pf.kids[i].flow; child != nil {
+			if h := ex.vdataPeerHint(child, scope); h != "" {
+				return h
+			}
 		}
 	}
 	return ""

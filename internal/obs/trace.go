@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,8 +40,73 @@ type Event struct {
 	// ID is the hierarchical identifier (execution/node id, connection
 	// address) correlating start and end.
 	ID string `json:"id"`
-	// Attrs carry scope-specific details (operation type, outcome state).
+	// attrs carry scope-specific details (operation type, outcome state),
+	// inline: emitting a span builds no map whether or not anyone reads
+	// it. An empty Key marks an unused slot.
+	attrs [maxAttrs]Attr
+}
+
+// Attr is one key/value detail of a trace event.
+type Attr struct {
+	Key, Value string
+}
+
+// maxAttrs is the most attributes one event carries; no span documented
+// in docs/METRICS.md has more.
+const maxAttrs = 2
+
+// Attr returns the value of the event's attribute key, "" when unset.
+func (e *Event) Attr(key string) string {
+	for _, a := range e.attrs {
+		if a.Key == key && key != "" {
+			return a.Value
+		}
+	}
+	return ""
+}
+
+// eventJSON is the wire shape of an Event: its exported fields, and the
+// attrs as one JSON object, absent when empty.
+type eventJSON struct {
+	eventFields
 	Attrs map[string]string `json:"attrs,omitempty"`
+}
+
+// eventFields is Event without its methods, so that encoding/json
+// handles the exported fields itself.
+type eventFields Event
+
+// MarshalJSON implements json.Marshaler.
+func (e Event) MarshalJSON() ([]byte, error) {
+	out := eventJSON{eventFields: eventFields(e)}
+	for _, a := range e.attrs {
+		if a.Key == "" {
+			continue
+		}
+		if out.Attrs == nil {
+			out.Attrs = make(map[string]string, maxAttrs)
+		}
+		out.Attrs[a.Key] = a.Value
+	}
+	return json.Marshal(out)
+}
+
+// UnmarshalJSON implements json.Unmarshaler. Attributes beyond the
+// event's inline capacity are dropped.
+func (e *Event) UnmarshalJSON(data []byte) error {
+	var in eventJSON
+	if err := json.Unmarshal(data, &in); err != nil {
+		return err
+	}
+	*e = Event(in.eventFields)
+	i := 0
+	for k, v := range in.Attrs {
+		if i < maxAttrs {
+			e.attrs[i] = Attr{Key: k, Value: v}
+			i++
+		}
+	}
+	return nil
 }
 
 // TraceBuffer is a fixed-capacity ring of recent events with a
@@ -146,17 +212,27 @@ func (b *TraceBuffer) Subscribe(buf int) (<-chan Event, func()) {
 // Dropped returns how many events were lost to full subscriber channels.
 func (b *TraceBuffer) Dropped() uint64 { return b.dropped.Load() }
 
+// span emits one event stamped with the registry's clock. attrs are
+// copied into the event, so a caller's argument list stays on its stack.
+func (r *Registry) span(typ, scope, name, id string, attrs []Attr) {
+	ev := Event{Time: r.Now(), Type: typ, Scope: scope, Name: name, ID: id}
+	if copy(ev.attrs[:], attrs) < len(attrs) {
+		panic("obs: too many attributes for one trace event")
+	}
+	r.trace.Emit(ev)
+}
+
 // StartSpan emits an EventStart stamped with the registry's clock.
-func (r *Registry) StartSpan(scope, name, id string, attrs map[string]string) {
-	r.trace.Emit(Event{Time: r.Now(), Type: EventStart, Scope: scope, Name: name, ID: id, Attrs: attrs})
+func (r *Registry) StartSpan(scope, name, id string, attrs ...Attr) {
+	r.span(EventStart, scope, name, id, attrs)
 }
 
 // EndSpan emits an EventEnd stamped with the registry's clock.
-func (r *Registry) EndSpan(scope, name, id string, attrs map[string]string) {
-	r.trace.Emit(Event{Time: r.Now(), Type: EventEnd, Scope: scope, Name: name, ID: id, Attrs: attrs})
+func (r *Registry) EndSpan(scope, name, id string, attrs ...Attr) {
+	r.span(EventEnd, scope, name, id, attrs)
 }
 
 // Point emits an instantaneous event stamped with the registry's clock.
-func (r *Registry) Point(scope, name, id string, attrs map[string]string) {
-	r.trace.Emit(Event{Time: r.Now(), Type: EventPoint, Scope: scope, Name: name, ID: id, Attrs: attrs})
+func (r *Registry) Point(scope, name, id string, attrs ...Attr) {
+	r.span(EventPoint, scope, name, id, attrs)
 }

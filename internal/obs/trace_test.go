@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -68,9 +69,9 @@ func TestRegistrySpansStampVirtualTime(t *testing.T) {
 	clock := sim.NewVirtualClock(sim.Epoch)
 	r := NewRegistry()
 	r.SetNow(clock.Now)
-	r.StartSpan("flow", "f", "id-1", map[string]string{"control": "sequential"})
+	r.StartSpan("flow", "f", "id-1", Attr{"control", "sequential"})
 	clock.Advance(2 * time.Hour)
-	r.EndSpan("flow", "f", "id-1", map[string]string{"state": "succeeded"})
+	r.EndSpan("flow", "f", "id-1", Attr{"state", "succeeded"})
 	evs := r.Trace().Events()
 	if len(evs) != 2 {
 		t.Fatalf("events = %d, want 2", len(evs))
@@ -84,7 +85,53 @@ func TestRegistrySpansStampVirtualTime(t *testing.T) {
 	if evs[0].Type != EventStart || evs[1].Type != EventEnd {
 		t.Fatalf("types = %q/%q, want start/end", evs[0].Type, evs[1].Type)
 	}
-	if evs[1].Attrs["state"] != "succeeded" {
-		t.Fatalf("end attrs = %v", evs[1].Attrs)
+	if evs[1].Attr("state") != "succeeded" || evs[1].Attr("control") != "" {
+		t.Fatalf("end event = %+v", evs[1])
+	}
+}
+
+// TestEventJSONShape pins the wire form of an event: attrs are one JSON
+// object keyed by attribute, absent when the event has none — what the
+// /trace endpoint served when attributes were a map — and decoding
+// restores them.
+func TestEventJSONShape(t *testing.T) {
+	r := NewRegistry()
+	r.SetNow(func() time.Time { return sim.Epoch })
+	r.StartSpan("request", "dgl", "127.0.0.1:9")
+	r.EndSpan("step", "put", "dgf-000001/f/put", Attr{"state", "succeeded"}, Attr{"op", "ingest"})
+	got, err := json.Marshal(r.Trace().Events())
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := sim.Epoch.Format(time.RFC3339Nano)
+	want := `[{"seq":1,"time":"` + at + `","type":"start","scope":"request","name":"dgl","id":"127.0.0.1:9"},` +
+		`{"seq":2,"time":"` + at + `","type":"end","scope":"step","name":"put","id":"dgf-000001/f/put","attrs":{"op":"ingest","state":"succeeded"}}]`
+	if string(got) != want {
+		t.Fatalf("events marshal as\n%s\nwant\n%s", got, want)
+	}
+	var back []Event
+	if err := json.Unmarshal(got, &back); err != nil {
+		t.Fatal(err)
+	}
+	if len(back) != 2 || back[1].Attr("op") != "ingest" || back[1].Attr("state") != "succeeded" || back[1].Seq != 2 {
+		t.Fatalf("decoded events = %+v", back)
+	}
+}
+
+// TestSpanAllocs: emitting a span allocates nothing, with or without a
+// subscriber — the attributes ride inline in the ring's own slot.
+func TestSpanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under -race")
+	}
+	r := NewRegistry()
+	op, state := "ingest", "succeeded"
+	emit := func() {
+		r.StartSpan("step", "put", "dgf-000001/f/put", Attr{"op", op})
+		r.EndSpan("step", "put", "dgf-000001/f/put", Attr{"op", op}, Attr{"state", state})
+		r.Point("flow", "f", "dgf-000001/f")
+	}
+	if got := testing.AllocsPerRun(100, emit); got != 0 {
+		t.Errorf("three span events, no subscriber: %.0f allocations, want 0", got)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"datagridflow/internal/dgl"
 	"datagridflow/internal/fault"
 	"datagridflow/internal/matrix"
+	"datagridflow/internal/obs"
 	"datagridflow/internal/provenance"
 	"datagridflow/internal/scheduler"
 	"datagridflow/internal/store"
@@ -338,9 +339,9 @@ func (s *Server) serveConn(conn net.Conn) {
 			return // injected crash/drop: sever without a response
 		}
 		started := s.engine.Clock().Now()
-		o.StartSpan("request", k, remote, nil)
+		o.StartSpan("request", k, remote)
 		if kind != KindDGL && kind != KindControl && kind != KindBatch && kind != KindDelegate && kind != KindRoute && kind != KindReplicate {
-			o.EndSpan("request", k, remote, map[string]string{"outcome": "protocol-violation"})
+			o.EndSpan("request", k, remote, obs.Attr{Key: "outcome", Value: "protocol-violation"})
 			return // protocol violation
 		}
 		data, enc, upgrade, err := s.handleFrame(ctx, kind, payload, false)
@@ -348,11 +349,11 @@ func (s *Server) serveConn(conn net.Conn) {
 			if enc != nil {
 				codec.PutEncoder(enc)
 			}
-			o.EndSpan("request", k, remote, map[string]string{"outcome": "encode-error"})
+			o.EndSpan("request", k, remote, obs.Attr{Key: "outcome", Value: "encode-error"})
 			return
 		}
 		o.Histogram("wire_request_seconds", "type", k).Observe(s.engine.Clock().Now().Sub(started).Seconds())
-		o.EndSpan("request", k, remote, map[string]string{"outcome": "ok"})
+		o.EndSpan("request", k, remote, obs.Attr{Key: "outcome", Value: "ok"})
 		werr := WriteFrame(conn, kind, data)
 		if enc != nil {
 			codec.PutEncoder(enc)
@@ -391,7 +392,7 @@ func (s *Server) serveMux(ctx context.Context, conn net.Conn, remote string) {
 			return // injected crash/drop: sever without a response
 		}
 		if kind != KindDGL && kind != KindControl && kind != KindBatch && kind != KindDelegate && kind != KindRoute && kind != KindReplicate {
-			o.EndSpan("request", k, remote, map[string]string{"outcome": "protocol-violation"})
+			o.EndSpan("request", k, remote, obs.Attr{Key: "outcome", Value: "protocol-violation"})
 			return // protocol violation: sever, as in serial mode
 		}
 		window <- struct{}{} // per-connection backpressure
@@ -409,18 +410,18 @@ func (s *Server) handleMuxFrame(ctx context.Context, conn net.Conn, writeMu *syn
 	o := s.engine.Obs()
 	k := kindName(kind)
 	started := s.engine.Clock().Now()
-	o.StartSpan("request", k, remote, nil)
+	o.StartSpan("request", k, remote)
 	data, enc, _, err := s.handleFrame(ctx, kind, payload, true) // no re-upgrade on a muxed session
 	if err != nil {
 		if enc != nil {
 			codec.PutEncoder(enc)
 		}
-		o.EndSpan("request", k, remote, map[string]string{"outcome": "encode-error"})
+		o.EndSpan("request", k, remote, obs.Attr{Key: "outcome", Value: "encode-error"})
 		conn.Close() // mirror serial behaviour: an unmarshalable response severs
 		return
 	}
 	o.Histogram("wire_request_seconds", "type", k).Observe(s.engine.Clock().Now().Sub(started).Seconds())
-	o.EndSpan("request", k, remote, map[string]string{"outcome": "ok"})
+	o.EndSpan("request", k, remote, obs.Attr{Key: "outcome", Value: "ok"})
 	writeMu.Lock()
 	err = WriteMuxFrame(conn, kind, id, data)
 	writeMu.Unlock()
