@@ -285,9 +285,10 @@ func PutEncoder(e *Encoder) {
 //	return d.Err()
 //
 // Errors are sticky: the first malformed byte stops iteration and every
-// later accessor returns the zero value. Decoders are values — nested
-// messages decode through a child Decoder sharing the parent's string
-// table — and perform no allocation beyond the strings they return.
+// later accessor returns the zero value. Decoders are values — a nested
+// message narrows the decoder's own window (MsgEnter/MsgExit) rather
+// than spawning a child — and perform no allocation beyond the strings
+// they return.
 type Decoder struct {
 	data []byte
 	// str is the payload copied into one string at NewDecoder time:
@@ -302,8 +303,14 @@ type Decoder struct {
 	field int
 	wt    byte
 	err   error
-	syms  *[]string
+	// syms is the payload's string table: where in data each inline
+	// definition sits. Spans, not strings, so a RecordView resolves
+	// references without materialising anything.
+	syms []span
 }
+
+// span locates a byte string inside a decoder's data.
+type span struct{ off, end int }
 
 // NewDecoder validates the 3-byte header and positions the decoder at
 // the first field. A payload that does not start with Magic returns
@@ -328,8 +335,7 @@ func NewDecoderTransient(payload []byte, msgType byte) (Decoder, error) {
 	if err := checkHeader(payload, msgType); err != nil {
 		return Decoder{}, err
 	}
-	syms := make([]string, 0, 16)
-	return Decoder{data: payload, pos: headerLen, end: len(payload), syms: &syms}, nil
+	return Decoder{data: payload, pos: headerLen, end: len(payload)}, nil
 }
 
 // checkHeader validates a payload's 3-byte header against the expected
@@ -435,125 +441,102 @@ func (d *Decoder) Int() int64 {
 	return v
 }
 
-func (d *Decoder) bytesVal() []byte {
+// spanVal reads a uvarint length and returns where the bytes it counts
+// sit in data.
+func (d *Decoder) spanVal() span {
 	n := d.uvarintVal()
 	if d.err != nil {
-		return nil
+		return span{}
 	}
 	if n > uint64(d.end-d.pos) {
 		d.fail("length beyond payload")
-		return nil
+		return span{}
 	}
-	b := d.data[d.pos : d.pos+int(n)]
-	d.pos += int(n)
-	return b
+	sp := span{d.pos, d.pos + int(n)}
+	d.pos = sp.end
+	return sp
 }
 
-// strVal is bytesVal returning a slice of the payload string copy — no
-// per-string allocation. Under a transient decoder (no shared copy)
-// each value is copied individually instead.
-func (d *Decoder) strVal() string {
-	n := d.uvarintVal()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(d.end-d.pos) {
-		d.fail("length beyond payload")
-		return ""
-	}
-	var s string
+// strAt materialises a span: a slice of the payload string copy — no
+// per-string allocation — or, under a transient decoder (no shared
+// copy), an individual copy.
+func (d *Decoder) strAt(sp span) string {
 	if d.str == "" {
-		s = string(d.data[d.pos : d.pos+int(n)])
-	} else {
-		s = d.str[d.pos : d.pos+int(n)]
+		return string(d.data[sp.off:sp.end])
 	}
-	d.pos += int(n)
-	return s
+	return d.str[sp.off:sp.end]
 }
 
 // Str reads the current field as a string.
-func (d *Decoder) Str() string {
-	if d.err != nil {
-		return ""
-	}
-	if d.wt != wtBytes {
-		d.fail("field is not bytes")
-		return ""
-	}
-	return d.strVal()
-}
+func (d *Decoder) Str() string { return d.strAt(d.bytesSpan()) }
 
 // Blob reads the current field as raw bytes. The slice aliases the
 // payload; copy it to retain past the payload's lifetime.
 func (d *Decoder) Blob() []byte {
+	sp := d.bytesSpan()
+	return d.data[sp.off:sp.end]
+}
+
+func (d *Decoder) bytesSpan() span {
 	if d.err != nil {
-		return nil
+		return span{}
 	}
 	if d.wt != wtBytes {
 		d.fail("field is not bytes")
-		return nil
+		return span{}
 	}
-	return d.bytesVal()
+	return d.spanVal()
 }
 
 // Sym reads the current field through the string table.
-func (d *Decoder) Sym() string {
+func (d *Decoder) Sym() string { return d.strAt(d.symSpan()) }
+
+func (d *Decoder) symSpan() span {
 	if d.err != nil {
-		return ""
+		return span{}
 	}
 	if d.wt != wtSym {
 		d.fail("field is not a symbol")
-		return ""
+		return span{}
 	}
 	return d.symVal()
 }
 
-func (d *Decoder) symVal() string {
+func (d *Decoder) symVal() span {
 	ref := d.uvarintVal()
 	if d.err != nil {
-		return ""
+		return span{}
 	}
 	if ref == 0 {
-		s := d.strVal()
+		sp := d.spanVal()
 		if d.err != nil {
-			return ""
+			return span{}
 		}
-		*d.syms = append(*d.syms, s)
-		return s
+		if d.syms == nil {
+			// Sized for a typical message up front: growing from nothing
+			// would reallocate five times on the way to 16 symbols.
+			d.syms = make([]span, 0, 16)
+		}
+		d.syms = append(d.syms, sp)
+		return sp
 	}
-	if ref > uint64(len(*d.syms)) {
+	if ref > uint64(len(d.syms)) {
 		d.fail("symbol reference out of range")
-		return ""
+		return span{}
 	}
-	return (*d.syms)[ref-1]
+	return d.syms[ref-1]
 }
 
 // Msg decodes the current field as a nested message: fields is called
-// with a child decoder scoped to the nested body and sharing the string
-// table. Errors in the child propagate to the parent.
+// with the decoder narrowed to the nested body (MsgEnter/MsgExit around
+// the call — no child decoder is allocated). Errors inside the nested
+// message are the decoder's own, so they propagate by construction.
 func (d *Decoder) Msg(fields func(*Decoder)) {
-	if d.err != nil {
-		return
+	end := d.MsgEnter()
+	if d.err == nil {
+		fields(d)
 	}
-	if d.wt != wtMsg {
-		d.fail("field is not a message")
-		return
-	}
-	n := d.uvarintVal()
-	if d.err != nil {
-		return
-	}
-	if n > uint64(d.end-d.pos) {
-		d.fail("message length beyond payload")
-		return
-	}
-	sub := Decoder{data: d.data, str: d.str, pos: d.pos, end: d.pos + int(n), syms: d.syms}
-	d.pos += int(n)
-	fields(&sub)
-	if sub.err != nil {
-		d.err = sub.err
-		d.pos = d.end
-	}
+	d.MsgExit(end)
 }
 
 // MsgEnter narrows the decoder to the current field's nested message
@@ -611,22 +594,90 @@ func (d *Decoder) Skip() {
 	case wtVarint:
 		d.uvarintVal()
 	case wtBytes, wtMsg:
-		d.bytesVal()
+		d.spanVal()
 	case wtSym:
 		d.symVal()
 	}
 }
 
+// MaxFrameBody is the largest frame body a reader accepts; a longer
+// length prefix is treated as corruption, not as an allocation request.
+// Writers of frame streams must refuse what readers would reject.
+const MaxFrameBody = 16 << 20
+
+// A Frame locates one frame inside an in-memory stream.
+type Frame struct {
+	// Type is the header's message type.
+	Type byte
+	// Body and End bound the frame's fields: data[Body:End]. End is also
+	// the offset of the next frame.
+	Body, End int
+}
+
+// NextFrame parses the frame that starts at data[off:], the in-memory
+// counterpart of FrameScanner.Next with the same three outcomes: io.EOF
+// at a clean end (off == len(data)), ErrTorn for a truncated trailing
+// frame (truncate at off to repair), any other error for corruption.
+func NextFrame(data []byte, off int) (Frame, error) {
+	rest := data[off:]
+	if len(rest) == 0 {
+		return Frame{}, io.EOF
+	}
+	if len(rest) < headerLen {
+		return Frame{}, ErrTorn
+	}
+	if err := checkFrameHeader(rest[0], rest[1], int64(off)); err != nil {
+		return Frame{}, err
+	}
+	size, n := binary.Uvarint(rest[headerLen:])
+	if n == 0 {
+		return Frame{}, ErrTorn
+	}
+	if n < 0 {
+		return Frame{}, fmt.Errorf("codec: uvarint overflow at offset %d", off)
+	}
+	if err := checkFrameSize(size, int64(off)); err != nil {
+		return Frame{}, err
+	}
+	body := off + headerLen + n
+	if size > uint64(len(data)-body) {
+		return Frame{}, ErrTorn
+	}
+	return Frame{Type: rest[2], Body: body, End: body + int(size)}, nil
+}
+
+func checkFrameHeader(magic, version byte, off int64) error {
+	if magic != Magic {
+		return fmt.Errorf("codec: bad frame magic 0x%02x at offset %d", magic, off)
+	}
+	if version != Version {
+		return fmt.Errorf("codec: unsupported format version %d at offset %d", version, off)
+	}
+	return nil
+}
+
+func checkFrameSize(size uint64, off int64) error {
+	if size > MaxFrameBody {
+		return fmt.Errorf("codec: frame body %d bytes beyond limit at offset %d", size, off)
+	}
+	return nil
+}
+
 // A FrameScanner reads self-delimiting frames (BeginFrame/EndFrame
-// layout) from an append-only stream: store segments and the journal.
+// layout) from an append-only stream: the journal, replication blocks.
 // It distinguishes a clean end of stream (io.EOF), a torn trailing
 // frame from a crash mid-write (ErrTorn — truncate at Offset to
-// repair), and corruption (any other error).
+// repair), and corruption (any other error). A stream already in memory
+// is walked with NextFrame instead.
 type FrameScanner struct {
 	r     io.Reader
 	buf   []byte
 	off   int64 // stream offset of the next unread byte
 	start int64 // stream offset where the last Next began
+	// scratch receives the header and each length byte. It lives here,
+	// not in Next's frame, because a buffer handed to an io.Reader
+	// escapes: as a local it would be one heap allocation per frame.
+	scratch [headerLen]byte
 }
 
 // NewFrameScanner scans frames from r. Wrap r in a bufio.Reader if it
@@ -645,8 +696,8 @@ func (s *FrameScanner) Offset() int64 { return s.start }
 // clean end; ErrTorn a truncated trailing frame.
 func (s *FrameScanner) Next() (msgType byte, payload []byte, err error) {
 	s.start = s.off
-	var hdr [headerLen]byte
-	n, err := io.ReadFull(s.r, hdr[:])
+	hdr := s.scratch[:]
+	n, err := io.ReadFull(s.r, hdr)
 	s.off += int64(n)
 	if err == io.EOF {
 		return 0, nil, io.EOF
@@ -657,12 +708,10 @@ func (s *FrameScanner) Next() (msgType byte, payload []byte, err error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	if hdr[0] != Magic {
-		return 0, nil, fmt.Errorf("codec: bad frame magic 0x%02x at offset %d", hdr[0], s.start)
+	if err := checkFrameHeader(hdr[0], hdr[1], s.start); err != nil {
+		return 0, nil, err
 	}
-	if hdr[1] != Version {
-		return 0, nil, fmt.Errorf("codec: unsupported format version %d at offset %d", hdr[1], s.start)
-	}
+	msgType = hdr[2]
 	size, err := s.readUvarint()
 	if err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
@@ -670,15 +719,15 @@ func (s *FrameScanner) Next() (msgType byte, payload []byte, err error) {
 		}
 		return 0, nil, err
 	}
-	if size > uint64(16<<20) {
-		return 0, nil, fmt.Errorf("codec: frame body %d bytes beyond limit at offset %d", size, s.start)
+	if err := checkFrameSize(size, s.start); err != nil {
+		return 0, nil, err
 	}
 	need := headerLen + int(size)
 	if cap(s.buf) < need {
 		s.buf = make([]byte, need)
 	}
 	s.buf = s.buf[:need]
-	copy(s.buf, hdr[:])
+	s.buf[0], s.buf[1], s.buf[2] = Magic, Version, msgType
 	n, err = io.ReadFull(s.r, s.buf[headerLen:])
 	s.off += int64(n)
 	if err == io.EOF || err == io.ErrUnexpectedEOF {
@@ -687,16 +736,17 @@ func (s *FrameScanner) Next() (msgType byte, payload []byte, err error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	return hdr[2], s.buf, nil
+	return msgType, s.buf, nil
 }
 
 // readUvarint reads a uvarint byte by byte, tracking the stream offset.
+// It reuses scratch: the header has been consumed by then.
 func (s *FrameScanner) readUvarint() (uint64, error) {
 	var v uint64
 	var shift uint
-	var b [1]byte
+	b := s.scratch[:1]
 	for i := 0; i < binary.MaxVarintLen64; i++ {
-		if _, err := io.ReadFull(s.r, b[:]); err != nil {
+		if _, err := io.ReadFull(s.r, b); err != nil {
 			return 0, err
 		}
 		s.off++

@@ -172,73 +172,160 @@ func recordFields(e *Encoder, rec *Record) {
 // DecodeRecord decodes a MsgRecord payload (Begin layout, as returned
 // by FrameScanner.Next). Loops over many records use a RecordDecoder.
 func DecodeRecord(payload []byte) (Record, error) {
-	rd := RecordDecoder{syms: make([]string, 0, 16)}
+	var rd RecordDecoder
 	return rd.Decode(payload)
 }
 
-// A RecordDecoder decodes a stream of MsgRecord payloads — segment
-// replay, journal replay, replication blocks — through one symbol table
-// that is reset per record, where DecodeRecord would allocate a fresh
-// table for each. The zero value is ready to use; not safe for
-// concurrent use.
+// A RecordDecoder decodes a stream of MsgRecord payloads — journal
+// replay, replication blocks — through one reused RecordView, where
+// DecodeRecord would grow a fresh one for each. The zero value is ready
+// to use; not safe for concurrent use.
 type RecordDecoder struct {
-	syms []string
+	v RecordView
 }
 
-// Decode decodes one MsgRecord payload.
+// Decode decodes one MsgRecord payload: view, then materialise.
 func (rd *RecordDecoder) Decode(payload []byte) (Record, error) {
-	if err := checkHeader(payload, MsgRecord); err != nil {
+	if err := rd.v.Decode(payload); err != nil {
 		return Record{}, err
 	}
-	clear(rd.syms) // drop the previous record's strings
-	rd.syms = rd.syms[:0]
-	d := Decoder{data: payload, str: string(payload), pos: headerLen, end: len(payload), syms: &rd.syms}
-	var rec Record
+	return rd.v.Record(), nil
+}
+
+// A RecordView is one decoded MsgRecord whose byte-string fields are
+// still slices of the bytes it was decoded from: walking a record into
+// a view checks every tag, length and symbol reference exactly as a
+// full decode does, but allocates nothing (the repeated-field and
+// symbol tables are reused from record to record). Store replay views
+// every record and materialises — Record, or string(v.Node()) — only
+// those a later record has not superseded. A view is valid until the
+// bytes under it change or the next Decode; not safe for concurrent use.
+type RecordView struct {
+	data []byte
+	body span // the fields, as bounds in data
+
+	typ, id, request, node, peer, errText span
+	time                                  int64
+	hasTime, paused, passivated           bool
+
+	vars []varSpan
+	done []span
+	syms []span
+}
+
+type varSpan struct{ key, value span }
+
+// Decode walks a MsgRecord payload in Begin layout.
+func (v *RecordView) Decode(payload []byte) error {
+	if err := checkHeader(payload, MsgRecord); err != nil {
+		return err
+	}
+	return v.walk(payload, span{headerLen, len(payload)})
+}
+
+// DecodeFields walks the fields data[off:end] of a MsgRecord frame
+// (Frame.Body, Frame.End) where they lie, inside a larger stream.
+func (v *RecordView) DecodeFields(data []byte, off, end int) error {
+	return v.walk(data, span{off, end})
+}
+
+// walk is the one MsgRecord field walker.
+func (v *RecordView) walk(data []byte, body span) error {
+	*v = RecordView{data: data, body: body, vars: v.vars[:0], done: v.done[:0], syms: v.syms[:0]}
+	d := Decoder{data: data, pos: body.off, end: body.end, syms: v.syms}
 	for d.Next() {
 		switch d.Field() {
 		case recType:
-			rec.Type = d.Sym()
+			v.typ = d.symSpan()
 		case recID:
-			rec.ID = d.Sym()
+			v.id = d.symSpan()
 		case recTime:
-			rec.Time = time.Unix(0, d.Int())
+			v.time, v.hasTime = d.Int(), true
 		case recRequest:
-			rec.Request = d.Str()
+			v.request = d.bytesSpan()
 		case recNode:
-			rec.Node = d.Sym()
+			v.node = d.symSpan()
 		case recPeer:
-			rec.Peer = d.Sym()
+			v.peer = d.symSpan()
 		case recErr:
-			rec.Err = d.Str()
+			v.errText = d.bytesSpan()
 		case recVar:
-			// MsgEnter over the closure form: replay decodes millions of
-			// these and the escaping sub-decoder dominates its allocations.
-			var k, v string
+			var kv varSpan
 			end := d.MsgEnter()
 			for d.Next() {
 				switch d.Field() {
 				case 1:
-					k = d.Sym()
+					kv.key = d.symSpan()
 				case 2:
-					v = d.Str()
+					kv.value = d.bytesSpan()
 				default:
 					d.Skip()
 				}
 			}
 			d.MsgExit(end)
-			if rec.Vars == nil {
-				rec.Vars = make(map[string]string, 8)
-			}
-			rec.Vars[k] = v
+			v.vars = append(v.vars, kv)
 		case recDone:
-			rec.Done = append(rec.Done, d.Sym())
+			v.done = append(v.done, d.symSpan())
 		case recPaused:
-			rec.Paused = d.Bool()
+			v.paused = d.Bool()
 		case recPassivated:
-			rec.Passivated = d.Bool()
+			v.passivated = d.Bool()
 		default:
 			d.Skip()
 		}
 	}
-	return rec, d.Err()
+	v.syms = d.syms
+	return d.Err()
+}
+
+func (v *RecordView) bytes(sp span) []byte { return v.data[sp.off:sp.end] }
+
+// Type returns the record type.
+func (v *RecordView) Type() []byte { return v.bytes(v.typ) }
+
+// ID returns the execution id.
+func (v *RecordView) ID() []byte { return v.bytes(v.id) }
+
+// Node returns the node path (step.done, deleg.*).
+func (v *RecordView) Node() []byte { return v.bytes(v.node) }
+
+// Request returns the request document (exec.start, exec.snap).
+func (v *RecordView) Request() []byte { return v.bytes(v.request) }
+
+// Paused and Passivated return the record's flags.
+func (v *RecordView) Paused() bool     { return v.paused }
+func (v *RecordView) Passivated() bool { return v.passivated }
+
+// Record materialises the view. The fields are copied into one string
+// and every string of the record is a slice of it — one allocation for
+// them all, and nothing of the viewed bytes is retained.
+func (v *RecordView) Record() Record {
+	str := string(v.bytes(v.body))
+	at := func(sp span) string {
+		if sp.off == sp.end { // absent field: the zero span is not inside body
+			return ""
+		}
+		return str[sp.off-v.body.off : sp.end-v.body.off]
+	}
+	rec := Record{
+		Type: at(v.typ), ID: at(v.id), Request: at(v.request),
+		Node: at(v.node), Peer: at(v.peer), Err: at(v.errText),
+		Paused: v.paused, Passivated: v.passivated,
+	}
+	if v.hasTime {
+		rec.Time = time.Unix(0, v.time)
+	}
+	if len(v.vars) > 0 {
+		rec.Vars = make(map[string]string, len(v.vars))
+		for _, kv := range v.vars {
+			rec.Vars[at(kv.key)] = at(kv.value)
+		}
+	}
+	if len(v.done) > 0 {
+		rec.Done = make([]string, len(v.done))
+		for i, sp := range v.done {
+			rec.Done[i] = at(sp)
+		}
+	}
+	return rec
 }

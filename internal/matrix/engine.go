@@ -135,6 +135,7 @@ type Engine struct {
 	mu       sync.RWMutex
 	execs    map[string]*Execution
 	handlers map[string]OpHandler
+	known    map[string]bool // handlers' keys; see RegisterOp
 	procs    map[string]*storedProc
 	journal  *Journal
 	store    *store.Store
@@ -174,6 +175,7 @@ func NewEngineConfig(grid *dgms.Grid, cfg Config) *Engine {
 	}
 	e.registerBuiltins()
 	e.registerCallOp()
+	e.rebuildKnown()
 	return e
 }
 
@@ -204,7 +206,19 @@ func (e *Engine) SetOwnershipCheck(check func(req *dgl.Request) error) {
 func (e *Engine) RegisterOp(typ string, h OpHandler) {
 	e.mu.Lock()
 	e.handlers[typ] = h
+	e.rebuildKnown()
 	e.mu.Unlock()
+}
+
+// rebuildKnown derives the validation set from the handler table. The
+// set is replaced, never edited: readers keep using the one they hold
+// without a lock. Caller holds e.mu.
+func (e *Engine) rebuildKnown() {
+	known := make(map[string]bool, len(e.handlers))
+	for t := range e.handlers {
+		known[t] = true
+	}
+	e.known = known
 }
 
 // handler looks up the handler for an operation type.
@@ -218,18 +232,22 @@ func (e *Engine) handler(typ string) (OpHandler, bool) {
 // KnownOps returns the registered operation types as a validation set —
 // built-ins plus every RegisterOp extension. Components that validate DGL
 // documents destined for this engine (triggers, ILM policies, the wire
-// server) pass it to dgl.ValidateFlow.
-func (e *Engine) KnownOps() map[string]bool { return e.knownOps() }
-
-// knownOps returns the registered operation types as a validation set.
-func (e *Engine) knownOps() map[string]bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make(map[string]bool, len(e.handlers))
-	for t := range e.handlers {
+// server) pass it to dgl.ValidateFlow. The map is the caller's own copy.
+func (e *Engine) KnownOps() map[string]bool {
+	known := e.knownOps()
+	out := make(map[string]bool, len(known))
+	for t := range known {
 		out[t] = true
 	}
 	return out
+}
+
+// knownOps returns the engine's validation set as of the last
+// RegisterOp. It is shared and must not be modified.
+func (e *Engine) knownOps() map[string]bool {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.known
 }
 
 // Submit services a DGL request. Flow requests validate, then run either

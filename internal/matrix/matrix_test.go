@@ -976,3 +976,30 @@ func BenchmarkE5StepsPerFlow(b *testing.B) {
 		})
 	}
 }
+
+// TestKnownOpsFollowRegisterOp: the validation set is kept, not rebuilt
+// per submit, so it must follow RegisterOp — an operation registered
+// after the first submit validates — and the exported copy must stay the
+// caller's own.
+func TestKnownOpsFollowRegisterOp(t *testing.T) {
+	e := newTestEngine(t)
+	late := dgl.NewFlow("late").Step("s", dgl.Op("lateOp", nil)).Flow()
+	if _, err := e.Submit(dgl.NewRequest("user", "", late)); !errors.Is(err, dgl.ErrInvalid) {
+		t.Fatalf("submit before RegisterOp: %v, want ErrInvalid", err)
+	}
+	ran := false
+	e.RegisterOp("lateOp", func(*OpContext) error { ran = true; return nil })
+	resp, err := e.Submit(dgl.NewRequest("user", "", late))
+	if err != nil || resp.Error != "" || !ran {
+		t.Fatalf("submit after RegisterOp: %+v, %v (ran %v)", resp, err, ran)
+	}
+	mine := e.KnownOps()
+	if !mine["lateOp"] || !mine[dgl.OpNoop] {
+		t.Fatalf("KnownOps = %v", mine)
+	}
+	mine["neverRegistered"] = true
+	delete(mine, dgl.OpNoop)
+	if again := e.KnownOps(); again["neverRegistered"] || !again[dgl.OpNoop] {
+		t.Fatalf("editing the returned set changed the engine's: %v", again)
+	}
+}

@@ -12,6 +12,7 @@ package matrix
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -335,10 +336,7 @@ func (e *Engine) RecoverFromStore() ([]*Execution, error) {
 		}
 	}
 	var out []*Execution
-	for _, ent := range st.Live() {
-		if ent.Passivated {
-			continue
-		}
+	for _, ent := range st.Running() {
 		req, err := codec.DecodeRequestDoc([]byte(ent.Request))
 		if err != nil {
 			return out, fmt.Errorf("%w: stored request for %s: %v", dgl.ErrInvalid, ent.ID, err)
@@ -441,14 +439,22 @@ func (e *Engine) AdoptEntries(entries []store.Entry, source string) []AdoptedFlo
 }
 
 // execSeq parses the numeric suffix of an engine-minted execution id
-// ("<prefix>dgf-000042" → 42).
+// ("<prefix>dgf-000042" → 42): an optional sign and the decimal digits
+// that follow "dgf-", whatever comes after them.
 func execSeq(prefix, id string) (int64, bool) {
-	rest := strings.TrimPrefix(id, prefix)
-	if !strings.HasPrefix(rest, "dgf-") {
+	rest, ok := strings.CutPrefix(strings.TrimPrefix(id, prefix), "dgf-")
+	if !ok {
 		return 0, false
 	}
-	var n int64
-	if _, err := fmt.Sscanf(rest, "dgf-%d", &n); err != nil {
+	end := 0
+	if end < len(rest) && (rest[end] == '+' || rest[end] == '-') {
+		end++
+	}
+	for end < len(rest) && '0' <= rest[end] && rest[end] <= '9' {
+		end++
+	}
+	n, err := strconv.ParseInt(rest[:end], 10, 64)
+	if err != nil {
 		return 0, false
 	}
 	return n, true

@@ -3,6 +3,7 @@ package matrix
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -550,4 +551,97 @@ func TestPassivateSleepingFlow(t *testing.T) {
 		t.Fatal("post-sleep step ran")
 	}
 	mu.Unlock()
+}
+
+// sscanfExecSeq is execSeq as it was before it stopped formatting: the
+// reference TestExecSeq holds the strconv version to.
+func sscanfExecSeq(prefix, id string) (int64, bool) {
+	rest := strings.TrimPrefix(id, prefix)
+	if !strings.HasPrefix(rest, "dgf-") {
+		return 0, false
+	}
+	var n int64
+	if _, err := fmt.Sscanf(rest, "dgf-%d", &n); err != nil {
+		return 0, false
+	}
+	return n, true
+}
+
+func TestExecSeq(t *testing.T) {
+	for _, tc := range []struct {
+		prefix, id string
+		want       int64
+		ok         bool
+	}{
+		{"", "dgf-000042", 42, true},
+		{"peerA:", "peerA:dgf-000042", 42, true},
+		{"peerA:", "dgf-000007", 7, true},        // an id minted before the peer had a name
+		{"", "peerB:dgf-000042", 0, false},       // foreign prefix under an empty one
+		{"peerA:", "peerB:dgf-000042", 0, false}, // an adopted execution keeps its owner's prefix
+		{"", "dgf-", 0, false},                   // no digits
+		{"", "dgf-x12", 0, false},
+		{"", "dgf-12/flow/step", 12, true}, // trailing text
+		{"", "dgf-000042abc", 42, true},
+		{"", "dgf-0", 0, true},
+		{"", "dgf-+5", 5, true},
+		{"", "dgf--5", -5, true},
+		{"", "dgf-+", 0, false},
+		{"", "dgf-9223372036854775807", 9223372036854775807, true},
+		{"", "dgf-9223372036854775808", 0, false}, // overflow
+		{"", "dgf-99999999999999999999999", 0, false},
+		{"", "xdgf-1", 0, false},
+		{"", "", 0, false},
+	} {
+		got, ok := execSeq(tc.prefix, tc.id)
+		if got != tc.want || ok != tc.ok {
+			t.Errorf("execSeq(%q, %q) = %d, %v; want %d, %v", tc.prefix, tc.id, got, ok, tc.want, tc.ok)
+		}
+		if ref, refOK := sscanfExecSeq(tc.prefix, tc.id); ref != got || refOK != ok {
+			t.Errorf("execSeq(%q, %q) = %d, %v; the Sscanf version says %d, %v", tc.prefix, tc.id, got, ok, ref, refOK)
+		}
+	}
+}
+
+// TestRecoverSkipsParkedEntries: recovery asks the store for the
+// running entries only, resumes exactly those, and advances the id
+// counter past every stored id — parked and ended ones included.
+func TestRecoverSkipsParkedEntries(t *testing.T) {
+	dir := t.TempDir()
+	e, st := newStoreEngine(t, dir)
+	b := registerBlockingOp(e, "work", "1")
+	parked := startFlow(t, e, workFlow("parked", 3))
+	<-b.reached
+	if err := e.Passivate(parked.ID); err != nil {
+		t.Fatal(err)
+	}
+	e.RegisterOp("gate", func(c *OpContext) error { <-c.Cancel; return ErrCancelled })
+	open := startFlow(t, e, dgl.NewFlow("open").Step("g", dgl.Op("gate", nil)).Flow())
+	ended := startFlow(t, e, dgl.NewFlow("ended").Step("n", dgl.Op(dgl.OpNoop, nil)).Flow())
+	if err := ended.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil { // the crash
+		t.Fatal(err)
+	}
+	open.Cancel()
+
+	e2, st2 := newStoreEngine(t, dir)
+	if running := st2.Running(); len(running) != 1 || running[0].ID != open.ID {
+		t.Fatalf("running entries = %+v, want only %s", running, open.ID)
+	}
+	e2.RegisterOp("gate", func(*OpContext) error { return nil })
+	resumed, err := e2.RecoverFromStore()
+	if err != nil || len(resumed) != 1 || resumed[0].ID != open.ID {
+		t.Fatalf("resumed %v, %v; want only %s", resumed, err, open.ID)
+	}
+	if err := resumed[0].Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if got := st2.Stats().Passivated; got != 1 {
+		t.Fatalf("%d passivated after recovery, want 1", got)
+	}
+	fresh := startFlow(t, e2, dgl.NewFlow("fresh").Step("n", dgl.Op(dgl.OpNoop, nil)).Flow())
+	if n, _ := execSeq("", fresh.ID); n != 4 {
+		t.Fatalf("first id after recovery is %s, want the fourth", fresh.ID)
+	}
 }

@@ -247,7 +247,7 @@ func TestAdoptBinaryRequestFromJSONReplica(t *testing.T) {
 			len(entries), len(entries) == 1 && entries[0].Request == want.Request)
 	}
 	heir := newTestEngine(t)
-	runs := countingOps(heir)
+	hb := registerBlockingOp(heir, "work", "3")
 	hst, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -262,18 +262,24 @@ func TestAdoptBinaryRequestFromJSONReplica(t *testing.T) {
 	if !ok {
 		t.Fatal("adopted execution not resident")
 	}
-	if err := got.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if runs("work", "1") != 0 || runs("work", "2") != 1 || runs("work", "3") != 1 {
-		t.Errorf("adopted flow ran s1 %d, s2 %d, s3 %d times; want 0, 1, 1",
-			runs("work", "1"), runs("work", "2"), runs("work", "3"))
-	}
 	// The heir's own store is JSONL too: the request it re-persisted
-	// must read back intact after a reopen.
-	dir := hst.Dir()
-	if err := hst.Close(); err != nil {
-		t.Fatal(err)
+	// must read back intact from the bytes on disk. Read while the flow is
+	// still live — parked inside s3 — because an ended entry keeps no
+	// request; a copy of the directory stands in for a reopen.
+	<-hb.reached
+	dir := t.TempDir()
+	segs, err := filepath.Glob(filepath.Join(hst.Dir(), "seg-*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("heir store segments: %v, %v", segs, err)
+	}
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(seg)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	reopened, err := store.Open(dir, store.Options{})
 	if err != nil {
@@ -282,6 +288,14 @@ func TestAdoptBinaryRequestFromJSONReplica(t *testing.T) {
 	defer reopened.Close()
 	if ent, ok := reopened.Entry(ex.ID); !ok || ent.Request != want.Request {
 		t.Errorf("request re-read from the heir's JSONL store differs (found %v)", ok)
+	}
+	close(hb.release)
+	if err := got.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if hb.count("1") != 0 || hb.count("2") != 1 || hb.count("3") != 1 {
+		t.Errorf("adopted flow ran s1 %d, s2 %d, s3 %d times; want 0, 1, 1",
+			hb.count("1"), hb.count("2"), hb.count("3"))
 	}
 	// Let the owner's parked run finish before its store closes.
 	ost.SetTap(nil)

@@ -256,7 +256,7 @@ func (r *Receiver) Sources() []SourceStatus {
 			_ = r.open(n, src)
 		}
 		if src.st != nil {
-			st.Live = len(src.st.Live())
+			st.Live = src.st.Stats().Live
 		}
 		src.mu.Unlock()
 		out = append(out, st)

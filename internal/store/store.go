@@ -3,9 +3,7 @@ package store
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -15,6 +13,7 @@ import (
 	"time"
 
 	"datagridflow/internal/codec"
+	"datagridflow/internal/dgferr"
 	"datagridflow/internal/obs"
 )
 
@@ -106,16 +105,42 @@ type pendingRec struct {
 }
 
 // execState is the index entry for one execution, folded from its
-// records in replay order.
+// records — oldest first by apply as they are appended, newest first by
+// replay at Open (replay.go). A terminal entry (ended or pruned) keeps
+// its two flags and nothing else.
 type execState struct {
 	req        string
 	vars       map[string]string
-	done       map[string]bool
+	done       map[string]bool // nil until the first node
 	paused     bool
 	passivated bool
 	ended      bool
 	pruned     bool
 	hasSnap    bool
+
+	// Replay scratch, meaningless once Open returns: whether a root
+	// record (exec.start, exec.snap) was met, the replay position of the
+	// oldest one, and whether a newer record already decided paused and
+	// passivated.
+	rooted, pausedSet, passSet bool
+	first                      int
+}
+
+func (st *execState) terminal() bool { return st.ended || st.pruned }
+
+// collapse drops what a terminal entry does not report: no reader looks
+// at the request, variables or done set of an execution that has ended,
+// so they are released with the record that ends it rather than held
+// until the next compaction.
+func (st *execState) collapse() {
+	*st = execState{ended: st.ended, pruned: st.pruned, rooted: st.rooted, first: st.first}
+}
+
+func (st *execState) markDone(node string) {
+	if st.done == nil {
+		st.done = make(map[string]bool)
+	}
+	st.done[node] = true
 }
 
 // Entry is a point-in-time copy of an execution's indexed state.
@@ -203,25 +228,17 @@ func Open(dir string, opt Options) (*Store, error) {
 		}
 	}
 	sort.Ints(s.segs)
-	for i, n := range s.segs {
-		repair := i == len(s.segs)-1 // only the active segment is appended to
-		if err := s.replaySegment(filepath.Join(dir, segName(n)), repair); err != nil {
-			return nil, err
-		}
+	tailBinary, tailEmpty, err := s.replay()
+	if err != nil {
+		return nil, err
 	}
 	if len(s.segs) == 0 {
 		s.segs = []int{1}
-	} else {
-		// A segment holds exactly one encoding. If the tail segment is
-		// non-empty and in the other encoding, seal it and start a fresh
-		// one — its records were already replayed above.
-		bin, empty, err := sniffEncoding(filepath.Join(dir, segName(s.segs[len(s.segs)-1])))
-		if err != nil {
-			return nil, err
-		}
-		if !empty && bin != opt.Binary {
-			s.segs = append(s.segs, s.segs[len(s.segs)-1]+1)
-		}
+	} else if !tailEmpty && tailBinary != opt.Binary {
+		// A segment holds exactly one encoding. The tail segment is
+		// non-empty and in the other encoding: seal it and start a fresh
+		// one — its records are already in the index.
+		s.segs = append(s.segs, s.segs[len(s.segs)-1]+1)
 	}
 	active, err := OpenGroupFile(filepath.Join(dir, segName(s.segs[len(s.segs)-1])))
 	if err != nil {
@@ -254,129 +271,11 @@ func (s *Store) SetObs(reg *obs.Registry) {
 // Dir returns the store directory.
 func (s *Store) Dir() string { return s.dir }
 
-// sniffEncoding reports whether the file holds binary frames (first
-// byte is codec.Magic) or JSONL, and whether it is empty.
-func sniffEncoding(path string) (binary, empty bool, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, false, fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	var b [1]byte
-	n, err := f.Read(b[:])
-	if n == 0 {
-		if err == io.EOF || err == nil {
-			return false, true, nil
-		}
-		return false, false, fmt.Errorf("store: %s: %w", path, err)
-	}
-	return b[0] == codec.Magic, false, nil
-}
-
-// replaySegment folds one segment file into the index, sniffing the
-// encoding from the file's first byte. When repair is set a torn tail —
-// an unterminated JSONL line or a truncated binary frame — is truncated
-// off the file.
-func (s *Store) replaySegment(path string, repair bool) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
-	if first, err := r.Peek(1); err == nil && first[0] == codec.Magic {
-		return s.replayBinarySegment(path, r, repair)
-	}
-	var offset, lineStart int64
-	line := 0
-	for {
-		data, err := r.ReadBytes('\n')
-		lineStart = offset
-		offset += int64(len(data))
-		if len(data) > 0 {
-			line++
-			trimmed := data
-			if trimmed[len(trimmed)-1] == '\n' {
-				trimmed = trimmed[:len(trimmed)-1]
-			} else {
-				// No terminating newline: the crash cut the final write()
-				// short of its '\n'. The record was never acknowledged —
-				// Append returns only after the line *including* its
-				// newline is fsynced — so discard it even when the prefix
-				// parses as complete JSON. Keeping the file unterminated
-				// would also corrupt the next O_APPEND write, which would
-				// concatenate onto this line.
-				s.torn++
-				if repair {
-					if terr := os.Truncate(path, lineStart); terr != nil {
-						return fmt.Errorf("store: truncate torn tail of %s: %w", path, terr)
-					}
-				}
-				return nil
-			}
-			if len(trimmed) > 0 {
-				var rec Record
-				if uerr := json.Unmarshal(trimmed, &rec); uerr != nil {
-					// Newline-terminated means the write completed, so
-					// this is real corruption, not a crash artifact.
-					return fmt.Errorf("store: %s line %d: %v", path, line, uerr)
-				}
-				s.apply(&rec, true)
-				s.replayed++
-			}
-		}
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("store: %s: %w", path, err)
-		}
-	}
-}
-
-// replayBinarySegment folds a binary segment into the index. The frame
-// scanner's torn/corrupt distinction mirrors the JSONL rules: a
-// truncated trailing frame is the unacknowledged tail of a crash
-// mid-append and is discarded (truncated away when repair is set); a
-// complete frame that fails to decode is real corruption.
-func (s *Store) replayBinarySegment(path string, r io.Reader, repair bool) error {
-	sc := codec.NewFrameScanner(r)
-	var rd codec.RecordDecoder
-	n := 0
-	for {
-		_, payload, err := sc.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if errors.Is(err, codec.ErrTorn) {
-			s.torn++
-			if repair {
-				if terr := os.Truncate(path, sc.Offset()); terr != nil {
-					return fmt.Errorf("store: truncate torn tail of %s: %w", path, terr)
-				}
-			}
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("store: %s: %w", path, err)
-		}
-		n++
-		rec, err := rd.Decode(payload)
-		if err != nil {
-			return fmt.Errorf("store: %s frame %d: %v", path, n, err)
-		}
-		s.apply(&rec, true)
-		s.replayed++
-	}
-}
-
-// apply folds one record into the index. Caller holds s.mu (or is
-// single-threaded replay). owned means rec's reference fields (the
-// Vars map) belong to the store — replay passes true because decoded
-// records are discarded right after apply, which lets a snapshot's
-// variable map be adopted instead of copied; the append path passes
-// false because its maps are still aliased by the caller.
-func (s *Store) apply(rec *Record, owned bool) {
+// apply folds one appended record into the index, oldest first. Caller
+// holds s.mu. Open's newest-first fold (replay.go) reaches the same
+// index from the bytes on disk; FuzzReplayMatchesAppend holds the two to
+// each other.
+func (s *Store) apply(rec *Record) {
 	st := s.index[rec.ID]
 	if st == nil {
 		if rec.Type != TypeExecStart && rec.Type != TypeExecSnap {
@@ -384,11 +283,11 @@ func (s *Store) apply(rec *Record, owned bool) {
 			// away after it ended — nothing to track.
 			return
 		}
-		st = &execState{done: map[string]bool{}}
+		st = &execState{}
 		s.index[rec.ID] = st
 		s.order = append(s.order, rec.ID)
 	}
-	if (st.ended || st.pruned) && rec.Type != TypeExecPrune && rec.Type != TypeExecEnd {
+	if st.terminal() && rec.Type != TypeExecPrune && rec.Type != TypeExecEnd {
 		// A passivate racing the execution's natural completion loses:
 		// once ended (or tombstoned), later snapshots and markers are
 		// stale and must not revive the entry.
@@ -401,53 +300,53 @@ func (s *Store) apply(rec *Record, owned bool) {
 		}
 	case TypeStepDone, TypeDelegDone:
 		if rec.Node != "" {
-			st.done[rec.Node] = true
+			st.markDone(rec.Node)
 		}
 	case TypeExecSnap:
 		if rec.Request != "" {
 			st.req = rec.Request
 		}
-		if owned && rec.Vars != nil {
-			st.vars = rec.Vars
-		} else {
-			st.vars = make(map[string]string, len(rec.Vars))
-			for k, v := range rec.Vars {
-				st.vars[k] = v
-			}
+		// The caller still aliases rec's maps: copy.
+		st.vars = make(map[string]string, len(rec.Vars))
+		for k, v := range rec.Vars {
+			st.vars[k] = v
 		}
-		st.done = make(map[string]bool, len(rec.Done))
+		st.done = nil
 		for _, n := range rec.Done {
-			st.done[n] = true
+			st.markDone(n)
 		}
 		st.paused = rec.Paused
 		st.hasSnap = true
-		if rec.Passivated && !st.passivated {
-			st.passivated = true
-			s.passive++
+		if rec.Passivated {
+			s.setPassivated(st, true)
 		}
 	case TypeExecPassivate:
-		if !st.passivated {
-			st.passivated = true
-			s.passive++
-		}
+		s.setPassivated(st, true)
 		st.paused = rec.Paused
 	case TypeExecResurrect:
-		if st.passivated {
-			st.passivated = false
-			s.passive--
+		s.setPassivated(st, false)
+	case TypeExecEnd, TypeExecPrune:
+		s.setPassivated(st, false)
+		if rec.Type == TypeExecEnd {
+			st.ended = true
+		} else {
+			st.pruned = true
 		}
-	case TypeExecEnd:
-		st.ended = true
-		if st.passivated {
-			st.passivated = false
-			s.passive--
-		}
-	case TypeExecPrune:
-		st.pruned = true
-		if st.passivated {
-			st.passivated = false
-			s.passive--
-		}
+		st.collapse()
+	}
+}
+
+// setPassivated flips an entry's passivation marker, keeping the
+// store-wide count in step. Caller holds s.mu.
+func (s *Store) setPassivated(st *execState, on bool) {
+	if st.passivated == on {
+		return
+	}
+	st.passivated = on
+	if on {
+		s.passive++
+	} else {
+		s.passive--
 	}
 }
 
@@ -458,42 +357,30 @@ func (s *Store) apply(rec *Record, owned bool) {
 // fsync poisons the store instead of letting the index run ahead of
 // what a reopen would rebuild.
 func (s *Store) Append(rec Record) error {
-	var data []byte
-	var enc *codec.Encoder
-	if s.opt.Binary {
-		enc = codec.GetEncoder()
-		codec.AppendRecordFrame(enc, &rec)
-		data = enc.Bytes()
-	} else {
-		var err error
-		data, err = json.Marshal(rec)
-		if err != nil {
-			return err
-		}
-		data = append(data, '\n')
-	}
-	err := s.appendBlock(data, []Record{rec})
-	if enc != nil {
-		codec.PutEncoder(enc)
-	}
-	return err
+	return s.AppendBatch([]Record{rec})
 }
 
 // AppendBatch writes many records durably in one shot: the whole batch
 // is serialized into one block, appended with a single write syscall
 // (GroupFile.WriteBlock) and covered by one shared fsync. On the binary
 // encoding this is the vectored-write fast path store replay benchmarks
-// exercise; on JSONL it still collapses N syscalls into one.
+// exercise; on JSONL it still collapses N syscalls into one. A record
+// too large to be read back (checkRecordSize) refuses the whole batch
+// before anything is written.
 func (s *Store) AppendBatch(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
 	var block []byte
-	var enc *codec.Encoder
 	if s.opt.Binary {
-		enc = codec.GetEncoder()
+		enc := codec.GetEncoder()
+		defer codec.PutEncoder(enc)
 		for i := range recs {
+			before := enc.Len()
 			codec.AppendRecordFrame(enc, &recs[i])
+			if err := checkRecordSize(&recs[i], enc.Len()-before); err != nil {
+				return err
+			}
 		}
 		block = enc.Bytes()
 	} else {
@@ -506,11 +393,21 @@ func (s *Store) AppendBatch(recs []Record) error {
 			block = append(block, '\n')
 		}
 	}
-	err := s.appendBlock(block, recs)
-	if enc != nil {
-		codec.PutEncoder(enc)
+	return s.appendBlock(block, recs)
+}
+
+// checkRecordSize refuses a record whose frame replay would reject as
+// corruption (codec.MaxFrameBody): acknowledging it would leave a
+// directory that no longer opens. n is the whole frame, header and
+// length prefix included, so the test errs by those few bytes on the
+// safe side. The refusal is the caller's error, not the disk's: it does
+// not poison the store.
+func checkRecordSize(rec *Record, n int) error {
+	if n > codec.MaxFrameBody {
+		return fmt.Errorf("store: %s record of %s encodes to %d bytes, over the %d-byte frame limit: %w",
+			rec.Type, rec.ID, n, codec.MaxFrameBody, dgferr.ErrInvalid)
 	}
-	return err
+	return nil
 }
 
 // appendBlock appends one serialized block covering recs (in order) and
@@ -597,7 +494,7 @@ func (s *Store) drainLocked(gw *GroupFile, ticket int64) {
 // applyDurableLocked folds one fsync-proven record into the index and
 // its counters. Caller holds s.mu.
 func (s *Store) applyDurableLocked(rec *Record) {
-	s.apply(rec, false)
+	s.apply(rec)
 	s.records++
 	s.replSeq++
 	if s.tap != nil {
@@ -695,9 +592,12 @@ func (s *Store) Compact() (CompactStats, error) {
 			continue
 		}
 		liveOrder = append(liveOrder, id)
+		// The index takes the upgraded request too, so it holds what a
+		// reopen of the new segment would.
+		st.req = codec.UpgradeRequestDoc(st.req)
 		rec := Record{
 			Type: TypeExecSnap, ID: id, Time: now,
-			Request: codec.UpgradeRequestDoc(st.req), Vars: st.vars, Done: sortedKeys(st.done),
+			Request: st.req, Vars: st.vars, Done: sortedKeys(st.done),
 			Paused: st.paused, Passivated: st.passivated,
 		}
 		// The replacement segment is written in the configured encoding:
@@ -706,7 +606,9 @@ func (s *Store) Compact() (CompactStats, error) {
 		if enc != nil {
 			enc.Reset()
 			codec.AppendRecordFrame(enc, &rec)
-			_, err = w.Write(enc.Bytes())
+			if err = checkRecordSize(&rec, enc.Len()); err == nil {
+				_, err = w.Write(enc.Bytes())
+			}
 		} else {
 			var data []byte
 			data, err = json.Marshal(rec)
@@ -819,13 +721,25 @@ func (s *Store) entryLocked(id string, st *execState) Entry {
 }
 
 // Live returns every execution that is neither ended nor pruned, in
-// exec.start order — the set recovery considers.
+// exec.start order — the set a replica promotion adopts.
 func (s *Store) Live() []Entry {
+	return s.entries(func(st *execState) bool { return !st.terminal() })
+}
+
+// Running returns the live executions that are not passivated, in
+// exec.start order: the ones resident in the engine when the records
+// stop, which a restart resumes. Unlike filtering Live, it copies
+// nothing of the parked ones.
+func (s *Store) Running() []Entry {
+	return s.entries(func(st *execState) bool { return !st.terminal() && !st.passivated })
+}
+
+func (s *Store) entries(want func(*execState) bool) []Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []Entry
 	for _, id := range s.order {
-		if st := s.index[id]; st != nil && !st.ended && !st.pruned {
+		if st := s.index[id]; st != nil && want(st) {
 			out = append(out, s.entryLocked(id, st))
 		}
 	}
