@@ -664,11 +664,12 @@ func checkFrameSize(size uint64, off int64) error {
 }
 
 // A FrameScanner reads self-delimiting frames (BeginFrame/EndFrame
-// layout) from an append-only stream: the journal, replication blocks.
+// layout) from an append-only stream read incrementally: the journal.
 // It distinguishes a clean end of stream (io.EOF), a torn trailing
 // frame from a crash mid-write (ErrTorn — truncate at Offset to
 // repair), and corruption (any other error). A stream already in memory
-// is walked with NextFrame instead.
+// — a store segment, a replication block — is walked with NextFrame
+// instead.
 type FrameScanner struct {
 	r     io.Reader
 	buf   []byte

@@ -177,7 +177,7 @@ func DecodeRecord(payload []byte) (Record, error) {
 }
 
 // A RecordDecoder decodes a stream of MsgRecord payloads — journal
-// replay, replication blocks — through one reused RecordView, where
+// replay — through one reused RecordView, where
 // DecodeRecord would grow a fresh one for each. The zero value is ready
 // to use; not safe for concurrent use.
 type RecordDecoder struct {

@@ -439,6 +439,64 @@ func TestPruneTombstoneNoResurrection(t *testing.T) {
 	}
 }
 
+// TestRecoverAfterIDReuse: compaction drops ended flows from the store,
+// so an engine restarted over it counts from what is left and hands an
+// old id out again — behind whatever rootless records the old flow still
+// left (here the tombstone of a Prune that ran after the compaction).
+// Those precede the new flow's exec.start and say nothing about it: the
+// next restart must find it running.
+func TestRecoverAfterIDReuse(t *testing.T) {
+	dir := t.TempDir()
+	e1, st1 := newStoreEngine(t, dir)
+	var ids []string
+	for i := 0; i < 2; i++ {
+		ex := mustRun(t, e1, dgl.NewFlow(fmt.Sprintf("job-%d", i)).
+			Step("s", dgl.Op(dgl.OpNoop, nil)).Flow())
+		ids = append(ids, ex.ID)
+	}
+	if _, err := st1.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got := e1.Prune(0); got != 2 {
+		t.Fatalf("pruned %d, want 2", got)
+	}
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	e2, st2 := newStoreEngine(t, dir)
+	if resumed, err := e2.RecoverFromStore(); err != nil || len(resumed) != 0 {
+		t.Fatalf("recovery over tombstones only: %v, %v", resumed, err)
+	}
+	b2 := registerBlockingOp(e2, "work", "1")
+	ex := startFlow(t, e2, workFlow("second-life", 3))
+	if ex.ID != ids[0] {
+		t.Fatalf("new flow got %s; this test needs it to reuse %s", ex.ID, ids[0])
+	}
+	<-b2.reached
+	if err := st2.Close(); err != nil { // the crash
+		t.Fatal(err)
+	}
+	close(b2.release)
+
+	e3, st3 := newStoreEngine(t, dir)
+	b3 := registerBlockingOp(e3, "work", "never")
+	resumed, err := e3.RecoverFromStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resumed) != 1 || resumed[0].ID != ex.ID {
+		ent, _ := st3.Entry(ex.ID)
+		t.Fatalf("resumed = %v, want [%s]; store entry %+v", resumed, ex.ID, ent)
+	}
+	if err := resumed[0].Wait(); err != nil {
+		t.Fatalf("recovered run: %v", err)
+	}
+	if b3.count("0") != 0 || b3.count("1") != 1 || b3.count("2") != 1 {
+		t.Errorf("recovered runs = %v", b3.runs)
+	}
+}
+
 // TestResurrectErrors pins the failure modes: unknown ids, ended ids
 // and a detached store all answer ErrNotFound (or the invalid-config
 // error), never a partial resurrection.

@@ -124,22 +124,24 @@ func DecodeBlock(block []byte) ([]store.Record, error) {
 		return nil, nil
 	}
 	if block[0] == codec.Magic {
-		sc := codec.NewFrameScanner(bytes.NewReader(block))
-		var rd codec.RecordDecoder
+		var view codec.RecordView
 		var recs []store.Record
-		for {
-			_, payload, err := sc.Next()
+		for off := 0; ; {
+			f, err := codec.NextFrame(block, off)
 			if err == io.EOF {
 				return recs, nil
 			}
+			if err == nil && f.Type != codec.MsgRecord {
+				err = fmt.Errorf("message type %d, want %d", f.Type, codec.MsgRecord)
+			}
+			if err == nil {
+				err = view.DecodeFields(block, f.Body, f.End)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("replica: block frame %d: %w", len(recs)+1, err)
 			}
-			rec, err := rd.Decode(payload)
-			if err != nil {
-				return nil, fmt.Errorf("replica: block frame %d: %w", len(recs)+1, err)
-			}
-			recs = append(recs, rec)
+			recs = append(recs, view.Record())
+			off = f.End
 		}
 	}
 	var recs []store.Record

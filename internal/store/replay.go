@@ -30,19 +30,44 @@ type replayer struct {
 	// enc re-encodes a JSONL record, so both encodings reach the fold as
 	// a view.
 	enc codec.Encoder
-	// ids lists every execution met, in the order met; n counts the
-	// records folded — a replay position that grows towards the past.
-	ids []replayID
-	n   int
+	// ids holds the fold's state for every execution met, in the order
+	// met, and byID finds an id's place in it; n counts the records folded
+	// — a replay position that grows towards the past.
+	ids  []replayID
+	byID map[string]int
+	n    int
 }
 
 // extent bounds one record inside the segment buffer: a binary frame's
 // fields, or a JSONL line without its newline.
 type extent struct{ off, end int }
 
+// replayID is the fold's state for one execution id. apply creates an
+// entry at the id's first root record (exec.start, exec.snap) and ignores
+// whatever precedes it; read newest first, no record can tell whether a
+// root still lies behind it. So the records met since the last root are
+// folded into held, and only a root commits them — then itself — to st.
+// What is still held when the oldest segment is done preceded every root
+// and is dropped, as apply dropped it.
 type replayID struct {
 	id string
-	st *execState
+	// st is the entry as of the oldest root met, nil before the first;
+	// first is that root's replay position.
+	st    *execState
+	first int
+	// sealed: a snapshot is committed, so its variables and done set
+	// stand against older records. pausedSet, passSet: a committed record
+	// has decided the flag, so no older one can.
+	sealed, pausedSet, passSet bool
+	held                       held
+}
+
+// held is the fold of the non-root records met since the last root.
+type held struct {
+	ended, pruned       bool
+	paused, pausedSet   bool
+	passivated, passSet bool
+	done                map[string]bool
 }
 
 // replay folds every segment into the index, newest first, and reports
@@ -50,7 +75,7 @@ type replayID struct {
 // record — the tail of a crash mid-append — is discarded, and truncated
 // away in the tail segment, the only one appended to.
 func (s *Store) replay() (tailBinary, tailEmpty bool, err error) {
-	rp := replayer{s: s}
+	rp := replayer{s: s, byID: map[string]int{}}
 	for i := len(s.segs) - 1; i >= 0; i-- {
 		tail := i == len(s.segs)-1
 		binary, empty, err := rp.segment(filepath.Join(s.dir, segName(s.segs[i])), tail)
@@ -112,8 +137,8 @@ func (rp *replayer) segment(path string, repair bool) (binary, empty bool, err e
 	return binary, valid == 0, nil
 }
 
-// read loads a whole segment into rp.buf: at most SegmentMaxBytes plus
-// the one block that crossed the limit.
+// read loads a whole segment into rp.buf (Options.SegmentMaxBytes states
+// how large one gets).
 func (rp *replayer) read(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -191,76 +216,119 @@ func (rp *replayer) viewLine(line []byte) error {
 }
 
 // fold merges the viewed record — older than every record folded before
-// it — into the index. Whatever a newer record already decided stands:
-// the first end or prune met leaves a tombstone and every older record
-// of that execution is skipped; a snapshot seals the request, variables,
-// done set and paused flag against older records; between snapshots the
-// done set is a union. Only what survives is materialised.
+// it — into its execution's replay state. A root commits what is held and
+// then itself; any other record is held, unless something newer already
+// makes it moot: behind an end or prune nothing but another end, prune
+// or root counts; behind a snapshot no step.done does; behind the first
+// record to speak of paused or passivated no other does. Only what
+// survives is materialised.
 func (rp *replayer) fold() {
-	s, v := rp.s, &rp.view
+	v := &rp.view
 	rp.n++
-	s.replayed++
-	st := s.index[string(v.ID())]
-	if st == nil {
+	rp.s.replayed++
+	i, ok := rp.byID[string(v.ID())]
+	if !ok {
 		id := string(v.ID())
-		st = &execState{}
-		s.index[id] = st
-		rp.ids = append(rp.ids, replayID{id, st})
+		i = len(rp.ids)
+		rp.byID[id] = i
+		rp.ids = append(rp.ids, replayID{id: id})
 	}
+	e := &rp.ids[i]
 	switch string(v.Type()) {
 	case TypeExecEnd:
-		st.ended = true
-		st.collapse()
+		e.held.ended = true
 		return
 	case TypeExecPrune:
-		st.pruned = true
-		st.collapse()
+		e.held.pruned = true
 		return
 	case TypeExecStart, TypeExecSnap:
-		// Met last, the oldest root is where apply would have created the
-		// entry: it fixes the execution's place in s.order.
-		st.rooted, st.first = true, rp.n
+		rp.root(e)
+		return
+	}
+	if e.held.ended || e.held.pruned || e.st != nil && e.st.terminal() {
+		return
+	}
+	switch string(v.Type()) {
+	case TypeStepDone, TypeDelegDone:
+		node := v.Node()
+		known := e.sealed || e.st != nil && e.st.done[string(node)] || e.held.done[string(node)]
+		if len(node) > 0 && !known {
+			if e.held.done == nil {
+				e.held.done = make(map[string]bool)
+			}
+			e.held.done[string(node)] = true
+		}
+	case TypeExecPassivate:
+		e.holdPassivated(true)
+		if !e.pausedSet && !e.held.pausedSet {
+			e.held.paused, e.held.pausedSet = v.Paused(), true
+		}
+	case TypeExecResurrect:
+		e.holdPassivated(false)
+	}
+}
+
+func (e *replayID) holdPassivated(on bool) {
+	if !e.passSet && !e.held.passSet {
+		e.held.passivated, e.held.passSet = on, true
+	}
+}
+
+// root folds the viewed exec.start or exec.snap: the oldest root met so
+// far, so this is where apply would have created the entry, and what is
+// held — newer than the root — now counts. A held end or prune leaves a
+// tombstone, whatever newer roots had built.
+func (rp *replayer) root(e *replayID) {
+	v := &rp.view
+	e.first = rp.n
+	if e.st == nil {
+		e.st = &execState{}
+	}
+	st, h := e.st, e.held
+	e.held = held{}
+	if h.ended || h.pruned {
+		st.ended, st.pruned = st.ended || h.ended, st.pruned || h.pruned
+		st.collapse()
 	}
 	if st.terminal() {
 		return
 	}
-	switch string(v.Type()) {
-	case TypeExecStart:
-		if st.req == "" {
-			st.req = string(v.Request())
-		}
-	case TypeExecSnap:
-		rp.foldSnap(st)
-	case TypeStepDone, TypeDelegDone:
-		if node := v.Node(); !st.hasSnap && len(node) > 0 && !st.done[string(node)] {
-			st.markDone(string(node))
-		}
-	case TypeExecPassivate:
-		st.decidePassivated(true)
-		st.decidePaused(v.Paused())
-	case TypeExecResurrect:
-		st.decidePassivated(false)
+	if h.passSet {
+		st.passivated, e.passSet = h.passivated, true
 	}
-}
-
-// foldSnap folds an exec.snap into a live entry. The newest snapshot is
-// materialised whole — one string backs its request, variables and done
-// list; an older one can only supply a request or a passivation marker
-// that nothing newer carried. A snapshot without the marker says nothing
-// about passivation, as in apply.
-func (rp *replayer) foldSnap(st *execState) {
-	v := &rp.view
-	if v.Passivated() {
-		st.decidePassivated(true)
+	if h.pausedSet {
+		st.paused, e.pausedSet = h.paused, true
 	}
-	if st.hasSnap {
+	if st.done == nil {
+		st.done = h.done
+	} else {
+		for node := range h.done {
+			st.done[node] = true
+		}
+	}
+	if string(v.Type()) == TypeExecStart {
 		if st.req == "" {
 			st.req = string(v.Request())
 		}
 		return
 	}
+	// A snapshot without the passivation marker says nothing about
+	// passivation, as in apply.
+	if v.Passivated() && !e.passSet {
+		st.passivated, e.passSet = true, true
+	}
+	if e.sealed {
+		// An older snapshot can only supply a request that nothing newer
+		// carried.
+		if st.req == "" {
+			st.req = string(v.Request())
+		}
+		return
+	}
+	// The newest snapshot is materialised whole: one string backs its
+	// request, variables and done list.
 	rec := v.Record()
-	st.hasSnap = true
+	e.sealed = true
 	if st.req == "" {
 		st.req = rec.Request
 	}
@@ -268,43 +336,30 @@ func (rp *replayer) foldSnap(st *execState) {
 	for _, n := range rec.Done {
 		st.markDone(n)
 	}
-	st.decidePaused(rec.Paused)
-}
-
-// decidePassivated and decidePaused take a record's word for a flag
-// unless a newer record has already spoken.
-func (st *execState) decidePassivated(on bool) {
-	if !st.passSet {
-		st.passivated, st.passSet = on, true
+	if !e.pausedSet {
+		st.paused, e.pausedSet = rec.Paused, true
 	}
 }
 
-func (st *execState) decidePaused(on bool) {
-	if !st.pausedSet {
-		st.paused, st.pausedSet = on, true
-	}
-}
-
-// finish drops the entries no root record vouched for — stragglers of an
-// execution compaction dropped, which apply never indexes — counts the
-// passivated, and restores s.order to the order apply builds: by each
-// execution's oldest root.
+// finish builds the index from the executions a root vouched for — the
+// rest are stragglers of an execution compaction dropped, which apply
+// never indexes — in the order apply builds: by each execution's oldest
+// root.
 func (rp *replayer) finish() {
 	s := rp.s
 	kept := rp.ids[:0]
 	for _, e := range rp.ids {
-		if !e.st.rooted {
-			delete(s.index, e.id)
-			continue
+		if e.st != nil {
+			kept = append(kept, e)
 		}
+	}
+	slices.SortFunc(kept, func(a, b replayID) int { return cmp.Compare(b.first, a.first) })
+	s.index = make(map[string]*execState, len(kept))
+	s.order = make([]string, len(kept))
+	for i, e := range kept {
+		s.index[e.id], s.order[i] = e.st, e.id
 		if e.st.passivated {
 			s.passive++
 		}
-		kept = append(kept, e)
-	}
-	slices.SortFunc(kept, func(a, b replayID) int { return cmp.Compare(b.st.first, a.st.first) })
-	s.order = make([]string, len(kept))
-	for i, e := range kept {
-		s.order[i] = e.id
 	}
 }

@@ -37,25 +37,24 @@ func imageOf(s *Store) indexImage {
 	return img
 }
 
-// replayProgram drives one store through a record stream drawn from the
-// grammar the engine can produce (docs/STORE.md, "Replay") and, at every
+// replayProgram drives one store through a record stream and, at every
 // reopen, holds the index Open folds newest-first from the bytes on disk
 // to the index apply built oldest-first while they were appended.
 //
 // Each step is two bytes, an action and an argument. Executions are
-// modelled just far enough to stay inside the grammar: an id's first
-// record is its exec.start; an id that ended before a compaction has no
-// root left, so only rootless stragglers — or one stale exec.snap that
-// becomes its root — may follow.
+// modelled so that most of a stream has the shape the engine writes
+// (docs/STORE.md, "Replay") — a start, steps, snapshots, an end, stale
+// records after it — but every state also offers the records that do not
+// belong there, because the two folds must agree on those as well: an id
+// that ended before a compaction has no root left, so what follows is
+// rootless until a stale exec.snap or, once a restarted engine hands the
+// id out again, a new exec.start roots it behind those stragglers.
 type replayProgram struct {
 	t      *testing.T
 	dir    string
 	binary bool
 	s      *Store
 	state  [8]idState
-	// stray marks a compacted-away id that has had a rootless straggler
-	// since: a root record after that would have a record before it.
-	stray [8]bool
 }
 
 type idState int
@@ -115,11 +114,14 @@ func (p *replayProgram) reopen(flip bool, tear []byte) {
 	}
 }
 
-// record turns one program step into the record the grammar allows for
-// the id in its current state.
+// record turns one program step into a record for the id in its current
+// state.
 func (p *replayProgram) record(action, arg byte) Record {
 	i := int(arg) % len(p.state)
 	rec := Record{ID: fmt.Sprintf("dgf-%06d", i), Time: time.Unix(int64(arg), 0)}
+	start := func() {
+		rec.Type, rec.Request = TypeExecStart, replayRequests[int(arg>>3)%len(replayRequests)]
+	}
 	snap := func() {
 		rec.Type = TypeExecSnap
 		rec.Request = replayRequests[int(arg>>3)%len(replayRequests)]
@@ -140,10 +142,10 @@ func (p *replayProgram) record(action, arg byte) Record {
 	passivate := func() { rec.Type, rec.Paused = TypeExecPassivate, arg&0x40 != 0 }
 	switch p.state[i] {
 	case idFresh:
-		rec.Type, rec.Request = TypeExecStart, replayRequests[int(arg>>3)%len(replayRequests)]
+		start()
 		p.state[i] = idLive
 	case idLive:
-		switch action % 8 {
+		switch action % 10 {
 		case 0:
 			node(TypeStepDone)
 		case 1:
@@ -162,9 +164,13 @@ func (p *replayProgram) record(action, arg byte) Record {
 		case 7: // a prune with no end before it: the end was torn off
 			rec.Type = TypeExecPrune
 			p.state[i] = idTerminal
+		case 8: // a second root in mid-stream
+			start()
+		case 9:
+			rec.Type, rec.Node = TypeStepDone, ""
 		}
 	case idTerminal:
-		switch action % 4 {
+		switch action % 6 {
 		case 0: // a passivation that raced the end: stale snapshot, stale marker
 			snap()
 		case 1:
@@ -173,25 +179,31 @@ func (p *replayProgram) record(action, arg byte) Record {
 			rec.Type = TypeExecPrune
 		case 3:
 			node(TypeStepDone)
+		case 4:
+			start()
+		case 5:
+			rec.Type = TypeExecEnd
 		}
 	case idGone:
-		switch action % 4 {
-		case 0:
-			if !p.stray[i] {
-				snap()
-				p.state[i] = idLive
-				break
-			}
-			fallthrough
+		switch action % 8 {
+		case 0: // a stale snapshot roots the id again
+			snap()
+			p.state[i] = idLive
 		case 1:
 			passivate()
-		case 2:
+		case 2: // Engine.Prune tombstones an id compaction already dropped
 			rec.Type = TypeExecPrune
 		case 3:
 			node(TypeStepDone)
-		}
-		if p.state[i] == idGone {
-			p.stray[i] = true
+		case 4: // the engine restarted, lost count and reuses the id
+			start()
+			p.state[i] = idLive
+		case 5:
+			rec.Type = TypeExecResurrect
+		case 6:
+			rec.Type = TypeExecEnd
+		case 7:
+			node(TypeDelegDone)
 		}
 	}
 	return rec
@@ -206,7 +218,6 @@ func (p *replayProgram) compact() {
 		if st == idTerminal {
 			p.state[i] = idGone
 		}
-		p.stray[i] = false
 	}
 }
 
@@ -255,8 +266,7 @@ func (p *replayProgram) run(prog []byte) {
 	}
 }
 
-// FuzzReplayMatchesAppend: for any record stream in the grammar — ids
-// interleaved, rotation every few records, compactions and reopens at
+// FuzzReplayMatchesAppend: for any record stream — ids interleaved, rotation every few records, compactions and reopens at
 // arbitrary points, either encoding or a directory that mixes them, a
 // torn tail at the end — the index after reopening equals the index
 // after appending. The seeds are replayed by every `go test`.
@@ -280,6 +290,14 @@ func FuzzReplayMatchesAppend(f *testing.F) {
 		"\xe0\x00\x00\x00\x01\x00\xf1\x00\xe1\x01\x03\x03\x49\x06\xf1\x00\x00\x02\x00\x0a\xf9\x00\x00\x12",
 		// an older snapshot carries the passivation marker, a newer one does not
 		"\x00\x07\x03\xbf\x03\x07\x00\x0f\xf0\x00\x03\x47\x04\x07\x06\x07",
+		// id reuse: ended, compacted away, a rootless prune, then a new start of the same id
+		"\x00\x01\x00\x09\x06\x01\xf8\x00\x02\x01\x04\x01\x00\x11\xf0\x00\x00\x19",
+		// the same behind a rootless passivate, step.done, end and resurrect
+		"\x00\x02\x06\x02\xf8\x00\x01\x42\x03\x0a\x06\x02\x05\x02\x04\x02\x00\x12\xf1\x00",
+		// rootless stragglers in an older segment than the start that reuses the id
+		"\x00\x03\x06\x03\xf8\x00\x02\x03\x01\x43\x03\x0b\x07\x13\x02\x03\x01\x03\x04\x03\x03\x3b\x00\x03",
+		// a stale start and a second end behind the end; a second start in mid-stream
+		"\x00\x04\x08\x0c\x00\x04\x06\x04\x04\x04\x05\x04\x03\x7c\x02\x04",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s), true)
@@ -326,6 +344,63 @@ func TestReplaySupersededRecordIsStillChecked(t *testing.T) {
 	}
 	if _, err := Open(dir, Options{Binary: true}); err == nil || !strings.Contains(err.Error(), "frame 2") {
 		t.Fatalf("open over a corrupt superseded frame: %v, want an error naming frame 2", err)
+	}
+}
+
+// TestSegmentSizeBoundsReplayBuffer: Open holds one segment in memory
+// at a time, so what a segment can grow to is Open's transient peak. An
+// appended-to segment stays within SegmentMaxBytes; only a single block
+// larger than that exceeds it, alone in its segment.
+func TestSegmentSizeBoundsReplayBuffer(t *testing.T) {
+	const limit = 512
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{Binary: true, SegmentMaxBytes: limit})
+	for i := 0; i < 40; i++ {
+		appendAll(t, s, lifecycle(fmt.Sprintf("dgf-%06d", i))...)
+	}
+	var big []Record
+	for i := 0; i < 40; i++ {
+		big = append(big, Record{Type: TypeStepDone, ID: "dgf-000000", Node: fmt.Sprintf("/f/n%d", i)})
+	}
+	if err := s.AppendBatch(big); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, s, lifecycle("dgf-000099")...)
+	records := s.Stats().Records
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	oversize := 0
+	for _, seg := range segs {
+		fi, err := os.Stat(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() <= limit {
+			continue
+		}
+		oversize++
+		data, _ := os.ReadFile(seg)
+		frames := 0
+		for off := 0; off < len(data); frames++ {
+			f, err := codec.NextFrame(data, off)
+			if err != nil {
+				t.Fatal(err)
+			}
+			off = f.End
+		}
+		if frames != len(big) {
+			t.Errorf("%s is %d bytes, over the %d-byte limit, and holds %d records: not the one oversize block", seg, fi.Size(), limit, frames)
+		}
+	}
+	if len(segs) < 10 || oversize != 1 {
+		t.Fatalf("%d segments, %d over the limit; want many and exactly the oversize block's", len(segs), oversize)
+	}
+	s = mustOpen(t, dir, Options{Binary: true, SegmentMaxBytes: limit})
+	defer s.Close()
+	if got := s.Stats().ReplayRecords; got != records {
+		t.Fatalf("replayed %d of %d records", got, records)
 	}
 }
 

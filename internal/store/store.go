@@ -20,7 +20,11 @@ import (
 // Options tunes a Store.
 type Options struct {
 	// SegmentMaxBytes rotates the active segment once it exceeds this
-	// size. Default 8 MiB.
+	// size. Default 8 MiB. It is also what Open holds in memory while it
+	// replays, one whole segment at a time: an appended-to segment is at
+	// most this size, or one AppendBatch block larger than it. The segment
+	// a Compact writes is not rotated — it holds one snapshot per live
+	// execution, about what the index keeps of them once replayed.
 	SegmentMaxBytes int64
 	// Now stamps compaction-written records. Default time.Now.
 	Now func() time.Time
@@ -116,14 +120,6 @@ type execState struct {
 	passivated bool
 	ended      bool
 	pruned     bool
-	hasSnap    bool
-
-	// Replay scratch, meaningless once Open returns: whether a root
-	// record (exec.start, exec.snap) was met, the replay position of the
-	// oldest one, and whether a newer record already decided paused and
-	// passivated.
-	rooted, pausedSet, passSet bool
-	first                      int
 }
 
 func (st *execState) terminal() bool { return st.ended || st.pruned }
@@ -133,7 +129,7 @@ func (st *execState) terminal() bool { return st.ended || st.pruned }
 // so they are released with the record that ends it rather than held
 // until the next compaction.
 func (st *execState) collapse() {
-	*st = execState{ended: st.ended, pruned: st.pruned, rooted: st.rooted, first: st.first}
+	*st = execState{ended: st.ended, pruned: st.pruned}
 }
 
 func (st *execState) markDone(node string) {
@@ -209,7 +205,7 @@ func Open(dir string, opt Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, opt: opt, index: map[string]*execState{}}
+	s := &Store{dir: dir, opt: opt}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -316,7 +312,6 @@ func (s *Store) apply(rec *Record) {
 			st.markDone(n)
 		}
 		st.paused = rec.Paused
-		st.hasSnap = true
 		if rec.Passivated {
 			s.setPassivated(st, true)
 		}
