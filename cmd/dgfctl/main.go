@@ -128,9 +128,11 @@ as aligned name{labels} rows.`,
 		synopsis: "store",
 		summary:  "show the server's flow-state store",
 		detail: `Prints the store's shape (docs/STORE.md): segment and record counts,
-last-open replay cost, live vs passivated vs resident executions, and
-the snapshot lag — how many records a crash right now would replay on
-top of snapshots. Reports a poisoned store's sticky failure.`,
+records written but not yet synced (pending), last-open replay cost,
+live vs passivated vs resident executions, and the snapshot lag — how
+many records a crash right now would replay on top of snapshots.
+Reports a poisoned store's sticky failure and the pending records it
+discarded.`,
 	},
 	{
 		name:     "compact",
@@ -714,6 +716,7 @@ func replSummary(info *wire.ReplInfo) string {
 func printStore(info *wire.StoreInfo) {
 	fmt.Printf("segments:       %d\n", info.Segments)
 	fmt.Printf("records:        %d\n", info.Records)
+	fmt.Printf("pending:        %d record(s) written, not yet synced\n", info.Pending)
 	fmt.Printf("replay records: %d (last open)\n", info.ReplayRecords)
 	fmt.Printf("live:           %d\n", info.Live)
 	fmt.Printf("passivated:     %d\n", info.Passivated)

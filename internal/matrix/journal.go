@@ -154,7 +154,9 @@ func (e *Engine) journaling() bool {
 }
 
 // journalAppend best-effort writes a lifecycle record to every attached
-// sink (no-op when neither a journal nor a store is attached).
+// sink (no-op when neither a journal nor a store is attached). Whether
+// the store write waits for its fsync is the record type's to say
+// (storeRecord): a step.done is written and left to ride the next commit.
 func (e *Engine) journalAppend(rec journalRecord) {
 	e.mu.RLock()
 	j, st := e.journal, e.store
@@ -169,7 +171,7 @@ func (e *Engine) journalAppend(rec journalRecord) {
 		}
 	}
 	if st != nil {
-		if err := st.Append(rec); err != nil {
+		if err := storeRecord(st, rec); err != nil {
 			// A dead store must not stop the engine, but it must not die
 			// silently either: a restart would replay stale state.
 			e.Obs().Counter("store_append_errors_total").Inc()
@@ -177,6 +179,15 @@ func (e *Engine) journalAppend(rec journalRecord) {
 			e.chargeRecord(&rec)
 		}
 	}
+}
+
+// storeRecord writes rec to st with the verb its type calls for: Append
+// where the writer waits for the fsync, Write where it does not.
+func storeRecord(st *store.Store, rec journalRecord) error {
+	if fsync, _ := store.Waits(rec.Type); fsync {
+		return st.Append(rec)
+	}
+	return st.Write(rec)
 }
 
 // mirrorToJournal best-effort writes a record to the flat journal only

@@ -55,7 +55,7 @@ func (e *Engine) storeAppend(rec journalRecord) error {
 		return fmt.Errorf("matrix: no store attached: %w", dgferr.ErrInvalid)
 	}
 	rec.Time = e.Clock().Now()
-	if err := st.Append(rec); err != nil {
+	if err := storeRecord(st, rec); err != nil {
 		e.Obs().Counter("store_append_errors_total").Inc()
 		return err
 	}

@@ -232,7 +232,13 @@ func TestAdoptBinaryRequestFromJSONReplica(t *testing.T) {
 	owner.SetStore(ost)
 	b := registerBlockingOp(owner, "work", "2")
 	ex := startFlow(t, owner, workFlow("long-job", 4))
-	<-b.reached // s0, s1 replicated as done; the owner "dies" inside s2
+	<-b.reached
+	// The owner "dies" inside s2, later than the linger after s1 ended:
+	// s0 and s1 are durable and replicated as done. (A death inside the
+	// linger would re-run them on the heir — docs/STORE.md, "Durability".)
+	if err := ost.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	want, ok := ost.Entry(ex.ID)
 	if !ok || !codec.IsBinary(want.Request) {
 		t.Fatalf("owner entry = %+v, want a binary request", want)

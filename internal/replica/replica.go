@@ -95,17 +95,23 @@ func ParseAckMode(s string) (AckMode, error) {
 // receiver's per-block sniffing sees exactly the segment formats it
 // already knows.
 func EncodeBlock(recs []store.Record, binary bool) ([]byte, error) {
+	return encodeBlock(len(recs), func(i int) *store.Record { return &recs[i] }, binary)
+}
+
+// encodeBlock encodes the n records rec yields, wherever they live — a
+// record slice, or the store's tap batch as it was handed over.
+func encodeBlock(n int, rec func(int) *store.Record, binary bool) ([]byte, error) {
 	if binary {
 		enc := codec.GetEncoder()
 		defer codec.PutEncoder(enc)
-		for i := range recs {
-			codec.AppendRecordFrame(enc, &recs[i])
+		for i := 0; i < n; i++ {
+			codec.AppendRecordFrame(enc, rec(i))
 		}
 		return append([]byte(nil), enc.Bytes()...), nil
 	}
 	var block []byte
-	for i := range recs {
-		data, err := json.Marshal(recs[i])
+	for i := 0; i < n; i++ {
+		data, err := json.Marshal(rec(i))
 		if err != nil {
 			return nil, err
 		}

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -637,5 +639,93 @@ func TestReceiverRestartHealsBySnapshot(t *testing.T) {
 		Block: mustBlock(t, false, endRec("f1"))})
 	if ack.OK || !ack.NeedSnapshot {
 		t.Fatalf("restarted cursor accepted a streamed frame: %+v", ack)
+	}
+}
+
+// TestSenderAckTimerIsReusable: the ack waits share pooled timers, and a
+// timer that fired for one batch must not fire early, or late, for the
+// next — a stale firing left in its channel would time a healthy wait
+// out at once.
+func TestSenderAckTimerIsReusable(t *testing.T) {
+	reg := obs.NewRegistry()
+	var slow atomic.Bool
+	release := make(chan struct{})
+	s := NewSender(SenderConfig{
+		Source:     "own",
+		Mode:       ModeQuorum,
+		AckTimeout: 20 * time.Millisecond,
+		Send: func(peer string, f Frame) (Ack, error) {
+			if slow.Load() {
+				<-release
+			}
+			return Ack{OK: true, AckSeq: f.Seq + uint64(f.Count) - 1}, nil
+		},
+		Obs: reg,
+	})
+	defer s.Close()
+	s.SetFollowers([]string{"f1"})
+	seq := uint64(0)
+	round := func(wantTimeouts, wantAcks int64) {
+		t.Helper()
+		seq++
+		wait := s.Replicate(taps(seq, endRec("x")))
+		if wait == nil {
+			t.Fatal("no wait")
+		}
+		wait()
+		if got := reg.Counter("repl_ack_timeouts_total").Value(); got != wantTimeouts {
+			t.Fatalf("batch %d: repl_ack_timeouts_total = %d, want %d", seq, got, wantTimeouts)
+		}
+		if got := reg.Counter("repl_acks_total").Value(); got != wantAcks {
+			t.Fatalf("batch %d: repl_acks_total = %d, want %d", seq, got, wantAcks)
+		}
+	}
+	round(0, 1) // acked: the timer goes back stopped
+	round(0, 2) // reused, never fired
+	slow.Store(true)
+	round(1, 2) // fired: the wait took the firing
+	slow.Store(false)
+	close(release)
+	waitAcked(t, s, "f1", seq)
+	round(1, 3) // reused after a firing: must wait for the ack, not time out at once
+	round(1, 4)
+}
+
+// TestReplicateAllocs: the tap's hand-off encodes straight from the
+// batch it was given and takes its ack timer from the pool — no record
+// copy, no timer per waited batch.
+func TestReplicateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are measured without the race detector")
+	}
+	s := NewSender(SenderConfig{
+		Source: "own", Mode: ModeQuorum, Binary: true,
+		Send: func(peer string, f Frame) (Ack, error) {
+			return Ack{OK: true, AckSeq: f.Seq + uint64(f.Count) - 1}, nil
+		},
+	})
+	defer s.Close()
+	s.SetFollowers([]string{"f1"})
+	// A flow's second commit: four step.done and the exec.end.
+	batch := make([]store.TapRecord, 5)
+	for i := range batch {
+		batch[i].Rec = store.Record{Type: store.TypeStepDone, ID: "own:dgf-000001", Node: "/job/s" + strconv.Itoa(i)}
+	}
+	batch[4].Rec = store.Record{Type: store.TypeExecEnd, ID: "own:dgf-000001"}
+	seq := uint64(0)
+	allocs := testing.AllocsPerRun(500, func() {
+		for i := range batch {
+			seq++
+			batch[i].Seq = seq
+		}
+		wait := s.Replicate(batch)
+		if wait == nil {
+			t.Fatal("no wait")
+		}
+		wait()
+	})
+	t.Logf("%.1f allocations per waited 5-record batch, outbox worker included", allocs)
+	if allocs > 6 {
+		t.Errorf("Replicate + wait allocates %.1f times per batch, budget 6", allocs)
 	}
 }

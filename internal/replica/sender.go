@@ -55,6 +55,8 @@ type Sender struct {
 	outbox  map[string]*outbox
 	lastSeq uint64 // highest seq handed to Replicate
 	closed  bool
+
+	timers sync.Pool // stopped *time.Timer, for the ack waits
 }
 
 type outbox struct {
@@ -187,11 +189,7 @@ func (s *Sender) Replicate(batch []store.TapRecord) func() {
 	if len(batch) == 0 {
 		return nil
 	}
-	recs := make([]store.Record, len(batch))
-	for i, tr := range batch {
-		recs[i] = tr.Rec
-	}
-	block, err := EncodeBlock(recs, s.cfg.Binary)
+	block, err := encodeBlock(len(batch), func(i int) *store.Record { return &batch[i].Rec }, s.cfg.Binary)
 	if err != nil {
 		s.count("repl_encode_errors_total")
 		return nil
@@ -264,8 +262,8 @@ func (s *Sender) Replicate(batch []store.TapRecord) func() {
 		need = enqueued
 	}
 	return func() {
-		timer := time.NewTimer(s.cfg.AckTimeout)
-		defer timer.Stop()
+		timer := s.ackTimer()
+		defer s.putAckTimer(timer)
 		got := 0
 		for pending := enqueued; got < need && pending > 0; {
 			select {
@@ -289,16 +287,35 @@ func (s *Sender) Replicate(batch []store.TapRecord) func() {
 	}
 }
 
-// hasCommitPoint reports whether the batch carries a record that
-// completes a promise to a caller: a terminal outcome (a synchronous
-// submitter is about to be told the flow finished) or a passivation
-// (the caller is about to be told the flow is parked resumably).
-// Start/step records are progress, not promises — a mid-flight flow
-// has acknowledged nothing to anyone yet.
+// ackTimer takes a stopped timer from the pool (or makes one) and sets
+// it to the ack timeout; putAckTimer stops it, empties its channel and
+// gives it back. Ack waits of successive batches overlap, so there is
+// one timer per wait in flight, not one per sender.
+func (s *Sender) ackTimer() *time.Timer {
+	if t, ok := s.timers.Get().(*time.Timer); ok {
+		t.Reset(s.cfg.AckTimeout)
+		return t
+	}
+	return time.NewTimer(s.cfg.AckTimeout)
+}
+
+func (s *Sender) putAckTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default: // the wait already took the firing
+		}
+	}
+	s.timers.Put(t)
+}
+
+// hasCommitPoint reports whether the batch carries a record whose
+// writer waits for the quorum ack (store.Waits) — one that completes a
+// promise to a caller. Start/step records are progress, not promises: a
+// mid-flight flow has acknowledged nothing to anyone yet.
 func hasCommitPoint(batch []store.TapRecord) bool {
-	for _, tr := range batch {
-		switch tr.Rec.Type {
-		case store.TypeExecEnd, store.TypeExecPassivate:
+	for i := range batch {
+		if _, quorum := store.Waits(batch[i].Rec.Type); quorum {
 			return true
 		}
 	}

@@ -4,9 +4,20 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"time"
 
 	"datagridflow/internal/obs"
 )
+
+// Linger bounds how long a record written without waiting for its sync
+// (Write, WriteRaw or WriteBlock followed by SyncSoon) can stay in the
+// OS buffer when nobody else commits: a background sync covers it within
+// 2×Linger of the write. It is the whole durability window a crash can
+// cost such a record, so it is a constant, not a setting — long enough
+// that a busy file never sees the timer sync (a waited commit gets there
+// first), short enough that re-running the lost work is cheaper than
+// having waited (docs/STORE.md, "Durability").
+const Linger = 5 * time.Millisecond
 
 // GroupFile is an append-only file with group-committed durability:
 // concurrent appenders write their lines immediately but share fsyncs.
@@ -33,6 +44,17 @@ type GroupFile struct {
 	err      error // sticky: first write/sync failure poisons the file
 
 	wbuf []byte // reused staging buffer, guarded by mu
+
+	// The linger (SyncSoon): one reusable timer per file. lingering is
+	// true from arming until the firing that syncs or finds nothing left
+	// to sync; lingerSeq is the newest record the current wait is for.
+	linger    *time.Timer
+	lingering bool
+	lingerSeq int64
+	// onLinger is told, with no lock held, the outcome of every sync the
+	// timer ran — the only syncs no caller is waiting on. The store sets
+	// it when it opens a segment, before anything else can reach the file.
+	onLinger func(error)
 
 	reg *obs.Registry
 }
@@ -158,6 +180,63 @@ func (g *GroupFile) Sync(ticket int64) error {
 	}
 }
 
+// syncedSeq returns the highest ticket proven on disk.
+func (g *GroupFile) syncedSeq() int64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.syncSeq
+}
+
+// SyncSoon promises that everything written so far is synced within
+// 2×Linger even if no caller ever waits on it: the writer of a record
+// nobody was promised (a step.done, a vdata put) calls it in place of
+// Sync. A waited commit that gets there first makes the timer's firing
+// free; records still unsynced then, all younger than the one that
+// armed it, get one more Linger for a commit of their own to carry
+// them. A failed background sync poisons the file like any other.
+func (g *GroupFile) SyncSoon() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.lingering || g.closed || g.err != nil || g.syncSeq >= g.writeSeq {
+		return
+	}
+	g.lingering = true
+	g.lingerSeq = g.writeSeq
+	if g.linger == nil {
+		g.linger = time.AfterFunc(Linger, g.lingerFired)
+	} else {
+		g.linger.Reset(Linger)
+	}
+}
+
+func (g *GroupFile) lingerFired() {
+	g.mu.Lock()
+	if g.closed || g.err != nil {
+		g.lingering = false
+		g.mu.Unlock()
+		return
+	}
+	if g.syncSeq >= g.lingerSeq {
+		// A waited commit got there first. What is unsynced now is
+		// younger than what armed the timer: it gets a wait of its own.
+		if g.syncSeq < g.writeSeq {
+			g.lingerSeq = g.writeSeq
+			g.linger.Reset(Linger)
+		} else {
+			g.lingering = false
+		}
+		g.mu.Unlock()
+		return
+	}
+	g.lingering = false
+	ticket, notify := g.writeSeq, g.onLinger
+	g.mu.Unlock()
+	err := g.Sync(ticket)
+	if notify != nil {
+		notify(err)
+	}
+}
+
 // Append writes one line and blocks until it is durable — Write + Sync.
 func (g *GroupFile) Append(line []byte) error {
 	ticket, err := g.Write(line)
@@ -179,7 +258,9 @@ func (g *GroupFile) AppendRaw(frame []byte) error {
 
 // Close performs a final sync covering every written line, wakes all
 // waiters and closes the file. Waiters whose lines made it to disk
-// return nil; later Writes fail with os.ErrClosed.
+// return nil; later Writes fail with os.ErrClosed. A failed final sync
+// is Close's error: lines written without waiting have no other caller
+// to hear of it.
 func (g *GroupFile) Close() error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -189,14 +270,21 @@ func (g *GroupFile) Close() error {
 	if g.closed {
 		return nil
 	}
+	var syncErr error
 	if g.err == nil && g.syncSeq < g.writeSeq {
-		if err := g.f.Sync(); err != nil {
-			g.err = err
+		if syncErr = g.f.Sync(); syncErr != nil {
+			g.err = syncErr
 		} else {
 			g.syncSeq = g.writeSeq
 		}
 	}
+	if g.linger != nil {
+		g.linger.Stop() // a firing already under way finds the file closed
+	}
 	g.closed = true
 	g.cond.Broadcast()
-	return g.f.Close()
+	if err := g.f.Close(); syncErr == nil {
+		syncErr = err
+	}
+	return syncErr
 }

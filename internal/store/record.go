@@ -49,3 +49,28 @@ const (
 	TypeExecResurrect = codec.TypeExecResurrect
 	TypeExecPrune     = codec.TypeExecPrune
 )
+
+// Waits is the one definition of a commit point (docs/STORE.md,
+// "Durability"): what the writer of a record of type typ waits for
+// before it goes on, because of what it is about to tell someone.
+//
+// fsync: the record is on this peer's disk. Everything waits except
+// step.done — a step's completion is progress, told to nobody; losing
+// it re-runs the step, which the retry and idempotence rules already
+// cover. The engine writes it with Store.Write and it rides the next
+// commit, or the linger.
+//
+// quorum: the follower set has acknowledged the record. Only a terminal
+// outcome (a synchronous submitter is about to hear the flow finished)
+// and a passivation (the caller is about to hear it is parked resumably)
+// wait; every other record streams, and the cumulative ack at the next
+// such point covers it.
+func Waits(typ string) (fsync, quorum bool) {
+	switch typ {
+	case TypeStepDone:
+		return false, false
+	case TypeExecEnd, TypeExecPassivate:
+		return true, true
+	}
+	return true, false
+}

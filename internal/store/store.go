@@ -80,6 +80,8 @@ type Store struct {
 	// the index only once an fsync covers them, so Entry/Live/Stats
 	// never report state a reopen could not rebuild.
 	pending []pendingRec
+	// discarded counts the pending records poisoning threw away.
+	discarded int
 	// sinceSnap counts records appended since the last exec.snap — the
 	// "snapshot lag" operators watch through dgfctl store.
 	sinceSnap int
@@ -170,9 +172,14 @@ type Stats struct {
 	// snapshot — how much tail a crash right now would replay on top
 	// of snapshots.
 	SnapshotLag int `json:"snapshotLag"`
+	// Pending counts records written but not yet proven durable: waited
+	// appends in mid-commit and step.done records riding the next one.
+	// They are in no other figure here until a sync covers them.
+	Pending int `json:"pending"`
 	// Failed carries the sticky write/fsync error that poisoned the
-	// store, if any. A failed store rejects all further appends; its
-	// index stays readable but frozen at the last durable record.
+	// store, if any, and how many pending records it discarded. A failed
+	// store rejects all further appends; its index stays readable but
+	// frozen at the last durable record.
 	Failed string `json:"failed,omitempty"`
 }
 
@@ -236,16 +243,31 @@ func Open(dir string, opt Options) (*Store, error) {
 		// one — its records are already in the index.
 		s.segs = append(s.segs, s.segs[len(s.segs)-1]+1)
 	}
-	active, err := OpenGroupFile(filepath.Join(dir, segName(s.segs[len(s.segs)-1])))
-	if err != nil {
+	if s.active, err = s.openSegment(s.segs[len(s.segs)-1]); err != nil {
 		return nil, err
 	}
-	s.active = active
 	s.records = s.replayed
 	if opt.Obs != nil {
 		s.SetObs(opt.Obs)
 	}
 	return s, nil
+}
+
+// openSegment opens segment n for appending, with the store's registry
+// and its ear for the syncs nobody waits on.
+func (s *Store) openSegment(n int) (*GroupFile, error) {
+	gw, err := OpenGroupFile(filepath.Join(s.dir, segName(n)))
+	if err != nil {
+		return nil, err
+	}
+	if s.opt.Obs != nil {
+		gw.SetObs(s.opt.Obs)
+	}
+	gw.onLinger = func(err error) {
+		_ = s.synced(gw, err) // poisons on failure: the next Append reports it
+		s.flushTap()
+	}
+	return gw, nil
 }
 
 // SetObs attaches a metrics registry to the store and its active
@@ -363,6 +385,22 @@ func (s *Store) Append(rec Record) error {
 // too large to be read back (checkRecordSize) refuses the whole batch
 // before anything is written.
 func (s *Store) AppendBatch(recs []Record) error {
+	return s.write(recs, true)
+}
+
+// Write is Append without the wait, for a record that completes no
+// promise (Waits): it is written to the segment, in order, and the call
+// returns. The record enters the index, is numbered and reaches the
+// replication tap when the next sync covers it — a later Append's, a
+// neighbour's, Flush, Close, or the segment's linger (GroupFile.SyncSoon)
+// when nothing else commits — so until then no reader of this store can
+// tell it from a record a crash lost. An error means the record was not
+// written; a failed sync later poisons the store as it would under Append.
+func (s *Store) Write(rec Record) error {
+	return s.write([]Record{rec}, false)
+}
+
+func (s *Store) write(recs []Record, wait bool) error {
 	if len(recs) == 0 {
 		return nil
 	}
@@ -388,7 +426,7 @@ func (s *Store) AppendBatch(recs []Record) error {
 			block = append(block, '\n')
 		}
 	}
-	return s.appendBlock(block, recs)
+	return s.appendBlock(block, recs, wait)
 }
 
 // checkRecordSize refuses a record whose frame replay would reject as
@@ -405,15 +443,22 @@ func checkRecordSize(rec *Record, n int) error {
 	return nil
 }
 
-// appendBlock appends one serialized block covering recs (in order) and
-// blocks until its group commit. The caller owns the block buffer; it
-// is not retained past the write.
-func (s *Store) appendBlock(block []byte, recs []Record) error {
+// appendBlock appends one serialized block covering recs (in order) and,
+// if wait is set, blocks until its group commit. The caller owns the
+// block buffer; it is not retained past the write.
+func (s *Store) appendBlock(block []byte, recs []Record, wait bool) error {
 	// Deliver whatever this append (or a rotation inside it) proved
 	// durable to the replication tap once the store lock is released.
 	// In quorum/chain ack modes the tap blocks until followers ack, so
-	// Append returning success implies the records are replicated.
-	defer s.flushTap()
+	// Append returning success implies the records are replicated. A
+	// write that proved nothing has nothing to deliver, and must not
+	// sit out its neighbours' ack waits.
+	flush := wait || s.opt.RelaxedSync
+	defer func() {
+		if flush {
+			s.flushTap()
+		}
+	}()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -428,6 +473,7 @@ func (s *Store) appendBlock(block []byte, recs []Record) error {
 			s.mu.Unlock()
 			return err
 		}
+		flush = true // the old segment's final sync drained its pending records
 	}
 	gw := s.active
 	ticket, err := gw.WriteBlock(block, int64(len(recs)))
@@ -439,19 +485,51 @@ func (s *Store) appendBlock(block []byte, recs []Record) error {
 	for i := range recs {
 		s.pending = append(s.pending, pendingRec{gw: gw, ticket: ticket, rec: recs[i]})
 	}
-	s.mu.Unlock()
-	if !s.opt.RelaxedSync {
-		if err := gw.Sync(ticket); err != nil {
-			s.mu.Lock()
-			s.poisonLocked(err)
-			s.mu.Unlock()
-			return err
-		}
+	s.gaugePendingLocked()
+	if s.opt.RelaxedSync {
+		s.drainLocked(gw, ticket)
+		s.mu.Unlock()
+		return nil
 	}
-	s.mu.Lock()
-	s.drainLocked(gw, ticket)
 	s.mu.Unlock()
+	if !wait {
+		gw.SyncSoon()
+		return nil
+	}
+	return s.synced(gw, gw.Sync(ticket))
+}
+
+// synced takes in the outcome of one sync of gw, whoever ran it: a
+// failure poisons the store, a success folds in every pending record
+// the file has proven durable — the caller's own and any written
+// without waiting that the same fsync carried.
+func (s *Store) synced(gw *GroupFile, err error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err != nil {
+		s.poisonLocked(err)
+		return err
+	}
+	s.drainLocked(gw, gw.syncedSeq())
 	return nil
+}
+
+// Flush is the explicit barrier for records written without waiting: it
+// returns once everything written before the call is durable, indexed
+// and handed to the replication tap (whose ack wait, if the batch holds
+// a commit point, it sits out like Append).
+func (s *Store) Flush() error {
+	s.mu.Lock()
+	if s.failed != nil || len(s.pending) == 0 {
+		err := s.failed
+		s.mu.Unlock()
+		return err
+	}
+	last := s.pending[len(s.pending)-1]
+	s.mu.Unlock()
+	err := s.synced(last.gw, last.gw.Sync(last.ticket))
+	s.flushTap()
+	return err
 }
 
 // poisonLocked records the first write/fsync failure as the store's
@@ -462,9 +540,17 @@ func (s *Store) poisonLocked(err error) {
 	if s.failed == nil {
 		s.failed = err
 	}
+	s.discarded += len(s.pending)
 	s.pending = nil
 	if reg := s.opt.Obs; reg != nil {
 		reg.Gauge("store_failed").Set(1)
+	}
+	s.gaugePendingLocked()
+}
+
+func (s *Store) gaugePendingLocked() {
+	if reg := s.opt.Obs; reg != nil {
+		reg.Gauge("store_pending_records").Set(int64(len(s.pending)))
 	}
 }
 
@@ -483,8 +569,21 @@ func (s *Store) drainLocked(gw *GroupFile, ticket int64) {
 		s.applyDurableLocked(&p.rec)
 		n++
 	}
-	s.pending = s.pending[n:]
+	// The queue keeps its array between commits — step.done records come
+	// and go through it all day — but not the drained records' strings,
+	// and not the array a burst (a restart's recoveries) blew up.
+	rest := copy(s.pending, s.pending[n:])
+	clear(s.pending[rest:])
+	s.pending = s.pending[:rest]
+	if rest == 0 && cap(s.pending) > pendingKeep {
+		s.pending = nil
+	}
+	s.gaugePendingLocked()
 }
+
+// pendingKeep is the largest pending queue (in records, 176 bytes each)
+// an idle store holds on to.
+const pendingKeep = 64
 
 // applyDurableLocked folds one fsync-proven record into the index and
 // its counters. Caller holds s.mu.
@@ -512,12 +611,9 @@ func (s *Store) applyDurableLocked(rec *Record) {
 // rotate opens the next segment as active. Caller holds s.mu.
 func (s *Store) rotate() error {
 	next := s.segs[len(s.segs)-1] + 1
-	nw, err := OpenGroupFile(filepath.Join(s.dir, segName(next)))
+	nw, err := s.openSegment(next)
 	if err != nil {
 		return err
-	}
-	if s.opt.Obs != nil {
-		nw.SetObs(s.opt.Obs)
 	}
 	old := s.active
 	s.active = nw
@@ -637,12 +733,9 @@ func (s *Store) Compact() (CompactStats, error) {
 	s.syncDir()
 	// The rename is the commit point: the new segment now supersedes
 	// everything before it. Swap writers, then delete history.
-	nw, err := OpenGroupFile(final)
+	nw, err := s.openSegment(next)
 	if err != nil {
 		return stats, err
-	}
-	if s.opt.Obs != nil {
-		nw.SetObs(s.opt.Obs)
 	}
 	oldActive, oldSegs := s.active, s.segs
 	s.active = nw
@@ -769,9 +862,10 @@ func (s *Store) Stats() Stats {
 		Live:          live,
 		Passivated:    s.passive,
 		SnapshotLag:   s.sinceSnap,
+		Pending:       len(s.pending),
 	}
 	if s.failed != nil {
-		st.Failed = s.failed.Error()
+		st.Failed = fmt.Sprintf("%v (%d pending record(s) discarded)", s.failed, s.discarded)
 	}
 	return st
 }
@@ -786,7 +880,9 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	err := s.active.Close()
-	if err == nil && s.failed == nil {
+	if err != nil {
+		s.poisonLocked(err)
+	} else {
 		// The final sync made every pending record durable.
 		s.drainLocked(s.active, math.MaxInt64)
 	}

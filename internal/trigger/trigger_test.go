@@ -240,7 +240,11 @@ func TestMultiTriggerOrderingDivergence(t *testing.T) {
 	// final value depends on delivery order — the open issue the paper
 	// calls out, measured in E8.
 	run := func(order dgms.DeliveryOrder) string {
-		g, _, m := setup(t)
+		g, e, two := setup(t)
+		two.Close()
+		// One action runner: with two, the firings race each other to the
+		// attribute and the last writer is not the last delivered.
+		m := NewManager(g, e, 1, 64)
 		defer m.Close()
 		g.Bus().SetDeliveryOrder(order, 1)
 		for _, who := range []string{"alice", "bob"} {

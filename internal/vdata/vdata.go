@@ -85,7 +85,8 @@ type Stats struct {
 
 // Catalog is the derivation catalog. All reads and writes are safe for
 // concurrent use; a durable catalog appends every mutation through a
-// group-committed log and replays it on open.
+// group-committed log and replays it on open (a put may be younger than
+// the last sync when the process dies: see Publish).
 type Catalog struct {
 	mu      sync.RWMutex
 	entries map[string]*Entry
@@ -260,8 +261,12 @@ func (c *Catalog) Lookup(tenant, key string) (Entry, bool) {
 	return *e, true
 }
 
-// Publish records a derivation durably (when the catalog has a log) and
-// indexes it. The entry's Peer defaults to the catalog's peer name.
+// Publish indexes a derivation and (when the catalog has a log) writes
+// it to the log without waiting for the sync: a put is a memo, not a
+// promise — one lost to a crash costs one recomputation — so it rides
+// the log's next sync, or its linger (store.GroupFile.SyncSoon).
+// Invalidate, whose loss would be wrong output, still waits. The
+// entry's Peer defaults to the catalog's peer name.
 func (c *Catalog) Publish(e Entry) error {
 	if e.Key == "" {
 		return fmt.Errorf("vdata: publish: empty key")
@@ -283,9 +288,10 @@ func (c *Catalog) Publish(e Entry) error {
 	c.gaugeLocked()
 	c.mu.Unlock()
 	if log != nil {
-		if err := log.Append(line); err != nil {
+		if _, err := log.Write(line); err != nil {
 			return fmt.Errorf("vdata: publish: %w", err)
 		}
+		log.SyncSoon()
 	}
 	if announce != nil {
 		announce(e.Key)

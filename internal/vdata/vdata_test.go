@@ -6,8 +6,10 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"datagridflow/internal/obs"
+	"datagridflow/internal/store"
 )
 
 func TestKeyCanonicalization(t *testing.T) {
@@ -249,4 +251,70 @@ func TestConcurrentPublishLookup(t *testing.T) {
 	if c.Len() != 200 {
 		t.Fatalf("expected 200 entries, got %d", c.Len())
 	}
+}
+
+// TestCommitPointsPutDel: a put is a memo — written, not waited on; a
+// del is a promise — it waits, and its sync carries the puts before it.
+// A put nobody follows is synced by the log's linger.
+func TestCommitPointsPutDel(t *testing.T) {
+	put := func(t *testing.T, c *Catalog, i int) string {
+		t.Helper()
+		k := Key("fft", []string{fmt.Sprintf("/in/%d", i)}, nil, "alice")
+		if err := c.Publish(Entry{Key: k, Tenant: "alice", Op: "fft", Result: "done"}); err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	commits := func(reg *obs.Registry) int64 { return reg.Counter("journal_group_commits_total").Value() }
+
+	t.Run("puts ride the del's sync", func(t *testing.T) {
+		// The linger is armed by the first put and fires no sooner than
+		// store.Linger later: a run over by then saw no background sync.
+		for try := 0; try < 50; try++ {
+			reg := obs.NewRegistry()
+			c, err := Open(t.TempDir(), reg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			var first string
+			for i := 0; i < 5; i++ {
+				if k := put(t, c, i); i == 0 {
+					first = k
+				}
+			}
+			afterPuts := commits(reg)
+			if n, err := c.Invalidate("alice", first); n != 1 || err != nil {
+				t.Fatalf("invalidate: %d, %v", n, err)
+			}
+			clean := time.Since(start) < store.Linger
+			if clean && (afterPuts != 0 || commits(reg) != 1) {
+				t.Errorf("%d group commits after five puts, %d after the del; want 0, then 1", afterPuts, commits(reg))
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if clean {
+				return
+			}
+		}
+		t.Skipf("no run in 50 finished inside the %v linger: this disk is too slow to count commits on", store.Linger)
+	})
+
+	t.Run("a lone put is synced by the linger", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		c, err := Open(t.TempDir(), reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		put(t, c, 0)
+		deadline := time.Now().Add(10 * store.Linger)
+		for commits(reg) == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("10×linger after a lone put, its log has not been synced")
+			}
+			time.Sleep(store.Linger / 5)
+		}
+	})
 }

@@ -104,6 +104,7 @@ func appendControlResult(e *codec.Encoder, r *ControlResult) {
 					e.Uint(4, uint64(c.RecordsDropped))
 				})
 			}
+			e.Uint(10, uint64(s.Pending))
 		})
 	}
 	if o := r.Owner; o != nil {
@@ -257,6 +258,8 @@ func decodeControlResult(payload []byte) (ControlResult, error) {
 							}
 						})
 						s.Compaction = c
+					case 10:
+						s.Pending = int(d.Uint())
 					default:
 						d.Skip()
 					}

@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"datagridflow/internal/codec"
@@ -150,6 +151,26 @@ func TestBinaryControlVerbs(t *testing.T) {
 	}
 	if err := c.Pause("dgf-none"); !errors.Is(err, dgferr.ErrNotFound) {
 		t.Fatalf("pause unknown = %v, want ErrNotFound", err)
+	}
+}
+
+// TestBinaryStoreInfoRoundTrip: every StoreInfo field, the pending count
+// and a poisoning's text included, survives the binary control encoding.
+func TestBinaryStoreInfoRoundTrip(t *testing.T) {
+	want := ControlResult{OK: true, Store: &StoreInfo{
+		Segments: 2, Records: 40, ReplayRecords: 7, Live: 3, Passivated: 1, Resident: 2,
+		SnapshotLag: 5, Pending: 4, Failed: "sync seg: input/output error (4 pending record(s) discarded)",
+		Compaction: &CompactionInfo{SegmentsBefore: 3, RecordsBefore: 90, RecordsKept: 40, RecordsDropped: 50},
+	}}
+	enc := codec.GetEncoder()
+	defer codec.PutEncoder(enc)
+	appendControlResult(enc, &want)
+	got, err := decodeControlResult(enc.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("decoded %+v (store %+v)\nwant    %+v (store %+v)", got, got.Store, want, want.Store)
 	}
 }
 

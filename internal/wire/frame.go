@@ -375,8 +375,12 @@ type StoreInfo struct {
 	// SnapshotLag is the number of records appended since the last
 	// snapshot.
 	SnapshotLag int `json:"snapshotLag"`
+	// Pending counts records written but not yet covered by a sync
+	// (docs/STORE.md "Durability"); no other figure here includes them.
+	Pending int `json:"pending"`
 	// Failed carries the sticky write/fsync error that poisoned the
-	// store, if any — a failed store rejects all further appends.
+	// store, if any, and how many pending records it discarded — a
+	// failed store rejects all further appends.
 	Failed string `json:"failed,omitempty"`
 	// Compaction reports the compaction a "compact" verb just ran
 	// (nil for "store").

@@ -1173,6 +1173,7 @@ func storeInfo(engine *matrix.Engine, st *store.Store) *StoreInfo {
 		Passivated:    stats.Passivated,
 		Resident:      len(engine.Executions()),
 		SnapshotLag:   stats.SnapshotLag,
+		Pending:       stats.Pending,
 		Failed:        stats.Failed,
 	}
 }

@@ -259,6 +259,43 @@ func TestVdataFleetRemoteReuse(t *testing.T) {
 	}
 }
 
+// TestVdataRemoteHolderLostEntry: a put is written without waiting for
+// its sync (docs/VDATA.md), so a holder that crashed inside the linger
+// can come back without an entry the registry still announces for it.
+// The asking peer's probe then degrades to a miss and the step simply
+// executes: a lost memo costs one recomputation, nothing else.
+func TestVdataRemoteHolderLostEntry(t *testing.T) {
+	_, lookupAddr := startLookup(t)
+	_, eA, catA, regA := newVdataPeer(t, "peerA", lookupAddr, 0)
+	_, eB, catB, regB := newVdataPeer(t, "peerB", lookupAddr, 0)
+
+	ex, err := eA.Run("user", wirePureFlow())
+	if err != nil || ex.Err() != nil {
+		t.Fatalf("peerA run: %v / %v", err, ex.Err())
+	}
+	keys := catA.Keys()
+	if len(keys) != 1 {
+		t.Fatalf("peerA catalog keys = %v", keys)
+	}
+	// peerA forgets the derivation; the registry goes on naming it holder.
+	if n, err := catA.Invalidate("user", keys[0]); err != nil || n != 1 {
+		t.Fatalf("dropping peerA's entry: %d, %v", n, err)
+	}
+	ex, err = eB.Run("user", wirePureFlow())
+	if err != nil || ex.Err() != nil {
+		t.Fatalf("peerB run: %v / %v", err, ex.Err())
+	}
+	if got := regA.Counter("wire_vdata_ops_total", "op", "lookup").Value(); got != 1 {
+		t.Fatalf("peerA served %d vdata lookups; the registry should have sent peerB's probe to it", got)
+	}
+	if hits, misses := regB.Counter("vdata_remote_hits_total").Value(), regB.Counter("vdata_misses_total").Value(); hits != 0 || misses != 1 {
+		t.Fatalf("peerB: %d remote hits, %d misses; want the probe to miss and the step to run", hits, misses)
+	}
+	if ent, ok := catB.Lookup("user", keys[0]); !ok || ent.Peer != "peerB" {
+		t.Fatalf("peerB did not derive and publish for itself: %+v ok=%v", ent, ok)
+	}
+}
+
 // TestVdataMixedFleet17x18: a 1.7 peer in the fleet memoizes locally
 // but cannot serve remote lookups — a 1.8 peer's probe degrades to a
 // miss and the step simply executes. Nothing fails, nothing hangs.
