@@ -14,8 +14,12 @@
 //   - Figure 4, DataGridResponse: a RequestAcknowledgement for
 //     asynchronous requests or a FlowStatus tree for status queries.
 //
-// Documents marshal to and from XML with encoding/xml; programmatic
-// construction uses the Builder in builder.go.
+// Documents are read from and written as XML by the package's own
+// schema-directed reader and writer (xmlscan.go, xmlread.go,
+// xmlwrite.go); the xml struct tags declare the schema they follow, and
+// the tests hold both against encoding/xml. docs/WIRE.md states the XML
+// that is accepted. Programmatic construction uses the Builder in
+// builder.go.
 package dgl
 
 import (
@@ -344,16 +348,6 @@ func sortStrings(s []string) {
 	}
 }
 
-// Marshal renders any DGL document (Request, Response, Flow...) as
-// indented XML with a header line.
-func Marshal(v any) ([]byte, error) {
-	b, err := xml.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("dgl: marshal: %w", err)
-	}
-	return append([]byte(xml.Header), b...), nil
-}
-
 // ParseRequest decodes a DataGridRequest from XML and validates it
 // against the built-in operation set.
 func ParseRequest(data []byte) (*Request, error) {
@@ -372,30 +366,38 @@ func ParseRequest(data []byte) (*Request, error) {
 // operation registry (built-ins plus extensions) rather than built-ins
 // only.
 func DecodeRequest(data []byte) (*Request, error) {
-	var req Request
-	if err := xml.Unmarshal(data, &req); err != nil {
+	r := reader{s: scanner{data: data}}
+	req := new(Request)
+	r.request(req)
+	if err := r.finish(); err != nil {
 		return nil, fmt.Errorf("dgl: parse request: %w", err)
 	}
-	return &req, nil
+	return req, nil
 }
 
 // ParseResponse decodes a DataGridResponse from XML.
 func ParseResponse(data []byte) (*Response, error) {
-	var resp Response
-	if err := xml.Unmarshal(data, &resp); err != nil {
+	r := reader{s: scanner{data: data}}
+	resp := new(Response)
+	r.response(resp)
+	if err := r.finish(); err != nil {
 		return nil, fmt.Errorf("dgl: parse response: %w", err)
 	}
-	return &resp, nil
+	return resp, nil
 }
 
 // ParseFlowStatus decodes a flowStatus tree from XML — the payload of a
-// delegate reply crossing the peer network.
+// delegate reply crossing the peer network. The root element may carry
+// any name: Marshal writes a bare FlowStatus as <FlowStatus>.
 func ParseFlowStatus(data []byte) (*FlowStatus, error) {
-	var st FlowStatus
-	if err := xml.Unmarshal(data, &st); err != nil {
+	r := reader{s: scanner{data: data}}
+	st := new(FlowStatus)
+	r.root("")
+	r.flowStatus(st)
+	if err := r.finish(); err != nil {
 		return nil, fmt.Errorf("dgl: parse flow status: %w", err)
 	}
-	return &st, nil
+	return st, nil
 }
 
 // String renders the request as XML (best effort; errors yield a

@@ -22,8 +22,10 @@ import (
 	"crypto/sha256"
 	"encoding/base64"
 	"fmt"
+	"hash"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"datagridflow/internal/dgferr"
@@ -64,9 +66,33 @@ const DefaultSkew = 30 * time.Second
 // concurrent use after construction; SetClock/SetSkew are
 // construction-time knobs only.
 type Authority struct {
-	secret []byte
-	skew   time.Duration
-	now    func() time.Time
+	secret  []byte
+	skew    time.Duration
+	now     func() time.Time
+	signers sync.Pool // of *signer, keyed with secret
+}
+
+// signer is the reusable state of one signature: the keyed HMAC and the
+// buffers it reads from and sums into, so that verifying a token
+// allocates the tenant name it returns and nothing else.
+type signer struct {
+	mac  hash.Hash
+	sum  [sha256.Size]byte
+	body []byte // what is signed
+	name []byte // the decoded tenant name
+}
+
+// sigLen is the length of a signature as a token carries it: unpadded
+// base64.
+const sigLen = (sha256.Size*8 + 5) / 6
+
+// sign leaves the HMAC-SHA256 of body under the secret in s.sum and
+// body itself in s.body.
+func (s *signer) sign(body string) {
+	s.body = append(s.body[:0], body...)
+	s.mac.Reset()
+	s.mac.Write(s.body)
+	s.mac.Sum(s.sum[:0])
 }
 
 // NewAuthority builds an authority around a shared HMAC secret. The
@@ -78,7 +104,9 @@ func NewAuthority(secret []byte) (*Authority, error) {
 	}
 	k := make([]byte, len(secret))
 	copy(k, secret)
-	return &Authority{secret: k, skew: DefaultSkew, now: time.Now}, nil
+	a := &Authority{secret: k, skew: DefaultSkew, now: time.Now}
+	a.signers.New = func() any { return &signer{mac: hmac.New(sha256.New, a.secret)} }
+	return a, nil
 }
 
 // SetSkew overrides the clock-skew allowance (construction time only).
@@ -110,38 +138,48 @@ func (a *Authority) Mint(tenant string, ttl time.Duration) (string, error) {
 	body := tokenPrefix + "." +
 		base64.RawURLEncoding.EncodeToString([]byte(tenant)) + "." +
 		strconv.FormatInt(exp, 10)
-	return body + "." + a.sign(body), nil
+	s := a.signers.Get().(*signer)
+	s.sign(body)
+	token := body + "." + base64.RawURLEncoding.EncodeToString(s.sum[:])
+	a.signers.Put(s)
+	return token, nil
 }
 
 // Verify checks a token's format, signature and expiry, returning the
 // asserted tenant name. Signature is checked before expiry so a forged
 // token never learns whether its expiry guess was plausible.
 func (a *Authority) Verify(token string) (string, error) {
-	parts := strings.Split(token, ".")
-	if len(parts) != 4 || parts[0] != tokenPrefix {
+	// Four dot-separated parts, the first the scheme: the signature is
+	// what follows the last dot, what it signs everything before it.
+	last := strings.LastIndexByte(token, '.')
+	if strings.Count(token, ".") != 3 || !strings.HasPrefix(token, tokenPrefix+".") {
 		return "", ErrToken
 	}
-	body := parts[0] + "." + parts[1] + "." + parts[2]
-	if !hmac.Equal([]byte(a.sign(body)), []byte(parts[3])) {
+	nameAt := len(tokenPrefix) + 1
+	expAt := nameAt + strings.IndexByte(token[nameAt:], '.') + 1
+
+	s := a.signers.Get().(*signer)
+	defer a.signers.Put(s)
+	s.sign(token[:last])
+	var want, got [sigLen]byte
+	base64.RawURLEncoding.Encode(want[:], s.sum[:])
+	if sig := token[last+1:]; len(sig) != sigLen || copy(got[:], sig) != sigLen || !hmac.Equal(want[:], got[:]) {
 		return "", ErrToken
 	}
-	name, err := base64.RawURLEncoding.DecodeString(parts[1])
-	if err != nil || len(name) == 0 {
+	b64 := s.body[nameAt : expAt-1]
+	if n := base64.RawURLEncoding.DecodedLen(len(b64)); cap(s.name) < n {
+		s.name = make([]byte, n)
+	}
+	n, err := base64.RawURLEncoding.Decode(s.name[:cap(s.name)], b64)
+	if err != nil || n == 0 {
 		return "", ErrToken
 	}
-	exp, err := strconv.ParseInt(parts[2], 10, 64)
+	exp, err := strconv.ParseInt(token[expAt:last], 10, 64)
 	if err != nil {
 		return "", ErrToken
 	}
 	if a.now().After(time.Unix(exp, 0).Add(a.skew)) {
 		return "", ErrExpired
 	}
-	return string(name), nil
-}
-
-// sign returns the base64url HMAC-SHA256 of body under the secret.
-func (a *Authority) sign(body string) string {
-	m := hmac.New(sha256.New, a.secret)
-	m.Write([]byte(body))
-	return base64.RawURLEncoding.EncodeToString(m.Sum(nil))
+	return string(s.name[:n]), nil
 }

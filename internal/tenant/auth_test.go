@@ -1,7 +1,11 @@
 package tenant
 
 import (
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/base64"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -184,5 +188,106 @@ func TestVerifyConcurrent(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestVerifyAllocs: verifying a token allocates the tenant name it
+// returns; the split, the signature and the comparison work in pooled
+// and stack buffers.
+func TestVerifyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are measured without the race detector")
+	}
+	a := newTestAuthority(t)
+	tok, err := a.Mint("tenant-3", time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		if name, err := a.Verify(tok); err != nil || name != "tenant-3" {
+			t.Fatalf("Verify = %q, %v", name, err)
+		}
+	}); got > 3 {
+		t.Errorf("Verify allocates %.0f times, budget 3", got)
+	}
+	forged := tok[:len(tok)-1] + "A"
+	if tok == forged {
+		forged = tok[:len(tok)-1] + "B"
+	}
+	if got := testing.AllocsPerRun(200, func() { _, _ = a.Verify(forged) }); got > 0 {
+		t.Errorf("refusing a forged token allocates %.0f times, want 0", got)
+	}
+}
+
+// verifyRef is Verify as it was first written — Split, re-join, compare
+// the base64 text — kept as the reference the allocation-free one is
+// held against.
+func verifyRef(a *Authority, token string) (string, error) {
+	parts := strings.Split(token, ".")
+	if len(parts) != 4 || parts[0] != tokenPrefix {
+		return "", ErrToken
+	}
+	body := parts[0] + "." + parts[1] + "." + parts[2]
+	m := hmac.New(sha256.New, a.secret)
+	m.Write([]byte(body))
+	if !hmac.Equal([]byte(base64.RawURLEncoding.EncodeToString(m.Sum(nil))), []byte(parts[3])) {
+		return "", ErrToken
+	}
+	name, err := base64.RawURLEncoding.DecodeString(parts[1])
+	if err != nil || len(name) == 0 {
+		return "", ErrToken
+	}
+	exp, err := strconv.ParseInt(parts[2], 10, 64)
+	if err != nil {
+		return "", ErrToken
+	}
+	if a.now().After(time.Unix(exp, 0).Add(a.skew)) {
+		return "", ErrExpired
+	}
+	return string(name), nil
+}
+
+// TestVerifyMatchesReference: on valid tokens, on tokens re-signed
+// around odd fields and on every one-byte edit of a valid token, Verify
+// returns what the reference returns.
+func TestVerifyMatchesReference(t *testing.T) {
+	a := newTestAuthority(t)
+	now := time.Unix(1_700_000_000, 0)
+	a.SetClock(func() time.Time { return now })
+	resign := func(name, exp string) string {
+		body := tokenPrefix + "." + name + "." + exp
+		m := hmac.New(sha256.New, a.secret)
+		m.Write([]byte(body))
+		return body + "." + base64.RawURLEncoding.EncodeToString(m.Sum(nil))
+	}
+	tok, err := a.Mint("alice", time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tokens := []string{
+		tok, "", ".", "...", "dgt1...", "dgt1", tok + "\n", tok[:len(tok)-1] + "\n", "\n" + tok, tok + ".", "." + tok,
+		resign("", "1"), resign("YWxpY2U", ""), resign("YWxpY2U", "+1800000000"), resign("YWxpY2U", "1800000000 "),
+		resign("YWxp\nY2U", "1800000000"), resign("YWxpY2U=", "1800000000"), resign("YWxpY2V", "1800000000"),
+		resign("YWxpY2U", "1699999000"), resign("YWxpY2U", "1699999970"), resign("YWxpY2U", "99999999999999999999"),
+		resign(strings.Repeat("YWxp", 300), "1800000000"),
+	}
+	for i := 0; i < len(tok); i++ {
+		for _, c := range []byte{'.', 'A', '\n', '=', 0xff} {
+			tokens = append(tokens, tok[:i]+string(c)+tok[i+1:], tok[:i]+string(c)+tok[i:], tok[:i]+tok[i+1:])
+		}
+	}
+	accepted := 0
+	for _, token := range tokens {
+		got, gotErr := a.Verify(token)
+		want, wantErr := verifyRef(a, token)
+		if got != want || gotErr != wantErr {
+			t.Errorf("Verify(%q) = (%q, %v), reference (%q, %v)", token, got, gotErr, want, wantErr)
+		}
+		if gotErr == nil {
+			accepted++
+		}
+	}
+	if accepted < 5 {
+		t.Errorf("only %d of %d tokens verify: the table does not reach the accepting paths", accepted, len(tokens))
 	}
 }
