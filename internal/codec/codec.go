@@ -209,6 +209,25 @@ func (e *Encoder) Sym(num int, s string) {
 		e.uvarint(uint64(id))
 		return
 	}
+	e.define(s)
+}
+
+// SymBytes is Sym for a value held as bytes — a timestamp formatted
+// into scratch: it becomes a string only if it is new to the table.
+func (e *Encoder) SymBytes(num int, b []byte) {
+	if len(b) == 0 {
+		return
+	}
+	e.tag(num, wtSym)
+	if id, ok := e.syms[string(b)]; ok {
+		e.uvarint(uint64(id))
+		return
+	}
+	e.define(string(b))
+}
+
+// define writes s inline and gives it the next table index.
+func (e *Encoder) define(s string) {
 	e.uvarint(0)
 	e.uvarint(uint64(len(s)))
 	e.buf = append(e.buf, s...)

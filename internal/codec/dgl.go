@@ -557,13 +557,7 @@ func decodeOp(d *Decoder, op *dgl.Operation) {
 func AppendResponse(e *Encoder, resp *dgl.Response) {
 	e.Begin(MsgResponse)
 	if resp.Ack != nil {
-		a := resp.Ack
-		e.Msg(respAck, func(e *Encoder) {
-			e.Sym(1, a.ID)
-			e.Sym(2, a.Status)
-			e.Bool(3, a.Valid)
-			e.Str(4, a.Message)
-		})
+		ackField(e, resp.Ack)
 	}
 	if resp.Status != nil {
 		st := resp.Status
@@ -572,19 +566,89 @@ func AppendResponse(e *Encoder, resp *dgl.Response) {
 	e.Str(respErr, resp.Error)
 }
 
+func ackField(e *Encoder, a *dgl.Ack) {
+	e.Msg(respAck, func(e *Encoder) {
+		e.Sym(1, a.ID)
+		e.Sym(2, a.Status)
+		e.Bool(3, a.Valid)
+		e.Str(4, a.Message)
+	})
+}
+
 func statusFields(e *Encoder, st *dgl.FlowStatus) {
-	e.Sym(fsID, st.ID)
-	e.Sym(fsName, st.Name)
-	e.Sym(fsKind, st.Kind)
-	e.Sym(fsState, st.State)
-	e.Sym(fsStarted, st.Started)
-	e.Sym(fsFinished, st.Finished)
-	e.Sym(fsDelegated, st.Delegated)
-	e.Str(fsErr, st.Error)
+	n := st.Node()
+	nodeFields(e, &n)
 	for i := range st.Children {
 		c := &st.Children[i]
 		e.Msg(fsChild, func(e *Encoder) { statusFields(e, c) })
 	}
+}
+
+// nodeFields writes a status node's own fields; its children follow.
+func nodeFields(e *Encoder, n *dgl.StatusNode) {
+	e.Sym(fsID, n.ID)
+	e.Sym(fsName, n.Name)
+	e.Sym(fsKind, n.Kind)
+	e.Sym(fsState, n.State)
+	timeField(e, fsStarted, n.Started)
+	timeField(e, fsFinished, n.Finished)
+	e.Sym(fsDelegated, n.Delegated)
+	e.Str(fsErr, n.Error)
+}
+
+// timeField writes a status time as the symbol its text is. A time.Time
+// is rendered into scratch, so one the payload already holds costs
+// nothing.
+func timeField(e *Encoder, num int, t dgl.StatusTime) {
+	if t.Text != "" {
+		e.Sym(num, t.Text)
+		return
+	}
+	var scratch [40]byte
+	e.SymBytes(num, t.Append(scratch[:0]))
+}
+
+// ResponseWriter writes a MsgResponse payload piece by piece — Begin,
+// an acknowledgement and a status tree if there are any (it is the
+// dgl.StatusSink that writes the binary encoding), End — producing byte
+// for byte what AppendResponse produces for the Response holding the
+// same. The zero value is ready, and reusable after End.
+type ResponseWriter struct {
+	e     *Encoder
+	marks []int // of the status messages still open
+}
+
+// Begin starts a payload in e.
+func (w *ResponseWriter) Begin(e *Encoder) {
+	e.Begin(MsgResponse)
+	w.e, w.marks = e, w.marks[:0]
+}
+
+// Ack writes the acknowledgement.
+func (w *ResponseWriter) Ack(a *dgl.Ack) { ackField(w.e, a) }
+
+// Open implements dgl.StatusSink.
+func (w *ResponseWriter) Open(n dgl.StatusNode) {
+	num := fsChild
+	if len(w.marks) == 0 {
+		num = respStatus
+	}
+	w.e.tag(num, wtMsg)
+	w.marks = append(w.marks, w.e.reserve())
+	nodeFields(w.e, &n)
+}
+
+// Close implements dgl.StatusSink.
+func (w *ResponseWriter) Close() {
+	last := len(w.marks) - 1
+	w.e.patch(w.marks[last])
+	w.marks = w.marks[:last]
+}
+
+// End writes the error, if any, which completes the payload.
+func (w *ResponseWriter) End(errText string) {
+	w.e.Str(respErr, errText)
+	w.e = nil
 }
 
 // DecodeResponse decodes a MsgResponse payload.
@@ -598,22 +662,7 @@ func DecodeResponse(payload []byte) (*dgl.Response, error) {
 		switch d.Field() {
 		case respAck:
 			a := &dgl.Ack{}
-			d.Msg(func(d *Decoder) {
-				for d.Next() {
-					switch d.Field() {
-					case 1:
-						a.ID = d.Sym()
-					case 2:
-						a.Status = d.Sym()
-					case 3:
-						a.Valid = d.Bool()
-					case 4:
-						a.Message = d.Str()
-					default:
-						d.Skip()
-					}
-				}
-			})
+			d.Msg(func(d *Decoder) { decodeAck(d, a) })
 			resp.Ack = a
 		case respStatus:
 			st := &dgl.FlowStatus{}
@@ -626,6 +675,23 @@ func DecodeResponse(payload []byte) (*dgl.Response, error) {
 		}
 	}
 	return resp, d.Err()
+}
+
+func decodeAck(d *Decoder, a *dgl.Ack) {
+	for d.Next() {
+		switch d.Field() {
+		case 1:
+			a.ID = d.Sym()
+		case 2:
+			a.Status = d.Sym()
+		case 3:
+			a.Valid = d.Bool()
+		case 4:
+			a.Message = d.Str()
+		default:
+			d.Skip()
+		}
+	}
 }
 
 func decodeStatus(d *Decoder, st *dgl.FlowStatus) {
@@ -655,4 +721,108 @@ func decodeStatus(d *Decoder, st *dgl.FlowStatus) {
 			d.Skip()
 		}
 	}
+}
+
+// ResponseXML appends to dst the XML document of the response a
+// MsgResponse payload holds: what DecodeResponse and dgl.AppendXML
+// produce between them, written through w as the payload is read — no
+// dgl.Response in between — when its fields come in the order the
+// encoder writes them. Any other order (docs/CODEC.md allows it) takes
+// the way through DecodeResponse.
+func ResponseXML(w *dgl.ResponseWriter, dst, payload []byte) ([]byte, error) {
+	d, err := NewDecoder(payload, MsgResponse)
+	if err != nil {
+		return dst, err
+	}
+	w.Begin(dst)
+	var errText string
+	streamed, last := true, 0
+	for streamed && d.Next() {
+		f := d.Field()
+		if f >= respAck && f <= respErr {
+			if streamed = f > last; !streamed {
+				break
+			}
+			last = f
+		}
+		switch f {
+		case respAck:
+			var a dgl.Ack
+			end := d.MsgEnter()
+			decodeAck(&d, &a)
+			d.MsgExit(end)
+			w.Ack(&a)
+		case respStatus:
+			end := d.MsgEnter()
+			streamed = walkStatus(&d, w)
+			d.MsgExit(end)
+		case respErr:
+			errText = d.Str()
+		default:
+			d.Skip()
+		}
+	}
+	if d.Err() != nil {
+		return dst, d.Err()
+	}
+	if !streamed {
+		resp, err := DecodeResponse(payload)
+		if err != nil {
+			return dst, err
+		}
+		return dgl.AppendXML(dst, resp)
+	}
+	return w.End(errText), nil
+}
+
+// walkStatus streams the status message d has entered into sink: the
+// node once its own fields are read, then each child as it comes. It
+// reports false, with the stream broken off, when one of the node's own
+// fields follows a child — an order a decoder accepts and a stream
+// cannot serve. A malformed message ends the walk; d.Err has the reason.
+func walkStatus(d *Decoder, sink dgl.StatusSink) bool {
+	var n dgl.StatusNode
+	opened := false
+	for d.Next() {
+		f := d.Field()
+		if opened && f >= fsID && f <= fsErr {
+			return false
+		}
+		switch f {
+		case fsID:
+			n.ID = d.Sym()
+		case fsName:
+			n.Name = d.Sym()
+		case fsKind:
+			n.Kind = d.Sym()
+		case fsState:
+			n.State = d.Sym()
+		case fsStarted:
+			n.Started.Text = d.Sym()
+		case fsFinished:
+			n.Finished.Text = d.Sym()
+		case fsDelegated:
+			n.Delegated = d.Sym()
+		case fsErr:
+			n.Error = d.Str()
+		case fsChild:
+			if !opened {
+				sink.Open(n)
+				opened = true
+			}
+			end := d.MsgEnter()
+			ok := walkStatus(d, sink)
+			d.MsgExit(end)
+			if !ok {
+				return false
+			}
+		default:
+			d.Skip()
+		}
+	}
+	if !opened {
+		sink.Open(n)
+	}
+	sink.Close()
+	return true
 }

@@ -26,36 +26,47 @@ var marshalBufs = sync.Pool{New: func() any { return new([]byte) }}
 // FlowStatus, or a pointer to one — as indented XML with a header line.
 func Marshal(v any) ([]byte, error) {
 	bp := marshalBufs.Get().(*[]byte)
-	buf := append((*bp)[:0], xml.Header[:len(xml.Header)-1]...)
-	switch d := v.(type) {
-	case *Request:
-		buf = appendRequest(buf, d)
-	case Request:
-		buf = appendRequest(buf, &d)
-	case *Response:
-		buf = appendResponse(buf, d)
-	case Response:
-		buf = appendResponse(buf, &d)
-	case *Flow:
-		buf = appendFlow(buf, 0, "Flow", d)
-	case Flow:
-		buf = appendFlow(buf, 0, "Flow", &d)
-	case *FlowStatus:
-		buf = appendFlowStatus(buf, 0, "FlowStatus", d)
-	case FlowStatus:
-		buf = appendFlowStatus(buf, 0, "FlowStatus", &d)
-	default:
+	buf, err := AppendXML((*bp)[:0], v)
+	if err != nil {
 		marshalBufs.Put(bp)
-		return nil, fmt.Errorf("dgl: marshal: %T is not a DGL document", v)
-	}
-	if len(buf) < len(xml.Header) {
-		buf = append(buf, '\n') // a nil pointer: the header alone
+		return nil, err
 	}
 	out := make([]byte, len(buf))
 	copy(out, buf)
 	*bp = buf
 	marshalBufs.Put(bp)
 	return out, nil
+}
+
+// AppendXML appends the document Marshal renders for v to dst: for a
+// caller that owns the buffer the document is sent from.
+func AppendXML(dst []byte, v any) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, xml.Header[:len(xml.Header)-1]...)
+	switch d := v.(type) {
+	case *Request:
+		dst = appendRequest(dst, d)
+	case Request:
+		dst = appendRequest(dst, &d)
+	case *Response:
+		dst = appendResponse(dst, d)
+	case Response:
+		dst = appendResponse(dst, &d)
+	case *Flow:
+		dst = appendFlow(dst, 0, "Flow", d)
+	case Flow:
+		dst = appendFlow(dst, 0, "Flow", &d)
+	case *FlowStatus:
+		dst = appendFlowStatus(dst, 0, "FlowStatus", d)
+	case FlowStatus:
+		dst = appendFlowStatus(dst, 0, "FlowStatus", &d)
+	default:
+		return dst[:start], fmt.Errorf("dgl: marshal: %T is not a DGL document", v)
+	}
+	if len(dst)-start < len(xml.Header) {
+		dst = append(dst, '\n') // a nil pointer: the header alone
+	}
+	return dst, nil
 }
 
 const spaces = "                                "
@@ -338,52 +349,130 @@ func appendResponse(dst []byte, p *Response) []byte {
 	if p == nil {
 		return dst
 	}
-	dst = append(open(dst, 0, "dataGridResponse"), '>')
-	body := len(dst)
-	if a := p.Ack; a != nil {
-		dst = append(open(dst, 1, "requestAcknowledgement"), '>')
-		ack := len(dst)
-		dst = leaf(dst, 2, "id", a.ID)
-		dst = leaf(dst, 2, "status", a.Status)
-		dst = leaf(dst, 2, "valid", strconv.FormatBool(a.Valid))
-		if a.Message != "" {
-			dst = leaf(dst, 2, "message", a.Message)
-		}
-		dst = end(dst, 1, "requestAcknowledgement", ack)
+	dst, body := openResponse(dst)
+	if p.Ack != nil {
+		dst = appendAck(dst, p.Ack)
 	}
 	if p.Status != nil {
 		dst = appendFlowStatus(dst, 1, "flowStatus", p.Status)
 	}
-	if p.Error != "" {
-		dst = leaf(dst, 1, "error", p.Error)
+	return endResponse(dst, body, p.Error)
+}
+
+func openResponse(dst []byte) (out []byte, body int) {
+	dst = append(open(dst, 0, "dataGridResponse"), '>')
+	return dst, len(dst)
+}
+
+func appendAck(dst []byte, a *Ack) []byte {
+	dst = append(open(dst, 1, "requestAcknowledgement"), '>')
+	ack := len(dst)
+	dst = leaf(dst, 2, "id", a.ID)
+	dst = leaf(dst, 2, "status", a.Status)
+	dst = leaf(dst, 2, "valid", strconv.FormatBool(a.Valid))
+	if a.Message != "" {
+		dst = leaf(dst, 2, "message", a.Message)
+	}
+	return end(dst, 1, "requestAcknowledgement", ack)
+}
+
+func endResponse(dst []byte, body int, errText string) []byte {
+	if errText != "" {
+		dst = leaf(dst, 1, "error", errText)
 	}
 	return end(dst, 0, "dataGridResponse", body)
 }
 
-// appendFlowStatus writes a status node under the given element name:
+// appendFlowStatus writes a status tree under the given element name:
 // "flowStatus" in a response, "status" below it, the type's name as the
 // root of a document.
 func appendFlowStatus(dst []byte, depth int, name string, s *FlowStatus) []byte {
 	if s == nil {
 		return dst
 	}
-	dst = attr(attr(attr(attr(open(dst, depth, name), "id", s.ID), "name", s.Name), "kind", s.Kind), "state", s.State)
-	if s.Started != "" {
-		dst = attr(dst, "started", s.Started)
-	}
-	if s.Finished != "" {
-		dst = attr(dst, "finished", s.Finished)
-	}
-	if s.Delegated != "" {
-		dst = attr(dst, "delegated", s.Delegated)
-	}
-	dst = append(dst, '>')
-	body := len(dst)
-	if s.Error != "" {
-		dst = leaf(dst, depth+1, "error", s.Error)
-	}
+	n := s.Node()
+	dst, body := openStatus(dst, depth, name, &n)
 	for i := range s.Children {
 		dst = appendFlowStatus(dst, depth+1, "status", &s.Children[i])
 	}
 	return end(dst, depth, name, body)
+}
+
+// openStatus writes a status node up to where its children go; body is
+// what end needs to close it.
+func openStatus(dst []byte, depth int, name string, n *StatusNode) (out []byte, body int) {
+	dst = attr(attr(attr(attr(open(dst, depth, name), "id", n.ID), "name", n.Name), "kind", n.Kind), "state", n.State)
+	dst = timeAttr(timeAttr(dst, "started", n.Started), "finished", n.Finished)
+	if n.Delegated != "" {
+		dst = attr(dst, "delegated", n.Delegated)
+	}
+	dst = append(dst, '>')
+	body = len(dst)
+	if n.Error != "" {
+		dst = leaf(dst, depth+1, "error", n.Error)
+	}
+	return dst, body
+}
+
+// timeAttr writes a status time, if there is one. A time.Time goes
+// straight into the document: its digits need no escaping.
+func timeAttr(dst []byte, name string, t StatusTime) []byte {
+	if t.Text != "" {
+		return attr(dst, name, t.Text)
+	}
+	if t.Time.IsZero() {
+		return dst
+	}
+	dst = append(append(append(dst, ' '), name...), `="`...)
+	return append(t.Append(dst), '"')
+}
+
+// ResponseWriter writes a dataGridResponse document piece by piece —
+// Begin, an acknowledgement and a status tree if there are any (it is
+// the StatusSink that writes XML), End — producing byte for byte what
+// Marshal produces for the Response holding the same. The zero value is
+// ready, and reusable after End.
+type ResponseWriter struct {
+	buf    []byte
+	body   int
+	bodies []int // of the status nodes still open
+}
+
+// Begin starts a document at the end of dst.
+func (w *ResponseWriter) Begin(dst []byte) {
+	dst = append(dst, xml.Header[:len(xml.Header)-1]...)
+	w.buf, w.body = openResponse(dst)
+	w.bodies = w.bodies[:0]
+}
+
+// Ack writes the acknowledgement.
+func (w *ResponseWriter) Ack(a *Ack) { w.buf = appendAck(w.buf, a) }
+
+// Open implements StatusSink.
+func (w *ResponseWriter) Open(n StatusNode) {
+	name, body := "status", 0
+	if len(w.bodies) == 0 {
+		name = "flowStatus"
+	}
+	w.buf, body = openStatus(w.buf, 1+len(w.bodies), name, &n)
+	w.bodies = append(w.bodies, body)
+}
+
+// Close implements StatusSink.
+func (w *ResponseWriter) Close() {
+	depth := len(w.bodies)
+	name := "status"
+	if depth == 1 {
+		name = "flowStatus"
+	}
+	w.buf = end(w.buf, depth, name, w.bodies[depth-1])
+	w.bodies = w.bodies[:depth-1]
+}
+
+// End writes the error, if any, closes the document and returns the
+// buffer Begin was given with the document appended.
+func (w *ResponseWriter) End(errText string) []byte {
+	out := endResponse(w.buf, w.body, errText)
+	w.buf = nil
+	return out
 }

@@ -163,6 +163,7 @@ func measureRegistryFootprint(n int) (perTenant float64, totalMB float64) {
 	reg := tenant.NewRegistry(tenant.Quota{}, obs.NewRegistry())
 	var m0, m1 runtime.MemStats
 	runtime.GC()
+	runtime.GC() // twice: what earlier phases left in sync.Pools takes two cycles to go
 	runtime.ReadMemStats(&m0)
 	for i := 0; i < n; i++ {
 		// Varied quotas so no sharing trick can flatter the number: each

@@ -152,29 +152,34 @@ func dagFlow(seq int) dgl.Flow {
 		Flow()
 }
 
-func BenchmarkEngineDAG(b *testing.B) {
-	// As in the benchmark: the virtual clock, and a provenance store that
-	// is offered every record and retains none.
+// dagEngine is the engine dagFlow runs on, as in the benchmark: the
+// virtual clock, and a provenance store that is offered every record
+// and retains none.
+func dagEngine(tb testing.TB) *Engine {
 	prov := provenance.NewMemory()
 	prov.Close()
 	g := dgms.New(dgms.Options{Clock: sim.NewVirtualClock(sim.Epoch), Provenance: prov})
 	if err := g.RegisterResource(vfs.New("disk1", "local", vfs.Disk, 0)); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	for _, dir := range []string{"/grid/work", "/grid/pre"} {
 		if err := g.CreateCollectionAll(g.Admin(), dir); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	if err := g.Namespace().SetPermission("/grid", "*", namespace.PermWrite); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	for i := 0; i < 32; i++ {
 		if err := g.Ingest(g.Admin(), "/grid/pre/"+strconv.Itoa(i)+".dat", 1024, nil, "disk1"); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	e := NewEngineConfig(g, Config{MaxParallel: 32})
+	return NewEngineConfig(g, Config{MaxParallel: 32})
+}
+
+func BenchmarkEngineDAG(b *testing.B) {
+	e := dagEngine(b)
 	for seq := 0; seq < 50; seq++ { // warm-up: series registered, pools filled
 		runToEnd(b, e, dagFlow(seq))
 	}

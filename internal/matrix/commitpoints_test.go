@@ -90,6 +90,29 @@ func TestCommitPointsPerFlow(t *testing.T) {
 		}
 	})
 
+	t.Run("pruning N flows costs one sync", func(t *testing.T) {
+		e, st, batches := tapped(t)
+		const flows = 6
+		for n := 0; n < flows; n++ {
+			mustRun(t, e, crashFlow(n))
+		}
+		if err := st.Flush(); err != nil { // nothing of the flows themselves left to commit
+			t.Fatal(err)
+		}
+		count, tapped := commits(e), batches.Load()
+		if got := e.Prune(0); got != flows {
+			t.Fatalf("pruned %d flows, want %d", got, flows)
+		}
+		fsyncs, records := count()
+		if fsyncs != 1 || records != flows || batches.Load()-tapped != 1 {
+			t.Errorf("pruning %d flows paid %d group commits for %d records and %d tap batches; want 1, %d, 1",
+				flows, fsyncs, records, batches.Load()-tapped, flows)
+		}
+		for _, ent := range st.Live() {
+			t.Errorf("%s is still live after the prune", ent.ID)
+		}
+	})
+
 	t.Run("parked flow: earlier steps durable and replicated within the linger", func(t *testing.T) {
 		recv, err := replica.NewReceiver(replica.ReceiverConfig{Dir: t.TempDir(), Binary: true})
 		if err != nil {

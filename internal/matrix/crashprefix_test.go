@@ -327,3 +327,72 @@ func TestCrashAtEveryPrefix(t *testing.T) {
 		}
 	}
 }
+
+// TestPruneBatchTornAnywhere cuts the log inside and between the
+// tombstones Engine.Prune appends as one batch: whatever part of the
+// batch survives, no pruned flow comes back. A flow whose tombstone was
+// lost is still ended — its exec.end is ahead of the batch in the log —
+// so it is neither recovered nor resurrectable, only not yet reclaimed.
+func TestPruneBatchTornAnywhere(t *testing.T) {
+	for _, binary := range []bool{true, false} {
+		const flows = 5
+		dir := t.TempDir()
+		st, err := store.Open(dir, store.Options{Binary: binary})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := newTestEngine(t)
+		registerCountingOp(e)
+		e.SetStore(st)
+		var ids []string
+		for n := 0; n < flows; n++ {
+			ids = append(ids, mustRun(t, e, crashFlow(n)).ID)
+		}
+		if got := e.Prune(0); got != flows {
+			t.Fatalf("pruned %d flows, want %d", got, flows)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		log, recs, ends := readSegments(t, dir)
+		first := len(recs) - flows
+		for i, r := range recs[first:] {
+			if r.Type != store.TypeExecPrune {
+				t.Fatalf("binary=%v: record %d of the log's tail is %s, want the tombstones last and together", binary, i, r.Type)
+			}
+		}
+		cuts := []int{ends[first-1]}
+		for i := first; i < len(recs); i++ {
+			cuts = append(cuts, (ends[i-1]+ends[i])/2, ends[i])
+		}
+		for _, cut := range cuts {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "seg-00000001.log"), log[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			st, err := store.Open(dir, store.Options{Binary: binary})
+			if err != nil {
+				t.Fatalf("binary=%v cut at %d: Open: %v", binary, cut, err)
+			}
+			e := newTestEngine(t)
+			ops := registerCountingOp(e)
+			e.SetStore(st)
+			resumed, err := e.RecoverFromStore()
+			if err != nil || len(resumed) != 0 {
+				t.Errorf("binary=%v cut at %d: recovery resumed %d flows (%v), want none", binary, cut, len(resumed), err)
+			}
+			for _, id := range ids {
+				if _, err := e.ResurrectFor(id, "status"); err == nil {
+					t.Errorf("binary=%v cut at %d: pruned flow %s resurrected", binary, cut, id)
+				}
+				if st.Has(id) {
+					t.Errorf("binary=%v cut at %d: the index holds pruned flow %s as live", binary, cut, id)
+				}
+			}
+			if len(ops.runs) != 0 {
+				t.Errorf("binary=%v cut at %d: steps ran again: %v", binary, cut, ops.runs)
+			}
+			st.Close()
+		}
+	}
+}

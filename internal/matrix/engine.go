@@ -497,9 +497,8 @@ func (e *Engine) ListExecutions() []ExecutionSummary {
 	e.mu.RUnlock()
 	out := make([]ExecutionSummary, 0, len(execs))
 	for _, ex := range execs {
-		st := ex.Status(false)
 		out = append(out, ExecutionSummary{
-			ID: ex.ID, Name: ex.req.Flow.Name, State: State(st.State), User: ex.req.User.Name,
+			ID: ex.ID, Name: ex.req.Flow.Name, State: ex.root.stateNow(), User: ex.req.User.Name,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
@@ -538,12 +537,19 @@ func (e *Engine) Prune(keep int) int {
 	n := len(e.execs)
 	e.mu.Unlock()
 	if st != nil {
-		// Tombstone each pruned id so compaction reclaims its records
-		// and recovery can never resurrect it — without this, pruned
+		// Tombstone the pruned ids so compaction reclaims their records
+		// and recovery can never resurrect them — without this, pruned
 		// flows would live on disk forever (and a torn exec.end line
-		// could even bring one back).
-		for _, id := range drop {
-			_ = e.storeAppend(journalRecord{Type: journalExecPrune, ID: id})
+		// could even bring one back). One batch, one sync: a torn batch
+		// loses the tombstones of its tail and of no other flow. Their
+		// executions are no longer resident, so nothing is charged.
+		now := e.Clock().Now()
+		recs := make([]store.Record, len(drop))
+		for i, id := range drop {
+			recs[i] = journalRecord{Type: journalExecPrune, ID: id, Time: now}
+		}
+		if err := st.AppendBatch(recs); err != nil {
+			e.Obs().Counter("store_append_errors_total").Inc()
 		}
 		e.Obs().Gauge("store_resident").Set(int64(n))
 	}
@@ -554,6 +560,27 @@ func (e *Engine) Prune(keep int) int {
 // a status snapshot. This is the "query the status of any task in the
 // workflow at any level of granularity" API.
 func (e *Engine) Status(id string, detail bool) (dgl.FlowStatus, error) {
+	n, err := e.statusNode(id)
+	if err != nil {
+		return dgl.FlowStatus{}, err
+	}
+	return n.snapshot(detail), nil
+}
+
+// WalkStatus is Status written into a sink instead of returned: the
+// form a reply is encoded from. An id that does not resolve is reported
+// before the sink sees anything.
+func (e *Engine) WalkStatus(id string, detail bool, sink dgl.StatusSink) error {
+	n, err := e.statusNode(id)
+	if err != nil {
+		return err
+	}
+	n.walk(detail, sink)
+	return nil
+}
+
+// statusNode resolves an execution or node id to its status node.
+func (e *Engine) statusNode(id string) (*node, error) {
 	execID := id
 	if i := indexByte(id, '/'); i >= 0 {
 		execID = id[:i]
@@ -566,14 +593,18 @@ func (e *Engine) Status(id string, detail bool) (dgl.FlowStatus, error) {
 		// status queries are a resurrection path (docs/STORE.md).
 		resurrected, err := e.ResurrectFor(execID, "status")
 		if err != nil {
-			return dgl.FlowStatus{}, fmt.Errorf("%w: %s", ErrNotFound, id)
+			return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 		}
 		exec = resurrected
 	}
 	if execID == id {
-		return exec.Status(detail), nil
+		return exec.root, nil
 	}
-	return exec.StatusOf(id, detail)
+	n, ok := exec.root.find(id)
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
+	}
+	return n, nil
 }
 
 func indexByte(s string, b byte) int {

@@ -3,6 +3,7 @@ package matrix
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,48 +93,79 @@ func (n *node) addChild(c *node) {
 	n.mu.Unlock()
 }
 
-// find locates the node with the given id in the subtree.
+// kids snapshots the children slice. Children are only ever appended
+// (or, by a graft or a loop's set-up, replaced wholesale), so the
+// elements a snapshot covers never change and it can be read without
+// the lock — no copy.
+func (n *node) kids() []*node {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.children
+}
+
+// find locates the node with the given id in the subtree. A node's id
+// extends its parent's — by "/name" or, for a loop iteration, "[i]" —
+// so only children whose id leads to the one sought are entered.
+// (Grafted remote children carry another execution's ids and are never
+// on the way to an id of this one.)
 func (n *node) find(id string) (*node, bool) {
 	if n.id == id {
 		return n, true
 	}
-	n.mu.Lock()
-	kids := append([]*node(nil), n.children...)
-	n.mu.Unlock()
-	for _, c := range kids {
-		if found, ok := c.find(id); ok {
-			return found, true
+	for _, c := range n.kids() {
+		if !strings.HasPrefix(id, c.id) {
+			continue
+		}
+		if rest := id[len(c.id):]; rest == "" || rest[0] == '/' || rest[0] == '[' {
+			if found, ok := c.find(id); ok {
+				return found, true
+			}
 		}
 	}
 	return nil, false
 }
 
-// status snapshots the subtree as a DGL FlowStatus (detail=false trims
-// children).
-func (n *node) status(detail bool) dgl.FlowStatus {
+// stateNow reads the node's state.
+func (n *node) stateNow() State {
 	n.mu.Lock()
-	out := dgl.FlowStatus{
-		ID:        n.id,
-		Name:      n.name,
-		Kind:      n.kind,
-		State:     string(n.state),
-		Error:     n.err,
-		Delegated: n.remote,
+	defer n.mu.Unlock()
+	return n.state
+}
+
+// walk streams the subtree into sink as a status tree (detail=false
+// trims children): each node's fields are read under its lock, its
+// times left for the sink to render.
+func (n *node) walk(detail bool, sink dgl.StatusSink) {
+	n.mu.Lock()
+	sn := dgl.StatusNode{
+		ID: n.id, Name: n.name, Kind: n.kind, State: string(n.state),
+		Started: dgl.StatusTime{Time: n.started}, Finished: dgl.StatusTime{Time: n.finished},
+		Delegated: n.remote, Error: n.err,
 	}
-	if !n.started.IsZero() {
-		out.Started = n.started.UTC().Format(time.RFC3339Nano)
-	}
-	if !n.finished.IsZero() {
-		out.Finished = n.finished.UTC().Format(time.RFC3339Nano)
-	}
-	kids := append([]*node(nil), n.children...)
+	kids := n.children
 	n.mu.Unlock()
+	sink.Open(sn)
 	if detail {
 		for _, c := range kids {
-			out.Children = append(out.Children, c.status(true))
+			c.walk(true, sink)
 		}
 	}
-	return out
+	sink.Close()
+}
+
+// builders holds the FlowStatus builders snapshots are made with: a sink
+// is reached through an interface, so one made per snapshot would be a
+// heap object three times the size of what the snapshot returns.
+var builders = sync.Pool{New: func() any { return new(dgl.StatusBuilder) }}
+
+// snapshot builds the subtree's status as a DGL FlowStatus.
+func (n *node) snapshot(detail bool) dgl.FlowStatus {
+	b := builders.Get().(*dgl.StatusBuilder)
+	n.walk(detail, b)
+	st := b.Status()
+	*b = dgl.StatusBuilder{} // keep nothing of the tree it built
+	builders.Put(b)
+	return st
 }
 
 // collectSucceeded gathers the ids of terminally successful step nodes —
@@ -146,7 +178,7 @@ func (n *node) collectSucceeded(into map[string]bool) {
 	state := n.state
 	kind := n.kind
 	remote := n.remote
-	kids := append([]*node(nil), n.children...)
+	kids := n.children
 	n.mu.Unlock()
 	if remote != "" {
 		if state == StateSucceeded || state == StateSkipped {
@@ -367,7 +399,7 @@ func (e *Execution) Err() error {
 
 // Status snapshots the execution's status tree.
 func (e *Execution) Status(detail bool) dgl.FlowStatus {
-	return e.root.status(detail)
+	return e.root.snapshot(detail)
 }
 
 // StatusOf snapshots the subtree rooted at the given node id.
@@ -376,7 +408,7 @@ func (e *Execution) StatusOf(id string, detail bool) (dgl.FlowStatus, error) {
 	if !ok {
 		return dgl.FlowStatus{}, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	return n.status(detail), nil
+	return n.snapshot(detail), nil
 }
 
 // Pause suspends the execution at the next checkpoint (between steps and

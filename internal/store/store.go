@@ -785,6 +785,16 @@ func sortedKeys(m map[string]bool) []string {
 	return out
 }
 
+// Has reports whether the index holds id as a live execution — neither
+// ended nor pruned: what a resurrection needs, learnt without building
+// the Entry.
+func (s *Store) Has(id string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st, ok := s.index[id]
+	return ok && !st.terminal()
+}
+
 // Entry returns the indexed state of one execution.
 func (s *Store) Entry(id string) (Entry, bool) {
 	s.mu.Lock()

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"sync"
 	"testing"
 
@@ -24,57 +25,53 @@ var benchPayload = func() []byte {
 	return data
 }()
 
-func BenchmarkFrameEncode(b *testing.B) {
+// discardConn is a connection whose writes go nowhere and whose reads
+// come from r: the frame benchmarks' other end.
+type discardConn struct {
+	net.Conn
+	r io.Reader
+}
+
+func (c discardConn) Write(p []byte) (int, error) { return len(p), nil }
+func (c discardConn) Read(p []byte) (int, error)  { return c.r.Read(p) }
+
+func benchFrameEncode(b *testing.B, mux bool) {
+	w := &frameWriter{conn: discardConn{}}
 	b.SetBytes(int64(len(benchPayload)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := WriteFrame(io.Discard, KindDGL, benchPayload); err != nil {
+		if err := w.write(KindDGL, uint64(i), mux, benchPayload); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkFrameDecode(b *testing.B) {
+func benchFrameDecode(b *testing.B, mux bool) {
 	var one bytes.Buffer
-	if err := WriteFrame(&one, KindDGL, benchPayload); err != nil {
-		b.Fatal(err)
+	if mux {
+		_ = WriteMuxFrame(&one, KindDGL, 7, benchPayload)
+	} else {
+		_ = WriteFrame(&one, KindDGL, benchPayload)
 	}
 	b.SetBytes(int64(len(benchPayload)))
 	b.ReportAllocs()
 	r := bytes.NewReader(nil)
+	fc := newFrameConn(discardConn{r: r}, nil)
 	for i := 0; i < b.N; i++ {
 		r.Reset(one.Bytes())
-		if _, _, err := ReadFrame(r); err != nil {
+		fc.r.br.Reset(r)
+		fr, err := fc.r.next(mux)
+		if err != nil {
 			b.Fatal(err)
 		}
+		fr.release()
 	}
 }
 
-func BenchmarkMuxFrameEncode(b *testing.B) {
-	b.SetBytes(int64(len(benchPayload)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := WriteMuxFrame(io.Discard, KindDGL, uint64(i), benchPayload); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMuxFrameDecode(b *testing.B) {
-	var one bytes.Buffer
-	if err := WriteMuxFrame(&one, KindDGL, 7, benchPayload); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(benchPayload)))
-	b.ReportAllocs()
-	r := bytes.NewReader(nil)
-	for i := 0; i < b.N; i++ {
-		r.Reset(one.Bytes())
-		if _, _, _, err := ReadMuxFrame(r); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkFrameEncode(b *testing.B)    { benchFrameEncode(b, false) }
+func BenchmarkFrameDecode(b *testing.B)    { benchFrameDecode(b, false) }
+func BenchmarkMuxFrameEncode(b *testing.B) { benchFrameEncode(b, true) }
+func BenchmarkMuxFrameDecode(b *testing.B) { benchFrameDecode(b, true) }
 
 // BenchmarkSerialRoundTrip measures one-at-a-time request/response over
 // a live TCP connection with the pre-1.2 serial framing.

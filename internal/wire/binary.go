@@ -473,8 +473,14 @@ func appendBatchResult(e *codec.Encoder, ok bool, errText string, responses [][]
 	e.Bool(1, ok)
 	e.Str(2, errText)
 	for _, r := range responses {
-		e.Blob(3, r)
+		appendBatchResponse(e, r)
 	}
+}
+
+// appendBatchResponse adds one response to a reply appendBatchResult
+// started: the server answers items one at a time.
+func appendBatchResponse(e *codec.Encoder, response []byte) {
+	e.Blob(3, response)
 }
 
 func decodeBatchResult(payload []byte) (ok bool, errText string, responses [][]byte, err error) {

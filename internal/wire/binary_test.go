@@ -198,11 +198,12 @@ func TestBinaryPayloadRefusedByOldServer(t *testing.T) {
 	enc := codec.GetEncoder()
 	defer codec.PutEncoder(enc)
 	codec.AppendRequest(enc, dgl.NewRequest("user", "", noopFlow("rogue")))
-	kind, payload, err := c.roundTrip(context.Background(), KindDGL, enc.Bytes())
-	if err != nil || kind != KindDGL {
-		t.Fatalf("round trip = %d, %v", kind, err)
+	fr, err := c.roundTrip(context.Background(), KindDGL, enc.Bytes())
+	if err != nil || fr.kind != KindDGL {
+		t.Fatalf("round trip = %d, %v", fr.kind, err)
 	}
-	resp, err := parseResponsePayload(payload)
+	defer fr.release()
+	resp, err := parseResponsePayload(fr.payload)
 	if err != nil {
 		t.Fatal(err)
 	}

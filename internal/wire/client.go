@@ -44,11 +44,11 @@ type Client struct {
 	writeMu sync.Mutex
 
 	mu      sync.Mutex
-	conn    net.Conn
+	fc      *frameConn
 	muxed   bool
 	closed  bool
 	nextID  uint64
-	pending map[uint64]chan muxReply
+	pending map[uint64]*muxCall
 	readErr error // terminal until Redial: set once the mux read loop exits
 	// helloed records that Hello negotiated at least once, so Redial
 	// knows to re-run the handshake: negotiated state (mux, binary
@@ -73,11 +73,24 @@ type Client struct {
 	tenant string
 }
 
-// muxReply is one matched response delivered to a pipelined waiter.
-type muxReply struct {
-	kind    byte
-	payload []byte
+// muxCall is the slot one pipelined request waits in. Slots are reused
+// from call to call, so whoever returns one to the pool must know that
+// no reply is on its way into it: the waiter that received its reply,
+// or the waiter that gave up and removed the id from pending itself.
+// When the read loop removed it first, a reply is about to land there
+// and the slot is left to the collector instead.
+type muxCall struct {
+	reply chan muxReply // capacity 1: the read loop's send never blocks
 }
+
+// muxReply is what the read loop delivers to a slot: the response
+// frame, or lost when the connection died first.
+type muxReply struct {
+	frame
+	lost bool
+}
+
+var muxCalls = sync.Pool{New: func() any { return &muxCall{reply: make(chan muxReply, 1)} }}
 
 // Dial connects to a matrix server.
 func Dial(addr string) (*Client, error) {
@@ -92,7 +105,7 @@ func DialContext(ctx context.Context, addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
-	return &Client{addr: addr, conn: conn}, nil
+	return &Client{addr: addr, fc: newFrameConn(conn, nil)}, nil
 }
 
 // SetTimeout bounds every subsequent request (write + read) by d on the
@@ -133,18 +146,18 @@ func (c *Client) Tenant() string {
 func (c *Client) Close() error {
 	c.mu.Lock()
 	c.closed = true
-	conn := c.conn
+	fc := c.fc
 	c.mu.Unlock()
-	return conn.Close()
+	return fc.Close()
 }
 
-// current returns the live connection. Frame I/O additionally holds
-// writeMu, which Redial also takes — so a round trip never straddles a
+// current returns the live connection. Serial round trips additionally
+// hold writeMu, which Redial also takes — so none straddles a
 // connection swap.
-func (c *Client) current() net.Conn {
+func (c *Client) current() *frameConn {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.conn
+	return c.fc
 }
 
 // Muxed reports whether Hello negotiated the multiplexed protocol on
@@ -176,8 +189,9 @@ func (c *Client) DisableBinary() {
 
 // roundTrip performs one request-response, dispatching on the session
 // mode. The serial path holds writeMu for the whole exchange; the mux
-// path registers a completion channel keyed by request id.
-func (c *Client) roundTrip(ctx context.Context, kind byte, payload []byte) (byte, []byte, error) {
+// path waits in a call slot keyed by request id. The response frame's
+// payload is pooled: the caller parses it and releases the frame.
+func (c *Client) roundTrip(ctx context.Context, kind byte, payload []byte) (frame, error) {
 	for {
 		if c.Muxed() {
 			return c.roundTripMux(ctx, kind, payload)
@@ -189,17 +203,17 @@ func (c *Client) roundTrip(ctx context.Context, kind byte, payload []byte) (byte
 			c.writeMu.Unlock()
 			continue
 		}
-		k, resp, err := c.serialRoundTripLocked(ctx, kind, payload)
+		fr, err := c.serialRoundTripLocked(ctx, kind, payload)
 		c.writeMu.Unlock()
-		return k, resp, err
+		return fr, err
 	}
 }
 
 // serialRoundTripLocked performs one framed request-response; the
 // caller holds writeMu. The context's deadline/cancellation and the
 // client timeout apply to the connection for the duration.
-func (c *Client) serialRoundTripLocked(ctx context.Context, kind byte, payload []byte) (byte, []byte, error) {
-	conn := c.current()
+func (c *Client) serialRoundTripLocked(ctx context.Context, kind byte, payload []byte) (frame, error) {
+	fc := c.current()
 	deadline := time.Time{}
 	if d := time.Duration(c.timeout.Load()); d > 0 {
 		deadline = time.Now().Add(d)
@@ -207,88 +221,99 @@ func (c *Client) serialRoundTripLocked(ctx context.Context, kind byte, payload [
 	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
 		deadline = d
 	}
-	_ = conn.SetDeadline(deadline) // zero clears
+	_ = fc.SetDeadline(deadline) // zero clears
 	stop := context.AfterFunc(ctx, func() {
 		// Cancellation interrupts in-flight I/O by expiring the deadline.
-		_ = conn.SetDeadline(time.Now())
+		_ = fc.SetDeadline(time.Now())
 	})
 	defer stop()
-	if err := WriteFrame(conn, kind, payload); err != nil {
-		return 0, nil, c.ctxErr(ctx, err)
+	if err := fc.w.write(kind, 0, false, payload); err != nil {
+		return frame{}, c.ctxErr(ctx, err)
 	}
-	k, resp, err := ReadFrame(conn)
+	fr, err := fc.r.next(false)
 	if err != nil {
-		return 0, nil, c.ctxErr(ctx, err)
+		return frame{}, c.ctxErr(ctx, err)
 	}
-	return k, resp, nil
+	return fr, nil
 }
 
 // roundTripMux pipelines one request: write the frame with a fresh id,
-// then wait on the per-request completion channel. Cancellation
-// abandons the request (the response, if it ever arrives, is
-// discarded) without disturbing other in-flight requests.
-func (c *Client) roundTripMux(ctx context.Context, kind byte, payload []byte) (byte, []byte, error) {
+// then wait in the call slot registered under it. Cancellation abandons
+// the request (the response, if it ever arrives, is discarded) without
+// disturbing other in-flight requests.
+func (c *Client) roundTripMux(ctx context.Context, kind byte, payload []byte) (frame, error) {
 	if d := time.Duration(c.timeout.Load()); d > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
 	}
-	ch := make(chan muxReply, 1)
+	call := muxCalls.Get().(*muxCall)
 	c.mu.Lock()
 	if c.readErr != nil {
 		err := c.readErr
 		c.mu.Unlock()
-		return 0, nil, err
+		muxCalls.Put(call)
+		return frame{}, err
 	}
 	c.nextID++
 	id := c.nextID
-	c.pending[id] = ch
+	c.pending[id] = call
+	fc := c.fc
 	c.mu.Unlock()
 
-	c.writeMu.Lock()
-	err := WriteMuxFrame(c.current(), kind, id, payload)
-	c.writeMu.Unlock()
-	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		rerr := c.readErr
-		c.mu.Unlock()
+	if err := fc.w.write(kind, id, true, payload); err != nil {
+		rerr := c.abandon(id, call)
 		if rerr != nil {
-			return 0, nil, rerr
+			return frame{}, rerr
 		}
-		return 0, nil, c.ctxErr(ctx, err)
+		return frame{}, c.ctxErr(ctx, err)
 	}
 	select {
-	case r, ok := <-ch:
-		if !ok {
-			// Channel closed by failAll: the connection died.
+	case r := <-call.reply:
+		muxCalls.Put(call) // received: nothing else is coming
+		if r.lost {
 			c.mu.Lock()
 			rerr := c.readErr
 			c.mu.Unlock()
-			return 0, nil, rerr
+			return frame{}, rerr
 		}
-		return r.kind, r.payload, nil
+		return r.frame, nil
 	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return 0, nil, fmt.Errorf("%w: %v", dgferr.ErrCancelled, ctx.Err())
+		c.abandon(id, call)
+		return frame{}, fmt.Errorf("%w: %v", dgferr.ErrCancelled, ctx.Err())
 	}
+}
+
+// abandon gives up on a call: the id leaves pending and, if it was
+// still there, the slot goes back to the pool — nobody can deliver to
+// it any more. If the read loop had already claimed it, its send is on
+// the way and the slot is dropped, never recycled with a reply pending.
+// Returns the connection's terminal error, if it has one.
+func (c *Client) abandon(id uint64, call *muxCall) error {
+	c.mu.Lock()
+	_, mine := c.pending[id]
+	delete(c.pending, id)
+	rerr := c.readErr
+	c.mu.Unlock()
+	if mine {
+		muxCalls.Put(call)
+	}
+	return rerr
 }
 
 // upgrade switches the session to multiplexed framing and starts the
 // response reader. Caller holds writeMu (so no serial round trip can
 // interleave between the hello reply and the reader start).
 func (c *Client) upgrade() {
-	conn := c.current()
+	fc := c.current()
 	// Clear any deadline left by the hello round trip: mux reads block
-	// indefinitely and complete per-request via completion channels.
-	_ = conn.SetDeadline(time.Time{})
+	// indefinitely and complete per-request via their call slots.
+	_ = fc.SetDeadline(time.Time{})
 	c.mu.Lock()
 	c.muxed = true
-	c.pending = make(map[uint64]chan muxReply)
+	c.pending = make(map[uint64]*muxCall)
 	c.mu.Unlock()
-	go c.readLoop(conn)
+	go c.readLoop(fc)
 }
 
 // readLoop is the mux-mode response pump: it matches response ids to
@@ -296,19 +321,21 @@ func (c *Client) upgrade() {
 // still in flight. It is pinned to the connection it was started for:
 // after a Redial the stale loop's exit must not poison the fresh
 // session, so failure is scoped through failAllFor.
-func (c *Client) readLoop(conn net.Conn) {
+func (c *Client) readLoop(fc *frameConn) {
 	for {
-		kind, id, payload, err := ReadMuxFrame(conn)
+		fr, err := fc.r.next(true)
 		if err != nil {
-			c.failAllFor(conn, err)
+			c.failAllFor(fc, err)
 			return
 		}
 		c.mu.Lock()
-		ch, ok := c.pending[id]
-		delete(c.pending, id)
+		call, ok := c.pending[fr.id]
+		delete(c.pending, fr.id)
 		c.mu.Unlock()
 		if ok {
-			ch <- muxReply{kind: kind, payload: payload} // buffered; never blocks
+			call.reply <- muxReply{frame: fr}
+		} else {
+			fr.release() // a late reply to an abandoned request
 		}
 	}
 }
@@ -319,9 +346,9 @@ func (c *Client) readLoop(conn net.Conn) {
 // or on a fresh connection) otherwise. A loop whose connection has
 // already been replaced by Redial is stale: its error belongs to the
 // old session and is dropped.
-func (c *Client) failAllFor(conn net.Conn, cause error) {
+func (c *Client) failAllFor(fc *frameConn, cause error) {
 	c.mu.Lock()
-	if c.conn != conn {
+	if c.fc != fc {
 		c.mu.Unlock()
 		return
 	}
@@ -333,10 +360,10 @@ func (c *Client) failAllFor(conn net.Conn, cause error) {
 		}
 	}
 	pending := c.pending
-	c.pending = make(map[uint64]chan muxReply)
+	c.pending = make(map[uint64]*muxCall)
 	c.mu.Unlock()
-	for _, ch := range pending {
-		close(ch)
+	for _, call := range pending {
+		call.reply <- muxReply{lost: true}
 	}
 }
 
@@ -358,7 +385,7 @@ func (c *Client) Redial(ctx context.Context) error {
 		c.mu.Unlock()
 		return fmt.Errorf("%w: wire: client closed", dgferr.ErrCancelled)
 	}
-	old := c.conn
+	old := c.fc
 	addr := c.addr
 	helloed := c.helloed
 	c.mu.Unlock()
@@ -372,7 +399,7 @@ func (c *Client) Redial(ctx context.Context) error {
 		return fmt.Errorf("%w: wire: redial %s: %v", dgferr.ErrResourceDown, addr, err)
 	}
 	c.mu.Lock()
-	c.conn = conn
+	c.fc = newFrameConn(conn, nil)
 	// Fresh session: everything Hello negotiated is void until it runs
 	// again, so the client drops back to serial XML/JSON framing.
 	c.muxed = false
@@ -423,12 +450,25 @@ func (c *Client) SubmitContext(ctx context.Context, req *dgl.Request) (*dgl.Resp
 // submitOne is the single-request transport core shared by Submit and
 // the deprecated wrappers.
 func (c *Client) submitOne(ctx context.Context, req *dgl.Request) (*dgl.Response, error) {
+	fr, err := c.exchange(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	defer fr.release()
+	return parseResponsePayload(fr.payload)
+}
+
+// exchange sends one DGL request and returns the response frame as it
+// came, for the caller to parse — or pass on — and release.
+func (c *Client) exchange(ctx context.Context, req *dgl.Request) (frame, error) {
 	if tok := c.Token(); tok != "" && req.Token == "" {
 		// Attach the session token without mutating the caller's request.
 		stamped := *req
 		stamped.Token = tok
 		req = &stamped
 	}
+	// The request is built in a pooled buffer: the frame writer has
+	// copied it, or written it out, by the time the round trip returns.
 	var data []byte
 	if c.Binary() {
 		enc := codec.GetEncoder()
@@ -436,19 +476,23 @@ func (c *Client) submitOne(ctx context.Context, req *dgl.Request) (*dgl.Response
 		codec.AppendRequest(enc, req)
 		data = enc.Bytes()
 	} else {
+		text := textBufs.Get().(*[]byte)
+		defer textBufs.Put(text)
 		var err error
-		if data, err = dgl.Marshal(req); err != nil {
-			return nil, err
+		if *text, err = dgl.AppendXML((*text)[:0], req); err != nil {
+			return frame{}, err
 		}
+		data = *text
 	}
-	kind, payload, err := c.roundTrip(ctx, KindDGL, data)
+	fr, err := c.roundTrip(ctx, KindDGL, data)
 	if err != nil {
-		return nil, err
+		return frame{}, err
 	}
-	if kind != KindDGL {
-		return nil, errors.New("wire: unexpected frame kind in response")
+	if fr.kind != KindDGL {
+		fr.release()
+		return frame{}, errors.New("wire: unexpected frame kind in response")
 	}
-	return parseResponsePayload(payload)
+	return fr, nil
 }
 
 // EncodeRequest renders a request document for embedding in a peer
@@ -538,13 +582,16 @@ func (c *Client) submitBatch(ctx context.Context, user string, reqs []*dgl.Reque
 			return nil, err
 		}
 	}
-	kind, resp, err := c.roundTrip(ctx, KindBatch, payload)
+	fr, err := c.roundTrip(ctx, KindBatch, payload)
 	if err != nil {
 		return nil, err
 	}
-	if kind != KindBatch {
+	// The item documents below alias the frame until each is parsed.
+	defer fr.release()
+	if fr.kind != KindBatch {
 		return nil, errors.New("wire: unexpected frame kind in batch response")
 	}
+	resp := fr.payload
 	var ok bool
 	var errText string
 	var docs [][]byte
@@ -672,19 +719,20 @@ func (c *Client) controlMsg(ctx context.Context, msg Control) (ControlResult, er
 			return ControlResult{}, err
 		}
 	}
-	kind, payload, err := c.roundTrip(ctx, KindControl, data)
+	fr, err := c.roundTrip(ctx, KindControl, data)
 	if err != nil {
 		return ControlResult{}, err
 	}
-	if kind != KindControl {
+	defer fr.release()
+	if fr.kind != KindControl {
 		return ControlResult{}, errors.New("wire: unexpected frame kind in response")
 	}
 	var res ControlResult
-	if codec.IsBinary(payload) {
-		if res, err = decodeControlResult(payload); err != nil {
+	if codec.IsBinary(fr.payload) {
+		if res, err = decodeControlResult(fr.payload); err != nil {
 			return ControlResult{}, err
 		}
-	} else if err := json.Unmarshal(payload, &res); err != nil {
+	} else if err := json.Unmarshal(fr.payload, &res); err != nil {
 		return ControlResult{}, err
 	}
 	if !res.OK && res.Error != "" {
@@ -743,13 +791,14 @@ func (c *Client) helloLocked() (serverProto string, err error) {
 	if err != nil {
 		return "", err
 	}
-	kind, payload, err := c.serialRoundTripLocked(context.Background(), KindControl, data)
+	fr, err := c.serialRoundTripLocked(context.Background(), KindControl, data)
 	if err != nil {
 		return "", err
 	}
+	defer fr.release()
 	var res ControlResult
-	if kind == KindControl {
-		err = json.Unmarshal(payload, &res)
+	if fr.kind == KindControl {
+		err = json.Unmarshal(fr.payload, &res)
 	} else {
 		err = errors.New("wire: unexpected frame kind in hello response")
 	}
@@ -822,13 +871,15 @@ func (c *Client) Delegate(ctx context.Context, d Delegate) (*DelegateResult, err
 			return nil, err
 		}
 	}
-	kind, resp, err := c.roundTrip(ctx, KindDelegate, payload)
+	fr, err := c.roundTrip(ctx, KindDelegate, payload)
 	if err != nil {
 		return nil, err
 	}
-	if kind != KindDelegate {
+	defer fr.release()
+	if fr.kind != KindDelegate {
 		return nil, errors.New("wire: unexpected frame kind in delegate response")
 	}
+	resp := fr.payload
 	var res DelegateResult
 	if codec.IsBinary(resp) {
 		if res, err = decodeDelegateResult(resp); err != nil {
@@ -881,13 +932,15 @@ func (c *Client) Route(ctx context.Context, rt Route) (*RouteResult, error) {
 			return nil, err
 		}
 	}
-	kind, resp, err := c.roundTrip(ctx, KindRoute, payload)
+	fr, err := c.roundTrip(ctx, KindRoute, payload)
 	if err != nil {
 		return nil, err
 	}
-	if kind != KindRoute {
+	defer fr.release()
+	if fr.kind != KindRoute {
 		return nil, errors.New("wire: unexpected frame kind in route response")
 	}
+	resp := fr.payload
 	// Servers mirror the request encoding, but decoding never assumes.
 	var res RouteResult
 	if codec.IsBinary(resp) {
@@ -944,13 +997,15 @@ func (c *Client) Replicate(ctx context.Context, f Replicate) (*ReplicateResult, 
 			return nil, err
 		}
 	}
-	kind, resp, err := c.roundTrip(ctx, KindReplicate, payload)
+	fr, err := c.roundTrip(ctx, KindReplicate, payload)
 	if err != nil {
 		return nil, err
 	}
-	if kind != KindReplicate {
+	defer fr.release()
+	if fr.kind != KindReplicate {
 		return nil, errors.New("wire: unexpected frame kind in replicate response")
 	}
+	resp := fr.payload
 	// Servers mirror the request encoding, but decoding never assumes.
 	var res ReplicateResult
 	if codec.IsBinary(resp) {

@@ -227,7 +227,7 @@ func TestMuxConnDropFailsInflight(t *testing.T) {
 		}(i)
 	}
 	time.Sleep(100 * time.Millisecond) // let the requests reach the server
-	c.conn.Close()                     // sever mid-stream
+	c.fc.Close()                       // sever mid-stream
 	for i := 0; i < 8; i++ {
 		select {
 		case err := <-errs:

@@ -33,6 +33,20 @@ type submitCfg struct {
 	isBatch bool
 }
 
+// apply sets what the options ask for on a copy of a caller's request;
+// the caller's own is never mutated.
+func (c *submitCfg) apply(pr *dgl.Request) {
+	if c.async {
+		pr.Async = true
+	}
+	if c.route != "" {
+		pr.Route = string(c.route)
+	}
+	if c.token != "" {
+		pr.Token = c.token
+	}
+}
+
 // SubmitOption configures one Client.Submit call.
 type SubmitOption func(*submitCfg)
 
@@ -96,6 +110,8 @@ type SubmitResult struct {
 	// ID is the async acknowledgement id of the primary request (""
 	// for sync submissions and nil primaries).
 	ID string
+
+	one [1]*dgl.Response // backs Responses when the call was one request
 }
 
 // Submit is the single entry point for flow submission: one request,
@@ -111,41 +127,41 @@ type SubmitResult struct {
 // older entry points (SubmitContext, SubmitAsync, SubmitBatch, ...)
 // remain as thin deprecated wrappers over this method's machinery.
 func (c *Client) Submit(ctx context.Context, req *dgl.Request, opts ...SubmitOption) (*SubmitResult, error) {
-	var cfg submitCfg
+	// The options and the one request most calls carry share an
+	// allocation: options are opaque functions, so what they write to
+	// cannot stay on the stack.
+	var call struct {
+		cfg submitCfg
+		req dgl.Request
+	}
+	cfg := &call.cfg
 	for _, o := range opts {
-		o(&cfg)
+		o(cfg)
 	}
-	reqs := make([]*dgl.Request, 0, 1+len(cfg.batch))
-	if req != nil {
-		reqs = append(reqs, req)
-	}
-	reqs = append(reqs, cfg.batch...)
-	if len(reqs) == 0 {
-		return nil, fmt.Errorf("%w: submit needs at least one request", dgferr.ErrInvalid)
-	}
-	prepared := make([]*dgl.Request, len(reqs))
-	for i, r := range reqs {
-		pr := *r // options never mutate the caller's request
-		if cfg.async {
-			pr.Async = true
-		}
-		if cfg.route != "" {
-			pr.Route = string(cfg.route)
-		}
-		if cfg.token != "" {
-			pr.Token = cfg.token
-		}
-		prepared[i] = &pr
-	}
-
 	res := &SubmitResult{}
-	if !cfg.isBatch && len(prepared) == 1 {
-		resp, err := c.submitOne(ctx, prepared[0])
+	if req != nil && !cfg.isBatch {
+		call.req = *req
+		cfg.apply(&call.req)
+		resp, err := c.submitOne(ctx, &call.req)
 		if err != nil {
 			return nil, err
 		}
-		res.Responses = []*dgl.Response{resp}
+		res.one[0] = resp
+		res.Responses = res.one[:]
 	} else {
+		reqs := cfg.batch
+		if req != nil {
+			reqs = append([]*dgl.Request{req}, reqs...)
+		}
+		if len(reqs) == 0 {
+			return nil, fmt.Errorf("%w: submit needs at least one request", dgferr.ErrInvalid)
+		}
+		prepared := make([]*dgl.Request, len(reqs))
+		for i, r := range reqs {
+			pr := *r
+			cfg.apply(&pr)
+			prepared[i] = &pr
+		}
 		user := cfg.user
 		if user == "" {
 			user = prepared[0].User.Name

@@ -751,7 +751,7 @@ func (p *Peer) Start(addr, lookupAddr string) (string, error) {
 	// Route incoming wire status queries through the peer network, so a
 	// client of any peer can resolve any execution id (README's two-peer
 	// session and docs/WIRE.md §3).
-	p.server.statusRouter = p.routeStatus
+	p.server.statusRouter = p.placeStatus
 	bound, err := p.server.Listen(addr)
 	if err != nil {
 		return "", err
@@ -856,14 +856,25 @@ func OwnerOf(id string) string {
 // the id belongs to this peer, otherwise by forwarding to the owning
 // peer via the lookup service.
 func (p *Peer) Status(user, id string, detail bool) (*dgl.FlowStatus, error) {
-	return p.routeStatus(user, "", id, detail)
+	owner, err := p.placeStatus(id)
+	if err != nil {
+		return nil, err
+	}
+	if owner != nil {
+		return owner.statusAs(user, "", id, detail)
+	}
+	st, err := p.server.Engine().Status(id, detail)
+	if err != nil {
+		return nil, err
+	}
+	return &st, nil
 }
 
-// routeStatus is Status carrying the caller's bearer token: the
-// forwarded hop presents it to the owner the way Route.Token does for
-// submissions, so an owner that requires tokens (-tenant-require)
-// re-verifies the same identity instead of refusing the query.
-func (p *Peer) routeStatus(user, token, id string, detail bool) (*dgl.FlowStatus, error) {
+// placeStatus is the server's status router: it decides where a status
+// query is answered. nil means here, from the local engine; otherwise
+// the query is one routing hop away, over the returned pooled client of
+// the peer named by the id's prefix.
+func (p *Peer) placeStatus(id string) (*Client, error) {
 	engine := p.server.Engine()
 	o := engine.Obs()
 	owner := OwnerOf(id)
@@ -872,40 +883,40 @@ func (p *Peer) routeStatus(user, token, id string, detail bool) (*dgl.FlowStatus
 		execID = id[:i]
 	}
 	local := owner == "" || owner == p.Name
+	_, resident := engine.Execution(execID)
 	if !local && p.replReceiver != nil {
 		// A promoted execution keeps its dead owner's id prefix. If it
 		// now lives here — resident after adoption, or parked in our
 		// store — answer locally instead of forwarding to a peer that
-		// no longer exists.
-		if _, ok := engine.Execution(execID); ok {
-			local = true
-		} else if _, err := engine.ResurrectFor(execID, "promotion"); err == nil {
-			local = true
-		}
+		// no longer exists. Every forwarded poll passes this way, so the
+		// store's index is asked before anything is resurrected.
+		local = resident || p.resurrect(execID, "promotion")
+	} else if local && !resident {
+		// A routed query can land on the owner of a passivated
+		// execution — e.g. a peer asking after a flow whose
+		// delegating parent was evicted to the store. Resurrect it
+		// under the federation label; Engine.Status would do it too,
+		// but would attribute the wake-up to "status".
+		p.resurrect(execID, "federation")
 	}
 	if local {
 		o.Counter("wire_peer_status_local_total").Inc()
-		if _, ok := engine.Execution(execID); !ok {
-			// A routed query can land on the owner of a passivated
-			// execution — e.g. a peer asking after a flow whose
-			// delegating parent was evicted to the store. Resurrect it
-			// under the federation label; Engine.Status below would do
-			// it too, but would attribute the wake-up to "status".
-			_, _ = engine.ResurrectFor(execID, "federation")
-		}
-		st, err := engine.Status(id, detail)
-		if err != nil {
-			return nil, err
-		}
-		return &st, nil
+		return nil, nil
 	}
 	// Each forward is one routing hop through the datagridflow network.
 	o.Counter("wire_peer_forwards_total", "peer", owner).Inc()
-	client, err := p.clientFor(owner)
-	if err != nil {
-		return nil, err
+	return p.clientFor(owner)
+}
+
+// resurrect wakes an execution parked in this peer's store, if its
+// index holds one under the id, and reports whether it is now resident.
+func (p *Peer) resurrect(execID, path string) bool {
+	engine := p.server.Engine()
+	if st := engine.Store(); st == nil || !st.Has(execID) {
+		return false
 	}
-	return client.statusAs(user, token, id, detail)
+	_, err := engine.ResurrectFor(execID, path)
+	return err == nil
 }
 
 // SubmitTo submits a flow to a named peer (itself included).

@@ -140,6 +140,14 @@ func TestReplicationStreamPromoteAdopt(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+	// The adopted flow keeps its dead owner's prefix; a poll for it is
+	// placed here, not forwarded to a peer that no longer exists.
+	if owner, err := b.placeStatus(execID); err != nil || owner != nil {
+		t.Fatalf("poll for the adopted flow placed on %v, %v; want this peer", owner, err)
+	}
+	if st, err := dialMux(t, b.Addr()).Status("user", execID, true); err != nil || st.State != "succeeded" {
+		t.Fatalf("status of the adopted flow over the wire: %+v, %v", st, err)
+	}
 	// Promotion is sticky: another refresh must not double-adopt.
 	b.refreshReplication([]string{"peerB"})
 	if got := eb.Obs().Counter("repl_promoted_flows_total", "source", "peerA").Value(); got != 1 {

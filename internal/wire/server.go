@@ -95,17 +95,17 @@ type Server struct {
 	engine *matrix.Engine
 	cfg    ServerConfig
 	adm    *scheduler.Admission
-	// statusRouter, when set (by a Peer, before Listen), answers DGL
-	// status queries — routing ids owned by other peers across the
-	// network. Plain servers leave it nil and answer from the engine.
-	// token is the caller's bearer token, forwarded on the peer hop so a
-	// fleet that requires tokens still answers cross-peer queries.
-	statusRouter func(user, token, id string, detail bool) (*dgl.FlowStatus, error)
+	// statusRouter, when set (by a Peer, before Listen), places DGL
+	// status queries on the peer network: it returns the pooled client of
+	// the peer that owns the id, or nil when this server answers from its
+	// own engine. Plain servers leave it nil and always answer locally.
+	statusRouter func(id string) (*Client, error)
 	// submitRouter, when set (by a sharded Peer, before Listen), owns
 	// flow submissions entirely: it routes to the shard owner or accepts
-	// locally, returning the response to send. Plain servers leave it
-	// nil and submit to the engine directly.
-	submitRouter func(req *dgl.Request) *dgl.Response
+	// locally, returning the response to send — as a Response, or as the
+	// response document the owner answered with, to be passed on. Plain
+	// servers leave it nil and submit to the engine directly.
+	submitRouter func(req *dgl.Request) (resp *dgl.Response, doc string)
 	// routeHandler, when set (by a sharded Peer, before Listen),
 	// services KindRoute frames — the terminal hop of shard routing.
 	routeHandler func(rt Route) RouteResult
@@ -327,112 +327,237 @@ func (s *Server) serveConn(conn net.Conn) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	remote := conn.RemoteAddr().String()
+	fc := newFrameConn(conn, o.Counter("wire_flushes_total"))
+	rp := new(reply)
 	for {
-		kind, payload, err := ReadFrame(conn)
+		fr, err := fc.r.next(false)
 		if err != nil {
 			return // EOF or broken connection
 		}
-		k := kindName(kind)
+		k := kindName(fr.kind)
 		o.Counter("wire_frames_in_total", "kind", k).Inc()
-		o.Counter("wire_bytes_in_total").Add(int64(len(payload)) + frameHeaderLen)
+		o.Counter("wire_bytes_in_total").Add(int64(len(fr.payload)) + frameHeaderLen)
 		if s.connFault() {
 			return // injected crash/drop: sever without a response
 		}
 		started := s.engine.Clock().Now()
 		o.StartSpan("request", k, remote)
-		if kind != KindDGL && kind != KindControl && kind != KindBatch && kind != KindDelegate && kind != KindRoute && kind != KindReplicate {
+		if k == "unknown" {
 			o.EndSpan("request", k, remote, obs.Attr{Key: "outcome", Value: "protocol-violation"})
 			return // protocol violation
 		}
-		data, enc, upgrade, err := s.handleFrame(ctx, kind, payload, false)
+		upgrade, err := s.handleFrame(ctx, fr.kind, fr.payload, false, rp)
 		if err != nil {
-			if enc != nil {
-				codec.PutEncoder(enc)
-			}
+			rp.release()
 			o.EndSpan("request", k, remote, obs.Attr{Key: "outcome", Value: "encode-error"})
 			return
 		}
 		o.Histogram("wire_request_seconds", "type", k).Observe(s.engine.Clock().Now().Sub(started).Seconds())
 		o.EndSpan("request", k, remote, obs.Attr{Key: "outcome", Value: "ok"})
-		werr := WriteFrame(conn, kind, data)
-		if enc != nil {
-			codec.PutEncoder(enc)
-		}
+		werr := fc.w.write(fr.kind, 0, false, rp.bytes())
+		sent := len(rp.bytes())
+		rp.release()
+		fr.release()
 		if werr != nil {
 			return
 		}
 		o.Counter("wire_frames_out_total", "kind", k).Inc()
-		o.Counter("wire_bytes_out_total").Add(int64(len(data)) + frameHeaderLen)
+		o.Counter("wire_bytes_out_total").Add(int64(sent) + frameHeaderLen)
 		if upgrade {
 			// The hello reply above committed both ends to mux framing.
-			s.serveMux(ctx, conn, remote)
+			s.serveMux(ctx, fc, remote)
 			return
 		}
 	}
 }
 
-// serveMux runs the multiplexed (>= 1.2) protocol loop: each frame is
-// dispatched to its own handler goroutine — bounded per connection by
-// muxConnWindow and globally by the admission scheduler — and responses
-// are written under a shared lock as they complete, correlated by
-// request id.
-func (s *Server) serveMux(ctx context.Context, conn net.Conn, remote string) {
+// muxSession is one connection under mux framing: the read loop hands
+// each frame to a worker of the session's set.
+type muxSession struct {
+	s      *Server
+	ctx    context.Context
+	fc     *frameConn
+	remote string
+	// jobs is unbuffered: a send succeeds only into a worker that is
+	// waiting, which is how the read loop learns that none is.
+	jobs chan frame
+}
+
+// serveMux runs the multiplexed (>= 1.2) protocol loop: each frame goes
+// to a handler of the connection's worker set — grown on demand, bounded
+// per connection by muxConnWindow and globally by the admission
+// scheduler — and responses are written through the connection's frame
+// writer as they complete, correlated by request id.
+func (s *Server) serveMux(ctx context.Context, fc *frameConn, remote string) {
 	o := s.engine.Obs()
-	var writeMu sync.Mutex
-	window := make(chan struct{}, muxConnWindow)
+	ms := &muxSession{s: s, ctx: ctx, fc: fc, remote: remote, jobs: make(chan frame)}
+	defer close(ms.jobs) // the workers finish what they hold and exit
+	workers := 0
 	for {
-		kind, id, payload, err := ReadMuxFrame(conn)
+		fr, err := fc.r.next(true)
 		if err != nil {
 			return // EOF or broken connection
 		}
-		k := kindName(kind)
+		k := kindName(fr.kind)
 		o.Counter("wire_frames_in_total", "kind", k).Inc()
-		o.Counter("wire_bytes_in_total").Add(int64(len(payload)) + muxHeaderLen)
+		o.Counter("wire_bytes_in_total").Add(int64(len(fr.payload)) + muxHeaderLen)
 		if s.connFault() {
 			return // injected crash/drop: sever without a response
 		}
-		if kind != KindDGL && kind != KindControl && kind != KindBatch && kind != KindDelegate && kind != KindRoute && kind != KindReplicate {
+		if k == "unknown" {
 			o.EndSpan("request", k, remote, obs.Attr{Key: "outcome", Value: "protocol-violation"})
 			return // protocol violation: sever, as in serial mode
 		}
-		window <- struct{}{} // per-connection backpressure
-		s.wg.Add(1)
-		go func(kind byte, id uint64, payload []byte) {
-			defer s.wg.Done()
-			defer func() { <-window }()
-			s.handleMuxFrame(ctx, conn, &writeMu, kind, id, payload, remote)
-		}(kind, id, payload)
+		select {
+		case ms.jobs <- fr:
+		default:
+			if workers < muxConnWindow {
+				workers++
+				s.wg.Add(1)
+				go ms.work(fr)
+			} else {
+				ms.jobs <- fr // per-connection backpressure
+			}
+		}
 	}
 }
 
-// handleMuxFrame services one pipelined frame and writes its response.
-func (s *Server) handleMuxFrame(ctx context.Context, conn net.Conn, writeMu *sync.Mutex, kind byte, id uint64, payload []byte, remote string) {
+// work handles frames until the session ends, starting with first.
+func (ms *muxSession) work(first frame) {
+	defer ms.s.wg.Done()
+	rp := new(reply)
+	for fr, ok := first, true; ok; fr, ok = <-ms.jobs {
+		ms.handle(fr, rp)
+	}
+}
+
+// handle services one pipelined frame and writes its response. The
+// frame's payload goes back to the pool once the response is written.
+func (ms *muxSession) handle(fr frame, rp *reply) {
+	s, remote := ms.s, ms.remote
 	o := s.engine.Obs()
-	k := kindName(kind)
+	k := kindName(fr.kind)
 	started := s.engine.Clock().Now()
 	o.StartSpan("request", k, remote)
-	data, enc, _, err := s.handleFrame(ctx, kind, payload, true) // no re-upgrade on a muxed session
+	_, err := s.handleFrame(ms.ctx, fr.kind, fr.payload, true, rp) // no re-upgrade on a muxed session
 	if err != nil {
-		if enc != nil {
-			codec.PutEncoder(enc)
-		}
+		rp.release()
 		o.EndSpan("request", k, remote, obs.Attr{Key: "outcome", Value: "encode-error"})
-		conn.Close() // mirror serial behaviour: an unmarshalable response severs
+		ms.fc.Close() // mirror serial behaviour: an unmarshalable response severs
 		return
 	}
 	o.Histogram("wire_request_seconds", "type", k).Observe(s.engine.Clock().Now().Sub(started).Seconds())
 	o.EndSpan("request", k, remote, obs.Attr{Key: "outcome", Value: "ok"})
-	writeMu.Lock()
-	err = WriteMuxFrame(conn, kind, id, data)
-	writeMu.Unlock()
-	if enc != nil {
-		codec.PutEncoder(enc)
-	}
+	err = ms.fc.w.write(fr.kind, fr.id, true, rp.bytes())
+	sent := len(rp.bytes())
+	rp.release()
+	fr.release()
 	if err != nil {
 		return // connection gone; the read loop will notice too
 	}
 	o.Counter("wire_frames_out_total", "kind", k).Inc()
-	o.Counter("wire_bytes_out_total").Add(int64(len(data)) + muxHeaderLen)
+	o.Counter("wire_bytes_out_total").Add(int64(sent) + muxHeaderLen)
+}
+
+// reply is one response being built — its bytes and what they borrow —
+// with the writers a status reply is streamed through. A connection's
+// serial loop and each of its mux workers keeps one and reuses it.
+type reply struct {
+	enc   *codec.Encoder // a binary reply is what it holds
+	data  []byte         // any other reply
+	text  *[]byte        // data is this pooled buffer: an XML reply
+	relay frame          // data is its payload: the owner's reply, relayed as it came
+
+	bw codec.ResponseWriter
+	xw dgl.ResponseWriter
+}
+
+// release gives back what the reply borrowed, once it is written.
+func (r *reply) release() {
+	if r.enc != nil {
+		codec.PutEncoder(r.enc)
+		r.enc = nil
+	}
+	if r.text != nil {
+		textBufs.Put(r.text)
+		r.text = nil
+	}
+	r.relay.release()
+	r.data = nil
+}
+
+// bytes returns the response to write.
+func (r *reply) bytes() []byte {
+	if r.enc != nil {
+		return r.enc.Bytes()
+	}
+	return r.data
+}
+
+// binary starts a binary reply: what is encoded into the returned
+// encoder is the response.
+func (r *reply) binary() *codec.Encoder {
+	r.enc = codec.GetEncoder()
+	return r.enc
+}
+
+// xml starts an XML reply: the document is appended to the returned
+// pooled buffer and handed to setXML.
+func (r *reply) xml() []byte {
+	r.text = textBufs.Get().(*[]byte)
+	return (*r.text)[:0]
+}
+
+func (r *reply) setXML(doc []byte) { *r.text, r.data = doc, doc }
+
+// response encodes a materialised response document.
+func (r *reply) response(resp *dgl.Response, bin bool) {
+	if bin {
+		codec.AppendResponse(r.binary(), resp)
+		return
+	}
+	doc, _ := dgl.AppendXML(r.xml(), resp) // a *Response always renders
+	r.setXML(doc)
+}
+
+// forward leaves in the reply a response document another peer answered
+// with — the owner of a polled id, the owner of a routed submission's
+// shard: as it came for a binary session (doc must stay valid until the
+// reply is released), transcoded for an XML one, and with no
+// dgl.Response built in between either way.
+func (r *reply) forward(doc []byte, bin bool) {
+	switch {
+	case !codec.IsBinary(doc):
+		// The link to that peer did not negotiate the codec (a pre-1.4
+		// peer): its XML is read, and written again for this session.
+		resp, err := dgl.ParseResponse(doc)
+		if err != nil {
+			r.fail(err, bin)
+			return
+		}
+		r.response(resp, bin)
+	case bin:
+		r.data = doc
+	default:
+		out, err := codec.ResponseXML(&r.xw, r.xml(), doc)
+		if err != nil {
+			r.release()
+			r.fail(err, bin)
+			return
+		}
+		r.setXML(out)
+	}
+}
+
+// fail encodes an error response.
+func (r *reply) fail(err error, bin bool) {
+	r.response(&dgl.Response{Error: dgferr.Encode(err)}, bin)
+}
+
+// json encodes a legacy JSON envelope.
+func (r *reply) json(v any) (err error) {
+	r.data, err = json.Marshal(v)
+	return err
 }
 
 // binaryOK reports whether this server's advertised version admits
@@ -440,12 +565,14 @@ func (s *Server) handleMuxFrame(ctx context.Context, conn net.Conn, writeMu *syn
 func (s *Server) binaryOK() bool { return s.minor() >= binaryMinor }
 
 // handleFrame services one frame payload — shared by the serial loop
-// and the mux dispatcher. The response mirrors the request's encoding:
+// and the mux workers — and leaves the response in rp, which the caller
+// writes and then releases. The response mirrors the request's encoding:
 // a binary payload gets a binary reply, a legacy payload gets XML/JSON.
-// When enc is non-nil, data aliases its buffer and the caller must
-// codec.PutEncoder(enc) after writing (or on error). muxed suppresses
-// the hello upgrade, which is meaningless on an already-muxed session.
-func (s *Server) handleFrame(ctx context.Context, kind byte, payload []byte, muxed bool) (data []byte, enc *codec.Encoder, upgrade bool, err error) {
+// payload is the frame's pooled buffer, valid until the caller releases
+// the frame: nothing decoded from it may alias it beyond the handler.
+// muxed suppresses the hello upgrade, which is meaningless on an
+// already-muxed session.
+func (s *Server) handleFrame(ctx context.Context, kind byte, payload []byte, muxed bool, rp *reply) (upgrade bool, err error) {
 	o := s.engine.Obs()
 	bin := codec.IsBinary(payload)
 	if bin && !s.binaryOK() {
@@ -453,24 +580,24 @@ func (s *Server) handleFrame(ctx context.Context, kind byte, payload []byte, mux
 		// not grounds to sever: answer with a protocol-class error in the
 		// legacy encoding, which every client can read (responses are
 		// sniffed, never assumed).
-		perr := dgferr.Encode(fmt.Errorf(
+		perr := fmt.Errorf(
 			"%w: binary payloads need protocol >= %s, server advertises %s",
-			dgferr.ErrProtocol, ProtoVersion(ProtoMajor, binaryMinor), s.proto()))
+			dgferr.ErrProtocol, ProtoVersion(ProtoMajor, binaryMinor), s.proto())
 		switch kind {
 		case KindDGL:
-			data, err = dgl.Marshal(&dgl.Response{Error: perr})
+			rp.fail(perr, false)
 		case KindControl:
-			data, err = json.Marshal(ControlResult{Error: perr})
+			err = rp.json(ControlResult{Error: dgferr.Encode(perr)})
 		case KindBatch:
-			data, err = json.Marshal(BatchResult{Error: perr})
+			err = rp.json(BatchResult{Error: dgferr.Encode(perr)})
 		case KindDelegate:
-			data, err = json.Marshal(DelegateResult{Error: perr})
+			err = rp.json(DelegateResult{Error: dgferr.Encode(perr)})
 		case KindRoute:
-			data, err = json.Marshal(RouteResult{Error: perr})
+			err = rp.json(RouteResult{Error: dgferr.Encode(perr)})
 		case KindReplicate:
-			data, err = json.Marshal(ReplicateResult{Error: perr})
+			err = rp.json(ReplicateResult{Error: dgferr.Encode(perr)})
 		}
-		return data, nil, false, err
+		return false, err
 	}
 	if !bin && s.binaryOK() && kind != KindControl {
 		// A legacy payload on a binary-capable server: a pre-1.4 peer, or
@@ -480,14 +607,7 @@ func (s *Server) handleFrame(ctx context.Context, kind byte, payload []byte, mux
 	}
 	switch kind {
 	case KindDGL:
-		resp := s.serveDGL(ctx, payload)
-		if bin {
-			enc = codec.GetEncoder()
-			codec.AppendResponse(enc, resp)
-			data = enc.Bytes()
-		} else {
-			data, err = dgl.Marshal(resp)
-		}
+		s.serveDGL(ctx, payload, rp)
 	case KindControl:
 		var res ControlResult
 		res, upgrade = s.serveControl(payload)
@@ -495,46 +615,38 @@ func (s *Server) handleFrame(ctx context.Context, kind byte, payload []byte, mux
 			upgrade = false
 		}
 		if bin {
-			enc = codec.GetEncoder()
-			appendControlResult(enc, &res)
-			data = enc.Bytes()
+			appendControlResult(rp.binary(), &res)
 		} else {
-			data, err = json.Marshal(res)
+			err = rp.json(res)
 		}
 	case KindBatch:
-		data, enc, err = s.serveBatch(ctx, payload)
+		err = s.serveBatch(ctx, payload, rp)
 	case KindDelegate:
 		res := s.serveDelegate(ctx, payload)
 		if bin {
-			enc = codec.GetEncoder()
-			appendDelegateResult(enc, &res)
-			data = enc.Bytes()
+			appendDelegateResult(rp.binary(), &res)
 		} else {
-			data, err = json.Marshal(res)
+			err = rp.json(res)
 		}
 	case KindRoute:
 		res := s.serveRoute(ctx, payload)
 		if bin {
-			enc = codec.GetEncoder()
-			appendRouteResult(enc, &res)
-			data = enc.Bytes()
+			appendRouteResult(rp.binary(), &res)
 		} else {
-			data, err = json.Marshal(res)
+			err = rp.json(res)
 		}
 	case KindReplicate:
 		res := s.serveReplicate(payload)
 		if bin {
-			enc = codec.GetEncoder()
-			appendReplicateResult(enc, &res)
-			data = enc.Bytes()
+			appendReplicateResult(rp.binary(), &res)
 		} else {
-			data, err = json.Marshal(res)
+			err = rp.json(res)
 		}
 	}
-	if enc != nil && err == nil {
-		o.Counter("codec_encode_bytes_total").Add(int64(len(data)))
+	if rp.enc != nil && err == nil {
+		o.Counter("codec_encode_bytes_total").Add(int64(len(rp.bytes())))
 	}
-	return data, enc, upgrade, err
+	return upgrade, err
 }
 
 // admit runs a request through the admission scheduler, tracking the
@@ -559,54 +671,108 @@ func (s *Server) release() {
 }
 
 // serveDGL parses one DGL request, runs it through admission, and
-// services it. Errors become error responses rather than dropped
-// connections — clients always get an answer per request.
-func (s *Server) serveDGL(ctx context.Context, payload []byte) *dgl.Response {
+// services it into rp, in the request's encoding. Errors become error
+// responses rather than dropped connections — clients always get an
+// answer per request.
+func (s *Server) serveDGL(ctx context.Context, payload []byte, rp *reply) {
+	bin := codec.IsBinary(payload)
 	req, err := codec.DecodeRequestDoc(payload)
 	if err != nil {
-		return &dgl.Response{Error: dgferr.Encode(err)}
+		rp.fail(err, bin)
+		return
 	}
 	id := req.User.Name
 	if s.tenancyOn() {
 		id, err = s.resolveTenant(req.Token, req.User.Name)
 		if err != nil {
-			return &dgl.Response{Error: dgferr.Encode(err)}
+			rp.fail(err, bin)
+			return
 		}
 		// The verified identity is the accounting identity everywhere
 		// downstream: engine, store charges, provenance.
 		req.User.Name = id
 		if s.tenants != nil && req.Flow != nil {
 			if err := s.tenants.AllowSubmit(id); err != nil {
-				return &dgl.Response{Error: dgferr.Encode(err)}
+				rp.fail(err, bin)
+				return
 			}
 		}
 	}
 	if err := s.admit(ctx, id); err != nil {
-		return &dgl.Response{Error: dgferr.Encode(err)}
+		rp.fail(err, bin)
+		return
 	}
 	defer s.release()
-	return s.dispatchDGL(req)
+	s.dispatchDGL(req, bin, rp)
 }
 
-// dispatchDGL services a decoded, admitted DGL request.
-func (s *Server) dispatchDGL(req *dgl.Request) *dgl.Response {
-	if q := req.StatusQuery; q != nil && req.Flow == nil && s.statusRouter != nil {
-		st, err := s.statusRouter(req.User.Name, req.Token, q.ID, q.Detail)
-		if err != nil {
-			return &dgl.Response{Error: dgferr.Encode(err)}
-		}
-		return &dgl.Response{Status: st}
+// dispatchDGL services a decoded, admitted DGL request into rp.
+func (s *Server) dispatchDGL(req *dgl.Request, bin bool, rp *reply) {
+	if req.StatusQuery != nil && req.Flow == nil {
+		s.serveStatus(req, bin, rp)
+		return
 	}
 	if req.Flow != nil && s.submitRouter != nil {
 		// A sharded peer owns flow placement: route to the shard owner or
 		// accept locally, per the request's route preference.
-		return s.submitRouter(req)
+		if resp, doc := s.submitRouter(req); resp != nil {
+			rp.response(resp, bin)
+		} else {
+			rp.forward([]byte(doc), bin)
+		}
+		return
 	}
 	resp, err := s.engine.Submit(req)
 	if err != nil {
-		return &dgl.Response{Error: dgferr.Encode(err)}
+		rp.fail(err, bin)
+		return
 	}
-	return resp
+	rp.response(resp, bin)
+}
+
+// serveStatus answers a status query. An id this server answers for is
+// encoded from the execution's node tree straight into the reply
+// buffer; one the router places on another peer is asked of its owner,
+// whose reply is relayed as it came to a binary session and transcoded
+// to XML for a text one (error replies the same) — no dgl.Response or
+// FlowStatus is built on the way.
+func (s *Server) serveStatus(req *dgl.Request, bin bool, rp *reply) {
+	q := req.StatusQuery
+	if s.statusRouter != nil {
+		owner, err := s.statusRouter(q.ID)
+		if err != nil {
+			rp.fail(err, bin)
+			return
+		}
+		if owner != nil {
+			s.relayStatus(owner, req, bin, rp)
+			return
+		}
+	}
+	if bin {
+		rp.bw.Begin(rp.binary())
+		rp.bw.End(dgferr.Encode(s.engine.WalkStatus(q.ID, q.Detail, &rp.bw)))
+		return
+	}
+	rp.xw.Begin(rp.xml())
+	rp.setXML(rp.xw.End(dgferr.Encode(s.engine.WalkStatus(q.ID, q.Detail, &rp.xw))))
+}
+
+// relayStatus forwards a status query to the peer that owns the id and
+// passes its reply on.
+func (s *Server) relayStatus(owner *Client, req *dgl.Request, bin bool, rp *reply) {
+	// The caller's token rides the hop the way Route.Token does for
+	// submissions, so an owner that requires tokens re-verifies the same
+	// identity instead of refusing the query.
+	fwd := dgl.NewStatusRequest(req.User.Name, req.StatusQuery.ID, req.StatusQuery.Detail)
+	fwd.Token = req.Token
+	fr, err := owner.exchange(context.Background(), fwd)
+	if err != nil {
+		rp.fail(err, bin)
+		return
+	}
+	rp.relay = fr // the reply may be its payload as it is
+	rp.forward(fr.payload, bin)
 }
 
 // serveRoute services a KindRoute frame — the terminal hop of shard
@@ -688,19 +854,17 @@ func (s *Server) serveReplicate(payload []byte) ReplicateResult {
 // (it is one frame of one user); items fail independently via per-item
 // error responses. The reply envelope mirrors the request envelope's
 // encoding, and each item's response mirrors that item's encoding —
-// a binary envelope may legally carry XML items. Returns encoded reply
-// bytes directly (per-item encodings vary, so the caller can't encode);
-// the same enc contract as handleFrame applies.
-func (s *Server) serveBatch(ctx context.Context, payload []byte) ([]byte, *codec.Encoder, error) {
+// a binary envelope may legally carry XML items. Each item is answered
+// into rp and moved into the envelope, which is what rp holds at the
+// end.
+func (s *Server) serveBatch(ctx context.Context, payload []byte, rp *reply) error {
 	bin := codec.IsBinary(payload)
-	fail := func(ferr error) ([]byte, *codec.Encoder, error) {
+	fail := func(ferr error) error {
 		if bin {
-			enc := codec.GetEncoder()
-			appendBatchResult(enc, false, dgferr.Encode(ferr), nil)
-			return enc.Bytes(), enc, nil
+			appendBatchResult(rp.binary(), false, dgferr.Encode(ferr), nil)
+			return nil
 		}
-		data, jerr := json.Marshal(BatchResult{Error: dgferr.Encode(ferr)})
-		return data, nil, jerr
+		return rp.json(BatchResult{Error: dgferr.Encode(ferr)})
 	}
 	var user, token string
 	var items [][]byte
@@ -734,66 +898,57 @@ func (s *Server) serveBatch(ctx context.Context, payload []byte) ([]byte, *codec
 		return fail(err)
 	}
 	defer s.release()
-	out := make([][]byte, len(items))
+	var env *codec.Encoder
+	var docs []string
+	if bin {
+		env = codec.GetEncoder()
+		appendBatchResult(env, true, "", nil)
+	} else {
+		docs = make([]string, len(items))
+	}
 	for i, doc := range items {
-		var resp *dgl.Response
-		req, err := codec.DecodeRequestDoc(doc)
-		if err != nil {
-			resp = &dgl.Response{Error: dgferr.Encode(err)}
+		s.serveBatchItem(doc, id, rp)
+		if bin {
+			appendBatchResponse(env, rp.bytes())
 		} else {
-			if s.tenancyOn() {
-				// Items run under the envelope's verified identity: an
-				// authenticated batch cannot smuggle items for another
-				// tenant, and each flow item is rate-charged on its own.
-				if s.auth != nil && req.User.Name != "" && req.User.Name != id {
-					resp = &dgl.Response{Error: dgferr.Encode(fmt.Errorf(
-						"%w: batch item user %q does not match tenant %q",
-						dgferr.ErrAuth, req.User.Name, id))}
-					out[i] = encodeBatchItem(doc, resp, i)
-					continue
-				}
-				req.User.Name = id
-				if s.tenants != nil && req.Flow != nil {
-					if err := s.tenants.AllowSubmit(id); err != nil {
-						resp = &dgl.Response{Error: dgferr.Encode(err)}
-						out[i] = encodeBatchItem(doc, resp, i)
-						continue
-					}
-				}
-			}
-			resp = s.dispatchDGL(req)
+			docs[i] = string(rp.bytes())
 		}
-		out[i] = encodeBatchItem(doc, resp, i)
+		rp.release()
 	}
 	if bin {
-		enc := codec.GetEncoder()
-		appendBatchResult(enc, true, "", out)
-		return enc.Bytes(), enc, nil
+		rp.enc = env
+		return nil
 	}
-	strs := make([]string, len(out))
-	for i, d := range out {
-		strs[i] = string(d)
-	}
-	data, err := json.Marshal(BatchResult{OK: true, Responses: strs})
-	return data, nil, err
+	return rp.json(BatchResult{OK: true, Responses: docs})
 }
 
-// encodeBatchItem renders one batch item's response in the item's own
+// serveBatchItem answers one batch item into rp, in the item's own
 // encoding (binary items get binary replies, XML items XML).
-func encodeBatchItem(doc []byte, resp *dgl.Response, i int) []byte {
-	if codec.IsBinary(doc) {
-		ie := codec.GetEncoder()
-		codec.AppendResponse(ie, resp)
-		data := append([]byte(nil), ie.Bytes()...)
-		codec.PutEncoder(ie)
-		return data
-	}
-	data, err := dgl.Marshal(resp)
+func (s *Server) serveBatchItem(doc []byte, tenantID string, rp *reply) {
+	bin := codec.IsBinary(doc)
+	req, err := codec.DecodeRequestDoc(doc)
 	if err != nil {
-		data, _ = dgl.Marshal(&dgl.Response{Error: dgferr.Encode(
-			fmt.Errorf("%w: encoding batch item %d: %v", dgferr.ErrInvalid, i, err))})
+		rp.fail(err, bin)
+		return
 	}
-	return data
+	if s.tenancyOn() {
+		// Items run under the envelope's verified identity: an
+		// authenticated batch cannot smuggle items for another
+		// tenant, and each flow item is rate-charged on its own.
+		if s.auth != nil && req.User.Name != "" && req.User.Name != tenantID {
+			rp.fail(fmt.Errorf("%w: batch item user %q does not match tenant %q",
+				dgferr.ErrAuth, req.User.Name, tenantID), bin)
+			return
+		}
+		req.User.Name = tenantID
+		if s.tenants != nil && req.Flow != nil {
+			if err := s.tenants.AllowSubmit(tenantID); err != nil {
+				rp.fail(err, bin)
+				return
+			}
+		}
+	}
+	s.dispatchDGL(req, bin, rp)
 }
 
 // serveDelegate services a KindDelegate frame: run the embedded subflow

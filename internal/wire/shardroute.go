@@ -78,12 +78,14 @@ func (p *Peer) ShardManager() *shard.Manager { return p.shardMgr }
 // here; anything else resolves the shard owner and forwards, with
 // bounded retries across ownership movement and a local-accept
 // fallback when no owner is reachable — availability over placement.
-func (p *Peer) routeSubmit(req *dgl.Request) *dgl.Response {
+// A routed submission is answered with the owner's response document,
+// which the server passes on without decoding it.
+func (p *Peer) routeSubmit(req *dgl.Request) (resp *dgl.Response, doc string) {
 	mgr := p.shardMgr
 	key := RoutingKey(req.User.Name, req.Flow.Name)
 	sh := mgr.ShardOf(key)
 	if req.Route == dgl.RouteLocal {
-		return p.acceptLocal(req, sh, "local")
+		return p.acceptLocal(req, sh, "local"), ""
 	}
 	holder, ok := mgr.OwnerOfShard(sh)
 	if !ok {
@@ -94,11 +96,11 @@ func (p *Peer) routeSubmit(req *dgl.Request) *dgl.Response {
 			holder, ok = h, true
 		}
 		if !ok {
-			return p.acceptLocal(req, sh, "unassigned")
+			return p.acceptLocal(req, sh, "unassigned"), ""
 		}
 	}
 	if holder == p.Name {
-		return p.acceptLocal(req, sh, "local")
+		return p.acceptLocal(req, sh, "local"), ""
 	}
 	// The token rides the route envelope so the owning peer re-verifies
 	// the same identity the accepting peer did (docs/TENANCY.md).
@@ -114,7 +116,7 @@ func (p *Peer) routeSubmit(req *dgl.Request) *dgl.Response {
 			}
 			holder = next
 			if holder == p.Name {
-				return p.acceptLocal(req, sh, "failover")
+				return p.acceptLocal(req, sh, "failover"), ""
 			}
 			continue
 		}
@@ -122,11 +124,11 @@ func (p *Peer) routeSubmit(req *dgl.Request) *dgl.Response {
 			// The owner predates wire 1.5: it cannot accept a route frame,
 			// so the flow stays where it was submitted — mixed-version
 			// interop keeps every peer accepting (docs/WIRE.md).
-			return p.acceptLocal(req, sh, "unsupported")
+			return p.acceptLocal(req, sh, "unsupported"), ""
 		}
 		var err error
 		if rt.Request, err = client.EncodeRequest(req); err != nil {
-			return &dgl.Response{Error: dgferr.Encode(err)}
+			return &dgl.Response{Error: dgferr.Encode(err)}, ""
 		}
 		res, rerr := client.Route(context.Background(), rt)
 		if res == nil {
@@ -139,7 +141,7 @@ func (p *Peer) routeSubmit(req *dgl.Request) *dgl.Response {
 			}
 			holder = next
 			if holder == p.Name {
-				return p.acceptLocal(req, sh, "failover")
+				return p.acceptLocal(req, sh, "failover"), ""
 			}
 			continue
 		}
@@ -154,7 +156,7 @@ func (p *Peer) routeSubmit(req *dgl.Request) *dgl.Response {
 			}
 			holder = next
 			if holder == p.Name {
-				return p.acceptLocal(req, sh, "failover")
+				return p.acceptLocal(req, sh, "failover"), ""
 			}
 			continue
 		}
@@ -162,19 +164,14 @@ func (p *Peer) routeSubmit(req *dgl.Request) *dgl.Response {
 			// The owner ran (or refused) the submission and reported a
 			// typed failure — that is the answer, not a routing problem.
 			p.countRoute("routed")
-			return &dgl.Response{Error: dgferr.Encode(rerr)}
-		}
-		resp, perr := parseResponsePayload([]byte(res.Response))
-		if perr != nil {
-			return &dgl.Response{Error: dgferr.Encode(
-				fmt.Errorf("%w: bad routed response: %v", dgferr.ErrInvalid, perr))}
+			return &dgl.Response{Error: dgferr.Encode(rerr)}, ""
 		}
 		p.countRoute("routed")
-		return resp
+		return nil, res.Response
 	}
 	// Retries exhausted with no reachable owner: keep the flow here so
 	// the submission survives the owner's death (E15's failover path).
-	return p.acceptLocal(req, sh, "failover")
+	return p.acceptLocal(req, sh, "failover"), ""
 }
 
 // acceptLocal pins a submission to this peer's engine, tracking owned
