@@ -1,44 +1,14 @@
 package datagridflow
 
-// bench_test.go holds one testing.B benchmark per experiment (E1–E11).
-// Each bench runs the same code path as `dgfbench -exp <id>` at Small
-// scale, so `go test -bench=.` regenerates every figure/claim quickly
-// and `cmd/dgfbench` (Full scale) produces the numbers recorded in
-// EXPERIMENTS.md. Per-package micro-benchmarks live next to the code
-// they measure.
+// bench_test.go holds the public facade's one benchmark. Experiments
+// (E1–E18) are run by `go run ./cmd/dgfbench` and by
+// TestAllExperimentsSmall in internal/experiments; per-package
+// micro-benchmarks live next to the code they measure.
 
 import (
 	"fmt"
 	"testing"
-
-	"datagridflow/internal/experiments"
 )
-
-func benchExperiment(b *testing.B, run func(experiments.Scale) (*experiments.Report, error)) {
-	b.Helper()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r, err := run(experiments.Small)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(r.Rows) == 0 {
-			b.Fatal("empty report")
-		}
-	}
-}
-
-func BenchmarkE1FlowRoundTrip(b *testing.B)    { benchExperiment(b, experiments.E1FlowSchema) }
-func BenchmarkE2RequestRoundTrip(b *testing.B) { benchExperiment(b, experiments.E2RequestSchema) }
-func BenchmarkE3ControlPatterns(b *testing.B)  { benchExperiment(b, experiments.E3ControlPatterns) }
-func BenchmarkE4AsyncStatus(b *testing.B)      { benchExperiment(b, experiments.E4AsyncStatus) }
-func BenchmarkE5Scalability(b *testing.B)      { benchExperiment(b, experiments.E5Scalability) }
-func BenchmarkE6ImplodingStar(b *testing.B)    { benchExperiment(b, experiments.E6ImplodingStar) }
-func BenchmarkE7ExplodingStar(b *testing.B)    { benchExperiment(b, experiments.E7ExplodingStar) }
-func BenchmarkE8Triggers(b *testing.B)         { benchExperiment(b, experiments.E8Triggers) }
-func BenchmarkE9Planner(b *testing.B)          { benchExperiment(b, experiments.E9Planner) }
-func BenchmarkE10LongRun(b *testing.B)         { benchExperiment(b, experiments.E10LongRun) }
-func BenchmarkE11HSMvsILM(b *testing.B)        { benchExperiment(b, experiments.E11HSMvsILM) }
 
 // BenchmarkFacadeFlow measures the canonical public-API round trip: a
 // three-step flow built, validated and executed per iteration.

@@ -1,7 +1,8 @@
 // Command dgfbench regenerates the reproduction's experiments (E1–E18):
 // the paper's four figures as executable artifacts plus the quantified
 // claims and scenarios. Output is the set of tables recorded in
-// EXPERIMENTS.md.
+// EXPERIMENTS.md. An experiment whose invariants do not hold prints
+// "<id> FAILED: <reason>" and the command exits 1.
 //
 // Usage:
 //
@@ -9,51 +10,12 @@
 //	dgfbench -exp E6,E7   # run a subset
 //	dgfbench -small       # quick pass (CI-sized)
 //	dgfbench -metrics=false   # suppress the engine metrics snapshot
-//	dgfbench -load -o BENCH_wire.json    # wire-protocol load experiment
-//	dgfbench -store -o BENCH_store.json  # flow-state store experiment
-//	dgfbench -shard -o BENCH_shard.json  # sharded-ownership experiment
-//	dgfbench -repl -o BENCH_repl.json    # replicated-store experiment
-//	dgfbench -tenant -o BENCH_tenant.json  # multi-tenant experiment
-//	dgfbench -vdata -o BENCH_vdata.json    # virtual-data experiment
-//
-// With -load the experiments are skipped and the wire load harness
-// (internal/loadgen) runs instead: serial vs pipelined vs batch
-// throughput plus an open-loop latency distribution, written as the
-// BENCH_wire.json artifact the CI bench job gates on (docs/BENCH.md).
-//
-// With -store the flow-state store experiment (E14) runs alone and its
-// machine-readable report is written as the BENCH_store.json artifact
-// the same CI job gates on: restart replay reduction and resident
-// executions for a large population of mostly-idle long-run flows
-// (docs/STORE.md).
-//
-// With -shard the sharded-ownership experiment (E15) runs alone and its
-// machine-readable report is written as the BENCH_shard.json artifact
-// the same CI job gates on: any-peer submit scaling at 1/2/4 peers vs a
-// single-owner funnel, and kill-one-owner lease failover
-// (docs/FEDERATION.md, "Sharded ownership").
-//
-// With -repl the replicated-store experiment (E16) runs alone and its
-// machine-readable report is written as the BENCH_repl.json artifact
-// the replication-chaos CI job gates on: quorum-ack submit overhead and
-// kill-owner-with-disk-loss standby takeover (docs/REPLICATION.md).
-//
-// With -tenant the multi-tenant experiment (E17) runs alone and its
-// machine-readable report is written as the BENCH_tenant.json artifact
-// the tenancy CI job gates on: registry footprint at 100k+ tenants,
-// weighted-fair isolation of 1x tenants against a 10x aggressor, and
-// quota-enforcement fidelity (docs/TENANCY.md).
-//
-// With -vdata the virtual-data experiment (E18) runs alone and its
-// machine-readable report is written as the BENCH_vdata.json artifact
-// the vdata CI job gates on: warm-pass elision against a durable
-// derivation catalog, restart replay, and cross-peer reuse over wire
-// 1.8 (docs/VDATA.md).
 //
 // After the experiment tables, dgfbench emits the process-wide engine
-// metrics snapshot (docs/METRICS.md) as JSON, so BENCH_*.json entries
-// can carry engine-level counters (flows run, steps executed, bytes
-// tiered, placements evaluated) alongside the wall-clock numbers.
+// metrics snapshot (docs/METRICS.md) as JSON: engine-level counters
+// (flows run, steps executed, bytes tiered, placements evaluated)
+// alongside the wall-clock numbers. Timings are judged by the contract
+// benchmark (bench/README.md), not here.
 package main
 
 import (
@@ -65,65 +27,58 @@ import (
 	"time"
 
 	"datagridflow/internal/experiments"
-	"datagridflow/internal/loadgen"
 	"datagridflow/internal/obs"
 )
+
+// selectExperiments resolves -exp: "all", or a comma-separated list of
+// ids in any case. An id that names no experiment is an error listing
+// the valid ones, so a typo or a renamed experiment cannot pass as an
+// empty, successful run.
+func selectExperiments(list string) ([]experiments.Experiment, error) {
+	all := experiments.All()
+	if strings.EqualFold(list, "all") {
+		return all, nil
+	}
+	known := map[string]bool{}
+	var valid []string
+	for _, exp := range all {
+		known[exp.ID] = true
+		valid = append(valid, exp.ID)
+	}
+	want := map[string]bool{}
+	for _, id := range strings.Split(list, ",") {
+		id = strings.ToUpper(strings.TrimSpace(id))
+		if !known[id] {
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s, or all)", id, strings.Join(valid, " "))
+		}
+		want[id] = true
+	}
+	var picked []experiments.Experiment
+	for _, exp := range all {
+		if want[exp.ID] {
+			picked = append(picked, exp)
+		}
+	}
+	return picked, nil
+}
 
 func main() {
 	expFlag := flag.String("exp", "all", "comma-separated experiment ids (E1..E18) or 'all'")
 	small := flag.Bool("small", false, "run at small (CI) scale instead of full scale")
 	metrics := flag.Bool("metrics", true, "emit the engine metrics snapshot (JSON) after the experiment tables")
-	load := flag.Bool("load", false, "run the wire-protocol load experiment instead of E1..E18")
-	storeBench := flag.Bool("store", false, "run the flow-state store experiment (E14) and write its JSON report")
-	shardBench := flag.Bool("shard", false, "run the sharded-ownership experiment (E15) and write its JSON report")
-	replBench := flag.Bool("repl", false, "run the replicated-store experiment (E16) and write its JSON report")
-	tenantBench := flag.Bool("tenant", false, "run the multi-tenant experiment (E17) and write its JSON report")
-	vdataBench := flag.Bool("vdata", false, "run the virtual-data experiment (E18) and write its JSON report")
-	fedPeers := flag.Int("fed-peers", 0, "with -load: add a federated phase over this many peers (0 skips; docs/FEDERATION.md)")
-	shardPeers := flag.Int("shard-peers", 0, "with -load: add a sharded any-peer phase over this many peers (0 skips; docs/FEDERATION.md)")
-	out := flag.String("o", "", "with -load/-store/-shard/-repl/-tenant/-vdata: write the report JSON to this file (default stdout only)")
 	flag.Parse()
 
-	if *load {
-		runLoad(*small, *fedPeers, *shardPeers, *out)
-		return
+	picked, err := selectExperiments(*expFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dgfbench: -exp: %v\n", err)
+		os.Exit(2)
 	}
-	if *storeBench {
-		runStore(*small, *out)
-		return
-	}
-	if *shardBench {
-		runShard(*small, *out)
-		return
-	}
-	if *replBench {
-		runRepl(*small, *out)
-		return
-	}
-	if *tenantBench {
-		runTenant(*small, *out)
-		return
-	}
-	if *vdataBench {
-		runVdata(*small, *out)
-		return
-	}
-
 	scale := experiments.Full
 	if *small {
 		scale = experiments.Small
 	}
-	want := map[string]bool{}
-	if *expFlag != "all" {
-		for _, id := range strings.Split(*expFlag, ",") {
-			want[strings.ToUpper(strings.TrimSpace(id))] = true
-		}
-	}
 	failed := 0
-	for _, exp := range experiments.All() {
-		if len(want) > 0 && !want[exp.ID] {
-			continue
-		}
+	for _, exp := range picked {
 		t0 := time.Now()
 		report, err := exp.Run(scale)
 		if err != nil {
@@ -145,140 +100,4 @@ func main() {
 	if failed > 0 {
 		os.Exit(1)
 	}
-}
-
-// runLoad executes the wire load harness and writes the report.
-func runLoad(small bool, fedPeers, shardPeers int, out string) {
-	opts := loadgen.Defaults()
-	if small {
-		opts = loadgen.SmallDefaults()
-	}
-	opts.FederatedPeers = fedPeers
-	opts.ShardedPeers = shardPeers
-	t0 := time.Now()
-	rep, err := loadgen.Run(opts)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dgfbench: load: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Print(rep.String())
-	fmt.Printf("(load completed in %v)\n", time.Since(t0).Round(time.Millisecond))
-	writeReport("load", rep, out)
-}
-
-// writeReport marshals a benchmark report and writes it to out (stdout
-// when out is empty).
-func writeReport(mode string, rep any, out string) {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dgfbench: %s: %v\n", mode, err)
-		os.Exit(1)
-	}
-	data = append(data, '\n')
-	if out == "" {
-		fmt.Printf("%s", data)
-		return
-	}
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "dgfbench: %s: %v\n", mode, err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s\n", out)
-}
-
-// runStore executes the flow-state store benchmark (E14) and writes the
-// BENCH_store.json report.
-func runStore(small bool, out string) {
-	scale := experiments.Full
-	if small {
-		scale = experiments.Small
-	}
-	t0 := time.Now()
-	rep, err := experiments.E14StoreBench(scale)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dgfbench: store: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("flows %d: replay %d -> %d records (%.1fx), resident %d -> %d, journal scan %.1fms vs store open+recover %.1fms\n",
-		rep.Flows, rep.JournalRecords, rep.StoreReplayRecords, rep.ReplayReduction,
-		rep.Flows, rep.ResidentAfterSweep, rep.JournalScanMs, rep.StoreOpenMs+rep.RecoverMs)
-	fmt.Printf("(store bench completed in %v)\n", time.Since(t0).Round(time.Millisecond))
-	writeReport("store", rep, out)
-}
-
-// runShard executes the sharded-ownership benchmark (E15) and writes
-// the BENCH_shard.json report.
-func runShard(small bool, out string) {
-	scale := experiments.Full
-	if small {
-		scale = experiments.Small
-	}
-	t0 := time.Now()
-	rep, err := experiments.E15ShardBench(scale)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dgfbench: shard: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("any-peer: %.0f/%.0f/%.0f flows/sec at 1/2/4 peers (%.2fx at 4), single-owner %.0f (%.2fx); failover takeover %.0fms, accepted %d, errors %d, replayed %d\n",
-		rep.Rate1, rep.Rate2, rep.Rate4, rep.Speedup4,
-		rep.RateSingleOwner, rep.SpeedupVsSingleOwner,
-		rep.FailoverMs, rep.AcceptedDuringFailover, rep.FailoverSubmitErrors, rep.ReplayedFromGenesis)
-	fmt.Printf("(shard bench completed in %v)\n", time.Since(t0).Round(time.Millisecond))
-	writeReport("shard", rep, out)
-}
-
-// runRepl executes the replicated-store benchmark (E16) and writes the
-// BENCH_repl.json report.
-func runRepl(small bool, out string) {
-	scale := experiments.Full
-	if small {
-		scale = experiments.Small
-	}
-	t0 := time.Now()
-	rep, err := experiments.E16ReplBench(scale)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dgfbench: repl: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("submit: %.0f bare vs %.0f quorum flows/sec (%.1f%% overhead); takeover %.0fms, acked %d, lost %d, promoted %d, snapshots %d\n",
-		rep.RatePlain, rep.RateQuorum, rep.QuorumOverheadFrac*100,
-		rep.TakeoverMs, rep.AckedLiveFlows, rep.LostFlows, rep.PromotedFlows, rep.SnapshotsShipped)
-	fmt.Printf("(repl bench completed in %v)\n", time.Since(t0).Round(time.Millisecond))
-	writeReport("repl", rep, out)
-}
-
-// runTenant executes the multi-tenant benchmark (E17) and writes the
-// BENCH_tenant.json report.
-func runTenant(small bool, out string) {
-	scale := experiments.Full
-	if small {
-		scale = experiments.Small
-	}
-	t0 := time.Now()
-	rep, err := experiments.E17TenantBench(scale)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dgfbench: tenant: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Print(rep.String())
-	fmt.Printf("(tenant bench completed in %v)\n", time.Since(t0).Round(time.Millisecond))
-	writeReport("tenant", rep, out)
-}
-
-// runVdata executes the virtual-data benchmark (E18) and writes the
-// BENCH_vdata.json report.
-func runVdata(small bool, out string) {
-	scale := experiments.Full
-	if small {
-		scale = experiments.Small
-	}
-	t0 := time.Now()
-	rep, err := experiments.E18VdataBench(scale)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dgfbench: vdata: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Print(rep.String())
-	fmt.Printf("(vdata bench completed in %v)\n", time.Since(t0).Round(time.Millisecond))
-	writeReport("vdata", rep, out)
 }

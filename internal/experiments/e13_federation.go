@@ -8,12 +8,9 @@ import (
 	"datagridflow/internal/dgms"
 	"datagridflow/internal/federation"
 	"datagridflow/internal/matrix"
-	"datagridflow/internal/namespace"
 	"datagridflow/internal/obs"
 	"datagridflow/internal/provenance"
 	"datagridflow/internal/scheduler"
-	"datagridflow/internal/sim"
-	"datagridflow/internal/vfs"
 	"datagridflow/internal/wire"
 )
 
@@ -119,17 +116,10 @@ func newCluster(n, capacity int, policy scheduler.PlacementPolicy) (*cluster, er
 }
 
 func newFedPeer(name, lookupAddr string, capacity int, policy scheduler.PlacementPolicy) (*fedPeer, error) {
-	reg := obs.NewRegistry()
 	// Real clock: sleep steps must consume wall time for scale-out to be
 	// measurable (the virtual clock completes sleeps instantly).
-	g := dgms.New(dgms.Options{Obs: reg, Clock: sim.RealClock{}})
-	if err := g.RegisterResource(vfs.New(name+"-disk", name, vfs.Disk, 0)); err != nil {
-		return nil, err
-	}
-	if err := g.CreateCollectionAll(g.Admin(), "/grid"); err != nil {
-		return nil, err
-	}
-	if err := g.Namespace().SetPermission("/grid", "*", namespace.PermWrite); err != nil {
+	g, reg, err := newRealGrid(name)
+	if err != nil {
 		return nil, err
 	}
 	e := matrix.NewEngineConfig(g, matrix.Config{IDPrefix: name + ":", MaxParallel: 64})

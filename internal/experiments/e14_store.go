@@ -27,69 +27,79 @@ import (
 	"datagridflow/internal/store"
 )
 
-// StoreBenchReport is E14's machine-readable result — the
-// BENCH_store.json artifact CI gates on (internal/infra/benchgate,
-// docs/BENCH.md).
-type StoreBenchReport struct {
-	// Flows is the population size; StepsPerFlow the work each did
+// storeReport is what one E14 run measured. The counts are asserted by
+// check; the timings, heap figures and the codec ratio are printed only.
+type storeReport struct {
+	// flows is the population size; stepsPerFlow the work each did
 	// before parking.
-	Flows        int `json:"flows"`
-	StepsPerFlow int `json:"stepsPerFlow"`
+	flows, stepsPerFlow int
 
-	// JournalRecords counts the flat journal's lines — what a restart
-	// without the store must replay. StoreReplayRecords is what
+	// journalRecords counts the flat journal's lines — what a restart
+	// without the store must replay. storeReplayRecords is what
 	// store.Open replayed after compaction (one merged snapshot per
-	// live flow). ReplayReduction is their ratio, the headline number.
-	JournalRecords     int     `json:"journalRecords"`
-	StoreReplayRecords int     `json:"storeReplayRecords"`
-	ReplayReduction    float64 `json:"replayReduction"`
+	// live flow). replayReduction is their ratio, the headline number.
+	journalRecords, storeReplayRecords int
+	replayReduction                    float64
 
-	// Passivated counts flows evicted to the store; ResidentAfterSweep
-	// is what stayed in engine memory (should be ~0 of Flows);
-	// ResidentAfterRecovery is engine residency after a restart +
+	// passivated counts flows evicted to the store; residentAfterSweep
+	// is what stayed in engine memory (should be ~0 of flows);
+	// residentAfterRecovery is engine residency after a restart +
 	// RecoverFromStore (passivated flows must NOT re-inflate).
-	Passivated            int `json:"passivated"`
-	ResidentAfterSweep    int `json:"residentAfterSweep"`
-	ResidentAfterRecovery int `json:"residentAfterRecovery"`
+	passivated, residentAfterSweep, residentAfterRecovery int
 
-	// CompactKept/CompactDropped report the compaction that bounded the
-	// replay; SnapshotLag is records appended after the compaction.
-	CompactKept    int `json:"compactKept"`
-	CompactDropped int `json:"compactDropped"`
+	// compactKept/compactDropped report the compaction that bounded the
+	// replay.
+	compactKept, compactDropped int
 
-	// JournalScanMs times decoding every journal line (the unavoidable
-	// floor of full-journal replay); StoreOpenMs times store.Open's
-	// replay; RecoverMs times RecoverFromStore on the reopened store.
-	JournalScanMs float64 `json:"journalScanMs"`
-	StoreOpenMs   float64 `json:"storeOpenMs"`
-	RecoverMs     float64 `json:"recoverMs"`
+	// journalScanMs times decoding every journal line (the unavoidable
+	// floor of full-journal replay); storeOpenMs times store.Open's
+	// replay; recoverMs times RecoverFromStore on the reopened store.
+	journalScanMs, storeOpenMs, recoverMs float64
 
-	// HeapBeforeMB/HeapAfterMB bracket the passivation sweep
-	// (informational: Go heap, after GC).
-	HeapBeforeMB float64 `json:"heapBeforeMB"`
-	HeapAfterMB  float64 `json:"heapAfterMB"`
+	// heapBeforeMB/heapAfterMB bracket the passivation sweep (Go heap,
+	// after GC).
+	heapBeforeMB, heapAfterMB float64
 
-	// GroupCommits/GroupCommitRecords report the write path's fsync
+	// groupCommits/groupCommitRecords report the write path's fsync
 	// batching across the run (journal + store segments).
-	GroupCommits       int64 `json:"groupCommits"`
-	GroupCommitRecords int64 `json:"groupCommitRecords"`
+	groupCommits, groupCommitRecords int64
 
-	// ResurrectedOK is 1 when a sampled passivated flow resurrected
+	// resurrected is set when a sampled passivated flow resurrected
 	// from the recovered store with its checkpoints intact.
-	ResurrectedOK int `json:"resurrectedOk"`
+	resurrected bool
 
 	// The codec replay phase writes one identical synthetic snapshot
 	// stream to two fresh stores — JSONL and the 1.4 binary segment
-	// encoding — and times store.Open over each. CodecReplaySpeedup is
-	// JSON open time over binary open time, the gated quantity for the
-	// store half of the codec (docs/CODEC.md); the byte counts record
-	// the on-disk size win.
-	CodecReplayRecords int     `json:"codecReplayRecords"`
-	CodecJSONOpenMs    float64 `json:"codecJsonOpenMs"`
-	CodecBinOpenMs     float64 `json:"codecBinOpenMs"`
-	CodecJSONBytes     int64   `json:"codecJsonBytes"`
-	CodecBinBytes      int64   `json:"codecBinBytes"`
-	CodecReplaySpeedup float64 `json:"codecReplaySpeedup"`
+	// encoding — and times store.Open over each. codecReplaySpeedup is
+	// JSON open time over binary open time (docs/CODEC.md); the byte
+	// counts record the on-disk size win.
+	codecReplayRecords              int
+	codecJSONOpenMs, codecBinOpenMs float64
+	codecJSONBytes, codecBinBytes   int64
+	codecReplaySpeedup              float64
+}
+
+// check returns an error naming the first broken invariant of the
+// store's claims (docs/STORE.md). All are counts: the replay a restart
+// pays, what stays resident, and whether a passivated flow comes back.
+func (rep *storeReport) check() error {
+	if rep.replayReduction < 10 {
+		return fmt.Errorf("E14: replayReduction %.1fx (%d journal records / %d store replay records) below 10x",
+			rep.replayReduction, rep.journalRecords, rep.storeReplayRecords)
+	}
+	residentMax := rep.flows / 100
+	if rep.residentAfterSweep > residentMax {
+		return fmt.Errorf("E14: residentAfterSweep %d of %d flows after passivation (bound %d)",
+			rep.residentAfterSweep, rep.flows, residentMax)
+	}
+	if rep.residentAfterRecovery > residentMax {
+		return fmt.Errorf("E14: residentAfterRecovery %d of %d flows re-inflated by the restart (bound %d)",
+			rep.residentAfterRecovery, rep.flows, residentMax)
+	}
+	if !rep.resurrected {
+		return fmt.Errorf("E14: sampled passivated flow did not resurrect after the restart")
+	}
+	return nil
 }
 
 // e14Dims sizes the run.
@@ -294,8 +304,8 @@ func registerPark(e *matrix.Engine, parked *atomic.Int64) {
 	})
 }
 
-// E14StoreBench runs the store benchmark and returns the JSON report.
-func E14StoreBench(scale Scale) (*StoreBenchReport, error) {
+// runStore runs the store experiment and returns what it measured.
+func runStore(scale Scale) (*storeReport, error) {
 	flows, wave, steps := e14Dims(scale)
 	dir, err := os.MkdirTemp("", "dgf-e14-")
 	if err != nil {
@@ -323,8 +333,8 @@ func E14StoreBench(scale Scale) (*StoreBenchReport, error) {
 	}
 	e.SetStore(st)
 
-	rep := &StoreBenchReport{Flows: flows, StepsPerFlow: steps}
-	rep.HeapBeforeMB = heapMB()
+	rep := &storeReport{flows: flows, stepsPerFlow: steps}
+	rep.heapBeforeMB = heapMB()
 	gc0, gr0 := groupCommitTotals(e.Obs())
 
 	// Populate in waves: submit a wave, wait for every flow to finish
@@ -389,19 +399,19 @@ func E14StoreBench(scale Scale) (*StoreBenchReport, error) {
 	}
 	// Sweep stragglers (none expected) through the production API.
 	e.PassivateIdle(0)
-	rep.ResidentAfterSweep = len(e.Executions())
-	rep.Passivated = st.Stats().Passivated
-	rep.HeapAfterMB = heapMB()
+	rep.residentAfterSweep = len(e.Executions())
+	rep.passivated = st.Stats().Passivated
+	rep.heapAfterMB = heapMB()
 
 	cs, err := st.Compact()
 	if err != nil {
 		return nil, err
 	}
-	rep.CompactKept, rep.CompactDropped = cs.RecordsKept, cs.RecordsDropped
+	rep.compactKept, rep.compactDropped = cs.RecordsKept, cs.RecordsDropped
 
 	gc1, gr1 := groupCommitTotals(e.Obs())
-	rep.GroupCommits = gc1 - gc0
-	rep.GroupCommitRecords = gr1 - gr0
+	rep.groupCommits = gc1 - gc0
+	rep.groupCommitRecords = gr1 - gr0
 
 	if err := st.Close(); err != nil {
 		return nil, err
@@ -411,26 +421,26 @@ func E14StoreBench(scale Scale) (*StoreBenchReport, error) {
 	}
 
 	// The restart: what would each recovery path replay?
-	rep.JournalRecords, _ = countLines(journalPath)
+	rep.journalRecords, _ = countLines(journalPath)
 	scanned, scanDur, err := scanJournal(journalPath)
 	if err != nil {
 		return nil, err
 	}
-	if scanned != rep.JournalRecords {
-		return nil, fmt.Errorf("E14: journal scan decoded %d of %d records", scanned, rep.JournalRecords)
+	if scanned != rep.journalRecords {
+		return nil, fmt.Errorf("E14: journal scan decoded %d of %d records", scanned, rep.journalRecords)
 	}
-	rep.JournalScanMs = float64(scanDur.Microseconds()) / 1000
+	rep.journalScanMs = float64(scanDur.Microseconds()) / 1000
 
 	t0 := time.Now()
 	st2, err := store.Open(storeDir, store.Options{})
 	if err != nil {
 		return nil, err
 	}
-	rep.StoreOpenMs = float64(time.Since(t0).Microseconds()) / 1000
+	rep.storeOpenMs = float64(time.Since(t0).Microseconds()) / 1000
 	defer st2.Close()
-	rep.StoreReplayRecords = st2.Stats().ReplayRecords
-	if rep.StoreReplayRecords > 0 {
-		rep.ReplayReduction = float64(rep.JournalRecords) / float64(rep.StoreReplayRecords)
+	rep.storeReplayRecords = st2.Stats().ReplayRecords
+	if rep.storeReplayRecords > 0 {
+		rep.replayReduction = float64(rep.journalRecords) / float64(rep.storeReplayRecords)
 	}
 
 	g2, err := newGrid()
@@ -446,8 +456,8 @@ func E14StoreBench(scale Scale) (*StoreBenchReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep.RecoverMs = float64(time.Since(t0).Microseconds()) / 1000
-	rep.ResidentAfterRecovery = len(e2.Executions()) + len(resumed)
+	rep.recoverMs = float64(time.Since(t0).Microseconds()) / 1000
+	rep.residentAfterRecovery = len(e2.Executions()) + len(resumed)
 
 	// Prove a passivated flow is actually reachable after the restart:
 	// resurrect one, check its burst steps are checkpoint-complete,
@@ -459,56 +469,60 @@ func E14StoreBench(scale Scale) (*StoreBenchReport, error) {
 			}
 			ex.Cancel()
 			_ = ex.Wait()
-			rep.ResurrectedOK = 1
+			rep.resurrected = true
 		}
 	}
 
 	// Codec replay phase: the same synthetic snapshot stream through a
 	// JSONL store and a binary store, each timed through a cold Open.
 	recs := codecStream(e14CodecRecords(scale))
-	rep.CodecReplayRecords = len(recs)
-	rep.CodecJSONOpenMs, rep.CodecJSONBytes, err = codecPhase(filepath.Join(dir, "codec-json"), recs, false)
+	rep.codecReplayRecords = len(recs)
+	rep.codecJSONOpenMs, rep.codecJSONBytes, err = codecPhase(filepath.Join(dir, "codec-json"), recs, false)
 	if err != nil {
 		return nil, err
 	}
-	rep.CodecBinOpenMs, rep.CodecBinBytes, err = codecPhase(filepath.Join(dir, "codec-bin"), recs, true)
+	rep.codecBinOpenMs, rep.codecBinBytes, err = codecPhase(filepath.Join(dir, "codec-bin"), recs, true)
 	if err != nil {
 		return nil, err
 	}
-	if rep.CodecBinOpenMs > 0 {
-		rep.CodecReplaySpeedup = rep.CodecJSONOpenMs / rep.CodecBinOpenMs
+	if rep.codecBinOpenMs > 0 {
+		rep.codecReplaySpeedup = rep.codecJSONOpenMs / rep.codecBinOpenMs
 	}
 	return rep, nil
 }
 
-// E14Store renders the benchmark as an experiment table.
+// E14Store runs the store experiment, asserts its invariants and
+// renders the table.
 func E14Store(scale Scale) (*Report, error) {
-	rep, err := E14StoreBench(scale)
+	rep, err := runStore(scale)
 	if err != nil {
+		return nil, err
+	}
+	if err := rep.check(); err != nil {
 		return nil, err
 	}
 	r := &Report{
 		ID:     "E14",
-		Title:  fmt.Sprintf("flow-state store: resident memory and restart replay, %d long-run flows", rep.Flows),
+		Title:  fmt.Sprintf("flow-state store: resident memory and restart replay, %d long-run flows", rep.flows),
 		Header: []string{"quantity", "journal only", "with store"},
 	}
-	r.Row("flows", fmt.Sprint(rep.Flows), fmt.Sprint(rep.Flows))
-	r.Row("resident executions", fmt.Sprint(rep.Flows), fmt.Sprint(rep.ResidentAfterSweep))
-	r.Row("restart replay (records)", fmt.Sprint(rep.JournalRecords), fmt.Sprint(rep.StoreReplayRecords))
-	r.Row("restart replay (ms)", fmt.Sprintf("%.1f", rep.JournalScanMs), fmt.Sprintf("%.1f", rep.StoreOpenMs+rep.RecoverMs))
-	r.Row("resident after restart", fmt.Sprint(rep.Flows), fmt.Sprint(rep.ResidentAfterRecovery))
+	r.Row("flows", fmt.Sprint(rep.flows), fmt.Sprint(rep.flows))
+	r.Row("resident executions", fmt.Sprint(rep.flows), fmt.Sprint(rep.residentAfterSweep))
+	r.Row("restart replay (records)", fmt.Sprint(rep.journalRecords), fmt.Sprint(rep.storeReplayRecords))
+	r.Row("restart replay (ms)", fmt.Sprintf("%.1f", rep.journalScanMs), fmt.Sprintf("%.1f", rep.storeOpenMs+rep.recoverMs))
+	r.Row("resident after restart", fmt.Sprint(rep.flows), fmt.Sprint(rep.residentAfterRecovery))
 	r.Note("replay reduction %.1fx (compaction kept %d, dropped %d); %d flows passivated (heap baseline %.1f MB, after sweep %.1f MB)",
-		rep.ReplayReduction, rep.CompactKept, rep.CompactDropped, rep.Passivated, rep.HeapBeforeMB, rep.HeapAfterMB)
+		rep.replayReduction, rep.compactKept, rep.compactDropped, rep.passivated, rep.heapBeforeMB, rep.heapAfterMB)
 	r.Note("write path batched %d records into %d fsyncs (%.1f records/fsync)",
-		rep.GroupCommitRecords, rep.GroupCommits, float64(rep.GroupCommitRecords)/float64(max64(rep.GroupCommits, 1)))
-	if rep.ResurrectedOK == 1 {
-		r.Note("sampled passivated flow resurrected after restart with all %d burst steps checkpoint-complete", rep.StepsPerFlow)
+		rep.groupCommitRecords, rep.groupCommits, float64(rep.groupCommitRecords)/float64(max64(rep.groupCommits, 1)))
+	if rep.resurrected {
+		r.Note("sampled passivated flow resurrected after restart with all %d burst steps checkpoint-complete", rep.stepsPerFlow)
 	}
-	r.Row(fmt.Sprintf("codec replay ms (%d records)", rep.CodecReplayRecords),
-		fmt.Sprintf("%.1f", rep.CodecJSONOpenMs), fmt.Sprintf("%.1f", rep.CodecBinOpenMs))
+	r.Row(fmt.Sprintf("codec replay ms (%d records)", rep.codecReplayRecords),
+		fmt.Sprintf("%.1f", rep.codecJSONOpenMs), fmt.Sprintf("%.1f", rep.codecBinOpenMs))
 	r.Note("binary segment codec: replay %.1fx faster than JSONL, %.0f%% of the bytes (%d -> %d)",
-		rep.CodecReplaySpeedup, 100*float64(rep.CodecBinBytes)/float64(max64(rep.CodecJSONBytes, 1)),
-		rep.CodecJSONBytes, rep.CodecBinBytes)
+		rep.codecReplaySpeedup, 100*float64(rep.codecBinBytes)/float64(max64(rep.codecJSONBytes, 1)),
+		rep.codecJSONBytes, rep.codecBinBytes)
 	return r, nil
 }
 

@@ -8,13 +8,9 @@ import (
 	"time"
 
 	"datagridflow/internal/dgl"
-	"datagridflow/internal/dgms"
 	"datagridflow/internal/matrix"
-	"datagridflow/internal/namespace"
 	"datagridflow/internal/obs"
 	"datagridflow/internal/shard"
-	"datagridflow/internal/sim"
-	"datagridflow/internal/vfs"
 	"datagridflow/internal/wire"
 )
 
@@ -35,86 +31,97 @@ import (
 //     none of the dead peer's completed flows may be re-executed —
 //     placement moves, history does not ("no replay from genesis").
 func E15Shard(s Scale) (*Report, error) {
-	rep, err := E15ShardBench(s)
+	rep, err := runShard(s)
 	if err != nil {
+		return nil, err
+	}
+	if err := rep.check(); err != nil {
 		return nil, err
 	}
 	r := &Report{
 		ID: "E15", Title: "sharded ownership — any-peer submit scaling & owner failover",
 		Header: []string{"scenario", "peers", "flows/sec", "speedup", "routed/local"},
 	}
-	r.Row("any-peer", "1", fmt.Sprintf("%.0f", rep.Rate1), "1.00x", "-")
-	r.Row("any-peer", "2", fmt.Sprintf("%.0f", rep.Rate2), fmt.Sprintf("%.2fx", rep.Speedup2), "-")
-	r.Row("any-peer", "4", fmt.Sprintf("%.0f", rep.Rate4), fmt.Sprintf("%.2fx", rep.Speedup4),
-		fmt.Sprintf("%d/%d", rep.Routed4, rep.Local4))
-	r.Row("single-owner", "4", fmt.Sprintf("%.0f", rep.RateSingleOwner),
-		fmt.Sprintf("%.2fx", rep.SpeedupVsSingleOwner), "(sharded/single-owner)")
+	r.Row("any-peer", "1", fmt.Sprintf("%.0f", rep.rate1), "1.00x", "-")
+	r.Row("any-peer", "2", fmt.Sprintf("%.0f", rep.rate2), fmt.Sprintf("%.2fx", rep.speedup2), "-")
+	r.Row("any-peer", "4", fmt.Sprintf("%.0f", rep.rate4), fmt.Sprintf("%.2fx", rep.speedup4),
+		fmt.Sprintf("%d/%d", rep.routed4, rep.local4))
+	r.Row("single-owner", "4", fmt.Sprintf("%.0f", rep.rateSingleOwner),
+		fmt.Sprintf("%.2fx", rep.speedupVsSingleOwner), "(sharded/single-owner)")
 	r.Row("failover", "2", "-",
-		fmt.Sprintf("takeover %.0fms", rep.FailoverMs),
+		fmt.Sprintf("takeover %.0fms", rep.failoverMs),
 		fmt.Sprintf("accepted %d, errors %d, replayed %d",
-			rep.AcceptedDuringFailover, rep.FailoverSubmitErrors, rep.ReplayedFromGenesis))
+			rep.acceptedDuringFailover, rep.failoverSubmitErrors, rep.replayedFromGenesis))
 	r.Note("workload: %d sync flows per phase, one %gms sleep step each; %d shards; per-peer admission %d, %d submit workers per peer (workers < admission so two-slot routed submissions cannot deadlock)",
-		rep.FlowsPerPhase, rep.StepMs, rep.Shards, rep.Capacity, rep.WorkersPerPeer)
+		rep.flowsPerPhase, rep.stepMs, rep.shards, rep.capacity, rep.workersPerPeer)
 	r.Note("single-owner row: same 4-peer network and offered load, every shard leased to peer 1 — throughput collapses to that peer's admission capacity")
 	r.Note("failover: owner killed without drain; lease takeover bounded by the registry TTL (%gms here); submissions during the window fall back to local accepts (shard_routes_total{outcome=failover})",
-		rep.FailoverTTLMs)
+		rep.failoverTTLMs)
 	return r, nil
 }
 
-// ShardBenchReport is the machine-readable artifact `dgfbench -shard`
-// writes as BENCH_shard.json; the CI bench job gates on it
-// (internal/infra/benchgate, docs/BENCH.md).
-type ShardBenchReport struct {
-	Small          bool    `json:"small"`
-	Shards         int     `json:"shards"`
-	Capacity       int     `json:"capacity"`
-	WorkersPerPeer int     `json:"workers_per_peer"`
-	FlowsPerPhase  int     `json:"flows_per_phase"`
-	StepMs         float64 `json:"step_ms"`
+// shardReport is what one E15 run measured. The failover counts are
+// asserted by check; rates, ratios and the takeover time are printed
+// only.
+type shardReport struct {
+	shards, capacity, workersPerPeer, flowsPerPhase int
+	stepMs                                          float64
 
-	Rate1           float64 `json:"rate_1peer"`
-	Rate2           float64 `json:"rate_2peer"`
-	Rate4           float64 `json:"rate_4peer"`
-	RateSingleOwner float64 `json:"rate_single_owner"`
-	// Speedup2/Speedup4 are any-peer throughput over the 1-peer run.
-	// SpeedupVsSingleOwner is the 4-peer sharded run over the 4-peer
-	// single-owner run — the gated scaling ratios.
-	Speedup2             float64 `json:"speedup_2peer"`
-	Speedup4             float64 `json:"speedup_4peer"`
-	SpeedupVsSingleOwner float64 `json:"speedup_vs_single_owner"`
-	// Routed4/Local4 split the 4-peer run's submissions by routing
+	rate1, rate2, rate4, rateSingleOwner float64
+	// speedup2/speedup4 are any-peer throughput over the 1-peer run.
+	// speedupVsSingleOwner is the 4-peer sharded run over the 4-peer
+	// single-owner run.
+	speedup2, speedup4, speedupVsSingleOwner float64
+	// routed4/local4 split the 4-peer run's submissions by routing
 	// outcome on the accepting peers.
-	Routed4 int64 `json:"routed_submits_4peer"`
-	Local4  int64 `json:"local_submits_4peer"`
+	routed4, local4 int64
 
-	// FailoverMs is kill → survivor holds the dead owner's lease
-	// (bounded by FailoverTTLMs, the registry TTL of the run).
-	FailoverMs             float64 `json:"failover_ms"`
-	FailoverTTLMs          float64 `json:"failover_ttl_ms"`
-	TakeoverOwned          bool    `json:"takeover_owned"`
-	AcceptedDuringFailover int     `json:"accepted_during_failover"`
-	FailoverSubmitErrors   int     `json:"failover_submit_errors"`
-	// ReplayedFromGenesis counts the dead owner's completed flows found
+	// failoverMs is kill → survivor holds the dead owner's lease
+	// (bounded by failoverTTLMs, the registry TTL of the run).
+	failoverMs, failoverTTLMs float64
+	takeoverOwned             bool
+	acceptedDuringFailover    int
+	failoverSubmitErrors      int
+	// replayedFromGenesis counts the dead owner's completed flows found
 	// re-executing on the survivor after takeover — must be 0.
-	ReplayedFromGenesis int `json:"replayed_from_genesis"`
+	replayedFromGenesis int
 }
 
-// E15ShardBench runs the sharded-ownership experiment and returns the
-// machine-readable report.
-func E15ShardBench(s Scale) (*ShardBenchReport, error) {
-	rep := &ShardBenchReport{
-		Small: s == Small,
+// check returns an error naming the first broken failover invariant:
+// the survivor must hold the dead owner's lease, any-peer submit must
+// have stayed available throughout, and placement moves while history
+// does not.
+func (rep *shardReport) check() error {
+	if !rep.takeoverOwned {
+		return fmt.Errorf("E15: survivor never took over the dead owner's shard lease (waited %.0fms, TTL %.0fms)",
+			rep.failoverMs, rep.failoverTTLMs)
+	}
+	if rep.failoverSubmitErrors > 0 {
+		return fmt.Errorf("E15: failover_submit_errors %d during the takeover window (any-peer submit must stay available)",
+			rep.failoverSubmitErrors)
+	}
+	if rep.replayedFromGenesis > 0 {
+		return fmt.Errorf("E15: replayed_from_genesis %d of the dead owner's completed flows re-executed on the survivor",
+			rep.replayedFromGenesis)
+	}
+	return nil
+}
+
+// runShard runs the sharded-ownership experiment and returns what it
+// measured.
+func runShard(s Scale) (*shardReport, error) {
+	rep := &shardReport{
 		// Per-peer slot demand under routing is ~1.75x workers (every
 		// worker holds its acceptor slot while the owner executes, and
 		// routed-in executions hold owner slots), so capacity is sized
 		// ~2x workers: the sharded runs stay unthrottled while the
 		// single-owner counterfactual — whole network funneled through
 		// one peer's admission — saturates.
-		Shards:         pick(s, 32, 64),
-		Capacity:       pick(s, 12, 20),
-		WorkersPerPeer: pick(s, 6, 10),
-		FlowsPerPhase:  pick(s, 120, 400),
-		StepMs:         float64(pick(s, 4, 8)),
+		shards:         pick(s, 32, 64),
+		capacity:       pick(s, 12, 20),
+		workersPerPeer: pick(s, 6, 10),
+		flowsPerPhase:  pick(s, 120, 400),
+		stepMs:         float64(pick(s, 4, 8)),
 	}
 
 	// Any-peer scaling at 1, 2, 4 peers.
@@ -126,7 +133,7 @@ func E15ShardBench(s Scale) (*ShardBenchReport, error) {
 		}
 		rate, err := cl.runPhase(rep)
 		if n == 4 {
-			rep.Routed4, rep.Local4 = cl.routeSplit()
+			rep.routed4, rep.local4 = cl.routeSplit()
 		}
 		cl.close()
 		if err != nil {
@@ -134,10 +141,10 @@ func E15ShardBench(s Scale) (*ShardBenchReport, error) {
 		}
 		rates[n] = rate
 	}
-	rep.Rate1, rep.Rate2, rep.Rate4 = rates[1], rates[2], rates[4]
-	if rep.Rate1 > 0 {
-		rep.Speedup2 = rep.Rate2 / rep.Rate1
-		rep.Speedup4 = rep.Rate4 / rep.Rate1
+	rep.rate1, rep.rate2, rep.rate4 = rates[1], rates[2], rates[4]
+	if rep.rate1 > 0 {
+		rep.speedup2 = rep.rate2 / rep.rate1
+		rep.speedup4 = rep.rate4 / rep.rate1
 	}
 
 	// Single-owner counterfactual: 4 peers, all shards on the first.
@@ -151,9 +158,9 @@ func E15ShardBench(s Scale) (*ShardBenchReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep.RateSingleOwner = rate
+	rep.rateSingleOwner = rate
 	if rate > 0 {
-		rep.SpeedupVsSingleOwner = rep.Rate4 / rate
+		rep.speedupVsSingleOwner = rep.rate4 / rate
 	}
 
 	// Failover.
@@ -180,9 +187,9 @@ type shardCluster struct {
 // on loopback TCP and settles ring ownership deterministically (two
 // rebalance rounds, no heartbeat timers). ttl > 0 arms registry
 // eviction for the failover run.
-func newShardCluster(n int, rep *ShardBenchReport, ttl time.Duration) (*shardCluster, error) {
+func newShardCluster(n int, rep *shardReport, ttl time.Duration) (*shardCluster, error) {
 	cl := &shardCluster{lookup: wire.NewLookupServer()}
-	cl.lookup.SetShards(rep.Shards)
+	cl.lookup.SetShards(rep.shards)
 	if ttl > 0 {
 		cl.lookup.SetTTL(ttl)
 	}
@@ -202,25 +209,18 @@ func newShardCluster(n int, rep *ShardBenchReport, ttl time.Duration) (*shardClu
 	return cl, nil
 }
 
-func newShardPeer(name, lookupAddr string, rep *ShardBenchReport) (*shardPeer, error) {
-	reg := obs.NewRegistry()
+func newShardPeer(name, lookupAddr string, rep *shardReport) (*shardPeer, error) {
 	// Real clock: the sleep step must consume wall time for admission
 	// capacity to be the resource that scales with peers.
-	g := dgms.New(dgms.Options{Obs: reg, Clock: sim.RealClock{}})
-	if err := g.RegisterResource(vfs.New(name+"-disk", name, vfs.Disk, 0)); err != nil {
-		return nil, err
-	}
-	if err := g.CreateCollectionAll(g.Admin(), "/grid"); err != nil {
-		return nil, err
-	}
-	if err := g.Namespace().SetPermission("/grid", "*", namespace.PermWrite); err != nil {
+	g, reg, err := newRealGrid(name)
+	if err != nil {
 		return nil, err
 	}
 	e := matrix.NewEngineConfig(g, matrix.Config{IDPrefix: name + ":", MaxParallel: 64})
-	p := wire.NewPeerConfig(name, e, wire.ServerConfig{MaxInflight: rep.Capacity})
+	p := wire.NewPeerConfig(name, e, wire.ServerConfig{MaxInflight: rep.capacity})
 	p.EnableSharding(shard.NewManager(shard.Config{
 		Self:   name,
-		Shards: rep.Shards,
+		Shards: rep.shards,
 		Obs:    reg,
 		Resident: func(id string) bool {
 			_, ok := e.Execution(id)
@@ -291,8 +291,8 @@ func (cl *shardCluster) routeSplit() (routed, local int64) {
 // cluster — WorkersPerPeer closed-loop workers per peer, each submitting
 // to its local peer over a multiplexed session, flow names and users
 // spread uniformly over the key space — and returns flows/sec.
-func (cl *shardCluster) runPhase(rep *ShardBenchReport) (float64, error) {
-	sleep := time.Duration(rep.StepMs * float64(time.Millisecond))
+func (cl *shardCluster) runPhase(rep *shardReport) (float64, error) {
+	sleep := time.Duration(rep.stepMs * float64(time.Millisecond))
 	var next atomic.Int64
 	var failed atomic.Int64
 	var wg sync.WaitGroup
@@ -319,13 +319,13 @@ func (cl *shardCluster) runPhase(rep *ShardBenchReport) (float64, error) {
 	}()
 	t0 := time.Now()
 	for _, c := range clients {
-		for w := 0; w < rep.WorkersPerPeer; w++ {
+		for w := 0; w < rep.workersPerPeer; w++ {
 			wg.Add(1)
 			go func(c *wire.Client) {
 				defer wg.Done()
 				for {
 					i := next.Add(1)
-					if i > int64(rep.FlowsPerPhase) {
+					if i > int64(rep.flowsPerPhase) {
 						return
 					}
 					flow := dgl.NewFlow(fmt.Sprintf("job%d", i)).
@@ -342,16 +342,16 @@ func (cl *shardCluster) runPhase(rep *ShardBenchReport) (float64, error) {
 	wg.Wait()
 	wall := time.Since(t0)
 	if n := failed.Load(); n > 0 {
-		return 0, fmt.Errorf("e15: %d of %d submissions failed", n, rep.FlowsPerPhase)
+		return 0, fmt.Errorf("e15: %d of %d submissions failed", n, rep.flowsPerPhase)
 	}
-	return float64(rep.FlowsPerPhase) / wall.Seconds(), nil
+	return float64(rep.flowsPerPhase) / wall.Seconds(), nil
 }
 
 // runShardFailover kills the owner of half the key space and measures
 // availability and lease takeover on the survivor.
-func runShardFailover(s Scale, rep *ShardBenchReport) error {
+func runShardFailover(s Scale, rep *shardReport) error {
 	ttl := time.Duration(pick(s, 300, 500)) * time.Millisecond
-	rep.FailoverTTLMs = float64(ttl) / float64(time.Millisecond)
+	rep.failoverTTLMs = float64(ttl) / float64(time.Millisecond)
 	cl, err := newShardCluster(2, rep, ttl)
 	if err != nil {
 		return err
@@ -426,21 +426,21 @@ func runShardFailover(s Scale, rep *ShardBenchReport) error {
 			Step("op", dgl.Op(dgl.OpSleep, map[string]string{"duration": "1ms"})).Flow()
 		res, err := ca.Submit(context.Background(), dgl.NewRequest("user", "", flow))
 		if err != nil || res.Err() != nil {
-			rep.FailoverSubmitErrors++
+			rep.failoverSubmitErrors++
 		} else {
-			rep.AcceptedDuringFailover++
+			rep.acceptedDuringFailover++
 		}
 		// The federation heartbeat would drive this; here it ticks inline.
 		a.peer.RebalanceShards([]string{a.name})
 		time.Sleep(20 * time.Millisecond)
 	}
-	rep.FailoverMs = float64(time.Since(t0)) / float64(time.Millisecond)
-	rep.TakeoverOwned = a.peer.ShardManager().Owns(sh)
+	rep.failoverMs = float64(time.Since(t0)) / float64(time.Millisecond)
+	rep.takeoverOwned = a.peer.ShardManager().Owns(sh)
 
 	// History stayed where it was: none of B's completed flows run on A.
 	for _, id := range warmIDs {
 		if _, resident := a.engine.Execution(id); resident {
-			rep.ReplayedFromGenesis++
+			rep.replayedFromGenesis++
 		}
 	}
 	return nil

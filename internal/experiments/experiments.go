@@ -16,6 +16,8 @@ import (
 	"datagridflow/internal/dgms"
 	"datagridflow/internal/matrix"
 	"datagridflow/internal/namespace"
+	"datagridflow/internal/obs"
+	"datagridflow/internal/sim"
 	"datagridflow/internal/vfs"
 )
 
@@ -80,18 +82,17 @@ func (r *Report) Note(format string, args ...any) {
 	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
 }
 
-// Runner maps experiment ids to their functions.
-type Runner func(Scale) (*Report, error)
+// Experiment is one entry of the harness: its id and the function
+// that runs it. Run returns an error when the experiment cannot run or
+// when an invariant it asserts is broken.
+type Experiment struct {
+	ID  string
+	Run func(Scale) (*Report, error)
+}
 
 // All lists every experiment in order.
-func All() []struct {
-	ID  string
-	Run Runner
-} {
-	return []struct {
-		ID  string
-		Run Runner
-	}{
+func All() []Experiment {
+	return []Experiment{
 		{"E1", E1FlowSchema},
 		{"E2", E2RequestSchema},
 		{"E3", E3ControlPatterns},
@@ -134,6 +135,25 @@ func newGrid() (*dgms.Grid, error) {
 		return nil, err
 	}
 	return g, nil
+}
+
+// newRealGrid builds a one-resource grid on the real clock with its own
+// metrics registry, writable by every user: the grid of the networked
+// experiments (E13–E18), where a sleep step must consume wall time and
+// counters must not cross phases.
+func newRealGrid(name string) (*dgms.Grid, *obs.Registry, error) {
+	reg := obs.NewRegistry()
+	g := dgms.New(dgms.Options{Obs: reg, Clock: sim.RealClock{}})
+	if err := g.RegisterResource(vfs.New(name+"-disk", name, vfs.Disk, 0)); err != nil {
+		return nil, nil, err
+	}
+	if err := g.CreateCollectionAll(g.Admin(), "/grid"); err != nil {
+		return nil, nil, err
+	}
+	if err := g.Namespace().SetPermission("/grid", "*", namespace.PermWrite); err != nil {
+		return nil, nil, err
+	}
+	return g, reg, nil
 }
 
 func newEngine() (*dgms.Grid, *matrix.Engine, error) {

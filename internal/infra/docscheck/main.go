@@ -3,6 +3,10 @@
 //
 //   - every flag registered in cmd/*/main.go must be mentioned, as
 //     -flagname, somewhere in README.md or docs/*.md;
+//   - and the reverse: every command line the documents show, in a code
+//     span or a fenced block, for one of the binaries may use only
+//     flags that binary registers (a deleted flag cannot live on in the
+//     prose);
 //   - every metric registered through the obs registry must appear as
 //     a `backticked` name in docs/METRICS.md (the same contract
 //     internal/obs's contract test enforces, rechecked here so the CI
@@ -20,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -30,6 +35,11 @@ var (
 	flagRe   = regexp.MustCompile(`flag\.(?:String|Bool|Int|Int64|Uint|Uint64|Float64|Duration)\(\s*"([A-Za-z][A-Za-z0-9_.-]*)"`)
 	metricRe = regexp.MustCompile(`\.(?:Counter|Gauge|Histogram|HistogramBuckets)\(\s*"([a-z][a-z0-9_]*)"`)
 	verbRe   = regexp.MustCompile(`(?m)^\s*name:\s*"([a-z]+)",$`)
+	// codeRe matches a fenced block or an inline code span.
+	codeRe = regexp.MustCompile("(?s)```.*?```|`[^`\n]+`")
+	// shownFlagRe matches one flag inside a command-line token, which may
+	// list several ("-store/-repl") or carry a value ("-metrics=false").
+	shownFlagRe = regexp.MustCompile(`(?:^|/)--?([A-Za-z][A-Za-z0-9_.-]*)`)
 )
 
 func main() {
@@ -69,6 +79,13 @@ func check(root string) ([]string, error) {
 		}
 	}
 
+	ctl, err := os.ReadFile(filepath.Join(root, "cmd", "dgfctl", "main.go"))
+	if err != nil {
+		return nil, err
+	}
+	verbs := verbRe.FindAllStringSubmatch(string(ctl), -1)
+	problems = append(problems, staleFlags(corpus, flags, verbs)...)
+
 	metricsDoc, err := os.ReadFile(filepath.Join(root, "docs", "METRICS.md"))
 	if err != nil {
 		return nil, err
@@ -88,11 +105,7 @@ func check(root string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctl, err := os.ReadFile(filepath.Join(root, "cmd", "dgfctl", "main.go"))
-	if err != nil {
-		return nil, err
-	}
-	for _, m := range verbRe.FindAllStringSubmatch(string(ctl), -1) {
+	for _, m := range verbs {
 		// The README table rows open with "| `<verb>" because each
 		// synopsis starts with its verb name.
 		if !strings.Contains(string(readme), "| `"+m[1]) {
@@ -131,6 +144,67 @@ func cmdFlags(root string) ([]cmdFlag, error) {
 		}
 	}
 	return flags, nil
+}
+
+// staleFlags walks every command line the corpus shows in code (a code
+// span or a line of a fenced block) and reports each flag handed to one
+// of the repository's binaries that the binary does not register. A
+// dgfctl line is read up to its verb: what follows belongs to the verb's
+// own flag set, which cmdFlags does not enumerate.
+func staleFlags(corpus string, flags []cmdFlag, verbs [][]string) []string {
+	registered := map[string]map[string]bool{} // binary name -> flag -> true
+	for _, f := range flags {
+		bin := path.Base(f.binary)
+		if registered[bin] == nil {
+			registered[bin] = map[string]bool{}
+		}
+		registered[bin][f.name] = true
+	}
+	isVerb := map[string]bool{}
+	for _, m := range verbs {
+		isVerb[m[1]] = true
+	}
+	seen := map[string]bool{}
+	var problems []string
+	for _, code := range codeRe.FindAllString(corpus, -1) {
+		for _, line := range strings.Split(strings.Trim(code, "`"), "\n") {
+			toks := strings.Fields(line)
+			for i, tok := range toks {
+				bin := path.Base(tok)
+				if registered[bin] == nil {
+					continue
+				}
+				for _, name := range shownFlags(toks[i+1:], bin == "dgfctl", isVerb) {
+					if key := bin + " -" + name; !registered[bin][name] && !seen[key] {
+						seen[key] = true
+						problems = append(problems,
+							fmt.Sprintf("the documents show `%s`, but cmd/%s registers no such flag", key, bin))
+					}
+				}
+			}
+		}
+	}
+	return problems
+}
+
+// shownFlags returns the flag names among a command's arguments, up to
+// the end of the command (a pipe, a redirect, a comment) or, when
+// untilVerb is set, up to its verb.
+func shownFlags(args []string, untilVerb bool, isVerb map[string]bool) []string {
+	var names []string
+	for _, arg := range args {
+		if arg == "|" || arg == "||" || arg == "&&" || arg == ";" ||
+			strings.HasPrefix(arg, "#") || strings.HasPrefix(arg, ">") || (untilVerb && isVerb[arg]) {
+			break
+		}
+		if !strings.HasPrefix(arg, "-") {
+			continue
+		}
+		for _, m := range shownFlagRe.FindAllStringSubmatch(arg, -1) {
+			names = append(names, m[1])
+		}
+	}
+	return names
 }
 
 // sourceMetrics scans non-test Go sources for obs metric registrations,

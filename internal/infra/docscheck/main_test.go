@@ -41,6 +41,52 @@ func main() {
 	}
 }
 
+// TestCatchesStaleFlag: a command line shown in code may use only flags
+// the binary registers. A flag that outlived its deletion fails, in a
+// span, in a fenced block and inside a slash list; registered flags, a
+// verb's own flags after a dgfctl verb, another program's flags and
+// flags named in plain prose do not.
+func TestCatchesStaleFlag(t *testing.T) {
+	root := fakeRepo(t, map[string]string{
+		"cmd/dgfbench/main.go": `package main
+import "flag"
+func main() {
+	flag.String("exp", "all", "ids")
+	flag.Bool("small", false, "small")
+	flag.Bool("metrics", true, "snapshot")
+}`,
+		"cmd/dgfctl/main.go": `package main
+import "flag"
+func main() { flag.String("addr", "", "server") }
+var verbs = []verb{
+	{
+		name: "submit",
+	},
+}`,
+		"README.md": "| `submit [-async] file.xml` | submit |\n" +
+			"Run `dgfbench -small -exp E5 -metrics=false`, or `dgfbench -load -small`.\n" +
+			"The old dgfbench -o flag is gone (prose, not code).\n" +
+			"`dgfctl -addr :7401 submit -async flow.xml` and `dgfctl -token $TOK tenants`.\n" +
+			"`bash bench/run.sh --workload fleet_submit` is not ours to check.\n",
+		"docs/BENCH.md": "```sh\ngo run ./cmd/dgfbench -exp E14 | tee -a out.txt\n" +
+			"/tmp/bin/dgfbench -store/-repl -small   # stale pair\n```\n",
+		"docs/METRICS.md": "",
+	})
+	problems, err := check(root)
+	if err != nil {
+		t.Fatalf("check: %v", err)
+	}
+	want := []string{"`dgfbench -load`", "`dgfbench -repl`", "`dgfbench -store`", "`dgfctl -token`"}
+	if len(problems) != len(want) {
+		t.Fatalf("want %d problems %q, got %q", len(want), want, problems)
+	}
+	for i, w := range want {
+		if !strings.Contains(problems[i], w) {
+			t.Errorf("problem %d = %q, want it to show %s", i, problems[i], w)
+		}
+	}
+}
+
 // TestCatchesUndocumentedMetric registers a metric the docs lack.
 func TestCatchesUndocumentedMetric(t *testing.T) {
 	root := fakeRepo(t, map[string]string{

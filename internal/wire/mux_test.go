@@ -366,6 +366,70 @@ func TestMuxRequestContextCancel(t *testing.T) {
 	}
 }
 
+// TestMuxFastReplyOvertakesSlow is the structural check that a mux
+// connection hides latency: a synchronous request is parked inside the
+// server when a fast one is sent behind it on the same connection, the
+// fast reply arrives first, and the slow one still completes with its
+// own result. The slow step is a parked op rather than a sleep, so no
+// duration decides the outcome: it cannot finish until the fast reply
+// is in hand, and a connection that served requests in order would
+// time out here instead of passing slowly.
+func TestMuxFastReplyOvertakesSlow(t *testing.T) {
+	e := newRealClockEngine(t)
+	started, release := make(chan struct{}), make(chan struct{})
+	e.RegisterOp("park", func(c *matrix.OpContext) error {
+		close(started)
+		select {
+		case <-release:
+			return nil
+		case <-c.Cancel:
+			return matrix.ErrCancelled
+		}
+	})
+	_, addr := startServer(t, e)
+	c := dialMux(t, addr)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	type reply struct {
+		resp *dgl.Response
+		err  error
+	}
+	slow := make(chan reply, 1)
+	go func() {
+		flow := dgl.NewFlow("slow").Step("z", dgl.Op("park", nil)).Flow()
+		resp, err := c.SubmitContext(ctx, dgl.NewRequest("user", "", flow))
+		slow <- reply{resp, err}
+	}()
+	select {
+	case <-started:
+	case <-ctx.Done():
+		t.Fatal("slow request never reached its step")
+	}
+
+	fast, err := c.SubmitContext(ctx, dgl.NewRequest("user", "", noopFlow("fast")))
+	if err != nil {
+		t.Fatalf("fast request behind a parked one: %v", err)
+	}
+	if fast.Status == nil || fast.Status.Name != "fast" || fast.Status.State != "succeeded" {
+		t.Fatalf("fast reply = %+v, want the fast flow succeeded", fast)
+	}
+	select {
+	case r := <-slow:
+		t.Fatalf("slow request returned (%+v, %v) before it was released", r.resp, r.err)
+	default:
+	}
+
+	close(release)
+	r := <-slow
+	if r.err != nil {
+		t.Fatalf("slow request: %v", r.err)
+	}
+	if r.resp.Status == nil || r.resp.Status.Name != "slow" || r.resp.Status.State != "succeeded" {
+		t.Fatalf("slow reply = %+v, want the slow flow succeeded", r.resp)
+	}
+}
+
 // TestAdmissionRejectionOverWire fills one user's admission queue and
 // checks the overflow request comes back as a typed capacity error.
 func TestAdmissionRejectionOverWire(t *testing.T) {
