@@ -522,6 +522,38 @@ func TestSimulatedTimeAccounting(t *testing.T) {
 	}
 }
 
+// TestIngestDeleteAllocs holds a grid operation to what it keeps: the
+// namespace node and its name, the replica slice, the physical object,
+// its checksum, the events' details. The object's empty metadata map and
+// the hash state and raw sum behind the checksum used to add three.
+func TestIngestDeleteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under -race")
+	}
+	prov := provenance.NewMemory()
+	prov.Close() // offered every record, retains none
+	g := New(Options{Clock: sim.NewVirtualClock(sim.Epoch), Provenance: prov})
+	if err := g.RegisterResource(vfs.New("d", "x", vfs.Disk, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.CreateCollectionAll(g.Admin(), "/grid"); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(100, func() {
+		if err := g.Ingest(g.Admin(), "/grid/o.dat", 1024, nil, "d"); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Delete(g.Admin(), "/grid/o.dat"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const budget, parent = 9, 12
+	t.Logf("ingest + delete of a synthetic object: %.0f allocations (budget %d, parent commit %d)", got, budget, parent)
+	if got > budget {
+		t.Errorf("ingest + delete allocates %.0f, over the budget of %d", got, budget)
+	}
+}
+
 func BenchmarkIngest(b *testing.B) {
 	g := New(Options{})
 	if err := g.RegisterResource(vfs.New("d", "x", vfs.Disk, 0)); err != nil {

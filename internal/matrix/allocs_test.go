@@ -39,9 +39,11 @@ func allocsEngine(t testing.TB) *Engine {
 // keys rebuilt per lookup, a parameter map and an interpolated copy per
 // step, a map per span) cannot creep back unnoticed. A one-step flow run
 // once is also the plan's worst case: everything it precomputes is used
-// exactly once. The flows measure 47 and 38 allocations; the budgets
-// leave room for another toolchain's internals and sit under the 54 and
-// 45 the parent commit paid.
+// exactly once — and what a loop opens by the block, this flow opens for
+// one: the root region's slabs of one node and one op context must not
+// cost it more than the node and the context did. The flows measure 40
+// and 34 allocations; the budgets leave room for another toolchain's
+// internals and sit under the 54 and 45 the commit before the plan paid.
 func TestEngineStepAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not meaningful under -race")
@@ -95,12 +97,15 @@ func iteratedFlow(n int) dgl.Flow {
 // TestIterationMarginalAllocs holds the cost of one more loop iteration —
 // the number the plan moves, since everything an iteration used to
 // re-derive (parameter maps, the switch's parse, child names, a node and
-// an id per status child) is now worked out once per run. Doubling
+// an id per status child) is now worked out once per run, and what it
+// used to open for itself (its region, a scope for it and for each child
+// flow, a context for each step) is opened by the block. Doubling
 // iteratedFlow from 16+8 to 32+16 iterations adds 16 forEach iterations
 // (each: setMeta with one interpolated parameter, a switch, the arm it
-// picks) and 8 while iterations (each: a setVariable expr); the cost per
-// added forEach iteration and half a while iteration measures 15.6 where
-// the parent commit paid 77.1.
+// picks) and 8 while iterations (each: a setVariable expr, and a region
+// of its own — a while loop cannot open ahead); the cost per added
+// forEach iteration and half a while iteration measures 7.6 where the
+// parent commit paid 15.6 and the interpreter before the plan 77.1.
 func TestIterationMarginalAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not meaningful under -race")
@@ -112,11 +117,11 @@ func TestIterationMarginalAllocs(t *testing.T) {
 	}
 	small, large := cost(16), cost(32)
 	marginal := (large - small) / 16
-	const budget, parent = 20, 77.1
-	t.Logf("iterated flow: %.0f allocations at 16+8 iterations, %.0f at 32+16: %.1f per added iteration (budget %d, parent commit %.1f)",
+	const budget, parent = 9.6, 15.6
+	t.Logf("iterated flow: %.0f allocations at 16+8 iterations, %.0f at 32+16: %.1f per added iteration (budget %.1f, parent commit %.1f)",
 		small, large, marginal, budget, parent)
 	if marginal > budget {
-		t.Errorf("an added iteration costs %.1f allocations, over the budget of %d: is the loop body being re-derived per pass again?", marginal, budget)
+		t.Errorf("an added iteration costs %.1f allocations, over the budget of %.1f: is the loop body being re-derived, or its region opened, per pass again?", marginal, budget)
 	}
 }
 
@@ -176,6 +181,30 @@ func dagEngine(tb testing.TB) *Engine {
 		}
 	}
 	return NewEngineConfig(g, Config{MaxParallel: 32})
+}
+
+// TestDAGFlowAllocs holds the whole 137-step flow: 2 forEach loops of 32
+// iterations, each one block, a while loop of 8 and the grid operations
+// under them measure 705 allocations where the parent commit paid 1 270
+// (docs/ARCHITECTURE.md, stage 5, has the rows).
+func TestDAGFlowAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under -race")
+	}
+	e := dagEngine(t)
+	seq := 0
+	for ; seq < 50; seq++ { // warm-up, as in the benchmark
+		runToEnd(t, e, dagFlow(seq))
+	}
+	got := testing.AllocsPerRun(100, func() {
+		runToEnd(t, e, dagFlow(seq))
+		seq++
+	})
+	const budget, parent = 760, 1270
+	t.Logf("dag flow: %.0f allocations (budget %d, parent commit %d)", got, budget, parent)
+	if got > budget {
+		t.Errorf("the dag flow costs %.0f allocations, over the budget of %d: is an iteration opening its own region, scopes or contexts again?", got, budget)
+	}
 }
 
 func BenchmarkEngineDAG(b *testing.B) {

@@ -43,7 +43,9 @@ type OpContext struct {
 
 	// op is the planned operation; vals[i] is op.slots[i] rendered against
 	// Scope when the step was bound. The usual handful of parameters
-	// lives in inline, so binding allocates this context and nothing else.
+	// lives in inline, so binding allocates nothing beside the context —
+	// itself a slot of its region's slab (plan.go) on a step's first
+	// attempt, and from then on the handler's to keep.
 	op     *planOp
 	vals   []string
 	inline [4]string

@@ -216,6 +216,31 @@ func TestWhileLoopGuard(t *testing.T) {
 	}
 }
 
+// TestWhileLoopCap: the cap bounds the passes a loop runs, not the times
+// its guard is evaluated — a loop whose guard turns false after exactly
+// MaxLoopIterations passes has ended, not run away.
+func TestWhileLoopCap(t *testing.T) {
+	const limit = 4
+	g := dgms.New(dgms.Options{})
+	e := NewEngineConfig(g, Config{MaxLoopIterations: limit})
+	for _, passes := range []int{limit - 1, limit, limit + 1} {
+		flow := dgl.NewFlow("loop").Var("i", "0").WhileLoop(fmt.Sprintf("$i < %d", passes)).
+			Step("inc", dgl.Op(dgl.OpSetVariable, map[string]string{"name": "i", "expr": "$i + 1"})).Flow()
+		ex, err := e.Run(g.Admin(), flow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		werr, ran := ex.Wait(), len(ex.Status(true).Children)
+		if passes <= limit {
+			if werr != nil || ran != passes {
+				t.Errorf("a loop of %d passes under a cap of %d: %d ran, error %v", passes, limit, ran, werr)
+			}
+		} else if werr == nil || !strings.Contains(werr.Error(), "exceeded 4 iterations") || ran != limit {
+			t.Errorf("a loop of %d passes under a cap of %d: %d ran, error %v", passes, limit, ran, werr)
+		}
+	}
+}
+
 func TestForEachInline(t *testing.T) {
 	e := newTestEngine(t)
 	flow := dgl.NewFlow("fe").

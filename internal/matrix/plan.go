@@ -17,6 +17,8 @@ package matrix
 // allocations however it nests.
 
 import (
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -79,6 +81,9 @@ type planChild struct {
 	rel  string
 	flow *planFlow // exactly one of flow and step is set
 	step *planStep
+	// idx is the child's slot among its region's scopes (a flow) or op
+	// contexts (a step).
+	idx int
 }
 
 // kind is the status node's kind.
@@ -167,33 +172,77 @@ func (o *planOp) slot(name string) *paramSlot {
 // regionShape sizes the static part of a status tree under one root —
 // the execution's root node, or one loop iteration: every node down to
 // (and including) the next loop, whose own iterations open regions of
-// their own. A region's nodes, child-pointer slices and ids are each one
-// allocation (open), where building the tree node by node paid three per
-// child and the regrowth of every children slice.
+// their own — and what running it once needs besides: a scope for every
+// child flow and an op context for every step.
 type regionShape struct {
 	nodes  int // status nodes in the region, its root not counted
 	relLen int // total length of their rel ids
+	// scopes a run of the region pushes: one per child flow, after slot 0
+	// for the iteration variable when the region is a forEach's body.
+	scopes int
+	steps  int // steps in the region: each binds its first attempt's context
 }
 
-// region is one opened regionShape: the status nodes of its members,
-// addressed by slot.
-type region []node
+// region is one opened regionShape: the status nodes, scopes and op
+// contexts of its members, addressed by slot. A block — what open returns
+// for several roots — is their regions one after another in the same
+// three slabs.
+type region struct {
+	nodes  []node
+	scopes []Scope
+	ctxs   []OpContext
+}
 
-// open allocates the status nodes of the region under root, the node of
-// the execution or of one iteration of owner. Nodes start pending and
-// unattached: a child joins its parent's children when the run reaches
-// it, so a status query sees exactly the nodes it saw when each was
-// allocated on arrival.
-func (sh *regionShape) open(root *node, owner *planFlow) region {
-	nodes := make([]node, sh.nodes)
-	kids := make([]*node, sh.nodes) // backing for every children slice in the region
+// blockSize is how many iterations of a forEach open their regions
+// together. The slabs of a block are sized by it, so it bounds what a
+// loop holds for iterations it has not run yet, whatever its item count.
+const blockSize = 32
+
+// blockOpened, when a test sets it, is told of every block as it opens.
+var blockOpened func(owner *planFlow, regions int)
+
+// open allocates the regions under roots — the execution's root node, one
+// while iteration of owner, or a block of its forEach iterations — in
+// five allocations: status nodes, the backing of every children slice,
+// ids, scopes, op contexts. Nodes start pending and unattached: a child
+// joins its parent's children when the run reaches it, so a status query
+// sees exactly the nodes it saw when each was allocated on arrival.
+// Scopes and contexts start zero and each slot is used once — a handler
+// may keep its *OpContext or its Scope, so nothing here is ever handed
+// out again.
+func (sh *regionShape) open(owner *planFlow, roots []*node) region {
+	block := region{
+		nodes:  make([]node, len(roots)*sh.nodes),
+		scopes: make([]Scope, len(roots)*sh.scopes),
+		ctxs:   make([]OpContext, len(roots)*sh.steps),
+	}
+	kids := make([]*node, len(block.nodes)) // backing for every children slice in the block
+	idLen := len(roots) * sh.relLen
+	for _, root := range roots {
+		idLen += sh.nodes * len(root.id)
+	}
 	var ids strings.Builder
-	ids.Grow(sh.nodes*len(root.id) + sh.relLen)
-	fillRegion(nodes, kids, owner, root.id, &ids)
-	root.mu.Lock()
-	root.children = kids[0:0:len(owner.kids)]
-	root.mu.Unlock()
-	return nodes
+	ids.Grow(idLen)
+	for k, root := range roots {
+		kids := kids[k*sh.nodes : (k+1)*sh.nodes]
+		fillRegion(sh.at(block, k).nodes, kids, owner, root.id, &ids)
+		root.mu.Lock()
+		root.children = kids[0:0:len(owner.kids)]
+		root.mu.Unlock()
+	}
+	if blockOpened != nil {
+		blockOpened(owner, len(roots))
+	}
+	return block
+}
+
+// at returns the k-th region of a block.
+func (sh *regionShape) at(block region, k int) region {
+	return region{
+		nodes:  block.nodes[k*sh.nodes : (k+1)*sh.nodes],
+		scopes: block.scopes[k*sh.scopes : (k+1)*sh.scopes],
+		ctxs:   block.ctxs[k*sh.steps : (k+1)*sh.steps],
+	}
 }
 
 // fillRegion initialises the nodes of pf's children and, through every
@@ -216,9 +265,59 @@ func fillRegion(nodes []node, kids []*node, pf *planFlow, rootID string, ids *st
 // attach hangs the status node of pf's i-th child under its parent node
 // — the moment the child becomes visible to status queries.
 func (r region) attach(pf *planFlow, i int, under *node) *node {
-	c := &r[pf.first+i]
+	c := &r.nodes[pf.first+i]
 	under.addChild(c)
 	return c
+}
+
+// iterRegions hands the iterations of a forEach their regions, opening
+// them a block at a time: when the first iteration of a block is reached,
+// and in order — the workers of a parallel loop pull indices in order but
+// arrive here in any, so an arrival opens every block up to its own. A
+// block leaves live once its last region is taken; what it allocated then
+// lives as long as the iterations running on it (and its status nodes as
+// long as the tree).
+type iterRegions struct {
+	owner *planFlow
+	iters []node // the loop's iteration nodes, by index
+
+	mu     sync.Mutex
+	opened int         // iterations whose regions have been opened
+	live   []liveBlock // seldom more than one
+}
+
+// liveBlock is an opened block with regions not yet taken.
+type liveBlock struct {
+	block       region
+	first, left int // the index of its first iteration; regions still to take
+}
+
+// take returns the region of iteration i. Every index is taken at most
+// once.
+func (r *iterRegions) take(i int) region {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i >= r.opened && r.opened < len(r.iters) {
+		var roots [blockSize]*node
+		n := min(blockSize, len(r.iters)-r.opened)
+		for k := range roots[:n] {
+			roots[k] = &r.iters[r.opened+k]
+		}
+		r.live = append(r.live, liveBlock{r.owner.body.open(r.owner, roots[:n]), r.opened, n})
+		r.opened += n
+	}
+	for k := range r.live {
+		lb := &r.live[k]
+		if i < lb.first || i >= lb.first+blockSize {
+			continue
+		}
+		reg := r.owner.body.at(lb.block, i-lb.first)
+		if lb.left--; lb.left == 0 {
+			r.live = slices.Delete(r.live, k, k+1) // zeroes the vacated tail: the slabs are let go
+		}
+		return reg
+	}
+	panic("matrix: forEach iteration " + strconv.Itoa(i) + " has no region to take: out of range, or taken before")
 }
 
 // planSize is what the counting walk found: the length of every slab.
@@ -359,6 +458,9 @@ func (b *planBuilder) fillFlow(pf *planFlow, f *dgl.Flow, rel string, sh *region
 	if loops(f) {
 		pf.body = &take(&b.shapes, 1)[0]
 		rel, sh = "", pf.body
+		if f.Logic.Control == dgl.ForEach {
+			sh.scopes = 1 // slot 0: the iteration variable's scope
+		}
 	}
 	pf.kids = take(&b.children, len(f.Flows)+len(f.Steps))
 	pf.first = sh.nodes
@@ -374,13 +476,15 @@ func (b *planBuilder) fillFlow(pf *planFlow, f *dgl.Flow, rel string, sh *region
 	flows := take(&b.flows, len(f.Flows))
 	for i := range f.Flows {
 		k := &pf.kids[i]
-		*k = planChild{name: f.Flows[i].Name, rel: childRel(f.Flows[i].Name), flow: &flows[i]}
+		*k = planChild{name: f.Flows[i].Name, rel: childRel(f.Flows[i].Name), flow: &flows[i], idx: sh.scopes}
+		sh.scopes++
 		b.fillFlow(k.flow, &f.Flows[i], k.rel, sh)
 	}
 	steps := take(&b.steps, len(f.Steps))
 	for i := range f.Steps {
 		k := &pf.kids[len(f.Flows)+i]
-		*k = planChild{name: f.Steps[i].Name, rel: childRel(f.Steps[i].Name), step: &steps[i]}
+		*k = planChild{name: f.Steps[i].Name, rel: childRel(f.Steps[i].Name), step: &steps[i], idx: sh.steps}
+		sh.steps++
 		b.fillStep(k.step, &f.Steps[i])
 	}
 }

@@ -47,7 +47,7 @@ func (ex *Execution) run() {
 	root := ex.plan.root
 	var reg region // stays empty when the root flow loops: its iterations open their own
 	if root.body == nil {
-		reg = ex.plan.shape.open(ex.root, root)
+		reg = ex.plan.shape.open(root, []*node{ex.root})
 	}
 	err := ex.runFlowScoped(root, ex.root, ex.scope, reg)
 	ex.mu.Lock()
@@ -91,12 +91,12 @@ func (ex *Execution) relID(id string) string {
 
 func (ex *Execution) now() time.Time { return ex.engine.Clock().Now() }
 
-// runFlow interprets one flow into the status node n with the enclosing
-// variable environment parent, pushing a fresh scope for the flow. reg is
-// the region n belongs to, which also holds the nodes of pf's children
-// unless pf loops.
-func (ex *Execution) runFlow(pf *planFlow, n *node, parent *Scope, reg region) error {
-	return ex.runFlowScoped(pf, n, NewScope(parent), reg)
+// runFlow interprets the child flow k into its status node n with the
+// enclosing variable environment parent, pushing the flow's scope — its
+// slot of reg, the region n belongs to, which also holds the nodes of the
+// flow's children unless it loops.
+func (ex *Execution) runFlow(k *planChild, n *node, parent *Scope, reg region) error {
+	return ex.runFlowScoped(k.flow, n, reg.scopes[k.idx].init(parent), reg)
 }
 
 // runFlowScoped interprets one flow using scope as the flow's own scope.
@@ -181,9 +181,9 @@ var scopeDepthBuckets = []float64{1, 2, 4, 8, 16, 32, 64}
 func (ex *Execution) runChild(pf *planFlow, i int, under *node, scope *Scope, reg region) error {
 	k, n := &pf.kids[i], reg.attach(pf, i, under)
 	if k.flow != nil {
-		return ex.runFlow(k.flow, n, scope, reg)
+		return ex.runFlow(k, n, scope, reg)
 	}
-	return ex.runStep(k.step, n, scope)
+	return ex.runStep(k.step, n, scope, &reg.ctxs[k.idx])
 }
 
 func (ex *Execution) runChildrenSequential(pf *planFlow, under *node, scope *Scope, reg region) error {
@@ -229,12 +229,12 @@ func (ex *Execution) runChildrenParallel(pf *planFlow, under *node, scope *Scope
 // the delegation plane first — parallel branches are the natural
 // distribution unit (steps and sequential children always run locally).
 func (ex *Execution) runChildDelegable(pf *planFlow, i int, under *node, scope *Scope, reg region) error {
-	if child := pf.kids[i].flow; child != nil && ex.engine.delegator() != nil {
+	if k := &pf.kids[i]; k.flow != nil && ex.engine.delegator() != nil {
 		n := reg.attach(pf, i, under)
-		if handled, err := ex.maybeDelegate(child, child.src, n, scope); handled {
+		if handled, err := ex.maybeDelegate(k.flow, k.flow.src, n, scope); handled {
 			return err
 		}
-		return ex.runFlow(child, n, scope, reg)
+		return ex.runFlow(k, n, scope, reg)
 	}
 	return ex.runChild(pf, i, under, scope, reg)
 }
@@ -279,10 +279,10 @@ func iterNodes(parent *node, m int) []node {
 }
 
 // runIteration runs the loop body once under the iteration node in,
-// whose static subtree is one region.
-func (ex *Execution) runIteration(pf *planFlow, in *node, scope *Scope) error {
+// whose static subtree is the region reg.
+func (ex *Execution) runIteration(pf *planFlow, in *node, scope *Scope, reg region) error {
 	in.setState(StateRunning, ex.now())
-	if err := ex.runChildrenSequential(pf, in, scope, pf.body.open(in, pf)); err != nil {
+	if err := ex.runChildrenSequential(pf, in, scope, reg); err != nil {
 		in.setError(err)
 		if errors.Is(err, ErrCancelled) {
 			in.setState(StateCancelled, ex.now())
@@ -304,9 +304,6 @@ func (ex *Execution) runWhile(pf *planFlow, n *node, scope *Scope) error {
 		if err := ex.ctrl.checkpoint(); err != nil {
 			return err
 		}
-		if i >= ex.engine.cfg.MaxLoopIterations {
-			return fmt.Errorf("matrix: while loop in %s exceeded %d iterations", name, i)
-		}
 		ok, err := pf.cond.eval(scope)
 		if err != nil {
 			return fmt.Errorf("matrix: while condition in %s: %w", name, err)
@@ -314,7 +311,13 @@ func (ex *Execution) runWhile(pf *planFlow, n *node, scope *Scope) error {
 		if !ok.AsBool() {
 			return nil
 		}
-		if err := ex.runIteration(pf, iterNode(n, i), scope); err != nil {
+		if i >= ex.engine.cfg.MaxLoopIterations { // a pass beyond the cap would start
+			return fmt.Errorf("matrix: while loop in %s exceeded %d iterations", name, i)
+		}
+		// How many passes there will be is the guard's to say, so a while
+		// loop opens its regions one iteration at a time.
+		in := iterNode(n, i)
+		if err := ex.runIteration(pf, in, scope, pf.body.open(pf, []*node{in})); err != nil {
 			return err
 		}
 	}
@@ -327,17 +330,19 @@ func (ex *Execution) runForEach(pf *planFlow, n *node, scope *Scope) error {
 		return err
 	}
 	nodes := iterNodes(n, len(items))
+	regs := &iterRegions{owner: pf, iters: nodes}
 	if it.src.Parallel {
-		return ex.runForEachParallel(pf, n, scope, items, nodes)
+		return ex.runForEachParallel(pf, n, scope, items, regs)
 	}
 	for i, item := range items {
 		if err := ex.ctrl.checkpoint(); err != nil {
 			return err
 		}
-		iterScope := NewScope(scope)
+		reg := regs.take(i)
+		iterScope := reg.scopes[0].init(scope)
 		iterScope.Declare(it.src.Var, expr.String(item))
 		n.addChild(&nodes[i])
-		if err := ex.runIteration(pf, &nodes[i], iterScope); err != nil {
+		if err := ex.runIteration(pf, &nodes[i], iterScope, reg); err != nil {
 			return err
 		}
 	}
@@ -346,18 +351,19 @@ func (ex *Execution) runForEach(pf *planFlow, n *node, scope *Scope) error {
 
 // runForEachParallel fans iterations out under the engine's parallelism
 // cap. All iterations run to completion; errors join.
-func (ex *Execution) runForEachParallel(pf *planFlow, n *node, scope *Scope, items []string, nodes []node) error {
+func (ex *Execution) runForEachParallel(pf *planFlow, n *node, scope *Scope, items []string, regs *iterRegions) error {
 	// Attach the iteration nodes up front so status ids stay ordered.
-	for i := range nodes {
-		n.addChild(&nodes[i])
+	for i := range regs.iters {
+		n.addChild(&regs.iters[i])
 	}
 	return ex.fanOut(len(items), func(i int) error {
-		in := &nodes[i]
+		in := &regs.iters[i]
 		if err := ex.ctrl.checkpoint(); err != nil {
 			in.setState(StateCancelled, ex.now())
 			return err
 		}
-		iterScope := NewScope(scope)
+		reg := regs.take(i)
+		iterScope := reg.scopes[0].init(scope)
 		iterScope.Declare(pf.iter.src.Var, expr.String(items[i]))
 		if ex.engine.delegator() != nil {
 			// Parallel foreach shards delegate as synthetic sequential
@@ -366,7 +372,7 @@ func (ex *Execution) runForEachParallel(pf *planFlow, n *node, scope *Scope, ite
 				return err
 			}
 		}
-		return ex.runIteration(pf, in, iterScope)
+		return ex.runIteration(pf, in, iterScope, reg)
 	})
 }
 
@@ -456,8 +462,9 @@ func (ex *Execution) runSwitch(pf *planFlow, n *node, scope *Scope, reg region) 
 	return ex.runChild(pf, chosen, n, scope, reg)
 }
 
-// runStep executes one step with fault handling and rules.
-func (ex *Execution) runStep(ps *planStep, n *node, parent *Scope) error {
+// runStep executes one step with fault handling and rules. c is the
+// step's context in its region, which its first attempt runs on.
+func (ex *Execution) runStep(ps *planStep, n *node, parent *Scope, c *OpContext) error {
 	st := ps.src
 	if err := ex.ctrl.checkpoint(); err != nil {
 		n.setState(StateCancelled, ex.now())
@@ -498,15 +505,12 @@ func (ex *Execution) runStep(ps *planStep, n *node, parent *Scope) error {
 	// publish uses the exact key the lookup hashed — and the first
 	// attempt runs on the parameters the key was derived from.
 	var vd *vdataBinding
-	var bound *OpContext
 	if st.Pure {
-		if vd = ex.vdataResolve(ps, scope, n.id); vd != nil {
-			if ex.vdataHit(vd, st, n, scope) {
-				return nil
-			}
-			bound = vd.ctx
+		if vd = ex.vdataResolve(ps, scope, n.id, c); vd != nil && ex.vdataHit(vd, st, n, scope) {
+			return nil
 		}
 	}
+	bound := vd != nil // c holds the parameters the key was derived from
 	op := ps.op.typ
 	started := ex.now()
 	n.setState(StateRunning, started)
@@ -550,10 +554,13 @@ func (ex *Execution) runStep(ps *planStep, n *node, parent *Scope) error {
 				FlowID: ex.ID, StepID: n.id, Target: st.Name,
 				Detail: map[string]string{"attempt": fmt.Sprint(attempt + 1)},
 			})
+			// A retry binds afresh, against the scope as it is then, and
+			// into a context of its own: the handler may have kept the
+			// failed attempt's.
+			c, bound = new(OpContext), false
 		}
 		attemptStart := ex.now()
-		opErr = ex.execOperation(&ps.op, scope, n.id, bound)
-		bound = nil // a retry binds afresh, against the scope as it is then
+		opErr = ex.execOperation(&ps.op, scope, n.id, c, bound)
 		if timing.Timeout > 0 {
 			// Under the virtual clock an operation cannot be interrupted
 			// mid-flight; the budget is checked against the virtual time
@@ -679,7 +686,7 @@ func (ex *Execution) fireRule(rule *planRule, scope *Scope, nodeID string) error
 		if a.op == nil {
 			return nil
 		}
-		if err := ex.execOperation(a.op, scope, nodeID+"#"+rule.name, nil); err != nil {
+		if err := ex.execOperation(a.op, scope, nodeID+"#"+rule.name, new(OpContext), false); err != nil {
 			return fmt.Errorf("matrix: rule %q action %q: %w", rule.name, a.name, err)
 		}
 		return nil
@@ -688,9 +695,10 @@ func (ex *Execution) fireRule(rule *planRule, scope *Scope, nodeID string) error
 }
 
 // bind renders the operation's parameters against the live scope (late
-// binding) into the context its handler will read them from.
-func (ex *Execution) bind(op *planOp, scope *Scope, nodeID string) (*OpContext, error) {
-	c := &OpContext{
+// binding) into c, the context its handler will read them from — a slot
+// of the step's region or a fresh one, never one a handler has seen.
+func (ex *Execution) bind(c *OpContext, op *planOp, scope *Scope, nodeID string) error {
+	*c = OpContext{
 		Engine: ex.engine,
 		Grid:   ex.engine.grid,
 		User:   ex.req.User.Name,
@@ -704,26 +712,25 @@ func (ex *Execution) bind(op *planOp, scope *Scope, nodeID string) (*OpContext, 
 	for i := range op.slots {
 		v, err := op.slots[i].value.Render(scope)
 		if err != nil {
-			return nil, fmt.Errorf("parameter %q: %w", op.slots[i].name, err)
+			return fmt.Errorf("parameter %q: %w", op.slots[i].name, err)
 		}
 		c.vals = append(c.vals, v)
 	}
-	return c, nil
+	return nil
 }
 
-// execOperation binds the operation's parameters — unless the caller
-// already has (a pure step binds once, for its derivation key and for
-// its first attempt) — and dispatches to the registered handler.
-func (ex *Execution) execOperation(op *planOp, scope *Scope, nodeID string, bound *OpContext) error {
+// execOperation binds the operation's parameters into c — unless the
+// caller already has (a pure step binds once, for its derivation key and
+// for its first attempt) — and dispatches to the registered handler.
+func (ex *Execution) execOperation(op *planOp, scope *Scope, nodeID string, c *OpContext, bound bool) error {
 	h, ok := ex.engine.handler(op.typ)
 	if !ok {
 		return fmt.Errorf("matrix: no handler for operation %q", op.typ)
 	}
-	if bound == nil {
-		var err error
-		if bound, err = ex.bind(op, scope, nodeID); err != nil {
+	if !bound {
+		if err := ex.bind(c, op, scope, nodeID); err != nil {
 			return err
 		}
 	}
-	return h(bound)
+	return h(c)
 }

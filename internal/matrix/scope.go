@@ -46,7 +46,13 @@ type binding struct {
 
 // NewScope returns a scope with the given parent (nil for a root scope).
 func NewScope(parent *Scope) *Scope {
-	s := &Scope{parent: parent}
+	return new(Scope).init(parent)
+}
+
+// init readies a zero scope — one of its own, or a slot of a region's
+// slab — as a level under parent.
+func (s *Scope) init(parent *Scope) *Scope {
+	s.parent = parent
 	s.vars = s.inline[:0]
 	return s
 }

@@ -78,22 +78,20 @@ type vdataBinding struct {
 	tenant  string
 	params  map[string]string
 	outputs []string
-	// ctx is the step's bound parameters the key was derived from; the
-	// step's first attempt executes on it rather than binding again.
-	ctx *OpContext
 }
 
-// vdataResolve derives ps's binding under the current scope. It returns
-// nil when no catalog (or remote hook) is attached or when the step's
-// parameters do not interpolate — execution then proceeds normally and
-// surfaces the same interpolation error itself.
-func (ex *Execution) vdataResolve(ps *planStep, scope *Scope, nodeID string) *vdataBinding {
+// vdataResolve derives ps's binding under the current scope, binding the
+// step's parameters into ctx: the key is derived from them, and the
+// step's first attempt executes on them rather than binding again. It
+// returns nil when no catalog (or remote hook) is attached or when the
+// step's parameters do not interpolate — execution then proceeds normally
+// and surfaces the same interpolation error itself.
+func (ex *Execution) vdataResolve(ps *planStep, scope *Scope, nodeID string, ctx *OpContext) *vdataBinding {
 	cat, remote := ex.engine.vdataHooks()
 	if cat == nil && remote == nil {
 		return nil
 	}
-	ctx, err := ex.bind(&ps.op, scope, nodeID)
-	if err != nil {
+	if err := ex.bind(ctx, &ps.op, scope, nodeID); err != nil {
 		return nil
 	}
 	// The catalog keys on, and keeps, the bindings as a map.
@@ -117,7 +115,6 @@ func (ex *Execution) vdataResolve(ps *planStep, scope *Scope, nodeID string) *vd
 		tenant:  ten,
 		params:  params,
 		outputs: resources,
-		ctx:     ctx,
 	}
 }
 
@@ -137,7 +134,7 @@ func (ex *Execution) vdataPeerHint(pf *planFlow, scope *Scope) string {
 		if ps == nil || !ps.src.Pure {
 			continue
 		}
-		vd := ex.vdataResolve(ps, scope, "")
+		vd := ex.vdataResolve(ps, scope, "", new(OpContext))
 		if vd == nil {
 			continue
 		}

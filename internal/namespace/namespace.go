@@ -60,7 +60,7 @@ type node struct {
 	domain   string
 	size     int64
 	created  time.Time
-	meta     map[string]string
+	meta     map[string]string // nil until the first SetMeta: most entries are never tagged
 	replicas []Replica
 	children map[string]*node // collections only
 	acl      map[string]Perm  // explicit grants; inherited from ancestors
@@ -101,7 +101,6 @@ func New(admin string) *Namespace {
 		kind:     KindCollection,
 		owner:    admin,
 		children: make(map[string]*node),
-		meta:     make(map[string]string),
 		acl:      map[string]Perm{admin: PermOwn},
 	}}
 }
@@ -212,7 +211,6 @@ func newCollection(owner, domain string, now time.Time) *node {
 		domain:   domain,
 		created:  now,
 		children: make(map[string]*node),
-		meta:     make(map[string]string),
 	}
 }
 
@@ -263,7 +261,6 @@ func (ns *Namespace) CreateObject(path, owner, domain string, size int64, now ti
 		domain:  domain,
 		size:    size,
 		created: now,
-		meta:    make(map[string]string),
 	})
 }
 
@@ -512,6 +509,9 @@ func (ns *Namespace) SetMeta(path, attr, value string) error {
 	n, err := ns.resolve(path)
 	if err != nil {
 		return err
+	}
+	if n.meta == nil {
+		n.meta = make(map[string]string)
 	}
 	n.meta[attr] = value
 	return nil

@@ -2,6 +2,7 @@ package namespace
 
 import (
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
@@ -239,9 +240,9 @@ func TestPathHandlingAllocs(t *testing.T) {
 			fail(ns.RemoveReplica(path, rep.Resource))
 			fail(ns.AddReplica(path, rep))
 		}},
-		// What is left is the node, its metadata map and its own copy
-		// of the last component: the entry itself, not the path.
-		{"Remove+CreateObject", 3, "51", func() {
+		// What is left is the node and its own copy of the last
+		// component: the entry itself, not the path.
+		{"Remove+CreateObject", 2, "51", func() {
 			fail(ns.Remove(path))
 			fail(ns.CreateObject(path, "user", "d", 1, sim.Epoch))
 		}},
@@ -251,5 +252,100 @@ func TestPathHandlingAllocs(t *testing.T) {
 		} else {
 			t.Logf("%s: %.0f allocations (parent commit: %s)", tc.name, got, tc.parent)
 		}
+	}
+}
+
+// TestCreateObjectAllocs: an object costs its node and its own copy of
+// its name. The metadata map comes with the first SetMeta, so the
+// untagged objects of a large collection never carry one.
+func TestCreateObjectAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under -race")
+	}
+	ns := New("admin")
+	if err := ns.MkCollectionAll("/grid/work", "user", "d", sim.Epoch); err != nil {
+		t.Fatal(err)
+	}
+	paths := make([]string, 201) // AllocsPerRun's warm-up call takes one too
+	for i := range paths {
+		paths[i] = "/grid/work/" + strconv.Itoa(i) + ".dat"
+	}
+	next := 0
+	got := testing.AllocsPerRun(len(paths)-1, func() {
+		if err := ns.CreateObject(paths[next], "user", "d", 1024, sim.Epoch); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	// The growth of the collection's children map rounds away over the run.
+	t.Logf("CreateObject: %.0f allocations (parent commit: 3)", got)
+	if got > 2 {
+		t.Errorf("CreateObject allocates %.0f, want the node and its name: is the metadata map back at creation?", got)
+	}
+}
+
+// TestMetadataOfUntaggedEntries: an entry whose metadata map was never
+// made answers every metadata question as an empty map would — before
+// any SetMeta, after its only attribute is removed, and across a move.
+func TestMetadataOfUntaggedEntries(t *testing.T) {
+	ns := New("admin")
+	for _, dir := range []string{"/grid/a", "/grid/b"} {
+		if err := ns.MkCollectionAll(dir, "user", "d", sim.Epoch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range []string{"/grid/a/never.dat", "/grid/a/removed.dat", "/grid/a/moving.dat", "/grid/a/tagged.dat"} {
+		if err := ns.CreateObject(p, "user", "d", 1, sim.Epoch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range []string{"/grid/a/removed.dat", "/grid/a/tagged.dat"} {
+		if err := ns.SetMeta(p, "tag", "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ns.DeleteMeta("/grid/a/removed.dat", "tag"); err != nil {
+		t.Fatal(err)
+	}
+	if err := ns.Move("/grid/a/moving.dat", "/grid/b/moved.dat"); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"/grid/a/never.dat", "/grid/a/removed.dat", "/grid/b/moved.dat", "/grid/b"} {
+		if v, ok, err := ns.GetMeta(p, "tag"); v != "" || ok || err != nil {
+			t.Errorf("GetMeta(%s) = %q, %v, %v", p, v, ok, err)
+		}
+		if err := ns.DeleteMeta(p, "tag"); err != nil {
+			t.Errorf("DeleteMeta(%s) on an entry without metadata: %v", p, err)
+		}
+		if e, err := ns.Lookup(p); err != nil || e.Metadata != nil {
+			t.Errorf("Lookup(%s).Metadata = %v, %v; want nil", p, e.Metadata, err)
+		}
+	}
+	for _, tc := range []struct {
+		cond Condition
+		want string
+	}{
+		{Condition{Attr: "tag", Op: OpExists}, "/grid/a/tagged.dat"},
+		{Condition{Attr: "tag", Op: OpEq, Value: "v"}, "/grid/a/tagged.dat"},
+		{Condition{Attr: "tag", Op: OpNe, Value: "v"}, ""},
+	} {
+		got, err := ns.Search(Query{Scope: "/grid", ObjectsOnly: true, Conditions: []Condition{tc.cond}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var paths []string
+		for _, e := range got {
+			paths = append(paths, e.Path)
+		}
+		if strings.Join(paths, ",") != tc.want {
+			t.Errorf("Search(%+v) = %v, want %q", tc.cond, paths, tc.want)
+		}
+	}
+	// The moved object is taggable where it now lives.
+	if err := ns.SetMeta("/grid/b/moved.dat", "tag", "late"); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok, _ := ns.GetMeta("/grid/b/moved.dat", "tag"); !ok || v != "late" {
+		t.Errorf("GetMeta after the first SetMeta on a moved object = %q, %v", v, ok)
 	}
 }

@@ -1,0 +1,7 @@
+//go:build race
+
+package vfs
+
+// raceEnabled: the detector's instrumentation allocates, so the
+// allocation budgets are skipped under -race.
+const raceEnabled = true

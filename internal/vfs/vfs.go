@@ -316,19 +316,22 @@ func (r *Resource) Checksum(id string) (string, time.Duration, error) {
 }
 
 func computeChecksum(o *object) string {
-	h := md5.New()
-	if o.data != nil {
-		h.Write(o.data)
-	} else {
-		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], uint64(o.info.Size))
-		h.Write([]byte(o.info.ID))
-		h.Write(buf[:])
+	data := o.data
+	if data == nil {
+		// The pseudo-content: id, size and the corruption mark. The buffer
+		// stays on the stack for any id short of ~100 bytes.
+		msg := make([]byte, 0, 128)
+		msg = append(msg, o.info.ID...)
+		msg = binary.BigEndian.AppendUint64(msg, uint64(o.info.Size))
 		if o.corrupted {
-			h.Write([]byte("corrupted"))
+			msg = append(msg, "corrupted"...)
 		}
+		data = msg
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := md5.Sum(data)
+	var text [2 * md5.Size]byte
+	hex.Encode(text[:], sum[:])
+	return string(text[:])
 }
 
 // Corrupt silently damages the stored object — the bit-rot failure mode

@@ -125,6 +125,11 @@ func TestChecksum(t *testing.T) {
 	if s1 != s2 || len(s1) != 32 {
 		t.Errorf("synthetic checksum unstable: %s vs %s", s1, s2)
 	}
+	// md5("syn" + the size as 8 big-endian bytes): replicas registered
+	// before a change to how the digest is computed must still verify.
+	if s1 != "e5397988c414251f9d5c690d7451ffed" {
+		t.Errorf("synthetic checksum = %s", s1)
+	}
 	// Two synthetic objects with different ids differ.
 	if _, err := r.Put("syn2", 1000, nil, sim.Epoch); err != nil {
 		t.Fatal(err)
@@ -315,6 +320,26 @@ func BenchmarkPutSynthetic(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := r.Put(fmt.Sprintf("o%d", i), 1<<20, nil, sim.Epoch); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestChecksumAllocs: a digest costs the string it is kept as — the hash
+// state, the sum and its hex form stay on the stack — for real content
+// and for the pseudo-content of a synthetic object alike.
+func TestChecksumAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under -race")
+	}
+	for _, o := range []*object{
+		{info: ObjectInfo{ID: "/grid/work/17-4.dat", Size: 1024, Synthetic: true}},
+		{info: ObjectInfo{ID: "/grid/work/17-4.dat", Size: 1024, Synthetic: true}, corrupted: true},
+		{info: ObjectInfo{ID: "real", Size: 3}, data: []byte("abc")},
+	} {
+		var sum string
+		got := testing.AllocsPerRun(100, func() { sum = computeChecksum(o) })
+		if got > 1 || len(sum) != 32 {
+			t.Errorf("computeChecksum(%+v) = %q in %.0f allocations, want 1 (parent commit: 3)", o.info, sum, got)
 		}
 	}
 }
