@@ -214,7 +214,9 @@ func main() {
 		engine.SetStore(st)
 		resumed, err := engine.RecoverFromStore()
 		if err != nil {
-			log.Fatalf("matrixd: store recovery: %v", err)
+			// One flow per failure, each left in the store; the valid ones
+			// are resumed and the server keeps serving.
+			log.Printf("matrixd: store recovery left flows behind:\n%v", err)
 		}
 		stats := st.Stats()
 		log.Printf("matrixd: store %s: %d segment(s), %d record(s) replayed, %d resumed, %d passivated",

@@ -309,13 +309,16 @@ func PutEncoder(e *Encoder) {
 // than spawning a child — and perform no allocation beyond the strings
 // they return.
 type Decoder struct {
+	// data is the payload as bytes; nil when the payload is a string
+	// (newStringDecoder), which the decoder then reads in place.
 	data []byte
-	// str is the payload copied into one string at NewDecoder time:
-	// every Str/Sym result is a zero-allocation slice of it. The copy
-	// also makes returned strings safe when data aliases a reused
-	// buffer (FrameScanner, pooled encoders). The flip side: one
-	// retained string pins the whole payload copy — fine for decoded
-	// messages, whose strings are most of the payload anyway.
+	// str is the payload as one string — copied at NewDecoder time, or
+	// the caller's own under newStringDecoder: every Str/Sym result is a
+	// zero-allocation slice of it. The copy also makes returned strings
+	// safe when data aliases a reused buffer (FrameScanner, pooled
+	// encoders). The flip side: one retained string pins the whole
+	// payload — fine for decoded messages, whose strings are most of the
+	// payload anyway.
 	str   string
 	pos   int
 	end   int
@@ -357,9 +360,19 @@ func NewDecoderTransient(payload []byte, msgType byte) (Decoder, error) {
 	return Decoder{data: payload, pos: headerLen, end: len(payload)}, nil
 }
 
+// newStringDecoder is NewDecoder over a payload held in a string — a
+// stored request document: the decoder reads the string in place and
+// every Str/Sym result is a slice of it, so nothing is copied.
+func newStringDecoder(payload string, msgType byte) (Decoder, error) {
+	if err := checkHeader(payload, msgType); err != nil {
+		return Decoder{}, err
+	}
+	return Decoder{str: payload, pos: headerLen, end: len(payload)}, nil
+}
+
 // checkHeader validates a payload's 3-byte header against the expected
 // message type.
-func checkHeader(payload []byte, msgType byte) error {
+func checkHeader[T []byte | string](payload T, msgType byte) error {
 	if !IsBinary(payload) {
 		return ErrNotBinary
 	}
@@ -393,7 +406,7 @@ func (d *Decoder) Next() bool {
 	if d.err != nil || d.pos >= d.end {
 		return false
 	}
-	v, n := binary.Uvarint(d.data[d.pos:d.end])
+	v, n := d.uvarint()
 	if n <= 0 {
 		d.fail("bad field tag")
 		return false
@@ -417,8 +430,20 @@ func (d *Decoder) fail(msg string) {
 	d.pos = d.end
 }
 
+// uvarint reads the uvarint at pos from the payload in whichever form
+// it is held.
+func (d *Decoder) uvarint() (uint64, int) {
+	if d.data == nil {
+		// A varint is at most MaxVarintLen64 bytes: that much copied to
+		// the stack is all binary.Uvarint needs to see.
+		var buf [binary.MaxVarintLen64]byte
+		return binary.Uvarint(buf[:copy(buf[:], d.str[d.pos:d.end])])
+	}
+	return binary.Uvarint(d.data[d.pos:d.end])
+}
+
 func (d *Decoder) uvarintVal() uint64 {
-	v, n := binary.Uvarint(d.data[d.pos:d.end])
+	v, n := d.uvarint()
 	if n <= 0 {
 		d.fail("bad varint")
 		return 0
@@ -451,12 +476,16 @@ func (d *Decoder) Int() int64 {
 		d.fail("field is not a varint")
 		return 0
 	}
-	v, n := binary.Varint(d.data[d.pos:d.end])
+	ux, n := d.uvarint() // zigzag, as binary.Varint reads it
 	if n <= 0 {
 		d.fail("bad varint")
 		return 0
 	}
 	d.pos += n
+	v := int64(ux >> 1)
+	if ux&1 != 0 {
+		v = ^v
+	}
 	return v
 }
 
@@ -490,9 +519,13 @@ func (d *Decoder) strAt(sp span) string {
 func (d *Decoder) Str() string { return d.strAt(d.bytesSpan()) }
 
 // Blob reads the current field as raw bytes. The slice aliases the
-// payload; copy it to retain past the payload's lifetime.
+// payload; copy it to retain past the payload's lifetime. (A payload
+// held in a string has no bytes to alias: the field is copied out.)
 func (d *Decoder) Blob() []byte {
 	sp := d.bytesSpan()
+	if d.data == nil {
+		return []byte(d.str[sp.off:sp.end])
+	}
 	return d.data[sp.off:sp.end]
 }
 

@@ -261,12 +261,14 @@ func RequestDoc(req *dgl.Request) string {
 // requests went binary). It is the one decode point for every request
 // read from a peer or a disk; like both decoders behind it, it does not
 // validate — callers validate against the executing engine's operation
-// registry.
-func DecodeRequestDoc(doc []byte) (*dgl.Request, error) {
+// registry. A binary document held in a string (Record.Request, an
+// envelope's document field) is read where it lies: the request's
+// strings are slices of it.
+func DecodeRequestDoc[T []byte | string](doc T) (*dgl.Request, error) {
 	if IsBinary(doc) {
-		return DecodeRequest(doc)
+		return decodeRequest(string(doc))
 	}
-	return dgl.DecodeRequest(doc)
+	return dgl.DecodeRequest([]byte(doc))
 }
 
 // UpgradeRequestDoc returns doc in the binary encoding: an XML document
@@ -287,7 +289,13 @@ func UpgradeRequestDoc(doc string) string {
 
 // DecodeRequest decodes a MsgRequest payload.
 func DecodeRequest(payload []byte) (*dgl.Request, error) {
-	d, err := NewDecoder(payload, MsgRequest)
+	return decodeRequest(string(payload))
+}
+
+// decodeRequest decodes a MsgRequest payload held in a string, which
+// backs every string of the result.
+func decodeRequest(payload string) (*dgl.Request, error) {
+	d, err := newStringDecoder(payload, MsgRequest)
 	if err != nil {
 		return nil, err
 	}
@@ -355,6 +363,16 @@ func DecodeRequest(payload []byte) (*dgl.Request, error) {
 }
 
 func decodeFlow(d *Decoder, f *dgl.Flow) {
+	n := fieldCounts(*d)
+	if n[flowVar] > 0 {
+		f.Variables = make([]dgl.Variable, 0, n[flowVar])
+	}
+	if n[flowSub] > 0 {
+		f.Flows = make([]dgl.Flow, 0, n[flowSub])
+	}
+	if n[flowStep] > 0 {
+		f.Steps = make([]dgl.Step, 0, n[flowStep])
+	}
 	for d.Next() {
 		switch d.Field() {
 		case flowName:
@@ -377,6 +395,21 @@ func decodeFlow(d *Decoder, f *dgl.Flow) {
 			d.Skip()
 		}
 	}
+}
+
+// fieldCounts counts, on a copy of d, how often each field number below
+// 16 occurs in the message d is inside, so that a repeated field's slice
+// is sized once. The copy shares d's symbol table: what it appends lies
+// past d's length, which d overwrites with its own definitions before it
+// reads any of it.
+func fieldCounts(d Decoder) (n [16]int) {
+	for d.Next() {
+		if f := d.Field(); f < len(n) {
+			n[f]++
+		}
+		d.Skip()
+	}
+	return n
 }
 
 func decodeVariable(d *Decoder, v *dgl.Variable) {
@@ -528,6 +561,9 @@ func decodeStep(d *Decoder, st *dgl.Step) {
 }
 
 func decodeOp(d *Decoder, op *dgl.Operation) {
+	if n := fieldCounts(*d)[opParam]; n > 0 {
+		op.Params = make([]dgl.Param, 0, n)
+	}
 	for d.Next() {
 		switch d.Field() {
 		case opType:

@@ -37,6 +37,12 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		e := GetEncoder()
 		AppendRecord(e, &rec)
 		got, err := DecodeRecord(e.Bytes())
+		// The same record kept as its fields string and viewed there.
+		var v, sv RecordView
+		if err := v.Decode(e.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		fields, _ := v.Fields()
 		PutEncoder(e)
 		if err != nil {
 			t.Fatalf("decode of freshly encoded record: %v", err)
@@ -44,10 +50,18 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if !recordsEqual(got, rec) {
 			t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, rec)
 		}
+		if err := sv.DecodeFieldsString(fields); err != nil {
+			t.Fatalf("fields string of a decodable record: %v", err)
+		}
+		if got := sv.Record(); !recordsEqual(got, rec) {
+			t.Fatalf("string view mismatch:\n got %+v\nwant %+v", got, rec)
+		}
 
-		// Arbitrary input must never panic the decoder.
+		// Arbitrary input must never panic the decoder, in either form.
 		_, _ = DecodeRecord(raw)
 		_, _ = DecodeRequest(raw)
 		_, _ = DecodeResponse(raw)
+		_ = sv.DecodeFieldsString(string(raw))
+		_, _ = DecodeRequestDoc(string(raw))
 	})
 }

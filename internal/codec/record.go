@@ -197,12 +197,17 @@ func (rd *RecordDecoder) Decode(payload []byte) (Record, error) {
 // a view checks every tag, length and symbol reference exactly as a
 // full decode does, but allocates nothing (the repeated-field and
 // symbol tables are reused from record to record). Store replay views
-// every record and materialises — Record, or string(v.Node()) — only
-// those a later record has not superseded. A view is valid until the
-// bytes under it change or the next Decode; not safe for concurrent use.
+// every record and materialises — Record, Fields, or string(v.Node()) —
+// only those a later record has not superseded. A view is valid until
+// the bytes under it change or the next Decode; not safe for concurrent
+// use.
 type RecordView struct {
 	data []byte
-	body span // the fields, as bounds in data
+	// src is the record's fields when they were viewed in a string
+	// (DecodeFieldsString); data is nil then, and only Record reads the
+	// view.
+	src  string
+	body span // the fields, as bounds in data (or src)
 
 	typ, id, request, node, peer, errText span
 	time                                  int64
@@ -220,19 +225,27 @@ func (v *RecordView) Decode(payload []byte) error {
 	if err := checkHeader(payload, MsgRecord); err != nil {
 		return err
 	}
-	return v.walk(payload, span{headerLen, len(payload)})
+	return v.walk(payload, "", span{headerLen, len(payload)})
 }
 
 // DecodeFields walks the fields data[off:end] of a MsgRecord frame
 // (Frame.Body, Frame.End) where they lie, inside a larger stream.
 func (v *RecordView) DecodeFields(data []byte, off, end int) error {
-	return v.walk(data, span{off, end})
+	return v.walk(data, "", span{off, end})
 }
 
-// walk is the one MsgRecord field walker.
-func (v *RecordView) walk(data []byte, body span) error {
-	*v = RecordView{data: data, body: body, vars: v.vars[:0], done: v.done[:0], syms: v.syms[:0]}
-	d := Decoder{data: data, pos: body.off, end: body.end, syms: v.syms}
+// DecodeFieldsString walks a record's fields held in a string — what
+// Fields returned — where they lie: Record then slices that string and
+// copies nothing of it.
+func (v *RecordView) DecodeFieldsString(fields string) error {
+	return v.walk(nil, fields, span{0, len(fields)})
+}
+
+// walk is the one MsgRecord field walker, over data or, when data is
+// nil, src.
+func (v *RecordView) walk(data []byte, src string, body span) error {
+	*v = RecordView{data: data, src: src, body: body, vars: v.vars[:0], done: v.done[:0], syms: v.syms[:0]}
+	d := Decoder{data: data, str: src, pos: body.off, end: body.end, syms: v.syms}
 	for d.Next() {
 		switch d.Field() {
 		case recType:
@@ -296,16 +309,32 @@ func (v *RecordView) Request() []byte { return v.bytes(v.request) }
 func (v *RecordView) Paused() bool     { return v.paused }
 func (v *RecordView) Passivated() bool { return v.passivated }
 
+// Fields copies the record's fields into one string — the form
+// DecodeFieldsString views again — and returns it with the record's
+// request document, a slice of it: a record kept this way, to be
+// materialised later or never, costs one allocation.
+func (v *RecordView) Fields() (fields, request string) {
+	fields = string(v.bytes(v.body))
+	if v.request.off == v.request.end {
+		return fields, ""
+	}
+	return fields, fields[v.request.off-v.body.off : v.request.end-v.body.off]
+}
+
 // Record materialises the view. The fields are copied into one string
 // and every string of the record is a slice of it — one allocation for
-// them all, and nothing of the viewed bytes is retained.
+// them all, and nothing of the viewed bytes is retained; a view of a
+// string (DecodeFieldsString) slices that string and copies nothing.
 func (v *RecordView) Record() Record {
-	str := string(v.bytes(v.body))
+	str, base := v.src, 0
+	if v.data != nil {
+		str, base = string(v.bytes(v.body)), v.body.off
+	}
 	at := func(sp span) string {
 		if sp.off == sp.end { // absent field: the zero span is not inside body
 			return ""
 		}
-		return str[sp.off-v.body.off : sp.end-v.body.off]
+		return str[sp.off-base : sp.end-base]
 	}
 	rec := Record{
 		Type: at(v.typ), ID: at(v.id), Request: at(v.request),

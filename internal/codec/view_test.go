@@ -178,7 +178,10 @@ func fleetRequest() *dgl.Request {
 // TestDecodeRequestAllocs: nested messages decode on the parent's
 // decoder, so a request costs its strings' backing copy, its slices and
 // the document — not one more decoder per flow, step, operation and
-// parameter (41 for this request before Msg was rebuilt on MsgEnter).
+// parameter (41 for this request before Msg was rebuilt on MsgEnter) —
+// and each slice is sized once (19 while they grew by appending). A
+// document already held in a string, as a stored or routed request is,
+// is read where it lies: not even the backing copy.
 func TestDecodeRequestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are measured without the race detector")
@@ -188,21 +191,65 @@ func TestDecodeRequestAllocs(t *testing.T) {
 	defer PutEncoder(e)
 	AppendRequest(e, req)
 	payload := append([]byte(nil), e.Bytes()...)
-	got, err := DecodeRequest(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, req) {
-		t.Fatalf("round trip:\n got %+v\nwant %+v", got.Flow, req.Flow)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := DecodeRequest(payload); err != nil {
+	doc := string(payload)
+	for _, decode := range []func() (*dgl.Request, error){
+		func() (*dgl.Request, error) { return DecodeRequest(payload) },
+		func() (*dgl.Request, error) { return DecodeRequestDoc(doc) },
+	} {
+		got, err := decode()
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	t.Logf("DecodeRequest: %.0f allocations", allocs)
-	if allocs > 24 {
-		t.Errorf("DecodeRequest allocates %.0f times, budget 24", allocs)
+		if !reflect.DeepEqual(got, req) {
+			t.Fatalf("round trip:\n got %+v\nwant %+v", got.Flow, req.Flow)
+		}
+	}
+	fromBytes := testing.AllocsPerRun(200, func() { _, _ = DecodeRequest(payload) })
+	fromString := testing.AllocsPerRun(200, func() { _, _ = DecodeRequestDoc(doc) })
+	t.Logf("DecodeRequest: %.0f allocations; DecodeRequestDoc of a string: %.0f", fromBytes, fromString)
+	if fromBytes > 13 || fromString != fromBytes-1 {
+		t.Errorf("DecodeRequest allocates %.0f times (budget 13), and %.0f from a string (want one fewer: no copy)", fromBytes, fromString)
+	}
+}
+
+// TestRecordViewOfAString: a record kept as its fields string (Fields)
+// and viewed there again (DecodeFieldsString) materialises equal to the
+// record — its strings slices of that string, so what Record allocates
+// is the variables map and the done list, nothing of the bytes.
+func TestRecordViewOfAString(t *testing.T) {
+	rec := testRecord()
+	stream := frameStream(rec)
+	f, _ := NextFrame(stream, 0)
+	var v RecordView
+	if err := v.DecodeFields(stream, f.Body, f.End); err != nil {
+		t.Fatal(err)
+	}
+	fields, request := v.Fields()
+	if request != rec.Request {
+		t.Fatalf("Fields' request = %q, want %q", request, rec.Request)
+	}
+	for i := range stream {
+		stream[i] = 0xAA
+	}
+	var sv RecordView
+	if err := sv.DecodeFieldsString(fields); err != nil {
+		t.Fatal(err)
+	}
+	if got := sv.Record(); !recordsEqual(got, rec) {
+		t.Fatalf("string view materialises %+v, want %+v", got, rec)
+	}
+	if err := sv.DecodeFieldsString(fields[:len(fields)-1]); err == nil {
+		t.Fatal("a truncated fields string decoded")
+	}
+	if raceEnabled {
+		return
+	}
+	want := 3.0 // the Vars map (header and table) and the Done slice
+	if allocs := testing.AllocsPerRun(100, func() {
+		_ = sv.DecodeFieldsString(fields)
+		_ = sv.Record()
+	}); allocs > want {
+		t.Errorf("viewing and materialising a fields string allocates %.0f times, want %.0f", allocs, want)
 	}
 }
 

@@ -1,15 +1,23 @@
 package matrix
 
 import (
+	"os"
+	"path/filepath"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"datagridflow/internal/dgl"
 	"datagridflow/internal/dgms"
 	"datagridflow/internal/namespace"
 	"datagridflow/internal/provenance"
 	"datagridflow/internal/sim"
+	"datagridflow/internal/store"
 	"datagridflow/internal/vfs"
 )
 
@@ -41,9 +49,11 @@ func allocsEngine(t testing.TB) *Engine {
 // once is also the plan's worst case: everything it precomputes is used
 // exactly once — and what a loop opens by the block, this flow opens for
 // one: the root region's slabs of one node and one op context must not
-// cost it more than the node and the context did. The flows measure 40
-// and 34 allocations; the budgets leave room for another toolchain's
-// internals and sit under the 54 and 45 the commit before the plan paid.
+// cost it more than the node and the context did. The flows measure 31
+// and 25 allocations (40 and 34 before an execution's status root, run
+// control and root scope became part of it, its id one string with the
+// root node's and its delegation context lazy); the budgets leave room
+// for another toolchain's internals and sit under those.
 func TestEngineStepAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not meaningful under -race")
@@ -55,12 +65,12 @@ func TestEngineStepAllocs(t *testing.T) {
 		budget, parent float64
 		flow           func() dgl.Flow
 	}{
-		{"ingest", 50, 54, func() dgl.Flow {
+		{"ingest", 38, 40, func() dgl.Flow {
 			seq++
 			return dgl.NewFlow("one").Step("put", dgl.Op(dgl.OpIngest, map[string]string{
 				"path": "/grid/allocs/" + strconv.Itoa(seq) + ".dat", "size": "64", "resource": "disk1"})).Flow()
 		}},
-		{"setMeta", 41, 45, func() dgl.Flow {
+		{"setMeta", 32, 34, func() dgl.Flow {
 			return dgl.NewFlow("one").Step("tag", dgl.Op(dgl.OpSetMeta, map[string]string{
 				"path": "/grid/allocs/tagged.dat", "attr": "tag", "value": "v"})).Flow()
 		}},
@@ -185,7 +195,8 @@ func dagEngine(tb testing.TB) *Engine {
 
 // TestDAGFlowAllocs holds the whole 137-step flow: 2 forEach loops of 32
 // iterations, each one block, a while loop of 8 and the grid operations
-// under them measure 705 allocations where the parent commit paid 1 270
+// under them measure 687 allocations (705 before an execution became one
+// object) where the commit before the loop blocks paid 1 270
 // (docs/ARCHITECTURE.md, stage 5, has the rows).
 func TestDAGFlowAllocs(t *testing.T) {
 	if raceEnabled {
@@ -204,6 +215,232 @@ func TestDAGFlowAllocs(t *testing.T) {
 	t.Logf("dag flow: %.0f allocations (budget %d, parent commit %d)", got, budget, parent)
 	if got > budget {
 		t.Errorf("the dag flow costs %.0f allocations, over the budget of %d: is an iteration opening its own region, scopes or contexts again?", got, budget)
+	}
+}
+
+// recoveryGate is the operation recoveryDirectory's flows wait at, so
+// they can be passivated or abandoned at a known step; a recovering
+// engine registers it as a pass-through.
+const recoveryGate = "recoveryGate"
+
+// recoveryDirectory writes, through an engine, a binary store in the
+// shape of the contract benchmark's restart_recovery directory (and of
+// internal/store's benchDirectory): of every ten flows seven run to
+// their end, two are passivated at a gate step and one is abandoned
+// there, two steps before its end, when the store closes under it. It
+// returns a function that brings the directory back to the bytes it
+// left — a recovery appends to them.
+func recoveryDirectory(tb testing.TB, dir string, flows int) (restore func()) {
+	tb.Helper()
+	e := newTestEngine(tb)
+	st, err := store.Open(dir, store.Options{Binary: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e.SetStore(st)
+	release := make(chan struct{})
+	var gated atomic.Int64
+	e.RegisterOp(recoveryGate, func(c *OpContext) error {
+		gated.Add(1)
+		select {
+		case <-release:
+			return nil
+		case <-c.Cancel:
+			return ErrCancelled
+		}
+	})
+	var ended, parked, open []*Execution
+	for i := 0; i < flows; i++ {
+		b := dgl.NewFlow("rec").Var("note", "payload-"+strconv.Itoa(i)).
+			Step("work0", dgl.Op(dgl.OpNoop, nil)).Step("work1", dgl.Op(dgl.OpNoop, nil))
+		if i%10 >= 7 {
+			b.Step("gate", dgl.Op(recoveryGate, nil))
+		}
+		ex, err := e.Start("user", b.Step("tail0", dgl.Op(dgl.OpNoop, nil)).Step("tail1", dgl.Op(dgl.OpNoop, nil)).Flow())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		switch i % 10 {
+		case 7, 8:
+			parked = append(parked, ex)
+		case 9:
+			open = append(open, ex)
+		default:
+			ended = append(ended, ex)
+		}
+	}
+	for _, ex := range ended {
+		if err := ex.Wait(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for gated.Load() < int64(len(parked)+len(open)) {
+		time.Sleep(time.Millisecond)
+	}
+	// In parallel, so the snapshots and markers share group commits.
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, 16)
+	for _, ex := range parked {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(id string) {
+			defer wg.Done()
+			if err := e.Passivate(id); err != nil {
+				tb.Error(err)
+			}
+			<-sem
+		}(ex.ID)
+	}
+	wg.Wait()
+	if err := st.Close(); err != nil { // the crash
+		tb.Fatal(err)
+	}
+	close(release)
+	for _, ex := range open {
+		<-ex.Done()
+	}
+	sizes := map[string]int64{}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, ent := range ents {
+		fi, err := ent.Info()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		sizes[ent.Name()] = fi.Size()
+	}
+	return func() {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, ent := range ents {
+			path := filepath.Join(dir, ent.Name())
+			if n, ok := sizes[ent.Name()]; ok {
+				err = os.Truncate(path, n)
+			} else {
+				err = os.Remove(path)
+			}
+			if err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+}
+
+// recoverOnce is one restart over a recoveryDirectory: a fresh engine
+// (set-up, not counted), then store.Open, and SetStore, RecoverFromStore
+// and the resumed runs to their end, whose allocations it returns
+// apart. The store is closed after the count.
+func recoverOnce(tb testing.TB, dir string) (open, recover uint64, resumed int) {
+	tb.Helper()
+	e := newTestEngine(tb)
+	e.RegisterOp(recoveryGate, func(*OpContext) error { return nil })
+	var m0, m1, m2 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	st, err := store.Open(dir, store.Options{Binary: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	e.SetStore(st)
+	exs, err := e.RecoverFromStore()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, ex := range exs {
+		if err := ex.Wait(); err != nil {
+			tb.Fatalf("resumed flow %s: %v", ex.ID, err)
+		}
+	}
+	runtime.ReadMemStats(&m2)
+	if err := st.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return m1.Mallocs - m0.Mallocs, m2.Mallocs - m1.Mallocs, len(exs)
+}
+
+// TestRecoverAllocs: a restart allocates in proportion to what is alive.
+// Over 1 000 stored flows (700 ended, 200 parked, 100 abandoned), Open
+// pays for the live entries and a slab — a parked flow is the one string
+// of its snapshot, an ended one nothing of its own — which comes to
+// 0.6 allocations per stored id where the parent commit paid 3.8; and
+// each resumed flow costs 27 (parent 46) to hand to the engine — its
+// request decoded where the entry's string lies, its execution one
+// object — and to run its last steps, whose plan, records and
+// provenance are most of it.
+func TestRecoverAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under -race")
+	}
+	const flows = 1000
+	dir := t.TempDir()
+	restore := recoveryDirectory(t, dir, flows)
+	var opens, recovers []float64
+	for round := 0; round < 5; round++ {
+		restore()
+		open, recover, resumed := recoverOnce(t, dir)
+		if resumed != flows/10 {
+			t.Fatalf("resumed %d flows, want %d", resumed, flows/10)
+		}
+		opens = append(opens, float64(open)/flows)
+		recovers = append(recovers, float64(recover)/float64(resumed))
+	}
+	slices.Sort(opens)
+	slices.Sort(recovers)
+	perID, perResumed := opens[len(opens)/2], recovers[len(recovers)/2]
+	const idBudget, idParent = 1.0, 3.8
+	const resumedBudget, resumedParent = 35.0, 46.0
+	t.Logf("store.Open: %.2f allocations per stored id (budget %.1f, parent commit %.1f); recovery and resumed runs: %.1f per resumed flow (budget %.0f, parent commit %.0f)",
+		perID, idBudget, idParent, perResumed, resumedBudget, resumedParent)
+	if perID > idBudget {
+		t.Errorf("store.Open costs %.2f allocations per stored id, over the budget of %.1f: is an ended id or a parked snapshot being materialised again?", perID, idBudget)
+	}
+	if perResumed > resumedBudget {
+		t.Errorf("a resumed flow costs %.1f allocations, over the budget of %.0f: is the stored request being copied, or the execution built piece by piece, again?", perResumed, resumedBudget)
+	}
+}
+
+// BenchmarkRecoverFromStore is one restart_recovery cycle on a bare
+// engine — 3 000 stored flows, 300 of them resumed — without the
+// harness's grid: store.Open, RecoverFromStore and the resumed runs.
+// The exact-profile recipe for docs/ARCHITECTURE.md's restart table:
+// `go test -run '^$' -bench RecoverFromStore -benchtime 50x
+// -memprofilerate 1 -memprofile mem.out ./internal/matrix`, then
+// `go tool pprof -sample_index=alloc_objects -top mem.out`.
+func BenchmarkRecoverFromStore(b *testing.B) {
+	dir := b.TempDir()
+	restore := recoveryDirectory(b, dir, 3000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		restore()
+		e := newTestEngine(b)
+		e.RegisterOp(recoveryGate, func(*OpContext) error { return nil })
+		b.StartTimer()
+		st, err := store.Open(dir, store.Options{Binary: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		e.SetStore(st)
+		exs, err := e.RecoverFromStore()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, ex := range exs {
+			if err := ex.Wait(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		if len(exs) != 300 {
+			b.Fatalf("resumed %d flows, want 300", len(exs))
+		}
+		st.Close()
+		b.StartTimer()
 	}
 }
 

@@ -212,8 +212,8 @@ func TestBlocksShowTheTreeIterationsShowed(t *testing.T) {
 				want = append(want, iterLines(i, StateSucceeded, StateSucceeded, StateSucceeded)...)
 			}
 		}
-		diffLines(t, treeLines(ex.root), want)
-		checkWalk(t, ex.root, true)
+		diffLines(t, treeLines(&ex.root), want)
+		checkWalk(t, &ex.root, true)
 	})
 
 	t.Run("cancel in the middle of a sequential loop's block", func(t *testing.T) {
@@ -239,8 +239,8 @@ func TestBlocksShowTheTreeIterationsShowed(t *testing.T) {
 		// Iteration 40's last step is reached and refused; 41 and after,
 		// eight of them in the open block, are never attached.
 		want = append(want, iterLines(40, StateCancelled, StateSucceeded, StateCancelled)...)
-		diffLines(t, treeLines(ex.root), want)
-		checkWalk(t, ex.root, true)
+		diffLines(t, treeLines(&ex.root), want)
+		checkWalk(t, &ex.root, true)
 	})
 
 	t.Run("cancel with a parallel loop's first block in flight", func(t *testing.T) {
@@ -266,7 +266,7 @@ func TestBlocksShowTheTreeIterationsShowed(t *testing.T) {
 				want = append(want, "["+strconv.Itoa(i)+"] pending")
 			}
 		}
-		diffLines(t, treeLines(ex.root), want)
+		diffLines(t, treeLines(&ex.root), want)
 		ex.Cancel()
 		if werr := ex.Wait(); !errors.Is(werr, ErrCancelled) || strings.Count(werr.Error(), "\n") != items-1 {
 			t.Errorf("run error = %v, want %d joined cancellations", werr, items)
@@ -279,8 +279,8 @@ func TestBlocksShowTheTreeIterationsShowed(t *testing.T) {
 				want = append(want, "["+strconv.Itoa(i)+"] cancelled")
 			}
 		}
-		diffLines(t, treeLines(ex.root), want)
-		checkWalk(t, ex.root, true)
+		diffLines(t, treeLines(&ex.root), want)
+		checkWalk(t, &ex.root, true)
 	})
 }
 

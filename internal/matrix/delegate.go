@@ -163,7 +163,7 @@ func (ex *Execution) maybeDelegate(pf *planFlow, f *dgl.Flow, n *node, scope *Sc
 	}
 	o := ex.engine.Obs()
 	rel := ex.relID(n.id)
-	if ex.skip[rel] {
+	if ex.skipped(rel) {
 		// Restart checkpointing: a delegated subtree that already
 		// succeeded is one unit — skip it wholesale.
 		n.setState(StateSkipped, ex.now())
@@ -203,7 +203,7 @@ func (ex *Execution) maybeDelegate(pf *planFlow, f *dgl.Flow, n *node, scope *Sc
 	// While the delegation is in flight a peer is working on this
 	// execution's behalf: PassivateIdle must not treat it as idle.
 	ex.delegating.Add(1)
-	resp, derr := d.Delegate(ex.delegCtx, req)
+	resp, derr := d.Delegate(ex.delegContext(), req)
 	ex.delegating.Add(-1)
 	if derr != nil {
 		if errors.Is(derr, ErrDelegateLocal) {
@@ -289,9 +289,7 @@ func (e *Engine) delegateProcedure(c *OpContext, name string, args map[string]st
 	ctx := context.Background()
 	token := ""
 	if ex, ok := e.Execution(c.ExecID); ok {
-		if ex.delegCtx != nil {
-			ctx = ex.delegCtx
-		}
+		ctx = ex.delegContext()
 		token = ex.req.Token
 	}
 	resp, derr := d.Delegate(ctx, DelegateRequest{

@@ -3,7 +3,10 @@ package matrix
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -600,7 +603,7 @@ func (e *Engine) statusNode(id string) (*node, error) {
 		exec = resurrected
 	}
 	if execID == id {
-		return exec.root, nil
+		return &exec.root, nil
 	}
 	n, ok := exec.root.find(id)
 	if !ok {
@@ -626,35 +629,35 @@ func (e *Engine) newExecution(req *dgl.Request, skip map[string]bool, p *plan) *
 	if p == nil {
 		p = buildPlan(req.Flow)
 	}
-	id := fmt.Sprintf("%sdgf-%06d", e.cfg.IDPrefix, e.nextExec.Add(1))
-	rebased := make(map[string]bool, len(skip))
+	var rebased []string
 	for k := range skip {
 		// Stored ids look like "dgf-000001/root/step"; keep only the
 		// node path so they match the new execution's ids.
 		if i := indexByte(k, '/'); i >= 0 {
-			rebased[k[i:]] = true
+			rebased = append(rebased, k[i:])
 		}
 	}
-	exec := &Execution{
-		ID:     id,
-		engine: e,
-		req:    req,
-		plan:   p,
-		ctrl:   newControl(),
-		scope:  NewScope(nil),
-		skip:   rebased,
-		done:   make(chan struct{}),
+	slices.Sort(rebased)
+	// The id, "<prefix>dgf-000042", and the root node's, the id and
+	// "/<flow>", are one string.
+	prefix, name := e.cfg.IDPrefix, req.Flow.Name
+	var num [20]byte
+	digits := strconv.AppendInt(num[:0], e.nextExec.Add(1), 10)
+	var b strings.Builder
+	b.Grow(len(prefix) + len("dgf-") + max(len(digits), 6) + 1 + len(name))
+	b.WriteString(prefix)
+	b.WriteString("dgf-")
+	for i := len(digits); i < 6; i++ {
+		b.WriteByte('0')
 	}
-	exec.delegCtx, exec.delegCancel = context.WithCancel(context.Background())
-	exec.lastActive.Store(e.Clock().Now().UnixNano())
-	exec.root = &node{
-		id:    id + "/" + req.Flow.Name,
-		name:  req.Flow.Name,
-		kind:  "flow",
-		state: StatePending,
-	}
+	b.Write(digits)
+	idLen := b.Len()
+	b.WriteByte('/')
+	b.WriteString(name)
+	rootID := b.String()
+	exec := e.execution(rootID[:idLen], rootID, req, p, slices.Compact(rebased))
 	e.mu.Lock()
-	e.execs[id] = exec
+	e.execs[exec.ID] = exec
 	n := len(e.execs)
 	st := e.store
 	e.mu.Unlock()
@@ -662,6 +665,26 @@ func (e *Engine) newExecution(req *dgl.Request, skip map[string]bool, p *plan) *
 		e.Obs().Gauge("store_resident").Set(int64(n))
 	}
 	return exec
+}
+
+// execution builds an execution of req under id, whose root node is
+// rootID ("<id>/<flow>"), skipping the node paths in skip (sorted). Its
+// status root, run control and root scope are part of it: with the
+// channels and rootID that is the whole of its fixed cost.
+func (e *Engine) execution(id, rootID string, req *dgl.Request, p *plan, skip []string) *Execution {
+	ex := &Execution{
+		ID:     id,
+		engine: e,
+		req:    req,
+		plan:   p,
+		skip:   skip,
+		done:   make(chan struct{}),
+	}
+	ex.root.id, ex.root.name, ex.root.kind, ex.root.state = rootID, req.Flow.Name, "flow", StatePending
+	ex.ctrl.init()
+	ex.scope.init(nil)
+	ex.lastActive.Store(e.Clock().Now().UnixNano())
+	return ex
 }
 
 // record writes an engine provenance record.

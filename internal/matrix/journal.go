@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 
 	"datagridflow/internal/codec"
 	"datagridflow/internal/dgferr"
@@ -239,7 +240,7 @@ func (e *Engine) RecoverFromJournal(path string) ([]*Execution, error) {
 		case journalExecStart:
 			// Decode only: validation runs below against this engine's
 			// full operation registry, not the built-ins alone.
-			req, err := codec.DecodeRequestDoc([]byte(rec.Request))
+			req, err := codec.DecodeRequestDoc(rec.Request)
 			if err != nil {
 				return fmt.Errorf("%w: journal %s record %d: %v", dgferr.ErrInvalid, path, line, err)
 			}
@@ -282,7 +283,7 @@ func (e *Engine) RecoverFromJournal(path string) ([]*Execution, error) {
 		e.record(provenance.Record{
 			Actor: p.req.User.Name, Action: "flow.recover",
 			FlowID: next.ID, Target: p.req.Flow.Name,
-			Detail: map[string]string{"prior": id, "steps-done": fmt.Sprint(len(p.skip))},
+			Detail: map[string]string{"prior": id, "steps-done": strconv.Itoa(len(p.skip))},
 		})
 		go next.run()
 		out = append(out, next)

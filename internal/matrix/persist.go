@@ -10,7 +10,7 @@ package matrix
 // O(snapshot + tail) records instead of the full journal history.
 
 import (
-	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -75,7 +75,7 @@ func (ex *Execution) snapshotRecord() journalRecord {
 	for id := range abs {
 		done[ex.relID(id)] = true
 	}
-	for rel := range ex.skip {
+	for _, rel := range ex.skip {
 		done[rel] = true
 	}
 	rel := make([]string, 0, len(done))
@@ -230,8 +230,9 @@ func (e *Engine) PassivateIdle(idle time.Duration) int {
 // back from the store if it is passivated (or was left open by a
 // crash). path labels the wake-up source for the
 // store_resurrections_total metric: "status", "trigger", "wire",
-// "federation" or "recovery". Already-resident executions are returned
-// as-is.
+// "federation" or "promotion". Already-resident executions are returned
+// as-is. (A restart resumes its flows through RecoverFromStore, which
+// writes no exec.resurrect and counts matrix_recoveries_total.)
 func (e *Engine) ResurrectFor(id, path string) (*Execution, error) {
 	if ex, ok := e.Execution(id); ok {
 		return ex, nil
@@ -244,11 +245,8 @@ func (e *Engine) ResurrectFor(id, path string) (*Execution, error) {
 	if !ok || ent.Ended || ent.Pruned {
 		return nil, fmt.Errorf("%w: execution %s", ErrNotFound, id)
 	}
-	req, err := codec.DecodeRequestDoc([]byte(ent.Request))
+	req, err := e.storedRequest(ent)
 	if err != nil {
-		return nil, fmt.Errorf("%w: stored request for %s: %v", dgl.ErrInvalid, id, err)
-	}
-	if err := dgl.ValidateFlow(req.Flow, e.knownOps()); err != nil {
 		return nil, err
 	}
 	ex, created := e.adoptExecution(id, req, ent)
@@ -261,44 +259,37 @@ func (e *Engine) ResurrectFor(id, path string) (*Execution, error) {
 	e.record(provenance.Record{
 		Actor: req.User.Name, Action: "flow.resurrect",
 		FlowID: id, Target: req.Flow.Name,
-		Detail: map[string]string{"path": path, "steps-done": fmt.Sprint(len(ent.Done))},
+		Detail: map[string]string{"path": path, "steps-done": strconv.Itoa(len(ent.Done))},
 	})
 	go ex.run()
 	return ex, nil
 }
 
+// storedRequest decodes and validates the request a store entry holds,
+// reading the document where it lies in the entry.
+func (e *Engine) storedRequest(ent store.Entry) (*dgl.Request, error) {
+	req, err := codec.DecodeRequestDoc(ent.Request)
+	if err != nil {
+		return nil, fmt.Errorf("%w: stored request for %s: %v", dgl.ErrInvalid, ent.ID, err)
+	}
+	if err := dgl.ValidateFlow(req.Flow, e.knownOps()); err != nil {
+		return nil, fmt.Errorf("matrix: stored flow %s: %w", ent.ID, err)
+	}
+	return req, nil
+}
+
 // adoptExecution builds an execution under an *existing* id from a
 // store entry — the resurrection twin of newExecution, which always
-// mints a fresh id. The entry's done set seeds the checkpoint skip
-// set, its variables are restored into the root scope when the run
-// starts, and a paused entry resurrects paused. Returns created=false
-// if a concurrent resurrection already registered the id.
+// mints a fresh id. The entry's done list (sorted, as Entry keeps it)
+// is the checkpoint skip set, its variables are restored into the root
+// scope when the run starts, and a paused entry resurrects paused.
+// Returns created=false if a concurrent resurrection already registered
+// the id.
 func (e *Engine) adoptExecution(id string, req *dgl.Request, ent store.Entry) (*Execution, bool) {
-	skip := make(map[string]bool, len(ent.Done))
-	for _, n := range ent.Done {
-		skip[n] = true
-	}
-	ex := &Execution{
-		ID:          id,
-		engine:      e,
-		req:         req,
-		plan:        buildPlan(req.Flow),
-		ctrl:        newControl(),
-		scope:       NewScope(nil),
-		skip:        skip,
-		done:        make(chan struct{}),
-		restoreVars: ent.Vars,
-	}
+	ex := e.execution(id, id+"/"+req.Flow.Name, req, buildPlan(req.Flow), ent.Done)
+	ex.restoreVars = ent.Vars
 	if ent.Paused {
 		ex.ctrl.pause()
-	}
-	ex.delegCtx, ex.delegCancel = context.WithCancel(context.Background())
-	ex.lastActive.Store(e.Clock().Now().UnixNano())
-	ex.root = &node{
-		id:    id + "/" + req.Flow.Name,
-		name:  req.Flow.Name,
-		kind:  "flow",
-		state: StatePending,
 	}
 	e.mu.Lock()
 	if cur, ok := e.execs[id]; ok {
@@ -317,7 +308,11 @@ func (e *Engine) adoptExecution(id string, req *dgl.Request, ent store.Entry) (*
 // entries. Passivated executions stay in the store (that is the point:
 // a restart does not re-inflate months of idle flows) and resurrect on
 // demand. The engine's id counter advances past every stored id so
-// fresh executions never collide with recovered ones.
+// fresh executions never collide with recovered ones. An entry whose
+// request no longer decodes or validates — naming an operation this
+// engine no longer registers, say — is left in the store and does not
+// stop the others: every valid entry is resumed, and the failures come
+// back joined, one per id, beside them.
 func (e *Engine) RecoverFromStore() ([]*Execution, error) {
 	st := e.Store()
 	if st == nil {
@@ -336,13 +331,12 @@ func (e *Engine) RecoverFromStore() ([]*Execution, error) {
 		}
 	}
 	var out []*Execution
+	var errs []error
 	for _, ent := range st.Running() {
-		req, err := codec.DecodeRequestDoc([]byte(ent.Request))
+		req, err := e.storedRequest(ent)
 		if err != nil {
-			return out, fmt.Errorf("%w: stored request for %s: %v", dgl.ErrInvalid, ent.ID, err)
-		}
-		if err := dgl.ValidateFlow(req.Flow, e.knownOps()); err != nil {
-			return out, fmt.Errorf("matrix: store recovery %s: %w", ent.ID, err)
+			errs = append(errs, err)
+			continue
 		}
 		ex, created := e.adoptExecution(ent.ID, req, ent)
 		if !created {
@@ -352,12 +346,12 @@ func (e *Engine) RecoverFromStore() ([]*Execution, error) {
 		e.record(provenance.Record{
 			Actor: req.User.Name, Action: "flow.recover",
 			FlowID: ent.ID, Target: req.Flow.Name,
-			Detail: map[string]string{"steps-done": fmt.Sprint(len(ent.Done))},
+			Detail: map[string]string{"steps-done": strconv.Itoa(len(ent.Done))},
 		})
 		go ex.run()
 		out = append(out, ex)
 	}
-	return out, nil
+	return out, errors.Join(errs...)
 }
 
 // AdoptedFlow describes one execution adopted from a dead peer's
@@ -396,12 +390,8 @@ func (e *Engine) AdoptEntries(entries []store.Entry, source string) []AdoptedFlo
 		if ent.Ended || ent.Pruned {
 			continue
 		}
-		req, err := codec.DecodeRequestDoc([]byte(ent.Request))
+		req, err := e.storedRequest(ent)
 		if err != nil {
-			o.Counter("matrix_adoptions_total", "outcome", "invalid").Inc()
-			continue
-		}
-		if err := dgl.ValidateFlow(req.Flow, e.knownOps()); err != nil {
 			o.Counter("matrix_adoptions_total", "outcome", "invalid").Inc()
 			continue
 		}
@@ -430,7 +420,7 @@ func (e *Engine) AdoptEntries(entries []store.Entry, source string) []AdoptedFlo
 		e.record(provenance.Record{
 			Actor: req.User.Name, Action: "flow.adopt",
 			FlowID: ent.ID, Target: req.Flow.Name,
-			Detail: map[string]string{"source": source, "steps-done": fmt.Sprint(len(ent.Done))},
+			Detail: map[string]string{"source": source, "steps-done": strconv.Itoa(len(ent.Done))},
 		})
 		go ex.run()
 		out = append(out, AdoptedFlow{ID: ent.ID, User: req.User.Name, Flow: req.Flow.Name, Resumed: true})

@@ -660,6 +660,52 @@ func TestExecSeq(t *testing.T) {
 	}
 }
 
+// TestRecoverPastABadEntry: a stored flow that no longer validates — it
+// names an operation the restarted engine does not register — sits
+// between two abandoned flows. Recovery resumes both of them, leaves
+// the bad one in the store, and reports it by id.
+func TestRecoverPastABadEntry(t *testing.T) {
+	dir := t.TempDir()
+	e, st := newStoreEngine(t, dir)
+	reached := make(chan struct{}, 3)
+	e.RegisterOp("gate", func(c *OpContext) error {
+		reached <- struct{}{}
+		<-c.Cancel
+		return ErrCancelled
+	})
+	e.RegisterOp("retired", func(*OpContext) error { return nil })
+	gated := func(name string, tail string) *Execution {
+		ex := startFlow(t, e, dgl.NewFlow(name).Step("g", dgl.Op("gate", nil)).Step("t", dgl.Op(tail, nil)).Flow())
+		<-reached // its exec.start is on disk
+		return ex
+	}
+	first, bad, last := gated("first", dgl.OpNoop), gated("bad", "retired"), gated("last", dgl.OpNoop)
+	if err := st.Close(); err != nil { // the crash
+		t.Fatal(err)
+	}
+	for _, ex := range []*Execution{first, bad, last} {
+		ex.Cancel()
+	}
+
+	e2, st2 := newStoreEngine(t, dir)
+	e2.RegisterOp("gate", func(*OpContext) error { return nil })
+	resumed, err := e2.RecoverFromStore()
+	if !errors.Is(err, dgl.ErrInvalid) || !strings.Contains(err.Error(), bad.ID) || strings.Contains(err.Error(), first.ID) {
+		t.Fatalf("recovery error = %v, want an invalid-document error naming %s alone", err, bad.ID)
+	}
+	if len(resumed) != 2 || resumed[0].ID != first.ID || resumed[1].ID != last.ID {
+		t.Fatalf("resumed %v, want %s and %s", resumed, first.ID, last.ID)
+	}
+	for _, ex := range resumed {
+		if err := ex.Wait(); err != nil {
+			t.Fatalf("resumed %s: %v", ex.ID, err)
+		}
+	}
+	if ent, ok := st2.Entry(bad.ID); !ok || ent.Ended || ent.Passivated {
+		t.Fatalf("the bad flow's entry = %+v, %v; want it left running in the store", ent, ok)
+	}
+}
+
 // TestRecoverSkipsParkedEntries: recovery asks the store for the
 // running entries only, resumes exactly those, and advances the id
 // counter past every stored id — parked and ended ones included.

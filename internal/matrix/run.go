@@ -27,8 +27,8 @@ func (ex *Execution) run() {
 	// The plan serves the run and nothing after it: a terminal or
 	// passivated execution keeps its request and status tree, as before.
 	defer func() { ex.plan = nil }()
-	defer ex.endGoverned() // release the tenant admission slot
-	defer ex.delegCancel() // release any outstanding delegations
+	defer ex.endGoverned()       // release the tenant admission slot
+	defer ex.cancelDelegations() // release any outstanding delegations
 	o := ex.engine.Obs()
 	o.Counter("matrix_flows_started_total").Inc()
 	o.Gauge("matrix_executions_running").Add(1)
@@ -47,9 +47,9 @@ func (ex *Execution) run() {
 	root := ex.plan.root
 	var reg region // stays empty when the root flow loops: its iterations open their own
 	if root.body == nil {
-		reg = ex.plan.shape.open(root, []*node{ex.root})
+		reg = ex.plan.shape.open(root, []*node{&ex.root})
 	}
-	err := ex.runFlowScoped(root, ex.root, ex.scope, reg)
+	err := ex.runFlowScoped(root, &ex.root, &ex.scope, reg)
 	ex.mu.Lock()
 	ex.err = err
 	ex.mu.Unlock()
@@ -113,7 +113,7 @@ func (ex *Execution) runFlowScoped(pf *planFlow, n *node, scope *Scope, reg regi
 		n.setState(StateFailed, ex.now())
 		return err
 	}
-	if n == ex.root && len(ex.restoreVars) > 0 {
+	if n == &ex.root && len(ex.restoreVars) > 0 {
 		// Resurrection: snapshot variables supersede the flow's own
 		// declarations — setVariable results from skipped steps must
 		// survive, not reset to their declared initial values.
@@ -473,7 +473,7 @@ func (ex *Execution) runStep(ps *planStep, n *node, parent *Scope, c *OpContext)
 	o := ex.engine.Obs()
 	// Restart checkpointing: steps that succeeded in the prior run are
 	// skipped wholesale.
-	if ex.skip[ex.relID(n.id)] {
+	if ex.skipped(ex.relID(n.id)) {
 		n.setState(StateSkipped, ex.now())
 		o.Counter("matrix_checkpoint_skips_total").Inc()
 		ex.engine.record(provenance.Record{

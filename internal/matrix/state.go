@@ -3,6 +3,7 @@ package matrix
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -249,15 +250,15 @@ const (
 // passivation uses to release a flow sleeping for months.
 type control struct {
 	mu    sync.Mutex
-	cond  *sync.Cond
+	cond  sync.Cond
 	state ctrlState
 	done  chan struct{}
 }
 
-func newControl() *control {
-	c := &control{done: make(chan struct{})}
-	c.cond = sync.NewCond(&c.mu)
-	return c
+// init readies a zero control — the one embedded in its Execution.
+func (c *control) init() {
+	c.cond.L = &c.mu
+	c.done = make(chan struct{})
 }
 
 // cancelled returns a channel closed once the execution is cancelled.
@@ -317,19 +318,26 @@ type Execution struct {
 	req    *dgl.Request
 	// plan is req.Flow lowered for the interpreter (plan.go). The run
 	// goroutine drops it on exit; nothing outside the run reads it.
-	plan  *plan
-	root  *node
-	ctrl  *control
-	scope *Scope
+	plan *plan
+	// root, ctrl and scope — the status tree's root, run control and the
+	// root variable scope — live in the Execution itself: one allocation
+	// builds them all.
+	root  node
+	ctrl  control
+	scope Scope
 
-	// skip holds step ids that succeeded in a prior run (restart mode).
-	skip map[string]bool
+	// skip holds the node paths that succeeded in a prior run (restart,
+	// recovery, resurrection), sorted: a step whose path it holds is
+	// skipped.
+	skip []string
 
-	// delegCtx scopes the execution's outbound delegations: cancelled by
-	// Cancel (and when the run finishes), so remote subflows are released
-	// when the parent stops waiting for them.
+	// delegCtx scopes the execution's outbound delegations: made on the
+	// first one (delegContext), cancelled by Cancel and when the run
+	// finishes, so remote subflows are released when the parent stops
+	// waiting for them. Guarded by mu.
 	delegCtx    context.Context
 	delegCancel context.CancelFunc
+	delegDone   bool // cancelled: a context made from now on starts so
 
 	done chan struct{}
 
@@ -356,6 +364,38 @@ type Execution struct {
 
 	mu  sync.Mutex
 	err error // final error, nil on success
+}
+
+// skipped reports whether the node at path rel succeeded in a prior run.
+func (ex *Execution) skipped(rel string) bool {
+	_, ok := slices.BinarySearch(ex.skip, rel)
+	return ok
+}
+
+// delegContext returns the context the execution's delegations run
+// under, making it on the first: most executions never delegate, and
+// this way pay nothing for it.
+func (ex *Execution) delegContext() context.Context {
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	if ex.delegCtx == nil {
+		ex.delegCtx, ex.delegCancel = context.WithCancel(context.Background())
+		if ex.delegDone {
+			ex.delegCancel()
+		}
+	}
+	return ex.delegCtx
+}
+
+// cancelDelegations releases the execution's delegations, those in
+// flight and any yet to start.
+func (ex *Execution) cancelDelegations() {
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	ex.delegDone = true
+	if ex.delegCancel != nil {
+		ex.delegCancel()
+	}
 }
 
 // Done returns a channel closed when the execution reaches a terminal
@@ -423,9 +463,7 @@ func (e *Execution) Resume() { e.ctrl.resume() }
 // Wait returns ErrCancelled.
 func (e *Execution) Cancel() {
 	e.ctrl.cancel()
-	if e.delegCancel != nil {
-		e.delegCancel()
-	}
+	e.cancelDelegations()
 }
 
 // Paused reports whether the execution is currently paused.

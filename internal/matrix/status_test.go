@@ -98,7 +98,7 @@ func TestWalkMatchesReferenceStatus(t *testing.T) {
 		{ID: "peerB:dgf-000042/sub/a", Name: "a", Kind: "step", State: "succeeded",
 			Started: "2026-10-03T09:00:00.5Z", Finished: "2026-10-03T09:00:01Z"},
 	}})
-	for _, root := range []*node{ex.root, failing.root} {
+	for _, root := range []*node{&ex.root, &failing.root} {
 		for _, detail := range []bool{false, true} {
 			checkWalk(t, root, detail)
 		}
@@ -273,5 +273,5 @@ func TestPollRacesForEach(t *testing.T) {
 	if len(final.Children) != 3 || len(final.Children[1].Children) != items || len(final.Children[2].Children) != items {
 		t.Fatalf("final tree: %d top-level children, want 3 with %d iterations in each loop", len(final.Children), items)
 	}
-	checkWalk(t, ex.root, true)
+	checkWalk(t, &ex.root, true)
 }

@@ -120,6 +120,7 @@ func (s *Store) SnapshotRecords() ([]Record, uint64) {
 		if st == nil || st.ended || st.pruned {
 			continue
 		}
+		s.materialise(st)
 		vars := make(map[string]string, len(st.vars))
 		for k, v := range st.vars {
 			vars[k] = v

@@ -237,3 +237,39 @@ func TestRelaxedSyncDurability(t *testing.T) {
 		t.Fatalf("live after reopen: %+v", live)
 	}
 }
+
+// TestSnapshotRecordsOfParkedEntry: a follower catching up from a
+// restarted store gets, for a parked flow, the records it would have got
+// before the restart — although Open left the flow's snapshot undecoded
+// and SnapshotRecords is what decodes it.
+func TestSnapshotRecordsOfParkedEntry(t *testing.T) {
+	for _, binary := range []bool{true, false} {
+		dir := t.TempDir()
+		opt := Options{Binary: binary, Now: func() time.Time { return time.Unix(7, 0) }}
+		s := mustOpen(t, dir, opt)
+		appendAll(t, s,
+			Record{Type: TypeExecStart, ID: "parked", Request: "<r/>"},
+			Record{Type: TypeStepDone, ID: "parked", Node: "/f/a"},
+			Record{Type: TypeExecSnap, ID: "parked", Request: "<r/>", Vars: map[string]string{"k": "v", "e": ""}, Done: []string{"/f/a"}},
+			Record{Type: TypeStepDone, ID: "parked", Node: "/f/b"},
+			Record{Type: TypeExecPassivate, ID: "parked", Paused: true},
+			Record{Type: TypeExecStart, ID: "running", Request: "<r/>"},
+		)
+		before, _ := s.SnapshotRecords()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s = mustOpen(t, dir, opt)
+		if st := s.index["parked"]; st.snap == "" || st.vars != nil {
+			t.Fatalf("binary=%v: Open decoded the parked entry's snapshot: %+v", binary, *st)
+		}
+		after, _ := s.SnapshotRecords()
+		s.Close()
+		if !reflect.DeepEqual(after, before) {
+			t.Fatalf("binary=%v: catch-up records after a restart\n%+v\nbefore it\n%+v", binary, after, before)
+		}
+		if p := before[0]; p.ID != "parked" || !p.Passivated || !p.Paused || !reflect.DeepEqual(p.Done, []string{"/f/a", "/f/b"}) || p.Vars["k"] != "v" {
+			t.Fatalf("binary=%v: parked entry's catch-up record %+v", binary, p)
+		}
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 
 	"datagridflow/internal/codec"
 )
@@ -36,6 +37,35 @@ type replayer struct {
 	ids  []replayID
 	byID map[string]int
 	n    int
+	// strs is where the ids and done-node paths the fold keeps are cut
+	// from.
+	strs arena
+}
+
+// arena cuts short strings from shared chunks: a strings.Builder grown
+// to arenaChunk and never past it, so its buffer never moves and every
+// string cut from it — a slice of String() — stays valid as the chunk
+// fills. A full chunk is left to the strings cut from it and a fresh
+// one started: replay pays one allocation per chunk rather than one per
+// id. A chunk lives as long as any string cut from it; ids and done
+// paths are the index's to hold until a Compact, so that is at most what
+// Open built. Requests are never cut from it: one would keep its chunk
+// alive past its flow's end.
+type arena struct{ b strings.Builder }
+
+const arenaChunk = 4 << 10
+
+func (a *arena) cut(b []byte) string {
+	if len(b) > arenaChunk/8 {
+		return string(b)
+	}
+	if a.b.Cap()-a.b.Len() < len(b) {
+		a.b = strings.Builder{}
+		a.b.Grow(arenaChunk)
+	}
+	at := a.b.Len()
+	a.b.Write(b)
+	return a.b.String()[at:]
 }
 
 // extent bounds one record inside the segment buffer: a binary frame's
@@ -51,10 +81,12 @@ type extent struct{ off, end int }
 // and is dropped, as apply dropped it.
 type replayID struct {
 	id string
-	// st is the entry as of the oldest root met, nil before the first;
-	// first is that root's replay position.
-	st    *execState
-	first int
+	// st is the entry as of the oldest root met — rooted says one was —
+	// and first is that root's replay position. It is held here by value:
+	// finish copies the kept entries into one slab.
+	st     execState
+	rooted bool
+	first  int
 	// sealed: a snapshot is committed, so its variables and done set
 	// stand against older records. pausedSet, passSet: a committed record
 	// has decided the flag, so no older one can.
@@ -228,7 +260,7 @@ func (rp *replayer) fold() {
 	rp.s.replayed++
 	i, ok := rp.byID[string(v.ID())]
 	if !ok {
-		id := string(v.ID())
+		id := rp.strs.cut(v.ID())
 		i = len(rp.ids)
 		rp.byID[id] = i
 		rp.ids = append(rp.ids, replayID{id: id})
@@ -245,18 +277,18 @@ func (rp *replayer) fold() {
 		rp.root(e)
 		return
 	}
-	if e.held.ended || e.held.pruned || e.st != nil && e.st.terminal() {
+	if e.held.ended || e.held.pruned || e.st.terminal() {
 		return
 	}
 	switch string(v.Type()) {
 	case TypeStepDone, TypeDelegDone:
 		node := v.Node()
-		known := e.sealed || e.st != nil && e.st.done[string(node)] || e.held.done[string(node)]
+		known := e.sealed || e.st.done[string(node)] || e.held.done[string(node)]
 		if len(node) > 0 && !known {
 			if e.held.done == nil {
 				e.held.done = make(map[string]bool)
 			}
-			e.held.done[string(node)] = true
+			e.held.done[rp.strs.cut(node)] = true
 		}
 	case TypeExecPassivate:
 		e.holdPassivated(true)
@@ -280,11 +312,8 @@ func (e *replayID) holdPassivated(on bool) {
 // tombstone, whatever newer roots had built.
 func (rp *replayer) root(e *replayID) {
 	v := &rp.view
-	e.first = rp.n
-	if e.st == nil {
-		e.st = &execState{}
-	}
-	st, h := e.st, e.held
+	e.first, e.rooted = rp.n, true
+	st, h := &e.st, e.held
 	e.held = held{}
 	if h.ended || h.pruned {
 		st.ended, st.pruned = st.ended || h.ended, st.pruned || h.pruned
@@ -325,19 +354,18 @@ func (rp *replayer) root(e *replayID) {
 		}
 		return
 	}
-	// The newest snapshot is materialised whole: one string backs its
-	// request, variables and done list.
-	rec := v.Record()
+	// The newest snapshot is kept as it was written: one string backs its
+	// request, variables and done list, and the variables and done list
+	// are decoded from it when something first asks for them
+	// (materialise) — which, for a parked flow, no restart does.
+	fields, req := v.Fields()
 	e.sealed = true
 	if st.req == "" {
-		st.req = rec.Request
+		st.req = req
 	}
-	st.vars = rec.Vars
-	for _, n := range rec.Done {
-		st.markDone(n)
-	}
+	st.snap = fields
 	if !e.pausedSet {
-		st.paused, e.pausedSet = rec.Paused, true
+		st.paused, e.pausedSet = v.Paused(), true
 	}
 }
 
@@ -349,16 +377,18 @@ func (rp *replayer) finish() {
 	s := rp.s
 	kept := rp.ids[:0]
 	for _, e := range rp.ids {
-		if e.st != nil {
+		if e.rooted {
 			kept = append(kept, e)
 		}
 	}
 	slices.SortFunc(kept, func(a, b replayID) int { return cmp.Compare(b.first, a.first) })
+	slab := make([]execState, len(kept))
 	s.index = make(map[string]*execState, len(kept))
 	s.order = make([]string, len(kept))
-	for i, e := range kept {
-		s.index[e.id], s.order[i] = e.st, e.id
-		if e.st.passivated {
+	for i := range kept {
+		slab[i] = kept[i].st
+		s.index[kept[i].id], s.order[i] = &slab[i], kept[i].id
+		if slab[i].passivated {
 			s.passive++
 		}
 	}

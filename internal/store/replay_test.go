@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -23,16 +24,28 @@ type indexImage struct {
 	Passive int
 }
 
+// imageOf reads the index through a copy of its entries, so looking
+// decodes nothing replay left undecoded (execState.snap): the program
+// goes on writing to entries as Open left them, and apply, Compact and
+// SnapshotRecords meet them that way.
 func imageOf(s *Store) indexImage {
-	img := indexImage{IDs: s.IDs(), Live: s.Live()}
+	s.mu.Lock()
+	c := &Store{index: make(map[string]*execState, len(s.index)), order: s.order, passive: s.passive}
+	for id, st := range s.index {
+		cp := *st
+		cp.done = maps.Clone(st.done)
+		c.index[id] = &cp
+	}
+	s.mu.Unlock()
+	img := indexImage{IDs: c.IDs(), Live: c.Live()}
 	for _, id := range img.IDs {
-		ent, ok := s.Entry(id)
+		ent, ok := c.Entry(id)
 		if !ok {
 			ent = Entry{ID: id + " (listed by IDs, no Entry)"}
 		}
 		img.Entries = append(img.Entries, ent)
 	}
-	st := s.Stats()
+	st := c.Stats()
 	img.NLive, img.Passive = st.Live, st.Passivated
 	return img
 }
@@ -309,6 +322,16 @@ func FuzzReplayMatchesAppend(f *testing.F) {
 		"\x00\x03\x06\x03\xf8\x00\x02\x03\x01\x43\x03\x0b\x07\x13\x02\x03\x01\x03\x04\x03\x03\x3b\x00\x03",
 		// a stale start and a second end behind the end; a second start in mid-stream
 		"\x00\x04\x08\x0c\x00\x04\x06\x04\x04\x04\x05\x04\x03\x7c\x02\x04",
+		// a parked entry reopened (its snapshot held undecoded), then woken:
+		// resurrect, a step, a newer snapshot, the end; compact, reopen
+		"\x00\x01\x03\x39\x04\x01\xf0\x00\x05\x01\x00\x19\x03\x61\x06\x01\xf8\x00\xf0\x00",
+		// the same entry written to before anything reads it: a step on the
+		// parked entry, a compaction that must decode it, a newer snapshot
+		// over the compacted one, a flip, the end
+		"\x00\x02\x03\x3a\x04\x02\xf0\x00\x00\x1a\xf8\x00\xf0\x00\x05\x02\x03\x22\xf1\x00\x06\x02\xf8\x00\xf0\x00",
+		// a reopened snapshot superseded by a newer one before anything
+		// decodes it, then parked by the compaction's marker and reopened
+		"\x00\x03\x03\x3b\xf0\x00\x03\x63\x04\x03\xf8\x00\xf1\x00\x00\x0b\x06\x03\xf0\x00",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s), true)
@@ -502,8 +525,9 @@ func TestCompactRefusesOversizeMerge(t *testing.T) {
 // benchDirectory writes an uncompacted binary store in the shape of the
 // contract benchmark's restart_recovery directory: of every ten flows,
 // seven ran to their end, two were passivated behind a snapshot and one
-// was abandoned two steps in. It returns how many records it wrote.
-func benchDirectory(tb testing.TB, dir string, flows int) int {
+// was abandoned two steps in — or, with allEnded, every flow ran to its
+// end. It returns how many records it wrote.
+func benchDirectory(tb testing.TB, dir string, flows int, allEnded bool) int {
 	tb.Helper()
 	s, err := Open(dir, Options{Binary: true})
 	if err != nil {
@@ -518,17 +542,16 @@ func benchDirectory(tb testing.TB, dir string, flows int) int {
 			{Type: TypeStepDone, ID: id, Node: "/rec/work0"},
 			{Type: TypeStepDone, ID: id, Node: "/rec/work1"},
 		}
-		switch i % 10 {
-		case 7, 8:
-			recs = append(recs,
-				Record{Type: TypeExecSnap, ID: id, Request: req, Vars: map[string]string{"note": "payload"}, Done: []string{"/rec/work0", "/rec/work1"}},
-				Record{Type: TypeExecPassivate, ID: id})
-		case 9:
-		default:
+		switch {
+		case allEnded || i%10 < 7:
 			recs = append(recs,
 				Record{Type: TypeStepDone, ID: id, Node: "/rec/tail0"},
 				Record{Type: TypeStepDone, ID: id, Node: "/rec/tail1"},
 				Record{Type: TypeExecEnd, ID: id})
+		case i%10 < 9:
+			recs = append(recs,
+				Record{Type: TypeExecSnap, ID: id, Request: req, Vars: map[string]string{"note": "payload"}, Done: []string{"/rec/work0", "/rec/work1"}},
+				Record{Type: TypeExecPassivate, ID: id})
 		}
 		if err := s.AppendBatch(recs); err != nil {
 			tb.Fatal(err)
@@ -541,30 +564,53 @@ func benchDirectory(tb testing.TB, dir string, flows int) int {
 	return n
 }
 
+// openAllocs opens dir cold, checks what replay built, and returns the
+// allocations one Open+Close costs.
+func openAllocs(t *testing.T, dir string, records, live, passivated int) float64 {
+	t.Helper()
+	return testing.AllocsPerRun(5, func() {
+		s, err := Open(dir, Options{Binary: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st.ReplayRecords != records || st.Live != live || st.Passivated != passivated {
+			t.Fatalf("replayed into %+v", st)
+		}
+		s.Close()
+	})
+}
+
 // TestReplayAllocs: a cold Open allocates for what is alive, not for
-// what was written — under one allocation per replayed record on a
-// directory where 70 % of the flows have ended (3.8 per record before
-// the newest-first fold).
+// what was written. On a directory where 70 % of the flows have ended,
+// 20 % are parked and 10 % were abandoned, it pays about two
+// allocations per live entry: a parked one is the single string of its
+// snapshot, an abandoned one its request and done set, and the ids —
+// ended ones too — are cut from shared chunks into one slab of entries
+// (the parent commit paid 12.7 per live entry, 0.69 per record). On a
+// directory where every flow has ended nothing is alive, and Open pays
+// about 0.1 per id for 1 000 ids (parent: 2.1) — Open's own fixed cost
+// and the fold's tables growing, both of which thin out as ids are
+// added.
 func TestReplayAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are measured without the race detector")
 	}
 	dir := t.TempDir()
-	records := benchDirectory(t, dir, 1000)
-	allocs := testing.AllocsPerRun(5, func() {
-		s, err := Open(dir, Options{Binary: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st := s.Stats(); st.ReplayRecords != records || st.Live != 300 || st.Passivated != 200 {
-			t.Fatalf("replayed into %+v", st)
-		}
-		s.Close()
-	})
-	perRecord := allocs / float64(records)
-	t.Logf("%d records, %.0f allocations per Open+Close: %.2f per record", records, allocs, perRecord)
-	if perRecord > 1 {
-		t.Errorf("Open allocates %.2f times per replayed record, budget 1", perRecord)
+	records := benchDirectory(t, dir, 1000, false)
+	perLive := openAllocs(t, dir, records, 300, 200) / 300
+	const liveBudget = 2.5
+	t.Logf("%d records, 300 live entries: %.2f allocations per live entry (budget %.1f)", records, perLive, liveBudget)
+	if perLive > liveBudget {
+		t.Errorf("Open allocates %.2f times per live entry, budget %.1f: is a parked snapshot or an ended id being materialised again?", perLive, liveBudget)
+	}
+
+	ended := t.TempDir()
+	records = benchDirectory(t, ended, 1000, true)
+	perID := openAllocs(t, ended, records, 0, 0) / 1000
+	const idBudget = 0.15
+	t.Logf("%d records, every flow ended: %.3f allocations per id (budget %.2f)", records, perID, idBudget)
+	if perID > idBudget {
+		t.Errorf("Open allocates %.3f times per ended id, budget %.2f: is each id its own string, or its entry its own object, again?", perID, idBudget)
 	}
 }
 
@@ -573,7 +619,7 @@ func TestReplayAllocs(t *testing.T) {
 // Run with -memprofilerate 1 for an exact allocation profile of Open.
 func BenchmarkStoreOpenUncompacted(b *testing.B) {
 	dir := b.TempDir()
-	records := benchDirectory(b, dir, 3000)
+	records := benchDirectory(b, dir, 3000, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -86,6 +86,8 @@ type Store struct {
 	// "snapshot lag" operators watch through dgfctl store.
 	sinceSnap int
 	passive   int // executions currently marked passivated
+	// snapView is materialise's, reused from entry to entry.
+	snapView codec.RecordView
 
 	// replSeq numbers every fsync-proven record, in durability order —
 	// the replication cursor (repl.go). Assigned under s.mu in
@@ -115,9 +117,16 @@ type pendingRec struct {
 // replay at Open (replay.go). A terminal entry (ended or pruned) keeps
 // its two flags and nothing else.
 type execState struct {
-	req        string
-	vars       map[string]string
-	done       map[string]bool // nil until the first node
+	req  string
+	vars map[string]string
+	done map[string]bool // nil until the first node
+	// snap is the newest snapshot's fields as replay found them, while its
+	// variables and done list are still undecoded: they join vars and done
+	// on the first read or write that needs them (materialise), so an
+	// entry nobody asks about — a parked flow across a restart — stays
+	// this one string. Empty once materialised, and on every entry apply
+	// built.
+	snap       string
 	paused     bool
 	passivated bool
 	ended      bool
@@ -139,6 +148,25 @@ func (st *execState) markDone(node string) {
 		st.done = make(map[string]bool)
 	}
 	st.done[node] = true
+}
+
+// materialise decodes the variables and done list an entry still holds
+// as its snapshot's fields into vars and done — where the done set
+// already holds the nodes records newer than the snapshot proved. It is
+// the one way to them: Entry, Live and Running, apply, Compact and
+// SnapshotRecords all come through here first. Caller holds s.mu.
+func (s *Store) materialise(st *execState) {
+	if st.snap == "" {
+		return
+	}
+	// Open walked these very bytes, so they decode.
+	_ = s.snapView.DecodeFieldsString(st.snap)
+	st.snap = ""
+	rec := s.snapView.Record()
+	st.vars = rec.Vars
+	for _, n := range rec.Done {
+		st.markDone(n)
+	}
 }
 
 // Entry is a point-in-time copy of an execution's indexed state.
@@ -318,12 +346,14 @@ func (s *Store) apply(rec *Record) {
 		}
 	case TypeStepDone, TypeDelegDone:
 		if rec.Node != "" {
+			s.materialise(st)
 			st.markDone(rec.Node)
 		}
 	case TypeExecSnap:
 		if rec.Request != "" {
 			st.req = rec.Request
 		}
+		st.snap = "" // superseded whole: nothing of it is decoded
 		// The caller still aliases rec's maps: copy.
 		st.vars = make(map[string]string, len(rec.Vars))
 		for k, v := range rec.Vars {
@@ -683,6 +713,7 @@ func (s *Store) Compact() (CompactStats, error) {
 			continue
 		}
 		liveOrder = append(liveOrder, id)
+		s.materialise(st)
 		// The index takes the upgraded request too, so it holds what a
 		// reopen of the new segment would.
 		st.req = codec.UpgradeRequestDoc(st.req)
@@ -803,13 +834,20 @@ func (s *Store) Entry(id string) (Entry, bool) {
 	if !ok {
 		return Entry{}, false
 	}
-	return s.entryLocked(id, st), true
+	return s.entryLocked(id, st, false), true
 }
 
-func (s *Store) entryLocked(id string, st *execState) Entry {
-	vars := make(map[string]string, len(st.vars))
-	for k, v := range st.vars {
-		vars[k] = v
+// entryLocked copies one entry out of the index. An entry without
+// variables gets an empty map, or nil when sparse is set. Caller holds
+// s.mu.
+func (s *Store) entryLocked(id string, st *execState, sparse bool) Entry {
+	s.materialise(st)
+	var vars map[string]string
+	if len(st.vars) > 0 || !sparse {
+		vars = make(map[string]string, len(st.vars))
+		for k, v := range st.vars {
+			vars[k] = v
+		}
 	}
 	return Entry{
 		ID: id, Request: st.req, Vars: vars, Done: sortedKeys(st.done),
@@ -821,24 +859,25 @@ func (s *Store) entryLocked(id string, st *execState) Entry {
 // Live returns every execution that is neither ended nor pruned, in
 // exec.start order — the set a replica promotion adopts.
 func (s *Store) Live() []Entry {
-	return s.entries(func(st *execState) bool { return !st.terminal() })
+	return s.entries(func(st *execState) bool { return !st.terminal() }, false)
 }
 
 // Running returns the live executions that are not passivated, in
 // exec.start order: the ones resident in the engine when the records
 // stop, which a restart resumes. Unlike filtering Live, it copies
-// nothing of the parked ones.
+// nothing of the parked ones — nor decodes their snapshots — and an
+// entry without variables has nil Vars.
 func (s *Store) Running() []Entry {
-	return s.entries(func(st *execState) bool { return !st.terminal() && !st.passivated })
+	return s.entries(func(st *execState) bool { return !st.terminal() && !st.passivated }, true)
 }
 
-func (s *Store) entries(want func(*execState) bool) []Entry {
+func (s *Store) entries(want func(*execState) bool, sparse bool) []Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []Entry
 	for _, id := range s.order {
 		if st := s.index[id]; st != nil && want(st) {
-			out = append(out, s.entryLocked(id, st))
+			out = append(out, s.entryLocked(id, st, sparse))
 		}
 	}
 	return out

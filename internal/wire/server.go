@@ -982,7 +982,7 @@ func (s *Server) serveDelegate(ctx context.Context, payload []byte) DelegateResu
 		return DelegateResult{Error: dgferr.Encode(
 			fmt.Errorf("%w: bad delegate frame: %v", dgferr.ErrInvalid, err))}
 	}
-	req, err := codec.DecodeRequestDoc([]byte(d.Request))
+	req, err := codec.DecodeRequestDoc(d.Request)
 	if err != nil {
 		outcome("invalid")
 		return DelegateResult{Error: dgferr.Encode(

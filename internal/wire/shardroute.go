@@ -219,7 +219,7 @@ func (p *Peer) handleRoute(rt Route) RouteResult {
 		return RouteResult{NotOwner: true, Owner: holder, Error: dgferr.Encode(fmt.Errorf(
 			"%w: peer %s does not own shard %d", dgferr.ErrResourceDown, p.Name, rt.Shard))}
 	}
-	req, err := codec.DecodeRequestDoc([]byte(rt.Request))
+	req, err := codec.DecodeRequestDoc(rt.Request)
 	if err != nil {
 		return RouteResult{Error: dgferr.Encode(
 			fmt.Errorf("%w: bad routed request: %v", dgferr.ErrInvalid, err))}
