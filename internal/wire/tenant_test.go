@@ -9,6 +9,7 @@ import (
 
 	"datagridflow/internal/dgferr"
 	"datagridflow/internal/dgl"
+	"datagridflow/internal/matrix"
 	"datagridflow/internal/obs"
 	"datagridflow/internal/scheduler"
 	"datagridflow/internal/tenant"
@@ -310,6 +311,143 @@ func TestQuotaRejectionOverWire(t *testing.T) {
 	// Cancelling the holder frees the slot (and the test goroutine).
 	if err := c.Cancel(id); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// requireServer is tenantServer with -tenant-require over the given
+// engine, plus a session factory: a named tenant gets a connection whose
+// token is that tenant's and whose hello verified it; "" gets a
+// connection with no token at all.
+func requireServer(t *testing.T, e *matrix.Engine) func(tenantName string) *Client {
+	t.Helper()
+	s := NewServer(e)
+	auth, err := tenant.NewAuthority([]byte("wire-test-secret"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetTenancy(auth, tenant.NewRegistry(tenant.Quota{}, obs.NewRegistry()), true)
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	return func(tenantName string) *Client {
+		c := dial(t, addr)
+		if tenantName != "" {
+			c.SetToken(mint(t, auth, tenantName))
+			if _, err := c.Hello(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c
+	}
+}
+
+// TestControlVerbsStayWithTheirTenant: on a server that requires
+// tokens, pause, resume, cancel and restart act on the caller's own
+// flows only. A connection with no token, or with another tenant's, is
+// refused with a typed ErrAuth and the flow runs on untouched; the
+// owner's tokened verbs still work.
+func TestControlVerbsStayWithTheirTenant(t *testing.T) {
+	e := newRealClockEngine(t)
+	session := requireServer(t, e)
+	owner, bob, anon := session("user"), session("bob"), session("")
+	res, err := owner.Submit(context.Background(),
+		dgl.NewRequest("user", "", sleepFlow("hold", "30s")), WithAsync())
+	if err != nil || res.Err() != nil {
+		t.Fatalf("owner submit: %v / %v", err, res.Err())
+	}
+	ex, ok := e.Execution(res.ID)
+	if !ok {
+		t.Fatalf("execution %s not tracked", res.ID)
+	}
+	for who, c := range map[string]*Client{"untokened": anon, "bob": bob} {
+		for verb, call := range map[string]func(string) error{"pause": c.Pause, "resume": c.Resume, "cancel": c.Cancel} {
+			if err := call(res.ID); !errors.Is(err, dgferr.ErrAuth) {
+				t.Errorf("%s %s of user's flow = %v, want typed ErrAuth", who, verb, err)
+			}
+		}
+		select {
+		case <-ex.Done():
+			t.Fatalf("%s ended user's flow: %v", who, ex.Err())
+		default:
+		}
+		if ex.Paused() {
+			t.Fatalf("%s paused user's flow", who)
+		}
+	}
+
+	// The owner's token rides its control frames: its own cancel works.
+	if err := owner.Cancel(res.ID); err != nil {
+		t.Fatalf("owner cancel: %v", err)
+	}
+	<-ex.Done()
+	before := len(e.Executions())
+	for who, c := range map[string]*Client{"untokened": anon, "bob": bob} {
+		if next, err := c.Restart(res.ID); !errors.Is(err, dgferr.ErrAuth) {
+			t.Errorf("%s restart of user's flow = %q, %v, want typed ErrAuth", who, next, err)
+		}
+	}
+	if got := len(e.Executions()); got != before {
+		t.Errorf("refused restarts left %d executions, want %d", got, before)
+	}
+}
+
+// TestControlVerbDoesNotWakeOthersParkedFlow: a refused control verb is
+// refused before the execution lookup, so an untokened cancel of a
+// parked flow neither resurrects nor cancels it; the owner's resume
+// then does both what it asks and the resurrection.
+func TestControlVerbDoesNotWakeOthersParkedFlow(t *testing.T) {
+	e := newEngine(t, "")
+	attachStore(t, e)
+	reached, release := registerParkOp(e)
+	session := requireServer(t, e)
+	owner, anon := session("user"), session("")
+
+	wire0 := e.Obs().Counter("store_resurrections_total", "path", "wire").Value()
+	id := startParked(t, e, reached)
+	ex, _ := e.Execution(id)
+	ex.Pause()
+	if err := e.Passivate(id); err != nil {
+		t.Fatalf("passivate: %v", err)
+	}
+	close(release)
+
+	if err := anon.Cancel(id); !errors.Is(err, dgferr.ErrAuth) {
+		t.Errorf("untokened cancel of a parked flow = %v, want typed ErrAuth", err)
+	}
+	if _, ok := e.Execution(id); ok {
+		t.Fatal("a refused verb resurrected the parked flow")
+	}
+	if got := e.Obs().Counter("store_resurrections_total", "path", "wire").Value() - wire0; got != 0 {
+		t.Errorf("store_resurrections_total{path=wire} moved by %d", got)
+	}
+	if err := owner.Resume(id); err != nil {
+		t.Fatalf("owner resume: %v", err)
+	}
+	ex, ok := e.Execution(id)
+	if !ok {
+		t.Fatal("owner's resume did not resurrect the flow")
+	}
+	if err := ex.Wait(); err != nil {
+		t.Fatalf("resurrected run: %v", err)
+	}
+}
+
+// TestHelloRefusesExpiredToken: a token past its expiry fails the hello
+// with a typed ErrAuth, which is what dgfctl exits with.
+func TestHelloRefusesExpiredToken(t *testing.T) {
+	_, addr, _, _ := tenantServer(t, true, ServerConfig{})
+	// Same secret, minted two hours ago for one hour.
+	past, err := tenant.NewAuthority([]byte("wire-test-secret"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	past.SetClock(func() time.Time { return time.Now().Add(-2 * time.Hour) })
+	c := dial(t, addr)
+	c.SetToken(mint(t, past, "user"))
+	if _, err := c.Hello(); !errors.Is(err, dgferr.ErrAuth) {
+		t.Fatalf("hello with an expired token = %v, want typed ErrAuth", err)
 	}
 }
 
