@@ -146,7 +146,7 @@ before/after), then the same report as "store".`,
 		name:     "repl",
 		synopsis: "repl",
 		summary:  "show the server's replication role",
-		detail: `Asks a replicating server (wire 1.6, docs/REPLICATION.md) for its
+		detail: `Asks a replicating server (docs/REPLICATION.md) for its
 replication role: the ack mode, the store's replication sequence, each
 follower's last acknowledged sequence (and so its lag), and every
 source the server holds a replica for — with the replica's cursor,
@@ -157,7 +157,7 @@ died.`,
 		name:     "owner",
 		synopsis: "owner <id>",
 		summary:  "resolve which peer owns a flow or execution id",
-		detail: `Asks a sharded server (wire 1.5, docs/FEDERATION.md) which peer owns
+		detail: `Asks a sharded server (docs/FEDERATION.md) which peer owns
 the given execution id or "user/flowName" routing key, printing the
 owning peer, its address, the shard, and how it was resolved: tracked
 (accepted on that peer), prefix (the id's "peer:" prefix), or ring
@@ -167,7 +167,7 @@ owning peer, its address, the shard, and how it was resolved: tracked
 		name:     "tenants",
 		synopsis: "tenants [limit]",
 		summary:  "show the server's tenancy posture and top tenants",
-		detail: `Asks a tenancy-aware server (wire 1.7, docs/TENANCY.md) whether
+		detail: `Asks a tenancy-aware server (docs/TENANCY.md) whether
 tenancy and token auth are enabled, how many tenants are registered,
 and the most active tenants — weight, flows in flight, store bytes and
 delegation slots per row. The optional limit bounds the rows returned
@@ -177,7 +177,7 @@ delegation slots per row. The optional limit bounds the rows returned
 		name:     "vdata",
 		synopsis: "vdata [stats|lookup <key>|invalidate <key-or-output>]",
 		summary:  "inspect or prune the virtual-data derivation catalog",
-		detail: `Talks to a virtual-data-aware server (wire 1.8, docs/VDATA.md).
+		detail: `Talks to a virtual-data-aware server (docs/VDATA.md).
 "stats" (the default) prints the catalog's shape: entry and tenant
 counts, publish and invalidation totals, and whether it is durable.
 "lookup" fetches one memoized derivation by its canonical key —
@@ -288,6 +288,24 @@ func runHelp(args []string) {
 	fmt.Printf("usage: dgfctl [-addr host:port] [-user name] %s\n\n%s\n", v.synopsis, v.detail)
 }
 
+// session dials a matrix server and offers the -token in a hello, so a
+// forged or expired token ends the command with the server's typed
+// refusal instead of running it anonymously.
+func session(addr, token string) *wire.Client {
+	client, err := wire.Dial(addr)
+	if err != nil {
+		log.Fatalf("dgfctl: %v", err)
+	}
+	if token != "" {
+		client.SetToken(token)
+		if _, err := client.Hello(); err != nil {
+			client.Close()
+			log.Fatalf("dgfctl: %v", err)
+		}
+	}
+	return client
+}
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7401", "matrix server address")
 	lookupAddr := flag.String("lookup", "127.0.0.1:7400", "lookup server address (peers command)")
@@ -390,17 +408,8 @@ func main() {
 		usage()
 	}
 
-	client, err := wire.Dial(*addr)
-	if err != nil {
-		log.Fatalf("dgfctl: %v", err)
-	}
+	client := session(*addr, *token)
 	defer client.Close()
-	client.SetToken(*token)
-	// Negotiate up-front: a 1.2+ server multiplexes, a 1.4 server
-	// carries payloads in the binary codec (docs/CODEC.md), and a 1.7
-	// server verifies the -token and pins the session identity. Any
-	// failure just leaves the session on the serial/text baseline.
-	_, _ = client.Hello()
 
 	switch args[0] {
 	case "submit":
@@ -448,7 +457,10 @@ func main() {
 			if info, oerr := client.Owner(rest[0]); oerr == nil && info.Addr != "" && info.Addr != *addr {
 				if oc, derr := wire.Dial(info.Addr); derr == nil {
 					defer oc.Close()
-					_, _ = oc.Hello()
+					oc.SetToken(*token)
+					if _, herr := oc.Hello(); herr != nil {
+						log.Fatalf("dgfctl: %s: %v", info.Addr, herr)
+					}
 					if ost, serr := oc.Status(*user, rest[0], detail); serr == nil {
 						fmt.Printf("(followed to owner %s at %s)\n", info.Peer, info.Addr)
 						// Surface the owner's replication role: whether the

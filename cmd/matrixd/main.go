@@ -21,12 +21,11 @@
 //	matrixd -snapshot-every 30s -passivate-idle 5m # store maintenance
 //	matrixd -fault plan.json                     # fault injection
 //	matrixd -max-inflight 128 -max-queue 512     # admission tuning
-//	matrixd -serial-only                         # pin pre-1.2 framing
-//	matrixd -tenant-auth secret.key              # verify tenant tokens (wire 1.7)
+//	matrixd -tenant-auth secret.key              # verify tenant tokens
 //	matrixd -tenant-conf tenants.json            # per-tenant quotas and weights
 //	matrixd -tenant-require                      # reject untokened submissions
 //	matrixd -lookup-token token.txt              # authenticate with a gated lookupd
-//	matrixd -vdata                               # memoize pure steps (wire 1.8)
+//	matrixd -vdata                               # memoize pure steps
 //	matrixd -vdata-dir /var/lib/matrix-vdata     # durable derivation catalog
 //
 // With -metrics-addr the server exposes the observability surface
@@ -86,16 +85,15 @@ func main() {
 	faultPath := flag.String("fault", "", "fault-injection plan (JSON) applied to the grid and server (docs/FAULTS.md)")
 	maxInflight := flag.Int("max-inflight", 64, "max concurrently executing requests across all connections (admission worker pool)")
 	maxUserQueue := flag.Int("max-queue", 256, "max admission waiters queued per user; excess requests are rejected with a capacity error")
-	serialOnly := flag.Bool("serial-only", false, "pin the wire protocol to pre-1.2 serial framing (no multiplexing)")
 	codecName := flag.String("codec", "json", "encoding for new journal/store writes: json or binary (docs/CODEC.md); existing files are sniffed and replay either way")
 	replFollowers := flag.Int("repl-followers", 0, "replicate the flow-state store to this many follower peers (0 disables; requires -lookup and -store-dir; docs/REPLICATION.md)")
 	replAck := flag.String("repl-ack", "quorum", "replication ack mode: quorum, chain or async (docs/REPLICATION.md)")
 	replDir := flag.String("repl-dir", "", "replica root directory for stores received from followed peers (default: <store-dir>.replica)")
-	tenantAuth := flag.String("tenant-auth", "", "shared-secret key file for tenant token verification (wire 1.7; docs/TENANCY.md)")
+	tenantAuth := flag.String("tenant-auth", "", "shared-secret key file for tenant token verification (docs/TENANCY.md)")
 	tenantConf := flag.String("tenant-conf", "", "tenant quota/weight configuration JSON (docs/TENANCY.md)")
 	tenantRequire := flag.Bool("tenant-require", false, "reject submissions without a valid tenant token (requires -tenant-auth)")
 	lookupToken := flag.String("lookup-token", "", "file holding a tenant token presented to a token-gated lookup registry")
-	vdataOn := flag.Bool("vdata", false, "enable a memory-only virtual-data derivation catalog: pure steps are memoized and elided on re-run (wire 1.8; docs/VDATA.md)")
+	vdataOn := flag.Bool("vdata", false, "enable a memory-only virtual-data derivation catalog: pure steps are memoized and elided on re-run (docs/VDATA.md)")
 	vdataDir := flag.String("vdata-dir", "", "durable virtual-data catalog directory; derivations survive restart (implies -vdata)")
 	vdataToken := flag.String("vdata-token", "", "file holding a tenant token offered on cross-peer derivation lookups (tenant-require fleets; docs/VDATA.md)")
 	flag.Parse()
@@ -295,7 +293,6 @@ func main() {
 	srvCfg := wire.ServerConfig{
 		MaxInflight:  *maxInflight,
 		MaxUserQueue: *maxUserQueue,
-		SerialOnly:   *serialOnly,
 	}
 	var tAuth *tenant.Authority
 	var tReg *tenant.Registry

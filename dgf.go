@@ -243,7 +243,7 @@ var (
 	ErrRetryExhausted = dgferr.ErrRetryExhausted
 	// ErrProtocol: a wire version mismatch (the "hello" handshake).
 	ErrProtocol = dgferr.ErrProtocol
-	// ErrAuth: a missing, expired or forged tenant token (wire 1.7).
+	// ErrAuth: a missing, expired or forged tenant token.
 	ErrAuth = dgferr.ErrAuth
 	// ErrQuota: a tenant resource bound exceeded (flows in flight,
 	// store bytes, delegation slots, submit rate).
@@ -357,7 +357,7 @@ type (
 	// LookupServer is the peer registry.
 	LookupServer = wire.LookupServer
 	// SubmitOption configures one MatrixClient.Submit call (WithAsync,
-	// WithBatch, WithRoute, WithUser).
+	// WithBatch, WithRoute).
 	SubmitOption = wire.SubmitOption
 	// SubmitResult is the unified reply of MatrixClient.Submit.
 	SubmitResult = wire.SubmitResult
@@ -386,9 +386,6 @@ func WithBatch(reqs ...*Request) SubmitOption { return wire.WithBatch(reqs...) }
 
 // WithRoute sets the submission's shard-placement preference.
 func WithRoute(mode RouteMode) SubmitOption { return wire.WithRoute(mode) }
-
-// WithUser names the identity a batch is accounted to.
-func WithUser(name string) SubmitOption { return wire.WithUser(name) }
 
 // NewShardManager builds a shard manager for MatrixPeer.EnableSharding.
 func NewShardManager(cfg ShardConfig) *ShardManager { return shard.NewManager(cfg) }

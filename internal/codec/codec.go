@@ -13,8 +13,8 @@
 // streams are told apart: JSON and XML payloads never start with 0xDF.
 //
 // The byte-level specification, including a worked hex dump, lives in
-// docs/CODEC.md. Wire negotiation (protocol 1.4) is in docs/WIRE.md;
-// segment-encoding sniffing is in docs/STORE.md.
+// docs/CODEC.md. Which wire frames carry which message is in
+// docs/WIRE.md; segment-encoding sniffing is in docs/STORE.md.
 package codec
 
 import (
@@ -48,9 +48,11 @@ const (
 	MsgControl byte = 4
 	// MsgControlResult is a wire.ControlResult (KindControl replies).
 	MsgControlResult byte = 5
-	// MsgBatch is a wire.Batch envelope (KindBatch frames).
+	// MsgBatch is a batch envelope (KindBatch frames): the submitting
+	// user, its token and one request document per item.
 	MsgBatch byte = 6
-	// MsgBatchResult is a wire.BatchResult envelope (KindBatch replies).
+	// MsgBatchResult is a batch reply (KindBatch replies): ok, an error
+	// and one response document per item.
 	MsgBatchResult byte = 7
 	// MsgDelegate is a wire.Delegate envelope (KindDelegate frames).
 	MsgDelegate byte = 8

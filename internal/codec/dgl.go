@@ -21,7 +21,7 @@ const (
 	reqFlow  = 4 // msg (flow)
 	reqQuery = 5 // msg {1: id sym, 2: detail bool}
 	reqRoute = 6 // sym ("auto"/"local"), sharded-routing preference
-	reqToken = 7 // bytes, tenant bearer token (wire 1.7; high-entropy, never symed)
+	reqToken = 7 // bytes, tenant bearer token (high-entropy, never symed)
 )
 
 // Flow field numbers (nested).

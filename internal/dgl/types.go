@@ -69,9 +69,9 @@ type Request struct {
 	// the accepting peer. Non-sharded deployments ignore it.
 	Route string `xml:"route,attr,omitempty"`
 	// Token is the tenant bearer token authenticating the submission
-	// (wire >= 1.7, docs/TENANCY.md). An extension attribute, not part
-	// of the paper's schema: absent means anonymous, and pre-tenant
-	// deployments ignore it entirely.
+	// (docs/TENANCY.md). An extension attribute, not part of the
+	// paper's schema: absent means anonymous, and untenanted servers
+	// ignore it entirely.
 	Token string `xml:"token,attr,omitempty"`
 	// Metadata documents the request itself.
 	Metadata DocumentMeta `xml:"documentMetadata"`

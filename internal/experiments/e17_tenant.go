@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -310,7 +311,11 @@ func runTenant(window time.Duration, registryTenants, workers int, step time.Dur
 	defer bc.Close()
 	hold := sleepFlow(300 * time.Millisecond)
 	for i := 0; i < 24; i++ {
-		if _, err := bc.SubmitAsync("breach", hold); err != nil {
+		res, err := bc.Submit(context.Background(), dgl.NewRequest("breach", "", hold), wire.WithAsync())
+		if err == nil {
+			err = res.Err()
+		}
+		if err != nil {
 			if quotaRejected(err.Error()) {
 				rep.breachRejections++
 			} else {

@@ -164,7 +164,7 @@ func runVdata(flows int, step time.Duration) (*vdataReport, error) {
 		return nil, err
 	}
 
-	// Phase 2 — cross-peer reuse over wire 1.8 and the lookup registry.
+	// Phase 2 — cross-peer reuse over the vdata verb and the lookup registry.
 	ls := wire.NewLookupServer()
 	ls.SetObs(obs.NewRegistry())
 	lookupAddr, err := ls.Listen("127.0.0.1:0")

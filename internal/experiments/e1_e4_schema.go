@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/xml"
 	"fmt"
 	"reflect"
@@ -308,11 +309,15 @@ func E4AsyncStatus(s Scale) (*Report, error) {
 	}
 	defer client.Close()
 	t0 := time.Now()
-	id, err := client.SubmitAsync("user", flow)
+	res, err := client.Submit(context.Background(), dgl.NewRequest("user", "", flow), wire.WithAsync())
+	if err == nil {
+		err = res.Err()
+	}
 	if err != nil {
 		return nil, err
 	}
 	ackLatency := time.Since(t0)
+	id := res.ID
 	exec2, _ := e.Execution(id)
 	if err := exec2.Wait(); err != nil {
 		return nil, err

@@ -22,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"datagridflow/internal/codec"
 	"datagridflow/internal/dgferr"
 	"datagridflow/internal/dgl"
 	"datagridflow/internal/matrix"
@@ -322,14 +323,8 @@ func (f *Federation) place(ctx context.Context, req matrix.DelegateRequest) (*ma
 		if pick == f.peer.Name {
 			return f.runLocal(ctx, req)
 		}
-		resp, retry := f.runRemote(ctx, pick, req)
-		if resp != nil {
+		if resp := f.runRemote(ctx, pick, req); resp != nil {
 			return resp, nil
-		}
-		if !retry {
-			// Unsupported peer (pre-1.3): silently move on, no backoff —
-			// nothing was sent, nothing failed.
-			continue
 		}
 		// Transport failure: quarantine, note the failover, back off a
 		// beat (the next candidate may share the cause), try again.
@@ -351,53 +346,41 @@ func (f *Federation) place(ctx context.Context, req matrix.DelegateRequest) (*ma
 }
 
 // runRemote sends one delegate frame to the named peer. It returns a
-// settled response (success or deterministic flow failure), or
-// (nil, retry) — retry=true for transport/peer-death failures that
-// should fail over, retry=false for peers that never got the frame
-// (pre-1.3, or currently unreachable through the lookup registry).
-func (f *Federation) runRemote(ctx context.Context, name string, req matrix.DelegateRequest) (*matrix.DelegateResponse, bool) {
+// settled response (success or deterministic flow failure), or nil for
+// a transport or peer-death failure that should fail over.
+func (f *Federation) runRemote(ctx context.Context, name string, req matrix.DelegateRequest) *matrix.DelegateResponse {
 	o := f.peer.Engine().Obs()
 	client, err := f.peer.Client(name)
 	if err != nil {
 		// Could not even connect: treat as peer death.
-		return nil, true
-	}
-	if !client.CanDelegate() {
-		// Mixed-version federation: the peer negotiated < 1.3. Never send
-		// the frame — it stays a valid status-forwarding peer.
-		o.Counter("federation_unsupported_peers_total", "peer", name).Inc()
-		return nil, false
-	}
-	doc, err := client.EncodeRequest(dgl.NewAsyncRequest(req.User, "", req.Flow))
-	if err != nil {
-		return nil, false // unmarshalable flow will not improve elsewhere
+		return nil
 	}
 	res, err := client.Delegate(ctx, wire.Delegate{
 		User:       req.User,
 		Token:      req.Token,
-		Request:    doc,
+		Request:    codec.RequestDoc(dgl.NewAsyncRequest(req.User, "", req.Flow)),
 		Origin:     f.peer.Name,
 		ParentExec: req.ParentExec,
 		ParentNode: req.ParentNode,
 	})
 	if err == nil {
 		o.Counter("federation_delegations_total", "peer", name).Inc()
-		return f.settled(name, res, nil), false
+		return f.settled(name, res, nil)
 	}
 	if res == nil {
 		// Transport failure: the connection died with the frame in
 		// flight. The remote may or may not have run the subflow — the
 		// at-least-once caveat (docs/FEDERATION.md).
-		return nil, true
+		return nil
 	}
 	// The remote answered. A cancelled or capacity class means the peer
 	// is shutting down or saturated — the work should move; anything
 	// else is the subflow's own deterministic failure and must propagate.
 	if ctx.Err() == nil && (errors.Is(err, dgferr.ErrCancelled) || errors.Is(err, dgferr.ErrCapacity) || errors.Is(err, dgferr.ErrResourceDown)) {
-		return nil, true
+		return nil
 	}
 	o.Counter("federation_delegations_total", "peer", name).Inc()
-	return f.settled(name, res, err), false
+	return f.settled(name, res, err)
 }
 
 // settled builds the Delegator response from a delegate reply.

@@ -216,51 +216,6 @@ func TestFederationCrashFailover(t *testing.T) {
 	}
 }
 
-// TestFederationMixedVersionFallsBackLocal federates a 1.3 peer with a
-// 1.2 peer: placement may pick the old peer, but the delegate frame is
-// never sent — the subflow silently runs locally and the flow completes
-// without a single wire error.
-func TestFederationMixedVersionFallsBackLocal(t *testing.T) {
-	lookup := startLookup(t)
-	a := newTestPeer(t, "newA", lookup, wire.ServerConfig{MaxInflight: 4},
-		Config{Policy: &pinTo{target: "oldB"}, HeartbeatInterval: time.Minute})
-	// oldB advertises protocol 1.2: mux yes, delegate no.
-	b := newTestPeer(t, "oldB", lookup, wire.ServerConfig{MaxInflight: 4, ProtoMinor: 2},
-		Config{HeartbeatInterval: time.Minute})
-	syncBeats(a, b)
-
-	ex, err := a.eng.Start("user", fanout(2, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ex.Wait(); err != nil {
-		t.Fatalf("mixed-version flow failed: %v", err)
-	}
-	st := ex.Status(true)
-	for _, ch := range st.Children {
-		if ch.State != "succeeded" {
-			t.Errorf("child %s state = %s", ch.Name, ch.State)
-		}
-		if strings.HasPrefix(ch.Delegated, "oldB:") {
-			t.Errorf("subflow ran on the 1.2 peer: %q", ch.Delegated)
-		}
-	}
-	if n := a.reg.Counter("federation_unsupported_peers_total", "peer", "oldB").Value(); n == 0 {
-		t.Error("unsupported-peer fallback not counted")
-	}
-	if got := delegations(a, "oldB"); got != 0 {
-		t.Errorf("delegations to 1.2 peer = %d", got)
-	}
-	// Silent fallback: no failover noise either — the peer is healthy,
-	// just old.
-	if n := a.reg.Counter("federation_failovers_total", "peer", "oldB").Value(); n != 0 {
-		t.Errorf("failovers against healthy 1.2 peer = %d", n)
-	}
-	if n := a.grid.Provenance().Count(provenance.Filter{Action: "deleg.failover"}); n != 0 {
-		t.Errorf("deleg.failover records = %d", n)
-	}
-}
-
 // TestFederationMinStepsDeclines: subflows under the MinSteps threshold
 // answer ErrDelegateLocal so the engine runs them inline.
 func TestFederationMinStepsDeclines(t *testing.T) {

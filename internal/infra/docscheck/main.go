@@ -12,7 +12,11 @@
 //     internal/obs's contract test enforces, rechecked here so the CI
 //     docs job stands alone);
 //   - every dgfctl verb must appear in README.md's CLI table (the
-//     table is `dgfctl help -markdown` verbatim).
+//     table is `dgfctl help -markdown` verbatim);
+//   - every `Client.X`, `Server.X`, `Peer.X`, `ServerConfig.X` or
+//     `wire.X` the documents show in code must be an exported
+//     identifier of internal/wire (a deleted API cannot live on in the
+//     prose).
 //
 // CI runs it from the repository root in the docs job:
 //
@@ -23,6 +27,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path"
 	"path/filepath"
@@ -40,6 +47,9 @@ var (
 	// shownFlagRe matches one flag inside a command-line token, which may
 	// list several ("-store/-repl") or carry a value ("-metrics=false").
 	shownFlagRe = regexp.MustCompile(`(?:^|/)--?([A-Za-z][A-Za-z0-9_.-]*)`)
+	// wireRefRe matches a reference to internal/wire's API: a method or
+	// field of one of its main types, or a package-level name.
+	wireRefRe = regexp.MustCompile(`(?:^|[^\w.])((?:Client|Server|Peer|ServerConfig|wire)\.[A-Z]\w*)`)
 )
 
 func main() {
@@ -114,8 +124,94 @@ func check(root string) ([]string, error) {
 		}
 	}
 
+	api, err := wireAPI(root)
+	if err != nil {
+		return nil, err
+	}
+	if api != nil {
+		problems = append(problems, staleWireRefs(corpus, api)...)
+	}
+
 	sort.Strings(problems)
 	return problems, nil
+}
+
+// wireAPI returns the exported identifiers of internal/wire's non-test
+// sources — package-level names as "wire.X", methods and struct fields
+// as "T.X" — or nil when the tree has no internal/wire.
+func wireAPI(root string) (map[string]bool, error) {
+	paths, err := filepath.Glob(filepath.Join(root, "internal", "wire", "*.go"))
+	if err != nil || len(paths) == 0 {
+		return nil, err
+	}
+	api := map[string]bool{}
+	add := func(owner string, name *ast.Ident) {
+		if name.IsExported() {
+			api[owner+"."+name.Name] = true
+		}
+	}
+	fset := token.NewFileSet()
+	for _, p := range paths {
+		if strings.HasSuffix(p, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				owner := "wire"
+				if d.Recv != nil {
+					typ := d.Recv.List[0].Type
+					if star, ok := typ.(*ast.StarExpr); ok {
+						typ = star.X
+					}
+					if id, ok := typ.(*ast.Ident); ok {
+						owner = id.Name
+					}
+				}
+				add(owner, d.Name)
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						add("wire", s.Name)
+						if st, ok := s.Type.(*ast.StructType); ok {
+							for _, field := range st.Fields.List {
+								for _, name := range field.Names {
+									add(s.Name.Name, name)
+								}
+							}
+						}
+					case *ast.ValueSpec:
+						for _, name := range s.Names {
+							add("wire", name)
+						}
+					}
+				}
+			}
+		}
+	}
+	return api, nil
+}
+
+// staleWireRefs reports each reference to internal/wire's API the
+// corpus shows in code that the package does not export.
+func staleWireRefs(corpus string, api map[string]bool) []string {
+	seen := map[string]bool{}
+	var problems []string
+	for _, code := range codeRe.FindAllString(corpus, -1) {
+		for _, m := range wireRefRe.FindAllStringSubmatch(code, -1) {
+			if ref := m[1]; !api[ref] && !seen[ref] {
+				seen[ref] = true
+				problems = append(problems,
+					fmt.Sprintf("the documents show `%s`, but internal/wire exports no such identifier", ref))
+			}
+		}
+	}
+	return problems
 }
 
 type cmdFlag struct {

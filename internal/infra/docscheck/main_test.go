@@ -110,6 +110,42 @@ func emit(r reg) {
 	}
 }
 
+// TestCatchesStaleWireIdentifier: a method, field or package-level name
+// of internal/wire shown in code must exist there. Exported methods,
+// fields, types and functions pass; a deleted or test-only method and a
+// deleted function fail; other packages' types and lowercase names
+// (unexported ones, metric rows) are not checked.
+func TestCatchesStaleWireIdentifier(t *testing.T) {
+	root := fakeRepo(t, map[string]string{
+		"cmd/srv/main.go": "package main\nfunc main() {}",
+		"internal/wire/client.go": `package wire
+type Client struct{ addr string }
+type ServerConfig struct{ MaxInflight int }
+func Dial(addr string) (*Client, error) { return nil, nil }
+func (c *Client) Hello() (string, error) { return "", nil }
+func (c *Client) roundTrip() {}
+const ProtoVersion = "2.0"`,
+		"internal/wire/client_test.go": "package wire\nfunc (c *Client) CanRoute() bool { return true }",
+		"README.md": "`wire.Dial`, `Client.Hello`, `ServerConfig.MaxInflight` and `wire.ProtoVersion` exist.\n" +
+			"`Client.CanRoute()`, `wire.RouteSupported` and `Client.Redial` do not.\n" +
+			"`LookupServer.SetAuth`, `matrix.Server.Run`, `Client.roundTrip` and `wire.rtt_us` are not checked; neither is Client.Gone in prose.\n",
+		"docs/METRICS.md": "",
+	})
+	problems, err := check(root)
+	if err != nil {
+		t.Fatalf("check: %v", err)
+	}
+	want := []string{"`Client.CanRoute`", "`Client.Redial`", "`wire.RouteSupported`"}
+	if len(problems) != len(want) {
+		t.Fatalf("want %d problems %q, got %q", len(want), want, problems)
+	}
+	for i, w := range want {
+		if !strings.Contains(problems[i], w) {
+			t.Errorf("problem %d = %q, want it to show %s", i, problems[i], w)
+		}
+	}
+}
+
 // TestFlagTokenBoundaries: -o must not be satisfied by -open.
 func TestFlagTokenBoundaries(t *testing.T) {
 	if mentionsFlag("use -open for demo mode", "o") {

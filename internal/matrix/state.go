@@ -451,6 +451,10 @@ func (e *Execution) StatusOf(id string, detail bool) (dgl.FlowStatus, error) {
 	return n.snapshot(detail), nil
 }
 
+// User returns the grid user the execution runs as: on a tenancy
+// server, the tenant its submission was accounted to.
+func (e *Execution) User() string { return e.req.User.Name }
+
 // Pause suspends the execution at the next checkpoint (between steps and
 // loop iterations). Pausing a terminal execution is a no-op.
 func (e *Execution) Pause() { e.ctrl.pause() }

@@ -17,7 +17,7 @@ import (
 
 // VdataRemote resolves a derivation key fleet-wide — the wire layer
 // installs a hook that asks the peer the lookup registry names as the
-// holder (wire 1.8, docs/WIRE.md). It is consulted only on a local
+// holder (the wire's vdata verb, docs/WIRE.md). It is consulted only on a local
 // miss and must be safe for concurrent use.
 type VdataRemote func(tenantID, key string) (vdata.Entry, bool)
 

@@ -11,8 +11,7 @@ import (
 )
 
 // Anon is the reserved tenant every anonymous identity maps onto: an
-// empty user name, a pre-1.7 peer that cannot send tokens, or an
-// unauthenticated connection when the server does not require tokens.
+// empty user name, or an unauthenticated connection when the server does not require tokens.
 // A grid user literally named "anon" therefore shares this tenant's
 // quota and weight — the name is reserved, and the collision is by
 // design (docs/TENANCY.md).

@@ -9,7 +9,8 @@
 // every later execution of the same derivation skips the work and
 // grafts the memoized result. Entries persist through the store's
 // group-committed writer (store.GroupFile) and survive restart; over
-// wire 1.8 any peer's derivation is visible fleet-wide (docs/WIRE.md).
+// the wire's vdata verb any peer's derivation is visible fleet-wide
+// (docs/WIRE.md).
 package vdata
 
 import (

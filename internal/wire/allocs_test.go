@@ -20,7 +20,7 @@ import (
 // the owning engine has run it to the end.
 func finished(t *testing.T, c *Client, e *matrix.Engine, name string) string {
 	t.Helper()
-	id, err := c.SubmitAsync("user", noopFlow(name))
+	id, err := submitAsync(c, "user", noopFlow(name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestMuxRoundTripAllocs(t *testing.T) {
 	}
 	e := newEngine(t, "")
 	s, addr := startServer(t, e)
-	c := dialMux(t, addr)
+	c := dial(t, addr)
 	enc := codec.GetEncoder()
 	appendControl(enc, &Control{Op: "list"})
 	payload := append([]byte(nil), enc.Bytes()...)
@@ -74,9 +74,7 @@ func TestMuxRoundTripAllocs(t *testing.T) {
 	})
 	rp := new(reply)
 	handler := testing.AllocsPerRun(500, func() {
-		if _, err := s.handleFrame(context.Background(), KindControl, payload, true, rp); err != nil {
-			t.Fatal(err)
-		}
+		s.handleFrame(context.Background(), KindControl, payload, rp)
 		rp.release()
 	})
 	t.Logf("round trip %.1f allocations, its handler alone %.1f", trip, handler)
@@ -108,7 +106,7 @@ func TestStatusReplyAllocs(t *testing.T) {
 		return p
 	}
 	peerA, peerB := start("matrixA"), start("matrixB")
-	cA, cB := dialMux(t, peerA.Addr()), dialMux(t, peerB.Addr())
+	cA, cB := dial(t, peerA.Addr()), dial(t, peerB.Addr())
 	idA := finished(t, cA, peerA.Engine(), "on-a")
 	idB := finished(t, cB, peerB.Engine(), "on-b")
 
@@ -159,7 +157,7 @@ func TestSubmitOneAllocs(t *testing.T) {
 	}
 	e := newEngine(t, "")
 	_, addr := startServer(t, e)
-	c := dialMux(t, addr)
+	c := dial(t, addr)
 	id := finished(t, c, e, "polled")
 	req := dgl.NewStatusRequest("user", id, false)
 	token := WithToken("a-token")
@@ -194,9 +192,9 @@ func TestForwardedPollSkipsResurrect(t *testing.T) {
 		t.Skip("allocation budgets are not meaningful under the race detector")
 	}
 	_, lookupAddr := startLookup(t)
-	a := startReplPeer(t, lookupAddr, "peerA", replica.ModeQuorum, ServerConfig{})
-	b := startReplPeer(t, lookupAddr, "peerB", replica.ModeQuorum, ServerConfig{})
-	cB := dialMux(t, b.Addr())
+	a := startReplPeer(t, lookupAddr, "peerA", replica.ModeQuorum)
+	b := startReplPeer(t, lookupAddr, "peerB", replica.ModeQuorum)
+	cB := dial(t, b.Addr())
 	id := finished(t, cB, b.Engine(), "on-b")
 	if _, err := a.Status("user", id, false); err != nil {
 		t.Fatalf("forwarded status: %v", err) // also dials the pooled client

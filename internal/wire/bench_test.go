@@ -35,24 +35,20 @@ type discardConn struct {
 func (c discardConn) Write(p []byte) (int, error) { return len(p), nil }
 func (c discardConn) Read(p []byte) (int, error)  { return c.r.Read(p) }
 
-func benchFrameEncode(b *testing.B, mux bool) {
+func BenchmarkFrameEncode(b *testing.B) {
 	w := &frameWriter{conn: discardConn{}}
 	b.SetBytes(int64(len(benchPayload)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := w.write(KindDGL, uint64(i), mux, benchPayload); err != nil {
+		if err := w.write(KindDGL, uint64(i), benchPayload); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func benchFrameDecode(b *testing.B, mux bool) {
+func BenchmarkFrameDecode(b *testing.B) {
 	var one bytes.Buffer
-	if mux {
-		_ = WriteMuxFrame(&one, KindDGL, 7, benchPayload)
-	} else {
-		_ = WriteFrame(&one, KindDGL, benchPayload)
-	}
+	_ = WriteMuxFrame(&one, KindDGL, 7, benchPayload)
 	b.SetBytes(int64(len(benchPayload)))
 	b.ReportAllocs()
 	r := bytes.NewReader(nil)
@@ -60,7 +56,7 @@ func benchFrameDecode(b *testing.B, mux bool) {
 	for i := 0; i < b.N; i++ {
 		r.Reset(one.Bytes())
 		fc.r.br.Reset(r)
-		fr, err := fc.r.next(mux)
+		fr, err := fc.r.next()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -68,35 +64,9 @@ func benchFrameDecode(b *testing.B, mux bool) {
 	}
 }
 
-func BenchmarkFrameEncode(b *testing.B)    { benchFrameEncode(b, false) }
-func BenchmarkFrameDecode(b *testing.B)    { benchFrameDecode(b, false) }
-func BenchmarkMuxFrameEncode(b *testing.B) { benchFrameEncode(b, true) }
-func BenchmarkMuxFrameDecode(b *testing.B) { benchFrameDecode(b, true) }
-
-// BenchmarkSerialRoundTrip measures one-at-a-time request/response over
-// a live TCP connection with the pre-1.2 serial framing.
-func BenchmarkSerialRoundTrip(b *testing.B) {
-	e := newEngine(b, "")
-	_, addr := startServer(b, e)
-	c, err := Dial(addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	flow := noopFlow("bench")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.SubmitAsync("user", flow); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	e.Prune(0)
-}
-
-// BenchmarkPipelinedRoundTrip measures the same request mix over a
-// multiplexed session with 16 concurrent submitters sharing one
-// connection — the pipelining win the 1.2 protocol exists for.
+// BenchmarkPipelinedRoundTrip measures async submits with 16
+// concurrent submitters sharing one connection — the pipelining the
+// request ids of the framing exist for.
 func BenchmarkPipelinedRoundTrip(b *testing.B) {
 	e := newEngine(b, "")
 	_, addr := startServer(b, e)
@@ -105,12 +75,6 @@ func BenchmarkPipelinedRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Hello(); err != nil {
-		b.Fatal(err)
-	}
-	if !c.Muxed() {
-		b.Fatal("session not muxed")
-	}
 	const workers = 16
 	flow := noopFlow("bench")
 	b.ResetTimer()
@@ -125,7 +89,7 @@ func BenchmarkPipelinedRoundTrip(b *testing.B) {
 		go func() {
 			defer wg.Done()
 			for range iters {
-				if _, err := c.SubmitAsyncContext(context.Background(), "user", flow); err != nil {
+				if _, err := submitAsync(c, "user", flow); err != nil {
 					b.Error(err)
 					return
 				}
@@ -157,7 +121,7 @@ func BenchmarkBatchRoundTrip(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i += batch {
-		if _, err := c.SubmitBatch(context.Background(), "user", reqs); err != nil {
+		if _, err := c.submitBatch(context.Background(), reqs); err != nil {
 			b.Fatal(err)
 		}
 	}

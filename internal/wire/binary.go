@@ -9,12 +9,12 @@ import (
 	"datagridflow/internal/vdata"
 )
 
-// Binary codecs for the wire's JSON envelope types (Control, Batch,
-// Delegate, Route, Replicate and their results). The DGL documents themselves are encoded
-// by internal/codec's Request/Response codecs; the envelopes here carry
-// those payloads as opaque blobs, each sniffed independently — a binary
-// batch may legally contain XML items and vice versa, which is what
-// lets a server mirror per-item encodings exactly.
+// Binary codecs for the wire's envelopes: control, batch, delegate,
+// route and replicate frames and their replies. The DGL documents
+// themselves are encoded by internal/codec's Request/Response codecs;
+// the envelopes here carry those payloads as opaque blobs, each sniffed
+// independently — a batch may carry XML items beside binary ones, which
+// is what lets a server mirror per-item encodings exactly.
 //
 // Field numbers are frozen (docs/CODEC.md, "Versioning").
 
@@ -417,19 +417,10 @@ func decodeControlResult(payload []byte) (ControlResult, error) {
 	return r, d.Err()
 }
 
-// appendBatch encodes a batch envelope whose items are pre-encoded
-// request payloads (binary or XML — each is sniffed independently on
-// the receiving side).
-func appendBatch(e *codec.Encoder, user, token string, items [][]byte) {
-	appendBatchStart(e, user, token)
-	for _, it := range items {
-		appendBatchItem(e, it)
-	}
-}
-
-// appendBatchStart / appendBatchItem are the streaming form of
-// appendBatch: items are appended as they are encoded, so the caller
-// never collects (and re-copies) the full item set.
+// appendBatchStart begins a batch envelope and appendBatchItem adds one
+// pre-encoded request document (binary or XML — each is sniffed on its
+// own on the receiving side): items are appended as they are encoded,
+// so the caller never collects (and re-copies) the full item set.
 func appendBatchStart(e *codec.Encoder, user, token string) {
 	e.Begin(codec.MsgBatch)
 	e.Sym(1, user)
@@ -466,19 +457,15 @@ func decodeBatch(payload []byte) (user, token string, items [][]byte, err error)
 	return user, token, items, d.Err()
 }
 
-// appendBatchResult encodes a batch reply whose responses are
-// pre-encoded response payloads, positionally matching the request.
-func appendBatchResult(e *codec.Encoder, ok bool, errText string, responses [][]byte) {
+// appendBatchResult begins a batch reply; appendBatchResponse adds one
+// pre-encoded response document, positionally matching the request's
+// items: the server answers them one at a time.
+func appendBatchResult(e *codec.Encoder, ok bool, errText string) {
 	e.Begin(codec.MsgBatchResult)
 	e.Bool(1, ok)
 	e.Str(2, errText)
-	for _, r := range responses {
-		appendBatchResponse(e, r)
-	}
 }
 
-// appendBatchResponse adds one response to a reply appendBatchResult
-// started: the server answers items one at a time.
 func appendBatchResponse(e *codec.Encoder, response []byte) {
 	e.Blob(3, response)
 }
@@ -504,9 +491,8 @@ func decodeBatchResult(payload []byte) (ok bool, errText string, responses [][]b
 }
 
 // appendDelegate encodes a delegation envelope. The embedded request
-// document rides as an opaque blob in the encoding the sender produced
-// (Client.EncodeRequest: binary on a binary session); the receiver
-// sniffs it.
+// document rides as an opaque blob (codec.RequestDoc from the
+// federation layer); the receiver sniffs it.
 func appendDelegate(e *codec.Encoder, dl *Delegate) {
 	e.Begin(codec.MsgDelegate)
 	e.Sym(1, dl.User)

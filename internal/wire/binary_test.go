@@ -11,83 +11,105 @@ import (
 	"datagridflow/internal/dgl"
 )
 
-// TestBinaryNegotiation pins the hello matrix for 1.4: a current client
-// against a current server negotiates binary; against a 1.3 server it
-// stays on the text encodings — and both sessions serve requests.
+// TestBinaryNegotiation pins what DisableBinary changes: the DGL
+// documents a client sends — kind-1 requests and batch items — go out as
+// XML and are answered in XML, counted in codec_fallback_total, while
+// every envelope, the control verbs' included, stays binary. Both
+// sessions serve every request.
 func TestBinaryNegotiation(t *testing.T) {
-	cases := []struct {
-		name       string
-		serverCfg  ServerConfig
-		disable    bool
-		wantBinary bool
+	for _, tc := range []struct {
+		name    string
+		disable bool
 	}{
-		{"1.4 both", ServerConfig{}, false, true},
-		{"1.3 server", ServerConfig{ProtoMinor: 3}, false, false},
-		{"client opt-out", ServerConfig{}, true, false},
-	}
-	for _, tc := range cases {
+		{"binary", false},
+		{"client opt-out", true},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := newEngine(t, "")
-			s := NewServerConfig(e, tc.serverCfg)
-			addr, err := s.Listen("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(s.Close)
-			c, err := Dial(addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
+			e, reg := newObservedEngine(t, "")
+			_, addr := startServer(t, e)
+			c := dial(t, addr)
 			if tc.disable {
 				c.DisableBinary()
 			}
-			// The default test grid shares the process-wide obs registry:
-			// assert on deltas, not absolutes.
-			enc0 := e.Obs().Counter("codec_encode_bytes_total").Value()
-			fb0 := e.Obs().Counter("codec_fallback_total", "kind", "dgl").Value()
-			if _, err := c.Hello(); err != nil {
-				t.Fatal(err)
-			}
-			if got := c.Binary(); got != tc.wantBinary {
-				t.Fatalf("Binary() = %v, want %v", got, tc.wantBinary)
+			if got := c.Binary(); got == tc.disable {
+				t.Fatalf("Binary() = %v after DisableBinary=%v", got, tc.disable)
 			}
 			// The session must work either way: sync submit, async +
-			// status, and a control verb.
+			// status, a batch and a control verb.
 			resp, err := c.SubmitFlow("user", noopFlow("neg"))
 			if err != nil || resp.Status == nil || resp.Status.State != "succeeded" {
-				t.Fatalf("submit over negotiated session: %+v, %v", resp, err)
+				t.Fatalf("submit: %+v, %v", resp, err)
 			}
-			id, err := c.SubmitAsync("user", noopFlow("neg2"))
+			id, err := submitAsync(c, "user", noopFlow("neg2"))
 			if err != nil || id == "" {
 				t.Fatalf("async submit: %q, %v", id, err)
-			}
-			if _, err := c.List(); err != nil {
-				t.Fatal(err)
 			}
 			if _, err := c.Status("user", id, true); err != nil {
 				t.Fatal(err)
 			}
-			// Binary sessions are accounted; legacy dgl payloads against a
-			// binary-capable server count as fallbacks.
-			encoded := e.Obs().Counter("codec_encode_bytes_total").Value() - enc0
-			fellBack := e.Obs().Counter("codec_fallback_total", "kind", "dgl").Value() - fb0
-			if tc.wantBinary && (encoded == 0 || fellBack != 0) {
-				t.Fatalf("binary session: encode_bytes=%v fallback=%v", encoded, fellBack)
+			res, err := c.Submit(context.Background(), nil, WithBatch(
+				dgl.NewRequest("user", "", noopFlow("b0")), dgl.NewRequest("user", "", noopFlow("b1"))))
+			if err != nil || len(res.Responses) != 2 || res.Responses[1].Status == nil {
+				t.Fatalf("batch: %+v, %v", res, err)
 			}
-			if !tc.wantBinary && encoded != 0 {
-				t.Fatalf("text session produced binary responses: encode_bytes=%v", encoded)
+			controls := reg.Counter("codec_encode_bytes_total").Value()
+			if _, err := c.List(); err != nil {
+				t.Fatal(err)
 			}
-			if tc.name == "client opt-out" && fellBack == 0 {
-				t.Fatal("opted-out client not counted as codec fallback")
+			if reg.Counter("codec_encode_bytes_total").Value() == controls {
+				t.Error("the list reply was not a binary envelope")
+			}
+			var want int64
+			if tc.disable {
+				want = 1
+			}
+			if got := reg.Counter("codec_fallback_total", "kind", "dgl").Value(); got != 3*want {
+				t.Errorf("codec_fallback_total{kind=dgl} = %d, want %d", got, 3*want)
+			}
+			if got := reg.Counter("codec_fallback_total", "kind", "batch").Value(); got != 2*want {
+				t.Errorf("codec_fallback_total{kind=batch} = %d, want %d", got, 2*want)
 			}
 		})
 	}
 }
 
-// TestBinaryBatchRoundTrip drives SubmitBatch over a binary session:
-// the envelope and every item ride the codec, the reply is positional,
-// and per-item failures stay independent.
+// TestTextEnvelopeRefused: a payload that is not a binary envelope —
+// the JSON an old build sent, here on every kind from 2 to 6 — fails to
+// decode and is answered with a typed error in that kind's reply, and
+// the session goes on serving.
+func TestTextEnvelopeRefused(t *testing.T) {
+	e := newEngine(t, "")
+	_, addr := startServer(t, e)
+	c := dial(t, addr)
+	replyError := map[byte]func([]byte) (string, error){
+		KindControl: func(p []byte) (string, error) { r, err := decodeControlResult(p); return r.Error, err },
+		KindBatch: func(p []byte) (string, error) {
+			_, errText, _, err := decodeBatchResult(p)
+			return errText, err
+		},
+		KindDelegate:  func(p []byte) (string, error) { r, err := decodeDelegateResult(p); return r.Error, err },
+		KindRoute:     func(p []byte) (string, error) { r, err := decodeRouteResult(p); return r.Error, err },
+		KindReplicate: func(p []byte) (string, error) { r, err := decodeReplicateResult(p); return r.Error, err },
+	}
+	for kind, decode := range replyError {
+		fr, err := c.call(context.Background(), kind, []byte(`{"op":"hello","proto":"1.8"}`))
+		if err != nil {
+			t.Fatalf("%s: %v", kindName(kind), err)
+		}
+		errText, err := decode(fr.payload)
+		fr.release()
+		if err != nil || !errors.Is(dgferr.Decode(errText), dgferr.ErrInvalid) {
+			t.Errorf("%s: reply error %q (%v), want a typed ErrInvalid", kindName(kind), errText, err)
+		}
+	}
+	if _, err := c.List(); err != nil {
+		t.Fatalf("session after refused envelopes: %v", err)
+	}
+}
+
+// TestBinaryBatchRoundTrip drives a batch over a binary session: the
+// envelope and every item ride the codec, the reply is positional, and
+// per-item failures stay independent.
 func TestBinaryBatchRoundTrip(t *testing.T) {
 	e := newEngine(t, "")
 	_, addr := startServer(t, e)
@@ -107,7 +129,7 @@ func TestBinaryBatchRoundTrip(t *testing.T) {
 		dgl.NewStatusRequest("user", "dgf-missing", false), // fails per-item
 		dgl.NewRequest("user", "", noopFlow("b2")),
 	}
-	resps, err := c.SubmitBatch(context.Background(), "user", reqs)
+	resps, err := c.submitBatch(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,51 +196,8 @@ func TestBinaryStoreInfoRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryPayloadRefusedByOldServer sends a raw binary DGL frame to a
-// server pinned below 1.4: the server must answer with a protocol-class
-// error in the legacy encoding, not sever or misparse.
-func TestBinaryPayloadRefusedByOldServer(t *testing.T) {
-	e := newEngine(t, "")
-	s := NewServerConfig(e, ServerConfig{ProtoMinor: 3})
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Hello(); err != nil {
-		t.Fatal(err)
-	}
-	// A well-behaved 1.4 client never does this after the 1.3 hello; a
-	// buggy one must still get a typed answer.
-	enc := codec.GetEncoder()
-	defer codec.PutEncoder(enc)
-	codec.AppendRequest(enc, dgl.NewRequest("user", "", noopFlow("rogue")))
-	fr, err := c.roundTrip(context.Background(), KindDGL, enc.Bytes())
-	if err != nil || fr.kind != KindDGL {
-		t.Fatalf("round trip = %d, %v", fr.kind, err)
-	}
-	defer fr.release()
-	resp, err := parseResponsePayload(fr.payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Error == "" || !errors.Is(dgferr.Decode(resp.Error), dgferr.ErrProtocol) {
-		t.Fatalf("response error = %q, want protocol class", resp.Error)
-	}
-	// The connection survived: a legacy request still works.
-	if _, err := c.SubmitFlow("user", noopFlow("after")); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestBinaryDelegateEnvelope drives a delegation over a binary session
-// directly at the client level (federation peers get this for free once
-// both ends negotiate 1.4).
+// TestBinaryDelegateEnvelope drives a delegation directly at the client
+// level, with an XML request document inside the binary envelope.
 func TestBinaryDelegateEnvelope(t *testing.T) {
 	e := newEngine(t, "")
 	_, addr := startServer(t, e)

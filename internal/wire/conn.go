@@ -15,11 +15,12 @@ import (
 // Connection I/O (docs/WIRE.md, "Connection I/O"). Every connection —
 // a client session, a route, delegate or replicate link — is wrapped
 // once, where it is accepted or dialled, in a frameConn: a buffered
-// frame reader and a coalescing frame writer that both framings go
-// through, so the hello upgrade from serial to mux framing hands
-// nothing over.
+// frame reader and a coalescing frame writer.
 
 const (
+	// headerLen is a frame header: a 1-byte kind, a 4-byte payload
+	// length and an 8-byte request id.
+	headerLen = 13
 	// readBufSize is the reader's buffer: a header and a typical payload
 	// arrive in one read(2), and several small frames in one.
 	readBufSize = 4 << 10
@@ -53,7 +54,7 @@ var poisonPayloads bool
 // release: a handler that keeps any of it beyond that copies it.
 type frame struct {
 	kind    byte
-	id      uint64 // request id; zero under serial framing
+	id      uint64 // request id
 	payload []byte
 	buf     *[]byte // the pooled buffer payload is a prefix of, if any
 }
@@ -98,8 +99,8 @@ func (f *frame) release() {
 	f.buf, f.payload = nil, nil
 }
 
-// frameReader reads frames of either framing from a buffered stream.
-// One goroutine reads at a time.
+// frameReader reads frames from a buffered stream. One goroutine reads
+// at a time.
 type frameReader struct {
 	br *bufio.Reader
 }
@@ -108,12 +109,8 @@ type frameReader struct {
 // a pooled one. MaxFrame is enforced before a payload buffer is taken;
 // a stream that ends inside a frame is io.ErrUnexpectedEOF, one that
 // ends between frames io.EOF.
-func (r *frameReader) next(mux bool) (frame, error) {
-	hdrLen := frameHeaderLen
-	if mux {
-		hdrLen = muxHeaderLen
-	}
-	hdr, err := r.br.Peek(hdrLen)
+func (r *frameReader) next() (frame, error) {
+	hdr, err := r.br.Peek(headerLen)
 	if err != nil {
 		if err == io.EOF && len(hdr) > 0 {
 			err = io.ErrUnexpectedEOF
@@ -124,11 +121,8 @@ func (r *frameReader) next(mux bool) (frame, error) {
 	if n > MaxFrame {
 		return frame{}, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	f := frame{kind: hdr[0]}
-	if mux {
-		f.id = binary.BigEndian.Uint64(hdr[5:13])
-	}
-	_, _ = r.br.Discard(hdrLen) // peeked: cannot fail
+	f := frame{kind: hdr[0], id: binary.BigEndian.Uint64(hdr[5:13])}
+	_, _ = r.br.Discard(headerLen) // peeked: cannot fail
 	f.payload, f.buf = takePayload(int(n))
 	if _, err := io.ReadFull(r.br, f.payload); err != nil {
 		f.release()
@@ -140,8 +134,7 @@ func (r *frameReader) next(mux bool) (frame, error) {
 	return f, nil
 }
 
-// frameWriter writes frames of either framing through one buffer per
-// connection. A writer announces itself before it takes the lock; with
+// frameWriter writes frames through one buffer per connection. A writer announces itself before it takes the lock; with
 // the lock it appends its frame, and flushes unless another writer is
 // already queued behind it — that one, or the last of those behind it,
 // flushes for all. A burst of frames is one write(2); a lone frame is
@@ -162,7 +155,7 @@ type frameWriter struct {
 // that flushed; when the flush carried other writers' frames, or part
 // of it reached the stream, the connection is severed as well, which is
 // how every frame of that flush fails and not only the flusher's.
-func (w *frameWriter) write(kind byte, id uint64, mux bool, payload []byte) error {
+func (w *frameWriter) write(kind byte, id uint64, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(payload))
 	}
@@ -175,9 +168,7 @@ func (w *frameWriter) write(kind byte, id uint64, mux bool, payload []byte) erro
 	}
 	w.buf = append(w.buf, kind)
 	w.buf = binary.BigEndian.AppendUint32(w.buf, uint32(len(payload)))
-	if mux {
-		w.buf = binary.BigEndian.AppendUint64(w.buf, id)
-	}
+	w.buf = binary.BigEndian.AppendUint64(w.buf, id)
 	w.frames++
 	if len(payload) > largePayload {
 		if err := w.flush(); err != nil {

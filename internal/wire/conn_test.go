@@ -41,7 +41,7 @@ func TestReleasedPayloadIsPoisoned(t *testing.T) {
 		}
 	}
 	fc := newFrameConn(&scriptConn{r: &stream}, nil)
-	first, err := fc.r.next(true)
+	first, err := fc.r.next()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestReleasedPayloadIsPoisoned(t *testing.T) {
 			t.Fatalf("released payload byte %d = %#x, want the 0xFF poison", i, b)
 		}
 	}
-	second, err := fc.r.next(true)
+	second, err := fc.r.next()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,29 +113,23 @@ func (c *scriptConn) counts() (writes int, closed bool) {
 }
 
 // TestFrameWriterMatchesReference: whatever the batching, the bytes on
-// the stream are the bytes WriteFrame and WriteMuxFrame put there.
+// the stream are the bytes WriteMuxFrame puts there.
 func TestFrameWriterMatchesReference(t *testing.T) {
 	payloads := [][]byte{nil, []byte("<x/>"), bytes.Repeat([]byte{7}, largePayload), bytes.Repeat([]byte{9}, largePayload+1)}
-	for _, mux := range []bool{false, true} {
-		conn := &scriptConn{}
-		w := &frameWriter{conn: conn}
-		var want bytes.Buffer
-		for i, p := range payloads {
-			if err := w.write(KindBatch, uint64(i), mux, p); err != nil {
-				t.Fatal(err)
-			}
-			if mux {
-				_ = WriteMuxFrame(&want, KindBatch, uint64(i), p)
-			} else {
-				_ = WriteFrame(&want, KindBatch, p)
-			}
+	conn := &scriptConn{}
+	w := &frameWriter{conn: conn}
+	var want bytes.Buffer
+	for i, p := range payloads {
+		if err := w.write(KindBatch, uint64(i), p); err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(conn.written.Bytes(), want.Bytes()) {
-			t.Errorf("mux=%v: stream differs from the reference writer's", mux)
-		}
-		if err := w.write(KindDGL, 0, mux, make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
-			t.Errorf("mux=%v: oversized payload = %v, want ErrFrameTooLarge", mux, err)
-		}
+		_ = WriteMuxFrame(&want, KindBatch, uint64(i), p)
+	}
+	if !bytes.Equal(conn.written.Bytes(), want.Bytes()) {
+		t.Error("stream differs from the reference writer's")
+	}
+	if err := w.write(KindDGL, 0, make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("oversized payload = %v, want ErrFrameTooLarge", err)
 	}
 }
 
@@ -147,10 +141,10 @@ func TestFrameWriterCoalesces(t *testing.T) {
 	conn := &scriptConn{}
 	reg := obs.NewRegistry()
 	w := &frameWriter{conn: conn, flushes: reg.Counter("wire_flushes_total")}
-	if err := w.write(KindDGL, 1, true, []byte("alone")); err != nil {
+	if err := w.write(KindDGL, 1, []byte("alone")); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := conn.counts(); n != 1 || conn.written.Len() != muxHeaderLen+5 {
+	if n, _ := conn.counts(); n != 1 || conn.written.Len() != headerLen+5 {
 		t.Fatalf("a lone frame: %d writes, %d bytes on the stream; want 1 write carrying it whole", n, conn.written.Len())
 	}
 
@@ -159,7 +153,7 @@ func TestFrameWriterCoalesces(t *testing.T) {
 	var wg sync.WaitGroup
 	send := func(id uint64) {
 		defer wg.Done()
-		if err := w.write(KindDGL, id, true, []byte(fmt.Sprintf("reply-%02d", id))); err != nil {
+		if err := w.write(KindDGL, id, []byte(fmt.Sprintf("reply-%02d", id))); err != nil {
 			t.Error(err)
 		}
 	}
@@ -207,23 +201,23 @@ func TestFrameWriterCoalesces(t *testing.T) {
 func TestFlushErrorSevers(t *testing.T) {
 	conn := &scriptConn{failAt: 1}
 	w := &frameWriter{conn: conn}
-	if err := w.write(KindDGL, 1, true, []byte("x")); err == nil {
+	if err := w.write(KindDGL, 1, []byte("x")); err == nil {
 		t.Fatal("failed write reported no error")
 	}
 	if _, closed := conn.counts(); closed {
 		t.Fatal("a lone unwritten frame severed the connection")
 	}
-	if err := w.write(KindDGL, 2, true, []byte("y")); err != nil {
+	if err := w.write(KindDGL, 2, []byte("y")); err != nil {
 		t.Fatalf("write after a clean failure: %v", err)
 	}
 
 	conn = &scriptConn{failAt: 2, entered: make(chan struct{}, 8), gate: make(chan struct{})}
 	w = &frameWriter{conn: conn}
 	errs := make(chan error, 3)
-	go func() { errs <- w.write(KindDGL, 1, true, []byte("a")) }()
+	go func() { errs <- w.write(KindDGL, 1, []byte("a")) }()
 	<-conn.entered
-	go func() { errs <- w.write(KindDGL, 2, true, []byte("b")) }()
-	go func() { errs <- w.write(KindDGL, 3, true, []byte("c")) }()
+	go func() { errs <- w.write(KindDGL, 2, []byte("b")) }()
+	go func() { errs <- w.write(KindDGL, 3, []byte("c")) }()
 	for w.queued.Load() != 2 {
 		runtime.Gosched()
 	}
@@ -237,7 +231,7 @@ func TestFlushErrorSevers(t *testing.T) {
 	if _, closed := conn.counts(); !closed || failed != 1 {
 		t.Fatalf("flush of two frames failed: closed=%v, %d writers saw the error; want the connection severed and the flusher told", closed, failed)
 	}
-	if err := w.write(KindDGL, 4, true, []byte("d")); err == nil {
+	if err := w.write(KindDGL, 4, []byte("d")); err == nil {
 		t.Fatal("write on a severed connection succeeded")
 	}
 }
@@ -267,22 +261,22 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 }
 
 // FuzzFrameReader holds the buffered frame reader to the reference
-// ReadFrame/ReadMuxFrame on arbitrary bytes arriving in arbitrary
-// pieces: the same frames, then the same kind of end — a clean EOF, a
-// torn frame, an oversized length — and never a pooled buffer beyond
-// the largest size class.
+// ReadMuxFrame on arbitrary bytes arriving in arbitrary pieces: the same
+// frames, then the same kind of end — a clean EOF, a torn frame, an
+// oversized length — and never a pooled buffer beyond the largest size
+// class.
 func FuzzFrameReader(f *testing.F) {
 	var ok bytes.Buffer
 	_ = WriteMuxFrame(&ok, KindDGL, 7, []byte("<x/>"))
 	_ = WriteMuxFrame(&ok, KindControl, 8, nil)
 	_ = WriteMuxFrame(&ok, KindBatch, 9, bytes.Repeat([]byte{1}, 5000))
-	f.Add(ok.Bytes(), []byte{0}, true)
-	f.Add(ok.Bytes(), []byte{12, 0, 3}, true)
-	f.Add(ok.Bytes()[:ok.Len()-3], []byte{200}, true)
-	f.Add([]byte{1, 0, 0, 0, 4, '<', 'x', '/', '>', 2, 0, 0, 0, 0}, []byte{1, 2}, false)
-	f.Add([]byte{1, 0xff, 0xff, 0xff, 0xff, 0}, []byte{}, false)
-	f.Add([]byte{1, 0, 0, 0, 9, 'x'}, []byte{0}, false)
-	f.Fuzz(func(t *testing.T, data, cuts []byte, mux bool) {
+	f.Add(ok.Bytes(), []byte{0})
+	f.Add(ok.Bytes(), []byte{12, 0, 3})
+	f.Add(ok.Bytes()[:ok.Len()-3], []byte{200})
+	f.Add([]byte{1, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 1, '<', 'x', '/', '>', 2, 0, 0, 0, 0}, []byte{1, 2})
+	f.Add([]byte{1, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0, 0}, []byte{})
+	f.Add([]byte{1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 'x'}, []byte{0})
+	f.Fuzz(func(t *testing.T, data, cuts []byte) {
 		if len(data) > 1<<16 {
 			return
 		}
@@ -297,23 +291,11 @@ func FuzzFrameReader(f *testing.F) {
 			}
 			return err.Error()
 		}
-		hdrLen := frameHeaderLen
-		if mux {
-			hdrLen = muxHeaderLen
-		}
 		fc := newFrameConn(&scriptConn{r: &chunkReader{data: data, cuts: cuts}}, nil)
 		ref := &chunkReader{data: data, cuts: cuts}
 		for n, read := 0, 0; ; n++ {
-			var wantKind byte
-			var wantID uint64
-			var want []byte
-			var refErr error
-			if mux {
-				wantKind, wantID, want, refErr = ReadMuxFrame(ref)
-			} else {
-				wantKind, want, refErr = ReadFrame(ref)
-			}
-			fr, err := fc.r.next(mux)
+			wantKind, wantID, want, refErr := ReadMuxFrame(ref)
+			fr, err := fc.r.next()
 			if class(err) != class(refErr) {
 				t.Fatalf("frame %d: reader ended with %v, reference with %v", n, err, refErr)
 			}
@@ -330,7 +312,7 @@ func FuzzFrameReader(f *testing.F) {
 			if fr.buf != nil && cap(*fr.buf) > largePayload {
 				t.Fatalf("frame %d: a %d-byte buffer came from the pool", n, cap(*fr.buf))
 			}
-			read += hdrLen + len(fr.payload)
+			read += headerLen + len(fr.payload)
 			fr.release()
 		}
 	})
@@ -345,11 +327,11 @@ func FuzzFrameReader(f *testing.F) {
 func TestAbandonedCallsNeverCrossReplies(t *testing.T) {
 	e := newRealClockEngine(t)
 	_, addr := startServer(t, e)
-	c := dialMux(t, addr)
+	c := dial(t, addr)
 	const flows = 8
 	ids := make([]string, flows)
 	for i := range ids {
-		id, err := c.SubmitAsync("user", noopFlow(fmt.Sprintf("flow-%d", i)))
+		id, err := submitAsync(c, "user", noopFlow(fmt.Sprintf("flow-%d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}

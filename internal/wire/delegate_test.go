@@ -37,13 +37,6 @@ func TestDelegateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Hello(); err != nil {
-		t.Fatal(err)
-	}
-	if !c.CanDelegate() {
-		major, minor := c.ServerProto()
-		t.Fatalf("CanDelegate = false after hello (server %d.%d)", major, minor)
-	}
 
 	flow := dgl.NewFlow("sub").
 		Step("ingest", dgl.Op(dgl.OpIngest, map[string]string{
@@ -126,48 +119,6 @@ func TestDelegateInvalidPayloads(t *testing.T) {
 	res, err = c.Delegate(context.Background(), Delegate{User: "user", Request: string(doc)})
 	if err == nil || !errors.Is(err, dgferr.ErrInvalid) {
 		t.Errorf("flowless request: res=%+v err=%v", res, err)
-	}
-}
-
-func TestDelegateRefusedByOldServer(t *testing.T) {
-	e := newEngine(t, "")
-	s := NewServerConfig(e, ServerConfig{ProtoMinor: 2}) // mux yes, delegate no
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Hello(); err != nil {
-		t.Fatal(err)
-	}
-	// The client learns the server's feature level from hello and never
-	// sends the frame.
-	if c.CanDelegate() {
-		t.Fatal("CanDelegate = true against a 1.2 server")
-	}
-	flow := dgl.NewFlow("f").Step("s", dgl.Op(dgl.OpNoop, nil)).Flow()
-	if _, err := c.Delegate(context.Background(), delegatePayload(t, "user", flow)); !errors.Is(err, dgferr.ErrProtocol) {
-		t.Errorf("Delegate against 1.2 server = %v", err)
-	}
-}
-
-func TestDelegateOnSerialConnection(t *testing.T) {
-	e := newEngine(t, "")
-	_, addr := startServer(t, e)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	// No Hello: the session never upgrades, so delegate is unavailable.
-	flow := dgl.NewFlow("f").Step("s", dgl.Op(dgl.OpNoop, nil)).Flow()
-	if _, err := c.Delegate(context.Background(), delegatePayload(t, "user", flow)); !errors.Is(err, dgferr.ErrProtocol) {
-		t.Errorf("Delegate without hello = %v", err)
 	}
 }
 

@@ -3,9 +3,11 @@ package wire
 import (
 	"context"
 	"errors"
+	"net"
 	"testing"
 	"time"
 
+	"datagridflow/internal/codec"
 	"datagridflow/internal/dgferr"
 	"datagridflow/internal/dgl"
 	"datagridflow/internal/fault"
@@ -13,7 +15,7 @@ import (
 	"datagridflow/internal/sim"
 )
 
-func dial(t *testing.T, addr string) *Client {
+func dial(t testing.TB, addr string) *Client {
 	t.Helper()
 	c, err := Dial(addr)
 	if err != nil {
@@ -31,30 +33,68 @@ func TestHelloNegotiation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Hello: %v", err)
 	}
-	if proto != ProtoVersion(ProtoMajor, ProtoMinor) {
-		t.Errorf("server proto = %q, want %q", proto, ProtoVersion(ProtoMajor, ProtoMinor))
+	if proto != ProtoVersion {
+		t.Errorf("server proto = %q, want %q", proto, ProtoVersion)
 	}
 }
 
+// TestHelloMajorMismatch: a hello offering any protocol version but
+// this one is refused with a typed ErrProtocol — an incompatible major,
+// a neighbouring minor and a garbled string alike — and the refusal
+// leaves the session usable.
 func TestHelloMajorMismatch(t *testing.T) {
 	e := newEngine(t, "")
 	_, addr := startServer(t, e)
 	c := dial(t, addr)
-	// A hypothetical incompatible client offers major 99.
-	_, err := c.controlMsg(context.Background(), Control{Op: "hello", Proto: "99.0"})
-	if !errors.Is(err, dgferr.ErrProtocol) {
-		t.Errorf("major mismatch = %v, want ErrProtocol", err)
+	for _, v := range []string{"99.0", "1.8", "2.1", "banana", ""} {
+		if _, err := c.controlMsg(context.Background(), Control{Op: "hello", Proto: v}); !errors.Is(err, dgferr.ErrProtocol) {
+			t.Errorf("hello offering %q = %v, want ErrProtocol", v, err)
+		}
 	}
-	// Garbled versions also land in the protocol class.
-	_, err = c.controlMsg(context.Background(), Control{Op: "hello", Proto: "banana"})
-	if !errors.Is(err, dgferr.ErrProtocol) {
-		t.Errorf("bad version = %v, want ErrProtocol", err)
+	if _, err := c.List(); err != nil {
+		t.Fatalf("session after refused hellos: %v", err)
 	}
-	// Same-major minor skew is compatible.
-	res, err := c.controlMsg(context.Background(), Control{Op: "hello",
-		Proto: ProtoVersion(ProtoMajor, ProtoMinor+5)})
-	if err != nil || !res.OK {
-		t.Errorf("minor skew rejected: %v %+v", err, res)
+}
+
+// TestDialRefusesOtherVersion: a server that answers the hello with
+// another protocol version fails Dial with a typed ErrProtocol, and one
+// that never answers cannot hang it past the dial context.
+func TestDialRefusesOtherVersion(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	silent := make(chan struct{})
+	defer close(silent)
+	go func() {
+		// The first connection's hello is answered with 1.8.
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, id, _, err := ReadMuxFrame(conn); err == nil {
+			enc := codec.GetEncoder()
+			appendControlResult(enc, &ControlResult{OK: true, Proto: "1.8"})
+			_ = WriteMuxFrame(conn, KindControl, id, enc.Bytes())
+			codec.PutEncoder(enc)
+		}
+		// The second's is read and never answered.
+		if conn, err = l.Accept(); err != nil {
+			return
+		}
+		defer conn.Close()
+		_, _, _, _ = ReadMuxFrame(conn)
+		<-silent
+	}()
+	if c, err := Dial(l.Addr().String()); !errors.Is(err, dgferr.ErrProtocol) {
+		t.Errorf("dial against a 1.8 server = %v, %v; want ErrProtocol", c, err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	if c, err := DialContext(ctx, l.Addr().String()); !errors.Is(err, dgferr.ErrCancelled) {
+		t.Errorf("dial against a silent server = %v, %v; want ErrCancelled", c, err)
 	}
 }
 
@@ -117,7 +157,7 @@ func TestPeerCrashDropsConnections(t *testing.T) {
 		t.Fatalf("before crash window: %v", err)
 	}
 	clock.Advance(90 * time.Second) // into the crash window
-	if _, err := c.SubmitContext(context.Background(), dgl.NewStatusRequest("user", "x", false)); err == nil {
+	if _, err := c.submitOne(context.Background(), dgl.NewStatusRequest("user", "x", false)); err == nil {
 		t.Fatal("request survived the crash window")
 	}
 	clock.Advance(time.Minute) // the server "restarts"
@@ -137,7 +177,7 @@ func TestClientContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := c.SubmitContext(ctx, dgl.NewRequest("user", "",
+	_, err := c.submitOne(ctx, dgl.NewRequest("user", "",
 		dgl.NewFlow("f").Step("h", dgl.Op("hang", nil)).Flow()))
 	if !errors.Is(err, dgferr.ErrCancelled) {
 		t.Errorf("cancelled round trip = %v, want ErrCancelled", err)

@@ -45,22 +45,14 @@ func sleepFlow(name, dur string) dgl.Flow {
 		Step("z", dgl.Op(dgl.OpSleep, map[string]string{"duration": dur})).Flow()
 }
 
-// dialMux connects and negotiates the multiplexed protocol.
-func dialMux(t testing.TB, addr string) *Client {
-	t.Helper()
-	c, err := Dial(addr)
+// submitAsync submits a flow asynchronously and returns its execution
+// id, a server-side refusal decoded into a typed error.
+func submitAsync(c *Client, user string, flow dgl.Flow) (string, error) {
+	res, err := c.Submit(context.Background(), dgl.NewRequest(user, "", flow), WithAsync())
 	if err != nil {
-		t.Fatal(err)
+		return "", err
 	}
-	t.Cleanup(func() { c.Close() })
-	proto, err := c.Hello()
-	if err != nil {
-		t.Fatalf("hello: %v", err)
-	}
-	if !c.Muxed() {
-		t.Fatalf("session not muxed after hello (server proto %s)", proto)
-	}
-	return c
+	return res.ID, res.Err()
 }
 
 func TestMuxFrameRoundTrip(t *testing.T) {
@@ -80,16 +72,16 @@ func TestMuxFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHelloUpgradesToMux negotiates 1.2 and exercises requests over the
-// multiplexed session, including many concurrent submitters on one
-// connection.
+// TestHelloUpgradesToMux exercises requests over a dialled session —
+// multiplexed from its first frame, the hello — including many
+// concurrent submitters on one connection.
 func TestHelloUpgradesToMux(t *testing.T) {
 	e := newEngine(t, "")
 	_, addr := startServer(t, e)
-	c := dialMux(t, addr)
+	c := dial(t, addr)
 
-	// Sequential requests still work after the upgrade.
-	id, err := c.SubmitAsync("user", noopFlow("one"))
+	// Sequential requests.
+	id, err := submitAsync(c, "user", noopFlow("one"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +99,7 @@ func TestHelloUpgradesToMux(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := c.SubmitAsyncContext(context.Background(), "user", noopFlow(fmt.Sprintf("f%d", i))); err != nil {
+			if _, err := submitAsync(c, "user", noopFlow(fmt.Sprintf("f%d", i))); err != nil {
 				errs <- err
 			}
 		}(i)
@@ -116,83 +108,6 @@ func TestHelloUpgradesToMux(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatalf("pipelined submit: %v", err)
-	}
-}
-
-// TestNewClientOldServerFallsBack pins the server to the serial
-// protocol: the 1.2 client's hello succeeds, the session stays serial,
-// and every API — including SubmitBatch via its sequential fallback —
-// still works.
-func TestNewClientOldServerFallsBack(t *testing.T) {
-	e := newEngine(t, "")
-	s := NewServerConfig(e, ServerConfig{SerialOnly: true})
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	proto, err := c.Hello()
-	if err != nil {
-		t.Fatalf("hello against serial server: %v", err)
-	}
-	if proto != "1.1" {
-		t.Fatalf("serial server proto = %s, want 1.1", proto)
-	}
-	if c.Muxed() {
-		t.Fatal("client upgraded against a serial-only server")
-	}
-	if _, err := c.SubmitAsync("user", noopFlow("serial")); err != nil {
-		t.Fatalf("serial submit after fallback: %v", err)
-	}
-	// Batch falls back to one round trip per item.
-	reqs := []*dgl.Request{
-		dgl.NewAsyncRequest("user", "", noopFlow("b0")),
-		dgl.NewAsyncRequest("user", "", noopFlow("b1")),
-	}
-	resps, err := c.SubmitBatch(context.Background(), "user", reqs)
-	if err != nil {
-		t.Fatalf("batch fallback: %v", err)
-	}
-	if len(resps) != 2 || resps[0].Ack == nil || resps[1].Ack == nil {
-		t.Fatalf("batch fallback responses = %+v", resps)
-	}
-}
-
-// TestOldClientNewServerStaysSerial drives the server with raw serial
-// frames and no hello — the pre-1.2 client behaviour — and checks the
-// 1.2 server answers serially.
-func TestOldClientNewServerStaysSerial(t *testing.T) {
-	e := newEngine(t, "")
-	_, addr := startServer(t, e)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	// No Hello: the session must stay serial.
-	for i := 0; i < 3; i++ {
-		if _, err := c.SubmitAsync("user", noopFlow(fmt.Sprintf("old%d", i))); err != nil {
-			t.Fatalf("serial submit %d: %v", i, err)
-		}
-	}
-	// A 1.1 hello must not upgrade the session either.
-	res, err := c.controlMsg(context.Background(), Control{Op: "hello", Proto: "1.1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Proto != ProtoVersion(ProtoMajor, ProtoMinor) {
-		t.Fatalf("server proto = %s", res.Proto)
-	}
-	if c.Muxed() {
-		t.Fatal("1.1 hello upgraded the session")
-	}
-	if _, err := c.List(); err != nil {
-		t.Fatalf("serial list after 1.1 hello: %v", err)
 	}
 }
 
@@ -222,7 +137,7 @@ func TestMuxConnDropFailsInflight(t *testing.T) {
 		go func(i int) {
 			// Synchronous submits so requests are held in flight.
 			flow := sleepFlow(fmt.Sprintf("w%d", i), "600ms")
-			_, err := c.SubmitContext(context.Background(), dgl.NewRequest("user", "", flow))
+			_, err := c.submitOne(context.Background(), dgl.NewRequest("user", "", flow))
 			errs <- err
 		}(i)
 	}
@@ -252,7 +167,7 @@ func TestMuxConnDropFailsInflight(t *testing.T) {
 func TestBatchSubmit(t *testing.T) {
 	e := newEngine(t, "")
 	_, addr := startServer(t, e)
-	c := dialMux(t, addr)
+	c := dial(t, addr)
 
 	good0 := dgl.NewAsyncRequest("user", "", noopFlow("g0"))
 	// Invalid: references an unregistered operation type.
@@ -260,7 +175,7 @@ func TestBatchSubmit(t *testing.T) {
 		Step("x", dgl.Op("no-such-op", nil)).Flow())
 	good1 := dgl.NewAsyncRequest("user", "", noopFlow("g1"))
 
-	resps, err := c.SubmitBatch(context.Background(), "user", []*dgl.Request{good0, bad, good1})
+	resps, err := c.submitBatch(context.Background(), []*dgl.Request{good0, bad, good1})
 	if err != nil {
 		t.Fatalf("batch: %v", err)
 	}
@@ -287,7 +202,7 @@ func TestBatchSubmit(t *testing.T) {
 func TestSetTimeoutRace(t *testing.T) {
 	e := newEngine(t, "")
 	_, addr := startServer(t, e)
-	c := dialMux(t, addr)
+	c := dial(t, addr)
 
 	stop := make(chan struct{})
 	churnDone := make(chan struct{})
@@ -315,7 +230,7 @@ func TestSetTimeoutRace(t *testing.T) {
 			}
 		}()
 	}
-	// Serial-mode clients race the same way.
+	// A second connection races the same way.
 	cs, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +242,7 @@ func TestSetTimeoutRace(t *testing.T) {
 		for j := 0; j < 25; j++ {
 			cs.SetTimeout(time.Duration(j%3) * time.Second)
 			if _, err := cs.List(); err != nil {
-				t.Errorf("serial list under SetTimeout churn: %v", err)
+				t.Errorf("second connection's list under SetTimeout churn: %v", err)
 				return
 			}
 		}
@@ -342,12 +257,12 @@ func TestSetTimeoutRace(t *testing.T) {
 func TestMuxRequestContextCancel(t *testing.T) {
 	e := newRealClockEngine(t)
 	_, addr := startServer(t, e)
-	c := dialMux(t, addr)
+	c := dial(t, addr)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.SubmitContext(ctx, dgl.NewRequest("user", "", sleepFlow("slow", "1s")))
+		_, err := c.submitOne(ctx, dgl.NewRequest("user", "", sleepFlow("slow", "1s")))
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond)
@@ -361,7 +276,7 @@ func TestMuxRequestContextCancel(t *testing.T) {
 		t.Fatal("cancelled request did not return")
 	}
 	// The connection is still healthy for other requests.
-	if _, err := c.SubmitAsync("user", noopFlow("after")); err != nil {
+	if _, err := submitAsync(c, "user", noopFlow("after")); err != nil {
 		t.Fatalf("request after cancel: %v", err)
 	}
 }
@@ -387,7 +302,7 @@ func TestMuxFastReplyOvertakesSlow(t *testing.T) {
 		}
 	})
 	_, addr := startServer(t, e)
-	c := dialMux(t, addr)
+	c := dial(t, addr)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
@@ -398,7 +313,7 @@ func TestMuxFastReplyOvertakesSlow(t *testing.T) {
 	slow := make(chan reply, 1)
 	go func() {
 		flow := dgl.NewFlow("slow").Step("z", dgl.Op("park", nil)).Flow()
-		resp, err := c.SubmitContext(ctx, dgl.NewRequest("user", "", flow))
+		resp, err := c.submitOne(ctx, dgl.NewRequest("user", "", flow))
 		slow <- reply{resp, err}
 	}()
 	select {
@@ -407,7 +322,7 @@ func TestMuxFastReplyOvertakesSlow(t *testing.T) {
 		t.Fatal("slow request never reached its step")
 	}
 
-	fast, err := c.SubmitContext(ctx, dgl.NewRequest("user", "", noopFlow("fast")))
+	fast, err := c.submitOne(ctx, dgl.NewRequest("user", "", noopFlow("fast")))
 	if err != nil {
 		t.Fatalf("fast request behind a parked one: %v", err)
 	}
@@ -440,13 +355,13 @@ func TestAdmissionRejectionOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	c := dialMux(t, addr)
+	c := dial(t, addr)
 
 	results := make(chan error, 3)
 	for i := 0; i < 3; i++ {
 		go func(i int) {
 			req := dgl.NewRequest("user", "", sleepFlow(fmt.Sprintf("s%d", i), "600ms"))
-			resp, err := c.SubmitContext(context.Background(), req)
+			resp, err := c.submitOne(context.Background(), req)
 			if err == nil && resp.Error != "" {
 				err = dgferr.Decode(resp.Error)
 			}

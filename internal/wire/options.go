@@ -27,7 +27,6 @@ const (
 type submitCfg struct {
 	async   bool
 	route   RouteMode
-	user    string
 	token   string
 	batch   []*dgl.Request
 	isBatch bool
@@ -68,8 +67,8 @@ func WithRoute(mode RouteMode) SubmitOption {
 
 // WithBatch adds more requests to the call: the primary request (when
 // non-nil) and every batched one travel in a single KindBatch round
-// trip on a multiplexed session (sequential submission against serial
-// servers), answered positionally in SubmitResult.Responses.
+// trip, answered positionally in SubmitResult.Responses. The batch is
+// accounted to its first request's gridUser, or to the token's tenant.
 // WithBatch() with no arguments still selects the batch reply shape
 // for a single request.
 func WithBatch(reqs ...*dgl.Request) SubmitOption {
@@ -81,22 +80,11 @@ func WithBatch(reqs ...*dgl.Request) SubmitOption {
 
 // WithToken attaches a tenant bearer token (tenant.Authority.Mint,
 // docs/TENANCY.md) to every request of the call. On a tenancy-enabled
-// 1.7 server the verified token identity — not the claimed gridUser —
-// is what admission scheduling, quotas and provenance account the work
+// server the verified token identity — not the claimed gridUser — is
+// what admission scheduling, quotas and provenance account the work
 // to; it overrides any session-level Client.SetToken for this call.
-// Pre-1.7 servers skip the token and account the caller as anonymous.
 func WithToken(tok string) SubmitOption {
 	return func(c *submitCfg) { c.token = tok }
-}
-
-// WithUser names the claimed identity the server accounts a batch to
-// (defaults to the first request's gridUser). On tenancy-enabled
-// servers the claim must match the token's tenant — WithUser is the
-// unauthenticated thin sibling of WithToken, kept for untenanted
-// deployments and source compatibility (docs/WIRE.md, "Migrating from
-// WithUser to WithToken").
-func WithUser(name string) SubmitOption {
-	return func(c *submitCfg) { c.user = name }
 }
 
 // SubmitResult is the unified reply of Client.Submit.
@@ -124,8 +112,8 @@ type SubmitResult struct {
 //	res, err := c.Submit(ctx, req, wire.WithRoute(wire.RouteLocal))
 //
 // Requests are never mutated: options apply to shallow copies. The
-// older entry points (SubmitContext, SubmitAsync, SubmitBatch, ...)
-// remain as thin deprecated wrappers over this method's machinery.
+// context's deadline bounds the round trip and its cancellation
+// abandons the request without disturbing others on the connection.
 func (c *Client) Submit(ctx context.Context, req *dgl.Request, opts ...SubmitOption) (*SubmitResult, error) {
 	// The options and the one request most calls carry share an
 	// allocation: options are opaque functions, so what they write to
@@ -162,11 +150,7 @@ func (c *Client) Submit(ctx context.Context, req *dgl.Request, opts ...SubmitOpt
 			cfg.apply(&pr)
 			prepared[i] = &pr
 		}
-		user := cfg.user
-		if user == "" {
-			user = prepared[0].User.Name
-		}
-		resps, err := c.submitBatch(ctx, user, prepared)
+		resps, err := c.submitBatch(ctx, prepared)
 		if err != nil {
 			return nil, err
 		}

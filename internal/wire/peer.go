@@ -658,7 +658,7 @@ func NewPeer(name string, engine *matrix.Engine) *Peer {
 }
 
 // NewPeerConfig is NewPeer with explicit wire-server tuning (admission
-// pool size, queue bounds, protocol pinning).
+// pool size, queue bounds, delegation grace).
 func NewPeerConfig(name string, engine *matrix.Engine, cfg ServerConfig) *Peer {
 	return &Peer{Name: name, server: NewServerConfig(engine, cfg), clients: make(map[string]*Client)}
 }
@@ -673,8 +673,7 @@ func (p *Peer) SetLookupToken(tok string) { p.lookupToken = tok }
 // fleet-wide memoization plane (docs/VDATA.md): the engine consults the
 // catalog before running pure steps, every publish announces its key to
 // the lookup registry, and local misses probe the announced holder over
-// the wire (1.8's vdata verb; older holders degrade to local-only).
-// Call before Start.
+// the wire (the vdata control verb). Call before Start.
 func (p *Peer) EnableVdata(cat *vdata.Catalog) {
 	p.vcat = cat
 	cat.SetPeer(p.Name)
@@ -715,8 +714,8 @@ func (p *Peer) announceVdata(key string) {
 
 // vdataRemote is the engine's remote-lookup hook: locate the announced
 // holder through the registry, then fetch the entry over the wire. Any
-// failure — no holder, a 1.7 holder without the vdata verb, a token the
-// holder refuses — reports a miss and the step simply executes.
+// failure — no holder, an unreachable one, a token the holder refuses —
+// reports a miss and the step simply executes.
 func (p *Peer) vdataRemote(tenantID, key string) (vdata.Entry, bool) {
 	if p.lookup == nil {
 		return vdata.Entry{}, false
@@ -727,11 +726,6 @@ func (p *Peer) vdataRemote(tenantID, key string) (vdata.Entry, bool) {
 	}
 	c, err := p.clientFor(holder)
 	if err != nil {
-		return vdata.Entry{}, false
-	}
-	if !c.CanVdata() {
-		// Pre-1.8 holder: it memoizes locally but cannot serve lookups —
-		// the interop degradation documented in docs/VDATA.md.
 		return vdata.Entry{}, false
 	}
 	info, err := c.vdataMsg(Control{Sub: "lookup", User: tenantID, Key: key, Token: p.vdataToken})
@@ -934,9 +928,9 @@ func (p *Peer) SubmitTo(peerName, user string, flow dgl.Flow) (*dgl.Response, er
 // Engine returns the peer's local engine.
 func (p *Peer) Engine() *matrix.Engine { return p.server.Engine() }
 
-// Client returns a pooled, hello-negotiated connection to a named peer,
-// dialing through the lookup service on first use. The returned client
-// is shared: do not Close it — use DropClient when the peer looks dead.
+// Client returns a pooled connection to a named peer, dialing through
+// the lookup service on first use. The returned client is shared: do
+// not Close it — use DropClient when the peer looks dead.
 func (p *Peer) Client(name string) (*Client, error) { return p.clientFor(name) }
 
 // DropClient evicts a pooled connection (after a transport failure), so
@@ -967,13 +961,6 @@ func (p *Peer) clientFor(name string) (*Client, error) {
 	}
 	c, err := Dial(addr)
 	if err != nil {
-		return nil, err
-	}
-	// Negotiate up front: peer links upgrade to mux when both ends speak
-	// >= 1.2, and the hello reply records the remote's feature level for
-	// the delegation gate (Client.CanDelegate).
-	if _, err := c.Hello(); err != nil {
-		c.Close()
 		return nil, err
 	}
 	p.mu.Lock()

@@ -238,13 +238,13 @@ func TestPeerHeartbeatAndDropClient(t *testing.T) {
 	if len(infos) != 2 {
 		t.Fatalf("gossip = %+v", infos)
 	}
-	// The pooled client negotiates hello, so its feature level is known.
+	// The pooled client has run its hello: it serves at once.
 	c, err := peerA.Client("hbB")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.CanDelegate() {
-		t.Error("peer link did not negotiate delegate support")
+	if _, err := c.List(); err != nil {
+		t.Errorf("pooled peer link: %v", err)
 	}
 	again, err := peerA.Client("hbB")
 	if err != nil || again != c {

@@ -11,7 +11,7 @@ import (
 // Replicated lifecycle stores (docs/REPLICATION.md).
 //
 // A replicating peer streams its flow-state store's record log to
-// follower peers over kind-6 replicate frames (wire 1.6) and holds
+// follower peers over kind-6 replicate frames and holds
 // replicas of the peers it follows. When the registry declares an owner
 // dead, the owner's ring successor promotes its replica: the live
 // entries are adopted into the successor's engine — re-persisted, so
@@ -97,23 +97,10 @@ func (p *Peer) Replicating() bool { return p.replSender != nil }
 
 // replDeliver carries one replicate frame to a named peer over the
 // pooled clients — the Sender's transport and the Receiver's chain hop.
-// A follower that predates wire 1.6 cannot hold a replica: the frame is
-// skipped with a vacuous ack (repl_skipped_peers_total) so a mixed-
-// version federation keeps flowing — that follower simply provides no
-// protection until it upgrades, the same availability-over-placement
-// trade shard routing makes for pre-1.5 owners.
 func (p *Peer) replDeliver(peerName string, f Replicate) (ReplicateResult, error) {
 	client, err := p.clientFor(peerName)
 	if err != nil {
 		return ReplicateResult{}, err
-	}
-	if !client.CanReplicate() {
-		p.server.Engine().Obs().Counter("repl_skipped_peers_total", "peer", peerName).Inc()
-		end := f.Seq
-		if f.Count > 0 {
-			end = f.Seq + uint64(f.Count) - 1
-		}
-		return ReplicateResult{OK: true, AckSeq: end}, nil
 	}
 	res, err := client.Replicate(context.Background(), f)
 	if err != nil {

@@ -12,11 +12,11 @@ import (
 
 // startReplPeer builds a replicating peer: fresh engine with a store,
 // replication enabled before Start, registered with the lookup.
-func startReplPeer(t *testing.T, lookupAddr, name string, mode replica.AckMode, cfg ServerConfig) *Peer {
+func startReplPeer(t *testing.T, lookupAddr, name string, mode replica.AckMode) *Peer {
 	t.Helper()
 	e := newEngine(t, name+":")
 	attachStore(t, e)
-	p := NewPeerConfig(name, e, cfg)
+	p := NewPeer(name, e)
 	if err := p.EnableReplication(ReplicationConfig{
 		Followers:  1,
 		Mode:       mode,
@@ -59,8 +59,8 @@ func waitFollowerCaughtUp(t *testing.T, owner *Peer) uint64 {
 // resumes and completes on B.
 func TestReplicationStreamPromoteAdopt(t *testing.T) {
 	_, lookupAddr := startLookup(t)
-	a := startReplPeer(t, lookupAddr, "peerA", replica.ModeQuorum, ServerConfig{})
-	b := startReplPeer(t, lookupAddr, "peerB", replica.ModeQuorum, ServerConfig{})
+	a := startReplPeer(t, lookupAddr, "peerA", replica.ModeQuorum)
+	b := startReplPeer(t, lookupAddr, "peerB", replica.ModeQuorum)
 	members := []string{"peerA", "peerB"}
 	a.refreshReplication(members)
 	b.refreshReplication(members)
@@ -85,12 +85,6 @@ func TestReplicationStreamPromoteAdopt(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ca.Close()
-	if _, err := ca.Hello(); err != nil {
-		t.Fatal(err)
-	}
-	if !ca.CanReplicate() {
-		t.Fatal("1.6 session refuses replicate frames")
-	}
 	info, err := ca.Repl()
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +139,7 @@ func TestReplicationStreamPromoteAdopt(t *testing.T) {
 	if owner, err := b.placeStatus(execID); err != nil || owner != nil {
 		t.Fatalf("poll for the adopted flow placed on %v, %v; want this peer", owner, err)
 	}
-	if st, err := dialMux(t, b.Addr()).Status("user", execID, true); err != nil || st.State != "succeeded" {
+	if st, err := dial(t, b.Addr()).Status("user", execID, true); err != nil || st.State != "succeeded" {
 		t.Fatalf("status of the adopted flow over the wire: %+v, %v", st, err)
 	}
 	// Promotion is sticky: another refresh must not double-adopt.
@@ -155,14 +149,13 @@ func TestReplicationStreamPromoteAdopt(t *testing.T) {
 	}
 }
 
-// TestReplicateClientRoundTrip drives kind-6 frames through a raw
-// client against a replicating server — the binary envelope on a 1.6
-// session, and the sniffed JSON fallback on a client pinned to text.
-// The two sessions hit the same server and advance the same cursor:
-// encoding is a per-session transport choice, not protocol state.
+// TestReplicateClientRoundTrip drives kind-6 frames through raw
+// clients against a replicating server. The two sessions — one of them
+// sending its DGL documents as XML, which leaves envelopes binary — hit
+// the same server and advance the same cursor.
 func TestReplicateClientRoundTrip(t *testing.T) {
 	_, lookupAddr := startLookup(t)
-	b := startReplPeer(t, lookupAddr, "peerB", replica.ModeQuorum, ServerConfig{})
+	b := startReplPeer(t, lookupAddr, "peerB", replica.ModeQuorum)
 	dial := func(binary bool) *Client {
 		c, err := Dial(b.Addr())
 		if err != nil {
@@ -171,12 +164,6 @@ func TestReplicateClientRoundTrip(t *testing.T) {
 		t.Cleanup(func() { c.Close() })
 		if !binary {
 			c.DisableBinary()
-		}
-		if _, err := c.Hello(); err != nil {
-			t.Fatal(err)
-		}
-		if !c.CanReplicate() {
-			t.Fatal("1.6 session refuses replicate frames")
 		}
 		if c.Binary() != binary {
 			t.Fatalf("binary negotiation: got %v, want %v", c.Binary(), binary)
@@ -215,46 +202,12 @@ func TestReplicateClientRoundTrip(t *testing.T) {
 		Op: replica.OpAppend, Source: "peerX", Seq: 2, Count: 1, Block: endBlock,
 	})
 	if err != nil || !res.OK || res.AckSeq != 2 {
-		t.Fatalf("json replicate: %v %+v", err, res)
+		t.Fatalf("replicate from the XML session: %v %+v", err, res)
 	}
-	// Error replies stay typed across both encodings.
+	// Error replies stay typed.
 	if _, err := bin.Replicate(context.Background(), Replicate{
 		Op: "bogus", Source: "peerX", Seq: 3,
 	}); err == nil {
 		t.Fatal("bogus op acked")
-	}
-}
-
-// TestReplicatePre16FallbackSkipsPeer pins the follower to wire 1.5:
-// the owner's frames are skipped with a vacuous ack
-// (repl_skipped_peers_total) so the federation keeps flowing — that
-// follower simply provides no protection until it upgrades.
-func TestReplicatePre16FallbackSkipsPeer(t *testing.T) {
-	_, lookupAddr := startLookup(t)
-	a := startReplPeer(t, lookupAddr, "peerA", replica.ModeQuorum, ServerConfig{})
-	old := startReplPeer(t, lookupAddr, "peerOld", replica.ModeQuorum, ServerConfig{ProtoMinor: 5})
-	_ = old
-	a.refreshReplication([]string{"peerA", "peerOld"})
-
-	ea := a.server.Engine()
-	resp, err := ea.Submit(dgl.NewRequest("user", "", dgl.NewFlow("quick").
-		Step("only", dgl.Op(dgl.OpNoop, nil)).Flow()))
-	if err != nil || resp.Error != "" {
-		t.Fatalf("submit against a pre-1.6 follower: %v %+v", err, resp)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for ea.Obs().Counter("repl_skipped_peers_total", "peer", "peerOld").Value() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("pre-1.6 follower was never skipped")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	// The vacuous ack keeps the owner's cursor view moving: the
-	// follower reads as caught up even though it holds nothing.
-	seq := ea.Store().ReplSeq()
-	for _, f := range a.replSender.Status() {
-		if f.Peer == "peerOld" && f.AckedSeq < seq {
-			t.Fatalf("skipped peer acked %d < %d", f.AckedSeq, seq)
-		}
 	}
 }

@@ -18,10 +18,6 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 
-func routeFallbacks(p *Peer) int64 {
-	return p.Engine().Obs().Counter("codec_fallback_total", "kind", "route").Value()
-}
-
 // statusShape renders a status tree without what legitimately differs
 // between two runs of one flow (ids carry the owner prefix, times move).
 func statusShape(st *dgl.FlowStatus) string {
@@ -40,28 +36,24 @@ func statusShape(st *dgl.FlowStatus) string {
 	return b.String()
 }
 
-// TestRouteHopEncodings drives one routed submit per negotiation
-// outcome. Two binary peers ride the kind-5 hop on the binary envelope
-// with a binary document (codec_fallback_total{kind="route"} stays 0);
-// a link pinned to the text encodings still routes, over the JSON+XML
-// fallback, and is counted. Either way the routed reply has the shape of
-// the reply the owner gives when it accepts the same flow directly.
+// TestRouteHopEncodings drives one routed submit over a peer link that
+// sends its DGL documents binary and one over a link that sends them as
+// XML: the kind-5 hop carries a binary envelope and a binary document
+// either way. Either way the routed reply has the shape of the reply the
+// owner gives when it accepts the same flow directly.
 func TestRouteHopEncodings(t *testing.T) {
 	cases := []struct {
-		name         string
-		ownerCfg     ServerConfig
-		disable      bool
-		wantFallback int64
+		name    string
+		disable bool
 	}{
-		{"binary both ends", ServerConfig{}, false, 0},
-		{"owner pinned to 1.5", ServerConfig{ProtoMinor: routeMinor}, false, 0},
-		{"link opted out of binary", ServerConfig{}, true, 1},
+		{"binary both ends", false},
+		{"link opted out of binary", true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, lookupAddr := startLookupSharded(t, testShards)
-			peerA := startShardedPeer(t, lookupAddr, "siteA", ServerConfig{})
-			peerB := startShardedPeer(t, lookupAddr, "siteB", tc.ownerCfg)
+			peerA := startShardedPeer(t, lookupAddr, "siteA")
+			peerB := startShardedPeer(t, lookupAddr, "siteB")
 			settle(t, peerA, peerB)
 			link, err := peerA.Client("siteB")
 			if err != nil {
@@ -75,11 +67,8 @@ func TestRouteHopEncodings(t *testing.T) {
 			}
 
 			flowName, _ := flowOwnedBy(t, peerB, "user")
-			fb0, routed0 := routeFallbacks(peerB), routeCount(peerA, "routed")
+			routed0 := routeCount(peerA, "routed")
 			cA := dial(t, peerA.Addr())
-			if _, err := cA.Hello(); err != nil {
-				t.Fatal(err)
-			}
 			routed, err := cA.SubmitFlow("user", execFlow(flowName))
 			if err != nil || routed.Error != "" {
 				t.Fatalf("routed submit: %+v, %v", routed, err)
@@ -90,14 +79,8 @@ func TestRouteHopEncodings(t *testing.T) {
 			if n := routeCount(peerA, "routed") - routed0; n != 1 {
 				t.Errorf("shard_routes_total{routed} moved by %d", n)
 			}
-			if n := routeFallbacks(peerB) - fb0; n != tc.wantFallback {
-				t.Errorf("codec_fallback_total{kind=route} moved by %d, want %d", n, tc.wantFallback)
-			}
 
 			cB := dial(t, peerB.Addr())
-			if _, err := cB.Hello(); err != nil {
-				t.Fatal(err)
-			}
 			local, err := cB.SubmitFlow("user", execFlow(flowName))
 			if err != nil || local.Error != "" {
 				t.Fatalf("local-accept submit: %+v, %v", local, err)
@@ -117,8 +100,8 @@ func TestRouteHopEncodings(t *testing.T) {
 // document alone going back to XML breaks the budget.
 func TestRoutedSubmitAllocs(t *testing.T) {
 	_, lookupAddr := startLookupSharded(t, testShards)
-	peerA := startShardedPeer(t, lookupAddr, "siteA", ServerConfig{})
-	peerB := startShardedPeer(t, lookupAddr, "siteB", ServerConfig{})
+	peerA := startShardedPeer(t, lookupAddr, "siteA")
+	peerB := startShardedPeer(t, lookupAddr, "siteB")
 	settle(t, peerA, peerB)
 	flowName, _ := flowOwnedBy(t, peerB, "user")
 	c := dial(t, peerA.Addr())
@@ -171,7 +154,7 @@ func TestCrossPeerStatusRequiresToken(t *testing.T) {
 	if _, err := cB.Hello(); err != nil {
 		t.Fatal(err)
 	}
-	id, err := cB.SubmitAsync("user", noopFlow("owned-by-b"))
+	id, err := submitAsync(cB, "user", noopFlow("owned-by-b"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,14 +22,6 @@ import (
 	"datagridflow/internal/vdata"
 )
 
-// Frame header overheads counted by the byte metrics.
-const (
-	// frameHeaderLen is the serial header (1-byte kind + 4-byte length).
-	frameHeaderLen = 5
-	// muxHeaderLen adds the 8-byte request id of mux framing.
-	muxHeaderLen = 13
-)
-
 // muxConnWindow bounds the frames one multiplexed connection may have
 // outstanding (decoded or queued for admission) before the server stops
 // reading from it — per-connection backpressure, distinct from the
@@ -67,16 +59,6 @@ type ServerConfig struct {
 	// requests past it are rejected with a capacity-class error.
 	// Default 256.
 	MaxUserQueue int
-	// SerialOnly pins the server to the pre-1.2 serial protocol: it
-	// advertises 1.1 in hello replies and never upgrades a session to
-	// mux framing. A compatibility and testing knob.
-	SerialOnly bool
-	// ProtoMinor pins the minor version the server advertises (and its
-	// feature gate: a server advertising < 1.3 refuses delegate
-	// frames). 0 or out-of-range means the current ProtoMinor;
-	// SerialOnly overrides to 1.1. A compatibility and interop-testing
-	// knob — mixed-version federations rely on it.
-	ProtoMinor int
 	// DelegateGrace bounds how long a cancelled delegation (client gone
 	// or server closing) waits for its execution to unwind before the
 	// handler returns — the deterministic-shutdown budget for in-flight
@@ -84,11 +66,9 @@ type ServerConfig struct {
 	DelegateGrace time.Duration
 }
 
-// Server exposes a matrix engine over the framed TCP protocol. Serial
-// (pre-1.2) sessions handle frames strictly in order, one at a time.
-// Sessions negotiated to >= 1.2 via hello switch to multiplexed
-// framing: frames carry request ids, the server dispatches each to a
-// bounded worker pool behind a per-user fair admission scheduler
+// Server exposes a matrix engine over the framed TCP protocol. Frames
+// carry request ids: the server dispatches each to a bounded worker
+// pool behind a per-user fair admission scheduler
 // (internal/scheduler.Admission), and responses are written as they
 // complete, in any order.
 type Server struct {
@@ -122,7 +102,8 @@ type Server struct {
 	// Tenancy plane (docs/TENANCY.md), attached before Listen via
 	// SetTenancy: auth verifies bearer tokens, tenants holds quotas and
 	// scheduling weights, requireAuth rejects untokened submissions.
-	// All nil/false means tenancy off — behaviour identical to pre-1.7.
+	// All nil/false means tenancy off: identities are claimed, not
+	// verified.
 	auth        *tenant.Authority
 	tenants     *tenant.Registry
 	requireAuth bool
@@ -148,9 +129,6 @@ func NewServerConfig(engine *matrix.Engine, cfg ServerConfig) *Server {
 	}
 	if cfg.MaxUserQueue <= 0 {
 		cfg.MaxUserQueue = 256
-	}
-	if cfg.ProtoMinor <= 0 || cfg.ProtoMinor > ProtoMinor {
-		cfg.ProtoMinor = ProtoMinor
 	}
 	if cfg.DelegateGrace <= 0 {
 		cfg.DelegateGrace = 3 * time.Second
@@ -223,20 +201,6 @@ func (s *Server) resolveTenant(token, user string) (string, error) {
 // Admission returns the server's admission scheduler.
 func (s *Server) Admission() *scheduler.Admission { return s.adm }
 
-// minor returns the minor version the server advertises — its feature
-// level for negotiation and the delegate-frame gate.
-func (s *Server) minor() int {
-	if s.cfg.SerialOnly {
-		return 1
-	}
-	return s.cfg.ProtoMinor
-}
-
-// proto returns the version the server advertises in hello replies.
-func (s *Server) proto() string {
-	return ProtoVersion(ProtoMajor, s.minor())
-}
-
 // SetFault attaches a fault-injection plan to this server under the
 // given target name: PeerCrash and ConnDrop events against that target
 // sever connections mid-session (a simulated matrixd crash), Latency
@@ -307,9 +271,23 @@ func (s *Server) acceptLoop(l net.Listener) {
 	}
 }
 
-// serveConn runs the serial (pre-1.2) protocol loop for one connection:
-// frames are handled strictly in order, one at a time. A hello exchange
-// negotiating >= 1.2 hands the connection over to serveMux.
+// muxSession is one connection: the read loop hands each frame to a
+// worker of the session's set.
+type muxSession struct {
+	s      *Server
+	ctx    context.Context
+	fc     *frameConn
+	remote string
+	// jobs is unbuffered: a send succeeds only into a worker that is
+	// waiting, which is how the read loop learns that none is.
+	jobs chan frame
+}
+
+// serveConn runs one connection: each frame goes to a handler of the
+// connection's worker set — grown on demand, bounded per connection by
+// muxConnWindow and globally by the admission scheduler — and responses
+// are written through the connection's frame writer as they complete,
+// correlated by request id.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	o := s.engine.Obs()
@@ -323,90 +301,27 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	// ctx covers admission waits on this connection; cancelled when the
-	// serve loop exits (connection gone or server closing).
+	// read loop exits (connection gone or server closing).
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	remote := conn.RemoteAddr().String()
-	fc := newFrameConn(conn, o.Counter("wire_flushes_total"))
-	rp := new(reply)
-	for {
-		fr, err := fc.r.next(false)
-		if err != nil {
-			return // EOF or broken connection
-		}
-		k := kindName(fr.kind)
-		o.Counter("wire_frames_in_total", "kind", k).Inc()
-		o.Counter("wire_bytes_in_total").Add(int64(len(fr.payload)) + frameHeaderLen)
-		if s.connFault() {
-			return // injected crash/drop: sever without a response
-		}
-		started := s.engine.Clock().Now()
-		o.StartSpan("request", k, remote)
-		if k == "unknown" {
-			o.EndSpan("request", k, remote, obs.Attr{Key: "outcome", Value: "protocol-violation"})
-			return // protocol violation
-		}
-		upgrade, err := s.handleFrame(ctx, fr.kind, fr.payload, false, rp)
-		if err != nil {
-			rp.release()
-			o.EndSpan("request", k, remote, obs.Attr{Key: "outcome", Value: "encode-error"})
-			return
-		}
-		o.Histogram("wire_request_seconds", "type", k).Observe(s.engine.Clock().Now().Sub(started).Seconds())
-		o.EndSpan("request", k, remote, obs.Attr{Key: "outcome", Value: "ok"})
-		werr := fc.w.write(fr.kind, 0, false, rp.bytes())
-		sent := len(rp.bytes())
-		rp.release()
-		fr.release()
-		if werr != nil {
-			return
-		}
-		o.Counter("wire_frames_out_total", "kind", k).Inc()
-		o.Counter("wire_bytes_out_total").Add(int64(sent) + frameHeaderLen)
-		if upgrade {
-			// The hello reply above committed both ends to mux framing.
-			s.serveMux(ctx, fc, remote)
-			return
-		}
-	}
-}
-
-// muxSession is one connection under mux framing: the read loop hands
-// each frame to a worker of the session's set.
-type muxSession struct {
-	s      *Server
-	ctx    context.Context
-	fc     *frameConn
-	remote string
-	// jobs is unbuffered: a send succeeds only into a worker that is
-	// waiting, which is how the read loop learns that none is.
-	jobs chan frame
-}
-
-// serveMux runs the multiplexed (>= 1.2) protocol loop: each frame goes
-// to a handler of the connection's worker set — grown on demand, bounded
-// per connection by muxConnWindow and globally by the admission
-// scheduler — and responses are written through the connection's frame
-// writer as they complete, correlated by request id.
-func (s *Server) serveMux(ctx context.Context, fc *frameConn, remote string) {
-	o := s.engine.Obs()
-	ms := &muxSession{s: s, ctx: ctx, fc: fc, remote: remote, jobs: make(chan frame)}
+	ms := &muxSession{s: s, ctx: ctx, fc: newFrameConn(conn, o.Counter("wire_flushes_total")),
+		remote: conn.RemoteAddr().String(), jobs: make(chan frame)}
 	defer close(ms.jobs) // the workers finish what they hold and exit
 	workers := 0
 	for {
-		fr, err := fc.r.next(true)
+		fr, err := ms.fc.r.next()
 		if err != nil {
 			return // EOF or broken connection
 		}
 		k := kindName(fr.kind)
 		o.Counter("wire_frames_in_total", "kind", k).Inc()
-		o.Counter("wire_bytes_in_total").Add(int64(len(fr.payload)) + muxHeaderLen)
+		o.Counter("wire_bytes_in_total").Add(int64(len(fr.payload)) + headerLen)
 		if s.connFault() {
 			return // injected crash/drop: sever without a response
 		}
 		if k == "unknown" {
-			o.EndSpan("request", k, remote, obs.Attr{Key: "outcome", Value: "protocol-violation"})
-			return // protocol violation: sever, as in serial mode
+			o.EndSpan("request", k, ms.remote, obs.Attr{Key: "outcome", Value: "protocol-violation"})
+			return // protocol violation: sever
 		}
 		select {
 		case ms.jobs <- fr:
@@ -439,16 +354,10 @@ func (ms *muxSession) handle(fr frame, rp *reply) {
 	k := kindName(fr.kind)
 	started := s.engine.Clock().Now()
 	o.StartSpan("request", k, remote)
-	_, err := s.handleFrame(ms.ctx, fr.kind, fr.payload, true, rp) // no re-upgrade on a muxed session
-	if err != nil {
-		rp.release()
-		o.EndSpan("request", k, remote, obs.Attr{Key: "outcome", Value: "encode-error"})
-		ms.fc.Close() // mirror serial behaviour: an unmarshalable response severs
-		return
-	}
+	s.handleFrame(ms.ctx, fr.kind, fr.payload, rp)
 	o.Histogram("wire_request_seconds", "type", k).Observe(s.engine.Clock().Now().Sub(started).Seconds())
 	o.EndSpan("request", k, remote, obs.Attr{Key: "outcome", Value: "ok"})
-	err = ms.fc.w.write(fr.kind, fr.id, true, rp.bytes())
+	err := ms.fc.w.write(fr.kind, fr.id, rp.bytes())
 	sent := len(rp.bytes())
 	rp.release()
 	fr.release()
@@ -456,12 +365,12 @@ func (ms *muxSession) handle(fr frame, rp *reply) {
 		return // connection gone; the read loop will notice too
 	}
 	o.Counter("wire_frames_out_total", "kind", k).Inc()
-	o.Counter("wire_bytes_out_total").Add(int64(sent) + muxHeaderLen)
+	o.Counter("wire_bytes_out_total").Add(int64(sent) + headerLen)
 }
 
 // reply is one response being built — its bytes and what they borrow —
-// with the writers a status reply is streamed through. A connection's
-// serial loop and each of its mux workers keeps one and reuses it.
+// with the writers a status reply is streamed through. Each worker of a
+// connection keeps one and reuses it.
 type reply struct {
 	enc   *codec.Encoder // a binary reply is what it holds
 	data  []byte         // any other reply
@@ -520,33 +429,23 @@ func (r *reply) response(resp *dgl.Response, bin bool) {
 	r.setXML(doc)
 }
 
-// forward leaves in the reply a response document another peer answered
-// with — the owner of a polled id, the owner of a routed submission's
-// shard: as it came for a binary session (doc must stay valid until the
-// reply is released), transcoded for an XML one, and with no
-// dgl.Response built in between either way.
+// forward leaves in the reply a binary response document another peer
+// answered with — the owner of a polled id, the owner of a routed
+// submission's shard: as it came for a binary session (doc must stay
+// valid until the reply is released), transcoded for an XML one, and
+// with no dgl.Response built in between either way.
 func (r *reply) forward(doc []byte, bin bool) {
-	switch {
-	case !codec.IsBinary(doc):
-		// The link to that peer did not negotiate the codec (a pre-1.4
-		// peer): its XML is read, and written again for this session.
-		resp, err := dgl.ParseResponse(doc)
-		if err != nil {
-			r.fail(err, bin)
-			return
-		}
-		r.response(resp, bin)
-	case bin:
+	if bin {
 		r.data = doc
-	default:
-		out, err := codec.ResponseXML(&r.xw, r.xml(), doc)
-		if err != nil {
-			r.release()
-			r.fail(err, bin)
-			return
-		}
-		r.setXML(out)
+		return
 	}
+	out, err := codec.ResponseXML(&r.xw, r.xml(), doc)
+	if err != nil {
+		r.release()
+		r.fail(err, bin)
+		return
+	}
+	r.setXML(out)
 }
 
 // fail encodes an error response.
@@ -554,99 +453,45 @@ func (r *reply) fail(err error, bin bool) {
 	r.response(&dgl.Response{Error: dgferr.Encode(err)}, bin)
 }
 
-// json encodes a legacy JSON envelope.
-func (r *reply) json(v any) (err error) {
-	r.data, err = json.Marshal(v)
-	return err
-}
-
-// binaryOK reports whether this server's advertised version admits
-// binary payloads (>= 1.4).
-func (s *Server) binaryOK() bool { return s.minor() >= binaryMinor }
-
-// handleFrame services one frame payload — shared by the serial loop
-// and the mux workers — and leaves the response in rp, which the caller
-// writes and then releases. The response mirrors the request's encoding:
-// a binary payload gets a binary reply, a legacy payload gets XML/JSON.
-// payload is the frame's pooled buffer, valid until the caller releases
-// the frame: nothing decoded from it may alias it beyond the handler.
-// muxed suppresses the hello upgrade, which is meaningless on an
-// already-muxed session.
-func (s *Server) handleFrame(ctx context.Context, kind byte, payload []byte, muxed bool, rp *reply) (upgrade bool, err error) {
-	o := s.engine.Obs()
-	bin := codec.IsBinary(payload)
-	if bin && !s.binaryOK() {
-		// Binary frames against a pre-1.4 server are a negotiation bug,
-		// not grounds to sever: answer with a protocol-class error in the
-		// legacy encoding, which every client can read (responses are
-		// sniffed, never assumed).
-		perr := fmt.Errorf(
-			"%w: binary payloads need protocol >= %s, server advertises %s",
-			dgferr.ErrProtocol, ProtoVersion(ProtoMajor, binaryMinor), s.proto())
-		switch kind {
-		case KindDGL:
-			rp.fail(perr, false)
-		case KindControl:
-			err = rp.json(ControlResult{Error: dgferr.Encode(perr)})
-		case KindBatch:
-			err = rp.json(BatchResult{Error: dgferr.Encode(perr)})
-		case KindDelegate:
-			err = rp.json(DelegateResult{Error: dgferr.Encode(perr)})
-		case KindRoute:
-			err = rp.json(RouteResult{Error: dgferr.Encode(perr)})
-		case KindReplicate:
-			err = rp.json(ReplicateResult{Error: dgferr.Encode(perr)})
-		}
-		return false, err
-	}
-	if !bin && s.binaryOK() && kind != KindControl {
-		// A legacy payload on a binary-capable server: a pre-1.4 peer, or
-		// a client pinned to the text encoding. Control frames don't
-		// count — hello negotiation always rides JSON.
-		o.Counter("codec_fallback_total", "kind", kindName(kind)).Inc()
-	}
+// handleFrame services one frame payload and leaves the response in rp,
+// which the caller writes and then releases. A DGL document is answered
+// in its own encoding, binary or XML; every other kind carries a binary
+// envelope and is answered with one. payload is the frame's pooled
+// buffer, valid until the caller releases the frame: nothing decoded
+// from it may alias it beyond the handler.
+func (s *Server) handleFrame(ctx context.Context, kind byte, payload []byte, rp *reply) {
 	switch kind {
 	case KindDGL:
 		s.serveDGL(ctx, payload, rp)
 	case KindControl:
-		var res ControlResult
-		res, upgrade = s.serveControl(payload)
-		if muxed {
-			upgrade = false
-		}
-		if bin {
-			appendControlResult(rp.binary(), &res)
-		} else {
-			err = rp.json(res)
-		}
+		res := s.serveControl(payload)
+		appendControlResult(rp.binary(), &res)
 	case KindBatch:
-		err = s.serveBatch(ctx, payload, rp)
+		s.serveBatch(ctx, payload, rp)
 	case KindDelegate:
 		res := s.serveDelegate(ctx, payload)
-		if bin {
-			appendDelegateResult(rp.binary(), &res)
-		} else {
-			err = rp.json(res)
-		}
+		appendDelegateResult(rp.binary(), &res)
 	case KindRoute:
 		res := s.serveRoute(ctx, payload)
-		if bin {
-			appendRouteResult(rp.binary(), &res)
-		} else {
-			err = rp.json(res)
-		}
+		appendRouteResult(rp.binary(), &res)
 	case KindReplicate:
 		res := s.serveReplicate(payload)
-		if bin {
-			appendReplicateResult(rp.binary(), &res)
-		} else {
-			err = rp.json(res)
-		}
+		appendReplicateResult(rp.binary(), &res)
 	}
-	if rp.enc != nil && err == nil {
-		o.Counter("codec_encode_bytes_total").Add(int64(len(rp.bytes())))
+	if rp.enc != nil {
+		s.engine.Obs().Counter("codec_encode_bytes_total").Add(int64(len(rp.bytes())))
 	}
-	return upgrade, err
+}
+
+// decodeDoc decodes a DGL request document, binary or XML, counting an
+// XML one in codec_fallback_total under the frame kind it came in.
+func (s *Server) decodeDoc(doc []byte, kind string) (req *dgl.Request, bin bool, err error) {
+	bin = codec.IsBinary(doc)
+	if !bin {
+		s.engine.Obs().Counter("codec_fallback_total", "kind", kind).Inc()
+	}
+	req, err = codec.DecodeRequestDoc(doc)
+	return req, bin, err
 }
 
 // admit runs a request through the admission scheduler, tracking the
@@ -675,8 +520,7 @@ func (s *Server) release() {
 // responses rather than dropped connections — clients always get an
 // answer per request.
 func (s *Server) serveDGL(ctx context.Context, payload []byte, rp *reply) {
-	bin := codec.IsBinary(payload)
-	req, err := codec.DecodeRequestDoc(payload)
+	req, bin, err := s.decodeDoc(payload, "dgl")
 	if err != nil {
 		rp.fail(err, bin)
 		return
@@ -783,19 +627,8 @@ func (s *Server) relayStatus(owner *Client, req *dgl.Request, bin bool, rp *repl
 // submission occupies one admission slot under the originating user,
 // exactly like a direct submit.
 func (s *Server) serveRoute(ctx context.Context, payload []byte) RouteResult {
-	if s.minor() < routeMinor {
-		return RouteResult{Error: dgferr.Encode(fmt.Errorf(
-			"%w: route frames need protocol >= %s, server advertises %s",
-			dgferr.ErrProtocol, ProtoVersion(ProtoMajor, routeMinor), s.proto()))}
-	}
-	var rt Route
-	if codec.IsBinary(payload) {
-		var derr error
-		if rt, derr = decodeRoute(payload); derr != nil {
-			return RouteResult{Error: dgferr.Encode(
-				fmt.Errorf("%w: bad route frame: %v", dgferr.ErrInvalid, derr))}
-		}
-	} else if err := json.Unmarshal(payload, &rt); err != nil {
+	rt, err := decodeRoute(payload)
+	if err != nil {
 		return RouteResult{Error: dgferr.Encode(
 			fmt.Errorf("%w: bad route frame: %v", dgferr.ErrInvalid, err))}
 	}
@@ -826,19 +659,8 @@ func (s *Server) serveRoute(ctx context.Context, payload []byte) RouteResult {
 // stops acking because the primary saturated it would turn overload
 // into replication lag, and lag into data-loss exposure.
 func (s *Server) serveReplicate(payload []byte) ReplicateResult {
-	if s.minor() < replMinor {
-		return ReplicateResult{Error: dgferr.Encode(fmt.Errorf(
-			"%w: replicate frames need protocol >= %s, server advertises %s",
-			dgferr.ErrProtocol, ProtoVersion(ProtoMajor, replMinor), s.proto()))}
-	}
-	var f Replicate
-	if codec.IsBinary(payload) {
-		var derr error
-		if f, derr = decodeReplicate(payload); derr != nil {
-			return ReplicateResult{Error: dgferr.Encode(
-				fmt.Errorf("%w: bad replicate frame: %v", dgferr.ErrInvalid, derr))}
-		}
-	} else if err := json.Unmarshal(payload, &f); err != nil {
+	f, err := decodeReplicate(payload)
+	if err != nil {
 		return ReplicateResult{Error: dgferr.Encode(
 			fmt.Errorf("%w: bad replicate frame: %v", dgferr.ErrInvalid, err))}
 	}
@@ -852,81 +674,42 @@ func (s *Server) serveReplicate(payload []byte) ReplicateResult {
 // serveBatch services a KindBatch frame: N DGL requests in one frame,
 // answered positionally. The whole batch occupies one admission slot
 // (it is one frame of one user); items fail independently via per-item
-// error responses. The reply envelope mirrors the request envelope's
-// encoding, and each item's response mirrors that item's encoding —
-// a binary envelope may legally carry XML items. Each item is answered
-// into rp and moved into the envelope, which is what rp holds at the
-// end.
-func (s *Server) serveBatch(ctx context.Context, payload []byte, rp *reply) error {
-	bin := codec.IsBinary(payload)
-	fail := func(ferr error) error {
-		if bin {
-			appendBatchResult(rp.binary(), false, dgferr.Encode(ferr), nil)
-			return nil
-		}
-		return rp.json(BatchResult{Error: dgferr.Encode(ferr)})
-	}
-	var user, token string
-	var items [][]byte
-	if bin {
-		var derr error
-		user, token, items, derr = decodeBatch(payload)
-		if derr != nil {
-			return fail(fmt.Errorf("%w: bad batch frame: %v", dgferr.ErrInvalid, derr))
-		}
-	} else {
-		var b Batch
-		if err := json.Unmarshal(payload, &b); err != nil {
-			return fail(fmt.Errorf("%w: bad batch frame: %v", dgferr.ErrInvalid, err))
-		}
-		user = b.User
-		token = b.Token
-		items = make([][]byte, len(b.Requests))
-		for i, r := range b.Requests {
-			items[i] = []byte(r)
-		}
+// error responses, each in its item's own encoding. Each item is
+// answered into rp and moved into the envelope, which is what rp holds
+// at the end.
+func (s *Server) serveBatch(ctx context.Context, payload []byte, rp *reply) {
+	fail := func(err error) { appendBatchResult(rp.binary(), false, dgferr.Encode(err)) }
+	user, token, items, err := decodeBatch(payload)
+	if err != nil {
+		fail(fmt.Errorf("%w: bad batch frame: %v", dgferr.ErrInvalid, err))
+		return
 	}
 	id := user
 	if s.tenancyOn() {
-		var terr error
-		id, terr = s.resolveTenant(token, user)
-		if terr != nil {
-			return fail(terr)
+		if id, err = s.resolveTenant(token, user); err != nil {
+			fail(err)
+			return
 		}
 	}
 	if err := s.admit(ctx, id); err != nil {
-		return fail(err)
+		fail(err)
+		return
 	}
 	defer s.release()
-	var env *codec.Encoder
-	var docs []string
-	if bin {
-		env = codec.GetEncoder()
-		appendBatchResult(env, true, "", nil)
-	} else {
-		docs = make([]string, len(items))
-	}
-	for i, doc := range items {
+	env := codec.GetEncoder()
+	appendBatchResult(env, true, "")
+	for _, doc := range items {
 		s.serveBatchItem(doc, id, rp)
-		if bin {
-			appendBatchResponse(env, rp.bytes())
-		} else {
-			docs[i] = string(rp.bytes())
-		}
+		appendBatchResponse(env, rp.bytes())
 		rp.release()
 	}
-	if bin {
-		rp.enc = env
-		return nil
-	}
-	return rp.json(BatchResult{OK: true, Responses: docs})
+	rp.enc = env
 }
 
 // serveBatchItem answers one batch item into rp, in the item's own
 // encoding (binary items get binary replies, XML items XML).
 func (s *Server) serveBatchItem(doc []byte, tenantID string, rp *reply) {
-	bin := codec.IsBinary(doc)
-	req, err := codec.DecodeRequestDoc(doc)
+	req, bin, err := s.decodeDoc(doc, "batch")
 	if err != nil {
 		rp.fail(err, bin)
 		return
@@ -963,21 +746,8 @@ func (s *Server) serveDelegate(ctx context.Context, payload []byte) DelegateResu
 	outcome := func(out string) {
 		o.Counter("wire_delegations_total", "outcome", out).Inc()
 	}
-	if s.minor() < delegateMinor {
-		outcome("refused")
-		return DelegateResult{Error: dgferr.Encode(fmt.Errorf(
-			"%w: delegate frames need protocol >= %s, server advertises %s",
-			dgferr.ErrProtocol, ProtoVersion(ProtoMajor, delegateMinor), s.proto()))}
-	}
-	var d Delegate
-	if codec.IsBinary(payload) {
-		var derr error
-		if d, derr = decodeDelegate(payload); derr != nil {
-			outcome("invalid")
-			return DelegateResult{Error: dgferr.Encode(
-				fmt.Errorf("%w: bad delegate frame: %v", dgferr.ErrInvalid, derr))}
-		}
-	} else if err := json.Unmarshal(payload, &d); err != nil {
+	d, err := decodeDelegate(payload)
+	if err != nil {
 		outcome("invalid")
 		return DelegateResult{Error: dgferr.Encode(
 			fmt.Errorf("%w: bad delegate frame: %v", dgferr.ErrInvalid, err))}
@@ -1059,54 +829,38 @@ func (s *Server) serveDelegate(ctx context.Context, payload []byte) DelegateResu
 	return res
 }
 
-// serveControl handles one control frame. upgrade reports that the verb
-// was a hello negotiating mux framing: the serial loop must switch to
-// serveMux right after writing this reply. (On an already-muxed session
-// the result is ignored by the caller — no double upgrade.)
-func (s *Server) serveControl(payload []byte) (res ControlResult, upgrade bool) {
-	var c Control
-	if codec.IsBinary(payload) {
-		var err error
-		if c, err = decodeControl(payload); err != nil {
-			return ControlResult{Error: "bad control frame: " + err.Error()}, false
-		}
-	} else if err := json.Unmarshal(payload, &c); err != nil {
-		return ControlResult{Error: "bad control frame: " + err.Error()}, false
+// serveControl handles one control frame.
+func (s *Server) serveControl(payload []byte) ControlResult {
+	c, err := decodeControl(payload)
+	if err != nil {
+		return ControlResult{Error: dgferr.Encode(
+			fmt.Errorf("%w: bad control frame: %v", dgferr.ErrInvalid, err))}
 	}
 	if c.Op == "hello" {
 		return s.serveHello(c)
 	}
-	return s.serveControlOp(c), false
+	return s.serveControlOp(c)
 }
 
-// serveHello negotiates the protocol version (docs/WIRE.md, "Version
-// negotiation"): major mismatch is refused; a client minor >= 1.2
-// upgrades the session to mux framing unless the server is SerialOnly.
-func (s *Server) serveHello(c Control) (ControlResult, bool) {
-	major, minor, err := ParseProtoVersion(c.Proto)
-	if err != nil {
-		return ControlResult{Error: dgferr.Encode(
-			fmt.Errorf("%w: %v", dgferr.ErrProtocol, err))}, false
-	}
-	if major != ProtoMajor {
+// serveHello answers the hello exchange (docs/WIRE.md, "One version"):
+// a client offering another protocol version is refused with a typed
+// dgferr.ErrProtocol, and a token, when one is offered, is verified —
+// the client learns its credential is dead before submitting anything.
+func (s *Server) serveHello(c Control) ControlResult {
+	if c.Proto != ProtoVersion {
 		return ControlResult{Error: dgferr.Encode(fmt.Errorf(
-			"%w: client speaks %s, server speaks %s",
-			dgferr.ErrProtocol, c.Proto, s.proto()))}, false
+			"%w: client speaks protocol %q, server %q", dgferr.ErrProtocol, c.Proto, ProtoVersion))}
 	}
-	upgrade := !s.cfg.SerialOnly && s.minor() >= muxMinor && MuxSupported(major, minor)
-	res := ControlResult{OK: true, Proto: s.proto()}
-	if c.Token != "" && s.auth != nil && s.minor() >= tenantMinor {
-		// Wire 1.7 credential exchange: a bad token fails the handshake
-		// immediately — the client learns its credential is dead before
-		// submitting anything.
+	res := ControlResult{OK: true, Proto: ProtoVersion}
+	if c.Token != "" && s.auth != nil {
 		id, err := s.auth.Verify(c.Token)
 		if err != nil {
 			s.engine.Obs().Counter("tenant_auth_failures_total").Inc()
-			return ControlResult{Error: dgferr.Encode(err)}, false
+			return ControlResult{Error: dgferr.Encode(err)}
 		}
 		res.Tenant = id
 	}
-	return res, upgrade
+	return res
 }
 
 // serveControlOp services the non-hello control verbs.
@@ -1127,11 +881,6 @@ func (s *Server) serveControlOp(c Control) ControlResult {
 	if c.Op == "tenants" {
 		// Like "owner": resolved before the execution lookup so a
 		// tenancy probe cannot resurrect anything as a side effect.
-		if s.minor() < tenantMinor {
-			return ControlResult{Error: dgferr.Encode(fmt.Errorf(
-				"%w: tenants verb needs protocol >= %s, server advertises %s",
-				dgferr.ErrProtocol, ProtoVersion(ProtoMajor, tenantMinor), s.proto()))}
-		}
 		info := &TenantsInfo{}
 		if s.tenants != nil {
 			limit := c.Limit
@@ -1160,44 +909,9 @@ func (s *Server) serveControlOp(c Control) ControlResult {
 		}
 		return ControlResult{OK: true, Repl: s.replResolver()}
 	}
-	exec, ok := s.engine.Execution(c.ID)
-	if !ok && c.ID != "" {
-		// The target may be passivated in the flow-state store: wire
-		// requests are a resurrection path (docs/STORE.md). Unknown ids
-		// still fall through to the per-verb not-found handling.
-		if ex, err := s.engine.ResurrectFor(c.ID, "wire"); err == nil {
-			exec, ok = ex, true
-		}
-	}
-	unknown := func() ControlResult {
-		return ControlResult{Error: dgferr.Encode(
-			fmt.Errorf("%w: execution %s", dgferr.ErrNotFound, c.ID))}
-	}
 	switch c.Op {
-	case "pause":
-		if !ok {
-			return unknown()
-		}
-		exec.Pause()
-		return ControlResult{OK: true, ID: c.ID}
-	case "resume":
-		if !ok {
-			return unknown()
-		}
-		exec.Resume()
-		return ControlResult{OK: true, ID: c.ID}
-	case "cancel":
-		if !ok {
-			return unknown()
-		}
-		exec.Cancel()
-		return ControlResult{OK: true, ID: c.ID}
-	case "restart":
-		next, err := s.engine.Restart(c.ID)
-		if err != nil {
-			return ControlResult{Error: dgferr.Encode(err)}
-		}
-		return ControlResult{OK: true, ID: next.ID}
+	case "pause", "resume", "cancel", "restart":
+		return s.serveExecOp(c)
 	case "list":
 		var rows []ExecutionInfo
 		for _, sum := range s.engine.ListExecutions() {
@@ -1243,18 +957,52 @@ func (s *Server) serveControlOp(c Control) ControlResult {
 	}
 }
 
-// serveVdata services the "vdata" control verb (wire >= 1.8,
-// docs/VDATA.md): stats, lookup, publish and invalidate against the
+// serveExecOp services the verbs that act on one execution: pause,
+// resume, cancel and restart. The caller's identity is resolved first,
+// as a submission's is, so a refused caller wakes nothing; with an
+// authority attached, an execution of another tenant is refused with a
+// typed dgferr.ErrAuth.
+func (s *Server) serveExecOp(c Control) ControlResult {
+	fail := func(err error) ControlResult { return ControlResult{Error: dgferr.Encode(err)} }
+	ten, err := s.resolveTenant(c.Token, c.User)
+	if err != nil {
+		return fail(err)
+	}
+	exec, ok := s.engine.Execution(c.ID)
+	if !ok {
+		// The target may be passivated in the flow-state store: wire
+		// requests are a resurrection path (docs/STORE.md).
+		if exec, err = s.engine.ResurrectFor(c.ID, "wire"); err != nil {
+			return fail(fmt.Errorf("%w: execution %s", dgferr.ErrNotFound, c.ID))
+		}
+	}
+	if s.auth != nil && exec.User() != ten {
+		s.engine.Obs().Counter("tenant_auth_failures_total").Inc()
+		return fail(fmt.Errorf("%w: execution %s belongs to another tenant", dgferr.ErrAuth, c.ID))
+	}
+	switch c.Op {
+	case "pause":
+		exec.Pause()
+	case "resume":
+		exec.Resume()
+	case "cancel":
+		exec.Cancel()
+	case "restart":
+		next, err := s.engine.Restart(c.ID)
+		if err != nil {
+			return fail(err)
+		}
+		return ControlResult{OK: true, ID: next.ID}
+	}
+	return ControlResult{OK: true, ID: c.ID}
+}
+
+// serveVdata services the "vdata" control verb (docs/VDATA.md): stats, lookup, publish and invalidate against the
 // engine's derivation catalog. Every sub-operation resolves the caller's
 // tenant exactly as submissions do — the bearer token on the frame is
 // re-verified, and with an authority attached it must agree with the
 // claimed user — so no tenant can read or drop another's derivations.
 func (s *Server) serveVdata(c Control) ControlResult {
-	if s.minor() < vdataMinor {
-		return ControlResult{Error: dgferr.Encode(fmt.Errorf(
-			"%w: vdata verb needs protocol >= %s, server advertises %s",
-			dgferr.ErrProtocol, ProtoVersion(ProtoMajor, vdataMinor), s.proto()))}
-	}
 	info := &VdataInfo{}
 	cat := s.engine.Vdata()
 	if cat == nil {

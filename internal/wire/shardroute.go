@@ -27,8 +27,8 @@ import (
 //     federation heartbeat.
 //
 // Every availability edge falls back to accepting locally rather than
-// refusing the flow: an unassigned shard, an owner that predates wire
-// 1.5, an unreachable owner after bounded retries. The
+// refusing the flow: an unassigned shard, an unreachable owner after
+// bounded retries. The
 // shard_routes_total{outcome} counter says which path each submission
 // took.
 
@@ -104,7 +104,7 @@ func (p *Peer) routeSubmit(req *dgl.Request) (resp *dgl.Response, doc string) {
 	}
 	// The token rides the route envelope so the owning peer re-verifies
 	// the same identity the accepting peer did (docs/TENANCY.md).
-	rt := Route{User: req.User.Name, Token: req.Token, Shard: sh, Origin: p.Name}
+	rt := Route{User: req.User.Name, Token: req.Token, Request: codec.RequestDoc(req), Shard: sh, Origin: p.Name}
 	for attempt := 0; attempt < routeRetries; attempt++ {
 		client, cerr := p.clientFor(holder)
 		if cerr != nil {
@@ -119,16 +119,6 @@ func (p *Peer) routeSubmit(req *dgl.Request) (resp *dgl.Response, doc string) {
 				return p.acceptLocal(req, sh, "failover"), ""
 			}
 			continue
-		}
-		if !client.CanRoute() {
-			// The owner predates wire 1.5: it cannot accept a route frame,
-			// so the flow stays where it was submitted — mixed-version
-			// interop keeps every peer accepting (docs/WIRE.md).
-			return p.acceptLocal(req, sh, "unsupported"), ""
-		}
-		var err error
-		if rt.Request, err = client.EncodeRequest(req); err != nil {
-			return &dgl.Response{Error: dgferr.Encode(err)}, ""
 		}
 		res, rerr := client.Route(context.Background(), rt)
 		if res == nil {
@@ -236,21 +226,12 @@ func (p *Peer) handleRoute(rt Route) RouteResult {
 	if resp.Ack != nil && resp.Ack.Valid {
 		mgr.Track(resp.Ack.ID, rt.Shard)
 	}
-	// The reply document mirrors the request document's encoding, so a
-	// binary one only ever rides the binary envelope that carried it in.
-	var doc string
-	if codec.IsBinary(rt.Request) {
-		enc := codec.GetEncoder()
-		codec.AppendResponse(enc, resp)
-		doc = string(enc.Bytes())
-		codec.PutEncoder(enc)
-	} else {
-		data, merr := dgl.Marshal(resp)
-		if merr != nil {
-			return RouteResult{Error: dgferr.Encode(merr)}
-		}
-		doc = string(data)
-	}
+	// The routing peer passes the reply on as it is to a binary client
+	// and transcodes it for an XML one.
+	enc := codec.GetEncoder()
+	codec.AppendResponse(enc, resp)
+	doc := string(enc.Bytes())
+	codec.PutEncoder(enc)
 	p.countRoute("served")
 	return RouteResult{OK: true, Response: doc}
 }

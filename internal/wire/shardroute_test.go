@@ -11,18 +11,19 @@ import (
 
 	"datagridflow/internal/dgferr"
 	"datagridflow/internal/dgl"
+	"datagridflow/internal/obs"
 	"datagridflow/internal/shard"
+	"datagridflow/internal/tenant"
 )
 
 const testShards = 32
 
 // startShardedPeer builds a sharded peer on a fresh engine, registered
-// with the lookup at lookupAddr. cfg pins the wire server (protocol
-// version pinning for interop tests).
-func startShardedPeer(t *testing.T, lookupAddr, name string, cfg ServerConfig) *Peer {
+// with the lookup at lookupAddr.
+func startShardedPeer(t *testing.T, lookupAddr, name string) *Peer {
 	t.Helper()
 	e := newEngine(t, name+":")
-	p := NewPeerConfig(name, e, cfg)
+	p := NewPeer(name, e)
 	p.EnableSharding(shard.NewManager(shard.Config{
 		Self:   name,
 		Shards: testShards,
@@ -87,8 +88,8 @@ func routeCount(p *Peer, outcome string) int64 {
 // its owner-prefixed id resolves from anywhere.
 func TestShardedAnyPeerSubmit(t *testing.T) {
 	_, lookupAddr := startLookupSharded(t, testShards)
-	peerA := startShardedPeer(t, lookupAddr, "siteA", ServerConfig{})
-	peerB := startShardedPeer(t, lookupAddr, "siteB", ServerConfig{})
+	peerA := startShardedPeer(t, lookupAddr, "siteA")
+	peerB := startShardedPeer(t, lookupAddr, "siteB")
 	settle(t, peerA, peerB)
 
 	flowName, sh := flowOwnedBy(t, peerB, "user")
@@ -155,8 +156,8 @@ func startLookupSharded(t *testing.T, shards int) (*LookupServer, string) {
 // accepting peer even when the ring owns it elsewhere.
 func TestShardRouteLocalPin(t *testing.T) {
 	_, lookupAddr := startLookupSharded(t, testShards)
-	peerA := startShardedPeer(t, lookupAddr, "siteA", ServerConfig{})
-	peerB := startShardedPeer(t, lookupAddr, "siteB", ServerConfig{})
+	peerA := startShardedPeer(t, lookupAddr, "siteA")
+	peerB := startShardedPeer(t, lookupAddr, "siteB")
 	settle(t, peerA, peerB)
 
 	flowName, _ := flowOwnedBy(t, peerB, "user")
@@ -177,44 +178,6 @@ func TestShardRouteLocalPin(t *testing.T) {
 	}
 }
 
-// TestShardMixedVersionInterop: when the shard owner predates wire 1.5
-// it cannot accept route frames; the submitting peer keeps the flow
-// instead of refusing it.
-func TestShardMixedVersionInterop(t *testing.T) {
-	_, lookupAddr := startLookupSharded(t, testShards)
-	peerA := startShardedPeer(t, lookupAddr, "siteA", ServerConfig{})
-	peerB := startShardedPeer(t, lookupAddr, "siteB", ServerConfig{ProtoMinor: 4})
-	settle(t, peerA, peerB)
-
-	flowName, _ := flowOwnedBy(t, peerB, "user")
-	c := dial(t, peerA.Addr())
-	if _, err := c.Hello(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Submit(context.Background(), dgl.NewAsyncRequest("user", "", execFlow(flowName)))
-	if err != nil || res.Err() != nil {
-		t.Fatalf("submit to 1.4 owner: %v / %v", err, res.Err())
-	}
-	if !strings.HasPrefix(res.ID, "siteA:") {
-		t.Fatalf("id = %q, want siteA-prefixed (local accept on unsupported owner)", res.ID)
-	}
-	if n := routeCount(peerA, "unsupported"); n != 1 {
-		t.Errorf("shard_routes_total{unsupported} = %d", n)
-	}
-	// And a 1.4 server refuses a raw route frame with a protocol error.
-	cB := dial(t, peerB.Addr())
-	if _, err := cB.Hello(); err != nil {
-		t.Fatal(err)
-	}
-	if cB.CanRoute() {
-		t.Fatalf("CanRoute = true against a 1.4 server")
-	}
-	_, err = cB.Route(context.Background(), Route{User: "user", Shard: 1})
-	if !errors.Is(err, dgferr.ErrProtocol) {
-		t.Errorf("raw route to 1.4 server = %v, want ErrProtocol", err)
-	}
-}
-
 // TestShardOwnerFailover kills the owner, expires its leases, and
 // checks the survivor takes the shard over and accepts the submission
 // itself — E15's failover path in unit form.
@@ -230,8 +193,8 @@ func TestShardOwnerFailover(t *testing.T) {
 	})
 	ls.SetTTL(30 * time.Second)
 
-	peerA := startShardedPeer(t, lookupAddr, "siteA", ServerConfig{})
-	peerB := startShardedPeer(t, lookupAddr, "siteB", ServerConfig{})
+	peerA := startShardedPeer(t, lookupAddr, "siteA")
+	peerB := startShardedPeer(t, lookupAddr, "siteB")
 	settle(t, peerA, peerB)
 	flowName, sh := flowOwnedBy(t, peerB, "user")
 
@@ -274,13 +237,13 @@ func TestShardOwnerFailover(t *testing.T) {
 // moved key routes to the joiner — only placement moves, not history.
 func TestShardDrainOnJoin(t *testing.T) {
 	_, lookupAddr := startLookupSharded(t, testShards)
-	peerA := startShardedPeer(t, lookupAddr, "siteA", ServerConfig{})
+	peerA := startShardedPeer(t, lookupAddr, "siteA")
 	settle(t, peerA)
 	if got := len(peerA.ShardManager().Owned()); got != testShards {
 		t.Fatalf("solo peer owns %d/%d shards", got, testShards)
 	}
 
-	peerB := startShardedPeer(t, lookupAddr, "siteB", ServerConfig{})
+	peerB := startShardedPeer(t, lookupAddr, "siteB")
 	settle(t, peerA, peerB)
 	flowName, sh := flowOwnedBy(t, peerB, "user")
 	if peerA.ShardManager().Owns(sh) {
@@ -385,63 +348,76 @@ func TestSubmitOptions(t *testing.T) {
 	}
 }
 
-// TestRedialRefreshesNegotiation is the satellite-3 regression: a
-// client that redials after a connection drop must re-run hello so the
-// negotiated state (mux, binary, server version) describes the new
-// connection — including against a server that came back older.
+// TestRedialRefreshesNegotiation: Redial fails what was in flight on
+// the old connection and puts the client on a fresh one that has run
+// its own hello — the session token offered and verified again, so a
+// server that came back with another secret refuses it.
 func TestRedialRefreshesNegotiation(t *testing.T) {
 	e := newEngine(t, "")
-	s := NewServer(e)
+	reached, release := registerParkOp(e)
+	tenancy := func(secret string) (*Server, *tenant.Authority) {
+		s := NewServer(e)
+		auth, err := tenant.NewAuthority([]byte(secret))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetTenancy(auth, tenant.NewRegistry(tenant.Quota{}, obs.NewRegistry()), false)
+		return s, auth
+	}
+	s, auth := tenancy("first-secret")
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := dial(t, addr)
-	if _, err := c.Hello(); err != nil {
-		t.Fatal(err)
-	}
-	if !c.Muxed() || !c.Binary() || !c.CanRoute() {
-		t.Fatalf("fresh 1.%d session: muxed=%v binary=%v route=%v",
-			ProtoMinor, c.Muxed(), c.Binary(), c.CanRoute())
+	c.SetToken(mint(t, auth, "alice"))
+	if _, err := c.Hello(); err != nil || c.Tenant() != "alice" {
+		t.Fatalf("hello: tenant %q, %v", c.Tenant(), err)
 	}
 
-	// Drop the connection out from under the client: in-flight state
-	// dies with it.
-	c.current().Close()
-	if _, err := c.Status("user", "x", false); err == nil {
-		t.Fatalf("request survived a dead connection")
-	}
-	// Same server still up: redial restores the full negotiation.
+	// A request in flight on the old connection fails, typed, once the
+	// client redials.
+	inflight := make(chan error, 1)
+	go func() {
+		_, err := c.submitOne(context.Background(), dgl.NewRequest("alice", "", parkFlow("held")))
+		inflight <- err
+	}()
+	<-reached
 	if err := c.Redial(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Muxed() || !c.Binary() || !c.CanRoute() {
-		t.Errorf("redialed session lost negotiation: muxed=%v binary=%v route=%v",
-			c.Muxed(), c.Binary(), c.CanRoute())
+	select {
+	case err := <-inflight:
+		if !errors.Is(err, dgferr.ErrResourceDown) {
+			t.Errorf("request in flight across a redial = %v, want ErrResourceDown", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("request in flight across a redial hung")
 	}
-	if _, err := c.Status("user", "nope", false); !errors.Is(err, dgferr.ErrNotFound) {
+	if c.Tenant() != "alice" {
+		t.Errorf("redialled session verified tenant %q, want alice", c.Tenant())
+	}
+	if _, err := c.Status("alice", "nope", false); !errors.Is(err, dgferr.ErrNotFound) {
 		t.Errorf("post-redial request = %v, want typed ErrNotFound", err)
 	}
 
-	// The server restarts downgraded (pinned to 1.1: no mux, no binary,
-	// no routing). Redial must renegotiate down, not reuse 1.5 state.
+	// The server comes back with another secret: the redial's hello
+	// offers the old token, which no longer verifies.
+	close(release)
 	s.Close()
-	s2 := NewServerConfig(e, ServerConfig{ProtoMinor: 1})
+	s2, auth2 := tenancy("second-secret")
 	if _, err := s2.Listen(addr); err != nil {
 		t.Fatalf("rebind %s: %v", addr, err)
 	}
 	t.Cleanup(s2.Close)
+	if err := c.Redial(context.Background()); !errors.Is(err, dgferr.ErrAuth) {
+		t.Fatalf("redial offering a token the server cannot verify = %v, want ErrAuth", err)
+	}
+	c.SetToken(mint(t, auth2, "alice"))
 	if err := c.Redial(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if c.Muxed() || c.Binary() || c.CanRoute() {
-		t.Errorf("redial against 1.1 server kept 1.5 state: muxed=%v binary=%v route=%v",
-			c.Muxed(), c.Binary(), c.CanRoute())
-	}
-	if _, minor := c.ServerProto(); minor != 1 {
-		t.Errorf("negotiated minor = %d, want 1", minor)
-	}
-	if _, err := c.Status("user", "nope", false); !errors.Is(err, dgferr.ErrNotFound) {
-		t.Errorf("downgraded session request = %v, want typed ErrNotFound", err)
+	if _, err := c.List(); err != nil {
+		t.Errorf("request after a redial with a fresh token: %v", err)
 	}
 }

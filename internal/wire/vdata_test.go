@@ -20,9 +20,8 @@ import (
 
 // newVdataPeer stands up a peer whose engine has a memory-only
 // derivation catalog attached, on its own metrics registry so counter
-// assertions do not cross-talk. minor pins the wire server's protocol
-// (0 keeps the current one).
-func newVdataPeer(t testing.TB, name, lookupAddr string, minor int) (*Peer, *matrix.Engine, *vdata.Catalog, *obs.Registry) {
+// assertions do not cross-talk.
+func newVdataPeer(t testing.TB, name, lookupAddr string) (*Peer, *matrix.Engine, *vdata.Catalog, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	g := dgms.New(dgms.Options{Obs: reg})
@@ -40,7 +39,7 @@ func newVdataPeer(t testing.TB, name, lookupAddr string, minor int) (*Peer, *mat
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPeerConfig(name, e, ServerConfig{ProtoMinor: minor})
+	p := NewPeer(name, e)
 	p.EnableVdata(cat)
 	if _, err := p.Start("127.0.0.1:0", lookupAddr); err != nil {
 		t.Fatal(err)
@@ -57,7 +56,7 @@ func wirePureFlow() dgl.Flow {
 		Flow()
 }
 
-// TestVdataVerbRoundTrip covers the wire 1.8 vdata verb end to end over
+// TestVdataVerbRoundTrip covers the vdata verb end to end over
 // a plain client: stats, publish, tenant-scoped lookup, invalidate.
 func TestVdataVerbRoundTrip(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -74,12 +73,6 @@ func TestVdataVerbRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Hello(); err != nil {
-		t.Fatal(err)
-	}
-	if !c.CanVdata() {
-		t.Fatal("CanVdata() = false against a current server")
-	}
 
 	info, err := c.VdataStats()
 	if err != nil || !info.Enabled || info.Entries != 0 {
@@ -110,7 +103,7 @@ func TestVdataVerbRoundTrip(t *testing.T) {
 	}
 }
 
-// TestVdataVerbWithoutCatalog: a 1.8 server with no catalog attached
+// TestVdataVerbWithoutCatalog: a server with no catalog attached
 // answers stats with Enabled false instead of erroring.
 func TestVdataVerbWithoutCatalog(t *testing.T) {
 	e := newEngine(t, "")
@@ -126,33 +119,6 @@ func TestVdataVerbWithoutCatalog(t *testing.T) {
 	info, err := c.VdataStats()
 	if err != nil || info.Enabled {
 		t.Fatalf("stats without catalog = %+v / %v", info, err)
-	}
-}
-
-// TestVdataVerbAgainstOldServer: against a server pinned below 1.8 the
-// client refuses locally with a typed protocol error — the degradation
-// is local-only memoization, not a confusing remote failure.
-func TestVdataVerbAgainstOldServer(t *testing.T) {
-	e := newEngine(t, "old")
-	s := NewServerConfig(e, ServerConfig{ProtoMinor: 7})
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Hello(); err != nil {
-		t.Fatal(err)
-	}
-	if c.CanVdata() {
-		t.Fatal("CanVdata() = true against a 1.7 server")
-	}
-	if _, err := c.VdataStats(); !errors.Is(err, dgferr.ErrProtocol) {
-		t.Fatalf("stats against 1.7 = %v, want typed ErrProtocol", err)
 	}
 }
 
@@ -224,8 +190,8 @@ func TestVdataVerbRequiresTenantMatch(t *testing.T) {
 // skips execution — counted in vdata_remote_hits_total.
 func TestVdataFleetRemoteReuse(t *testing.T) {
 	_, lookupAddr := startLookup(t)
-	_, eA, _, _ := newVdataPeer(t, "peerA", lookupAddr, 0)
-	_, eB, catB, regB := newVdataPeer(t, "peerB", lookupAddr, 0)
+	_, eA, _, _ := newVdataPeer(t, "peerA", lookupAddr)
+	_, eB, catB, regB := newVdataPeer(t, "peerB", lookupAddr)
 
 	ex, err := eA.Run("user", wirePureFlow())
 	if err != nil || ex.Err() != nil {
@@ -266,8 +232,8 @@ func TestVdataFleetRemoteReuse(t *testing.T) {
 // executes: a lost memo costs one recomputation, nothing else.
 func TestVdataRemoteHolderLostEntry(t *testing.T) {
 	_, lookupAddr := startLookup(t)
-	_, eA, catA, regA := newVdataPeer(t, "peerA", lookupAddr, 0)
-	_, eB, catB, regB := newVdataPeer(t, "peerB", lookupAddr, 0)
+	_, eA, catA, regA := newVdataPeer(t, "peerA", lookupAddr)
+	_, eB, catB, regB := newVdataPeer(t, "peerB", lookupAddr)
 
 	ex, err := eA.Run("user", wirePureFlow())
 	if err != nil || ex.Err() != nil {
@@ -293,43 +259,6 @@ func TestVdataRemoteHolderLostEntry(t *testing.T) {
 	}
 	if ent, ok := catB.Lookup("user", keys[0]); !ok || ent.Peer != "peerB" {
 		t.Fatalf("peerB did not derive and publish for itself: %+v ok=%v", ent, ok)
-	}
-}
-
-// TestVdataMixedFleet17x18: a 1.7 peer in the fleet memoizes locally
-// but cannot serve remote lookups — a 1.8 peer's probe degrades to a
-// miss and the step simply executes. Nothing fails, nothing hangs.
-func TestVdataMixedFleet17x18(t *testing.T) {
-	_, lookupAddr := startLookup(t)
-	// peerOld speaks 1.7: its catalog works locally, its server refuses
-	// the vdata verb.
-	_, eOld, _, regOld := newVdataPeer(t, "peerOld", lookupAddr, 7)
-	_, eNew, _, regNew := newVdataPeer(t, "peerNew", lookupAddr, 0)
-
-	ex, err := eOld.Run("user", wirePureFlow())
-	if err != nil || ex.Err() != nil {
-		t.Fatalf("peerOld run: %v / %v", err, ex.Err())
-	}
-	// peerNew resolves peerOld as holder, but the negotiated session is
-	// 1.7 — the probe reports a miss and the step executes locally.
-	ex, err = eNew.Run("user", wirePureFlow())
-	if err != nil || ex.Err() != nil {
-		t.Fatalf("peerNew run: %v / %v", err, ex.Err())
-	}
-	if got := regNew.Counter("vdata_remote_hits_total").Value(); got != 0 {
-		t.Fatalf("vdata_remote_hits_total = %d against a 1.7 holder", got)
-	}
-	if got := regNew.Counter("vdata_misses_total").Value(); got != 1 {
-		t.Fatalf("vdata_misses_total = %d, want 1", got)
-	}
-	// The old peer's local memoization still works: a second run there
-	// hits its own catalog.
-	ex, err = eOld.Run("user", wirePureFlow())
-	if err != nil || ex.Err() != nil {
-		t.Fatalf("peerOld warm run: %v / %v", err, ex.Err())
-	}
-	if got := regOld.Counter("vdata_hits_total").Value(); got != 1 {
-		t.Fatalf("peerOld local hits = %d, want 1", got)
 	}
 }
 

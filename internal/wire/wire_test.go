@@ -45,35 +45,20 @@ func startServer(t testing.TB, e *matrix.Engine) (*Server, string) {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, KindDGL, []byte("<x/>")); err != nil {
-		t.Fatal(err)
-	}
-	kind, payload, err := ReadFrame(&buf)
-	if err != nil || kind != KindDGL || string(payload) != "<x/>" {
-		t.Errorf("round trip = %d %q %v", kind, payload, err)
-	}
 	// Empty payload.
-	buf.Reset()
-	if err := WriteFrame(&buf, KindControl, nil); err != nil {
+	var buf bytes.Buffer
+	if err := WriteMuxFrame(&buf, KindControl, 3, nil); err != nil {
 		t.Fatal(err)
 	}
-	kind, payload, err = ReadFrame(&buf)
-	if err != nil || kind != KindControl || len(payload) != 0 {
-		t.Errorf("empty frame = %d %q %v", kind, payload, err)
+	kind, id, payload, err := ReadMuxFrame(&buf)
+	if err != nil || kind != KindControl || id != 3 || len(payload) != 0 {
+		t.Errorf("empty frame = %d %d %q %v", kind, id, payload, err)
 	}
-	// Oversized length prefix rejected.
-	big := make([]byte, 5)
-	big[0] = KindDGL
-	big[1], big[2], big[3], big[4] = 0xFF, 0xFF, 0xFF, 0xFF
-	if _, _, err := ReadFrame(bytes.NewReader(big)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("oversize = %v", err)
-	}
-	if err := WriteFrame(&buf, KindDGL, make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
+	if err := WriteMuxFrame(&buf, KindDGL, 4, make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("oversize write = %v", err)
 	}
 	// Truncated stream.
-	if _, _, err := ReadFrame(bytes.NewReader([]byte{1, 0, 0, 0, 9, 'x'})); err == nil {
+	if _, _, _, err := ReadMuxFrame(bytes.NewReader([]byte{1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 1, 'x'})); err == nil {
 		t.Errorf("truncated frame accepted")
 	}
 }
@@ -132,7 +117,7 @@ func TestClientServerAsyncAndControl(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		b.Step(fmt.Sprintf("s%d", i), dgl.Op(dgl.OpNoop, nil))
 	}
-	id, err := c.SubmitAsync("user", b.Flow())
+	id, err := submitAsync(c, "user", b.Flow())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +186,7 @@ func TestCancelAndRestartOverWire(t *testing.T) {
 	flow := dgl.NewFlow("f").
 		Step("ok", dgl.Op(dgl.OpNoop, nil)).
 		Step("flaky", dgl.Op("flaky", nil)).Flow()
-	id, err := c.SubmitAsync("user", flow)
+	id, err := submitAsync(c, "user", flow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +213,7 @@ func TestCancelAndRestartOverWire(t *testing.T) {
 		<-release
 		return nil
 	})
-	id3, err := c.SubmitAsync("user", dgl.NewFlow("g").
+	id3, err := submitAsync(c, "user", dgl.NewFlow("g").
 		Step("g1", dgl.Op("gate2", nil)).
 		Step("g2", dgl.Op(dgl.OpNoop, nil)).Flow())
 	if err != nil {
@@ -426,7 +411,7 @@ func TestListExecutionsOverWire(t *testing.T) {
 		t.Fatalf("empty list = %v, %v", rows, err)
 	}
 	flow := dgl.NewFlow("listed").Step("s", dgl.Op(dgl.OpNoop, nil)).Flow()
-	id, err := c.SubmitAsync("user", flow)
+	id, err := submitAsync(c, "user", flow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +463,7 @@ func TestSubmitAsyncErrorPaths(t *testing.T) {
 	defer c.Close()
 	// Invalid flow: SubmitAsync surfaces the server error.
 	bad := dgl.NewFlow("bad").Step("s", dgl.Op("nosuch", nil)).Flow()
-	if _, err := c.SubmitAsync("user", bad); err == nil {
+	if _, err := submitAsync(c, "user", bad); err == nil {
 		t.Errorf("invalid async flow accepted")
 	}
 	// Status of unknown id errors.
