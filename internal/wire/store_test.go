@@ -1,10 +1,16 @@
 package wire
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"datagridflow/internal/dgferr"
 	"datagridflow/internal/dgl"
 	"datagridflow/internal/matrix"
 	"datagridflow/internal/store"
@@ -38,6 +44,67 @@ func attachStore(t testing.TB, e *matrix.Engine) *store.Store {
 	t.Cleanup(func() { st.Close() })
 	e.SetStore(st)
 	return st
+}
+
+// TestPoisonedStoreRefusesOverTheWire: a submission to a server whose
+// store a full disk has poisoned is answered with a typed
+// ErrResourceDown, sync or async, binary or XML — the server refuses to
+// promise a flow it cannot record — while status keeps answering.
+func TestPoisonedStoreRefusesOverTheWire(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to stand in for a full disk")
+	}
+	e := newEngine(t, "")
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{SegmentMaxBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	e.SetStore(st)
+	_, addr := startServer(t, e)
+	c := dial(t, addr)
+	flow := dgl.NewFlow("job").Step("s", dgl.Op(dgl.OpNoop, nil)).Flow()
+	done, err := c.SubmitFlow("user", flow)
+	if err != nil || done.Error != "" {
+		t.Fatalf("submit before the disk filled: %+v, %v", done, err)
+	}
+	// The store rotates on every append: make the next segment a full
+	// disk, and the next append poisons the store.
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("segments: %v, %v", segs, err)
+	}
+	var last int
+	if _, err := fmt.Sscanf(filepath.Base(segs[len(segs)-1]), "seg-%08d.log", &last); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink("/dev/full", filepath.Join(dir, fmt.Sprintf("seg-%08d.log", last+1))); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(store.Record{Type: store.TypeExecPrune, ID: "filler"}); err == nil || st.Stats().Failed == "" {
+		t.Fatalf("append onto /dev/full: %v, stats %+v", err, st.Stats())
+	}
+	for _, bin := range []bool{true, false} {
+		if !bin {
+			c.DisableBinary()
+		}
+		for _, async := range []bool{false, true} {
+			req := dgl.NewRequest("user", "", flow)
+			req.Async = async
+			res, err := c.Submit(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := res.Err(); !errors.Is(err, dgferr.ErrResourceDown) {
+				t.Errorf("binary=%v async=%v: submit on a poisoned store = %+v (%v), want ErrResourceDown",
+					bin, async, res.Response, err)
+			}
+		}
+	}
+	if st, err := c.Status("user", done.Status.ID, true); err != nil || st.State != "succeeded" {
+		t.Errorf("status on a poisoned store: %+v, %v", st, err)
+	}
 }
 
 func parkFlow(name string) dgl.Flow {
