@@ -85,7 +85,7 @@ func main() {
 	faultPath := flag.String("fault", "", "fault-injection plan (JSON) applied to the grid and server (docs/FAULTS.md)")
 	maxInflight := flag.Int("max-inflight", 64, "max concurrently executing requests across all connections (admission worker pool)")
 	maxUserQueue := flag.Int("max-queue", 256, "max admission waiters queued per user; excess requests are rejected with a capacity error")
-	codecName := flag.String("codec", "json", "encoding for new journal/store writes: json or binary (docs/CODEC.md); existing files are sniffed and replay either way")
+	codecName := flag.String("codec", "binary", "encoding for new journal/store writes: binary or json (docs/CODEC.md); existing files are sniffed and replay either way")
 	replFollowers := flag.Int("repl-followers", 0, "replicate the flow-state store to this many follower peers (0 disables; requires -lookup and -store-dir; docs/REPLICATION.md)")
 	replAck := flag.String("repl-ack", "quorum", "replication ack mode: quorum, chain or async (docs/REPLICATION.md)")
 	replDir := flag.String("repl-dir", "", "replica root directory for stores received from followed peers (default: <store-dir>.replica)")
@@ -384,7 +384,6 @@ func main() {
 				Followers: *replFollowers,
 				Mode:      mode,
 				Dir:       dir,
-				Binary:    binaryCodec,
 			}); err != nil {
 				log.Fatalf("matrixd: %v", err)
 			}

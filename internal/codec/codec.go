@@ -105,6 +105,8 @@ const headerLen = 3
 type Encoder struct {
 	buf  []byte
 	syms map[string]uint32
+	// strs backs the table's keys that SymBytes makes.
+	strs Arena
 }
 
 // Reset drops all buffered payloads, keeping capacity.
@@ -197,6 +199,20 @@ func (e *Encoder) Blob(num int, b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
+// BeginBlob starts a bytes field whose content the writes that follow
+// make — a whole payload, begun with Begin: the way a reply is written
+// into its envelope in place instead of built apart and copied in.
+// EndBlob closes it, and the field's bytes are what Blob writes for the
+// same content. A payload begun inside resets the string table, so no
+// Sym field of the envelope may follow the blob.
+func (e *Encoder) BeginBlob(num int) int {
+	e.tag(num, wtBytes)
+	return e.reserve()
+}
+
+// EndBlob closes a field started with BeginBlob.
+func (e *Encoder) EndBlob(mark int) { e.patch(mark) }
+
 // Sym writes a string through the payload's string table: the first
 // occurrence is written inline and assigned the next table index, later
 // occurrences are one- or two-byte references. Use it for values that
@@ -215,7 +231,9 @@ func (e *Encoder) Sym(num int, s string) {
 }
 
 // SymBytes is Sym for a value held as bytes — a timestamp formatted
-// into scratch: it becomes a string only if it is new to the table.
+// into scratch: it becomes a string only if it is new to the table, and
+// then one cut from the encoder's arena, which the table drops with the
+// payload.
 func (e *Encoder) SymBytes(num int, b []byte) {
 	if len(b) == 0 {
 		return
@@ -225,7 +243,7 @@ func (e *Encoder) SymBytes(num int, b []byte) {
 		e.uvarint(uint64(id))
 		return
 	}
-	e.define(string(b))
+	e.define(e.strs.Cut(b))
 }
 
 // define writes s inline and gives it the next table index.

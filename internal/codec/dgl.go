@@ -661,7 +661,7 @@ func (w *ResponseWriter) Begin(e *Encoder) {
 }
 
 // Ack writes the acknowledgement.
-func (w *ResponseWriter) Ack(a *dgl.Ack) { ackField(w.e, a) }
+func (w *ResponseWriter) Ack(a dgl.Ack) { ackField(w.e, &a) }
 
 // Open implements dgl.StatusSink.
 func (w *ResponseWriter) Open(n dgl.StatusNode) {
@@ -787,7 +787,7 @@ func ResponseXML(w *dgl.ResponseWriter, dst, payload []byte) ([]byte, error) {
 			end := d.MsgEnter()
 			decodeAck(&d, &a)
 			d.MsgExit(end)
-			w.Ack(&a)
+			w.Ack(a)
 		case respStatus:
 			end := d.MsgEnter()
 			streamed = walkStatus(&d, w)

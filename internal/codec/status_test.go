@@ -66,7 +66,7 @@ func TestResponseWriterMatchesAppendResponse(t *testing.T) {
 			var w ResponseWriter
 			w.Begin(e)
 			if resp.Ack != nil {
-				w.Ack(resp.Ack)
+				w.Ack(*resp.Ack)
 			}
 			if resp.Status != nil {
 				var sink dgl.StatusSink = &w

@@ -67,12 +67,35 @@ func WalkStatus(s *FlowStatus, sink StatusSink) {
 	sink.Close()
 }
 
-// StatusBuilder is the sink that builds a FlowStatus. The zero value is
-// ready; Status returns the tree once its root has closed.
+// ReplySink consumes the body of a submission's reply as it is made: an
+// acknowledgement, or a status tree. The binary and XML response writers
+// write one; StatusBuilder builds one.
+type ReplySink interface {
+	StatusSink
+	Ack(a Ack)
+}
+
+// StatusBuilder is the sink that builds a FlowStatus, or the Response a
+// reply's body makes. The zero value is ready; Status returns the tree
+// once its root has closed.
 type StatusBuilder struct {
 	root FlowStatus
 	open []*FlowStatus // the path from the root to the node being filled
 	path [8]*FlowStatus
+	ack  *Ack
+}
+
+// Ack implements ReplySink.
+func (b *StatusBuilder) Ack(a Ack) { b.ack = &a }
+
+// Response returns the Response the reply's body makes: the
+// acknowledgement, or the status tree built.
+func (b *StatusBuilder) Response() *Response {
+	if b.ack != nil {
+		return &Response{Ack: b.ack}
+	}
+	st := b.root
+	return &Response{Status: &st}
 }
 
 // Open implements StatusSink.

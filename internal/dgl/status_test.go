@@ -38,7 +38,7 @@ func TestResponseWriterMatchesMarshal(t *testing.T) {
 		}
 		w.Begin([]byte("kept:"))
 		if resp.Ack != nil {
-			w.Ack(resp.Ack)
+			w.Ack(*resp.Ack)
 		}
 		if resp.Status != nil {
 			WalkStatus(resp.Status, &w)

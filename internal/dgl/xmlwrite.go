@@ -446,7 +446,7 @@ func (w *ResponseWriter) Begin(dst []byte) {
 }
 
 // Ack writes the acknowledgement.
-func (w *ResponseWriter) Ack(a *Ack) { w.buf = appendAck(w.buf, a) }
+func (w *ResponseWriter) Ack(a Ack) { w.buf = appendAck(w.buf, &a) }
 
 // Open implements StatusSink.
 func (w *ResponseWriter) Open(n StatusNode) {

@@ -257,14 +257,10 @@ func newReplPeer(name, lookupAddr string, rep *replReport, replicated bool, hist
 		},
 	}))
 	if replicated {
-		// Binary block encoding: the hot-path codec halves the per-record
-		// CPU of encode/ship/apply, and the per-block sniffing means it
-		// composes with the owner's JSON store (mixed-codec replication).
 		if err := p.EnableReplication(wire.ReplicationConfig{
 			Followers: rep.followers,
 			Mode:      replica.ModeQuorum,
 			Dir:       dir + "/replica",
-			Binary:    true,
 		}); err != nil {
 			return nil, err
 		}

@@ -114,7 +114,7 @@ func TestCommitPointsPerFlow(t *testing.T) {
 	})
 
 	t.Run("parked flow: earlier steps durable and replicated within the linger", func(t *testing.T) {
-		recv, err := replica.NewReceiver(replica.ReceiverConfig{Dir: t.TempDir(), Binary: true})
+		recv, err := replica.NewReceiver(replica.ReceiverConfig{Dir: t.TempDir()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestCommitPointsPerFlow(t *testing.T) {
 		}
 		defer st.Close()
 		sender := replica.NewSender(replica.SenderConfig{
-			Source: "peerA", Mode: replica.ModeQuorum, Binary: true,
+			Source: "peerA", Mode: replica.ModeQuorum,
 			Send: func(_ string, f replica.Frame) (replica.Ack, error) { return recv.Apply(f), nil },
 		})
 		defer sender.Close()

@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -78,7 +79,7 @@ func recordRun(t *testing.T, binary bool, flows int) *recordedRun {
 		for i := range batch {
 			recs[i] = batch[i].Rec
 		}
-		block, err := replica.EncodeBlock(recs, binary)
+		block, err := replica.EncodeBlock(recs, true)
 		if err != nil {
 			t.Error(err)
 			return nil
@@ -135,10 +136,10 @@ func readSegments(t *testing.T, dir string) (log []byte, recs []store.Record, en
 		}
 		log = append(log, data...)
 	}
-	if recs, err = replica.DecodeBlock(log); err != nil {
-		t.Fatal(err)
-	}
 	if len(log) > 0 && log[0] == codec.Magic {
+		if recs, err = replica.DecodeBlock(log); err != nil {
+			t.Fatal(err)
+		}
 		for off := 0; ; {
 			f, err := codec.NextFrame(log, off)
 			if err == io.EOF {
@@ -152,7 +153,13 @@ func readSegments(t *testing.T, dir string) (log []byte, recs []store.Record, en
 		}
 	} else {
 		for off := 0; off < len(log); {
-			off += bytes.IndexByte(log[off:], '\n') + 1
+			nl := off + bytes.IndexByte(log[off:], '\n')
+			var rec store.Record
+			if err := json.Unmarshal(log[off:nl], &rec); err != nil {
+				t.Fatal(err)
+			}
+			recs = append(recs, rec)
+			off = nl + 1
 			ends = append(ends, off)
 		}
 	}
@@ -263,7 +270,7 @@ func (run *recordedRun) recoverPrefix(t *testing.T, n, intact int) {
 func (run *recordedRun) promoteAfter(t *testing.T, k int) {
 	t.Helper()
 	label := fmt.Sprintf("binary=%v promoted after frame %d of %d", run.binary, k, len(run.frames))
-	recv, err := replica.NewReceiver(replica.ReceiverConfig{Dir: t.TempDir(), Binary: run.binary})
+	recv, err := replica.NewReceiver(replica.ReceiverConfig{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -261,56 +261,76 @@ func (e *Engine) knownOps() map[string]bool {
 // acknowledgement with the execution id). FlowStatusQuery requests return
 // the current status of the identified flow, step or request.
 func (e *Engine) Submit(req *dgl.Request) (*dgl.Response, error) {
-	if req.StatusQuery != nil {
-		if req.Flow != nil {
-			return nil, fmt.Errorf("%w: request has both flow and status query", dgl.ErrInvalid)
-		}
+	if req.StatusQuery != nil && req.Flow == nil {
 		st, err := e.Status(req.StatusQuery.ID, req.StatusQuery.Detail)
 		if err != nil {
 			return &dgl.Response{Error: dgferr.Encode(err)}, nil
 		}
 		return &dgl.Response{Status: &st}, nil
 	}
+	b := builders.Get().(*dgl.StatusBuilder)
+	defer func() {
+		*b = dgl.StatusBuilder{} // keep nothing of the reply it built
+		builders.Put(b)
+	}()
+	id, err := e.SubmitTo(req, b)
+	if id == "" {
+		return nil, err
+	}
+	resp := b.Response()
+	if err != nil {
+		// Encode the error class so wire clients rebuild a typed error
+		// (docs/WIRE.md, "Typed errors").
+		resp.Error = dgferr.Encode(err)
+	}
+	return resp, nil
+}
+
+// SubmitTo services a flow request as Submit does, writing the reply's
+// body into sink as it is made instead of returning a Response: an async
+// submission's acknowledgement, or a sync one's final status tree,
+// streamed from the execution's nodes. A wire server hands it the binary
+// or XML response writer of the reply, so no FlowStatus is built and no
+// time formatted into a string on the way. It returns the execution's id
+// and, for a sync submission, the flow's own failure: the error the
+// reply carries. A request refused before an execution exists — invalid,
+// not this engine's to run, or not admitted — returns "" and the reason,
+// with nothing written to sink.
+func (e *Engine) SubmitTo(req *dgl.Request, sink dgl.ReplySink) (id string, err error) {
+	if req.StatusQuery != nil {
+		return "", fmt.Errorf("%w: request has both flow and status query", dgl.ErrInvalid)
+	}
 	if req.Flow == nil {
-		return nil, fmt.Errorf("%w: empty request", dgl.ErrInvalid)
+		return "", fmt.Errorf("%w: empty request", dgl.ErrInvalid)
 	}
 	if req.User.Name == "" {
-		return nil, fmt.Errorf("%w: gridUser.name required", dgl.ErrInvalid)
+		return "", fmt.Errorf("%w: gridUser.name required", dgl.ErrInvalid)
 	}
 	if err := dgl.ValidateFlow(req.Flow, e.knownOps()); err != nil {
-		return nil, err
+		return "", err
 	}
 	e.mu.RLock()
 	check := e.ownCheck
 	e.mu.RUnlock()
 	if check != nil {
 		if err := check(req); err != nil {
-			return nil, err
+			return "", err
 		}
 	}
-	governed, err := e.admitGoverned(req.User.Name)
+	governed, err := e.admit(req.User.Name)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	exec := e.newExecution(req, nil, nil)
 	exec.governed.Store(governed)
 	if req.Async {
 		go exec.run()
-		return &dgl.Response{Ack: &dgl.Ack{
-			ID:     exec.ID,
-			Status: string(StatePending),
-			Valid:  true,
-		}}, nil
+		sink.Ack(dgl.Ack{ID: exec.ID, Status: string(StatePending), Valid: true})
+		return exec.ID, nil
 	}
 	exec.run()
-	st := exec.Status(true)
-	resp := &dgl.Response{Status: &st}
-	if err := exec.Err(); err != nil {
-		// Encode the error class so wire clients rebuild a typed error
-		// (docs/WIRE.md, "Typed errors").
-		resp.Error = dgferr.Encode(err)
-	}
-	return resp, nil
+	exec.root.walk(true, sink)
+	return exec.ID, exec.Err()
 }
 
 // SubmitBatch services N DGL requests in one call, answering each item
@@ -343,7 +363,7 @@ func (e *Engine) Start(user string, flow dgl.Flow) (*Execution, error) {
 	if err := dgl.ValidateFlow(req.Flow, e.knownOps()); err != nil {
 		return nil, err
 	}
-	governed, err := e.admitGoverned(user)
+	governed, err := e.admit(user)
 	if err != nil {
 		return nil, err
 	}
@@ -369,7 +389,7 @@ func (e *Engine) RunContext(ctx context.Context, user string, flow dgl.Flow) (*E
 	if err := dgl.ValidateFlow(req.Flow, e.knownOps()); err != nil {
 		return nil, err
 	}
-	governed, err := e.admitGoverned(user)
+	governed, err := e.admit(user)
 	if err != nil {
 		return nil, err
 	}
@@ -406,7 +426,7 @@ func (e *Engine) Restart(execID string) (*Execution, error) {
 	}
 	skip := make(map[string]bool)
 	prior.root.collectSucceeded(skip)
-	governed, err := e.admitGoverned(prior.req.User.Name)
+	governed, err := e.admit(prior.req.User.Name)
 	if err != nil {
 		return nil, err
 	}
@@ -453,7 +473,7 @@ func (e *Engine) RestartFromProvenance(priorExecID string, req *dgl.Request) (*E
 			return nil, fmt.Errorf("%w: no provenance for execution %s", ErrNotFound, priorExecID)
 		}
 	}
-	governed, err := e.admitGoverned(req.User.Name)
+	governed, err := e.admit(req.User.Name)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,12 @@ package matrix
 // the tenant package: tenant.Registry satisfies the interface, and a
 // nil governor (the default) leaves untenanted engines unchanged.
 
+import (
+	"fmt"
+
+	"datagridflow/internal/dgferr"
+)
+
 // FlowGovernor meters per-user resource consumption. Implementations
 // must be safe for concurrent use; every method may be called from
 // multiple executions at once.
@@ -35,14 +41,22 @@ func (e *Engine) SetGovernor(g FlowGovernor) {
 	e.mu.Unlock()
 }
 
-// admitGoverned charges the governor for one flow admission on behalf
-// of user. It returns true when a charge was made (the execution must
-// then carry the governed flag so the terminal transition releases
-// exactly one admission).
-func (e *Engine) admitGoverned(user string) (bool, error) {
+// admit clears one new flow of user to start: the store must still be
+// able to record it — one a write failure poisoned takes no new flow,
+// with a typed ErrResourceDown, while the flows it has keep running —
+// and the governor must admit it. It returns true when the governor was
+// charged (the execution must then carry the governed flag so the
+// terminal transition releases exactly one admission).
+func (e *Engine) admit(user string) (bool, error) {
 	e.mu.RLock()
-	g := e.governor
+	g, st := e.governor, e.store
 	e.mu.RUnlock()
+	if st != nil {
+		if err := st.Err(); err != nil {
+			return false, fmt.Errorf("%w: matrix: the flow-state store failed, no new flow can be recorded: %v",
+				dgferr.ErrResourceDown, err)
+		}
+	}
 	if g == nil {
 		return false, nil
 	}
@@ -52,7 +66,7 @@ func (e *Engine) admitGoverned(user string) (bool, error) {
 	return true, nil
 }
 
-// endGoverned releases the admission charged by admitGoverned, exactly
+// endGoverned releases the admission charged by admit, exactly
 // once per execution. Called from the run goroutine's unwind — both
 // the terminal transition and the passivation early-return, since a
 // passivated flow no longer occupies an in-flight slot.

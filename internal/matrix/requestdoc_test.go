@@ -195,11 +195,11 @@ func TestRecoverFromJournalBothRequestEncodings(t *testing.T) {
 	}
 }
 
-// TestAdoptBinaryRequestFromJSONReplica replicates a live flow from an
-// owner whose store is binary into a follower whose replica store is
-// JSONL (mixed-codec replication, -codec json on the follower): the
-// binary request must come out of the JSON-coded replica byte-for-byte,
-// and AdoptEntries must resume the flow from it.
+// TestAdoptBinaryRequestFromJSONReplica replicates a live flow into a
+// follower configured for a JSONL replica store (a setting it ignores:
+// the replica is the owner's binary frames as they came): the binary
+// request must come out of the replica byte-for-byte, and AdoptEntries
+// must resume the flow from it.
 func TestAdoptBinaryRequestFromJSONReplica(t *testing.T) {
 	recv, err := replica.NewReceiver(replica.ReceiverConfig{Dir: t.TempDir(), Binary: false})
 	if err != nil {

@@ -154,9 +154,10 @@ func (n *node) walk(detail bool, sink dgl.StatusSink) {
 	sink.Close()
 }
 
-// builders holds the FlowStatus builders snapshots are made with: a sink
-// is reached through an interface, so one made per snapshot would be a
-// heap object three times the size of what the snapshot returns.
+// builders holds the FlowStatus builders snapshots and Engine.Submit's
+// responses are made with: a sink is reached through an interface, so
+// one made per call would be a heap object three times the size of what
+// the call returns.
 var builders = sync.Pool{New: func() any { return new(dgl.StatusBuilder) }}
 
 // snapshot builds the subtree's status as a DGL FlowStatus.

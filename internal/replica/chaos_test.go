@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"datagridflow/internal/codec"
 	"datagridflow/internal/obs"
 	"datagridflow/internal/sim"
 	"datagridflow/internal/store"
@@ -36,10 +37,11 @@ func chaosSeed(t *testing.T) int64 {
 }
 
 // TestTornTailPromotion crashes a follower mid-write: the replica
-// store's last segment is truncated mid-record, as an OS crash under
-// RelaxedSync can leave it. Promotion opens the replica through the
-// store's replay, which repairs the torn tail — the follower promotes
-// from its last intact record instead of failing.
+// store's last segment is truncated mid-record, as an OS crash can leave
+// a segment AppendFrames wrote without waiting for its fsync. Promotion
+// opens the replica through the store's replay, which repairs the torn
+// tail — the follower promotes from its last intact record instead of
+// failing.
 func TestTornTailPromotion(t *testing.T) {
 	dir := t.TempDir()
 	recv, err := NewReceiver(ReceiverConfig{Dir: dir})
@@ -47,7 +49,7 @@ func TestTornTailPromotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ack := recv.Apply(Frame{Op: OpAppend, Source: "own", Seq: 1, Count: 3,
-		Block: mustBlock(t, false, snapRec("f1"), snapRec("f2"), endRec("f1"))}); !ack.OK {
+		Block: mustBlock(t, snapRec("f1"), snapRec("f2"), endRec("f1"))}); !ack.OK {
 		t.Fatalf("seed: %+v", ack)
 	}
 	recv.Close()
@@ -58,19 +60,17 @@ func TestTornTailPromotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tail := len(data)
-	// Position of the last record's start: the byte after the
-	// second-to-last newline.
-	newlines := 0
-	for i := len(data) - 2; i >= 0; i-- { // -2 skips the final terminator
-		if data[i] == '\n' {
-			newlines++
-			tail = i + 1
-			break
+	// The segment is the block as it came: find the last frame's start.
+	tail, frames := 0, 0
+	for off := 0; off < len(data); frames++ {
+		f, err := codec.NextFrame(data, off)
+		if err != nil {
+			t.Fatal(err)
 		}
+		tail, off = off, f.End
 	}
-	if newlines == 0 {
-		t.Fatal("segment has fewer records than expected")
+	if frames != 3 {
+		t.Fatalf("segment holds %d records, want 3", frames)
 	}
 	torn := data[:tail+(len(data)-tail)/2] // half of the last record
 	if err := os.WriteFile(seg, torn, 0o644); err != nil {
@@ -169,7 +169,7 @@ func (o *chaosOwner) snapshot() (Frame, error) {
 	for i, id := range ids {
 		recs[i] = snapRec(id)
 	}
-	block, err := EncodeBlock(recs, false)
+	block, err := EncodeBlock(recs, true)
 	if err != nil {
 		return Frame{}, err
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 
+	"datagridflow/internal/codec"
 	"datagridflow/internal/obs"
 	"datagridflow/internal/store"
 )
@@ -16,9 +17,9 @@ import (
 type ReceiverConfig struct {
 	// Dir is the replica root; each source gets <Dir>/<source>.
 	Dir string
-	// Binary selects the replica stores' segment encoding — independent
-	// of what the owners send, since every block is sniffed and
-	// re-appended (mixed-codec replication).
+	// Binary is ignored: a replica store is binary, its segments the
+	// blocks its owner shipped. The field goes once the benchmark stops
+	// setting it (ROADMAP item 2).
 	Binary bool
 	// Forward delivers a chain-mode frame to the next hop. Optional;
 	// nil disables chain forwarding (the chain truncates here).
@@ -36,10 +37,10 @@ type SourceStatus struct {
 }
 
 // Receiver applies replicate frames into one real store.Store per
-// source under Dir. Using a full store — not a raw segment copy — means
-// torn-tail repair, per-segment encoding sniffing and O(live) recovery
-// all come for free at promotion time: Promote is just Live() on the
-// replica.
+// source under Dir, each block written as it came (store.AppendFrames):
+// the replica's segments hold the owner's bytes, and torn-tail repair,
+// per-segment encoding sniffing and O(live) recovery all come for free
+// at promotion time — Promote is just Live() on the replica.
 type Receiver struct {
 	cfg ReceiverConfig
 
@@ -93,14 +94,13 @@ func (r *Receiver) open(name string, src *source) error {
 	if src.st != nil {
 		return nil
 	}
-	// RelaxedSync: a replica acks on the OS write, not the fsync — the
-	// primary's copy and the gap→snapshot re-sync are its durability
+	// A replica acks on the OS write, not the fsync (AppendFrames): the
+	// owner's copy and the gap→snapshot re-sync are its durability
 	// backstop, and waiting out an fsync per frame would put a disk
 	// flush on every quorum-acked owner append.
 	st, err := store.Open(filepath.Join(r.cfg.Dir, name), store.Options{
-		Binary:      r.cfg.Binary,
-		Obs:         r.cfg.Obs,
-		RelaxedSync: true,
+		Binary: true,
+		Obs:    r.cfg.Obs,
 	})
 	if err != nil {
 		return err
@@ -168,11 +168,11 @@ func (r *Receiver) Apply(f Frame) Ack {
 	return ack
 }
 
-// applySnapshot discards the replica and rebuilds it from the frame.
+// applySnapshot discards the replica and rebuilds it from the frame. A
+// block that would be refused is refused before anything is discarded.
 // Caller holds src.mu.
 func (r *Receiver) applySnapshot(src *source, f Frame) Ack {
-	recs, err := DecodeBlock(f.Block)
-	if err != nil {
+	if err := store.CheckFrames(f.Block, f.Count); err != nil {
 		return Ack{Error: err.Error()}
 	}
 	if src.st != nil {
@@ -186,7 +186,7 @@ func (r *Receiver) applySnapshot(src *source, f Frame) Ack {
 	if err := r.open(f.Source, src); err != nil {
 		return Ack{Error: err.Error()}
 	}
-	if err := src.st.AppendBatch(recs); err != nil {
+	if err := src.st.AppendFrames(f.Block, f.Count); err != nil {
 		return Ack{Error: err.Error()}
 	}
 	src.lastSeq = f.Seq
@@ -213,24 +213,37 @@ func (r *Receiver) applyAppend(src *source, f Frame) Ack {
 		r.count("repl_gap_snapshots_total")
 		return Ack{OK: false, AckSeq: src.lastSeq, NeedSnapshot: true}
 	}
-	recs, err := DecodeBlock(f.Block)
-	if err != nil {
-		return Ack{Error: err.Error()}
-	}
-	if len(recs) != f.Count {
-		return Ack{Error: fmt.Sprintf("replica: frame claims %d records, block holds %d", f.Count, len(recs))}
-	}
+	block, n := f.Block, f.Count
 	if skip := src.lastSeq + 1 - f.Seq; skip > 0 {
-		recs = recs[skip:] // overlap: apply only the unseen suffix
+		// Overlap: apply only the unseen suffix.
+		var err error
+		if block, err = dropFrames(block, int(skip)); err != nil {
+			return Ack{Error: err.Error()}
+		}
+		n -= int(skip)
 	}
 	if err := r.open(f.Source, src); err != nil {
 		return Ack{Error: err.Error()}
 	}
-	if err := src.st.AppendBatch(recs); err != nil {
+	if err := src.st.AppendFrames(block, n); err != nil {
 		return Ack{Error: err.Error()}
 	}
 	src.lastSeq = end
 	return Ack{OK: true, AckSeq: src.lastSeq}
+}
+
+// dropFrames returns what follows the first k frames of block; the
+// store checks the rest as it writes it.
+func dropFrames(block []byte, k int) ([]byte, error) {
+	off := 0
+	for i := 0; i < k; i++ {
+		f, err := codec.NextFrame(block, off)
+		if err != nil {
+			return nil, fmt.Errorf("replica: block frame %d: %w", i+1, err)
+		}
+		off = f.End
+	}
+	return block[off:], nil
 }
 
 // Sources reports every replicated source, sorted by name.

@@ -9,19 +9,17 @@
 // Frames as kind-6 replicate frames and provides the callbacks; tests
 // connect Sender to Receiver directly.
 //
-// Frames travel in the owner's encoding (JSONL or binary frames — the
-// same block bytes the owner's segment writer produces); the receiver
-// sniffs each block's first byte and re-appends through its own store,
-// so a JSON owner can replicate to a binary follower and vice versa.
+// Blocks travel as binary record frames (docs/CODEC.md §7), whatever
+// the owner's own segment encoding, and the receiver writes each block
+// into its replica store as it came (store.AppendFrames): the records
+// are encoded once, on the owner, and never decoded into Records or
+// encoded again on the way.
 package replica
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"datagridflow/internal/codec"
 	"datagridflow/internal/store"
@@ -46,8 +44,8 @@ type Frame struct {
 	// block, or the sequence the snapshot is current through.
 	Seq   uint64 `json:"seq"`
 	Count int    `json:"count"`
-	// Block holds the records in the sender's store encoding — JSONL
-	// or binary frames, sniffed by the receiver per block.
+	// Block holds the records as binary record frames, which the
+	// receiver writes as they came.
 	Block []byte `json:"block,omitempty"`
 	// Chain lists downstream followers (chain ack mode): the receiver
 	// forwards the frame to Chain[0] with Chain[1:] before acking.
@@ -90,81 +88,52 @@ func ParseAckMode(s string) (AckMode, error) {
 	return "", fmt.Errorf("replica: unknown ack mode %q (want quorum, chain or async)", s)
 }
 
-// EncodeBlock serializes records the way the owner's segment writer
-// would — newline-terminated JSON or binary record frames — so the
-// receiver's per-block sniffing sees exactly the segment formats it
-// already knows.
+// EncodeBlock serializes records as the block an append frame carries:
+// binary record frames, the bytes a binary segment holds. The binary
+// argument is ignored — a block is always binary, since a follower
+// refuses any other — and goes once the benchmark stops passing it
+// (ROADMAP item 2).
 func EncodeBlock(recs []store.Record, binary bool) ([]byte, error) {
-	return encodeBlock(len(recs), func(i int) *store.Record { return &recs[i] }, binary)
+	return encodeBlock(len(recs), func(i int) *store.Record { return &recs[i] }), nil
 }
 
 // encodeBlock encodes the n records rec yields, wherever they live — a
 // record slice, or the store's tap batch as it was handed over.
-func encodeBlock(n int, rec func(int) *store.Record, binary bool) ([]byte, error) {
-	if binary {
-		enc := codec.GetEncoder()
-		defer codec.PutEncoder(enc)
-		for i := 0; i < n; i++ {
-			codec.AppendRecordFrame(enc, rec(i))
-		}
-		return append([]byte(nil), enc.Bytes()...), nil
-	}
-	var block []byte
+func encodeBlock(n int, rec func(int) *store.Record) []byte {
+	enc := codec.GetEncoder()
+	defer codec.PutEncoder(enc)
 	for i := 0; i < n; i++ {
-		data, err := json.Marshal(rec(i))
-		if err != nil {
-			return nil, err
-		}
-		block = append(block, data...)
-		block = append(block, '\n')
+		codec.AppendRecordFrame(enc, rec(i))
 	}
-	return block, nil
+	return append([]byte(nil), enc.Bytes()...)
 }
 
-// DecodeBlock sniffs a block's encoding from its first byte and decodes
-// its records. Unlike segment replay there is no crash-torn tail to
-// forgive: a truncated frame or unterminated line means the block was
-// damaged in transit and is an error.
+// DecodeBlock decodes a block's records. Unlike segment replay there is
+// no crash-torn tail to forgive: a truncated frame means the block was
+// damaged in transit and is an error, as is a block that is not binary.
+// The receiver decodes none — it writes blocks as they came
+// (store.AppendFrames) — and FuzzAppendFramesMatchesAppend holds that
+// way to this one.
 func DecodeBlock(block []byte) ([]store.Record, error) {
-	if len(block) == 0 {
-		return nil, nil
-	}
-	if block[0] == codec.Magic {
-		var view codec.RecordView
-		var recs []store.Record
-		for off := 0; ; {
-			f, err := codec.NextFrame(block, off)
-			if err == io.EOF {
-				return recs, nil
-			}
-			if err == nil && f.Type != codec.MsgRecord {
-				err = fmt.Errorf("message type %d, want %d", f.Type, codec.MsgRecord)
-			}
-			if err == nil {
-				err = view.DecodeFields(block, f.Body, f.End)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("replica: block frame %d: %w", len(recs)+1, err)
-			}
-			recs = append(recs, view.Record())
-			off = f.End
-		}
-	}
+	var view codec.RecordView
 	var recs []store.Record
-	for n, line := range strings.Split(string(block), "\n") {
-		if line == "" {
-			continue
+	for off := 0; ; {
+		f, err := codec.NextFrame(block, off)
+		if err == io.EOF {
+			return recs, nil
 		}
-		var rec store.Record
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			return nil, fmt.Errorf("replica: block line %d: %w", n+1, err)
+		if err == nil && f.Type != codec.MsgRecord {
+			err = fmt.Errorf("message type %d, want %d", f.Type, codec.MsgRecord)
 		}
-		recs = append(recs, rec)
+		if err == nil {
+			err = view.DecodeFields(block, f.Body, f.End)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("replica: block frame %d: %w", len(recs)+1, err)
+		}
+		recs = append(recs, view.Record())
+		off = f.End
 	}
-	if !bytes.HasSuffix(block, []byte("\n")) {
-		return nil, fmt.Errorf("replica: block has unterminated final line")
-	}
-	return recs, nil
 }
 
 // SelectFollowers picks n followers for self from the live member set:

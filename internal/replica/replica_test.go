@@ -1,11 +1,15 @@
 package replica
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -34,18 +38,18 @@ func taps(first uint64, recs ...store.Record) []store.TapRecord {
 	return out
 }
 
-func mustBlock(t *testing.T, binary bool, recs ...store.Record) []byte {
+func mustBlock(t *testing.T, recs ...store.Record) []byte {
 	t.Helper()
-	block, err := EncodeBlock(recs, binary)
+	block, err := EncodeBlock(recs, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return block
 }
 
-func newTestReceiver(t *testing.T, binary bool, reg *obs.Registry) *Receiver {
+func newTestReceiver(t *testing.T, reg *obs.Registry) *Receiver {
 	t.Helper()
-	recv, err := NewReceiver(ReceiverConfig{Dir: t.TempDir(), Binary: binary, Obs: reg})
+	recv, err := NewReceiver(ReceiverConfig{Dir: t.TempDir(), Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,12 +72,17 @@ func liveIDs(t *testing.T, recv *Receiver, source string) []string {
 	return ids
 }
 
+// TestEncodeDecodeBlock: a block is binary record frames whatever
+// EncodeBlock's ignored argument says, and decodes back to its records.
 func TestEncodeDecodeBlock(t *testing.T) {
 	recs := []store.Record{snapRec("a"), endRec("a"), snapRec("b")}
 	for _, binary := range []bool{false, true} {
 		block, err := EncodeBlock(recs, binary)
 		if err != nil {
 			t.Fatalf("binary=%v: %v", binary, err)
+		}
+		if !codec.IsBinary(block) {
+			t.Fatalf("binary=%v: block %q is not binary", binary, block)
 		}
 		got, err := DecodeBlock(block)
 		if err != nil {
@@ -93,12 +102,13 @@ func TestEncodeDecodeBlock(t *testing.T) {
 	}
 }
 
+// TestDecodeBlockDamage: a block damaged in transit, or one of JSONL
+// lines, is an error.
 func TestDecodeBlockDamage(t *testing.T) {
-	jsonBlock := mustBlock(t, false, snapRec("a"), snapRec("b"))
-	if _, err := DecodeBlock(jsonBlock[:len(jsonBlock)-1]); err == nil {
-		t.Fatal("unterminated JSON block decoded without error")
+	if _, err := DecodeBlock([]byte("{\"type\":\"exec.snap\",\"id\":\"a\"}\n")); err == nil {
+		t.Fatal("a JSONL block decoded without error")
 	}
-	binBlock := mustBlock(t, true, snapRec("a"), snapRec("b"))
+	binBlock := mustBlock(t, snapRec("a"), snapRec("b"))
 	if _, err := DecodeBlock(binBlock[:len(binBlock)-3]); err == nil {
 		t.Fatal("truncated binary block decoded without error")
 	}
@@ -142,14 +152,14 @@ func TestSelectFollowers(t *testing.T) {
 }
 
 func TestReceiverAppendAndPromote(t *testing.T) {
-	recv := newTestReceiver(t, false, nil)
+	recv := newTestReceiver(t, nil)
 	ack := recv.Apply(Frame{Op: OpAppend, Source: "own", Seq: 1, Count: 2,
-		Block: mustBlock(t, false, snapRec("f1"), snapRec("f2"))})
+		Block: mustBlock(t, snapRec("f1"), snapRec("f2"))})
 	if !ack.OK || ack.AckSeq != 2 {
 		t.Fatalf("append ack: %+v", ack)
 	}
 	ack = recv.Apply(Frame{Op: OpAppend, Source: "own", Seq: 3, Count: 1,
-		Block: mustBlock(t, false, endRec("f2"))})
+		Block: mustBlock(t, endRec("f2"))})
 	if !ack.OK || ack.AckSeq != 3 {
 		t.Fatalf("append ack: %+v", ack)
 	}
@@ -170,7 +180,7 @@ func TestReceiverAppendAndPromote(t *testing.T) {
 }
 
 func TestReceiverRejectsBadFrames(t *testing.T) {
-	recv := newTestReceiver(t, false, nil)
+	recv := newTestReceiver(t, nil)
 	if ack := recv.Apply(Frame{Op: OpAppend, Source: "../evil", Seq: 1, Count: 1}); ack.OK || ack.Error == "" {
 		t.Fatalf("path-escaping source accepted: %+v", ack)
 	}
@@ -181,7 +191,7 @@ func TestReceiverRejectsBadFrames(t *testing.T) {
 		t.Fatalf("empty append accepted: %+v", ack)
 	}
 	if ack := recv.Apply(Frame{Op: OpAppend, Source: "own", Seq: 1, Count: 2,
-		Block: mustBlock(t, false, snapRec("only-one"))}); ack.OK || ack.Error == "" {
+		Block: mustBlock(t, snapRec("only-one"))}); ack.OK || ack.Error == "" {
 		t.Fatalf("count/block mismatch accepted: %+v", ack)
 	}
 	if _, err := recv.Promote(".."); err == nil {
@@ -194,9 +204,9 @@ func TestReceiverRejectsBadFrames(t *testing.T) {
 // receiver must acknowledge without double-applying.
 func TestReceiverDuplicateAfterReconnect(t *testing.T) {
 	reg := obs.NewRegistry()
-	recv := newTestReceiver(t, false, reg)
+	recv := newTestReceiver(t, reg)
 	frame := Frame{Op: OpAppend, Source: "own", Seq: 1, Count: 2,
-		Block: mustBlock(t, false, snapRec("f1"), endRec("f1"))}
+		Block: mustBlock(t, snapRec("f1"), endRec("f1"))}
 	if ack := recv.Apply(frame); !ack.OK || ack.AckSeq != 2 {
 		t.Fatalf("first apply: %+v", ack)
 	}
@@ -216,14 +226,14 @@ func TestReceiverDuplicateAfterReconnect(t *testing.T) {
 // TestReceiverOverlapAppliesSuffix covers a coalesced retry frame that
 // straddles the cursor: only the unseen suffix may apply.
 func TestReceiverOverlapAppliesSuffix(t *testing.T) {
-	recv := newTestReceiver(t, false, nil)
+	recv := newTestReceiver(t, nil)
 	if ack := recv.Apply(Frame{Op: OpAppend, Source: "own", Seq: 1, Count: 2,
-		Block: mustBlock(t, false, snapRec("f1"), snapRec("f2"))}); !ack.OK {
+		Block: mustBlock(t, snapRec("f1"), snapRec("f2"))}); !ack.OK {
 		t.Fatalf("seed: %+v", ack)
 	}
 	// Seq 1-3 against cursor 2: f1/f2 are dupes, end(f1) is new.
 	ack := recv.Apply(Frame{Op: OpAppend, Source: "own", Seq: 1, Count: 3,
-		Block: mustBlock(t, false, snapRec("f1"), snapRec("f2"), endRec("f1"))})
+		Block: mustBlock(t, snapRec("f1"), snapRec("f2"), endRec("f1"))})
 	if !ack.OK || ack.AckSeq != 3 {
 		t.Fatalf("overlap apply: %+v", ack)
 	}
@@ -234,9 +244,9 @@ func TestReceiverOverlapAppliesSuffix(t *testing.T) {
 
 func TestReceiverGapThenSnapshotHeals(t *testing.T) {
 	reg := obs.NewRegistry()
-	recv := newTestReceiver(t, false, reg)
+	recv := newTestReceiver(t, reg)
 	ack := recv.Apply(Frame{Op: OpAppend, Source: "own", Seq: 7, Count: 1,
-		Block: mustBlock(t, false, snapRec("f7"))})
+		Block: mustBlock(t, snapRec("f7"))})
 	if ack.OK || !ack.NeedSnapshot || ack.AckSeq != 0 {
 		t.Fatalf("gap ack: %+v", ack)
 	}
@@ -245,12 +255,12 @@ func TestReceiverGapThenSnapshotHeals(t *testing.T) {
 	}
 	// Snapshot current through 6 rebuilds the replica; the append retries.
 	snap := Frame{Op: OpSnapshot, Source: "own", Seq: 6, Count: 2,
-		Block: mustBlock(t, false, snapRec("f5"), snapRec("f6"))}
+		Block: mustBlock(t, snapRec("f5"), snapRec("f6"))}
 	if ack := recv.Apply(snap); !ack.OK || ack.AckSeq != 6 {
 		t.Fatalf("snapshot ack: %+v", ack)
 	}
 	if ack := recv.Apply(Frame{Op: OpAppend, Source: "own", Seq: 7, Count: 1,
-		Block: mustBlock(t, false, snapRec("f7"))}); !ack.OK || ack.AckSeq != 7 {
+		Block: mustBlock(t, snapRec("f7"))}); !ack.OK || ack.AckSeq != 7 {
 		t.Fatalf("post-snapshot append: %+v", ack)
 	}
 	if ids := liveIDs(t, recv, "own"); !reflect.DeepEqual(ids, []string{"f5", "f6", "f7"}) {
@@ -261,9 +271,13 @@ func TestReceiverGapThenSnapshotHeals(t *testing.T) {
 	}
 }
 
-// TestMixedCodecReplication crosses the encodings both ways: a JSON
-// owner's blocks land in a binary replica store and vice versa — the
-// receiver sniffs each block and re-appends through its own store.
+// TestMixedCodecReplication: the owner's segment encoding and the
+// follower's ignored Binary setting do not matter — the link ships
+// binary frames, and the replica holds them as they came. An owner
+// whose store writes JSONL replicates through its tap as a binary one
+// does; a follower configured for JSONL still writes the frames; and a
+// JSONL block, which no sender ships any more, is refused with nothing
+// written.
 func TestMixedCodecReplication(t *testing.T) {
 	for _, tc := range []struct {
 		name                  string
@@ -273,15 +287,37 @@ func TestMixedCodecReplication(t *testing.T) {
 		{"binary-owner-json-follower", true, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			recv := newTestReceiver(t, tc.followerBin, nil)
-			// f1 carries a binary request document: whichever side is JSONL
-			// must hand it on byte-for-byte (codec.Record's requestBin key).
+			dir := t.TempDir()
+			recv, err := NewReceiver(ReceiverConfig{Dir: dir, Binary: tc.followerBin})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer recv.Close()
+			owner, err := store.Open(t.TempDir(), store.Options{Binary: tc.ownerBin})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer owner.Close()
+			var blocks [][]byte
+			s := NewSender(SenderConfig{Source: "own", Mode: ModeQuorum,
+				Send: func(_ string, f Frame) (Ack, error) {
+					blocks = append(blocks, f.Block)
+					return recv.Apply(f), nil
+				}})
+			defer s.Close()
+			s.SetFollowers([]string{"f"})
+			owner.SetTap(s.Replicate)
+			// f1 carries a binary request document: it must reach the
+			// replica byte for byte.
 			f1 := snapRec("f1")
 			f1.Request = string([]byte{codec.Magic, codec.Version, codec.MsgRequest, 0xff, 0x00, 0xfe})
-			ack := recv.Apply(Frame{Op: OpAppend, Source: "own", Seq: 1, Count: 3,
-				Block: mustBlock(t, tc.ownerBin, f1, snapRec("f2"), endRec("f2"))})
-			if !ack.OK || ack.AckSeq != 3 {
-				t.Fatalf("apply: %+v", ack)
+			if err := owner.AppendBatch([]store.Record{f1, snapRec("f2"), endRec("f2")}); err != nil {
+				t.Fatal(err)
+			}
+			owner.SetTap(nil)
+			s.Close()
+			if len(blocks) != 1 || !codec.IsBinary(blocks[0]) {
+				t.Fatalf("the owner shipped %q", blocks)
 			}
 			entries, err := recv.Promote("own")
 			if err != nil {
@@ -290,7 +326,20 @@ func TestMixedCodecReplication(t *testing.T) {
 			if len(entries) != 1 || entries[0].ID != "f1" || entries[0].Request != f1.Request {
 				t.Fatalf("live after promotion: %+v", entries)
 			}
+			recv.Close()
+			seg, err := os.ReadFile(filepath.Join(dir, "own", "seg-00000001.log"))
+			if err != nil || !bytes.Equal(seg, blocks[0]) {
+				t.Fatalf("the replica segment is not the block the owner shipped (%v)", err)
+			}
 		})
+	}
+	recv := newTestReceiver(t, nil)
+	jsonl := []byte("{\"type\":\"exec.snap\",\"id\":\"f1\"}\n")
+	if ack := recv.Apply(Frame{Op: OpAppend, Source: "own", Seq: 1, Count: 1, Block: jsonl}); ack.OK || !strings.Contains(ack.Error, "bad record block") {
+		t.Fatalf("a JSONL block: %+v", ack)
+	}
+	if srcs := recv.Sources(); len(srcs) != 1 || srcs[0].LastSeq != 0 || srcs[0].Live != 0 {
+		t.Fatalf("a refused block moved the replica: %+v", srcs)
 	}
 }
 
@@ -327,7 +376,7 @@ func waitAcked(t *testing.T, s *Sender, peer string, seq uint64) {
 
 func TestSenderQuorumRoundTrip(t *testing.T) {
 	reg := obs.NewRegistry()
-	recv := newTestReceiver(t, false, reg)
+	recv := newTestReceiver(t, reg)
 	s := senderTo(t, recv, ModeQuorum, reg, nil)
 	s.SetFollowers([]string{"f1"})
 	if got := s.Followers(); !reflect.DeepEqual(got, []string{"f1"}) {
@@ -354,7 +403,7 @@ func TestSenderQuorumRoundTrip(t *testing.T) {
 // record streams without a wait — the next commit point's cumulative
 // ack covers it.
 func TestSenderCommitPointGate(t *testing.T) {
-	recv := newTestReceiver(t, false, nil)
+	recv := newTestReceiver(t, nil)
 	s := senderTo(t, recv, ModeQuorum, nil, nil)
 	s.SetFollowers([]string{"f1"})
 	if wait := s.Replicate(taps(1, store.Record{Type: store.TypeExecStart, ID: "x"})); wait != nil {
@@ -369,7 +418,7 @@ func TestSenderCommitPointGate(t *testing.T) {
 }
 
 func TestSenderAsyncNeverWaits(t *testing.T) {
-	recv := newTestReceiver(t, false, nil)
+	recv := newTestReceiver(t, nil)
 	s := senderTo(t, recv, ModeAsync, nil, nil)
 	s.SetFollowers([]string{"f1"})
 	if wait := s.Replicate(taps(1, snapRec("x"), endRec("x"))); wait != nil {
@@ -379,7 +428,7 @@ func TestSenderAsyncNeverWaits(t *testing.T) {
 }
 
 func TestSenderNoFollowersNoWait(t *testing.T) {
-	recv := newTestReceiver(t, false, nil)
+	recv := newTestReceiver(t, nil)
 	s := senderTo(t, recv, ModeQuorum, nil, nil)
 	if wait := s.Replicate(taps(1, endRec("x"))); wait != nil {
 		t.Fatal("followerless sender returned a wait")
@@ -393,7 +442,7 @@ func TestSenderNoFollowersNoWait(t *testing.T) {
 // relays down the chain before acking upstream.
 func TestSenderChainForwards(t *testing.T) {
 	regTail := obs.NewRegistry()
-	tail := newTestReceiver(t, false, regTail)
+	tail := newTestReceiver(t, regTail)
 	head, err := NewReceiver(ReceiverConfig{
 		Dir: t.TempDir(),
 		Forward: func(peer string, f Frame) (Ack, error) {
@@ -536,10 +585,10 @@ func TestSenderOutboxOverflowDrops(t *testing.T) {
 // gap; the sender ships a snapshot, then the original frame.
 func TestSenderShipsSnapshotOnGap(t *testing.T) {
 	reg := obs.NewRegistry()
-	recv := newTestReceiver(t, false, reg)
+	recv := newTestReceiver(t, reg)
 	snap := func() (Frame, error) {
 		// State current through seq 4: two live flows.
-		return Frame{Seq: 4, Count: 2, Block: mustBlock(t, false, snapRec("f1"), snapRec("f2"))}, nil
+		return Frame{Seq: 4, Count: 2, Block: mustBlock(t, snapRec("f1"), snapRec("f2"))}, nil
 	}
 	s := senderTo(t, recv, ModeQuorum, reg, snap)
 	s.SetFollowers([]string{"f1"})
@@ -562,7 +611,7 @@ func TestSenderShipsSnapshotOnGap(t *testing.T) {
 // the network.
 func TestSenderCoalescesContiguousFrames(t *testing.T) {
 	reg := obs.NewRegistry()
-	recv := newTestReceiver(t, false, reg)
+	recv := newTestReceiver(t, reg)
 	gate := make(chan struct{})
 	first := make(chan struct{})
 	var once sync.Once
@@ -593,7 +642,7 @@ func TestSenderCoalescesContiguousFrames(t *testing.T) {
 }
 
 func TestSenderSetFollowersReplacesSet(t *testing.T) {
-	recv := newTestReceiver(t, false, nil)
+	recv := newTestReceiver(t, nil)
 	s := senderTo(t, recv, ModeQuorum, nil, nil)
 	s.SetFollowers([]string{"f1", "f2", "f1", "", "own"})
 	if got := s.Followers(); !reflect.DeepEqual(got, []string{"f1", "f2"}) {
@@ -620,7 +669,7 @@ func TestReceiverRestartHealsBySnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ack := recv.Apply(Frame{Op: OpAppend, Source: "own", Seq: 1, Count: 1,
-		Block: mustBlock(t, false, snapRec("f1"))}); !ack.OK {
+		Block: mustBlock(t, snapRec("f1"))}); !ack.OK {
 		t.Fatalf("seed: %+v", ack)
 	}
 	recv.Close()
@@ -636,7 +685,7 @@ func TestReceiverRestartHealsBySnapshot(t *testing.T) {
 		t.Fatalf("rediscovered sources: %+v", srcs)
 	}
 	ack := again.Apply(Frame{Op: OpAppend, Source: "own", Seq: 2, Count: 1,
-		Block: mustBlock(t, false, endRec("f1"))})
+		Block: mustBlock(t, endRec("f1"))})
 	if ack.OK || !ack.NeedSnapshot {
 		t.Fatalf("restarted cursor accepted a streamed frame: %+v", ack)
 	}
@@ -699,7 +748,7 @@ func TestReplicateAllocs(t *testing.T) {
 		t.Skip("allocation budgets are measured without the race detector")
 	}
 	s := NewSender(SenderConfig{
-		Source: "own", Mode: ModeQuorum, Binary: true,
+		Source: "own", Mode: ModeQuorum,
 		Send: func(peer string, f Frame) (Ack, error) {
 			return Ack{OK: true, AckSeq: f.Seq + uint64(f.Count) - 1}, nil
 		},
@@ -727,5 +776,30 @@ func TestReplicateAllocs(t *testing.T) {
 	t.Logf("%.1f allocations per waited 5-record batch, outbox worker included", allocs)
 	if allocs > 6 {
 		t.Errorf("Replicate + wait allocates %.1f times per batch, budget 6", allocs)
+	}
+}
+
+// TestReceiverApplyAllocs: a follower takes one replicated four-step
+// flow — six records in two frames — without decoding a record or
+// encoding one again: the blocks are written as they came and the index
+// keeps only what it must make, the request document, the done set and
+// the entry (ids and paths come from the store's arena).
+func TestReceiverApplyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are measured without the race detector")
+	}
+	recv := newTestReceiver(t, nil)
+	ff := newFlowFrames(t)
+	n := 0
+	allocs := testing.AllocsPerRun(500, func() {
+		n++
+		ff.apply(t, recv, n, uint64(6*(n-1)+1))
+	})
+	t.Logf("%.1f allocations per replicated flow", allocs)
+	if allocs > 5 {
+		t.Errorf("applying a flow's frames allocates %.1f times, budget 5", allocs)
+	}
+	if srcs := recv.Sources(); srcs[0].LastSeq != uint64(6*n) || srcs[0].Live != 0 {
+		t.Fatalf("after %d flows: %+v", n, srcs)
 	}
 }

@@ -16,8 +16,6 @@ type SenderConfig struct {
 	Source string
 	// Mode selects how many follower acks an append waits for.
 	Mode AckMode
-	// Binary selects the block encoding (the owner's store encoding).
-	Binary bool
 	// AckTimeout bounds how long a quorum/chain append waits before
 	// degrading to async for that batch (repl_ack_timeouts_total).
 	// Default 2s. A dead follower must slow the owner, not halt it —
@@ -189,17 +187,12 @@ func (s *Sender) Replicate(batch []store.TapRecord) func() {
 	if len(batch) == 0 {
 		return nil
 	}
-	block, err := encodeBlock(len(batch), func(i int) *store.Record { return &batch[i].Rec }, s.cfg.Binary)
-	if err != nil {
-		s.count("repl_encode_errors_total")
-		return nil
-	}
 	f := Frame{
 		Op:     OpAppend,
 		Source: s.cfg.Source,
 		Seq:    batch[0].Seq,
 		Count:  len(batch),
-		Block:  block,
+		Block:  encodeBlock(len(batch), func(i int) *store.Record { return &batch[i].Rec }),
 	}
 
 	s.mu.Lock()

@@ -348,13 +348,6 @@ func TestWriteAllocs(t *testing.T) {
 	}
 }
 
-// recordTypes lists every record type, in the order docs/STORE.md
-// tabulates them.
-var recordTypes = []string{
-	TypeExecStart, TypeStepDone, TypeDelegStart, TypeDelegDone, TypeExecEnd,
-	TypeExecSnap, TypeExecPassivate, TypeExecResurrect, TypeExecPrune,
-}
-
 // TestDurabilityTableMatchesWaits holds docs/STORE.md's record-type ×
 // wait table to the one function that decides.
 func TestDurabilityTableMatchesWaits(t *testing.T) {

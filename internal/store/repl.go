@@ -32,14 +32,15 @@ type TapRecord struct {
 // The Append/AppendBatch call whose records a batch carries does not
 // return until the wait completes — that coupling is what makes a
 // quorum-acked Append mean "durable here AND acknowledged by a
-// follower".
+// follower". The tap must not keep the batch past its return: the store
+// reuses its array for a later one.
 func (s *Store) SetTap(fn func([]TapRecord) func()) {
 	s.tapMu.Lock()
 	defer s.tapMu.Unlock()
 	s.mu.Lock()
 	s.tap = fn
 	if fn == nil {
-		s.tapQueue = nil
+		s.tapQueue, s.tapSpare = nil, nil
 	}
 	s.mu.Unlock()
 }
@@ -66,16 +67,24 @@ func (s *Store) ReplSeq() uint64 {
 // construction cover its own records. Round trips for successive
 // batches therefore overlap, and the sender coalesces what queues
 // behind an in-flight one.
+//
+// The queue is two arrays taking turns: the one handed off becomes the
+// spare once the tap returns — it keeps nothing of a batch — so commits
+// do not regrow the queue.
 func (s *Store) flushTap() {
 	s.tapMu.Lock()
 	s.mu.Lock()
 	tap := s.tap
 	batch := s.tapQueue
-	s.tapQueue = nil
+	s.tapQueue, s.tapSpare = s.tapSpare, nil
 	s.mu.Unlock()
 	var wait func()
 	if tap != nil && len(batch) > 0 {
 		wait = tap(batch) // ordered hand-off under tapMu
+	}
+	if cap(batch) <= tapKeep {
+		clear(batch) // the records' strings are not the queue's to keep
+		s.tapSpare = batch[:0]
 	}
 	var handle chan struct{}
 	if wait != nil {

@@ -208,33 +208,36 @@ func TestSnapshotRecords(t *testing.T) {
 	}
 }
 
-// TestRelaxedSyncDurability: a RelaxedSync store (the replica posture)
-// still round-trips its records through close/reopen — it skips the
-// fsync wait, not the write.
-func TestRelaxedSyncDurability(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir, Options{RelaxedSync: true})
-	if err != nil {
-		t.Fatal(err)
+// TestTapHandOffAllocs: the tap queue's two arrays take turns, so a
+// commit hands its records to the tap without growing an array — a
+// flow's second commit (four step.done and its exec.end: four array
+// growths when the queue was dropped after each hand-off) costs the same
+// allocations with a tap attached as without.
+func TestTapHandOffAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are measured without the race detector")
 	}
-	if err := st.AppendBatch([]Record{
-		{Type: TypeExecSnap, ID: "a"},
-		{Type: TypeExecSnap, ID: "b"},
-		{Type: TypeExecEnd, ID: "b"},
-	}); err != nil {
-		t.Fatal(err)
+	recs := make([]Record, 5)
+	for i := range recs {
+		recs[i] = stepDone("own:dgf-000001", i)
 	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
+	recs[4] = Record{Type: TypeExecEnd, ID: "own:dgf-000001"}
+	commits := func(tapped bool) float64 {
+		s := mustOpen(t, t.TempDir(), Options{Binary: true})
+		defer s.Close()
+		if tapped {
+			s.SetTap(func([]TapRecord) func() { return nil })
+		}
+		return testing.AllocsPerRun(500, func() {
+			if err := s.AppendBatch(recs); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	again, err := Open(dir, Options{RelaxedSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer again.Close()
-	live := again.Live()
-	if len(live) != 1 || live[0].ID != "a" {
-		t.Fatalf("live after reopen: %+v", live)
+	bare, tapped := commits(false), commits(true)
+	t.Logf("allocations per 5-record commit: %.2f without a tap, %.2f with one", bare, tapped)
+	if tapped > bare {
+		t.Errorf("handing a commit's records to the tap allocates %.2f times, want none", tapped-bare)
 	}
 }
 

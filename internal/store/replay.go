@@ -16,7 +16,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 
 	"datagridflow/internal/codec"
 )
@@ -37,35 +36,6 @@ type replayer struct {
 	ids  []replayID
 	byID map[string]int
 	n    int
-	// strs is where the ids and done-node paths the fold keeps are cut
-	// from.
-	strs arena
-}
-
-// arena cuts short strings from shared chunks: a strings.Builder grown
-// to arenaChunk and never past it, so its buffer never moves and every
-// string cut from it — a slice of String() — stays valid as the chunk
-// fills. A full chunk is left to the strings cut from it and a fresh
-// one started: replay pays one allocation per chunk rather than one per
-// id. A chunk lives as long as any string cut from it; ids and done
-// paths are the index's to hold until a Compact, so that is at most what
-// Open built. Requests are never cut from it: one would keep its chunk
-// alive past its flow's end.
-type arena struct{ b strings.Builder }
-
-const arenaChunk = 4 << 10
-
-func (a *arena) cut(b []byte) string {
-	if len(b) > arenaChunk/8 {
-		return string(b)
-	}
-	if a.b.Cap()-a.b.Len() < len(b) {
-		a.b = strings.Builder{}
-		a.b.Grow(arenaChunk)
-	}
-	at := a.b.Len()
-	a.b.Write(b)
-	return a.b.String()[at:]
 }
 
 // extent bounds one record inside the segment buffer: a binary frame's
@@ -260,7 +230,7 @@ func (rp *replayer) fold() {
 	rp.s.replayed++
 	i, ok := rp.byID[string(v.ID())]
 	if !ok {
-		id := rp.strs.cut(v.ID())
+		id := rp.s.strs.Cut(v.ID())
 		i = len(rp.ids)
 		rp.byID[id] = i
 		rp.ids = append(rp.ids, replayID{id: id})
@@ -288,7 +258,7 @@ func (rp *replayer) fold() {
 			if e.held.done == nil {
 				e.held.done = make(map[string]bool)
 			}
-			e.held.done[rp.strs.cut(node)] = true
+			e.held.done[rp.s.strs.Cut(node)] = true
 		}
 	case TypeExecPassivate:
 		e.holdPassivated(true)

@@ -37,16 +37,8 @@ type Options struct {
 	// non-empty active segment in the other encoding is sealed and a
 	// fresh one started, so a directory converts incrementally (fully on
 	// the next Compact) and can always be reopened with either setting.
+	// AppendFrames needs it set.
 	Binary bool
-	// RelaxedSync folds appended records into the index after the OS
-	// write without waiting for an fsync. Only for stores that are a
-	// *secondary* copy with an upstream re-sync path — the replication
-	// receiver's replica stores (docs/REPLICATION.md), whose cursor
-	// restarts at zero on reopen and heals by snapshot. A crash can
-	// lose or tear the unsynced tail; replay repairs the tear like any
-	// torn tail, and the primary's copy restores the records. Never use
-	// it for a store that is itself the system of record.
-	RelaxedSync bool
 }
 
 // Store is a directory of segment files (JSONL or binary-framed,
@@ -88,6 +80,12 @@ type Store struct {
 	passive   int // executions currently marked passivated
 	// snapView is materialise's, reused from entry to entry.
 	snapView codec.RecordView
+	// strs is where the ids and done paths the index keeps are cut from
+	// when they come from bytes — Open's replay and AppendFrames. Requests
+	// are never cut from it: one would keep its chunk alive past its
+	// flow's end. frames is AppendFrames' view.
+	strs   codec.Arena
+	frames viewFold
 
 	// replSeq numbers every fsync-proven record, in durability order —
 	// the replication cursor (repl.go). Assigned under s.mu in
@@ -97,10 +95,11 @@ type Store struct {
 	// tap receives durable records for replication; tapQueue buffers
 	// them under s.mu and tapMu serializes hand-off so the tap observes
 	// strict seq order, while ack waits run outside tapMu via tapWaits
-	// (see flushTap).
+	// (see flushTap). tapSpare, under tapMu, is the queue's other array.
 	tap      func([]TapRecord) func()
 	tapMu    sync.Mutex
 	tapQueue []TapRecord
+	tapSpare []TapRecord
 	tapWaits []chan struct{}
 }
 
@@ -317,69 +316,111 @@ func (s *Store) SetObs(reg *obs.Registry) {
 // Dir returns the store directory.
 func (s *Store) Dir() string { return s.dir }
 
-// apply folds one appended record into the index, oldest first. Caller
-// holds s.mu. Open's newest-first fold (replay.go) reaches the same
-// index from the bytes on disk; FuzzReplayMatchesAppend holds the two to
-// each other.
-func (s *Store) apply(rec *Record) {
-	st := s.index[rec.ID]
+// folding is one record on its way into the index, in the form it came
+// in: a Record an Append wrote (recordFold), or the view of a frame
+// AppendFrames wrote as it came (viewFold). fold reads it only through
+// these methods, so a view makes the strings the index keeps, and no
+// others.
+type folding interface {
+	// kind is the record type.
+	kind() string
+	// entry is the record's index entry, or nil.
+	entry(index map[string]*execState) *execState
+	// id is the execution id, for a new entry; request the request
+	// document; node the node path, "" when there is none.
+	id(strs *codec.Arena) string
+	request() string
+	node(strs *codec.Arena) string
+	// snapshot loads an exec.snap's request, variables and done set
+	// into st.
+	snapshot(st *execState)
+	paused() bool
+	passivated() bool
+}
+
+// fold is the one rule per record type by which a record enters the
+// index, oldest first, whatever form it came in. Caller holds s.mu.
+// Open's newest-first fold (replay.go) reaches the same index from the
+// bytes on disk: FuzzReplayMatchesAppend holds the two to each other,
+// and FuzzAppendFramesMatchesAppend the two forms.
+func (s *Store) fold(r folding) {
+	typ := r.kind()
+	st := r.entry(s.index)
 	if st == nil {
-		if rec.Type != TypeExecStart && rec.Type != TypeExecSnap {
+		if typ != TypeExecStart && typ != TypeExecSnap {
 			// step.done etc. for an execution whose start was compacted
 			// away after it ended — nothing to track.
 			return
 		}
 		st = &execState{}
-		s.index[rec.ID] = st
-		s.order = append(s.order, rec.ID)
+		id := r.id(&s.strs)
+		s.index[id] = st
+		s.order = append(s.order, id)
 	}
-	if st.terminal() && rec.Type != TypeExecPrune && rec.Type != TypeExecEnd {
+	if st.terminal() && typ != TypeExecPrune && typ != TypeExecEnd {
 		// A passivate racing the execution's natural completion loses:
 		// once ended (or tombstoned), later snapshots and markers are
 		// stale and must not revive the entry.
 		return
 	}
-	switch rec.Type {
+	switch typ {
 	case TypeExecStart:
-		if rec.Request != "" {
-			st.req = rec.Request
+		if req := r.request(); req != "" {
+			st.req = req
 		}
 	case TypeStepDone, TypeDelegDone:
-		if rec.Node != "" {
+		if node := r.node(&s.strs); node != "" {
 			s.materialise(st)
-			st.markDone(rec.Node)
+			st.markDone(node)
 		}
 	case TypeExecSnap:
-		if rec.Request != "" {
-			st.req = rec.Request
-		}
-		st.snap = "" // superseded whole: nothing of it is decoded
-		// The caller still aliases rec's maps: copy.
-		st.vars = make(map[string]string, len(rec.Vars))
-		for k, v := range rec.Vars {
-			st.vars[k] = v
-		}
-		st.done = nil
-		for _, n := range rec.Done {
-			st.markDone(n)
-		}
-		st.paused = rec.Paused
-		if rec.Passivated {
+		r.snapshot(st) // superseded whole: nothing of the last one is decoded
+		st.paused = r.paused()
+		if r.passivated() {
 			s.setPassivated(st, true)
 		}
 	case TypeExecPassivate:
 		s.setPassivated(st, true)
-		st.paused = rec.Paused
+		st.paused = r.paused()
 	case TypeExecResurrect:
 		s.setPassivated(st, false)
 	case TypeExecEnd, TypeExecPrune:
 		s.setPassivated(st, false)
-		if rec.Type == TypeExecEnd {
+		if typ == TypeExecEnd {
 			st.ended = true
 		} else {
 			st.pruned = true
 		}
 		st.collapse()
+	}
+}
+
+// recordFold is a Record being folded: its strings are already made.
+type recordFold Record
+
+func (r *recordFold) kind() string { return r.Type }
+
+func (r *recordFold) entry(index map[string]*execState) *execState { return index[r.ID] }
+
+func (r *recordFold) id(*codec.Arena) string   { return r.ID }
+func (r *recordFold) request() string          { return r.Request }
+func (r *recordFold) node(*codec.Arena) string { return r.Node }
+func (r *recordFold) paused() bool             { return r.Paused }
+func (r *recordFold) passivated() bool         { return r.Passivated }
+
+func (r *recordFold) snapshot(st *execState) {
+	if r.Request != "" {
+		st.req = r.Request
+	}
+	st.snap = ""
+	// The appender still aliases the record's maps: copy.
+	st.vars = make(map[string]string, len(r.Vars))
+	for k, v := range r.Vars {
+		st.vars[k] = v
+	}
+	st.done = nil
+	for _, n := range r.Done {
+		st.markDone(n)
 	}
 }
 
@@ -483,32 +524,16 @@ func (s *Store) appendBlock(block []byte, recs []Record, wait bool) error {
 	// Append returning success implies the records are replicated. A
 	// write that proved nothing has nothing to deliver, and must not
 	// sit out its neighbours' ack waits.
-	flush := wait || s.opt.RelaxedSync
+	flush := wait
 	defer func() {
 		if flush {
 			s.flushTap()
 		}
 	}()
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return fmt.Errorf("store: %s: %w", s.dir, os.ErrClosed)
-	}
-	if s.failed != nil {
-		s.mu.Unlock()
-		return s.failed
-	}
-	if s.active.Size() > 0 && s.active.Size()+int64(len(block)) > s.opt.SegmentMaxBytes {
-		if err := s.rotate(); err != nil {
-			s.mu.Unlock()
-			return err
-		}
-		flush = true // the old segment's final sync drained its pending records
-	}
-	gw := s.active
-	ticket, err := gw.WriteBlock(block, int64(len(recs)))
+	gw, ticket, rotated, err := s.writeLocked(block, len(recs))
+	flush = flush || rotated
 	if err != nil {
-		s.poisonLocked(err)
 		s.mu.Unlock()
 		return err
 	}
@@ -516,17 +541,37 @@ func (s *Store) appendBlock(block []byte, recs []Record, wait bool) error {
 		s.pending = append(s.pending, pendingRec{gw: gw, ticket: ticket, rec: recs[i]})
 	}
 	s.gaugePendingLocked()
-	if s.opt.RelaxedSync {
-		s.drainLocked(gw, ticket)
-		s.mu.Unlock()
-		return nil
-	}
 	s.mu.Unlock()
 	if !wait {
 		gw.SyncSoon()
 		return nil
 	}
 	return s.synced(gw, gw.Sync(ticket))
+}
+
+// writeLocked writes a block of n records to the active segment in one
+// write, rotating first when the block would take the segment past
+// SegmentMaxBytes — then rotated is set: the old segment's final sync
+// drained its pending records, which the tap is owed. A failed write
+// poisons the store. Caller holds s.mu.
+func (s *Store) writeLocked(block []byte, n int) (gw *GroupFile, ticket int64, rotated bool, err error) {
+	if s.closed {
+		return nil, 0, false, fmt.Errorf("store: %s: %w", s.dir, os.ErrClosed)
+	}
+	if s.failed != nil {
+		return nil, 0, false, s.failed
+	}
+	if s.active.Size() > 0 && s.active.Size()+int64(len(block)) > s.opt.SegmentMaxBytes {
+		if err := s.rotate(); err != nil {
+			return nil, 0, false, err
+		}
+		rotated = true
+	}
+	gw = s.active
+	if ticket, err = gw.WriteBlock(block, int64(n)); err != nil {
+		s.poisonLocked(err)
+	}
+	return gw, ticket, rotated, err
 }
 
 // synced takes in the outcome of one sync of gw, whoever ran it: a
@@ -578,6 +623,15 @@ func (s *Store) poisonLocked(err error) {
 	s.gaugePendingLocked()
 }
 
+// Err returns the sticky write or fsync failure that poisoned the store,
+// or nil. A poisoned store refuses every append from then on; its index
+// stays readable, frozen at the last durable record.
+func (s *Store) Err() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.failed
+}
+
 func (s *Store) gaugePendingLocked() {
 	if reg := s.opt.Obs; reg != nil {
 		reg.Gauge("store_pending_records").Set(int64(len(s.pending)))
@@ -592,7 +646,8 @@ func (s *Store) gaugePendingLocked() {
 // drained. Caller holds s.mu.
 func (s *Store) drainLocked(gw *GroupFile, ticket int64) {
 	n := 0
-	for _, p := range s.pending {
+	for i := range s.pending {
+		p := &s.pending[i]
 		if p.gw != gw || p.ticket > ticket {
 			break
 		}
@@ -612,26 +667,36 @@ func (s *Store) drainLocked(gw *GroupFile, ticket int64) {
 }
 
 // pendingKeep is the largest pending queue (in records, 176 bytes each)
-// an idle store holds on to.
-const pendingKeep = 64
+// an idle store holds on to; tapKeep is the same bound for each of the
+// tap queue's two arrays (168 bytes a record).
+const (
+	pendingKeep = 64
+	tapKeep     = 64
+)
 
 // applyDurableLocked folds one fsync-proven record into the index and
-// its counters. Caller holds s.mu.
+// its counters, and queues it for the tap. Caller holds s.mu.
 func (s *Store) applyDurableLocked(rec *Record) {
-	s.apply(rec)
-	s.records++
-	s.replSeq++
+	s.fold((*recordFold)(rec))
+	s.countLocked(rec.Type)
 	if s.tap != nil {
 		s.tapQueue = append(s.tapQueue, TapRecord{Seq: s.replSeq, Rec: *rec})
 	}
-	if rec.Type == TypeExecSnap {
+}
+
+// countLocked numbers one record of type typ that has entered the index
+// and counts it. Caller holds s.mu.
+func (s *Store) countLocked(typ string) {
+	s.records++
+	s.replSeq++
+	if typ == TypeExecSnap {
 		s.sinceSnap = 0
 	} else {
 		s.sinceSnap++
 	}
 	if reg := s.opt.Obs; reg != nil {
-		reg.Counter("store_records_total", "type", rec.Type).Inc()
-		if rec.Type == TypeExecSnap {
+		reg.Counter("store_records_total", "type", typ).Inc()
+		if typ == TypeExecSnap {
 			reg.Counter("store_snapshots_total").Inc()
 		}
 		reg.Gauge("store_passivated").Set(int64(s.passive))

@@ -606,9 +606,22 @@ func appendRouteResult(e *codec.Encoder, r *RouteResult) {
 	e.Str(2, r.Error)
 	e.Bool(3, r.NotOwner)
 	e.Sym(4, r.Owner)
-	e.Str(5, r.Response)
+	e.Blob(5, r.Response)
 }
 
+// beginRouteReply starts the reply to an accepted route: OK, then the
+// response document, which the caller writes into the envelope in place
+// and closes with EndBlob(mark) — the bytes appendRouteResult writes for
+// RouteResult{OK: true, Response: doc}.
+func beginRouteReply(e *codec.Encoder) (mark int) {
+	e.Begin(codec.MsgRouteResult)
+	e.Bool(1, true)
+	return e.BeginBlob(5)
+}
+
+// decodeRouteResult decodes a route reply. Transient decode: the
+// payload is almost entirely the response document, whose bytes
+// Response aliases — valid while the payload is.
 func decodeRouteResult(payload []byte) (RouteResult, error) {
 	d, err := codec.NewDecoderTransient(payload, codec.MsgRouteResult)
 	if err != nil {
@@ -626,7 +639,7 @@ func decodeRouteResult(payload []byte) (RouteResult, error) {
 		case 4:
 			r.Owner = d.Sym()
 		case 5:
-			r.Response = d.Str()
+			r.Response = d.Blob()
 		default:
 			d.Skip()
 		}
@@ -634,10 +647,8 @@ func decodeRouteResult(payload []byte) (RouteResult, error) {
 	return r, d.Err()
 }
 
-// appendReplicate encodes a replication envelope. The record block
-// rides as an opaque blob in the sender's store encoding — the
-// envelope's encoding and the block's are independent, so a binary
-// envelope may legally carry a JSONL block and vice versa.
+// appendReplicate encodes a replication envelope. The record block —
+// binary record frames — rides as an opaque blob.
 func appendReplicate(e *codec.Encoder, f *Replicate) {
 	e.Begin(codec.MsgReplicate)
 	e.Sym(1, f.Op)

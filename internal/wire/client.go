@@ -566,29 +566,28 @@ func (c *Client) Delegate(ctx context.Context, d Delegate) (*DelegateResult, err
 	return &res, nil
 }
 
-// Route hands a submission to the peer that owns its shard and waits
-// for the acceptance outcome. A result with res.NotOwner set means the
-// target no longer holds the shard (ownership moved between the
-// routing decision and delivery) and res.Owner names where it went —
-// the caller re-resolves and retries. A transport failure returns a
-// nil result; the caller cannot know whether the remote accepted.
-func (c *Client) Route(ctx context.Context, rt Route) (*RouteResult, error) {
+// route hands a submission to the peer that owns its shard and waits
+// for the acceptance outcome. A result with NotOwner set means the
+// target no longer holds the shard (ownership moved between the routing
+// decision and delivery) and Owner names where it went — the caller
+// re-resolves and retries. The result's Response aliases the reply
+// frame, which the caller releases once done with both. An error means
+// no usable reply came — a transport failure, after which the caller
+// cannot know whether the remote accepted — and there is no frame.
+func (c *Client) route(ctx context.Context, rt *Route) (RouteResult, frame, error) {
 	enc := codec.GetEncoder()
 	defer codec.PutEncoder(enc)
-	appendRoute(enc, &rt)
+	appendRoute(enc, rt)
 	fr, err := c.call(ctx, KindRoute, enc.Bytes())
 	if err != nil {
-		return nil, err
+		return RouteResult{}, frame{}, err
 	}
-	defer fr.release()
 	res, err := decodeRouteResult(fr.payload)
 	if err != nil {
-		return nil, fmt.Errorf("wire: bad route reply: %w", err)
+		fr.release()
+		return RouteResult{}, frame{}, fmt.Errorf("wire: bad route reply: %w", err)
 	}
-	if !res.OK && res.Error != "" {
-		return &res, dgferr.Decode(res.Error)
-	}
-	return &res, nil
+	return res, fr, nil
 }
 
 // Replicate delivers one replication frame — an append block of the

@@ -60,10 +60,9 @@ const (
 	// (internal/replica.Frame): a shard owner streams blocks of its
 	// lifecycle record log — or a catch-up snapshot — to a follower
 	// peer, positioned by per-record sequence numbers
-	// (docs/REPLICATION.md). The record block inside the envelope stays
-	// in the sender's store encoding (JSONL or binary frames) and the
-	// receiver sniffs it per block, so mixed-codec peers replicate to
-	// each other.
+	// (docs/REPLICATION.md). The record block inside the envelope is
+	// binary record frames, which the follower writes into its replica
+	// as they came.
 	KindReplicate byte = 6
 )
 
@@ -302,8 +301,9 @@ type RouteResult struct {
 	Owner string
 	// Response is the binary dataGridResponse of the executed
 	// submission (ack for async, final status for sync), which the
-	// sender passes on to its client without decoding it.
-	Response string
+	// owner writes into the envelope as it makes it and the routing peer
+	// relays to its client from the reply frame, decoding none of it.
+	Response []byte
 }
 
 // OwnerInfo is the reply to the "owner" control verb: where a flow id
@@ -327,8 +327,8 @@ type OwnerInfo struct {
 // Replicate is the payload of a KindReplicate frame and
 // ReplicateResult its reply — the replication envelope and ack defined
 // by internal/replica and specified byte-for-byte in docs/WIRE.md
-// §"Replicate frames". The record block inside keeps the sender's store
-// encoding, never transcoded in flight.
+// §"Replicate frames". The record block inside is encoded once, by the
+// sender, and written by the follower as it came.
 type (
 	Replicate       = replica.Frame
 	ReplicateResult = replica.Ack

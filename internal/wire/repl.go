@@ -38,9 +38,10 @@ type ReplicationConfig struct {
 	// Dir is the replica root; each followed source gets a full replica
 	// store under <Dir>/<source> (`-repl-dir`).
 	Dir string
-	// Binary selects the replica stores' segment encoding; incoming
-	// blocks are sniffed per block, so it is independent of what the
-	// owners send (mixed-codec replication).
+	// Binary is ignored: the link ships binary record frames and a
+	// replica store is written from them as they came
+	// (docs/REPLICATION.md). The field goes once the benchmark stops
+	// setting it (ROADMAP item 2).
 	Binary bool
 	// AckTimeout bounds quorum/chain waits (default 2s).
 	AckTimeout time.Duration
@@ -61,7 +62,6 @@ func (p *Peer) EnableReplication(cfg ReplicationConfig) error {
 	}
 	recv, err := replica.NewReceiver(replica.ReceiverConfig{
 		Dir:     cfg.Dir,
-		Binary:  cfg.Binary,
 		Forward: p.replDeliver,
 		Obs:     engine.Obs(),
 	})
@@ -73,12 +73,11 @@ func (p *Peer) EnableReplication(cfg ReplicationConfig) error {
 	p.replSender = replica.NewSender(replica.SenderConfig{
 		Source:     p.Name,
 		Mode:       cfg.Mode,
-		Binary:     cfg.Binary,
 		AckTimeout: cfg.AckTimeout,
 		Send:       p.replDeliver,
 		Snapshot: func() (Replicate, error) {
 			recs, seq := st.SnapshotRecords()
-			block, err := replica.EncodeBlock(recs, cfg.Binary)
+			block, err := replica.EncodeBlock(recs, true)
 			if err != nil {
 				return Replicate{}, err
 			}

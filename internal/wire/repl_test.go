@@ -172,7 +172,7 @@ func TestReplicateClientRoundTrip(t *testing.T) {
 	}
 	block, err := replica.EncodeBlock([]store.Record{
 		{Type: store.TypeExecSnap, ID: "x", Request: "<r/>"},
-	}, false)
+	}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestReplicateClientRoundTrip(t *testing.T) {
 
 	// The text session continues the same stream where binary left off.
 	txt := dial(false)
-	endBlock, err := replica.EncodeBlock([]store.Record{{Type: store.TypeExecEnd, ID: "x"}}, false)
+	endBlock, err := replica.EncodeBlock([]store.Record{{Type: store.TypeExecEnd, ID: "x"}}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -189,7 +190,14 @@ func routeGolden() (Route, RouteResult) {
 	codec.AppendResponse(enc, &dgl.Response{Status: &dgl.FlowStatus{
 		ID: "siteB:dgf-000042", Name: "job-17", Kind: "flow", State: "succeeded"}})
 	return Route{User: "alice", Token: "dgt1.YWxpY2U.1790000000.c2ln", Request: req, Shard: 17, Origin: "siteA"},
-		RouteResult{OK: true, Owner: "siteB", Response: string(enc.Bytes())}
+		RouteResult{OK: true, Owner: "siteB", Response: append([]byte(nil), enc.Bytes()...)}
+}
+
+// sameRouteResult compares route replies, an empty response and none
+// alike.
+func sameRouteResult(a, b RouteResult) bool {
+	return a.OK == b.OK && a.Error == b.Error && a.NotOwner == b.NotOwner && a.Owner == b.Owner &&
+		bytes.Equal(a.Response, b.Response)
 }
 
 // TestGoldenRouteEnvelopes pins the bytes of the kind-5 binary
@@ -233,7 +241,7 @@ func TestGoldenRouteEnvelopes(t *testing.T) {
 	if data, err = os.ReadFile(filepath.Join("testdata", "route_result_v1.bin")); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := decodeRouteResult(data); err != nil || got != res {
+	if got, err := decodeRouteResult(data); err != nil || !sameRouteResult(got, res) {
 		t.Errorf("route_result_v1.bin decodes to %+v, %v", got, err)
 	}
 }
@@ -244,14 +252,14 @@ func TestGoldenRouteEnvelopes(t *testing.T) {
 // whatever they hold — and arbitrary bytes never panic either decoder.
 func FuzzRouteEnvelopes(f *testing.F) {
 	rt, res := routeGolden()
-	f.Add(rt.User, rt.Token, rt.Request, rt.Shard, rt.Origin, res.OK, res.Error, res.NotOwner, res.Owner, res.Response,
+	f.Add(rt.User, rt.Token, rt.Request, rt.Shard, rt.Origin, res.OK, res.Error, res.NotOwner, res.Owner, string(res.Response),
 		[]byte{codec.Magic, codec.Version, codec.MsgRoute})
 	f.Add("", "", "<dataGridRequest/>", -1, "", false, "dgferr:auth: no", true, "siteC", "",
 		[]byte(`{"user":"u","request":"<dataGridRequest/>"}`))
 	f.Fuzz(func(t *testing.T, user, token, request string, shard int, origin string,
 		ok bool, errText string, notOwner bool, owner, response string, raw []byte) {
 		rt := Route{User: user, Token: token, Request: request, Shard: shard, Origin: origin}
-		res := RouteResult{OK: ok, Error: errText, NotOwner: notOwner, Owner: owner, Response: response}
+		res := RouteResult{OK: ok, Error: errText, NotOwner: notOwner, Owner: owner, Response: []byte(response)}
 		e := codec.GetEncoder()
 		defer codec.PutEncoder(e)
 		appendRoute(e, &rt)
@@ -260,7 +268,7 @@ func FuzzRouteEnvelopes(f *testing.F) {
 		}
 		e.Reset()
 		appendRouteResult(e, &res)
-		if got, err := decodeRouteResult(e.Bytes()); err != nil || got != res {
+		if got, err := decodeRouteResult(e.Bytes()); err != nil || !sameRouteResult(got, res) {
 			t.Fatalf("route result round trip: %+v, %v, want %+v", got, err, res)
 		}
 		_, _ = decodeRoute(raw)

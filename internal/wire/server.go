@@ -81,14 +81,15 @@ type Server struct {
 	// own engine. Plain servers leave it nil and always answer locally.
 	statusRouter func(id string) (*Client, error)
 	// submitRouter, when set (by a sharded Peer, before Listen), owns
-	// flow submissions entirely: it routes to the shard owner or accepts
-	// locally, returning the response to send — as a Response, or as the
-	// response document the owner answered with, to be passed on. Plain
-	// servers leave it nil and submit to the engine directly.
-	submitRouter func(req *dgl.Request) (resp *dgl.Response, doc string)
+	// flow submissions entirely: it routes to the shard owner, whose
+	// reply it relays, or accepts locally, and writes the reply into rp
+	// in the request's encoding. Plain servers leave it nil and submit to
+	// the engine directly.
+	submitRouter func(req *dgl.Request, bin bool, rp *reply)
 	// routeHandler, when set (by a sharded Peer, before Listen),
-	// services KindRoute frames — the terminal hop of shard routing.
-	routeHandler func(rt Route) RouteResult
+	// services KindRoute frames — the terminal hop of shard routing —
+	// writing the route reply into rp.
+	routeHandler func(rt Route, rp *reply)
 	// ownerResolver, when set (by a sharded Peer, before Listen),
 	// services the "owner" control verb.
 	ownerResolver func(id string) (*OwnerInfo, error)
@@ -432,8 +433,9 @@ func (r *reply) response(resp *dgl.Response, bin bool) {
 // forward leaves in the reply a binary response document another peer
 // answered with — the owner of a polled id, the owner of a routed
 // submission's shard: as it came for a binary session (doc must stay
-// valid until the reply is released), transcoded for an XML one, and
-// with no dgl.Response built in between either way.
+// valid until the reply is released: the caller parks the frame it lies
+// in as relay), transcoded for an XML one, and with no dgl.Response
+// built in between either way.
 func (r *reply) forward(doc []byte, bin bool) {
 	if bin {
 		r.data = doc
@@ -472,8 +474,7 @@ func (s *Server) handleFrame(ctx context.Context, kind byte, payload []byte, rp 
 		res := s.serveDelegate(ctx, payload)
 		appendDelegateResult(rp.binary(), &res)
 	case KindRoute:
-		res := s.serveRoute(ctx, payload)
-		appendRouteResult(rp.binary(), &res)
+		s.serveRoute(ctx, payload, rp)
 	case KindReplicate:
 		res := s.serveReplicate(payload)
 		appendReplicateResult(rp.binary(), &res)
@@ -559,19 +560,29 @@ func (s *Server) dispatchDGL(req *dgl.Request, bin bool, rp *reply) {
 	if req.Flow != nil && s.submitRouter != nil {
 		// A sharded peer owns flow placement: route to the shard owner or
 		// accept locally, per the request's route preference.
-		if resp, doc := s.submitRouter(req); resp != nil {
-			rp.response(resp, bin)
-		} else {
-			rp.forward([]byte(doc), bin)
-		}
+		s.submitRouter(req, bin, rp)
 		return
 	}
-	resp, err := s.engine.Submit(req)
-	if err != nil {
-		rp.fail(err, bin)
-		return
+	s.submit(req, bin, rp)
+}
+
+// submit runs a flow submission on the engine and writes its reply into
+// rp as the engine makes it (Engine.SubmitTo): an async submission's
+// acknowledgement, a sync one's final status tree streamed from the
+// execution's nodes, or the refusal — the bytes the engine's Response
+// would encode to, with no Response or FlowStatus built in between. It
+// returns the execution's id, "" when the submission was refused.
+func (s *Server) submit(req *dgl.Request, bin bool, rp *reply) string {
+	if bin {
+		rp.bw.Begin(rp.binary())
+		id, err := s.engine.SubmitTo(req, &rp.bw)
+		rp.bw.End(dgferr.Encode(err))
+		return id
 	}
-	rp.response(resp, bin)
+	rp.xw.Begin(rp.xml())
+	id, err := s.engine.SubmitTo(req, &rp.xw)
+	rp.setXML(rp.xw.End(dgferr.Encode(err)))
+	return id
 }
 
 // serveStatus answers a status query. An id this server answers for is
@@ -626,30 +637,31 @@ func (s *Server) relayStatus(owner *Client, req *dgl.Request, bin bool, rp *repl
 // refuses with NotOwner when ownership moved in flight. A routed
 // submission occupies one admission slot under the originating user,
 // exactly like a direct submit.
-func (s *Server) serveRoute(ctx context.Context, payload []byte) RouteResult {
+func (s *Server) serveRoute(ctx context.Context, payload []byte, rp *reply) {
+	fail := func(err error) { appendRouteResult(rp.binary(), &RouteResult{Error: dgferr.Encode(err)}) }
 	rt, err := decodeRoute(payload)
 	if err != nil {
-		return RouteResult{Error: dgferr.Encode(
-			fmt.Errorf("%w: bad route frame: %v", dgferr.ErrInvalid, err))}
+		fail(fmt.Errorf("%w: bad route frame: %v", dgferr.ErrInvalid, err))
+		return
 	}
 	if s.routeHandler == nil {
-		return RouteResult{Error: dgferr.Encode(
-			fmt.Errorf("%w: server is not sharded", dgferr.ErrInvalid))}
+		fail(fmt.Errorf("%w: server is not sharded", dgferr.ErrInvalid))
+		return
 	}
 	id := rt.User
 	if s.tenancyOn() {
-		var terr error
-		id, terr = s.resolveTenant(rt.Token, rt.User)
-		if terr != nil {
-			return RouteResult{Error: dgferr.Encode(terr)}
+		if id, err = s.resolveTenant(rt.Token, rt.User); err != nil {
+			fail(err)
+			return
 		}
 		rt.User = id
 	}
 	if err := s.admit(ctx, id); err != nil {
-		return RouteResult{Error: dgferr.Encode(err)}
+		fail(err)
+		return
 	}
 	defer s.release()
-	return s.routeHandler(rt)
+	s.routeHandler(rt, rp)
 }
 
 // serveReplicate services a KindReplicate frame — one block of an

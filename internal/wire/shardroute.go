@@ -78,14 +78,17 @@ func (p *Peer) ShardManager() *shard.Manager { return p.shardMgr }
 // here; anything else resolves the shard owner and forwards, with
 // bounded retries across ownership movement and a local-accept
 // fallback when no owner is reachable — availability over placement.
-// A routed submission is answered with the owner's response document,
-// which the server passes on without decoding it.
-func (p *Peer) routeSubmit(req *dgl.Request) (resp *dgl.Response, doc string) {
+// The reply goes into rp in the request's encoding: a routed
+// submission's is the owner's response document, relayed from the
+// owner's reply frame as it came (transcoded for an XML session), with
+// no copy and nothing decoded.
+func (p *Peer) routeSubmit(req *dgl.Request, bin bool, rp *reply) {
 	mgr := p.shardMgr
 	key := RoutingKey(req.User.Name, req.Flow.Name)
 	sh := mgr.ShardOf(key)
 	if req.Route == dgl.RouteLocal {
-		return p.acceptLocal(req, sh, "local"), ""
+		p.acceptLocal(req, sh, "local", bin, rp)
+		return
 	}
 	holder, ok := mgr.OwnerOfShard(sh)
 	if !ok {
@@ -96,11 +99,13 @@ func (p *Peer) routeSubmit(req *dgl.Request) (resp *dgl.Response, doc string) {
 			holder, ok = h, true
 		}
 		if !ok {
-			return p.acceptLocal(req, sh, "unassigned"), ""
+			p.acceptLocal(req, sh, "unassigned", bin, rp)
+			return
 		}
 	}
 	if holder == p.Name {
-		return p.acceptLocal(req, sh, "local"), ""
+		p.acceptLocal(req, sh, "local", bin, rp)
+		return
 	}
 	// The token rides the route envelope so the owning peer re-verifies
 	// the same identity the accepting peer did (docs/TENANCY.md).
@@ -116,12 +121,13 @@ func (p *Peer) routeSubmit(req *dgl.Request) (resp *dgl.Response, doc string) {
 			}
 			holder = next
 			if holder == p.Name {
-				return p.acceptLocal(req, sh, "failover"), ""
+				p.acceptLocal(req, sh, "failover", bin, rp)
+				return
 			}
 			continue
 		}
-		res, rerr := client.Route(context.Background(), rt)
-		if res == nil {
+		res, fr, rerr := client.route(context.Background(), &rt)
+		if rerr != nil {
 			// Transport failure: the owner may be dead. Drop the pooled
 			// connection and attempt a takeover before retrying.
 			p.DropClient(holder)
@@ -131,11 +137,13 @@ func (p *Peer) routeSubmit(req *dgl.Request) (resp *dgl.Response, doc string) {
 			}
 			holder = next
 			if holder == p.Name {
-				return p.acceptLocal(req, sh, "failover"), ""
+				p.acceptLocal(req, sh, "failover", bin, rp)
+				return
 			}
 			continue
 		}
 		if res.NotOwner {
+			fr.release()
 			// Ownership moved between our routing decision and delivery;
 			// chase the refusal's forwarding hint.
 			next := res.Owner
@@ -146,39 +154,38 @@ func (p *Peer) routeSubmit(req *dgl.Request) (resp *dgl.Response, doc string) {
 			}
 			holder = next
 			if holder == p.Name {
-				return p.acceptLocal(req, sh, "failover"), ""
+				p.acceptLocal(req, sh, "failover", bin, rp)
+				return
 			}
 			continue
 		}
-		if rerr != nil {
-			// The owner ran (or refused) the submission and reported a
-			// typed failure — that is the answer, not a routing problem.
-			p.countRoute("routed")
-			return &dgl.Response{Error: dgferr.Encode(rerr)}, ""
-		}
 		p.countRoute("routed")
-		return nil, res.Response
+		if !res.OK {
+			// The owner refused the submission and reported a typed
+			// failure — that is the answer, not a routing problem.
+			fr.release()
+			rp.fail(dgferr.Decode(res.Error), bin)
+			return
+		}
+		rp.relay = fr // the reply is the owner's, in its frame
+		rp.forward(res.Response, bin)
+		return
 	}
 	// Retries exhausted with no reachable owner: keep the flow here so
 	// the submission survives the owner's death (E15's failover path).
-	return p.acceptLocal(req, sh, "failover"), ""
+	p.acceptLocal(req, sh, "failover", bin, rp)
 }
 
-// acceptLocal pins a submission to this peer's engine, tracking owned
-// async accepts for drain hand-off. outcome labels the routing path in
-// shard_routes_total.
-func (p *Peer) acceptLocal(req *dgl.Request, sh int, outcome string) *dgl.Response {
+// acceptLocal pins a submission — the server's own, decoded from the
+// frame — to this peer's engine and writes its reply into rp, tracking
+// owned async accepts for drain hand-off. outcome labels the routing
+// path in shard_routes_total.
+func (p *Peer) acceptLocal(req *dgl.Request, sh int, outcome string, bin bool, rp *reply) {
 	p.countRoute(outcome)
-	r := *req
-	r.Route = dgl.RouteLocal // terminal: never re-routed, never refused by the ownership check
-	resp, err := p.server.Engine().Submit(&r)
-	if err != nil {
-		return &dgl.Response{Error: dgferr.Encode(err)}
+	req.Route = dgl.RouteLocal // terminal: never re-routed, never refused by the ownership check
+	if id := p.server.submit(req, bin, rp); id != "" && req.Async && p.shardMgr.Owns(sh) {
+		p.shardMgr.Track(id, sh)
 	}
-	if p.shardMgr.Owns(sh) && resp.Ack != nil && resp.Ack.Valid {
-		p.shardMgr.Track(resp.Ack.ID, sh)
-	}
-	return resp
 }
 
 // claimShard opportunistically claims one shard, adopting the
@@ -199,41 +206,47 @@ func (p *Peer) claimShard(sh int) (string, bool) {
 // handleRoute is the Server.routeHandler hook: the terminal hop of
 // shard routing. It refuses with NotOwner (and the live holder as a
 // forwarding hint) when this peer no longer holds the shard, otherwise
-// accepts the embedded request locally and tracks async accepts for
-// drain hand-off.
-func (p *Peer) handleRoute(rt Route) RouteResult {
+// accepts the embedded request locally, writing the reply into rp, and
+// tracks async accepts for drain hand-off.
+func (p *Peer) handleRoute(rt Route, rp *reply) {
+	fail := func(res RouteResult) { appendRouteResult(rp.binary(), &res) }
 	mgr := p.shardMgr
 	if !mgr.Owns(rt.Shard) {
 		holder, _ := mgr.OwnerOfShard(rt.Shard)
 		p.countRoute("refused")
-		return RouteResult{NotOwner: true, Owner: holder, Error: dgferr.Encode(fmt.Errorf(
-			"%w: peer %s does not own shard %d", dgferr.ErrResourceDown, p.Name, rt.Shard))}
+		fail(RouteResult{NotOwner: true, Owner: holder, Error: dgferr.Encode(fmt.Errorf(
+			"%w: peer %s does not own shard %d", dgferr.ErrResourceDown, p.Name, rt.Shard))})
+		return
 	}
 	req, err := codec.DecodeRequestDoc(rt.Request)
 	if err != nil {
-		return RouteResult{Error: dgferr.Encode(
-			fmt.Errorf("%w: bad routed request: %v", dgferr.ErrInvalid, err))}
+		fail(RouteResult{Error: dgferr.Encode(fmt.Errorf("%w: bad routed request: %v", dgferr.ErrInvalid, err))})
+		return
 	}
 	if req.Flow == nil {
-		return RouteResult{Error: dgferr.Encode(
-			fmt.Errorf("%w: routed request carries no flow", dgferr.ErrInvalid))}
+		fail(RouteResult{Error: dgferr.Encode(fmt.Errorf("%w: routed request carries no flow", dgferr.ErrInvalid))})
+		return
 	}
 	req.Route = dgl.RouteLocal // terminal hop: one forward, no loops
-	resp, err := p.server.Engine().Submit(req)
-	if err != nil {
-		return RouteResult{Error: dgferr.Encode(err)}
+	// The response document is streamed into the envelope in place; the
+	// routing peer passes it on as it is to a binary client and
+	// transcodes it for an XML one.
+	e := rp.binary()
+	doc := beginRouteReply(e)
+	rp.bw.Begin(e)
+	id, err := p.server.Engine().SubmitTo(req, &rp.bw)
+	rp.bw.End(dgferr.Encode(err))
+	if id == "" {
+		// Refused before it ran: the refusal is the envelope's error.
+		e.Reset()
+		appendRouteResult(e, &RouteResult{Error: dgferr.Encode(err)})
+		return
 	}
-	if resp.Ack != nil && resp.Ack.Valid {
-		mgr.Track(resp.Ack.ID, rt.Shard)
+	e.EndBlob(doc)
+	if req.Async {
+		mgr.Track(id, rt.Shard)
 	}
-	// The routing peer passes the reply on as it is to a binary client
-	// and transcodes it for an XML one.
-	enc := codec.GetEncoder()
-	codec.AppendResponse(enc, resp)
-	doc := string(enc.Bytes())
-	codec.PutEncoder(enc)
 	p.countRoute("served")
-	return RouteResult{OK: true, Response: doc}
 }
 
 // resolveOwner services the "owner" control verb: which peer owns an
