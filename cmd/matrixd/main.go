@@ -9,15 +9,13 @@
 //	matrixd -addr :7401                          # demo grid
 //	matrixd -addr :7401 -infra grid.xml          # described grid
 //	matrixd -name matrixA -lookup host:7400      # join a peer network
-//	matrixd -peer-name matrixA -lookup host:7400 # same (alias)
 //	matrixd -placement locality -heartbeat 2s    # federation tuning
 //	matrixd -shards 64 -lookup host:7400         # sharded flow ownership
 //	matrixd -repl-followers 2 -repl-ack quorum   # replicated lifecycle store
 //	matrixd -repl-dir /var/lib/matrix-replica    # replica root override
 //	matrixd -prov /var/log/matrix-prov.jsonl     # durable provenance
 //	matrixd -metrics-addr :7481                  # JSON metrics + pprof
-//	matrixd -journal /var/lib/matrix.journal     # crash recovery
-//	matrixd -store-dir /var/lib/matrix-store     # durable flow-state store
+//	matrixd -store-dir /var/lib/matrix-store     # crash recovery, durable flow state
 //	matrixd -snapshot-every 30s -passivate-idle 5m # store maintenance
 //	matrixd -fault plan.json                     # fault injection
 //	matrixd -max-inflight 128 -max-queue 512     # admission tuning
@@ -34,7 +32,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -43,7 +40,6 @@ import (
 	"syscall"
 	"time"
 
-	"datagridflow/internal/dgferr"
 	"datagridflow/internal/dgms"
 	"datagridflow/internal/fault"
 	"datagridflow/internal/federation"
@@ -67,7 +63,6 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7401", "listen address")
 	name := flag.String("name", "", "peer name (required with -lookup)")
-	peerName := flag.String("peer-name", "", "alias for -name")
 	lookup := flag.String("lookup", "", "lookup server address to register with")
 	placement := flag.String("placement", "least-loaded", "federation placement policy: least-loaded, round-robin, locality or vdata-locality (docs/FEDERATION.md, docs/VDATA.md)")
 	heartbeat := flag.Duration("heartbeat", 5*time.Second, "federation heartbeat interval (lookup lease renewal and load gossip)")
@@ -78,14 +73,12 @@ func main() {
 	admin := flag.String("admin", "admin", "grid administrator user")
 	openWrite := flag.Bool("open", true, "grant every user write access under /grid (demo mode)")
 	metricsAddr := flag.String("metrics-addr", "", "serve JSON metrics, trace events and pprof on this address (\":0\" for ephemeral; empty disables)")
-	journalPath := flag.String("journal", "", "execution journal file: crashed runs are recovered on startup (docs/FAULTS.md)")
-	storeDir := flag.String("store-dir", "", "flow-state store directory: segmented journal with snapshots, compaction and passivation (docs/STORE.md)")
+	storeDir := flag.String("store-dir", "", "flow-state store directory: the lifecycle log crashed runs are recovered from on startup, with snapshots, compaction and passivation (docs/STORE.md)")
 	snapshotEvery := flag.Duration("snapshot-every", 30*time.Second, "how often to snapshot dirty executions into the store (0 disables; requires -store-dir)")
 	passivateIdle := flag.Duration("passivate-idle", 0, "evict executions idle this long from memory into the store (0 disables; requires -store-dir)")
 	faultPath := flag.String("fault", "", "fault-injection plan (JSON) applied to the grid and server (docs/FAULTS.md)")
 	maxInflight := flag.Int("max-inflight", 64, "max concurrently executing requests across all connections (admission worker pool)")
 	maxUserQueue := flag.Int("max-queue", 256, "max admission waiters queued per user; excess requests are rejected with a capacity error")
-	codecName := flag.String("codec", "binary", "encoding for new journal/store writes: binary or json (docs/CODEC.md); existing files are sniffed and replay either way")
 	replFollowers := flag.Int("repl-followers", 0, "replicate the flow-state store to this many follower peers (0 disables; requires -lookup and -store-dir; docs/REPLICATION.md)")
 	replAck := flag.String("repl-ack", "quorum", "replication ack mode: quorum, chain or async (docs/REPLICATION.md)")
 	replDir := flag.String("repl-dir", "", "replica root directory for stores received from followed peers (default: <store-dir>.replica)")
@@ -97,15 +90,6 @@ func main() {
 	vdataDir := flag.String("vdata-dir", "", "durable virtual-data catalog directory; derivations survive restart (implies -vdata)")
 	vdataToken := flag.String("vdata-token", "", "file holding a tenant token offered on cross-peer derivation lookups (tenant-require fleets; docs/VDATA.md)")
 	flag.Parse()
-	if *codecName != "json" && *codecName != "binary" {
-		log.Fatalf("matrixd: -codec must be json or binary, got %q", *codecName)
-	}
-	binaryCodec := *codecName == "binary"
-	if *name == "" {
-		*name = *peerName
-	} else if *peerName != "" && *peerName != *name {
-		log.Fatal("matrixd: -name and -peer-name disagree")
-	}
 
 	var prov *provenance.Store
 	if *provPath != "" {
@@ -179,32 +163,8 @@ func main() {
 	}
 	engine := matrix.NewEngineConfig(grid, cfg)
 
-	if *journalPath != "" {
-		if *storeDir != "" {
-			// The store's snapshot+tail recovery resumes crash-abandoned
-			// flows under their original ids; replaying the flat journal
-			// too would re-run each of them a second time under a fresh
-			// id. The journal stays attached for appends only.
-			log.Printf("matrixd: journal %s attached for appends; -store-dir handles recovery", *journalPath)
-		} else {
-			recovered, err := engine.RecoverFromJournal(*journalPath)
-			if err != nil && !errors.Is(err, dgferr.ErrNotFound) {
-				log.Fatalf("matrixd: %v", err)
-			}
-			for _, ex := range recovered {
-				log.Printf("matrixd: recovered execution %s from journal", ex.ID)
-			}
-		}
-		journal, err := matrix.OpenJournalOptions(*journalPath, matrix.JournalOptions{Binary: binaryCodec})
-		if err != nil {
-			log.Fatalf("matrixd: %v", err)
-		}
-		defer journal.Close()
-		engine.SetJournal(journal)
-	}
-
 	if *storeDir != "" {
-		st, err := store.Open(*storeDir, store.Options{Obs: grid.Obs(), Binary: binaryCodec})
+		st, err := store.Open(*storeDir, store.Options{Obs: grid.Obs()})
 		if err != nil {
 			log.Fatalf("matrixd: store: %v", err)
 		}

@@ -222,7 +222,7 @@ func NewEngineConfig(g *Grid, cfg EngineConfig) *Engine { return matrix.NewEngin
 // rebuilds it), so errors.Is(err, datagridflow.ErrRetryExhausted) holds
 // whether the engine ran in-process or across the network.
 var (
-	// ErrNotFound: an unknown path, resource, execution or journal.
+	// ErrNotFound: an unknown path, resource or execution.
 	ErrNotFound = dgferr.ErrNotFound
 	// ErrExists: the entry (object, collection, replica) already exists.
 	ErrExists = dgferr.ErrExists
@@ -263,8 +263,6 @@ type (
 	FaultEvent = fault.Event
 	// FaultInjector evaluates a plan against the sim clock.
 	FaultInjector = fault.Injector
-	// ExecutionJournal is the engine's crash-recovery log.
-	ExecutionJournal = matrix.Journal
 )
 
 // Fault kinds for FaultEvent.Kind.
@@ -284,11 +282,6 @@ func NewFaultInjector(clock Clock, plan FaultPlan) (*FaultInjector, error) {
 
 // ParseFaultPlan decodes and validates a JSON fault-plan document.
 func ParseFaultPlan(data []byte) (*FaultPlan, error) { return fault.ParsePlan(data) }
-
-// OpenJournal opens (creating if needed) an execution journal; attach
-// it with Engine.SetJournal and recover crashed runs with
-// Engine.RecoverFromJournal.
-func OpenJournal(path string) (*ExecutionJournal, error) { return matrix.OpenJournal(path) }
 
 // Triggers.
 type (

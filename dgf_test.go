@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"datagridflow/internal/store"
 )
 
 // TestFacadeEndToEnd drives the whole stack through the public API only:
@@ -168,8 +170,9 @@ func TestFacadeSurface(t *testing.T) {
 // TestFacadeFaultRecovery drives the fault/retry/typed-error surface
 // through the public API alone: a parsed fault plan takes a resource
 // down, a declared retry policy burns out, and the failure is
-// recognisable with errors.Is against the package sentinels; a journaled
-// run survives into a WaitContext.
+// recognisable with errors.Is against the package sentinels; a run
+// recorded in a flow-state store (the one internal package the facade
+// does not wrap) survives into a WaitContext.
 func TestFacadeFaultRecovery(t *testing.T) {
 	grid := NewGrid(GridOptions{})
 	if err := grid.RegisterResource(NewResource("disk1", "sdsc", Disk, 0)); err != nil {
@@ -191,12 +194,12 @@ func TestFacadeFaultRecovery(t *testing.T) {
 	grid.SetFault(injector)
 
 	engine := NewEngine(grid)
-	journal, err := OpenJournal(t.TempDir() + "/exec.journal")
+	dir := t.TempDir()
+	st1, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer journal.Close()
-	engine.SetJournal(journal)
+	engine.SetStore(st1)
 
 	st := Step{
 		Name: "ingest", OnError: OnErrorRetry, Retries: 2, Backoff: "1s",
@@ -219,10 +222,22 @@ func TestFacadeFaultRecovery(t *testing.T) {
 	if !injector.Down("disk1") {
 		t.Errorf("injector introspection: disk1 should be down")
 	}
-	// A run the journal saw end is not recoverable — the fence held.
+	// A run the store saw end is not recoverable — the fence held.
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
 	e2 := NewEngine(NewGrid(GridOptions{}))
-	if recovered, err := e2.RecoverFromJournal(journal.Path()); err != nil || len(recovered) != 0 {
+	e2.SetStore(st2)
+	if recovered, err := e2.RecoverFromStore(); err != nil || len(recovered) != 0 {
 		t.Errorf("recovery after clean end = %d execs, %v", len(recovered), err)
+	}
+	if st2.Stats().ReplayRecords == 0 {
+		t.Errorf("the store recorded nothing of the run")
 	}
 }
 

@@ -1,20 +1,20 @@
 // Package codec implements the DGF binary encoding: a compact,
 // length-prefixed, field-tagged serialization for lifecycle records and
 // wire frame payloads. It replaces encoding/json (and encoding/xml for
-// DGL documents) on the hot paths — wire frames, the execution journal
-// and store segments — where codec cost, not I/O, bounds throughput.
+// DGL documents) on the hot paths — wire frames and store segments —
+// where codec cost, not I/O, bounds throughput.
 //
 // The format is deliberately small: varint-framed fields identified by
 // (field number, wire type) tags, a per-message string table that
 // deduplicates repeated keys (flow ids, step names, record types), and
 // protobuf-style unknown-field skipping so old decoders read new
 // messages. Every payload starts with a 3-byte header — magic 0xDF,
-// format version, message type — which is also how mixed JSON/binary
-// streams are told apart: JSON and XML payloads never start with 0xDF.
+// format version, message type — which is also how a binary payload is
+// told from text: JSON and XML payloads never start with 0xDF.
 //
 // The byte-level specification, including a worked hex dump, lives in
 // docs/CODEC.md. Which wire frames carry which message is in
-// docs/WIRE.md; segment-encoding sniffing is in docs/STORE.md.
+// docs/WIRE.md; the segment format is in docs/STORE.md.
 package codec
 
 import (
@@ -38,7 +38,7 @@ const Version byte = 1
 // Message types. The header's third byte names the payload's schema so
 // a decoder never applies the wrong field table.
 const (
-	// MsgRecord is a lifecycle Record (journal and store segments).
+	// MsgRecord is a lifecycle Record (store segments).
 	MsgRecord byte = 1
 	// MsgRequest is a dgl.Request (KindDGL frames).
 	MsgRequest byte = 2
@@ -134,7 +134,7 @@ func (e *Encoder) Begin(msgType byte) {
 }
 
 // BeginFrame starts a self-delimiting frame for append-only streams
-// (store segments, the journal): header, then a uvarint body length
+// (store segments): header, then a uvarint body length
 // that EndFrame patches in. The returned mark must be passed to the
 // matching EndFrame.
 func (e *Encoder) BeginFrame(msgType byte) int {
@@ -736,7 +736,7 @@ func checkFrameSize(size uint64, off int64) error {
 }
 
 // A FrameScanner reads self-delimiting frames (BeginFrame/EndFrame
-// layout) from an append-only stream read incrementally: the journal.
+// layout) from an append-only stream read incrementally.
 // It distinguishes a clean end of stream (io.EOF), a torn trailing
 // frame from a crash mid-write (ErrTorn — truncate at Offset to
 // repair), and corruption (any other error). A stream already in memory

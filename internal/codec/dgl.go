@@ -257,34 +257,17 @@ func RequestDoc(req *dgl.Request) string {
 
 // DecodeRequestDoc decodes a request document in either encoding,
 // sniffed from its first byte: binary (RequestDoc, a binary client's
-// frame) or XML (a text client's frame, a record written before stored
-// requests went binary). It is the one decode point for every request
-// read from a peer or a disk; like both decoders behind it, it does not
-// validate — callers validate against the executing engine's operation
-// registry. A binary document held in a string (Record.Request, an
-// envelope's document field) is read where it lies: the request's
-// strings are slices of it.
+// frame) or XML (a text client's frame). It is the one decode point for
+// every request read from a peer or a disk; like both decoders behind
+// it, it does not validate — callers validate against the executing
+// engine's operation registry. A binary document held in a string
+// (Record.Request, an envelope's document field) is read where it lies:
+// the request's strings are slices of it.
 func DecodeRequestDoc[T []byte | string](doc T) (*dgl.Request, error) {
 	if IsBinary(doc) {
 		return decodeRequest(string(doc))
 	}
 	return dgl.DecodeRequest([]byte(doc))
-}
-
-// UpgradeRequestDoc returns doc in the binary encoding: an XML document
-// is parsed and re-encoded, a binary one (or one that does not parse —
-// replay will report it) is returned as it is. Store compaction runs
-// every live request through it, which is how a directory written with
-// XML requests converges.
-func UpgradeRequestDoc(doc string) string {
-	if doc == "" || IsBinary(doc) {
-		return doc
-	}
-	req, err := dgl.DecodeRequest([]byte(doc))
-	if err != nil {
-		return doc
-	}
-	return RequestDoc(req)
 }
 
 // DecodeRequest decodes a MsgRequest payload.

@@ -74,7 +74,7 @@ func testRequest() *dgl.Request {
 
 // TestRequestRoundTrip compares the XML rendering before and after a
 // binary round trip — XML equality is exactly the fidelity the server
-// needs, since journaling and federation re-marshal to XML.
+// needs, since it answers a text client in XML.
 func TestRequestRoundTrip(t *testing.T) {
 	for _, req := range []*dgl.Request{
 		testRequest(),

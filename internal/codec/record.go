@@ -1,88 +1,47 @@
 package codec
 
 import (
-	"encoding/json"
 	"sort"
 	"time"
 )
 
-// Record is one lifecycle record of the matrix journal and the
-// flow-state store (internal/store aliases this type so both layers and
-// their tooling share one definition). A record serializes either as
-// one JSONL line (the legacy encoding, via the json tags) or as one
-// binary frame (AppendRecordFrame) — a segment or journal file holds
-// exactly one encoding, sniffed from its first byte.
+// Record is one lifecycle record of the flow-state store
+// (internal/store aliases this type), stored as one binary frame
+// (AppendRecordFrame).
 type Record struct {
-	Type string    `json:"type"`
-	ID   string    `json:"id"` // execution id
-	Time time.Time `json:"time"`
-	// Request holds the DGL request document (exec.start, exec.snap):
-	// the codec-encoded request (RequestDoc) as raw bytes, or the XML
-	// document records written before the binary form carry — readers
-	// sniff with DecodeRequestDoc. A binary frame stores the bytes as they
-	// are; a JSONL line carries a binary document base64'd under
-	// "requestBin" (MarshalJSON), because JSON string escaping would
-	// mangle it.
-	Request string `json:"request,omitempty"`
+	Type string
+	ID   string // execution id
+	Time time.Time
+	// Request holds the DGL request document (exec.start, exec.snap): the
+	// codec-encoded request (RequestDoc) as raw bytes. Readers decode it
+	// with DecodeRequestDoc, which also takes XML.
+	Request string
 	// Node is the restart-stable node path, e.g. "/pipeline/stage-in"
 	// (step.done, deleg.start, deleg.done).
-	Node string `json:"node,omitempty"`
+	Node string
 	// Peer names the remote peer that completed a delegated subflow
 	// (deleg.done).
-	Peer string `json:"peer,omitempty"`
+	Peer string
 	// Err is the final error text, empty on success (exec.end).
-	Err string `json:"err,omitempty"`
+	Err string
 	// Vars snapshots the execution's root scope variables (exec.snap).
-	Vars map[string]string `json:"vars,omitempty"`
+	Vars map[string]string
 	// Done lists the restart-stable node paths proven complete
 	// (exec.snap) — steps, skipped steps, and whole delegated subtrees.
-	Done []string `json:"done,omitempty"`
+	Done []string
 	// Paused records whether the execution was paused when the record
 	// was written (exec.snap, exec.passivate); a resurrected execution
 	// re-enters the paused state.
-	Paused bool `json:"paused,omitempty"`
+	Paused bool
 	// Passivated marks a compaction-merged snapshot of a passivated
 	// execution (exec.snap written by Compact): one record carries both
 	// the snapshot and the passivation marker.
-	Passivated bool `json:"passivated,omitempty"`
+	Passivated bool
 }
 
-// plainRecord is Record without its JSON methods; recordJSON is the
-// JSONL line: the same keys plus requestBin.
-type plainRecord Record
-
-type recordJSON struct {
-	plainRecord
-	RequestBin []byte `json:"requestBin,omitempty"`
-}
-
-// MarshalJSON renders the JSONL form. A binary request document moves
-// from "request" to the base64 "requestBin" key so it survives a JSON
-// sink byte-for-byte; every other record marshals as its plain fields.
-func (r Record) MarshalJSON() ([]byte, error) {
-	j := recordJSON{plainRecord: plainRecord(r)}
-	if IsBinary(r.Request) {
-		j.RequestBin, j.Request = []byte(r.Request), ""
-	}
-	return json.Marshal(&j)
-}
-
-// UnmarshalJSON is MarshalJSON's inverse.
-func (r *Record) UnmarshalJSON(data []byte) error {
-	var j recordJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
-	}
-	*r = Record(j.plainRecord)
-	if len(j.RequestBin) > 0 {
-		r.Request = string(j.RequestBin)
-	}
-	return nil
-}
-
-// Record types. The first five are the journal's lifecycle types; the
-// rest are store extensions. Readers must ignore types they do not
-// know — old tooling skips snap/passivate/resurrect/prune lines.
+// Record types. The first five are an execution's lifecycle; the rest
+// are the store's snapshots, passivation markers and tombstones. Readers
+// must ignore types they do not know.
 const (
 	TypeExecStart  = "exec.start"
 	TypeStepDone   = "step.done"
@@ -129,7 +88,7 @@ func AppendRecord(e *Encoder, rec *Record) {
 }
 
 // AppendRecordFrame encodes rec as a self-delimiting frame for
-// append-only streams (store segments, the journal). Frames accumulate:
+// append-only streams (store segments). Frames accumulate:
 // several calls on one encoder build one contiguous block, written (and
 // fsynced) in a single vectored append.
 func AppendRecordFrame(e *Encoder, rec *Record) {
@@ -176,8 +135,8 @@ func DecodeRecord(payload []byte) (Record, error) {
 	return rd.Decode(payload)
 }
 
-// A RecordDecoder decodes a stream of MsgRecord payloads — journal
-// replay — through one reused RecordView, where
+// A RecordDecoder decodes a stream of MsgRecord payloads through one
+// reused RecordView, where
 // DecodeRecord would grow a fresh one for each. The zero value is ready
 // to use; not safe for concurrent use.
 type RecordDecoder struct {

@@ -1,7 +1,6 @@
 package codec
 
 import (
-	"encoding/json"
 	"testing"
 
 	"datagridflow/internal/dgl"
@@ -18,10 +17,8 @@ func xmlOf(t *testing.T, req *dgl.Request) string {
 	return string(data)
 }
 
-// TestRequestDocEncodings: one request, stored as XML (a record written
-// before stored requests went binary) and as binary, decodes equal
-// through the one sniffing helper, and UpgradeRequestDoc turns the first
-// into the second.
+// TestRequestDocEncodings: one request, as XML (a text client's frame)
+// and as binary, decodes equal through the one sniffing helper.
 func TestRequestDocEncodings(t *testing.T) {
 	req := testRequest()
 	want := xmlOf(t, req)
@@ -29,7 +26,7 @@ func TestRequestDocEncodings(t *testing.T) {
 	if !IsBinary(bin) {
 		t.Fatalf("RequestDoc is not binary: %q", bin[:8])
 	}
-	for name, doc := range map[string]string{"xml": want, "binary": bin, "upgraded": UpgradeRequestDoc(want)} {
+	for name, doc := range map[string]string{"xml": want, "binary": bin} {
 		got, err := DecodeRequestDoc([]byte(doc))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -37,56 +34,6 @@ func TestRequestDocEncodings(t *testing.T) {
 		if xmlOf(t, got) != want {
 			t.Errorf("%s document decodes to a different request:\n%s", name, xmlOf(t, got))
 		}
-	}
-	if up := UpgradeRequestDoc(want); up != bin {
-		t.Errorf("UpgradeRequestDoc(xml) differs from RequestDoc")
-	}
-	// Already-binary and unparsable documents pass through untouched.
-	for _, doc := range []string{bin, "", "<not-a-request", "\xdf\x01"} {
-		if got := UpgradeRequestDoc(doc); got != doc {
-			t.Errorf("UpgradeRequestDoc(%q) = %q, want it unchanged", doc, got)
-		}
-	}
-}
-
-// TestRecordJSONCarriesBinaryRequest: a binary request document that
-// lands in a JSON sink (a -codec json store or journal, a JSONL replica
-// block) comes back byte-for-byte — JSON string escaping would have
-// replaced its non-UTF-8 bytes — while text requests keep the plain
-// "request" key existing JSONL files use.
-func TestRecordJSONCarriesBinaryRequest(t *testing.T) {
-	bin := RequestDoc(testRequest())
-	for _, request := range []string{bin, "\xdf\xff\x00\xfe not even a valid payload", "<dataGridRequest/>", ""} {
-		rec := testRecord()
-		rec.Request = request
-		line, err := json.Marshal(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got Record
-		if err := json.Unmarshal(line, &got); err != nil {
-			t.Fatal(err)
-		}
-		if !recordsEqual(got, rec) {
-			t.Errorf("JSONL round trip of request %q:\n got %+v\nwant %+v", request, got, rec)
-		}
-		var keys map[string]json.RawMessage
-		if err := json.Unmarshal(line, &keys); err != nil {
-			t.Fatal(err)
-		}
-		_, plain := keys["request"]
-		_, b64 := keys["requestBin"]
-		if wantB64 := IsBinary(request); b64 != wantB64 || plain != (request != "" && !wantB64) {
-			t.Errorf("request %q: keys request=%v requestBin=%v in %s", request, plain, b64, line)
-		}
-	}
-	// A line written before this encoding existed still reads.
-	var old Record
-	if err := json.Unmarshal([]byte(`{"type":"exec.start","id":"dgf-000001","time":"2026-08-08T12:00:00Z","request":"<dataGridRequest/>"}`), &old); err != nil {
-		t.Fatal(err)
-	}
-	if old.Type != TypeExecStart || old.ID != "dgf-000001" || old.Request != "<dataGridRequest/>" || old.Time.IsZero() {
-		t.Errorf("legacy JSONL line decodes to %+v", old)
 	}
 }
 
@@ -143,7 +90,6 @@ func FuzzRequestDoc(f *testing.F) {
 	f.Add("u", "", "", "", false, []byte{Magic, Version, MsgRequest, 0x12})
 	f.Fuzz(func(t *testing.T, user, flow, step, value string, async bool, raw []byte) {
 		_, _ = DecodeRequestDoc(raw)
-		_ = UpgradeRequestDoc(string(raw))
 
 		req := dgl.NewRequest(user, "", dgl.NewFlow(flow).Var("v", value).
 			Step(step, dgl.Op(dgl.OpNoop, map[string]string{"p": value})).Flow())

@@ -2,17 +2,15 @@ package experiments
 
 // E14: the flow-state store (internal/store, docs/STORE.md). The paper's
 // datagridflows run "days, months, or even years"; a DfMS that keeps
-// every long-run execution in memory and replays its whole journal on
+// every long-run execution in memory and replays its whole history on
 // restart cannot honor that. E14 populates an engine with a large set of
 // mostly-idle flows (short burst of work, then parked waiting on an
 // external event), passivates the idle ones, compacts the store, and
 // measures what the subsystem is for: resident executions after
-// passivation (memory bound) and restart replay records vs the flat
-// journal (recovery bound).
+// passivation (memory bound) and restart replay records of the compacted
+// store vs the same store before compaction (recovery bound).
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -28,18 +26,19 @@ import (
 )
 
 // storeReport is what one E14 run measured. The counts are asserted by
-// check; the timings, heap figures and the codec ratio are printed only.
+// check; the timings and heap figures are printed only.
 type storeReport struct {
 	// flows is the population size; stepsPerFlow the work each did
 	// before parking.
 	flows, stepsPerFlow int
 
-	// journalRecords counts the flat journal's lines — what a restart
-	// without the store must replay. storeReplayRecords is what
-	// store.Open replayed after compaction (one merged snapshot per
-	// live flow). replayReduction is their ratio, the headline number.
-	journalRecords, storeReplayRecords int
-	replayReduction                    float64
+	// uncompactedRecords is what store.Open replays from a copy of the
+	// store directory taken just before Compact — every record the run
+	// wrote. storeReplayRecords is what it replays after compaction (one
+	// merged snapshot per live flow). replayReduction is their ratio, the
+	// headline number.
+	uncompactedRecords, storeReplayRecords int
+	replayReduction                        float64
 
 	// passivated counts flows evicted to the store; residentAfterSweep
 	// is what stayed in engine memory (should be ~0 of flows);
@@ -51,32 +50,22 @@ type storeReport struct {
 	// replay.
 	compactKept, compactDropped int
 
-	// journalScanMs times decoding every journal line (the unavoidable
-	// floor of full-journal replay); storeOpenMs times store.Open's
-	// replay; recoverMs times RecoverFromStore on the reopened store.
-	journalScanMs, storeOpenMs, recoverMs float64
+	// uncompactedOpenMs and storeOpenMs time store.Open over the copy
+	// and over the compacted store; recoverMs times RecoverFromStore on
+	// the compacted one.
+	uncompactedOpenMs, storeOpenMs, recoverMs float64
 
 	// heapBeforeMB/heapAfterMB bracket the passivation sweep (Go heap,
 	// after GC).
 	heapBeforeMB, heapAfterMB float64
 
 	// groupCommits/groupCommitRecords report the write path's fsync
-	// batching across the run (journal + store segments).
+	// batching across the run.
 	groupCommits, groupCommitRecords int64
 
 	// resurrected is set when a sampled passivated flow resurrected
 	// from the recovered store with its checkpoints intact.
 	resurrected bool
-
-	// The codec replay phase writes one identical synthetic snapshot
-	// stream to two fresh stores — JSONL and the 1.4 binary segment
-	// encoding — and times store.Open over each. codecReplaySpeedup is
-	// JSON open time over binary open time (docs/CODEC.md); the byte
-	// counts record the on-disk size win.
-	codecReplayRecords              int
-	codecJSONOpenMs, codecBinOpenMs float64
-	codecJSONBytes, codecBinBytes   int64
-	codecReplaySpeedup              float64
 }
 
 // check returns an error naming the first broken invariant of the
@@ -84,8 +73,8 @@ type storeReport struct {
 // pays, what stays resident, and whether a passivated flow comes back.
 func (rep *storeReport) check() error {
 	if rep.replayReduction < 10 {
-		return fmt.Errorf("E14: replayReduction %.1fx (%d journal records / %d store replay records) below 10x",
-			rep.replayReduction, rep.journalRecords, rep.storeReplayRecords)
+		return fmt.Errorf("E14: replayReduction %.1fx (%d uncompacted / %d compacted replay records) below 10x",
+			rep.replayReduction, rep.uncompactedRecords, rep.storeReplayRecords)
 	}
 	residentMax := rep.flows / 100
 	if rep.residentAfterSweep > residentMax {
@@ -110,105 +99,6 @@ func e14Dims(s Scale) (flows, wave, steps int) {
 	return 300, 100, 12
 }
 
-// e14CodecRecords sizes the codec replay phase's synthetic stream.
-func e14CodecRecords(s Scale) int {
-	if s == Full {
-		return 40000
-	}
-	return 4000
-}
-
-// codecStream builds the codec phase's workload: snapshot records of
-// realistic shape — a request document, a dozen dataset variables, a
-// dozen completed steps — cycling over a bounded id population so the
-// replayed index stays store-sized while every record is decoded.
-func codecStream(n int) []store.Record {
-	now := time.Now()
-	recs := make([]store.Record, n)
-	for i := range recs {
-		vars := make(map[string]string, 10)
-		for v := 0; v < 10; v++ {
-			vars[fmt.Sprintf("dataset.partition.%02d", v)] =
-				fmt.Sprintf("srb://vault.sdsc.edu/grid/run-%04d/part-%02d.dat", i%977, v)
-		}
-		done := make([]string, 12)
-		for s := range done {
-			done[s] = fmt.Sprintf("/lr/s%d", s)
-		}
-		// The snapshot carries the execution's full DGL request document:
-		// for a long-run collection flow that is a multi-kilobyte,
-		// attribute-heavy XML body (one step per partition). Inside JSONL
-		// every attribute quote is escaped, which is exactly the asymmetry
-		// the binary encoding removes — the request rides as one
-		// length-prefixed byte run.
-		req := make([]byte, 0, 6<<10)
-		req = append(req, `<dataGridRequest async="true"><userInfo><userName>bench</userName>`+
-			`<virtualOrganization>sdsc</virtualOrganization></userInfo>`+
-			`<dataGridFlow name="lr"><flowLogic control="sequential">`...)
-		for s := 0; s < 24; s++ {
-			req = append(req, fmt.Sprintf(`<step name="partition-%02d"><op kind="replicate" `+
-				`src="srb://vault.sdsc.edu/home/collections/run-%04d/partition-%02d/objects.dat" `+
-				`dst="srb://mirror.npaci.edu/archive/run-%04d/partition-%02d/objects.dat" `+
-				`checksum="md5:%08x" replicas="3"/></step>`, s, i%977, s, i%977, s, uint32(i*31+s))...)
-		}
-		req = append(req, `</flowLogic></dataGridFlow></dataGridRequest>`...)
-		recs[i] = store.Record{
-			Type:    store.TypeExecSnap,
-			ID:      fmt.Sprintf("dgf-%06d", i%4096),
-			Time:    now.Add(time.Duration(i) * time.Millisecond),
-			Request: string(req),
-			Node:    "/lr/park",
-			Vars:    vars,
-			Done:    done,
-			Paused:  i%7 == 0,
-		}
-	}
-	return recs
-}
-
-// codecPhase writes recs to a fresh store in the given encoding via the
-// vectored batch path, then times a cold store.Open over the result.
-func codecPhase(dir string, recs []store.Record, binary bool) (openMs float64, size int64, err error) {
-	st, err := store.Open(dir, store.Options{Binary: binary})
-	if err != nil {
-		return 0, 0, err
-	}
-	const chunk = 512
-	for lo := 0; lo < len(recs); lo += chunk {
-		hi := lo + chunk
-		if hi > len(recs) {
-			hi = len(recs)
-		}
-		if err := st.AppendBatch(recs[lo:hi]); err != nil {
-			st.Close()
-			return 0, 0, err
-		}
-	}
-	if err := st.Close(); err != nil {
-		return 0, 0, err
-	}
-	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
-	if err != nil {
-		return 0, 0, err
-	}
-	for _, s := range segs {
-		if fi, serr := os.Stat(s); serr == nil {
-			size += fi.Size()
-		}
-	}
-	t0 := time.Now()
-	st2, err := store.Open(dir, store.Options{Binary: binary})
-	if err != nil {
-		return 0, 0, err
-	}
-	openMs = float64(time.Since(t0).Microseconds()) / 1000
-	defer st2.Close()
-	if got := st2.Stats().ReplayRecords; got != len(recs) {
-		return 0, 0, fmt.Errorf("E14 codec: replayed %d of %d records (binary=%v)", got, len(recs), binary)
-	}
-	return openMs, size, nil
-}
-
 // parkedFlow is the E14 workload: a dozen quick variable updates (the
 // "active burst"), then a park step that blocks until an external event
 // — the shape of a flow that stages data and then waits months for the
@@ -224,50 +114,37 @@ func parkedFlow(name string, steps int) dgl.Flow {
 	return fb.Flow()
 }
 
-// countLines counts newline-terminated records in a file.
-func countLines(path string) (int, error) {
-	f, err := os.Open(path)
+// copyDir copies the files of src, a store directory, into a new
+// directory dst.
+func copyDir(src, dst string) error {
+	ents, err := os.ReadDir(src)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
-	n := 0
-	for {
-		line, err := r.ReadBytes('\n')
-		if len(line) > 0 {
-			n++
+	if err := os.Mkdir(dst, 0o755); err != nil {
+		return err
+	}
+	for _, ent := range ents {
+		data, err := os.ReadFile(filepath.Join(src, ent.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dst, ent.Name()), data, 0o644)
 		}
 		if err != nil {
-			return n, nil
+			return err
 		}
 	}
+	return nil
 }
 
-// scanJournal decodes every record in the journal file — the minimum
-// work any full-journal replay must do, independent of what the engine
-// then does with the records.
-func scanJournal(path string) (int, time.Duration, error) {
+// timedOpen opens a store directory and reports how long Open took and
+// how many records it replayed.
+func timedOpen(dir string) (st *store.Store, ms float64, replayed int, err error) {
 	t0 := time.Now()
-	f, err := os.Open(path)
+	st, err = store.Open(dir, store.Options{})
 	if err != nil {
-		return 0, 0, err
+		return nil, 0, 0, err
 	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
-	n := 0
-	for {
-		line, err := r.ReadBytes('\n')
-		if len(line) > 1 {
-			var rec store.Record
-			if uerr := json.Unmarshal(line, &rec); uerr == nil {
-				n++
-			}
-		}
-		if err != nil {
-			return n, time.Since(t0), nil
-		}
-	}
+	return st, float64(time.Since(t0).Microseconds()) / 1000, st.Stats().ReplayRecords, nil
 }
 
 // groupCommitTotals reads the write path's fsync-batching counters.
@@ -312,8 +189,8 @@ func runStore(scale Scale) (*storeReport, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	journalPath := filepath.Join(dir, "journal.jsonl")
 	storeDir := filepath.Join(dir, "store")
+	uncompactedDir := filepath.Join(dir, "uncompacted")
 
 	g, err := newGrid()
 	if err != nil {
@@ -322,11 +199,6 @@ func runStore(scale Scale) (*storeReport, error) {
 	e := matrix.NewEngine(g)
 	var parked atomic.Int64
 	registerPark(e, &parked)
-	journal, err := matrix.OpenJournal(journalPath)
-	if err != nil {
-		return nil, err
-	}
-	e.SetJournal(journal)
 	st, err := store.Open(storeDir, store.Options{})
 	if err != nil {
 		return nil, err
@@ -403,6 +275,13 @@ func runStore(scale Scale) (*storeReport, error) {
 	rep.passivated = st.Stats().Passivated
 	rep.heapAfterMB = heapMB()
 
+	// What a restart would replay without compaction: every record so far.
+	if err := st.Flush(); err != nil {
+		return nil, err
+	}
+	if err := copyDir(storeDir, uncompactedDir); err != nil {
+		return nil, err
+	}
 	cs, err := st.Compact()
 	if err != nil {
 		return nil, err
@@ -416,31 +295,24 @@ func runStore(scale Scale) (*storeReport, error) {
 	if err := st.Close(); err != nil {
 		return nil, err
 	}
-	if err := journal.Close(); err != nil {
-		return nil, err
-	}
 
-	// The restart: what would each recovery path replay?
-	rep.journalRecords, _ = countLines(journalPath)
-	scanned, scanDur, err := scanJournal(journalPath)
+	// The restart: what would each store replay?
+	old, ms, n, err := timedOpen(uncompactedDir)
 	if err != nil {
 		return nil, err
 	}
-	if scanned != rep.journalRecords {
-		return nil, fmt.Errorf("E14: journal scan decoded %d of %d records", scanned, rep.journalRecords)
+	rep.uncompactedOpenMs, rep.uncompactedRecords = ms, n
+	if err := old.Close(); err != nil {
+		return nil, err
 	}
-	rep.journalScanMs = float64(scanDur.Microseconds()) / 1000
-
-	t0 := time.Now()
-	st2, err := store.Open(storeDir, store.Options{})
+	st2, ms, n, err := timedOpen(storeDir)
 	if err != nil {
 		return nil, err
 	}
-	rep.storeOpenMs = float64(time.Since(t0).Microseconds()) / 1000
 	defer st2.Close()
-	rep.storeReplayRecords = st2.Stats().ReplayRecords
+	rep.storeOpenMs, rep.storeReplayRecords = ms, n
 	if rep.storeReplayRecords > 0 {
-		rep.replayReduction = float64(rep.journalRecords) / float64(rep.storeReplayRecords)
+		rep.replayReduction = float64(rep.uncompactedRecords) / float64(rep.storeReplayRecords)
 	}
 
 	g2, err := newGrid()
@@ -451,7 +323,7 @@ func runStore(scale Scale) (*storeReport, error) {
 	var parked2 atomic.Int64
 	registerPark(e2, &parked2)
 	e2.SetStore(st2)
-	t0 = time.Now()
+	t0 := time.Now()
 	resumed, err := e2.RecoverFromStore()
 	if err != nil {
 		return nil, err
@@ -473,21 +345,6 @@ func runStore(scale Scale) (*storeReport, error) {
 		}
 	}
 
-	// Codec replay phase: the same synthetic snapshot stream through a
-	// JSONL store and a binary store, each timed through a cold Open.
-	recs := codecStream(e14CodecRecords(scale))
-	rep.codecReplayRecords = len(recs)
-	rep.codecJSONOpenMs, rep.codecJSONBytes, err = codecPhase(filepath.Join(dir, "codec-json"), recs, false)
-	if err != nil {
-		return nil, err
-	}
-	rep.codecBinOpenMs, rep.codecBinBytes, err = codecPhase(filepath.Join(dir, "codec-bin"), recs, true)
-	if err != nil {
-		return nil, err
-	}
-	if rep.codecBinOpenMs > 0 {
-		rep.codecReplaySpeedup = rep.codecJSONOpenMs / rep.codecBinOpenMs
-	}
 	return rep, nil
 }
 
@@ -504,25 +361,19 @@ func E14Store(scale Scale) (*Report, error) {
 	r := &Report{
 		ID:     "E14",
 		Title:  fmt.Sprintf("flow-state store: resident memory and restart replay, %d long-run flows", rep.flows),
-		Header: []string{"quantity", "journal only", "with store"},
+		Header: []string{"quantity", "uncompacted store", "compacted store"},
 	}
 	r.Row("flows", fmt.Sprint(rep.flows), fmt.Sprint(rep.flows))
-	r.Row("resident executions", fmt.Sprint(rep.flows), fmt.Sprint(rep.residentAfterSweep))
-	r.Row("restart replay (records)", fmt.Sprint(rep.journalRecords), fmt.Sprint(rep.storeReplayRecords))
-	r.Row("restart replay (ms)", fmt.Sprintf("%.1f", rep.journalScanMs), fmt.Sprintf("%.1f", rep.storeOpenMs+rep.recoverMs))
-	r.Row("resident after restart", fmt.Sprint(rep.flows), fmt.Sprint(rep.residentAfterRecovery))
-	r.Note("replay reduction %.1fx (compaction kept %d, dropped %d); %d flows passivated (heap baseline %.1f MB, after sweep %.1f MB)",
-		rep.replayReduction, rep.compactKept, rep.compactDropped, rep.passivated, rep.heapBeforeMB, rep.heapAfterMB)
+	r.Row("restart replay (records)", fmt.Sprint(rep.uncompactedRecords), fmt.Sprint(rep.storeReplayRecords))
+	r.Row("store open (ms)", fmt.Sprintf("%.1f", rep.uncompactedOpenMs), fmt.Sprintf("%.1f", rep.storeOpenMs))
+	r.Note("replay reduction %.1fx (compaction kept %d, dropped %d)", rep.replayReduction, rep.compactKept, rep.compactDropped)
+	r.Note("resident executions: %d of %d flows after the passivation sweep (%d passivated; heap baseline %.1f MB, after sweep %.1f MB), %d after restart + RecoverFromStore (%.1f ms)",
+		rep.residentAfterSweep, rep.flows, rep.passivated, rep.heapBeforeMB, rep.heapAfterMB, rep.residentAfterRecovery, rep.recoverMs)
 	r.Note("write path batched %d records into %d fsyncs (%.1f records/fsync)",
 		rep.groupCommitRecords, rep.groupCommits, float64(rep.groupCommitRecords)/float64(max64(rep.groupCommits, 1)))
 	if rep.resurrected {
 		r.Note("sampled passivated flow resurrected after restart with all %d burst steps checkpoint-complete", rep.stepsPerFlow)
 	}
-	r.Row(fmt.Sprintf("codec replay ms (%d records)", rep.codecReplayRecords),
-		fmt.Sprintf("%.1f", rep.codecJSONOpenMs), fmt.Sprintf("%.1f", rep.codecBinOpenMs))
-	r.Note("binary segment codec: replay %.1fx faster than JSONL, %.0f%% of the bytes (%d -> %d)",
-		rep.codecReplaySpeedup, 100*float64(rep.codecBinBytes)/float64(max64(rep.codecJSONBytes, 1)),
-		rep.codecJSONBytes, rep.codecBinBytes)
 	return r, nil
 }
 

@@ -13,10 +13,13 @@
 //     docs job stands alone);
 //   - every dgfctl verb must appear in README.md's CLI table (the
 //     table is `dgfctl help -markdown` verbatim);
-//   - every `Client.X`, `Server.X`, `Peer.X`, `ServerConfig.X` or
-//     `wire.X` the documents show in code must be an exported
-//     identifier of internal/wire (a deleted API cannot live on in the
-//     prose).
+//   - every `pkg.X` or `T.X` the documents show in code, where pkg is
+//     one of internal/wire, internal/matrix, internal/store or
+//     internal/codec and T an exported type of one of them, must be an
+//     exported identifier there; and every bare exported name shown as a
+//     code span of its own (`RecoverFromStore`, `SetStore(st)`) must be
+//     exported by some package of the repository (a deleted API cannot
+//     live on in the prose).
 //
 // CI runs it from the repository root in the docs job:
 //
@@ -47,10 +50,17 @@ var (
 	// shownFlagRe matches one flag inside a command-line token, which may
 	// list several ("-store/-repl") or carry a value ("-metrics=false").
 	shownFlagRe = regexp.MustCompile(`(?:^|/)--?([A-Za-z][A-Za-z0-9_.-]*)`)
-	// wireRefRe matches a reference to internal/wire's API: a method or
-	// field of one of its main types, or a package-level name.
-	wireRefRe = regexp.MustCompile(`(?:^|[^\w.])((?:Client|Server|Peer|ServerConfig|wire)\.[A-Z]\w*)`)
+	// qualifiedRe matches a qualified reference: a package-level name or
+	// a method or field of a type.
+	qualifiedRe = regexp.MustCompile(`(?:^|[^\w.])([A-Za-z]\w*)\.([A-Z]\w*)`)
+	// bareRe matches a code span that is one exported name of two words
+	// or more, alone or called: an acronym (XML, TTL) is not a name.
+	bareRe = regexp.MustCompile("^`([A-Z][a-z0-9]+[A-Z]\\w*)(?:\\(.*\\))?`$")
 )
+
+// apiPackages are the packages whose exported API the documents may
+// show qualified, checked name by name.
+var apiPackages = []string{"wire", "matrix", "store", "codec"}
 
 func main() {
 	root := flag.String("root", ".", "repository root")
@@ -124,27 +134,26 @@ func check(root string) ([]string, error) {
 		}
 	}
 
-	api, err := wireAPI(root)
+	refs, err := staleRefs(root, corpus)
 	if err != nil {
 		return nil, err
 	}
-	if api != nil {
-		problems = append(problems, staleWireRefs(corpus, api)...)
-	}
+	problems = append(problems, refs...)
 
 	sort.Strings(problems)
 	return problems, nil
 }
 
-// wireAPI returns the exported identifiers of internal/wire's non-test
-// sources — package-level names as "wire.X", methods and struct fields
-// as "T.X" — or nil when the tree has no internal/wire.
-func wireAPI(root string) (map[string]bool, error) {
-	paths, err := filepath.Glob(filepath.Join(root, "internal", "wire", "*.go"))
-	if err != nil || len(paths) == 0 {
-		return nil, err
+// goAPI returns the exported identifiers of the Go sources in dir —
+// package-level names as "pkg.X", methods and struct fields as "T.X" —
+// and the exported types by name. Test files count only when tests is
+// set.
+func goAPI(dir, pkg string, tests bool) (api, types map[string]bool, err error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		return nil, nil, err
 	}
-	api := map[string]bool{}
+	api, types = map[string]bool{}, map[string]bool{}
 	add := func(owner string, name *ast.Ident) {
 		if name.IsExported() {
 			api[owner+"."+name.Name] = true
@@ -152,17 +161,17 @@ func wireAPI(root string) (map[string]bool, error) {
 	}
 	fset := token.NewFileSet()
 	for _, p := range paths {
-		if strings.HasSuffix(p, "_test.go") {
+		if !tests && strings.HasSuffix(p, "_test.go") {
 			continue
 		}
 		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
-				owner := "wire"
+				owner := pkg
 				if d.Recv != nil {
 					typ := d.Recv.List[0].Type
 					if star, ok := typ.(*ast.StarExpr); ok {
@@ -177,7 +186,10 @@ func wireAPI(root string) (map[string]bool, error) {
 				for _, spec := range d.Specs {
 					switch s := spec.(type) {
 					case *ast.TypeSpec:
-						add("wire", s.Name)
+						add(pkg, s.Name)
+						if s.Name.IsExported() && !s.Assign.IsValid() { // an alias declares no type
+							types[s.Name.Name] = true
+						}
 						if st, ok := s.Type.(*ast.StructType); ok {
 							for _, field := range st.Fields.List {
 								for _, name := range field.Names {
@@ -187,31 +199,87 @@ func wireAPI(root string) (map[string]bool, error) {
 						}
 					case *ast.ValueSpec:
 						for _, name := range s.Names {
-							add("wire", name)
+							add(pkg, name)
 						}
 					}
 				}
 			}
 		}
 	}
-	return api, nil
+	return api, types, nil
 }
 
-// staleWireRefs reports each reference to internal/wire's API the
-// corpus shows in code that the package does not export.
-func staleWireRefs(corpus string, api map[string]bool) []string {
+// staleRefs reports each identifier the corpus shows in code that the
+// code does not export: a qualified reference into one of apiPackages
+// (a type name another package also declares is ambiguous, and not
+// checked), or a bare name no Go file of the repository declares.
+func staleRefs(root, corpus string) ([]string, error) {
+	checked := map[string]bool{}
+	for _, pkg := range apiPackages {
+		checked[filepath.Join(root, "internal", pkg)] = true
+	}
+	api := map[string]bool{}
+	owners := map[string][]string{} // a package or type name -> the checked package(s) declaring it
+	elsewhere := map[string]bool{}  // type names a package not checked declares
+	names := map[string]bool{}      // every exported name, tests included
+	err := filepath.WalkDir(root, func(dir string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		switch d.Name() {
+		case ".git", "testdata":
+			return filepath.SkipDir
+		}
+		pkg := filepath.Base(dir)
+		all, _, err := goAPI(dir, pkg, true)
+		if err != nil {
+			return err
+		}
+		for k := range all {
+			names[k[strings.LastIndexByte(k, '.')+1:]] = true
+		}
+		a, types, err := goAPI(dir, pkg, false)
+		if err != nil || len(a) == 0 {
+			return err
+		}
+		if !checked[dir] {
+			for t := range types {
+				elsewhere[t] = true
+			}
+			return nil
+		}
+		owners[pkg] = append(owners[pkg], pkg)
+		for t := range types {
+			owners[t] = append(owners[t], pkg)
+		}
+		for k := range a {
+			api[k] = true
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	seen := map[string]bool{}
 	var problems []string
-	for _, code := range codeRe.FindAllString(corpus, -1) {
-		for _, m := range wireRefRe.FindAllStringSubmatch(code, -1) {
-			if ref := m[1]; !api[ref] && !seen[ref] {
-				seen[ref] = true
-				problems = append(problems,
-					fmt.Sprintf("the documents show `%s`, but internal/wire exports no such identifier", ref))
-			}
+	report := func(ref, where string) {
+		if !seen[ref] {
+			seen[ref] = true
+			problems = append(problems, fmt.Sprintf("the documents show `%s`, but %s", ref, where))
 		}
 	}
-	return problems
+	for _, code := range codeRe.FindAllString(corpus, -1) {
+		for _, m := range qualifiedRe.FindAllStringSubmatch(code, -1) {
+			pkgs := owners[m[1]]
+			if len(pkgs) > 0 && !elsewhere[m[1]] && !api[m[1]+"."+m[2]] {
+				report(m[1]+"."+m[2], "internal/"+strings.Join(pkgs, " or internal/")+" exports no such identifier")
+			}
+		}
+		if m := bareRe.FindStringSubmatch(code); m != nil && !names[m[1]] {
+			report(m[1], "no Go file of the repository declares it")
+		}
+	}
+	return problems, nil
 }
 
 type cmdFlag struct {

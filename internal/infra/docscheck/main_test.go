@@ -146,6 +146,47 @@ const ProtoVersion = "2.0"`,
 	}
 }
 
+// TestCatchesStaleAPIIdentifier: the same rule over internal/matrix,
+// internal/store and internal/codec, and for bare names. A deleted
+// method, function or type fails qualified (`Engine.SetJournal`,
+// `codec.UpgradeRequestDoc`) and bare (`RecoverFromJournal`); what the
+// code declares passes, a test function included; a type name another
+// package also declares (`Config`) is not checked, while a facade alias
+// of a checked type does not make it ambiguous.
+func TestCatchesStaleAPIIdentifier(t *testing.T) {
+	root := fakeRepo(t, map[string]string{
+		"cmd/srv/main.go": "package main\nfunc main() {}",
+		"internal/matrix/engine.go": `package matrix
+type Engine struct{}
+type Config struct{ IDPrefix string }
+func (e *Engine) RecoverFromStore() error { return nil }
+func (e *Engine) SetStore(st any) {}`,
+		"internal/matrix/persist_test.go": "package matrix\nfunc TestJournalCrashRecovery() {}",
+		"internal/store/store.go":         "package store\ntype Store struct{}\nfunc Open(dir string) (*Store, error) { return nil, nil }\nfunc (s *Store) Has(id string) bool { return false }",
+		"internal/codec/dgl.go":           "package codec\nfunc DecodeRequestDoc(doc string) {}",
+		"internal/federation/fed.go":      "package federation\ntype Config struct{ Backoff int }",
+		"dgf.go":                          "package datagridflow\nimport \"x/internal/matrix\"\ntype Engine = matrix.Engine",
+		"README.md": "`Engine.RecoverFromStore`, `RecoverFromStore`, `SetStore(st)`, `store.Open`, `Store.Has`, " +
+			"`codec.DecodeRequestDoc`, `TestJournalCrashRecovery` and `Config.Backoff` exist.\n" +
+			"`Engine.SetJournal`, `RecoverFromJournal`, `Store.AppendJSON` and `codec.UpgradeRequestDoc` do not.\n" +
+			"`XML`, `JSONL` and `Open` are not names of two words, and RecoverFromJournal in prose is not code.\n",
+		"docs/METRICS.md": "",
+	})
+	problems, err := check(root)
+	if err != nil {
+		t.Fatalf("check: %v", err)
+	}
+	want := []string{"`Engine.SetJournal`", "`RecoverFromJournal`", "`Store.AppendJSON`", "`codec.UpgradeRequestDoc`"}
+	if len(problems) != len(want) {
+		t.Fatalf("want %d problems %q, got %q", len(want), want, problems)
+	}
+	for i, w := range want {
+		if !strings.Contains(problems[i], w) {
+			t.Errorf("problem %d = %q, want it to show %s", i, problems[i], w)
+		}
+	}
+}
+
 // TestFlagTokenBoundaries: -o must not be satisfied by -open.
 func TestFlagTokenBoundaries(t *testing.T) {
 	if mentionsFlag("use -open for demo mode", "o") {

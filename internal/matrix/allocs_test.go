@@ -233,7 +233,7 @@ const recoveryGate = "recoveryGate"
 func recoveryDirectory(tb testing.TB, dir string, flows int) (restore func()) {
 	tb.Helper()
 	e := newTestEngine(tb)
-	st, err := store.Open(dir, store.Options{Binary: true})
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func recoverOnce(tb testing.TB, dir string) (open, recover uint64, resumed int) 
 	e.RegisterOp(recoveryGate, func(*OpContext) error { return nil })
 	var m0, m1, m2 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	st, err := store.Open(dir, store.Options{Binary: true})
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -421,7 +421,7 @@ func BenchmarkRecoverFromStore(b *testing.B) {
 		e := newTestEngine(b)
 		e.RegisterOp(recoveryGate, func(*OpContext) error { return nil })
 		b.StartTimer()
-		st, err := store.Open(dir, store.Options{Binary: true})
+		st, err := store.Open(dir, store.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

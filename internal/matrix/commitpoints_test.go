@@ -25,7 +25,7 @@ func TestCommitPointsPerFlow(t *testing.T) {
 	tapped := func(t *testing.T) (*Engine, *store.Store, *atomic.Int64) {
 		e := newTestEngine(t)
 		registerCountingOp(e)
-		st, err := store.Open(t.TempDir(), store.Options{Binary: true})
+		st, err := store.Open(t.TempDir(), store.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func TestCommitPointsPerFlow(t *testing.T) {
 		}
 		defer recv.Close()
 		e := newTestEngine(t)
-		st, err := store.Open(t.TempDir(), store.Options{Binary: true})
+		st, err := store.Open(t.TempDir(), store.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

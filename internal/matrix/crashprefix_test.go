@@ -1,8 +1,6 @@
 package matrix
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -58,7 +56,6 @@ func registerCountingOp(e *Engine) *countingOp {
 
 // recordedRun is what one run of `flows` concurrent flows left behind.
 type recordedRun struct {
-	binary bool
 	names  map[string]string // execution id → flow name
 	log    []byte            // the owner's one segment
 	recs   []store.Record    // its records, in order
@@ -66,11 +63,11 @@ type recordedRun struct {
 	frames []replica.Frame   // what the replication tap was handed, in order
 }
 
-func recordRun(t *testing.T, binary bool, flows int) *recordedRun {
+func recordRun(t *testing.T, flows int) *recordedRun {
 	t.Helper()
-	run := &recordedRun{binary: binary, names: map[string]string{}}
+	run := &recordedRun{names: map[string]string{}}
 	dir := t.TempDir()
-	st, err := store.Open(dir, store.Options{Binary: binary})
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +118,7 @@ func recordRun(t *testing.T, binary bool, flows int) *recordedRun {
 }
 
 // readSegments returns the concatenated segments of a closed store
-// directory (one encoding throughout), its records and where each ends.
+// directory, its records and where each ends.
 func readSegments(t *testing.T, dir string) (log []byte, recs []store.Record, ends []int) {
 	t.Helper()
 	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
@@ -136,32 +133,19 @@ func readSegments(t *testing.T, dir string) (log []byte, recs []store.Record, en
 		}
 		log = append(log, data...)
 	}
-	if len(log) > 0 && log[0] == codec.Magic {
-		if recs, err = replica.DecodeBlock(log); err != nil {
+	if recs, err = replica.DecodeBlock(log); err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; ; {
+		f, err := codec.NextFrame(log, off)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
-		for off := 0; ; {
-			f, err := codec.NextFrame(log, off)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			off = f.End
-			ends = append(ends, off)
-		}
-	} else {
-		for off := 0; off < len(log); {
-			nl := off + bytes.IndexByte(log[off:], '\n')
-			var rec store.Record
-			if err := json.Unmarshal(log[off:nl], &rec); err != nil {
-				t.Fatal(err)
-			}
-			recs = append(recs, rec)
-			off = nl + 1
-			ends = append(ends, off)
-		}
+		off = f.End
+		ends = append(ends, off)
 	}
 	if len(ends) != len(recs) {
 		t.Fatalf("%d record boundaries for %d records", len(ends), len(recs))
@@ -237,12 +221,12 @@ func (run *recordedRun) checkRecovery(t *testing.T, label string, had survived, 
 // recoverPrefix restarts from the first n bytes of the owner's log.
 func (run *recordedRun) recoverPrefix(t *testing.T, n, intact int) {
 	t.Helper()
-	label := fmt.Sprintf("binary=%v cut at byte %d (%d records intact)", run.binary, n, intact)
+	label := fmt.Sprintf("cut at byte %d (%d records intact)", n, intact)
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "seg-00000001.log"), run.log[:n], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err := store.Open(dir, store.Options{Binary: run.binary})
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatalf("%s: Open: %v", label, err)
 	}
@@ -269,7 +253,7 @@ func (run *recordedRun) recoverPrefix(t *testing.T, n, intact int) {
 // first k frames when the owner died.
 func (run *recordedRun) promoteAfter(t *testing.T, k int) {
 	t.Helper()
-	label := fmt.Sprintf("binary=%v promoted after frame %d of %d", run.binary, k, len(run.frames))
+	label := fmt.Sprintf("promoted after frame %d of %d", k, len(run.frames))
 	recv, err := replica.NewReceiver(replica.ReceiverConfig{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +271,7 @@ func (run *recordedRun) promoteAfter(t *testing.T, k int) {
 		t.Fatalf("%s: Promote: %v", label, err)
 	}
 	dir := t.TempDir()
-	st, err := store.Open(dir, store.Options{Binary: run.binary})
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,26 +296,24 @@ func (run *recordedRun) promoteAfter(t *testing.T, k int) {
 
 func TestCrashAtEveryPrefix(t *testing.T) {
 	for _, flows := range []int{1, 8} {
-		for _, binary := range []bool{true, false} {
-			t.Run(fmt.Sprintf("flows=%d/binary=%v", flows, binary), func(t *testing.T) {
-				run := recordRun(t, binary, flows)
-				// A flow's step.done records are in the log ahead of its
-				// exec.end, whatever the syncs did: they were written first.
-				if had := foldSurvived(run.recs); len(had.done) != flows*crashSteps || len(had.ended) != flows {
-					t.Fatalf("the full log proves %d steps done and %d flows ended", len(had.done), len(had.ended))
-				}
-				run.recoverPrefix(t, 0, 0)
-				start := 0
-				for i, end := range run.ends {
-					run.recoverPrefix(t, (start+end)/2, i) // torn inside record i
-					run.recoverPrefix(t, end, i+1)
-					start = end
-				}
-				for k := 1; k <= len(run.frames); k++ {
-					run.promoteAfter(t, k)
-				}
-			})
-		}
+		t.Run(fmt.Sprintf("flows=%d", flows), func(t *testing.T) {
+			run := recordRun(t, flows)
+			// A flow's step.done records are in the log ahead of its
+			// exec.end, whatever the syncs did: they were written first.
+			if had := foldSurvived(run.recs); len(had.done) != flows*crashSteps || len(had.ended) != flows {
+				t.Fatalf("the full log proves %d steps done and %d flows ended", len(had.done), len(had.ended))
+			}
+			run.recoverPrefix(t, 0, 0)
+			start := 0
+			for i, end := range run.ends {
+				run.recoverPrefix(t, (start+end)/2, i) // torn inside record i
+				run.recoverPrefix(t, end, i+1)
+				start = end
+			}
+			for k := 1; k <= len(run.frames); k++ {
+				run.promoteAfter(t, k)
+			}
+		})
 	}
 }
 
@@ -341,65 +323,63 @@ func TestCrashAtEveryPrefix(t *testing.T) {
 // lost is still ended — its exec.end is ahead of the batch in the log —
 // so it is neither recovered nor resurrectable, only not yet reclaimed.
 func TestPruneBatchTornAnywhere(t *testing.T) {
-	for _, binary := range []bool{true, false} {
-		const flows = 5
+	const flows = 5
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newTestEngine(t)
+	registerCountingOp(e)
+	e.SetStore(st)
+	var ids []string
+	for n := 0; n < flows; n++ {
+		ids = append(ids, mustRun(t, e, crashFlow(n)).ID)
+	}
+	if got := e.Prune(0); got != flows {
+		t.Fatalf("pruned %d flows, want %d", got, flows)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log, recs, ends := readSegments(t, dir)
+	first := len(recs) - flows
+	for i, r := range recs[first:] {
+		if r.Type != store.TypeExecPrune {
+			t.Fatalf("record %d of the log's tail is %s, want the tombstones last and together", i, r.Type)
+		}
+	}
+	cuts := []int{ends[first-1]}
+	for i := first; i < len(recs); i++ {
+		cuts = append(cuts, (ends[i-1]+ends[i])/2, ends[i])
+	}
+	for _, cut := range cuts {
 		dir := t.TempDir()
-		st, err := store.Open(dir, store.Options{Binary: binary})
-		if err != nil {
+		if err := os.WriteFile(filepath.Join(dir, "seg-00000001.log"), log[:cut], 0o644); err != nil {
 			t.Fatal(err)
+		}
+		st, err := store.Open(dir, store.Options{})
+		if err != nil {
+			t.Fatalf("cut at %d: Open: %v", cut, err)
 		}
 		e := newTestEngine(t)
-		registerCountingOp(e)
+		ops := registerCountingOp(e)
 		e.SetStore(st)
-		var ids []string
-		for n := 0; n < flows; n++ {
-			ids = append(ids, mustRun(t, e, crashFlow(n)).ID)
+		resumed, err := e.RecoverFromStore()
+		if err != nil || len(resumed) != 0 {
+			t.Errorf("cut at %d: recovery resumed %d flows (%v), want none", cut, len(resumed), err)
 		}
-		if got := e.Prune(0); got != flows {
-			t.Fatalf("pruned %d flows, want %d", got, flows)
-		}
-		if err := st.Close(); err != nil {
-			t.Fatal(err)
-		}
-		log, recs, ends := readSegments(t, dir)
-		first := len(recs) - flows
-		for i, r := range recs[first:] {
-			if r.Type != store.TypeExecPrune {
-				t.Fatalf("binary=%v: record %d of the log's tail is %s, want the tombstones last and together", binary, i, r.Type)
+		for _, id := range ids {
+			if _, err := e.ResurrectFor(id, "status"); err == nil {
+				t.Errorf("cut at %d: pruned flow %s resurrected", cut, id)
+			}
+			if st.Has(id) {
+				t.Errorf("cut at %d: the index holds pruned flow %s as live", cut, id)
 			}
 		}
-		cuts := []int{ends[first-1]}
-		for i := first; i < len(recs); i++ {
-			cuts = append(cuts, (ends[i-1]+ends[i])/2, ends[i])
+		if len(ops.runs) != 0 {
+			t.Errorf("cut at %d: steps ran again: %v", cut, ops.runs)
 		}
-		for _, cut := range cuts {
-			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, "seg-00000001.log"), log[:cut], 0o644); err != nil {
-				t.Fatal(err)
-			}
-			st, err := store.Open(dir, store.Options{Binary: binary})
-			if err != nil {
-				t.Fatalf("binary=%v cut at %d: Open: %v", binary, cut, err)
-			}
-			e := newTestEngine(t)
-			ops := registerCountingOp(e)
-			e.SetStore(st)
-			resumed, err := e.RecoverFromStore()
-			if err != nil || len(resumed) != 0 {
-				t.Errorf("binary=%v cut at %d: recovery resumed %d flows (%v), want none", binary, cut, len(resumed), err)
-			}
-			for _, id := range ids {
-				if _, err := e.ResurrectFor(id, "status"); err == nil {
-					t.Errorf("binary=%v cut at %d: pruned flow %s resurrected", binary, cut, id)
-				}
-				if st.Has(id) {
-					t.Errorf("binary=%v cut at %d: the index holds pruned flow %s as live", binary, cut, id)
-				}
-			}
-			if len(ops.runs) != 0 {
-				t.Errorf("binary=%v cut at %d: steps ran again: %v", binary, cut, ops.runs)
-			}
-			st.Close()
-		}
+		st.Close()
 	}
 }

@@ -6,7 +6,7 @@ package matrix
 // (parallel branches, parallel foreach shards, stored-procedure calls)
 // before the engine runs them inline. The engine stays ignorant of
 // peers, placement and wire details; it only knows how to hand a
-// subflow out, journal the hand-off, and graft the remote status tree
+// subflow out, record the hand-off, and graft the remote status tree
 // back into its own.
 
 import (
@@ -19,6 +19,7 @@ import (
 	"datagridflow/internal/dgferr"
 	"datagridflow/internal/dgl"
 	"datagridflow/internal/provenance"
+	"datagridflow/internal/store"
 )
 
 // ErrDelegateLocal is the sentinel a Delegator returns to decline a
@@ -173,8 +174,8 @@ func (ex *Execution) maybeDelegate(pf *planFlow, f *dgl.Flow, n *node, scope *Sc
 			FlowID: ex.ID, StepID: n.id, Target: f.Name,
 			Outcome: provenance.OutcomeSkipped,
 		})
-		ex.engine.journalAppend(journalRecord{
-			Type: journalDelegDone, ID: ex.ID, Node: rel,
+		_ = ex.engine.storeAppend(store.Record{
+			Type: store.TypeDelegDone, ID: ex.ID, Node: rel,
 		})
 		return true, nil
 	}
@@ -197,8 +198,8 @@ func (ex *Execution) maybeDelegate(pf *planFlow, f *dgl.Flow, n *node, scope *Sc
 		Actor: ex.req.User.Name, Action: "deleg.start",
 		FlowID: ex.ID, StepID: n.id, Target: f.Name,
 	})
-	ex.engine.journalAppend(journalRecord{
-		Type: journalDelegStart, ID: ex.ID, Node: rel,
+	_ = ex.engine.storeAppend(store.Record{
+		Type: store.TypeDelegStart, ID: ex.ID, Node: rel,
 	})
 	// While the delegation is in flight a peer is working on this
 	// execution's behalf: PassivateIdle must not treat it as idle.
@@ -247,8 +248,8 @@ func (ex *Execution) maybeDelegate(pf *planFlow, f *dgl.Flow, n *node, scope *Sc
 		FlowID: ex.ID, StepID: n.id, Target: f.Name,
 		Detail: detail,
 	})
-	ex.engine.journalAppend(journalRecord{
-		Type: journalDelegDone, ID: ex.ID, Node: rel, Peer: resp.Peer,
+	_ = ex.engine.storeAppend(store.Record{
+		Type: store.TypeDelegDone, ID: ex.ID, Node: rel, Peer: resp.Peer,
 	})
 	ex.noteProgress()
 	return true, nil

@@ -4,14 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
+	"datagridflow/internal/codec"
 	"datagridflow/internal/dgl"
 	"datagridflow/internal/provenance"
+	"datagridflow/internal/store"
 )
 
 // fakeDelegator runs every offered subflow on its own engine (standing
@@ -253,56 +253,31 @@ func TestDelegateProcedureCall(t *testing.T) {
 
 // TestDelegateJournalSkip proves restart checkpointing treats a
 // delegated subtree as one unit: recovery skips subflows whose
-// deleg.done is journaled and re-delegates the rest.
+// deleg.done is in the store and re-delegates the rest.
 func TestDelegateJournalSkip(t *testing.T) {
+	// A crash after sub-0 completed remotely, with sub-1 still out.
 	dir := t.TempDir()
-	path := filepath.Join(dir, "deleg.journal")
-
-	local := newTestEngine(t)
-	j, err := OpenJournal(path)
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	local.SetJournal(j)
+	const id = "dgf-000001"
+	if err := st.AppendBatch([]store.Record{
+		{Type: store.TypeExecStart, ID: id, Request: codec.RequestDoc(dgl.NewAsyncRequest("user", "", parallelSubflows(2)))},
+		{Type: store.TypeDelegStart, ID: id, Node: "/parent/sub-0"},
+		{Type: store.TypeDelegDone, ID: id, Node: "/parent/sub-0", Peer: "peerB"},
+		{Type: store.TypeDelegStart, ID: id, Node: "/parent/sub-1"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	recEngine, _ := newStoreEngine(t, dir)
 	fake := &fakeDelegator{t: t, remote: newRemoteEngine(t), peer: "peerB"}
-	local.SetDelegator(fake)
-	ex := mustRun(t, local, parallelSubflows(2))
-	// Simulate a crash after the subflows completed but before exec.end:
-	// rewrite the journal without the exec.end record.
-	j.Close()
-	recEngine := newTestEngine(t)
-	j2, err := OpenJournal(filepath.Join(dir, "recovered.journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	recEngine.SetJournal(j2)
-	fake2 := &fakeDelegator{t: t, remote: newRemoteEngine(t), peer: "peerB"}
-	recEngine.SetDelegator(fake2)
-
-	// Replay a journal that has deleg.done for sub-0 only.
-	reqDoc, err := dgl.Marshal(dgl.NewAsyncRequest("user", "", parallelSubflows(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	crash := filepath.Join(dir, "crash.journal")
-	jc, err := OpenJournal(crash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Now()
-	for _, rec := range []journalRecord{
-		{Type: journalExecStart, ID: ex.ID, Time: now, Request: string(reqDoc)},
-		{Type: journalDelegStart, ID: ex.ID, Time: now, Node: "/parent/sub-0"},
-		{Type: journalDelegDone, ID: ex.ID, Time: now, Node: "/parent/sub-0", Peer: "peerB"},
-		{Type: journalDelegStart, ID: ex.ID, Time: now, Node: "/parent/sub-1"},
-	} {
-		if err := jc.append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	jc.Close()
-	recovered, err := recEngine.RecoverFromJournal(crash)
+	recEngine.SetDelegator(fake)
+	recovered, err := recEngine.RecoverFromStore()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,12 +288,12 @@ func TestDelegateJournalSkip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Only sub-1 was re-delegated; sub-0 was skipped wholesale.
-	if fake2.count() != 1 || fake2.offered[0].Flow.Name != "sub-1" {
-		t.Fatalf("re-delegations = %+v", fake2.offered)
+	if fake.count() != 1 || fake.offered[0].Flow.Name != "sub-1" {
+		t.Fatalf("re-delegations = %+v", fake.offered)
 	}
-	st := recovered[0].Status(true)
+	status := recovered[0].Status(true)
 	states := map[string]string{}
-	for _, ch := range st.Children {
+	for _, ch := range status.Children {
 		states[ch.Name] = ch.State
 	}
 	if states["sub-0"] != "skipped" || states["sub-1"] != "succeeded" {

@@ -142,7 +142,6 @@ type Engine struct {
 	handlers map[string]OpHandler
 	known    map[string]bool // handlers' keys; see RegisterOp
 	procs    map[string]*storedProc
-	journal  *Journal
 	store    *store.Store
 	deleg    Delegator
 	// ownCheck, when set (SetOwnershipCheck), vets flow submissions
@@ -571,7 +570,7 @@ func (e *Engine) Prune(keep int) int {
 		now := e.Clock().Now()
 		recs := make([]store.Record, len(drop))
 		for i, id := range drop {
-			recs[i] = journalRecord{Type: journalExecPrune, ID: id, Time: now}
+			recs[i] = store.Record{Type: store.TypeExecPrune, ID: id, Time: now}
 		}
 		if err := st.AppendBatch(recs); err != nil {
 			e.Obs().Counter("store_append_errors_total").Inc()

@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"datagridflow/internal/dgferr"
+	"datagridflow/internal/store"
 )
 
 // FlowGovernor meters per-user resource consumption. Implementations
@@ -86,7 +87,7 @@ func (ex *Execution) endGoverned() {
 // variable-length payload fields plus a fixed envelope overhead. The
 // estimate tracks the binary segment encoding closely enough for quota
 // accounting without re-encoding every record a second time.
-func recordCost(rec *journalRecord) int64 {
+func recordCost(rec *store.Record) int64 {
 	n := 64 + len(rec.Type) + len(rec.ID) + len(rec.Request) +
 		len(rec.Node) + len(rec.Peer) + len(rec.Err)
 	for k, v := range rec.Vars {
@@ -102,7 +103,7 @@ func recordCost(rec *journalRecord) int64 {
 // execution's user. Records whose execution is no longer resident
 // (prune markers, post-passivation bookkeeping) go uncharged — the
 // estimate is deliberately conservative in the tenant's favour.
-func (e *Engine) chargeRecord(rec *journalRecord) {
+func (e *Engine) chargeRecord(rec *store.Record) {
 	e.mu.RLock()
 	g := e.governor
 	var owner string

@@ -5,9 +5,11 @@ package matrix
 // state, passivation of idle executions out of engine memory, and
 // transparent resurrection when something — a status query, a trigger
 // firing, a wire control request, or a federated status route — needs
-// a passivated flow again. With a store attached, resident memory is
-// bounded by the *active* flow set and restart recovery replays
-// O(snapshot + tail) records instead of the full journal history.
+// a passivated flow again. The store is the engine's one lifecycle log:
+// with it attached, every execution records its start, its completed
+// steps and its end, resident memory is bounded by the *active* flow set
+// and restart recovery (RecoverFromStore) replays O(snapshot + tail)
+// records instead of the full history.
 
 import (
 	"errors"
@@ -24,8 +26,9 @@ import (
 )
 
 // SetStore attaches (or, with nil, detaches) the engine's flow-state
-// store. The store receives every journal-type lifecycle record the
-// engine writes, plus snapshots and passivation markers.
+// store. The store receives every lifecycle record the engine writes:
+// exec.start, step.done, deleg.*, exec.end, snapshots, passivation
+// markers and prune tombstones.
 func (e *Engine) SetStore(st *store.Store) {
 	if st != nil {
 		st.SetObs(e.Obs())
@@ -46,13 +49,18 @@ func (e *Engine) Store() *store.Store {
 	return e.store
 }
 
-// storeAppend stamps and writes one record to the store only (not the
-// flat journal) — snapshots and passivation markers are store
-// concepts.
-func (e *Engine) storeAppend(rec journalRecord) error {
+// errNoStore refuses a store operation on an engine without one.
+var errNoStore = fmt.Errorf("matrix: no store attached: %w", dgferr.ErrInvalid)
+
+// storeAppend stamps and writes one lifecycle record to the attached
+// store, returning errNoStore on a bare engine: callers that only log
+// progress ignore the error, as a run goes on without a store. A failed
+// write is counted — a dead store must not stop the engine, but it must
+// not die silently either: a restart would replay stale state.
+func (e *Engine) storeAppend(rec store.Record) error {
 	st := e.Store()
 	if st == nil {
-		return fmt.Errorf("matrix: no store attached: %w", dgferr.ErrInvalid)
+		return errNoStore
 	}
 	rec.Time = e.Clock().Now()
 	if err := storeRecord(st, rec); err != nil {
@@ -63,12 +71,22 @@ func (e *Engine) storeAppend(rec journalRecord) error {
 	return nil
 }
 
+// storeRecord writes rec to st with the verb its type calls for: Append
+// where the writer waits for the fsync, Write where it does not (a
+// step.done is written and left to ride the next commit).
+func storeRecord(st *store.Store, rec store.Record) error {
+	if fsync, _ := store.Waits(rec.Type); fsync {
+		return st.Append(rec)
+	}
+	return st.Write(rec)
+}
+
 // snapshotRecord captures the execution's resumable state as one
 // self-contained exec.snap record: the request document, the root
 // scope's variables, and every node path proven complete — succeeded
 // and skipped steps, whole delegated subtrees, plus the not-yet-reached
 // checkpoint set a restart or resurrection seeded this run with.
-func (ex *Execution) snapshotRecord() journalRecord {
+func (ex *Execution) snapshotRecord() store.Record {
 	abs := make(map[string]bool)
 	ex.root.collectSucceeded(abs)
 	done := make(map[string]bool, len(abs)+len(ex.skip))
@@ -82,8 +100,8 @@ func (ex *Execution) snapshotRecord() journalRecord {
 	for r := range done {
 		rel = append(rel, r)
 	}
-	return journalRecord{
-		Type: journalExecSnap, ID: ex.ID,
+	return store.Record{
+		Type: store.TypeExecSnap, ID: ex.ID,
 		Request: codec.RequestDoc(ex.req),
 		Vars:    ex.scope.Snapshot(),
 		Done:    rel,
@@ -145,7 +163,7 @@ func (e *Engine) SnapshotAll() int {
 // re-runs, the store's at-least-once unit.
 func (e *Engine) Passivate(id string) error {
 	if e.Store() == nil {
-		return fmt.Errorf("matrix: passivate %s: no store attached: %w", id, dgferr.ErrInvalid)
+		return fmt.Errorf("passivate %s: %w", id, errNoStore)
 	}
 	ex, ok := e.Execution(id)
 	if !ok {
@@ -159,15 +177,11 @@ func (e *Engine) Passivate(id string) error {
 	if err := e.storeAppend(ex.snapshotRecord()); err != nil {
 		return err
 	}
-	if err := e.storeAppend(journalRecord{
-		Type: journalExecPassivate, ID: id, Paused: ex.Paused(),
+	if err := e.storeAppend(store.Record{
+		Type: store.TypeExecPassivate, ID: id, Paused: ex.Paused(),
 	}); err != nil {
 		return err
 	}
-	// Mirror the marker into the flat journal (if one is attached) so a
-	// journal-only recovery knows this flow is parked in the store and
-	// does not re-run it from scratch under a fresh id.
-	e.mirrorToJournal(journalRecord{Type: journalExecPassivate, ID: id, Paused: ex.Paused()})
 	// Order matters: the flag must be visible before Cancel unwinds the
 	// run goroutine, so its epilogue suppresses the exec.end record.
 	ex.passivated.Store(true)
@@ -253,8 +267,7 @@ func (e *Engine) ResurrectFor(id, path string) (*Execution, error) {
 	if !created {
 		return ex, nil // lost a resurrection race: the winner's handle
 	}
-	_ = e.storeAppend(journalRecord{Type: journalExecResurrect, ID: id})
-	e.mirrorToJournal(journalRecord{Type: journalExecResurrect, ID: id})
+	_ = e.storeAppend(store.Record{Type: store.TypeExecResurrect, ID: id})
 	e.Obs().Counter("store_resurrections_total", "path", path).Inc()
 	e.record(provenance.Record{
 		Actor: req.User.Name, Action: "flow.resurrect",
@@ -316,7 +329,7 @@ func (e *Engine) adoptExecution(id string, req *dgl.Request, ent store.Entry) (*
 func (e *Engine) RecoverFromStore() ([]*Execution, error) {
 	st := e.Store()
 	if st == nil {
-		return nil, fmt.Errorf("matrix: no store attached: %w", dgferr.ErrInvalid)
+		return nil, errNoStore
 	}
 	var maxSeq int64
 	for _, id := range st.IDs() {
@@ -398,8 +411,8 @@ func (e *Engine) AdoptEntries(entries []store.Entry, source string) []AdoptedFlo
 		if e.Store() != nil {
 			// Authored from the entry, not a live execution: the replica's
 			// indexed state IS the adopted truth.
-			_ = e.storeAppend(journalRecord{
-				Type: journalExecSnap, ID: ent.ID,
+			_ = e.storeAppend(store.Record{
+				Type: store.TypeExecSnap, ID: ent.ID,
 				Request: ent.Request, Vars: ent.Vars, Done: ent.Done,
 				Paused: ent.Paused, Passivated: ent.Passivated,
 			})

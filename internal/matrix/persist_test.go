@@ -3,14 +3,19 @@ package matrix
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"datagridflow/internal/codec"
+	"datagridflow/internal/dgferr"
 	"datagridflow/internal/dgl"
 	"datagridflow/internal/dgms"
 	"datagridflow/internal/namespace"
+	"datagridflow/internal/provenance"
 	"datagridflow/internal/sim"
 	"datagridflow/internal/store"
 	"datagridflow/internal/vfs"
@@ -387,6 +392,268 @@ func TestRecoverFromStoreLeavesPassivated(t *testing.T) {
 	}
 	if b2.count("0") != 0 {
 		t.Error("snapshot-complete step re-ran")
+	}
+}
+
+// TestJournalCrashRecovery is the lifecycle log's acceptance test: an
+// engine with a store dies mid-flow (a step blocks forever, the process
+// is abandoned), a brand-new engine over the same store directory
+// recovers the run, and across both processes every completed step
+// executed exactly once — the log, not re-execution, supplies the steps
+// the crashed process finished.
+func TestJournalCrashRecovery(t *testing.T) {
+	dir := t.TempDir()
+	const steps = 10
+
+	var mu sync.Mutex
+	runs := map[string]map[string]int{} // engine label -> step index -> runs
+	entered := make(chan struct{})      // closed when the crashing step starts
+	release := make(chan struct{})      // closed at cleanup to unstick it
+	t.Cleanup(func() { close(release) })
+
+	mkEngine := func(label string, crashAt string) (*Engine, *store.Store) {
+		e, st := newStoreEngine(t, dir)
+		runs[label] = map[string]int{}
+		e.RegisterOp("work", func(c *OpContext) error {
+			i := c.ParamOr("i", "")
+			mu.Lock()
+			runs[label][i]++
+			mu.Unlock()
+			if i == crashAt {
+				close(entered)
+				<-release // the "process" never comes back
+				return errors.New("crashed")
+			}
+			return nil
+		})
+		return e, st
+	}
+	flowDoc := func() dgl.Flow {
+		b := dgl.NewFlow("durable-job")
+		for i := 0; i < steps; i++ {
+			b.Step(fmt.Sprintf("s%d", i), dgl.Op("work", map[string]string{"i": fmt.Sprint(i)}))
+		}
+		return b.Flow()
+	}
+
+	// Process 1 blocks forever inside step 6; its store handle is closed
+	// under it, as a crash would leave the directory.
+	e1, st1 := mkEngine("p1", "6")
+	ex, err := e1.Start("user", flowDoc())
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("crashing step never started")
+	}
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("segments: %v, %v", segs, err)
+	}
+	if data, err := os.ReadFile(segs[0]); err != nil || !codec.IsBinary(data) {
+		t.Fatalf("the log is not binary frames (%v)", err)
+	}
+
+	// Process 2: fresh engine, same directory.
+	e2, _ := mkEngine("p2", "")
+	recoveriesBefore := e2.Obs().Counter("matrix_recoveries_total").Value()
+	recovered, err := e2.RecoverFromStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recovered) != 1 || recovered[0].ID != ex.ID {
+		t.Fatalf("recovered %v, want [%s]", recovered, ex.ID)
+	}
+	if err := recovered[0].Wait(); err != nil {
+		t.Fatalf("recovered run failed: %v", err)
+	}
+
+	// Steps 0-5 completed before the crash: skipped, never rerun. Step 6
+	// crashed mid-flight: rerun. Steps 7-9: first (and only) run.
+	mu.Lock()
+	defer mu.Unlock()
+	for i := 0; i < steps; i++ {
+		k := fmt.Sprint(i)
+		total := runs["p1"][k] + runs["p2"][k]
+		switch {
+		case i < 6:
+			if runs["p1"][k] != 1 || runs["p2"][k] != 0 {
+				t.Errorf("step %d: p1=%d p2=%d, want completed work done exactly once by p1",
+					i, runs["p1"][k], runs["p2"][k])
+			}
+		case i == 6:
+			if runs["p1"][k] != 1 || runs["p2"][k] != 1 {
+				t.Errorf("step %d (crashed mid-flight): p1=%d p2=%d, want rerun by p2",
+					i, runs["p1"][k], runs["p2"][k])
+			}
+		default:
+			if total != 1 || runs["p2"][k] != 1 {
+				t.Errorf("step %d: p1=%d p2=%d, want run once by p2", i, runs["p1"][k], runs["p2"][k])
+			}
+		}
+	}
+
+	// The recovery left an audit trail and counted itself. (The default
+	// grid shares the process-wide registry, so assert the delta.)
+	if got := e2.Obs().Counter("matrix_recoveries_total").Value() - recoveriesBefore; got != 1 {
+		t.Errorf("matrix_recoveries_total delta = %v, want 1", got)
+	}
+	recs := e2.Grid().Provenance().Query(provenance.Filter{
+		Action: "flow.recover", FlowID: recovered[0].ID,
+	})
+	if len(recs) != 1 {
+		t.Errorf("flow.recover provenance = %+v", recs)
+	}
+	if st := recovered[0].Status(true); st.State != string(StateSucceeded) {
+		t.Errorf("recovered state = %s", st.State)
+	}
+}
+
+// TestJournalCompletedRunsNotRecovered: exec.end fences recovery — runs
+// that finished (even unsuccessfully) are not resumed.
+func TestJournalCompletedRunsNotRecovered(t *testing.T) {
+	dir := t.TempDir()
+	e, st := newStoreEngine(t, dir)
+	e.RegisterOp("ok", func(*OpContext) error { return nil })
+	e.RegisterOp("bad", func(*OpContext) error { return errors.New("no") })
+
+	good, err := e.Run("user", dgl.NewFlow("good").Step("a", dgl.Op("ok", nil)).Flow())
+	if err != nil || good.Wait() != nil {
+		t.Fatalf("good run: %v", err)
+	}
+	bad, err := e.Run("user", dgl.NewFlow("bad").Step("a", dgl.Op("bad", nil)).Flow())
+	if err != nil || bad.Wait() == nil {
+		t.Fatalf("bad run should fail cleanly: %v", err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	e2, _ := newStoreEngine(t, dir)
+	e2.RegisterOp("ok", func(*OpContext) error { return nil })
+	e2.RegisterOp("bad", func(*OpContext) error { return nil })
+	recovered, err := e2.RecoverFromStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recovered) != 0 {
+		t.Errorf("recovered %d terminal executions, want 0", len(recovered))
+	}
+}
+
+// TestJournalSkipsPassivated: a restart leaves a passivated flow parked
+// in the store rather than re-running it; once something resurrects it
+// (exec.resurrect) and the process then dies, the next restart resumes
+// it from where it was.
+func TestJournalSkipsPassivated(t *testing.T) {
+	dir := t.TempDir()
+	e1, st1 := newStoreEngine(t, dir)
+	b1 := registerBlockingOp(e1, "work", "1")
+	ex := startFlow(t, e1, workFlow("parked", 3))
+	<-b1.reached // s0 done; s1 parked
+	if err := e1.Passivate(ex.ID); err != nil {
+		t.Fatalf("passivate: %v", err)
+	}
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Process 2: the parked flow stays parked, until a status query
+	// wakes it; it parks inside s1 again and the process dies.
+	e2, st2 := newStoreEngine(t, dir)
+	b2 := registerBlockingOp(e2, "work", "1")
+	if recovered, err := e2.RecoverFromStore(); err != nil || len(recovered) != 0 {
+		t.Fatalf("recovered %d passivated executions (%v), want 0", len(recovered), err)
+	}
+	if _, err := e2.ResurrectFor(ex.ID, "status"); err != nil {
+		t.Fatal(err)
+	}
+	<-b2.reached
+	if err := st2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(b2.release)
+
+	// Process 3 resumes it: the resurrect marker made it running again.
+	e3, _ := newStoreEngine(t, dir)
+	b3 := registerBlockingOp(e3, "work", "never")
+	recovered, err := e3.RecoverFromStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recovered) != 1 || recovered[0].ID != ex.ID {
+		t.Fatalf("recovered %v, want the resurrected [%s]", recovered, ex.ID)
+	}
+	if err := recovered[0].Wait(); err != nil {
+		t.Fatalf("recovered run: %v", err)
+	}
+	if b3.count("0") != 0 || b3.count("1") != 1 || b3.count("2") != 1 {
+		t.Errorf("recovered runs = %v, want s1 and s2 once each", b3.runs)
+	}
+}
+
+// TestRecoverFromStoreMissingDirectory: a store over a directory that
+// does not exist yet is a fresh start — Open creates it and recovery
+// resumes nothing — while an engine with no store at all is refused.
+func TestRecoverFromStoreMissingDirectory(t *testing.T) {
+	e, _ := newStoreEngine(t, filepath.Join(t.TempDir(), "nope"))
+	if recovered, err := e.RecoverFromStore(); err != nil || len(recovered) != 0 {
+		t.Errorf("recovery from a new directory = %d executions, %v", len(recovered), err)
+	}
+	if _, err := newTestEngine(t).RecoverFromStore(); !errors.Is(err, dgferr.ErrInvalid) {
+		t.Errorf("recovery without a store = %v, want ErrInvalid", err)
+	}
+}
+
+// TestRecoverFromStoreBothRequestEncodings writes an abandoned run into
+// a store by hand, its request an XML document (what a text client
+// sends) or a binary one (what the engine writes), and recovers it.
+func TestRecoverFromStoreBothRequestEncodings(t *testing.T) {
+	b := dgl.NewFlow("abandoned")
+	b.Step("s0", dgl.Op("work", map[string]string{"i": "0"}))
+	b.Step("s1", dgl.Op("work", map[string]string{"i": "1"}))
+	req := dgl.NewAsyncRequest("user", "", b.Flow())
+	xmlDoc, err := dgl.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, doc := range map[string]string{"xml": string(xmlDoc), "binary": codec.RequestDoc(req)} {
+		t.Run(name+" request", func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := store.Open(dir, store.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.AppendBatch([]store.Record{
+				{Type: store.TypeExecStart, ID: "dgf-dead", Request: doc},
+				{Type: store.TypeStepDone, ID: "dgf-dead", Node: "/abandoned/s0"},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			e, _ := newStoreEngine(t, dir)
+			runs := countingOps(e)
+			recovered, err := e.RecoverFromStore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(recovered) != 1 {
+				t.Fatalf("recovered %d executions, want 1", len(recovered))
+			}
+			if err := recovered[0].Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if runs("work", "0") != 0 || runs("work", "1") != 1 {
+				t.Errorf("recovered run: s0 ran %d times, s1 %d; want 0, 1", runs("work", "0"), runs("work", "1"))
+			}
+		})
 	}
 }
 

@@ -8,15 +8,15 @@ import (
 	"testing"
 
 	"datagridflow/internal/codec"
-	"datagridflow/internal/dgl"
 	"datagridflow/internal/replica"
 	"datagridflow/internal/store"
 )
 
-// Stored request documents are binary (codec.RequestDoc); records
-// written before that carry XML. These tests pin that every reader of a
-// stored request takes both, that a binary request survives a JSON sink,
-// and that an XML-bearing directory upgrades in place.
+// Stored request documents are binary (codec.RequestDoc); a record may
+// still carry an XML one (a text client's document, a store written
+// before requests went binary). These tests pin that every reader of a
+// stored request takes both and that a binary request crosses a
+// replica byte for byte.
 
 // countingOps registers non-blocking "work" and "gate" ops that count
 // their runs per "i" parameter.
@@ -60,13 +60,13 @@ func copyFixtureStore(t *testing.T) string {
 // TestXMLRequestStoreUpgrades opens the checked-in directory as it is
 // and after a Compact: either way RecoverFromStore resumes exactly the
 // crash-abandoned flow past its completed step and ResurrectFor wakes
-// the passivated one, and the compaction leaves every stored request
-// binary.
+// the passivated one, and the compaction keeps every stored request as
+// it was.
 func TestXMLRequestStoreUpgrades(t *testing.T) {
 	for _, compactFirst := range []bool{false, true} {
 		t.Run(fmt.Sprintf("compactFirst=%v", compactFirst), func(t *testing.T) {
 			dir := copyFixtureStore(t)
-			st, err := store.Open(dir, store.Options{Binary: true})
+			st, err := store.Open(dir, store.Options{})
 			if err != nil {
 				t.Fatalf("open a directory holding XML requests: %v", err)
 			}
@@ -86,17 +86,12 @@ func TestXMLRequestStoreUpgrades(t *testing.T) {
 				if err := st.Close(); err != nil {
 					t.Fatal(err)
 				}
-				if st, err = store.Open(dir, store.Options{Binary: true}); err != nil {
+				if st, err = store.Open(dir, store.Options{}); err != nil {
 					t.Fatal(err)
 				}
 				for i, ent := range st.Live() {
-					if !codec.IsBinary(ent.Request) {
-						t.Errorf("entry %s still holds an XML request after Compact", ent.ID)
-					}
-					before, err1 := codec.DecodeRequestDoc([]byte(live[i].Request))
-					after, err2 := codec.DecodeRequestDoc([]byte(ent.Request))
-					if err1 != nil || err2 != nil || before.String() != after.String() {
-						t.Errorf("entry %s: compaction changed the request (%v, %v)", ent.ID, err1, err2)
+					if ent.Request != live[i].Request {
+						t.Errorf("entry %s: compaction changed the request", ent.ID)
 					}
 				}
 			}
@@ -143,58 +138,6 @@ func TestXMLRequestStoreUpgrades(t *testing.T) {
 	}
 }
 
-// TestRecoverFromJournalBothRequestEncodings writes an abandoned run
-// into a journal by hand — XML request or binary request, JSONL file or
-// binary frames — and recovers it. The binary request in the JSONL file
-// is the base64 "requestBin" path.
-func TestRecoverFromJournalBothRequestEncodings(t *testing.T) {
-	b := dgl.NewFlow("abandoned")
-	b.Step("s0", dgl.Op("work", map[string]string{"i": "0"}))
-	b.Step("s1", dgl.Op("work", map[string]string{"i": "1"}))
-	req := dgl.NewAsyncRequest("user", "", b.Flow())
-	xmlDoc, err := dgl.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, binaryJournal := range []bool{false, true} {
-		for name, doc := range map[string]string{"xml": string(xmlDoc), "binary": codec.RequestDoc(req)} {
-			t.Run(fmt.Sprintf("%s request, binary journal %v", name, binaryJournal), func(t *testing.T) {
-				jpath := filepath.Join(t.TempDir(), "exec.journal")
-				j, err := OpenJournalOptions(jpath, JournalOptions{Binary: binaryJournal})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, rec := range []journalRecord{
-					{Type: journalExecStart, ID: "dgf-dead", Request: doc},
-					{Type: journalStepDone, ID: "dgf-dead", Node: "/abandoned/s0"},
-				} {
-					if err := j.append(rec); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := j.Close(); err != nil {
-					t.Fatal(err)
-				}
-				e := newTestEngine(t)
-				runs := countingOps(e)
-				recovered, err := e.RecoverFromJournal(jpath)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(recovered) != 1 {
-					t.Fatalf("recovered %d executions, want 1", len(recovered))
-				}
-				if err := recovered[0].Wait(); err != nil {
-					t.Fatal(err)
-				}
-				if runs("work", "0") != 0 || runs("work", "1") != 1 {
-					t.Errorf("recovered run: s0 ran %d times, s1 %d; want 0, 1", runs("work", "0"), runs("work", "1"))
-				}
-			})
-		}
-	}
-}
-
 // TestAdoptBinaryRequestFromJSONReplica replicates a live flow into a
 // follower configured for a JSONL replica store (a setting it ignores:
 // the replica is the owner's binary frames as they came): the binary
@@ -208,7 +151,7 @@ func TestAdoptBinaryRequestFromJSONReplica(t *testing.T) {
 	defer recv.Close()
 
 	owner := newTestEngine(t)
-	ost, err := store.Open(t.TempDir(), store.Options{Binary: true})
+	ost, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +192,7 @@ func TestAdoptBinaryRequestFromJSONReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(entries) != 1 || entries[0].Request != want.Request {
-		t.Fatalf("the JSON-coded replica returned %d entries; request intact: %v",
+		t.Fatalf("the replica returned %d entries; request intact: %v",
 			len(entries), len(entries) == 1 && entries[0].Request == want.Request)
 	}
 	heir := newTestEngine(t)
@@ -268,10 +211,10 @@ func TestAdoptBinaryRequestFromJSONReplica(t *testing.T) {
 	if !ok {
 		t.Fatal("adopted execution not resident")
 	}
-	// The heir's own store is JSONL too: the request it re-persisted
-	// must read back intact from the bytes on disk. Read while the flow is
-	// still live — parked inside s3 — because an ended entry keeps no
-	// request; a copy of the directory stands in for a reopen.
+	// The request the heir re-persisted must read back intact from the
+	// bytes on disk. Read while the flow is still live — parked inside s3 —
+	// because an ended entry keeps no request; a copy of the directory
+	// stands in for a reopen.
 	<-hb.reached
 	dir := t.TempDir()
 	segs, err := filepath.Glob(filepath.Join(hst.Dir(), "seg-*.log"))
@@ -293,7 +236,7 @@ func TestAdoptBinaryRequestFromJSONReplica(t *testing.T) {
 	}
 	defer reopened.Close()
 	if ent, ok := reopened.Entry(ex.ID); !ok || ent.Request != want.Request {
-		t.Errorf("request re-read from the heir's JSONL store differs (found %v)", ok)
+		t.Errorf("request re-read from the heir's store differs (found %v)", ok)
 	}
 	close(hb.release)
 	if err := got.Wait(); err != nil {

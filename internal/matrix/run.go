@@ -17,6 +17,7 @@ import (
 	"datagridflow/internal/namespace"
 	"datagridflow/internal/obs"
 	"datagridflow/internal/provenance"
+	"datagridflow/internal/store"
 )
 
 // run drives the execution to a terminal state. It is called on the
@@ -37,11 +38,11 @@ func (ex *Execution) run() {
 		Actor: ex.req.User.Name, Action: "flow.submit",
 		FlowID: ex.ID, Target: ex.req.Flow.Name,
 	})
-	if ex.engine.journaling() {
+	if ex.engine.Store() != nil {
 		// Encoding the request document is only worth paying for when a
-		// journal or store will actually persist it.
-		ex.engine.journalAppend(journalRecord{
-			Type: journalExecStart, ID: ex.ID, Request: codec.RequestDoc(ex.req),
+		// store will actually persist it.
+		_ = ex.engine.storeAppend(store.Record{
+			Type: store.TypeExecStart, ID: ex.ID, Request: codec.RequestDoc(ex.req),
 		})
 	}
 	root := ex.plan.root
@@ -78,8 +79,8 @@ func (ex *Execution) run() {
 		FlowID: ex.ID, Target: ex.req.Flow.Name,
 		Outcome: outcome, Err: errText,
 	})
-	ex.engine.journalAppend(journalRecord{
-		Type: journalExecEnd, ID: ex.ID, Err: errText,
+	_ = ex.engine.storeAppend(store.Record{
+		Type: store.TypeExecEnd, ID: ex.ID, Err: errText,
 	})
 }
 
@@ -481,8 +482,8 @@ func (ex *Execution) runStep(ps *planStep, n *node, parent *Scope, c *OpContext)
 			FlowID: ex.ID, StepID: n.id, Target: st.Name,
 			Outcome: provenance.OutcomeSkipped,
 		})
-		ex.engine.journalAppend(journalRecord{
-			Type: journalStepDone, ID: ex.ID, Node: ex.relID(n.id),
+		_ = ex.engine.storeAppend(store.Record{
+			Type: store.TypeStepDone, ID: ex.ID, Node: ex.relID(n.id),
 		})
 		ex.noteProgress()
 		return nil
@@ -626,8 +627,8 @@ func (ex *Execution) runStep(ps *planStep, n *node, parent *Scope, c *OpContext)
 		Actor: ex.req.User.Name, Action: "step.finish",
 		FlowID: ex.ID, StepID: n.id, Target: st.Name,
 	})
-	ex.engine.journalAppend(journalRecord{
-		Type: journalStepDone, ID: ex.ID, Node: ex.relID(n.id),
+	_ = ex.engine.storeAppend(store.Record{
+		Type: store.TypeStepDone, ID: ex.ID, Node: ex.relID(n.id),
 	})
 	ex.noteProgress()
 	return nil

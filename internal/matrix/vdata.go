@@ -5,12 +5,13 @@ package matrix
 // before execution; a catalog hit grafts the memoized result and skips
 // the work, a miss executes and publishes. The catalog and the optional
 // fleet-wide lookup hook attach like the other engine extensions
-// (journal, store, delegator) — a bare engine is unchanged.
+// (store, delegator) — a bare engine is unchanged.
 
 import (
 	"datagridflow/internal/dgl"
 	"datagridflow/internal/expr"
 	"datagridflow/internal/provenance"
+	"datagridflow/internal/store"
 	"datagridflow/internal/tenant"
 	"datagridflow/internal/vdata"
 )
@@ -162,7 +163,7 @@ func (ex *Execution) vdataPeerHint(pf *planFlow, scope *Scope) string {
 // vdataHit consults the catalog (local, then fleet-wide) for vd's
 // derivation. On a hit the step is grafted: its result variable is
 // restored from the entry, the node is marked skipped with a vdata.hit
-// provenance record, and a step.done journal record (carrying the
+// provenance record, and a step.done store record (carrying the
 // holder peer) checkpoints it for recovery. Returns true when the step
 // was skipped.
 func (ex *Execution) vdataHit(vd *vdataBinding, st *dgl.Step, n *node, scope *Scope) bool {
@@ -203,8 +204,8 @@ func (ex *Execution) vdataHit(vd *vdataBinding, st *dgl.Step, n *node, scope *Sc
 		Outcome: provenance.OutcomeSkipped,
 		Detail:  map[string]string{"key": vd.key, "peer": ent.Peer},
 	})
-	ex.engine.journalAppend(journalRecord{
-		Type: journalStepDone, ID: ex.ID, Node: ex.relID(n.id), Peer: ent.Peer,
+	_ = ex.engine.storeAppend(store.Record{
+		Type: store.TypeStepDone, ID: ex.ID, Node: ex.relID(n.id), Peer: ent.Peer,
 	})
 	ex.noteProgress()
 	return true

@@ -98,10 +98,7 @@ func (r *Receiver) open(name string, src *source) error {
 	// owner's copy and the gap→snapshot re-sync are its durability
 	// backstop, and waiting out an fsync per frame would put a disk
 	// flush on every quorum-acked owner append.
-	st, err := store.Open(filepath.Join(r.cfg.Dir, name), store.Options{
-		Binary: true,
-		Obs:    r.cfg.Obs,
-	})
+	st, err := store.Open(filepath.Join(r.cfg.Dir, name), store.Options{Obs: r.cfg.Obs})
 	if err != nil {
 		return err
 	}

@@ -271,68 +271,58 @@ func TestReceiverGapThenSnapshotHeals(t *testing.T) {
 	}
 }
 
-// TestMixedCodecReplication: the owner's segment encoding and the
-// follower's ignored Binary setting do not matter — the link ships
-// binary frames, and the replica holds them as they came. An owner
-// whose store writes JSONL replicates through its tap as a binary one
-// does; a follower configured for JSONL still writes the frames; and a
-// JSONL block, which no sender ships any more, is refused with nothing
+// TestMixedCodecReplication: the follower's ignored Binary setting does
+// not matter — the link ships binary frames, and the replica holds them
+// as they came. A follower configured for JSONL still writes the frames,
+// and a JSONL block, which no sender ships, is refused with nothing
 // written.
 func TestMixedCodecReplication(t *testing.T) {
-	for _, tc := range []struct {
-		name                  string
-		ownerBin, followerBin bool
-	}{
-		{"json-owner-binary-follower", false, true},
-		{"binary-owner-json-follower", true, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			recv, err := NewReceiver(ReceiverConfig{Dir: dir, Binary: tc.followerBin})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer recv.Close()
-			owner, err := store.Open(t.TempDir(), store.Options{Binary: tc.ownerBin})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer owner.Close()
-			var blocks [][]byte
-			s := NewSender(SenderConfig{Source: "own", Mode: ModeQuorum,
-				Send: func(_ string, f Frame) (Ack, error) {
-					blocks = append(blocks, f.Block)
-					return recv.Apply(f), nil
-				}})
-			defer s.Close()
-			s.SetFollowers([]string{"f"})
-			owner.SetTap(s.Replicate)
-			// f1 carries a binary request document: it must reach the
-			// replica byte for byte.
-			f1 := snapRec("f1")
-			f1.Request = string([]byte{codec.Magic, codec.Version, codec.MsgRequest, 0xff, 0x00, 0xfe})
-			if err := owner.AppendBatch([]store.Record{f1, snapRec("f2"), endRec("f2")}); err != nil {
-				t.Fatal(err)
-			}
-			owner.SetTap(nil)
-			s.Close()
-			if len(blocks) != 1 || !codec.IsBinary(blocks[0]) {
-				t.Fatalf("the owner shipped %q", blocks)
-			}
-			entries, err := recv.Promote("own")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(entries) != 1 || entries[0].ID != "f1" || entries[0].Request != f1.Request {
-				t.Fatalf("live after promotion: %+v", entries)
-			}
-			recv.Close()
-			seg, err := os.ReadFile(filepath.Join(dir, "own", "seg-00000001.log"))
-			if err != nil || !bytes.Equal(seg, blocks[0]) {
-				t.Fatalf("the replica segment is not the block the owner shipped (%v)", err)
-			}
-		})
-	}
+	t.Run("binary-owner-json-follower", func(t *testing.T) {
+		dir := t.TempDir()
+		recv, err := NewReceiver(ReceiverConfig{Dir: dir, Binary: false})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer recv.Close()
+		owner, err := store.Open(t.TempDir(), store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer owner.Close()
+		var blocks [][]byte
+		s := NewSender(SenderConfig{Source: "own", Mode: ModeQuorum,
+			Send: func(_ string, f Frame) (Ack, error) {
+				blocks = append(blocks, f.Block)
+				return recv.Apply(f), nil
+			}})
+		defer s.Close()
+		s.SetFollowers([]string{"f"})
+		owner.SetTap(s.Replicate)
+		// f1 carries a binary request document: it must reach the
+		// replica byte for byte.
+		f1 := snapRec("f1")
+		f1.Request = string([]byte{codec.Magic, codec.Version, codec.MsgRequest, 0xff, 0x00, 0xfe})
+		if err := owner.AppendBatch([]store.Record{f1, snapRec("f2"), endRec("f2")}); err != nil {
+			t.Fatal(err)
+		}
+		owner.SetTap(nil)
+		s.Close()
+		if len(blocks) != 1 || !codec.IsBinary(blocks[0]) {
+			t.Fatalf("the owner shipped %q", blocks)
+		}
+		entries, err := recv.Promote("own")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 || entries[0].ID != "f1" || entries[0].Request != f1.Request {
+			t.Fatalf("live after promotion: %+v", entries)
+		}
+		recv.Close()
+		seg, err := os.ReadFile(filepath.Join(dir, "own", "seg-00000001.log"))
+		if err != nil || !bytes.Equal(seg, blocks[0]) {
+			t.Fatalf("the replica segment is not the block the owner shipped (%v)", err)
+		}
+	})
 	recv := newTestReceiver(t, nil)
 	jsonl := []byte("{\"type\":\"exec.snap\",\"id\":\"f1\"}\n")
 	if ack := recv.Apply(Frame{Op: OpAppend, Source: "own", Seq: 1, Count: 1, Block: jsonl}); ack.OK || !strings.Contains(ack.Error, "bad record block") {

@@ -1,18 +1,21 @@
 package store
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"datagridflow/internal/codec"
+	"datagridflow/internal/dgferr"
 )
 
 // TestStoreBinaryAppendReplay round-trips a lifecycle through a binary
 // store and a reopen.
 func TestStoreBinaryAppendReplay(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Binary: true})
+	s := mustOpen(t, dir, Options{})
 	appendAll(t, s,
 		Record{Type: TypeExecStart, ID: "dgf-1", Request: "<dataGridRequest/>"},
 		Record{Type: TypeStepDone, ID: "dgf-1", Node: "/f/a"},
@@ -31,7 +34,7 @@ func TestStoreBinaryAppendReplay(t *testing.T) {
 		t.Fatalf("segment is not binary: % x", data[:min(8, len(data))])
 	}
 
-	s2 := mustOpen(t, dir, Options{Binary: true})
+	s2 := mustOpen(t, dir, Options{})
 	defer s2.Close()
 	if got := s2.Stats().ReplayRecords; got != 3 {
 		t.Fatalf("replayed %d records, want 3", got)
@@ -49,97 +52,78 @@ func TestStoreBinaryAppendReplay(t *testing.T) {
 // TestStoreBinaryAppendBatch checks the vectored write path: one block,
 // one group commit, every record indexed and replayable.
 func TestStoreBinaryAppendBatch(t *testing.T) {
-	for _, binary := range []bool{true, false} {
-		dir := t.TempDir()
-		s := mustOpen(t, dir, Options{Binary: binary})
-		recs := append(lifecycle("dgf-1"),
-			Record{Type: TypeExecStart, ID: "dgf-2", Request: "<dataGridRequest/>"},
-			Record{Type: TypeStepDone, ID: "dgf-2", Node: "/f/a"},
-		)
-		if err := s.AppendBatch(recs); err != nil {
-			t.Fatalf("binary=%v: %v", binary, err)
-		}
-		if got := s.Stats().Records; got != len(recs) {
-			t.Fatalf("binary=%v: records = %d, want %d", binary, got, len(recs))
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		s2 := mustOpen(t, dir, Options{Binary: binary})
-		if got := s2.Stats().ReplayRecords; got != len(recs) {
-			t.Fatalf("binary=%v: replayed %d, want %d", binary, got, len(recs))
-		}
-		ent, ok := s2.Entry("dgf-2")
-		if !ok || len(ent.Done) != 1 {
-			t.Fatalf("binary=%v: dgf-2 = %+v, %v", binary, ent, ok)
-		}
-		s2.Close()
-	}
-}
-
-// TestStoreJSONDirectoryReplaysUnderBinary opens a directory written
-// entirely in JSONL with Binary set: the old segments must replay
-// unchanged, new appends must land in a fresh binary segment, and a
-// compaction must leave a single binary segment.
-func TestStoreJSONDirectoryReplaysUnderBinary(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{})
-	appendAll(t, s, lifecycle("dgf-1")...)
-	appendAll(t, s,
+	recs := append(lifecycle("dgf-1"),
 		Record{Type: TypeExecStart, ID: "dgf-2", Request: "<dataGridRequest/>"},
 		Record{Type: TypeStepDone, ID: "dgf-2", Node: "/f/a"},
 	)
+	if err := s.AppendBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().Records; got != len(recs) {
+		t.Fatalf("records = %d, want %d", got, len(recs))
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	s2 := mustOpen(t, dir, Options{Binary: true})
-	if got := s2.Stats().ReplayRecords; got != 6 {
-		t.Fatalf("replayed %d, want 6", got)
+	s2 := mustOpen(t, dir, Options{})
+	defer s2.Close()
+	if got := s2.Stats().ReplayRecords; got != len(recs) {
+		t.Fatalf("replayed %d, want %d", got, len(recs))
 	}
-	// The non-empty JSONL tail was sealed: appends go to a new segment.
-	if got := s2.Stats().Segments; got != 2 {
-		t.Fatalf("segments after mixed open = %d, want 2", got)
-	}
-	appendAll(t, s2, Record{Type: TypeStepDone, ID: "dgf-2", Node: "/f/b"})
-	data, err := os.ReadFile(filepath.Join(dir, segName(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !codec.IsBinary(data) {
-		t.Fatal("new active segment is not binary")
-	}
-	// Compaction converts the survivors to the configured encoding.
-	if _, err := s2.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.log"))
-	if len(segs) != 1 {
-		t.Fatalf("segments after compact = %v", segs)
-	}
-	data, err = os.ReadFile(segs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !codec.IsBinary(data) {
-		t.Fatal("compacted segment is not binary")
-	}
-	s3 := mustOpen(t, dir, Options{Binary: true})
-	defer s3.Close()
-	ent, ok := s3.Entry("dgf-2")
-	if !ok || len(ent.Done) != 2 {
-		t.Fatalf("dgf-2 after convert+compact = %+v, %v", ent, ok)
-	}
-	if _, ok := s3.Entry("dgf-1"); ok {
-		t.Fatal("ended dgf-1 survived compaction")
+	if ent, ok := s2.Entry("dgf-2"); !ok || len(ent.Done) != 1 {
+		t.Fatalf("dgf-2 = %+v, %v", ent, ok)
 	}
 }
 
-// TestStoreBinaryDirectoryReplaysUnderJSON is the reverse migration:
-// a binary directory reopened with Binary unset keeps working.
+// TestOpenRefusesNonBinarySegment: a segment that does not start with a
+// record frame — a JSONL segment, a stray byte — fails Open with an
+// ErrInvalid naming the file, and the file is left byte for byte as it
+// was (nothing is taken for a torn tail and truncated). An empty
+// segment is a segment nothing was written to yet, and opens.
+func TestOpenRefusesNonBinarySegment(t *testing.T) {
+	for name, content := range map[string]string{
+		"JSONL":    `{"type":"exec.start","id":"dgf-000001","request":"<dataGridRequest/>"}` + "\n",
+		"one byte": "{",
+	} {
+		dir := t.TempDir()
+		seg := filepath.Join(dir, segName(1))
+		if err := os.WriteFile(seg, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir, Options{})
+		if err == nil {
+			s.Close()
+			t.Errorf("%s: Open took the segment", name)
+			continue
+		}
+		if !errors.Is(err, dgferr.ErrInvalid) || !strings.Contains(err.Error(), seg) {
+			t.Errorf("%s: Open = %v, want an ErrInvalid naming %s", name, err, seg)
+		}
+		if data, err := os.ReadFile(seg); err != nil || string(data) != content {
+			t.Errorf("%s: the refused segment changed to %q (%v)", name, data, err)
+		}
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := mustOpen(t, dir, Options{})
+	appendAll(t, s, lifecycle("dgf-1")...)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = mustOpen(t, dir, Options{})
+	defer s.Close()
+	if got := s.Stats().ReplayRecords; got != 4 {
+		t.Errorf("an empty segment appended to replays %d records, want 4", got)
+	}
+}
+
+// TestStoreBinaryDirectoryReplaysUnderJSON: Options.Binary is ignored —
+// a directory written with it set reopens and appends with it unset.
 func TestStoreBinaryDirectoryReplaysUnderJSON(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{Binary: true})
@@ -167,7 +151,7 @@ func TestStoreBinaryDirectoryReplaysUnderJSON(t *testing.T) {
 // file, and accept new appends.
 func TestStoreBinaryTornTail(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Binary: true})
+	s := mustOpen(t, dir, Options{})
 	appendAll(t, s,
 		Record{Type: TypeExecStart, ID: "dgf-1", Request: "<dataGridRequest/>"},
 		Record{Type: TypeStepDone, ID: "dgf-1", Node: "/f/a"},
@@ -184,7 +168,7 @@ func TestStoreBinaryTornTail(t *testing.T) {
 	if err := os.Truncate(path, st.Size()-3); err != nil {
 		t.Fatal(err)
 	}
-	s2 := mustOpen(t, dir, Options{Binary: true})
+	s2 := mustOpen(t, dir, Options{})
 	if got := s2.Stats().ReplayRecords; got != 2 {
 		t.Fatalf("replayed %d, want 2 (torn frame discarded)", got)
 	}
@@ -196,7 +180,7 @@ func TestStoreBinaryTornTail(t *testing.T) {
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s3 := mustOpen(t, dir, Options{Binary: true})
+	s3 := mustOpen(t, dir, Options{})
 	defer s3.Close()
 	ent, _ = s3.Entry("dgf-1")
 	if len(ent.Done) != 2 {
@@ -208,7 +192,7 @@ func TestStoreBinaryTornTail(t *testing.T) {
 // SegmentMaxBytes and wants clean rotation and full replay.
 func TestStoreBinaryRotation(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Binary: true, SegmentMaxBytes: 256})
+	s := mustOpen(t, dir, Options{SegmentMaxBytes: 256})
 	for i := 0; i < 8; i++ {
 		appendAll(t, s, lifecycle(segName(i))...)
 	}
@@ -218,7 +202,7 @@ func TestStoreBinaryRotation(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2 := mustOpen(t, dir, Options{Binary: true})
+	s2 := mustOpen(t, dir, Options{})
 	defer s2.Close()
 	if got := s2.Stats().ReplayRecords; got != 32 {
 		t.Fatalf("replayed %d, want 32", got)

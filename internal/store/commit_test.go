@@ -67,7 +67,7 @@ func insideLinger(t *testing.T, attempt func(r *lingerRun) (check func())) {
 	t.Helper()
 	for try := 0; try < 50; try++ {
 		r := &lingerRun{t: t, reg: obs.NewRegistry(), taps: &tapLog{}}
-		r.s = mustOpen(t, t.TempDir(), Options{Binary: true, Obs: r.reg})
+		r.s = mustOpen(t, t.TempDir(), Options{Obs: r.reg})
 		r.s.SetTap(r.taps.tap)
 		check := attempt(r)
 		clean := r.armed.IsZero() || time.Since(r.armed) < Linger
@@ -137,7 +137,7 @@ func TestWriteRidesNextCommit(t *testing.T) {
 // write is durable, indexed and on the tap within the linger's bound.
 func TestLingerSyncsIdleWrite(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := mustOpen(t, t.TempDir(), Options{Binary: true, Obs: reg})
+	s := mustOpen(t, t.TempDir(), Options{Obs: reg})
 	defer s.Close()
 	taps := &tapLog{}
 	s.SetTap(taps.tap)
@@ -202,7 +202,7 @@ func TestBackgroundSyncFailurePoisons(t *testing.T) {
 			t.Skipf("no attempt in 50 broke the file inside the %v linger", Linger)
 		}
 		reg := obs.NewRegistry()
-		s := mustOpen(t, t.TempDir(), Options{Binary: true, Obs: reg})
+		s := mustOpen(t, t.TempDir(), Options{Obs: reg})
 		taps := &tapLog{}
 		s.SetTap(taps.tap)
 		appendAll(t, s, Record{Type: TypeExecStart, ID: "a", Request: "<r/>"})
@@ -262,7 +262,7 @@ func TestBackgroundSyncFailurePoisons(t *testing.T) {
 // and the tap exactly once, in sequence, and survives a reopen.
 func TestWriteConcurrentWithAppends(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Binary: true, SegmentMaxBytes: 2048})
+	s := mustOpen(t, dir, Options{SegmentMaxBytes: 2048})
 	taps := &tapLog{}
 	s.SetTap(taps.tap)
 	const flows, steps = 8, 12
@@ -320,7 +320,7 @@ func TestWriteConcurrentWithAppends(t *testing.T) {
 		}
 	}
 	s.Close()
-	r := mustOpen(t, dir, Options{Binary: true})
+	r := mustOpen(t, dir, Options{})
 	defer r.Close()
 	if got := imageOf(r); !reflect.DeepEqual(got, want) {
 		t.Errorf("reopened index differs\nwritten:  %+v\nreopened: %+v", want, got)
@@ -333,7 +333,7 @@ func TestWriteAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are measured without the race detector")
 	}
-	s := mustOpen(t, t.TempDir(), Options{Binary: true})
+	s := mustOpen(t, t.TempDir(), Options{})
 	defer s.Close()
 	appendAll(t, s, Record{Type: TypeExecStart, ID: "a", Request: "<r/>"})
 	rec := stepDone("a", 0)

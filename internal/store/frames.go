@@ -9,8 +9,8 @@ import (
 )
 
 // ErrBadBlock refuses a block of record frames AppendFrames cannot take
-// as it is: not binary, not whole, not the number of records it claims,
-// or holding a record that does not decode.
+// as it is: not binary frames, not whole, not the number of records it
+// claims, or holding a record that does not decode.
 var ErrBadBlock = dgferr.Mark(dgferr.ErrInvalid, "store: bad record block")
 
 // AppendFrames is the replica's verb (docs/REPLICATION.md): it writes a
@@ -28,12 +28,8 @@ var ErrBadBlock = dgferr.Mark(dgferr.ErrInvalid, "store: bad record block")
 // that re-syncs it, so a crash may lose or tear the unsynced tail, which
 // replay repairs like any torn tail (docs/STORE.md, "Durability"). The
 // segment is synced when it is rotated or the store closed. The records
-// are numbered (ReplSeq) but reach no tap. The store must write binary
-// segments (Options.Binary).
+// are numbered (ReplSeq) but reach no tap.
 func (s *Store) AppendFrames(block []byte, n int) error {
-	if !s.opt.Binary {
-		return fmt.Errorf("store: %s: AppendFrames needs a binary store: %w", s.dir, dgferr.ErrInvalid)
-	}
 	rotated := false
 	defer func() {
 		if rotated {

@@ -66,7 +66,7 @@ func index(s *store.Store) []store.Entry {
 
 func openStore(t *testing.T, dir string) *store.Store {
 	t.Helper()
-	s, err := store.Open(dir, store.Options{Binary: true})
+	s, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // Linger bounds how long a record written without waiting for its sync
-// (Write, WriteRaw or WriteBlock followed by SyncSoon) can stay in the
+// (Write or WriteBlock followed by SyncSoon) can stay in the
 // OS buffer when nobody else commits: a background sync covers it within
 // 2×Linger of the write. It is the whole durability window a crash can
 // cost such a record, so it is a constant, not a setting — long enough
@@ -27,9 +27,8 @@ const Linger = 5 * time.Millisecond
 // guarantee — Append returns only after the record is on stable
 // storage.
 //
-// Both the matrix journal and the store's segments write through
-// GroupFile; the PR 3 load harness showed the journal serializing
-// throughput on per-record fsyncs, and this is the fix.
+// The store's segments and the virtual-data catalog's log write
+// through GroupFile: per-record fsyncs would serialize their writers.
 type GroupFile struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -103,16 +102,8 @@ func (g *GroupFile) Write(line []byte) (int64, error) {
 	return g.writeLocked(g.wbuf, 1)
 }
 
-// WriteRaw appends one pre-framed record as-is (no newline — binary
-// frames are self-delimiting) and returns its commit ticket.
-func (g *GroupFile) WriteRaw(frame []byte) (int64, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.writeLocked(frame, 1)
-}
-
-// WriteBlock appends a block of pre-serialized records — JSONL lines or
-// binary frames, already framed by the caller — in ONE write syscall,
+// WriteBlock appends a block of pre-serialized records — binary frames,
+// already framed by the caller — in ONE write syscall,
 // and returns a commit ticket covering all of them. This is the
 // vectored-write path: a batch encodes N records into one buffer, pays
 // one write and (via Sync) one shared fsync, yet each record still
@@ -240,16 +231,6 @@ func (g *GroupFile) lingerFired() {
 // Append writes one line and blocks until it is durable — Write + Sync.
 func (g *GroupFile) Append(line []byte) error {
 	ticket, err := g.Write(line)
-	if err != nil {
-		return err
-	}
-	return g.Sync(ticket)
-}
-
-// AppendRaw writes one pre-framed record and blocks until it is
-// durable — WriteRaw + Sync.
-func (g *GroupFile) AppendRaw(frame []byte) error {
-	ticket, err := g.WriteRaw(frame)
 	if err != nil {
 		return err
 	}

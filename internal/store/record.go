@@ -1,7 +1,8 @@
 // Package store is the matrix engine's durable flow-state store — the
 // subsystem that makes "days, months, or even years" long datagridflows
-// operationally survivable. It extends the execution journal's
-// append-only record stream with three mechanisms:
+// operationally survivable, and the engine's one lifecycle log: an
+// append-only stream of records (exec.start, step.done, exec.end, …)
+// with three mechanisms on top:
 //
 //   - snapshots: periodic exec.snap records capture an execution's
 //     resumable state (request document, scope variables, completed-step
@@ -17,22 +18,16 @@
 //     them on demand (status query, trigger firing, wire request or
 //     federation delegation — see internal/matrix).
 //
-// A segment holds records in one of two encodings, sniffed from the
-// file's first byte when the store opens: the journal's JSONL encoding
-// (one JSON object per line, readable by the same tooling as a journal
-// file) or the binary frame encoding of internal/codec (docs/CODEC.md),
-// which replays several times faster and is the default for new
-// segments when Options.Binary is set. A directory may mix encodings
-// segment by segment — existing JSON directories replay unchanged.
+// A segment holds records as the binary frames of internal/codec
+// (docs/CODEC.md), and nothing else: Open refuses a segment that does
+// not start with one.
 package store
 
 import "datagridflow/internal/codec"
 
-// Record is one lifecycle record of the store (and of the matrix
-// journal — the encodings are identical by construction). The
-// definition lives in internal/codec so the binary and JSONL encoders
-// share it; this alias keeps store.Record the canonical name for the
-// storage layers.
+// Record is one lifecycle record of the store. The definition lives in
+// internal/codec beside its encoder; this alias keeps store.Record the
+// canonical name for the storage layers.
 type Record = codec.Record
 
 // Record types, re-exported from internal/codec (see codec.Record for

@@ -223,7 +223,7 @@ func TestTapHandOffAllocs(t *testing.T) {
 	}
 	recs[4] = Record{Type: TypeExecEnd, ID: "own:dgf-000001"}
 	commits := func(tapped bool) float64 {
-		s := mustOpen(t, t.TempDir(), Options{Binary: true})
+		s := mustOpen(t, t.TempDir(), Options{})
 		defer s.Close()
 		if tapped {
 			s.SetTap(func([]TapRecord) func() { return nil })
@@ -246,33 +246,31 @@ func TestTapHandOffAllocs(t *testing.T) {
 // before the restart — although Open left the flow's snapshot undecoded
 // and SnapshotRecords is what decodes it.
 func TestSnapshotRecordsOfParkedEntry(t *testing.T) {
-	for _, binary := range []bool{true, false} {
-		dir := t.TempDir()
-		opt := Options{Binary: binary, Now: func() time.Time { return time.Unix(7, 0) }}
-		s := mustOpen(t, dir, opt)
-		appendAll(t, s,
-			Record{Type: TypeExecStart, ID: "parked", Request: "<r/>"},
-			Record{Type: TypeStepDone, ID: "parked", Node: "/f/a"},
-			Record{Type: TypeExecSnap, ID: "parked", Request: "<r/>", Vars: map[string]string{"k": "v", "e": ""}, Done: []string{"/f/a"}},
-			Record{Type: TypeStepDone, ID: "parked", Node: "/f/b"},
-			Record{Type: TypeExecPassivate, ID: "parked", Paused: true},
-			Record{Type: TypeExecStart, ID: "running", Request: "<r/>"},
-		)
-		before, _ := s.SnapshotRecords()
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		s = mustOpen(t, dir, opt)
-		if st := s.index["parked"]; st.snap == "" || st.vars != nil {
-			t.Fatalf("binary=%v: Open decoded the parked entry's snapshot: %+v", binary, *st)
-		}
-		after, _ := s.SnapshotRecords()
-		s.Close()
-		if !reflect.DeepEqual(after, before) {
-			t.Fatalf("binary=%v: catch-up records after a restart\n%+v\nbefore it\n%+v", binary, after, before)
-		}
-		if p := before[0]; p.ID != "parked" || !p.Passivated || !p.Paused || !reflect.DeepEqual(p.Done, []string{"/f/a", "/f/b"}) || p.Vars["k"] != "v" {
-			t.Fatalf("binary=%v: parked entry's catch-up record %+v", binary, p)
-		}
+	dir := t.TempDir()
+	opt := Options{Now: func() time.Time { return time.Unix(7, 0) }}
+	s := mustOpen(t, dir, opt)
+	appendAll(t, s,
+		Record{Type: TypeExecStart, ID: "parked", Request: "<r/>"},
+		Record{Type: TypeStepDone, ID: "parked", Node: "/f/a"},
+		Record{Type: TypeExecSnap, ID: "parked", Request: "<r/>", Vars: map[string]string{"k": "v", "e": ""}, Done: []string{"/f/a"}},
+		Record{Type: TypeStepDone, ID: "parked", Node: "/f/b"},
+		Record{Type: TypeExecPassivate, ID: "parked", Paused: true},
+		Record{Type: TypeExecStart, ID: "running", Request: "<r/>"},
+	)
+	before, _ := s.SnapshotRecords()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = mustOpen(t, dir, opt)
+	if st := s.index["parked"]; st.snap == "" || st.vars != nil {
+		t.Fatalf("Open decoded the parked entry's snapshot: %+v", *st)
+	}
+	after, _ := s.SnapshotRecords()
+	s.Close()
+	if !reflect.DeepEqual(after, before) {
+		t.Fatalf("catch-up records after a restart\n%+v\nbefore it\n%+v", after, before)
+	}
+	if p := before[0]; p.ID != "parked" || !p.Passivated || !p.Paused || !reflect.DeepEqual(p.Done, []string{"/f/a", "/f/b"}) || p.Vars["k"] != "v" {
+		t.Fatalf("parked entry's catch-up record %+v", p)
 	}
 }

@@ -7,9 +7,7 @@ package store
 // per record type.
 
 import (
-	"bytes"
 	"cmp"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -18,6 +16,7 @@ import (
 	"slices"
 
 	"datagridflow/internal/codec"
+	"datagridflow/internal/dgferr"
 )
 
 type replayer struct {
@@ -27,9 +26,6 @@ type replayer struct {
 	buf  []byte
 	recs []extent
 	view codec.RecordView
-	// enc re-encodes a JSONL record, so both encodings reach the fold as
-	// a view.
-	enc codec.Encoder
 	// ids holds the fold's state for every execution met, in the order
 	// met, and byID finds an id's place in it; n counts the records folded
 	// — a replay position that grows towards the past.
@@ -38,8 +34,7 @@ type replayer struct {
 	n    int
 }
 
-// extent bounds one record inside the segment buffer: a binary frame's
-// fields, or a JSONL line without its newline.
+// extent bounds one record's fields inside the segment buffer.
 type extent struct{ off, end int }
 
 // replayID is the fold's state for one execution id. apply creates an
@@ -72,47 +67,40 @@ type held struct {
 	done                map[string]bool
 }
 
-// replay folds every segment into the index, newest first, and reports
-// the tail segment's encoding and whether it is empty. A torn trailing
-// record — the tail of a crash mid-append — is discarded, and truncated
-// away in the tail segment, the only one appended to.
-func (s *Store) replay() (tailBinary, tailEmpty bool, err error) {
+// replay folds every segment into the index, newest first. A torn
+// trailing frame — the tail of a crash mid-append — is discarded, and
+// truncated away in the tail segment, the only one appended to.
+func (s *Store) replay() error {
 	rp := replayer{s: s, byID: map[string]int{}}
 	for i := len(s.segs) - 1; i >= 0; i-- {
-		tail := i == len(s.segs)-1
-		binary, empty, err := rp.segment(filepath.Join(s.dir, segName(s.segs[i])), tail)
-		if err != nil {
-			return false, false, err
-		}
-		if tail {
-			tailBinary, tailEmpty = binary, empty
+		if err := rp.segment(filepath.Join(s.dir, segName(s.segs[i])), i == len(s.segs)-1); err != nil {
+			return err
 		}
 	}
 	rp.finish()
-	return tailBinary, tailEmpty, nil
+	return nil
 }
 
-// segment replays one segment file, sniffing the encoding from its
-// first byte. The file is read once; a forward pass finds the record
-// boundaries and the torn tail, if any — an unterminated JSONL line or a
-// truncated binary frame was never acknowledged, since Append returns
-// only once the whole record is fsynced — and the records are then
-// folded last to first. A complete record that fails to decode is real
-// corruption and fails Open, whether or not a later record supersedes
-// it.
-func (rp *replayer) segment(path string, repair bool) (binary, empty bool, err error) {
+// segment replays one segment file. The file is read once; a forward
+// pass finds the frame boundaries and the torn tail, if any — a
+// truncated frame was never acknowledged, since Append returns only once
+// the whole record is fsynced — and the records are then folded last to
+// first. A complete record that fails to decode is real corruption and
+// fails Open, whether or not a later record supersedes it. So does a
+// non-empty file that does not start with a frame — a segment some other
+// program, or a build that wrote JSONL, left — which is refused before
+// anything of it is truncated.
+func (rp *replayer) segment(path string, repair bool) error {
 	if err := rp.read(path); err != nil {
-		return false, false, err
+		return err
 	}
-	binary = codec.IsBinary(rp.buf)
-	var valid int
-	if binary {
-		valid, err = rp.indexFrames(path)
-	} else {
-		valid = rp.indexLines()
+	if len(rp.buf) > 0 && !codec.IsBinary(rp.buf) {
+		return fmt.Errorf("store: %s is not a segment of binary record frames (first byte %#02x): %w",
+			path, rp.buf[0], dgferr.ErrInvalid)
 	}
+	valid, err := rp.indexFrames(path)
 	if err != nil {
-		return false, false, err
+		return err
 	}
 	if valid < len(rp.buf) {
 		rp.s.torn++
@@ -120,23 +108,18 @@ func (rp *replayer) segment(path string, repair bool) (binary, empty bool, err e
 			// Left in place, the fragment would corrupt the next O_APPEND
 			// write, which would concatenate onto it.
 			if err := os.Truncate(path, int64(valid)); err != nil {
-				return false, false, fmt.Errorf("store: truncate torn tail of %s: %w", path, err)
+				return fmt.Errorf("store: truncate torn tail of %s: %w", path, err)
 			}
 		}
 	}
 	for i := len(rp.recs) - 1; i >= 0; i-- {
 		r := rp.recs[i]
-		if binary {
-			if err := rp.view.DecodeFields(rp.buf, r.off, r.end); err != nil {
-				return false, false, fmt.Errorf("store: %s frame %d: %v", path, i+1, err)
-			}
-		} else if err := rp.viewLine(rp.buf[r.off:r.end]); err != nil {
-			line := bytes.Count(rp.buf[:r.off], []byte{'\n'}) + 1
-			return false, false, fmt.Errorf("store: %s line %d: %v", path, line, err)
+		if err := rp.view.DecodeFields(rp.buf, r.off, r.end); err != nil {
+			return fmt.Errorf("store: %s frame %d: %v", path, i+1, err)
 		}
 		rp.fold()
 	}
-	return binary, valid == 0, nil
+	return nil
 }
 
 // read loads a whole segment into rp.buf (Options.SegmentMaxBytes states
@@ -185,36 +168,6 @@ func (rp *replayer) indexFrames(path string) (valid int, err error) {
 		rp.recs = append(rp.recs, extent{f.Body, f.End})
 		valid = f.End
 	}
-}
-
-// indexLines records the bounds of every newline-terminated, non-empty
-// JSONL line and returns the offset at which the valid prefix ends. An
-// unterminated last line is torn even when its prefix parses as
-// complete JSON: the newline is part of the acknowledged write.
-func (rp *replayer) indexLines() (valid int) {
-	rp.recs = rp.recs[:0]
-	for {
-		nl := bytes.IndexByte(rp.buf[valid:], '\n')
-		if nl < 0 {
-			return valid
-		}
-		if nl > 0 {
-			rp.recs = append(rp.recs, extent{valid, valid + nl})
-		}
-		valid += nl + 1
-	}
-}
-
-// viewLine decodes one JSONL line into the view by way of the binary
-// encoding.
-func (rp *replayer) viewLine(line []byte) error {
-	var rec Record
-	if err := json.Unmarshal(line, &rec); err != nil {
-		return err
-	}
-	rp.enc.Reset()
-	codec.AppendRecord(&rp.enc, &rec)
-	return rp.view.Decode(rp.enc.Bytes())
 }
 
 // fold merges the viewed record — older than every record folded before

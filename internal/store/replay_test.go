@@ -63,11 +63,10 @@ func imageOf(s *Store) indexImage {
 // rootless until a stale exec.snap or, once a restarted engine hands the
 // id out again, a new exec.start roots it behind those stragglers.
 type replayProgram struct {
-	t      *testing.T
-	dir    string
-	binary bool
-	s      *Store
-	state  [8]idState
+	t     *testing.T
+	dir   string
+	s     *Store
+	state [8]idState
 }
 
 type idState int
@@ -81,15 +80,13 @@ const (
 
 var (
 	replayNodes = []string{"/f/a", "/f/b", "/f/par", "/f/par/x"}
-	// One request in each encoding a stored request comes in: the JSONL
-	// form carries the binary one as base64.
+	// One request in each encoding a stored request comes in.
 	replayRequests = []string{"<dataGridRequest/>", string([]byte{codec.Magic, codec.Version, codec.MsgRequest, 0x08, 0x01})}
 )
 
 func (p *replayProgram) open() {
 	p.t.Helper()
 	s, err := Open(p.dir, Options{
-		Binary:          p.binary,
 		SegmentMaxBytes: 256, // a handful of records: rotate often
 		Now:             func() time.Time { return time.Unix(1, 0) },
 	})
@@ -100,7 +97,7 @@ func (p *replayProgram) open() {
 }
 
 // reopen closes the store and checks that Open rebuilds the same index.
-func (p *replayProgram) reopen(flip bool, tear []byte) {
+func (p *replayProgram) reopen(tear []byte) {
 	p.t.Helper()
 	// The index is what has been synced: bring in what was written
 	// without waiting before taking its picture.
@@ -119,9 +116,6 @@ func (p *replayProgram) reopen(flip bool, tear []byte) {
 		}
 		f.Write(tear)
 		f.Close()
-	}
-	if flip {
-		p.binary = !p.binary // the next segment is in the other encoding: a mixed directory
 	}
 	p.open()
 	if got := imageOf(p.s); !reflect.DeepEqual(got, want) {
@@ -239,7 +233,7 @@ func (p *replayProgram) compact() {
 	}
 }
 
-func (p *replayProgram) run(prog []byte) {
+func (p *replayProgram) run(prog []byte, tear bool) {
 	p.t.Helper()
 	p.open()
 	defer func() { p.s.Close() }()
@@ -250,7 +244,7 @@ func (p *replayProgram) run(prog []byte) {
 		case action >= 0xF8:
 			p.compact()
 		case action >= 0xF0:
-			p.reopen(action&1 != 0, nil)
+			p.reopen(nil)
 		case action >= 0xE0 && len(prog) >= 4:
 			// One block, one fsync: the index takes the batch in order.
 			batch := []Record{p.record(prog[0], arg), p.record(prog[1], prog[2]), p.record(prog[3], arg+1)}
@@ -270,20 +264,21 @@ func (p *replayProgram) run(prog []byte) {
 			}
 		}
 	}
-	// The crash: whatever was appended last is followed by the front half
-	// of one more record, in whichever encoding the tail segment has.
-	tear := []byte(`{"type":"exec.end","id":"dgf-0000`)
-	if p.binary {
-		e := codec.GetEncoder()
-		codec.AppendRecordFrame(e, &Record{Type: TypeExecEnd, ID: "dgf-000000", Err: "lost"})
-		tear = append([]byte(nil), e.Bytes()[:e.Len()-3]...)
-		codec.PutEncoder(e)
+	if !tear {
+		p.reopen(nil)
+		return
 	}
-	p.reopen(false, tear)
+	// The crash: whatever was appended last is followed by the front half
+	// of one more record.
+	e := codec.GetEncoder()
+	codec.AppendRecordFrame(e, &Record{Type: TypeExecEnd, ID: "dgf-000000", Err: "lost"})
+	half := append([]byte(nil), e.Bytes()[:e.Len()-3]...)
+	codec.PutEncoder(e)
+	p.reopen(half)
 	if p.s.torn != 1 {
 		p.t.Fatalf("torn tails counted: %d, want 1", p.s.torn)
 	}
-	p.reopen(false, nil) // the tear was truncated away: nothing torn now
+	p.reopen(nil) // the tear was truncated away: nothing torn now
 	if p.s.torn != 0 {
 		p.t.Fatalf("torn tail survived its repair: %d", p.s.torn)
 	}
@@ -291,9 +286,9 @@ func (p *replayProgram) run(prog []byte) {
 
 // FuzzReplayMatchesAppend: for any record stream — ids interleaved,
 // waited appends beside writes that ride a later sync, rotation every few
-// records, compactions and reopens at arbitrary points, either encoding
-// or a directory that mixes them, a torn tail at the end — the index
-// after reopening equals the index after appending. The seeds are replayed by every `go test`.
+// records, compactions and reopens at arbitrary points, a torn tail at
+// the end or none — the index after reopening equals the index after
+// appending. The seeds are replayed by every `go test`.
 func FuzzReplayMatchesAppend(f *testing.F) {
 	seeds := []string{
 		// start, steps, end; a second flow abandoned mid-way
@@ -310,7 +305,7 @@ func FuzzReplayMatchesAppend(f *testing.F) {
 		"\x00\x05\x06\x05\xf8\x00\x01\x05\x02\x05\x03\x0d\xf1\x00\xf8\x00\x00\x05",
 		// compacted-away flow whose stale snapshot becomes a root again
 		"\x00\x06\x06\x06\xf8\x00\x00\x3e\x00\x0e\xf0\x00",
-		// batches, encoding flips → mixed directory
+		// batches between reopens
 		"\xe0\x00\x00\x00\x01\x00\xf1\x00\xe1\x01\x03\x03\x49\x06\xf1\x00\x00\x02\x00\x0a\xf9\x00\x00\x12",
 		// an older snapshot carries the passivation marker, a newer one does not
 		"\x00\x07\x03\xbf\x03\x07\x00\x0f\xf0\x00\x03\x47\x04\x07\x06\x07",
@@ -327,7 +322,7 @@ func FuzzReplayMatchesAppend(f *testing.F) {
 		"\x00\x01\x03\x39\x04\x01\xf0\x00\x05\x01\x00\x19\x03\x61\x06\x01\xf8\x00\xf0\x00",
 		// the same entry written to before anything reads it: a step on the
 		// parked entry, a compaction that must decode it, a newer snapshot
-		// over the compacted one, a flip, the end
+		// over the compacted one, a reopen, the end
 		"\x00\x02\x03\x3a\x04\x02\xf0\x00\x00\x1a\xf8\x00\xf0\x00\x05\x02\x03\x22\xf1\x00\x06\x02\xf8\x00\xf0\x00",
 		// a reopened snapshot superseded by a newer one before anything
 		// decodes it, then parked by the compaction's marker and reopened
@@ -337,12 +332,12 @@ func FuzzReplayMatchesAppend(f *testing.F) {
 		f.Add([]byte(s), true)
 		f.Add([]byte(s), false)
 	}
-	f.Fuzz(func(t *testing.T, prog []byte, binary bool) {
+	f.Fuzz(func(t *testing.T, prog []byte, tear bool) {
 		if len(prog) > 512 {
 			prog = prog[:512]
 		}
-		p := &replayProgram{t: t, dir: t.TempDir(), binary: binary}
-		p.run(prog)
+		p := &replayProgram{t: t, dir: t.TempDir()}
+		p.run(prog, tear)
 	})
 }
 
@@ -351,7 +346,7 @@ func FuzzReplayMatchesAppend(f *testing.F) {
 // later, so the fold skips its content.
 func TestReplaySupersededRecordIsStillChecked(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Binary: true})
+	s := mustOpen(t, dir, Options{})
 	appendAll(t, s, lifecycle("dgf-000001")...)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -376,7 +371,7 @@ func TestReplaySupersededRecordIsStillChecked(t *testing.T) {
 	if err := os.WriteFile(path, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, Options{Binary: true}); err == nil || !strings.Contains(err.Error(), "frame 2") {
+	if _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "frame 2") {
 		t.Fatalf("open over a corrupt superseded frame: %v, want an error naming frame 2", err)
 	}
 }
@@ -388,7 +383,7 @@ func TestReplaySupersededRecordIsStillChecked(t *testing.T) {
 func TestSegmentSizeBoundsReplayBuffer(t *testing.T) {
 	const limit = 512
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Binary: true, SegmentMaxBytes: limit})
+	s := mustOpen(t, dir, Options{SegmentMaxBytes: limit})
 	for i := 0; i < 40; i++ {
 		appendAll(t, s, lifecycle(fmt.Sprintf("dgf-%06d", i))...)
 	}
@@ -431,7 +426,7 @@ func TestSegmentSizeBoundsReplayBuffer(t *testing.T) {
 	if len(segs) < 10 || oversize != 1 {
 		t.Fatalf("%d segments, %d over the limit; want many and exactly the oversize block's", len(segs), oversize)
 	}
-	s = mustOpen(t, dir, Options{Binary: true, SegmentMaxBytes: limit})
+	s = mustOpen(t, dir, Options{SegmentMaxBytes: limit})
 	defer s.Close()
 	if got := s.Stats().ReplayRecords; got != records {
 		t.Fatalf("replayed %d of %d records", got, records)
@@ -442,7 +437,7 @@ func TestSegmentSizeBoundsReplayBuffer(t *testing.T) {
 // request, variables and done set at once — on the append path, not
 // only after a reopen — and a later prune still lands.
 func TestTerminalEntryKeepsOnlyItsFlags(t *testing.T) {
-	s := mustOpen(t, t.TempDir(), Options{Binary: true})
+	s := mustOpen(t, t.TempDir(), Options{})
 	defer s.Close()
 	appendAll(t, s,
 		Record{Type: TypeExecStart, ID: "dgf-000001", Request: "<r/>"},
@@ -470,7 +465,7 @@ func TestTerminalEntryKeepsOnlyItsFlags(t *testing.T) {
 // reopens.
 func TestOversizeRecordRefused(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Binary: true})
+	s := mustOpen(t, dir, Options{})
 	appendAll(t, s, Record{Type: TypeExecStart, ID: "dgf-000001", Request: "<r/>"})
 	huge := Record{Type: TypeExecSnap, ID: "dgf-000001", Request: "<r/>",
 		Vars: map[string]string{"blob": strings.Repeat("x", codec.MaxFrameBody)}}
@@ -488,7 +483,7 @@ func TestOversizeRecordRefused(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s = mustOpen(t, dir, Options{Binary: true})
+	s = mustOpen(t, dir, Options{})
 	defer s.Close()
 	if ent, _ := s.Entry("dgf-000001"); s.Stats().ReplayRecords != 2 || !reflect.DeepEqual(ent.Done, []string{"/f/b"}) {
 		t.Fatalf("reopened: %d records, entry %+v", s.Stats().ReplayRecords, ent)
@@ -500,7 +495,7 @@ func TestOversizeRecordRefused(t *testing.T) {
 // segments or poisoning the store.
 func TestCompactRefusesOversizeMerge(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Binary: true})
+	s := mustOpen(t, dir, Options{})
 	defer s.Close()
 	half := strings.Repeat("x", codec.MaxFrameBody/2)
 	appendAll(t, s,
@@ -529,7 +524,7 @@ func TestCompactRefusesOversizeMerge(t *testing.T) {
 // end. It returns how many records it wrote.
 func benchDirectory(tb testing.TB, dir string, flows int, allEnded bool) int {
 	tb.Helper()
-	s, err := Open(dir, Options{Binary: true})
+	s, err := Open(dir, Options{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -569,7 +564,7 @@ func benchDirectory(tb testing.TB, dir string, flows int, allEnded bool) int {
 func openAllocs(t *testing.T, dir string, records, live, passivated int) float64 {
 	t.Helper()
 	return testing.AllocsPerRun(5, func() {
-		s, err := Open(dir, Options{Binary: true})
+		s, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -623,7 +618,7 @@ func BenchmarkStoreOpenUncompacted(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := Open(dir, Options{Binary: true})
+		s, err := Open(dir, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -31,19 +30,15 @@ type Options struct {
 	// Obs receives the store_* metrics (docs/METRICS.md). Optional;
 	// Engine.SetStore attaches its registry when nil.
 	Obs *obs.Registry
-	// Binary writes new segments in the internal/codec binary frame
-	// encoding instead of JSONL (docs/CODEC.md). Existing segments keep
-	// their encoding — Open sniffs each file's first byte — and a
-	// non-empty active segment in the other encoding is sealed and a
-	// fresh one started, so a directory converts incrementally (fully on
-	// the next Compact) and can always be reopened with either setting.
-	// AppendFrames needs it set.
+	// Binary is ignored: every segment is binary frames. It stays only
+	// because the contract benchmark sets it; ROADMAP item 2 removes it
+	// with replica.ReceiverConfig.Binary.
 	Binary bool
 }
 
-// Store is a directory of segment files (JSONL or binary-framed,
-// sniffed per file — see Options.Binary) plus an in-memory index of
-// every execution's live state. All appends go to
+// Store is a directory of segment files of binary record frames
+// (docs/STORE.md) plus an in-memory index of every execution's live
+// state. All appends go to
 // the active (highest-numbered) segment through a group-committed
 // writer; Compact collapses the whole directory into one fresh segment
 // holding a snapshot per live execution.
@@ -66,7 +61,7 @@ type Store struct {
 	failed   error // sticky: first write/fsync failure poisons the store
 	records  int   // live records across current segments (incl. replayed)
 	replayed int   // records replayed at Open
-	torn     int   // torn trailing lines discarded at Open
+	torn     int   // torn trailing frames discarded at Open
 	// pending holds records written to the active segment but not yet
 	// proven durable by a group commit, in write order. They fold into
 	// the index only once an fsync covers them, so Entry/Live/Stats
@@ -226,9 +221,11 @@ func segName(n int) string { return fmt.Sprintf(segPattern, n) }
 
 // Open opens (creating if needed) a store directory, removes temp
 // files from interrupted compactions, and replays every segment into
-// the index. A torn trailing line — the tail of a crash mid-append —
+// the index. A torn trailing frame — the tail of a crash mid-append —
 // is discarded, and truncated away in the active segment so new
-// appends start on a clean line boundary.
+// appends start on a frame boundary. A non-empty segment that does not
+// start with a binary frame is refused with an ErrInvalid naming it,
+// and left as it is.
 func Open(dir string, opt Options) (*Store, error) {
 	if opt.SegmentMaxBytes <= 0 {
 		opt.SegmentMaxBytes = 8 << 20
@@ -258,17 +255,11 @@ func Open(dir string, opt Options) (*Store, error) {
 		}
 	}
 	sort.Ints(s.segs)
-	tailBinary, tailEmpty, err := s.replay()
-	if err != nil {
+	if err := s.replay(); err != nil {
 		return nil, err
 	}
 	if len(s.segs) == 0 {
 		s.segs = []int{1}
-	} else if !tailEmpty && tailBinary != opt.Binary {
-		// A segment holds exactly one encoding. The tail segment is
-		// non-empty and in the other encoding: seal it and start a fresh
-		// one — its records are already in the index.
-		s.segs = append(s.segs, s.segs[len(s.segs)-1]+1)
 	}
 	if s.active, err = s.openSegment(s.segs[len(s.segs)-1]); err != nil {
 		return nil, err
@@ -449,12 +440,10 @@ func (s *Store) Append(rec Record) error {
 }
 
 // AppendBatch writes many records durably in one shot: the whole batch
-// is serialized into one block, appended with a single write syscall
-// (GroupFile.WriteBlock) and covered by one shared fsync. On the binary
-// encoding this is the vectored-write fast path store replay benchmarks
-// exercise; on JSONL it still collapses N syscalls into one. A record
-// too large to be read back (checkRecordSize) refuses the whole batch
-// before anything is written.
+// is serialized into one block of frames, appended with a single write
+// syscall (GroupFile.WriteBlock) and covered by one shared fsync. A
+// record too large to be read back (checkRecordSize) refuses the whole
+// batch before anything is written.
 func (s *Store) AppendBatch(recs []Record) error {
 	return s.write(recs, true)
 }
@@ -475,29 +464,16 @@ func (s *Store) write(recs []Record, wait bool) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	var block []byte
-	if s.opt.Binary {
-		enc := codec.GetEncoder()
-		defer codec.PutEncoder(enc)
-		for i := range recs {
-			before := enc.Len()
-			codec.AppendRecordFrame(enc, &recs[i])
-			if err := checkRecordSize(&recs[i], enc.Len()-before); err != nil {
-				return err
-			}
-		}
-		block = enc.Bytes()
-	} else {
-		for i := range recs {
-			data, err := json.Marshal(recs[i])
-			if err != nil {
-				return err
-			}
-			block = append(block, data...)
-			block = append(block, '\n')
+	enc := codec.GetEncoder()
+	defer codec.PutEncoder(enc)
+	for i := range recs {
+		before := enc.Len()
+		codec.AppendRecordFrame(enc, &recs[i])
+		if err := checkRecordSize(&recs[i], enc.Len()-before); err != nil {
+			return err
 		}
 	}
-	return s.appendBlock(block, recs, wait)
+	return s.appendBlock(enc.Bytes(), recs, wait)
 }
 
 // checkRecordSize refuses a record whose frame replay would reject as
@@ -767,11 +743,8 @@ func (s *Store) Compact() (CompactStats, error) {
 	now := s.opt.Now()
 	kept := 0
 	var liveOrder []string
-	var enc *codec.Encoder
-	if s.opt.Binary {
-		enc = codec.GetEncoder()
-		defer codec.PutEncoder(enc)
-	}
+	enc := codec.GetEncoder()
+	defer codec.PutEncoder(enc)
 	for _, id := range s.order {
 		st := s.index[id]
 		if st == nil || st.ended || st.pruned {
@@ -779,29 +752,16 @@ func (s *Store) Compact() (CompactStats, error) {
 		}
 		liveOrder = append(liveOrder, id)
 		s.materialise(st)
-		// The index takes the upgraded request too, so it holds what a
-		// reopen of the new segment would.
-		st.req = codec.UpgradeRequestDoc(st.req)
 		rec := Record{
 			Type: TypeExecSnap, ID: id, Time: now,
 			Request: st.req, Vars: st.vars, Done: sortedKeys(st.done),
 			Paused: st.paused, Passivated: st.passivated,
 		}
-		// The replacement segment is written in the configured encoding:
-		// compacting is also how a JSONL directory finishes converting.
-		var err error
-		if enc != nil {
-			enc.Reset()
-			codec.AppendRecordFrame(enc, &rec)
-			if err = checkRecordSize(&rec, enc.Len()); err == nil {
-				_, err = w.Write(enc.Bytes())
-			}
-		} else {
-			var data []byte
-			data, err = json.Marshal(rec)
-			if err == nil {
-				_, err = w.Write(append(data, '\n'))
-			}
+		enc.Reset()
+		codec.AppendRecordFrame(enc, &rec)
+		err := checkRecordSize(&rec, enc.Len())
+		if err == nil {
+			_, err = w.Write(enc.Bytes())
 		}
 		if err != nil {
 			f.Close()

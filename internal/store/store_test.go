@@ -1,15 +1,16 @@
 package store
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"datagridflow/internal/codec"
 	"datagridflow/internal/fault"
 	"datagridflow/internal/obs"
 	"datagridflow/internal/sim"
@@ -259,9 +260,25 @@ func TestStorePruneTombstone(t *testing.T) {
 	}
 }
 
+// appendBytes appends raw bytes to a closed store's segment n.
+func appendBytes(t *testing.T, dir string, n int, b []byte) {
+	t.Helper()
+	f, err := os.OpenFile(filepath.Join(dir, segName(n)), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestStoreTornTail simulates a crash mid-append: the active segment
-// ends in half a JSON line. Open must discard it, truncate the file to
-// the last complete record, and accept new appends cleanly.
+// ends in the header of a frame whose length never made it. Open must
+// discard it, truncate the file to the last complete record, and accept
+// new appends cleanly.
 func TestStoreTornTail(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{})
@@ -273,14 +290,7 @@ func TestStoreTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	seg := filepath.Join(dir, segName(1))
-	f, err := os.OpenFile(seg, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"type":"step.done","id":"a","node":"/f/s2"`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	appendBytes(t, dir, 1, frameBlock(Record{Type: TypeStepDone, ID: "a", Node: "/f/s2"})[:3])
 	before, _ := os.Stat(seg)
 
 	s = mustOpen(t, dir, Options{})
@@ -296,8 +306,8 @@ func TestStoreTornTail(t *testing.T) {
 	if len(ent.Done) != 1 || ent.Done[0] != "/f/s1" {
 		t.Fatalf("done = %v", ent.Done)
 	}
-	// New appends start on a clean boundary: a third reopen sees intact
-	// JSON throughout.
+	// New appends start on a frame boundary: a third reopen sees intact
+	// frames throughout.
 	appendAll(t, s, Record{Type: TypeStepDone, ID: "a", Node: "/f/s3"})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -311,13 +321,12 @@ func TestStoreTornTail(t *testing.T) {
 }
 
 // TestStoreTornTailCompleteRecord reproduces the subtler crash shape: a
-// single write() persisted the complete JSON of the final record but
-// not its trailing newline. The record was never acknowledged — Append
-// fsyncs the line and its newline as one write — so Open must treat it
-// as torn even though it parses. Keeping the file unterminated would
-// also let the next O_APPEND write concatenate onto the line, rendering
-// the segment unreadable (or silently dropping an acknowledged record)
-// on the restart after that.
+// single write() persisted every byte of the final frame but its last.
+// The record was never acknowledged — Append fsyncs the whole frame as
+// one write — so Open must treat it as torn, however little is missing.
+// Keeping the fragment would also let the next O_APPEND write
+// concatenate onto it, rendering the segment unreadable (or silently
+// dropping an acknowledged record) on the restart after that.
 func TestStoreTornTailCompleteRecord(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{})
@@ -329,15 +338,8 @@ func TestStoreTornTailCompleteRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	seg := filepath.Join(dir, segName(1))
-	f, err := os.OpenFile(seg, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Complete JSON, no terminating newline: parseable but torn.
-	if _, err := f.WriteString(`{"type":"step.done","id":"a","node":"/f/s2"}`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	frame := frameBlock(Record{Type: TypeStepDone, ID: "a", Node: "/f/s2"})
+	appendBytes(t, dir, 1, frame[:len(frame)-1])
 	before, _ := os.Stat(seg)
 
 	s = mustOpen(t, dir, Options{})
@@ -352,7 +354,7 @@ func TestStoreTornTailCompleteRecord(t *testing.T) {
 	if after.Size() >= before.Size() {
 		t.Fatalf("unterminated tail not truncated: %d -> %d", before.Size(), after.Size())
 	}
-	// New appends land on a clean boundary: every line parses on the
+	// New appends land on a frame boundary: every frame decodes on the
 	// next reopen instead of merging with the torn record.
 	appendAll(t, s, Record{Type: TypeStepDone, ID: "a", Node: "/f/s3"})
 	if err := s.Close(); err != nil {
@@ -427,9 +429,10 @@ func TestStoreCrashDuringCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A crashed compaction leaves a half-written replacement segment
-	// under .tmp — including a torn line, the worst case.
+	// under .tmp — including a torn frame, the worst case.
 	tmp := filepath.Join(dir, segName(2)+".tmp")
-	if err := os.WriteFile(tmp, []byte(`{"type":"exec.snap","id":"bogus"`), 0o644); err != nil {
+	bogus := frameBlock(Record{Type: TypeExecSnap, ID: "bogus", Request: "<r/>"})
+	if err := os.WriteFile(tmp, bogus[:len(bogus)-2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s = mustOpen(t, dir, Options{})
@@ -484,14 +487,19 @@ func TestStoreCrashDuringSnapshotSeeded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Cut inside the last record: everything after its first byte.
-			lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
-			keep := strings.Join(lines[:len(lines)-1], "\n")
-			if len(lines) > 1 {
-				keep += "\n"
+			// Cut inside the last record: keep three bytes of its frame.
+			last := 0
+			for off := 0; ; {
+				f, err := codec.NextFrame(data, off)
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				last, off = off, f.End
 			}
-			keep += lines[len(lines)-1][:3] // torn prefix of the final record
-			if err := os.WriteFile(seg, []byte(keep), 0o644); err != nil {
+			if err := os.WriteFile(seg, data[:last+3], 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -547,17 +555,23 @@ func TestStoreConcurrentAppend(t *testing.T) {
 	}
 }
 
-// TestStoreRecordCompat pins the JSONL encoding: a store segment line is
-// exactly the journal's record shape plus the snapshot fields.
+// TestStoreRecordCompat pins the segment encoding: a segment is exactly
+// the records' codec frames (docs/CODEC.md, golden record_v1.bin), one
+// after another, with nothing of the store's own around them.
 func TestStoreRecordCompat(t *testing.T) {
-	rec := Record{Type: TypeStepDone, ID: "dgf-000001", Node: "/f/a"}
-	data, err := json.Marshal(rec)
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{})
+	recs := lifecycle("dgf-000001")
+	appendAll(t, s, recs...)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, segName(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `{"type":"step.done","id":"dgf-000001","time":"0001-01-01T00:00:00Z","node":"/f/a"}`
-	if string(data) != want {
-		t.Fatalf("encoding drifted:\n got %s\nwant %s", data, want)
+	if want := frameBlock(recs...); !bytes.Equal(data, want) {
+		t.Fatalf("segment drifted from the record frames:\n got % x\nwant % x", data, want)
 	}
 }
 

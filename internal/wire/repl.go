@@ -16,7 +16,7 @@ import (
 // dead, the owner's ring successor promotes its replica: the live
 // entries are adopted into the successor's engine — re-persisted, so
 // they are durable there and re-replicated onward — and takeover costs
-// O(live flows), not a full journal replay, with zero acknowledged-
+// O(live flows), not a full log replay, with zero acknowledged-
 // record loss in quorum mode. The pieces:
 //
 //   - EnableReplication: wires a replica.Sender to the store tap and a
