@@ -407,6 +407,9 @@ type (
 	ProvenanceStore = provenance.Store
 	// ProvenanceRecord is one audit entry.
 	ProvenanceRecord = provenance.Record
+	// ProvenanceAttr is one key/value pair of an audit entry's detail,
+	// as ProvenanceStore.Append takes them.
+	ProvenanceAttr = provenance.Attr
 	// ProvenanceFilter selects audit entries.
 	ProvenanceFilter = provenance.Filter
 )

@@ -83,7 +83,7 @@ var ErrNotBinary = errors.New("codec: not a binary payload")
 
 // ErrTorn reports a truncated trailing frame in a byte stream — the
 // signature of a crash mid-write, repairable by truncating at the frame
-// start (see FrameScanner.Offset).
+// start (the offset NextFrame was given).
 var ErrTorn = errors.New("codec: torn trailing frame")
 
 // IsBinary reports whether a payload or file — as bytes, or held in a
@@ -335,8 +335,8 @@ type Decoder struct {
 	// str is the payload as one string — copied at NewDecoder time, or
 	// the caller's own under newStringDecoder: every Str/Sym result is a
 	// zero-allocation slice of it. The copy also makes returned strings
-	// safe when data aliases a reused buffer (FrameScanner, pooled
-	// encoders). The flip side: one retained string pins the whole
+	// safe when data aliases a reused buffer (a pooled encoder's, a wire
+	// frame payload released after the decode). The flip side: one retained string pins the whole
 	// payload — fine for decoded messages, whose strings are most of the
 	// payload anyway.
 	str   string
@@ -686,10 +686,12 @@ type Frame struct {
 	Body, End int
 }
 
-// NextFrame parses the frame that starts at data[off:], the in-memory
-// counterpart of FrameScanner.Next with the same three outcomes: io.EOF
-// at a clean end (off == len(data)), ErrTorn for a truncated trailing
-// frame (truncate at off to repair), any other error for corruption.
+// NextFrame parses the frame that starts at data[off:], a stream held in
+// memory — a store segment, a replication block. It has three outcomes
+// besides a frame: io.EOF at a clean end (off == len(data)), ErrTorn for
+// a truncated trailing frame (truncate at off to repair), any other error
+// for corruption. It returns where the frame's fields lie, not a copy of
+// them, and allocates nothing.
 func NextFrame(data []byte, off int) (Frame, error) {
 	rest := data[off:]
 	if len(rest) == 0 {
@@ -733,101 +735,4 @@ func checkFrameSize(size uint64, off int64) error {
 		return fmt.Errorf("codec: frame body %d bytes beyond limit at offset %d", size, off)
 	}
 	return nil
-}
-
-// A FrameScanner reads self-delimiting frames (BeginFrame/EndFrame
-// layout) from an append-only stream read incrementally.
-// It distinguishes a clean end of stream (io.EOF), a torn trailing
-// frame from a crash mid-write (ErrTorn — truncate at Offset to
-// repair), and corruption (any other error). A stream already in memory
-// — a store segment, a replication block — is walked with NextFrame
-// instead.
-type FrameScanner struct {
-	r     io.Reader
-	buf   []byte
-	off   int64 // stream offset of the next unread byte
-	start int64 // stream offset where the last Next began
-	// scratch receives the header and each length byte. It lives here,
-	// not in Next's frame, because a buffer handed to an io.Reader
-	// escapes: as a local it would be one heap allocation per frame.
-	scratch [headerLen]byte
-}
-
-// NewFrameScanner scans frames from r. Wrap r in a bufio.Reader if it
-// is an *os.File; the scanner issues many small reads.
-func NewFrameScanner(r io.Reader) *FrameScanner {
-	return &FrameScanner{r: r}
-}
-
-// Offset returns the stream offset of the frame the last Next call
-// attempted — on ErrTorn, the truncation point that repairs the stream.
-func (s *FrameScanner) Offset() int64 { return s.start }
-
-// Next reads one frame and returns its payload in Begin (non-frame)
-// layout: header then fields, ready for NewDecoder. The payload aliases
-// the scanner's buffer and is valid until the next call. io.EOF means a
-// clean end; ErrTorn a truncated trailing frame.
-func (s *FrameScanner) Next() (msgType byte, payload []byte, err error) {
-	s.start = s.off
-	hdr := s.scratch[:]
-	n, err := io.ReadFull(s.r, hdr)
-	s.off += int64(n)
-	if err == io.EOF {
-		return 0, nil, io.EOF
-	}
-	if err == io.ErrUnexpectedEOF {
-		return 0, nil, ErrTorn
-	}
-	if err != nil {
-		return 0, nil, err
-	}
-	if err := checkFrameHeader(hdr[0], hdr[1], s.start); err != nil {
-		return 0, nil, err
-	}
-	msgType = hdr[2]
-	size, err := s.readUvarint()
-	if err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return 0, nil, ErrTorn
-		}
-		return 0, nil, err
-	}
-	if err := checkFrameSize(size, s.start); err != nil {
-		return 0, nil, err
-	}
-	need := headerLen + int(size)
-	if cap(s.buf) < need {
-		s.buf = make([]byte, need)
-	}
-	s.buf = s.buf[:need]
-	s.buf[0], s.buf[1], s.buf[2] = Magic, Version, msgType
-	n, err = io.ReadFull(s.r, s.buf[headerLen:])
-	s.off += int64(n)
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return 0, nil, ErrTorn
-	}
-	if err != nil {
-		return 0, nil, err
-	}
-	return msgType, s.buf, nil
-}
-
-// readUvarint reads a uvarint byte by byte, tracking the stream offset.
-// It reuses scratch: the header has been consumed by then.
-func (s *FrameScanner) readUvarint() (uint64, error) {
-	var v uint64
-	var shift uint
-	b := s.scratch[:1]
-	for i := 0; i < binary.MaxVarintLen64; i++ {
-		if _, err := io.ReadFull(s.r, b); err != nil {
-			return 0, err
-		}
-		s.off++
-		v |= uint64(b[0]&0x7f) << shift
-		if b[0] < 0x80 {
-			return v, nil
-		}
-		shift += 7
-	}
-	return 0, fmt.Errorf("codec: uvarint overflow at offset %d", s.start)
 }

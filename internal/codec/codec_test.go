@@ -1,8 +1,8 @@
 package codec
 
 import (
-	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -150,86 +150,107 @@ func TestDecoderRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestFrameScanner writes three frames, reads them back, and then
-// checks torn-tail detection at every truncation point of the last
-// frame.
+// TestFrameScanner writes three frames and scans the stream back in
+// memory with NextFrame, cut at every byte: the scan sees each whole
+// frame before the cut — its fields decode to its record — and stops at
+// the start of the frame the cut falls in, with io.EOF on a frame
+// boundary and ErrTorn inside a frame, where truncating repairs the
+// stream. A bad magic, version or body length, at the first frame or
+// mid-stream, is corruption: a hard error naming the offset.
 func TestFrameScanner(t *testing.T) {
 	recs := []Record{
 		{Type: TypeExecStart, ID: "dgf-1", Request: "<dataGridRequest/>"},
 		{Type: TypeStepDone, ID: "dgf-1", Node: "/f/s1"},
 		testRecord(),
 	}
-	e := GetEncoder()
-	defer PutEncoder(e)
-	for i := range recs {
-		AppendRecordFrame(e, &recs[i])
+	stream := frameStream(recs...)
+	starts := []int{0} // each frame's start, then the stream's end
+	for off := 0; off < len(stream); {
+		f, err := NextFrame(stream, off)
+		if err != nil || f.Type != MsgRecord {
+			t.Fatalf("frame at %d: type %d, %v", off, f.Type, err)
+		}
+		off = f.End
+		starts = append(starts, off)
 	}
-	stream := append([]byte(nil), e.Bytes()...)
-
-	sc := NewFrameScanner(bytes.NewReader(stream))
-	for i := range recs {
-		mt, payload, err := sc.Next()
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if mt != MsgRecord {
-			t.Fatalf("frame %d type = %d", i, mt)
-		}
-		got, err := DecodeRecord(payload)
-		if err != nil {
-			t.Fatalf("frame %d decode: %v", i, err)
-		}
-		if !recordsEqual(got, recs[i]) {
-			t.Fatalf("frame %d mismatch: %+v", i, got)
-		}
+	if len(starts) != len(recs)+1 || starts[len(recs)] != len(stream) {
+		t.Fatalf("frames end at %v in a stream of %d bytes", starts, len(stream))
 	}
-	if _, _, err := sc.Next(); err != io.EOF {
-		t.Fatalf("end of stream = %v, want io.EOF", err)
-	}
-
-	// Find the offset of the last frame by re-scanning.
-	sc = NewFrameScanner(bytes.NewReader(stream))
-	var lastStart int64
-	for {
-		_, _, err := sc.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		lastStart = sc.Offset()
-	}
-	for cut := int(lastStart) + 1; cut < len(stream); cut++ {
-		sc := NewFrameScanner(bytes.NewReader(stream[:cut]))
+	var v RecordView
+	for cut := 0; cut <= len(stream); cut++ {
+		data := stream[:cut]
+		off, n := 0, 0
 		var err error
-		for {
-			_, _, err = sc.Next()
-			if err != nil {
+		for ; ; n++ {
+			var f Frame
+			if f, err = NextFrame(data, off); err != nil {
 				break
 			}
+			if err := v.DecodeFields(data, f.Body, f.End); err != nil {
+				t.Fatalf("cut %d frame %d: %v", cut, n, err)
+			}
+			if got := v.Record(); !recordsEqual(got, recs[n]) {
+				t.Fatalf("cut %d frame %d: view materialises %+v", cut, n, got)
+			}
+			off = f.End
 		}
-		if !errors.Is(err, ErrTorn) {
-			t.Fatalf("cut at %d: err = %v, want ErrTorn", cut, err)
+		k := 0 // the frames whole before the cut
+		for k < len(recs) && starts[k+1] <= cut {
+			k++
 		}
-		if sc.Offset() != lastStart {
-			t.Fatalf("cut at %d: torn offset = %d, want %d", cut, sc.Offset(), lastStart)
+		wantErr := ErrTorn
+		if starts[k] == cut {
+			wantErr = io.EOF
+		}
+		if n != k || off != starts[k] || err != wantErr {
+			t.Fatalf("cut %d: walk stops at %d after %d frames with %v, want %d after %d with %v", cut, off, n, err, starts[k], k, wantErr)
 		}
 	}
+	for _, at := range []int{0, starts[len(recs)-1]} {
+		for name, corrupt := range map[string]func([]byte){
+			"magic":   func(b []byte) { b[0] = '{' },
+			"version": func(b []byte) { b[1] = Version + 1 },
+			"length":  func(b []byte) { copy(b[3:], "\xff\xff\xff\xff\x7f") },
+		} {
+			bad := append([]byte(nil), stream...)
+			corrupt(bad[at:])
+			off := 0
+			var err error
+			for {
+				var f Frame
+				if f, err = NextFrame(bad, off); err != nil {
+					break
+				}
+				off = f.End
+			}
+			if off != at || err == io.EOF || errors.Is(err, ErrTorn) || !strings.HasSuffix(err.Error(), fmt.Sprintf("at offset %d", at)) {
+				t.Fatalf("bad %s at %d: walk stops at %d with %v, want a hard error naming the offset", name, at, off, err)
+			}
+		}
+	}
+}
 
-	// Corruption (bad magic mid-stream) is an error, not a torn tail.
-	bad := append([]byte(nil), stream...)
-	bad[lastStart] = '{'
-	sc = NewFrameScanner(bytes.NewReader(bad))
-	var err error
-	for {
-		_, _, err = sc.Next()
-		if err != nil {
-			break
-		}
+// TestNextFrameAllocs: walking a stream in memory allocates nothing per
+// frame.
+func TestNextFrameAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are measured without the race detector")
 	}
-	if err == nil || errors.Is(err, ErrTorn) || err == io.EOF {
-		t.Fatalf("corrupt magic err = %v, want hard error", err)
+	stream := frameStream(testRecord(), Record{Type: TypeStepDone, ID: "dgf-1", Node: "/f/s1"})
+	allocs := testing.AllocsPerRun(200, func() {
+		for off := 0; ; {
+			f, err := NextFrame(stream, off)
+			if err != nil {
+				if err != io.EOF {
+					t.Fatal(err)
+				}
+				return
+			}
+			off = f.End
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("NextFrame allocates %.1f times per two-frame stream, want 0", allocs)
 	}
 }
 
@@ -244,19 +265,20 @@ func TestEncoderAccumulatesFrames(t *testing.T) {
 	AppendRecordFrame(e, &a)
 	n := e.Len()
 	AppendRecordFrame(e, &b)
-	sc := NewFrameScanner(bytes.NewReader(e.Bytes()))
+	var v RecordView
+	off := 0
 	for _, want := range []Record{a, b} {
-		_, payload, err := sc.Next()
+		f, err := NextFrame(e.Bytes(), off)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DecodeRecord(payload)
-		if err != nil {
+		if err := v.DecodeFields(e.Bytes(), f.Body, f.End); err != nil {
 			t.Fatal(err)
 		}
-		if got.ID != want.ID || got.Type != want.Type {
+		if got := v.Record(); got.ID != want.ID || got.Type != want.Type {
 			t.Fatalf("got %+v want %+v", got, want)
 		}
+		off = f.End
 	}
 	if e.Len() <= n {
 		t.Fatal("second frame did not append")

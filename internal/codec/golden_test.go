@@ -105,26 +105,26 @@ func TestGoldenDecode(t *testing.T) {
 		t.Fatalf("record_v1.bin decodes to %+v, want %+v", got, want[2])
 	}
 
-	f, err := os.Open(goldenPath(t, "segment_v1.bin"))
+	segment, err := os.ReadFile(goldenPath(t, "segment_v1.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	sc := NewFrameScanner(f)
+	var v RecordView
+	off := 0
 	for i := range want {
-		_, payload, err := sc.Next()
+		f, err := NextFrame(segment, off)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		got, err := DecodeRecord(payload)
-		if err != nil {
+		if err := v.DecodeFields(segment, f.Body, f.End); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if !recordsEqual(got, want[i]) {
+		if got := v.Record(); !recordsEqual(got, want[i]) {
 			t.Fatalf("frame %d decodes to %+v, want %+v", i, got, want[i])
 		}
+		off = f.End
 	}
-	if _, _, err := sc.Next(); err != io.EOF {
+	if _, err := NextFrame(segment, off); err != io.EOF {
 		t.Fatalf("trailing data after pinned frames: %v", err)
 	}
 }

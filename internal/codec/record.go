@@ -128,8 +128,10 @@ func recordFields(e *Encoder, rec *Record) {
 	e.Bool(recPassivated, rec.Passivated)
 }
 
-// DecodeRecord decodes a MsgRecord payload (Begin layout, as returned
-// by FrameScanner.Next). Loops over many records use a RecordDecoder.
+// DecodeRecord decodes a MsgRecord payload (Begin layout: header, then
+// fields). A frame's fields are viewed where they lie with
+// RecordView.DecodeFields instead. Loops over many records use a
+// RecordDecoder.
 func DecodeRecord(payload []byte) (Record, error) {
 	var rd RecordDecoder
 	return rd.Decode(payload)

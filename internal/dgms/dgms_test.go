@@ -3,6 +3,7 @@ package dgms
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -522,16 +523,14 @@ func TestSimulatedTimeAccounting(t *testing.T) {
 	}
 }
 
-// TestIngestDeleteAllocs holds a grid operation to what it keeps: the
-// namespace node and its name, the replica slice, the physical object,
-// its checksum, the events' details. The object's empty metadata map and
-// the hash state and raw sum behind the checksum used to add three.
-func TestIngestDeleteAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation budgets are not meaningful under -race")
-	}
+// allocsGrid is a grid on the virtual clock whose provenance store
+// retains every record, or, closed, is offered every record and retains
+// none, with one resource "d" and the collection /grid.
+func allocsGrid(t *testing.T, retain bool) *Grid {
 	prov := provenance.NewMemory()
-	prov.Close() // offered every record, retains none
+	if !retain {
+		prov.Close()
+	}
 	g := New(Options{Clock: sim.NewVirtualClock(sim.Epoch), Provenance: prov})
 	if err := g.RegisterResource(vfs.New("d", "x", vfs.Disk, 0)); err != nil {
 		t.Fatal(err)
@@ -539,18 +538,66 @@ func TestIngestDeleteAllocs(t *testing.T) {
 	if err := g.CreateCollectionAll(g.Admin(), "/grid"); err != nil {
 		t.Fatal(err)
 	}
-	got := testing.AllocsPerRun(100, func() {
+	return g
+}
+
+// TestIngestDeleteAllocs holds a grid operation to what it keeps: the
+// namespace node and its name, the replica slice, the physical object,
+// its checksum, the size written out for the event. The events' details
+// are carried inline and the provenance record's copied into the
+// store's slab, so a retaining store costs what a closed one does; the
+// details' maps used to add two allocations an operation, and the copy
+// of the replica list a delete walks one more.
+func TestIngestDeleteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under -race")
+	}
+	const budget, parent = 6, 9
+	for _, retain := range []bool{false, true} {
+		g := allocsGrid(t, retain)
+		got := testing.AllocsPerRun(100, func() {
+			if err := g.Ingest(g.Admin(), "/grid/o.dat", 1024, nil, "d"); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.Delete(g.Admin(), "/grid/o.dat"); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("ingest + delete of a synthetic object, provenance retained %v: %.0f allocations (budget %d, parent commit %d)", retain, got, budget, parent)
+		if got > budget {
+			t.Errorf("ingest + delete allocates %.0f with provenance retained %v, over the budget of %d", got, retain, budget)
+		}
+	}
+}
+
+// TestSetMetaAllocs: re-tagging an object — the permission check, the
+// namespace write of an attribute it already has, the before and after
+// events and the provenance record — allocates nothing, whether the
+// store retains the record or not.
+func TestSetMetaAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under -race")
+	}
+	for _, retain := range []bool{false, true} {
+		g := allocsGrid(t, retain)
 		if err := g.Ingest(g.Admin(), "/grid/o.dat", 1024, nil, "d"); err != nil {
 			t.Fatal(err)
 		}
-		if err := g.Delete(g.Admin(), "/grid/o.dat"); err != nil {
+		if err := g.SetMeta(g.Admin(), "/grid/o.dat", "tag", "v0"); err != nil {
 			t.Fatal(err)
 		}
-	})
-	const budget, parent = 9, 12
-	t.Logf("ingest + delete of a synthetic object: %.0f allocations (budget %d, parent commit %d)", got, budget, parent)
-	if got > budget {
-		t.Errorf("ingest + delete allocates %.0f, over the budget of %d", got, budget)
+		got := testing.AllocsPerRun(100, func() {
+			if err := g.SetMeta(g.Admin(), "/grid/o.dat", "tag", "v1"); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("re-tagging an object, provenance retained %v: %.0f allocations (parent commit 2)", retain, got)
+		if got != 0 {
+			t.Errorf("re-tagging an object allocates %.0f times with provenance retained %v, want 0", got, retain)
+		}
+		if rec, _ := g.Provenance().Last(provenance.Filter{Action: "meta.set"}); retain && !reflect.DeepEqual(rec.Detail, provenance.Attrs{{Key: "attr", Value: "tag"}, {Key: "value", Value: "v1"}}) {
+			t.Errorf("the retained meta.set record reads %+v", rec)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"datagridflow/internal/provenance"
 	"datagridflow/internal/sim"
 )
 
@@ -54,12 +55,33 @@ func (p Phase) String() string {
 
 // Event describes one namespace change.
 type Event struct {
-	Type   EventType
-	Phase  Phase
-	Path   string
-	User   string
-	Time   time.Time
-	Detail map[string]string // resource names, sizes, attribute values...
+	Type  EventType
+	Phase Phase
+	Path  string
+	User  string
+	Time  time.Time
+	// detail is the change's context — resource names, sizes, attribute
+	// values — held inline: no grid operation sets more than two pairs,
+	// so an event costs no allocation to build or to publish.
+	detail  [2]provenance.Attr
+	ndetail int
+}
+
+// Get returns the value of the detail key, or "" when the event has none.
+func (e *Event) Get(key string) string {
+	return provenance.Attrs(e.Details()).Get(key)
+}
+
+// Details returns the event's detail pairs in the order the operation
+// set them.
+func (e *Event) Details() []provenance.Attr {
+	return e.detail[:e.ndetail:e.ndetail]
+}
+
+// set adds a detail pair.
+func (e *Event) set(key, value string) {
+	e.detail[e.ndetail] = provenance.Attr{Key: key, Value: value}
+	e.ndetail++
 }
 
 // Handler receives events. Returning a non-nil error from a Before

@@ -227,7 +227,7 @@ func (g *Grid) Domains() []string {
 }
 
 // record appends a provenance record stamped with the grid clock.
-func (g *Grid) record(actor, action, target, outcome, errText string, detail map[string]string) {
+func (g *Grid) record(actor, action, target, outcome, errText string, detail ...provenance.Attr) {
 	_, _ = g.prov.Append(provenance.Record{
 		Time:    g.clock.Now(),
 		Actor:   actor,
@@ -235,21 +235,20 @@ func (g *Grid) record(actor, action, target, outcome, errText string, detail map
 		Target:  target,
 		Outcome: outcome,
 		Err:     errText,
-		Detail:  detail,
-	})
+	}, detail...)
 }
 
 func (g *Grid) recordErr(actor, action, target string, err error) {
-	g.record(actor, action, target, provenance.OutcomeError, err.Error(), nil)
+	g.record(actor, action, target, provenance.OutcomeError, err.Error())
 }
 
 // publish2 runs the Before/After pair around op. If the Before phase is
 // vetoed the operation does not run and ErrVetoed (wrapping the veto) is
-// returned.
-func (g *Grid) publish2(ev Event, op func() error) error {
+// returned. op may add to ev's detail: the After phase carries it.
+func (g *Grid) publish2(ev *Event, op func() error) error {
 	ev.Time = g.clock.Now()
 	ev.Phase = Before
-	if err := g.bus.Publish(ev); err != nil {
+	if err := g.bus.Publish(*ev); err != nil {
 		return fmt.Errorf("%w: %v", ErrVetoed, err)
 	}
 	if err := op(); err != nil {
@@ -257,6 +256,6 @@ func (g *Grid) publish2(ev Event, op func() error) error {
 	}
 	ev.Phase = After
 	ev.Time = g.clock.Now()
-	_ = g.bus.Publish(ev)
+	_ = g.bus.Publish(*ev)
 	return nil
 }

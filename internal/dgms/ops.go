@@ -40,7 +40,7 @@ func (g *Grid) CreateCollectionAll(user, path string) error {
 
 func (g *Grid) createCollection(user, path string, all bool) error {
 	domain := g.userDomain(user)
-	err := g.publish2(Event{Type: EventCollection, Path: path, User: user}, func() error {
+	err := g.publish2(&Event{Type: EventCollection, Path: path, User: user}, func() error {
 		if all {
 			return g.ns.MkCollectionAll(path, user, domain, g.clock.Now())
 		}
@@ -50,7 +50,7 @@ func (g *Grid) createCollection(user, path string, all bool) error {
 		g.recordErr(user, "collection.create", path, err)
 		return err
 	}
-	g.record(user, "collection.create", path, provenance.OutcomeOK, "", nil)
+	g.record(user, "collection.create", path, provenance.OutcomeOK, "")
 	return nil
 }
 
@@ -83,8 +83,10 @@ func (g *Grid) Ingest(user, path string, size int64, data []byte, resource strin
 		g.recordErr(user, "ingest", path, err)
 		return err
 	}
-	detail := map[string]string{"resource": resource, "size": strconv.FormatInt(size, 10)}
-	err = g.publish2(Event{Type: EventIngest, Path: path, User: user, Detail: detail}, func() error {
+	ev := Event{Type: EventIngest, Path: path, User: user}
+	ev.set("resource", resource)
+	ev.set("size", strconv.FormatInt(size, 10))
+	err = g.publish2(&ev, func() error {
 		if err := g.ns.CreateObject(path, user, res.Domain(), size, g.clock.Now()); err != nil {
 			return err
 		}
@@ -111,7 +113,7 @@ func (g *Grid) Ingest(user, path string, size int64, data []byte, resource strin
 		g.recordErr(user, "ingest", path, err)
 		return err
 	}
-	g.record(user, "ingest", path, provenance.OutcomeOK, "", detail)
+	g.record(user, "ingest", path, provenance.OutcomeOK, "", ev.Details()...)
 	return nil
 }
 
@@ -161,8 +163,9 @@ func (g *Grid) ReplicateFrom(user, path, fromResource, toResource string) error 
 		g.recordErr(user, "replicate", path, err)
 		return err
 	}
-	detail := map[string]string{"to": toResource}
-	err = g.publish2(Event{Type: EventReplicate, Path: path, User: user, Detail: detail}, func() error {
+	ev := Event{Type: EventReplicate, Path: path, User: user}
+	ev.set("to", toResource)
+	err = g.publish2(&ev, func() error {
 		srcRep, src, err := g.sourceReplica(path, fromResource)
 		if err != nil {
 			return err
@@ -173,7 +176,7 @@ func (g *Grid) ReplicateFrom(user, path, fromResource, toResource string) error 
 		if err := g.faultCheck(toResource); err != nil {
 			return err
 		}
-		detail["from"] = srcRep.Resource
+		ev.set("from", srcRep.Resource)
 		data, rd, err := src.Get(srcRep.PhysicalID)
 		if err != nil {
 			return err
@@ -203,7 +206,7 @@ func (g *Grid) ReplicateFrom(user, path, fromResource, toResource string) error 
 		g.recordErr(user, "replicate", path, err)
 		return err
 	}
-	g.record(user, "replicate", path, provenance.OutcomeOK, "", detail)
+	g.record(user, "replicate", path, provenance.OutcomeOK, "", ev.Details()...)
 	return nil
 }
 
@@ -240,8 +243,9 @@ func (g *Grid) Trim(user, path, resource string, force bool) error {
 		g.recordErr(user, "trim", path, err)
 		return err
 	}
-	detail := map[string]string{"resource": resource}
-	err := g.publish2(Event{Type: EventTrim, Path: path, User: user, Detail: detail}, func() error {
+	ev := Event{Type: EventTrim, Path: path, User: user}
+	ev.set("resource", resource)
+	err := g.publish2(&ev, func() error {
 		reps, err := g.ns.Replicas(path)
 		if err != nil {
 			return err
@@ -278,7 +282,7 @@ func (g *Grid) Trim(user, path, resource string, force bool) error {
 		g.recordErr(user, "trim", path, err)
 		return err
 	}
-	g.record(user, "trim", path, provenance.OutcomeOK, "", detail)
+	g.record(user, "trim", path, provenance.OutcomeOK, "", ev.Details()...)
 	return nil
 }
 
@@ -289,8 +293,10 @@ func (g *Grid) Migrate(user, path, fromResource, toResource string) error {
 	if fromResource == toResource {
 		return nil
 	}
-	detail := map[string]string{"from": fromResource, "to": toResource}
-	err := g.publish2(Event{Type: EventMigrate, Path: path, User: user, Detail: detail}, func() error {
+	ev := Event{Type: EventMigrate, Path: path, User: user}
+	ev.set("from", fromResource)
+	ev.set("to", toResource)
+	err := g.publish2(&ev, func() error {
 		reps, err := g.ns.Replicas(path)
 		if err != nil {
 			return err
@@ -318,7 +324,7 @@ func (g *Grid) Migrate(user, path, fromResource, toResource string) error {
 		g.recordErr(user, "migrate", path, err)
 		return err
 	}
-	g.record(user, "migrate", path, provenance.OutcomeOK, "", detail)
+	g.record(user, "migrate", path, provenance.OutcomeOK, "", ev.Details()...)
 	return nil
 }
 
@@ -349,8 +355,10 @@ func (g *Grid) RegisterInPlace(user, path, resource, physID string) error {
 		g.recordErr(user, "register", path, err)
 		return err
 	}
-	detail := map[string]string{"resource": resource, "physicalID": physID}
-	err = g.publish2(Event{Type: EventIngest, Path: path, User: user, Detail: detail}, func() error {
+	ev := Event{Type: EventIngest, Path: path, User: user}
+	ev.set("resource", resource)
+	ev.set("physicalID", physID)
+	err = g.publish2(&ev, func() error {
 		if err := g.ns.CreateObject(path, user, res.Domain(), info.Size, g.clock.Now()); err != nil {
 			return err
 		}
@@ -375,23 +383,28 @@ func (g *Grid) RegisterInPlace(user, path, resource, physID string) error {
 		g.recordErr(user, "register", path, err)
 		return err
 	}
-	g.record(user, "register", path, provenance.OutcomeOK, "", detail)
+	g.record(user, "register", path, provenance.OutcomeOK, "", ev.Details()...)
 	return nil
 }
 
 // Delete removes the object entirely: all physical replicas and the
-// logical entry.
+// logical entry. A physical delete that fails stops it there: the
+// replicas before it are gone, that one and the rest stay listed, and so
+// does the object.
 func (g *Grid) Delete(user, path string) error {
 	if err := g.ns.Check(path, user, namespace.PermWrite); err != nil {
 		g.recordErr(user, "delete", path, err)
 		return err
 	}
-	err := g.publish2(Event{Type: EventDelete, Path: path, User: user}, func() error {
-		reps, err := g.ns.Replicas(path)
-		if err != nil {
-			return err
-		}
-		for _, rep := range reps {
+	err := g.publish2(&Event{Type: EventDelete, Path: path, User: user}, func() error {
+		for {
+			rep, ok, err := g.ns.FirstReplica(path)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				return g.ns.Remove(path)
+			}
 			res, err := g.Resource(rep.Resource)
 			if err != nil {
 				return err
@@ -406,13 +419,12 @@ func (g *Grid) Delete(user, path string) error {
 				return err
 			}
 		}
-		return g.ns.Remove(path)
 	})
 	if err != nil {
 		g.recordErr(user, "delete", path, err)
 		return err
 	}
-	g.record(user, "delete", path, provenance.OutcomeOK, "", nil)
+	g.record(user, "delete", path, provenance.OutcomeOK, "")
 	return nil
 }
 
@@ -450,11 +462,11 @@ func (g *Grid) Get(user, fromDomain, path string) ([]byte, error) {
 		}
 		g.clock.Sleep(td)
 	}
-	g.record(user, "get", path, provenance.OutcomeOK, "", map[string]string{"resource": rep.Resource})
-	_ = g.bus.Publish(Event{
-		Type: EventAccess, Phase: After, Path: path, User: user, Time: g.clock.Now(),
-		Detail: map[string]string{"resource": rep.Resource, "domain": fromDomain},
-	})
+	g.record(user, "get", path, provenance.OutcomeOK, "", provenance.Attr{Key: "resource", Value: rep.Resource})
+	ev := Event{Type: EventAccess, Phase: After, Path: path, User: user, Time: g.clock.Now()}
+	ev.set("resource", rep.Resource)
+	ev.set("domain", fromDomain)
+	_ = g.bus.Publish(ev)
 	return data, nil
 }
 
@@ -500,7 +512,7 @@ func (g *Grid) Verify(user, path string) ([]VerifyResult, error) {
 		ok := rep.Checksum == "" || rep.Checksum == sum
 		out = append(out, VerifyResult{Resource: rep.Resource, Expected: rep.Checksum, Actual: sum, OK: ok})
 	}
-	g.record(user, "verify", path, provenance.OutcomeOK, "", map[string]string{"replicas": strconv.Itoa(len(out))})
+	g.record(user, "verify", path, provenance.OutcomeOK, "", provenance.Attr{Key: "replicas", Value: strconv.Itoa(len(out))})
 	return out, nil
 }
 
@@ -511,15 +523,17 @@ func (g *Grid) SetMeta(user, path, attr, value string) error {
 		g.recordErr(user, "meta.set", path, err)
 		return err
 	}
-	detail := map[string]string{"attr": attr, "value": value}
-	err := g.publish2(Event{Type: EventMetaSet, Path: path, User: user, Detail: detail}, func() error {
+	ev := Event{Type: EventMetaSet, Path: path, User: user}
+	ev.set("attr", attr)
+	ev.set("value", value)
+	err := g.publish2(&ev, func() error {
 		return g.ns.SetMeta(path, attr, value)
 	})
 	if err != nil {
 		g.recordErr(user, "meta.set", path, err)
 		return err
 	}
-	g.record(user, "meta.set", path, provenance.OutcomeOK, "", detail)
+	g.record(user, "meta.set", path, provenance.OutcomeOK, "", ev.Details()...)
 	return nil
 }
 
@@ -531,15 +545,16 @@ func (g *Grid) Move(user, src, dst string) error {
 		g.recordErr(user, "move", src, err)
 		return err
 	}
-	detail := map[string]string{"dst": dst}
-	err := g.publish2(Event{Type: EventMove, Path: src, User: user, Detail: detail}, func() error {
+	ev := Event{Type: EventMove, Path: src, User: user}
+	ev.set("dst", dst)
+	err := g.publish2(&ev, func() error {
 		return g.ns.Move(src, dst)
 	})
 	if err != nil {
 		g.recordErr(user, "move", src, err)
 		return err
 	}
-	g.record(user, "move", src, provenance.OutcomeOK, "", detail)
+	g.record(user, "move", src, provenance.OutcomeOK, "", ev.Details()...)
 	return nil
 }
 

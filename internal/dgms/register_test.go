@@ -112,7 +112,7 @@ func TestAccessEventPublished(t *testing.T) {
 	}
 	ev := events[0]
 	if ev.Path != "/grid/data/read-me" || ev.User != "user" ||
-		ev.Detail["resource"] != "sdsc-disk" || ev.Detail["domain"] != "cern" {
+		ev.Get("resource") != "sdsc-disk" || ev.Get("domain") != "cern" {
 		t.Errorf("event = %+v", ev)
 	}
 	// Failed reads publish nothing.

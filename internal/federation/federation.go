@@ -241,10 +241,10 @@ func countSteps(fl *dgl.Flow) int {
 
 // record writes a federation provenance record stamped by the grid
 // clock.
-func (f *Federation) record(r provenance.Record) {
+func (f *Federation) record(r provenance.Record, detail ...provenance.Attr) {
 	grid := f.peer.Engine().Grid()
 	r.Time = grid.Clock().Now()
-	_, _ = grid.Provenance().Append(r)
+	_, _ = grid.Provenance().Append(r, detail...)
 }
 
 // Delegate implements matrix.Delegator: place the subflow, run it —
@@ -334,8 +334,7 @@ func (f *Federation) place(ctx context.Context, req matrix.DelegateRequest) (*ma
 			Actor: f.peer.Name, Action: "deleg.failover",
 			FlowID: req.ParentExec, StepID: req.ParentNode, Target: pick,
 			Outcome: provenance.OutcomeError,
-			Detail:  map[string]string{"flow": req.Flow.Name},
-		})
+		}, provenance.Attr{Key: "flow", Value: req.Flow.Name})
 		select {
 		case <-time.After(f.cfg.Backoff):
 		case <-ctx.Done():

@@ -80,8 +80,8 @@ func (r *Runner) RunCycle() (CycleResult, error) {
 		_, _ = r.grid.Provenance().Append(provenance.Record{
 			Time: now, Actor: r.Policy.Owner, Action: "ilm.cycle",
 			Target: r.Policy.Scope, Outcome: provenance.OutcomeSkipped,
-			Detail: map[string]string{"policy": r.Policy.Name, "examined": fmt.Sprint(stats.Examined)},
-		})
+		}, provenance.Attr{Key: "policy", Value: r.Policy.Name},
+			provenance.Attr{Key: "examined", Value: fmt.Sprint(stats.Examined)})
 		return res, nil
 	}
 	flow := r.Policy.Compile(decisions)
@@ -96,13 +96,10 @@ func (r *Runner) RunCycle() (CycleResult, error) {
 	_, _ = r.grid.Provenance().Append(provenance.Record{
 		Time: clock.Now(), Actor: r.Policy.Owner, Action: "ilm.cycle",
 		Target: r.Policy.Scope, FlowID: exec.ID,
-		Detail: map[string]string{
-			"policy":   r.Policy.Name,
-			"examined": fmt.Sprint(stats.Examined),
-			"migrates": fmt.Sprint(stats.Migrates),
-			"deletes":  fmt.Sprint(stats.Deletes),
-		},
-	})
+	}, provenance.Attr{Key: "policy", Value: r.Policy.Name},
+		provenance.Attr{Key: "examined", Value: fmt.Sprint(stats.Examined)},
+		provenance.Attr{Key: "migrates", Value: fmt.Sprint(stats.Migrates)},
+		provenance.Attr{Key: "deletes", Value: fmt.Sprint(stats.Deletes)})
 	return res, nil
 }
 

@@ -49,11 +49,12 @@ func allocsEngine(t testing.TB) *Engine {
 // once is also the plan's worst case: everything it precomputes is used
 // exactly once — and what a loop opens by the block, this flow opens for
 // one: the root region's slabs of one node and one op context must not
-// cost it more than the node and the context did. The flows measure 31
-// and 25 allocations (40 and 34 before an execution's status root, run
-// control and root scope became part of it, its id one string with the
-// root node's and its delegation context lazy); the budgets leave room
-// for another toolchain's internals and sit under those.
+// cost it more than the node and the context did. The flows measure 29
+// and 23 allocations (31 and 25 while the grid operation's event and
+// provenance detail was a map, 40 and 34 before an execution's status
+// root, run control and root scope became part of it, its id one string
+// with the root node's and its delegation context lazy); the budgets
+// leave room for another toolchain's internals.
 func TestEngineStepAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not meaningful under -race")
@@ -111,11 +112,13 @@ func iteratedFlow(n int) dgl.Flow {
 // used to open for itself (its region, a scope for it and for each child
 // flow, a context for each step) is opened by the block. Doubling
 // iteratedFlow from 16+8 to 32+16 iterations adds 16 forEach iterations
-// (each: setMeta with one interpolated parameter, a switch, the arm it
-// picks) and 8 while iterations (each: a setVariable expr, and a region
-// of its own — a while loop cannot open ahead); the cost per added
-// forEach iteration and half a while iteration measures 7.6 where the
-// parent commit paid 15.6 and the interpreter before the plan 77.1.
+// (each: setMeta with one interpolated parameter, its event and record
+// detail inline, a switch, the arm it picks) and 8 while iterations
+// (each: a setVariable expr; the while loop opens its passes by the
+// block too, in blocks that double, so 8 more passes are one more
+// block). The cost per added forEach iteration and half a while
+// iteration measures 2.8 where the parent commit paid 7.6, the commit
+// before the loop blocks 15.6 and the interpreter before the plan 77.1.
 func TestIterationMarginalAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not meaningful under -race")
@@ -127,7 +130,7 @@ func TestIterationMarginalAllocs(t *testing.T) {
 	}
 	small, large := cost(16), cost(32)
 	marginal := (large - small) / 16
-	const budget, parent = 9.6, 15.6
+	const budget, parent = 3.1, 7.6
 	t.Logf("iterated flow: %.0f allocations at 16+8 iterations, %.0f at 32+16: %.1f per added iteration (budget %.1f, parent commit %.1f)",
 		small, large, marginal, budget, parent)
 	if marginal > budget {
@@ -194,10 +197,12 @@ func dagEngine(tb testing.TB) *Engine {
 }
 
 // TestDAGFlowAllocs holds the whole 137-step flow: 2 forEach loops of 32
-// iterations, each one block, a while loop of 8 and the grid operations
-// under them measure 687 allocations (705 before an execution became one
-// object) where the commit before the loop blocks paid 1 270
-// (docs/ARCHITECTURE.md, stage 5, has the rows).
+// iterations, each one block, a while loop of 8 in four blocks and the
+// grid operations under them measure 495 allocations where the parent
+// commit paid 687 — a map for each ingest's and setMeta's detail, a copy
+// of each deleted object's replica list, a region for each while pass —
+// and the commit before the loop blocks 1 270 (docs/ARCHITECTURE.md,
+// stage 5, has the rows).
 func TestDAGFlowAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not meaningful under -race")
@@ -211,10 +216,10 @@ func TestDAGFlowAllocs(t *testing.T) {
 		runToEnd(t, e, dagFlow(seq))
 		seq++
 	})
-	const budget, parent = 760, 1270
+	const budget, parent = 520, 687
 	t.Logf("dag flow: %.0f allocations (budget %d, parent commit %d)", got, budget, parent)
 	if got > budget {
-		t.Errorf("the dag flow costs %.0f allocations, over the budget of %d: is an iteration opening its own region, scopes or contexts again?", got, budget)
+		t.Errorf("the dag flow costs %.0f allocations, over the budget of %d: is an iteration opening its own region, or a grid operation building its detail on the heap, again?", got, budget)
 	}
 }
 

@@ -1,8 +1,11 @@
 package matrix
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -359,5 +362,141 @@ func TestRegionsTakenOutOfOrder(t *testing.T) {
 		if len(r.live) != 0 || lb.block.nodes != nil {
 			t.Fatalf("every region is taken and the opener still holds blocks: %d live, %+v", len(r.live), lb)
 		}
+	}
+}
+
+// whileFlow is a flow around a while loop of n passes whose body is a
+// flow that counts and a switch with an arm skipped each pass.
+func whileFlow(n int) dgl.Flow {
+	return dgl.NewFlow("w").Var("i", "0").
+		SubFlow(dgl.NewFlow("first").Step("s", dgl.Op(dgl.OpNoop, nil))).
+		SubFlow(dgl.NewFlow("loop").WhileLoop("$i < " + strconv.Itoa(n)).
+			SubFlow(dgl.NewFlow("bump").Step("inc", dgl.Op(dgl.OpSetVariable, map[string]string{"name": "i", "expr": "$i + 1"}))).
+			SubFlow(dgl.NewFlow("pick").SwitchOn(`"arm" + ($i % 2)`).
+				Step("arm0", dgl.Op(dgl.OpNoop, nil)).
+				Step("arm1", dgl.Op(dgl.OpNoop, nil)))).
+		SubFlow(dgl.NewFlow("last").Step("t", dgl.Op(dgl.OpNoop, nil))).
+		Flow()
+}
+
+// whileStatusDump runs whileFlow for 1, 3 and 40 passes, each on a fresh
+// engine, and writes out, as XML status replies: the whole tree, the
+// loop's node alone and its last iteration's subtree.
+func whileStatusDump(t *testing.T) []byte {
+	var out []byte
+	for _, n := range []int{1, 3, 40} {
+		e := dagEngine(t)
+		ex, err := e.Run("user", whileFlow(n))
+		if err != nil || ex.Err() != nil {
+			t.Fatalf("%d passes: %v / %v", n, err, ex.Err())
+		}
+		loop := ex.ID + "/w/loop"
+		for _, q := range []struct {
+			id     string
+			detail bool
+		}{{ex.ID, true}, {loop, false}, {loop + "[" + strconv.Itoa(n-1) + "]", true}} {
+			var xw dgl.ResponseWriter
+			xw.Begin(nil)
+			if err := e.WalkStatus(q.id, q.detail, &xw); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, "== "+strconv.Itoa(n)+" passes: "+q.id+" detail="+strconv.FormatBool(q.detail)+"\n"...)
+			out = append(out, xw.End("")...)
+			out = append(out, '\n')
+		}
+		checkWalk(t, &ex.root, true)
+	}
+	return out
+}
+
+// TestGoldenWhileStatus holds the status replies of while loops of 1, 3
+// and 40 passes — the first block alone, a block cut short, blocks up to
+// the largest — to testdata/while_status_v1.txt, which the build that
+// opened every pass on its own wrote: the same ids, names, states and
+// times, byte for byte.
+func TestGoldenWhileStatus(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "while_status_v1.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := whileStatusDump(t); !bytes.Equal(got, want) {
+		diffLines(t, strings.Split(string(got), "\n"), strings.Split(string(want), "\n"))
+	}
+}
+
+// TestWhileStatusMidLoop: a status query while a loop is in its fourth
+// block sees the passes reached and no more — the rest of the block is
+// opened, and invisible.
+func TestWhileStatusMidLoop(t *testing.T) {
+	e := newTestEngine(t)
+	const stopAt = 9 // passes 7–14 are one block
+	reached, release := make(chan struct{}), make(chan struct{})
+	e.RegisterOp("hold", func(c *OpContext) error {
+		if c.ParamOr("at", "") == strconv.Itoa(stopAt) {
+			close(reached)
+			<-release
+		}
+		return nil
+	})
+	flow := dgl.NewFlow("mid").Var("i", "0").WhileLoop("$i < 20").
+		Step("inc", dgl.Op(dgl.OpSetVariable, map[string]string{"name": "i", "expr": "$i + 1"})).
+		Step("wait", dgl.Op("hold", map[string]string{"at": "${i}"})).Flow()
+	ex := startFlow(t, e, flow)
+	<-reached
+	want := []string{" running"}
+	for i := 0; i < stopAt-1; i++ {
+		at := "[" + strconv.Itoa(i) + "]"
+		want = append(want, at+" succeeded", at+"/inc succeeded", at+"/wait succeeded")
+	}
+	at := "[" + strconv.Itoa(stopAt-1) + "]"
+	want = append(want, at+" running", at+"/inc succeeded", at+"/wait running")
+	diffLines(t, treeLines(&ex.root), want)
+	checkWalk(t, &ex.root, true)
+	if _, err := ex.StatusOf(ex.root.id+"["+strconv.Itoa(stopAt)+"]", false); err == nil {
+		t.Error("a pass not yet reached resolved by id")
+	}
+	close(release)
+	if err := ex.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(ex.Status(true).Children); n != 20 {
+		t.Errorf("%d passes shown after the loop ended, want 20", n)
+	}
+}
+
+// TestWhileOpensOneBlockAhead: a while loop of 1 000 passes opens blocks
+// of 1, 2, 4, 8, 16 and then 32 passes, each when its first pass is
+// reached, so at every step fewer than a block of regions stand opened
+// and unused — and the last block, cut short by the guard, is the only
+// one with passes that never run.
+func TestWhileOpensOneBlockAhead(t *testing.T) {
+	const passes = 1000
+	e := dagEngine(t) // retains no provenance
+	var sizes []int
+	var opened, reached, ahead int
+	blockOpened = func(owner *planFlow, regions int) {
+		if owner.src.Name == "spin" {
+			sizes = append(sizes, regions)
+			opened += regions
+		}
+	}
+	defer func() { blockOpened = nil }()
+	e.RegisterOp("probe", func(*OpContext) error {
+		ahead = max(ahead, opened-reached) // this pass's own region included
+		reached++
+		return nil
+	})
+	runToEnd(t, e, dgl.NewFlow("spin").Var("i", "0").WhileLoop("$i < "+strconv.Itoa(passes)).
+		Step("inc", dgl.Op(dgl.OpSetVariable, map[string]string{"name": "i", "expr": "$i + 1"})).
+		Step("one", dgl.Op("probe", nil)).Flow())
+	want := []int{1, 2, 4, 8, 16}
+	for n := 31; n < passes; n += blockSize {
+		want = append(want, blockSize)
+	}
+	if reached != passes || fmt.Sprint(sizes) != fmt.Sprint(want) {
+		t.Errorf("%d passes ran in blocks of %v, want %d in %v", reached, sizes, passes, want)
+	}
+	if ahead > blockSize {
+		t.Errorf("%d regions were open ahead of the pass running, want at most a block of %d", ahead, blockSize)
 	}
 }

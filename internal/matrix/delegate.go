@@ -230,7 +230,8 @@ func (ex *Execution) maybeDelegate(pf *planFlow, f *dgl.Flow, n *node, scope *Sc
 		}
 		n.graftRemote(resp.RemoteID, st)
 	}
-	detail := map[string]string{"peer": resp.Peer, "remote": resp.RemoteID}
+	peer := provenance.Attr{Key: "peer", Value: resp.Peer}
+	remote := provenance.Attr{Key: "remote", Value: resp.RemoteID}
 	if resp.Err != nil {
 		n.setError(resp.Err)
 		n.setState(StateFailed, ex.now())
@@ -238,16 +239,14 @@ func (ex *Execution) maybeDelegate(pf *planFlow, f *dgl.Flow, n *node, scope *Sc
 			Actor: ex.req.User.Name, Action: "deleg.finish",
 			FlowID: ex.ID, StepID: n.id, Target: f.Name,
 			Outcome: provenance.OutcomeError, Err: resp.Err.Error(),
-			Detail: detail,
-		})
+		}, peer, remote)
 		return true, resp.Err
 	}
 	n.setState(StateSucceeded, ex.now())
 	ex.engine.record(provenance.Record{
 		Actor: ex.req.User.Name, Action: "deleg.finish",
 		FlowID: ex.ID, StepID: n.id, Target: f.Name,
-		Detail: detail,
-	})
+	}, peer, remote)
 	_ = ex.engine.storeAppend(store.Record{
 		Type: store.TypeDelegDone, ID: ex.ID, Node: rel, Peer: resp.Peer,
 	})

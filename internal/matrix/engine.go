@@ -707,7 +707,7 @@ func (e *Engine) execution(id, rootID string, req *dgl.Request, p *plan, skip []
 }
 
 // record writes an engine provenance record.
-func (e *Engine) record(r provenance.Record) {
+func (e *Engine) record(r provenance.Record, detail ...provenance.Attr) {
 	r.Time = e.grid.Clock().Now()
-	_, _ = e.grid.Provenance().Append(r)
+	_, _ = e.grid.Provenance().Append(r, detail...)
 }

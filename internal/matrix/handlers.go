@@ -258,8 +258,8 @@ func (e *Engine) registerBuiltins() {
 		_, _ = c.Grid.Provenance().Append(provenance.Record{
 			Time: c.Engine.Clock().Now(), Actor: c.User, Action: "exec",
 			Target: command, FlowID: c.ExecID, StepID: c.NodeID,
-			Detail: map[string]string{"lane": lane, "cpuSeconds": c.ParamOr("cpuSeconds", "1")},
-		})
+		}, provenance.Attr{Key: "lane", Value: lane},
+			provenance.Attr{Key: "cpuSeconds", Value: c.ParamOr("cpuSeconds", "1")})
 		if v := c.ParamOr("resultVar", ""); v != "" {
 			c.Scope.Set(v, expr.String("done:"+command))
 		}

@@ -174,7 +174,7 @@ func TestWhileLoop(t *testing.T) {
 	}
 }
 
-// TestIterationIDs pins the exact strings iterNode builds, two digits
+// TestIterationIDs pins the exact strings nameIters builds, two digits
 // included: the iteration's name and id are the parent's plus "[i]", and
 // the id is what a status query is addressed by.
 func TestIterationIDs(t *testing.T) {
@@ -218,25 +218,35 @@ func TestWhileLoopGuard(t *testing.T) {
 
 // TestWhileLoopCap: the cap bounds the passes a loop runs, not the times
 // its guard is evaluated — a loop whose guard turns false after exactly
-// MaxLoopIterations passes has ended, not run away.
+// MaxLoopIterations passes has ended, not run away. The caps end inside
+// a block, on a block's last pass (1+2+4) and past the largest block; a
+// loop opens its passes by the block, but never one the cap forbids.
 func TestWhileLoopCap(t *testing.T) {
-	const limit = 4
-	g := dgms.New(dgms.Options{})
-	e := NewEngineConfig(g, Config{MaxLoopIterations: limit})
-	for _, passes := range []int{limit - 1, limit, limit + 1} {
-		flow := dgl.NewFlow("loop").Var("i", "0").WhileLoop(fmt.Sprintf("$i < %d", passes)).
-			Step("inc", dgl.Op(dgl.OpSetVariable, map[string]string{"name": "i", "expr": "$i + 1"})).Flow()
-		ex, err := e.Run(g.Admin(), flow)
-		if err != nil {
-			t.Fatal(err)
-		}
-		werr, ran := ex.Wait(), len(ex.Status(true).Children)
-		if passes <= limit {
-			if werr != nil || ran != passes {
-				t.Errorf("a loop of %d passes under a cap of %d: %d ran, error %v", passes, limit, ran, werr)
+	opened := 0
+	blockOpened = func(_ *planFlow, regions int) { opened += regions }
+	defer func() { blockOpened = nil }()
+	for _, limit := range []int{4, 7, 40} {
+		g := dgms.New(dgms.Options{})
+		e := NewEngineConfig(g, Config{MaxLoopIterations: limit})
+		for _, passes := range []int{limit - 1, limit, limit + 1} {
+			flow := dgl.NewFlow("loop").Var("i", "0").WhileLoop(fmt.Sprintf("$i < %d", passes)).
+				Step("inc", dgl.Op(dgl.OpSetVariable, map[string]string{"name": "i", "expr": "$i + 1"})).Flow()
+			opened = 0
+			ex, err := e.Run(g.Admin(), flow)
+			if err != nil {
+				t.Fatal(err)
 			}
-		} else if werr == nil || !strings.Contains(werr.Error(), "exceeded 4 iterations") || ran != limit {
-			t.Errorf("a loop of %d passes under a cap of %d: %d ran, error %v", passes, limit, ran, werr)
+			werr, ran := ex.Wait(), len(ex.Status(true).Children)
+			if passes <= limit {
+				if werr != nil || ran != passes {
+					t.Errorf("a loop of %d passes under a cap of %d: %d ran, error %v", passes, limit, ran, werr)
+				}
+			} else if want := fmt.Sprintf("matrix: while loop in loop exceeded %d iterations", limit); werr == nil || werr.Error() != want || ran != limit {
+				t.Errorf("a loop of %d passes under a cap of %d: %d ran, error %v, want %q", passes, limit, ran, werr, want)
+			}
+			if opened > limit {
+				t.Errorf("a loop of %d passes under a cap of %d opened %d passes", passes, limit, opened)
+			}
 		}
 	}
 }

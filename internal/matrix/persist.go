@@ -272,8 +272,8 @@ func (e *Engine) ResurrectFor(id, path string) (*Execution, error) {
 	e.record(provenance.Record{
 		Actor: req.User.Name, Action: "flow.resurrect",
 		FlowID: id, Target: req.Flow.Name,
-		Detail: map[string]string{"path": path, "steps-done": strconv.Itoa(len(ent.Done))},
-	})
+	}, provenance.Attr{Key: "path", Value: path},
+		provenance.Attr{Key: "steps-done", Value: strconv.Itoa(len(ent.Done))})
 	go ex.run()
 	return ex, nil
 }
@@ -359,8 +359,7 @@ func (e *Engine) RecoverFromStore() ([]*Execution, error) {
 		e.record(provenance.Record{
 			Actor: req.User.Name, Action: "flow.recover",
 			FlowID: ent.ID, Target: req.Flow.Name,
-			Detail: map[string]string{"steps-done": strconv.Itoa(len(ent.Done))},
-		})
+		}, provenance.Attr{Key: "steps-done", Value: strconv.Itoa(len(ent.Done))})
 		go ex.run()
 		out = append(out, ex)
 	}
@@ -433,8 +432,8 @@ func (e *Engine) AdoptEntries(entries []store.Entry, source string) []AdoptedFlo
 		e.record(provenance.Record{
 			Actor: req.User.Name, Action: "flow.adopt",
 			FlowID: ent.ID, Target: req.Flow.Name,
-			Detail: map[string]string{"source": source, "steps-done": strconv.Itoa(len(ent.Done))},
-		})
+		}, provenance.Attr{Key: "source", Value: source},
+			provenance.Attr{Key: "steps-done", Value: strconv.Itoa(len(ent.Done))})
 		go ex.run()
 		out = append(out, AdoptedFlow{ID: ent.ID, User: req.User.Name, Flow: req.Flow.Name, Resumed: true})
 	}

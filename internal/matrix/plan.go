@@ -194,38 +194,62 @@ type region struct {
 }
 
 // blockSize is how many iterations of a forEach open their regions
-// together. The slabs of a block are sized by it, so it bounds what a
-// loop holds for iterations it has not run yet, whatever its item count.
+// together, and the most a while loop opens at once. The slabs of a
+// block are sized by it, so it bounds what a loop holds for iterations
+// it has not run yet, whatever its item count.
 const blockSize = 32
 
 // blockOpened, when a test sets it, is told of every block as it opens.
 var blockOpened func(owner *planFlow, regions int)
 
-// open allocates the regions under roots — the execution's root node, one
-// while iteration of owner, or a block of its forEach iterations — in
-// five allocations: status nodes, the backing of every children slice,
-// ids, scopes, op contexts. Nodes start pending and unattached: a child
-// joins its parent's children when the run reaches it, so a status query
-// sees exactly the nodes it saw when each was allocated on arrival.
-// Scopes and contexts start zero and each slot is used once — a handler
-// may keep its *OpContext or its Scope, so nothing here is ever handed
-// out again.
+// open allocates the regions under roots — the execution's root node, or
+// a block of owner's forEach iterations — in five allocations: status
+// nodes, the backing of every children slice, ids, scopes, op contexts.
+// Nodes start pending and unattached: a child joins its parent's children
+// when the run reaches it, so a status query sees exactly the nodes it
+// saw when each was allocated on arrival. Scopes and contexts start zero
+// and each slot is used once — a handler may keep its *OpContext or its
+// Scope, so nothing here is ever handed out again.
 func (sh *regionShape) open(owner *planFlow, roots []*node) region {
-	block := region{
-		nodes:  make([]node, len(roots)*sh.nodes),
-		scopes: make([]Scope, len(roots)*sh.scopes),
-		ctxs:   make([]OpContext, len(roots)*sh.steps),
-	}
-	kids := make([]*node, len(block.nodes)) // backing for every children slice in the block
 	idLen := len(roots) * sh.relLen
 	for _, root := range roots {
 		idLen += sh.nodes * len(root.id)
 	}
 	var ids strings.Builder
 	ids.Grow(idLen)
+	return sh.fill(owner, roots, make([]node, len(roots)*sh.nodes), &ids)
+}
+
+// openIters opens passes first to first+k-1 of the while loop owner,
+// whose status node is parent: the iteration nodes, pending and
+// unattached, and their regions, with the nodes and ids of both in the
+// same two slabs — five allocations for the block, as open's.
+func (sh *regionShape) openIters(owner *planFlow, parent *node, first, k int) ([]node, region) {
+	nodes := make([]node, k*(1+sh.nodes))
+	iters := nodes[:k:k]
+	iterIDs := iterIDLen(parent, first, k)
+	var ids strings.Builder
+	ids.Grow(iterIDs*(1+sh.nodes) + k*sh.relLen) // each region id extends its pass's
+	nameIters(iters, parent, first, &ids)
+	var roots [blockSize]*node
+	for j := range iters {
+		roots[j] = &iters[j]
+	}
+	return iters, sh.fill(owner, roots[:k], nodes[k:], &ids)
+}
+
+// fill lays out the regions under roots in nodes, writing their ids into
+// ids, which has room for them, and allocates the rest of the block.
+func (sh *regionShape) fill(owner *planFlow, roots []*node, nodes []node, ids *strings.Builder) region {
+	block := region{
+		nodes:  nodes,
+		scopes: make([]Scope, len(roots)*sh.scopes),
+		ctxs:   make([]OpContext, len(roots)*sh.steps),
+	}
+	kids := make([]*node, len(block.nodes)) // backing for every children slice in the block
 	for k, root := range roots {
 		kids := kids[k*sh.nodes : (k+1)*sh.nodes]
-		fillRegion(sh.at(block, k).nodes, kids, owner, root.id, &ids)
+		fillRegion(sh.at(block, k).nodes, kids, owner, root.id, ids)
 		root.mu.Lock()
 		root.children = kids[0:0:len(owner.kids)]
 		root.mu.Unlock()

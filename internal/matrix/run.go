@@ -240,14 +240,36 @@ func (ex *Execution) runChildDelegable(pf *planFlow, i int, under *node, scope *
 	return ex.runChild(pf, i, under, scope, reg)
 }
 
-// iterNode wraps one loop iteration so each pass gets distinct,
-// queryable status ids ("...ingest[3]/step"). A node's id ends in its
-// name, so the iteration's name is the tail of its id.
-func iterNode(parent *node, i int) *node {
-	c := &node{id: parent.id + "[" + strconv.Itoa(i) + "]", kind: "flow", state: StatePending}
-	c.name = c.id[len(parent.id)-len(parent.name):]
-	parent.addChild(c)
-	return c
+// nameIters makes nodes the iteration nodes of passes first, first+1, …
+// of the loop whose node is parent, writing their ids into ids: each
+// pass gets distinct, queryable status ids ("...ingest[3]/step"). A
+// node's id ends in its name, so the iteration's name is the tail of its
+// id.
+func nameIters(nodes []node, parent *node, first int, ids *strings.Builder) {
+	var num [20]byte
+	for i := range nodes {
+		at := ids.Len()
+		ids.WriteString(parent.id)
+		ids.WriteByte('[')
+		ids.Write(strconv.AppendInt(num[:0], int64(first+i), 10))
+		ids.WriteByte(']')
+		c := &nodes[i]
+		c.id, c.kind, c.state = ids.String()[at:], "flow", StatePending
+		c.name = c.id[len(parent.id)-len(parent.name):]
+	}
+}
+
+// iterIDLen is the length of the ids nameIters writes for k passes from
+// first.
+func iterIDLen(parent *node, first, k int) int {
+	n, lo, end := k*(len(parent.id)+2), first, first+k
+	for limit, width := 10, 1; lo < end; limit, width = limit*10, width+1 {
+		if lo < limit {
+			n += (min(end, limit) - lo) * width
+			lo = min(end, limit)
+		}
+	}
+	return n
 }
 
 // iterNodes allocates the status nodes of a forEach's m iterations at
@@ -255,24 +277,10 @@ func iterNode(parent *node, i int) *node {
 // allocation each — without attaching them: iterations appear under the
 // parent as they are reached (sequential) or all up front (parallel).
 func iterNodes(parent *node, m int) []node {
-	digits := 0 // of 0..m-1, written out
-	for lo, hi, width := 0, 10, 1; lo < m; lo, hi, width = hi, hi*10, width+1 {
-		digits += (min(m, hi) - lo) * width
-	}
 	var ids strings.Builder
-	ids.Grow(m*(len(parent.id)+2) + digits)
+	ids.Grow(iterIDLen(parent, 0, m))
 	nodes := make([]node, m)
-	var num [20]byte
-	for i := range nodes {
-		at := ids.Len()
-		ids.WriteString(parent.id)
-		ids.WriteByte('[')
-		ids.Write(strconv.AppendInt(num[:0], int64(i), 10))
-		ids.WriteByte(']')
-		c := &nodes[i]
-		c.id, c.kind, c.state = ids.String()[at:], "flow", StatePending
-		c.name = c.id[len(parent.id)-len(parent.name):]
-	}
+	nameIters(nodes, parent, 0, &ids)
 	parent.mu.Lock()
 	parent.children = make([]*node, 0, m)
 	parent.mu.Unlock()
@@ -300,7 +308,15 @@ func (ex *Execution) runWhile(pf *planFlow, n *node, scope *Scope) error {
 	if pf.cond.err != nil {
 		return pf.cond.err
 	}
-	name := pf.src.Name
+	name, limit := pf.src.Name, ex.engine.cfg.MaxLoopIterations
+	// How many passes there will be is the guard's to say, so a while
+	// loop opens its passes by the block, each block twice the last, up
+	// to blockSize, and never past the cap: what it holds for passes
+	// that may never run is at most one block, and no more passes than
+	// it has already run.
+	var iters []node // the open block's passes, from pass first on
+	var block region
+	first := 0
 	for i := 0; ; i++ {
 		if err := ex.ctrl.checkpoint(); err != nil {
 			return err
@@ -312,13 +328,17 @@ func (ex *Execution) runWhile(pf *planFlow, n *node, scope *Scope) error {
 		if !ok.AsBool() {
 			return nil
 		}
-		if i >= ex.engine.cfg.MaxLoopIterations { // a pass beyond the cap would start
+		if i >= limit { // a pass beyond the cap would start
 			return fmt.Errorf("matrix: while loop in %s exceeded %d iterations", name, i)
 		}
-		// How many passes there will be is the guard's to say, so a while
-		// loop opens its regions one iteration at a time.
-		in := iterNode(n, i)
-		if err := ex.runIteration(pf, in, scope, pf.body.open(pf, []*node{in})); err != nil {
+		if i == first+len(iters) {
+			k := min(max(2*len(iters), 1), blockSize, limit-i)
+			iters, block = pf.body.openIters(pf, n, i, k)
+			first = i
+		}
+		in := &iters[i-first]
+		n.addChild(in)
+		if err := ex.runIteration(pf, in, scope, pf.body.at(block, i-first)); err != nil {
 			return err
 		}
 	}
@@ -553,8 +573,7 @@ func (ex *Execution) runStep(ps *planStep, n *node, parent *Scope, c *OpContext)
 			ex.engine.record(provenance.Record{
 				Actor: ex.req.User.Name, Action: "step.retry",
 				FlowID: ex.ID, StepID: n.id, Target: st.Name,
-				Detail: map[string]string{"attempt": fmt.Sprint(attempt + 1)},
-			})
+			}, provenance.Attr{Key: "attempt", Value: fmt.Sprint(attempt + 1)})
 			// A retry binds afresh, against the scope as it is then, and
 			// into a context of its own: the handler may have kept the
 			// failed attempt's.
@@ -609,8 +628,7 @@ func (ex *Execution) runStep(ps *planStep, n *node, parent *Scope, c *OpContext)
 				Actor: ex.req.User.Name, Action: "step.finish",
 				FlowID: ex.ID, StepID: n.id, Target: st.Name,
 				Outcome: provenance.OutcomeError, Err: opErr.Error(),
-				Detail: map[string]string{"policy": dgl.OnErrorContinue},
-			})
+			}, provenance.Attr{Key: "policy", Value: dgl.OnErrorContinue})
 			return nil
 		}
 		return fail(opErr)

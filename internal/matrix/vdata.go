@@ -202,8 +202,8 @@ func (ex *Execution) vdataHit(vd *vdataBinding, st *dgl.Step, n *node, scope *Sc
 		Actor: ex.req.User.Name, Action: "vdata.hit",
 		FlowID: ex.ID, StepID: n.id, Target: st.Name,
 		Outcome: provenance.OutcomeSkipped,
-		Detail:  map[string]string{"key": vd.key, "peer": ent.Peer},
-	})
+	}, provenance.Attr{Key: "key", Value: vd.key},
+		provenance.Attr{Key: "peer", Value: ent.Peer})
 	_ = ex.engine.storeAppend(store.Record{
 		Type: store.TypeStepDone, ID: ex.ID, Node: ex.relID(n.id), Peer: ent.Peer,
 	})
@@ -237,6 +237,5 @@ func (ex *Execution) vdataPublish(vd *vdataBinding, st *dgl.Step, n *node, scope
 	ex.engine.record(provenance.Record{
 		Actor: ex.req.User.Name, Action: "vdata.publish",
 		FlowID: ex.ID, StepID: n.id, Target: st.Name,
-		Detail: map[string]string{"key": vd.key},
-	})
+	}, provenance.Attr{Key: "key", Value: vd.key})
 }

@@ -487,6 +487,19 @@ func (ns *Namespace) Replicas(path string) ([]Replica, error) {
 	return append([]Replica(nil), n.replicas...), nil
 }
 
+// FirstReplica returns the first replica record of the object at path,
+// and false when it has none: a caller that removes each replica it is
+// handed walks them all without a copy of the list.
+func (ns *Namespace) FirstReplica(path string) (Replica, bool, error) {
+	ns.mu.RLock()
+	defer ns.mu.RUnlock()
+	n, err := ns.objectNode(path)
+	if err != nil || len(n.replicas) == 0 {
+		return Replica{}, false, err
+	}
+	return n.replicas[0], true, nil
+}
+
 func (ns *Namespace) objectNode(path string) (*node, error) {
 	clean, err := CleanPath(path)
 	if err != nil {

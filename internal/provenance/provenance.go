@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -46,8 +47,56 @@ type Record struct {
 	Outcome string `json:"outcome"`
 	// Err carries the error text when Outcome is OutcomeError.
 	Err string `json:"err,omitempty"`
-	// Detail holds free-form key/value context (sizes, resources, ...).
-	Detail map[string]string `json:"detail,omitempty"`
+	// Detail holds free-form key/value context (sizes, resources, ...),
+	// sorted by key. Keys are unique within a record.
+	Detail Attrs `json:"detail,omitempty"`
+}
+
+// Attr is one key/value pair of a record's detail.
+type Attr struct {
+	Key, Value string
+}
+
+// Attrs is a record's detail, a list of pairs. It encodes as a JSON
+// object with its keys sorted: the bytes a map of the pairs encodes to,
+// the form provenance files hold.
+type Attrs []Attr
+
+// Get returns the value of key, or "" when there is no such pair.
+func (d Attrs) Get(key string) string {
+	for _, a := range d {
+		if a.Key == key {
+			return a.Value
+		}
+	}
+	return ""
+}
+
+// MarshalJSON writes the pairs as the object a map of them encodes to.
+func (d Attrs) MarshalJSON() ([]byte, error) {
+	m := make(map[string]string, len(d))
+	for _, a := range d {
+		m[a.Key] = a.Value
+	}
+	return json.Marshal(m)
+}
+
+// UnmarshalJSON reads the object MarshalJSON writes, keys sorted.
+func (d *Attrs) UnmarshalJSON(b []byte) error {
+	var m map[string]string
+	if err := json.Unmarshal(b, &m); err != nil {
+		return err
+	}
+	*d = nil
+	for k, v := range m {
+		*d = append(*d, Attr{Key: k, Value: v})
+	}
+	sortAttrs(*d)
+	return nil
+}
+
+func sortAttrs(d Attrs) {
+	slices.SortFunc(d, func(a, b Attr) int { return strings.Compare(a.Key, b.Key) })
 }
 
 // ErrClosed is returned by operations on a closed store.
@@ -58,6 +107,9 @@ var ErrClosed = errors.New("provenance: store closed")
 type Store struct {
 	mu      sync.RWMutex
 	records []Record
+	// slab backs the records' details, slabChunk pairs to an allocation:
+	// a record's Detail is a slice of it, never grown once handed out.
+	slab    []Attr
 	nextSeq int64
 	w       *bufio.Writer // nil for memory-only stores
 	f       *os.File
@@ -101,8 +153,19 @@ func Open(path string) (*Store, error) {
 	return s, nil
 }
 
-// Append records r, assigning and returning its sequence number.
-func (s *Store) Append(r Record) (int64, error) {
+// slabChunk is how many detail pairs one allocation of a store's slab
+// holds: a few hundred records' worth.
+const slabChunk = 1024
+
+// Append records r, assigning and returning its sequence number. The
+// record's Detail is detail, sorted by key; r.Detail is not read. The
+// pairs are copied into the store, so detail does not escape: a caller
+// may build it on its stack. A closed store copies nothing.
+//
+// The detail is an argument of its own because escape analysis does
+// not tell a struct's fields apart: r's strings are kept, so a Detail
+// set in r would be kept too, and have to be built on the heap.
+func (s *Store) Append(r Record, detail ...Attr) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -113,6 +176,7 @@ func (s *Store) Append(r Record) (int64, error) {
 	}
 	r.Seq = s.nextSeq
 	s.nextSeq++
+	r.Detail = s.keep(detail)
 	s.records = append(s.records, r)
 	if s.w != nil {
 		b, err := json.Marshal(r)
@@ -124,6 +188,21 @@ func (s *Store) Append(r Record) (int64, error) {
 		}
 	}
 	return r.Seq, nil
+}
+
+// keep copies detail into the slab, sorted by key.
+func (s *Store) keep(detail []Attr) Attrs {
+	if len(detail) == 0 {
+		return nil
+	}
+	if cap(s.slab)-len(s.slab) < len(detail) {
+		s.slab = make([]Attr, 0, max(slabChunk, len(detail)))
+	}
+	at := len(s.slab)
+	s.slab = append(s.slab, detail...)
+	kept := Attrs(s.slab[at:len(s.slab):len(s.slab)])
+	sortAttrs(kept)
+	return kept
 }
 
 // Flush forces buffered records to the underlying file.

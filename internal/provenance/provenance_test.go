@@ -100,8 +100,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 		if _, err := s.Append(Record{
 			Time: sim.Epoch.Add(time.Duration(i) * time.Hour), Action: "archive",
 			FlowID: "ilm-2005", Target: fmt.Sprintf("/grid/obj%d", i),
-			Detail: map[string]string{"bytes": "1024"},
-		}); err != nil {
+		}, Attr{Key: "bytes", Value: "1024"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -124,7 +123,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 		t.Fatalf("reloaded %d records, want 10", s2.Len())
 	}
 	got := s2.Query(Filter{FlowID: "ilm-2005", TargetPrefix: "/grid/obj"})
-	if len(got) != 10 || got[0].Detail["bytes"] != "1024" {
+	if len(got) != 10 || got[0].Detail.Get("bytes") != "1024" {
 		t.Errorf("reloaded query: %d records", len(got))
 	}
 	// Sequence numbering continues after reload.

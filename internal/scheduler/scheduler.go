@@ -352,8 +352,7 @@ func (b *Broker) Execute(task *Task, strategy Strategy, outputResource string) (
 			_, _ = b.grid.Provenance().Append(provenance.Record{
 				Time: b.grid.Clock().Now(), Actor: "broker", Action: "task.virtual-data-hit",
 				Target: task.Output, Outcome: provenance.OutcomeSkipped,
-				Detail: map[string]string{"transformation": task.Transformation},
-			})
+			}, provenance.Attr{Key: "transformation", Value: task.Transformation})
 			return Placement{}, nil
 		}
 	}
@@ -418,12 +417,9 @@ func (b *Broker) Execute(task *Task, strategy Strategy, outputResource string) (
 	_, _ = b.grid.Provenance().Append(provenance.Record{
 		Time: b.grid.Clock().Now(), Actor: "broker", Action: "task.execute",
 		Target: task.Name,
-		Detail: map[string]string{
-			"node":     chosen.Node.Name,
-			"strategy": strategy.String(),
-			"moved":    fmt.Sprint(chosen.Estimate.DataMoved),
-		},
-	})
+	}, provenance.Attr{Key: "node", Value: chosen.Node.Name},
+		provenance.Attr{Key: "strategy", Value: strategy.String()},
+		provenance.Attr{Key: "moved", Value: fmt.Sprint(chosen.Estimate.DataMoved)})
 	return chosen, nil
 }
 

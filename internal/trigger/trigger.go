@@ -247,20 +247,18 @@ func eventEnv(ev dgms.Event) expr.MapEnv {
 		"hour":    expr.Int(int64(ev.Time.Hour())),
 		"weekday": expr.String(ev.Time.Weekday().String()),
 	}
-	for k, v := range ev.Detail {
-		env[k] = expr.String(v)
+	for _, a := range ev.Details() {
+		env[a.Key] = expr.String(a.Value)
 	}
 	return env
 }
 
 // dispatch runs on the event publisher's goroutine. Before-phase matches
-// may veto; after-phase matches enqueue their actions.
+// may veto; after-phase matches enqueue their actions. Nothing stops a
+// trigger whose actions cause an event its condition matches again: an
+// event does not say what caused it, so the condition must exclude what
+// the actions touch.
 func (m *Manager) dispatch(reg *registered, ev dgms.Event) error {
-	// Ignore events caused by this trigger's own actions to break direct
-	// self-recursion (ingest-trigger ingests a file, ...).
-	if ev.User == reg.def.Owner && reg.def.Phase == dgms.After && ev.Detail["trigger"] == reg.def.Name {
-		return nil
-	}
 	if reg.cond != nil {
 		ok, err := reg.cond.EvalBool(eventEnv(ev))
 		if err != nil || !ok {

@@ -279,11 +279,12 @@ func TestMultiTriggerOrderingDivergence(t *testing.T) {
 	}
 }
 
+// TestSelfRecursionSuppression: a trigger whose action ingests fires
+// once, because its condition excludes what the action writes. Nothing
+// in the engine breaks the loop — an event does not carry its cause —
+// so a condition that matched the copy too would fire on it again.
 func TestSelfRecursionSuppression(t *testing.T) {
 	g, _, m := setup(t)
-	// A trigger that re-ingests on every ingest would loop forever
-	// without the queue cap; verify the system stays bounded. The copy
-	// target doesn't match the condition, breaking the loop at depth 1.
 	err := m.Define(Trigger{
 		Name: "copy-incoming", Owner: "robot",
 		Events: []dgms.EventType{dgms.EventIngest}, Phase: dgms.After,
@@ -451,5 +452,47 @@ func TestTimeGatedCondition(t *testing.T) {
 	}
 	if m.FireCount("night-archive") != 1 {
 		t.Errorf("FireCount = %d", m.FireCount("night-archive"))
+	}
+}
+
+// TestUnmatchedTriggerAllocs: a grid operation whose event a trigger's
+// condition turns down costs the bus's list of matching subscriptions
+// for each phase and the condition's environment — the event's fields
+// and its detail pairs, read where the event holds them — and nothing
+// for the detail itself: 4 allocations (5 where a map of 8 entries
+// grows a second bucket array), where a detail map added 2. A matching
+// event fires, so the condition saw both pairs.
+func TestUnmatchedTriggerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under -race")
+	}
+	g, _, m := setup(t)
+	if err := g.Ingest("user", "/grid/in/o.dat", 10, nil, "disk1"); err != nil {
+		t.Fatal(err)
+	}
+	err := m.Define(Trigger{
+		Name: "rare", Owner: "robot",
+		Events: []dgms.EventType{dgms.EventMetaSet}, Phase: dgms.After,
+		Condition: "$attr == 'tag' && $value == 'rare'",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 5
+	got := testing.AllocsPerRun(100, func() {
+		if err := g.SetMeta("user", "/grid/in/o.dat", "tag", "common"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("an operation a trigger turns down: %.0f allocations (budget %d)", got, budget)
+	if got > budget {
+		t.Errorf("an operation a trigger turns down allocates %.0f times, over the budget of %d", got, budget)
+	}
+	if err := g.SetMeta("user", "/grid/in/o.dat", "tag", "rare"); err != nil {
+		t.Fatal(err)
+	}
+	m.Flush()
+	if n := m.FireCount("rare"); n != 1 {
+		t.Errorf("FireCount = %d after one matching event, want 1", n)
 	}
 }

@@ -809,12 +809,9 @@ func (s *Server) serveDelegate(ctx context.Context, payload []byte) DelegateResu
 		Action: "deleg.serve",
 		Target: exec.ID,
 		FlowID: exec.ID,
-		Detail: map[string]string{
-			"origin":     d.Origin,
-			"parentExec": d.ParentExec,
-			"parentNode": d.ParentNode,
-		},
-	})
+	}, provenance.Attr{Key: "origin", Value: d.Origin},
+		provenance.Attr{Key: "parentExec", Value: d.ParentExec},
+		provenance.Attr{Key: "parentNode", Value: d.ParentNode})
 	werr := exec.WaitContext(ctx)
 	if ctx.Err() != nil {
 		exec.Cancel()
