@@ -223,6 +223,52 @@ func TestReplayToleratesTornTail(t *testing.T) {
 	}
 }
 
+// TestTornTailKeepsDurableInvalidation: a del appended after a torn
+// tail is a promise like any other. Left in place, the fragment glues
+// itself to the next record, and the del that Invalidate waited for is
+// lost on replay — the deleted derivation served again.
+func TestTornTailKeepsDurableInvalidation(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(dir, obs.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := Key("fft", []string{"/in/a"}, nil, "alice")
+	if err := c.Publish(Entry{Key: k, Tenant: "alice", Outputs: []string{"/out/a"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, LogName), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"op":"put","entry":{"key":"torn`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	c2, err := Open(dir, obs.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := c2.Invalidate("alice", k); n != 1 || err != nil {
+		t.Fatalf("invalidate after a torn tail: %d, %v", n, err)
+	}
+	if err := c2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c3, err := Open(dir, obs.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c3.Close()
+	if _, ok := c3.Lookup("alice", k); ok {
+		t.Fatal("a durable invalidation written after a torn tail was lost: the derivation is live again")
+	}
+}
+
 func TestConcurrentPublishLookup(t *testing.T) {
 	c, err := Open(t.TempDir(), obs.NewRegistry())
 	if err != nil {
