@@ -67,6 +67,9 @@ const (
 	MsgRoute byte = 12
 	// MsgRouteResult is a wire.RouteResult (KindRoute replies).
 	MsgRouteResult byte = 13
+	// MsgVdata is one record of the virtual-data catalog's log: a put
+	// (a vdata.Entry) or a del (its key and the del flag).
+	MsgVdata byte = 14
 )
 
 // Wire types, the low two bits of every field tag.
@@ -408,18 +411,6 @@ func checkHeader[T []byte | string](payload T, msgType byte) error {
 	return nil
 }
 
-// MsgType reads the message type of a binary payload without decoding
-// it, for dispatch on streams that interleave types.
-func MsgType(payload []byte) (byte, error) {
-	if !IsBinary(payload) {
-		return 0, ErrNotBinary
-	}
-	if len(payload) < headerLen {
-		return 0, fmt.Errorf("codec: truncated header (%d bytes)", len(payload))
-	}
-	return payload[2], nil
-}
-
 // Next advances to the next field, returning false at the end of the
 // payload or on the first error.
 func (d *Decoder) Next() bool {
@@ -718,6 +709,15 @@ func NextFrame(data []byte, off int) (Frame, error) {
 		return Frame{}, ErrTorn
 	}
 	return Frame{Type: rest[2], Body: body, End: body + int(size)}, nil
+}
+
+// NewFieldsDecoder positions a decoder at the first of the fields
+// data[off:end] of a frame (Frame.Body, Frame.End) inside a larger
+// stream. As under NewDecoder, every Str/Sym result is a slice of one
+// copy of the fields, so nothing it returns aliases data.
+func NewFieldsDecoder(data []byte, off, end int) Decoder {
+	s := string(data[off:end])
+	return Decoder{str: s, end: len(s)}
 }
 
 func checkFrameHeader(magic, version byte, off int64) error {

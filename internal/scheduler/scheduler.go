@@ -8,14 +8,16 @@
 // cost is just an approximate value based on certain heuristics used by
 // the scheduler".
 //
-// The package also hosts the virtual-data catalog (the GriPhyN Chimera
-// analog): derivations are recorded, and a task whose output already
-// exists is skipped rather than recomputed.
+// The broker records each task's derivation in a virtual-data catalog
+// (internal/vdata, the GriPhyN Chimera analog), and a task whose
+// derivation is recorded and whose output still exists is skipped
+// rather than recomputed.
 package scheduler
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -24,6 +26,7 @@ import (
 	"datagridflow/internal/infra"
 	"datagridflow/internal/provenance"
 	"datagridflow/internal/sim"
+	"datagridflow/internal/vdata"
 )
 
 // Errors returned by the broker.
@@ -127,7 +130,7 @@ type Broker struct {
 	// per node in the pool.
 	busyUntil map[string][]time.Time
 
-	catalog *Catalog
+	catalog *vdata.Catalog
 
 	// stats
 	executed int64
@@ -137,13 +140,15 @@ type Broker struct {
 // NewBroker creates a broker over the grid and compute inventory. The
 // seed drives RandomPlacement reproducibly.
 func NewBroker(g *dgms.Grid, nodes []infra.ComputeNode, seed int64) *Broker {
+	// A memory-only catalog cannot fail to open.
+	catalog, _ := vdata.Open("", g.Obs())
 	b := &Broker{
 		grid:      g,
 		nodes:     append([]infra.ComputeNode(nil), nodes...),
 		rng:       sim.NewRand(seed),
 		user:      g.Admin(),
 		busyUntil: make(map[string][]time.Time),
-		catalog:   NewCatalog(),
+		catalog:   catalog,
 	}
 	for _, n := range nodes {
 		b.busyUntil[n.Name] = make([]time.Time, n.Nodes)
@@ -151,11 +156,14 @@ func NewBroker(g *dgms.Grid, nodes []infra.ComputeNode, seed int64) *Broker {
 	return b
 }
 
-// Catalog exposes the broker's virtual-data catalog.
-func (b *Broker) Catalog() *Catalog { return b.catalog }
+// Catalog exposes the broker's virtual-data catalog, a memory-only
+// vdata.Catalog: a task's derivation is recorded under the broker's user
+// as tenant.
+func (b *Broker) Catalog() *vdata.Catalog { return b.catalog }
 
 // SetUser changes the grid identity broker actions run as (default: the
-// grid admin).
+// grid admin). The user is the tenant of the broker's derivations, so
+// tasks run under different users do not share them.
 func (b *Broker) SetUser(user string) { b.user = user }
 
 // SetDescription enables SLA enforcement: placement only considers
@@ -342,8 +350,10 @@ func (b *Broker) Plan(task *Task, strategy Strategy) (Placement, []Placement, er
 func (b *Broker) Execute(task *Task, strategy Strategy, outputResource string) (Placement, error) {
 	// Virtual data: an existing, still-present derivation short-circuits
 	// the whole task.
+	var key string
 	if task.Output != "" {
-		if b.catalog.Has(task.Transformation, task.Inputs, task.Output) &&
+		key = vdata.Key(task.Transformation, task.Inputs, nil, b.user)
+		if ent, ok := b.catalog.Lookup(b.user, key); ok && slices.Contains(ent.Outputs, task.Output) &&
 			b.grid.Namespace().Exists(task.Output) {
 			b.mu.Lock()
 			b.skipped++
@@ -412,7 +422,10 @@ func (b *Broker) Execute(task *Task, strategy Strategy, outputResource string) (
 		if err := b.grid.Ingest(b.user, task.Output, task.OutputSize, nil, res); err != nil {
 			return chosen, err
 		}
-		b.catalog.Record(task.Transformation, task.Inputs, task.Output)
+		if err := b.catalog.Publish(vdata.Entry{Key: key, Tenant: b.user, Op: task.Transformation,
+			Inputs: task.Inputs, Outputs: []string{task.Output}}); err != nil {
+			return chosen, err
+		}
 	}
 	_, _ = b.grid.Provenance().Append(provenance.Record{
 		Time: b.grid.Clock().Now(), Actor: "broker", Action: "task.execute",

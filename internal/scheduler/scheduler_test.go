@@ -3,6 +3,7 @@ package scheduler
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"datagridflow/internal/matrix"
 	"datagridflow/internal/provenance"
 	"datagridflow/internal/sim"
+	"datagridflow/internal/vdata"
 	"datagridflow/internal/vfs"
 )
 
@@ -184,8 +186,9 @@ func TestExecuteRegistersOutputAndDerivation(t *testing.T) {
 	if res.Domain() != chosen.Node.Domain {
 		t.Errorf("output in %s, node in %s", res.Domain(), chosen.Node.Domain)
 	}
-	if !b.Catalog().Has("fft", []string{"/grid/in/raw"}, "/grid/in/spectrum") {
-		t.Errorf("derivation not recorded")
+	key := vdata.Key("fft", []string{"/grid/in/raw"}, nil, g.Admin())
+	if ent, ok := b.Catalog().Lookup(g.Admin(), key); !ok || !slices.Equal(ent.Outputs, []string{"/grid/in/spectrum"}) {
+		t.Errorf("derivation not recorded: %+v, %v", ent, ok)
 	}
 	executed, skipped := b.Stats()
 	if executed != 1 || skipped != 0 {
@@ -206,13 +209,25 @@ func TestExecuteRegistersOutputAndDerivation(t *testing.T) {
 	if err := g.Delete(g.Admin(), "/grid/in/spectrum"); err != nil {
 		t.Fatal(err)
 	}
-	b.Catalog().Invalidate("/grid/in/spectrum")
+	if n, err := b.Catalog().Invalidate(g.Admin(), "/grid/in/spectrum"); n != 1 || err != nil {
+		t.Fatalf("invalidate the deleted output: %d, %v", n, err)
+	}
 	if _, err := b.Execute(task, CostBased, ""); err != nil {
 		t.Fatal(err)
 	}
 	executed, _ = b.Stats()
 	if executed != 2 {
 		t.Errorf("recompute after invalidation: executed = %d", executed)
+	}
+	// The broker's user is the derivation's tenant: the same task under
+	// another user is not a hit, although its output exists. The broker
+	// runs it, and the grid refuses alice's write of admin's output.
+	b.SetUser("alice")
+	if _, err := b.Execute(task, CostBased, ""); err == nil {
+		t.Error("another user's rerun was served from admin's derivation")
+	}
+	if executed, skipped = b.Stats(); executed != 3 || skipped != 1 {
+		t.Errorf("another user's rerun: executed %d, skipped %d; want 3, 1", executed, skipped)
 	}
 }
 
@@ -271,29 +286,6 @@ func TestExecuteNoStorageForOutput(t *testing.T) {
 	if _, err := b.Execute(task, CostBased, "d"); err != nil {
 		t.Errorf("explicit output resource: %v", err)
 	}
-}
-
-func TestCatalog(t *testing.T) {
-	c := NewCatalog()
-	c.Record("fft", []string{"/a", "/b"}, "/out")
-	// Input order irrelevant.
-	if out, ok := c.Lookup("fft", []string{"/b", "/a"}); !ok || out != "/out" {
-		t.Errorf("Lookup = %q, %v", out, ok)
-	}
-	if !c.Has("fft", []string{"/a", "/b"}, "/out") || c.Has("fft", []string{"/a"}, "/out") {
-		t.Errorf("Has wrong")
-	}
-	if _, ok := c.Lookup("other", []string{"/a", "/b"}); ok {
-		t.Errorf("transformation not part of key")
-	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d", c.Len())
-	}
-	c.Invalidate("/out")
-	if _, ok := c.Lookup("fft", []string{"/a", "/b"}); ok {
-		t.Errorf("Invalidate failed")
-	}
-	c.Invalidate("/never-recorded") // no-op
 }
 
 func TestRewriteAbstractResources(t *testing.T) {

@@ -19,18 +19,18 @@ func BenchmarkGroupFileAppendSerial(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer g.Close()
-	line := []byte(`{"type":"step.done","id":"dgf-000001","node":"/f/s"}`)
+	frame := testFrame("dgf-000001")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := g.Append(line); err != nil {
+		if err := writeSync(g, frame); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkGroupFileAppendParallel drives concurrent appenders through
-// the group commit: every Append is still durable on return, but
+// the group commit: every write is still durable on return, but
 // contemporaneous records share fsyncs. Reports fsyncs/op (1.0 would
 // mean no batching).
 func BenchmarkGroupFileAppendParallel(b *testing.B) {
@@ -41,13 +41,13 @@ func BenchmarkGroupFileAppendParallel(b *testing.B) {
 	defer g.Close()
 	reg := obs.NewRegistry()
 	g.SetObs(reg)
-	line := []byte(`{"type":"step.done","id":"dgf-000001","node":"/f/s"}`)
+	frame := testFrame("dgf-000001")
 	b.ReportAllocs()
 	b.SetParallelism(8)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if err := g.Append(line); err != nil {
+			if err := writeSync(g, frame); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -10,7 +10,7 @@ import (
 )
 
 // Linger bounds how long a record written without waiting for its sync
-// (Write or WriteBlock followed by SyncSoon) can stay in the
+// (WriteBlock followed by SyncSoon) can stay in the
 // OS buffer when nobody else commits: a background sync covers it within
 // 2×Linger of the write. It is the whole durability window a crash can
 // cost such a record, so it is a constant, not a setting — long enough
@@ -19,13 +19,13 @@ import (
 // having waited (docs/STORE.md, "Durability").
 const Linger = 5 * time.Millisecond
 
-// GroupFile is an append-only file with group-committed durability:
-// concurrent appenders write their lines immediately but share fsyncs.
-// One appender becomes the syncer for everything written so far; the
-// rest wait until a sync covers their line. Under N concurrent writers
-// this turns N fsyncs into roughly one per batch without weakening the
-// guarantee — Append returns only after the record is on stable
-// storage.
+// GroupFile is an append-only file of binary frames with group-committed
+// durability: concurrent appenders write their blocks of frames
+// immediately (WriteBlock) but share fsyncs. One appender becomes the
+// syncer for everything written so far; the rest wait until a sync covers
+// their block. Under N concurrent writers this turns N fsyncs into
+// roughly one per batch without weakening the guarantee — Sync(ticket)
+// returns only once the records the ticket covers are on stable storage.
 //
 // The store's segments and the virtual-data catalog's log write
 // through GroupFile: per-record fsyncs would serialize their writers.
@@ -41,8 +41,6 @@ type GroupFile struct {
 	syncing  bool
 	closed   bool
 	err      error // sticky: first write/sync failure poisons the file
-
-	wbuf []byte // reused staging buffer, guarded by mu
 
 	// The linger (SyncSoon): one reusable timer per file. lingering is
 	// true from arming until the firing that syncs or finds nothing left
@@ -74,16 +72,13 @@ func OpenGroupFile(path string) (*GroupFile, error) {
 }
 
 // SetObs attaches a metrics registry; each group commit then counts
-// toward journal_group_commits_total and the lines it covered toward
+// toward journal_group_commits_total and the records it covered toward
 // journal_group_commit_records_total.
 func (g *GroupFile) SetObs(reg *obs.Registry) {
 	g.mu.Lock()
 	g.reg = reg
 	g.mu.Unlock()
 }
-
-// Path returns the file path.
-func (g *GroupFile) Path() string { return g.path }
 
 // Size returns the current byte size (initial size plus appends).
 func (g *GroupFile) Size() int64 {
@@ -92,48 +87,34 @@ func (g *GroupFile) Size() int64 {
 	return g.size
 }
 
-// Write appends one line (a newline is added) and returns its commit
-// ticket for Sync. The line is in the OS buffer but not yet durable.
-func (g *GroupFile) Write(line []byte) (int64, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.wbuf = append(g.wbuf[:0], line...)
-	g.wbuf = append(g.wbuf, '\n')
-	return g.writeLocked(g.wbuf, 1)
-}
-
 // WriteBlock appends a block of pre-serialized records — binary frames,
 // already framed by the caller — in ONE write syscall,
-// and returns a commit ticket covering all of them. This is the
-// vectored-write path: a batch encodes N records into one buffer, pays
-// one write and (via Sync) one shared fsync, yet each record still
-// counts toward the group-commit record metrics.
+// and returns a commit ticket covering all of them for Sync. The block
+// is in the OS buffer but not yet durable. A batch encodes N records
+// into one buffer, pays one write and (via Sync) one shared fsync, yet
+// each record still counts toward the group-commit record metrics.
 func (g *GroupFile) WriteBlock(block []byte, records int64) (int64, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.writeLocked(block, records)
-}
-
-func (g *GroupFile) writeLocked(b []byte, records int64) (int64, error) {
 	if g.closed {
 		return 0, fmt.Errorf("store: %s: %w", g.path, os.ErrClosed)
 	}
 	if g.err != nil {
 		return 0, g.err
 	}
-	if _, err := g.f.Write(b); err != nil {
+	if _, err := g.f.Write(block); err != nil {
 		g.err = err
 		g.cond.Broadcast()
 		return 0, err
 	}
-	g.size += int64(len(b))
+	g.size += int64(len(block))
 	g.writeSeq += records
 	return g.writeSeq, nil
 }
 
-// Sync blocks until the line with the given ticket is durable. The
+// Sync blocks until the records with the given ticket are durable. The
 // first caller to arrive while no sync is running fsyncs on behalf of
-// every line written so far; later callers piggyback on that commit.
+// every record written so far; later callers piggyback on that commit.
 func (g *GroupFile) Sync(ticket int64) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -228,19 +209,10 @@ func (g *GroupFile) lingerFired() {
 	}
 }
 
-// Append writes one line and blocks until it is durable — Write + Sync.
-func (g *GroupFile) Append(line []byte) error {
-	ticket, err := g.Write(line)
-	if err != nil {
-		return err
-	}
-	return g.Sync(ticket)
-}
-
-// Close performs a final sync covering every written line, wakes all
-// waiters and closes the file. Waiters whose lines made it to disk
-// return nil; later Writes fail with os.ErrClosed. A failed final sync
-// is Close's error: lines written without waiting have no other caller
+// Close performs a final sync covering every written record, wakes all
+// waiters and closes the file. Waiters whose records made it to disk
+// return nil; later writes fail with os.ErrClosed. A failed final sync
+// is Close's error: records written without waiting have no other caller
 // to hear of it.
 func (g *GroupFile) Close() error {
 	g.mu.Lock()

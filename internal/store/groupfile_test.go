@@ -1,31 +1,47 @@
 package store
 
 import (
-	"bufio"
 	"fmt"
-	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
+	"datagridflow/internal/codec"
 	"datagridflow/internal/obs"
 )
 
-func readLines(t *testing.T, path string) []string {
-	t.Helper()
-	f, err := os.Open(path)
+// testFrame encodes one record frame whose execution id is id.
+func testFrame(id string) []byte {
+	e := codec.GetEncoder()
+	defer codec.PutEncoder(e)
+	codec.AppendRecordFrame(e, &Record{Type: TypeStepDone, ID: id})
+	return slices.Clone(e.Bytes())
+}
+
+// writeSync writes one frame and waits until it is durable.
+func writeSync(g *GroupFile, frame []byte) error {
+	ticket, err := g.WriteBlock(frame, 1)
 	if err != nil {
-		t.Fatalf("open: %v", err)
+		return err
 	}
-	defer f.Close()
-	var out []string
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		out = append(out, sc.Text())
+	return g.Sync(ticket)
+}
+
+// readIDs reads the execution id of every frame in the file, in order.
+func readIDs(t *testing.T, path string) []string {
+	t.Helper()
+	var ff FrameFile
+	if torn, err := ff.Read(path, codec.MsgRecord, false); err != nil || torn {
+		t.Fatalf("read %s: torn %v, %v", path, torn, err)
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatalf("scan: %v", err)
+	var v codec.RecordView
+	out := make([]string, 0, len(ff.Frames))
+	for _, f := range ff.Frames {
+		if err := v.DecodeFields(ff.Buf, f.Body, f.End); err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		out = append(out, string(v.ID()))
 	}
 	return out
 }
@@ -36,32 +52,35 @@ func TestGroupFileAppendDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var size int
 	for i := 0; i < 3; i++ {
-		if err := g.Append([]byte(fmt.Sprintf("line-%d", i))); err != nil {
+		f := testFrame(fmt.Sprintf("id-%d", i))
+		size += len(f)
+		if err := writeSync(g, f); err != nil {
 			t.Fatalf("append: %v", err)
 		}
 	}
-	if got := g.Size(); got != int64(len("line-0\n")*3) {
-		t.Fatalf("size = %d", got)
+	if got := g.Size(); got != int64(size) {
+		t.Fatalf("size = %d, want %d", got, size)
 	}
 	if err := g.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	lines := readLines(t, path)
-	if len(lines) != 3 || lines[0] != "line-0" || lines[2] != "line-2" {
-		t.Fatalf("lines = %q", lines)
+	ids := readIDs(t, path)
+	if len(ids) != 3 || ids[0] != "id-0" || ids[2] != "id-2" {
+		t.Fatalf("ids = %q", ids)
 	}
 	// Close is idempotent; writes after close fail.
 	if err := g.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
 	}
-	if _, err := g.Write([]byte("x")); err == nil {
+	if _, err := g.WriteBlock(testFrame("x"), 1); err == nil {
 		t.Fatal("write after close succeeded")
 	}
 }
 
 // TestGroupFileGroupCommit drives many concurrent appenders through one
-// GroupFile and checks (a) every line lands on disk and (b) the fsync
+// GroupFile and checks (a) every record lands on disk and (b) the fsync
 // count is below the append count — concurrent commits were batched.
 func TestGroupFileGroupCommit(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "g.log")
@@ -80,7 +99,7 @@ func TestGroupFileGroupCommit(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				if err := g.Append([]byte(fmt.Sprintf("w%02d-%03d", w, i))); err != nil {
+				if err := writeSync(g, testFrame(fmt.Sprintf("w%02d-%03d", w, i))); err != nil {
 					errs <- err
 					return
 				}
@@ -97,16 +116,16 @@ func TestGroupFileGroupCommit(t *testing.T) {
 	}
 
 	total := int64(writers * perWriter)
-	lines := readLines(t, path)
-	if int64(len(lines)) != total {
-		t.Fatalf("lines on disk = %d, want %d", len(lines), total)
+	ids := readIDs(t, path)
+	if int64(len(ids)) != total {
+		t.Fatalf("records on disk = %d, want %d", len(ids), total)
 	}
 	seen := make(map[string]bool, total)
-	for _, l := range lines {
-		if seen[l] {
-			t.Fatalf("duplicate line %q", l)
+	for _, id := range ids {
+		if seen[id] {
+			t.Fatalf("duplicate record %q", id)
 		}
-		seen[l] = true
+		seen[id] = true
 	}
 	commits := reg.Counter("journal_group_commits_total").Value()
 	covered := reg.Counter("journal_group_commit_records_total").Value()
@@ -136,7 +155,7 @@ func TestGroupFileBatchedSync(t *testing.T) {
 	const n = 10
 	tickets := make([]int64, n)
 	for i := range tickets {
-		tk, err := g.Write([]byte(fmt.Sprintf("b-%d", i)))
+		tk, err := g.WriteBlock(testFrame(fmt.Sprintf("b-%d", i)), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +187,7 @@ func TestGroupFileCloseWakesWaiters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ticket, err := g.Write([]byte("pending"))
+	ticket, err := g.WriteBlock(testFrame("pending"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +196,7 @@ func TestGroupFileCloseWakesWaiters(t *testing.T) {
 	if err := g.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	// Close performed the final sync covering the line, so the waiter
+	// Close performed the final sync covering the record, so the waiter
 	// must come back nil.
 	if err := <-done; err != nil {
 		t.Fatalf("sync after close: %v", err)

@@ -21,10 +21,9 @@ import (
 
 type replayer struct {
 	s *Store
-	// buf holds the segment being replayed and recs where each of its
-	// records lies, oldest first; both are reused from segment to segment.
-	buf  []byte
-	recs []extent
+	// seg holds the segment being replayed, reused from segment to
+	// segment.
+	seg  FrameFile
 	view codec.RecordView
 	// ids holds the fold's state for every execution met, in the order
 	// met, and byID finds an id's place in it; n counts the records folded
@@ -33,9 +32,6 @@ type replayer struct {
 	byID map[string]int
 	n    int
 }
-
-// extent bounds one record's fields inside the segment buffer.
-type extent struct{ off, end int }
 
 // replayID is the fold's state for one execution id. apply creates an
 // entry at the id's first root record (exec.start, exec.snap) and ignores
@@ -81,40 +77,23 @@ func (s *Store) replay() error {
 	return nil
 }
 
-// segment replays one segment file. The file is read once; a forward
-// pass finds the frame boundaries and the torn tail, if any — a
-// truncated frame was never acknowledged, since Append returns only once
-// the whole record is fsynced — and the records are then folded last to
-// first. A complete record that fails to decode is real corruption and
-// fails Open, whether or not a later record supersedes it. So does a
-// non-empty file that does not start with a frame — a segment some other
-// program, or a build that wrote JSONL, left — which is refused before
-// anything of it is truncated.
+// segment replays one segment file: its frames are found by one forward
+// pass (FrameFile.Read) — a torn tail was never acknowledged, since
+// Append returns only once the whole record is fsynced — and the records
+// are then folded last to first. A complete record that fails to decode
+// is real corruption and fails Open, whether or not a later record
+// supersedes it.
 func (rp *replayer) segment(path string, repair bool) error {
-	if err := rp.read(path); err != nil {
-		return err
-	}
-	if len(rp.buf) > 0 && !codec.IsBinary(rp.buf) {
-		return fmt.Errorf("store: %s is not a segment of binary record frames (first byte %#02x): %w",
-			path, rp.buf[0], dgferr.ErrInvalid)
-	}
-	valid, err := rp.indexFrames(path)
+	torn, err := rp.seg.Read(path, codec.MsgRecord, repair)
 	if err != nil {
 		return err
 	}
-	if valid < len(rp.buf) {
+	if torn {
 		rp.s.torn++
-		if repair {
-			// Left in place, the fragment would corrupt the next O_APPEND
-			// write, which would concatenate onto it.
-			if err := os.Truncate(path, int64(valid)); err != nil {
-				return fmt.Errorf("store: truncate torn tail of %s: %w", path, err)
-			}
-		}
 	}
-	for i := len(rp.recs) - 1; i >= 0; i-- {
-		r := rp.recs[i]
-		if err := rp.view.DecodeFields(rp.buf, r.off, r.end); err != nil {
+	for i := len(rp.seg.Frames) - 1; i >= 0; i-- {
+		f := rp.seg.Frames[i]
+		if err := rp.view.DecodeFields(rp.seg.Buf, f.Body, f.End); err != nil {
 			return fmt.Errorf("store: %s frame %d: %v", path, i+1, err)
 		}
 		rp.fold()
@@ -122,51 +101,88 @@ func (rp *replayer) segment(path string, repair bool) error {
 	return nil
 }
 
-// read loads a whole segment into rp.buf (Options.SegmentMaxBytes states
-// how large one gets).
-func (rp *replayer) read(path string) error {
+// A FrameFile is an append-only file of binary frames of one message
+// type — a store segment, the virtual-data catalog's log — read whole for
+// replay. Buf holds the file's bytes and Frames where the fields of each
+// complete frame lie in it, oldest first; both are reused from one Read
+// to the next.
+type FrameFile struct {
+	Buf    []byte
+	Frames []Extent
+}
+
+// An Extent bounds one frame's fields: Buf[Body:End], as in codec.Frame.
+type Extent struct{ Body, End int }
+
+// Read loads the file at path and indexes its frames, which must all be
+// of type msgType. A torn trailing frame — the tail of a crash
+// mid-append — is left out and reported; with repair set the file is
+// truncated to its last whole frame, since a fragment left in place would
+// corrupt the next O_APPEND write, which would concatenate onto it. A
+// non-empty file that does not start with a frame — one some other
+// program, or a build that wrote JSONL, left — is refused with an
+// ErrInvalid naming it before anything of it is truncated; so is a frame
+// of another type, or one NextFrame finds corrupt.
+func (ff *FrameFile) Read(path string, msgType byte, repair bool) (torn bool, err error) {
+	if err := ff.read(path); err != nil {
+		return false, err
+	}
+	if len(ff.Buf) > 0 && !codec.IsBinary(ff.Buf) {
+		return false, fmt.Errorf("store: %s is not a file of binary frames (first byte %#02x): %w",
+			path, ff.Buf[0], dgferr.ErrInvalid)
+	}
+	ff.Frames = ff.Frames[:0]
+	valid := 0
+	for {
+		f, err := codec.NextFrame(ff.Buf, valid)
+		if err == io.EOF {
+			return false, nil
+		}
+		if errors.Is(err, codec.ErrTorn) {
+			break
+		}
+		if err == nil && f.Type != msgType {
+			err = fmt.Errorf("message type %d, want %d", f.Type, msgType)
+		}
+		if err != nil {
+			return false, fmt.Errorf("store: %s frame %d: %v: %w", path, len(ff.Frames)+1, err, dgferr.ErrInvalid)
+		}
+		ff.Frames = append(ff.Frames, Extent{f.Body, f.End})
+		valid = f.End
+	}
+	if repair {
+		if err := os.Truncate(path, int64(valid)); err != nil {
+			return true, fmt.Errorf("store: truncate torn tail of %s: %w", path, err)
+		}
+	}
+	return true, nil
+}
+
+// read loads the whole file into Buf (Options.SegmentMaxBytes states how
+// large a segment gets).
+func (ff *FrameFile) read(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
-	if fi, err := f.Stat(); err == nil && int64(cap(rp.buf)) <= fi.Size() {
+	if fi, err := f.Stat(); err == nil && int64(cap(ff.Buf)) <= fi.Size() {
 		// One byte over, so the read that finds EOF needs no regrowth.
-		rp.buf = make([]byte, 0, fi.Size()+1)
+		ff.Buf = make([]byte, 0, fi.Size()+1)
 	}
-	rp.buf = rp.buf[:0]
+	ff.Buf = ff.Buf[:0]
 	for {
-		if len(rp.buf) == cap(rp.buf) {
-			rp.buf = append(rp.buf, 0)[:len(rp.buf)]
+		if len(ff.Buf) == cap(ff.Buf) {
+			ff.Buf = append(ff.Buf, 0)[:len(ff.Buf)]
 		}
-		n, err := f.Read(rp.buf[len(rp.buf):cap(rp.buf)])
-		rp.buf = rp.buf[:len(rp.buf)+n]
+		n, err := f.Read(ff.Buf[len(ff.Buf):cap(ff.Buf)])
+		ff.Buf = ff.Buf[:len(ff.Buf)+n]
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
 			return fmt.Errorf("store: %s: %w", path, err)
 		}
-	}
-}
-
-// indexFrames records the bounds of every complete binary frame and
-// returns the offset at which the valid prefix ends.
-func (rp *replayer) indexFrames(path string) (valid int, err error) {
-	rp.recs = rp.recs[:0]
-	for {
-		f, err := codec.NextFrame(rp.buf, valid)
-		if err == io.EOF || errors.Is(err, codec.ErrTorn) {
-			return valid, nil
-		}
-		if err != nil {
-			return 0, fmt.Errorf("store: %s: %w", path, err)
-		}
-		if f.Type != codec.MsgRecord {
-			return 0, fmt.Errorf("store: %s frame %d: message type %d, want %d", path, len(rp.recs)+1, f.Type, codec.MsgRecord)
-		}
-		rp.recs = append(rp.recs, extent{f.Body, f.End})
-		valid = f.End
 	}
 }
 

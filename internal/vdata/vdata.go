@@ -3,28 +3,33 @@
 //
 // The paper's §2.3 virtual-data scenario — "if the required output data
 // is already available, it need not be derived again" — is realized
-// here for the real engine: a pure DGL step's (transformation, sorted
-// inputs, parameter bindings, tenant) tuple hashes to a derivation key;
-// the first execution publishes the step's result under that key, and
-// every later execution of the same derivation skips the work and
-// grafts the memoized result. Entries persist through the store's
+// here, for the matrix engine's pure steps and the scheduler's broker
+// alike: a derivation's (transformation, sorted inputs, parameter
+// bindings, tenant) tuple hashes to a derivation key; the first
+// execution publishes the result under that key, and every later
+// execution of the same derivation skips the work and grafts the
+// memoized result. Entries persist as binary frames through the store's
 // group-committed writer (store.GroupFile) and survive restart; over
-// the wire's vdata verb any peer's derivation is visible fleet-wide
+// the wire's vdata verb, which carries an entry in the same binary form
+// (AppendEntry), any peer's derivation is visible fleet-wide
 // (docs/WIRE.md).
 package vdata
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
+	"datagridflow/internal/codec"
+	"datagridflow/internal/dgferr"
 	"datagridflow/internal/obs"
 	"datagridflow/internal/store"
 )
@@ -33,18 +38,149 @@ import (
 // hashes, the declared outputs, and the step result value the engine
 // grafts on a hit.
 type Entry struct {
-	Key     string            `json:"key"`
-	Tenant  string            `json:"tenant"`
-	Op      string            `json:"op"`
-	Inputs  []string          `json:"inputs,omitempty"`
-	Params  map[string]string `json:"params,omitempty"`
-	Outputs []string          `json:"outputs,omitempty"`
-	Result  string            `json:"result,omitempty"`
+	Key     string
+	Tenant  string
+	Op      string
+	Inputs  []string
+	Params  map[string]string
+	Outputs []string
+	Result  string
 	// Peer names the peer that first derived the entry, so a grafted
 	// cross-peer hit keeps its provenance and vdata-locality placement
 	// can route future pure subflows to the holder.
-	Peer string `json:"peer,omitempty"`
-	Unix int64  `json:"unix,omitempty"`
+	Peer string
+	Unix int64
+}
+
+// Entry field numbers: the one binary form of an entry, written by
+// AppendEntry into a log frame (codec.MsgVdata) or a wire message.
+// Frozen: new fields append, numbers are never reused (docs/CODEC.md §8).
+const (
+	fKey    = 1 // str
+	fTenant = 2 // sym
+	fOp     = 3 // sym
+	fInput  = 4 // repeated str
+	fParam  = 5 // repeated msg {1: name sym, 2: value str}, in name order
+	fOutput = 6 // repeated str
+	fResult = 7 // str
+	fPeer   = 8 // sym
+	fUnix   = 9 // zigzag varint; absent = 0
+	// fDel marks a log frame as a del of fKey; only the log writes it.
+	fDel = 10 // varint bool
+)
+
+// AppendEntry writes e's fields into the message enc is encoding. Params
+// are written in name order, so an entry always encodes to the same
+// bytes.
+func AppendEntry(enc *codec.Encoder, e *Entry) {
+	enc.Str(fKey, e.Key)
+	enc.Sym(fTenant, e.Tenant)
+	enc.Sym(fOp, e.Op)
+	for _, in := range e.Inputs {
+		appendElem(enc, fInput, in)
+	}
+	if len(e.Params) > 0 {
+		var scratch [8]string // up to 8 names sort without an allocation
+		names := scratch[:0]
+		for k := range e.Params {
+			names = append(names, k)
+		}
+		slices.Sort(names)
+		for _, k := range names {
+			enc.Msg(fParam, func(enc *codec.Encoder) {
+				enc.Sym(1, k)
+				enc.Str(2, e.Params[k])
+			})
+		}
+	}
+	for _, out := range e.Outputs {
+		appendElem(enc, fOutput, out)
+	}
+	enc.Str(fResult, e.Result)
+	enc.Sym(fPeer, e.Peer)
+	if e.Unix != 0 {
+		enc.Int(fUnix, e.Unix)
+	}
+}
+
+// appendElem writes s as one element of a repeated string field. Unlike
+// Encoder.Str it writes an empty s too, as an empty bytes field: an
+// element's absence would drop it from the list.
+func appendElem(enc *codec.Encoder, num int, s string) {
+	if s == "" {
+		enc.EndBlob(enc.BeginBlob(num))
+		return
+	}
+	enc.Str(num, s)
+}
+
+// DecodeEntry reads an entry's fields from d, up to the end of the
+// message d is positioned in; unknown fields are skipped. Absent
+// repeated fields decode as nil. Decode errors are d's (d.Err).
+func DecodeEntry(d *codec.Decoder) Entry {
+	e, _ := decodeRecord(d)
+	return e
+}
+
+// decodeRecord is DecodeEntry for a log frame, which may be a del.
+func decodeRecord(d *codec.Decoder) (e Entry, del bool) {
+	for d.Next() {
+		switch d.Field() {
+		case fKey:
+			e.Key = d.Str()
+		case fTenant:
+			e.Tenant = d.Sym()
+		case fOp:
+			e.Op = d.Sym()
+		case fInput:
+			e.Inputs = append(e.Inputs, d.Str())
+		case fParam:
+			var name, value string
+			d.Msg(func(d *codec.Decoder) {
+				for d.Next() {
+					switch d.Field() {
+					case 1:
+						name = d.Sym()
+					case 2:
+						value = d.Str()
+					default:
+						d.Skip()
+					}
+				}
+			})
+			if e.Params == nil {
+				e.Params = make(map[string]string)
+			}
+			e.Params[name] = value
+		case fOutput:
+			e.Outputs = append(e.Outputs, d.Str())
+		case fResult:
+			e.Result = d.Str()
+		case fPeer:
+			e.Peer = d.Sym()
+		case fUnix:
+			e.Unix = d.Int()
+		case fDel:
+			del = d.Bool()
+		default:
+			d.Skip()
+		}
+	}
+	return e, del
+}
+
+// appendPut and appendDel encode one log record as a frame.
+func appendPut(enc *codec.Encoder, e *Entry) {
+	mark := enc.BeginFrame(codec.MsgVdata)
+	AppendEntry(enc, e)
+	enc.EndFrame(mark)
+}
+
+func appendDel(enc *codec.Encoder, key string) {
+	mark := enc.BeginFrame(codec.MsgVdata)
+	enc.Str(fKey, key)
+	enc.Bool(fDel, true)
+	enc.EndFrame(mark)
 }
 
 // Key derives the canonical derivation key for (transformation, inputs,
@@ -65,23 +201,15 @@ func Key(op string, inputs []string, params map[string]string, tenant string) st
 	return hex.EncodeToString(h[:16])
 }
 
-// record is one line of the catalog log: a publish ("put") or an
-// invalidation ("del").
-type record struct {
-	Op    string `json:"op"`
-	Entry *Entry `json:"entry,omitempty"`
-	Key   string `json:"key,omitempty"`
-}
-
 // Stats is the catalog's shape, served by the wire "vdata" verb and
 // printed by `dgfctl vdata stats`.
 type Stats struct {
-	Entries       int    `json:"entries"`
-	Tenants       int    `json:"tenants"`
-	Publishes     uint64 `json:"publishes"`
-	Invalidations uint64 `json:"invalidations"`
-	ReplayRecords int    `json:"replay_records"`
-	Durable       bool   `json:"durable"`
+	Entries       int
+	Tenants       int
+	Publishes     uint64
+	Invalidations uint64
+	ReplayRecords int
+	Durable       bool
 }
 
 // Catalog is the derivation catalog. All reads and writes are safe for
@@ -93,7 +221,7 @@ type Catalog struct {
 	entries map[string]*Entry
 	// byOutput maps tenant-scoped output paths to the keys that derived
 	// them, for invalidation by path. A set per output: two derivations
-	// may share an output path (see internal/scheduler/virtualdata.go).
+	// may share an output path, and invalidating it drops both.
 	byOutput map[string]map[string]struct{}
 
 	log  *store.GroupFile // nil: memory-only (1.7 degradation, tests)
@@ -144,37 +272,34 @@ func Open(dir string, reg *obs.Registry) (*Catalog, error) {
 	return c, nil
 }
 
-// replay loads the catalog log, applying puts and dels in order. A
-// torn tail (crash mid-append) is tolerated: the partial line is
-// skipped and the next append overwrites nothing — the log is
-// append-only, so the torn bytes are simply dead.
+// replay loads the catalog log, applying puts and dels in order. The
+// frames are walked as the store walks a segment (store.FrameFile): a
+// torn final frame — a crash mid-append — is truncated away, so the next
+// append starts on a frame boundary; a log that is not binary frames is
+// refused untouched.
 func (c *Catalog) replay(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
+	var log store.FrameFile
+	if _, err := log.Read(path, codec.MsgVdata, true); err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
 			return nil
 		}
-		return fmt.Errorf("vdata: replay %s: %w", path, err)
+		return fmt.Errorf("vdata: %w", err)
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		var r record
-		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
-			continue // torn or foreign line: skip, keep replaying
+	for i, f := range log.Frames {
+		d := codec.NewFieldsDecoder(log.Buf, f.Body, f.End)
+		e, del := decodeRecord(&d)
+		if err := d.Err(); err != nil {
+			return fmt.Errorf("vdata: %s frame %d: %v: %w", path, i+1, err, dgferr.ErrInvalid)
 		}
-		switch r.Op {
-		case "put":
-			if r.Entry != nil && r.Entry.Key != "" {
-				c.applyPut(r.Entry)
-			}
-		case "del":
-			c.applyDel(r.Key)
+		switch {
+		case del:
+			c.applyDel(e.Key)
+		case e.Key != "":
+			c.applyPut(&e)
 		}
 		c.replayed++
 	}
-	return sc.Err()
+	return nil
 }
 
 // SetPeer names this catalog's peer; published entries carry it so
@@ -267,7 +392,9 @@ func (c *Catalog) Lookup(tenant, key string) (Entry, bool) {
 // promise — one lost to a crash costs one recomputation — so it rides
 // the log's next sync, or its linger (store.GroupFile.SyncSoon).
 // Invalidate, whose loss would be wrong output, still waits. The
-// entry's Peer defaults to the catalog's peer name.
+// entry's Peer defaults to the catalog's peer name. A durable catalog
+// refuses, with dgferr.ErrInvalid, an entry too large for one log frame
+// (codec.MaxFrameBody): the log would no longer replay.
 func (c *Catalog) Publish(e Entry) error {
 	if e.Key == "" {
 		return fmt.Errorf("vdata: publish: empty key")
@@ -276,20 +403,25 @@ func (c *Catalog) Publish(e Entry) error {
 	if e.Peer == "" {
 		e.Peer = c.peer
 	}
-	line, err := json.Marshal(record{Op: "put", Entry: &e})
-	if err != nil {
-		c.mu.Unlock()
-		return err
+	log, announce := c.log, c.announce
+	var enc *codec.Encoder
+	if log != nil {
+		enc = codec.GetEncoder()
+		defer codec.PutEncoder(enc)
+		appendPut(enc, &e)
+		if enc.Len() > codec.MaxFrameBody {
+			c.mu.Unlock()
+			return fmt.Errorf("vdata: publish: entry %s encodes to %d bytes, over the %d-byte frame limit: %w",
+				e.Key, enc.Len(), codec.MaxFrameBody, dgferr.ErrInvalid)
+		}
 	}
-	log := c.log
-	announce := c.announce
 	c.applyPut(&e)
 	c.publishes++
 	c.reg.Counter("vdata_publishes_total").Inc()
 	c.gaugeLocked()
 	c.mu.Unlock()
 	if log != nil {
-		if _, err := log.Write(line); err != nil {
+		if _, err := log.WriteBlock(enc.Bytes(), 1); err != nil {
 			return fmt.Errorf("vdata: publish: %w", err)
 		}
 		log.SyncSoon()
@@ -302,8 +434,8 @@ func (c *Catalog) Publish(e Entry) error {
 
 // Invalidate removes derivations for tenant by key or by output path
 // (every derivation that declared the path), returning how many were
-// dropped. Each drop is logged durably, so invalidations survive
-// restart too.
+// dropped. The drops are logged in one block and synced before it
+// returns, so invalidations survive restart too.
 func (c *Catalog) Invalidate(tenant, target string) (int, error) {
 	c.mu.Lock()
 	var keys []string
@@ -315,34 +447,38 @@ func (c *Catalog) Invalidate(tenant, target string) (int, error) {
 			keys = append(keys, k)
 		}
 	}
-	var lines [][]byte
-	seen := make(map[string]bool, len(keys))
+	log := c.log
+	var enc *codec.Encoder
+	if log != nil {
+		enc = codec.GetEncoder()
+		defer codec.PutEncoder(enc)
+	}
+	n := 0
 	for _, k := range keys {
-		if seen[k] {
-			continue
+		if c.entries[k] == nil {
+			continue // listed twice: as the target and under its output
 		}
-		seen[k] = true
-		line, err := json.Marshal(record{Op: "del", Key: k})
-		if err != nil {
-			c.mu.Unlock()
-			return 0, err
+		if enc != nil {
+			appendDel(enc, k)
 		}
-		lines = append(lines, line)
 		c.applyDel(k)
+		n++
 		c.invalidations++
 		c.reg.Counter("vdata_invalidations_total").Inc()
 	}
-	log := c.log
 	c.gaugeLocked()
 	c.mu.Unlock()
-	for _, line := range lines {
-		if log != nil {
-			if err := log.Append(line); err != nil {
-				return len(lines), fmt.Errorf("vdata: invalidate: %w", err)
-			}
-		}
+	if n == 0 || log == nil {
+		return n, nil
 	}
-	return len(lines), nil
+	ticket, err := log.WriteBlock(enc.Bytes(), int64(n))
+	if err == nil {
+		err = log.Sync(ticket)
+	}
+	if err != nil {
+		return n, fmt.Errorf("vdata: invalidate: %w", err)
+	}
+	return n, nil
 }
 
 // Stats returns the catalog's shape.

@@ -1,13 +1,18 @@
 package vdata
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"datagridflow/internal/codec"
+	"datagridflow/internal/dgferr"
 	"datagridflow/internal/obs"
 	"datagridflow/internal/store"
 )
@@ -29,6 +34,23 @@ func TestKeyCanonicalization(t *testing.T) {
 	}
 	if len(a) != 32 {
 		t.Fatalf("key length %d, want 32 hex chars", len(a))
+	}
+
+	// A derivation published under one input order is found under the
+	// other, and invalidating an output nobody declared disturbs nothing.
+	c, err := Open("", obs.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Publish(Entry{Key: a, Tenant: "alice", Op: "fft", Outputs: []string{"/out/m"}}); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := c.Invalidate("alice", "/out/never-recorded"); n != 0 || err != nil {
+		t.Fatalf("invalidating an unknown output: %d, %v", n, err)
+	}
+	if e, ok := c.Lookup("alice", b); !ok || c.Len() != 1 || e.Outputs[0] != "/out/m" {
+		t.Fatalf("after an unknown-output invalidate: %+v, %v, %d entries", e, ok, c.Len())
 	}
 }
 
@@ -126,6 +148,13 @@ func TestRepublishRetiresStaleOutputs(t *testing.T) {
 	if _, ok := c.Lookup("alice", k); !ok {
 		t.Fatal("live derivation lost to stale-path invalidation")
 	}
+	// Invalidating the live path drops it.
+	if n, _ := c.Invalidate("alice", "/out/v2"); n != 1 {
+		t.Fatalf("live output invalidation dropped %d entries, want 1", n)
+	}
+	if _, ok := c.Lookup("alice", k); ok || c.Len() != 0 {
+		t.Fatalf("derivation survived its live path's invalidation: %d entries", c.Len())
+	}
 }
 
 func TestDurabilityAcrossRestart(t *testing.T) {
@@ -182,44 +211,83 @@ func TestDurabilityAcrossRestart(t *testing.T) {
 	}
 }
 
-func TestReplayToleratesTornTail(t *testing.T) {
-	dir := t.TempDir()
-	c, err := Open(dir, obs.NewRegistry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := Key("fft", []string{"/in/a"}, nil, "alice")
-	if err := c.Publish(Entry{Key: k, Tenant: "alice"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a crash mid-append: garbage with no trailing newline.
-	f, err := os.OpenFile(filepath.Join(dir, LogName), os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"op":"put","entry":{"key":"torn`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+// putFrame is the log frame Publish writes for e.
+func putFrame(e Entry) []byte {
+	enc := codec.GetEncoder()
+	defer codec.PutEncoder(enc)
+	appendPut(enc, &e)
+	return slices.Clone(enc.Bytes())
+}
 
-	c2, err := Open(dir, obs.NewRegistry())
+// appendFile appends b to the file at path, as a crash mid-append
+// leaves a cut frame behind.
+func appendFile(t *testing.T, path string, b []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
-		t.Fatalf("torn tail broke replay: %v", err)
-	}
-	defer c2.Close()
-	if _, ok := c2.Lookup("alice", k); !ok {
-		t.Fatal("complete record lost behind torn tail")
-	}
-	if c2.Len() != 1 {
-		t.Fatalf("torn tail materialized: %d entries", c2.Len())
-	}
-	// And the catalog keeps accepting durable publishes after the tear.
-	k2 := Key("fft", []string{"/in/b"}, nil, "alice")
-	if err := c2.Publish(Entry{Key: k2, Tenant: "alice"}); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := f.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReplayToleratesTornTail cuts a put frame at every offset behind a
+// complete one: each reopen keeps the complete record, truncates the log
+// to it, and a del written afterwards survives one more reopen.
+func TestReplayToleratesTornTail(t *testing.T) {
+	k := Key("fft", []string{"/in/a"}, nil, "alice")
+	torn := putFrame(Entry{Key: Key("fft", []string{"/in/torn"}, nil, "alice"), Tenant: "alice", Op: "fft",
+		Params: map[string]string{"n": "1"}, Outputs: []string{"/out/torn"}, Result: "done", Unix: 1})
+	for cut := 1; cut < len(torn); cut++ {
+		dir := t.TempDir()
+		path := filepath.Join(dir, LogName)
+		c, err := Open(dir, obs.NewRegistry())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Publish(Entry{Key: k, Tenant: "alice", Outputs: []string{"/out/a"}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		whole, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendFile(t, path, torn[:cut])
+
+		c2, err := Open(dir, obs.NewRegistry())
+		if err != nil {
+			t.Fatalf("cut at %d: torn tail broke replay: %v", cut, err)
+		}
+		if _, ok := c2.Lookup("alice", k); !ok || c2.Len() != 1 {
+			t.Fatalf("cut at %d: %d entries replayed, want the complete one alone", cut, c2.Len())
+		}
+		if got, err := os.ReadFile(path); err != nil || !slices.Equal(got, whole) {
+			t.Fatalf("cut at %d: the log is %d bytes after Open, want it truncated to its %d whole bytes (%v)",
+				cut, len(got), len(whole), err)
+		}
+		if n, err := c2.Invalidate("alice", "/out/a"); n != 1 || err != nil {
+			t.Fatalf("cut at %d: invalidate: %d, %v", cut, n, err)
+		}
+		if err := c2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		c3, err := Open(dir, obs.NewRegistry())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c3.Len() != 0 {
+			t.Fatalf("cut at %d: the del written after the tear was lost: %d entries", cut, c3.Len())
+		}
+		if err := c3.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -240,14 +308,8 @@ func TestTornTailKeepsDurableInvalidation(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.OpenFile(filepath.Join(dir, LogName), os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"op":"put","entry":{"key":"torn`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	frame := putFrame(Entry{Key: "torn", Tenant: "alice"})
+	appendFile(t, filepath.Join(dir, LogName), frame[:len(frame)-1])
 
 	c2, err := Open(dir, obs.NewRegistry())
 	if err != nil {
@@ -266,6 +328,125 @@ func TestTornTailKeepsDurableInvalidation(t *testing.T) {
 	defer c3.Close()
 	if _, ok := c3.Lookup("alice", k); ok {
 		t.Fatal("a durable invalidation written after a torn tail was lost: the derivation is live again")
+	}
+}
+
+// TestOpenRefusesNonBinaryLog: a log that does not start with a frame —
+// the JSONL log an earlier build wrote, a stray byte — fails Open with an
+// ErrInvalid naming the file, which is left byte for byte as it was. An
+// empty log is one nothing was written to yet, and opens.
+func TestOpenRefusesNonBinaryLog(t *testing.T) {
+	for name, content := range map[string]string{
+		"JSONL":    `{"op":"put","entry":{"key":"k","tenant":"alice","op":"fft"}}` + "\n",
+		"one byte": "{",
+	} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, LogName)
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := Open(dir, obs.NewRegistry())
+		if err == nil {
+			c.Close()
+			t.Errorf("%s: Open took the log", name)
+			continue
+		}
+		if !errors.Is(err, dgferr.ErrInvalid) || !strings.Contains(err.Error(), path) {
+			t.Errorf("%s: Open = %v, want an ErrInvalid naming %s", name, err, path)
+		}
+		if data, err := os.ReadFile(path); err != nil || string(data) != content {
+			t.Errorf("%s: the refused log changed to %q (%v)", name, data, err)
+		}
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, LogName), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Open(dir, obs.NewRegistry())
+	if err != nil {
+		t.Fatalf("an empty log: %v", err)
+	}
+	if err := c.Publish(Entry{Key: "k", Tenant: "alice"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c, err = Open(dir, obs.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if c.Len() != 1 {
+		t.Fatalf("an empty log appended to replays %d entries, want 1", c.Len())
+	}
+}
+
+// TestPublishRefusesOversizeEntry: an entry over the frame limit would
+// leave a log that no longer replays, so a durable catalog refuses it
+// and indexes nothing; the log stays open.
+func TestPublishRefusesOversizeEntry(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(dir, obs.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := Entry{Key: "huge", Tenant: "alice", Result: strings.Repeat("x", codec.MaxFrameBody)}
+	if err := c.Publish(huge); !errors.Is(err, dgferr.ErrInvalid) {
+		t.Fatalf("oversize publish: %v, want ErrInvalid", err)
+	}
+	if c.Len() != 0 {
+		t.Fatal("the refused entry was indexed")
+	}
+	if err := c.Publish(Entry{Key: "small", Tenant: "alice"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c, err = Open(dir, obs.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if c.Len() != 1 {
+		t.Fatalf("reopened with %d entries, want 1", c.Len())
+	}
+}
+
+// TestPublishAllocs budgets a durable, fresh-key Publish shaped like the
+// contract benchmark's pure step: three parameter bindings, one output, a
+// result. The build that wrote the log as JSON spent 14 allocations on
+// this publish, most of them in json.Marshal.
+func TestPublishAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under -race")
+	}
+	const runs = 200
+	c, err := Open(t.TempDir(), obs.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	params := map[string]string{"command": "fft /grid/derived/cal.dat", "cpuSeconds": "1", "resultVar": "out"}
+	entries := make([]Entry, runs+1) // AllocsPerRun warms up with one extra run
+	for i := range entries {
+		out := []string{fmt.Sprintf("/grid/derived/%d.dat", i)}
+		entries[i] = Entry{Key: Key("exec", out, params, "alice"), Tenant: "alice", Op: "exec",
+			Params: params, Outputs: out, Result: "done:exec", Unix: 1}
+	}
+	i := 0
+	got := testing.AllocsPerRun(runs, func() {
+		if err := c.Publish(entries[i]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	const budget = 5
+	t.Logf("a durable publish: %.0f allocations (budget %d; 14 when the log was JSON)", got, budget)
+	if got > budget {
+		t.Errorf("a durable publish allocates %.0f times, budget %d", got, budget)
 	}
 }
 

@@ -31,7 +31,10 @@ func appendControl(e *codec.Encoder, c *Control) {
 	e.Sym(7, c.User)
 	// Key is a high-entropy derivation hash: a plain string, like Token.
 	e.Str(8, c.Key)
-	e.Str(9, c.Data)
+	// 9 was a publish's JSON entry; retired.
+	if c.Entry != nil {
+		e.Msg(10, func(e *codec.Encoder) { vdata.AppendEntry(e, c.Entry) })
+	}
 }
 
 func decodeControl(payload []byte) (Control, error) {
@@ -58,13 +61,20 @@ func decodeControl(payload []byte) (Control, error) {
 			c.User = d.Sym()
 		case 8:
 			c.Key = d.Str()
-		case 9:
-			c.Data = d.Str()
+		case 10:
+			c.Entry = decodeEntry(&d)
 		default:
 			d.Skip()
 		}
 	}
 	return c, d.Err()
+}
+
+// decodeEntry decodes the nested vdata.Entry message d is positioned on.
+func decodeEntry(d *codec.Decoder) *vdata.Entry {
+	var ent vdata.Entry
+	d.Msg(func(d *codec.Decoder) { ent = vdata.DecodeEntry(d) })
+	return &ent
 }
 
 func appendControlResult(e *codec.Encoder, r *ControlResult) {
@@ -170,12 +180,9 @@ func appendControlResult(e *codec.Encoder, r *ControlResult) {
 			e.Bool(6, v.Durable)
 			e.Bool(7, v.Found)
 			e.Uint(8, uint64(v.Removed))
+			// 9 was the entry as a JSON blob; retired.
 			if v.Entry != nil {
-				// The entry stays a JSON blob: cold-path catalog metadata,
-				// like the metrics snapshot (docs/CODEC.md).
-				if raw, err := json.Marshal(v.Entry); err == nil {
-					e.Blob(9, raw)
-				}
+				e.Msg(10, func(e *codec.Encoder) { vdata.AppendEntry(e, v.Entry) })
 			}
 		})
 	}
@@ -399,11 +406,8 @@ func decodeControlResult(payload []byte) (ControlResult, error) {
 						v.Found = d.Bool()
 					case 8:
 						v.Removed = int(d.Uint())
-					case 9:
-						ent := &vdata.Entry{}
-						if err := json.Unmarshal(d.Blob(), ent); err == nil {
-							v.Entry = ent
-						}
+					case 10:
+						v.Entry = decodeEntry(d)
 					default:
 						d.Skip()
 					}

@@ -682,11 +682,7 @@ func (c *Client) VdataLookup(user, key string) (*vdata.Entry, bool, error) {
 // caller's resolved tenant (the entry's own Tenant field is overridden
 // server-side — no cross-tenant writes).
 func (c *Client) VdataPublish(user string, ent vdata.Entry) error {
-	raw, err := json.Marshal(ent)
-	if err != nil {
-		return err
-	}
-	_, err = c.vdataMsg(Control{Sub: "publish", User: user, Data: string(raw)})
+	_, err := c.vdataMsg(Control{Sub: "publish", User: user, Entry: &ent})
 	return err
 }
 

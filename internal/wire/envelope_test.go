@@ -14,6 +14,7 @@ import (
 
 	"datagridflow/internal/codec"
 	"datagridflow/internal/tenant"
+	"datagridflow/internal/vdata"
 )
 
 // TestGoldenHelloFrame pins the first frame of every connection — the
@@ -92,9 +93,11 @@ func FuzzEnvelopes(f *testing.F) {
 			}
 		}
 
-		ctl := Control{Op: a, ID: b, Proto: c, Token: token, Limit: n, Sub: c, User: user, Key: b, Data: a}
+		ent := &vdata.Entry{Key: b, Tenant: user, Op: a, Inputs: []string{c}, Params: map[string]string{a: c},
+			Outputs: []string{a, b}, Result: c, Peer: user, Unix: int64(n)}
+		ctl := Control{Op: a, ID: b, Proto: c, Token: token, Limit: n, Sub: c, User: user, Key: b, Entry: ent}
 		appendControl(e, &ctl)
-		if got, err := decodeControl(e.Bytes()); err != nil || got != ctl {
+		if got, err := decodeControl(e.Bytes()); err != nil || !reflect.DeepEqual(got, ctl) {
 			t.Fatalf("control round trip: %+v, %v, want %+v", got, err, ctl)
 		}
 
@@ -117,6 +120,15 @@ func FuzzEnvelopes(f *testing.F) {
 		appendControlResult(e, &res)
 		if got, err := decodeControlResult(e.Bytes()); err != nil || !reflect.DeepEqual(got, res) {
 			t.Fatalf("control result round trip: %+v, %v, want %+v", got, err, res)
+		}
+		// A lookup's reply, with the entry found and without one.
+		for _, v := range []*VdataInfo{{Enabled: true, Found: true, Entry: ent}, {Enabled: true, Found: true}} {
+			vr := ControlResult{OK: true, Tenant: user, Vdata: v}
+			e.Reset()
+			appendControlResult(e, &vr)
+			if got, err := decodeControlResult(e.Bytes()); err != nil || !reflect.DeepEqual(got, vr) {
+				t.Fatalf("vdata reply round trip: %+v, %v, want %+v", got.Vdata, err, v)
+			}
 		}
 
 		// A batch carries non-empty documents: the client renders every

@@ -109,8 +109,8 @@ type Control struct {
 	// Key is the "vdata" verb's target: a derivation key for lookup, a
 	// key or output path for invalidate.
 	Key string
-	// Data carries the JSON vdata.Entry of a "vdata" publish.
-	Data string
+	// Entry carries the derivation of a "vdata" publish.
+	Entry *vdata.Entry
 }
 
 // ControlResult is the reply to a control frame.

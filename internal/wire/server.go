@@ -19,7 +19,6 @@ import (
 	"datagridflow/internal/scheduler"
 	"datagridflow/internal/store"
 	"datagridflow/internal/tenant"
-	"datagridflow/internal/vdata"
 )
 
 // muxConnWindow bounds the frames one multiplexed connection may have
@@ -1045,11 +1044,11 @@ func (s *Server) serveVdata(c Control) ControlResult {
 			info.Entry = &ent
 		}
 	case "publish":
-		var ent vdata.Entry
-		if err := json.Unmarshal([]byte(c.Data), &ent); err != nil {
+		if c.Entry == nil {
 			return ControlResult{Error: dgferr.Encode(
-				fmt.Errorf("%w: vdata publish: bad entry: %v", dgferr.ErrInvalid, err))}
+				fmt.Errorf("%w: vdata publish needs an entry", dgferr.ErrInvalid))}
 		}
+		ent := *c.Entry
 		// A caller may only ever write its own tenant scope.
 		ent.Tenant = ten
 		if err := cat.Publish(ent); err != nil {
