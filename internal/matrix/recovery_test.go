@@ -18,10 +18,21 @@ import (
 // first engine runs against a file-backed provenance store and fails
 // mid-flow; a brand-new engine (new process, new grid object, same
 // provenance file and same DGL document) resumes, skipping every step
-// the log records as finished.
+// the log records as finished. In the killed case the first process
+// neither flushes nor closes its store: the second opens the file as a
+// kill would have left it.
 func TestRestartFromProvenanceCrossProcess(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		flush bool
+	}{{"flushed", true}, {"killed", false}} {
+		t.Run(tc.name, func(t *testing.T) { restartFromProvenanceCrossProcess(t, tc.flush) })
+	}
+}
+
+func restartFromProvenanceCrossProcess(t *testing.T, flush bool) {
 	dir := t.TempDir()
-	provPath := filepath.Join(dir, "prov.jsonl")
+	provPath := filepath.Join(dir, "prov.log")
 
 	mkEngine := func(failing bool) (*Engine, *int) {
 		store, err := provenance.Open(provPath)
@@ -75,8 +86,10 @@ func TestRestartFromProvenanceCrossProcess(t *testing.T) {
 		t.Fatalf("first process ran %d steps", *runs1)
 	}
 	priorID := ex.ID
-	if err := e1.grid.Provenance().Flush(); err != nil {
-		t.Fatal(err)
+	if flush {
+		if err := e1.grid.Provenance().Flush(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Process 2: a fresh engine over the same provenance file resumes.

@@ -153,6 +153,43 @@ func TestOpenCorruptLog(t *testing.T) {
 	}
 }
 
+// TestOpenRepairsTornTail: a process killed mid-append leaves a torn last
+// record behind. Open keeps every complete record before it.
+func TestOpenRepairsTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "prov.log")
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := s.Append(rec("op", "f1", sim.Epoch)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	line := `{"seq":4,"time":"2005-01-01T00:00:00Z","actor":"user","action":"op","target":"/grid/x","flow_id":"f1","outcome":"ok"}`
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(line[:len(line)/2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(path)
+	if err != nil {
+		t.Fatalf("a torn last record stopped Open: %v", err)
+	}
+	defer s2.Close()
+	if s2.Len() != 3 {
+		t.Fatalf("reopened with %d records, want the 3 complete ones", s2.Len())
+	}
+}
+
 func TestFlushMemoryStore(t *testing.T) {
 	s := NewMemory()
 	if err := s.Flush(); err != nil {
