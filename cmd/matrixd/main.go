@@ -13,7 +13,7 @@
 //	matrixd -shards 64 -lookup host:7400         # sharded flow ownership
 //	matrixd -repl-followers 2 -repl-ack quorum   # replicated lifecycle store
 //	matrixd -repl-dir /var/lib/matrix-replica    # replica root override
-//	matrixd -prov /var/log/matrix-prov.jsonl     # durable provenance
+//	matrixd -prov /var/log/matrix-prov.log       # durable provenance
 //	matrixd -metrics-addr :7481                  # JSON metrics + pprof
 //	matrixd -store-dir /var/lib/matrix-store     # crash recovery, durable flow state
 //	matrixd -snapshot-every 30s -passivate-idle 5m # store maintenance
@@ -69,7 +69,7 @@ func main() {
 	shards := flag.Int("shards", 0, "shard count for consistent-hash flow ownership (0 disables; requires -lookup and a lookupd started with the same -shards)")
 	infraPath := flag.String("infra", "", "infrastructure description XML (default: demo topology)")
 	triggerPath := flag.String("triggers", "", "trigger definitions XML to install at startup")
-	provPath := flag.String("prov", "", "provenance log file (default: in-memory)")
+	provPath := flag.String("prov", "", "durable provenance log of binary frames (default: in-memory)")
 	admin := flag.String("admin", "admin", "grid administrator user")
 	openWrite := flag.Bool("open", true, "grant every user write access under /grid (demo mode)")
 	metricsAddr := flag.String("metrics-addr", "", "serve JSON metrics, trace events and pprof on this address (\":0\" for ephemeral; empty disables)")

@@ -422,5 +422,7 @@ const (
 	PermOwn   = namespace.PermOwn
 )
 
-// OpenProvenance opens (or creates) a file-backed provenance store.
+// OpenProvenance opens (or creates) a file-backed provenance store: a log
+// of binary frames, replayed at open with a torn last frame truncated
+// away. A file that is not such a log is refused untouched.
 func OpenProvenance(path string) (*ProvenanceStore, error) { return provenance.Open(path) }

@@ -120,7 +120,7 @@ func TestFacadeSurface(t *testing.T) {
 	if clock.Now().Year() != 2005 {
 		t.Errorf("epoch year = %d", clock.Now().Year())
 	}
-	store, err := OpenProvenance(t.TempDir() + "/p.jsonl")
+	store, err := OpenProvenance(t.TempDir() + "/p.log")
 	if err != nil {
 		t.Fatal(err)
 	}

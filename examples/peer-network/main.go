@@ -78,11 +78,16 @@ func main() {
 			}
 		}
 	}
-	// The ncsa peer audits every execution in the network: ids route
-	// themselves ("The identifier for any particular task or flow can be
-	// shared with all other processes").
+	// A client of the ncsa peer audits every execution in the network:
+	// ids route themselves ("The identifier for any particular task or
+	// flow can be shared with all other processes").
+	auditor, err := datagridflow.DialMatrix(ncsa.Addr())
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer auditor.Close()
 	for _, id := range ids {
-		st, err := ncsa.Status("auditor", id, false)
+		st, err := auditor.Status("auditor", id, false)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -90,9 +95,9 @@ func main() {
 	}
 	// Even step-level ids resolve across the network.
 	stepID := ids[1] + "/load-cern/ingest"
-	st, err := sdsc.Status("auditor", stepID, false)
+	st, err := auditor.Status("auditor", stepID, false)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("sdsc sees step %s → %s (%s)\n", stepID, st.State, st.Kind)
+	fmt.Printf("ncsa sees step %s → %s (%s)\n", stepID, st.State, st.Kind)
 }

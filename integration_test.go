@@ -207,6 +207,11 @@ func TestIntegrationPeerNetworkStatusRouting(t *testing.T) {
 	peerA, peerB := mkPeer("siteA"), mkPeer("siteB")
 
 	// Submit ten flows to B through A, then audit them all from A.
+	auditor, err := DialMatrix(peerA.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer auditor.Close()
 	var ids []string
 	for i := 0; i < 10; i++ {
 		flow := NewFlow(fmt.Sprintf("job%d", i)).
@@ -225,7 +230,7 @@ func TestIntegrationPeerNetworkStatusRouting(t *testing.T) {
 		if err := exec.Wait(); err != nil {
 			t.Fatal(err)
 		}
-		st, err := peerA.Status("auditor", id, false)
+		st, err := auditor.Status("auditor", id, false)
 		if err != nil || st.State != "succeeded" {
 			t.Errorf("cross-peer status of %s = %+v, %v", id, st, err)
 		}

@@ -70,6 +70,8 @@ const (
 	// MsgVdata is one record of the virtual-data catalog's log: a put
 	// (a vdata.Entry) or a del (its key and the del flag).
 	MsgVdata byte = 14
+	// MsgProv is one record of the provenance log (a provenance.Record).
+	MsgProv byte = 15
 )
 
 // Wire types, the low two bits of every field tag.

@@ -738,7 +738,7 @@ func E10LongRun(s Scale) (*Report, error) {
 			return err
 		}
 		defer os.RemoveAll(dir)
-		provPath := filepath.Join(dir, "prov.jsonl")
+		provPath := filepath.Join(dir, "prov.log")
 		total := pick(s, 20, 100)
 		failAt := total / 2
 		mk := func(failing bool) (*matrix.Engine, *int, func(), error) {
@@ -776,15 +776,15 @@ func E10LongRun(s Scale) (*Report, error) {
 		if err != nil {
 			return err
 		}
+		defer close1()
 		ex, err := e1.Run("user", doc())
 		if err != nil {
-			close1()
 			return err
 		}
 		_ = ex.Wait()
-		_ = e1.Grid().Provenance().Flush()
 		priorID := ex.ID
-		close1()
+		// The first process dies without a flush or a close: the second
+		// opens the log as the first left it.
 		e2, runs2, close2, err := mk(false)
 		if err != nil {
 			return err

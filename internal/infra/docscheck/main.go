@@ -14,8 +14,9 @@
 //   - every dgfctl verb must appear in README.md's CLI table (the
 //     table is `dgfctl help -markdown` verbatim);
 //   - every `pkg.X` or `T.X` the documents show in code, where pkg is
-//     one of internal/wire, internal/matrix, internal/store or
-//     internal/codec and T an exported type of one of them, must be an
+//     one of internal/wire, internal/matrix, internal/store,
+//     internal/codec, internal/provenance or internal/vdata and T an
+//     exported type of one of them, must be an
 //     exported identifier there; and every bare exported name shown as a
 //     code span of its own (`RecoverFromStore`, `SetStore(st)`) must be
 //     exported by some package of the repository (a deleted API cannot
@@ -60,7 +61,7 @@ var (
 
 // apiPackages are the packages whose exported API the documents may
 // show qualified, checked name by name.
-var apiPackages = []string{"wire", "matrix", "store", "codec"}
+var apiPackages = []string{"wire", "matrix", "store", "codec", "provenance", "vdata"}
 
 func main() {
 	root := flag.String("root", ".", "repository root")

@@ -79,6 +79,9 @@ func (ex *Execution) run() {
 		FlowID: ex.ID, Target: ex.req.Flow.Name,
 		Outcome: outcome, Err: errText,
 	})
+	// A flow reported finished has its provenance on disk. A closed
+	// provenance store (one that retains nothing) answers ErrClosed.
+	_ = ex.engine.grid.Provenance().Flush()
 	_ = ex.engine.storeAppend(store.Record{
 		Type: store.TypeExecEnd, ID: ex.ID, Err: errText,
 	})

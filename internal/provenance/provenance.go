@@ -2,20 +2,24 @@
 // Management System must keep: every DGMS operation and every flow/step
 // transition is recorded, and the records can be queried "even (years)
 // after the execution" (paper §2.1). Records append to an in-memory index
-// and, optionally, to a JSON-lines file that survives process restarts.
+// and, optionally, to a log that survives process restarts: a file of
+// binary frames (codec.MsgProv) written through the store's
+// group-committed writer (store.GroupFile) and replayed by its frame walk
+// (store.FrameFile).
 package provenance
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"os"
+	"io/fs"
 	"slices"
 	"strings"
 	"sync"
 	"time"
+
+	"datagridflow/internal/codec"
+	"datagridflow/internal/dgferr"
+	"datagridflow/internal/store"
 )
 
 // Outcome of a recorded operation.
@@ -31,25 +35,25 @@ const (
 // Record is one provenance entry.
 type Record struct {
 	// Seq is assigned by the store; strictly increasing from 1.
-	Seq int64 `json:"seq"`
+	Seq int64
 	// Time is the (simulated) instant of the operation.
-	Time time.Time `json:"time"`
+	Time time.Time
 	// Actor is the grid user or system component that acted.
-	Actor string `json:"actor,omitempty"`
+	Actor string
 	// Action names the operation ("ingest", "replicate", "step.start", ...).
-	Action string `json:"action"`
+	Action string
 	// Target is the logical path or id acted on.
-	Target string `json:"target,omitempty"`
+	Target string
 	// FlowID and StepID tie the record to a datagridflow execution.
-	FlowID string `json:"flow_id,omitempty"`
-	StepID string `json:"step_id,omitempty"`
+	FlowID string
+	StepID string
 	// Outcome is OutcomeOK, OutcomeError or OutcomeSkipped.
-	Outcome string `json:"outcome"`
+	Outcome string
 	// Err carries the error text when Outcome is OutcomeError.
-	Err string `json:"err,omitempty"`
+	Err string
 	// Detail holds free-form key/value context (sizes, resources, ...),
 	// sorted by key. Keys are unique within a record.
-	Detail Attrs `json:"detail,omitempty"`
+	Detail Attrs
 }
 
 // Attr is one key/value pair of a record's detail.
@@ -57,9 +61,7 @@ type Attr struct {
 	Key, Value string
 }
 
-// Attrs is a record's detail, a list of pairs. It encodes as a JSON
-// object with its keys sorted: the bytes a map of the pairs encodes to,
-// the form provenance files hold.
+// Attrs is a record's detail, a list of pairs.
 type Attrs []Attr
 
 // Get returns the value of key, or "" when there is no such pair.
@@ -72,31 +74,94 @@ func (d Attrs) Get(key string) string {
 	return ""
 }
 
-// MarshalJSON writes the pairs as the object a map of them encodes to.
-func (d Attrs) MarshalJSON() ([]byte, error) {
-	m := make(map[string]string, len(d))
-	for _, a := range d {
-		m[a.Key] = a.Value
-	}
-	return json.Marshal(m)
-}
-
-// UnmarshalJSON reads the object MarshalJSON writes, keys sorted.
-func (d *Attrs) UnmarshalJSON(b []byte) error {
-	var m map[string]string
-	if err := json.Unmarshal(b, &m); err != nil {
-		return err
-	}
-	*d = nil
-	for k, v := range m {
-		*d = append(*d, Attr{Key: k, Value: v})
-	}
-	sortAttrs(*d)
-	return nil
-}
-
 func sortAttrs(d Attrs) {
 	slices.SortFunc(d, func(a, b Attr) int { return strings.Compare(a.Key, b.Key) })
+}
+
+// Record field numbers: the one binary form of a record, the fields of a
+// codec.MsgProv frame. Frozen: new fields append, numbers are never
+// reused (docs/CODEC.md §8).
+const (
+	fSeq     = 1  // zigzag varint
+	fTime    = 2  // zigzag varint, UTC UnixNano; absent = zero time
+	fActor   = 3  // sym
+	fAction  = 4  // sym
+	fTarget  = 5  // str
+	fFlow    = 6  // str
+	fStep    = 7  // str
+	fOutcome = 8  // sym
+	fErr     = 9  // str
+	fDetail  = 10 // repeated msg {1: key sym, 2: value str}, in the record's order
+)
+
+// AppendRecord writes r's fields into the message enc is encoding. The
+// detail pairs are written in the order r holds them — sorted by key, in
+// a record the store returned — so a record always encodes to the same
+// bytes.
+func AppendRecord(enc *codec.Encoder, r *Record) {
+	enc.Int(fSeq, r.Seq)
+	if !r.Time.IsZero() {
+		enc.Int(fTime, r.Time.UnixNano())
+	}
+	enc.Sym(fActor, r.Actor)
+	enc.Sym(fAction, r.Action)
+	enc.Str(fTarget, r.Target)
+	enc.Str(fFlow, r.FlowID)
+	enc.Str(fStep, r.StepID)
+	enc.Sym(fOutcome, r.Outcome)
+	enc.Str(fErr, r.Err)
+	for _, a := range r.Detail {
+		enc.Msg(fDetail, func(enc *codec.Encoder) {
+			enc.Sym(1, a.Key)
+			enc.Str(2, a.Value)
+		})
+	}
+}
+
+// DecodeRecord reads a record's fields from d into r, up to the end of
+// the message d is positioned in; unknown fields are skipped. The detail
+// pairs are appended to r.Detail, so a caller may hand in a buffer to
+// reuse. Decode errors are d's (d.Err).
+func DecodeRecord(d *codec.Decoder, r *Record) {
+	for d.Next() {
+		switch d.Field() {
+		case fSeq:
+			r.Seq = d.Int()
+		case fTime:
+			r.Time = time.Unix(0, d.Int()).UTC()
+		case fActor:
+			r.Actor = d.Sym()
+		case fAction:
+			r.Action = d.Sym()
+		case fTarget:
+			r.Target = d.Str()
+		case fFlow:
+			r.FlowID = d.Str()
+		case fStep:
+			r.StepID = d.Str()
+		case fOutcome:
+			r.Outcome = d.Sym()
+		case fErr:
+			r.Err = d.Str()
+		case fDetail:
+			var a Attr
+			d.Msg(func(d *codec.Decoder) {
+				for d.Next() {
+					switch d.Field() {
+					case 1:
+						a.Key = d.Sym()
+					case 2:
+						a.Value = d.Str()
+					default:
+						d.Skip()
+					}
+				}
+			})
+			r.Detail = append(r.Detail, a)
+		default:
+			d.Skip()
+		}
+	}
 }
 
 // ErrClosed is returned by operations on a closed store.
@@ -111,9 +176,11 @@ type Store struct {
 	// a record's Detail is a slice of it, never grown once handed out.
 	slab    []Attr
 	nextSeq int64
-	w       *bufio.Writer // nil for memory-only stores
-	f       *os.File
-	closed  bool
+	// log is nil for a memory-only store; ticket is the commit ticket of
+	// the last record written to it, the one Flush waits for.
+	log    *store.GroupFile
+	ticket int64
+	closed bool
 }
 
 // NewMemory returns a store that keeps records only in memory.
@@ -121,36 +188,50 @@ func NewMemory() *Store {
 	return &Store{nextSeq: 1}
 }
 
-// Open returns a store persisted to the JSON-lines file at path, loading
-// any records already present — this is what lets an auditor query flows
-// that ran in past processes.
+// Open returns a store persisted to the log at path, loading any records
+// already present — this is what lets an auditor query flows that ran in
+// past processes. A torn last frame, what a process killed mid-append
+// leaves, is truncated away. A file that is not binary frames — the
+// JSON-lines log an earlier build wrote — is refused with
+// dgferr.ErrInvalid and left as it was.
 func Open(path string) (*Store, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("provenance: open %s: %w", path, err)
-	}
-	s := &Store{nextSeq: 1, f: f}
-	dec := json.NewDecoder(bufio.NewReader(f))
-	for {
-		var r Record
-		if err := dec.Decode(&r); err != nil {
-			if err == io.EOF {
-				break
-			}
-			f.Close()
-			return nil, fmt.Errorf("provenance: corrupt log %s: %w", path, err)
-		}
-		s.records = append(s.records, r)
-		if r.Seq >= s.nextSeq {
-			s.nextSeq = r.Seq + 1
-		}
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
+	s := NewMemory()
+	if err := s.replay(path); err != nil {
 		return nil, err
 	}
-	s.w = bufio.NewWriter(f)
+	log, err := store.OpenGroupFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("provenance: %w", err)
+	}
+	s.log = log
 	return s, nil
+}
+
+// replay loads the log at path, if there is one, through the store's
+// frame walk. A record's detail goes into the slab, as Append puts it,
+// and numbering continues after the highest seq.
+func (s *Store) replay(path string) error {
+	var log store.FrameFile
+	if _, err := log.Read(path, codec.MsgProv, true); err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil
+		}
+		return fmt.Errorf("provenance: %w", err)
+	}
+	s.records = make([]Record, 0, len(log.Frames))
+	var pairs Attrs // decoded into, then copied to the slab
+	for i, f := range log.Frames {
+		d := codec.NewFieldsDecoder(log.Buf, f.Body, f.End)
+		r := Record{Detail: pairs[:0]}
+		DecodeRecord(&d, &r)
+		if err := d.Err(); err != nil {
+			return fmt.Errorf("provenance: %s frame %d: %v: %w", path, i+1, err, dgferr.ErrInvalid)
+		}
+		pairs, r.Detail = r.Detail, s.keep(r.Detail)
+		s.records = append(s.records, r)
+		s.nextSeq = max(s.nextSeq, r.Seq+1)
+	}
+	return nil
 }
 
 // slabChunk is how many detail pairs one allocation of a store's slab
@@ -165,6 +246,12 @@ const slabChunk = 1024
 // The detail is an argument of its own because escape analysis does
 // not tell a struct's fields apart: r's strings are kept, so a Detail
 // set in r would be kept too, and have to be built on the heap.
+//
+// A file-backed store writes the record to its log before returning but
+// does not wait for the sync: a record is a memo, on disk within
+// 2×store.Linger or at the next Flush (docs/STORE.md, "Durability"). It
+// refuses, with dgferr.ErrInvalid, a record too large for one frame
+// (codec.MaxFrameBody), which is then neither kept nor numbered.
 func (s *Store) Append(r Record, detail ...Attr) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -175,19 +262,39 @@ func (s *Store) Append(r Record, detail ...Attr) (int64, error) {
 		r.Outcome = OutcomeOK
 	}
 	r.Seq = s.nextSeq
-	s.nextSeq++
 	r.Detail = s.keep(detail)
-	s.records = append(s.records, r)
-	if s.w != nil {
-		b, err := json.Marshal(r)
-		if err != nil {
-			return 0, fmt.Errorf("provenance: marshal: %w", err)
-		}
-		if _, err := s.w.Write(append(b, '\n')); err != nil {
-			return 0, fmt.Errorf("provenance: write: %w", err)
+	if s.log != nil {
+		if err := s.write(&r); err != nil {
+			// Give the slab back the pairs keep took for r.
+			clear(r.Detail)
+			s.slab = s.slab[:len(s.slab)-len(r.Detail)]
+			return 0, err
 		}
 	}
+	s.nextSeq++
+	s.records = append(s.records, r)
 	return r.Seq, nil
+}
+
+// write appends r to the log as one frame — under s.mu, so frames land
+// in seq order — and leaves its sync to the linger.
+func (s *Store) write(r *Record) error {
+	enc := codec.GetEncoder()
+	defer codec.PutEncoder(enc)
+	mark := enc.BeginFrame(codec.MsgProv)
+	AppendRecord(enc, r)
+	enc.EndFrame(mark)
+	if enc.Len() > codec.MaxFrameBody {
+		return fmt.Errorf("provenance: a %q record encodes to %d bytes, over the %d-byte frame limit: %w",
+			r.Action, enc.Len(), codec.MaxFrameBody, dgferr.ErrInvalid)
+	}
+	ticket, err := s.log.WriteBlock(enc.Bytes(), 1)
+	if err != nil {
+		return fmt.Errorf("provenance: %w", err)
+	}
+	s.ticket = ticket
+	s.log.SyncSoon()
+	return nil
 }
 
 // keep copies detail into the slab, sorted by key.
@@ -205,21 +312,27 @@ func (s *Store) keep(detail []Attr) Attrs {
 	return kept
 }
 
-// Flush forces buffered records to the underlying file.
+// Flush returns once every record appended so far is on stable storage.
+// A memory-only store has nothing to wait for; a closed one answers
+// ErrClosed.
 func (s *Store) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
+	s.mu.RLock()
+	closed, log, ticket := s.closed, s.log, s.ticket
+	s.mu.RUnlock()
+	if closed {
 		return ErrClosed
 	}
-	if s.w != nil {
-		return s.w.Flush()
+	if log == nil {
+		return nil
+	}
+	if err := log.Sync(ticket); err != nil {
+		return fmt.Errorf("provenance: %w", err)
 	}
 	return nil
 }
 
-// Close flushes and closes the backing file (if any). The in-memory index
-// stays readable after Close for final reporting, but appends fail.
+// Close syncs and closes the log (if any). The in-memory index stays
+// readable after Close for final reporting, but appends fail.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -227,12 +340,8 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	if s.w != nil {
-		if err := s.w.Flush(); err != nil {
-			s.f.Close()
-			return err
-		}
-		return s.f.Close()
+	if s.log != nil {
+		return s.log.Close()
 	}
 	return nil
 }

@@ -1,14 +1,20 @@
 package provenance
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"datagridflow/internal/codec"
+	"datagridflow/internal/dgferr"
 	"datagridflow/internal/sim"
 )
 
@@ -91,7 +97,7 @@ func TestQueryFilters(t *testing.T) {
 }
 
 func TestPersistenceAcrossReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "prov.jsonl")
+	path := filepath.Join(t.TempDir(), "prov.log")
 	s, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -140,53 +146,186 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	}
 }
 
+// TestOpenCorruptLog: a log of whole frames that do not hold provenance
+// records — fields that do not decode, a frame of another message type —
+// is corruption, not a torn tail. Open refuses it with an ErrInvalid and
+// leaves it as it was.
 func TestOpenCorruptLog(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.jsonl")
-	if err := os.WriteFile(path, []byte("{not json\n"), 0o644); err != nil {
-		t.Fatal(err)
+	for name, content := range map[string][]byte{
+		"bad fields":   {codec.Magic, codec.Version, codec.MsgProv, 1, 0xff},
+		"another type": {codec.Magic, codec.Version, codec.MsgVdata, 0},
+	} {
+		path := filepath.Join(t.TempDir(), "bad.log")
+		if err := os.WriteFile(path, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if s, err := Open(path); !errors.Is(err, dgferr.ErrInvalid) {
+			if s != nil {
+				s.Close()
+			}
+			t.Errorf("%s: Open = %v, want an ErrInvalid", name, err)
+		}
+		if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, content) {
+			t.Errorf("%s: the refused log changed to %x (%v)", name, data, err)
+		}
 	}
-	if _, err := Open(path); err == nil {
-		t.Errorf("corrupt log accepted")
-	}
-	if _, err := Open(filepath.Join(t.TempDir(), "nodir", "x.jsonl")); err == nil {
+	if _, err := Open(filepath.Join(t.TempDir(), "nodir", "x.log")); err == nil {
 		t.Errorf("unopenable path accepted")
 	}
 }
 
-// TestOpenRepairsTornTail: a process killed mid-append leaves a torn last
-// record behind. Open keeps every complete record before it.
-func TestOpenRepairsTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "prov.log")
-	s, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := s.Append(rec("op", "f1", sim.Epoch)); err != nil {
+// TestOpenRefusesNonBinaryLog: a log that does not start with a frame —
+// the JSON-lines log an earlier build wrote, a stray byte — fails Open
+// with an ErrInvalid naming the file, which is left byte for byte as it
+// was. An empty log is one nothing was written to yet, and opens.
+func TestOpenRefusesNonBinaryLog(t *testing.T) {
+	for name, content := range map[string]string{
+		"JSONL":    `{"seq":1,"time":"2026-08-08T12:00:00Z","actor":"admin","action":"collection.create","target":"/grid/home","outcome":"ok"}` + "\n",
+		"one byte": "{",
+	} {
+		path := filepath.Join(t.TempDir(), "prov.log")
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
+		s, err := Open(path)
+		if err == nil {
+			s.Close()
+			t.Errorf("%s: Open took the log", name)
+			continue
+		}
+		if !errors.Is(err, dgferr.ErrInvalid) || !strings.Contains(err.Error(), path) {
+			t.Errorf("%s: Open = %v, want an ErrInvalid naming %s", name, err, path)
+		}
+		if data, err := os.ReadFile(path); err != nil || string(data) != content {
+			t.Errorf("%s: the refused log changed to %q (%v)", name, data, err)
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "prov.log")
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(path)
+	if err != nil {
+		t.Fatalf("an empty log: %v", err)
+	}
+	if _, err := s.Append(rec("op", "f1", sim.Epoch)); err != nil {
+		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	line := `{"seq":4,"time":"2005-01-01T00:00:00Z","actor":"user","action":"op","target":"/grid/x","flow_id":"f1","outcome":"ok"}`
+	s, err = Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Len() != 1 {
+		t.Fatalf("an empty log appended to replays %d records, want 1", s.Len())
+	}
+}
+
+func appendFile(t *testing.T, path string, b []byte) {
+	t.Helper()
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(line[:len(line)/2]); err != nil {
+	if _, err := f.Write(b); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(path)
-	if err != nil {
-		t.Fatalf("a torn last record stopped Open: %v", err)
+}
+
+// TestOpenRepairsTornTail: a process killed mid-append leaves a torn last
+// frame behind. Cut at every offset, Open keeps the complete records
+// before it and truncates the log to them, and a record appended
+// afterwards survives one more reopen.
+func TestOpenRepairsTornTail(t *testing.T) {
+	torn := frame(&Record{Seq: 4, Time: sim.Epoch, Actor: "user", Action: "op", Target: "/grid/x", FlowID: "f1",
+		Outcome: OutcomeOK, Detail: Attrs{{"size", "1024"}}})
+	for cut := 1; cut < len(torn); cut++ {
+		path := filepath.Join(t.TempDir(), "prov.log")
+		s, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if _, err := s.Append(rec("op", "f1", sim.Epoch)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		whole, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendFile(t, path, torn[:cut])
+
+		s2, err := Open(path)
+		if err != nil {
+			t.Fatalf("cut at %d: a torn last record stopped Open: %v", cut, err)
+		}
+		if s2.Len() != 3 {
+			t.Fatalf("cut at %d: reopened with %d records, want the 3 complete ones", cut, s2.Len())
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, whole) {
+			t.Fatalf("cut at %d: the log is %d bytes after Open, want it truncated to its %d whole bytes (%v)",
+				cut, len(got), len(whole), err)
+		}
+		if seq, err := s2.Append(rec("after", "f1", sim.Epoch)); err != nil || seq != 4 {
+			t.Fatalf("cut at %d: append after the repair = %d, %v", cut, seq, err)
+		}
+		if err := s2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s3, err := Open(path)
+		if err != nil {
+			t.Fatalf("cut at %d: reopen after an append: %v", cut, err)
+		}
+		if last, ok := s3.Last(Filter{}); s3.Len() != 4 || !ok || last.Action != "after" {
+			t.Fatalf("cut at %d: the record appended after the repair was lost: %d records, last %+v", cut, s3.Len(), last)
+		}
+		if err := s3.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	defer s2.Close()
-	if s2.Len() != 3 {
-		t.Fatalf("reopened with %d records, want the 3 complete ones", s2.Len())
+}
+
+// TestAppendRefusesOversizeRecord: a record over the frame limit would
+// leave a log that no longer replays, so a file-backed store refuses it.
+// The refused record is not kept and takes no sequence number, and the
+// log stays open.
+func TestAppendRefusesOversizeRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "prov.log")
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := Attr{Key: "value", Value: strings.Repeat("x", codec.MaxFrameBody)}
+	if _, err := s.Append(rec("meta.set", "f1", sim.Epoch), huge); !errors.Is(err, dgferr.ErrInvalid) {
+		t.Fatalf("oversize append: %v, want ErrInvalid", err)
+	}
+	if s.Len() != 0 {
+		t.Fatal("the refused record was kept")
+	}
+	if seq, err := s.Append(rec("small", "f1", sim.Epoch), Attr{Key: "k", Value: "v"}); err != nil || seq != 1 {
+		t.Fatalf("append after a refusal = %d, %v; want seq 1", seq, err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := s.Query(Filter{}); len(got) != 1 || got[0].Seq != 1 || !reflect.DeepEqual(got[0].Detail, Attrs{{"k", "v"}}) {
+		t.Fatalf("reopened with %+v, want the one small record", got)
 	}
 }
 
@@ -204,37 +343,54 @@ func TestFlushMemoryStore(t *testing.T) {
 	}
 }
 
+// TestConcurrentAppend: appenders on several goroutines get unique,
+// dense sequence numbers; on a file-backed store, with flushes among
+// them, the log replays the same records in seq order.
 func TestConcurrentAppend(t *testing.T) {
-	s := NewMemory()
-	var wg sync.WaitGroup
-	const n, per = 8, 200
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < per; j++ {
-				if _, err := s.Append(rec("op", "f", sim.Epoch)); err != nil {
-					t.Error(err)
-					return
+	path := filepath.Join(t.TempDir(), "prov.log")
+	file, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*Store{"memory": NewMemory(), "file": file} {
+		var wg sync.WaitGroup
+		const n, per = 8, 200
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := 0; j < per; j++ {
+					if _, err := s.Append(rec("op", "f", sim.Epoch)); err != nil {
+						t.Error(err)
+						return
+					}
+					if j%50 == 0 {
+						if err := s.Flush(); err != nil {
+							t.Error(err)
+							return
+						}
+					}
 				}
-			}
-		}()
-	}
-	wg.Wait()
-	if s.Len() != n*per {
-		t.Fatalf("Len = %d, want %d", s.Len(), n*per)
-	}
-	// All sequence numbers unique and dense.
-	seen := make(map[int64]bool)
-	for _, r := range s.Query(Filter{}) {
-		if seen[r.Seq] {
-			t.Fatalf("duplicate seq %d", r.Seq)
+			}()
 		}
-		seen[r.Seq] = true
-	}
-	for i := int64(1); i <= n*per; i++ {
-		if !seen[i] {
-			t.Fatalf("missing seq %d", i)
+		wg.Wait()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if name == "file" {
+			if s, err = Open(path); err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+		}
+		all := s.Query(Filter{})
+		if len(all) != n*per {
+			t.Fatalf("%s: Len = %d, want %d", name, len(all), n*per)
+		}
+		for i, r := range all {
+			if r.Seq != int64(i+1) {
+				t.Fatalf("%s: record %d has seq %d: the seqs are not dense and in order", name, i+1, r.Seq)
+			}
 		}
 	}
 }

@@ -27,8 +27,9 @@ const Linger = 5 * time.Millisecond
 // roughly one per batch without weakening the guarantee — Sync(ticket)
 // returns only once the records the ticket covers are on stable storage.
 //
-// The store's segments and the virtual-data catalog's log write
-// through GroupFile: per-record fsyncs would serialize their writers.
+// The store's segments, the virtual-data catalog's log and the provenance
+// log write through GroupFile: per-record fsyncs would serialize their
+// writers.
 type GroupFile struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -161,11 +162,11 @@ func (g *GroupFile) syncedSeq() int64 {
 
 // SyncSoon promises that everything written so far is synced within
 // 2×Linger even if no caller ever waits on it: the writer of a record
-// nobody was promised (a step.done, a vdata put) calls it in place of
-// Sync. A waited commit that gets there first makes the timer's firing
-// free; records still unsynced then, all younger than the one that
-// armed it, get one more Linger for a commit of their own to carry
-// them. A failed background sync poisons the file like any other.
+// nobody was promised (a step.done, a vdata put, a provenance record)
+// calls it in place of Sync. A waited commit that gets there first makes
+// the timer's firing free; records still unsynced then, all younger than
+// the one that armed it, get one more Linger for a commit of their own to
+// carry them. A failed background sync poisons the file like any other.
 func (g *GroupFile) SyncSoon() {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -102,10 +102,10 @@ func (rp *replayer) segment(path string, repair bool) error {
 }
 
 // A FrameFile is an append-only file of binary frames of one message
-// type — a store segment, the virtual-data catalog's log — read whole for
-// replay. Buf holds the file's bytes and Frames where the fields of each
-// complete frame lie in it, oldest first; both are reused from one Read
-// to the next.
+// type — a store segment, the virtual-data catalog's log, the provenance
+// log — read whole for replay. Buf holds the file's bytes and Frames
+// where the fields of each complete frame lie in it, oldest first; both
+// are reused from one Read to the next.
 type FrameFile struct {
 	Buf    []byte
 	Frames []Extent

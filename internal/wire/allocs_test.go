@@ -196,8 +196,8 @@ func TestForwardedPollSkipsResurrect(t *testing.T) {
 	b := startReplPeer(t, lookupAddr, "peerB", replica.ModeQuorum)
 	cB := dial(t, b.Addr())
 	id := finished(t, cB, b.Engine(), "on-b")
-	if _, err := a.Status("user", id, false); err != nil {
-		t.Fatalf("forwarded status: %v", err) // also dials the pooled client
+	if _, err := dial(t, a.Addr()).Status("user", id, false); err != nil {
+		t.Fatalf("forwarded status: %v", err) // also dials a's pooled client of b
 	}
 	resurrections := a.Engine().Obs().Counter("store_resurrections_total", "path", "promotion")
 	allocs := testing.AllocsPerRun(200, func() {

@@ -462,18 +462,11 @@ func (c *Client) RunFlow(ctx context.Context, user string, flow dgl.Flow) (*dgl.
 	return resp.Status, nil
 }
 
-// Status queries the status of an execution, flow or step id.
+// Status queries the status of an execution, flow or step id. A server
+// that belongs to a peer network answers for an id any peer owns
+// (docs/WIRE.md), asking the owner with the session's token.
 func (c *Client) Status(user, id string, detail bool) (*dgl.FlowStatus, error) {
-	return c.statusAs(user, "", id, detail)
-}
-
-// statusAs is Status carrying an explicit bearer token — the caller's,
-// when a peer forwards a query on the caller's behalf. An empty token
-// leaves the session's own (SetToken) to be attached.
-func (c *Client) statusAs(user, token, id string, detail bool) (*dgl.FlowStatus, error) {
-	req := dgl.NewStatusRequest(user, id, detail)
-	req.Token = token
-	resp, err := c.submitOne(context.Background(), req)
+	resp, err := c.submitOne(context.Background(), dgl.NewStatusRequest(user, id, detail))
 	if err != nil {
 		return nil, err
 	}

@@ -846,24 +846,6 @@ func OwnerOf(id string) string {
 	return ""
 }
 
-// Status resolves a status query anywhere in the network: locally when
-// the id belongs to this peer, otherwise by forwarding to the owning
-// peer via the lookup service.
-func (p *Peer) Status(user, id string, detail bool) (*dgl.FlowStatus, error) {
-	owner, err := p.placeStatus(id)
-	if err != nil {
-		return nil, err
-	}
-	if owner != nil {
-		return owner.statusAs(user, "", id, detail)
-	}
-	st, err := p.server.Engine().Status(id, detail)
-	if err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
 // placeStatus is the server's status router: it decides where a status
 // query is answered. nil means here, from the local engine; otherwise
 // the query is one routing hop away, over the returned pooled client of

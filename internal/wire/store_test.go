@@ -262,9 +262,9 @@ func TestPeerStatusResurrectsFederation(t *testing.T) {
 	}
 	close(release)
 
-	// A asks after B's flow; the lookup routes the query to B, whose
-	// local branch resurrects before answering.
-	st, err := peerA.Status("user", id, false)
+	// A client of A asks after B's flow; the lookup routes the query to
+	// B, whose local branch resurrects before answering.
+	st, err := dial(t, peerA.Addr()).Status("user", id, false)
 	if err != nil {
 		t.Fatalf("routed status: %v", err)
 	}

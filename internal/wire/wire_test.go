@@ -309,8 +309,9 @@ func TestPeerNetwork(t *testing.T) {
 	if err := exec.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	// Query the status from A: the id's prefix routes to B.
-	st, err := peerA.Status("user", id, true)
+	// Query the status from A's server: the id's prefix routes to B.
+	cA := dial(t, peerA.Addr())
+	st, err := cA.Status("user", id, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +319,7 @@ func TestPeerNetwork(t *testing.T) {
 		t.Errorf("forwarded status = %+v", st)
 	}
 	// Step-granular cross-peer status.
-	sst, err := peerA.Status("user", id+"/onB/s", false)
+	sst, err := cA.Status("user", id+"/onB/s", false)
 	if err != nil || sst.Name != "s" {
 		t.Errorf("cross-peer step status = %+v, %v", sst, err)
 	}
@@ -331,11 +332,11 @@ func TestPeerNetwork(t *testing.T) {
 	if err := execA.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := peerA.Status("user", respA.Ack.ID, false); err != nil {
+	if _, err := cA.Status("user", respA.Ack.ID, false); err != nil {
 		t.Errorf("local status: %v", err)
 	}
 	// Unknown peer fails cleanly.
-	if _, err := peerA.Status("user", "matrixZ:dgf-000001", false); err == nil {
+	if _, err := cA.Status("user", "matrixZ:dgf-000001", false); err == nil {
 		t.Errorf("unknown peer status accepted")
 	}
 	if _, err := peerA.SubmitTo("matrixZ", "user", flow); err == nil {
@@ -486,7 +487,7 @@ func TestPeerStartErrors(t *testing.T) {
 	}
 	// Peer without a lookup connection cannot route.
 	p3 := NewPeer("p3", newEngine(t, "p3:"))
-	if _, err := p3.Status("u", "other:dgf-000001", false); err == nil {
+	if _, err := p3.placeStatus("other:dgf-000001"); err == nil {
 		t.Errorf("routing without lookup accepted")
 	}
 }
