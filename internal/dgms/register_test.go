@@ -152,39 +152,49 @@ func TestGetErrorPaths(t *testing.T) {
 	disk.SetOffline(false)
 }
 
+// TestVerifyDetectsCorruption: a damaged replica fails verification and
+// its intact sibling passes — an empty object too, which has no byte for
+// the damage to flip.
 func TestVerifyDetectsCorruption(t *testing.T) {
 	g := testGrid(t)
-	path := "/grid/data/rotting"
-	if err := g.Ingest("user", path, 5, []byte("bytes"), "sdsc-disk"); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Replicate("user", path, "cern-disk"); err != nil {
-		t.Fatal(err)
-	}
-	cern, _ := g.Resource("cern-disk")
-	if err := cern.Corrupt(path); err != nil {
-		t.Fatal(err)
-	}
-	results, err := g.Verify("user", path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	good, bad := 0, 0
-	for _, r := range results {
-		if r.OK {
-			good++
-		} else {
-			bad++
-			if r.Resource != "cern-disk" {
-				t.Errorf("wrong replica flagged: %+v", r)
+	for _, o := range []struct {
+		path string
+		data []byte
+	}{
+		{"/grid/data/rotting", []byte("bytes")},
+		{"/grid/data/empty", []byte{}},
+	} {
+		if err := g.Ingest("user", o.path, int64(len(o.data)), o.data, "sdsc-disk"); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Replicate("user", o.path, "cern-disk"); err != nil {
+			t.Fatal(err)
+		}
+		cern, _ := g.Resource("cern-disk")
+		if err := cern.Corrupt(o.path); err != nil {
+			t.Fatal(err)
+		}
+		results, err := g.Verify("user", o.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		good, bad := 0, 0
+		for _, r := range results {
+			if r.OK {
+				good++
+			} else {
+				bad++
+				if r.Resource != "cern-disk" {
+					t.Errorf("%s: wrong replica flagged: %+v", o.path, r)
+				}
 			}
 		}
-	}
-	if good != 1 || bad != 1 {
-		t.Errorf("verify results = %+v", results)
+		if good != 1 || bad != 1 {
+			t.Errorf("%s: verify results = %+v", o.path, results)
+		}
 	}
 	// Verify denied without read permission.
-	if _, err := g.Verify("stranger", path); !errors.Is(err, namespace.ErrDenied) {
+	if _, err := g.Verify("stranger", "/grid/data/rotting"); !errors.Is(err, namespace.ErrDenied) {
 		t.Errorf("stranger verify: %v", err)
 	}
 }

@@ -358,30 +358,31 @@ func BenchmarkChecksumReal(b *testing.B) {
 	}
 }
 
+// TestCorrupt: damage shows in the next checksum whatever the object
+// holds — real bytes, real but no bytes at all (nothing to flip), or
+// none because it is synthetic.
 func TestCorrupt(t *testing.T) {
 	r := New("d", "x", Disk, 0)
-	if _, err := r.Put("real", 3, []byte("abc"), sim.Epoch); err != nil {
-		t.Fatal(err)
-	}
-	before, _, _ := r.Checksum("real")
-	if err := r.Corrupt("real"); err != nil {
-		t.Fatal(err)
-	}
-	after, _, _ := r.Checksum("real")
-	if before == after {
-		t.Errorf("corruption not visible in checksum")
-	}
-	// Synthetic corruption also perturbs the pseudo-digest.
-	if _, err := r.Put("syn", 100, nil, sim.Epoch); err != nil {
-		t.Fatal(err)
-	}
-	sb, _, _ := r.Checksum("syn")
-	if err := r.Corrupt("syn"); err != nil {
-		t.Fatal(err)
-	}
-	sa, _, _ := r.Checksum("syn")
-	if sb == sa {
-		t.Errorf("synthetic corruption not visible")
+	for _, o := range []struct {
+		id   string
+		data []byte
+		size int64
+	}{
+		{"real", []byte("abc"), 3},
+		{"empty", []byte{}, 0},
+		{"syn", nil, 100},
+	} {
+		if _, err := r.Put(o.id, o.size, o.data, sim.Epoch); err != nil {
+			t.Fatal(err)
+		}
+		before, _, _ := r.Checksum(o.id)
+		if err := r.Corrupt(o.id); err != nil {
+			t.Fatalf("Corrupt(%s): %v", o.id, err)
+		}
+		after, _, err := r.Checksum(o.id)
+		if err != nil || before == after {
+			t.Errorf("%s: corruption not visible in checksum %v, %v", o.id, after, err)
+		}
 	}
 	if err := r.Corrupt("missing"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Corrupt(missing) = %v", err)
