@@ -473,8 +473,8 @@ func (g *Grid) Get(user, fromDomain, path string) ([]byte, error) {
 // VerifyResult reports the fixity state of one replica.
 type VerifyResult struct {
 	Resource string
-	Expected string // digest recorded at write time ("" if never recorded)
-	Actual   string
+	Expected vfs.Digest // digest recorded at write time (zero if never recorded)
+	Actual   vfs.Digest
 	OK       bool
 }
 
@@ -509,7 +509,7 @@ func (g *Grid) Verify(user, path string) ([]VerifyResult, error) {
 		info, _ := res.Stat(rep.PhysicalID)
 		g.clock.Sleep(d)
 		g.meter.Charge(rep.Resource, d, info.Size)
-		ok := rep.Checksum == "" || rep.Checksum == sum
+		ok := rep.Checksum.IsZero() || rep.Checksum == sum
 		out = append(out, VerifyResult{Resource: rep.Resource, Expected: rep.Checksum, Actual: sum, OK: ok})
 	}
 	g.record(user, "verify", path, provenance.OutcomeOK, "", provenance.Attr{Key: "replicas", Value: strconv.Itoa(len(out))})

@@ -25,7 +25,7 @@ func TestRegisterInPlace(t *testing.T) {
 	if e.Size != 9 || len(e.Replicas) != 1 || e.Replicas[0].PhysicalID != "hpss/archive/0042" {
 		t.Errorf("entry = %+v", e)
 	}
-	if e.Replicas[0].Checksum == "" {
+	if e.Replicas[0].Checksum.IsZero() {
 		t.Errorf("fixity digest not recorded at registration")
 	}
 	// No second physical object appeared.

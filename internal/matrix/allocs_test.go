@@ -198,11 +198,11 @@ func dagEngine(tb testing.TB) *Engine {
 
 // TestDAGFlowAllocs holds the whole 137-step flow: 2 forEach loops of 32
 // iterations, each one block, a while loop of 8 in four blocks and the
-// grid operations under them measure 495 allocations where the parent
-// commit paid 687 — a map for each ingest's and setMeta's detail, a copy
-// of each deleted object's replica list, a region for each while pass —
-// and the commit before the loop blocks 1 270 (docs/ARCHITECTURE.md,
-// stage 5, has the rows).
+// grid operations under them measure 399 allocations where the parent
+// commit paid 495 — a replica slice, a physical object and a hex digest
+// for each of the 32 ingests — the commit before that 687 and the
+// commit before the loop blocks 1 270 (docs/ARCHITECTURE.md, stage 5,
+// has the rows).
 func TestDAGFlowAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not meaningful under -race")
@@ -216,10 +216,10 @@ func TestDAGFlowAllocs(t *testing.T) {
 		runToEnd(t, e, dagFlow(seq))
 		seq++
 	})
-	const budget, parent = 520, 687
+	const budget, parent = 420, 495
 	t.Logf("dag flow: %.0f allocations (budget %d, parent commit %d)", got, budget, parent)
 	if got > budget {
-		t.Errorf("the dag flow costs %.0f allocations, over the budget of %d: is an iteration opening its own region, or a grid operation building its detail on the heap, again?", got, budget)
+		t.Errorf("the dag flow costs %.0f allocations, over the budget of %d: is an iteration opening its own region, a grid operation building its detail on the heap, or a grid object allocating its replica, physical record or digest, again?", got, budget)
 	}
 }
 

@@ -2,10 +2,13 @@ package namespace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
+
+	"datagridflow/internal/vfs"
 )
 
 // Replica records one physical copy of a logical object: which logical
@@ -16,8 +19,9 @@ type Replica struct {
 	Resource string
 	// PhysicalID is the object id within that resource's store.
 	PhysicalID string
-	// Checksum is the MD5 recorded at write time ("" if never computed).
-	Checksum string
+	// Checksum is the MD5 recorded at write time; the zero value means
+	// it was never computed.
+	Checksum vfs.Digest
 	// StoredAt is when the replica was created (simulated time).
 	StoredAt time.Time
 }
@@ -60,10 +64,29 @@ type node struct {
 	domain   string
 	size     int64
 	created  time.Time
-	meta     map[string]string // nil until the first SetMeta: most entries are never tagged
-	replicas []Replica
+	meta     []metaPair // sorted by key; nil until the first SetMeta: most entries are never tagged
+	replicas []Replica  // on replica0 until a second replica spills it to the heap
+	replica0 [1]Replica
 	children map[string]*node // collections only
 	acl      map[string]Perm  // explicit grants; inherited from ancestors
+}
+
+// metaPair is one user-defined metadata attribute of a node.
+type metaPair struct{ key, value string }
+
+// metaIndex returns the index of attr in n.meta, or where it would go,
+// and whether it is there.
+func (n *node) metaIndex(attr string) (int, bool) {
+	i := sort.Search(len(n.meta), func(i int) bool { return n.meta[i].key >= attr })
+	return i, i < len(n.meta) && n.meta[i].key == attr
+}
+
+// getMeta returns the value of attr and whether it is set.
+func (n *node) getMeta(attr string) (string, bool) {
+	if i, ok := n.metaIndex(attr); ok {
+		return n.meta[i].value, true
+	}
+	return "", false
 }
 
 func (n *node) entry(path string) Entry {
@@ -77,8 +100,8 @@ func (n *node) entry(path string) Entry {
 	}
 	if len(n.meta) > 0 {
 		e.Metadata = make(map[string]string, len(n.meta))
-		for k, v := range n.meta {
-			e.Metadata[k] = v
+		for _, p := range n.meta {
+			e.Metadata[p.key] = p.value
 		}
 	}
 	if len(n.replicas) > 0 {
@@ -321,6 +344,11 @@ func (ns *Namespace) List(path string) ([]Entry, error) {
 // order), calling fn with each. Returning a non-nil error from fn aborts
 // the walk and is returned.
 func (ns *Namespace) Walk(root string, fn func(Entry) error) error {
+	return ns.walk(root, func(n *node, path string) error { return fn(n.entry(path)) })
+}
+
+// walk is Walk over the nodes themselves, each with its path.
+func (ns *Namespace) walk(root string, fn func(n *node, path string) error) error {
 	clean, err := CleanPath(root)
 	if err != nil {
 		return err
@@ -334,8 +362,8 @@ func (ns *Namespace) Walk(root string, fn func(Entry) error) error {
 	return walkNode(n, clean, fn)
 }
 
-func walkNode(n *node, path string, fn func(Entry) error) error {
-	if err := fn(n.entry(path)); err != nil {
+func walkNode(n *node, path string, fn func(n *node, path string) error) error {
+	if err := fn(n, path); err != nil {
 		return err
 	}
 	if n.kind != KindCollection {
@@ -455,6 +483,9 @@ func (ns *Namespace) AddReplica(path string, rep Replica) error {
 			return fmt.Errorf("%w: replica of %s on %s", ErrExists, path, rep.Resource)
 		}
 	}
+	if n.replicas == nil {
+		n.replicas = n.replica0[:0]
+	}
 	n.replicas = append(n.replicas, rep)
 	return nil
 }
@@ -469,7 +500,7 @@ func (ns *Namespace) RemoveReplica(path, resource string) error {
 	}
 	for i, r := range n.replicas {
 		if r.Resource == resource {
-			n.replicas = append(n.replicas[:i], n.replicas[i+1:]...)
+			n.replicas = slices.Delete(n.replicas, i, i+1)
 			return nil
 		}
 	}
@@ -523,10 +554,11 @@ func (ns *Namespace) SetMeta(path, attr, value string) error {
 	if err != nil {
 		return err
 	}
-	if n.meta == nil {
-		n.meta = make(map[string]string)
+	i, ok := n.metaIndex(attr)
+	if !ok {
+		n.meta = slices.Insert(n.meta, i, metaPair{key: attr})
 	}
-	n.meta[attr] = value
+	n.meta[i].value = value
 	return nil
 }
 
@@ -539,7 +571,9 @@ func (ns *Namespace) DeleteMeta(path, attr string) error {
 	if err != nil {
 		return err
 	}
-	delete(n.meta, attr)
+	if i, ok := n.metaIndex(attr); ok {
+		n.meta = slices.Delete(n.meta, i, i+1)
+	}
 	return nil
 }
 
@@ -551,7 +585,7 @@ func (ns *Namespace) GetMeta(path, attr string) (string, bool, error) {
 	if err != nil {
 		return "", false, err
 	}
-	v, ok := n.meta[attr]
+	v, ok := n.getMeta(attr)
 	return v, ok, nil
 }
 
@@ -563,18 +597,25 @@ type Stats struct {
 	Replicas    int
 }
 
-// Stats walks the whole tree and returns aggregate counts.
+// Stats counts the whole tree, in no particular order and without
+// copying an entry.
 func (ns *Namespace) Stats() Stats {
+	ns.mu.RLock()
+	defer ns.mu.RUnlock()
 	var s Stats
-	_ = ns.Walk("/", func(e Entry) error {
-		if e.Kind == KindCollection {
-			s.Collections++
-		} else {
-			s.Objects++
-			s.TotalBytes += e.Size
-			s.Replicas += len(e.Replicas)
-		}
-		return nil
-	})
+	ns.root.count(&s)
 	return s
+}
+
+func (n *node) count(s *Stats) {
+	if n.kind == KindObject {
+		s.Objects++
+		s.TotalBytes += n.size
+		s.Replicas += len(n.replicas)
+		return
+	}
+	s.Collections++
+	for _, c := range n.children {
+		c.count(s)
+	}
 }

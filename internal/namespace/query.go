@@ -46,25 +46,31 @@ type Query struct {
 	Limit int
 }
 
-func (c Condition) matches(e Entry) (bool, error) {
-	var have string
-	var ok bool
-	switch c.Attr {
+// attr returns the value of the named attribute of n, which is at path,
+// and whether n has it: a built-in pseudo-attribute, or else user-defined
+// metadata.
+func (n *node) attr(name, path string) (string, bool) {
+	switch name {
 	case "name":
-		have, ok = Base(e.Path), true
+		return Base(path), true
 	case "path":
-		have, ok = e.Path, true
+		return path, true
 	case "owner":
-		have, ok = e.Owner, true
+		return n.owner, true
 	case "domain":
-		have, ok = e.Domain, true
+		return n.domain, true
 	case "kind":
-		have, ok = e.Kind.String(), true
+		return n.kind.String(), true
 	case "size":
-		have, ok = strconv.FormatInt(e.Size, 10), true
+		return strconv.FormatInt(n.size, 10), true
 	default:
-		have, ok = e.Metadata[c.Attr]
+		return n.getMeta(name)
 	}
+}
+
+// test applies c to the value of its attribute; ok is false when the
+// entry does not have the attribute.
+func (c Condition) test(have string, ok bool) (bool, error) {
 	if c.Op == OpExists {
 		return ok, nil
 	}
@@ -114,18 +120,19 @@ func compareVals(a, b string) int {
 // Search evaluates q and returns matching entries in walk (name) order.
 // This is the namespace analog of an SRB metadata query — the primitive
 // that datagrid triggers and ILM policies select their working sets with.
+// Conditions are tested on the node, so only a match is copied out.
 func (ns *Namespace) Search(q Query) ([]Entry, error) {
 	scope := q.Scope
 	if scope == "" {
 		scope = "/"
 	}
 	var out []Entry
-	err := ns.Walk(scope, func(e Entry) error {
-		if q.ObjectsOnly && e.Kind != KindObject {
+	err := ns.walk(scope, func(n *node, path string) error {
+		if q.ObjectsOnly && n.kind != KindObject {
 			return nil
 		}
 		for _, c := range q.Conditions {
-			ok, err := c.matches(e)
+			ok, err := c.test(n.attr(c.Attr, path))
 			if err != nil {
 				return err
 			}
@@ -133,7 +140,7 @@ func (ns *Namespace) Search(q Query) ([]Entry, error) {
 				return nil
 			}
 		}
-		out = append(out, e)
+		out = append(out, n.entry(path))
 		if q.Limit > 0 && len(out) >= q.Limit {
 			return errStopWalk
 		}

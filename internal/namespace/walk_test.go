@@ -256,20 +256,13 @@ func TestPathHandlingAllocs(t *testing.T) {
 }
 
 // TestCreateObjectAllocs: an object costs its node and its own copy of
-// its name. The metadata map comes with the first SetMeta, so the
-// untagged objects of a large collection never carry one.
+// its name. Metadata comes with the first SetMeta, as one pair slice,
+// so the untagged objects of a large collection never carry any.
 func TestCreateObjectAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not meaningful under -race")
 	}
-	ns := New("admin")
-	if err := ns.MkCollectionAll("/grid/work", "user", "d", sim.Epoch); err != nil {
-		t.Fatal(err)
-	}
-	paths := make([]string, 201) // AllocsPerRun's warm-up call takes one too
-	for i := range paths {
-		paths[i] = "/grid/work/" + strconv.Itoa(i) + ".dat"
-	}
+	ns, paths := objectsNS(t, false)
 	next := 0
 	got := testing.AllocsPerRun(len(paths)-1, func() {
 		if err := ns.CreateObject(paths[next], "user", "d", 1024, sim.Epoch); err != nil {
@@ -280,7 +273,91 @@ func TestCreateObjectAllocs(t *testing.T) {
 	// The growth of the collection's children map rounds away over the run.
 	t.Logf("CreateObject: %.0f allocations (parent commit: 3)", got)
 	if got > 2 {
-		t.Errorf("CreateObject allocates %.0f, want the node and its name: is the metadata map back at creation?", got)
+		t.Errorf("CreateObject allocates %.0f, want the node and its name: is metadata allocated at creation again?", got)
+	}
+	next = 0
+	got = testing.AllocsPerRun(len(paths)-1, func() {
+		if err := ns.SetMeta(paths[next], "tag", "v"); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	t.Logf("the first SetMeta on an object: %.0f allocations (parent commit: 2, a map and its bucket)", got)
+	if got != 1 {
+		t.Errorf("the first SetMeta on an object allocates %.0f, want 1: the one pair", got)
+	}
+}
+
+// objectsNS is a namespace with the collection /grid/work and the paths
+// of 201 objects in it — AllocsPerRun's warm-up call takes one too —
+// created when create is set.
+func objectsNS(t *testing.T, create bool) (*Namespace, []string) {
+	t.Helper()
+	ns := New("admin")
+	if err := ns.MkCollectionAll("/grid/work", "user", "d", sim.Epoch); err != nil {
+		t.Fatal(err)
+	}
+	paths := make([]string, 201)
+	for i := range paths {
+		paths[i] = "/grid/work/" + strconv.Itoa(i) + ".dat"
+		if create {
+			if err := ns.CreateObject(paths[i], "user", "d", 1024, sim.Epoch); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return ns, paths
+}
+
+// TestAddReplicaAllocs: an object's first replica is kept in its node,
+// so it costs nothing; a second spills the list to the heap, once.
+func TestAddReplicaAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under -race")
+	}
+	ns, paths := objectsNS(t, true)
+	for _, tc := range []struct {
+		which    string
+		resource string
+		want     float64
+	}{
+		{"first", "disk", 0},
+		{"second", "tape", 1},
+	} {
+		next := 0
+		got := testing.AllocsPerRun(len(paths)-1, func() {
+			if err := ns.AddReplica(paths[next], Replica{Resource: tc.resource, PhysicalID: paths[next]}); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+		t.Logf("the %s replica of an object: %.0f allocations (parent commit: 1)", tc.which, got)
+		if got != tc.want {
+			t.Errorf("the %s replica of an object allocates %.0f, want %.0f", tc.which, got, tc.want)
+		}
+	}
+}
+
+// TestStatsAllocs: counting the tree copies no entry, path or name
+// list, so it costs nothing however many objects there are.
+func TestStatsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under -race")
+	}
+	ns, paths := objectsNS(t, true)
+	for _, p := range paths {
+		if err := ns.SetMeta(p, "tag", "v"); err != nil {
+			t.Fatal(err)
+		}
+		if err := ns.AddReplica(p, Replica{Resource: "disk"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var s Stats
+	got := testing.AllocsPerRun(20, func() { s = ns.Stats() })
+	t.Logf("Stats over %d objects: %.0f allocations (parent commit: 809)", s.Objects, got)
+	if got != 0 || s.Objects != len(paths) || s.Replicas != len(paths) || s.Collections != 3 {
+		t.Errorf("Stats = %+v in %.0f allocations, want %d objects and replicas in 3 collections, in none", s, got, len(paths))
 	}
 }
 

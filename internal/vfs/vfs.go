@@ -102,11 +102,28 @@ type ObjectInfo struct {
 	StoredAt  time.Time
 }
 
+// Digest is an object's MD5 fixity digest. The zero value stands for no
+// digest at all: the chance of a real MD5 being all zeros is 2⁻¹²⁸.
+type Digest [md5.Size]byte
+
+// String returns the digest in lower-case hex, or "" for the zero value.
+func (d Digest) String() string {
+	if d.IsZero() {
+		return ""
+	}
+	return hex.EncodeToString(d[:])
+}
+
+// IsZero reports whether d is the zero value, no digest.
+func (d Digest) IsZero() bool { return d == Digest{} }
+
+// object is a stored object's record, kept by value under its id.
 type object struct {
-	info      ObjectInfo
+	size      int64
+	storedAt  time.Time
 	data      []byte // nil for synthetic objects
-	checksum  string // computed lazily
-	corrupted bool   // synthetic bit-rot marker
+	checksum  Digest // computed lazily
+	corrupted bool   // bit-rot marker for content with no byte to flip
 }
 
 // Resource is one simulated physical storage system. It is safe for
@@ -121,7 +138,7 @@ type Resource struct {
 	offline  bool
 	capacity int64
 	used     int64
-	objects  map[string]*object
+	objects  map[string]object
 	reads    int64
 	writes   int64
 }
@@ -135,7 +152,7 @@ func New(name, domain string, class Class, capacity int64) *Resource {
 		class:    class,
 		profile:  DefaultProfile(class),
 		capacity: capacity,
-		objects:  make(map[string]*object),
+		objects:  make(map[string]object),
 	}
 }
 
@@ -236,10 +253,7 @@ func (r *Resource) Put(id string, size int64, data []byte, now time.Time) (time.
 		stored = make([]byte, len(data))
 		copy(stored, data)
 	}
-	r.objects[id] = &object{
-		info: ObjectInfo{ID: id, Size: size, Synthetic: data == nil, StoredAt: now},
-		data: stored,
-	}
+	r.objects[id] = object{size: size, storedAt: now, data: stored}
 	r.used += size
 	r.writes++
 	return r.writeTime(size), nil
@@ -263,7 +277,7 @@ func (r *Resource) Get(id string) ([]byte, time.Duration, error) {
 		copy(out, o.data)
 	}
 	r.reads++
-	return out, r.readTime(o.info.Size), nil
+	return out, r.readTime(o.size), nil
 }
 
 // Delete removes an object; the simulated duration is one latency unit.
@@ -278,7 +292,7 @@ func (r *Resource) Delete(id string) (time.Duration, error) {
 		return 0, fmt.Errorf("%w: %s on %s", ErrNotFound, id, r.name)
 	}
 	delete(r.objects, id)
-	r.used -= o.info.Size
+	r.used -= o.size
 	return r.profile.Latency, nil
 }
 
@@ -290,55 +304,52 @@ func (r *Resource) Stat(id string) (ObjectInfo, bool) {
 	if !ok {
 		return ObjectInfo{}, false
 	}
-	return o.info, true
+	return ObjectInfo{ID: id, Size: o.size, Synthetic: o.data == nil, StoredAt: o.storedAt}, true
 }
 
-// Checksum returns the MD5 of the object's content as a hex string, plus
-// the simulated time of the full read it implies. Synthetic objects get a
+// Checksum returns the MD5 of the object's content, plus the simulated
+// time of the full read it implies. Synthetic objects get a
 // deterministic pseudo-checksum derived from (id, size), which preserves
 // the fixity-verification behaviour (same object ⇒ same digest; a
 // different replica id or size ⇒ different digest).
-func (r *Resource) Checksum(id string) (string, time.Duration, error) {
+func (r *Resource) Checksum(id string) (Digest, time.Duration, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.offline {
-		return "", 0, fmt.Errorf("%w: %s", ErrOffline, r.name)
+		return Digest{}, 0, fmt.Errorf("%w: %s", ErrOffline, r.name)
 	}
 	o, ok := r.objects[id]
 	if !ok {
-		return "", 0, fmt.Errorf("%w: %s on %s", ErrNotFound, id, r.name)
+		return Digest{}, 0, fmt.Errorf("%w: %s on %s", ErrNotFound, id, r.name)
 	}
-	if o.checksum == "" {
-		o.checksum = computeChecksum(o)
+	if o.checksum.IsZero() {
+		o.checksum = computeChecksum(id, &o)
+		r.objects[id] = o
 	}
 	r.reads++
-	return o.checksum, r.readTime(o.info.Size), nil
+	return o.checksum, r.readTime(o.size), nil
 }
 
-func computeChecksum(o *object) string {
-	data := o.data
-	if data == nil {
-		// The pseudo-content: id, size and the corruption mark. The buffer
-		// stays on the stack for any id short of ~100 bytes.
-		msg := make([]byte, 0, 128)
-		msg = append(msg, o.info.ID...)
-		msg = binary.BigEndian.AppendUint64(msg, uint64(o.info.Size))
-		if o.corrupted {
-			msg = append(msg, "corrupted"...)
-		}
-		data = msg
+func computeChecksum(id string, o *object) Digest {
+	if o.data != nil && !o.corrupted {
+		return md5.Sum(o.data)
 	}
-	sum := md5.Sum(data)
-	var text [2 * md5.Size]byte
-	hex.Encode(text[:], sum[:])
-	return string(text[:])
+	// The pseudo-content: id, size and the corruption mark. The buffer
+	// stays on the stack for any id short of ~100 bytes.
+	msg := make([]byte, 0, 128)
+	msg = append(msg, id...)
+	msg = binary.BigEndian.AppendUint64(msg, uint64(o.size))
+	if o.corrupted {
+		msg = append(msg, "corrupted"...)
+	}
+	return md5.Sum(msg)
 }
 
 // Corrupt silently damages the stored object — the bit-rot failure mode
 // fixity verification exists to catch. Real data has its first byte
-// flipped; synthetic objects are marked corrupted, which perturbs their
-// pseudo-digest. Any cached checksum is invalidated so the next Checksum
-// reflects the damage.
+// flipped; synthetic objects, and real ones with no byte to flip, are
+// marked corrupted, which perturbs their pseudo-digest. Any cached
+// checksum is invalidated so the next Checksum reflects the damage.
 func (r *Resource) Corrupt(id string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -346,12 +357,13 @@ func (r *Resource) Corrupt(id string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s on %s", ErrNotFound, id, r.name)
 	}
-	if o.data != nil {
+	if len(o.data) > 0 {
 		o.data[0] ^= 0xFF
 	} else {
 		o.corrupted = true
 	}
-	o.checksum = ""
+	o.checksum = Digest{}
+	r.objects[id] = o
 	return nil
 }
 

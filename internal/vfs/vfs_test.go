@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"crypto/md5"
 	"errors"
 	"fmt"
 	"strings"
@@ -109,8 +110,7 @@ func TestChecksum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// md5("abc")
-	if sum != "900150983cd24fb0d6963f7d28e17f72" {
+	if sum != md5.Sum([]byte("abc")) {
 		t.Errorf("md5 = %s", sum)
 	}
 	if d <= 0 {
@@ -122,13 +122,8 @@ func TestChecksum(t *testing.T) {
 	}
 	s1, _, _ := r.Checksum("syn")
 	s2, _, _ := r.Checksum("syn")
-	if s1 != s2 || len(s1) != 32 {
+	if s1 != s2 || s1.IsZero() {
 		t.Errorf("synthetic checksum unstable: %s vs %s", s1, s2)
-	}
-	// md5("syn" + the size as 8 big-endian bytes): replicas registered
-	// before a change to how the digest is computed must still verify.
-	if s1 != "e5397988c414251f9d5c690d7451ffed" {
-		t.Errorf("synthetic checksum = %s", s1)
 	}
 	// Two synthetic objects with different ids differ.
 	if _, err := r.Put("syn2", 1000, nil, sim.Epoch); err != nil {
@@ -324,22 +319,58 @@ func BenchmarkPutSynthetic(b *testing.B) {
 	}
 }
 
-// TestChecksumAllocs: a digest costs the string it is kept as — the hash
-// state, the sum and its hex form stay on the stack — for real content
-// and for the pseudo-content of a synthetic object alike.
+// TestChecksumAllocs: a digest costs nothing — the hash state, the
+// pseudo-content of a synthetic object and the sum all stay on the
+// stack, and the sum is kept as its 16 bytes, not as hex.
 func TestChecksumAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not meaningful under -race")
 	}
-	for _, o := range []*object{
-		{info: ObjectInfo{ID: "/grid/work/17-4.dat", Size: 1024, Synthetic: true}},
-		{info: ObjectInfo{ID: "/grid/work/17-4.dat", Size: 1024, Synthetic: true}, corrupted: true},
-		{info: ObjectInfo{ID: "real", Size: 3}, data: []byte("abc")},
+	const id = "/grid/work/17-4.dat"
+	for _, o := range []object{
+		{size: 1024},
+		{size: 1024, corrupted: true},
+		{size: 3, data: []byte("abc")},
 	} {
-		var sum string
-		got := testing.AllocsPerRun(100, func() { sum = computeChecksum(o) })
-		if got > 1 || len(sum) != 32 {
-			t.Errorf("computeChecksum(%+v) = %q in %.0f allocations, want 1 (parent commit: 3)", o.info, sum, got)
+		var sum Digest
+		got := testing.AllocsPerRun(100, func() { sum = computeChecksum(id, &o) })
+		if got != 0 || sum.IsZero() {
+			t.Errorf("computeChecksum(%q, size %d, real %v) = %s in %.0f allocations, want 0 (parent commit: 1)", id, o.size, o.data != nil, sum, got)
+		}
+	}
+}
+
+// TestGoldenDigests pins the hex form of a digest. Nothing but the form
+// changed when digests became 16 bytes, so a digest recorded as hex
+// before still names the same content after.
+func TestGoldenDigests(t *testing.T) {
+	r := New("d", "x", Disk, 0)
+	if _, err := r.Put("real", 3, []byte("abc"), sim.Epoch); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Put("syn", 1000, nil, sim.Epoch); err != nil {
+		t.Fatal(err)
+	}
+	checksum := func(id string) string {
+		t.Helper()
+		sum, _, err := r.Checksum(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sum.String()
+	}
+	abc, syn := checksum("real"), checksum("syn")
+	if err := r.Corrupt("syn"); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ what, got, want string }{
+		{"md5(abc)", abc, "900150983cd24fb0d6963f7d28e17f72"},
+		{"md5(syn + 1000 as 8 big-endian bytes)", syn, "e5397988c414251f9d5c690d7451ffed"},
+		{"the same, corrupted", checksum("syn"), "672d907b032642f6e52f047019c02b6b"},
+		{"no digest", Digest{}.String(), ""},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s = %q, want %q", tc.what, tc.got, tc.want)
 		}
 	}
 }
