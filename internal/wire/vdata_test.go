@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -20,8 +21,9 @@ import (
 
 // newVdataPeer stands up a peer whose engine has a memory-only
 // derivation catalog attached, on its own metrics registry so counter
-// assertions do not cross-talk.
-func newVdataPeer(t testing.TB, name, lookupAddr string) (*Peer, *matrix.Engine, *vdata.Catalog, *obs.Registry) {
+// assertions do not cross-talk. A non-nil auth makes it a
+// -tenant-require peer of that authority.
+func newVdataPeer(t testing.TB, name, lookupAddr string, auth *tenant.Authority) (*Peer, *matrix.Engine, *vdata.Catalog, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	g := dgms.New(dgms.Options{Obs: reg})
@@ -31,7 +33,7 @@ func newVdataPeer(t testing.TB, name, lookupAddr string) (*Peer, *matrix.Engine,
 	if err := g.CreateCollectionAll(g.Admin(), "/grid"); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Namespace().SetPermission("/grid", "user", namespace.PermWrite); err != nil {
+	if err := g.Namespace().SetPermission("/grid", "*", namespace.PermWrite); err != nil {
 		t.Fatal(err)
 	}
 	e := matrix.NewEngineConfig(g, matrix.Config{IDPrefix: name + ":"})
@@ -40,6 +42,9 @@ func newVdataPeer(t testing.TB, name, lookupAddr string) (*Peer, *matrix.Engine,
 		t.Fatal(err)
 	}
 	p := NewPeer(name, e)
+	if auth != nil {
+		p.Server().SetTenancy(auth, tenant.NewRegistry(tenant.Quota{}, reg), true)
+	}
 	p.EnableVdata(cat)
 	if _, err := p.Start("127.0.0.1:0", lookupAddr); err != nil {
 		t.Fatal(err)
@@ -190,8 +195,8 @@ func TestVdataVerbRequiresTenantMatch(t *testing.T) {
 // skips execution — counted in vdata_remote_hits_total.
 func TestVdataFleetRemoteReuse(t *testing.T) {
 	_, lookupAddr := startLookup(t)
-	_, eA, _, _ := newVdataPeer(t, "peerA", lookupAddr)
-	_, eB, catB, regB := newVdataPeer(t, "peerB", lookupAddr)
+	_, eA, _, _ := newVdataPeer(t, "peerA", lookupAddr, nil)
+	_, eB, catB, regB := newVdataPeer(t, "peerB", lookupAddr, nil)
 
 	ex, err := eA.Run("user", wirePureFlow())
 	if err != nil || ex.Err() != nil {
@@ -225,6 +230,35 @@ func TestVdataFleetRemoteReuse(t *testing.T) {
 	}
 }
 
+// TestVdataRemoteReusePerTenant: on a -tenant-require fleet every
+// tenant's flow reuses its own derivations across peers. The probe to
+// the holder carries the executing flow's token, the one the holder
+// re-verifies the tenant against — not one token configured per peer,
+// which names one tenant and is refused for every other.
+// TestVdataFleetRemoteReuse covers the untokened flow of an open fleet.
+func TestVdataRemoteReusePerTenant(t *testing.T) {
+	auth, err := tenant.NewAuthority([]byte("vdata-fleet-secret"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lookupAddr := startLookup(t)
+	pA, _, _, _ := newVdataPeer(t, "peerA", lookupAddr, auth)
+	pB, _, _, regB := newVdataPeer(t, "peerB", lookupAddr, auth)
+	cA, cB := dial(t, pA.Addr()), dial(t, pB.Addr())
+	for i, ten := range []string{"alice", "bob"} {
+		tok := WithToken(mint(t, auth, ten))
+		for _, c := range []*Client{cA, cB} {
+			res, err := c.Submit(context.Background(), dgl.NewRequest(ten, "", wirePureFlow()), tok)
+			if err != nil || res.Err() != nil {
+				t.Fatalf("%s's run: %v / %v", ten, err, res.Err())
+			}
+		}
+		if got := regB.Counter("vdata_remote_hits_total").Value(); got != int64(i+1) {
+			t.Errorf("after %s's runs peerB counts %d remote hits, want %d", ten, got, i+1)
+		}
+	}
+}
+
 // TestVdataRemoteHolderLostEntry: a put is written without waiting for
 // its sync (docs/VDATA.md), so a holder that crashed inside the linger
 // can come back without an entry the registry still announces for it.
@@ -232,8 +266,8 @@ func TestVdataFleetRemoteReuse(t *testing.T) {
 // executes: a lost memo costs one recomputation, nothing else.
 func TestVdataRemoteHolderLostEntry(t *testing.T) {
 	_, lookupAddr := startLookup(t)
-	_, eA, catA, regA := newVdataPeer(t, "peerA", lookupAddr)
-	_, eB, catB, regB := newVdataPeer(t, "peerB", lookupAddr)
+	_, eA, catA, regA := newVdataPeer(t, "peerA", lookupAddr, nil)
+	_, eB, catB, regB := newVdataPeer(t, "peerB", lookupAddr, nil)
 
 	ex, err := eA.Run("user", wirePureFlow())
 	if err != nil || ex.Err() != nil {
