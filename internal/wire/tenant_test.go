@@ -404,6 +404,55 @@ func TestHelloRefusesExpiredToken(t *testing.T) {
 	}
 }
 
+// TestLookupTokenMustNamePeer: on a gated registry a token is the
+// credential of the one name it was minted for. A tenant's token can
+// neither unregister a peer nor take leases under another name, and
+// each refusal counts as an auth failure.
+func TestLookupTokenMustNamePeer(t *testing.T) {
+	auth, err := tenant.NewAuthority([]byte("lookup-secret"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	ls := NewLookupServer()
+	ls.SetObs(reg)
+	ls.SetAuth(auth)
+	ls.SetShards(4)
+	addr, err := ls.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Close()
+
+	peer, err := DialLookup(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	peer.SetToken(mint(t, auth, "peerA"))
+	if err := peer.Register("peerA", "127.0.0.1:9999"); err != nil {
+		t.Fatalf("peerA registering itself = %v", err)
+	}
+	mallory, err := DialLookup(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mallory.Close()
+	mallory.SetToken(mint(t, auth, "alice"))
+	if err := mallory.Unregister("peerA"); !errors.Is(err, dgferr.ErrAuth) {
+		t.Errorf("alice's token unregistering peerA = %v, want typed ErrAuth", err)
+	}
+	if owners, err := mallory.ClaimShards("mallory", []int{0, 1, 2, 3}); !errors.Is(err, dgferr.ErrAuth) {
+		t.Errorf("alice's token claiming as mallory = %v %v, want typed ErrAuth", owners, err)
+	}
+	if got, err := peer.Resolve("peerA"); err != nil || got != "127.0.0.1:9999" {
+		t.Errorf("peerA after the refusals = %q / %v", got, err)
+	}
+	if got := reg.Counter("lookup_auth_failures_total").Value(); got != 2 {
+		t.Errorf("lookup_auth_failures_total = %d, want 2", got)
+	}
+}
+
 // TestLookupAuthGating: a token-gated registry refuses mutating
 // operations without a token, keeps reads open, and admits a tokened
 // peer end to end (Peer.SetLookupToken).
