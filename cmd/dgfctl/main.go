@@ -193,8 +193,8 @@ it prints how many entries were removed.`,
 		detail: `Purely local — no server connection. Signs a bearer token for the
 tenant with the shared secret (docs/TENANCY.md), valid for ttl
 (Go duration, default 1h), and prints it. Pass the token to other
-verbs with -token, to matrixd with -lookup-token, or to the wire API
-via Client.SetToken.`,
+verbs with -token, or to the wire API via Client.SetToken. Peers mint
+their own registry credential from matrixd -tenant-auth.`,
 	},
 	{
 		name:     "peers",
@@ -380,12 +380,12 @@ func main() {
 		if len(args) != 1 {
 			verbUsage("peers")
 		}
-		lc, err := wire.DialLookup(*lookupAddr)
+		lc, err := wire.Dial(*lookupAddr)
 		if err != nil {
 			log.Fatalf("dgfctl: %v", err)
 		}
 		defer lc.Close()
-		infos, err := lc.ListInfos()
+		infos, err := lc.Peers()
 		if err != nil {
 			log.Fatalf("dgfctl: %v", err)
 		}

@@ -11,6 +11,11 @@
 //	lookupd -addr :7400 -shards 64            # shard-lease authority (sharded networks)
 //	lookupd -addr :7400 -metrics-addr :7480   # JSON metrics + pprof
 //	lookupd -addr :7400 -tenant-auth key.txt  # token-gate peer registration
+//
+// The registry speaks the wire's frames and binary control envelopes
+// (docs/WIRE.md §2). With -tenant-auth, every mutating verb must carry a
+// token minted for the peer it acts for: matrixd peers started with the
+// same -tenant-auth mint their own.
 package main
 
 import (
@@ -46,7 +51,7 @@ func main() {
 			log.Fatalf("lookupd: %v", err)
 		}
 		srv.SetAuth(auth)
-		fmt.Printf("lookupd: registration token-gated (matrixd -lookup-token)\n")
+		fmt.Printf("lookupd: registration token-gated (peers mint their own with matrixd -tenant-auth)\n")
 	}
 	if *shards > 0 {
 		srv.SetShards(*shards)

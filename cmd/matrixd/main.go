@@ -22,9 +22,13 @@
 //	matrixd -tenant-auth secret.key              # verify tenant tokens
 //	matrixd -tenant-conf tenants.json            # per-tenant quotas and weights
 //	matrixd -tenant-require                      # reject untokened submissions
-//	matrixd -lookup-token token.txt              # authenticate with a gated lookupd
 //	matrixd -vdata                               # memoize pure steps
 //	matrixd -vdata-dir /var/lib/matrix-vdata     # durable derivation catalog
+//
+// With -tenant-auth and -lookup the peer presents the registry a
+// credential it mints for its own -name (a lookupd started with the same
+// -tenant-auth requires one), and a flow's cross-peer derivation lookups
+// carry the flow's own token (docs/TENANCY.md, docs/VDATA.md).
 //
 // With -metrics-addr the server exposes the observability surface
 // documented in docs/METRICS.md: /metrics (JSON snapshot), /trace
@@ -85,10 +89,8 @@ func main() {
 	tenantAuth := flag.String("tenant-auth", "", "shared-secret key file for tenant token verification (docs/TENANCY.md)")
 	tenantConf := flag.String("tenant-conf", "", "tenant quota/weight configuration JSON (docs/TENANCY.md)")
 	tenantRequire := flag.Bool("tenant-require", false, "reject submissions without a valid tenant token (requires -tenant-auth)")
-	lookupToken := flag.String("lookup-token", "", "file holding a tenant token presented to a token-gated lookup registry")
 	vdataOn := flag.Bool("vdata", false, "enable a memory-only virtual-data derivation catalog: pure steps are memoized and elided on re-run (docs/VDATA.md)")
 	vdataDir := flag.String("vdata-dir", "", "durable virtual-data catalog directory; derivations survive restart (implies -vdata)")
-	vdataToken := flag.String("vdata-token", "", "file holding a tenant token offered on cross-peer derivation lookups (tenant-require fleets; docs/VDATA.md)")
 	flag.Parse()
 
 	var prov *provenance.Store
@@ -295,25 +297,9 @@ func main() {
 		if tAuth != nil || tReg != nil {
 			peer.Server().SetTenancy(tAuth, tReg, tRequire)
 		}
-		if *lookupToken != "" {
-			tok, err := tenant.LoadSecret(*lookupToken)
-			if err != nil {
-				log.Fatalf("matrixd: %v", err)
-			}
-			peer.SetLookupToken(string(tok))
-		}
 		if vcat != nil {
 			peer.EnableVdata(vcat)
-			if *vdataToken != "" {
-				tok, err := tenant.LoadSecret(*vdataToken)
-				if err != nil {
-					log.Fatalf("matrixd: %v", err)
-				}
-				peer.SetVdataToken(string(tok))
-			}
 			log.Printf("matrixd: vdata fleet reuse enabled (announcing derivation keys to %s)", *lookup)
-		} else if *vdataToken != "" {
-			log.Printf("matrixd: -vdata-token has no effect without -vdata/-vdata-dir")
 		}
 		if *shards > 0 {
 			mgr := shard.NewManager(shard.Config{
@@ -377,9 +363,6 @@ func main() {
 			// No fleet without -lookup: the catalog still memoizes local
 			// pure steps and answers the wire vdata verb.
 			engine.SetVdata(vcat)
-			if *vdataToken != "" {
-				log.Printf("matrixd: -vdata-token has no effect without -lookup")
-			}
 		}
 		if injector != nil {
 			target := *name

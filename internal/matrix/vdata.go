@@ -18,9 +18,11 @@ import (
 
 // VdataRemote resolves a derivation key fleet-wide — the wire layer
 // installs a hook that asks the peer the lookup registry names as the
-// holder (the wire's vdata verb, docs/WIRE.md). It is consulted only on a local
-// miss and must be safe for concurrent use.
-type VdataRemote func(tenantID, key string) (vdata.Entry, bool)
+// holder (the wire's vdata verb, docs/WIRE.md). token is the executing
+// flow's bearer token, the credential the holder re-verifies tenantID
+// against. It is consulted only on a local miss and must be safe for
+// concurrent use.
+type VdataRemote func(tenantID, token, key string) (vdata.Entry, bool)
 
 // SetVdata attaches (or, with nil, detaches) the virtual-data catalog.
 // Pure steps of executions started afterwards memoize through it.
@@ -175,7 +177,7 @@ func (ex *Execution) vdataHit(vd *vdataBinding, st *dgl.Step, n *node, scope *Sc
 		ent, ok = cat.Lookup(vd.tenant, vd.key)
 	}
 	if !ok && remote != nil {
-		if ent, ok = remote(vd.tenant, vd.key); ok {
+		if ent, ok = remote(vd.tenant, ex.req.Token, vd.key); ok {
 			remoteHit = true
 			if cat != nil {
 				// Graft the remote derivation locally: the next lookup —

@@ -130,7 +130,7 @@ func TestVdataRemoteHookGrafts(t *testing.T) {
 	ent.Peer = "peerB"
 
 	var asked []string
-	e.SetVdataRemote(func(tenantID, key string) (vdata.Entry, bool) {
+	e.SetVdataRemote(func(tenantID, token, key string) (vdata.Entry, bool) {
 		asked = append(asked, tenantID+"/"+key)
 		if key == ent.Key && tenantID == ent.Tenant {
 			return ent, true

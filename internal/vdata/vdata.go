@@ -136,18 +136,18 @@ func decodeRecord(d *codec.Decoder) (e Entry, del bool) {
 			e.Inputs = append(e.Inputs, d.Str())
 		case fParam:
 			var name, value string
-			d.Msg(func(d *codec.Decoder) {
-				for d.Next() {
-					switch d.Field() {
-					case 1:
-						name = d.Sym()
-					case 2:
-						value = d.Str()
-					default:
-						d.Skip()
-					}
+			end := d.MsgEnter()
+			for d.Next() {
+				switch d.Field() {
+				case 1:
+					name = d.Sym()
+				case 2:
+					value = d.Str()
+				default:
+					d.Skip()
 				}
-			})
+			}
+			d.MsgExit(end)
 			if e.Params == nil {
 				e.Params = make(map[string]string)
 			}

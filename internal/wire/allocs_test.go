@@ -2,6 +2,7 @@ package wire
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"datagridflow/internal/codec"
@@ -232,5 +233,53 @@ func TestForwardedPollSkipsResurrect(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("placing a poll for an unknown local id: %.1f allocations, want none", allocs)
+	}
+}
+
+// TestRegistryRoundTripAllocs holds the registry's hot verbs to 6
+// allocations each, process-wide: a fleet's pure step that misses asks
+// "vget" once and, once it has run, announces with "vput" once. The
+// newline-delimited JSON protocol the registry spoke before control
+// envelopes cost 8.0 (vget miss), 8.0 (vget hit) and 9.0 (one-key vput).
+func TestRegistryRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	_, addr := startLookup(t)
+	c := dial(t, addr)
+	if err := c.Register("peerA", "127.0.0.1:1111"); err != nil {
+		t.Fatal(err)
+	}
+	held := []string{"k-held"}
+	if err := c.AnnounceVdata("peerA", held); err != nil {
+		t.Fatal(err)
+	}
+	for _, trip := range []struct {
+		name string
+		run  func() error
+	}{
+		{"vget miss", func() error {
+			if name, _, err := c.ResolveVdata("k-absent"); err != nil || name != "" {
+				return fmt.Errorf("vget miss: %q, %v", name, err)
+			}
+			return nil
+		}},
+		{"vget hit", func() error {
+			if name, _, err := c.ResolveVdata("k-held"); err != nil || name != "peerA" {
+				return fmt.Errorf("vget hit: %q, %v", name, err)
+			}
+			return nil
+		}},
+		{"vput", func() error { return c.AnnounceVdata("peerA", held) }},
+	} {
+		allocs := testing.AllocsPerRun(300, func() {
+			if err := trip.run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.1f allocations", trip.name, allocs)
+		if allocs > 6 {
+			t.Errorf("a %s round trip allocates %.1f, budget 6", trip.name, allocs)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"datagridflow/internal/codec"
+	"datagridflow/internal/scheduler"
 	"datagridflow/internal/tenant"
 	"datagridflow/internal/vdata"
 )
@@ -35,6 +36,51 @@ func appendControl(e *codec.Encoder, c *Control) {
 	if c.Entry != nil {
 		e.Msg(10, func(e *codec.Encoder) { vdata.AppendEntry(e, c.Entry) })
 	}
+	e.Sym(11, c.Name)
+	e.Sym(12, c.Addr)
+	if c.Load != nil {
+		e.Msg(13, func(e *codec.Encoder) { appendLoad(e, c.Load) })
+	}
+	for _, sh := range c.Shards {
+		e.Int(14, int64(sh)) // Int writes zero: shard 0 is a shard
+	}
+	for _, k := range c.Keys {
+		e.Str(15, k) // high-entropy, like Key
+	}
+}
+
+// appendLoad writes a peer's gossiped load as the fields of a nested
+// message.
+func appendLoad(e *codec.Encoder, l *scheduler.PeerLoad) {
+	e.Uint(1, uint64(l.Inflight))
+	e.Uint(2, uint64(l.Queued))
+	e.Uint(3, uint64(l.Running))
+	e.Uint(4, uint64(l.Capacity))
+	for _, r := range l.Resources {
+		e.Sym(5, r)
+	}
+}
+
+// decodeLoad decodes the nested load message d is positioned on into l.
+func decodeLoad(d *codec.Decoder, l *scheduler.PeerLoad) {
+	end := d.MsgEnter()
+	for d.Next() {
+		switch d.Field() {
+		case 1:
+			l.Inflight = int64(d.Uint())
+		case 2:
+			l.Queued = int64(d.Uint())
+		case 3:
+			l.Running = int64(d.Uint())
+		case 4:
+			l.Capacity = int64(d.Uint())
+		case 5:
+			l.Resources = append(l.Resources, d.Sym())
+		default:
+			d.Skip()
+		}
+	}
+	d.MsgExit(end)
 }
 
 func decodeControl(payload []byte) (Control, error) {
@@ -63,6 +109,17 @@ func decodeControl(payload []byte) (Control, error) {
 			c.Key = d.Str()
 		case 10:
 			c.Entry = decodeEntry(&d)
+		case 11:
+			c.Name = d.Sym()
+		case 12:
+			c.Addr = d.Sym()
+		case 13:
+			c.Load = new(scheduler.PeerLoad)
+			decodeLoad(&d, c.Load)
+		case 14:
+			c.Shards = append(c.Shards, int(d.Int()))
+		case 15:
+			c.Keys = append(c.Keys, d.Str())
 		default:
 			d.Skip()
 		}
@@ -72,8 +129,9 @@ func decodeControl(payload []byte) (Control, error) {
 
 // decodeEntry decodes the nested vdata.Entry message d is positioned on.
 func decodeEntry(d *codec.Decoder) *vdata.Entry {
-	var ent vdata.Entry
-	d.Msg(func(d *codec.Decoder) { ent = vdata.DecodeEntry(d) })
+	end := d.MsgEnter()
+	ent := vdata.DecodeEntry(d)
+	d.MsgExit(end)
 	return &ent
 }
 
@@ -186,6 +244,22 @@ func appendControlResult(e *codec.Encoder, r *ControlResult) {
 			}
 		})
 	}
+	for i := range r.Peers {
+		p := &r.Peers[i]
+		e.Msg(13, func(e *codec.Encoder) {
+			e.Sym(1, p.Name)
+			e.Sym(2, p.Addr)
+			// Float bits, as TenantsInfo.Weight crosses.
+			e.Uint(3, math.Float64bits(p.AgeSeconds))
+			e.Msg(4, func(e *codec.Encoder) { appendLoad(e, &p.Load) })
+		})
+	}
+	for sh, holder := range r.Owners {
+		e.Msg(14, func(e *codec.Encoder) {
+			e.Uint(1, uint64(sh))
+			e.Sym(2, holder)
+		})
+	}
 }
 
 func decodeControlResult(payload []byte) (ControlResult, error) {
@@ -206,214 +280,252 @@ func decodeControlResult(payload []byte) (ControlResult, error) {
 			r.Proto = d.Sym()
 		case 5:
 			var x ExecutionInfo
-			d.Msg(func(d *codec.Decoder) {
-				for d.Next() {
-					switch d.Field() {
-					case 1:
-						x.ID = d.Sym()
-					case 2:
-						x.Name = d.Sym()
-					case 3:
-						x.State = d.Sym()
-					case 4:
-						x.User = d.Sym()
-					default:
-						d.Skip()
-					}
+			end := d.MsgEnter()
+			for d.Next() {
+				switch d.Field() {
+				case 1:
+					x.ID = d.Sym()
+				case 2:
+					x.Name = d.Sym()
+				case 3:
+					x.State = d.Sym()
+				case 4:
+					x.User = d.Sym()
+				default:
+					d.Skip()
 				}
-			})
+			}
+			d.MsgExit(end)
 			r.Executions = append(r.Executions, x)
 		case 6:
 			r.Metrics = json.RawMessage(append([]byte(nil), d.Blob()...))
 		case 7:
 			s := &StoreInfo{}
-			d.Msg(func(d *codec.Decoder) {
-				for d.Next() {
-					switch d.Field() {
-					case 1:
-						s.Segments = int(d.Uint())
-					case 2:
-						s.Records = int(d.Uint())
-					case 3:
-						s.ReplayRecords = int(d.Uint())
-					case 4:
-						s.Live = int(d.Uint())
-					case 5:
-						s.Passivated = int(d.Uint())
-					case 6:
-						s.Resident = int(d.Uint())
-					case 7:
-						s.SnapshotLag = int(d.Uint())
-					case 8:
-						s.Failed = d.Str()
-					case 9:
-						c := &CompactionInfo{}
-						d.Msg(func(d *codec.Decoder) {
-							for d.Next() {
-								switch d.Field() {
-								case 1:
-									c.SegmentsBefore = int(d.Uint())
-								case 2:
-									c.RecordsBefore = int(d.Uint())
-								case 3:
-									c.RecordsKept = int(d.Uint())
-								case 4:
-									c.RecordsDropped = int(d.Uint())
-								default:
-									d.Skip()
-								}
-							}
-						})
-						s.Compaction = c
-					case 10:
-						s.Pending = int(d.Uint())
-					default:
-						d.Skip()
+			end := d.MsgEnter()
+			for d.Next() {
+				switch d.Field() {
+				case 1:
+					s.Segments = int(d.Uint())
+				case 2:
+					s.Records = int(d.Uint())
+				case 3:
+					s.ReplayRecords = int(d.Uint())
+				case 4:
+					s.Live = int(d.Uint())
+				case 5:
+					s.Passivated = int(d.Uint())
+				case 6:
+					s.Resident = int(d.Uint())
+				case 7:
+					s.SnapshotLag = int(d.Uint())
+				case 8:
+					s.Failed = d.Str()
+				case 9:
+					c := &CompactionInfo{}
+					end := d.MsgEnter()
+					for d.Next() {
+						switch d.Field() {
+						case 1:
+							c.SegmentsBefore = int(d.Uint())
+						case 2:
+							c.RecordsBefore = int(d.Uint())
+						case 3:
+							c.RecordsKept = int(d.Uint())
+						case 4:
+							c.RecordsDropped = int(d.Uint())
+						default:
+							d.Skip()
+						}
 					}
+					d.MsgExit(end)
+					s.Compaction = c
+				case 10:
+					s.Pending = int(d.Uint())
+				default:
+					d.Skip()
 				}
-			})
+			}
+			d.MsgExit(end)
 			r.Store = s
 		case 8:
 			o := &OwnerInfo{}
-			d.Msg(func(d *codec.Decoder) {
-				for d.Next() {
-					switch d.Field() {
-					case 1:
-						o.ID = d.Sym()
-					case 2:
-						o.Peer = d.Sym()
-					case 3:
-						o.Addr = d.Sym()
-					case 4:
-						o.Shard = int(d.Uint())
-					case 5:
-						o.Source = d.Sym()
-					default:
-						d.Skip()
-					}
+			end := d.MsgEnter()
+			for d.Next() {
+				switch d.Field() {
+				case 1:
+					o.ID = d.Sym()
+				case 2:
+					o.Peer = d.Sym()
+				case 3:
+					o.Addr = d.Sym()
+				case 4:
+					o.Shard = int(d.Uint())
+				case 5:
+					o.Source = d.Sym()
+				default:
+					d.Skip()
 				}
-			})
+			}
+			d.MsgExit(end)
 			r.Owner = o
 		case 9:
 			rp := &ReplInfo{}
-			d.Msg(func(d *codec.Decoder) {
-				for d.Next() {
-					switch d.Field() {
-					case 1:
-						rp.Mode = d.Sym()
-					case 2:
-						rp.Seq = d.Uint()
-					case 3:
-						var f ReplFollowerInfo
-						d.Msg(func(d *codec.Decoder) {
-							for d.Next() {
-								switch d.Field() {
-								case 1:
-									f.Peer = d.Sym()
-								case 2:
-									f.AckedSeq = d.Uint()
-								default:
-									d.Skip()
-								}
-							}
-						})
-						rp.Followers = append(rp.Followers, f)
-					case 4:
-						var src ReplSourceInfo
-						d.Msg(func(d *codec.Decoder) {
-							for d.Next() {
-								switch d.Field() {
-								case 1:
-									src.Source = d.Sym()
-								case 2:
-									src.LastSeq = d.Uint()
-								case 3:
-									src.Live = int(d.Uint())
-								case 4:
-									src.Promoted = d.Bool()
-								default:
-									d.Skip()
-								}
-							}
-						})
-						rp.Sources = append(rp.Sources, src)
-					default:
-						d.Skip()
+			end := d.MsgEnter()
+			for d.Next() {
+				switch d.Field() {
+				case 1:
+					rp.Mode = d.Sym()
+				case 2:
+					rp.Seq = d.Uint()
+				case 3:
+					var f ReplFollowerInfo
+					end := d.MsgEnter()
+					for d.Next() {
+						switch d.Field() {
+						case 1:
+							f.Peer = d.Sym()
+						case 2:
+							f.AckedSeq = d.Uint()
+						default:
+							d.Skip()
+						}
 					}
+					d.MsgExit(end)
+					rp.Followers = append(rp.Followers, f)
+				case 4:
+					var src ReplSourceInfo
+					end := d.MsgEnter()
+					for d.Next() {
+						switch d.Field() {
+						case 1:
+							src.Source = d.Sym()
+						case 2:
+							src.LastSeq = d.Uint()
+						case 3:
+							src.Live = int(d.Uint())
+						case 4:
+							src.Promoted = d.Bool()
+						default:
+							d.Skip()
+						}
+					}
+					d.MsgExit(end)
+					rp.Sources = append(rp.Sources, src)
+				default:
+					d.Skip()
 				}
-			})
+			}
+			d.MsgExit(end)
 			r.Repl = rp
 		case 10:
 			r.Tenant = d.Sym()
 		case 11:
 			t := &TenantsInfo{}
-			d.Msg(func(d *codec.Decoder) {
-				for d.Next() {
-					switch d.Field() {
-					case 1:
-						t.Enabled = d.Bool()
-					case 2:
-						t.Auth = d.Bool()
-					case 3:
-						t.Require = d.Bool()
-					case 4:
-						t.Registered = int(d.Uint())
-					case 5:
-						var row tenant.Info
-						d.Msg(func(d *codec.Decoder) {
-							for d.Next() {
-								switch d.Field() {
-								case 1:
-									row.Name = d.Sym()
-								case 2:
-									row.Weight = math.Float64frombits(d.Uint())
-								case 3:
-									row.Flows = int(d.Uint())
-								case 4:
-									row.StoreBytes = int64(d.Uint())
-								case 5:
-									row.Delegations = int(d.Uint())
-								default:
-									d.Skip()
-								}
-							}
-						})
-						t.Tenants = append(t.Tenants, row)
-					default:
-						d.Skip()
+			end := d.MsgEnter()
+			for d.Next() {
+				switch d.Field() {
+				case 1:
+					t.Enabled = d.Bool()
+				case 2:
+					t.Auth = d.Bool()
+				case 3:
+					t.Require = d.Bool()
+				case 4:
+					t.Registered = int(d.Uint())
+				case 5:
+					var row tenant.Info
+					end := d.MsgEnter()
+					for d.Next() {
+						switch d.Field() {
+						case 1:
+							row.Name = d.Sym()
+						case 2:
+							row.Weight = math.Float64frombits(d.Uint())
+						case 3:
+							row.Flows = int(d.Uint())
+						case 4:
+							row.StoreBytes = int64(d.Uint())
+						case 5:
+							row.Delegations = int(d.Uint())
+						default:
+							d.Skip()
+						}
 					}
+					d.MsgExit(end)
+					t.Tenants = append(t.Tenants, row)
+				default:
+					d.Skip()
 				}
-			})
+			}
+			d.MsgExit(end)
 			r.Tenants = t
 		case 12:
 			v := &VdataInfo{}
-			d.Msg(func(d *codec.Decoder) {
-				for d.Next() {
-					switch d.Field() {
-					case 1:
-						v.Enabled = d.Bool()
-					case 2:
-						v.Entries = int(d.Uint())
-					case 3:
-						v.Tenants = int(d.Uint())
-					case 4:
-						v.Publishes = d.Uint()
-					case 5:
-						v.Invalidations = d.Uint()
-					case 6:
-						v.Durable = d.Bool()
-					case 7:
-						v.Found = d.Bool()
-					case 8:
-						v.Removed = int(d.Uint())
-					case 10:
-						v.Entry = decodeEntry(d)
-					default:
-						d.Skip()
-					}
+			end := d.MsgEnter()
+			for d.Next() {
+				switch d.Field() {
+				case 1:
+					v.Enabled = d.Bool()
+				case 2:
+					v.Entries = int(d.Uint())
+				case 3:
+					v.Tenants = int(d.Uint())
+				case 4:
+					v.Publishes = d.Uint()
+				case 5:
+					v.Invalidations = d.Uint()
+				case 6:
+					v.Durable = d.Bool()
+				case 7:
+					v.Found = d.Bool()
+				case 8:
+					v.Removed = int(d.Uint())
+				case 10:
+					v.Entry = decodeEntry(&d)
+				default:
+					d.Skip()
 				}
-			})
+			}
+			d.MsgExit(end)
 			r.Vdata = v
+		case 13:
+			var p PeerInfo
+			end := d.MsgEnter()
+			for d.Next() {
+				switch d.Field() {
+				case 1:
+					p.Name = d.Sym()
+				case 2:
+					p.Addr = d.Sym()
+				case 3:
+					p.AgeSeconds = math.Float64frombits(d.Uint())
+				case 4:
+					decodeLoad(&d, &p.Load)
+				default:
+					d.Skip()
+				}
+			}
+			d.MsgExit(end)
+			r.Peers = append(r.Peers, p)
+		case 14:
+			var sh int
+			var holder string
+			end := d.MsgEnter()
+			for d.Next() {
+				switch d.Field() {
+				case 1:
+					sh = int(d.Uint())
+				case 2:
+					holder = d.Sym()
+				default:
+					d.Skip()
+				}
+			}
+			d.MsgExit(end)
+			if r.Owners == nil {
+				r.Owners = make(map[int]string)
+			}
+			r.Owners[sh] = holder
 		default:
 			d.Skip()
 		}

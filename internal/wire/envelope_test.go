@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"datagridflow/internal/codec"
+	"datagridflow/internal/obs"
+	"datagridflow/internal/scheduler"
 	"datagridflow/internal/tenant"
 	"datagridflow/internal/vdata"
 )
@@ -63,7 +65,7 @@ func TestGoldenHelloFrame(t *testing.T) {
 	if err != nil || kind != KindControl || id != 1 {
 		t.Fatalf("hello_v1.bin: kind %d id %d, %v", kind, id, err)
 	}
-	if c, err := decodeControl(payload); err != nil || c != (Control{Op: "hello", Proto: ProtoVersion}) {
+	if c, err := decodeControl(payload); err != nil || !reflect.DeepEqual(c, Control{Op: "hello", Proto: ProtoVersion}) {
 		t.Errorf("hello_v1.bin decodes to %+v, %v", c, err)
 	}
 }
@@ -78,6 +80,9 @@ func FuzzEnvelopes(f *testing.F) {
 	f.Add("hello", "dgf-000001", ProtoVersion, "dgt1.YWxpY2U.1790000000.c2ln", "alice", 20, true, uint64(7),
 		[]byte("<dataGridRequest/>"), []byte{codec.Magic, codec.Version, codec.MsgControl})
 	f.Add("", "", "", "", "", -1, false, uint64(0), []byte{}, []byte(`{"op":"hello","proto":"1.8"}`))
+	// A registry heartbeat: shard 0 and an empty load must survive too.
+	f.Add("heartbeat", "9f2c", "127.0.0.1:7401", "dgt1.cGVlckE.1790000000.c2ln", "peerA", 0, true, uint64(0),
+		[]byte{}, []byte{codec.Magic, codec.Version, codec.MsgControlResult, 0x35})
 	f.Fuzz(func(t *testing.T, a, b, c, token, user string, n int, ok bool, seq uint64, blob, raw []byte) {
 		e := codec.GetEncoder()
 		defer codec.PutEncoder(e)
@@ -95,7 +100,10 @@ func FuzzEnvelopes(f *testing.F) {
 
 		ent := &vdata.Entry{Key: b, Tenant: user, Op: a, Inputs: []string{c}, Params: map[string]string{a: c},
 			Outputs: []string{a, b}, Result: c, Peer: user, Unix: int64(n)}
-		ctl := Control{Op: a, ID: b, Proto: c, Token: token, Limit: n, Sub: c, User: user, Key: b, Entry: ent}
+		load := scheduler.PeerLoad{Inflight: int64(n), Queued: int64(seq), Running: int64(n) - 1, Capacity: int64(seq) + 1,
+			Resources: chain}
+		ctl := Control{Op: a, ID: b, Proto: c, Token: token, Limit: n, Sub: c, User: user, Key: b, Entry: ent,
+			Name: user, Addr: c, Load: &load, Shards: []int{n, 0, n + 1}, Keys: chain}
 		appendControl(e, &ctl)
 		if got, err := decodeControl(e.Bytes()); err != nil || !reflect.DeepEqual(got, ctl) {
 			t.Fatalf("control round trip: %+v, %v, want %+v", got, err, ctl)
@@ -115,11 +123,22 @@ func FuzzEnvelopes(f *testing.F) {
 				Tenants: []tenant.Info{{Name: user, Weight: float64(n) / 4, Flows: n, StoreBytes: int64(n), Delegations: n + 1}}},
 			Vdata: &VdataInfo{Enabled: ok, Entries: n, Tenants: n + 1, Publishes: seq, Invalidations: seq + 1,
 				Durable: !ok, Found: ok, Removed: n + 2},
+			Peers:  []PeerInfo{{Name: user, Addr: c, AgeSeconds: float64(n) / 4, Load: load}},
+			Owners: map[int]string{n: user, n + 1: a},
 		}
 		e.Reset()
 		appendControlResult(e, &res)
 		if got, err := decodeControlResult(e.Bytes()); err != nil || !reflect.DeepEqual(got, res) {
 			t.Fatalf("control result round trip: %+v, %v, want %+v", got, err, res)
+		}
+		// A registry heartbeat's reply: the gossip rows, a load-less one
+		// among them, and the owner map, shard 0 included.
+		hb := ControlResult{OK: true, Peers: []PeerInfo{{Name: user, Addr: c, Load: load}, {Name: a, AgeSeconds: float64(seq)}},
+			Owners: map[int]string{0: user, n: b}}
+		e.Reset()
+		appendControlResult(e, &hb)
+		if got, err := decodeControlResult(e.Bytes()); err != nil || !reflect.DeepEqual(got, hb) {
+			t.Fatalf("heartbeat reply round trip: %+v, %v, want %+v", got, err, hb)
 		}
 		// A lookup's reply, with the entry found and without one.
 		for _, v := range []*VdataInfo{{Enabled: true, Found: true, Entry: ent}, {Enabled: true, Found: true}} {
@@ -186,4 +205,61 @@ func FuzzEnvelopes(f *testing.F) {
 		_, _ = decodeReplicate(raw)
 		_, _ = decodeReplicateResult(raw)
 	})
+}
+
+// FuzzRegistryHandler feeds arbitrary control payloads to the lookup
+// registry's handler, open and token-gated, sharded, with a peer and a
+// derivation already registered: every payload gets an answer or a typed
+// refusal, never a panic. Frames of any other kind never reach the
+// handler — serve severs the connection on them.
+func FuzzRegistryHandler(f *testing.F) {
+	auth, err := tenant.NewAuthority([]byte("registry-fuzz-secret"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	tok, err := auth.Mint("peerA", time.Hour)
+	if err != nil {
+		f.Fatal(err)
+	}
+	open, gated := NewLookupServer(), NewLookupServer()
+	gated.SetAuth(auth)
+	for _, ls := range []*LookupServer{open, gated} {
+		ls.SetObs(obs.NewRegistry())
+		ls.SetShards(4)
+		ls.handle(encodedControl(Control{Op: "register", Name: "peerA", Addr: "127.0.0.1:1", Token: tok}))
+		ls.handle(encodedControl(Control{Op: "vput", Name: "peerA", Keys: []string{"k1"}, Token: tok}))
+	}
+	load := &scheduler.PeerLoad{Inflight: 2, Capacity: 8, Resources: []string{"disk"}}
+	for _, c := range []Control{
+		{Op: "hello", Proto: ProtoVersion, Token: tok},
+		{Op: "register", Name: "peerB", Addr: "127.0.0.1:2", Token: tok},
+		{Op: "resolve", Name: "peerA"},
+		{Op: "list"},
+		{Op: "heartbeat", Name: "peerA", Addr: "127.0.0.1:1", Load: load, Token: tok},
+		{Op: "claim", Name: "peerA", Shards: []int{0, 3, 9, -1}, Token: tok},
+		{Op: "release", Name: "peerA", Shards: []int{0}, Token: tok},
+		{Op: "vput", Name: "peerA", Keys: []string{"k2", ""}, Token: tok},
+		{Op: "vget", Key: "k1"},
+		{Op: "unregister", Name: "peerA", Token: tok},
+		{Op: "defenestrate"},
+	} {
+		f.Add(encodedControl(c))
+	}
+	f.Add([]byte(`{"op":"register","name":"peerA","addr":"127.0.0.1:1"}`))
+	f.Add([]byte{codec.Magic, codec.Version, codec.MsgControl, 0x35, 0xff})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		for _, ls := range []*LookupServer{open, gated} {
+			if res := ls.handle(payload); res.OK == (res.Error != "") {
+				t.Fatalf("reply is neither an answer nor a refusal: %+v", res)
+			}
+		}
+	})
+}
+
+// encodedControl renders a control envelope as a frame payload.
+func encodedControl(c Control) []byte {
+	e := codec.GetEncoder()
+	defer codec.PutEncoder(e)
+	appendControl(e, &c)
+	return append([]byte(nil), e.Bytes()...)
 }

@@ -18,8 +18,10 @@
 //     but DGL itself does not encode — batches, and the peer links'
 //     delegate, route and replicate frames.
 //
+// The lookup registry speaks the same frames: control verbs only.
+//
 // The full protocol — frame layout, request/response semantics, control
-// opcodes, the lookup protocol and peer routing of execution ids — is
+// verbs, the registry's verbs and peer routing of execution ids — is
 // specified in docs/WIRE.md; the metrics the layer emits are documented
 // in docs/METRICS.md.
 package wire
@@ -29,6 +31,7 @@ import (
 	"errors"
 
 	"datagridflow/internal/replica"
+	"datagridflow/internal/scheduler"
 	"datagridflow/internal/tenant"
 	"datagridflow/internal/vdata"
 )
@@ -79,10 +82,13 @@ var ErrFrameTooLarge = errors.New("wire: frame too large")
 // is nothing to negotiate (docs/WIRE.md, "One version").
 const ProtoVersion = "2.0"
 
-// Control is the envelope of a KindControl frame.
+// Control is the envelope of a KindControl frame, to a matrix server or
+// to the lookup registry (docs/WIRE.md §2).
 type Control struct {
 	// Op is "hello", "pause", "resume", "cancel", "restart", "list",
-	// "metrics", "store" or "compact".
+	// "metrics", "store" or "compact" — or, to the registry, "register",
+	// "resolve", "list", "heartbeat", "unregister", "claim", "release",
+	// "vput" or "vget".
 	Op string
 	// ID is the execution id the verb applies to ("hello", "list" and
 	// "metrics" ignore it).
@@ -111,6 +117,16 @@ type Control struct {
 	Key string
 	// Entry carries the derivation of a "vdata" publish.
 	Entry *vdata.Entry
+	// Name is the peer a registry op names or acts for, Addr its wire
+	// address (register, heartbeat).
+	Name string
+	Addr string
+	// Load is the load a heartbeat gossips.
+	Load *scheduler.PeerLoad
+	// Shards are the shards a claim or release names.
+	Shards []int
+	// Keys are the derivation keys a vput announces.
+	Keys []string
 }
 
 // ControlResult is the reply to a control frame.
@@ -130,7 +146,8 @@ type ControlResult struct {
 	// "compact" verbs.
 	Store *StoreInfo
 	// Owner carries the shard-ownership resolution for the "owner"
-	// verb (docs/WIRE.md §"Control verbs").
+	// verb (docs/WIRE.md §"Control verbs"), and the registry's answer
+	// to "resolve" and to a "vget" that found a live holder (Peer, Addr).
 	Owner *OwnerInfo
 	// Repl carries the replication summary for the "repl" verb
 	// (docs/REPLICATION.md).
@@ -143,6 +160,24 @@ type ControlResult struct {
 	// Vdata carries the virtual-data reply for the "vdata" verb
 	// (docs/VDATA.md).
 	Vdata *VdataInfo
+	// Peers carries the registry's live peers, sorted by name, for
+	// "list" and "heartbeat".
+	Peers []PeerInfo
+	// Owners carries a sharded registry's live shard→holder map for
+	// "claim", "release" and "heartbeat".
+	Owners map[int]string
+}
+
+// PeerInfo is one live peer as the lookup registry knows it — the
+// gossip unit heartbeat replies and `dgfctl peers` are built from.
+type PeerInfo struct {
+	Name string
+	Addr string
+	// AgeSeconds is how long ago the peer last registered or heartbeat.
+	AgeSeconds float64
+	// Load is the peer's last self-reported load (zero until its first
+	// heartbeat).
+	Load scheduler.PeerLoad
 }
 
 // VdataInfo is the reply to the "vdata" control verb: the catalog's

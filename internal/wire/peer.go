@@ -1,9 +1,7 @@
 package wire
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -11,6 +9,8 @@ import (
 	"sync"
 	"time"
 
+	"datagridflow/internal/codec"
+	"datagridflow/internal/dgferr"
 	"datagridflow/internal/dgl"
 	"datagridflow/internal/matrix"
 	"datagridflow/internal/obs"
@@ -20,50 +20,6 @@ import (
 	"datagridflow/internal/tenant"
 	"datagridflow/internal/vdata"
 )
-
-// lookupMsg is the JSON protocol of the lookup server: newline-delimited
-// request/response pairs.
-type lookupMsg struct {
-	Op    string            `json:"op"` // "register", "resolve", "list", "heartbeat", "unregister", "claim", "release"
-	Name  string            `json:"name,omitempty"`
-	Addr  string            `json:"addr,omitempty"`
-	OK    bool              `json:"ok,omitempty"`
-	Error string            `json:"error,omitempty"`
-	Peers map[string]string `json:"peers,omitempty"`
-	// Load rides heartbeat requests: the peer's self-reported figures.
-	Load *scheduler.PeerLoad `json:"load,omitempty"`
-	// Infos rides heartbeat and list replies: every live peer with its
-	// age and last gossiped load.
-	Infos []PeerInfo `json:"infos,omitempty"`
-	// Shards rides claim/release requests: the shard numbers the peer
-	// wants to hold or give up.
-	Shards []int `json:"shards,omitempty"`
-	// Owners rides claim and heartbeat replies on a sharded registry:
-	// the full live shard→holder map, the gossip unit ring routing is
-	// built from.
-	Owners map[int]string `json:"owners,omitempty"`
-	// Token rides mutating requests against a token-gated registry
-	// (LookupServer.SetAuth, docs/TENANCY.md): a tenant bearer token
-	// authorizing registration, heartbeat and lease operations.
-	Token string `json:"token,omitempty"`
-	// Keys rides vput requests: derivation keys the named peer's
-	// virtual-data catalog now holds (docs/VDATA.md).
-	Keys []string `json:"keys,omitempty"`
-	// Key rides vget requests and replies: the derivation key to locate.
-	Key string `json:"key,omitempty"`
-}
-
-// PeerInfo is one live peer as the lookup registry knows it — the
-// gossip unit heartbeat replies and `dgfctl peers` are built from.
-type PeerInfo struct {
-	Name string `json:"name"`
-	Addr string `json:"addr"`
-	// AgeSeconds is how long ago the peer last registered or heartbeat.
-	AgeSeconds float64 `json:"ageSeconds"`
-	// Load is the peer's last self-reported load (zero until its first
-	// heartbeat).
-	Load scheduler.PeerLoad `json:"load"`
-}
 
 // DefaultLookupTTL is the liveness window: a peer silent for longer is
 // evicted from the registry on the next operation.
@@ -82,6 +38,11 @@ type peerEntry struct {
 // leases, not permanent rows: every operation sweeps entries whose last
 // register/heartbeat is older than the TTL (lookup_evictions_total),
 // so a crashed peer disappears from resolve/list/gossip within one TTL.
+//
+// The registry speaks the wire's frames: a connection opens with the
+// hello Dial sends, and every verb is a control envelope answered in
+// order (docs/WIRE.md §2). A frame of any other kind severs the
+// connection.
 type LookupServer struct {
 	obs      *obs.Registry
 	mu       sync.Mutex
@@ -97,7 +58,7 @@ type LookupServer struct {
 	// heartbeat renews them, eviction and unregister release them.
 	leases *shard.LeaseTable
 	// auth, when set (SetAuth), gates every mutating operation behind a
-	// verified tenant bearer token (docs/TENANCY.md).
+	// verified tenant bearer token naming the peer (docs/TENANCY.md).
 	auth *tenant.Authority
 	// vkeys maps derivation keys to the name of the peer that announced
 	// them (vput), so any peer can locate a memoized derivation with one
@@ -131,30 +92,33 @@ func (s *LookupServer) SetTTL(d time.Duration) {
 }
 
 // SetAuth token-gates the registry (docs/TENANCY.md): every mutating
-// operation — register, heartbeat, unregister, claim, release — must
-// carry a bearer token that verifies against the shared secret
-// (lookup_auth_failures_total counts refusals). Read operations
-// (resolve, list) stay open: the peer directory is not a secret, the
-// right to appear in it is. Call before Listen; nil removes the gate.
+// operation — register, heartbeat, unregister, claim, release, vput —
+// must carry a bearer token that verifies against the shared secret and
+// names the peer the operation acts for (lookup_auth_failures_total
+// counts refusals). Read operations (resolve, list, vget) stay open: the
+// peer directory is not a secret, the right to appear in it is. Call
+// before Listen; nil removes the gate.
 func (s *LookupServer) SetAuth(a *tenant.Authority) {
 	s.mu.Lock()
 	s.auth = a
 	s.mu.Unlock()
 }
 
-// authorize verifies the token of one mutating lookup operation.
-func (s *LookupServer) authorize(msg *lookupMsg) error {
-	s.mu.Lock()
-	a := s.auth
-	s.mu.Unlock()
-	if a == nil {
+// authorize verifies the token of one mutating operation and that its
+// identity is the peer the operation names: a registry credential is a
+// peer's own, minted for its name. Caller holds s.mu.
+func (s *LookupServer) authorize(c *Control) error {
+	if s.auth == nil {
 		return nil
 	}
-	if _, err := a.Verify(msg.Token); err != nil {
-		s.obs.Counter("lookup_auth_failures_total").Inc()
-		return err
+	id, err := s.auth.Verify(c.Token)
+	if err == nil && id != c.Name {
+		err = fmt.Errorf("%w: a token of %q cannot act for peer %q", dgferr.ErrAuth, id, c.Name)
 	}
-	return nil
+	if err != nil {
+		s.obs.Counter("lookup_auth_failures_total").Inc()
+	}
+	return err
 }
 
 // setNow overrides the registry clock, for eviction tests.
@@ -222,7 +186,7 @@ func (s *LookupServer) dropVdataLocked(name string) {
 }
 
 // infosLocked snapshots the live peers as gossip rows, sorted by name
-// upstream of JSON (map iteration would be unstable). Caller holds s.mu.
+// (map iteration would be unstable). Caller holds s.mu.
 func (s *LookupServer) infosLocked() []PeerInfo {
 	now := s.now()
 	out := make([]PeerInfo, 0, len(s.peers))
@@ -274,196 +238,160 @@ func (s *LookupServer) Listen(addr string) (string, error) {
 	return l.Addr().String(), nil
 }
 
+// serve answers one connection's control frames in the order they
+// come. The registry counts its lookup_* metrics only: its frames are
+// not peer traffic.
 func (s *LookupServer) serve(conn net.Conn) {
 	defer s.wg.Done()
+	fc := newFrameConn(conn, nil)
 	defer func() {
-		conn.Close()
+		fc.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	dec := json.NewDecoder(bufio.NewReader(conn))
-	enc := json.NewEncoder(conn)
 	for {
-		var msg lookupMsg
-		if err := dec.Decode(&msg); err != nil {
-			return
+		fr, err := fc.r.next()
+		if err != nil || fr.kind != KindControl {
+			fr.release()
+			return // EOF, a broken stream or a protocol violation: sever
 		}
-		var reply lookupMsg
-		switch msg.Op {
-		case "register", "resolve", "list", "heartbeat", "unregister", "claim", "release", "vput", "vget":
-			s.obs.Counter("lookup_requests_total", "op", msg.Op).Inc()
-		default:
-			s.obs.Counter("lookup_requests_total", "op", "unknown").Inc()
-		}
-		switch msg.Op {
-		case "register", "heartbeat", "unregister", "claim", "release", "vput":
-			if err := s.authorize(&msg); err != nil {
-				if werr := enc.Encode(lookupMsg{Error: "lookup: " + err.Error()}); werr != nil {
-					return
-				}
-				continue
-			}
-		}
-		switch msg.Op {
-		case "register":
-			if msg.Name == "" || msg.Addr == "" {
-				reply = lookupMsg{Error: "register needs name and addr"}
-				break
-			}
-			s.mu.Lock()
-			e := &peerEntry{addr: msg.Addr, lastSeen: s.now()}
-			if prev, ok := s.peers[msg.Name]; ok {
-				// Re-registration keeps the last gossiped load until the
-				// next heartbeat refreshes it.
-				e.load = prev.load
-			}
-			s.peers[msg.Name] = e
-			s.sweepLocked()
-			s.mu.Unlock()
-			reply = lookupMsg{OK: true}
-		case "heartbeat":
-			// A heartbeat renews the lease, publishes load, and carries
-			// back the full live-peer gossip — one round trip keeps a peer
-			// both registered and informed.
-			if msg.Name == "" || msg.Addr == "" {
-				reply = lookupMsg{Error: "heartbeat needs name and addr"}
-				break
-			}
-			s.mu.Lock()
-			e := &peerEntry{addr: msg.Addr, lastSeen: s.now()}
-			if msg.Load != nil {
-				e.load = *msg.Load
-			} else if prev, ok := s.peers[msg.Name]; ok {
-				e.load = prev.load
-			}
-			s.peers[msg.Name] = e
-			s.sweepLocked()
-			infos := s.infosLocked()
-			var owners map[int]string
-			if s.leases != nil {
-				// One round trip keeps a sharded peer registered, its
-				// leases renewed, and its ring view current.
-				s.leases.Renew(msg.Name, s.now(), s.leaseTTL())
-				owners = s.leases.Owners(s.now())
-			}
-			s.mu.Unlock()
-			reply = lookupMsg{OK: true, Infos: infos, Owners: owners}
-		case "unregister":
-			s.mu.Lock()
-			delete(s.peers, msg.Name)
-			if s.leases != nil {
-				s.leases.ReleaseAll(msg.Name)
-			}
-			s.dropVdataLocked(msg.Name)
-			s.sweepLocked()
-			s.mu.Unlock()
-			reply = lookupMsg{OK: true}
-		case "vput":
-			// A peer announces derivation keys its catalog holds. Rows are
-			// advisory routing hints: the holder's wire server re-verifies
-			// tenancy on the actual lookup (serveVdata), so a poisoned
-			// announcement can misroute a probe but never leak an entry.
-			if msg.Name == "" || len(msg.Keys) == 0 {
-				reply = lookupMsg{Error: "vput needs name and keys"}
-				break
-			}
-			s.mu.Lock()
-			for _, k := range msg.Keys {
-				if k != "" {
-					s.vkeys[k] = msg.Name
-				}
-			}
-			s.obs.Gauge("lookup_vdata_keys").Set(int64(len(s.vkeys)))
-			s.mu.Unlock()
-			reply = lookupMsg{OK: true}
-		case "vget":
-			// Open read, like resolve: key placement is not a secret, the
-			// entry behind it is (and stays tenant-gated at the holder).
-			if msg.Key == "" {
-				reply = lookupMsg{Error: "vget needs key"}
-				break
-			}
-			s.mu.Lock()
-			s.sweepLocked()
-			holder, ok := s.vkeys[msg.Key]
-			var addr string
-			if ok {
-				if e, live := s.peers[holder]; live {
-					addr = e.addr
-				} else {
-					ok = false
-				}
-			}
-			s.mu.Unlock()
-			if !ok {
-				reply = lookupMsg{Error: "unknown derivation key"}
-			} else {
-				reply = lookupMsg{OK: true, Name: holder, Addr: addr}
-			}
-		case "claim":
-			if msg.Name == "" {
-				reply = lookupMsg{Error: "claim needs name"}
-				break
-			}
-			s.mu.Lock()
-			if s.leases == nil {
-				s.mu.Unlock()
-				reply = lookupMsg{Error: "registry is not sharded"}
-				break
-			}
-			s.sweepLocked()
-			now, ttl := s.now(), s.leaseTTL()
-			granted := 0
-			for _, sh := range msg.Shards {
-				if holder, ok := s.leases.Claim(sh, msg.Name, now, ttl); ok && holder == msg.Name {
-					granted++
-				}
-			}
-			owners := s.leases.Owners(now)
-			s.mu.Unlock()
-			s.obs.Counter("lookup_shard_claims_total").Add(int64(granted))
-			reply = lookupMsg{OK: true, Owners: owners}
-		case "release":
-			s.mu.Lock()
-			if s.leases == nil {
-				s.mu.Unlock()
-				reply = lookupMsg{Error: "registry is not sharded"}
-				break
-			}
-			for _, sh := range msg.Shards {
-				s.leases.Release(sh, msg.Name)
-			}
-			owners := s.leases.Owners(s.now())
-			s.mu.Unlock()
-			reply = lookupMsg{OK: true, Owners: owners}
-		case "resolve":
-			s.mu.Lock()
-			s.sweepLocked()
-			e, ok := s.peers[msg.Name]
-			s.mu.Unlock()
-			if !ok {
-				reply = lookupMsg{Error: "unknown peer " + msg.Name}
-			} else {
-				reply = lookupMsg{OK: true, Addr: e.addr}
-			}
-		case "list":
-			s.mu.Lock()
-			s.sweepLocked()
-			peers := make(map[string]string, len(s.peers))
-			for k, e := range s.peers {
-				peers[k] = e.addr
-			}
-			infos := s.infosLocked()
-			s.mu.Unlock()
-			reply = lookupMsg{OK: true, Peers: peers, Infos: infos}
-		default:
-			reply = lookupMsg{Error: "unknown op " + msg.Op}
-		}
-		if err := enc.Encode(reply); err != nil {
+		res := s.handle(fr.payload)
+		fr.release()
+		enc := codec.GetEncoder()
+		appendControlResult(enc, &res)
+		err = fc.w.write(KindControl, fr.id, enc.Bytes())
+		codec.PutEncoder(enc)
+		if err != nil {
 			return
 		}
 	}
+}
+
+// refused is the reply that fails a verb with a typed error.
+func refused(err error) ControlResult { return ControlResult{Error: dgferr.Encode(err)} }
+
+// handle answers one control payload (docs/WIRE.md §2): the hello, or
+// one registry verb.
+func (s *LookupServer) handle(payload []byte) ControlResult {
+	c, err := decodeControl(payload)
+	if err != nil {
+		return refused(fmt.Errorf("%w: bad control frame: %v", dgferr.ErrInvalid, err))
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch c.Op {
+	case "hello":
+		return serveHello(c, s.auth, s.obs.Counter("lookup_auth_failures_total"))
+	case "register", "resolve", "list", "heartbeat", "unregister", "claim", "release", "vput", "vget":
+		s.obs.Counter("lookup_requests_total", "op", c.Op).Inc()
+	default:
+		s.obs.Counter("lookup_requests_total", "op", "unknown").Inc()
+		return refused(fmt.Errorf("%w: unknown registry op %q", dgferr.ErrInvalid, c.Op))
+	}
+	switch c.Op {
+	case "register", "heartbeat", "unregister", "claim", "release", "vput":
+		if err := s.authorize(&c); err != nil {
+			return refused(err)
+		}
+	}
+	now := s.now()
+	switch c.Op {
+	case "register", "heartbeat":
+		if c.Name == "" || c.Addr == "" {
+			return refused(fmt.Errorf("%w: %s needs name and addr", dgferr.ErrInvalid, c.Op))
+		}
+		e := &peerEntry{addr: c.Addr, lastSeen: now}
+		if c.Load != nil {
+			e.load = *c.Load
+		} else if prev, ok := s.peers[c.Name]; ok {
+			// A plain register keeps the last gossiped load until the
+			// next heartbeat refreshes it.
+			e.load = prev.load
+		}
+		s.peers[c.Name] = e
+		s.sweepLocked()
+		if c.Op == "register" {
+			break
+		}
+		// A heartbeat renews the lease, publishes load, and carries back
+		// the live-peer gossip and, on a sharded registry, renews the
+		// peer's shard leases and returns the ring's owner map — one
+		// round trip keeps a peer registered, informed and routed.
+		res := ControlResult{OK: true, Peers: s.infosLocked()}
+		if s.leases != nil {
+			s.leases.Renew(c.Name, now, s.leaseTTL())
+			res.Owners = s.leases.Owners(now)
+		}
+		return res
+	case "unregister":
+		delete(s.peers, c.Name)
+		if s.leases != nil {
+			s.leases.ReleaseAll(c.Name)
+		}
+		s.dropVdataLocked(c.Name)
+		s.sweepLocked()
+	case "vput":
+		// Rows are advisory routing hints: the holder's wire server
+		// re-verifies tenancy on the actual lookup (serveVdata), so a
+		// poisoned announcement can misroute a probe but never leak an
+		// entry.
+		if c.Name == "" || len(c.Keys) == 0 {
+			return refused(fmt.Errorf("%w: vput needs name and keys", dgferr.ErrInvalid))
+		}
+		for _, k := range c.Keys {
+			if k != "" {
+				s.vkeys[k] = c.Name
+			}
+		}
+		s.obs.Gauge("lookup_vdata_keys").Set(int64(len(s.vkeys)))
+	case "vget":
+		// Open read, like resolve: key placement is not a secret, the
+		// entry behind it is (and stays tenant-gated at the holder). A
+		// miss is an answer, not a failure: OK with no holder.
+		if c.Key == "" {
+			return refused(fmt.Errorf("%w: vget needs key", dgferr.ErrInvalid))
+		}
+		s.sweepLocked()
+		if holder, ok := s.vkeys[c.Key]; ok {
+			if e, live := s.peers[holder]; live {
+				return ControlResult{OK: true, Owner: &OwnerInfo{Peer: holder, Addr: e.addr}}
+			}
+		}
+	case "claim", "release":
+		if s.leases == nil {
+			return refused(fmt.Errorf("%w: registry is not sharded", dgferr.ErrInvalid))
+		}
+		if c.Op == "release" {
+			for _, sh := range c.Shards {
+				s.leases.Release(sh, c.Name)
+			}
+			return ControlResult{OK: true, Owners: s.leases.Owners(now)}
+		}
+		if c.Name == "" {
+			return refused(fmt.Errorf("%w: claim needs name", dgferr.ErrInvalid))
+		}
+		s.sweepLocked()
+		granted := 0
+		for _, sh := range c.Shards {
+			if holder, ok := s.leases.Claim(sh, c.Name, now, s.leaseTTL()); ok && holder == c.Name {
+				granted++
+			}
+		}
+		s.obs.Counter("lookup_shard_claims_total").Add(int64(granted))
+		return ControlResult{OK: true, Owners: s.leases.Owners(now)}
+	case "resolve":
+		s.sweepLocked()
+		e, ok := s.peers[c.Name]
+		if !ok {
+			return refused(fmt.Errorf("%w: unknown peer %s", dgferr.ErrNotFound, c.Name))
+		}
+		return ControlResult{OK: true, Owner: &OwnerInfo{Peer: c.Name, Addr: e.addr}}
+	case "list":
+		s.sweepLocked()
+		return ControlResult{OK: true, Peers: s.infosLocked()}
+	}
+	return ControlResult{OK: true}
 }
 
 // Close stops the registry: the listener and every live connection.
@@ -484,134 +412,86 @@ func (s *LookupServer) Close() {
 	s.wg.Wait()
 }
 
-// LookupClient talks to a lookup server.
-type LookupClient struct {
-	mu    sync.Mutex
-	conn  net.Conn
-	dec   *json.Decoder
-	enc   *json.Encoder
-	token string
-}
-
-// SetToken attaches a tenant bearer token to every subsequent call —
-// required by registries token-gated with LookupServer.SetAuth,
-// skipped (harmlessly) by open ones.
-func (c *LookupClient) SetToken(tok string) {
-	c.mu.Lock()
-	c.token = tok
-	c.mu.Unlock()
-}
-
-// DialLookup connects to a lookup server.
-func DialLookup(addr string) (*LookupClient, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("wire: dial lookup %s: %w", addr, err)
-	}
-	return &LookupClient{conn: conn, dec: json.NewDecoder(bufio.NewReader(conn)), enc: json.NewEncoder(conn)}, nil
-}
-
-func (c *LookupClient) call(msg lookupMsg) (lookupMsg, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if msg.Token == "" {
-		msg.Token = c.token
-	}
-	if err := c.enc.Encode(msg); err != nil {
-		return lookupMsg{}, err
-	}
-	var reply lookupMsg
-	if err := c.dec.Decode(&reply); err != nil {
-		return lookupMsg{}, err
-	}
-	if reply.Error != "" {
-		return reply, errors.New(reply.Error)
-	}
-	return reply, nil
-}
+// The registry's verbs are Client methods: Dial the registry and call
+// them over the one connection from any number of goroutines — they
+// pipeline like any other control verb. Mutating verbs carry the
+// session token (SetToken); a gated registry requires it to name the
+// peer the verb acts for.
 
 // Register announces a peer.
-func (c *LookupClient) Register(name, addr string) error {
-	_, err := c.call(lookupMsg{Op: "register", Name: name, Addr: addr})
+func (c *Client) Register(name, addr string) error {
+	_, err := c.controlMsg(context.Background(), Control{Op: "register", Name: name, Addr: addr})
 	return err
 }
 
 // Resolve returns the address of a named peer.
-func (c *LookupClient) Resolve(name string) (string, error) {
-	reply, err := c.call(lookupMsg{Op: "resolve", Name: name})
-	return reply.Addr, err
+func (c *Client) Resolve(name string) (string, error) {
+	res, err := c.controlMsg(context.Background(), Control{Op: "resolve", Name: name})
+	if err != nil {
+		return "", err
+	}
+	if res.Owner == nil {
+		return "", errors.New("wire: empty resolve reply")
+	}
+	return res.Owner.Addr, nil
 }
 
-// List returns every registered peer.
-func (c *LookupClient) List() (map[string]string, error) {
-	reply, err := c.call(lookupMsg{Op: "list"})
-	return reply.Peers, err
-}
-
-// ListInfos returns every live peer with liveness age and gossiped load.
-func (c *LookupClient) ListInfos() ([]PeerInfo, error) {
-	reply, err := c.call(lookupMsg{Op: "list"})
-	return reply.Infos, err
+// Peers returns every live peer with its liveness age and gossiped
+// load, sorted by name.
+func (c *Client) Peers() ([]PeerInfo, error) {
+	res, err := c.controlMsg(context.Background(), Control{Op: "list"})
+	return res.Peers, err
 }
 
 // Heartbeat renews a peer's lease, publishes its load, and returns the
-// registry's live-peer gossip.
-func (c *LookupClient) Heartbeat(name, addr string, load scheduler.PeerLoad) ([]PeerInfo, error) {
-	infos, _, err := c.HeartbeatShards(name, addr, load)
-	return infos, err
-}
-
-// HeartbeatShards is Heartbeat on a sharded registry: the same renewal
-// round trip additionally renews the peer's shard leases and returns
-// the live shard→holder map. Against an unsharded registry the map is
-// nil.
-func (c *LookupClient) HeartbeatShards(name, addr string, load scheduler.PeerLoad) ([]PeerInfo, map[int]string, error) {
-	reply, err := c.call(lookupMsg{Op: "heartbeat", Name: name, Addr: addr, Load: &load})
-	return reply.Infos, reply.Owners, err
+// registry's live-peer gossip and, on a sharded registry, the live
+// shard→holder map after renewing the peer's leases (nil otherwise).
+func (c *Client) Heartbeat(name, addr string, load scheduler.PeerLoad) ([]PeerInfo, map[int]string, error) {
+	res, err := c.controlMsg(context.Background(), Control{Op: "heartbeat", Name: name, Addr: addr, Load: &load})
+	return res.Peers, res.Owners, err
 }
 
 // ClaimShards attempts to lease the given shards for name, returning
 // the registry's resulting live shard→holder map — which reports both
 // what was granted and who holds the refusals.
-func (c *LookupClient) ClaimShards(name string, shards []int) (map[int]string, error) {
-	reply, err := c.call(lookupMsg{Op: "claim", Name: name, Shards: shards})
-	return reply.Owners, err
+func (c *Client) ClaimShards(name string, shards []int) (map[int]string, error) {
+	res, err := c.controlMsg(context.Background(), Control{Op: "claim", Name: name, Shards: shards})
+	return res.Owners, err
 }
 
 // ReleaseShards frees the given shards if name holds them (the drain
 // path), returning the resulting live shard→holder map.
-func (c *LookupClient) ReleaseShards(name string, shards []int) (map[int]string, error) {
-	reply, err := c.call(lookupMsg{Op: "release", Name: name, Shards: shards})
-	return reply.Owners, err
+func (c *Client) ReleaseShards(name string, shards []int) (map[int]string, error) {
+	res, err := c.controlMsg(context.Background(), Control{Op: "release", Name: name, Shards: shards})
+	return res.Owners, err
 }
 
 // AnnounceVdata records name as the holder of the given derivation
-// keys, so other peers' vget probes route to it (docs/VDATA.md). A
-// token-gated registry requires the client token, like register.
-func (c *LookupClient) AnnounceVdata(name string, keys []string) error {
+// keys, so other peers' vget probes route to it (docs/VDATA.md).
+func (c *Client) AnnounceVdata(name string, keys []string) error {
 	if len(keys) == 0 {
 		return nil
 	}
-	_, err := c.call(lookupMsg{Op: "vput", Name: name, Keys: keys})
+	_, err := c.controlMsg(context.Background(), Control{Op: "vput", Name: name, Keys: keys})
 	return err
 }
 
 // ResolveVdata returns the name and address of the live peer holding a
-// derivation key; an error means no live holder is known.
-func (c *LookupClient) ResolveVdata(key string) (name, addr string, err error) {
-	reply, err := c.call(lookupMsg{Op: "vget", Key: key})
-	return reply.Name, reply.Addr, err
+// derivation key; an empty name means no live holder is known.
+func (c *Client) ResolveVdata(key string) (name, addr string, err error) {
+	res, err := c.controlMsg(context.Background(), Control{Op: "vget", Key: key})
+	if err != nil || res.Owner == nil {
+		return "", "", err
+	}
+	return res.Owner.Peer, res.Owner.Addr, nil
 }
 
 // Unregister removes a peer's registration immediately (a clean
 // shutdown, rather than waiting out the TTL).
-func (c *LookupClient) Unregister(name string) error {
-	_, err := c.call(lookupMsg{Op: "unregister", Name: name})
+func (c *Client) Unregister(name string) error {
+	_, err := c.controlMsg(context.Background(), Control{Op: "unregister", Name: name})
 	return err
 }
-
-// Close closes the connection.
-func (c *LookupClient) Close() error { return c.conn.Close() }
 
 // Peer is one node of the datagridflow network: a named matrix server
 // registered with a lookup service. Status queries for executions owned
@@ -622,7 +502,7 @@ func (c *LookupClient) Close() error { return c.conn.Close() }
 type Peer struct {
 	Name   string
 	server *Server
-	lookup *LookupClient
+	lookup *Client
 	addr   string // bound address, set by Start
 	// shardMgr, when set (EnableSharding, before Start), turns this
 	// peer into a sharded-ownership node: see shardroute.go.
@@ -632,22 +512,16 @@ type Peer struct {
 	replSender   *replica.Sender
 	replReceiver *replica.Receiver
 	replCfg      ReplicationConfig
-	// lookupToken, when set (SetLookupToken, before Start), rides every
-	// lookup registration and heartbeat — required against a registry
-	// token-gated with LookupServer.SetAuth (docs/TENANCY.md).
-	lookupToken string
 	// vcat, when set (EnableVdata, before Start), makes this a
 	// derivation-sharing node: pure-step results publish into the
 	// catalog, announce to the lookup registry, and misses probe the
 	// announced holder (docs/VDATA.md).
 	vcat *vdata.Catalog
-	// vdataToken, when set (SetVdataToken, before Start), rides every
-	// remote derivation lookup — required against peers running with
-	// -require-auth, where the tenant identity is re-verified per lookup.
-	vdataToken string
 
 	mu      sync.Mutex
 	clients map[string]*Client
+	// credRenew is when the registry credential is next minted (registry).
+	credRenew time.Time
 }
 
 // NewPeer creates a peer over an engine. The engine should have been
@@ -663,11 +537,35 @@ func NewPeerConfig(name string, engine *matrix.Engine, cfg ServerConfig) *Peer {
 	return &Peer{Name: name, server: NewServerConfig(engine, cfg), clients: make(map[string]*Client)}
 }
 
-// SetLookupToken attaches a tenant bearer token to this peer's lookup
-// registration, heartbeats and shard-lease operations. Required when
-// the registry is token-gated (LookupServer.SetAuth); harmless
-// otherwise. Call before Start.
-func (p *Peer) SetLookupToken(tok string) { p.lookupToken = tok }
+// peerCredTTL is the lifetime of the registry credential a peer mints
+// for its own name.
+const peerCredTTL = time.Hour
+
+// registry returns the lookup connection for a mutating verb (nil
+// before Start). A peer with a tenant authority presents a credential
+// minted for its own name — what a gated registry requires, peer names
+// sharing the authority's tenant namespace (docs/TENANCY.md). It is
+// minted once and re-minted by the call that finds it past half its
+// lifetime.
+func (p *Peer) registry() *Client {
+	auth := p.server.auth
+	if p.lookup == nil || auth == nil {
+		return p.lookup
+	}
+	now := time.Now()
+	p.mu.Lock()
+	due := !now.Before(p.credRenew)
+	if due {
+		p.credRenew = now.Add(peerCredTTL / 2)
+	}
+	p.mu.Unlock()
+	if due {
+		if tok, err := auth.Mint(p.Name, peerCredTTL); err == nil {
+			p.lookup.SetToken(tok)
+		}
+	}
+	return p.lookup
+}
 
 // EnableVdata attaches a derivation catalog to this peer and wires the
 // fleet-wide memoization plane (docs/VDATA.md): the engine consults the
@@ -694,12 +592,6 @@ func (p *Peer) vdataLocate(key string) (string, bool) {
 	return name, err == nil && name != ""
 }
 
-// SetVdataToken attaches a tenant bearer token to this peer's remote
-// derivation lookups. Required against -require-auth peers, which
-// re-verify the claimed tenant on every vdata operation; harmless
-// otherwise. Call before Start.
-func (p *Peer) SetVdataToken(tok string) { p.vdataToken = tok }
-
 // announceVdata is the catalog's publish hook: best-effort — a failed
 // announcement costs remote reuse until the restart re-announcement,
 // never correctness.
@@ -707,16 +599,17 @@ func (p *Peer) announceVdata(key string) {
 	if p.lookup == nil {
 		return
 	}
-	if err := p.lookup.AnnounceVdata(p.Name, []string{key}); err != nil {
+	if err := p.registry().AnnounceVdata(p.Name, []string{key}); err != nil {
 		p.server.Engine().Obs().Counter("wire_vdata_announce_errors_total").Inc()
 	}
 }
 
 // vdataRemote is the engine's remote-lookup hook: locate the announced
-// holder through the registry, then fetch the entry over the wire. Any
-// failure — no holder, an unreachable one, a token the holder refuses —
-// reports a miss and the step simply executes.
-func (p *Peer) vdataRemote(tenantID, key string) (vdata.Entry, bool) {
+// holder through the registry, then fetch the entry over the wire with
+// the executing flow's own token, which the holder re-verifies the
+// tenant against. Any failure — no holder, an unreachable one, a token
+// the holder refuses — reports a miss and the step simply executes.
+func (p *Peer) vdataRemote(tenantID, token, key string) (vdata.Entry, bool) {
 	if p.lookup == nil {
 		return vdata.Entry{}, false
 	}
@@ -728,7 +621,7 @@ func (p *Peer) vdataRemote(tenantID, key string) (vdata.Entry, bool) {
 	if err != nil {
 		return vdata.Entry{}, false
 	}
-	info, err := c.vdataMsg(Control{Sub: "lookup", User: tenantID, Key: key, Token: p.vdataToken})
+	info, err := c.vdataMsg(Control{Sub: "lookup", User: tenantID, Key: key, Token: token})
 	if err != nil || !info.Found || info.Entry == nil {
 		return vdata.Entry{}, false
 	}
@@ -750,14 +643,13 @@ func (p *Peer) Start(addr, lookupAddr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	lc, err := DialLookup(lookupAddr)
+	lc, err := Dial(lookupAddr)
 	if err != nil {
 		p.server.Close()
 		return "", err
 	}
-	lc.SetToken(p.lookupToken)
 	p.lookup = lc
-	if err := lc.Register(p.Name, bound); err != nil {
+	if err := p.registry().Register(p.Name, bound); err != nil {
 		p.server.Close()
 		return "", err
 	}
@@ -775,7 +667,7 @@ func (p *Peer) Start(addr, lookupAddr string) (string, error) {
 		// live member set and the current owner map, then a rebalance
 		// claims whatever the ring assigns us. Later heartbeats (the
 		// federation loop) keep it reconciled.
-		if infos, owners, err := lc.HeartbeatShards(p.Name, bound, scheduler.PeerLoad{}); err == nil {
+		if infos, owners, err := lc.Heartbeat(p.Name, bound, scheduler.PeerLoad{}); err == nil {
 			p.shardMgr.SetOwners(owners)
 			names := make([]string, 0, len(infos))
 			for _, in := range infos {
@@ -793,8 +685,9 @@ func (p *Peer) Addr() string { return p.addr }
 // Server returns the peer's wire server.
 func (p *Peer) Server() *Server { return p.server }
 
-// Lookup returns the peer's lookup connection (nil before Start).
-func (p *Peer) Lookup() *LookupClient { return p.lookup }
+// Lookup returns the peer's lookup registry connection (nil before
+// Start).
+func (p *Peer) Lookup() *Client { return p.lookup }
 
 // Heartbeat renews this peer's registration with its current load and
 // returns the registry's live-peer gossip. The federation layer calls
@@ -803,21 +696,16 @@ func (p *Peer) Heartbeat(load scheduler.PeerLoad) ([]PeerInfo, error) {
 	if p.lookup == nil {
 		return nil, errors.New("wire: peer not connected to a lookup server")
 	}
-	if p.shardMgr == nil {
-		infos, err := p.lookup.Heartbeat(p.Name, p.addr, load)
-		if err != nil {
-			return nil, err
-		}
-		p.refreshReplication(infoNames(infos))
-		return infos, nil
-	}
-	// On a sharded network the same renewal round trip carries the live
-	// owner map back — adopt it so routing always follows the registry.
-	infos, owners, err := p.lookup.HeartbeatShards(p.Name, p.addr, load)
+	infos, owners, err := p.registry().Heartbeat(p.Name, p.addr, load)
 	if err != nil {
 		return nil, err
 	}
-	p.shardMgr.SetOwners(owners)
+	if p.shardMgr != nil {
+		// On a sharded network the same renewal round trip carries the
+		// live owner map back — adopt it so routing always follows the
+		// registry.
+		p.shardMgr.SetOwners(owners)
+	}
 	p.refreshReplication(infoNames(infos))
 	return infos, nil
 }
@@ -968,13 +856,13 @@ func (p *Peer) Close() {
 			p.drainShard(sh, p.shardMgr.Tracked(sh))
 		}
 		if len(owned) > 0 {
-			_, _ = p.lookup.ReleaseShards(p.Name, owned)
+			_, _ = p.registry().ReleaseShards(p.Name, owned)
 		}
 	}
 	p.closeReplication()
 	p.server.Close()
 	if p.lookup != nil {
-		_ = p.lookup.Unregister(p.Name)
+		_ = p.registry().Unregister(p.Name)
 		p.lookup.Close()
 	}
 	p.mu.Lock()

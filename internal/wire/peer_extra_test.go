@@ -37,7 +37,7 @@ func TestLookupTTLEviction(t *testing.T) {
 		mu.Unlock()
 	}
 
-	c, err := DialLookup(addr)
+	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +50,11 @@ func TestLookupTTLEviction(t *testing.T) {
 	}
 	advance(20 * time.Second)
 	// fresh heartbeats inside the TTL; stale stays silent.
-	if _, err := c.Heartbeat("fresh", "10.0.0.2:1", scheduler.PeerLoad{Running: 3}); err != nil {
+	if _, _, err := c.Heartbeat("fresh", "10.0.0.2:1", scheduler.PeerLoad{Running: 3}); err != nil {
 		t.Fatal(err)
 	}
 	advance(15 * time.Second) // stale is now 35s silent, fresh 15s
-	infos, err := c.ListInfos()
+	infos, err := c.Peers()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestLookupTTLEviction(t *testing.T) {
 		t.Error("evicted peer still resolves")
 	}
 	// A heartbeat re-registers an evicted peer (lease renewal).
-	if _, err := c.Heartbeat("stale", "10.0.0.1:1", scheduler.PeerLoad{}); err != nil {
+	if _, _, err := c.Heartbeat("stale", "10.0.0.1:1", scheduler.PeerLoad{}); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := c.Resolve("stale"); err != nil || got != "10.0.0.1:1" {
@@ -87,12 +87,12 @@ func TestLookupTTLEviction(t *testing.T) {
 
 func TestLookupHeartbeatKeepsPriorLoad(t *testing.T) {
 	_, addr := startLookup(t)
-	c, err := DialLookup(addr)
+	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Heartbeat("p", "10.0.0.1:1", scheduler.PeerLoad{Running: 7}); err != nil {
+	if _, _, err := c.Heartbeat("p", "10.0.0.1:1", scheduler.PeerLoad{Running: 7}); err != nil {
 		t.Fatal(err)
 	}
 	// A plain register (no load) must not wipe the gossiped load; the
@@ -100,7 +100,7 @@ func TestLookupHeartbeatKeepsPriorLoad(t *testing.T) {
 	if err := c.Register("p", "10.0.0.1:1"); err != nil {
 		t.Fatal(err)
 	}
-	infos, err := c.ListInfos()
+	infos, err := c.Peers()
 	if err != nil || len(infos) != 1 {
 		t.Fatalf("infos = %+v, %v", infos, err)
 	}
@@ -108,14 +108,14 @@ func TestLookupHeartbeatKeepsPriorLoad(t *testing.T) {
 		t.Errorf("load after re-register = %+v", infos[0].Load)
 	}
 	// Heartbeat with empty name rejected.
-	if _, err := c.Heartbeat("", "x", scheduler.PeerLoad{}); err == nil {
+	if _, _, err := c.Heartbeat("", "x", scheduler.PeerLoad{}); err == nil {
 		t.Error("empty heartbeat accepted")
 	}
 }
 
 func TestLookupUnregister(t *testing.T) {
 	_, addr := startLookup(t)
-	c, err := DialLookup(addr)
+	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestLookupConcurrentRegisterResolve(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c, err := DialLookup(addr)
+			c, err := Dial(addr)
 			if err != nil {
 				errs <- err
 				return
@@ -160,7 +160,7 @@ func TestLookupConcurrentRegisterResolve(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, err := c.Heartbeat(name, fmt.Sprintf("10.0.0.%d:%d", w, i), scheduler.PeerLoad{Running: int64(i)}); err != nil {
+				if _, _, err := c.Heartbeat(name, fmt.Sprintf("10.0.0.%d:%d", w, i), scheduler.PeerLoad{Running: int64(i)}); err != nil {
 					errs <- err
 					return
 				}
@@ -172,12 +172,12 @@ func TestLookupConcurrentRegisterResolve(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	c, err := DialLookup(addr)
+	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	infos, err := c.ListInfos()
+	infos, err := c.Peers()
 	if err != nil || len(infos) != workers {
 		t.Fatalf("infos = %d, %v", len(infos), err)
 	}
@@ -191,9 +191,9 @@ func TestLookupConcurrentRegisterResolve(t *testing.T) {
 
 func TestLookupShutdownWithOpenConns(t *testing.T) {
 	ls, addr := startLookup(t)
-	var clients []*LookupClient
+	var clients []*Client
 	for i := 0; i < 4; i++ {
-		c, err := DialLookup(addr)
+		c, err := Dial(addr)
 		if err != nil {
 			t.Fatal(err)
 		}

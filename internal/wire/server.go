@@ -845,25 +845,27 @@ func (s *Server) serveControl(payload []byte) ControlResult {
 			fmt.Errorf("%w: bad control frame: %v", dgferr.ErrInvalid, err))}
 	}
 	if c.Op == "hello" {
-		return s.serveHello(c)
+		return serveHello(c, s.auth, s.engine.Obs().Counter("tenant_auth_failures_total"))
 	}
 	return s.serveControlOp(c)
 }
 
-// serveHello answers the hello exchange (docs/WIRE.md, "One version"):
-// a client offering another protocol version is refused with a typed
-// dgferr.ErrProtocol, and a token, when one is offered, is verified —
-// the client learns its credential is dead before submitting anything.
-func (s *Server) serveHello(c Control) ControlResult {
+// serveHello answers the hello exchange (docs/WIRE.md, "One version"),
+// a matrix server's and the lookup registry's alike: a client offering
+// another protocol version is refused with a typed dgferr.ErrProtocol,
+// and a token, when one is offered and auth is set, is verified — the
+// client learns its credential is dead before using it. failures counts
+// the refused tokens.
+func serveHello(c Control, auth *tenant.Authority, failures *obs.Counter) ControlResult {
 	if c.Proto != ProtoVersion {
 		return ControlResult{Error: dgferr.Encode(fmt.Errorf(
 			"%w: client speaks protocol %q, server %q", dgferr.ErrProtocol, c.Proto, ProtoVersion))}
 	}
 	res := ControlResult{OK: true, Proto: ProtoVersion}
-	if c.Token != "" && s.auth != nil {
-		id, err := s.auth.Verify(c.Token)
+	if c.Token != "" && auth != nil {
+		id, err := auth.Verify(c.Token)
 		if err != nil {
-			s.engine.Obs().Counter("tenant_auth_failures_total").Inc()
+			failures.Inc()
 			return ControlResult{Error: dgferr.Encode(err)}
 		}
 		res.Tenant = id

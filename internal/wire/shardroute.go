@@ -195,7 +195,7 @@ func (p *Peer) claimShard(sh int) (string, bool) {
 	if p.lookup == nil {
 		return "", false
 	}
-	owners, err := p.lookup.ClaimShards(p.Name, []int{sh})
+	owners, err := p.registry().ClaimShards(p.Name, []int{sh})
 	if err != nil {
 		return "", false
 	}
@@ -306,10 +306,10 @@ func (p *Peer) RebalanceShards(members []string) bool {
 	defer p.refreshReplication(members)
 	return mgr.Rebalance(members,
 		func(shards []int) (map[int]string, error) {
-			return p.lookup.ClaimShards(p.Name, shards)
+			return p.registry().ClaimShards(p.Name, shards)
 		},
 		func(shards []int) error {
-			_, err := p.lookup.ReleaseShards(p.Name, shards)
+			_, err := p.registry().ReleaseShards(p.Name, shards)
 			return err
 		},
 		p.drainShard)

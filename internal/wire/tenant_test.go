@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -424,7 +425,7 @@ func TestLookupTokenMustNamePeer(t *testing.T) {
 	}
 	defer ls.Close()
 
-	peer, err := DialLookup(addr)
+	peer, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +434,7 @@ func TestLookupTokenMustNamePeer(t *testing.T) {
 	if err := peer.Register("peerA", "127.0.0.1:9999"); err != nil {
 		t.Fatalf("peerA registering itself = %v", err)
 	}
-	mallory, err := DialLookup(addr)
+	mallory, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,13 +455,17 @@ func TestLookupTokenMustNamePeer(t *testing.T) {
 }
 
 // TestLookupAuthGating: a token-gated registry refuses mutating
-// operations without a token, keeps reads open, and admits a tokened
-// peer end to end (Peer.SetLookupToken).
+// operations without a token or under a token minted for another name,
+// keeps reads open, and admits a peer end to end: a peer with the tenant
+// authority presents a credential it minted for its own name, and
+// re-mints it once past half its lifetime.
 func TestLookupAuthGating(t *testing.T) {
 	auth, err := tenant.NewAuthority([]byte("lookup-secret"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var ahead atomic.Int64 // how far the authority's clock runs ahead
+	auth.SetClock(func() time.Time { return time.Now().Add(time.Duration(ahead.Load())) })
 	ls := NewLookupServer()
 	ls.SetAuth(auth)
 	addr, err := ls.Listen("127.0.0.1:0")
@@ -469,7 +474,7 @@ func TestLookupAuthGating(t *testing.T) {
 	}
 	defer ls.Close()
 
-	lc, err := DialLookup(addr)
+	lc, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,19 +484,19 @@ func TestLookupAuthGating(t *testing.T) {
 		t.Fatalf("tokenless register = %v, want token refusal", err)
 	}
 	// Reads stay open: the directory is not a secret.
-	if _, err := lc.List(); err != nil {
+	if _, err := lc.Peers(); err != nil {
 		t.Fatalf("tokenless list refused: %v", err)
 	}
 
-	tok, err := auth.Mint("ops", time.Hour)
-	if err != nil {
-		t.Fatal(err)
+	lc.SetToken(mint(t, auth, "ops"))
+	if err := lc.Register("peerA", "127.0.0.1:9999"); !errors.Is(err, dgferr.ErrAuth) {
+		t.Fatalf("register of peerA under ops's token = %v, want typed ErrAuth", err)
 	}
-	lc.SetToken(tok)
+	lc.SetToken(mint(t, auth, "peerA"))
 	if err := lc.Register("peerA", "127.0.0.1:9999"); err != nil {
 		t.Fatalf("tokened register = %v", err)
 	}
-	if _, err := lc.Heartbeat("peerA", "127.0.0.1:9999", scheduler.PeerLoad{}); err != nil {
+	if _, _, err := lc.Heartbeat("peerA", "127.0.0.1:9999", scheduler.PeerLoad{}); err != nil {
 		t.Fatalf("tokened heartbeat = %v", err)
 	}
 	if got, err := lc.Resolve("peerA"); err != nil || got != "127.0.0.1:9999" {
@@ -501,15 +506,28 @@ func TestLookupAuthGating(t *testing.T) {
 		t.Fatalf("tokened unregister = %v", err)
 	}
 
-	// End to end: a peer started with SetLookupToken registers itself.
+	// End to end: a peer with the tenant authority registers itself.
 	e := newEngine(t, "lk")
 	p := NewPeer("peerB", e)
-	p.SetLookupToken(tok)
+	p.Server().SetTenancy(auth, nil, false)
 	if _, err := p.Start("127.0.0.1:0", addr); err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 	if got, err := lc.Resolve("peerB"); err != nil || got == "" {
 		t.Fatalf("peerB registration = %q / %v", got, err)
+	}
+	first := p.Lookup().Token()
+	if _, err := p.Heartbeat(scheduler.PeerLoad{}); err != nil || p.Lookup().Token() != first {
+		t.Fatalf("heartbeat inside the credential's first half: %v, re-minted %v", err, p.Lookup().Token() != first)
+	}
+	// Forty minutes on, the next call finds the credential past half its
+	// hour and mints a fresh one, which the registry accepts.
+	ahead.Store(int64(40 * time.Minute))
+	p.mu.Lock()
+	p.credRenew = time.Now()
+	p.mu.Unlock()
+	if _, err := p.Heartbeat(scheduler.PeerLoad{}); err != nil || p.Lookup().Token() == first {
+		t.Fatalf("heartbeat past the credential's half-life: %v, re-minted %v", err, p.Lookup().Token() != first)
 	}
 }

@@ -310,7 +310,7 @@ func TestLookupVdataRegistry(t *testing.T) {
 	})
 	ls.SetTTL(30 * time.Second)
 
-	c, err := DialLookup(addr)
+	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,15 +325,16 @@ func TestLookupVdataRegistry(t *testing.T) {
 	if err != nil || name != "peerA" || holderAddr != "127.0.0.1:1111" {
 		t.Fatalf("vget = %q %q %v", name, holderAddr, err)
 	}
-	if _, _, err := c.ResolveVdata("nope"); err == nil {
-		t.Fatal("unknown key resolved")
+	// A miss is an answer, not an error.
+	if name, _, err := c.ResolveVdata("nope"); err != nil || name != "" {
+		t.Fatalf("unknown key resolved: %q, %v", name, err)
 	}
 	// Unregister drops the peer's announcements with it.
 	if err := c.Unregister("peerA"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.ResolveVdata("k1"); err == nil {
-		t.Fatal("key survived unregister")
+	if name, _, err := c.ResolveVdata("k1"); err != nil || name != "" {
+		t.Fatalf("key survived unregister: %q, %v", name, err)
 	}
 	// Eviction does too: register, announce, let the TTL lapse.
 	if err := c.Register("peerB", "127.0.0.1:2222"); err != nil {
@@ -345,13 +346,14 @@ func TestLookupVdataRegistry(t *testing.T) {
 	mu.Lock()
 	now = now.Add(31 * time.Second)
 	mu.Unlock()
-	if _, _, err := c.ResolveVdata("k3"); err == nil {
-		t.Fatal("key survived holder eviction")
+	if name, _, err := c.ResolveVdata("k3"); err != nil || name != "" {
+		t.Fatalf("key survived holder eviction: %q, %v", name, err)
 	}
 }
 
 // TestLookupVdataAuthGating: on a token-gated registry vput is a
-// mutating op (refused tokenless), vget stays open like resolve.
+// mutating op (refused tokenless, and under a token minted for another
+// name), vget stays open like resolve.
 func TestLookupVdataAuthGating(t *testing.T) {
 	auth, err := tenant.NewAuthority([]byte("lookup-secret"))
 	if err != nil {
@@ -365,7 +367,7 @@ func TestLookupVdataAuthGating(t *testing.T) {
 	}
 	defer ls.Close()
 
-	c, err := DialLookup(addr)
+	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,11 +376,11 @@ func TestLookupVdataAuthGating(t *testing.T) {
 		!strings.Contains(err.Error(), "token") {
 		t.Fatalf("tokenless vput = %v, want token refusal", err)
 	}
-	tok, err := auth.Mint("ops", time.Hour)
-	if err != nil {
-		t.Fatal(err)
+	c.SetToken(mint(t, auth, "ops"))
+	if err := c.AnnounceVdata("peerA", []string{"k1"}); !errors.Is(err, dgferr.ErrAuth) {
+		t.Fatalf("vput for peerA under ops's token = %v, want typed ErrAuth", err)
 	}
-	c.SetToken(tok)
+	c.SetToken(mint(t, auth, "peerA"))
 	if err := c.Register("peerA", "127.0.0.1:1111"); err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +388,7 @@ func TestLookupVdataAuthGating(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reads stay open, even from a tokenless connection.
-	open, err := DialLookup(addr)
+	open, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

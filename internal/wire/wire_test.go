@@ -237,7 +237,7 @@ func TestLookupServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ls.Close()
-	c, err := DialLookup(addr)
+	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,9 +255,9 @@ func TestLookupServer(t *testing.T) {
 	if _, err := c.Resolve("matrixZ"); err == nil {
 		t.Errorf("unknown peer resolved")
 	}
-	peers, err := c.List()
+	peers, err := c.Peers()
 	if err != nil || len(peers) != 2 {
-		t.Errorf("List = %v, %v", peers, err)
+		t.Errorf("Peers = %v, %v", peers, err)
 	}
 	// Re-register updates the address.
 	if err := c.Register("matrixA", "10.0.0.9:9000"); err != nil {
@@ -448,9 +448,6 @@ func TestListenErrors(t *testing.T) {
 	// Dial to a dead address fails.
 	if _, err := Dial("127.0.0.1:1"); err == nil {
 		t.Errorf("dial to closed port succeeded")
-	}
-	if _, err := DialLookup("127.0.0.1:1"); err == nil {
-		t.Errorf("lookup dial to closed port succeeded")
 	}
 }
 
