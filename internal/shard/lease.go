@@ -7,8 +7,8 @@ import (
 
 // LeaseTable is the registry-side half of shard ownership: a map of
 // shard → (holder, expiry) with claim/renew/release semantics. The
-// lookup server embeds one; peers talk to it over the lookup protocol
-// ("claim"/"release" ops, docs/WIRE.md §"Lookup protocol").
+// lookup server embeds one; peers talk to it with the registry's
+// control verbs ("claim"/"release", docs/WIRE.md §2 "Lookup registry").
 //
 // A lease is exclusive while live: Claim grants a shard only when it
 // is unheld, expired, or already held by the claimant (a re-claim

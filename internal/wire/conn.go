@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -228,4 +229,82 @@ func newFrameConn(conn net.Conn, flushes *obs.Counter) *frameConn {
 	fc.r.br = bufio.NewReaderSize(conn, readBufSize)
 	fc.w.conn, fc.w.flushes = conn, flushes
 	return fc
+}
+
+// listening is what a matrix server and the lookup registry share of
+// their lifecycle: the listener, the connections it accepted, and the
+// goroutines serving them, which close waits for.
+type listening struct {
+	mu       sync.Mutex
+	listener net.Listener
+	conns    map[net.Conn]bool
+	closed   bool
+	wg       sync.WaitGroup
+}
+
+// listen binds addr and serves each connection it accepts on its own
+// goroutine; the connection is closed when serve returns.
+func (ls *listening) listen(addr string, serve func(net.Conn)) (string, error) {
+	l, err := net.Listen("tcp", addr)
+	if err != nil {
+		return "", fmt.Errorf("wire: listen %s: %w", addr, err)
+	}
+	ls.mu.Lock()
+	if ls.closed {
+		ls.mu.Unlock()
+		l.Close()
+		return "", errors.New("wire: server closed")
+	}
+	ls.listener = l
+	ls.mu.Unlock()
+	ls.wg.Add(1)
+	go func() {
+		defer ls.wg.Done()
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return // listener closed
+			}
+			ls.mu.Lock()
+			if ls.closed {
+				ls.mu.Unlock()
+				conn.Close()
+				return
+			}
+			if ls.conns == nil {
+				ls.conns = make(map[net.Conn]bool)
+			}
+			ls.conns[conn] = true
+			ls.wg.Add(1)
+			ls.mu.Unlock()
+			go func() {
+				defer ls.wg.Done()
+				serve(conn)
+				conn.Close()
+				ls.mu.Lock()
+				delete(ls.conns, conn)
+				ls.mu.Unlock()
+			}()
+		}
+	}()
+	return l.Addr().String(), nil
+}
+
+// close stops accepting, severs every live connection and waits for the
+// goroutines serving them. It is idempotent.
+func (ls *listening) close() {
+	ls.mu.Lock()
+	if ls.closed {
+		ls.mu.Unlock()
+		return
+	}
+	ls.closed = true
+	if ls.listener != nil {
+		ls.listener.Close()
+	}
+	for conn := range ls.conns {
+		conn.Close()
+	}
+	ls.mu.Unlock()
+	ls.wg.Wait()
 }

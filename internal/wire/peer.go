@@ -44,15 +44,12 @@ type peerEntry struct {
 // order (docs/WIRE.md §2). A frame of any other kind severs the
 // connection.
 type LookupServer struct {
-	obs      *obs.Registry
-	mu       sync.Mutex
-	peers    map[string]*peerEntry
-	ttl      time.Duration
-	now      func() time.Time
-	listener net.Listener
-	conns    map[net.Conn]bool
-	closed   bool
-	wg       sync.WaitGroup
+	obs   *obs.Registry
+	ln    listening
+	mu    sync.Mutex
+	peers map[string]*peerEntry
+	ttl   time.Duration
+	now   func() time.Time
 	// leases is the shard-ownership table of a sharded registry (nil
 	// until SetShards). Leases share the registry's liveness window: a
 	// heartbeat renews them, eviction and unregister release them.
@@ -75,7 +72,6 @@ func NewLookupServer() *LookupServer {
 		peers: make(map[string]*peerEntry),
 		ttl:   DefaultLookupTTL,
 		now:   time.Now,
-		conns: make(map[net.Conn]bool),
 		vkeys: make(map[string]string),
 	}
 }
@@ -207,49 +203,13 @@ func (s *LookupServer) infosLocked() []PeerInfo {
 }
 
 // Listen binds the registry to addr and returns the bound address.
-func (s *LookupServer) Listen(addr string) (string, error) {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	s.mu.Lock()
-	s.listener = l
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			s.mu.Lock()
-			if s.closed {
-				s.mu.Unlock()
-				conn.Close()
-				return
-			}
-			s.conns[conn] = true
-			s.mu.Unlock()
-			s.wg.Add(1)
-			go s.serve(conn)
-		}
-	}()
-	return l.Addr().String(), nil
-}
+func (s *LookupServer) Listen(addr string) (string, error) { return s.ln.listen(addr, s.serve) }
 
 // serve answers one connection's control frames in the order they
 // come. The registry counts its lookup_* metrics only: its frames are
 // not peer traffic.
 func (s *LookupServer) serve(conn net.Conn) {
-	defer s.wg.Done()
 	fc := newFrameConn(conn, nil)
-	defer func() {
-		fc.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
 	for {
 		fr, err := fc.r.next()
 		if err != nil || fr.kind != KindControl {
@@ -267,9 +227,6 @@ func (s *LookupServer) serve(conn net.Conn) {
 		}
 	}
 }
-
-// refused is the reply that fails a verb with a typed error.
-func refused(err error) ControlResult { return ControlResult{Error: dgferr.Encode(err)} }
 
 // handle answers one control payload (docs/WIRE.md §2): the hello, or
 // one registry verb.
@@ -395,22 +352,7 @@ func (s *LookupServer) handle(payload []byte) ControlResult {
 }
 
 // Close stops the registry: the listener and every live connection.
-func (s *LookupServer) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	if s.listener != nil {
-		s.listener.Close()
-	}
-	for conn := range s.conns {
-		conn.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-}
+func (s *LookupServer) Close() { s.ln.close() }
 
 // The registry's verbs are Client methods: Dial the registry and call
 // them over the one connection from any number of goroutines — they
@@ -669,11 +611,7 @@ func (p *Peer) Start(addr, lookupAddr string) (string, error) {
 		// federation loop) keep it reconciled.
 		if infos, owners, err := lc.Heartbeat(p.Name, bound, scheduler.PeerLoad{}); err == nil {
 			p.shardMgr.SetOwners(owners)
-			names := make([]string, 0, len(infos))
-			for _, in := range infos {
-				names = append(names, in.Name)
-			}
-			p.RebalanceShards(names)
+			p.RebalanceShards(infoNames(infos))
 		}
 	}
 	return bound, nil

@@ -3,7 +3,6 @@ package wire
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -108,11 +107,11 @@ type Server struct {
 	tenants     *tenant.Registry
 	requireAuth bool
 
-	mu          sync.Mutex
-	listener    net.Listener
-	conns       map[net.Conn]bool
-	closed      bool
-	wg          sync.WaitGroup
+	// ln tracks the listener, the connections and every goroutine
+	// serving a frame, which Close waits for.
+	ln listening
+
+	mu          sync.Mutex // guards the fault plan
 	fault       *fault.Injector
 	faultTarget string
 }
@@ -137,7 +136,6 @@ func NewServerConfig(engine *matrix.Engine, cfg ServerConfig) *Server {
 		engine: engine,
 		cfg:    cfg,
 		adm:    scheduler.NewAdmission(cfg.MaxInflight, cfg.MaxUserQueue, engine.Obs()),
-		conns:  make(map[net.Conn]bool),
 	}
 }
 
@@ -233,43 +231,7 @@ func (s *Server) connFault() (drop bool) {
 // Listen starts accepting on addr ("127.0.0.1:0" for an ephemeral port)
 // and returns the bound address. Serving happens on background
 // goroutines; call Close to stop.
-func (s *Server) Listen(addr string) (string, error) {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("wire: listen %s: %w", addr, err)
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		l.Close()
-		return "", errors.New("wire: server closed")
-	}
-	s.listener = l
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.acceptLoop(l)
-	return l.Addr().String(), nil
-}
-
-func (s *Server) acceptLoop(l net.Listener) {
-	defer s.wg.Done()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = true
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
+func (s *Server) Listen(addr string) (string, error) { return s.ln.listen(addr, s.serveConn) }
 
 // muxSession is one connection: the read loop hands each frame to a
 // worker of the session's set.
@@ -289,17 +251,10 @@ type muxSession struct {
 // are written through the connection's frame writer as they complete,
 // correlated by request id.
 func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
 	o := s.engine.Obs()
 	o.Counter("wire_connections_total").Inc()
 	o.Gauge("wire_connections_open").Add(1)
-	defer func() {
-		conn.Close()
-		o.Gauge("wire_connections_open").Add(-1)
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
+	defer o.Gauge("wire_connections_open").Add(-1)
 	// ctx covers admission waits on this connection; cancelled when the
 	// read loop exits (connection gone or server closing).
 	ctx, cancel := context.WithCancel(context.Background())
@@ -328,7 +283,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		default:
 			if workers < muxConnWindow {
 				workers++
-				s.wg.Add(1)
+				s.ln.wg.Add(1)
 				go ms.work(fr)
 			} else {
 				ms.jobs <- fr // per-connection backpressure
@@ -339,7 +294,7 @@ func (s *Server) serveConn(conn net.Conn) {
 
 // work handles frames until the session ends, starting with first.
 func (ms *muxSession) work(first frame) {
-	defer ms.s.wg.Done()
+	defer ms.s.ln.wg.Done()
 	rp := new(reply)
 	for fr, ok := first, true; ok; fr, ok = <-ms.jobs {
 		ms.handle(fr, rp)
@@ -841,14 +796,16 @@ func (s *Server) serveDelegate(ctx context.Context, payload []byte) DelegateResu
 func (s *Server) serveControl(payload []byte) ControlResult {
 	c, err := decodeControl(payload)
 	if err != nil {
-		return ControlResult{Error: dgferr.Encode(
-			fmt.Errorf("%w: bad control frame: %v", dgferr.ErrInvalid, err))}
+		return refused(fmt.Errorf("%w: bad control frame: %v", dgferr.ErrInvalid, err))
 	}
 	if c.Op == "hello" {
 		return serveHello(c, s.auth, s.engine.Obs().Counter("tenant_auth_failures_total"))
 	}
 	return s.serveControlOp(c)
 }
+
+// refused is the reply that fails a control verb with a typed error.
+func refused(err error) ControlResult { return ControlResult{Error: dgferr.Encode(err)} }
 
 // serveHello answers the hello exchange (docs/WIRE.md, "One version"),
 // a matrix server's and the lookup registry's alike: a client offering
@@ -858,15 +815,14 @@ func (s *Server) serveControl(payload []byte) ControlResult {
 // the refused tokens.
 func serveHello(c Control, auth *tenant.Authority, failures *obs.Counter) ControlResult {
 	if c.Proto != ProtoVersion {
-		return ControlResult{Error: dgferr.Encode(fmt.Errorf(
-			"%w: client speaks protocol %q, server %q", dgferr.ErrProtocol, c.Proto, ProtoVersion))}
+		return refused(fmt.Errorf("%w: client speaks protocol %q, server %q", dgferr.ErrProtocol, c.Proto, ProtoVersion))
 	}
 	res := ControlResult{OK: true, Proto: ProtoVersion}
 	if c.Token != "" && auth != nil {
 		id, err := auth.Verify(c.Token)
 		if err != nil {
 			failures.Inc()
-			return ControlResult{Error: dgferr.Encode(err)}
+			return refused(err)
 		}
 		res.Tenant = id
 	}
@@ -879,12 +835,11 @@ func (s *Server) serveControlOp(c Control) ControlResult {
 		// Resolved before the execution lookup below: an ownership query
 		// must not resurrect a passivated execution as a side effect.
 		if s.ownerResolver == nil {
-			return ControlResult{Error: dgferr.Encode(
-				fmt.Errorf("%w: server is not sharded", dgferr.ErrInvalid))}
+			return refused(fmt.Errorf("%w: server is not sharded", dgferr.ErrInvalid))
 		}
 		info, err := s.ownerResolver(c.ID)
 		if err != nil {
-			return ControlResult{Error: dgferr.Encode(err)}
+			return refused(err)
 		}
 		return ControlResult{OK: true, ID: c.ID, Owner: info}
 	}
@@ -914,8 +869,7 @@ func (s *Server) serveControlOp(c Control) ControlResult {
 		// Like "owner": resolved before the execution lookup so a status
 		// probe cannot resurrect anything as a side effect.
 		if s.replResolver == nil {
-			return ControlResult{Error: dgferr.Encode(
-				fmt.Errorf("%w: server is not replicating", dgferr.ErrInvalid))}
+			return refused(fmt.Errorf("%w: server is not replicating", dgferr.ErrInvalid))
 		}
 		return ControlResult{OK: true, Repl: s.replResolver()}
 	}
@@ -939,19 +893,17 @@ func (s *Server) serveControlOp(c Control) ControlResult {
 	case "store":
 		st := s.engine.Store()
 		if st == nil {
-			return ControlResult{Error: dgferr.Encode(
-				fmt.Errorf("%w: no flow-state store attached", dgferr.ErrInvalid))}
+			return refused(fmt.Errorf("%w: no flow-state store attached", dgferr.ErrInvalid))
 		}
 		return ControlResult{OK: true, Store: storeInfo(s.engine, st)}
 	case "compact":
 		st := s.engine.Store()
 		if st == nil {
-			return ControlResult{Error: dgferr.Encode(
-				fmt.Errorf("%w: no flow-state store attached", dgferr.ErrInvalid))}
+			return refused(fmt.Errorf("%w: no flow-state store attached", dgferr.ErrInvalid))
 		}
 		cs, err := st.Compact()
 		if err != nil {
-			return ControlResult{Error: dgferr.Encode(err)}
+			return refused(err)
 		}
 		info := storeInfo(s.engine, st)
 		info.Compaction = &CompactionInfo{
@@ -962,8 +914,7 @@ func (s *Server) serveControlOp(c Control) ControlResult {
 		}
 		return ControlResult{OK: true, Store: info}
 	default:
-		return ControlResult{Error: dgferr.Encode(
-			fmt.Errorf("%w: unknown control op %q", dgferr.ErrInvalid, c.Op))}
+		return refused(fmt.Errorf("%w: unknown control op %q", dgferr.ErrInvalid, c.Op))
 	}
 }
 
@@ -973,22 +924,21 @@ func (s *Server) serveControlOp(c Control) ControlResult {
 // authority attached, an execution of another tenant is refused with a
 // typed dgferr.ErrAuth.
 func (s *Server) serveExecOp(c Control) ControlResult {
-	fail := func(err error) ControlResult { return ControlResult{Error: dgferr.Encode(err)} }
 	ten, err := s.resolveTenant(c.Token, c.User)
 	if err != nil {
-		return fail(err)
+		return refused(err)
 	}
 	exec, ok := s.engine.Execution(c.ID)
 	if !ok {
 		// The target may be passivated in the flow-state store: wire
 		// requests are a resurrection path (docs/STORE.md).
 		if exec, err = s.engine.ResurrectFor(c.ID, "wire"); err != nil {
-			return fail(fmt.Errorf("%w: execution %s", dgferr.ErrNotFound, c.ID))
+			return refused(fmt.Errorf("%w: execution %s", dgferr.ErrNotFound, c.ID))
 		}
 	}
 	if s.auth != nil && exec.User() != ten {
 		s.engine.Obs().Counter("tenant_auth_failures_total").Inc()
-		return fail(fmt.Errorf("%w: execution %s belongs to another tenant", dgferr.ErrAuth, c.ID))
+		return refused(fmt.Errorf("%w: execution %s belongs to another tenant", dgferr.ErrAuth, c.ID))
 	}
 	switch c.Op {
 	case "pause":
@@ -1000,7 +950,7 @@ func (s *Server) serveExecOp(c Control) ControlResult {
 	case "restart":
 		next, err := s.engine.Restart(c.ID)
 		if err != nil {
-			return fail(err)
+			return refused(err)
 		}
 		return ControlResult{OK: true, ID: next.ID}
 	}
@@ -1021,7 +971,7 @@ func (s *Server) serveVdata(c Control) ControlResult {
 	info.Enabled = true
 	ten, err := s.resolveTenant(c.Token, c.User)
 	if err != nil {
-		return ControlResult{Error: dgferr.Encode(err)}
+		return refused(err)
 	}
 	sub := c.Sub
 	if sub == "" {
@@ -1038,8 +988,7 @@ func (s *Server) serveVdata(c Control) ControlResult {
 		info.Durable = st.Durable
 	case "lookup":
 		if c.Key == "" {
-			return ControlResult{Error: dgferr.Encode(
-				fmt.Errorf("%w: vdata lookup needs a key", dgferr.ErrInvalid))}
+			return refused(fmt.Errorf("%w: vdata lookup needs a key", dgferr.ErrInvalid))
 		}
 		if ent, ok := cat.Lookup(ten, c.Key); ok {
 			info.Found = true
@@ -1047,29 +996,26 @@ func (s *Server) serveVdata(c Control) ControlResult {
 		}
 	case "publish":
 		if c.Entry == nil {
-			return ControlResult{Error: dgferr.Encode(
-				fmt.Errorf("%w: vdata publish needs an entry", dgferr.ErrInvalid))}
+			return refused(fmt.Errorf("%w: vdata publish needs an entry", dgferr.ErrInvalid))
 		}
 		ent := *c.Entry
 		// A caller may only ever write its own tenant scope.
 		ent.Tenant = ten
 		if err := cat.Publish(ent); err != nil {
-			return ControlResult{Error: dgferr.Encode(err)}
+			return refused(err)
 		}
 		info.Entries = cat.Len()
 	case "invalidate":
 		if c.Key == "" {
-			return ControlResult{Error: dgferr.Encode(
-				fmt.Errorf("%w: vdata invalidate needs a key or output path", dgferr.ErrInvalid))}
+			return refused(fmt.Errorf("%w: vdata invalidate needs a key or output path", dgferr.ErrInvalid))
 		}
 		n, err := cat.Invalidate(ten, c.Key)
 		if err != nil {
-			return ControlResult{Error: dgferr.Encode(err)}
+			return refused(err)
 		}
 		info.Removed = n
 	default:
-		return ControlResult{Error: dgferr.Encode(
-			fmt.Errorf("%w: unknown vdata sub-operation %q", dgferr.ErrInvalid, c.Sub))}
+		return refused(fmt.Errorf("%w: unknown vdata sub-operation %q", dgferr.ErrInvalid, c.Sub))
 	}
 	return ControlResult{OK: true, Vdata: info}
 }
@@ -1092,19 +1038,4 @@ func storeInfo(engine *matrix.Engine, st *store.Store) *StoreInfo {
 }
 
 // Close stops the listener and closes all live connections.
-func (s *Server) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	if s.listener != nil {
-		s.listener.Close()
-	}
-	for conn := range s.conns {
-		conn.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-}
+func (s *Server) Close() { s.ln.close() }
