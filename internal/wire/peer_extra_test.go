@@ -138,18 +138,24 @@ func TestLookupUnregister(t *testing.T) {
 func TestLookupConcurrentRegisterResolve(t *testing.T) {
 	_, addr := startLookup(t)
 	const workers = 8
+	// Even workers pipeline their calls on one shared connection, odd
+	// ones dial their own.
+	shared := dial(t, addr)
 	var wg sync.WaitGroup
 	errs := make(chan error, workers*2)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c, err := Dial(addr)
-			if err != nil {
-				errs <- err
-				return
+			c := shared
+			if w%2 == 1 {
+				var err error
+				if c, err = Dial(addr); err != nil {
+					errs <- err
+					return
+				}
+				defer c.Close()
 			}
-			defer c.Close()
 			name := fmt.Sprintf("peer-%d", w)
 			for i := 0; i < 20; i++ {
 				if err := c.Register(name, fmt.Sprintf("10.0.0.%d:%d", w, i)); err != nil {
