@@ -220,6 +220,30 @@ func TestVars(t *testing.T) {
 	}
 }
 
+// TestNonASCIINames: a name is read a rune at a time, so "$é" names "é"
+// in a condition and in a parameter alike, as "${é}" always did.
+func TestNonASCIINames(t *testing.T) {
+	env := MapEnv{"é": String("accent"), "aé": String("mixed"), "naïve": Number(2)}
+	for src, want := range map[string]Value{
+		`$é == "accent"`: Bool(true),
+		`${é} + "!"`:     String("accent!"),
+		"$naïve + 1":     Number(3),
+		`é == "accent"`:  Bool(true),
+	} {
+		if got := mustEval(t, src, env); !got.Equal(want) {
+			t.Errorf("%s = %#v, want %#v", src, got, want)
+		}
+	}
+	if vars := MustParse("$aé > $naïve").Vars(); len(vars) != 2 {
+		t.Errorf("Vars() = %q, want aé and naïve", vars)
+	}
+	for in, want := range map[string]string{"/p/$aé/q": "/p/mixed/q", "$é-$naïve": "accent-2", "/p/${aé}/q": "/p/mixed/q"} {
+		if got, err := Interpolate(in, env); err != nil || got != want {
+			t.Errorf("Interpolate(%q) = %q, %v; want %q", in, got, err, want)
+		}
+	}
+}
+
 func TestChainEnv(t *testing.T) {
 	outer := MapEnv{"x": Number(1), "y": Number(2)}
 	inner := MapEnv{"x": Number(10)}

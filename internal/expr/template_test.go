@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // templateEnv binds every shape of value a template can meet: text, an
@@ -37,14 +38,32 @@ func sameAsInterpolate(t *testing.T, s string, env Env) {
 var templateSeeds = []string{
 	"", "plain", "$$", "$$$$", "a$$b$$c", "${}", "${a", "${a}", "${a}${a}", "x${a}y$it-z",
 	"trailing $", "$", "$1x", "$-", "$a.b/c", "${a.b}", "$missing-end", "${missing}",
-	"/grid/${it}.dat", "cost=$n f=$f ok=$ok nil=$nil", "$é", "héllo $a wörld ${it}", "\xff$a\xfe",
-	"${a}${", "$$${a}", "$a$", strings.Repeat("long-$a-", 40),
+	"/grid/${it}.dat", "cost=$n f=$f ok=$ok nil=$nil", "$é", "/p/$aé/q", "$naïve", "héllo $a wörld ${it}",
+	"\xff$a\xfe", "${a}${", "$$${a}", "$a$", strings.Repeat("long-$a-", 40),
+}
+
+// validRendering: a template of valid UTF-8 rendered from valid values
+// is valid UTF-8 — a "$" before a multi-byte name must not split it.
+func validRendering(t *testing.T, s string, env MapEnv) {
+	t.Helper()
+	if !utf8.ValidString(s) {
+		return
+	}
+	for _, v := range env {
+		if !utf8.ValidString(v.AsString()) {
+			return
+		}
+	}
+	if got, err := Interpolate(s, env); err == nil && !utf8.ValidString(got) {
+		t.Fatalf("Interpolate(%q) = %q: not valid UTF-8", s, got)
+	}
 }
 
 func TestTemplateMatchesInterpolate(t *testing.T) {
 	for _, s := range templateSeeds {
 		sameAsInterpolate(t, s, templateEnv)
 		sameAsInterpolate(t, s, nil)
+		validRendering(t, s, templateEnv)
 	}
 }
 
@@ -53,7 +72,9 @@ func FuzzTemplate(f *testing.F) {
 		f.Add(s, "alpha", 3.0)
 	}
 	f.Fuzz(func(t *testing.T, s, text string, num float64) {
-		sameAsInterpolate(t, s, MapEnv{"a": String(text), "it": Number(num), "a.b": Bool(num > 0)})
+		env := MapEnv{"a": String(text), "it": Number(num), "a.b": Bool(num > 0)}
+		sameAsInterpolate(t, s, env)
+		validRendering(t, s, env)
 	})
 }
 
