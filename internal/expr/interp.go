@@ -50,11 +50,8 @@ func Interpolate(s string, env Env) (string, error) {
 				sb.WriteString(v.AsString())
 			}
 			i += 2 + end + 1
-		case isIdentStart(rune(next)):
-			j := i + 1
-			for j < len(s) && isIdentChar(rune(s[j])) {
-				j++
-			}
+		case startsIdent(s, i+1):
+			j := identEnd(s, i+1)
 			name := s[i+1 : j]
 			if v, ok := env.Lookup(name); ok {
 				sb.WriteString(v.AsString())
@@ -130,11 +127,8 @@ func CompileTemplate(s string) Template {
 			vars = true
 			i += 2 + end + 1
 			from = i
-		case isIdentStart(rune(next)):
-			j := i + 1
-			for j < len(s) && isIdentChar(rune(s[j])) {
-				j++
-			}
+		case startsIdent(s, i+1):
+			j := identEnd(s, i+1)
 			lit(s[from:i])
 			segs = append(segs, segment{name: s[i+1 : j]})
 			vars = true
@@ -164,25 +158,36 @@ func (t *Template) Src() string { return t.src }
 // Interpolate does for the source string: unbound variables render
 // empty, a nil env binds nothing.
 func (t *Template) Render(env Env) (string, error) {
+	var stack [128]byte
+	s, buf, err := t.Append(stack[:0], env)
+	if len(buf) > 0 {
+		s = string(buf)
+	}
+	return s, err
+}
+
+// Append is Render for a caller that decides where the text is kept. A
+// rendering that is a string already — the constant, or the value of a
+// lone "${name}" — comes back as s, with buf as it was; any other is
+// appended to buf, and s is empty.
+func (t *Template) Append(buf []byte, env Env) (s string, out []byte, err error) {
 	if t.err != nil {
-		return "", t.err
+		return "", buf, t.err
 	}
 	if t.segs == nil {
-		return t.src, nil
+		return t.src, buf, nil
 	}
 	if env == nil {
 		env = MapEnv(nil)
 	}
 	if sg := t.segs[0]; len(t.segs) == 1 {
 		if sg.name == "" {
-			return sg.lit, nil
+			return sg.lit, buf, nil
 		}
 		// "${path}" alone: the value's own string, no copy.
 		v, _ := env.Lookup(sg.name)
-		return v.AsString(), nil
+		return v.AsString(), buf, nil
 	}
-	var stack [128]byte
-	buf := stack[:0]
 	for _, sg := range t.segs {
 		if sg.name == "" {
 			buf = append(buf, sg.lit...)
@@ -190,7 +195,7 @@ func (t *Template) Render(env Env) (string, error) {
 			buf = v.appendTo(buf)
 		}
 	}
-	return string(buf), nil
+	return "", buf, nil
 }
 
 // Vars returns the set of variable names referenced by the expression, in

@@ -85,9 +85,7 @@ func (l *lexer) next() (token, error) {
 			return token{kind: tokDollar, text: name, pos: start}, nil
 		}
 		nameStart := l.pos
-		for l.pos < len(l.src) && isIdentChar(rune(l.src[l.pos])) {
-			l.pos++
-		}
+		l.pos = identEnd(l.src, l.pos)
 		if l.pos == nameStart {
 			return token{}, l.errf(start, "expected variable name after '$'")
 		}
@@ -101,7 +99,7 @@ func (l *lexer) next() (token, error) {
 	case c == ',':
 		l.pos++
 		return token{kind: tokComma, text: ",", pos: start}, nil
-	case isIdentStart(rune(c)):
+	case startsIdent(l.src, l.pos):
 		return l.lexIdent()
 	default:
 		return l.lexOp()
@@ -116,6 +114,35 @@ func isIdentStart(r rune) bool {
 
 func isIdentChar(r rune) bool {
 	return r == '_' || r == '.' || unicode.IsLetter(r) || unicode.IsDigit(r)
+}
+
+// runeAt decodes the rune at s[i], i < len(s), and its width; ASCII is
+// taken byte by byte, without decoding.
+func runeAt(s string, i int) (rune, int) {
+	if c := s[i]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(s[i:])
+}
+
+// startsIdent reports whether a name starts at s[i], i < len(s).
+func startsIdent(s string, i int) bool {
+	r, _ := runeAt(s, i)
+	return isIdentStart(r)
+}
+
+// identEnd returns the end of the run of name characters from s[i].
+// Names are read a rune at a time: "$é" names "é", where reading bytes
+// would stop inside its UTF-8 sequence.
+func identEnd(s string, i int) int {
+	for i < len(s) {
+		r, n := runeAt(s, i)
+		if !isIdentChar(r) {
+			break
+		}
+		i += n
+	}
+	return i
 }
 
 func (l *lexer) lexNumber() (token, error) {
@@ -188,9 +215,7 @@ func (l *lexer) lexString(quote byte) (token, error) {
 
 func (l *lexer) lexIdent() (token, error) {
 	start := l.pos
-	for l.pos < len(l.src) && isIdentChar(rune(l.src[l.pos])) {
-		l.pos++
-	}
+	l.pos = identEnd(l.src, l.pos)
 	return token{kind: tokIdent, text: l.src[start:l.pos], pos: start}, nil
 }
 
