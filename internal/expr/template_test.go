@@ -80,7 +80,7 @@ func FuzzTemplate(f *testing.F) {
 
 // TestTemplateAllocs: a constant costs nothing to render, a lone
 // reference hands back the bound string, and anything else is the one
-// result string.
+// result string; the append form allocates nothing at all.
 func TestTemplateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not meaningful under -race")
@@ -104,7 +104,39 @@ func TestTemplateAllocs(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("Render(%q): %.0f allocations, want %.0f", tc.src, got, tc.want)
 		}
+		buf := make([]byte, 0, 64)
+		if got := testing.AllocsPerRun(100, func() {
+			if _, _, err := tmpl.Append(buf[:0], templateEnv); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("Append(%q): %.0f allocations, want 0", tc.src, got)
+		}
 	}
+}
+
+// BenchmarkTemplateRender renders a parameter of three pieces, as a step
+// inside a loop binds it: Render makes the string, Append only fills a
+// buffer the caller keeps.
+func BenchmarkTemplateRender(b *testing.B) {
+	tmpl := CompileTemplate("/grid/work/$n-${it}.dat")
+	b.Run("Render", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := tmpl.Render(templateEnv); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Append", func(b *testing.B) {
+		b.ReportAllocs()
+		buf := make([]byte, 0, 64)
+		for i := 0; i < b.N; i++ {
+			if _, _, err := tmpl.Append(buf[:0], templateEnv); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // TestAsNumberStrings pins AsNumber on strings to strconv.ParseFloat of

@@ -130,7 +130,7 @@ func TestIterationMarginalAllocs(t *testing.T) {
 	}
 	small, large := cost(16), cost(32)
 	marginal := (large - small) / 16
-	const budget, parent = 3.1, 7.6
+	const budget, parent = 1.6, 2.8
 	t.Logf("iterated flow: %.0f allocations at 16+8 iterations, %.0f at 32+16: %.1f per added iteration (budget %.1f, parent commit %.1f)",
 		small, large, marginal, budget, parent)
 	if marginal > budget {
@@ -198,11 +198,11 @@ func dagEngine(tb testing.TB) *Engine {
 
 // TestDAGFlowAllocs holds the whole 137-step flow: 2 forEach loops of 32
 // iterations, each one block, a while loop of 8 in four blocks and the
-// grid operations under them measure 399 allocations where the parent
-// commit paid 495 — a replica slice, a physical object and a hex digest
-// for each of the 32 ingests — the commit before that 687 and the
-// commit before the loop blocks 1 270 (docs/ARCHITECTURE.md, stage 5,
-// has the rows).
+// grid operations under them measure 300 allocations where the parent
+// commit paid 399 — a string for each of the 104 parameters rendered
+// from several pieces, which are now cut from the execution's slab — the
+// commit before that 495, the one before it 687 and the commit before
+// the loop blocks 1 270 (docs/ARCHITECTURE.md, stage 5, has the rows).
 func TestDAGFlowAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not meaningful under -race")
@@ -216,7 +216,7 @@ func TestDAGFlowAllocs(t *testing.T) {
 		runToEnd(t, e, dagFlow(seq))
 		seq++
 	})
-	const budget, parent = 420, 495
+	const budget, parent = 320, 399
 	t.Logf("dag flow: %.0f allocations (budget %d, parent commit %d)", got, budget, parent)
 	if got > budget {
 		t.Errorf("the dag flow costs %.0f allocations, over the budget of %d: is an iteration opening its own region, a grid operation building its detail on the heap, or a grid object allocating its replica, physical record or digest, again?", got, budget)

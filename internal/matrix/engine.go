@@ -26,7 +26,9 @@ import (
 // read through the accessors — Param, ParamOr and Lookup give the value
 // after $variable interpolation, RawParam the text as the document has
 // it, EvalParam the value of an expression-valued parameter — which
-// resolve against the plan's ordered slots; no per-step map exists.
+// resolve against the plan's ordered slots; no per-step map exists. A
+// parameter rendered from several pieces is cut from its run's slab: the
+// string never changes, but keeping it keeps its chunk alive.
 type OpContext struct {
 	// Engine executing the step.
 	Engine *Engine
@@ -702,6 +704,7 @@ func (e *Engine) execution(id, rootID string, req *dgl.Request, p *plan, skip []
 	ex.root.id, ex.root.name, ex.root.kind, ex.root.state = rootID, req.Flow.Name, "flow", StatePending
 	ex.ctrl.init()
 	ex.scope.init(nil)
+	ex.slab.Start(p.paramBytes)
 	ex.lastActive.Store(e.Clock().Now().UnixNano())
 	return ex
 }

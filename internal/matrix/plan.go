@@ -31,6 +31,10 @@ type plan struct {
 	root *planFlow
 	// shape sizes the status subtree under the execution's root node.
 	shape regionShape
+	// paramBytes is the length of the operation parameters with a "$" in
+	// them — about what one pass over the flow renders — and so the
+	// first chunk of its execution's slab.
+	paramBytes int
 }
 
 // planFlow is one flow node.
@@ -427,6 +431,8 @@ type planBuilder struct {
 	shapes   []regionShape
 	tmpls    []expr.Template
 	rels     strings.Builder
+	// paramBytes sums the parameters with a "$" in them (plan.paramBytes).
+	paramBytes int
 }
 
 func take[T any](slab *[]T, n int) []T {
@@ -453,6 +459,7 @@ func buildPlan(f *dgl.Flow) *plan {
 	b.rels.Grow(z.relBytes)
 	p := &plan{root: &take(&b.flows, 1)[0]}
 	b.fillFlow(p.root, f, "", &p.shape)
+	p.paramBytes = b.paramBytes
 	return p
 }
 
@@ -579,6 +586,9 @@ func (b *planBuilder) fillOp(po *planOp, op *dgl.Operation) {
 			}
 		}
 		slots[at].name, slots[at].value = p.Name, expr.CompileTemplate(p.Value)
+		if strings.IndexByte(p.Value, '$') >= 0 {
+			b.paramBytes += len(p.Value)
+		}
 		if at == n {
 			n++
 		}

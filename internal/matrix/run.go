@@ -25,9 +25,15 @@ import (
 // for asynchronous ones.
 func (ex *Execution) run() {
 	defer close(ex.done)
-	// The plan serves the run and nothing after it: a terminal or
-	// passivated execution keeps its request and status tree, as before.
-	defer func() { ex.plan = nil }()
+	// The plan and the slab serve the run and nothing after it: a terminal
+	// or passivated execution keeps its request and status tree, as
+	// before, and a string cut from the slab keeps its own chunk.
+	defer func() {
+		ex.plan = nil
+		ex.slabMu.Lock()
+		ex.slab = codec.Arena{}
+		ex.slabMu.Unlock()
+	}()
 	defer ex.endGoverned()       // release the tenant admission slot
 	defer ex.cancelDelegations() // release any outstanding delegations
 	o := ex.engine.Obs()
@@ -731,14 +737,27 @@ func (ex *Execution) bind(c *OpContext, op *planOp, scope *Scope, nodeID string)
 		op:     op,
 	}
 	c.vals = c.inline[:0]
+	var stack [128]byte
 	for i := range op.slots {
-		v, err := op.slots[i].value.Render(scope)
+		v, buf, err := op.slots[i].value.Append(stack[:0], scope)
 		if err != nil {
 			return fmt.Errorf("parameter %q: %w", op.slots[i].name, err)
+		}
+		if len(buf) > 0 {
+			v = ex.cut(buf)
 		}
 		c.vals = append(c.vals, v)
 	}
 	return nil
+}
+
+// cut copies a parameter rendered from several pieces into the
+// execution's slab; a constant or a lone reference is the string it
+// already was.
+func (ex *Execution) cut(b []byte) string {
+	ex.slabMu.Lock()
+	defer ex.slabMu.Unlock()
+	return ex.slab.Cut(b)
 }
 
 // execOperation binds the operation's parameters into c — unless the

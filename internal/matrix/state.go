@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"datagridflow/internal/codec"
 	"datagridflow/internal/dgferr"
 	"datagridflow/internal/dgl"
 )
@@ -362,6 +363,13 @@ type Execution struct {
 	// restoreVars holds root-scope variables from a store snapshot,
 	// re-declared over the flow's variable block when the run starts.
 	restoreVars map[string]string
+
+	// slab holds the parameters bind renders from more than one piece,
+	// its first chunk sized by the plan; the run goroutine drops it on
+	// exit. slabMu guards it: the iterations of a parallel forEach bind
+	// at once.
+	slabMu sync.Mutex
+	slab   codec.Arena
 
 	mu  sync.Mutex
 	err error // final error, nil on success
