@@ -8,11 +8,13 @@ import (
 	"testing"
 	"time"
 
+	"datagridflow/internal/codec"
 	"datagridflow/internal/dgferr"
 	"datagridflow/internal/dgl"
 	"datagridflow/internal/matrix"
 	"datagridflow/internal/obs"
 	"datagridflow/internal/scheduler"
+	"datagridflow/internal/shard"
 	"datagridflow/internal/tenant"
 )
 
@@ -529,5 +531,64 @@ func TestLookupAuthGating(t *testing.T) {
 	p.mu.Unlock()
 	if _, err := p.Heartbeat(scheduler.PeerLoad{}); err != nil || p.Lookup().Token() == first {
 		t.Fatalf("heartbeat past the credential's half-life: %v, re-minted %v", err, p.Lookup().Token() != first)
+	}
+}
+
+// TestRouteFrameCannotSpoofUser: the owner of a routed submission runs
+// it as the identity the route envelope verified, never as the user the
+// embedded document names. A document naming another tenant is refused
+// with a typed ErrAuth and counted as an auth failure; one naming no
+// user runs as the envelope's tenant.
+func TestRouteFrameCannotSpoofUser(t *testing.T) {
+	_, lookupAddr := startLookupSharded(t, testShards)
+	auth, err := tenant.NewAuthority([]byte("wire-test-secret"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newEngine(t, "siteA:")
+	p := NewPeer("siteA", e)
+	p.EnableSharding(shard.NewManager(shard.Config{Self: "siteA", Shards: testShards, Obs: e.Obs()}))
+	p.Server().SetTenancy(auth, tenant.NewRegistry(tenant.Quota{}, obs.NewRegistry()), true)
+	if _, err := p.Start("127.0.0.1:0", lookupAddr); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	settle(t, p)
+
+	c := dial(t, p.Addr())
+	tok := mint(t, auth, "alice")
+	c.SetToken(tok)
+	if _, err := c.Hello(); err != nil {
+		t.Fatal(err)
+	}
+	route := func(docUser, flowName string) RouteResult {
+		t.Helper()
+		_, sh := flowOwnedBy(t, p, docUser)
+		doc := codec.RequestDoc(dgl.NewRequest(docUser, "", execFlow(flowName)))
+		res, fr, err := c.route(context.Background(), &Route{User: "alice", Token: tok, Request: doc, Shard: sh, Origin: "siteZ"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr.release()
+		return res
+	}
+	failures := e.Obs().Counter("tenant_auth_failures_total")
+	before := failures.Value()
+	if res := route("bob", "spoofed"); res.OK || !errors.Is(dgferr.Decode(res.Error), dgferr.ErrAuth) {
+		t.Errorf("route naming bob under alice's token = ok %v, error %q; want a typed ErrAuth", res.OK, res.Error)
+	}
+	if n := failures.Value() - before; n != 1 {
+		t.Errorf("tenant_auth_failures_total moved by %d, want 1", n)
+	}
+	if res := route("", "unnamed"); !res.OK {
+		t.Fatalf("route naming no user = %q, want ok", res.Error)
+	}
+	for _, row := range e.ListExecutions() {
+		if row.User != "alice" {
+			t.Errorf("execution %s (%s) runs as %q, want alice", row.ID, row.Name, row.User)
+		}
+	}
+	if n := len(e.ListExecutions()); n != 1 {
+		t.Errorf("%d executions, want 1", n)
 	}
 }
