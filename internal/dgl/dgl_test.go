@@ -354,6 +354,27 @@ func TestOperationHelpers(t *testing.T) {
 	}
 }
 
+// TestOpAllocs: Op builds its parameter list at its final size and sorts
+// it in place — one allocation for a non-empty map, none for nil.
+func TestOpAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under -race")
+	}
+	params := map[string]string{"path": "/grid/a", "size": "64", "resource": "disk1", "c": "3", "b": "2"}
+	if n := testing.AllocsPerRun(100, func() { Op(OpIngest, params) }); n != 1 {
+		t.Errorf("Op over %d params: %.0f allocations, want 1", len(params), n)
+	}
+	if n := testing.AllocsPerRun(100, func() { Op(OpNoop, nil) }); n != 0 {
+		t.Errorf("Op over nil: %.0f allocations, want 0", n)
+	}
+	o := Op(OpIngest, params)
+	for i := 1; i < len(o.Params); i++ {
+		if o.Params[i-1].Name >= o.Params[i].Name {
+			t.Fatalf("params out of order: %+v", o.Params)
+		}
+	}
+}
+
 func TestFlowHelpers(t *testing.T) {
 	f := sampleFlow()
 	// ingest-stage has 1 step, fixity 2, drain 1, route 2 (one per subflow).

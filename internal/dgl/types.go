@@ -25,6 +25,7 @@ package dgl
 import (
 	"encoding/xml"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -329,23 +330,15 @@ func (o *Operation) ParamOr(name, def string) string {
 // deterministic parameter order.
 func Op(typ string, params map[string]string) Operation {
 	o := Operation{Type: typ}
-	keys := make([]string, 0, len(params))
-	for k := range params {
-		keys = append(keys, k)
+	if len(params) == 0 {
+		return o
 	}
-	sortStrings(keys)
-	for _, k := range keys {
-		o.Params = append(o.Params, Param{Name: k, Value: params[k]})
+	o.Params = make([]Param, 0, len(params))
+	for k, v := range params {
+		o.Params = append(o.Params, Param{Name: k, Value: v})
 	}
+	slices.SortFunc(o.Params, func(a, b Param) int { return strings.Compare(a.Name, b.Name) })
 	return o
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // ParseRequest decodes a DataGridRequest from XML and validates it

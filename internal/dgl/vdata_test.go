@@ -51,12 +51,29 @@ func TestValidateOutputsRejectsEmptyPaths(t *testing.T) {
 }
 
 func TestOutputListParsing(t *testing.T) {
-	s := Step{Outputs: " /out/a , /out/b "}
-	if got := s.OutputList(); !reflect.DeepEqual(got, []string{"/out/a", "/out/b"}) {
-		t.Fatalf("OutputList = %q", got)
+	outputs := func(s Step) []string {
+		var outs []string
+		s.EachOutput(func(i int, out string) {
+			if i != len(outs) {
+				t.Fatalf("EachOutput index %d after %d items", i, len(outs))
+			}
+			outs = append(outs, out)
+		})
+		if len(outs) != s.OutputCount() {
+			t.Fatalf("OutputCount = %d, EachOutput gave %q", s.OutputCount(), outs)
+		}
+		return outs
 	}
-	var empty Step
-	if got := empty.OutputList(); got != nil {
+	if got := outputs(Step{Outputs: " /out/a , /out/b "}); !reflect.DeepEqual(got, []string{"/out/a", "/out/b"}) {
+		t.Fatalf("outputs = %q", got)
+	}
+	if got := outputs(Step{Outputs: "a,, b,"}); !reflect.DeepEqual(got, []string{"a", "", "b", ""}) {
+		t.Fatalf("interior and trailing empty items = %q", got)
+	}
+	if got := outputs(Step{Outputs: " \t"}); got != nil {
+		t.Fatalf("blank outputs parsed to %q", got)
+	}
+	if got := outputs(Step{}); got != nil {
 		t.Fatalf("empty outputs parsed to %q", got)
 	}
 }

@@ -327,7 +327,11 @@ func TestForEachOpensOneBlockAhead(t *testing.T) {
 func TestRegionsTakenOutOfOrder(t *testing.T) {
 	const items = 70
 	flow := blockFlow(items, true, dgl.OpNoop)
-	pf := buildPlan(&flow).root
+	p, err := buildPlan(&flow, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf := p.root
 	loop := &node{id: "x:dgf-1/each", name: "each"}
 	var sizes []int
 	blockOpened = func(_ *planFlow, regions int) { sizes = append(sizes, regions) }

@@ -111,7 +111,7 @@ func (c *OpContext) EvalParam(name string) (v expr.Value, set bool, err error) {
 	if s == nil {
 		return expr.Null, false, nil
 	}
-	v, err = s.asExpr().eval(c.Scope)
+	v, err = s.eval(c.Scope)
 	return v, true, err
 }
 
@@ -238,7 +238,8 @@ func (e *Engine) handler(typ string) (OpHandler, bool) {
 // KnownOps returns the registered operation types as a validation set —
 // built-ins plus every RegisterOp extension. Components that validate DGL
 // documents destined for this engine (triggers, ILM policies, the wire
-// server) pass it to dgl.ValidateFlow. The map is the caller's own copy.
+// server) pass it to dgl.ValidateFlow; the engine's own entry points
+// check a flow as they lower it. The map is the caller's own copy.
 func (e *Engine) KnownOps() map[string]bool {
 	known := e.knownOps()
 	out := make(map[string]bool, len(known))
@@ -307,7 +308,8 @@ func (e *Engine) SubmitTo(req *dgl.Request, sink dgl.ReplySink) (id string, err 
 	if req.User.Name == "" {
 		return "", fmt.Errorf("%w: gridUser.name required", dgl.ErrInvalid)
 	}
-	if err := dgl.ValidateFlow(req.Flow, e.knownOps()); err != nil {
+	p, err := buildPlan(req.Flow, e.knownOps())
+	if err != nil {
 		return "", err
 	}
 	e.mu.RLock()
@@ -322,7 +324,7 @@ func (e *Engine) SubmitTo(req *dgl.Request, sink dgl.ReplySink) (id string, err 
 	if err != nil {
 		return "", err
 	}
-	exec := e.newExecution(req, nil, nil)
+	exec := e.newExecution(req, nil, p)
 	exec.governed.Store(governed)
 	if req.Async {
 		go exec.run()
@@ -361,14 +363,15 @@ func (e *Engine) SubmitBatch(reqs []*dgl.Request) []*dgl.Response {
 // Execution handle. It is the programmatic twin of an async Submit.
 func (e *Engine) Start(user string, flow dgl.Flow) (*Execution, error) {
 	req := dgl.NewAsyncRequest(user, "", flow)
-	if err := dgl.ValidateFlow(req.Flow, e.knownOps()); err != nil {
+	p, err := buildPlan(req.Flow, e.knownOps())
+	if err != nil {
 		return nil, err
 	}
 	governed, err := e.admit(user)
 	if err != nil {
 		return nil, err
 	}
-	exec := e.newExecution(req, nil, nil)
+	exec := e.newExecution(req, nil, p)
 	exec.governed.Store(governed)
 	go exec.run()
 	return exec, nil
@@ -387,14 +390,15 @@ func (e *Engine) Run(user string, flow dgl.Flow) (*Execution, error) {
 // returned directly.
 func (e *Engine) RunContext(ctx context.Context, user string, flow dgl.Flow) (*Execution, error) {
 	req := dgl.NewRequest(user, "", flow)
-	if err := dgl.ValidateFlow(req.Flow, e.knownOps()); err != nil {
+	p, err := buildPlan(req.Flow, e.knownOps())
+	if err != nil {
 		return nil, err
 	}
 	governed, err := e.admit(user)
 	if err != nil {
 		return nil, err
 	}
-	exec := e.newExecution(req, nil, nil)
+	exec := e.newExecution(req, nil, p)
 	exec.governed.Store(governed)
 	go exec.run()
 	select {
@@ -427,13 +431,18 @@ func (e *Engine) Restart(execID string) (*Execution, error) {
 	}
 	skip := make(map[string]bool)
 	prior.root.collectSucceeded(skip)
+	// The prior run dropped its plan when it ended.
+	p, err := buildPlan(prior.req.Flow, e.knownOps())
+	if err != nil {
+		return nil, err
+	}
 	governed, err := e.admit(prior.req.User.Name)
 	if err != nil {
 		return nil, err
 	}
 	// Checkpoint ids are recorded relative to the prior execution id;
 	// rewrite them for the new execution in newExecution.
-	next := e.newExecution(prior.req, skip, nil)
+	next := e.newExecution(prior.req, skip, p)
 	next.governed.Store(governed)
 	e.Obs().Counter("matrix_flows_restarted_total").Inc()
 	go next.run()
@@ -455,7 +464,8 @@ func (e *Engine) RestartFromProvenance(priorExecID string, req *dgl.Request) (*E
 	if req == nil || req.Flow == nil {
 		return nil, fmt.Errorf("%w: request with a flow required", dgl.ErrInvalid)
 	}
-	if err := dgl.ValidateFlow(req.Flow, e.knownOps()); err != nil {
+	p, err := buildPlan(req.Flow, e.knownOps())
+	if err != nil {
 		return nil, err
 	}
 	skip := make(map[string]bool)
@@ -478,7 +488,7 @@ func (e *Engine) RestartFromProvenance(priorExecID string, req *dgl.Request) (*E
 	if err != nil {
 		return nil, err
 	}
-	next := e.newExecution(req, skip, nil)
+	next := e.newExecution(req, skip, p)
 	next.governed.Store(governed)
 	e.Obs().Counter("matrix_flows_restarted_total").Inc()
 	go next.run()
@@ -642,14 +652,10 @@ func indexByte(s string, b byte) int {
 	return -1
 }
 
-// newExecution registers a fresh execution for req. skip carries
-// checkpoint ids from a prior run (already rebased to generic node
-// paths). p is req.Flow's plan when the caller holds one (a stored
-// procedure's, shared by its calls); nil lowers the flow here.
+// newExecution registers a fresh execution of p, the plan of req.Flow.
+// skip carries checkpoint ids from a prior run (already rebased to
+// generic node paths).
 func (e *Engine) newExecution(req *dgl.Request, skip map[string]bool, p *plan) *Execution {
-	if p == nil {
-		p = buildPlan(req.Flow)
-	}
 	var rebased []string
 	for k := range skip {
 		// Stored ids look like "dgf-000001/root/step"; keep only the

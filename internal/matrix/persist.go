@@ -259,11 +259,11 @@ func (e *Engine) ResurrectFor(id, path string) (*Execution, error) {
 	if !ok || ent.Ended || ent.Pruned {
 		return nil, fmt.Errorf("%w: execution %s", ErrNotFound, id)
 	}
-	req, err := e.storedRequest(ent)
+	req, p, err := e.storedRequest(ent)
 	if err != nil {
 		return nil, err
 	}
-	ex, created := e.adoptExecution(id, req, ent)
+	ex, created := e.adoptExecution(id, req, p, ent)
 	if !created {
 		return ex, nil // lost a resurrection race: the winner's handle
 	}
@@ -278,28 +278,33 @@ func (e *Engine) ResurrectFor(id, path string) (*Execution, error) {
 	return ex, nil
 }
 
-// storedRequest decodes and validates the request a store entry holds,
-// reading the document where it lies in the entry.
-func (e *Engine) storedRequest(ent store.Entry) (*dgl.Request, error) {
+// storedRequest decodes the request a store entry holds, reading the
+// document where it lies in the entry, and lowers its flow: a flow this
+// build can no longer run (an op it lacks) is refused here.
+func (e *Engine) storedRequest(ent store.Entry) (*dgl.Request, *plan, error) {
 	req, err := codec.DecodeRequestDoc(ent.Request)
 	if err != nil {
-		return nil, fmt.Errorf("%w: stored request for %s: %v", dgl.ErrInvalid, ent.ID, err)
+		return nil, nil, fmt.Errorf("%w: stored request for %s: %v", dgl.ErrInvalid, ent.ID, err)
 	}
-	if err := dgl.ValidateFlow(req.Flow, e.knownOps()); err != nil {
-		return nil, fmt.Errorf("matrix: stored flow %s: %w", ent.ID, err)
+	if req.Flow == nil {
+		return nil, nil, fmt.Errorf("%w: stored request for %s has no flow", dgl.ErrInvalid, ent.ID)
 	}
-	return req, nil
+	p, err := buildPlan(req.Flow, e.knownOps())
+	if err != nil {
+		return nil, nil, fmt.Errorf("matrix: stored flow %s: %w", ent.ID, err)
+	}
+	return req, p, nil
 }
 
-// adoptExecution builds an execution under an *existing* id from a
+// adoptExecution builds an execution of p under an *existing* id from a
 // store entry — the resurrection twin of newExecution, which always
 // mints a fresh id. The entry's done list (sorted, as Entry keeps it)
 // is the checkpoint skip set, its variables are restored into the root
 // scope when the run starts, and a paused entry resurrects paused.
 // Returns created=false if a concurrent resurrection already registered
 // the id.
-func (e *Engine) adoptExecution(id string, req *dgl.Request, ent store.Entry) (*Execution, bool) {
-	ex := e.execution(id, id+"/"+req.Flow.Name, req, buildPlan(req.Flow), ent.Done)
+func (e *Engine) adoptExecution(id string, req *dgl.Request, p *plan, ent store.Entry) (*Execution, bool) {
+	ex := e.execution(id, id+"/"+req.Flow.Name, req, p, ent.Done)
 	ex.restoreVars = ent.Vars
 	if ent.Paused {
 		ex.ctrl.pause()
@@ -346,12 +351,12 @@ func (e *Engine) RecoverFromStore() ([]*Execution, error) {
 	var out []*Execution
 	var errs []error
 	for _, ent := range st.Running() {
-		req, err := e.storedRequest(ent)
+		req, p, err := e.storedRequest(ent)
 		if err != nil {
 			errs = append(errs, err)
 			continue
 		}
-		ex, created := e.adoptExecution(ent.ID, req, ent)
+		ex, created := e.adoptExecution(ent.ID, req, p, ent)
 		if !created {
 			continue
 		}
@@ -402,7 +407,7 @@ func (e *Engine) AdoptEntries(entries []store.Entry, source string) []AdoptedFlo
 		if ent.Ended || ent.Pruned {
 			continue
 		}
-		req, err := e.storedRequest(ent)
+		req, p, err := e.storedRequest(ent)
 		if err != nil {
 			o.Counter("matrix_adoptions_total", "outcome", "invalid").Inc()
 			continue
@@ -423,7 +428,7 @@ func (e *Engine) AdoptEntries(entries []store.Entry, source string) []AdoptedFlo
 			out = append(out, AdoptedFlow{ID: ent.ID, User: req.User.Name, Flow: req.Flow.Name})
 			continue
 		}
-		ex, created := e.adoptExecution(ent.ID, req, ent)
+		ex, created := e.adoptExecution(ent.ID, req, p, ent)
 		if !created {
 			_ = ex
 			continue // already resident (duplicate promotion race)

@@ -1,7 +1,9 @@
 package matrix
 
-// plan.go lowers a validated dgl.Flow into the form the engine
-// interprets. A document fixes, the moment it validates, everything
+// plan.go lowers a dgl.Flow into the form the engine interprets, and
+// validates it on the way: lowering runs dgl's node checks inside its
+// own walk, so a document is read once between its decode and its
+// first step. A document fixes, the moment it validates, everything
 // about a run except the values its variables will hold: which strings
 // are expressions, where each "$name" sits inside each parameter, what
 // every status node under a given parent will be called. The plan works
@@ -41,7 +43,7 @@ type plan struct {
 type planFlow struct {
 	src  *dgl.Flow // the document node: delegation, shards and names read it
 	vars []planVar
-	cond planExpr // the while guard or switch selector
+	cond *expr.Expr // the while guard or switch selector
 	iter *planIter
 	// before and after are the two rules the engine fires implicitly.
 	before, after *planRule
@@ -53,28 +55,6 @@ type planFlow struct {
 	// one iteration: the children belong to the iteration's region, not
 	// to the region that holds the loop's own node.
 	body *regionShape
-}
-
-// planExpr is an expression parsed when the plan was built (or, for a
-// parameter, when a handler first evaluated it): the tree, or what
-// parsing the text reported — which surfaces where evaluating the text
-// would have. Validation parses conditions too, so only a document that
-// skipped it plans a condition that carries an error.
-type planExpr struct {
-	tree *expr.Expr
-	err  error
-}
-
-func parseExpr(src string) planExpr {
-	tree, err := expr.Parse(src)
-	return planExpr{tree, err}
-}
-
-func (x planExpr) eval(env expr.Env) (expr.Value, error) {
-	if x.err != nil {
-		return expr.Null, x.err
-	}
-	return x.tree.Eval(env)
 }
 
 // planChild is one entry of a flow's child table: what the child's
@@ -114,7 +94,7 @@ type planIter struct {
 // planRule is a beforeEntry/afterExit rule with its condition parsed.
 type planRule struct {
 	name    string
-	cond    planExpr
+	cond    *expr.Expr
 	actions []planAction
 }
 
@@ -142,21 +122,27 @@ type planOp struct {
 	slots []paramSlot
 }
 
-// paramSlot is one named parameter. Names are unique within an op: a
-// document that repeats one keeps the last value, as a map of them did.
+// paramSlot is one named parameter. Names are unique within an op:
+// lowering refuses a document that repeats one.
 type paramSlot struct {
 	name  string
 	value expr.Template
 	// An expression-valued parameter (setVariable's "expr") is parsed at
-	// most once per plan step, the first time a handler evaluates it.
+	// most once per plan step, the first time a handler evaluates it: the
+	// tree, or what parsing reported, which surfaces where evaluating the
+	// text would have.
 	once sync.Once
-	expr planExpr
+	tree *expr.Expr
+	err  error
 }
 
-// asExpr returns the slot's raw text parsed as an expression.
-func (s *paramSlot) asExpr() planExpr {
-	s.once.Do(func() { s.expr = parseExpr(s.value.Src()) })
-	return s.expr
+// eval evaluates the slot's raw text as an expression in env.
+func (s *paramSlot) eval(env expr.Env) (expr.Value, error) {
+	s.once.Do(func() { s.tree, s.err = expr.Parse(s.value.Src()) })
+	if s.err != nil {
+		return expr.Null, s.err
+	}
+	return s.tree.Eval(env)
 }
 
 // slot returns the op's slot for name, or nil (as for every name on the
@@ -384,7 +370,7 @@ func (z *planSize) countFlow(f *dgl.Flow, relLen int) {
 		z.countRules(st.Rules)
 		z.slots += len(st.Operation.Params)
 		if st.Pure {
-			z.tmpls += len(st.OutputList())
+			z.tmpls += st.OutputCount()
 		}
 	}
 }
@@ -419,6 +405,7 @@ func implicitRule(name string) bool {
 // hands out the next n entries of one; the counting walk sized them, so
 // none ever regrows (and pointers into them stay valid).
 type planBuilder struct {
+	known    map[string]bool // the engine's operation types
 	flows    []planFlow
 	steps    []planStep
 	children []planChild
@@ -441,14 +428,15 @@ func take[T any](slab *[]T, n int) []T {
 	return out
 }
 
-// buildPlan lowers a validated flow. It cannot fail: what validation
-// would have rejected (an unparsable condition, an unterminated "${" in
-// a parameter) is kept in the plan and reported by the step or flow that
-// reaches it, where the interpreter used to discover it.
-func buildPlan(f *dgl.Flow) *plan {
+// buildPlan lowers f, checking each node with dgl's rules before it
+// lowers it, in ValidateFlow's order: it refuses what ValidateFlow
+// refuses, with the same error, and keeps what the checks parsed. known
+// is the engine's operation registry.
+func buildPlan(f *dgl.Flow, known map[string]bool) (*plan, error) {
 	var z planSize
 	z.countFlow(f, 0)
 	b := &planBuilder{
+		known: known,
 		flows: make([]planFlow, z.flows), steps: make([]planStep, z.steps),
 		children: make([]planChild, z.children), vars: make([]planVar, z.vars),
 		rules: make([]planRule, z.rules), actions: make([]planAction, z.actions),
@@ -458,22 +446,28 @@ func buildPlan(f *dgl.Flow) *plan {
 	}
 	b.rels.Grow(z.relBytes)
 	p := &plan{root: &take(&b.flows, 1)[0]}
-	b.fillFlow(p.root, f, "", &p.shape)
+	if err := b.fillFlow(p.root, f, "", &p.shape, nil); err != nil {
+		return nil, err
+	}
 	p.paramBytes = b.paramBytes
-	return p
+	return p, nil
 }
 
-// fillFlow lowers f, whose own status node has id rel inside the region
-// sh is sizing. The children take the next len(kids) slots of their
-// region at once — before any grandchild — so they are contiguous and
-// one pointer slab can back every children slice; a loop's children
-// start the region of its iterations instead.
-func (b *planBuilder) fillFlow(pf *planFlow, f *dgl.Flow, rel string, sh *regionShape) {
+// fillFlow checks and lowers f, the child of the flow at parent (nil for
+// the root), whose own status node has id rel inside the region sh is
+// sizing. The children take the next len(kids) slots of their region at
+// once — before any grandchild — so they are contiguous and one pointer
+// slab can back every children slice; a loop's children start the
+// region of its iterations instead.
+func (b *planBuilder) fillFlow(pf *planFlow, f *dgl.Flow, rel string, sh *regionShape, parent *dgl.DocPath) error {
+	path := dgl.DocPath{Parent: parent, Sep: "/", Name: f.Name}
+	chk, err := dgl.CheckFlow(f, &path, b.known)
+	if err != nil {
+		return err
+	}
 	pf.src = f
 	pf.vars = b.fillVars(f.Variables)
-	if f.Logic.Control == dgl.While || f.Logic.Control == dgl.Switch {
-		pf.cond = parseExpr(f.Logic.Condition)
-	}
+	pf.cond = chk.Cond
 	if it := f.Logic.Iterate; it != nil {
 		pi := &take(&b.iters, 1)[0]
 		pi.src, pi.in = it, expr.CompileTemplate(it.In)
@@ -485,7 +479,7 @@ func (b *planBuilder) fillFlow(pf *planFlow, f *dgl.Flow, rel string, sh *region
 		}
 		pf.iter = pi
 	}
-	pf.before, pf.after = b.fillRules(f.Logic.Rules)
+	pf.before, pf.after = b.fillRules(f.Logic.Rules, chk)
 	if loops(f) {
 		pf.body = &take(&b.shapes, 1)[0]
 		rel, sh = "", pf.body
@@ -506,37 +500,44 @@ func (b *planBuilder) fillFlow(pf *planFlow, f *dgl.Flow, rel string, sh *region
 	}
 	flows := take(&b.flows, len(f.Flows))
 	for i := range f.Flows {
-		k := &pf.kids[i]
-		*k = planChild{name: f.Flows[i].Name, rel: childRel(f.Flows[i].Name), flow: &flows[i], idx: sh.scopes}
+		c, k := &f.Flows[i], &pf.kids[i]
+		*k = planChild{name: c.Name, rel: childRel(c.Name), flow: &flows[i], idx: sh.scopes}
 		sh.scopes++
-		b.fillFlow(k.flow, &f.Flows[i], k.rel, sh)
+		if err := b.fillFlow(k.flow, c, k.rel, sh, &path); err != nil {
+			return err
+		}
 	}
 	steps := take(&b.steps, len(f.Steps))
 	for i := range f.Steps {
-		k := &pf.kids[len(f.Flows)+i]
-		*k = planChild{name: f.Steps[i].Name, rel: childRel(f.Steps[i].Name), step: &steps[i], idx: sh.steps}
+		st, k := &f.Steps[i], &pf.kids[len(f.Flows)+i]
+		*k = planChild{name: st.Name, rel: childRel(st.Name), step: &steps[i], idx: sh.steps}
 		sh.steps++
-		b.fillStep(k.step, &f.Steps[i])
+		if err := b.fillStep(k.step, st, &path); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
-func (b *planBuilder) fillStep(ps *planStep, st *dgl.Step) {
+func (b *planBuilder) fillStep(ps *planStep, st *dgl.Step, parent *dgl.DocPath) error {
+	chk, err := dgl.CheckStep(st, &dgl.DocPath{Parent: parent, Sep: "/", Name: st.Name}, b.known)
+	if err != nil {
+		return err
+	}
 	ps.src = st
 	ps.vars = b.fillVars(st.Variables)
-	ps.before, ps.after = b.fillRules(st.Rules)
+	ps.before, ps.after = b.fillRules(st.Rules, chk)
 	b.fillOp(&ps.op, &st.Operation)
 	ps.attempts = 1
 	if st.OnError == dgl.OnErrorRetry {
 		ps.attempts = st.Retries + 1
 	}
-	ps.timing = st.Timing()
+	ps.timing = chk.Timing
 	if st.Pure {
-		outs := st.OutputList()
-		ps.outputs = take(&b.tmpls, len(outs))
-		for i, out := range outs {
-			ps.outputs[i] = expr.CompileTemplate(out)
-		}
+		ps.outputs = take(&b.tmpls, st.OutputCount())
+		st.EachOutput(func(i int, out string) { ps.outputs[i] = expr.CompileTemplate(out) })
 	}
+	return nil
 }
 
 func (b *planBuilder) fillVars(vars []dgl.Variable) []planVar {
@@ -547,51 +548,41 @@ func (b *planBuilder) fillVars(vars []dgl.Variable) []planVar {
 	return out
 }
 
-func (b *planBuilder) fillRules(rules []dgl.Rule) (before, after *planRule) {
+// fillRules lowers the two rules the engine fires, whose conditions the
+// node's check parsed; the check keeps rule names unique.
+func (b *planBuilder) fillRules(rules []dgl.Rule, chk dgl.Parsed) (before, after *planRule) {
 	for i := range rules {
-		r := &rules[i]
-		if !implicitRule(r.Name) {
-			continue
-		}
-		pr := &take(&b.rules, 1)[0]
-		pr.name = r.Name
-		pr.cond = parseExpr(r.Condition)
-		pr.actions = take(&b.actions, len(r.Actions))
-		for j, a := range r.Actions {
-			pr.actions[j].name = a.Name
-			if a.Operation != nil {
-				pr.actions[j].op = &take(&b.ops, 1)[0]
-				b.fillOp(pr.actions[j].op, a.Operation)
-			}
-		}
-		// Validation keeps rule names unique; without it the first wins.
-		if r.Name == dgl.RuleBeforeEntry && before == nil {
-			before = pr
-		} else if r.Name == dgl.RuleAfterExit && after == nil {
-			after = pr
+		switch r := &rules[i]; r.Name {
+		case dgl.RuleBeforeEntry:
+			before = b.fillRule(r, chk.Before)
+		case dgl.RuleAfterExit:
+			after = b.fillRule(r, chk.After)
 		}
 	}
 	return before, after
 }
 
+func (b *planBuilder) fillRule(r *dgl.Rule, cond *expr.Expr) *planRule {
+	pr := &take(&b.rules, 1)[0]
+	pr.name, pr.cond = r.Name, cond
+	pr.actions = take(&b.actions, len(r.Actions))
+	for j, a := range r.Actions {
+		pr.actions[j].name = a.Name
+		if a.Operation != nil {
+			pr.actions[j].op = &take(&b.ops, 1)[0]
+			b.fillOp(pr.actions[j].op, a.Operation)
+		}
+	}
+	return pr
+}
+
 func (b *planBuilder) fillOp(po *planOp, op *dgl.Operation) {
 	po.typ = op.Type
-	slots := take(&b.slots, len(op.Params))
-	n := 0
-	for _, p := range op.Params {
-		at := n
-		for j := 0; j < n; j++ {
-			if slots[j].name == p.Name {
-				at = j // a repeated name: the later value wins
-			}
-		}
-		slots[at].name, slots[at].value = p.Name, expr.CompileTemplate(p.Value)
+	po.slots = take(&b.slots, len(op.Params))
+	for i, p := range op.Params {
+		po.slots[i].name, po.slots[i].value = p.Name, expr.CompileTemplate(p.Value)
 		if strings.IndexByte(p.Value, '$') >= 0 {
 			b.paramBytes += len(p.Value)
 		}
-		if at == n {
-			n++
-		}
 	}
-	po.slots = slots[:n]
 }

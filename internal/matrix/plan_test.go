@@ -188,8 +188,8 @@ func TestPlanErrorsSurfaceWhereTheyDid(t *testing.T) {
 }
 
 // TestParamAccessors pins the OpContext accessors that replaced the
-// Params and Raw maps, including the last-value-wins rule for a
-// parameter an (unvalidated) document names twice.
+// Params and Raw maps, and that lowering refuses a parameter a document
+// names twice.
 func TestParamAccessors(t *testing.T) {
 	e := newTestEngine(t)
 	var seen []string
@@ -226,13 +226,13 @@ func TestParamAccessors(t *testing.T) {
 		t.Errorf("EachParam saw %q", got)
 	}
 
-	// Validation rejects a repeated name; a plan built from a document
-	// that skipped it keeps the later value in the first one's place.
+	// Lowering refuses a repeated name, as validation does.
 	dup := dgl.NewFlow("d").StepWith(dgl.Step{Name: "s", Operation: dgl.Operation{Type: "probe", Params: []dgl.Param{
 		{Name: "a", Value: "1"}, {Name: "b", Value: "2"}, {Name: "a", Value: "3"},
 	}}}).Flow()
-	slots := buildPlan(&dup).root.kids[0].step.op.slots
-	if len(slots) != 2 || slots[0].name != "a" || slots[0].value.Src() != "3" || slots[1].name != "b" {
-		t.Errorf("slots = %+v", slots)
+	known := e.KnownOps()
+	want := dgl.ValidateFlow(&dup, known)
+	if _, err := buildPlan(&dup, known); want == nil || err == nil || err.Error() != want.Error() {
+		t.Errorf("lowering a repeated parameter = %v, want %v", err, want)
 	}
 }

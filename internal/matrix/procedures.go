@@ -43,9 +43,13 @@ func (e *Engine) StoreProcedure(p Procedure) error {
 	if p.Name == "" {
 		return fmt.Errorf("%w: empty procedure name", dgl.ErrInvalid)
 	}
-	if err := dgl.ValidateFlow(&p.Flow, e.knownOps()); err != nil {
+	// The body is lowered once, here; every call runs the same plan.
+	sp := &storedProc{Procedure: p}
+	plan, err := buildPlan(&sp.Flow, e.knownOps())
+	if err != nil {
 		return fmt.Errorf("procedure %q: %w", p.Name, err)
 	}
+	sp.plan = plan
 	seen := map[string]bool{}
 	for _, param := range p.Params {
 		if param == "" {
@@ -56,9 +60,6 @@ func (e *Engine) StoreProcedure(p Procedure) error {
 		}
 		seen[param] = true
 	}
-	// The body is lowered once, here; every call runs the same plan.
-	sp := &storedProc{Procedure: p}
-	sp.plan = buildPlan(&sp.Flow)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if _, ok := e.procs[p.Name]; ok {

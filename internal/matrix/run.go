@@ -314,9 +314,6 @@ func (ex *Execution) runIteration(pf *planFlow, in *node, scope *Scope, reg regi
 }
 
 func (ex *Execution) runWhile(pf *planFlow, n *node, scope *Scope) error {
-	if pf.cond.err != nil {
-		return pf.cond.err
-	}
 	name, limit := pf.src.Name, ex.engine.cfg.MaxLoopIterations
 	// How many passes there will be is the guard's to say, so a while
 	// loop opens its passes by the block, each block twice the last, up
@@ -330,7 +327,7 @@ func (ex *Execution) runWhile(pf *planFlow, n *node, scope *Scope) error {
 		if err := ex.ctrl.checkpoint(); err != nil {
 			return err
 		}
-		ok, err := pf.cond.eval(scope)
+		ok, err := pf.cond.Eval(scope)
 		if err != nil {
 			return fmt.Errorf("matrix: while condition in %s: %w", name, err)
 		}
@@ -460,7 +457,7 @@ func (ex *Execution) iterItems(pi *planIter, scope *Scope) ([]string, error) {
 }
 
 func (ex *Execution) runSwitch(pf *planFlow, n *node, scope *Scope, reg region) error {
-	sel, err := pf.cond.eval(scope)
+	sel, err := pf.cond.Eval(scope)
 	if err != nil {
 		return fmt.Errorf("matrix: switch condition in %s: %w", pf.src.Name, err)
 	}
@@ -534,13 +531,13 @@ func (ex *Execution) runStep(ps *planStep, n *node, parent *Scope, c *OpContext)
 	// binding is resolved once, before execution, so a post-success
 	// publish uses the exact key the lookup hashed — and the first
 	// attempt runs on the parameters the key was derived from.
-	var vd *vdataBinding
+	var vd vdataBinding
+	bound := false // c holds the parameters the key was derived from
 	if st.Pure {
-		if vd = ex.vdataResolve(ps, scope, n.id, c); vd != nil && ex.vdataHit(vd, st, n, scope) {
+		if vd, bound = ex.vdataResolve(ps, scope, n.id, c); bound && ex.vdataHit(&vd, st, n, scope) {
 			return nil
 		}
 	}
-	bound := vd != nil // c holds the parameters the key was derived from
 	op := ps.op.typ
 	started := ex.now()
 	n.setState(StateRunning, started)
@@ -647,8 +644,8 @@ func (ex *Execution) runStep(ps *planStep, n *node, parent *Scope, c *OpContext)
 	}
 	n.setState(StateSucceeded, ex.now())
 	finish(StateSucceeded)
-	if vd != nil {
-		ex.vdataPublish(vd, st, n, scope)
+	if vd.ctx != nil {
+		ex.vdataPublish(&vd, st, n, scope)
 	}
 	ex.engine.record(provenance.Record{
 		Actor: ex.req.User.Name, Action: "step.finish",
@@ -701,7 +698,7 @@ func (ex *Execution) fireRule(rule *planRule, scope *Scope, nodeID string) error
 	if rule == nil {
 		return nil
 	}
-	v, err := rule.cond.eval(scope)
+	v, err := rule.cond.Eval(scope)
 	if err != nil {
 		return fmt.Errorf("matrix: rule %q condition: %w", rule.name, err)
 	}

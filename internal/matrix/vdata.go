@@ -77,34 +77,39 @@ func (e *Engine) vdataHooks() (*vdata.Catalog, VdataRemote) {
 // once before execution so the key used for the lookup is byte-identical
 // to the one used for publication after success.
 type vdataBinding struct {
-	key     string
-	tenant  string
-	params  map[string]string
+	key    string
+	tenant string
+	// ctx holds the parameters the key was derived from: the step's first
+	// attempt runs on them, and a retry binds into a context of its own.
+	ctx     *OpContext
 	outputs []string
 }
 
 // vdataResolve derives ps's binding under the current scope, binding the
-// step's parameters into ctx: the key is derived from them, and the
-// step's first attempt executes on them rather than binding again. It
-// returns nil when no catalog (or remote hook) is attached or when the
-// step's parameters do not interpolate — execution then proceeds normally
-// and surfaces the same interpolation error itself.
-func (ex *Execution) vdataResolve(ps *planStep, scope *Scope, nodeID string, ctx *OpContext) *vdataBinding {
+// step's parameters into ctx: the key is hashed from them in the plan's
+// slots, and the step's first attempt executes on them rather than
+// binding again. It reports false when no catalog (or remote hook) is
+// attached or when the step's parameters do not interpolate — execution
+// then proceeds normally and surfaces the same interpolation error
+// itself.
+func (ex *Execution) vdataResolve(ps *planStep, scope *Scope, nodeID string, ctx *OpContext) (vdataBinding, bool) {
 	cat, remote := ex.engine.vdataHooks()
 	if cat == nil && remote == nil {
-		return nil
+		return vdataBinding{}, false
 	}
 	if err := ex.bind(ctx, &ps.op, scope, nodeID); err != nil {
-		return nil
+		return vdataBinding{}, false
 	}
-	// The catalog keys on, and keeps, the bindings as a map.
-	params := make(map[string]string, len(ctx.vals))
-	ctx.EachParam(func(k, v string) { params[k] = v })
+	var stack [8]vdata.Binding
+	params := stack[:0]
+	for i, v := range ctx.vals {
+		params = append(params, vdata.Binding{Name: ps.op.slots[i].name, Value: v})
+	}
 	resources := make([]string, 0, len(ps.outputs))
 	for i := range ps.outputs {
 		v, err := ps.outputs[i].Render(scope)
 		if err != nil {
-			return nil
+			return vdataBinding{}, false
 		}
 		resources = append(resources, v)
 	}
@@ -113,12 +118,12 @@ func (ex *Execution) vdataResolve(ps *planStep, scope *Scope, nodeID string, ctx
 	// names them), and two transformations that bind identically but
 	// declare different outputs are different derivations.
 	ten := tenant.Canonical(ex.req.User.Name)
-	return &vdataBinding{
-		key:     vdata.Key(ps.op.typ, resources, params, ten),
+	return vdataBinding{
+		key:     vdata.KeyOf(ps.op.typ, resources, params, ten),
 		tenant:  ten,
-		params:  params,
+		ctx:     ctx,
 		outputs: resources,
-	}
+	}, true
 }
 
 // vdataPeerHint names the peer already holding a memoized derivation
@@ -137,8 +142,8 @@ func (ex *Execution) vdataPeerHint(pf *planFlow, scope *Scope) string {
 		if ps == nil || !ps.src.Pure {
 			continue
 		}
-		vd := ex.vdataResolve(ps, scope, "", new(OpContext))
-		if vd == nil {
+		vd, ok := ex.vdataResolve(ps, scope, "", new(OpContext))
+		if !ok {
 			continue
 		}
 		if cat != nil {
@@ -191,7 +196,7 @@ func (ex *Execution) vdataHit(vd *vdataBinding, st *dgl.Step, n *node, scope *Sc
 		o.Counter("vdata_misses_total").Inc()
 		return false
 	}
-	if v := vd.params["resultVar"]; v != "" && ent.Result != "" {
+	if v, _ := vd.ctx.Lookup("resultVar"); v != "" && ent.Result != "" {
 		scope.Set(v, expr.String(ent.Result))
 	}
 	n.setState(StateSkipped, ex.now())
@@ -222,14 +227,17 @@ func (ex *Execution) vdataPublish(vd *vdataBinding, st *dgl.Step, n *node, scope
 		return
 	}
 	var result string
-	if v := vd.params["resultVar"]; v != "" {
+	if v, _ := vd.ctx.Lookup("resultVar"); v != "" {
 		if val, ok := scope.Lookup(v); ok {
 			result = val.AsString()
 		}
 	}
+	// The catalog keeps the bindings as a map.
+	params := make(map[string]string, len(vd.ctx.vals))
+	vd.ctx.EachParam(func(k, v string) { params[k] = v })
 	ent := vdata.Entry{
 		Key: vd.key, Tenant: vd.tenant, Op: st.Operation.Type,
-		Params: vd.params, Outputs: vd.outputs, Result: result,
+		Params: params, Outputs: vd.outputs, Result: result,
 		Unix: ex.engine.Clock().Now().Unix(),
 	}
 	if err := cat.Publish(ent); err != nil {

@@ -189,16 +189,81 @@ func appendDel(enc *codec.Encoder, key string) {
 // derivation — and the tenant is part of the tuple, so no tenant can
 // ever observe (or poison) another tenant's derivations.
 func Key(op string, inputs []string, params map[string]string, tenant string) string {
-	sorted := append([]string(nil), inputs...)
-	sort.Strings(sorted)
-	kvs := make([]string, 0, len(params))
+	var stack [8]Binding
+	bs := stack[:0]
 	for k, v := range params {
-		kvs = append(kvs, k+"\x01"+v)
+		bs = append(bs, Binding{k, v})
 	}
-	sort.Strings(kvs)
-	h := sha256.Sum256([]byte(op + "\x00" + tenant + "\x00" +
-		strings.Join(sorted, "\x00") + "\x00\x02" + strings.Join(kvs, "\x00")))
-	return hex.EncodeToString(h[:16])
+	return KeyOf(op, inputs, bs, tenant)
+}
+
+// Binding is one parameter of a derivation: its name and bound value.
+type Binding struct{ Name, Value string }
+
+// KeyOf is Key over the bindings as a slice, in any order, which it
+// sorts in place. The tuple is hashed from a stack buffer, so a
+// derivation of a handful of inputs and bindings allocates its key and
+// nothing else. The hashed bytes are
+//
+//	op 0x00 tenant 0x00 inputs… 0x00 0x02 bindings…
+//
+// with the inputs sorted and joined by 0x00, and each binding spelled
+// name 0x01 value, sorted as those strings sort and joined by 0x00.
+func KeyOf(op string, inputs []string, params []Binding, tenant string) string {
+	var in [8]string
+	sorted := append(in[:0], inputs...)
+	slices.Sort(sorted)
+	slices.SortFunc(params, compareBindings)
+	buf := make([]byte, 0, 512)
+	buf = append(append(append(append(buf, op...), 0), tenant...), 0)
+	for i, s := range sorted {
+		if i > 0 {
+			buf = append(buf, 0)
+		}
+		buf = append(buf, s...)
+	}
+	buf = append(buf, 0, 2)
+	for i, b := range params {
+		if i > 0 {
+			buf = append(buf, 0)
+		}
+		buf = append(append(append(buf, b.Name...), 1), b.Value...)
+	}
+	sum := sha256.Sum256(buf)
+	var key [32]byte
+	hex.Encode(key[:], sum[:16])
+	return string(key[:])
+}
+
+// compareBindings orders two bindings as their spelled forms, name 0x01
+// value, compare, without building them: by name, unless one name is a
+// prefix of the other, where what follows the shorter decides.
+func compareBindings(a, b Binding) int {
+	n := min(len(a.Name), len(b.Name))
+	if c := strings.Compare(a.Name[:n], b.Name[:n]); c != 0 {
+		return c
+	}
+	if len(a.Name) == len(b.Name) {
+		return strings.Compare(a.Value, b.Value)
+	}
+	la, lb := len(a.Name)+1+len(a.Value), len(b.Name)+1+len(b.Value)
+	for i := n; i < min(la, lb); i++ {
+		if x, y := a.at(i), b.at(i); x != y {
+			return int(x) - int(y)
+		}
+	}
+	return la - lb
+}
+
+// at returns byte i of the binding's spelled form.
+func (b Binding) at(i int) byte {
+	switch {
+	case i < len(b.Name):
+		return b.Name[i]
+	case i == len(b.Name):
+		return 1
+	}
+	return b.Value[i-len(b.Name)-1]
 }
 
 // Stats is the catalog's shape, served by the wire "vdata" verb and

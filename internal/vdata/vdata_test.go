@@ -1,11 +1,14 @@
 package vdata
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -544,4 +547,64 @@ func TestCommitPointsPutDel(t *testing.T) {
 			time.Sleep(store.Linger / 5)
 		}
 	})
+}
+
+// referenceKey is Key as it was first written — the tuple concatenated
+// into one string, the bindings spelled and sorted as strings — kept as
+// the reference the stack-buffer form must match byte for byte.
+func referenceKey(op string, inputs []string, params map[string]string, tenant string) string {
+	sorted := append([]string(nil), inputs...)
+	sort.Strings(sorted)
+	kvs := make([]string, 0, len(params))
+	for k, v := range params {
+		kvs = append(kvs, k+"\x01"+v)
+	}
+	sort.Strings(kvs)
+	h := sha256.Sum256([]byte(op + "\x00" + tenant + "\x00" +
+		strings.Join(sorted, "\x00") + "\x00\x02" + strings.Join(kvs, "\x00")))
+	return hex.EncodeToString(h[:16])
+}
+
+// FuzzKey: the key hashed from bindings in any order — a step's, in its
+// plan's slot order — equals the reference's, including for names that
+// are prefixes of each other and names holding bytes at or below 0x01,
+// where sorting by name alone and sorting the spelled bindings part.
+func FuzzKey(f *testing.F) {
+	f.Add("fft", "alice", "/in/b", "/in/a", "w", "512", "bins", "64", "", "")
+	f.Add("exec", "", "", "", "a", "1", "ab", "2", "a\x00", "3")
+	f.Add("exec", "t", "x", "x", "a", "\x01b", "a\x01", "b", "a\x01b", "")
+	f.Add("exec", "t", "", "", "", "", "\x00", "\x00", "\x01", "\x01")
+	f.Fuzz(func(t *testing.T, op, tenant, in1, in2, k1, v1, k2, v2, k3, v3 string) {
+		params := map[string]string{k1: v1, k2: v2, k3: v3}
+		inputs := []string{in1, in2}
+		want := referenceKey(op, inputs, params, tenant)
+		if got := Key(op, inputs, params, tenant); got != want {
+			t.Fatalf("Key = %s, reference %s", got, want)
+		}
+		var bs []Binding
+		for _, k := range []string{k3, k1, k2} { // not the map's order, not sorted
+			if v, ok := params[k]; ok && !slices.ContainsFunc(bs, func(b Binding) bool { return b.Name == k }) {
+				bs = append(bs, Binding{k, v})
+			}
+		}
+		if got := KeyOf(op, []string{in2, in1}, bs, tenant); got != want {
+			t.Fatalf("KeyOf = %s, reference %s", got, want)
+		}
+		if inputs[0] != in1 || inputs[1] != in2 {
+			t.Fatalf("KeyOf reordered its caller's inputs")
+		}
+	})
+}
+
+// TestKeyOfAllocs: a derivation key of a few inputs and bindings costs
+// the key string and nothing else.
+func TestKeyOfAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under -race")
+	}
+	inputs := []string{"/out/b", "/out/a"}
+	bs := []Binding{{"command", "fft /in"}, {"cpuSeconds", "1"}, {"resultVar", "r"}}
+	if n := testing.AllocsPerRun(100, func() { KeyOf("exec", inputs, bs, "alice") }); n != 1 {
+		t.Errorf("KeyOf: %.0f allocations, want 1", n)
+	}
 }

@@ -308,9 +308,11 @@ type Route struct {
 	// shard-owner hop preserves the authenticated identity
 	// (docs/TENANCY.md).
 	Token string
-	// Request is the complete dataGridRequest document, rendered by the
-	// sender with codec.RequestDoc. About 0.7 of a sharded fleet's
-	// submits take this hop, so it is as hot as the client's own frame.
+	// Request is the complete dataGridRequest document, binary: the
+	// client's own as it came, or codec.RequestDoc of one that came as
+	// XML. The receiver runs it as User, which the document may leave
+	// empty but not contradict. About 0.7 of a sharded fleet's submits
+	// take this hop, so it is as hot as the client's own frame.
 	Request string
 	// Shard is the shard index the routing peer mapped the submission
 	// to; the receiver refuses (NotOwner) if it no longer holds its

@@ -93,13 +93,17 @@ func TestRouteHopEncodings(t *testing.T) {
 	}
 }
 
-// TestRoutedSubmitAllocs guards the hop's allocation budget so XML
-// cannot creep back unnoticed: the marginal cost of routing a submit —
-// allocations of a routed submit minus those of the same submit pinned
-// local, client, both servers and the engine included — is ≈ 70 for
-// this flow with both documents binary and ≈ 380 with both XML; either
-// document alone going back to XML breaks the budget.
+// TestRoutedSubmitAllocs guards the hop's allocation budget: the
+// marginal cost of routing a submit — allocations of a routed submit
+// minus those of the same submit pinned local, client, both servers and
+// the engine included — is 4 for this flow, whose document the
+// accepting peer reads only as far as its head and forwards as it came.
+// It was 11 while that peer decoded the document and encoded it again
+// for the hop, and ≈ 380 with both documents XML.
 func TestRoutedSubmitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
 	_, lookupAddr := startLookupSharded(t, testShards)
 	peerA := startShardedPeer(t, lookupAddr, "siteA")
 	peerB := startShardedPeer(t, lookupAddr, "siteB")
@@ -124,8 +128,8 @@ func TestRoutedSubmitAllocs(t *testing.T) {
 	}
 	local := testing.AllocsPerRun(200, submit(WithRoute(RouteLocal)))
 	t.Logf("allocs per submit: routed %.0f, local %.0f", routed, local)
-	if hop := routed - local; hop > 150 {
-		t.Errorf("the route hop costs %.0f allocations a submit, budget 150: is XML back on it?", hop)
+	if hop := routed - local; hop > 8 {
+		t.Errorf("the route hop costs %.0f allocations a submit, budget 8: is the accepting peer decoding the document again?", hop)
 	}
 }
 

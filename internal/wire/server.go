@@ -83,7 +83,7 @@ type Server struct {
 	// reply it relays, or accepts locally, and writes the reply into rp
 	// in the request's encoding. Plain servers leave it nil and submit to
 	// the engine directly.
-	submitRouter func(req *dgl.Request, bin bool, rp *reply)
+	submitRouter func(sub *submission, rp *reply)
 	// routeHandler, when set (by a sharded Peer, before Listen),
 	// services KindRoute frames — the terminal hop of shard routing —
 	// writing the route reply into rp.
@@ -331,6 +331,7 @@ type reply struct {
 	data  []byte         // any other reply
 	text  *[]byte        // data is this pooled buffer: an XML reply
 	relay frame          // data is its payload: the owner's reply, relayed as it came
+	sub   submission     // the DGL request the reply answers
 
 	bw codec.ResponseWriter
 	xw dgl.ResponseWriter
@@ -347,7 +348,7 @@ func (r *reply) release() {
 		r.text = nil
 	}
 	r.relay.release()
-	r.data = nil
+	r.data, r.sub = nil, submission{}
 }
 
 // bytes returns the response to write.
@@ -438,15 +439,53 @@ func (s *Server) handleFrame(ctx context.Context, kind byte, payload []byte, rp 
 	}
 }
 
-// decodeDoc decodes a DGL request document, binary or XML, counting an
-// XML one in codec_fallback_total under the frame kind it came in.
-func (s *Server) decodeDoc(doc []byte, kind string) (req *dgl.Request, bin bool, err error) {
-	bin = codec.IsBinary(doc)
-	if !bin {
+// submission is a DGL request on its way to an engine: this server's, or
+// its shard owner's. A binary document that a sharded peer may route is
+// read only as far as its head (codec.ReadRequestHead), so one it routes
+// onward crosses this peer undecoded; every other document is decoded on
+// arrival.
+type submission struct {
+	bin  bool
+	doc  string            // the binary document as it came, while req is not decoded
+	req  *dgl.Request      // the decoded request
+	head codec.RequestHead // what admission and routing read
+	// user is the accounting identity: the verified tenant, or the claimed
+	// user when tenancy is off.
+	user string
+}
+
+// request returns the decoded request, decoding the document the first
+// time: it runs as the submission's accounting identity.
+func (sub *submission) request() (*dgl.Request, error) {
+	if sub.req == nil {
+		req, err := codec.DecodeRequestDoc(sub.doc)
+		if err != nil {
+			return nil, err
+		}
+		req.User.Name = sub.user
+		sub.req = req
+	}
+	return sub.req, nil
+}
+
+// readDoc reads a DGL request document, binary or XML, into sub,
+// counting an XML one in codec_fallback_total under the frame kind it
+// came in: only its head when headOnly and the document is binary, else
+// decoded.
+func (s *Server) readDoc(sub *submission, doc []byte, kind string, headOnly bool) error {
+	*sub = submission{bin: codec.IsBinary(doc)}
+	if !sub.bin {
 		s.engine.Obs().Counter("codec_fallback_total", "kind", kind).Inc()
 	}
-	req, err = codec.DecodeRequestDoc(doc)
-	return req, bin, err
+	var err error
+	if sub.bin && headOnly {
+		sub.doc = string(doc)
+		sub.head, err = codec.ReadRequestHead(sub.doc)
+	} else if sub.req, err = codec.DecodeRequestDoc(doc); err == nil {
+		sub.head = codec.RequestHeadOf(sub.req)
+	}
+	sub.user = sub.head.User
+	return err
 }
 
 // admit runs a request through the admission scheduler, tracking the
@@ -470,54 +509,60 @@ func (s *Server) release() {
 	s.engine.Obs().Gauge("wire_inflight").Add(-1)
 }
 
-// serveDGL parses one DGL request, runs it through admission, and
+// serveDGL reads one DGL request, runs it through admission, and
 // services it into rp, in the request's encoding. Errors become error
 // responses rather than dropped connections — clients always get an
 // answer per request.
 func (s *Server) serveDGL(ctx context.Context, payload []byte, rp *reply) {
-	req, bin, err := s.decodeDoc(payload, "dgl")
+	sub := &rp.sub
+	err := s.readDoc(sub, payload, "dgl", s.submitRouter != nil)
 	if err != nil {
-		rp.fail(err, bin)
+		rp.fail(err, sub.bin)
 		return
 	}
-	id := req.User.Name
 	if s.tenancyOn() {
-		id, err = s.resolveTenant(req.Token, req.User.Name)
-		if err != nil {
-			rp.fail(err, bin)
-			return
-		}
 		// The verified identity is the accounting identity everywhere
 		// downstream: engine, store charges, provenance.
-		req.User.Name = id
-		if s.tenants != nil && req.Flow != nil {
-			if err := s.tenants.AllowSubmit(id); err != nil {
-				rp.fail(err, bin)
+		if sub.user, err = s.resolveTenant(sub.head.Token, sub.head.User); err != nil {
+			rp.fail(err, sub.bin)
+			return
+		}
+		if sub.req != nil {
+			sub.req.User.Name = sub.user
+		}
+		if s.tenants != nil && sub.head.HasFlow {
+			if err := s.tenants.AllowSubmit(sub.user); err != nil {
+				rp.fail(err, sub.bin)
 				return
 			}
 		}
 	}
-	if err := s.admit(ctx, id); err != nil {
-		rp.fail(err, bin)
+	if err := s.admit(ctx, sub.user); err != nil {
+		rp.fail(err, sub.bin)
 		return
 	}
 	defer s.release()
-	s.dispatchDGL(req, bin, rp)
+	s.dispatchDGL(sub, rp)
 }
 
-// dispatchDGL services a decoded, admitted DGL request into rp.
-func (s *Server) dispatchDGL(req *dgl.Request, bin bool, rp *reply) {
-	if req.StatusQuery != nil && req.Flow == nil {
-		s.serveStatus(req, bin, rp)
-		return
-	}
-	if req.Flow != nil && s.submitRouter != nil {
+// dispatchDGL services an admitted DGL request into rp.
+func (s *Server) dispatchDGL(sub *submission, rp *reply) {
+	if sub.head.HasFlow && s.submitRouter != nil {
 		// A sharded peer owns flow placement: route to the shard owner or
 		// accept locally, per the request's route preference.
-		s.submitRouter(req, bin, rp)
+		s.submitRouter(sub, rp)
 		return
 	}
-	s.submit(req, bin, rp)
+	req, err := sub.request()
+	if err != nil {
+		rp.fail(err, sub.bin)
+		return
+	}
+	if req.StatusQuery != nil && req.Flow == nil {
+		s.serveStatus(req, sub.bin, rp)
+		return
+	}
+	s.submit(req, sub.bin, rp)
 }
 
 // submit runs a flow submission on the engine and writes its reply into
@@ -675,11 +720,12 @@ func (s *Server) serveBatch(ctx context.Context, payload []byte, rp *reply) {
 // serveBatchItem answers one batch item into rp, in the item's own
 // encoding (binary items get binary replies, XML items XML).
 func (s *Server) serveBatchItem(doc []byte, tenantID string, rp *reply) {
-	req, bin, err := s.decodeDoc(doc, "batch")
-	if err != nil {
-		rp.fail(err, bin)
+	sub := &rp.sub
+	if err := s.readDoc(sub, doc, "batch", false); err != nil {
+		rp.fail(err, sub.bin)
 		return
 	}
+	req, bin := sub.req, sub.bin
 	if s.tenancyOn() {
 		// Items run under the envelope's verified identity: an
 		// authenticated batch cannot smuggle items for another
@@ -689,7 +735,7 @@ func (s *Server) serveBatchItem(doc []byte, tenantID string, rp *reply) {
 				dgferr.ErrAuth, req.User.Name, tenantID), bin)
 			return
 		}
-		req.User.Name = tenantID
+		req.User.Name, sub.user = tenantID, tenantID
 		if s.tenants != nil && req.Flow != nil {
 			if err := s.tenants.AllowSubmit(tenantID); err != nil {
 				rp.fail(err, bin)
@@ -697,7 +743,7 @@ func (s *Server) serveBatchItem(doc []byte, tenantID string, rp *reply) {
 			}
 		}
 	}
-	s.dispatchDGL(req, bin, rp)
+	s.dispatchDGL(sub, rp)
 }
 
 // serveDelegate services a KindDelegate frame: run the embedded subflow

@@ -78,16 +78,18 @@ func (p *Peer) ShardManager() *shard.Manager { return p.shardMgr }
 // here; anything else resolves the shard owner and forwards, with
 // bounded retries across ownership movement and a local-accept
 // fallback when no owner is reachable — availability over placement.
-// The reply goes into rp in the request's encoding: a routed
+// The decision reads the submission's head: a binary document routed
+// onward is never decoded here, and the route envelope carries it as it
+// came. The reply goes into rp in the request's encoding: a routed
 // submission's is the owner's response document, relayed from the
 // owner's reply frame as it came (transcoded for an XML session), with
 // no copy and nothing decoded.
-func (p *Peer) routeSubmit(req *dgl.Request, bin bool, rp *reply) {
+func (p *Peer) routeSubmit(sub *submission, rp *reply) {
 	mgr := p.shardMgr
-	key := RoutingKey(req.User.Name, req.Flow.Name)
-	sh := mgr.ShardOf(key)
-	if req.Route == dgl.RouteLocal {
-		p.acceptLocal(req, sh, "local", bin, rp)
+	bin := sub.bin
+	sh := mgr.ShardOf(RoutingKey(sub.user, sub.head.Flow))
+	if sub.head.Route == dgl.RouteLocal {
+		p.acceptLocal(sub, sh, "local", rp)
 		return
 	}
 	holder, ok := mgr.OwnerOfShard(sh)
@@ -99,17 +101,22 @@ func (p *Peer) routeSubmit(req *dgl.Request, bin bool, rp *reply) {
 			holder, ok = h, true
 		}
 		if !ok {
-			p.acceptLocal(req, sh, "unassigned", bin, rp)
+			p.acceptLocal(sub, sh, "unassigned", rp)
 			return
 		}
 	}
 	if holder == p.Name {
-		p.acceptLocal(req, sh, "local", bin, rp)
+		p.acceptLocal(sub, sh, "local", rp)
 		return
 	}
 	// The token rides the route envelope so the owning peer re-verifies
-	// the same identity the accepting peer did (docs/TENANCY.md).
-	rt := Route{User: req.User.Name, Token: req.Token, Request: codec.RequestDoc(req), Shard: sh, Origin: p.Name}
+	// the same identity the accepting peer did (docs/TENANCY.md), and
+	// runs the document as it (handleRoute). A binary document goes as
+	// it came; an XML one, decoded on arrival, goes binary.
+	rt := Route{User: sub.user, Token: sub.head.Token, Request: sub.doc, Shard: sh, Origin: p.Name}
+	if sub.req != nil {
+		rt.Request = codec.RequestDoc(sub.req)
+	}
 	for attempt := 0; attempt < routeRetries; attempt++ {
 		client, cerr := p.clientFor(holder)
 		if cerr != nil {
@@ -121,7 +128,7 @@ func (p *Peer) routeSubmit(req *dgl.Request, bin bool, rp *reply) {
 			}
 			holder = next
 			if holder == p.Name {
-				p.acceptLocal(req, sh, "failover", bin, rp)
+				p.acceptLocal(sub, sh, "failover", rp)
 				return
 			}
 			continue
@@ -137,7 +144,7 @@ func (p *Peer) routeSubmit(req *dgl.Request, bin bool, rp *reply) {
 			}
 			holder = next
 			if holder == p.Name {
-				p.acceptLocal(req, sh, "failover", bin, rp)
+				p.acceptLocal(sub, sh, "failover", rp)
 				return
 			}
 			continue
@@ -154,7 +161,7 @@ func (p *Peer) routeSubmit(req *dgl.Request, bin bool, rp *reply) {
 			}
 			holder = next
 			if holder == p.Name {
-				p.acceptLocal(req, sh, "failover", bin, rp)
+				p.acceptLocal(sub, sh, "failover", rp)
 				return
 			}
 			continue
@@ -173,17 +180,22 @@ func (p *Peer) routeSubmit(req *dgl.Request, bin bool, rp *reply) {
 	}
 	// Retries exhausted with no reachable owner: keep the flow here so
 	// the submission survives the owner's death (E15's failover path).
-	p.acceptLocal(req, sh, "failover", bin, rp)
+	p.acceptLocal(sub, sh, "failover", rp)
 }
 
-// acceptLocal pins a submission — the server's own, decoded from the
-// frame — to this peer's engine and writes its reply into rp, tracking
-// owned async accepts for drain hand-off. outcome labels the routing
-// path in shard_routes_total.
-func (p *Peer) acceptLocal(req *dgl.Request, sh int, outcome string, bin bool, rp *reply) {
+// acceptLocal pins a submission to this peer's engine, decoding it if
+// it is not yet, and writes its reply into rp, tracking owned async
+// accepts for drain hand-off. outcome labels the routing path in
+// shard_routes_total.
+func (p *Peer) acceptLocal(sub *submission, sh int, outcome string, rp *reply) {
 	p.countRoute(outcome)
+	req, err := sub.request()
+	if err != nil {
+		rp.fail(err, sub.bin)
+		return
+	}
 	req.Route = dgl.RouteLocal // terminal: never re-routed, never refused by the ownership check
-	if id := p.server.submit(req, bin, rp); id != "" && req.Async && p.shardMgr.Owns(sh) {
+	if id := p.server.submit(req, sub.bin, rp); id != "" && req.Async && p.shardMgr.Owns(sh) {
 		p.shardMgr.Track(id, sh)
 	}
 }
@@ -225,6 +237,19 @@ func (p *Peer) handleRoute(rt Route, rp *reply) {
 	}
 	if req.Flow == nil {
 		fail(RouteResult{Error: dgferr.Encode(fmt.Errorf("%w: routed request carries no flow", dgferr.ErrInvalid))})
+		return
+	}
+	// The flow runs as the identity the envelope verified (serveRoute),
+	// the rule resolveTenant applies to a claimed user: a document may
+	// leave the user out, never name another.
+	switch req.User.Name {
+	case rt.User:
+	case "":
+		req.User.Name = rt.User
+	default:
+		p.server.Engine().Obs().Counter("tenant_auth_failures_total").Inc()
+		fail(RouteResult{Error: dgferr.Encode(fmt.Errorf("%w: routed request user %q does not match tenant %q",
+			dgferr.ErrAuth, req.User.Name, rt.User))})
 		return
 	}
 	req.Route = dgl.RouteLocal // terminal hop: one forward, no loops

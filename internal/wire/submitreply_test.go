@@ -174,7 +174,7 @@ func TestSyncSubmitReplyAllocs(t *testing.T) {
 			rp.release()
 		})
 		run := testing.AllocsPerRun(200, func() {
-			req, _, err := s.decodeDoc(payload, "dgl")
+			req, err := codec.DecodeRequestDoc(payload)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,9 +191,11 @@ func TestSyncSubmitReplyAllocs(t *testing.T) {
 	// Routed: the reply the accepting peer writes lies inside the owner's
 	// reply frame.
 	name, _ := flowOwnedBy(t, peerB, "user")
-	req := dgl.NewRequest("user", "", noopFlow(name))
 	rp := new(reply)
-	peerA.routeSubmit(req, true, rp)
+	if err := peerA.server.readDoc(&rp.sub, encoded(t, dgl.NewRequest("user", "", noopFlow(name)), true), "dgl", true); err != nil {
+		t.Fatal(err)
+	}
+	peerA.routeSubmit(&rp.sub, rp)
 	got := rp.bytes()
 	frame := rp.relay.payload
 	if len(got) == 0 || len(frame) == 0 || &got[0] != &frame[len(frame)-len(got)] {
