@@ -86,6 +86,9 @@ func (w *headWalk) read(doc string) (RequestHead, error) {
 			d.MsgExit(end)
 		case reqFlow:
 			h.HasFlow = true
+			if !w.resolving {
+				w.flow = symField{} // a second flow replaces the first, name and all
+			}
 			end := d.MsgEnter()
 			for d.Next() {
 				if d.Field() == flowName {

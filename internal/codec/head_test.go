@@ -17,7 +17,9 @@ func headDocs() []string {
 		Step("stage", dgl.Op(dgl.OpNoop, nil)).Flow())
 	backRef.User.Name, backRef.Route = "local", dgl.RouteLocal
 	status := dgl.NewStatusRequest("alice", "dgf-000001", true)
-	return []string{RequestDoc(full), RequestDoc(backRef), RequestDoc(status), RequestDoc(&dgl.Request{})}
+	// A second, empty flow message: the decode keeps a flow with no name.
+	twoFlows := RequestDoc(backRef) + "\x12\x00"
+	return []string{RequestDoc(full), RequestDoc(backRef), RequestDoc(status), RequestDoc(&dgl.Request{}), twoFlows}
 }
 
 // TestReadRequestHead: the head read from the bytes is the decoded

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"datagridflow/internal/codec"
+	"datagridflow/internal/dgl"
 	"datagridflow/internal/replica"
 	"datagridflow/internal/store"
 )
@@ -251,5 +252,19 @@ func TestAdoptBinaryRequestFromJSONReplica(t *testing.T) {
 	close(b.release)
 	if err := ex.Wait(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAdoptEntryWithoutFlow: a replica entry whose request holds no flow
+// — a document no engine wrote, from a peer's disk — is counted as an
+// invalid adoption and skipped; it used to panic the heir.
+func TestAdoptEntryWithoutFlow(t *testing.T) {
+	heir := newTestEngine(t)
+	entries := []store.Entry{{ID: "peerA:dgf-000001", Request: codec.RequestDoc(dgl.NewStatusRequest("user", "x", false))}}
+	if adopted := heir.AdoptEntries(entries, "peerA"); len(adopted) != 0 {
+		t.Fatalf("adopted %+v", adopted)
+	}
+	if n := heir.Obs().Counter("matrix_adoptions_total", "outcome", "invalid").Value(); n != 1 {
+		t.Fatalf("matrix_adoptions_total{invalid} = %d, want 1", n)
 	}
 }
