@@ -99,11 +99,9 @@ func TestRouteHopEncodings(t *testing.T) {
 // the engine included — is 4 for this flow, whose document the
 // accepting peer reads only as far as its head and forwards as it came.
 // It was 11 while that peer decoded the document and encoded it again
-// for the hop, and ≈ 380 with both documents XML.
+// for the hop, and ≈ 380 with both documents XML. Under the race
+// detector, whose instrumentation allocates, the hop measures 7 to 10.
 func TestRoutedSubmitAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation budgets are not meaningful under the race detector")
-	}
 	_, lookupAddr := startLookupSharded(t, testShards)
 	peerA := startShardedPeer(t, lookupAddr, "siteA")
 	peerB := startShardedPeer(t, lookupAddr, "siteB")
@@ -128,8 +126,12 @@ func TestRoutedSubmitAllocs(t *testing.T) {
 	}
 	local := testing.AllocsPerRun(200, submit(WithRoute(RouteLocal)))
 	t.Logf("allocs per submit: routed %.0f, local %.0f", routed, local)
-	if hop := routed - local; hop > 8 {
-		t.Errorf("the route hop costs %.0f allocations a submit, budget 8: is the accepting peer decoding the document again?", hop)
+	budget := 8.0
+	if raceEnabled {
+		budget = 14
+	}
+	if hop := routed - local; hop > budget {
+		t.Errorf("the route hop costs %.0f allocations a submit, budget %.0f: is the accepting peer decoding the document again?", hop, budget)
 	}
 }
 
