@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -484,5 +485,56 @@ func TestFederationVdataLocalityRoutesToHolder(t *testing.T) {
 	}
 	if got := a.reg.Counter("vdata_hits_total").Value(); got != 0 {
 		t.Errorf("delegator vdata_hits_total = %d, want 0", got)
+	}
+}
+
+// TestFederationRemoteFlowFailureStays: a subflow that fails on the peer
+// that ran it — here with a resource-down step, the class a refusal by a
+// saturated or closing peer also has — is that subflow's outcome. It
+// propagates to the parent; the work is not run again elsewhere, and the
+// peer that ran it is not quarantined.
+func TestFederationRemoteFlowFailureStays(t *testing.T) {
+	lookup := startLookup(t)
+	a := newTestPeer(t, "fedA", lookup, wire.ServerConfig{MaxInflight: 4},
+		Config{Policy: &pinTo{target: "fedB"}, HeartbeatInterval: time.Minute, Backoff: time.Millisecond})
+	b := newTestPeer(t, "fedB", lookup, wire.ServerConfig{MaxInflight: 4},
+		Config{HeartbeatInterval: time.Minute})
+	var ranA, ranB atomic.Int64
+	b.eng.RegisterOp("fetch", func(c *matrix.OpContext) error {
+		ranB.Add(1)
+		return fmt.Errorf("%w: replica gone", dgferr.ErrResourceDown)
+	})
+	a.eng.RegisterOp("fetch", func(c *matrix.OpContext) error {
+		ranA.Add(1)
+		return nil
+	})
+	syncBeats(a, b)
+
+	flow := dgl.NewFlow("parent").Parallel().
+		SubFlow(dgl.NewFlow("sub").Step("fetch", dgl.Op("fetch", nil))).Flow()
+	ex, err := a.eng.Start("user", flow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ex.Wait(); !errors.Is(err, dgferr.ErrResourceDown) {
+		t.Errorf("parent err = %v, want the subflow's resource-down failure", err)
+	}
+	if n, m := ranB.Load(), ranA.Load(); n != 1 || m != 0 {
+		t.Errorf("step ran %d time(s) on fedB and %d on fedA, want once on fedB only", n, m)
+	}
+	if n := a.reg.Counter("federation_failovers_total", "peer", "fedB").Value(); n != 0 {
+		t.Errorf("federation_failovers_total{peer=fedB} = %d, want 0", n)
+	}
+	if got := ex.Status(true).Children[0].Delegated; !strings.HasPrefix(got, "fedB:") {
+		t.Errorf("failed subflow's owner = %q, want fedB", got)
+	}
+	quarantined := true
+	for _, c := range a.fed.candidates(map[string]bool{}) {
+		if c.Name == "fedB" {
+			quarantined = false
+		}
+	}
+	if quarantined {
+		t.Error("the peer that ran the failing subflow was quarantined")
 	}
 }
