@@ -54,10 +54,8 @@ const (
 	// MsgBatchResult is a batch reply (KindBatch replies): ok, an error
 	// and one response document per item.
 	MsgBatchResult byte = 7
-	// MsgDelegate is a wire.Delegate envelope (KindDelegate frames).
-	MsgDelegate byte = 8
-	// MsgDelegateResult is a wire.DelegateResult (KindDelegate replies).
-	MsgDelegateResult byte = 9
+	// 8 and 9 were the retired delegate envelope and its reply; never
+	// reused.
 	// MsgReplicate is a wire.Replicate envelope (KindReplicate frames).
 	MsgReplicate byte = 10
 	// MsgReplicateResult is a wire.ReplicateResult (KindReplicate

@@ -379,20 +379,6 @@ func ParseResponse(data []byte) (*Response, error) {
 	return resp, nil
 }
 
-// ParseFlowStatus decodes a flowStatus tree from XML — the payload of a
-// delegate reply crossing the peer network. The root element may carry
-// any name: Marshal writes a bare FlowStatus as <FlowStatus>.
-func ParseFlowStatus(data []byte) (*FlowStatus, error) {
-	r := reader{s: scanner{data: data}}
-	st := new(FlowStatus)
-	r.root("")
-	r.flowStatus(st)
-	if err := r.finish(); err != nil {
-		return nil, fmt.Errorf("dgl: parse flow status: %w", err)
-	}
-	return st, nil
-}
-
 // String renders the request as XML (best effort; errors yield a
 // diagnostic string).
 func (r *Request) String() string {

@@ -27,7 +27,7 @@ func (r *reader) fail(kind errKind, format string, args ...any) {
 
 // root moves to the document's root element — its first start tag,
 // whatever character data, comments and processing instructions precede
-// it — and checks its local name (any name when want is empty).
+// it — and checks its local name.
 func (r *reader) root(want string) {
 	for r.err == nil {
 		var tok token
@@ -36,7 +36,7 @@ func (r *reader) root(want string) {
 		case tok == tokEOF:
 			r.fail(errSyntax, "no root element")
 		case tok == tokStart:
-			if want != "" && string(r.s.name) != want {
+			if string(r.s.name) != want {
 				r.fail(errSyntax, "expected element <%s> but have <%s>", want, r.s.name)
 			}
 			return

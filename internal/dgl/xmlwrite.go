@@ -22,8 +22,8 @@ import (
 // out an exact-size copy.
 var marshalBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// Marshal renders a DGL document — a Request, Response, Flow or
-// FlowStatus, or a pointer to one — as indented XML with a header line.
+// Marshal renders a DGL document — a Request, Response or Flow, or a
+// pointer to one — as indented XML with a header line.
 func Marshal(v any) ([]byte, error) {
 	bp := marshalBufs.Get().(*[]byte)
 	buf, err := AppendXML((*bp)[:0], v)
@@ -56,10 +56,6 @@ func AppendXML(dst []byte, v any) ([]byte, error) {
 		dst = appendFlow(dst, 0, "Flow", d)
 	case Flow:
 		dst = appendFlow(dst, 0, "Flow", &d)
-	case *FlowStatus:
-		dst = appendFlowStatus(dst, 0, "FlowStatus", d)
-	case FlowStatus:
-		dst = appendFlowStatus(dst, 0, "FlowStatus", &d)
 	default:
 		return dst[:start], fmt.Errorf("dgl: marshal: %T is not a DGL document", v)
 	}

@@ -195,7 +195,7 @@ type pinFirst struct{ target string }
 
 func (p *pinFirst) Name() string { return "pin-first" }
 
-func (p *pinFirst) Pick(local, hint string, cands []scheduler.Candidate) (string, bool) {
+func (p *pinFirst) Pick(local string, hint scheduler.Hint, cands []scheduler.Candidate) (string, bool) {
 	for _, c := range cands {
 		if c.Name == p.target {
 			return p.target, true

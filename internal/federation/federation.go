@@ -3,10 +3,10 @@
 // federated only for status queries — into one grid that executes
 // together. A flow submitted to any peer can have whole subflows
 // (parallel branches, parallel foreach shards, stored-procedure calls)
-// delegated to other peers over the wire protocol's kind-4 delegate
-// frame, with placement decided by a pluggable scheduler policy fed by
-// heartbeat load gossip, and ownership failing over to a surviving peer
-// when the executing peer dies mid-subflow.
+// delegated to other peers over the wire protocol's route frame, one
+// that names its parent node, with placement decided by a pluggable
+// scheduler policy fed by heartbeat load gossip, and ownership failing
+// over to a surviving peer when the executing peer dies mid-subflow.
 //
 // The package sits between internal/matrix (it implements
 // matrix.Delegator) and internal/wire (it speaks through wire.Peer's
@@ -17,8 +17,8 @@ package federation
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -248,10 +248,11 @@ func (f *Federation) record(r provenance.Record, detail ...provenance.Attr) {
 }
 
 // Delegate implements matrix.Delegator: place the subflow, run it —
-// remotely over a delegate frame, or locally under the federation's
-// slot pool — and fail over to the next candidate when the executing
-// peer dies mid-run. Deterministic flow failures (the subflow itself
-// erred on a live peer) do not fail over; they propagate typed.
+// remotely over a route frame, or locally under the federation's slot
+// pool — and fail over to the next candidate when a peer refuses the
+// work or ends it without an outcome (it died, or is closing). The
+// subflow's own failure on the peer that ran it does not fail over: it
+// propagates typed, whatever its class.
 func (f *Federation) Delegate(ctx context.Context, req matrix.DelegateRequest) (*matrix.DelegateResponse, error) {
 	f.mu.Lock()
 	closed := f.closed
@@ -309,13 +310,7 @@ func (f *Federation) place(ctx context.Context, req matrix.DelegateRequest) (*ma
 			return nil, fmt.Errorf("%w: delegation cancelled: %v", dgferr.ErrCancelled, err)
 		}
 		cands := f.candidates(tried)
-		hint := req.Hint
-		if f.cfg.Policy.Name() == scheduler.VdataLocalityName && req.VdataHint != "" {
-			// vdata-locality routes on a holder peer name, not a resource
-			// name (docs/VDATA.md).
-			hint = req.VdataHint
-		}
-		pick, ok := f.cfg.Policy.Pick(f.peer.Name, hint, cands)
+		pick, ok := f.cfg.Policy.Pick(f.peer.Name, scheduler.Hint{Resource: req.Hint, Holder: req.VdataHint}, cands)
 		if !ok {
 			break // slate exhausted: settle locally
 		}
@@ -326,7 +321,11 @@ func (f *Federation) place(ctx context.Context, req matrix.DelegateRequest) (*ma
 		if resp := f.runRemote(ctx, pick, req); resp != nil {
 			return resp, nil
 		}
-		// Transport failure: quarantine, note the failover, back off a
+		if err := ctx.Err(); err != nil {
+			// The parent stopped waiting: the peer is not at fault.
+			return nil, fmt.Errorf("%w: delegation cancelled: %v", dgferr.ErrCancelled, err)
+		}
+		// No outcome there: quarantine, note the failover, back off a
 		// beat (the next candidate may share the cause), try again.
 		f.markDead(pick)
 		o.Counter("federation_failovers_total", "peer", pick).Inc()
@@ -344,51 +343,33 @@ func (f *Federation) place(ctx context.Context, req matrix.DelegateRequest) (*ma
 	return f.runLocal(ctx, req)
 }
 
-// runRemote sends one delegate frame to the named peer. It returns a
-// settled response (success or deterministic flow failure), or nil for
-// a transport or peer-death failure that should fail over.
+// runRemote runs the subflow on the named peer over a route frame that
+// names its parent node. It returns the settled response — success, or
+// the subflow's own failure there — or nil when the work did not run to
+// an outcome there: the peer was unreachable, refused it or ended the
+// run. Only such work moves. After a transport failure the peer may or
+// may not have run it: the at-least-once caveat (docs/FEDERATION.md).
 func (f *Federation) runRemote(ctx context.Context, name string, req matrix.DelegateRequest) *matrix.DelegateResponse {
-	o := f.peer.Engine().Obs()
 	client, err := f.peer.Client(name)
 	if err != nil {
-		// Could not even connect: treat as peer death.
 		return nil
 	}
-	res, err := client.Delegate(ctx, wire.Delegate{
+	resp, err := client.Run(ctx, &wire.Route{
 		User:       req.User,
 		Token:      req.Token,
-		Request:    codec.RequestDoc(dgl.NewAsyncRequest(req.User, "", req.Flow)),
+		Request:    codec.RequestDoc(dgl.NewRequest(req.User, "", req.Flow)),
 		Origin:     f.peer.Name,
 		ParentExec: req.ParentExec,
 		ParentNode: req.ParentNode,
 	})
-	if err == nil {
-		o.Counter("federation_delegations_total", "peer", name).Inc()
-		return f.settled(name, res, nil)
-	}
-	if res == nil {
-		// Transport failure: the connection died with the frame in
-		// flight. The remote may or may not have run the subflow — the
-		// at-least-once caveat (docs/FEDERATION.md).
+	if err != nil {
 		return nil
 	}
-	// The remote answered. A cancelled or capacity class means the peer
-	// is shutting down or saturated — the work should move; anything
-	// else is the subflow's own deterministic failure and must propagate.
-	if ctx.Err() == nil && (errors.Is(err, dgferr.ErrCancelled) || errors.Is(err, dgferr.ErrCapacity) || errors.Is(err, dgferr.ErrResourceDown)) {
-		return nil
-	}
-	o.Counter("federation_delegations_total", "peer", name).Inc()
-	return f.settled(name, res, err)
-}
-
-// settled builds the Delegator response from a delegate reply.
-func (f *Federation) settled(peerName string, res *wire.DelegateResult, flowErr error) *matrix.DelegateResponse {
-	out := &matrix.DelegateResponse{Peer: peerName, RemoteID: res.ID, Err: flowErr}
-	if res.Status != "" {
-		if st, err := dgl.ParseFlowStatus([]byte(res.Status)); err == nil {
-			out.Status = st
-		}
+	f.peer.Engine().Obs().Counter("federation_delegations_total", "peer", name).Inc()
+	out := &matrix.DelegateResponse{Peer: name, Status: resp.Status, Err: dgferr.Decode(resp.Error)}
+	if resp.Status != nil {
+		// The status root's id is "<execution id>/<flow>".
+		out.RemoteID, _, _ = strings.Cut(resp.Status.ID, "/")
 	}
 	return out
 }
@@ -443,9 +424,10 @@ func (f *Federation) Peers() []wire.PeerInfo {
 
 // Close shuts the federation down deterministically: new delegations
 // decline to local/inline immediately; in-flight ones get DrainGrace to
-// finish, then are cancelled (remote peers release the work via their
-// delegate contexts); the heartbeat loop stops. The peer itself is not
-// closed — callers own that ordering (federation first, then peer).
+// finish, then are cancelled (a serving peer cancels its run when the
+// hop's connection ends or it closes itself); the heartbeat loop stops.
+// The peer itself is not closed — callers own that ordering (federation
+// first, then peer).
 func (f *Federation) Close() {
 	f.mu.Lock()
 	if f.closed {

@@ -89,7 +89,7 @@ type pinTo struct{ target string }
 
 func (p *pinTo) Name() string { return "pin-to" }
 
-func (p *pinTo) Pick(local, hint string, cands []scheduler.Candidate) (string, bool) {
+func (p *pinTo) Pick(local string, hint scheduler.Hint, cands []scheduler.Candidate) (string, bool) {
 	for _, c := range cands {
 		if c.Name == p.target {
 			return p.target, true

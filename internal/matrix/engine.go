@@ -299,33 +299,10 @@ func (e *Engine) Submit(req *dgl.Request) (*dgl.Response, error) {
 // not this engine's to run, or not admitted — returns "" and the reason,
 // with nothing written to sink.
 func (e *Engine) SubmitTo(req *dgl.Request, sink dgl.ReplySink) (id string, err error) {
-	if req.StatusQuery != nil {
-		return "", fmt.Errorf("%w: request has both flow and status query", dgl.ErrInvalid)
-	}
-	if req.Flow == nil {
-		return "", fmt.Errorf("%w: empty request", dgl.ErrInvalid)
-	}
-	if req.User.Name == "" {
-		return "", fmt.Errorf("%w: gridUser.name required", dgl.ErrInvalid)
-	}
-	p, err := buildPlan(req.Flow, e.knownOps())
+	exec, err := e.prepare(req)
 	if err != nil {
 		return "", err
 	}
-	e.mu.RLock()
-	check := e.ownCheck
-	e.mu.RUnlock()
-	if check != nil {
-		if err := check(req); err != nil {
-			return "", err
-		}
-	}
-	governed, err := e.admit(req.User.Name)
-	if err != nil {
-		return "", err
-	}
-	exec := e.newExecution(req, nil, p)
-	exec.governed.Store(governed)
 	if req.Async {
 		go exec.run()
 		sink.Ack(dgl.Ack{ID: exec.ID, Status: string(StatePending), Valid: true})
@@ -334,6 +311,54 @@ func (e *Engine) SubmitTo(req *dgl.Request, sink dgl.ReplySink) (id string, err 
 	exec.run()
 	exec.root.walk(true, sink)
 	return exec.ID, exec.Err()
+}
+
+// Launch starts a flow request in the background whatever its Async
+// flag says and returns its execution, or the reason it was refused
+// before one existed, as SubmitTo does. It is for a caller that waits
+// for a sync run itself and may stop waiting: the wire's peer hop, which
+// cancels the run when its connection ends.
+func (e *Engine) Launch(req *dgl.Request) (*Execution, error) {
+	exec, err := e.prepare(req)
+	if err != nil {
+		return nil, err
+	}
+	go exec.run()
+	return exec, nil
+}
+
+// prepare validates a flow request, runs the ownership check and the
+// flow governor's admission, and registers its execution, not yet
+// started.
+func (e *Engine) prepare(req *dgl.Request) (*Execution, error) {
+	if req.StatusQuery != nil {
+		return nil, fmt.Errorf("%w: request has both flow and status query", dgl.ErrInvalid)
+	}
+	if req.Flow == nil {
+		return nil, fmt.Errorf("%w: empty request", dgl.ErrInvalid)
+	}
+	if req.User.Name == "" {
+		return nil, fmt.Errorf("%w: gridUser.name required", dgl.ErrInvalid)
+	}
+	p, err := buildPlan(req.Flow, e.knownOps())
+	if err != nil {
+		return nil, err
+	}
+	e.mu.RLock()
+	check := e.ownCheck
+	e.mu.RUnlock()
+	if check != nil {
+		if err := check(req); err != nil {
+			return nil, err
+		}
+	}
+	governed, err := e.admit(req.User.Name)
+	if err != nil {
+		return nil, err
+	}
+	exec := e.newExecution(req, nil, p)
+	exec.governed.Store(governed)
+	return exec, nil
 }
 
 // SubmitBatch services N DGL requests in one call, answering each item

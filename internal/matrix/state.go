@@ -451,6 +451,10 @@ func (e *Execution) Status(detail bool) dgl.FlowStatus {
 	return e.root.snapshot(detail)
 }
 
+// WalkStatus writes the execution's status tree into sink, as
+// Engine.WalkStatus does for its id.
+func (e *Execution) WalkStatus(detail bool, sink dgl.StatusSink) { e.root.walk(detail, sink) }
+
 // StatusOf snapshots the subtree rooted at the given node id.
 func (e *Execution) StatusOf(id string, detail bool) (dgl.FlowStatus, error) {
 	n, ok := e.root.find(id)

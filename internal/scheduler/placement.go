@@ -66,17 +66,29 @@ type Candidate struct {
 	Load PeerLoad
 }
 
+// Hint is what the delegating side knows of where a subflow would
+// rather run; either field may be empty. Each policy reads what it
+// places by, and the rest ignore it.
+type Hint struct {
+	// Resource is a grid resource one of the subflow's steps names: the
+	// locality policy moves the work to a peer hosting it.
+	Resource string
+	// Holder is the peer already holding a memoized derivation of one of
+	// the subflow's pure steps (docs/VDATA.md): the vdata-locality policy
+	// routes the work to it.
+	Holder string
+}
+
 // PlacementPolicy picks the peer a delegated subflow runs on. local is
 // the delegating peer's own name (always among the candidates when it
-// is willing to run the work itself); hint is an optional resource name
-// extracted from the subflow for locality-aware policies. ok is false
-// when the policy has no candidate at all.
+// is willing to run the work itself). ok is false when the policy has
+// no candidate at all.
 //
 // Implementations must be safe for concurrent use: one policy instance
 // serves every delegation a peer makes.
 type PlacementPolicy interface {
 	Name() string
-	Pick(local, hint string, peers []Candidate) (peer string, ok bool)
+	Pick(local string, hint Hint, peers []Candidate) (peer string, ok bool)
 }
 
 // sortedCandidates returns the candidates ordered by name, for
@@ -97,7 +109,7 @@ type LeastLoaded struct{}
 func (LeastLoaded) Name() string { return "least-loaded" }
 
 // Pick implements PlacementPolicy.
-func (LeastLoaded) Pick(local, hint string, peers []Candidate) (string, bool) {
+func (LeastLoaded) Pick(local string, hint Hint, peers []Candidate) (string, bool) {
 	return minScore(sortedCandidates(peers))
 }
 
@@ -125,7 +137,7 @@ type RoundRobin struct {
 func (*RoundRobin) Name() string { return "round-robin" }
 
 // Pick implements PlacementPolicy.
-func (p *RoundRobin) Pick(local, hint string, peers []Candidate) (string, bool) {
+func (p *RoundRobin) Pick(local string, hint Hint, peers []Candidate) (string, bool) {
 	sorted := sortedCandidates(peers)
 	if len(sorted) == 0 {
 		return "", false
@@ -140,19 +152,19 @@ func (p *RoundRobin) Pick(local, hint string, peers []Candidate) (string, bool) 
 // Locality prefers peers that host the subflow's hinted resource (so
 // the work moves to the data, per the paper's placement rationale),
 // falling back to least-loaded among them — or among everyone when no
-// candidate hosts the resource or no hint was extracted.
+// candidate hosts the resource or no resource was hinted.
 type Locality struct{}
 
 // Name implements PlacementPolicy.
 func (Locality) Name() string { return "locality" }
 
 // Pick implements PlacementPolicy.
-func (Locality) Pick(local, hint string, peers []Candidate) (string, bool) {
+func (Locality) Pick(local string, hint Hint, peers []Candidate) (string, bool) {
 	sorted := sortedCandidates(peers)
-	if hint != "" {
+	if hint.Resource != "" {
 		var hosting []Candidate
 		for _, c := range sorted {
-			if c.Load.HostsResource(hint) {
+			if c.Load.HostsResource(hint.Resource) {
 				hosting = append(hosting, c)
 			}
 		}
@@ -163,29 +175,27 @@ func (Locality) Pick(local, hint string, peers []Candidate) (string, bool) {
 	return minScore(sorted)
 }
 
-// VdataLocalityName is the flag name of the VdataLocality policy; the
-// federation layer switches the hint it passes to Pick on it (a holder
-// peer name instead of a resource name).
+// VdataLocalityName is the flag name of the VdataLocality policy.
 const VdataLocalityName = "vdata-locality"
 
 // VdataLocality routes pure subflows to the peer already holding their
-// memoized derivations (docs/VDATA.md): the hint is a peer name — the
+// memoized derivations (docs/VDATA.md): the hint's Holder — the
 // derivation holder the delegating side resolved from its catalog or
-// the lookup registry — and a candidate matching it wins outright, so
-// the remote run hits that peer's catalog without any network graft.
-// Without a hint, or when the holder is not a live candidate, it falls
-// back to least-loaded.
+// the lookup registry — wins outright when it is a candidate, so the
+// remote run hits that peer's catalog without any network graft.
+// Without a holder, or when it is not a live candidate, it falls back
+// to least-loaded.
 type VdataLocality struct{}
 
 // Name implements PlacementPolicy.
 func (VdataLocality) Name() string { return VdataLocalityName }
 
 // Pick implements PlacementPolicy.
-func (VdataLocality) Pick(local, hint string, peers []Candidate) (string, bool) {
+func (VdataLocality) Pick(local string, hint Hint, peers []Candidate) (string, bool) {
 	sorted := sortedCandidates(peers)
-	if hint != "" {
+	if hint.Holder != "" {
 		for _, c := range sorted {
-			if c.Name == hint {
+			if c.Name == hint.Holder {
 				return c.Name, true
 			}
 		}

@@ -34,7 +34,7 @@ func TestLeastLoadedPick(t *testing.T) {
 	if p.Name() != "least-loaded" {
 		t.Errorf("name = %q", p.Name())
 	}
-	if _, ok := p.Pick("self", "", nil); ok {
+	if _, ok := p.Pick("self", Hint{}, nil); ok {
 		t.Error("picked from empty candidate set")
 	}
 	peers := []Candidate{
@@ -42,7 +42,7 @@ func TestLeastLoadedPick(t *testing.T) {
 		cand("a", PeerLoad{Queued: 5, Capacity: 4}),
 		cand("c", PeerLoad{Capacity: 4}),
 	}
-	if got, ok := p.Pick("self", "", peers); !ok || got != "c" {
+	if got, ok := p.Pick("self", Hint{}, peers); !ok || got != "c" {
 		t.Errorf("pick = %q, %v", got, ok)
 	}
 	// Equal loads tie-break by name.
@@ -51,7 +51,7 @@ func TestLeastLoadedPick(t *testing.T) {
 		cand("m", PeerLoad{Capacity: 4}),
 		cand("a", PeerLoad{Capacity: 4}),
 	}
-	if got, _ := p.Pick("self", "", tied); got != "a" {
+	if got, _ := p.Pick("self", Hint{}, tied); got != "a" {
 		t.Errorf("tie-break = %q, want a", got)
 	}
 }
@@ -61,13 +61,13 @@ func TestRoundRobinPick(t *testing.T) {
 	if p.Name() != "round-robin" {
 		t.Errorf("name = %q", p.Name())
 	}
-	if _, ok := p.Pick("self", "", nil); ok {
+	if _, ok := p.Pick("self", Hint{}, nil); ok {
 		t.Error("picked from empty candidate set")
 	}
 	peers := []Candidate{cand("b", PeerLoad{}), cand("a", PeerLoad{}), cand("c", PeerLoad{})}
 	var got []string
 	for i := 0; i < 6; i++ {
-		name, ok := p.Pick("self", "", peers)
+		name, ok := p.Pick("self", Hint{}, peers)
 		if !ok {
 			t.Fatal("round-robin refused candidates")
 		}
@@ -92,7 +92,7 @@ func TestRoundRobinConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				name, ok := p.Pick("self", "", peers)
+				name, ok := p.Pick("self", Hint{}, peers)
 				if !ok {
 					return
 				}
@@ -125,18 +125,19 @@ func TestLocalityPick(t *testing.T) {
 	}
 	// Hint matches: work moves to the (least-loaded) data holder even
 	// though another peer is idler.
-	if got, ok := p.Pick("self", "disk1", peers); !ok || got != "hosting" {
+	if got, ok := p.Pick("self", Hint{Resource: "disk1"}, peers); !ok || got != "hosting" {
 		t.Errorf("hinted pick = %q, %v", got, ok)
 	}
-	// No hint: plain least-loaded.
-	if got, _ := p.Pick("self", "", peers); got != "idle" {
+	// No resource hint — a holder hint is vdata-locality's: plain
+	// least-loaded.
+	if got, _ := p.Pick("self", Hint{Holder: "hosting"}, peers); got != "idle" {
 		t.Errorf("unhinted pick = %q", got)
 	}
 	// Hint nobody hosts: fall back to least-loaded over everyone.
-	if got, _ := p.Pick("self", "tape9", peers); got != "idle" {
+	if got, _ := p.Pick("self", Hint{Resource: "tape9"}, peers); got != "idle" {
 		t.Errorf("unhosted hint pick = %q", got)
 	}
-	if _, ok := p.Pick("self", "disk1", nil); ok {
+	if _, ok := p.Pick("self", Hint{Resource: "disk1"}, nil); ok {
 		t.Error("picked from empty candidate set")
 	}
 }
@@ -152,18 +153,18 @@ func TestVdataLocalityPick(t *testing.T) {
 	}
 	// The derivation holder wins outright, however loaded: running there
 	// skips the work entirely, which beats any queue.
-	if got, ok := p.Pick("self", "holder", peers); !ok || got != "holder" {
+	if got, ok := p.Pick("self", Hint{Holder: "holder"}, peers); !ok || got != "holder" {
 		t.Errorf("hinted pick = %q, %v", got, ok)
 	}
-	// No hint, or a holder that is no longer a live candidate: plain
-	// least-loaded.
-	if got, _ := p.Pick("self", "", peers); got != "idle" {
+	// No holder hint — a resource hint is locality's — or a holder that
+	// is no longer a live candidate: plain least-loaded.
+	if got, _ := p.Pick("self", Hint{Resource: "holder"}, peers); got != "idle" {
 		t.Errorf("unhinted pick = %q", got)
 	}
-	if got, _ := p.Pick("self", "departed", peers); got != "idle" {
+	if got, _ := p.Pick("self", Hint{Holder: "departed"}, peers); got != "idle" {
 		t.Errorf("dead-holder pick = %q", got)
 	}
-	if _, ok := p.Pick("self", "holder", nil); ok {
+	if _, ok := p.Pick("self", Hint{Holder: "holder"}, nil); ok {
 		t.Error("picked from empty candidate set")
 	}
 }

@@ -32,8 +32,25 @@ type RealClock struct{}
 // Now implements Clock.
 func (RealClock) Now() time.Time { return time.Now() }
 
+// sleepTimers holds stopped, drained timers for RealClock.Sleep.
+// time.Sleep allocates a timer on a goroutine's first sleep, which an
+// execution run on a goroutine of its own would pay once per flow.
+var sleepTimers = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}}
+
 // Sleep implements Clock.
-func (RealClock) Sleep(d time.Duration) { time.Sleep(d) }
+func (RealClock) Sleep(d time.Duration) {
+	if d <= 0 {
+		return
+	}
+	t := sleepTimers.Get().(*time.Timer)
+	t.Reset(d)
+	<-t.C
+	sleepTimers.Put(t)
+}
 
 // VirtualClock is a thread-safe simulated clock. Sleep advances the clock
 // instead of blocking, so million-step simulations finish in milliseconds

@@ -287,3 +287,31 @@ func BenchmarkTransferTime(b *testing.B) {
 		}
 	}
 }
+
+// TestRealClockSleepAllocs: a real-clock sleep blocks for its duration
+// and costs a goroutine that never slept before — as an execution's run
+// goroutine is — no allocation, where time.Sleep would allocate the
+// goroutine's timer.
+func TestRealClockSleepAllocs(t *testing.T) {
+	var c RealClock
+	start := time.Now()
+	c.Sleep(2 * time.Millisecond)
+	if el := time.Since(start); el < 2*time.Millisecond {
+		t.Fatalf("slept %v, want at least 2ms", el)
+	}
+	fresh := func(sleep bool) float64 {
+		return testing.AllocsPerRun(50, func() {
+			done := make(chan struct{})
+			go func() {
+				if sleep {
+					c.Sleep(time.Microsecond)
+				}
+				close(done)
+			}()
+			<-done
+		})
+	}
+	if with, without := fresh(true), fresh(false); with > without {
+		t.Errorf("a first sleep on a fresh goroutine allocates %.0f, want %.0f", with, without)
+	}
+}

@@ -6,7 +6,7 @@
 // supplies the two halves of that plane:
 //
 //   - Authority: mints and verifies HMAC-signed bearer tokens that bind
-//     a wire connection (and every submit/route/delegate frame on it)
+//     a wire connection (and every submit and route frame on it)
 //     to an authenticated tenant identity (auth.go);
 //   - Registry: tracks per-tenant quotas — flows in flight, store
 //     bytes, delegation slots, submit rate — and the scheduling weight

@@ -10,8 +10,8 @@ import (
 	"datagridflow/internal/vdata"
 )
 
-// Binary codecs for the wire's envelopes: control, batch, delegate,
-// route and replicate frames and their replies. The DGL documents
+// Binary codecs for the wire's envelopes: control, batch, route and
+// replicate frames and their replies. The DGL documents
 // themselves are encoded by internal/codec's Request/Response codecs;
 // the envelopes here carry those payloads as opaque blobs, each sniffed
 // independently — a batch may carry XML items beside binary ones, which
@@ -606,79 +606,8 @@ func decodeBatchResult(payload []byte) (ok bool, errText string, responses [][]b
 	return ok, errText, responses, d.Err()
 }
 
-// appendDelegate encodes a delegation envelope. The embedded request
-// document rides as an opaque blob (codec.RequestDoc from the
-// federation layer); the receiver sniffs it.
-func appendDelegate(e *codec.Encoder, dl *Delegate) {
-	e.Begin(codec.MsgDelegate)
-	e.Sym(1, dl.User)
-	e.Blob(2, []byte(dl.Request))
-	e.Sym(3, dl.Origin)
-	e.Sym(4, dl.ParentExec)
-	e.Sym(5, dl.ParentNode)
-	e.Str(6, dl.Token)
-}
-
-func decodeDelegate(payload []byte) (Delegate, error) {
-	d, err := codec.NewDecoder(payload, codec.MsgDelegate)
-	if err != nil {
-		return Delegate{}, err
-	}
-	var dl Delegate
-	for d.Next() {
-		switch d.Field() {
-		case 1:
-			dl.User = d.Sym()
-		case 2:
-			dl.Request = string(d.Blob())
-		case 3:
-			dl.Origin = d.Sym()
-		case 4:
-			dl.ParentExec = d.Sym()
-		case 5:
-			dl.ParentNode = d.Sym()
-		case 6:
-			dl.Token = d.Str()
-		default:
-			d.Skip()
-		}
-	}
-	return dl, d.Err()
-}
-
-func appendDelegateResult(e *codec.Encoder, r *DelegateResult) {
-	e.Begin(codec.MsgDelegateResult)
-	e.Bool(1, r.OK)
-	e.Str(2, r.Error)
-	e.Sym(3, r.ID)
-	e.Blob(4, []byte(r.Status))
-}
-
-func decodeDelegateResult(payload []byte) (DelegateResult, error) {
-	d, err := codec.NewDecoder(payload, codec.MsgDelegateResult)
-	if err != nil {
-		return DelegateResult{}, err
-	}
-	var r DelegateResult
-	for d.Next() {
-		switch d.Field() {
-		case 1:
-			r.OK = d.Bool()
-		case 2:
-			r.Error = d.Str()
-		case 3:
-			r.ID = d.Sym()
-		case 4:
-			r.Status = string(d.Blob())
-		default:
-			d.Skip()
-		}
-	}
-	return r, d.Err()
-}
-
 // appendRoute encodes a routing envelope. The embedded request document
-// is an opaque blob, sniffed by the receiver like a delegate's.
+// is an opaque blob, sniffed by the receiver.
 func appendRoute(e *codec.Encoder, rt *Route) {
 	e.Begin(codec.MsgRoute)
 	e.Sym(1, rt.User)
@@ -686,6 +615,8 @@ func appendRoute(e *codec.Encoder, rt *Route) {
 	e.Str(3, rt.Request)
 	e.Uint(4, uint64(rt.Shard))
 	e.Sym(5, rt.Origin)
+	e.Sym(6, rt.ParentExec)
+	e.Sym(7, rt.ParentNode)
 }
 
 // decodeRoute decodes a binary routing envelope. Transient decode: the
@@ -709,6 +640,10 @@ func decodeRoute(payload []byte) (Route, error) {
 			rt.Shard = int(d.Uint())
 		case 5:
 			rt.Origin = d.Sym()
+		case 6:
+			rt.ParentExec = d.Sym()
+		case 7:
+			rt.ParentNode = d.Sym()
 		default:
 			d.Skip()
 		}

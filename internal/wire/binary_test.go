@@ -74,7 +74,8 @@ func TestBinaryNegotiation(t *testing.T) {
 }
 
 // TestTextEnvelopeRefused: a payload that is not a binary envelope —
-// the JSON an old build sent, here on every kind from 2 to 6 — fails to
+// the JSON an old build sent, here on every kind from 2 to 6 but the
+// retired 4 — fails to
 // decode and is answered with a typed error in that kind's reply, and
 // the session goes on serving.
 func TestTextEnvelopeRefused(t *testing.T) {
@@ -87,7 +88,6 @@ func TestTextEnvelopeRefused(t *testing.T) {
 			_, errText, _, err := decodeBatchResult(p)
 			return errText, err
 		},
-		KindDelegate:  func(p []byte) (string, error) { r, err := decodeDelegateResult(p); return r.Error, err },
 		KindRoute:     func(p []byte) (string, error) { r, err := decodeRouteResult(p); return r.Error, err },
 		KindReplicate: func(p []byte) (string, error) { r, err := decodeReplicateResult(p); return r.Error, err },
 	}
@@ -197,18 +197,12 @@ func TestBinaryStoreInfoRoundTrip(t *testing.T) {
 }
 
 // TestBinaryDelegateEnvelope drives a delegation directly at the client
-// level, with an XML request document inside the binary envelope.
+// level, with an XML request document inside the binary route envelope:
+// the hop decodes a document in either encoding.
 func TestBinaryDelegateEnvelope(t *testing.T) {
 	e := newEngine(t, "")
 	_, addr := startServer(t, e)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Hello(); err != nil {
-		t.Fatal(err)
-	}
+	c := dial(t, addr)
 	if !c.Binary() {
 		t.Fatal("expected binary session")
 	}
@@ -216,14 +210,10 @@ func TestBinaryDelegateEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Delegate(context.Background(), Delegate{
-		User: "user", Request: string(reqXML), Origin: "origin-node",
+	resp, err := c.Run(context.Background(), &Route{
+		User: "user", Request: string(reqXML), Origin: "origin-node", ParentNode: "origin-node:dgf-000001/dlg",
 	})
-	if err != nil || !res.OK || res.ID == "" {
-		t.Fatalf("delegate = %+v, %v", res, err)
-	}
-	st, err := dgl.ParseFlowStatus([]byte(res.Status))
-	if err != nil || st.State != "succeeded" {
-		t.Fatalf("delegate status = %+v, %v", st, err)
+	if err != nil || resp.Error != "" || resp.Status == nil || resp.Status.ID == "" || resp.Status.State != "succeeded" {
+		t.Fatalf("delegate = %+v, %v", resp, err)
 	}
 }

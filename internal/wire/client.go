@@ -126,8 +126,8 @@ func (c *Client) open(conn net.Conn) error {
 func (c *Client) SetTimeout(d time.Duration) { c.timeout.Store(int64(d)) }
 
 // SetToken attaches a tenant bearer token (tenant.Authority.Mint,
-// docs/TENANCY.md) to every subsequent submit, batch, control, delegate
-// and route frame. Hello offers it for verification up front. An empty
+// docs/TENANCY.md) to every subsequent submit, batch, control and route
+// frame. Hello offers it for verification up front. An empty
 // string detaches.
 func (c *Client) SetToken(tok string) {
 	c.mu.Lock()
@@ -533,40 +533,34 @@ func (c *Client) hello(ctx context.Context) (string, error) {
 	return res.Proto, nil
 }
 
-// Delegate asks the server to execute a subflow on this peer's behalf
-// and waits for its final status. A non-nil result with res.OK false
-// means the remote ran (or refused) the work and reported a typed
-// failure — err carries the decoded class and res.ID/res.Status what
-// the remote knows. A nil result means transport failure: the caller
-// cannot know whether the remote ran anything (the at-least-once caveat
-// in docs/FEDERATION.md).
-func (c *Client) Delegate(ctx context.Context, d Delegate) (*DelegateResult, error) {
-	enc := codec.GetEncoder()
-	defer codec.PutEncoder(enc)
-	appendDelegate(enc, &d)
-	fr, err := c.call(ctx, KindDelegate, enc.Bytes())
+// Run hands a flow to the peer on a route frame — a delegation when rt
+// names its parent node — and returns the response document of its run
+// there, whose error is the run's own outcome. An error with no response
+// means the work did not run to an outcome there: the peer refused it or
+// ended the run (a typed error), or no usable reply came, after which
+// the caller cannot know whether the peer ran anything. Either way the
+// caller may move the work.
+func (c *Client) Run(ctx context.Context, rt *Route) (*dgl.Response, error) {
+	res, fr, err := c.route(ctx, rt)
 	if err != nil {
 		return nil, err
 	}
 	defer fr.release()
-	res, err := decodeDelegateResult(fr.payload)
-	if err != nil {
-		return nil, fmt.Errorf("wire: bad delegate reply: %w", err)
-	}
 	if !res.OK {
-		return &res, dgferr.Decode(res.Error)
+		return nil, fmt.Errorf("wire: route refused: %w", dgferr.Decode(res.Error))
 	}
-	return &res, nil
+	return codec.DecodeResponse(res.Response)
 }
 
-// route hands a submission to the peer that owns its shard and waits
-// for the acceptance outcome. A result with NotOwner set means the
-// target no longer holds the shard (ownership moved between the routing
-// decision and delivery) and Owner names where it went — the caller
-// re-resolves and retries. The result's Response aliases the reply
-// frame, which the caller releases once done with both. An error means
-// no usable reply came — a transport failure, after which the caller
-// cannot know whether the remote accepted — and there is no frame.
+// route sends a route frame — a submission to the peer that owns its
+// shard, or a delegation — and waits for the reply. A result with
+// NotOwner set means the target no longer holds the shard (ownership
+// moved between the routing decision and delivery) and Owner names
+// where it went — the caller re-resolves and retries. The result's
+// Response aliases the reply frame, which the caller releases once done
+// with both. An error means no usable reply came — a transport failure,
+// after which the caller cannot know whether the remote accepted — and
+// there is no frame.
 func (c *Client) route(ctx context.Context, rt *Route) (RouteResult, frame, error) {
 	enc := codec.GetEncoder()
 	defer codec.PutEncoder(enc)

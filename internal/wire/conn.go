@@ -14,7 +14,7 @@ import (
 )
 
 // Connection I/O (docs/WIRE.md, "Connection I/O"). Every connection —
-// a client session, a route, delegate or replicate link — is wrapped
+// a client session, a route or replicate link — is wrapped
 // once, where it is accepted or dialled, in a frameConn: a buffered
 // frame reader and a coalescing frame writer.
 

@@ -20,10 +20,10 @@ import (
 // TestMain runs the whole package with payload poisoning on: every
 // pooled payload is overwritten with 0xFF the moment its frame is
 // released, so any holder of frame bytes that outlives its handler —
-// a batch item, a Route or Delegate request document, a replicate
-// block, anything a decoder aliased instead of copied — corrupts what
-// it holds and the wire, route, delegate, replication and tenant
-// suites around it fail. That they pass is the audit of the ownership
+// a batch item, a Route's request document or parent fields, a
+// replicate block, anything a decoder aliased instead of copied —
+// corrupts what it holds and the wire, route, delegation, replication
+// and tenant suites around it fail. That they pass is the audit of the ownership
 // rule in docs/WIRE.md "Connection I/O".
 func TestMain(m *testing.M) {
 	poisonPayloads = true

@@ -8,124 +8,119 @@ import (
 	"testing"
 	"time"
 
+	"datagridflow/internal/codec"
 	"datagridflow/internal/dgferr"
 	"datagridflow/internal/dgl"
 	"datagridflow/internal/matrix"
 	"datagridflow/internal/provenance"
 )
 
-func delegatePayload(t *testing.T, user string, flow dgl.Flow) Delegate {
-	t.Helper()
-	doc, err := dgl.Marshal(dgl.NewAsyncRequest(user, "", flow))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return Delegate{
+// delegation is the route frame the federation hands a subflow over
+// with: one that names its parent node.
+func delegation(user string, flow dgl.Flow) *Route {
+	return &Route{
 		User:       user,
-		Request:    string(doc),
+		Request:    codec.RequestDoc(dgl.NewRequest(user, "", flow)),
 		Origin:     "origin-peer",
 		ParentExec: "origin-peer:dgf-000001",
 		ParentNode: "origin-peer:dgf-000001/parent/sub",
 	}
 }
 
+func delegations(e *matrix.Engine, outcome string) int64 {
+	return e.Obs().Counter("wire_delegations_total", "outcome", outcome).Value()
+}
+
 func TestDelegateRoundTrip(t *testing.T) {
 	e := newEngine(t, "remote:")
 	_, addr := startServer(t, e)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dial(t, addr)
 
 	flow := dgl.NewFlow("sub").
 		Step("ingest", dgl.Op(dgl.OpIngest, map[string]string{
 			"path": "/grid/deleg.dat", "size": "64", "resource": "diskremote:",
 		})).Flow()
-	res, err := c.Delegate(context.Background(), delegatePayload(t, "user", flow))
+	resp, err := c.Run(context.Background(), delegation("user", flow))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.OK || !strings.HasPrefix(res.ID, "remote:") {
-		t.Fatalf("result = %+v", res)
-	}
-	st, err := dgl.ParseFlowStatus([]byte(res.Status))
-	if err != nil || st.State != "succeeded" {
-		t.Fatalf("status = %+v, %v", st, err)
+	if resp.Error != "" || resp.Status == nil || resp.Status.State != "succeeded" ||
+		!strings.HasPrefix(resp.Status.ID, "remote:") {
+		t.Fatalf("response = %+v (status %+v)", resp, resp.Status)
 	}
 	if !e.Grid().Namespace().Exists("/grid/deleg.dat") {
 		t.Errorf("delegated ingest missing on remote")
 	}
-	// The serving peer records the delegation in provenance.
-	prov := e.Grid().Provenance().Query(provenance.Filter{})
-	found := false
-	for _, rec := range prov {
-		if rec.Action == "deleg.serve" && rec.Actor == "origin-peer" {
-			found = true
+	if n := delegations(e, "ok"); n != 1 {
+		t.Errorf("wire_delegations_total{outcome=ok} = %d, want 1", n)
+	}
+	// The serving peer records the delegation in provenance, joined to
+	// its parent node on the origin.
+	var serve *provenance.Record
+	for _, rec := range e.Grid().Provenance().Query(provenance.Filter{Action: "deleg.serve"}) {
+		if rec.Actor == "origin-peer" {
+			serve = &rec
 		}
 	}
-	if !found {
-		t.Errorf("no deleg.serve provenance record: %+v", prov)
+	if serve == nil {
+		t.Fatal("no deleg.serve provenance record")
+	}
+	if serve.FlowID+"/sub" != resp.Status.ID || serve.Detail.Get("origin") != "origin-peer" ||
+		serve.Detail.Get("parentExec") != "origin-peer:dgf-000001" ||
+		serve.Detail.Get("parentNode") != "origin-peer:dgf-000001/parent/sub" {
+		t.Errorf("deleg.serve record = %+v (run %s)", serve, resp.Status.ID)
 	}
 }
 
 func TestDelegateRemoteFlowFailure(t *testing.T) {
 	e := newEngine(t, "remote:")
 	_, addr := startServer(t, e)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Hello(); err != nil {
-		t.Fatal(err)
-	}
+	c := dial(t, addr)
 	flow := dgl.NewFlow("boom").Step("s", dgl.Op(dgl.OpFail, nil)).Flow()
-	res, err := c.Delegate(context.Background(), delegatePayload(t, "user", flow))
-	if err == nil {
-		t.Fatal("remote failure returned nil error")
+	resp, err := c.Run(context.Background(), delegation("user", flow))
+	// The flow failed over there: that is an outcome, carried in the
+	// response document, not a refusal of the work.
+	if err != nil {
+		t.Fatalf("remote flow failure came back as a refusal: %v", err)
 	}
-	// A non-nil result distinguishes "the flow failed over there" from a
-	// transport failure.
-	if res == nil || res.OK {
-		t.Fatalf("result = %+v", res)
+	if resp.Error == "" || dgferr.Decode(resp.Error) == nil {
+		t.Errorf("response error = %q, want the flow's failure", resp.Error)
 	}
-	if res.ID == "" {
-		t.Errorf("failed delegation lost its remote id: %+v", res)
+	if resp.Status == nil || resp.Status.ID == "" || resp.Status.State != "failed" {
+		t.Errorf("status = %+v, want the failed run with its remote id", resp.Status)
 	}
-	if st, perr := dgl.ParseFlowStatus([]byte(res.Status)); perr != nil || st.State != "failed" {
-		t.Errorf("status = %q (%v)", res.Status, perr)
+	if n := delegations(e, "error"); n != 1 {
+		t.Errorf("wire_delegations_total{outcome=error} = %d, want 1", n)
 	}
 }
 
 func TestDelegateInvalidPayloads(t *testing.T) {
 	e := newEngine(t, "")
 	_, addr := startServer(t, e)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Hello(); err != nil {
-		t.Fatal(err)
-	}
+	c := dial(t, addr)
 	// Unparseable request document.
-	res, err := c.Delegate(context.Background(), Delegate{User: "user", Request: "not xml"})
-	if err == nil || res == nil || !errors.Is(err, dgferr.ErrInvalid) {
-		t.Errorf("bad request: res=%+v err=%v", res, err)
+	rt := delegation("user", noopFlow("x"))
+	rt.Request = "not xml"
+	if resp, err := c.Run(context.Background(), rt); resp != nil || !errors.Is(err, dgferr.ErrInvalid) {
+		t.Errorf("bad request: resp=%+v err=%v", resp, err)
 	}
 	// Request with no flow.
-	doc, _ := dgl.Marshal(dgl.NewAsyncRequest("user", "", dgl.Flow{}))
-	res, err = c.Delegate(context.Background(), Delegate{User: "user", Request: string(doc)})
-	if err == nil || !errors.Is(err, dgferr.ErrInvalid) {
-		t.Errorf("flowless request: res=%+v err=%v", res, err)
+	rt.Request = codec.RequestDoc(dgl.NewStatusRequest("user", "dgf-000001", false))
+	if resp, err := c.Run(context.Background(), rt); resp != nil || !errors.Is(err, dgferr.ErrInvalid) {
+		t.Errorf("flowless request: resp=%+v err=%v", resp, err)
+	}
+	if n := delegations(e, "invalid"); n != 2 {
+		t.Errorf("wire_delegations_total{outcome=invalid} = %d, want 2", n)
+	}
+	if len(e.Executions()) != 0 {
+		t.Errorf("a refused delegation ran: %v", e.Executions())
 	}
 }
 
-// TestDelegateServerShutdownMidFlight covers the deterministic-shutdown
-// bugfix: closing the server with a delegation in flight must cancel the
+// TestDelegateServerShutdownMidFlight covers deterministic shutdown:
+// closing the server with a delegation in flight must cancel the
 // delegated execution (bounded by DelegateGrace) rather than leak it,
-// and the client must see a transport-class failure.
+// and the client must see a failure, not an outcome.
 func TestDelegateServerShutdownMidFlight(t *testing.T) {
 	e := newEngine(t, "remote:")
 	release := make(chan struct{})
@@ -143,14 +138,7 @@ func TestDelegateServerShutdownMidFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Hello(); err != nil {
-		t.Fatal(err)
-	}
+	c := dial(t, addr)
 	// Two steps: cancellation is cooperative, so the in-flight gate step
 	// finishes, and the checkpoint before the second step observes it.
 	flow := dgl.NewFlow("held").
@@ -158,15 +146,15 @@ func TestDelegateServerShutdownMidFlight(t *testing.T) {
 		Step("after", dgl.Op(dgl.OpNoop, nil)).Flow()
 	var wg sync.WaitGroup
 	wg.Add(1)
-	var res *DelegateResult
+	var resp *dgl.Response
 	var derr error
 	go func() {
 		defer wg.Done()
-		res, derr = c.Delegate(context.Background(), delegatePayload(t, "user", flow))
+		resp, derr = c.Run(context.Background(), delegation("user", flow))
 	}()
 	<-entered
 	// Close must return even though the delegated execution is stuck in
-	// an op handler: the connection context cancels the delegation,
+	// an op handler: the connection context cancels the run,
 	// DelegateGrace bounds the wait, and the handler goroutine unwinds.
 	closed := make(chan struct{})
 	go func() { s.Close(); close(closed) }()
@@ -176,8 +164,8 @@ func TestDelegateServerShutdownMidFlight(t *testing.T) {
 		t.Fatal("server Close hung on an in-flight delegation")
 	}
 	wg.Wait()
-	if derr == nil || res != nil {
-		t.Fatalf("shutdown mid-delegation: res=%+v err=%v", res, derr)
+	if derr == nil || resp != nil {
+		t.Fatalf("shutdown mid-delegation: resp=%+v err=%v", resp, derr)
 	}
 	// The server cancelled the execution before Close returned; once the
 	// gate releases, it must settle as cancelled, not keep running.
@@ -211,24 +199,37 @@ func TestDelegateContextCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Hello(); err != nil {
-		t.Fatal(err)
-	}
+	c := dial(t, addr)
 	ctx, cancel := context.WithCancel(context.Background())
 	flow := dgl.NewFlow("held").Step("s", dgl.Op("gate2", nil)).Flow()
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Delegate(ctx, delegatePayload(t, "user", flow))
+		_, err := c.Run(ctx, delegation("user", flow))
 		done <- err
 	}()
 	<-entered
 	cancel()
 	if err := <-done; err == nil {
 		t.Error("cancelled delegation returned nil error")
+	}
+}
+
+// TestRetiredDelegateKindSevers: kind 4 carried the retired delegate
+// envelope. A frame of it is answered like any unknown kind: the
+// connection is severed and the frame counted under kind "unknown".
+func TestRetiredDelegateKindSevers(t *testing.T) {
+	e := newEngine(t, "")
+	_, addr := startServer(t, e)
+	c := dial(t, addr)
+	payload := []byte{codec.Magic, codec.Version, 8}
+	if fr, err := c.call(context.Background(), 4, payload); err == nil {
+		fr.release()
+		t.Fatal("a kind-4 frame was answered")
+	}
+	if n := e.Obs().Counter("wire_frames_in_total", "kind", "unknown").Value(); n != 1 {
+		t.Errorf("wire_frames_in_total{kind=unknown} = %d, want 1", n)
+	}
+	if _, err := c.List(); err == nil {
+		t.Error("the connection outlived a kind-4 frame")
 	}
 }

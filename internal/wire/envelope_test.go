@@ -71,8 +71,9 @@ func TestGoldenHelloFrame(t *testing.T) {
 }
 
 // FuzzEnvelopes is FuzzRouteEnvelopes' twin for every other envelope:
-// control, batch, delegate and replicate frames and their replies,
-// built from fuzzed fields, survive encode/decode exactly, and
+// control, batch and replicate frames and their replies, and a route
+// frame with a delegation's parent fields, built from fuzzed fields,
+// survive encode/decode exactly, and
 // arbitrary bytes — the JSON an old build sent among them — never panic
 // a decoder. The control decoder is the first parser any connection
 // reaches, before any token is checked.
@@ -170,17 +171,12 @@ func FuzzEnvelopes(f *testing.F) {
 			t.Fatalf("batch result round trip: %v %q %q, %v", gok, gerr, gi, err)
 		}
 
-		dl := Delegate{User: user, Token: token, Request: string(blob), Origin: a, ParentExec: b, ParentNode: c}
+		// A delegation: a route frame that names its parent node.
+		rt := Route{User: user, Token: token, Request: string(blob), Shard: n, Origin: a, ParentExec: b, ParentNode: c}
 		e.Reset()
-		appendDelegate(e, &dl)
-		if got, err := decodeDelegate(e.Bytes()); err != nil || got != dl {
-			t.Fatalf("delegate round trip: %+v, %v, want %+v", got, err, dl)
-		}
-		dr := DelegateResult{OK: ok, Error: c, ID: b, Status: string(raw)}
-		e.Reset()
-		appendDelegateResult(e, &dr)
-		if got, err := decodeDelegateResult(e.Bytes()); err != nil || got != dr {
-			t.Fatalf("delegate result round trip: %+v, %v, want %+v", got, err, dr)
+		appendRoute(e, &rt)
+		if got, err := decodeRoute(e.Bytes()); err != nil || got != rt {
+			t.Fatalf("delegation round trip: %+v, %v, want %+v", got, err, rt)
 		}
 
 		rf := Replicate{Op: a, Source: b, Seq: seq, Count: n, Block: block, Chain: chain}
@@ -200,8 +196,7 @@ func FuzzEnvelopes(f *testing.F) {
 		_, _ = decodeControlResult(raw)
 		_, _, _, _ = decodeBatch(raw)
 		_, _, _, _ = decodeBatchResult(raw)
-		_, _ = decodeDelegate(raw)
-		_, _ = decodeDelegateResult(raw)
+		_, _ = decodeRoute(raw)
 		_, _ = decodeReplicate(raw)
 		_, _ = decodeReplicateResult(raw)
 	})

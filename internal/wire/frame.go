@@ -16,7 +16,7 @@
 //     pause, resume, cancel, restart, list, metrics, ...) — a pragmatic
 //     extension for the long-run process management the paper requires
 //     but DGL itself does not encode — batches, and the peer links'
-//     delegate, route and replicate frames.
+//     route and replicate frames.
 //
 // The lookup registry speaks the same frames: control verbs only.
 //
@@ -49,14 +49,14 @@ const (
 	// KindBatch frames carry N DGL requests in one envelope (one
 	// submission round trip for many flows).
 	KindBatch byte = 3
-	// KindDelegate frames carry a delegation envelope: one peer asks
-	// another to execute a subflow on its behalf and waits for the final
-	// status (the federation plane, docs/FEDERATION.md).
-	KindDelegate byte = 4
-	// KindRoute frames carry a routing envelope: a peer that accepted a
-	// flow submission hands the whole request to the shard owner the
+	// Kind 4 carried a delegation envelope; retired, and a frame of it
+	// is severed like any unknown kind.
+
+	// KindRoute frames carry a routing envelope: one peer hands another
+	// a flow to run — a whole submission, to the shard owner the
 	// consistent-hash ring names for it (docs/FEDERATION.md, "Sharded
-	// ownership"). The receiver is the terminal hop — it executes
+	// ownership"), or a subflow of a flow running on the sender (the
+	// federation plane). The receiver is the terminal hop — it executes
 	// locally, never re-routes.
 	KindRoute byte = 5
 	// KindReplicate frames carry a replication envelope
@@ -248,58 +248,15 @@ type ExecutionInfo struct {
 	User  string
 }
 
-// Delegate is the envelope of a KindDelegate frame: one peer hands
-// a subflow to another for execution. The receiving server validates
-// and runs the request synchronously (the frame's response carries the
-// final status), under its own admission scheduler — a delegation
-// occupies one admission slot, like any other flow.
-type Delegate struct {
-	// User is the identity the delegated flow runs as (and the
-	// admission account it is charged to).
-	User string
-	// Token is the originating tenant's bearer token, forwarded so the
-	// federated hop preserves the authenticated identity
-	// (docs/TENANCY.md). The receiving peer re-verifies it against its
-	// own authority (shared secret).
-	Token string
-	// Request is a complete dataGridRequest document carrying the
-	// subflow, with the delegating peer's parent-scope variable values
-	// already bound into the flow's variable block (late binding
-	// resolves on the delegating side; see docs/FEDERATION.md). The
-	// sender renders it with codec.RequestDoc.
-	Request string
-	// Origin names the delegating peer, for the remote server's logs
-	// and provenance.
-	Origin string
-	// ParentExec and ParentNode locate the delegating node in the
-	// origin peer's execution tree, so the two provenance trails can be
-	// joined.
-	ParentExec string
-	ParentNode string
-}
-
-// DelegateResult is the reply to a delegate frame.
-type DelegateResult struct {
-	OK bool
-	// Error is the typed (dgferr-encoded) failure: either a
-	// transport/validation problem or the delegated flow's own terminal
-	// error. Status may still be set alongside it.
-	Error string
-	// ID is the remote execution id ("peerB:dgf-000042") — globally
-	// resolvable from any peer via status forwarding (docs/WIRE.md §3).
-	ID string
-	// Status is the final XML <flowStatus> tree of the remote run.
-	Status string
-}
-
-// Route is the envelope of a KindRoute frame (codec.MsgRoute): the
-// accepting peer hands a whole flow submission to the shard owner the
-// ring names for it. Unlike Delegate (a subtree of a running flow), a
-// routed request becomes the receiver's own top-level execution — the
-// receiver *is*
-// the owner, and the flow's id carries its prefix. The receiver is
-// the terminal hop: it verifies it still holds the shard's lease,
-// then executes locally and never re-routes (loop prevention).
+// Route is the envelope of a KindRoute frame (codec.MsgRoute): one
+// peer hands another a flow to run, which becomes the receiver's own
+// top-level execution, its id carrying the receiver's prefix. A frame
+// that names ParentNode is a delegation: a subflow of a flow running on
+// Origin, which the receiver runs wherever it lands. Any other is a
+// shard placement: the accepting peer hands a whole submission to the
+// shard owner the ring names for it, and the receiver verifies it still
+// holds the shard's lease. Either way the receiver is the terminal hop:
+// it executes locally and never re-routes (loop prevention).
 type Route struct {
 	// User is the submitting identity the receiver's admission
 	// scheduler charges the request to.
@@ -316,17 +273,25 @@ type Route struct {
 	Request string
 	// Shard is the shard index the routing peer mapped the submission
 	// to; the receiver refuses (NotOwner) if it no longer holds its
-	// lease — the drain/claim exclusivity check.
+	// lease — the drain/claim exclusivity check. A delegation has none.
 	Shard int
-	// Origin names the routing peer, for logs and metrics.
+	// Origin names the routing peer, for logs, metrics and provenance.
 	Origin string
+	// ParentExec and ParentNode locate a delegation's parent node in the
+	// origin's execution tree, so the two provenance trails can be
+	// joined. Both are empty on a shard placement.
+	ParentExec string
+	ParentNode string
 }
 
 // RouteResult is the reply to a route frame (codec.MsgRouteResult).
 type RouteResult struct {
 	OK bool
-	// Error is the typed (dgferr-encoded) failure — transport-level,
-	// ownership refusal, or the flow's own synchronous failure.
+	// Error, with OK false, is the typed (dgferr-encoded) reason the
+	// work did not run to an outcome here: refused before an execution
+	// existed — an ownership refusal among them — or cancelled because
+	// the hop's connection or the server ended. The sender may move such
+	// work. The run's own failure is in Response, never here.
 	Error string
 	// NotOwner reports an ownership refusal: the receiver does not
 	// hold the shard's lease (drained or lost between the routing
@@ -338,8 +303,10 @@ type RouteResult struct {
 	Owner string
 	// Response is the binary dataGridResponse of the executed
 	// submission (ack for async, final status for sync), which the
-	// owner writes into the envelope as it makes it and the routing peer
-	// relays to its client from the reply frame, decoding none of it.
+	// owner writes into the envelope as it makes it. A routing peer
+	// relays it to its client from the reply frame, decoding none of
+	// it; a delegator decodes it, and its error is the subflow's own
+	// outcome, which always propagates.
 	Response []byte
 }
 

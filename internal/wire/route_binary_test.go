@@ -96,11 +96,13 @@ func TestRouteHopEncodings(t *testing.T) {
 // TestRoutedSubmitAllocs guards the hop's allocation budget: the
 // marginal cost of routing a submit — allocations of a routed submit
 // minus those of the same submit pinned local, client, both servers and
-// the engine included — is 4 for this flow, whose document the
-// accepting peer reads only as far as its head and forwards as it came.
-// It was 11 while that peer decoded the document and encoded it again
-// for the hop, and ≈ 380 with both documents XML. Under the race
-// detector, whose instrumentation allocates, the hop measures 7 to 10.
+// the engine included — is 5 for this flow, whose document the
+// accepting peer reads only as far as its head and forwards as it came;
+// one of the 5 is the goroutine the owner runs a sync run on, so that
+// the hop can stop waiting for it. It was 11 while that peer decoded the
+// document and encoded it again for the hop, and ≈ 380 with both
+// documents XML. Under the race detector, whose instrumentation
+// allocates, the hop measures 8 to 10.
 func TestRoutedSubmitAllocs(t *testing.T) {
 	_, lookupAddr := startLookupSharded(t, testShards)
 	peerA := startShardedPeer(t, lookupAddr, "siteA")

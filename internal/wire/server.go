@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -35,8 +36,6 @@ func kindName(kind byte) string {
 		return "control"
 	case KindBatch:
 		return "batch"
-	case KindDelegate:
-		return "delegate"
 	case KindRoute:
 		return "route"
 	case KindReplicate:
@@ -57,10 +56,12 @@ type ServerConfig struct {
 	// requests past it are rejected with a capacity-class error.
 	// Default 256.
 	MaxUserQueue int
-	// DelegateGrace bounds how long a cancelled delegation (client gone
-	// or server closing) waits for its execution to unwind before the
-	// handler returns — the deterministic-shutdown budget for in-flight
-	// delegations. Default 3s.
+	// DelegateGrace bounds how long a sync run the route hop serves — a
+	// delegation or a routed submit — waits for its execution to unwind
+	// once the hop cancelled it (the sending peer's connection gone, or
+	// the server closing) before the handler returns: the
+	// deterministic-shutdown budget for runs other peers wait on.
+	// Default 3s.
 	DelegateGrace time.Duration
 }
 
@@ -84,10 +85,13 @@ type Server struct {
 	// in the request's encoding. Plain servers leave it nil and submit to
 	// the engine directly.
 	submitRouter func(sub *submission, rp *reply)
-	// routeHandler, when set (by a sharded Peer, before Listen),
-	// services KindRoute frames — the terminal hop of shard routing —
-	// writing the route reply into rp.
-	routeHandler func(rt Route, rp *reply)
+	// routeLease and routeServed, when set (by a sharded Peer, before
+	// Listen), are its part of a shard placement's route hop: routeLease
+	// returns the NotOwner refusal when this peer no longer holds the
+	// shard's lease, and routeServed tracks a placement the hop ran.
+	// Unsharded servers leave them nil and refuse shard placements.
+	routeLease  func(shard int) (refusal RouteResult, held bool)
+	routeServed func(id string, shard int, async bool)
 	// ownerResolver, when set (by a sharded Peer, before Listen),
 	// services the "owner" control verb.
 	ownerResolver func(id string) (*OwnerInfo, error)
@@ -144,7 +148,7 @@ func (s *Server) Engine() *matrix.Engine { return s.engine }
 
 // SetTenancy attaches the tenancy plane (docs/TENANCY.md) — call before
 // Listen. auth, when non-nil, verifies bearer tokens on hello and every
-// submit/batch/delegate/route payload; reg, when non-nil, supplies
+// submit/batch/route payload; reg, when non-nil, supplies
 // per-tenant quotas and the admission scheduler's weights and is also
 // installed as the engine's flow governor (flows-in-flight and
 // store-byte enforcement); require rejects untokened submissions
@@ -425,9 +429,6 @@ func (s *Server) handleFrame(ctx context.Context, kind byte, payload []byte, rp 
 		appendControlResult(rp.binary(), &res)
 	case KindBatch:
 		s.serveBatch(ctx, payload, rp)
-	case KindDelegate:
-		res := s.serveDelegate(ctx, payload)
-		appendDelegateResult(rp.binary(), &res)
 	case KindRoute:
 		s.serveRoute(ctx, payload, rp)
 	case KindReplicate:
@@ -629,38 +630,144 @@ func (s *Server) relayStatus(owner *Client, req *dgl.Request, bin bool, rp *repl
 	rp.forward(fr.payload, bin)
 }
 
-// serveRoute services a KindRoute frame — the terminal hop of shard
-// routing (docs/WIRE.md §"Route frames"): the routing peer resolved
-// this server as the shard owner and hands the submission over. The
-// handler accepts locally (never re-routes: one hop, no loops) or
-// refuses with NotOwner when ownership moved in flight. A routed
-// submission occupies one admission slot under the originating user,
-// exactly like a direct submit.
+// serveRoute services a KindRoute frame: the terminal hop of every run
+// one peer hands another (docs/WIRE.md §"Route frames"). A frame that
+// names a parent node is a delegation, which runs wherever it lands; any
+// other is a shard placement, which only a sharded peer holding the
+// shard's lease runs. Either way the hop verifies the identity, takes
+// one admission slot under it — exactly like a direct submit — decodes
+// the document once and runs it, never routing it on (one hop, no
+// loops), and streams the response document into the envelope. A
+// refusal, or a run the hop cancelled, is the envelope's error; the
+// run's own outcome is the response document's.
 func (s *Server) serveRoute(ctx context.Context, payload []byte, rp *reply) {
-	fail := func(err error) { appendRouteResult(rp.binary(), &RouteResult{Error: dgferr.Encode(err)}) }
+	refuse := func(err error) { appendRouteResult(rp.binary(), &RouteResult{Error: dgferr.Encode(err)}) }
 	rt, err := decodeRoute(payload)
 	if err != nil {
-		fail(fmt.Errorf("%w: bad route frame: %v", dgferr.ErrInvalid, err))
+		refuse(fmt.Errorf("%w: bad route frame: %v", dgferr.ErrInvalid, err))
 		return
 	}
-	if s.routeHandler == nil {
-		fail(fmt.Errorf("%w: server is not sharded", dgferr.ErrInvalid))
+	deleg := rt.ParentNode != ""
+	if !deleg && s.routeLease == nil {
+		refuse(fmt.Errorf("%w: server is not sharded", dgferr.ErrInvalid))
 		return
 	}
-	id := rt.User
+	o := s.engine.Obs()
+	count := func(outcome string) {
+		if deleg {
+			o.Counter("wire_delegations_total", "outcome", outcome).Inc()
+		}
+	}
 	if s.tenancyOn() {
-		if id, err = s.resolveTenant(rt.Token, rt.User); err != nil {
-			fail(err)
+		// A hop preserves identity: the sender forwarded the submitting
+		// tenant's token and this peer re-verifies it against its own
+		// authority (shared secret).
+		if rt.User, err = s.resolveTenant(rt.Token, rt.User); err != nil {
+			count("auth-rejected")
+			refuse(err)
 			return
 		}
-		rt.User = id
 	}
-	if err := s.admit(ctx, id); err != nil {
-		fail(err)
+	if err := s.admit(ctx, rt.User); err != nil {
+		count("rejected")
+		refuse(err)
 		return
 	}
 	defer s.release()
-	s.routeHandler(rt, rp)
+	if !deleg {
+		if res, held := s.routeLease(rt.Shard); !held {
+			appendRouteResult(rp.binary(), &res)
+			return
+		}
+	}
+	req, err := codec.DecodeRequestDoc(rt.Request)
+	if err == nil && req.Flow == nil {
+		err = errors.New("request carries no flow")
+	}
+	if err != nil {
+		count("invalid")
+		refuse(fmt.Errorf("%w: bad routed request: %v", dgferr.ErrInvalid, err))
+		return
+	}
+	// The flow runs as the identity the envelope verified, the rule
+	// resolveTenant applies to a claimed user: a document may leave the
+	// user out, never name another.
+	switch req.User.Name {
+	case rt.User:
+	case "":
+		req.User.Name = rt.User
+	default:
+		o.Counter("tenant_auth_failures_total").Inc()
+		count("auth-rejected")
+		refuse(fmt.Errorf("%w: routed request user %q does not match tenant %q", dgferr.ErrAuth, req.User.Name, rt.User))
+		return
+	}
+	req.Route = dgl.RouteLocal // terminal hop: one forward, no loops
+	e := rp.binary()
+	doc := beginRouteReply(e)
+	rp.bw.Begin(e)
+	id, err := s.runHop(ctx, req, &rt, &rp.bw)
+	if id == "" {
+		// No outcome here: the refusal is the envelope's error.
+		if errors.Is(err, dgferr.ErrCancelled) {
+			count("cancelled")
+		} else {
+			count("error")
+		}
+		e.Reset()
+		appendRouteResult(e, &RouteResult{Error: dgferr.Encode(err)})
+		return
+	}
+	rp.bw.End(dgferr.Encode(err))
+	e.EndBlob(doc)
+	if err != nil {
+		count("error")
+	} else {
+		count("ok")
+	}
+	if !deleg {
+		s.routeServed(id, rt.Shard, req.Async)
+	}
+}
+
+// runHop runs a routed request and writes its reply body into w: an
+// async submission's acknowledgement, or a sync one's final status
+// tree. It returns the execution's id and the run's own outcome, or ""
+// and the reason the run has none here: refused before it started, or
+// cancelled because ctx ended first — the sending peer's connection
+// gone or the server closing — after DelegateGrace to unwind. A sync
+// run leaves the handler's goroutine for that, where a client's own
+// submit runs inline.
+func (s *Server) runHop(ctx context.Context, req *dgl.Request, rt *Route, w *codec.ResponseWriter) (string, error) {
+	if req.Async {
+		return s.engine.SubmitTo(req, w)
+	}
+	exec, err := s.engine.Launch(req)
+	if err != nil {
+		return "", err
+	}
+	if rt.ParentNode != "" {
+		s.engine.Grid().Provenance().Append(provenance.Record{
+			Time:   s.engine.Clock().Now(),
+			Actor:  rt.Origin,
+			Action: "deleg.serve",
+			Target: exec.ID,
+			FlowID: exec.ID,
+		}, provenance.Attr{Key: "origin", Value: rt.Origin},
+			provenance.Attr{Key: "parentExec", Value: rt.ParentExec},
+			provenance.Attr{Key: "parentNode", Value: rt.ParentNode})
+	}
+	werr := exec.WaitContext(ctx)
+	if ctx.Err() != nil {
+		exec.Cancel()
+		select {
+		case <-exec.Done():
+		case <-time.After(s.cfg.DelegateGrace):
+		}
+		return "", fmt.Errorf("%w: run cancelled by the route hop: %v", dgferr.ErrCancelled, ctx.Err())
+	}
+	exec.WalkStatus(true, w)
+	return exec.ID, werr
 }
 
 // serveReplicate services a KindReplicate frame — one block of an
@@ -744,98 +851,6 @@ func (s *Server) serveBatchItem(doc []byte, tenantID string, rp *reply) {
 		}
 	}
 	s.dispatchDGL(sub, rp)
-}
-
-// serveDelegate services a KindDelegate frame: run the embedded subflow
-// to completion on this peer's engine and answer with its final status.
-// A delegation occupies one admission slot for its whole run — the
-// remote peer's capacity model sees it exactly like a local flow. When
-// ctx is cancelled mid-run (delegating peer gone, or this server
-// closing), the execution is cancelled and given DelegateGrace to
-// unwind, so shutdown with in-flight delegations is deterministic.
-func (s *Server) serveDelegate(ctx context.Context, payload []byte) DelegateResult {
-	o := s.engine.Obs()
-	outcome := func(out string) {
-		o.Counter("wire_delegations_total", "outcome", out).Inc()
-	}
-	d, err := decodeDelegate(payload)
-	if err != nil {
-		outcome("invalid")
-		return DelegateResult{Error: dgferr.Encode(
-			fmt.Errorf("%w: bad delegate frame: %v", dgferr.ErrInvalid, err))}
-	}
-	req, err := codec.DecodeRequestDoc(d.Request)
-	if err != nil {
-		outcome("invalid")
-		return DelegateResult{Error: dgferr.Encode(
-			fmt.Errorf("%w: %v", dgferr.ErrInvalid, err))}
-	}
-	if req.Flow == nil {
-		outcome("invalid")
-		return DelegateResult{Error: dgferr.Encode(
-			fmt.Errorf("%w: delegate request carries no flow", dgferr.ErrInvalid))}
-	}
-	user := d.User
-	if user == "" {
-		user = req.User.Name
-	}
-	if s.tenancyOn() {
-		// A federated hop preserves identity: the origin forwarded the
-		// submitting tenant's token and this peer re-verifies it against
-		// its own authority (shared secret). An absent token downgrades
-		// the delegation to the claimed (anonymous-but-admitted)
-		// identity unless this server requires auth.
-		id, terr := s.resolveTenant(d.Token, user)
-		if terr != nil {
-			outcome("auth-rejected")
-			return DelegateResult{Error: dgferr.Encode(terr)}
-		}
-		user = id
-		req.User.Name = id
-	}
-	if err := s.admit(ctx, user); err != nil {
-		outcome("rejected")
-		return DelegateResult{Error: dgferr.Encode(err)}
-	}
-	defer s.release()
-	exec, err := s.engine.Start(req.User.Name, *req.Flow)
-	if err != nil {
-		outcome("error")
-		return DelegateResult{Error: dgferr.Encode(err)}
-	}
-	s.engine.Grid().Provenance().Append(provenance.Record{
-		Time:   s.engine.Clock().Now(),
-		Actor:  d.Origin,
-		Action: "deleg.serve",
-		Target: exec.ID,
-		FlowID: exec.ID,
-	}, provenance.Attr{Key: "origin", Value: d.Origin},
-		provenance.Attr{Key: "parentExec", Value: d.ParentExec},
-		provenance.Attr{Key: "parentNode", Value: d.ParentNode})
-	werr := exec.WaitContext(ctx)
-	if ctx.Err() != nil {
-		exec.Cancel()
-		select {
-		case <-exec.Done():
-		case <-time.After(s.cfg.DelegateGrace):
-		}
-		outcome("cancelled")
-		return DelegateResult{ID: exec.ID, Error: dgferr.Encode(fmt.Errorf(
-			"%w: delegation cancelled by server", dgferr.ErrCancelled))}
-	}
-	res := DelegateResult{ID: exec.ID}
-	st := exec.Status(true)
-	if data, merr := dgl.Marshal(&st); merr == nil {
-		res.Status = string(data)
-	}
-	if werr != nil {
-		outcome("error")
-		res.Error = dgferr.Encode(werr)
-		return res
-	}
-	outcome("ok")
-	res.OK = true
-	return res
 }
 
 // serveControl handles one control frame.

@@ -20,8 +20,8 @@ import (
 //
 //   - routeSubmit: the Server.submitRouter hook — the routing decision
 //     on the accepting peer.
-//   - handleRoute: the Server.routeHandler hook — the terminal hop on
-//     the owning peer.
+//   - routeLease and routeServed: the Server hooks that are this peer's
+//     part of the terminal hop on the owning peer (Server.serveRoute).
 //   - resolveOwner: the "owner" control verb.
 //   - RebalanceShards: the claim → drain cycle, driven from the
 //     federation heartbeat.
@@ -51,7 +51,7 @@ func RoutingKey(user, flowName string) string {
 func (p *Peer) EnableSharding(mgr *shard.Manager) {
 	p.shardMgr = mgr
 	p.server.submitRouter = p.routeSubmit
-	p.server.routeHandler = p.handleRoute
+	p.server.routeLease, p.server.routeServed = p.routeLease, p.routeServed
 	p.server.ownerResolver = p.resolveOwner
 	engine := p.server.Engine()
 	engine.SetOwnershipCheck(func(req *dgl.Request) error {
@@ -111,8 +111,8 @@ func (p *Peer) routeSubmit(sub *submission, rp *reply) {
 	}
 	// The token rides the route envelope so the owning peer re-verifies
 	// the same identity the accepting peer did (docs/TENANCY.md), and
-	// runs the document as it (handleRoute). A binary document goes as
-	// it came; an XML one, decoded on arrival, goes binary.
+	// runs the document as it (Server.serveRoute). A binary document goes
+	// as it came; an XML one, decoded on arrival, goes binary.
 	rt := Route{User: sub.user, Token: sub.head.Token, Request: sub.doc, Shard: sh, Origin: p.Name}
 	if sub.req != nil {
 		rt.Request = codec.RequestDoc(sub.req)
@@ -215,61 +215,24 @@ func (p *Peer) claimShard(sh int) (string, bool) {
 	return p.shardMgr.OwnerOfShard(sh)
 }
 
-// handleRoute is the Server.routeHandler hook: the terminal hop of
-// shard routing. It refuses with NotOwner (and the live holder as a
-// forwarding hint) when this peer no longer holds the shard, otherwise
-// accepts the embedded request locally, writing the reply into rp, and
-// tracks async accepts for drain hand-off.
-func (p *Peer) handleRoute(rt Route, rp *reply) {
-	fail := func(res RouteResult) { appendRouteResult(rp.binary(), &res) }
-	mgr := p.shardMgr
-	if !mgr.Owns(rt.Shard) {
-		holder, _ := mgr.OwnerOfShard(rt.Shard)
-		p.countRoute("refused")
-		fail(RouteResult{NotOwner: true, Owner: holder, Error: dgferr.Encode(fmt.Errorf(
-			"%w: peer %s does not own shard %d", dgferr.ErrResourceDown, p.Name, rt.Shard))})
-		return
+// routeLease is the Server.routeLease hook: the lease check of a shard
+// placement's route hop. It refuses with NotOwner, and the live holder
+// as a forwarding hint, when this peer no longer holds the shard.
+func (p *Peer) routeLease(sh int) (RouteResult, bool) {
+	if p.shardMgr.Owns(sh) {
+		return RouteResult{}, true
 	}
-	req, err := codec.DecodeRequestDoc(rt.Request)
-	if err != nil {
-		fail(RouteResult{Error: dgferr.Encode(fmt.Errorf("%w: bad routed request: %v", dgferr.ErrInvalid, err))})
-		return
-	}
-	if req.Flow == nil {
-		fail(RouteResult{Error: dgferr.Encode(fmt.Errorf("%w: routed request carries no flow", dgferr.ErrInvalid))})
-		return
-	}
-	// The flow runs as the identity the envelope verified (serveRoute),
-	// the rule resolveTenant applies to a claimed user: a document may
-	// leave the user out, never name another.
-	switch req.User.Name {
-	case rt.User:
-	case "":
-		req.User.Name = rt.User
-	default:
-		p.server.Engine().Obs().Counter("tenant_auth_failures_total").Inc()
-		fail(RouteResult{Error: dgferr.Encode(fmt.Errorf("%w: routed request user %q does not match tenant %q",
-			dgferr.ErrAuth, req.User.Name, rt.User))})
-		return
-	}
-	req.Route = dgl.RouteLocal // terminal hop: one forward, no loops
-	// The response document is streamed into the envelope in place; the
-	// routing peer passes it on as it is to a binary client and
-	// transcodes it for an XML one.
-	e := rp.binary()
-	doc := beginRouteReply(e)
-	rp.bw.Begin(e)
-	id, err := p.server.Engine().SubmitTo(req, &rp.bw)
-	rp.bw.End(dgferr.Encode(err))
-	if id == "" {
-		// Refused before it ran: the refusal is the envelope's error.
-		e.Reset()
-		appendRouteResult(e, &RouteResult{Error: dgferr.Encode(err)})
-		return
-	}
-	e.EndBlob(doc)
-	if req.Async {
-		mgr.Track(id, rt.Shard)
+	holder, _ := p.shardMgr.OwnerOfShard(sh)
+	p.countRoute("refused")
+	return RouteResult{NotOwner: true, Owner: holder, Error: dgferr.Encode(fmt.Errorf(
+		"%w: peer %s does not own shard %d", dgferr.ErrResourceDown, p.Name, sh))}, false
+}
+
+// routeServed is the Server.routeServed hook: it tracks an async
+// placement the route hop accepted, for drain hand-off.
+func (p *Peer) routeServed(id string, sh int, async bool) {
+	if async {
+		p.shardMgr.Track(id, sh)
 	}
 	p.countRoute("served")
 }

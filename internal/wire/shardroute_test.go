@@ -11,6 +11,7 @@ import (
 
 	"datagridflow/internal/dgferr"
 	"datagridflow/internal/dgl"
+	"datagridflow/internal/matrix"
 	"datagridflow/internal/obs"
 	"datagridflow/internal/shard"
 	"datagridflow/internal/tenant"
@@ -419,5 +420,59 @@ func TestRedialRefreshesNegotiation(t *testing.T) {
 	}
 	if _, err := c.List(); err != nil {
 		t.Errorf("request after a redial with a fresh token: %v", err)
+	}
+}
+
+// TestRoutedSyncRunCancelledWhenHopDrops: the owner runs a routed sync
+// submit as it runs a delegation, waiting for it under the hop's
+// connection. When that connection drops mid-run, the owner cancels the
+// run: it settles cancelled there instead of running on for nobody.
+func TestRoutedSyncRunCancelledWhenHopDrops(t *testing.T) {
+	_, lookupAddr := startLookupSharded(t, testShards)
+	peerA := startShardedPeer(t, lookupAddr, "siteA")
+	peerB := startShardedPeer(t, lookupAddr, "siteB")
+	settle(t, peerA, peerB)
+	entered := make(chan struct{}, 1)
+	peerB.Engine().RegisterOp("gate", func(c *matrix.OpContext) error {
+		entered <- struct{}{}
+		select {
+		case <-c.Cancel:
+			return dgferr.ErrCancelled
+		case <-time.After(10 * time.Second):
+			return nil
+		}
+	})
+	// Left without a reply on the dropped hop, siteA accepts the submit
+	// itself (the failover path), where the gate opens at once.
+	peerA.Engine().RegisterOp("gate", func(c *matrix.OpContext) error { return nil })
+	flowName, _ := flowOwnedBy(t, peerB, "user")
+	flow := dgl.NewFlow(flowName).Step("hold", dgl.Op("gate", nil)).Flow()
+	c := dial(t, peerA.Addr())
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.SubmitFlow("user", flow)
+		done <- err
+	}()
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the routed run never reached its owner")
+	}
+	peerA.DropClient("siteB") // the hop's connection drops
+	ids := peerB.Engine().Executions()
+	if len(ids) != 1 {
+		t.Fatalf("owner executions = %v", ids)
+	}
+	ex, _ := peerB.Engine().Execution(ids[0])
+	select {
+	case <-ex.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("the routed run kept running after its hop dropped")
+	}
+	if err := ex.Err(); !errors.Is(err, dgferr.ErrCancelled) {
+		t.Errorf("routed run err = %v, want cancelled", err)
+	}
+	if err := <-done; err != nil {
+		t.Errorf("submit after the hop dropped: %v", err)
 	}
 }
