@@ -391,13 +391,8 @@ func (f *Federation) runLocal(ctx context.Context, req matrix.DelegateRequest) (
 		return nil, err
 	}
 	o.Counter("federation_delegations_total", "peer", f.peer.Name).Inc()
-	werr := exec.WaitContext(ctx)
+	werr := exec.Settle(ctx, f.cfg.DrainGrace)
 	if ctx.Err() != nil {
-		exec.Cancel()
-		select {
-		case <-exec.Done():
-		case <-time.After(f.cfg.DrainGrace):
-		}
 		return nil, fmt.Errorf("%w: delegation cancelled: %v", dgferr.ErrCancelled, ctx.Err())
 	}
 	st := exec.Status(true)

@@ -146,9 +146,6 @@ type Engine struct {
 	procs    map[string]*storedProc
 	store    *store.Store
 	deleg    Delegator
-	// ownCheck, when set (SetOwnershipCheck), vets flow submissions
-	// against shard ownership before an execution is created.
-	ownCheck func(req *dgl.Request) error
 	// governor, when set (SetGovernor), meters per-tenant flow
 	// admission and store footprint (docs/TENANCY.md).
 	governor FlowGovernor
@@ -194,18 +191,6 @@ func (e *Engine) Clock() sim.Clock { return e.grid.Clock() }
 // Obs returns the grid's observability registry — the sink for the
 // engine's metrics and trace spans (see docs/METRICS.md).
 func (e *Engine) Obs() *obs.Registry { return e.grid.Obs() }
-
-// SetOwnershipCheck installs a pre-admission hook consulted on every
-// flow submission, after validation and before an execution exists.
-// The sharding layer uses it to refuse auto-routed flows whose shard
-// this engine no longer owns (a drain can race the routing decision);
-// the hook must pass pinned ("local") and unrouted submissions so
-// triggers and direct engine callers are unaffected. Nil removes it.
-func (e *Engine) SetOwnershipCheck(check func(req *dgl.Request) error) {
-	e.mu.Lock()
-	e.ownCheck = check
-	e.mu.Unlock()
-}
 
 // RegisterOp adds (or replaces) a handler for an operation type — the
 // extension point for domain-specific DGL operations.
@@ -295,9 +280,9 @@ func (e *Engine) Submit(req *dgl.Request) (*dgl.Response, error) {
 // or XML response writer of the reply, so no FlowStatus is built and no
 // time formatted into a string on the way. It returns the execution's id
 // and, for a sync submission, the flow's own failure: the error the
-// reply carries. A request refused before an execution exists — invalid,
-// not this engine's to run, or not admitted — returns "" and the reason,
-// with nothing written to sink.
+// reply carries. A request refused before an execution exists — invalid
+// or not admitted — returns "" and the reason, with nothing written to
+// sink.
 func (e *Engine) SubmitTo(req *dgl.Request, sink dgl.ReplySink) (id string, err error) {
 	exec, err := e.prepare(req)
 	if err != nil {
@@ -327,9 +312,8 @@ func (e *Engine) Launch(req *dgl.Request) (*Execution, error) {
 	return exec, nil
 }
 
-// prepare validates a flow request, runs the ownership check and the
-// flow governor's admission, and registers its execution, not yet
-// started.
+// prepare checks a flow request's shape — a flow, no status query, a
+// grid user — and begins its execution, not yet started.
 func (e *Engine) prepare(req *dgl.Request) (*Execution, error) {
 	if req.StatusQuery != nil {
 		return nil, fmt.Errorf("%w: request has both flow and status query", dgl.ErrInvalid)
@@ -340,15 +324,19 @@ func (e *Engine) prepare(req *dgl.Request) (*Execution, error) {
 	if req.User.Name == "" {
 		return nil, fmt.Errorf("%w: gridUser.name required", dgl.ErrInvalid)
 	}
-	p, err := buildPlan(req.Flow, e.knownOps())
-	if err != nil {
-		return nil, err
-	}
-	e.mu.RLock()
-	check := e.ownCheck
-	e.mu.RUnlock()
-	if check != nil {
-		if err := check(req); err != nil {
+	return e.begin(req, nil, nil)
+}
+
+// begin is the one way a new execution comes to exist: it lowers
+// req.Flow unless the caller already has (p), admits the flow — the
+// store must be able to record it and the flow governor must charge it
+// — and registers its execution under a fresh id, not yet started. skip
+// carries a prior run's succeeded node ids. Nothing is registered when
+// it refuses.
+func (e *Engine) begin(req *dgl.Request, p *plan, skip map[string]bool) (*Execution, error) {
+	if p == nil {
+		var err error
+		if p, err = buildPlan(req.Flow, e.knownOps()); err != nil {
 			return nil, err
 		}
 	}
@@ -356,48 +344,18 @@ func (e *Engine) prepare(req *dgl.Request) (*Execution, error) {
 	if err != nil {
 		return nil, err
 	}
-	exec := e.newExecution(req, nil, p)
+	exec := e.newExecution(req, skip, p)
 	exec.governed.Store(governed)
 	return exec, nil
-}
-
-// SubmitBatch services N DGL requests in one call, answering each item
-// independently: a validation failure in one request becomes that
-// item's error response and never aborts its neighbours. The returned
-// slice is positional (len(reqs) responses). Batched submission is the
-// engine-side half of the wire layer's KindBatch frame — N flows cross
-// the network and enter the engine for the price of one round trip.
-func (e *Engine) SubmitBatch(reqs []*dgl.Request) []*dgl.Response {
-	out := make([]*dgl.Response, len(reqs))
-	for i, req := range reqs {
-		if req == nil {
-			out[i] = &dgl.Response{Error: dgferr.Encode(
-				fmt.Errorf("%w: empty batch item", dgl.ErrInvalid))}
-			continue
-		}
-		resp, err := e.Submit(req)
-		if err != nil {
-			resp = &dgl.Response{Error: dgferr.Encode(err)}
-		}
-		out[i] = resp
-	}
-	return out
 }
 
 // Start validates and launches a flow asynchronously, returning the
 // Execution handle. It is the programmatic twin of an async Submit.
 func (e *Engine) Start(user string, flow dgl.Flow) (*Execution, error) {
-	req := dgl.NewAsyncRequest(user, "", flow)
-	p, err := buildPlan(req.Flow, e.knownOps())
+	exec, err := e.begin(dgl.NewAsyncRequest(user, "", flow), nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	governed, err := e.admit(user)
-	if err != nil {
-		return nil, err
-	}
-	exec := e.newExecution(req, nil, p)
-	exec.governed.Store(governed)
 	go exec.run()
 	return exec, nil
 }
@@ -414,17 +372,10 @@ func (e *Engine) Run(user string, flow dgl.Flow) (*Execution, error) {
 // terminal, with Err reporting ErrCancelled. Validation errors are
 // returned directly.
 func (e *Engine) RunContext(ctx context.Context, user string, flow dgl.Flow) (*Execution, error) {
-	req := dgl.NewRequest(user, "", flow)
-	p, err := buildPlan(req.Flow, e.knownOps())
+	exec, err := e.begin(dgl.NewRequest(user, "", flow), nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	governed, err := e.admit(user)
-	if err != nil {
-		return nil, err
-	}
-	exec := e.newExecution(req, nil, p)
-	exec.governed.Store(governed)
 	go exec.run()
 	select {
 	case <-exec.done:
@@ -454,21 +405,15 @@ func (e *Engine) Restart(execID string) (*Execution, error) {
 	if prior.Err() == nil {
 		return nil, fmt.Errorf("%w: %s already succeeded", ErrNotRestartable, execID)
 	}
+	// Checkpoint ids are recorded relative to the prior execution id;
+	// newExecution rewrites them for the new one. The prior run dropped
+	// its plan when it ended, so begin lowers the flow again.
 	skip := make(map[string]bool)
 	prior.root.collectSucceeded(skip)
-	// The prior run dropped its plan when it ended.
-	p, err := buildPlan(prior.req.Flow, e.knownOps())
+	next, err := e.begin(prior.req, nil, skip)
 	if err != nil {
 		return nil, err
 	}
-	governed, err := e.admit(prior.req.User.Name)
-	if err != nil {
-		return nil, err
-	}
-	// Checkpoint ids are recorded relative to the prior execution id;
-	// rewrite them for the new execution in newExecution.
-	next := e.newExecution(prior.req, skip, p)
-	next.governed.Store(governed)
 	e.Obs().Counter("matrix_flows_restarted_total").Inc()
 	go next.run()
 	return next, nil
@@ -484,7 +429,8 @@ func (e *Engine) Restart(execID string) (*Execution, error) {
 // execution" put to operational use.
 //
 // The caller supplies the original request document (DGL documents are
-// durable artifacts; the engine deliberately does not persist them).
+// durable artifacts; the engine deliberately does not persist them). An
+// invalid flow is refused before a missing history is.
 func (e *Engine) RestartFromProvenance(priorExecID string, req *dgl.Request) (*Execution, error) {
 	if req == nil || req.Flow == nil {
 		return nil, fmt.Errorf("%w: request with a flow required", dgl.ErrInvalid)
@@ -509,12 +455,10 @@ func (e *Engine) RestartFromProvenance(priorExecID string, req *dgl.Request) (*E
 			return nil, fmt.Errorf("%w: no provenance for execution %s", ErrNotFound, priorExecID)
 		}
 	}
-	governed, err := e.admit(req.User.Name)
+	next, err := e.begin(req, p, skip)
 	if err != nil {
 		return nil, err
 	}
-	next := e.newExecution(req, skip, p)
-	next.governed.Store(governed)
 	e.Obs().Counter("matrix_flows_restarted_total").Inc()
 	go next.run()
 	return next, nil
@@ -677,9 +621,10 @@ func indexByte(s string, b byte) int {
 	return -1
 }
 
-// newExecution registers a fresh execution of p, the plan of req.Flow.
-// skip carries checkpoint ids from a prior run (already rebased to
-// generic node paths).
+// newExecution registers a fresh execution of p, the plan of req.Flow,
+// with no admission: begin admits it first, and a procedure call runs
+// inside a flow already admitted. skip carries checkpoint ids from a
+// prior run; they are rebased here to generic node paths.
 func (e *Engine) newExecution(req *dgl.Request, skip map[string]bool, p *plan) *Execution {
 	var rebased []string
 	for k := range skip {

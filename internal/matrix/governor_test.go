@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -80,14 +81,23 @@ func TestGovernorBeginEndBalanced(t *testing.T) {
 
 // TestGovernorRefusalCreatesNothing: a quota refusal surfaces as a
 // typed error and leaves no execution behind — over-quota submissions
-// must not leak engine state.
+// must not leak engine state. Every door that begins a flow is refused
+// alike: Submit, Launch, Start, Run, RunContext, Restart and
+// RestartFromProvenance.
 func TestGovernorRefusalCreatesNothing(t *testing.T) {
 	e := newTestEngine(t)
+	// The prior a restart re-runs fails before the governor is attached,
+	// so nothing was charged for it.
+	failed, err := e.Run("user", failingFlow("failed"))
+	if err != nil || failed.Err() == nil {
+		t.Fatalf("prior run: %v, %v; want a failed execution", err, failed)
+	}
+	before := len(e.Executions())
 	gov := newCountingGovernor()
 	gov.refuse = true
 	e.SetGovernor(gov)
 
-	_, err := e.Run("user", dgl.NewFlow("no").Step("s", dgl.Op(dgl.OpNoop, nil)).Flow())
+	_, err = e.Run("user", dgl.NewFlow("no").Step("s", dgl.Op(dgl.OpNoop, nil)).Flow())
 	if !errors.Is(err, dgferr.ErrQuota) {
 		t.Fatalf("refused run = %v, want typed ErrQuota", err)
 	}
@@ -95,7 +105,33 @@ func TestGovernorRefusalCreatesNothing(t *testing.T) {
 	if err == nil && (resp == nil || resp.Error == "") {
 		t.Fatal("refused submit produced no error")
 	}
-	if n := len(e.Executions()); n != 0 {
+	for _, door := range []struct {
+		name string
+		call func() error
+	}{
+		{"Launch", func() error {
+			_, err := e.Launch(dgl.NewRequest("user", "", dgl.NewFlow("no").Step("s", dgl.Op(dgl.OpNoop, nil)).Flow()))
+			return err
+		}},
+		{"Start", func() error {
+			_, err := e.Start("user", dgl.NewFlow("no").Step("s", dgl.Op(dgl.OpNoop, nil)).Flow())
+			return err
+		}},
+		{"RunContext", func() error {
+			_, err := e.RunContext(context.Background(), "user", dgl.NewFlow("no").Step("s", dgl.Op(dgl.OpNoop, nil)).Flow())
+			return err
+		}},
+		{"Restart", func() error { _, err := e.Restart(failed.ID); return err }},
+		{"RestartFromProvenance", func() error {
+			_, err := e.RestartFromProvenance(failed.ID, dgl.NewRequest("user", "", failingFlow("failed")))
+			return err
+		}},
+	} {
+		if err := door.call(); !errors.Is(err, dgferr.ErrQuota) {
+			t.Errorf("refused %s = %v, want typed ErrQuota", door.name, err)
+		}
+	}
+	if n := len(e.Executions()) - before; n != 0 {
 		t.Fatalf("%d executions created by refused submissions", n)
 	}
 	if _, ends, _ := gov.snapshot("user"); ends != 0 {

@@ -263,17 +263,12 @@ func (e *Engine) ResurrectFor(id, path string) (*Execution, error) {
 	if err != nil {
 		return nil, err
 	}
-	ex, created := e.adoptExecution(id, req, p, ent)
+	ex, created := e.adoptExecution(ent, req, p, "flow.resurrect", provenance.Attr{Key: "path", Value: path})
 	if !created {
 		return ex, nil // lost a resurrection race: the winner's handle
 	}
 	_ = e.storeAppend(store.Record{Type: store.TypeExecResurrect, ID: id})
 	e.Obs().Counter("store_resurrections_total", "path", path).Inc()
-	e.record(provenance.Record{
-		Actor: req.User.Name, Action: "flow.resurrect",
-		FlowID: id, Target: req.Flow.Name,
-	}, provenance.Attr{Key: "path", Value: path},
-		provenance.Attr{Key: "steps-done", Value: strconv.Itoa(len(ent.Done))})
 	go ex.run()
 	return ex, nil
 }
@@ -296,14 +291,18 @@ func (e *Engine) storedRequest(ent store.Entry) (*dgl.Request, *plan, error) {
 	return req, p, nil
 }
 
-// adoptExecution builds an execution of p under an *existing* id from a
-// store entry — the resurrection twin of newExecution, which always
-// mints a fresh id. The entry's done list (sorted, as Entry keeps it)
-// is the checkpoint skip set, its variables are restored into the root
-// scope when the run starts, and a paused entry resurrects paused.
-// Returns created=false if a concurrent resurrection already registered
-// the id.
-func (e *Engine) adoptExecution(id string, req *dgl.Request, p *plan, ent store.Entry) (*Execution, bool) {
+// adoptExecution is the one way a stored execution comes back: it
+// builds an execution of p, the plan of the entry's request req, under
+// the entry's *existing* id — begin always mints a fresh one — registers
+// it, not yet started, and records the resume in provenance as action,
+// with the door's cause pair (none when cause.Key is empty) and the
+// number of steps already done. The entry's done list (sorted, as Entry
+// keeps it) is the checkpoint skip set, its variables are restored into
+// the root scope when the run starts, and a paused entry resurrects
+// paused. Returns created=false, recording nothing, if the id is
+// already resident (a concurrent resume registered it).
+func (e *Engine) adoptExecution(ent store.Entry, req *dgl.Request, p *plan, action string, cause provenance.Attr) (*Execution, bool) {
+	id := ent.ID
 	ex := e.execution(id, id+"/"+req.Flow.Name, req, p, ent.Done)
 	ex.restoreVars = ent.Vars
 	if ent.Paused {
@@ -318,6 +317,15 @@ func (e *Engine) adoptExecution(id string, req *dgl.Request, p *plan, ent store.
 	n := len(e.execs)
 	e.mu.Unlock()
 	e.Obs().Gauge("store_resident").Set(int64(n))
+	r := provenance.Record{Actor: req.User.Name, Action: action, FlowID: id, Target: req.Flow.Name}
+	done := provenance.Attr{Key: "steps-done", Value: strconv.Itoa(len(ent.Done))}
+	// One call per arity: a detail list built with append would cost a
+	// recovery an allocation per resumed flow (TestRecoverAllocs).
+	if cause.Key == "" {
+		e.record(r, done)
+	} else {
+		e.record(r, cause, done)
+	}
 	return ex, true
 }
 
@@ -356,15 +364,11 @@ func (e *Engine) RecoverFromStore() ([]*Execution, error) {
 			errs = append(errs, err)
 			continue
 		}
-		ex, created := e.adoptExecution(ent.ID, req, p, ent)
+		ex, created := e.adoptExecution(ent, req, p, "flow.recover", provenance.Attr{})
 		if !created {
 			continue
 		}
 		e.Obs().Counter("matrix_recoveries_total").Inc()
-		e.record(provenance.Record{
-			Actor: req.User.Name, Action: "flow.recover",
-			FlowID: ent.ID, Target: req.Flow.Name,
-		}, provenance.Attr{Key: "steps-done", Value: strconv.Itoa(len(ent.Done))})
 		go ex.run()
 		out = append(out, ex)
 	}
@@ -428,17 +432,11 @@ func (e *Engine) AdoptEntries(entries []store.Entry, source string) []AdoptedFlo
 			out = append(out, AdoptedFlow{ID: ent.ID, User: req.User.Name, Flow: req.Flow.Name})
 			continue
 		}
-		ex, created := e.adoptExecution(ent.ID, req, p, ent)
+		ex, created := e.adoptExecution(ent, req, p, "flow.adopt", provenance.Attr{Key: "source", Value: source})
 		if !created {
-			_ = ex
 			continue // already resident (duplicate promotion race)
 		}
 		o.Counter("matrix_adoptions_total", "outcome", "resumed").Inc()
-		e.record(provenance.Record{
-			Actor: req.User.Name, Action: "flow.adopt",
-			FlowID: ent.ID, Target: req.Flow.Name,
-		}, provenance.Attr{Key: "source", Value: source},
-			provenance.Attr{Key: "steps-done", Value: strconv.Itoa(len(ent.Done))})
 		go ex.run()
 		out = append(out, AdoptedFlow{ID: ent.ID, User: req.User.Name, Flow: req.Flow.Name, Resumed: true})
 	}

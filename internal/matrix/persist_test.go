@@ -395,6 +395,118 @@ func TestRecoverFromStoreLeavesPassivated(t *testing.T) {
 	}
 }
 
+// crashedStore leaves a store directory holding one flow a crash
+// interrupted: running, not passivated, its first two steps done. It
+// returns the directory and the flow's id.
+func crashedStore(t *testing.T) (dir, id string) {
+	t.Helper()
+	dir = t.TempDir()
+	e, st := newStoreEngine(t, dir)
+	b := registerBlockingOp(e, "work", "2")
+	ex := startFlow(t, e, workFlow("crashy", 4))
+	<-b.reached
+	if err := e.SnapshotExecution(ex.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(b.release)
+	return dir, ex.ID
+}
+
+// TestResumeDoorsRecordAlike: the three doors that bring a stored
+// execution back — restart recovery, resurrection and adoption from a
+// replica — each leave one provenance record naming the door, its cause
+// and the steps already done, and count themselves once; the same door
+// taken again while the execution is resident records and counts
+// nothing.
+func TestResumeDoorsRecordAlike(t *testing.T) {
+	for _, tc := range []struct {
+		name, action string
+		cause        provenance.Attr // the record's cause pair; recovery names none
+		counter      []string        // the door's counter: name, then labels
+		replica      bool            // the entries come from another store
+		door         func(e *Engine, id string, entries []store.Entry) error
+	}{
+		{"recover", "flow.recover", provenance.Attr{},
+			[]string{"matrix_recoveries_total"}, false,
+			func(e *Engine, _ string, _ []store.Entry) error {
+				_, err := e.RecoverFromStore()
+				return err
+			}},
+		{"resurrect", "flow.resurrect", provenance.Attr{Key: "path", Value: "status"},
+			[]string{"store_resurrections_total", "path", "status"}, false,
+			func(e *Engine, id string, _ []store.Entry) error {
+				_, err := e.ResurrectFor(id, "status")
+				return err
+			}},
+		{"adopt", "flow.adopt", provenance.Attr{Key: "source", Value: "peerA"},
+			[]string{"matrix_adoptions_total", "outcome", "resumed"}, true,
+			func(e *Engine, _ string, entries []store.Entry) error {
+				e.AdoptEntries(entries, "peerA")
+				return nil
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, id := crashedStore(t)
+			var entries []store.Entry
+			if tc.replica {
+				src, err := store.Open(dir, store.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				entries = src.Running()
+				if err := src.Close(); err != nil {
+					t.Fatal(err)
+				}
+				dir = t.TempDir()
+			}
+			e, _ := newStoreEngine(t, dir)
+			b := registerBlockingOp(e, "work", "2")
+			counter := e.Obs().Counter(tc.counter[0], tc.counter[1:]...)
+			before := counter.Value()
+
+			if err := tc.door(e, id, entries); err != nil {
+				t.Fatal(err)
+			}
+			<-b.reached // resumed, resident and re-running the step the crash cut
+			if err := tc.door(e, id, entries); err != nil {
+				t.Fatal(err)
+			}
+
+			recs := e.Grid().Provenance().Query(provenance.Filter{Action: tc.action, FlowID: id})
+			if len(recs) != 1 {
+				t.Fatalf("%s records = %+v, want exactly one", tc.action, recs)
+			}
+			want := provenance.Attrs{{Key: "steps-done", Value: "2"}}
+			if tc.cause.Key != "" {
+				want = append(want, tc.cause)
+			}
+			if got := recs[0].Detail; len(got) != len(want) {
+				t.Errorf("%s detail = %v, want %v", tc.action, got, want)
+			}
+			for _, a := range want {
+				if got := recs[0].Detail.Get(a.Key); got != a.Value {
+					t.Errorf("%s %s = %q, want %q", tc.action, a.Key, got, a.Value)
+				}
+			}
+			if got := counter.Value() - before; got != 1 {
+				t.Errorf("%v delta = %v, want 1", tc.counter, got)
+			}
+
+			close(b.release)
+			ex, ok := e.Execution(id)
+			if !ok {
+				t.Fatalf("%s not resident", id)
+			}
+			if err := ex.Wait(); err != nil {
+				t.Fatalf("resumed run: %v", err)
+			}
+		})
+	}
+}
+
 // TestJournalCrashRecovery is the lifecycle log's acceptance test: an
 // engine with a store dies mid-flow (a step blocks forever, the process
 // is abandoned), a brand-new engine over the same store directory

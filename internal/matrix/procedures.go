@@ -100,7 +100,9 @@ func (e *Engine) Procedures() []string {
 
 // CallProcedure invokes a stored procedure synchronously as the given
 // user, with args bound as variables in the body's root scope. It
-// returns the completed execution.
+// returns the completed execution. It does not go through admission:
+// a "call" step runs it inside a flow that was admitted already, so
+// neither the store's health nor the flow governor can refuse it.
 func (e *Engine) CallProcedure(user, name string, args map[string]string) (*Execution, error) {
 	e.mu.RLock()
 	p, ok := e.procs[name]

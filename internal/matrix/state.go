@@ -434,6 +434,22 @@ func (e *Execution) WaitContext(ctx context.Context) error {
 	}
 }
 
+// Settle waits for the execution to finish and returns its final error,
+// as WaitContext does. When ctx ends first it cancels the run and gives
+// it at most grace to unwind before returning; the caller tells that
+// case apart by ctx.Err().
+func (e *Execution) Settle(ctx context.Context, grace time.Duration) error {
+	err := e.WaitContext(ctx)
+	if ctx.Err() != nil {
+		e.Cancel()
+		select {
+		case <-e.done:
+		case <-time.After(grace):
+		}
+	}
+	return err
+}
+
 // Err returns the final error if the execution has finished.
 func (e *Execution) Err() error {
 	select {

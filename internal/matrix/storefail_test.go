@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -59,11 +60,19 @@ func fillDisk(t testing.TB, st *store.Store) {
 	}
 }
 
+// failingFlow is a one-step flow whose step fails: the prior execution
+// a Restart or RestartFromProvenance re-runs.
+func failingFlow(name string) dgl.Flow {
+	return dgl.NewFlow(name).
+		Step("run", dgl.Op(dgl.OpExec, map[string]string{"command": "x", "fail": "true"})).Flow()
+}
+
 // TestPoisonedStoreRefusesSubmissions: once a write failure has poisoned
 // the engine's store, the engine makes no promise it cannot record — an
-// async or sync submit, Start and Run are refused with a typed
-// ErrResourceDown and no execution is made — while the flow already
-// running keeps running to its end and status keeps answering.
+// async or sync submit, Launch, Start, Run, RunContext, Restart and
+// RestartFromProvenance are refused with a typed ErrResourceDown and no
+// execution is made — while the flow already running keeps running to
+// its end and status keeps answering.
 func TestPoisonedStoreRefusesSubmissions(t *testing.T) {
 	e := newTestEngine(t)
 	st, poison := poisonedStore(t)
@@ -71,6 +80,10 @@ func TestPoisonedStoreRefusesSubmissions(t *testing.T) {
 	b := registerBlockingOp(e, "work", "1")
 	running := startFlow(t, e, workFlow("before", 3))
 	<-b.reached
+	failed, err := e.Run("user", failingFlow("failed"))
+	if err != nil || failed.Err() == nil {
+		t.Fatalf("prior run: %v, %v; want a failed execution", err, failed)
+	}
 	poison()
 
 	before := len(e.Executions())
@@ -80,7 +93,7 @@ func TestPoisonedStoreRefusesSubmissions(t *testing.T) {
 			t.Errorf("%s on a poisoned store: %v, want ErrResourceDown", what, err)
 		}
 	}
-	_, err := e.Submit(dgl.NewAsyncRequest("user", "", workFlow("async", 1)))
+	_, err = e.Submit(dgl.NewAsyncRequest("user", "", workFlow("async", 1)))
 	refused("async Submit", err)
 	_, err = e.Submit(dgl.NewRequest("user", "", workFlow("sync", 1)))
 	refused("sync Submit", err)
@@ -88,6 +101,14 @@ func TestPoisonedStoreRefusesSubmissions(t *testing.T) {
 	refused("Start", err)
 	_, err = e.Run("user", workFlow("run", 1))
 	refused("Run", err)
+	_, err = e.Launch(dgl.NewRequest("user", "", workFlow("launch", 1)))
+	refused("Launch", err)
+	_, err = e.RunContext(context.Background(), "user", workFlow("runctx", 1))
+	refused("RunContext", err)
+	_, err = e.Restart(failed.ID)
+	refused("Restart", err)
+	_, err = e.RestartFromProvenance(failed.ID, dgl.NewRequest("user", "", failingFlow("failed")))
+	refused("RestartFromProvenance", err)
 	if n := len(e.Executions()); n != before {
 		t.Errorf("refused submissions left %d executions behind", n-before)
 	}

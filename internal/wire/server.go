@@ -757,13 +757,8 @@ func (s *Server) runHop(ctx context.Context, req *dgl.Request, rt *Route, w *cod
 			provenance.Attr{Key: "parentExec", Value: rt.ParentExec},
 			provenance.Attr{Key: "parentNode", Value: rt.ParentNode})
 	}
-	werr := exec.WaitContext(ctx)
+	werr := exec.Settle(ctx, s.cfg.DelegateGrace)
 	if ctx.Err() != nil {
-		exec.Cancel()
-		select {
-		case <-exec.Done():
-		case <-time.After(s.cfg.DelegateGrace):
-		}
 		return "", fmt.Errorf("%w: run cancelled by the route hop: %v", dgferr.ErrCancelled, ctx.Err())
 	}
 	exec.WalkStatus(true, w)

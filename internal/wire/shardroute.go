@@ -45,29 +45,12 @@ func RoutingKey(user, flowName string) string {
 
 // EnableSharding attaches a shard manager to this peer: flow
 // submissions route to shard owners, KindRoute frames are accepted,
-// and the "owner" control verb resolves. Call before Start. The
-// engine gains an ownership check so an auto-routed flow that lands
-// after a drain is refused rather than silently split-brained.
+// and the "owner" control verb resolves. Call before Start.
 func (p *Peer) EnableSharding(mgr *shard.Manager) {
 	p.shardMgr = mgr
 	p.server.submitRouter = p.routeSubmit
 	p.server.routeLease, p.server.routeServed = p.routeLease, p.routeServed
 	p.server.ownerResolver = p.resolveOwner
-	engine := p.server.Engine()
-	engine.SetOwnershipCheck(func(req *dgl.Request) error {
-		// Only explicitly auto-routed submissions are vetted: routed and
-		// locally-pinned requests ("local") and unrouted ones ("") pass,
-		// so triggers and direct engine callers are unaffected.
-		if req.Route != dgl.RouteAuto || req.Flow == nil {
-			return nil
-		}
-		holder, sh, ok := mgr.OwnerOf(RoutingKey(req.User.Name, req.Flow.Name))
-		if ok && holder != mgr.Self() {
-			return fmt.Errorf("%w: shard %d moved to %s during submit",
-				dgferr.ErrResourceDown, sh, holder)
-		}
-		return nil
-	})
 }
 
 // ShardManager returns the peer's shard manager (nil when unsharded).
@@ -194,7 +177,7 @@ func (p *Peer) acceptLocal(sub *submission, sh int, outcome string, rp *reply) {
 		rp.fail(err, sub.bin)
 		return
 	}
-	req.Route = dgl.RouteLocal // terminal: never re-routed, never refused by the ownership check
+	req.Route = dgl.RouteLocal // terminal: never re-routed
 	if id := p.server.submit(req, sub.bin, rp); id != "" && req.Async && p.shardMgr.Owns(sh) {
 		p.shardMgr.Track(id, sh)
 	}
