@@ -507,6 +507,67 @@ func TestResumeDoorsRecordAlike(t *testing.T) {
 	}
 }
 
+// TestResurrectWritesNoSecondStart: a resumed flow's store entry holds
+// its request already, so resurrecting a parked flow writes its
+// exec.resurrect marker and no second exec.start. The store keeps one
+// exec.start for the flow, and the tenant is charged for the marker
+// alone until the resumed run does new work.
+func TestResurrectWritesNoSecondStart(t *testing.T) {
+	dir := t.TempDir()
+	e, st := newStoreEngine(t, dir)
+	gov := newCountingGovernor()
+	e.SetGovernor(gov)
+	reached := make(chan struct{}, 2)
+	release := make(chan struct{})
+	e.RegisterOp("work", func(c *OpContext) error {
+		if c.ParamOr("i", "") != "0" {
+			return nil
+		}
+		reached <- struct{}{}
+		select {
+		case <-release:
+			return nil
+		case <-c.Cancel:
+			return ErrCancelled
+		}
+	})
+	ex := startFlow(t, e, workFlow("parked", 2))
+	<-reached // s0 running
+	if err := e.Passivate(ex.ID); err != nil {
+		t.Fatal(err)
+	}
+	_ = ex.Wait()
+
+	_, _, before := gov.snapshot("user")
+	ex2, err := e.ResurrectFor(ex.ID, "status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-reached // the resumed run is back at s0: what it writes before its first step is written
+	_, _, after := gov.snapshot("user")
+	marker := recordCost(&store.Record{Type: store.TypeExecResurrect, ID: ex.ID})
+	if got := after - before; got != marker {
+		t.Errorf("resurrecting charged the tenant %d store bytes, want %d for the exec.resurrect marker alone", got, marker)
+	}
+	close(release)
+	if err := ex2.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	_, recs, _ := readSegments(t, dir)
+	starts := 0
+	for _, r := range recs {
+		if r.ID == ex.ID && r.Type == store.TypeExecStart {
+			starts++
+		}
+	}
+	if starts != 1 {
+		t.Errorf("the store holds %d exec.start records for %s, want 1", starts, ex.ID)
+	}
+}
+
 // TestJournalCrashRecovery is the lifecycle log's acceptance test: an
 // engine with a store dies mid-flow (a step blocks forever, the process
 // is abandoned), a brand-new engine over the same store directory
