@@ -329,8 +329,12 @@ func PutEncoder(e *Encoder) {
 // Errors are sticky: the first malformed byte stops iteration and every
 // later accessor returns the zero value. Decoders are values — a nested
 // message narrows the decoder's own window (MsgEnter/MsgExit) rather
-// than spawning a child — and perform no allocation beyond the strings
-// they return.
+// than spawning a child, so a decoder stays in its caller's frame. The
+// symbol table is borrowed from a package pool on the first symbol the
+// payload defines; a one-shot decode gives it back with Release once it
+// is done, and then allocates only the strings it returns (one payload
+// copy under NewDecoder, none under a string decoder) and what the
+// caller builds from them.
 type Decoder struct {
 	// data is the payload as bytes; nil when the payload is a string
 	// (newStringDecoder), which the decoder then reads in place.
@@ -352,10 +356,47 @@ type Decoder struct {
 	// definition sits. Spans, not strings, so a RecordView resolves
 	// references without materialising anything.
 	syms []span
+	// table is the pooled table syms was borrowed from, which Release
+	// gives back; nil when this decoder borrowed none — a copy that
+	// shares its original's syms (fieldCounts) must not give that back.
+	table *symTable
 }
 
 // span locates a byte string inside a decoder's data.
 type span struct{ off, end int }
+
+// A symTable is a symbol table a decoder borrows from symPool. Its
+// first 16 entries live in the same allocation.
+type symTable struct {
+	spans []span
+	first [16]span
+}
+
+var symPool = sync.Pool{New: func() any {
+	t := new(symTable)
+	t.spans = t.first[:0]
+	return t
+}}
+
+// maxPooledSyms bounds the table a decoder gives back: one payload with
+// thousands of symbols should not pin that much in the pool.
+const maxPooledSyms = 1024
+
+// Release gives back the symbol table the decoder borrowed, if it
+// borrowed one. Nothing a decode returns refers to the table, so a
+// caller releases once it has read what it needs — typically when the
+// decode returns. The decoder must not be used after Release.
+func (d *Decoder) Release() {
+	t := d.table
+	if t == nil {
+		return
+	}
+	if cap(d.syms) <= maxPooledSyms {
+		t.spans = d.syms[:0] // a table that grew is given back grown
+		symPool.Put(t)
+	}
+	d.table, d.syms = nil, nil
+}
 
 // NewDecoder validates the 3-byte header and positions the decoder at
 // the first field. A payload that does not start with Magic returns
@@ -576,9 +617,10 @@ func (d *Decoder) symVal() span {
 			return span{}
 		}
 		if d.syms == nil {
-			// Sized for a typical message up front: growing from nothing
-			// would reallocate five times on the way to 16 symbols.
-			d.syms = make([]span, 0, 16)
+			// Borrowed with room for a typical message: growing from
+			// nothing would reallocate five times on the way to 16 symbols.
+			d.table = symPool.Get().(*symTable)
+			d.syms = d.table.spans[:0]
 		}
 		d.syms = append(d.syms, sp)
 		return sp
@@ -590,22 +632,10 @@ func (d *Decoder) symVal() span {
 	return d.syms[ref-1]
 }
 
-// Msg decodes the current field as a nested message: fields is called
-// with the decoder narrowed to the nested body (MsgEnter/MsgExit around
-// the call — no child decoder is allocated). Errors inside the nested
-// message are the decoder's own, so they propagate by construction.
-func (d *Decoder) Msg(fields func(*Decoder)) {
-	end := d.MsgEnter()
-	if d.err == nil {
-		fields(d)
-	}
-	d.MsgExit(end)
-}
-
 // MsgEnter narrows the decoder to the current field's nested message
-// and returns the parent's end offset for MsgExit. It is the
-// allocation-free form of Msg for hot loops: the caller iterates with
-// Next on the same decoder, then restores the parent window:
+// and returns the parent's end offset for MsgExit. The nested fields are
+// read with Next on the same decoder, which shares the parent's symbol
+// table, and MsgExit then restores the parent window:
 //
 //	end := d.MsgEnter()
 //	for d.Next() { ... }

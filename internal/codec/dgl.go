@@ -282,57 +282,59 @@ func decodeRequest(payload string) (*dgl.Request, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer d.Release()
 	req := &dgl.Request{}
 	for d.Next() {
 		switch d.Field() {
 		case reqAsync:
 			req.Async = d.Bool()
 		case reqMeta:
-			d.Msg(func(d *Decoder) {
-				for d.Next() {
-					switch d.Field() {
-					case 1:
-						req.Metadata.CreatedBy = d.Sym()
-					case 2:
-						req.Metadata.CreatedAt = d.Sym()
-					case 3:
-						req.Metadata.Description = d.Str()
-					default:
-						d.Skip()
-					}
+			end := d.MsgEnter()
+			for d.Next() {
+				switch d.Field() {
+				case 1:
+					req.Metadata.CreatedBy = d.Sym()
+				case 2:
+					req.Metadata.CreatedAt = d.Sym()
+				case 3:
+					req.Metadata.Description = d.Str()
+				default:
+					d.Skip()
 				}
-			})
+			}
+			d.MsgExit(end)
 		case reqUser:
-			d.Msg(func(d *Decoder) {
-				for d.Next() {
-					switch d.Field() {
-					case 1:
-						req.User.Name = d.Sym()
-					case 2:
-						req.User.VO = d.Sym()
-					default:
-						d.Skip()
-					}
+			end := d.MsgEnter()
+			for d.Next() {
+				switch d.Field() {
+				case 1:
+					req.User.Name = d.Sym()
+				case 2:
+					req.User.VO = d.Sym()
+				default:
+					d.Skip()
 				}
-			})
+			}
+			d.MsgExit(end)
 		case reqFlow:
-			f := &dgl.Flow{}
-			d.Msg(func(d *Decoder) { decodeFlow(d, f) })
-			req.Flow = f
+			req.Flow = &dgl.Flow{}
+			end := d.MsgEnter()
+			decodeFlow(&d, req.Flow)
+			d.MsgExit(end)
 		case reqQuery:
 			q := &dgl.StatusQuery{}
-			d.Msg(func(d *Decoder) {
-				for d.Next() {
-					switch d.Field() {
-					case 1:
-						q.ID = d.Sym()
-					case 2:
-						q.Detail = d.Bool()
-					default:
-						d.Skip()
-					}
+			end := d.MsgEnter()
+			for d.Next() {
+				switch d.Field() {
+				case 1:
+					q.ID = d.Sym()
+				case 2:
+					q.Detail = d.Bool()
+				default:
+					d.Skip()
 				}
-			})
+			}
+			d.MsgExit(end)
 			req.StatusQuery = q
 		case reqRoute:
 			req.Route = d.Sym()
@@ -345,8 +347,16 @@ func decodeRequest(payload string) (*dgl.Request, error) {
 	return req, d.Err()
 }
 
+// slot appends a zero element to *s and returns it: a repeated message
+// is decoded where it will stay, not beside its slice and copied in.
+func slot[T any](s *[]T) *T {
+	var zero T
+	*s = append(*s, zero)
+	return &(*s)[len(*s)-1]
+}
+
 func decodeFlow(d *Decoder, f *dgl.Flow) {
-	n := fieldCounts(*d)
+	n := fieldCounts(d)
 	if n[flowVar] > 0 {
 		f.Variables = make([]dgl.Variable, 0, n[flowVar])
 	}
@@ -361,19 +371,21 @@ func decodeFlow(d *Decoder, f *dgl.Flow) {
 		case flowName:
 			f.Name = d.Sym()
 		case flowVar:
-			var v dgl.Variable
-			d.Msg(func(d *Decoder) { decodeVariable(d, &v) })
-			f.Variables = append(f.Variables, v)
+			end := d.MsgEnter()
+			decodeVariable(d, slot(&f.Variables))
+			d.MsgExit(end)
 		case flowLgc:
-			d.Msg(func(d *Decoder) { decodeLogic(d, &f.Logic) })
+			end := d.MsgEnter()
+			decodeLogic(d, &f.Logic)
+			d.MsgExit(end)
 		case flowSub:
-			var sub dgl.Flow
-			d.Msg(func(d *Decoder) { decodeFlow(d, &sub) })
-			f.Flows = append(f.Flows, sub)
+			end := d.MsgEnter()
+			decodeFlow(d, slot(&f.Flows))
+			d.MsgExit(end)
 		case flowStep:
-			var st dgl.Step
-			d.Msg(func(d *Decoder) { decodeStep(d, &st) })
-			f.Steps = append(f.Steps, st)
+			end := d.MsgEnter()
+			decodeStep(d, slot(&f.Steps))
+			d.MsgExit(end)
 		default:
 			d.Skip()
 		}
@@ -384,14 +396,18 @@ func decodeFlow(d *Decoder, f *dgl.Flow) {
 // 16 occurs in the message d is inside, so that a repeated field's slice
 // is sized once. The copy shares d's symbol table: what it appends lies
 // past d's length, which d overwrites with its own definitions before it
-// reads any of it.
-func fieldCounts(d Decoder) (n [16]int) {
-	for d.Next() {
-		if f := d.Field(); f < len(n) {
+// reads any of it. When d has no table yet, the copy borrows one of its
+// own and gives that back; it never gives back d's.
+func fieldCounts(d *Decoder) (n [16]int) {
+	c := *d
+	c.table = nil
+	for c.Next() {
+		if f := c.Field(); f < len(n) {
 			n[f]++
 		}
-		d.Skip()
+		c.Skip()
 	}
+	c.Release()
 	return n
 }
 
@@ -416,32 +432,36 @@ func decodeLogic(d *Decoder, l *dgl.FlowLogic) {
 		case lgcCond:
 			l.Condition = d.Str()
 		case lgcIterate:
-			it := &dgl.Iterate{}
-			d.Msg(func(d *Decoder) {
-				for d.Next() {
-					switch d.Field() {
-					case iterVar:
-						it.Var = d.Sym()
-					case iterParallel:
-						it.Parallel = d.Bool()
-					case iterIn:
-						it.In = d.Str()
-					case iterTimes:
-						it.Times = int(d.Int())
-					case iterQuery:
-						q := &dgl.NSQuery{}
-						d.Msg(func(d *Decoder) { decodeQuery(d, q) })
-						it.Query = q
-					default:
-						d.Skip()
-					}
-				}
-			})
-			l.Iterate = it
+			l.Iterate = &dgl.Iterate{}
+			end := d.MsgEnter()
+			decodeIterate(d, l.Iterate)
+			d.MsgExit(end)
 		case lgcRule:
-			var r dgl.Rule
-			d.Msg(func(d *Decoder) { decodeRule(d, &r) })
-			l.Rules = append(l.Rules, r)
+			end := d.MsgEnter()
+			decodeRule(d, slot(&l.Rules))
+			d.MsgExit(end)
+		default:
+			d.Skip()
+		}
+	}
+}
+
+func decodeIterate(d *Decoder, it *dgl.Iterate) {
+	for d.Next() {
+		switch d.Field() {
+		case iterVar:
+			it.Var = d.Sym()
+		case iterParallel:
+			it.Parallel = d.Bool()
+		case iterIn:
+			it.In = d.Str()
+		case iterTimes:
+			it.Times = int(d.Int())
+		case iterQuery:
+			it.Query = &dgl.NSQuery{}
+			end := d.MsgEnter()
+			decodeQuery(d, it.Query)
+			d.MsgExit(end)
 		default:
 			d.Skip()
 		}
@@ -456,22 +476,21 @@ func decodeQuery(d *Decoder, q *dgl.NSQuery) {
 		case nsqObjects:
 			q.ObjectsOnly = d.Bool()
 		case nsqCond:
-			var c dgl.QueryCond
-			d.Msg(func(d *Decoder) {
-				for d.Next() {
-					switch d.Field() {
-					case 1:
-						c.Attr = d.Sym()
-					case 2:
-						c.Op = d.Sym()
-					case 3:
-						c.Value = d.Str()
-					default:
-						d.Skip()
-					}
+			c := slot(&q.Conditions)
+			end := d.MsgEnter()
+			for d.Next() {
+				switch d.Field() {
+				case 1:
+					c.Attr = d.Sym()
+				case 2:
+					c.Op = d.Sym()
+				case 3:
+					c.Value = d.Str()
+				default:
+					d.Skip()
 				}
-			})
-			q.Conditions = append(q.Conditions, c)
+			}
+			d.MsgExit(end)
 		default:
 			d.Skip()
 		}
@@ -486,22 +505,22 @@ func decodeRule(d *Decoder, r *dgl.Rule) {
 		case ruleCond:
 			r.Condition = d.Str()
 		case ruleAction:
-			var a dgl.Action
-			d.Msg(func(d *Decoder) {
-				for d.Next() {
-					switch d.Field() {
-					case 1:
-						a.Name = d.Sym()
-					case 2:
-						op := &dgl.Operation{}
-						d.Msg(func(d *Decoder) { decodeOp(d, op) })
-						a.Operation = op
-					default:
-						d.Skip()
-					}
+			a := slot(&r.Actions)
+			end := d.MsgEnter()
+			for d.Next() {
+				switch d.Field() {
+				case 1:
+					a.Name = d.Sym()
+				case 2:
+					a.Operation = &dgl.Operation{}
+					end := d.MsgEnter()
+					decodeOp(d, a.Operation)
+					d.MsgExit(end)
+				default:
+					d.Skip()
 				}
-			})
-			r.Actions = append(r.Actions, a)
+			}
+			d.MsgExit(end)
 		default:
 			d.Skip()
 		}
@@ -524,15 +543,17 @@ func decodeStep(d *Decoder, st *dgl.Step) {
 		case stepTimeout:
 			st.Timeout = d.Sym()
 		case stepVar:
-			var v dgl.Variable
-			d.Msg(func(d *Decoder) { decodeVariable(d, &v) })
-			st.Variables = append(st.Variables, v)
+			end := d.MsgEnter()
+			decodeVariable(d, slot(&st.Variables))
+			d.MsgExit(end)
 		case stepRule:
-			var r dgl.Rule
-			d.Msg(func(d *Decoder) { decodeRule(d, &r) })
-			st.Rules = append(st.Rules, r)
+			end := d.MsgEnter()
+			decodeRule(d, slot(&st.Rules))
+			d.MsgExit(end)
 		case stepOp:
-			d.Msg(func(d *Decoder) { decodeOp(d, &st.Operation) })
+			end := d.MsgEnter()
+			decodeOp(d, &st.Operation)
+			d.MsgExit(end)
 		case stepPure:
 			st.Pure = d.Bool()
 		case stepOutputs:
@@ -544,7 +565,7 @@ func decodeStep(d *Decoder, st *dgl.Step) {
 }
 
 func decodeOp(d *Decoder, op *dgl.Operation) {
-	if n := fieldCounts(*d)[opParam]; n > 0 {
+	if n := fieldCounts(d)[opParam]; n > 0 {
 		op.Params = make([]dgl.Param, 0, n)
 	}
 	for d.Next() {
@@ -552,20 +573,19 @@ func decodeOp(d *Decoder, op *dgl.Operation) {
 		case opType:
 			op.Type = d.Sym()
 		case opParam:
-			var p dgl.Param
-			d.Msg(func(d *Decoder) {
-				for d.Next() {
-					switch d.Field() {
-					case 1:
-						p.Name = d.Sym()
-					case 2:
-						p.Value = d.Str()
-					default:
-						d.Skip()
-					}
+			p := slot(&op.Params)
+			end := d.MsgEnter()
+			for d.Next() {
+				switch d.Field() {
+				case 1:
+					p.Name = d.Sym()
+				case 2:
+					p.Value = d.Str()
+				default:
+					d.Skip()
 				}
-			})
-			op.Params = append(op.Params, p)
+			}
+			d.MsgExit(end)
 		default:
 			d.Skip()
 		}
@@ -676,17 +696,20 @@ func DecodeResponse(payload []byte) (*dgl.Response, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer d.Release()
 	resp := &dgl.Response{}
 	for d.Next() {
 		switch d.Field() {
 		case respAck:
-			a := &dgl.Ack{}
-			d.Msg(func(d *Decoder) { decodeAck(d, a) })
-			resp.Ack = a
+			resp.Ack = &dgl.Ack{}
+			end := d.MsgEnter()
+			decodeAck(&d, resp.Ack)
+			d.MsgExit(end)
 		case respStatus:
-			st := &dgl.FlowStatus{}
-			d.Msg(func(d *Decoder) { decodeStatus(d, st) })
-			resp.Status = st
+			resp.Status = &dgl.FlowStatus{}
+			end := d.MsgEnter()
+			decodeStatus(&d, resp.Status)
+			d.MsgExit(end)
 		case respErr:
 			resp.Error = d.Str()
 		default:
@@ -714,6 +737,9 @@ func decodeAck(d *Decoder, a *dgl.Ack) {
 }
 
 func decodeStatus(d *Decoder, st *dgl.FlowStatus) {
+	if n := fieldCounts(d)[fsChild]; n > 0 {
+		st.Children = make([]dgl.FlowStatus, 0, n)
+	}
 	for d.Next() {
 		switch d.Field() {
 		case fsID:
@@ -733,9 +759,9 @@ func decodeStatus(d *Decoder, st *dgl.FlowStatus) {
 		case fsErr:
 			st.Error = d.Str()
 		case fsChild:
-			var c dgl.FlowStatus
-			d.Msg(func(d *Decoder) { decodeStatus(d, &c) })
-			st.Children = append(st.Children, c)
+			end := d.MsgEnter()
+			decodeStatus(d, slot(&st.Children))
+			d.MsgExit(end)
 		default:
 			d.Skip()
 		}
@@ -753,6 +779,7 @@ func ResponseXML(w *dgl.ResponseWriter, dst, payload []byte) ([]byte, error) {
 	if err != nil {
 		return dst, err
 	}
+	defer d.Release()
 	w.Begin(dst)
 	var errText string
 	streamed, last := true, 0

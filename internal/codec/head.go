@@ -72,6 +72,7 @@ func (w *headWalk) read(doc string) (RequestHead, error) {
 	if err != nil {
 		return h, err
 	}
+	defer d.Release()
 	for d.Next() {
 		switch d.Field() {
 		case reqUser:

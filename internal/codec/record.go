@@ -206,6 +206,8 @@ func (v *RecordView) DecodeFieldsString(fields string) error {
 // nil, src.
 func (v *RecordView) walk(data []byte, src string, body span) error {
 	*v = RecordView{data: data, src: src, body: body, vars: v.vars[:0], done: v.done[:0], syms: v.syms[:0]}
+	// The view keeps the symbol table its first walk borrowed, for every
+	// record after it: it is never given back.
 	d := Decoder{data: data, str: src, pos: body.off, end: body.end, syms: v.syms}
 	for d.Next() {
 		switch d.Field() {

@@ -162,8 +162,8 @@ func TestWalkStatusFeedsBuilder(t *testing.T) {
 }
 
 // TestResponseXMLAllocs: transcoding allocates for the decoder's string
-// copy and its symbol table (here grown once past its first 16), not
-// per node.
+// copy alone, not per node: the symbol table is borrowed and given back
+// (parent commit 3, with a table made and grown once past its first 16).
 func TestResponseXMLAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
@@ -171,13 +171,13 @@ func TestResponseXMLAllocs(t *testing.T) {
 	payload := encodeResponse(statusFixture())
 	var w dgl.ResponseWriter
 	buf := make([]byte, 0, 4096)
-	allocs := testing.AllocsPerRun(200, func() {
+	allocs := allocsPerRun(1000, func() {
 		if _, err := ResponseXML(&w, buf, payload); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 3 {
-		t.Errorf("transcoding a 5-node reply allocates %.1f, budget 3", allocs)
+	if allocs > 1.5 {
+		t.Errorf("transcoding a 5-node reply allocates %.2f, budget 1 (parent commit 3)", allocs)
 	}
 }
 
@@ -202,4 +202,35 @@ func FuzzStatusTranscode(f *testing.F) {
 			t.Fatalf("transcoded document differs from decode + marshal\n got %q\nwant %q", got, want)
 		}
 	})
+}
+
+// TestDecodeResponseAllocs: a sync reply — a root flow and its four
+// steps, as the engine writes one — decodes into the Response, the
+// root, one children slice and the payload copy, and nothing else: the
+// symbol table is borrowed and given back, the decoder stays on the
+// stack, and each child is decoded in its slot (parent commit: 12).
+func TestDecodeResponseAllocs(t *testing.T) {
+	root := dgl.FlowStatus{ID: "peerA:dgf-000009/job-9", Name: "job-9", Kind: "flow", State: "succeeded",
+		Started: "2026-10-03T09:00:00Z", Finished: "2026-10-03T09:00:01Z"}
+	for _, name := range []string{"ingest", "tag", "replicate", "verify"} {
+		root.Children = append(root.Children, dgl.FlowStatus{ID: root.ID + "/" + name, Name: name, Kind: "step",
+			State: "succeeded", Started: "2026-10-03T09:00:00Z", Finished: "2026-10-03T09:00:01Z"})
+	}
+	want := &dgl.Response{Status: &root}
+	payload := encodeResponse(want)
+	got, err := DecodeResponse(payload)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip: %+v, %v; want %+v", got, err, want)
+	}
+	if raceEnabled {
+		return
+	}
+	allocs := allocsPerRun(1000, func() {
+		if _, err := DecodeResponse(payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4.5 {
+		t.Errorf("decoding a sync reply allocates %.2f times, budget 4: the Response, the root, the children and the payload copy (parent commit 12)", allocs)
+	}
 }

@@ -269,7 +269,7 @@ func (e *Engine) ResurrectFor(id, path string) (*Execution, error) {
 	}
 	_ = e.storeAppend(store.Record{Type: store.TypeExecResurrect, ID: id})
 	e.Obs().Counter("store_resurrections_total", "path", path).Inc()
-	go ex.run()
+	go ex.resume()
 	return ex, nil
 }
 
@@ -369,7 +369,7 @@ func (e *Engine) RecoverFromStore() ([]*Execution, error) {
 			continue
 		}
 		e.Obs().Counter("matrix_recoveries_total").Inc()
-		go ex.run()
+		go ex.resume()
 		out = append(out, ex)
 	}
 	return out, errors.Join(errs...)
@@ -437,7 +437,7 @@ func (e *Engine) AdoptEntries(entries []store.Entry, source string) []AdoptedFlo
 			continue // already resident (duplicate promotion race)
 		}
 		o.Counter("matrix_adoptions_total", "outcome", "resumed").Inc()
-		go ex.run()
+		go ex.resume()
 		out = append(out, AdoptedFlow{ID: ent.ID, User: req.User.Name, Flow: req.Flow.Name, Resumed: true})
 	}
 	return out

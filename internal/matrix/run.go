@@ -20,10 +20,26 @@ import (
 	"datagridflow/internal/store"
 )
 
-// run drives the execution to a terminal state. It is called on the
-// caller's goroutine for synchronous requests and on a fresh goroutine
-// for asynchronous ones.
+// run drives a new execution to a terminal state: it writes the
+// execution's exec.start record, when a store is attached, and then
+// runs it as resume does. It is called on the caller's goroutine for
+// synchronous requests and on a fresh goroutine for asynchronous ones.
 func (ex *Execution) run() {
+	if ex.engine.Store() != nil {
+		// Encoding the request document is only worth paying for when a
+		// store will actually persist it.
+		_ = ex.engine.storeAppend(store.Record{
+			Type: store.TypeExecStart, ID: ex.ID, Request: codec.RequestDoc(ex.req),
+		})
+	}
+	ex.resume()
+}
+
+// resume drives an execution to a terminal state without writing an
+// exec.start: a stored execution's entry holds its request already, so
+// the resume doors (RecoverFromStore, ResurrectFor, AdoptEntries) call
+// it directly and pay no second encode, fsync or store charge for it.
+func (ex *Execution) resume() {
 	defer close(ex.done)
 	// The plan and the slab serve the run and nothing after it: a terminal
 	// or passivated execution keeps its request and status tree, as
@@ -44,13 +60,6 @@ func (ex *Execution) run() {
 		Actor: ex.req.User.Name, Action: "flow.submit",
 		FlowID: ex.ID, Target: ex.req.Flow.Name,
 	})
-	if ex.engine.Store() != nil {
-		// Encoding the request document is only worth paying for when a
-		// store will actually persist it.
-		_ = ex.engine.storeAppend(store.Record{
-			Type: store.TypeExecStart, ID: ex.ID, Request: codec.RequestDoc(ex.req),
-		})
-	}
 	root := ex.plan.root
 	var reg region // stays empty when the root flow loops: its iterations open their own
 	if root.body == nil {

@@ -145,18 +145,18 @@ func DecodeRecord(d *codec.Decoder, r *Record) {
 			r.Err = d.Str()
 		case fDetail:
 			var a Attr
-			d.Msg(func(d *codec.Decoder) {
-				for d.Next() {
-					switch d.Field() {
-					case 1:
-						a.Key = d.Sym()
-					case 2:
-						a.Value = d.Str()
-					default:
-						d.Skip()
-					}
+			end := d.MsgEnter()
+			for d.Next() {
+				switch d.Field() {
+				case 1:
+					a.Key = d.Sym()
+				case 2:
+					a.Value = d.Str()
+				default:
+					d.Skip()
 				}
-			})
+			}
+			d.MsgExit(end)
 			r.Detail = append(r.Detail, a)
 		default:
 			d.Skip()
@@ -224,6 +224,7 @@ func (s *Store) replay(path string) error {
 		d := codec.NewFieldsDecoder(log.Buf, f.Body, f.End)
 		r := Record{Detail: pairs[:0]}
 		DecodeRecord(&d, &r)
+		d.Release()
 		if err := d.Err(); err != nil {
 			return fmt.Errorf("provenance: %s frame %d: %v: %w", path, i+1, err, dgferr.ErrInvalid)
 		}

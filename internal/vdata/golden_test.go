@@ -201,7 +201,9 @@ func FuzzEntryRoundTrip(f *testing.F) {
 		for nd.Next() {
 			switch nd.Field() {
 			case 2:
-				nd.Msg(func(d *codec.Decoder) { nested = DecodeEntry(d) })
+				end := nd.MsgEnter()
+				nested = DecodeEntry(&nd)
+				nd.MsgExit(end)
 			case 3:
 				after = nd.Sym()
 			default:

@@ -353,6 +353,7 @@ func (c *Catalog) replay(path string) error {
 	for i, f := range log.Frames {
 		d := codec.NewFieldsDecoder(log.Buf, f.Body, f.End)
 		e, del := decodeRecord(&d)
+		d.Release()
 		if err := d.Err(); err != nil {
 			return fmt.Errorf("vdata: %s frame %d: %v: %w", path, i+1, err, dgferr.ErrInvalid)
 		}

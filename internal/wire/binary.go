@@ -88,6 +88,7 @@ func decodeControl(payload []byte) (Control, error) {
 	if err != nil {
 		return Control{}, err
 	}
+	defer d.Release()
 	var c Control
 	for d.Next() {
 		switch d.Field() {
@@ -267,6 +268,7 @@ func decodeControlResult(payload []byte) (ControlResult, error) {
 	if err != nil {
 		return ControlResult{}, err
 	}
+	defer d.Release()
 	var r ControlResult
 	for d.Next() {
 		switch d.Field() {
@@ -558,6 +560,7 @@ func decodeBatch(payload []byte) (user, token string, items [][]byte, err error)
 	if derr != nil {
 		return "", "", nil, derr
 	}
+	defer d.Release()
 	for d.Next() {
 		switch d.Field() {
 		case 1:
@@ -591,6 +594,7 @@ func decodeBatchResult(payload []byte) (ok bool, errText string, responses [][]b
 	if derr != nil {
 		return false, "", nil, derr
 	}
+	defer d.Release()
 	for d.Next() {
 		switch d.Field() {
 		case 1:
@@ -627,6 +631,7 @@ func decodeRoute(payload []byte) (Route, error) {
 	if err != nil {
 		return Route{}, err
 	}
+	defer d.Release()
 	var rt Route
 	for d.Next() {
 		switch d.Field() {
@@ -678,6 +683,7 @@ func decodeRouteResult(payload []byte) (RouteResult, error) {
 	if err != nil {
 		return RouteResult{}, err
 	}
+	defer d.Release()
 	var r RouteResult
 	for d.Next() {
 		switch d.Field() {
@@ -723,6 +729,7 @@ func decodeReplicate(payload []byte) (Replicate, error) {
 	if derr != nil {
 		return Replicate{}, derr
 	}
+	defer d.Release()
 	var f Replicate
 	for d.Next() {
 		switch d.Field() {
@@ -753,11 +760,14 @@ func appendReplicateResult(e *codec.Encoder, r *ReplicateResult) {
 	e.Str(4, r.Error)
 }
 
+// decodeReplicateResult decodes a replication ack. Transient decode: an
+// ack holds no string but an error, so an ok one allocates nothing.
 func decodeReplicateResult(payload []byte) (ReplicateResult, error) {
-	d, err := codec.NewDecoder(payload, codec.MsgReplicateResult)
+	d, err := codec.NewDecoderTransient(payload, codec.MsgReplicateResult)
 	if err != nil {
 		return ReplicateResult{}, err
 	}
+	defer d.Release()
 	var r ReplicateResult
 	for d.Next() {
 		switch d.Field() {
