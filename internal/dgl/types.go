@@ -365,6 +365,7 @@ func DecodeRequest(data []byte) (*Request, error) {
 	if err := r.finish(); err != nil {
 		return nil, fmt.Errorf("dgl: parse request: %w", err)
 	}
+	r.ownRequest(req)
 	return req, nil
 }
 
@@ -376,6 +377,7 @@ func ParseResponse(data []byte) (*Response, error) {
 	if err := r.finish(); err != nil {
 		return nil, fmt.Errorf("dgl: parse response: %w", err)
 	}
+	r.ownResponse(resp)
 	return resp, nil
 }
 

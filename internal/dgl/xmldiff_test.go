@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -174,12 +176,58 @@ func seedCorpus(f *testing.F) {
 
 func FuzzDecodeRequestXML(f *testing.F) {
 	seedCorpus(f)
-	f.Fuzz(func(t *testing.T, data []byte) { diffRequest(t, data) })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		diffRequest(t, data)
+		owned(t, data, DecodeRequest)
+	})
 }
 
 func FuzzParseResponseXML(f *testing.F) {
 	seedCorpus(f)
-	f.Fuzz(func(t *testing.T, data []byte) { diffResponse(t, data) })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		diffResponse(t, data)
+		owned(t, data, ParseResponse)
+	})
+}
+
+// owned parses a copy of data, overwrites the copy with 0xFF and
+// requires the result unchanged: nothing a parse returns lies in the
+// document it read.
+func owned[T any](t *testing.T, data []byte, decode func([]byte) (*T, error)) {
+	t.Helper()
+	doc := bytes.Clone(data)
+	got, err := decode(doc)
+	if err != nil {
+		return
+	}
+	for i := range doc {
+		doc[i] = 0xFF
+	}
+	if want, _ := decode(data); !reflect.DeepEqual(got, want) {
+		t.Fatalf("a value kept from the parse changed with the document under it:\n got %+v\nwant %+v\n%q", got, want, data)
+	}
+}
+
+// TestParseKeepsNoDocumentBytes: no value a parse keeps lies in the
+// document, for generated documents that set every string field of the
+// schema (lent from the document or decoded, at random) and for the
+// corpus.
+func TestParseKeepsNoDocumentBytes(t *testing.T) {
+	g := gen{rand.New(rand.NewSource(40))}
+	for i := 0; i < 1000; i++ {
+		for _, v := range []any{g.request(), g.response()} {
+			doc, err := Marshal(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			owned(t, doc, DecodeRequest)
+			owned(t, doc, ParseResponse)
+		}
+	}
+	for _, doc := range corpus(t) {
+		owned(t, doc, DecodeRequest)
+		owned(t, doc, ParseResponse)
+	}
 }
 
 // TestXMLReaderNarrowed: a document the schema forbids must not run as
@@ -453,38 +501,76 @@ func TestXMLWriterMatchesReference(t *testing.T) {
 	}
 }
 
+// memPerRun is the exact mean of the allocations and the bytes f makes
+// (testing.AllocsPerRun rounds the count down).
+func memPerRun(runs int, f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&m1)
+	return float64(m1.Mallocs-m0.Mallocs) / float64(runs), float64(m1.TotalAlloc-m0.TotalAlloc) / float64(runs)
+}
+
 // TestXMLAllocs holds the allocation budgets of the client edge: what a
-// parse allocates is the result's own structs, strings and slices; a
-// marshal allocates the document.
+// parse allocates is the result's own structs and slices and one string
+// that holds every value it keeps; a marshal allocates the document.
+// The parent commit, which copied each value on its own, is in the
+// message.
 func TestXMLAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are measured without the race detector")
 	}
 	submit, query, ack, status, detail := mixDocs(t)
 	for _, tc := range []struct {
-		name   string
-		doc    []byte
-		parse  func([]byte) (any, error)
-		budget float64
+		name           string
+		doc            []byte
+		parse          func([]byte) (any, error)
+		budget, parent float64
 	}{
-		{"submit", submit, func(b []byte) (any, error) { return ParseRequest(b) }, 40},
-		{"status query", query, func(b []byte) (any, error) { return ParseRequest(b) }, 8},
-		{"ack", ack, func(b []byte) (any, error) { return ParseResponse(b) }, 8},
-		{"status", status, func(b []byte) (any, error) { return ParseResponse(b) }, 12},
-		{"detail status", detail, func(b []byte) (any, error) { return ParseResponse(b) }, 20},
+		{"submit", submit, func(b []byte) (any, error) { return ParseRequest(b) }, 8, 27},
+		{"status query", query, func(b []byte) (any, error) { return ParseRequest(b) }, 3, 4},
+		{"ack", ack, func(b []byte) (any, error) { return ParseResponse(b) }, 3, 3},
+		{"status", status, func(b []byte) (any, error) { return ParseResponse(b) }, 3, 6},
+		{"detail status", detail, func(b []byte) (any, error) { return ParseResponse(b) }, 4, 11},
 	} {
 		v, err := tc.parse(tc.doc)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if got := testing.AllocsPerRun(200, func() { _, _ = tc.parse(tc.doc) }); got > tc.budget {
-			t.Errorf("parse %s: %.0f allocations, budget %.0f", tc.name, got, tc.budget)
+		if got, _ := memPerRun(200, func() { _, _ = tc.parse(tc.doc) }); got > tc.budget+0.5 {
+			t.Errorf("parse %s: %.2f allocations, budget %.0f (parent commit %.0f)", tc.name, got, tc.budget, tc.parent)
 		} else {
-			t.Logf("parse %s: %.0f allocations (budget %.0f)", tc.name, got, tc.budget)
+			t.Logf("parse %s: %.2f allocations (budget %.0f, parent commit %.0f)", tc.name, got, tc.budget, tc.parent)
 		}
-		if got := testing.AllocsPerRun(200, func() { _, _ = Marshal(v) }); got > 2 {
-			t.Errorf("marshal %s: %.0f allocations, budget 2", tc.name, got)
+		if got, _ := memPerRun(200, func() { _, _ = Marshal(v) }); got > 2.5 {
+			t.Errorf("marshal %s: %.2f allocations, budget 2", tc.name, got)
 		}
+	}
+}
+
+// TestKeptValueDropsTheDocument: what a parse allocates is in proportion
+// to the values it keeps, not to the document, so a value kept — an
+// ack's id a client holds on to — does not keep the markup alive. An ack
+// padded with a 64 KB comment parses in a few hundred bytes.
+func TestKeptValueDropsTheDocument(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are measured without the race detector")
+	}
+	_, _, ack, _, _ := mixDocs(t)
+	at := bytes.Index(ack, []byte("<requestAcknowledgement>"))
+	padded := slices.Concat(ack[:at], []byte("<!--"), bytes.Repeat([]byte("pad "), 16<<10), []byte("-->"), ack[at:])
+	p, err := ParseResponse(padded)
+	if err != nil || p.Ack == nil || p.Ack.ID != "peerB:dgf-000042" {
+		t.Fatalf("padded ack: %+v, %v", p, err)
+	}
+	if _, got := memPerRun(50, func() { _, _ = ParseResponse(padded) }); got >= 4<<10 {
+		t.Errorf("parsing an ack padded to %d bytes allocates %.0f bytes, want < 4 KB", len(padded), got)
+	} else {
+		t.Logf("parsing an ack padded to %d bytes allocates %.0f bytes", len(padded), got)
 	}
 }
 

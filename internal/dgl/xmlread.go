@@ -4,19 +4,69 @@ import (
 	"bytes"
 	"encoding/xml"
 	"strconv"
+	"strings"
+	"unsafe"
 )
 
 // reader builds DGL documents from a scanner: one method per element
 // type of the schema, each switching on the local names of attributes
-// and child elements and skipping what it does not know. Every value is
-// copied out of the document on its own, so a Request that is kept does
-// not keep the markup it came in; values from closed sets come back as
-// the package's constants. The first error sticks: every method is a
-// no-op after it.
+// and child elements and skipping what it does not know. Every value it
+// keeps ends in one string per document that holds the values and
+// nothing else (keep, then own), so a Request that is kept does not keep
+// the markup it came in; values from closed sets come back as the
+// package's constants. The first error sticks: every method is a no-op
+// after it.
 type reader struct {
-	s   scanner
-	err error
-	acc []byte // character data that came in several pieces
+	s    scanner
+	err  error
+	acc  []byte          // character data that came in several pieces
+	vals strings.Builder // the values, cut from it as they are owned
+	lent int             // bytes of the values that still lie in the document
+}
+
+// keep returns b as a value of the document. A value that lies in the
+// document is lent from it, a string over the document's own bytes,
+// until own moves it into vals: the parse counts what it lends and
+// sizes vals once, when it ends and the count is exact. A value the
+// scanner decoded lies in a buffer the next token overwrites, so it is
+// cut into vals at once; should the final count then not fit, vals
+// grows and the strings already cut keep the buffer they were cut from
+// (codec.Arena's property).
+func (r *reader) keep(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	if p := unsafe.SliceData(b); r.lends(p) {
+		r.lent += len(b)
+		return unsafe.String(p, len(b))
+	}
+	at := r.vals.Len()
+	r.vals.Write(b)
+	return r.vals.String()[at:]
+}
+
+// lends reports whether p points into the document.
+func (r *reader) lends(p *byte) bool {
+	at := uintptr(unsafe.Pointer(p)) - uintptr(unsafe.Pointer(unsafe.SliceData(r.s.data)))
+	return at < uintptr(len(r.s.data))
+}
+
+// own moves *v into vals when it is a value lent from the document.
+func (r *reader) own(v *string) {
+	if *v != "" && r.lends(unsafe.StringData(*v)) {
+		at := r.vals.Len()
+		r.vals.WriteString(*v)
+		*v = r.vals.String()[at:]
+	}
+}
+
+// owning readies vals to take the lent values: one allocation of their
+// exact size, or none when nothing was lent.
+func (r *reader) owning() {
+	if r.lent > r.vals.Cap()-r.vals.Len() {
+		r.vals = strings.Builder{} // what was cut keeps its buffer
+		r.vals.Grow(r.lent)
+	}
 }
 
 func (r *reader) fail(kind errKind, format string, args ...any) {
@@ -65,7 +115,7 @@ func (r *reader) attr() (name, val []byte, ok bool) {
 func (r *reader) nameAttr(dst *string) {
 	for name, val, ok := r.attr(); ok; name, val, ok = r.attr() {
 		if string(name) == "name" {
-			*dst = string(val)
+			*dst = r.keep(val)
 		}
 	}
 }
@@ -142,7 +192,7 @@ func (r *reader) str(seen *uint8, bit uint8) string {
 	if !r.once(seen, bit) {
 		return ""
 	}
-	return string(r.text())
+	return r.keep(r.text())
 }
 
 func (r *reader) flag(seen *uint8, bit uint8) bool {
@@ -202,12 +252,12 @@ var interned = func() map[string]string {
 }()
 
 // intern returns b as a string: the one in interned when b is a value
-// of a closed set, a copy otherwise.
-func intern(b []byte) string {
+// of a closed set, a value of the document (keep) otherwise.
+func (r *reader) intern(b []byte) string {
 	if s, ok := interned[string(b)]; ok {
 		return s
 	}
-	return string(b)
+	return r.keep(b)
 }
 
 const xmlNamespaceURL = "http://www.w3.org/XML/1998/namespace"
@@ -222,20 +272,20 @@ type rootSpace struct {
 }
 
 // declare looks at one attribute of the root, prefix:name="val".
-func (n *rootSpace) declare(prefix, name, val []byte) {
+func (n *rootSpace) declare(r *reader, prefix, name, val []byte) {
 	if string(prefix) == "xmlns" && bytes.Equal(name, n.prefix) || prefix == nil && n.prefix == nil && string(name) == "xmlns" {
-		n.space, n.bound = string(val), true
+		n.space, n.bound = r.keep(val), true
 	}
 }
 
-func (n *rootSpace) name(local string) xml.Name {
+func (n *rootSpace) name(r *reader, local string) xml.Name {
 	switch {
 	case string(n.prefix) == "xmlns":
 		return xml.Name{Space: "xmlns", Local: local}
 	case string(n.prefix) == "xml":
 		return xml.Name{Space: xmlNamespaceURL, Local: local}
 	case !n.bound:
-		return xml.Name{Space: string(n.prefix), Local: local}
+		return xml.Name{Space: r.keep(n.prefix), Local: local}
 	}
 	return xml.Name{Space: n.space, Local: local}
 }
@@ -244,17 +294,17 @@ func (r *reader) request(q *Request) {
 	r.root("dataGridRequest")
 	ns := rootSpace{prefix: r.s.prefix}
 	for name, val, ok := r.attr(); ok; name, val, ok = r.attr() {
-		ns.declare(r.s.prefix, name, val)
+		ns.declare(r, r.s.prefix, name, val)
 		switch string(name) {
 		case "async":
 			q.Async = r.parseBool(val)
 		case "route":
-			q.Route = string(val)
+			q.Route = r.keep(val)
 		case "token":
-			q.Token = string(val)
+			q.Token = r.keep(val)
 		}
 	}
-	q.XMLName = ns.name("dataGridRequest")
+	q.XMLName = ns.name(r, "dataGridRequest")
 	var seen uint8
 	for name, ok := r.child(); ok; name, ok = r.child() {
 		switch string(name) {
@@ -361,7 +411,7 @@ func (r *reader) variables(vs []Variable) []Variable {
 		vs = append(vs, Variable{})
 		v := &vs[len(vs)-1]
 		r.nameAttr(&v.Name)
-		v.Value = string(r.text())
+		v.Value = r.keep(r.text())
 	}
 	return vs
 }
@@ -372,7 +422,7 @@ func (r *reader) flowLogic(l *FlowLogic) {
 		switch string(name) {
 		case "control":
 			if r.once(&seen, 1) {
-				l.Control = Control(intern(r.text()))
+				l.Control = Control(r.intern(r.text()))
 			}
 		case "condition":
 			l.Condition = r.str(&seen, 2)
@@ -394,7 +444,7 @@ func (r *reader) iterate(it *Iterate) {
 	for name, val, ok := r.attr(); ok; name, val, ok = r.attr() {
 		switch string(name) {
 		case "var":
-			it.Var = string(val)
+			it.Var = r.keep(val)
 		case "parallel":
 			it.Parallel = r.parseBool(val)
 		}
@@ -421,7 +471,7 @@ func (r *reader) query(q *NSQuery) {
 	for name, val, ok := r.attr(); ok; name, val, ok = r.attr() {
 		switch string(name) {
 		case "scope":
-			q.Scope = string(val)
+			q.Scope = r.keep(val)
 		case "objectsOnly":
 			q.ObjectsOnly = r.parseBool(val)
 		}
@@ -436,11 +486,11 @@ func (r *reader) query(q *NSQuery) {
 		for name, val, ok := r.attr(); ok; name, val, ok = r.attr() {
 			switch string(name) {
 			case "attr":
-				c.Attr = string(val)
+				c.Attr = r.keep(val)
 			case "op":
-				c.Op = string(val)
+				c.Op = r.keep(val)
 			case "value":
-				c.Value = string(val)
+				c.Value = r.keep(val)
 			}
 		}
 		r.skip()
@@ -480,21 +530,21 @@ func (r *reader) step(s *Step) {
 	for name, val, ok := r.attr(); ok; name, val, ok = r.attr() {
 		switch string(name) {
 		case "name":
-			s.Name = string(val)
+			s.Name = r.keep(val)
 		case "onError":
-			s.OnError = intern(val)
+			s.OnError = r.intern(val)
 		case "retries":
 			s.Retries = r.parseInt(val)
 		case "backoff":
-			s.Backoff = string(val)
+			s.Backoff = r.keep(val)
 		case "maxBackoff":
-			s.MaxBackoff = string(val)
+			s.MaxBackoff = r.keep(val)
 		case "timeout":
-			s.Timeout = string(val)
+			s.Timeout = r.keep(val)
 		case "pure":
 			s.Pure = r.parseBool(val)
 		case "outputs":
-			s.Outputs = string(val)
+			s.Outputs = r.keep(val)
 		}
 	}
 	var seen uint8
@@ -520,7 +570,7 @@ func (r *reader) step(s *Step) {
 func (r *reader) operation(o *Operation) {
 	for name, val, ok := r.attr(); ok; name, val, ok = r.attr() {
 		if string(name) == "type" {
-			o.Type = intern(val)
+			o.Type = r.intern(val)
 		}
 	}
 	for name, ok := r.child(); ok; name, ok = r.child() {
@@ -531,7 +581,7 @@ func (r *reader) operation(o *Operation) {
 		o.Params = append(o.Params, Param{})
 		p := &o.Params[len(o.Params)-1]
 		r.nameAttr(&p.Name)
-		p.Value = string(r.text())
+		p.Value = r.keep(r.text())
 	}
 }
 
@@ -539,9 +589,9 @@ func (r *reader) response(p *Response) {
 	r.root("dataGridResponse")
 	ns := rootSpace{prefix: r.s.prefix}
 	for name, val, ok := r.attr(); ok; name, val, ok = r.attr() {
-		ns.declare(r.s.prefix, name, val)
+		ns.declare(r, r.s.prefix, name, val)
 	}
-	p.XMLName = ns.name("dataGridResponse")
+	p.XMLName = ns.name(r, "dataGridResponse")
 	var seen uint8
 	for name, ok := r.child(); ok; name, ok = r.child() {
 		switch string(name) {
@@ -571,7 +621,7 @@ func (r *reader) ack(a *Ack) {
 			a.ID = r.str(&seen, 1)
 		case "status":
 			if r.once(&seen, 2) {
-				a.Status = intern(r.text())
+				a.Status = r.intern(r.text())
 			}
 		case "valid":
 			a.Valid = r.flag(&seen, 4)
@@ -587,19 +637,19 @@ func (r *reader) flowStatus(s *FlowStatus) {
 	for name, val, ok := r.attr(); ok; name, val, ok = r.attr() {
 		switch string(name) {
 		case "id":
-			s.ID = string(val)
+			s.ID = r.keep(val)
 		case "name":
-			s.Name = string(val)
+			s.Name = r.keep(val)
 		case "kind":
-			s.Kind = intern(val)
+			s.Kind = r.intern(val)
 		case "state":
-			s.State = intern(val)
+			s.State = r.intern(val)
 		case "started":
-			s.Started = string(val)
+			s.Started = r.keep(val)
 		case "finished":
-			s.Finished = string(val)
+			s.Finished = r.keep(val)
 		case "delegated":
-			s.Delegated = string(val)
+			s.Delegated = r.keep(val)
 		}
 	}
 	var seen uint8
@@ -613,5 +663,124 @@ func (r *reader) flowStatus(s *FlowStatus) {
 		default:
 			r.skip()
 		}
+	}
+}
+
+// The own methods move every value a parse lent from the document into
+// the values string, the last step of a parse: one per type of the
+// schema that holds strings, each string field in turn. A field the
+// reader sets and these miss would keep the document's bytes;
+// TestParseKeepsNoDocumentBytes overwrites every document after its
+// parse to catch one.
+
+func (r *reader) ownRequest(q *Request) {
+	r.owning()
+	r.own(&q.XMLName.Space)
+	r.own(&q.Route)
+	r.own(&q.Token)
+	r.own(&q.Metadata.CreatedBy)
+	r.own(&q.Metadata.CreatedAt)
+	r.own(&q.Metadata.Description)
+	r.own(&q.User.Name)
+	r.own(&q.User.VO)
+	if q.Flow != nil {
+		r.ownFlow(q.Flow)
+	}
+	if q.StatusQuery != nil {
+		r.own(&q.StatusQuery.ID)
+	}
+}
+
+func (r *reader) ownFlow(f *Flow) {
+	r.own(&f.Name)
+	r.ownVariables(f.Variables)
+	l := &f.Logic
+	r.own((*string)(&l.Control))
+	r.own(&l.Condition)
+	if it := l.Iterate; it != nil {
+		r.own(&it.Var)
+		r.own(&it.In)
+		if q := it.Query; q != nil {
+			r.own(&q.Scope)
+			for i := range q.Conditions {
+				c := &q.Conditions[i]
+				r.own(&c.Attr)
+				r.own(&c.Op)
+				r.own(&c.Value)
+			}
+		}
+	}
+	r.ownRules(l.Rules)
+	for i := range f.Flows {
+		r.ownFlow(&f.Flows[i])
+	}
+	for i := range f.Steps {
+		s := &f.Steps[i]
+		r.own(&s.Name)
+		r.own(&s.OnError)
+		r.own(&s.Backoff)
+		r.own(&s.MaxBackoff)
+		r.own(&s.Timeout)
+		r.own(&s.Outputs)
+		r.ownVariables(s.Variables)
+		r.ownRules(s.Rules)
+		r.ownOperation(&s.Operation)
+	}
+}
+
+func (r *reader) ownVariables(vs []Variable) {
+	for i := range vs {
+		r.own(&vs[i].Name)
+		r.own(&vs[i].Value)
+	}
+}
+
+func (r *reader) ownRules(rules []Rule) {
+	for i := range rules {
+		u := &rules[i]
+		r.own(&u.Name)
+		r.own(&u.Condition)
+		for j := range u.Actions {
+			r.own(&u.Actions[j].Name)
+			if o := u.Actions[j].Operation; o != nil {
+				r.ownOperation(o)
+			}
+		}
+	}
+}
+
+func (r *reader) ownOperation(o *Operation) {
+	r.own(&o.Type)
+	for i := range o.Params {
+		r.own(&o.Params[i].Name)
+		r.own(&o.Params[i].Value)
+	}
+}
+
+func (r *reader) ownResponse(p *Response) {
+	r.owning()
+	r.own(&p.XMLName.Space)
+	r.own(&p.Error)
+	if a := p.Ack; a != nil {
+		r.own(&a.ID)
+		r.own(&a.Status)
+		r.own(&a.Message)
+	}
+	if p.Status != nil {
+		r.ownStatus(p.Status)
+	}
+}
+
+func (r *reader) ownStatus(s *FlowStatus) {
+	r.own(&s.ID)
+	r.own(&s.Name)
+	r.own(&s.Kind)
+	r.own(&s.State)
+	r.own(&s.Started)
+	r.own(&s.Finished)
+	r.own(&s.Delegated)
+	r.own(&s.Error)
+	for i := range s.Children {
+		r.ownStatus(&s.Children[i])
 	}
 }

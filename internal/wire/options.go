@@ -23,8 +23,11 @@ const (
 	RouteLocal RouteMode = RouteMode(dgl.RouteLocal)
 )
 
-// submitCfg collects the functional options of Client.Submit.
-type submitCfg struct {
+// SubmitOption configures one Client.Submit call. It is a plain value:
+// building one allocates nothing, and Submit merges the options of a
+// call in order, a later route or token replacing an earlier one
+// (an empty one replaces nothing).
+type SubmitOption struct {
 	async   bool
 	route   RouteMode
 	token   string
@@ -32,9 +35,24 @@ type submitCfg struct {
 	isBatch bool
 }
 
+// merge adds o to the options collected so far.
+func (c *SubmitOption) merge(o SubmitOption) {
+	c.async = c.async || o.async
+	if o.route != "" {
+		c.route = o.route
+	}
+	if o.token != "" {
+		c.token = o.token
+	}
+	if o.isBatch {
+		c.isBatch = true
+		c.batch = append(c.batch, o.batch...)
+	}
+}
+
 // apply sets what the options ask for on a copy of a caller's request;
 // the caller's own is never mutated.
-func (c *submitCfg) apply(pr *dgl.Request) {
+func (c *SubmitOption) apply(pr *dgl.Request) {
 	if c.async {
 		pr.Async = true
 	}
@@ -46,24 +64,17 @@ func (c *submitCfg) apply(pr *dgl.Request) {
 	}
 }
 
-// SubmitOption configures one Client.Submit call.
-type SubmitOption func(*submitCfg)
-
 // WithAsync submits asynchronously: the server acknowledges with an
 // execution id immediately and the flow runs in the background
 // (SubmitResult.ID carries the id). Applies to every request of the
 // call, batch items included.
-func WithAsync() SubmitOption {
-	return func(c *submitCfg) { c.async = true }
-}
+func WithAsync() SubmitOption { return SubmitOption{async: true} }
 
 // WithRoute sets the submission's placement preference on a sharded
 // network: RouteAuto forwards to the shard owner (the default on
 // sharded peers), RouteLocal pins to the connected peer. Non-sharded
 // servers ignore it.
-func WithRoute(mode RouteMode) SubmitOption {
-	return func(c *submitCfg) { c.route = mode }
-}
+func WithRoute(mode RouteMode) SubmitOption { return SubmitOption{route: mode} }
 
 // WithBatch adds more requests to the call: the primary request (when
 // non-nil) and every batched one travel in a single KindBatch round
@@ -72,10 +83,7 @@ func WithRoute(mode RouteMode) SubmitOption {
 // WithBatch() with no arguments still selects the batch reply shape
 // for a single request.
 func WithBatch(reqs ...*dgl.Request) SubmitOption {
-	return func(c *submitCfg) {
-		c.isBatch = true
-		c.batch = append(c.batch, reqs...)
-	}
+	return SubmitOption{batch: reqs, isBatch: true}
 }
 
 // WithToken attaches a tenant bearer token (tenant.Authority.Mint,
@@ -83,9 +91,7 @@ func WithBatch(reqs ...*dgl.Request) SubmitOption {
 // server the verified token identity — not the claimed gridUser — is
 // what admission scheduling, quotas and provenance account the work
 // to; it overrides any session-level Client.SetToken for this call.
-func WithToken(tok string) SubmitOption {
-	return func(c *submitCfg) { c.token = tok }
-}
+func WithToken(tok string) SubmitOption { return SubmitOption{token: tok} }
 
 // SubmitResult is the unified reply of Client.Submit.
 type SubmitResult struct {
@@ -115,22 +121,15 @@ type SubmitResult struct {
 // context's deadline bounds the round trip and its cancellation
 // abandons the request without disturbing others on the connection.
 func (c *Client) Submit(ctx context.Context, req *dgl.Request, opts ...SubmitOption) (*SubmitResult, error) {
-	// The options and the one request most calls carry share an
-	// allocation: options are opaque functions, so what they write to
-	// cannot stay on the stack.
-	var call struct {
-		cfg submitCfg
-		req dgl.Request
-	}
-	cfg := &call.cfg
+	var cfg SubmitOption
 	for _, o := range opts {
-		o(cfg)
+		cfg.merge(o)
 	}
 	res := &SubmitResult{}
 	if req != nil && !cfg.isBatch {
-		call.req = *req
-		cfg.apply(&call.req)
-		resp, err := c.submitOne(ctx, &call.req)
+		one := *req
+		cfg.apply(&one)
+		resp, err := c.submitOne(ctx, &one)
 		if err != nil {
 			return nil, err
 		}

@@ -616,12 +616,12 @@ func (s *Server) serveStatus(req *dgl.Request, bin bool, rp *reply) {
 // relayStatus forwards a status query to the peer that owns the id and
 // passes its reply on.
 func (s *Server) relayStatus(owner *Client, req *dgl.Request, bin bool, rp *reply) {
-	// The caller's token rides the hop the way Route.Token does for
+	// The query is forwarded as it came, with no request built for the
+	// hop: the owner reads only its user, token and status query, and
+	// the caller's token rides the hop the way Route.Token does for
 	// submissions, so an owner that requires tokens re-verifies the same
 	// identity instead of refusing the query.
-	fwd := dgl.NewStatusRequest(req.User.Name, req.StatusQuery.ID, req.StatusQuery.Detail)
-	fwd.Token = req.Token
-	fr, err := owner.exchange(context.Background(), fwd)
+	fr, err := owner.exchange(context.Background(), req)
 	if err != nil {
 		rp.fail(err, bin)
 		return
