@@ -110,7 +110,7 @@ type SubmitResult struct {
 
 // Submit is the single entry point for flow submission: one request,
 // async or sync, optionally batched with more, with an explicit
-// routing preference — all selected through functional options.
+// routing preference — all selected through options (SubmitOption).
 //
 //	res, err := c.Submit(ctx, req)                          // sync
 //	res, err := c.Submit(ctx, req, wire.WithAsync())        // async ack
