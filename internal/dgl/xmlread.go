@@ -20,17 +20,17 @@ type reader struct {
 	s    scanner
 	err  error
 	acc  []byte          // character data that came in several pieces
-	vals strings.Builder // the values, cut from it as they are owned
+	vals strings.Builder // the string the kept values are cut from
 	lent int             // bytes of the values that still lie in the document
 }
 
 // keep returns b as a value of the document. A value that lies in the
 // document is lent from it, a string over the document's own bytes,
-// until own moves it into vals: the parse counts what it lends and
-// sizes vals once, when it ends and the count is exact. A value the
-// scanner decoded lies in a buffer the next token overwrites, so it is
-// cut into vals at once; should the final count then not fit, vals
-// grows and the strings already cut keep the buffer they were cut from
+// until own moves it into vals: the parse counts what it lends, so vals
+// is sized once, when the parse ends and the count is exact. A value
+// the scanner decoded lies in a buffer the next token overwrites, so it
+// is cut into vals at once; if vals must grow or start afresh after
+// that, the strings already cut keep the buffer they were cut from
 // (codec.Arena's property).
 func (r *reader) keep(b []byte) string {
 	if len(b) == 0 {
