@@ -2,6 +2,8 @@ package obs
 
 import (
 	"encoding/json"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -133,5 +135,60 @@ func TestSpanAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(100, emit); got != 0 {
 		t.Errorf("three span events, no subscriber: %.0f allocations, want 0", got)
+	}
+}
+
+// TestTraceConcurrentUse: emitters, readers and subscribers that come
+// and go use one ring at once. A cancel never closes a channel an Emit
+// is sending on, every read sees consecutive sequence numbers, and a
+// subscription's events arrive in order.
+func TestTraceConcurrentUse(t *testing.T) {
+	tb := NewTraceBuffer(64)
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 2000; j++ {
+				tb.Emit(Event{Type: EventPoint, Scope: "flow", Name: "n", ID: strings.Repeat("x", j%200)})
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for j := 0; j < 200; j++ {
+			ch, cancel := tb.Subscribe(8)
+			var prev uint64
+			for k := 0; k < 4; k++ {
+				select {
+				case ev := <-ch:
+					if ev.Seq <= prev {
+						t.Errorf("a subscription got seq %d after %d", ev.Seq, prev)
+					}
+					prev = ev.Seq
+				default:
+				}
+			}
+			cancel()
+		}
+	}()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		evs := tb.Events()
+		for i := 1; i < len(evs); i++ {
+			if evs[i].Seq != evs[i-1].Seq+1 {
+				t.Fatalf("a read holds seq %d after %d", evs[i].Seq, evs[i-1].Seq)
+			}
+		}
+	}
+	if tb.Len() != 64 {
+		t.Fatalf("Len = %d, want 64", tb.Len())
 	}
 }
