@@ -485,6 +485,9 @@ func (d *Decoder) fail(msg string) {
 // uvarint reads the uvarint at pos from the payload in whichever form
 // it is held.
 func (d *Decoder) uvarint() (uint64, int) {
+	if d.data != nil && d.pos < d.end && d.data[d.pos] < 0x80 {
+		return uint64(d.data[d.pos]), 1 // one byte: most tags and lengths
+	}
 	if d.data == nil {
 		// A varint is at most MaxVarintLen64 bytes: that much copied to
 		// the stack is all binary.Uvarint needs to see.
@@ -573,8 +576,9 @@ func (d *Decoder) Str() string { return d.strAt(d.bytesSpan()) }
 // Blob reads the current field as raw bytes. The slice aliases the
 // payload; copy it to retain past the payload's lifetime. (A payload
 // held in a string has no bytes to alias: the field is copied out.)
-func (d *Decoder) Blob() []byte {
-	sp := d.bytesSpan()
+func (d *Decoder) Blob() []byte { return d.blobAt(d.bytesSpan()) }
+
+func (d *Decoder) blobAt(sp span) []byte {
 	if d.data == nil {
 		return []byte(d.str[sp.off:sp.end])
 	}
@@ -594,6 +598,9 @@ func (d *Decoder) bytesSpan() span {
 
 // Sym reads the current field through the string table.
 func (d *Decoder) Sym() string { return d.strAt(d.symSpan()) }
+
+// SymBlob is Sym as raw bytes, which alias the payload as Blob's do.
+func (d *Decoder) SymBlob() []byte { return d.blobAt(d.symSpan()) }
 
 func (d *Decoder) symSpan() span {
 	if d.err != nil {
@@ -748,6 +755,15 @@ func NextFrame(data []byte, off int) (Frame, error) {
 func NewFieldsDecoder(data []byte, off, end int) Decoder {
 	s := string(data[off:end])
 	return Decoder{str: s, end: len(s)}
+}
+
+// View positions d at the fields data[off:end] of a frame (Frame.Body,
+// Frame.End) and reads them where they lie: Blob and SymBlob alias data,
+// and Str and Sym copy each value. A decoder keeps the symbol table it
+// borrowed, so one decoder walks frame after frame on one borrow;
+// Release gives it back after the last.
+func (d *Decoder) View(data []byte, off, end int) {
+	*d = Decoder{data: data, pos: off, end: end, syms: d.syms[:0], table: d.table}
 }
 
 func checkFrameHeader(magic, version byte, off int64) error {

@@ -154,6 +154,28 @@ type Engine struct {
 	vcat    *vdata.Catalog
 	vremote VdataRemote
 	vlocate VdataLocator
+	// steps holds each operation type's per-step series (opSeries),
+	// resolved in the registry once per type.
+	steps sync.Map
+}
+
+// opSeries are the series every step of one operation type updates.
+type opSeries struct {
+	steps   *obs.Counter   // matrix_steps_total{op}
+	seconds *obs.Histogram // matrix_step_seconds{op}
+}
+
+// stepSeries returns the per-step series of operation type op.
+func (e *Engine) stepSeries(op string) *opSeries {
+	if s, ok := e.steps.Load(op); ok {
+		return s.(*opSeries)
+	}
+	o := e.Obs()
+	s, _ := e.steps.LoadOrStore(op, &opSeries{
+		steps:   o.Counter("matrix_steps_total", "op", op),
+		seconds: o.Histogram("matrix_step_seconds", "op", op),
+	})
+	return s.(*opSeries)
 }
 
 // NewEngine creates an engine over the grid with default configuration.

@@ -550,11 +550,12 @@ func (ex *Execution) runStep(ps *planStep, n *node, parent *Scope, c *OpContext)
 	op := ps.op.typ
 	started := ex.now()
 	n.setState(StateRunning, started)
-	o.Counter("matrix_steps_total", "op", op).Inc()
+	series := ex.engine.stepSeries(op)
+	series.steps.Inc()
 	o.StartSpan("step", st.Name, n.id, obs.Attr{Key: "op", Value: op})
 	finish := func(state State) {
 		now := ex.now()
-		o.Histogram("matrix_step_seconds", "op", op).Observe(now.Sub(started).Seconds())
+		series.seconds.Observe(now.Sub(started).Seconds())
 		o.EndSpan("step", st.Name, n.id, obs.Attr{Key: "op", Value: op}, obs.Attr{Key: "state", Value: string(state)})
 	}
 	ex.engine.record(provenance.Record{

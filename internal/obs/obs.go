@@ -119,8 +119,10 @@ func (h *Histogram) Count() int64 {
 // Registry holds one process's (or one grid's) metrics and its trace
 // stream. The zero value is not usable; call NewRegistry.
 type Registry struct {
+	// now is the clock, read without the lock: every span and many
+	// histograms read it.
+	now      atomic.Pointer[func() time.Time]
 	mu       sync.RWMutex
-	now      func() time.Time
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
@@ -128,15 +130,16 @@ type Registry struct {
 }
 
 // NewRegistry returns an empty registry stamping with the wall clock and
-// a trace ring buffer of DefaultTraceCap events.
+// a trace ring buffer of DefaultTraceCap events, which takes memory only
+// as events arrive.
 func NewRegistry() *Registry {
 	r := &Registry{
-		now:      time.Now,
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 		trace:    NewTraceBuffer(DefaultTraceCap),
 	}
+	r.SetNow(time.Now)
 	return r
 }
 
@@ -151,19 +154,10 @@ func Default() *Registry { return std }
 
 // SetNow replaces the registry's time source (e.g. a sim.VirtualClock's
 // Now) so snapshots and trace events carry simulated timestamps.
-func (r *Registry) SetNow(now func() time.Time) {
-	r.mu.Lock()
-	r.now = now
-	r.mu.Unlock()
-}
+func (r *Registry) SetNow(now func() time.Time) { r.now.Store(&now) }
 
 // Now returns the registry's current time.
-func (r *Registry) Now() time.Time {
-	r.mu.RLock()
-	now := r.now
-	r.mu.RUnlock()
-	return now()
-}
+func (r *Registry) Now() time.Time { return (*r.now.Load())() }
 
 // Trace returns the registry's trace-event stream.
 func (r *Registry) Trace() *TraceBuffer { return r.trace }
@@ -316,7 +310,7 @@ type Snapshot struct {
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	snap := Snapshot{At: r.now()}
+	snap := Snapshot{At: r.Now()}
 
 	ckeys := sortedKeys(r.counters)
 	for _, k := range ckeys {

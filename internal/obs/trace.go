@@ -1,7 +1,10 @@
 package obs
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -114,65 +117,146 @@ func (e *Event) UnmarshalJSON(data []byte) error {
 // overwrites its oldest event when full, and a subscriber whose channel
 // is full loses the event (counted in Dropped). This keeps the
 // observability path incapable of stalling the engine it observes.
+//
+// The ring holds its events as bytes (appendEvent) in chunks it owns:
+// the garbage collector never scans them, no string an emitter passed
+// stays alive in them, and the chunks grow with what the ring holds, so
+// a ring that never emits costs only its header. Events decodes them
+// back; a subscriber is sent the event as emitted.
 type TraceBuffer struct {
-	mu      sync.Mutex
-	ring    []Event
-	start   int // index of oldest event
-	n       int // events currently in ring
-	seq     uint64
-	subs    map[int]chan Event
-	nextSub int
+	mu  sync.Mutex
+	max int // the most events the ring holds
+	// chunks hold the events, oldest first, each chunk filled up to its
+	// length; an event never spans two chunks. head is where the oldest
+	// event starts in chunks[0].
+	chunks [][]byte
+	head   int
+	// spare is an emptied chunk, kept for the next one the ring starts,
+	// so that a full ring emits without allocating.
+	spare []byte
+	n     int    // events currently in the ring
+	seq   uint64 // the sequence number of the newest event
+	// subs is rebuilt, never edited, by Subscribe and cancel.
+	subs    []chan Event
 	dropped atomic.Uint64
 }
 
+// A ring's first chunk takes traceChunkMin bytes, some sixty events,
+// and each chunk after it twice the one before, up to traceChunkMax: a
+// default ring fills in about sixteen allocations. An event larger than
+// that gets a chunk of its own size, which is not kept for reuse.
+const (
+	traceChunkMin = 4 << 10
+	traceChunkMax = 16 << 10
+)
+
 // NewTraceBuffer returns a ring holding the last `capacity` events
-// (minimum 1).
+// (minimum 1). It allocates nothing until the first event.
 func NewTraceBuffer(capacity int) *TraceBuffer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &TraceBuffer{ring: make([]Event, capacity), subs: make(map[int]chan Event)}
+	return &TraceBuffer{max: max(capacity, 1)}
 }
 
 // Emit appends the event, assigning its sequence number (and stamping
 // Time with the wall clock only if the caller left it zero). The
-// completed event is returned.
+// completed event is returned, its Time as the UTC instant the ring
+// keeps.
 func (b *TraceBuffer) Emit(ev Event) Event {
+	b.emit(&ev)
+	return ev
+}
+
+// emit is Emit completing the caller's event in place.
+func (b *TraceBuffer) emit(ev *Event) {
 	if ev.Time.IsZero() {
 		ev.Time = time.Now()
 	}
+	ev.Time = ev.Time.UTC()
+	bound := eventBound(ev)
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	b.seq++
 	ev.Seq = b.seq
-	if b.n < len(b.ring) {
-		b.ring[(b.start+b.n)%len(b.ring)] = ev
-		b.n++
-	} else {
-		b.ring[b.start] = ev
-		b.start = (b.start + 1) % len(b.ring)
+	if b.n == b.max {
+		b.dropOldest()
 	}
-	subs := make([]chan Event, 0, len(b.subs))
+	last := b.room(bound)
+	b.chunks[last] = appendEvent(b.chunks[last], ev)
+	b.n++
+	// The fan-out runs under the lock, so a cancel cannot close a
+	// channel between reading the list and sending on it.
 	for _, ch := range b.subs {
-		subs = append(subs, ch)
-	}
-	b.mu.Unlock()
-	for _, ch := range subs {
 		select {
-		case ch <- ev:
+		case ch <- *ev:
 		default:
 			b.dropped.Add(1)
 		}
 	}
-	return ev
 }
 
-// Events snapshots the buffered events, oldest first.
+// room returns the index of the chunk that has room for size more
+// bytes, starting a chunk when the last one lacks it. Caller holds b.mu.
+func (b *TraceBuffer) room(size int) int {
+	if k := len(b.chunks); k > 0 && cap(b.chunks[k-1])-len(b.chunks[k-1]) >= size {
+		return k - 1
+	}
+	var c []byte
+	if cap(b.spare) >= size {
+		c, b.spare = b.spare, nil
+	} else {
+		next := traceChunkMin
+		if k := len(b.chunks); k > 0 {
+			next = min(2*cap(b.chunks[k-1]), traceChunkMax)
+		}
+		c = make([]byte, 0, max(size, next))
+	}
+	b.chunks = append(b.chunks, c)
+	return len(b.chunks) - 1
+}
+
+// dropOldest forgets the oldest event, and its chunk once nothing of it
+// is left. Caller holds b.mu.
+func (b *TraceBuffer) dropOldest() {
+	c := b.chunks[0]
+	size, k := binary.Uvarint(c[b.head:])
+	b.head += k + int(size)
+	b.n--
+	if b.head < len(c) {
+		return
+	}
+	b.head = 0
+	if cap(c) <= traceChunkMax {
+		b.spare = c[:0]
+	}
+	copy(b.chunks, b.chunks[1:])
+	b.chunks[len(b.chunks)-1] = nil
+	b.chunks = b.chunks[:len(b.chunks)-1]
+}
+
+// Events snapshots the buffered events, oldest first. Their strings are
+// slices of one copy of the ring's bytes.
 func (b *TraceBuffer) Events() []Event {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	out := make([]Event, 0, b.n)
-	for i := 0; i < b.n; i++ {
-		out = append(out, b.ring[(b.start+i)%len(b.ring)])
+	out := make([]Event, b.n)
+	if b.n == 0 {
+		return out
+	}
+	total := -b.head
+	for _, c := range b.chunks {
+		total += len(c)
+	}
+	var all strings.Builder
+	all.Grow(total)
+	all.Write(b.chunks[0][b.head:])
+	for _, c := range b.chunks[1:] {
+		all.Write(c)
+	}
+	r := eventReader{s: all.String()}
+	seq := b.seq - uint64(b.n)
+	for i := range out {
+		seq++
+		r.event(&out[i])
+		out[i].Seq = seq
 	}
 	return out
 }
@@ -189,28 +273,139 @@ func (b *TraceBuffer) Len() int {
 // channel; events emitted while the channel is full are dropped, never
 // blocked on.
 func (b *TraceBuffer) Subscribe(buf int) (<-chan Event, func()) {
-	if buf < 1 {
-		buf = 1
-	}
-	ch := make(chan Event, buf)
+	ch := make(chan Event, max(buf, 1))
 	b.mu.Lock()
-	id := b.nextSub
-	b.nextSub++
-	b.subs[id] = ch
+	b.subs = append(slices.Clip(b.subs), ch)
 	b.mu.Unlock()
 	cancel := func() {
 		b.mu.Lock()
-		if _, ok := b.subs[id]; ok {
-			delete(b.subs, id)
+		defer b.mu.Unlock()
+		if i := slices.Index(b.subs, ch); i >= 0 {
+			b.subs = slices.Delete(slices.Clone(b.subs), i, i+1)
 			close(ch)
 		}
-		b.mu.Unlock()
 	}
 	return ch, cancel
 }
 
 // Dropped returns how many events were lost to full subscriber channels.
 func (b *TraceBuffer) Dropped() uint64 { return b.dropped.Load() }
+
+// An event's bytes in the ring: the length of the rest, then a code
+// byte, the time as Unix seconds (zigzag) and nanoseconds, and the
+// strings, each a uvarint length and its bytes — the type's own text
+// only when the code does not name it, then scope, name, id and each
+// attribute's key and value. Varints are little-endian base 128, as
+// encoding/binary writes them. The sequence number is not stored: the
+// ring's events are consecutive, ending at its newest.
+//
+// The code's low two bits name the type (typeCodes), 0 for any other;
+// the bits above them count the attributes.
+var typeCodes = [...]string{1: EventStart, 2: EventEnd, 3: EventPoint}
+
+func typeCode(typ string) byte {
+	for c := byte(1); c < byte(len(typeCodes)); c++ {
+		if typeCodes[c] == typ {
+			return c
+		}
+	}
+	return 0
+}
+
+// eventBound is at least the number of bytes appendEvent writes for ev:
+// the code byte, the strings, and the most a varint takes for the
+// length, the two time fields and each string's length.
+func eventBound(ev *Event) int {
+	n := 1 + 7*binary.MaxVarintLen64 + len(ev.Type) + len(ev.Scope) + len(ev.Name) + len(ev.ID)
+	for i := range ev.attrs {
+		n += 2*binary.MaxVarintLen64 + len(ev.attrs[i].Key) + len(ev.attrs[i].Value)
+	}
+	return n
+}
+
+// appendEvent appends ev's bytes to b, which has room for them
+// (eventBound).
+func appendEvent(b []byte, ev *Event) []byte {
+	code, attrs := typeCode(ev.Type), byte(0)
+	for i := range ev.attrs {
+		if ev.attrs[i].Key != "" {
+			attrs++
+		}
+	}
+	at := len(b)
+	b = append(b, 0, code|attrs<<2) // the length, patched below
+	b = binary.AppendUvarint(b, zigzag(ev.Time.Unix()))
+	b = binary.AppendUvarint(b, uint64(ev.Time.Nanosecond()))
+	if code == 0 {
+		b = appendStr(b, ev.Type)
+	}
+	b = appendStr(appendStr(appendStr(b, ev.Scope), ev.Name), ev.ID)
+	for i := range ev.attrs {
+		if a := &ev.attrs[i]; a.Key != "" {
+			b = appendStr(appendStr(b, a.Key), a.Value)
+		}
+	}
+	n := len(b) - at - 1
+	if n < 0x80 {
+		b[at] = byte(n)
+		return b
+	}
+	// A length past one byte: move the event up to make room for it.
+	var tmp [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(tmp[:], uint64(n))
+	b = append(b, tmp[1:k]...)
+	copy(b[at+k:], b[at+1:at+1+n])
+	copy(b[at:], tmp[:k])
+	return b
+}
+
+func appendStr(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
+
+// eventReader decodes events from a copy of the ring's bytes.
+type eventReader struct {
+	s string
+	i int
+}
+
+func (r *eventReader) uvarint() uint64 {
+	var v uint64
+	for shift := 0; ; shift += 7 {
+		c := r.s[r.i]
+		r.i++
+		v |= uint64(c&0x7f) << shift
+		if c < 0x80 {
+			return v
+		}
+	}
+}
+
+func (r *eventReader) str() string {
+	n := int(r.uvarint())
+	r.i += n
+	return r.s[r.i-n : r.i]
+}
+
+// event decodes the next event into ev, all but its sequence number.
+func (r *eventReader) event(ev *Event) {
+	r.uvarint() // the length: the fields delimit themselves
+	code := r.s[r.i]
+	r.i++
+	u := r.uvarint()
+	sec := int64(u>>1) ^ -int64(u&1)
+	ev.Time = time.Unix(sec, int64(r.uvarint())).UTC()
+	if ev.Type = typeCodes[code&3]; code&3 == 0 {
+		ev.Type = r.str()
+	}
+	ev.Scope, ev.Name, ev.ID = r.str(), r.str(), r.str()
+	for i := 0; i < int(code>>2); i++ {
+		ev.attrs[i].Key = r.str()
+		ev.attrs[i].Value = r.str()
+	}
+}
 
 // span emits one event stamped with the registry's clock. attrs are
 // copied into the event, so a caller's argument list stays on its stack.
@@ -219,7 +414,7 @@ func (r *Registry) span(typ, scope, name, id string, attrs []Attr) {
 	if copy(ev.attrs[:], attrs) < len(attrs) {
 		panic("obs: too many attributes for one trace event")
 	}
-	r.trace.Emit(ev)
+	r.trace.emit(&ev)
 }
 
 // StartSpan emits an EventStart stamped with the registry's clock.

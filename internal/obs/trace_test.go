@@ -136,6 +136,14 @@ func TestSpanAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(100, emit); got != 0 {
 		t.Errorf("three span events, no subscriber: %.0f allocations, want 0", got)
 	}
+	ch, cancel := r.Trace().Subscribe(1024)
+	defer cancel()
+	if got := testing.AllocsPerRun(100, emit); got != 0 {
+		t.Errorf("three span events, one subscriber: %.0f allocations, want 0", got)
+	}
+	if len(ch) == 0 {
+		t.Error("the subscriber was sent nothing")
+	}
 }
 
 // TestTraceConcurrentUse: emitters, readers and subscribers that come
@@ -191,4 +199,30 @@ func TestTraceConcurrentUse(t *testing.T) {
 	if tb.Len() != 64 {
 		t.Fatalf("Len = %d, want 64", tb.Len())
 	}
+}
+
+// BenchmarkTraceEmit emits a step's end span into a full default ring,
+// and reads the ring back whole.
+func BenchmarkTraceEmit(b *testing.B) {
+	r := NewRegistry()
+	emit := func() {
+		r.EndSpan("step", "put", "dgf-000001/f/put", Attr{"op", "ingest"}, Attr{"state", "succeeded"})
+	}
+	for i := 0; i < DefaultTraceCap; i++ {
+		emit()
+	}
+	b.Run("emit", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			emit()
+		}
+	})
+	b.Run("events", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if len(r.Trace().Events()) != DefaultTraceCap {
+				b.Fatal("the ring is not full")
+			}
+		}
+	})
 }

@@ -241,7 +241,7 @@ func FuzzOpen(f *testing.F) {
 	})
 }
 
-// FuzzRecordRoundTrip: a record survives AppendRecord/DecodeRecord in a
+// FuzzRecordRoundTrip: a record survives AppendRecord and a store's read in a
 // log frame, and always encodes to the same bytes. A zero time stays
 // zero, and an empty Detail decodes as nil, as it was absent.
 func FuzzRecordRoundTrip(f *testing.F) {
@@ -273,23 +273,23 @@ func FuzzRecordRoundTrip(f *testing.F) {
 		if err != nil || fr.Type != codec.MsgProv || fr.End != len(b) {
 			t.Fatalf("the frame does not parse: %+v, %v", fr, err)
 		}
-		d := codec.NewFieldsDecoder(b, fr.Body, fr.End)
-		var got Record
-		DecodeRecord(&d, &got)
-		if err := d.Err(); err != nil || !reflect.DeepEqual(got, want) {
+		var w walker
+		defer w.release()
+		err = w.read(b, fr.Body, fr.End)
+		if got := w.record(); err != nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("round trip: %+v, %v; want %+v", got, err, want)
 		}
 	})
 }
 
-// TestAppendDetailAllocs: a retaining store copies each record's detail
-// into its slab, so what an append allocates is the records slice's
-// growth and a slab chunk now and then — far below one allocation a
-// record — and the caller's pairs stay where the caller built them. A
-// closed store allocates nothing at all. A file-backed store encodes the
-// record with a pooled encoder and writes the frame as it is; the build
-// that wrote JSON lines spent 11.0 allocations on this record, in
-// json.Marshal and the map its detail marshalled through.
+// TestAppendDetailAllocs: a retaining store encodes each record with an
+// encoder of its own and copies the frame into its chunks, so what an
+// append allocates is a chunk now and then — far below one allocation a record
+// — and the caller's pairs stay where the caller built them. A closed
+// store allocates nothing at all. A file-backed store also writes the
+// frame as it is; the build that wrote JSON lines spent 11.0 allocations
+// on this record, in json.Marshal and the map its detail marshalled
+// through.
 func TestAppendDetailAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not meaningful under -race")

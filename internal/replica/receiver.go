@@ -19,7 +19,7 @@ type ReceiverConfig struct {
 	Dir string
 	// Binary is ignored: a replica store is binary, its segments the
 	// blocks its owner shipped. The field goes once the benchmark stops
-	// setting it (ROADMAP item 2).
+	// setting it (ROADMAP item 16).
 	Binary bool
 	// Forward delivers a chain-mode frame to the next hop. Optional;
 	// nil disables chain forwarding (the chain truncates here).

@@ -92,7 +92,7 @@ func ParseAckMode(s string) (AckMode, error) {
 // binary record frames, the bytes a binary segment holds. The binary
 // argument is ignored — a block is always binary, since a follower
 // refuses any other — and goes once the benchmark stops passing it
-// (ROADMAP item 2).
+// (ROADMAP item 16).
 func EncodeBlock(recs []store.Record, binary bool) ([]byte, error) {
 	return encodeBlock(len(recs), func(i int) *store.Record { return &recs[i] }), nil
 }

@@ -631,6 +631,63 @@ func TestSenderCoalescesContiguousFrames(t *testing.T) {
 	}
 }
 
+// TestOutboxSizedByBacklog: a follower's outbox holds no array until a
+// frame waits, and keeps none past outboxKeep jobs once a burst that
+// queued behind a slow round trip has gone out in one frame.
+func TestOutboxSizedByBacklog(t *testing.T) {
+	reg := obs.NewRegistry()
+	recv := newTestReceiver(t, reg)
+	gate := make(chan struct{})
+	first := make(chan struct{})
+	var once sync.Once
+	s := NewSender(SenderConfig{
+		Source: "own",
+		Mode:   ModeAsync,
+		Send: func(peer string, f Frame) (Ack, error) {
+			once.Do(func() { close(first) })
+			<-gate
+			return recv.Apply(f), nil
+		},
+		Obs: reg,
+	})
+	t.Cleanup(s.Close)
+	s.SetFollowers([]string{"f1"})
+	ob := s.outbox["f1"]
+	arrays := func() (int, int) {
+		ob.mu.Lock()
+		defer ob.mu.Unlock()
+		return cap(ob.jobs), cap(ob.spare)
+	}
+	if q, spare := arrays(); q != 0 || spare != 0 {
+		t.Fatalf("an idle outbox holds arrays of %d and %d jobs, want none", q, spare)
+	}
+	s.Replicate(taps(1, snapRec("r1")))
+	<-first
+	const burst = 4 * outboxKeep
+	for i := 2; i <= burst+1; i++ {
+		s.Replicate(taps(uint64(i), snapRec(fmt.Sprintf("r%d", i))))
+	}
+	close(gate)
+	waitAcked(t, s, "f1", burst+1)
+	if got := reg.Counter("repl_frames_sent_total").Value(); got != burst+1 {
+		t.Fatalf("repl_frames_sent_total = %d, want %d", got, burst+1)
+	}
+	if got := reg.Counter("repl_frames_coalesced_total").Value(); got != 1 {
+		t.Fatalf("the burst went out in %d coalesced frames, want 1", got)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		q, spare := arrays()
+		if q <= outboxKeep && spare <= outboxKeep {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after the burst the outbox keeps arrays of %d and %d jobs, want at most %d", q, spare, outboxKeep)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestSenderSetFollowersReplacesSet(t *testing.T) {
 	recv := newTestReceiver(t, nil)
 	s := senderTo(t, recv, ModeQuorum, nil, nil)

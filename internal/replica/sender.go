@@ -57,12 +57,64 @@ type Sender struct {
 	timers sync.Pool // stopped *time.Timer, for the ack waits
 }
 
+// An outbox is one follower's queue of frames. Its array grows with
+// the backlog, up to QueueDepth jobs, and the worker takes the whole
+// queue in one swap.
 type outbox struct {
-	peer    string
-	jobs    chan senderJob
+	peer string
+	mu   sync.Mutex
+	jobs []senderJob
+	// spare is the array the worker gave back after its last batch, for
+	// the next swap; one that grew past outboxKeep jobs is dropped.
+	spare []senderJob
+	// wake holds one token while jobs wait for the worker.
+	wake    chan struct{}
 	quit    chan struct{}
 	done    chan struct{}
 	lastAck atomic.Uint64
+}
+
+// outboxKeep is the largest queue array an outbox keeps between
+// batches: a burst's backlog is not held on to once it is sent.
+const outboxKeep = 64
+
+// push queues j unless depth jobs already wait, and wakes the worker.
+func (ob *outbox) push(j senderJob, depth int) bool {
+	ob.mu.Lock()
+	if len(ob.jobs) >= depth {
+		ob.mu.Unlock()
+		return false
+	}
+	ob.jobs = append(ob.jobs, j)
+	ob.mu.Unlock()
+	select {
+	case ob.wake <- struct{}{}:
+	default: // a wake-up is already pending
+	}
+	return true
+}
+
+// take swaps out everything queued; nil when nothing is.
+func (ob *outbox) take() []senderJob {
+	ob.mu.Lock()
+	defer ob.mu.Unlock()
+	if len(ob.jobs) == 0 {
+		return nil
+	}
+	jobs := ob.jobs
+	ob.jobs, ob.spare = ob.spare, nil
+	return jobs
+}
+
+// giveBack returns a taken array, emptied, for a later swap.
+func (ob *outbox) giveBack(jobs []senderJob) {
+	clear(jobs)
+	if cap(jobs) > outboxKeep {
+		return
+	}
+	ob.mu.Lock()
+	ob.spare = jobs[:0]
+	ob.mu.Unlock()
 }
 
 type senderJob struct {
@@ -104,7 +156,7 @@ func (s *Sender) SetFollowers(names []string) {
 		if s.outbox[n] == nil {
 			ob := &outbox{
 				peer: n,
-				jobs: make(chan senderJob, s.cfg.QueueDepth),
+				wake: make(chan struct{}, 1),
 				quit: make(chan struct{}),
 				done: make(chan struct{}),
 			}
@@ -238,10 +290,9 @@ func (s *Sender) Replicate(batch []store.TapRecord) func() {
 	}
 	enqueued := 0
 	for _, ob := range targets {
-		select {
-		case ob.jobs <- senderJob{frame: f, ack: ack}:
+		if ob.push(senderJob{frame: f, ack: ack}, s.cfg.QueueDepth) {
 			enqueued++
-		default:
+		} else {
 			// Outbox full: the follower is too far behind for streaming.
 			// Drop — the gap it sees next forces a snapshot re-sync.
 			s.count("repl_frames_dropped_total", "peer", ob.peer)
@@ -322,70 +373,66 @@ func (s *Sender) run(ob *outbox) {
 		select {
 		case <-ob.quit:
 			// Unblock any Replicate still waiting on queued jobs.
-			for {
-				select {
-				case j := <-ob.jobs:
-					if j.ack != nil {
-						j.ack <- false
-					}
-				default:
-					return
+			for _, j := range ob.take() {
+				if j.ack != nil {
+					j.ack <- false
 				}
 			}
-		case j := <-ob.jobs:
-			s.drainBatch(ob, j)
+			return
+		case <-ob.wake:
+			s.drainBatch(ob)
 		}
 	}
 }
 
-// drainBatch delivers one job plus everything that queued behind it
-// while the previous round trip was in flight — coalescing contiguous
-// append frames into one frame per round trip. This is group commit
-// applied to the network: without it, delivery is one RTT per store
-// group commit and the owner's append throughput caps at 1/RTT; with
-// it, the RTT amortizes over however many batches accumulated, the
-// same way the fsync it mirrors amortizes over concurrent appenders.
-func (s *Sender) drainBatch(ob *outbox, first senderJob) {
-	run := []senderJob{first}
-	flush := func() {
-		if len(run) == 0 {
-			return
-		}
-		f := run[0].frame
-		if len(run) > 1 {
-			merged := make([]byte, 0, len(f.Block)*len(run))
-			merged = append(merged, f.Block...)
-			for _, j := range run[1:] {
-				merged = append(merged, j.frame.Block...)
-				f.Count += j.frame.Count
+// drainBatch delivers everything queued, taking the whole queue in one
+// swap, and again whatever queued behind it while its round trips were
+// in flight — coalescing contiguous append frames into one frame per
+// round trip. This is group commit applied to the network: without it,
+// delivery is one RTT per store group commit and the owner's append
+// throughput caps at 1/RTT; with it, the RTT amortizes over however
+// many batches accumulated, the same way the fsync it mirrors amortizes
+// over concurrent appenders.
+func (s *Sender) drainBatch(ob *outbox) {
+	for jobs := ob.take(); len(jobs) > 0; jobs = ob.take() {
+		for start := 0; start < len(jobs); {
+			// A run ends at a non-append or non-contiguous frame: blocks
+			// only concatenate when the records are consecutive in the
+			// durable order.
+			end := start + 1
+			for ; end < len(jobs); end++ {
+				last, j := jobs[end-1].frame, jobs[end].frame
+				if !(last.Op == OpAppend && j.Op == OpAppend &&
+					j.Seq == last.Seq+uint64(last.Count) &&
+					sameChain(jobs[start].frame.Chain, j.Chain)) {
+					break
+				}
 			}
-			f.Block = merged
-			s.count("repl_frames_coalesced_total")
+			s.deliverRun(ob, jobs[start:end])
+			start = end
 		}
-		ok := s.deliver(ob, f)
-		for _, j := range run {
-			if j.ack != nil {
-				j.ack <- ok
-			}
-		}
-		run = run[:0]
+		ob.giveBack(jobs)
 	}
-	for {
-		select {
-		case j := <-ob.jobs:
-			last := run[len(run)-1].frame
-			if !(last.Op == OpAppend && j.frame.Op == OpAppend &&
-				j.frame.Seq == last.Seq+uint64(last.Count) &&
-				sameChain(run[0].frame.Chain, j.frame.Chain)) {
-				// Non-contiguous or non-append: flush what we have and
-				// start a fresh run (blocks only concatenate when the
-				// records are consecutive in the durable order).
-				flush()
-			}
-			run = append(run, j)
-		default:
-			flush()
-			return
+}
+
+// deliverRun sends a run of contiguous jobs as one frame and answers
+// each job's ack.
+func (s *Sender) deliverRun(ob *outbox, run []senderJob) {
+	f := run[0].frame
+	if len(run) > 1 {
+		merged := make([]byte, 0, len(f.Block)*len(run))
+		merged = append(merged, f.Block...)
+		for _, j := range run[1:] {
+			merged = append(merged, j.frame.Block...)
+			f.Count += j.frame.Count
+		}
+		f.Block = merged
+		s.count("repl_frames_coalesced_total")
+	}
+	ok := s.deliver(ob, f)
+	for _, j := range run {
+		if j.ack != nil {
+			j.ack <- ok
 		}
 	}
 }

@@ -31,7 +31,7 @@ type Options struct {
 	// Engine.SetStore attaches its registry when nil.
 	Obs *obs.Registry
 	// Binary is ignored: every segment is binary frames. It stays only
-	// because the contract benchmark sets it; ROADMAP item 2 removes it
+	// because the contract benchmark sets it; ROADMAP item 16 removes it
 	// with replica.ReceiverConfig.Binary.
 	Binary bool
 }
@@ -96,6 +96,9 @@ type Store struct {
 	tapQueue []TapRecord
 	tapSpare []TapRecord
 	tapWaits []chan struct{}
+	// series holds the per-record metric series by handle; SetObs
+	// resets it.
+	series recordSeries
 }
 
 // pendingRec is one written-but-not-yet-synced record awaiting its
@@ -297,11 +300,34 @@ func (s *Store) SetObs(reg *obs.Registry) {
 	if s.active != nil {
 		s.active.SetObs(reg)
 	}
+	s.series = recordSeries{}
 	if reg != nil {
 		reg.Gauge("store_recovery_replay_records").Set(int64(s.replayed))
 		reg.Gauge("store_segments").Set(int64(len(s.segs)))
 		reg.Gauge("store_passivated").Set(int64(s.passive))
 	}
+}
+
+// recordSeries are the series countLocked updates on every record, held
+// by handle: each is resolved in the registry the first time it is
+// updated.
+type recordSeries struct {
+	records    [len(recordTypes)]*obs.Counter // store_records_total{type}
+	passivated *obs.Gauge                     // store_passivated
+}
+
+// recordsCounter returns the store_records_total series of typ. Caller
+// holds s.mu.
+func (s *Store) recordsCounter(typ string) *obs.Counter {
+	for i, t := range recordTypes {
+		if t == typ {
+			if s.series.records[i] == nil {
+				s.series.records[i] = s.opt.Obs.Counter("store_records_total", "type", typ)
+			}
+			return s.series.records[i]
+		}
+	}
+	return s.opt.Obs.Counter("store_records_total", "type", typ)
 }
 
 // Dir returns the store directory.
@@ -465,15 +491,15 @@ func (s *Store) write(recs []Record, wait bool) error {
 		return nil
 	}
 	enc := codec.GetEncoder()
-	defer codec.PutEncoder(enc)
 	for i := range recs {
 		before := enc.Len()
 		codec.AppendRecordFrame(enc, &recs[i])
 		if err := checkRecordSize(&recs[i], enc.Len()-before); err != nil {
+			codec.PutEncoder(enc)
 			return err
 		}
 	}
-	return s.appendBlock(enc.Bytes(), recs, wait)
+	return s.appendBlock(enc, recs, wait)
 }
 
 // checkRecordSize refuses a record whose frame replay would reject as
@@ -490,10 +516,13 @@ func checkRecordSize(rec *Record, n int) error {
 	return nil
 }
 
-// appendBlock appends one serialized block covering recs (in order) and,
-// if wait is set, blocks until its group commit. The caller owns the
-// block buffer; it is not retained past the write.
-func (s *Store) appendBlock(block []byte, recs []Record, wait bool) error {
+// appendBlock appends the serialized block enc holds, covering recs (in
+// order), and, if wait is set, blocks until its group commit. enc goes
+// back to the pool as soon as the block is written, before any wait:
+// appenders waiting on a sync hold no encoder, so the pool stays as
+// small as the number of writes at once, and a collection that empties
+// it costs that many encoders to make again, not one per waiter.
+func (s *Store) appendBlock(enc *codec.Encoder, recs []Record, wait bool) error {
 	// Deliver whatever this append (or a rotation inside it) proved
 	// durable to the replication tap once the store lock is released.
 	// In quorum/chain ack modes the tap blocks until followers ack, so
@@ -507,7 +536,8 @@ func (s *Store) appendBlock(block []byte, recs []Record, wait bool) error {
 		}
 	}()
 	s.mu.Lock()
-	gw, ticket, rotated, err := s.writeLocked(block, len(recs))
+	gw, ticket, rotated, err := s.writeLocked(enc.Bytes(), len(recs))
+	codec.PutEncoder(enc) // the write keeps nothing of the block
 	flush = flush || rotated
 	if err != nil {
 		s.mu.Unlock()
@@ -671,11 +701,14 @@ func (s *Store) countLocked(typ string) {
 		s.sinceSnap++
 	}
 	if reg := s.opt.Obs; reg != nil {
-		reg.Counter("store_records_total", "type", typ).Inc()
+		s.recordsCounter(typ).Inc()
 		if typ == TypeExecSnap {
 			reg.Counter("store_snapshots_total").Inc()
 		}
-		reg.Gauge("store_passivated").Set(int64(s.passive))
+		if s.series.passivated == nil {
+			s.series.passivated = reg.Gauge("store_passivated")
+		}
+		s.series.passivated.Set(int64(s.passive))
 	}
 }
 

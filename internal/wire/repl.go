@@ -41,7 +41,7 @@ type ReplicationConfig struct {
 	// Binary is ignored: the link ships binary record frames and a
 	// replica store is written from them as they came
 	// (docs/REPLICATION.md). The field goes once the benchmark stops
-	// setting it (ROADMAP item 2).
+	// setting it (ROADMAP item 16).
 	Binary bool
 	// AckTimeout bounds quorum/chain waits (default 2s).
 	AckTimeout time.Duration
