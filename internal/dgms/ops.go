@@ -1,18 +1,34 @@
 package dgms
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
+	"strings"
+	"time"
 
 	"datagridflow/internal/namespace"
 	"datagridflow/internal/provenance"
 	"datagridflow/internal/vfs"
 )
 
-// physicalID derives the id an object's replica uses inside a resource's
-// flat store. Logical paths are unique grid-wide, so the path itself is a
-// valid physical id; keeping them equal makes debugging dumps readable.
-func physicalID(path string) string { return path }
+// putCopy writes a copy of an object to res under id, the object's
+// clean logical path, and returns the id it used and the simulated write
+// time. Keeping physical ids equal to logical paths makes debugging dumps
+// readable, but a move leaves physical ids alone: a moved object's copies
+// still carry its old path. When such a copy holds id on res, the new
+// copy is written under the first free id~N instead. The common case
+// costs nothing more than the Put.
+func putCopy(res *vfs.Resource, id string, size int64, data []byte, now time.Time) (string, time.Duration, error) {
+	d, err := res.Put(id, size, data, now)
+	for n := 1; errors.Is(err, vfs.ErrExists); n++ {
+		minted := id + "~" + strconv.Itoa(n)
+		if d, err = res.Put(minted, size, data, now); err == nil {
+			return minted, d, nil
+		}
+	}
+	return id, d, err
+}
 
 // CreateCollection creates one collection level; the user needs write
 // permission on the parent.
@@ -87,27 +103,31 @@ func (g *Grid) Ingest(user, path string, size int64, data []byte, resource strin
 	ev.set("resource", resource)
 	ev.set("size", strconv.FormatInt(size, 10))
 	err = g.publish2(&ev, func() error {
-		if err := g.ns.CreateObject(path, user, res.Domain(), size, g.clock.Now()); err != nil {
+		// The namespace's copy of the clean path is the one copy the
+		// catalog keeps: the object's name, its physical id and the
+		// resource's key.
+		clean, err := g.ns.NewObject(path, user, res.Domain(), size, g.clock.Now())
+		if err != nil {
 			return err
 		}
-		d, err := res.Put(physicalID(path), size, data, g.clock.Now())
+		id, d, err := putCopy(res, clean, size, data, g.clock.Now())
 		if err != nil {
-			_ = g.ns.Remove(path) // roll back the logical entry
+			_ = g.ns.Remove(clean) // roll back the logical entry
 			return err
 		}
 		g.clock.Sleep(d)
-		g.meter.Charge(resource, d, size)
-		rep := namespace.Replica{Resource: resource, PhysicalID: physicalID(path), StoredAt: g.clock.Now()}
+		g.meter.Charge(res.Name(), d, size)
+		rep := namespace.Replica{Resource: resource, PhysicalID: id, StoredAt: g.clock.Now()}
 		if g.checksumOnIngest {
-			sum, cd, err := res.Checksum(physicalID(path))
+			sum, cd, err := res.Checksum(id)
 			if err != nil {
 				return err
 			}
 			g.clock.Sleep(cd)
-			g.meter.Charge(resource, cd, size)
+			g.meter.Charge(res.Name(), cd, size)
 			rep.Checksum = sum
 		}
-		return g.ns.AddReplica(path, rep)
+		return g.ns.AddReplica(clean, rep)
 	})
 	if err != nil {
 		g.recordErr(user, "ingest", path, err)
@@ -189,18 +209,22 @@ func (g *Grid) ReplicateFrom(user, path, fromResource, toResource string) error 
 			return err
 		}
 		g.clock.Sleep(td)
-		wd, err := dst.Put(physicalID(path), info.Size, data, g.clock.Now())
+		id, wd, err := putCopy(dst, copyID(path, srcRep.PhysicalID), info.Size, data, g.clock.Now())
 		if err != nil {
 			return err
 		}
 		g.clock.Sleep(wd)
-		g.meter.Charge(toResource, wd, info.Size)
-		return g.ns.AddReplica(path, namespace.Replica{
+		g.meter.Charge(dst.Name(), wd, info.Size)
+		err = g.ns.AddReplica(path, namespace.Replica{
 			Resource:   toResource,
-			PhysicalID: physicalID(path),
+			PhysicalID: id,
 			Checksum:   srcRep.Checksum,
 			StoredAt:   g.clock.Now(),
 		})
+		if err != nil {
+			_, _ = dst.Delete(id) // the object already has a copy there: drop this one
+		}
+		return err
 	})
 	if err != nil {
 		g.recordErr(user, "replicate", path, err)
@@ -208,6 +232,19 @@ func (g *Grid) ReplicateFrom(user, path, fromResource, toResource string) error 
 	}
 	g.record(user, "replicate", path, provenance.OutcomeOK, "", ev.Details()...)
 	return nil
+}
+
+// copyID returns the id a new copy of the object at path is first put
+// under: its clean path. That is the source copy's id, the string the
+// catalog already keeps, unless the object was moved or registered in
+// place; only then is the path copied, so the catalog keeps no caller's
+// buffer.
+func copyID(path, srcID string) string {
+	clean, _ := namespace.CleanPath(path) // the permission check cleaned it before
+	if clean == srcID {
+		return srcID
+	}
+	return strings.Clone(clean)
 }
 
 // sourceReplica resolves the replica to read from: the named resource
@@ -275,7 +312,7 @@ func (g *Grid) Trim(user, path, resource string, force bool) error {
 			return err
 		}
 		g.clock.Sleep(d)
-		g.meter.Charge(resource, d, 0)
+		g.meter.Charge(res.Name(), d, 0)
 		return g.ns.RemoveReplica(path, resource)
 	})
 	if err != nil {
@@ -332,7 +369,7 @@ func (g *Grid) Migrate(user, path, fromResource, toResource string) error {
 // into the logical namespace without moving bytes — the SRB deployment
 // model: "multiple independent organizations deploy the SRB middleware
 // on top of their existing physical storage resources without any
-// changes to the existing system". The physical object (by physicalID)
+// changes to the existing system". The physical object (by physID)
 // must exist on the resource; its size is taken from the store and a
 // digest is recorded when ChecksumOnIngest is on.
 func (g *Grid) RegisterInPlace(user, path, resource, physID string) error {
@@ -362,7 +399,7 @@ func (g *Grid) RegisterInPlace(user, path, resource, physID string) error {
 		if err := g.ns.CreateObject(path, user, res.Domain(), info.Size, g.clock.Now()); err != nil {
 			return err
 		}
-		rep := namespace.Replica{Resource: resource, PhysicalID: physID, StoredAt: g.clock.Now()}
+		rep := namespace.Replica{Resource: resource, PhysicalID: strings.Clone(physID), StoredAt: g.clock.Now()}
 		if g.checksumOnIngest {
 			sum, cd, err := res.Checksum(physID)
 			if err != nil {
@@ -370,7 +407,7 @@ func (g *Grid) RegisterInPlace(user, path, resource, physID string) error {
 				return err
 			}
 			g.clock.Sleep(cd)
-			g.meter.Charge(resource, cd, info.Size)
+			g.meter.Charge(res.Name(), cd, info.Size)
 			rep.Checksum = sum
 		}
 		if err := g.ns.AddReplica(path, rep); err != nil {

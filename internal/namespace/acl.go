@@ -47,10 +47,11 @@ func (ns *Namespace) SetPermission(path, user string, p Perm) error {
 	if err != nil {
 		return err
 	}
-	if n.acl == nil {
-		n.acl = make(map[string]Perm)
+	x := n.extension()
+	if x.acl == nil {
+		x.acl = make(map[string]Perm)
 	}
-	n.acl[user] = p
+	x.acl[user] = p
 	return nil
 }
 
@@ -72,16 +73,17 @@ func (ns *Namespace) Permission(path, user string) (Perm, error) {
 	defer ns.mu.RUnlock()
 	eff := PermNone
 	_, _, n, err := ns.find(clean, path, func(a *node) {
-		if p, ok := a.acl[user]; ok {
+		acl := a.grants()
+		if p, ok := acl[user]; ok {
 			eff = p // deepest explicit grant wins
-		} else if p, ok := a.acl[Wildcard]; ok {
+		} else if p, ok := acl[Wildcard]; ok {
 			eff = p
 		}
 	})
 	if err != nil {
 		return PermNone, err
 	}
-	if n.owner == user {
+	if n.who.owner == user {
 		return PermOwn, nil
 	}
 	return eff, nil

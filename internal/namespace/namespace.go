@@ -22,12 +22,12 @@ type Replica struct {
 	// Checksum is the MD5 recorded at write time; the zero value means
 	// it was never computed.
 	Checksum vfs.Digest
-	// StoredAt is when the replica was created (simulated time).
+	// StoredAt is when the replica was created (simulated time), in UTC.
 	StoredAt time.Time
 }
 
 // EntryKind distinguishes collections from data objects.
-type EntryKind int
+type EntryKind uint8
 
 // Entry kinds.
 const (
@@ -45,7 +45,7 @@ func (k EntryKind) String() string {
 
 // Entry is a read-only view of a namespace node, returned by lookups and
 // listings. Maps and slices are copies; mutating them does not affect the
-// namespace.
+// namespace. Times are in UTC.
 type Entry struct {
 	Path     string
 	Kind     EntryKind
@@ -57,18 +57,100 @@ type Entry struct {
 	Replicas []Replica // objects only
 }
 
+// node is one entry of the tree. It does not hold its own name: the
+// children map of its collection does. An object's name there is a
+// suffix of its clean path as the namespace copied it, which NewObject
+// hands back for the caller to keep as the object's physical id.
 type node struct {
-	name     string
 	kind     EntryKind
-	owner    string
-	domain   string
+	who      *principal // interned (owner, domain)
 	size     int64
-	created  time.Time
+	created  vfs.Stamp
 	meta     []metaPair // sorted by key; nil until the first SetMeta: most entries are never tagged
-	replicas []Replica  // on replica0 until a second replica spills it to the heap
-	replica0 [1]Replica
+	replica0 replica    // the first replica; there is none while its res is nil
+	ext      *nodeExt   // every collection's; an object's once it is granted or given a second replica
+}
+
+// nodeExt is what most objects never need. A collection's is allocated
+// together with its node.
+type nodeExt struct {
 	children map[string]*node // collections only
 	acl      map[string]Perm  // explicit grants; inherited from ancestors
+	more     []replica        // the replicas after the first, in order; on one until there are two
+	one      [1]replica
+}
+
+// principal is an (owner, domain) pair, interned per namespace.
+type principal struct{ owner, domain string }
+
+// replica is a Replica as a node keeps it: the resource name interned,
+// the time as a stamp.
+type replica struct {
+	res *string
+	id  string
+	sum vfs.Digest
+	at  vfs.Stamp
+}
+
+func (r *replica) export() Replica {
+	return Replica{Resource: *r.res, PhysicalID: r.id, Checksum: r.sum, StoredAt: r.at.Time()}
+}
+
+// children returns a collection's children; an object has none.
+func (n *node) children() map[string]*node {
+	if n.ext == nil {
+		return nil
+	}
+	return n.ext.children
+}
+
+// grants returns n's explicit grants, nil when it has none.
+func (n *node) grants() map[string]Perm {
+	if n.ext == nil {
+		return nil
+	}
+	return n.ext.acl
+}
+
+// extension returns n's nodeExt, allocating it on first use.
+func (n *node) extension() *nodeExt {
+	if n.ext == nil {
+		n.ext = &nodeExt{}
+	}
+	return n.ext
+}
+
+// replicaCount returns how many replicas n has.
+func (n *node) replicaCount() int {
+	switch {
+	case n.replica0.res == nil:
+		return 0
+	case n.ext == nil:
+		return 1
+	default:
+		return 1 + len(n.ext.more)
+	}
+}
+
+// replicaAt returns n's i'th replica, for i below replicaCount.
+func (n *node) replicaAt(i int) *replica {
+	if i == 0 {
+		return &n.replica0
+	}
+	return &n.ext.more[i-1]
+}
+
+// replicas returns n's replica records, nil when it has none.
+func (n *node) replicas() []Replica {
+	k := n.replicaCount()
+	if k == 0 {
+		return nil
+	}
+	out := make([]Replica, k)
+	for i := range out {
+		out[i] = n.replicaAt(i).export()
+	}
+	return out
 }
 
 // metaPair is one user-defined metadata attribute of a node.
@@ -91,21 +173,19 @@ func (n *node) getMeta(attr string) (string, bool) {
 
 func (n *node) entry(path string) Entry {
 	e := Entry{
-		Path:    path,
-		Kind:    n.kind,
-		Owner:   n.owner,
-		Domain:  n.domain,
-		Size:    n.size,
-		Created: n.created,
+		Path:     path,
+		Kind:     n.kind,
+		Owner:    n.who.owner,
+		Domain:   n.who.domain,
+		Size:     n.size,
+		Created:  n.created.Time(),
+		Replicas: n.replicas(),
 	}
 	if len(n.meta) > 0 {
 		e.Metadata = make(map[string]string, len(n.meta))
 		for _, p := range n.meta {
 			e.Metadata[p.key] = p.value
 		}
-	}
-	if len(n.replicas) > 0 {
-		e.Replicas = append([]Replica(nil), n.replicas...)
 	}
 	return e
 }
@@ -114,18 +194,43 @@ func (n *node) entry(path string) Entry {
 type Namespace struct {
 	mu   sync.RWMutex
 	root *node
+	// principals and resources intern what nodes point at: each distinct
+	// (owner, domain) pair and replica resource name is copied once, when
+	// first seen, and kept for the namespace's life.
+	principals map[principal]*principal
+	resources  map[string]*string
 }
 
 // New returns a namespace containing only the root collection, owned by
 // the given administrator.
 func New(admin string) *Namespace {
-	return &Namespace{root: &node{
-		name:     "/",
-		kind:     KindCollection,
-		owner:    admin,
-		children: make(map[string]*node),
-		acl:      map[string]Perm{admin: PermOwn},
-	}}
+	ns := &Namespace{principals: make(map[principal]*principal), resources: make(map[string]*string)}
+	ns.root = ns.newCollection(admin, "", time.Time{})
+	ns.root.ext.acl = map[string]Perm{admin: PermOwn}
+	return ns
+}
+
+// principal returns the interned (owner, domain) pair. Caller must hold
+// the write lock.
+func (ns *Namespace) principal(owner, domain string) *principal {
+	if p := ns.principals[principal{owner, domain}]; p != nil {
+		return p
+	}
+	p := &principal{strings.Clone(owner), strings.Clone(domain)}
+	ns.principals[*p] = p
+	return p
+}
+
+// resource returns the interned resource name. Caller must hold the
+// write lock.
+func (ns *Namespace) resource(name string) *string {
+	if p := ns.resources[name]; p != nil {
+		return p
+	}
+	p := new(string)
+	*p = strings.Clone(name)
+	ns.resources[*p] = p
+	return p
 }
 
 // descend walks the canonical path clean from the root, one component
@@ -151,7 +256,7 @@ func (ns *Namespace) descend(clean string, visit func(*node)) (parent *node, nam
 			end = i + j
 		}
 		parent, name = n, clean[i:end]
-		if n = parent.children[name]; n == nil {
+		if n = parent.ext.children[name]; n == nil {
 			if end < len(clean) {
 				return nil, "", nil, ErrNotFound
 			}
@@ -189,30 +294,13 @@ func (ns *Namespace) resolve(path string) (*node, error) {
 	return n, err
 }
 
-// insert files n under parent as name. The name is cloned, at creation
-// only and never on lookup: CleanPath returns a canonical argument
-// untouched, so name is a substring of whatever the caller passed — an
-// interpolated parameter, a decoded request document — and a node must
-// not keep that whole buffer alive.
+// insert files n under parent as name, in a copy of its own. Names are
+// copied at creation only and never on lookup: CleanPath returns a
+// canonical argument untouched, so name is a substring of whatever the
+// caller passed — an interpolated parameter, a decoded request document
+// — and the tree must not keep that whole buffer alive.
 func (parent *node) insert(name string, n *node) {
-	n.name = strings.Clone(name)
-	parent.children[n.name] = n
-}
-
-// createAt is the shared body of MkCollection and CreateObject: one walk
-// finds the parent collection and the free name, then n goes in.
-func (ns *Namespace) createAt(clean string, n *node) error {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	parent, name, existing, err := ns.descend(clean, nil)
-	if err != nil {
-		return fmt.Errorf("%w: %s", err, Parent(clean))
-	}
-	if existing != nil {
-		return fmt.Errorf("%w: %s", ErrExists, clean)
-	}
-	parent.insert(name, n)
-	return nil
+	parent.ext.children[strings.Clone(name)] = n
 }
 
 // MkCollection creates a collection at path; the parent must exist.
@@ -224,17 +312,40 @@ func (ns *Namespace) MkCollection(path, owner, domain string, now time.Time) err
 	if clean == "/" {
 		return fmt.Errorf("%w: /", ErrExists)
 	}
-	return ns.createAt(clean, newCollection(owner, domain, now))
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
+	parent, name, err := ns.freeName(clean)
+	if err != nil {
+		return err
+	}
+	parent.insert(name, ns.newCollection(owner, domain, now))
+	return nil
 }
 
-func newCollection(owner, domain string, now time.Time) *node {
-	return &node{
-		kind:     KindCollection,
-		owner:    owner,
-		domain:   domain,
-		created:  now,
-		children: make(map[string]*node),
+// freeName is the walk MkCollection and NewObject share: it finds the
+// parent collection of clean and the name it is free under there.
+// Caller must hold the write lock.
+func (ns *Namespace) freeName(clean string) (parent *node, name string, err error) {
+	parent, name, existing, err := ns.descend(clean, nil)
+	if err != nil {
+		return nil, "", fmt.Errorf("%w: %s", err, Parent(clean))
 	}
+	if existing != nil {
+		return nil, "", fmt.Errorf("%w: %s", ErrExists, clean)
+	}
+	return parent, name, nil
+}
+
+// newCollection returns an empty collection, allocated with its
+// nodeExt. Caller must hold the write lock.
+func (ns *Namespace) newCollection(owner, domain string, now time.Time) *node {
+	c := &struct {
+		n node
+		x nodeExt
+	}{}
+	c.x.children = make(map[string]*node)
+	c.n = node{kind: KindCollection, who: ns.principal(owner, domain), created: vfs.StampOf(now), ext: &c.x}
+	return &c.n
 }
 
 // MkCollectionAll creates a collection and any missing ancestors, like
@@ -251,9 +362,9 @@ func (ns *Namespace) MkCollectionAll(path, owner, domain string, now time.Time) 
 		if cur.kind != KindCollection {
 			return fmt.Errorf("%w: %s", ErrNotCollection, part)
 		}
-		next, ok := cur.children[part]
+		next, ok := cur.ext.children[part]
 		if !ok {
-			next = newCollection(owner, domain, now)
+			next = ns.newCollection(owner, domain, now)
 			cur.insert(part, next)
 		}
 		cur = next
@@ -268,23 +379,40 @@ func (ns *Namespace) MkCollectionAll(path, owner, domain string, now time.Time) 
 // exist. The object starts with no replicas; the DGMS adds one per
 // physical copy it writes.
 func (ns *Namespace) CreateObject(path, owner, domain string, size int64, now time.Time) error {
+	_, err := ns.NewObject(path, owner, domain, size, now)
+	return err
+}
+
+// NewObject is CreateObject returning the object's clean path in the
+// namespace's own copy, the one its name in the tree is cut from. A
+// caller that keeps the path — as a replica's physical id, as a
+// resource's key — shares that copy instead of keeping the buffer path
+// may have been cut from.
+func (ns *Namespace) NewObject(path, owner, domain string, size int64, now time.Time) (string, error) {
 	clean, err := CleanPath(path)
 	if err != nil {
-		return err
+		return "", err
 	}
 	if clean == "/" {
-		return fmt.Errorf("%w: cannot create object at /", ErrBadPath)
+		return "", fmt.Errorf("%w: cannot create object at /", ErrBadPath)
 	}
 	if size < 0 {
-		return fmt.Errorf("%w: negative size", ErrBadPath)
+		return "", fmt.Errorf("%w: negative size", ErrBadPath)
 	}
-	return ns.createAt(clean, &node{
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
+	parent, name, err := ns.freeName(clean)
+	if err != nil {
+		return "", err
+	}
+	own := strings.Clone(clean)
+	parent.ext.children[own[len(own)-len(name):]] = &node{
 		kind:    KindObject,
-		owner:   owner,
-		domain:  domain,
+		who:     ns.principal(owner, domain),
 		size:    size,
-		created: now,
-	})
+		created: vfs.StampOf(now),
+	}
+	return own, nil
 }
 
 // Lookup returns the entry at path.
@@ -324,8 +452,9 @@ func (ns *Namespace) List(path string) ([]Entry, error) {
 	if n.kind != KindCollection {
 		return nil, fmt.Errorf("%w: %s", ErrNotCollection, clean)
 	}
-	names := make([]string, 0, len(n.children))
-	for name := range n.children {
+	children := n.children()
+	names := make([]string, 0, len(children))
+	for name := range children {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -335,7 +464,7 @@ func (ns *Namespace) List(path string) ([]Entry, error) {
 		base = ""
 	}
 	for _, name := range names {
-		out = append(out, n.children[name].entry(base+"/"+name))
+		out = append(out, children[name].entry(base+"/"+name))
 	}
 	return out, nil
 }
@@ -369,8 +498,9 @@ func walkNode(n *node, path string, fn func(n *node, path string) error) error {
 	if n.kind != KindCollection {
 		return nil
 	}
-	names := make([]string, 0, len(n.children))
-	for name := range n.children {
+	children := n.children()
+	names := make([]string, 0, len(children))
+	for name := range children {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -379,7 +509,7 @@ func walkNode(n *node, path string, fn func(n *node, path string) error) error {
 		base = ""
 	}
 	for _, name := range names {
-		if err := walkNode(n.children[name], base+"/"+name, fn); err != nil {
+		if err := walkNode(children[name], base+"/"+name, fn); err != nil {
 			return err
 		}
 	}
@@ -401,7 +531,7 @@ func (ns *Namespace) Remove(path string) error {
 	if n.kind != KindObject {
 		return fmt.Errorf("%w: %s", ErrNotObject, clean)
 	}
-	delete(parent.children, name)
+	delete(parent.ext.children, name)
 	return nil
 }
 
@@ -424,10 +554,10 @@ func (ns *Namespace) RemoveCollection(path string, recursive bool) error {
 	if n.kind != KindCollection {
 		return fmt.Errorf("%w: %s", ErrNotCollection, clean)
 	}
-	if !recursive && len(n.children) > 0 {
+	if !recursive && len(n.children()) > 0 {
 		return fmt.Errorf("%w: %s", ErrNotEmpty, clean)
 	}
-	delete(parent.children, name)
+	delete(parent.ext.children, name)
 	return nil
 }
 
@@ -456,21 +586,20 @@ func (ns *Namespace) Move(src, dst string) error {
 	if err != nil {
 		return err
 	}
-	dstParent, dstName, existing, err := ns.descend(cd, nil)
+	dstParent, dstName, err := ns.freeName(cd)
 	if err != nil {
-		return fmt.Errorf("%w: %s", err, Parent(cd))
+		return err
 	}
-	if existing != nil {
-		return fmt.Errorf("%w: %s", ErrExists, cd)
-	}
-	delete(srcParent.children, srcName)
+	delete(srcParent.ext.children, srcName)
 	dstParent.insert(dstName, n)
 	return nil
 }
 
 // AddReplica appends a replica record to the object at path. Duplicate
 // (resource) entries are rejected: the grid keeps at most one replica of
-// an object per logical resource.
+// an object per logical resource. The resource name is interned; the
+// physical id is kept as given, so a caller whose id is cut from a larger
+// buffer passes a copy — NewObject's path is one.
 func (ns *Namespace) AddReplica(path string, rep Replica) error {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
@@ -478,15 +607,22 @@ func (ns *Namespace) AddReplica(path string, rep Replica) error {
 	if err != nil {
 		return err
 	}
-	for _, r := range n.replicas {
-		if r.Resource == rep.Resource {
+	k := n.replicaCount()
+	for i := 0; i < k; i++ {
+		if *n.replicaAt(i).res == rep.Resource {
 			return fmt.Errorf("%w: replica of %s on %s", ErrExists, path, rep.Resource)
 		}
 	}
-	if n.replicas == nil {
-		n.replicas = n.replica0[:0]
+	r := replica{res: ns.resource(rep.Resource), id: rep.PhysicalID, sum: rep.Checksum, at: vfs.StampOf(rep.StoredAt)}
+	if k == 0 {
+		n.replica0 = r
+		return nil
 	}
-	n.replicas = append(n.replicas, rep)
+	x := n.extension()
+	if x.more == nil {
+		x.more = x.one[:0]
+	}
+	x.more = append(x.more, r)
 	return nil
 }
 
@@ -498,11 +634,20 @@ func (ns *Namespace) RemoveReplica(path, resource string) error {
 	if err != nil {
 		return err
 	}
-	for i, r := range n.replicas {
-		if r.Resource == resource {
-			n.replicas = slices.Delete(n.replicas, i, i+1)
-			return nil
+	for i := 0; i < n.replicaCount(); i++ {
+		if *n.replicaAt(i).res != resource {
+			continue
 		}
+		switch {
+		case n.replicaCount() == 1:
+			n.replica0 = replica{}
+		case i == 0:
+			n.replica0 = n.ext.more[0]
+			n.ext.more = slices.Delete(n.ext.more, 0, 1)
+		default:
+			n.ext.more = slices.Delete(n.ext.more, i-1, i)
+		}
+		return nil
 	}
 	return fmt.Errorf("%w: replica of %s on %s", ErrNotFound, path, resource)
 }
@@ -515,7 +660,7 @@ func (ns *Namespace) Replicas(path string) ([]Replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	return append([]Replica(nil), n.replicas...), nil
+	return n.replicas(), nil
 }
 
 // FirstReplica returns the first replica record of the object at path,
@@ -525,10 +670,10 @@ func (ns *Namespace) FirstReplica(path string) (Replica, bool, error) {
 	ns.mu.RLock()
 	defer ns.mu.RUnlock()
 	n, err := ns.objectNode(path)
-	if err != nil || len(n.replicas) == 0 {
+	if err != nil || n.replicaCount() == 0 {
 		return Replica{}, false, err
 	}
-	return n.replicas[0], true, nil
+	return n.replica0.export(), true, nil
 }
 
 func (ns *Namespace) objectNode(path string) (*node, error) {
@@ -547,6 +692,10 @@ func (ns *Namespace) objectNode(path string) (*node, error) {
 }
 
 // SetMeta sets one user-defined metadata attribute on the entry at path.
+// Unlike names and owners, the attribute and its value are kept as
+// given, not copied: a copy per re-tag would cost the engine_dag flow
+// some 32 allocations an op. A caller whose strings are cut from a
+// larger buffer keeps that buffer alive as long as the tag stands.
 func (ns *Namespace) SetMeta(path, attr, value string) error {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
@@ -611,11 +760,11 @@ func (n *node) count(s *Stats) {
 	if n.kind == KindObject {
 		s.Objects++
 		s.TotalBytes += n.size
-		s.Replicas += len(n.replicas)
+		s.Replicas += n.replicaCount()
 		return
 	}
 	s.Collections++
-	for _, c := range n.children {
+	for _, c := range n.children() {
 		c.count(s)
 	}
 }

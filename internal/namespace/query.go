@@ -56,9 +56,9 @@ func (n *node) attr(name, path string) (string, bool) {
 	case "path":
 		return path, true
 	case "owner":
-		return n.owner, true
+		return n.who.owner, true
 	case "domain":
-		return n.domain, true
+		return n.who.domain, true
 	case "kind":
 		return n.kind.String(), true
 	case "size":

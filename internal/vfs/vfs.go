@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -117,13 +118,62 @@ func (d Digest) String() string {
 // IsZero reports whether d is the zero value, no digest.
 func (d Digest) IsZero() bool { return d == Digest{} }
 
-// object is a stored object's record, kept by value under its id.
+// Stamp is a time kept as Unix nanoseconds, so a record that holds one
+// holds no pointer. It spans the years 1678 to 2262; the zero Time has a
+// stamp of its own and comes back as the zero Time. Other times come
+// back as the same instant (Equal) in UTC.
+type Stamp int64
+
+// noStamp is the zero Time's stamp.
+const noStamp Stamp = math.MinInt64
+
+// StampOf returns t's stamp.
+func StampOf(t time.Time) Stamp {
+	if t.IsZero() {
+		return noStamp
+	}
+	return Stamp(t.UnixNano())
+}
+
+// Time returns the instant s stands for, in UTC.
+func (s Stamp) Time() time.Time {
+	if s == noStamp {
+		return time.Time{}
+	}
+	return time.Unix(0, int64(s)).UTC()
+}
+
+// record is a stored object's entry, kept by value under its id. A
+// synthetic object is its size and time alone: its digest is computed
+// from id and size on each Checksum, which costs no allocation.
+type record struct {
+	size     int64
+	storedAt Stamp
+	body     *body // nil for a synthetic object that was never corrupted
+}
+
+// body is what only some objects have: real bytes with their cached
+// digest, or the corruption mark of a damaged synthetic object.
+type body struct {
+	data      []byte // nil for a synthetic object
+	checksum  Digest // computed lazily for real bytes
+	corrupted bool   // bit-rot marker for content with no byte to flip
+}
+
+// object is what an object's digest is computed from.
 type object struct {
 	size      int64
-	storedAt  time.Time
 	data      []byte // nil for synthetic objects
-	checksum  Digest // computed lazily
-	corrupted bool   // bit-rot marker for content with no byte to flip
+	corrupted bool
+}
+
+// content returns what rec's digest is computed from.
+func (rec *record) content() object {
+	o := object{size: rec.size}
+	if rec.body != nil {
+		o.data, o.corrupted = rec.body.data, rec.body.corrupted
+	}
+	return o
 }
 
 // Resource is one simulated physical storage system. It is safe for
@@ -138,7 +188,7 @@ type Resource struct {
 	offline  bool
 	capacity int64
 	used     int64
-	objects  map[string]object
+	objects  map[string]record
 	reads    int64
 	writes   int64
 }
@@ -152,7 +202,7 @@ func New(name, domain string, class Class, capacity int64) *Resource {
 		class:    class,
 		profile:  DefaultProfile(class),
 		capacity: capacity,
-		objects:  make(map[string]object),
+		objects:  make(map[string]record),
 	}
 }
 
@@ -248,12 +298,11 @@ func (r *Resource) Put(id string, size int64, data []byte, now time.Time) (time.
 	if r.capacity > 0 && r.used+size > r.capacity {
 		return 0, fmt.Errorf("%w: %s needs %d, free %d", ErrCapacity, r.name, size, r.capacity-r.used)
 	}
-	var stored []byte
+	rec := record{size: size, storedAt: StampOf(now)}
 	if data != nil {
-		stored = make([]byte, len(data))
-		copy(stored, data)
+		rec.body = &body{data: append(make([]byte, 0, len(data)), data...)}
 	}
-	r.objects[id] = object{size: size, storedAt: now, data: stored}
+	r.objects[id] = rec
 	r.used += size
 	r.writes++
 	return r.writeTime(size), nil
@@ -272,9 +321,8 @@ func (r *Resource) Get(id string) ([]byte, time.Duration, error) {
 		return nil, 0, fmt.Errorf("%w: %s on %s", ErrNotFound, id, r.name)
 	}
 	var out []byte
-	if o.data != nil {
-		out = make([]byte, len(o.data))
-		copy(out, o.data)
+	if data := o.content().data; data != nil {
+		out = append(make([]byte, 0, len(data)), data...)
 	}
 	r.reads++
 	return out, r.readTime(o.size), nil
@@ -304,7 +352,7 @@ func (r *Resource) Stat(id string) (ObjectInfo, bool) {
 	if !ok {
 		return ObjectInfo{}, false
 	}
-	return ObjectInfo{ID: id, Size: o.size, Synthetic: o.data == nil, StoredAt: o.storedAt}, true
+	return ObjectInfo{ID: id, Size: o.size, Synthetic: o.content().data == nil, StoredAt: o.storedAt.Time()}, true
 }
 
 // Checksum returns the MD5 of the object's content, plus the simulated
@@ -322,12 +370,22 @@ func (r *Resource) Checksum(id string) (Digest, time.Duration, error) {
 	if !ok {
 		return Digest{}, 0, fmt.Errorf("%w: %s on %s", ErrNotFound, id, r.name)
 	}
-	if o.checksum.IsZero() {
-		o.checksum = computeChecksum(id, &o)
-		r.objects[id] = o
-	}
 	r.reads++
-	return o.checksum, r.readTime(o.size), nil
+	return o.digest(id), r.readTime(o.size), nil
+}
+
+// digest returns the digest of the object stored as rec under id: real
+// bytes hash once and keep their sum, the pseudo-content is hashed anew.
+func (rec *record) digest(id string) Digest {
+	b := rec.body
+	if b == nil || b.data == nil || b.corrupted {
+		o := rec.content()
+		return computeChecksum(id, &o)
+	}
+	if b.checksum.IsZero() {
+		b.checksum = md5.Sum(b.data)
+	}
+	return b.checksum
 }
 
 func computeChecksum(id string, o *object) Digest {
@@ -357,13 +415,15 @@ func (r *Resource) Corrupt(id string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s on %s", ErrNotFound, id, r.name)
 	}
-	if len(o.data) > 0 {
-		o.data[0] ^= 0xFF
-	} else {
-		o.corrupted = true
+	switch {
+	case o.body == nil:
+		r.objects[id] = record{size: o.size, storedAt: o.storedAt, body: &body{corrupted: true}}
+	case len(o.body.data) > 0:
+		o.body.data[0] ^= 0xFF
+		o.body.checksum = Digest{}
+	default:
+		o.body.corrupted = true
 	}
-	o.checksum = Digest{}
-	r.objects[id] = o
 	return nil
 }
 
