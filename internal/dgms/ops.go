@@ -222,7 +222,7 @@ func (g *Grid) ReplicateFrom(user, path, fromResource, toResource string) error 
 			StoredAt:   g.clock.Now(),
 		})
 		if err != nil {
-			_, _ = dst.Delete(id) // the object already has a copy there: drop this one
+			_, _ = dst.Delete(id) // not recorded (a copy there already, or the object gone): drop it
 		}
 		return err
 	})
@@ -235,10 +235,10 @@ func (g *Grid) ReplicateFrom(user, path, fromResource, toResource string) error 
 }
 
 // copyID returns the id a new copy of the object at path is first put
-// under: its clean path. That is the source copy's id, the string the
-// catalog already keeps, unless the object was moved or registered in
-// place; only then is the path copied, so the catalog keeps no caller's
-// buffer.
+// under: its clean path. That is mostly the source copy's id, a string
+// the catalog already keeps. Only when it is not (the object was moved
+// or registered in place, or the source's id was minted) is the path
+// copied, so that the catalog keeps no caller's buffer.
 func copyID(path, srcID string) string {
 	clean, _ := namespace.CleanPath(path) // the permission check cleaned it before
 	if clean == srcID {

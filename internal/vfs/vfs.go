@@ -10,6 +10,7 @@
 package vfs
 
 import (
+	"bytes"
 	"crypto/md5"
 	"encoding/binary"
 	"encoding/hex"
@@ -300,7 +301,7 @@ func (r *Resource) Put(id string, size int64, data []byte, now time.Time) (time.
 	}
 	rec := record{size: size, storedAt: StampOf(now)}
 	if data != nil {
-		rec.body = &body{data: append(make([]byte, 0, len(data)), data...)}
+		rec.body = &body{data: bytes.Clone(data)}
 	}
 	r.objects[id] = rec
 	r.used += size
@@ -320,12 +321,8 @@ func (r *Resource) Get(id string) ([]byte, time.Duration, error) {
 	if !ok {
 		return nil, 0, fmt.Errorf("%w: %s on %s", ErrNotFound, id, r.name)
 	}
-	var out []byte
-	if data := o.content().data; data != nil {
-		out = append(make([]byte, 0, len(data)), data...)
-	}
 	r.reads++
-	return out, r.readTime(o.size), nil
+	return bytes.Clone(o.content().data), r.readTime(o.size), nil
 }
 
 // Delete removes an object; the simulated duration is one latency unit.
@@ -417,7 +414,8 @@ func (r *Resource) Corrupt(id string) error {
 	}
 	switch {
 	case o.body == nil:
-		r.objects[id] = record{size: o.size, storedAt: o.storedAt, body: &body{corrupted: true}}
+		o.body = &body{corrupted: true}
+		r.objects[id] = o
 	case len(o.body.data) > 0:
 		o.body.data[0] ^= 0xFF
 		o.body.checksum = Digest{}
