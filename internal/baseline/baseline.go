@@ -345,7 +345,7 @@ func (c *ClientEngine) execOp(typ string, p map[string]string, env *ScopeEnv) er
 		fmt.Sscanf(orDefault(p["cpuSeconds"], "1"), "%f", &cpu)
 		d := time.Duration(cpu * float64(time.Second))
 		g.Clock().Sleep(d)
-		g.Meter().Charge(orDefault(p["lane"], "client-compute"), d, 0)
+		g.Meter().Charge(orDefault(p["lane"], "client-compute"), d)
 		return nil
 	case dgl.OpSetVariable:
 		if p["name"] == "" {

@@ -26,9 +26,6 @@ type Class struct {
 // Error implements error.
 func (c *Class) Error() string { return c.msg }
 
-// Code returns the stable wire token for the class ("not-found", ...).
-func (c *Class) Code() string { return c.code }
-
 // The error classes. Transient classes (ErrResourceDown, ErrTimeout) are
 // retryable; the rest are permanent and fail fast under a retry policy.
 var (

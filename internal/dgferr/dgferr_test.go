@@ -78,16 +78,16 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for _, c := range classes {
 		err := fmt.Errorf("something failed: %w", c)
 		s := Encode(err)
-		want := "dgferr:" + c.Code() + ": " + err.Error()
+		want := "dgferr:" + c.code + ": " + err.Error()
 		if s != want {
-			t.Errorf("Encode(%s) = %q, want %q", c.Code(), s, want)
+			t.Errorf("Encode(%s) = %q, want %q", c.code, s, want)
 		}
 		back := Decode(s)
 		if !errors.Is(back, c) {
-			t.Errorf("Decode(%q) lost class %s", s, c.Code())
+			t.Errorf("Decode(%q) lost class %s", s, c.code)
 		}
 		if Retryable(back) != Retryable(err) {
-			t.Errorf("retryability changed over the wire for %s", c.Code())
+			t.Errorf("retryability changed over the wire for %s", c.code)
 		}
 	}
 }

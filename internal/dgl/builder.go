@@ -6,7 +6,7 @@ import "strings"
 // ("Programmatic API to define these datagrid ILM ... programmatic
 // interface for interaction by other systems"). It is a fluent layer over
 // the document types: each method returns the builder so flows compose
-// without intermediate variables, and Build validates the result.
+// without intermediate variables.
 
 // FlowBuilder assembles a Flow.
 type FlowBuilder struct {
@@ -21,12 +21,6 @@ func NewFlow(name string) *FlowBuilder {
 // Parallel sets the parallel control pattern.
 func (b *FlowBuilder) Parallel() *FlowBuilder {
 	b.flow.Logic.Control = Parallel
-	return b
-}
-
-// Sequential sets the sequential control pattern (the default).
-func (b *FlowBuilder) Sequential() *FlowBuilder {
-	b.flow.Logic.Control = Sequential
 	return b
 }
 
@@ -139,15 +133,6 @@ func (b *FlowBuilder) SubFlow(sub *FlowBuilder) *FlowBuilder {
 // Flow returns the flow without validating (for composing into a larger
 // document that is validated as a whole).
 func (b *FlowBuilder) Flow() Flow { return b.flow }
-
-// Build validates and returns the flow.
-func (b *FlowBuilder) Build() (*Flow, error) {
-	f := b.flow
-	if err := ValidateFlow(&f, nil); err != nil {
-		return nil, err
-	}
-	return &f, nil
-}
 
 // NewRequest wraps a flow in a DataGridRequest ready for submission.
 func NewRequest(user, vo string, flow Flow) *Request {

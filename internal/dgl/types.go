@@ -305,9 +305,6 @@ var builtinOps = map[string]bool{
 	OpResumeFlow: true,
 }
 
-// IsBuiltinOp reports whether t is one of the built-in operation types.
-func IsBuiltinOp(t string) bool { return builtinOps[t] }
-
 // Param returns the value of the named parameter and whether it is set.
 func (o *Operation) Param(name string) (string, bool) {
 	for _, p := range o.Params {
@@ -316,14 +313,6 @@ func (o *Operation) Param(name string) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// ParamOr returns the named parameter or a default.
-func (o *Operation) ParamOr(name, def string) string {
-	if v, ok := o.Param(name); ok {
-		return v
-	}
-	return def
 }
 
 // Op constructs an Operation from a type and a param map, with

@@ -67,11 +67,6 @@ type Event struct {
 	ndetail int
 }
 
-// Get returns the value of the detail key, or "" when the event has none.
-func (e *Event) Get(key string) string {
-	return provenance.Attrs(e.Details()).Get(key)
-}
-
 // Details returns the event's detail pairs in the order the operation
 // set them.
 func (e *Event) Details() []provenance.Attr {
@@ -85,8 +80,8 @@ func (e *Event) set(key, value string) {
 }
 
 // Handler receives events. Returning a non-nil error from a Before
-// handler vetoes the operation; errors from After handlers are collected
-// by the bus but do not undo the operation (datagrid processes are not
+// handler vetoes the operation; errors from After handlers are ignored,
+// since they cannot undo the operation (datagrid processes are not
 // transactional — paper §2.2).
 type Handler func(Event) error
 
@@ -122,8 +117,6 @@ type Bus struct {
 	subs   []subscription
 	order  DeliveryOrder
 	rng    *sim.Rand
-
-	afterErrs []error
 }
 
 // NewBus returns a bus with deterministic subscription-order delivery.
@@ -172,8 +165,8 @@ func (b *Bus) Unsubscribe(id int64) {
 
 // Publish delivers ev to matching subscribers in the configured order.
 // For Before events the first handler error stops delivery and is
-// returned (the veto). For After events all handlers run; their errors
-// are recorded and retrievable via AfterErrors.
+// returned (the veto). For After events all handlers run and their
+// errors are ignored.
 func (b *Bus) Publish(ev Event) error {
 	b.mu.RLock()
 	matching := make([]subscription, 0, len(b.subs))
@@ -205,31 +198,9 @@ func (b *Bus) Publish(ev Event) error {
 	}
 
 	for _, s := range matching {
-		if err := s.handler(ev); err != nil {
-			if ev.Phase == Before {
-				return err
-			}
-			b.mu.Lock()
-			b.afterErrs = append(b.afterErrs, err)
-			b.mu.Unlock()
+		if err := s.handler(ev); err != nil && ev.Phase == Before {
+			return err
 		}
 	}
 	return nil
-}
-
-// AfterErrors drains and returns errors raised by After handlers since
-// the last call.
-func (b *Bus) AfterErrors() []error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := b.afterErrs
-	b.afterErrs = nil
-	return out
-}
-
-// SubscriberCount returns the number of live subscriptions.
-func (b *Bus) SubscriberCount() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return len(b.subs)
 }

@@ -211,21 +211,6 @@ func (g *Grid) ResourcesInDomain(domain string) []*vfs.Resource {
 	return out
 }
 
-// Domains returns the distinct administrative domains with registered
-// resources, sorted.
-func (g *Grid) Domains() []string {
-	seen := map[string]bool{}
-	for _, r := range g.Resources() {
-		seen[r.Domain()] = true
-	}
-	out := make([]string, 0, len(seen))
-	for d := range seen {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // record appends a provenance record stamped with the grid clock.
 func (g *Grid) record(actor, action, target, outcome, errText string, detail ...provenance.Attr) {
 	_, _ = g.prov.Append(provenance.Record{

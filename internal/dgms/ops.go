@@ -30,16 +30,6 @@ func putCopy(res *vfs.Resource, id string, size int64, data []byte, now time.Tim
 	return id, d, err
 }
 
-// CreateCollection creates one collection level; the user needs write
-// permission on the parent.
-func (g *Grid) CreateCollection(user, path string) error {
-	if err := g.ns.Check(namespace.Parent(path), user, namespace.PermWrite); err != nil {
-		g.recordErr(user, "collection.create", path, err)
-		return err
-	}
-	return g.createCollection(user, path, false)
-}
-
 // CreateCollectionAll creates a collection and any missing ancestors.
 // Permission is checked on the deepest existing ancestor.
 func (g *Grid) CreateCollectionAll(user, path string) error {
@@ -51,16 +41,9 @@ func (g *Grid) CreateCollectionAll(user, path string) error {
 		g.recordErr(user, "collection.create", path, err)
 		return err
 	}
-	return g.createCollection(user, path, true)
-}
-
-func (g *Grid) createCollection(user, path string, all bool) error {
 	domain := g.userDomain(user)
 	err := g.publish2(&Event{Type: EventCollection, Path: path, User: user}, func() error {
-		if all {
-			return g.ns.MkCollectionAll(path, user, domain, g.clock.Now())
-		}
-		return g.ns.MkCollection(path, user, domain, g.clock.Now())
+		return g.ns.MkCollectionAll(path, user, domain, g.clock.Now())
 	})
 	if err != nil {
 		g.recordErr(user, "collection.create", path, err)
@@ -116,7 +99,7 @@ func (g *Grid) Ingest(user, path string, size int64, data []byte, resource strin
 			return err
 		}
 		g.clock.Sleep(d)
-		g.meter.Charge(res.Name(), d, size)
+		g.meter.Charge(res.Name(), d)
 		rep := namespace.Replica{Resource: resource, PhysicalID: id, StoredAt: g.clock.Now()}
 		if g.checksumOnIngest {
 			sum, cd, err := res.Checksum(id)
@@ -124,7 +107,7 @@ func (g *Grid) Ingest(user, path string, size int64, data []byte, resource strin
 				return err
 			}
 			g.clock.Sleep(cd)
-			g.meter.Charge(res.Name(), cd, size)
+			g.meter.Charge(res.Name(), cd)
 			rep.Checksum = sum
 		}
 		return g.ns.AddReplica(clean, rep)
@@ -203,7 +186,7 @@ func (g *Grid) ReplicateFrom(user, path, fromResource, toResource string) error 
 		}
 		info, _ := src.Stat(srcRep.PhysicalID)
 		g.clock.Sleep(rd)
-		g.meter.Charge(srcRep.Resource, rd, info.Size)
+		g.meter.Charge(srcRep.Resource, rd)
 		td, err := g.net.RecordTransfer(src.Domain(), dst.Domain(), info.Size)
 		if err != nil {
 			return err
@@ -214,7 +197,7 @@ func (g *Grid) ReplicateFrom(user, path, fromResource, toResource string) error 
 			return err
 		}
 		g.clock.Sleep(wd)
-		g.meter.Charge(dst.Name(), wd, info.Size)
+		g.meter.Charge(dst.Name(), wd)
 		err = g.ns.AddReplica(path, namespace.Replica{
 			Resource:   toResource,
 			PhysicalID: id,
@@ -312,7 +295,7 @@ func (g *Grid) Trim(user, path, resource string, force bool) error {
 			return err
 		}
 		g.clock.Sleep(d)
-		g.meter.Charge(res.Name(), d, 0)
+		g.meter.Charge(res.Name(), d)
 		return g.ns.RemoveReplica(path, resource)
 	})
 	if err != nil {
@@ -407,7 +390,7 @@ func (g *Grid) RegisterInPlace(user, path, resource, physID string) error {
 				return err
 			}
 			g.clock.Sleep(cd)
-			g.meter.Charge(res.Name(), cd, info.Size)
+			g.meter.Charge(res.Name(), cd)
 			rep.Checksum = sum
 		}
 		if err := g.ns.AddReplica(path, rep); err != nil {
@@ -451,7 +434,7 @@ func (g *Grid) Delete(user, path string) error {
 				return err
 			}
 			g.clock.Sleep(d)
-			g.meter.Charge(rep.Resource, d, 0)
+			g.meter.Charge(rep.Resource, d)
 			if err := g.ns.RemoveReplica(path, rep.Resource); err != nil {
 				return err
 			}
@@ -490,7 +473,7 @@ func (g *Grid) Get(user, fromDomain, path string) ([]byte, error) {
 	}
 	info, _ := res.Stat(rep.PhysicalID)
 	g.clock.Sleep(rd)
-	g.meter.Charge(rep.Resource, rd, info.Size)
+	g.meter.Charge(rep.Resource, rd)
 	if fromDomain != "" && fromDomain != res.Domain() {
 		td, err := g.net.RecordTransfer(res.Domain(), fromDomain, info.Size)
 		if err != nil {
@@ -543,9 +526,8 @@ func (g *Grid) Verify(user, path string) ([]VerifyResult, error) {
 			g.recordErr(user, "verify", path, err)
 			return nil, err
 		}
-		info, _ := res.Stat(rep.PhysicalID)
 		g.clock.Sleep(d)
-		g.meter.Charge(rep.Resource, d, info.Size)
+		g.meter.Charge(rep.Resource, d)
 		ok := rep.Checksum.IsZero() || rep.Checksum == sum
 		out = append(out, VerifyResult{Resource: rep.Resource, Expected: rep.Checksum, Actual: sum, OK: ok})
 	}

@@ -2,6 +2,7 @@ package dgms
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"datagridflow/internal/namespace"
@@ -112,7 +113,8 @@ func TestAccessEventPublished(t *testing.T) {
 	}
 	ev := events[0]
 	if ev.Path != "/grid/data/read-me" || ev.User != "user" ||
-		ev.Get("resource") != "sdsc-disk" || ev.Get("domain") != "cern" {
+		!slices.Contains(ev.Details(), provenance.Attr{Key: "resource", Value: "sdsc-disk"}) ||
+		!slices.Contains(ev.Details(), provenance.Attr{Key: "domain", Value: "cern"}) {
 		t.Errorf("event = %+v", ev)
 	}
 	// Failed reads publish nothing.

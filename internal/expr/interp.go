@@ -197,40 +197,3 @@ func (t *Template) Append(buf []byte, env Env) (s string, out []byte, err error)
 	}
 	return "", buf, nil
 }
-
-// Vars returns the set of variable names referenced by the expression, in
-// no particular order. Validation uses it to flag conditions that mention
-// variables a flow never declares.
-func (e *Expr) Vars() []string {
-	seen := map[string]bool{}
-	var walk func(n node)
-	walk = func(n node) {
-		switch t := n.(type) {
-		case *varNode:
-			seen[t.name] = true
-		case *notNode:
-			walk(t.inner)
-		case *negNode:
-			walk(t.inner)
-		case *logicalNode:
-			walk(t.left)
-			walk(t.right)
-		case *cmpNode:
-			walk(t.left)
-			walk(t.right)
-		case *arithNode:
-			walk(t.left)
-			walk(t.right)
-		case *callNode:
-			for _, a := range t.args {
-				walk(a)
-			}
-		}
-	}
-	walk(e.root)
-	out := make([]string, 0, len(seen))
-	for name := range seen {
-		out = append(out, name)
-	}
-	return out
-}

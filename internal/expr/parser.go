@@ -9,9 +9,6 @@ type Expr struct {
 	root node
 }
 
-// Src returns the original source text of the expression.
-func (e *Expr) Src() string { return e.src }
-
 // String returns the original source text.
 func (e *Expr) String() string { return e.src }
 
@@ -37,16 +34,6 @@ func Parse(src string) (*Expr, error) {
 		return nil, p.errHere("unexpected trailing %q", p.tok.text)
 	}
 	return &Expr{src: src, root: root}, nil
-}
-
-// MustParse is Parse that panics on error; intended for tests and
-// package-level constants.
-func MustParse(src string) *Expr {
-	e, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return e
 }
 
 // Eval evaluates the expression against env. A nil env means no variables

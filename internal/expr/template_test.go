@@ -163,7 +163,10 @@ func TestAsNumberMissAllocs(t *testing.T) {
 		t.Skip("allocation budgets are not meaningful under -race")
 	}
 	env := MapEnv{"it": String("17")}
-	arm := MustParse(`"arm" + ($it % 2)`)
+	arm, err := Parse(`"arm" + ($it % 2)`)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, fn := range map[string]func(){
 		"AsNumber miss":    func() { _, _ = String("arm").AsNumber() },
 		"padded path miss": func() { _, _ = String("  /grid/pre/3.dat ").AsNumber() },

@@ -248,20 +248,3 @@ func (m MapEnv) Lookup(name string) (Value, bool) {
 	v, ok := m[name]
 	return v, ok
 }
-
-// ChainEnv looks up a name in each environment in turn, enabling the
-// nested variable scopes DGL flows require (inner flow shadows outer).
-type ChainEnv []Env
-
-// Lookup implements Env.
-func (c ChainEnv) Lookup(name string) (Value, bool) {
-	for _, e := range c {
-		if e == nil {
-			continue
-		}
-		if v, ok := e.Lookup(name); ok {
-			return v, true
-		}
-	}
-	return Null, false
-}

@@ -212,13 +212,6 @@ func (in *Injector) SetObs(r *obs.Registry) {
 	in.mu.Unlock()
 }
 
-// Plan returns a copy of the injector's schedule.
-func (in *Injector) Plan() Plan {
-	out := Plan{Seed: in.plan.Seed, Events: make([]Event, len(in.plan.Events))}
-	copy(out.Events, in.plan.Events)
-	return out
-}
-
 // count bumps the injection counter for a fired fault.
 func (in *Injector) count(kind Kind) {
 	in.mu.Lock()

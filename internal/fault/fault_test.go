@@ -84,7 +84,7 @@ func TestOutageWindow(t *testing.T) {
 	if err := in.CheckOp("disk1"); err != nil {
 		t.Errorf("before window: %v", err)
 	}
-	clock.Advance(90 * time.Second)
+	clock.Sleep(90 * time.Second)
 	if err := in.CheckOp("disk1"); !errors.Is(err, dgferr.ErrResourceDown) {
 		t.Errorf("inside window: %v, want ErrResourceDown", err)
 	}
@@ -94,7 +94,7 @@ func TestOutageWindow(t *testing.T) {
 	if err := in.CheckOp("disk2"); err != nil {
 		t.Errorf("other target faulted: %v", err)
 	}
-	clock.Advance(time.Minute)
+	clock.Sleep(time.Minute)
 	if err := in.CheckOp("disk1"); err != nil {
 		t.Errorf("after window: %v", err)
 	}
@@ -111,7 +111,7 @@ func TestOpenEndedWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock.Advance(1000 * time.Hour)
+	clock.Sleep(1000 * time.Hour)
 	if err := in.CheckOp("disk1"); !errors.Is(err, dgferr.ErrResourceDown) {
 		t.Errorf("open-ended window lapsed: %v", err)
 	}
@@ -206,14 +206,14 @@ func TestConnFault(t *testing.T) {
 	if drop, _ := in.ConnFault("matrixA"); drop {
 		t.Errorf("dropped before crash window")
 	}
-	clock.Advance(90 * time.Second)
+	clock.Sleep(90 * time.Second)
 	if drop, _ := in.ConnFault("matrixA"); !drop {
 		t.Errorf("survived inside crash window")
 	}
 	if !in.Down("matrixA") {
 		t.Errorf("Down = false during peer crash")
 	}
-	clock.Advance(time.Minute)
+	clock.Sleep(time.Minute)
 	if drop, _ := in.ConnFault("matrixA"); drop {
 		t.Errorf("dropped after restart")
 	}

@@ -409,14 +409,6 @@ func (f *Federation) runLocal(ctx context.Context, req matrix.DelegateRequest) (
 // instead of sleeping through HeartbeatInterval.
 func (f *Federation) Beat() { f.beat() }
 
-// Peers snapshots the latest gossip table — the live federation as the
-// lookup registry last reported it.
-func (f *Federation) Peers() []wire.PeerInfo {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]wire.PeerInfo(nil), f.gossip...)
-}
-
 // Close shuts the federation down deterministically: new delegations
 // decline to local/inline immediately; in-flight ones get DrainGrace to
 // finish, then are cancelled (a serving peer cancels its run when the

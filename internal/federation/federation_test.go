@@ -113,8 +113,11 @@ func TestFederationSpreadsSubflows(t *testing.T) {
 		Config{Policy: &scheduler.RoundRobin{}, HeartbeatInterval: time.Minute})
 	syncBeats(a, b)
 
-	if peers := a.fed.Peers(); len(peers) != 2 {
-		t.Fatalf("gossip = %+v", peers)
+	a.fed.mu.Lock()
+	gossip := append([]wire.PeerInfo(nil), a.fed.gossip...)
+	a.fed.mu.Unlock()
+	if len(gossip) != 2 {
+		t.Fatalf("gossip = %+v", gossip)
 	}
 	ex, err := a.eng.Start("user", fanout(4, 2))
 	if err != nil {

@@ -108,13 +108,6 @@ func (m *ValueModel) Value(path string, created, now time.Time) float64 {
 	return v
 }
 
-// Forget drops the access history of path (e.g. after deletion).
-func (m *ValueModel) Forget(path string) {
-	m.mu.Lock()
-	delete(m.mass, path)
-	m.mu.Unlock()
-}
-
 // Window is a recurring execution window: ILM flows run only inside it.
 // Hours are local to the window's reference clock; StartHour == EndHour
 // means always open; StartHour > EndHour wraps past midnight (the classic
@@ -126,9 +119,6 @@ type Window struct {
 	// For wrapping windows the day is judged at the window's opening.
 	Days []time.Weekday
 }
-
-// AlwaysOpen is the window that never closes.
-var AlwaysOpen = Window{}
 
 func (w Window) dayAllowed(d time.Weekday) bool {
 	if len(w.Days) == 0 {

@@ -14,13 +14,14 @@
 //   - every dgfctl verb must appear in README.md's CLI table (the
 //     table is `dgfctl help -markdown` verbatim);
 //   - every `pkg.X` or `T.X` the documents show in code, where pkg is
-//     one of internal/wire, internal/matrix, internal/store,
-//     internal/codec, internal/provenance or internal/vdata and T an
-//     exported type of one of them, must be an
-//     exported identifier there; and every bare exported name shown as a
-//     code span of its own (`RecoverFromStore`, `SetStore(st)`) must be
-//     exported by some package of the repository (a deleted API cannot
-//     live on in the prose).
+//     a package under internal/ and T an exported type of one, must be
+//     an exported identifier there; and every bare exported name shown
+//     as a code span of its own (`RecoverFromStore`, `SetStore(st)`)
+//     must be exported by some package of the repository (a deleted API
+//     cannot live on in the prose);
+//   - every exported identifier declared under internal/ must have a
+//     user in non-test Go, or be listed with its reason in unused.txt
+//     (unused.go).
 //
 // CI runs it from the repository root in the docs job:
 //
@@ -58,10 +59,6 @@ var (
 	// or more, alone or called: an acronym (XML, TTL) is not a name.
 	bareRe = regexp.MustCompile("^`([A-Z][a-z0-9]+[A-Z]\\w*)(?:\\(.*\\))?`$")
 )
-
-// apiPackages are the packages whose exported API the documents may
-// show qualified, checked name by name.
-var apiPackages = []string{"wire", "matrix", "store", "codec", "provenance", "vdata"}
 
 func main() {
 	root := flag.String("root", ".", "repository root")
@@ -141,6 +138,12 @@ func check(root string) ([]string, error) {
 	}
 	problems = append(problems, refs...)
 
+	unused, err := unusedAPI(root)
+	if err != nil {
+		return nil, err
+	}
+	problems = append(problems, unused...)
+
 	sort.Strings(problems)
 	return problems, nil
 }
@@ -211,14 +214,12 @@ func goAPI(dir, pkg string, tests bool) (api, types map[string]bool, err error) 
 }
 
 // staleRefs reports each identifier the corpus shows in code that the
-// code does not export: a qualified reference into one of apiPackages
-// (a type name another package also declares is ambiguous, and not
-// checked), or a bare name no Go file of the repository declares.
+// code does not export: a qualified reference into a package under
+// internal/ (a type name a package outside internal/ also declares is
+// ambiguous, and not checked), or a bare name no Go file of the
+// repository declares.
 func staleRefs(root, corpus string) ([]string, error) {
-	checked := map[string]bool{}
-	for _, pkg := range apiPackages {
-		checked[filepath.Join(root, "internal", pkg)] = true
-	}
+	internal := filepath.Join(root, "internal") + string(filepath.Separator)
 	api := map[string]bool{}
 	owners := map[string][]string{} // a package or type name -> the checked package(s) declaring it
 	elsewhere := map[string]bool{}  // type names a package not checked declares
@@ -243,7 +244,7 @@ func staleRefs(root, corpus string) ([]string, error) {
 		if err != nil || len(a) == 0 {
 			return err
 		}
-		if !checked[dir] {
+		if !strings.HasPrefix(dir, internal) {
 			for t := range types {
 				elsewhere[t] = true
 			}

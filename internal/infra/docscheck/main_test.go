@@ -146,13 +146,13 @@ const ProtoVersion = "2.0"`,
 	}
 }
 
-// TestCatchesStaleAPIIdentifier: the same rule over internal/matrix,
-// internal/store and internal/codec, and for bare names. A deleted
-// method, function or type fails qualified (`Engine.SetJournal`,
-// `codec.UpgradeRequestDoc`) and bare (`RecoverFromJournal`); what the
-// code declares passes, a test function included; a type name another
-// package also declares (`Config`) is not checked, while a facade alias
-// of a checked type does not make it ambiguous.
+// TestCatchesStaleAPIIdentifier: the same rule over every package
+// under internal/, and for bare names. A deleted method, function or
+// type fails qualified (`Engine.SetJournal`, `codec.UpgradeRequestDoc`,
+// `namespace.List`) and bare (`RecoverFromJournal`); what the code
+// declares passes, a test function included; a type name two packages
+// declare (`Config`) passes if either has the name, while a facade
+// alias of a checked type does not make it ambiguous.
 func TestCatchesStaleAPIIdentifier(t *testing.T) {
 	root := fakeRepo(t, map[string]string{
 		"cmd/srv/main.go": "package main\nfunc main() {}",
@@ -165,10 +165,11 @@ func (e *Engine) SetStore(st any) {}`,
 		"internal/store/store.go":         "package store\ntype Store struct{}\nfunc Open(dir string) (*Store, error) { return nil, nil }\nfunc (s *Store) Has(id string) bool { return false }",
 		"internal/codec/dgl.go":           "package codec\nfunc DecodeRequestDoc(doc string) {}",
 		"internal/federation/fed.go":      "package federation\ntype Config struct{ Backoff int }",
+		"internal/namespace/ns.go":        "package namespace\nfunc Parent(p string) string { return p }",
 		"dgf.go":                          "package datagridflow\nimport \"x/internal/matrix\"\ntype Engine = matrix.Engine",
 		"README.md": "`Engine.RecoverFromStore`, `RecoverFromStore`, `SetStore(st)`, `store.Open`, `Store.Has`, " +
-			"`codec.DecodeRequestDoc`, `TestJournalCrashRecovery` and `Config.Backoff` exist.\n" +
-			"`Engine.SetJournal`, `RecoverFromJournal`, `Store.AppendJSON` and `codec.UpgradeRequestDoc` do not.\n" +
+			"`codec.DecodeRequestDoc`, `TestJournalCrashRecovery`, `Config.Backoff` and `namespace.Parent` exist.\n" +
+			"`Engine.SetJournal`, `RecoverFromJournal`, `Store.AppendJSON`, `codec.UpgradeRequestDoc` and `namespace.List` do not.\n" +
 			"`XML`, `JSONL` and `Open` are not names of two words, and RecoverFromJournal in prose is not code.\n",
 		"docs/METRICS.md": "",
 	})
@@ -176,7 +177,7 @@ func (e *Engine) SetStore(st any) {}`,
 	if err != nil {
 		t.Fatalf("check: %v", err)
 	}
-	want := []string{"`Engine.SetJournal`", "`RecoverFromJournal`", "`Store.AppendJSON`", "`codec.UpgradeRequestDoc`"}
+	want := []string{"`Engine.SetJournal`", "`RecoverFromJournal`", "`Store.AppendJSON`", "`codec.UpgradeRequestDoc`", "`namespace.List`"}
 	if len(problems) != len(want) {
 		t.Fatalf("want %d problems %q, got %q", len(want), want, problems)
 	}
@@ -185,6 +186,125 @@ func (e *Engine) SetStore(st any) {}`,
 			t.Errorf("problem %d = %q, want it to show %s", i, problems[i], w)
 		}
 	}
+}
+
+// moduleRepo is fakeRepo for the reachability rule: a module named x,
+// with the documents the other rules read left empty.
+func moduleRepo(t *testing.T, files map[string]string) string {
+	t.Helper()
+	files["go.mod"] = "module x\n\ngo 1.22\n"
+	files["README.md"] = ""
+	files["docs/METRICS.md"] = ""
+	return fakeRepo(t, files)
+}
+
+// wantProblems runs the checker over root and fails t unless its
+// problems are exactly want, each matched as a substring, in order.
+func wantProblems(t *testing.T, root string, want ...string) {
+	t.Helper()
+	problems, err := check(root)
+	if err != nil {
+		t.Fatalf("check: %v", err)
+	}
+	if len(problems) != len(want) {
+		t.Fatalf("want %d problems %q, got %q", len(want), want, problems)
+	}
+	for i, w := range want {
+		if !strings.Contains(problems[i], w) {
+			t.Errorf("problem %d = %q, want it to show %s", i, problems[i], w)
+		}
+	}
+}
+
+// TestCatchesDeadExport: an exported function nothing calls is a
+// finding, named with its file and line; one a command calls is not. A
+// type named only as its own methods' receiver has no user either.
+func TestCatchesDeadExport(t *testing.T) {
+	root := moduleRepo(t, map[string]string{
+		"internal/a/a.go": "package a\n\nfunc Used() {}\n\nfunc Dead() {}\n\ntype Lone struct{}\n\nfunc (Lone) M() {}\n",
+		"cmd/srv/main.go": "package main\n\nimport \"x/internal/a\"\n\nfunc main() { a.Used() }\n",
+	})
+	wantProblems(t, root,
+		"internal/a/a.go:5: a.Dead has no user in non-test Go",
+		"internal/a/a.go:7: a.Lone has no user in non-test Go",
+		"internal/a/a.go:9: a.Lone.M has no user in non-test Go")
+}
+
+// TestCatchesTestOnlyExport: a caller in a _test.go file does not count.
+func TestCatchesTestOnlyExport(t *testing.T) {
+	root := moduleRepo(t, map[string]string{
+		"internal/a/a.go":      "package a\n\nfunc Tested() int { return 1 }\n",
+		"internal/a/a_test.go": "package a\n\nimport \"testing\"\n\nfunc TestTested(t *testing.T) { Tested() }\n",
+	})
+	wantProblems(t, root, "a.Tested has no user in non-test Go")
+}
+
+// TestNestedModuleCounts: a nested module that replaces the root one
+// with ../, as bench/ does, is a caller like any command.
+func TestNestedModuleCounts(t *testing.T) {
+	root := moduleRepo(t, map[string]string{
+		"internal/a/a.go": "package a\n\nfunc BenchOnly() {}\n",
+		"bench/go.mod":    "module x/bench\n\ngo 1.22\n\nrequire x v0.0.0\n\nreplace x => ../\n",
+		"bench/main.go":   "package main\n\nimport \"x/internal/a\"\n\nfunc main() { a.BenchOnly() }\n",
+	})
+	wantProblems(t, root)
+}
+
+// TestInterfaceMethodsAreUsed: a method that implements an interface
+// some package declares, String and MarshalJSON here, is called through
+// it and is not a finding.
+func TestInterfaceMethodsAreUsed(t *testing.T) {
+	root := moduleRepo(t, map[string]string{
+		"internal/a/a.go": `package a
+
+import (
+	"encoding/json"
+	"fmt"
+)
+
+type T struct{}
+
+func (T) String() string { return "t" }
+
+func (T) MarshalJSON() ([]byte, error) { return []byte("1"), nil }
+
+func Show(t T) string {
+	b, _ := json.Marshal(t)
+	return fmt.Sprint(t) + string(b)
+}
+`,
+		"cmd/srv/main.go": "package main\n\nimport \"x/internal/a\"\n\nfunc main() { println(a.Show(a.T{})) }\n",
+	})
+	wantProblems(t, root)
+}
+
+// TestTaggedFieldsAreUsed: a struct field with a tag is read by
+// reflection and is not a finding; an untagged one nothing reads is.
+func TestTaggedFieldsAreUsed(t *testing.T) {
+	root := moduleRepo(t, map[string]string{
+		"internal/a/a.go": "package a\n\ntype Doc struct {\n\tName string `xml:\"name\"`\n\tSpare string\n}\n\nfunc New() Doc { return Doc{} }\n",
+		"cmd/srv/main.go": "package main\n\nimport \"x/internal/a\"\n\nfunc main() { _ = a.New() }\n",
+	})
+	wantProblems(t, root, "a.Doc.Spare has no user in non-test Go")
+}
+
+// TestAllowListOnlyShrinks: an allow-listed name that gained a caller,
+// one that no longer exists and one kept for a reason that is neither a
+// seam nor a capability are each a problem; a listed dead name is not.
+func TestAllowListOnlyShrinks(t *testing.T) {
+	root := moduleRepo(t, map[string]string{
+		"internal/a/a.go": "package a\n\nfunc NowUsed() {}\n\nfunc Seam() {}\n\nfunc Later() {}\n",
+		"cmd/srv/main.go": "package main\n\nimport \"x/internal/a\"\n\nfunc main() { a.NowUsed() }\n",
+		"internal/infra/docscheck/unused.txt": "# comment\n" +
+			"a.NowUsed seam: sets a clock; TestClock (internal/b)\n" +
+			"a.Seam seam: sets a clock; TestClock (internal/b)\n" +
+			"a.Gone S4 namespace listing; ROADMAP item 9\n" +
+			"a.Later might be useful later\n",
+	})
+	wantProblems(t, root,
+		"unused.txt lists a.Gone, which names no exported identifier",
+		"unused.txt lists a.Later for \"might be useful later\", which is neither",
+		"unused.txt lists a.NowUsed, which has a non-test caller now")
 }
 
 // TestFlagTokenBoundaries: -o must not be satisfied by -open.

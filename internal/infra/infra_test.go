@@ -105,8 +105,8 @@ func TestApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gpfs.Capacity() != 100<<30 || gpfs.Domain() != "sdsc" {
-		t.Errorf("gpfs = cap %d domain %s", gpfs.Capacity(), gpfs.Domain())
+	if gpfs.Free() != 100<<30 || gpfs.Domain() != "sdsc" {
+		t.Errorf("gpfs = free %d domain %s", gpfs.Free(), gpfs.Domain())
 	}
 	// Link installed both ways: 100 MiB at 40 MiB/s = 2.5 s + 30 ms.
 	d1, err := g.Network().TransferTime("sdsc", "ncsa", 100<<20)

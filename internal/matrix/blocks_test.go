@@ -456,7 +456,7 @@ func TestWhileStatusMidLoop(t *testing.T) {
 	want = append(want, at+" running", at+"/inc succeeded", at+"/wait running")
 	diffLines(t, treeLines(&ex.root), want)
 	checkWalk(t, &ex.root, true)
-	if _, err := ex.StatusOf(ex.root.id+"["+strconv.Itoa(stopAt)+"]", false); err == nil {
+	if _, err := e.Status(ex.root.id+"["+strconv.Itoa(stopAt)+"]", false); err == nil {
 		t.Error("a pass not yet reached resolved by id")
 	}
 	close(release)

@@ -24,9 +24,8 @@ import (
 // OpContext is handed to operation handlers: the step's parameters, the
 // variable scope, identity and infrastructure handles. Parameters are
 // read through the accessors — Param, ParamOr and Lookup give the value
-// after $variable interpolation, RawParam the text as the document has
-// it, EvalParam the value of an expression-valued parameter — which
-// resolve against the plan's ordered slots; no per-step map exists. A
+// after $variable interpolation, EvalParam the value of an
+// expression-valued parameter — which resolve against the plan's ordered slots; no per-step map exists. A
 // parameter rendered from several pieces is cut from its run's slab: the
 // string never changes, but keeping it keeps its chunk alive.
 type OpContext struct {
@@ -82,15 +81,6 @@ func (c *OpContext) ParamOr(name, def string) string {
 		return v
 	}
 	return def
-}
-
-// RawParam returns a parameter as the document has it, before
-// interpolation, and whether the step sets it.
-func (c *OpContext) RawParam(name string) (string, bool) {
-	if s := c.op.slot(name); s != nil {
-		return s.value.Src(), true
-	}
-	return "", false
 }
 
 // EachParam calls fn with every parameter, interpolated, in document

@@ -254,7 +254,7 @@ func (e *Engine) registerBuiltins() {
 		lane := c.ParamOr("lane", "compute")
 		d := time.Duration(cpu * float64(time.Second))
 		c.Engine.Clock().Sleep(d)
-		c.Grid.Meter().Charge(lane, d, 0)
+		c.Grid.Meter().Charge(lane, d)
 		_, _ = c.Grid.Provenance().Append(provenance.Record{
 			Time: c.Engine.Clock().Now(), Actor: c.User, Action: "exec",
 			Target: command, FlowID: c.ExecID, StepID: c.NodeID,

@@ -196,8 +196,8 @@ func TestIterationIDs(t *testing.T) {
 		if len(it.Children) != 1 || it.Children[0].ID != body.ID+suffix+"/work" {
 			t.Errorf("iteration %d: children %+v, want one step %q", i, it.Children, body.ID+suffix+"/work")
 		}
-		if st, err := ex.StatusOf(it.ID, false); err != nil || st.Name != it.Name {
-			t.Errorf("StatusOf(%q) = %q, %v", it.ID, st.Name, err)
+		if st, err := e.Status(it.ID, false); err != nil || st.Name != it.Name {
+			t.Errorf("Status(%q) = %q, %v", it.ID, st.Name, err)
 		}
 	}
 }

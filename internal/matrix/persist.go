@@ -109,20 +109,6 @@ func (ex *Execution) snapshotRecord() store.Record {
 	}
 }
 
-// SnapshotExecution writes a snapshot of one resident execution to the
-// store.
-func (e *Engine) SnapshotExecution(id string) error {
-	ex, ok := e.Execution(id)
-	if !ok {
-		return fmt.Errorf("%w: execution %s", ErrNotFound, id)
-	}
-	if err := e.storeAppend(ex.snapshotRecord()); err != nil {
-		return err
-	}
-	ex.dirty.Store(false)
-	return nil
-}
-
 // SnapshotAll snapshots every resident, non-terminal execution that
 // has made progress since its last snapshot, returning how many
 // snapshots were written. matrixd calls this on the -snapshot-every

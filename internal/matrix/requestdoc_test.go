@@ -198,7 +198,8 @@ func TestAdoptBinaryRequestFromJSONReplica(t *testing.T) {
 	}
 	heir := newTestEngine(t)
 	hb := registerBlockingOp(heir, "work", "3")
-	hst, err := store.Open(t.TempDir(), store.Options{})
+	heirDir := t.TempDir()
+	hst, err := store.Open(heirDir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestAdoptBinaryRequestFromJSONReplica(t *testing.T) {
 	// stands in for a reopen.
 	<-hb.reached
 	dir := t.TempDir()
-	segs, err := filepath.Glob(filepath.Join(hst.Dir(), "seg-*.log"))
+	segs, err := filepath.Glob(filepath.Join(heirDir, "seg-*.log"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("heir store segments: %v, %v", segs, err)
 	}

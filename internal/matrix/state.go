@@ -29,15 +29,6 @@ const (
 	StateSkipped   State = "skipped"
 )
 
-// Terminal reports whether the state is final.
-func (s State) Terminal() bool {
-	switch s {
-	case StateSucceeded, StateFailed, StateCancelled, StateSkipped:
-		return true
-	}
-	return false
-}
-
 // Control errors. Each wraps its dgferr class so callers can match
 // against the public taxonomy.
 var (
@@ -470,15 +461,6 @@ func (e *Execution) Status(detail bool) dgl.FlowStatus {
 // WalkStatus writes the execution's status tree into sink, as
 // Engine.WalkStatus does for its id.
 func (e *Execution) WalkStatus(detail bool, sink dgl.StatusSink) { e.root.walk(detail, sink) }
-
-// StatusOf snapshots the subtree rooted at the given node id.
-func (e *Execution) StatusOf(id string, detail bool) (dgl.FlowStatus, error) {
-	n, ok := e.root.find(id)
-	if !ok {
-		return dgl.FlowStatus{}, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	return n.snapshot(detail), nil
-}
 
 // User returns the grid user the execution runs as: on a tenancy
 // server, the tenant its submission was accounted to.

@@ -165,7 +165,7 @@ func TestStatusOfLeafAllocs(t *testing.T) {
 		t.Skip("allocation budgets are not meaningful under the race detector")
 	}
 	e := dagEngine(t)
-	leafOf := func(flow dgl.Flow) (*Execution, string) {
+	leafOf := func(flow dgl.Flow) string {
 		ex, err := e.Run("user", flow)
 		if err != nil || ex.Err() != nil {
 			t.Fatalf("%s: %v / %v", flow.Name, err, ex.Err())
@@ -174,29 +174,29 @@ func TestStatusOfLeafAllocs(t *testing.T) {
 		for len(st.Children) > 0 {
 			st = st.Children[len(st.Children)-1]
 		}
-		return ex, st.ID
+		return st.ID
 	}
-	poll := func(ex *Execution, id string) float64 {
+	poll := func(id string) float64 {
 		return testing.AllocsPerRun(200, func() {
-			if st, err := ex.StatusOf(id, false); err != nil || st.ID != id {
-				t.Fatalf("StatusOf(%s) = %+v, %v", id, st, err)
+			if st, err := e.Status(id, false); err != nil || st.ID != id {
+				t.Fatalf("Status(%s) = %+v, %v", id, st, err)
 			}
 		})
 	}
-	big, bigLeaf := leafOf(dagFlow(2))
-	small, smallLeaf := leafOf(dgl.NewFlow("two").Step("a", dgl.Op(dgl.OpNoop, nil)).Step("b", dgl.Op(dgl.OpNoop, nil)).Flow())
+	bigLeaf := leafOf(dagFlow(2))
+	smallLeaf := leafOf(dgl.NewFlow("two").Step("a", dgl.Op(dgl.OpNoop, nil)).Step("b", dgl.Op(dgl.OpNoop, nil)).Flow())
 	if !strings.Contains(bigLeaf, "/clean[31]/") {
 		t.Fatalf("the dag flow's last leaf is %s, want one under clean[31]", bigLeaf)
 	}
-	inBig, inSmall := poll(big, bigLeaf), poll(small, smallLeaf)
-	t.Logf("StatusOf a leaf: %.1f allocations in the 137-step flow, %.1f in the 2-step flow", inBig, inSmall)
+	inBig, inSmall := poll(bigLeaf), poll(smallLeaf)
+	t.Logf("Status of a leaf: %.1f allocations in the 137-step flow, %.1f in the 2-step flow", inBig, inSmall)
 	if inBig != inSmall || inBig > 4 {
-		t.Errorf("StatusOf a leaf allocates %.1f in the 137-step flow and %.1f in the 2-step flow; want the same, at most 4", inBig, inSmall)
+		t.Errorf("Status of a leaf allocates %.1f in the 137-step flow and %.1f in the 2-step flow; want the same, at most 4", inBig, inSmall)
 	}
-	if _, err := big.StatusOf(bigLeaf+"x", false); err == nil {
+	if _, err := e.Status(bigLeaf+"x", false); err == nil {
 		t.Error("an id one byte past a leaf's resolved")
 	}
-	if _, err := big.StatusOf(strings.Replace(bigLeaf, "clean[31]", "clean[3]", 1)+"/nope", false); err == nil {
+	if _, err := e.Status(strings.Replace(bigLeaf, "clean[31]", "clean[3]", 1)+"/nope", false); err == nil {
 		t.Error("an id below a leaf resolved")
 	}
 }
@@ -254,8 +254,8 @@ func TestPollRacesForEach(t *testing.T) {
 						}
 					}
 				}
-				if got, err := ex.StatusOf(iter, true); err == nil && got.ID != iter {
-					t.Errorf("StatusOf(%s) answered with %s", iter, got.ID)
+				if got, err := e.Status(iter, true); err == nil && got.ID != iter {
+					t.Errorf("Status(%s) answered with %s", iter, got.ID)
 					return
 				}
 				if polls == 3 && p == 0 {

@@ -30,24 +30,24 @@ func poisonedStore(t testing.TB) (st *store.Store, poison func()) {
 	t.Cleanup(func() { st.Close() })
 	return st, func() {
 		t.Helper()
-		fillDisk(t, st)
+		fillDisk(t, dir, st)
 	}
 }
 
 // fillDisk points the store's next segment at /dev/full and appends
 // until the store is poisoned. The store must rotate on every append
-// (SegmentMaxBytes 1).
-func fillDisk(t testing.TB, st *store.Store) {
+// (SegmentMaxBytes 1); dir is its directory.
+func fillDisk(t testing.TB, dir string, st *store.Store) {
 	t.Helper()
-	segs, err := filepath.Glob(filepath.Join(st.Dir(), "seg-*.log"))
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
 	if err != nil || len(segs) == 0 {
-		t.Fatalf("no segments in %s: %v", st.Dir(), err)
+		t.Fatalf("no segments in %s: %v", dir, err)
 	}
 	var last int
 	if _, err := fmt.Sscanf(filepath.Base(segs[len(segs)-1]), "seg-%08d.log", &last); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Symlink("/dev/full", filepath.Join(st.Dir(), fmt.Sprintf("seg-%08d.log", last+1))); err != nil {
+	if err := os.Symlink("/dev/full", filepath.Join(dir, fmt.Sprintf("seg-%08d.log", last+1))); err != nil {
 		t.Fatal(err)
 	}
 	// The first append lands in the active segment if it is empty; the

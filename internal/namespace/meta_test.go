@@ -12,7 +12,7 @@ import (
 )
 
 // refSearch is Search as it stood before conditions were tested on the
-// node: Walk copies every entry out, and the copies are filtered. It
+// node: the walk copies every entry out, and the copies are filtered. It
 // lives here, and only here, as the reference Search is held to.
 func refSearch(ns *Namespace, q Query) ([]Entry, error) {
 	scope := q.Scope
@@ -20,7 +20,8 @@ func refSearch(ns *Namespace, q Query) ([]Entry, error) {
 		scope = "/"
 	}
 	var out []Entry
-	err := ns.Walk(scope, func(e Entry) error {
+	err := ns.walk(scope, func(n *node, path string) error {
+		e := n.entry(path)
 		if q.ObjectsOnly && e.Kind != KindObject {
 			return nil
 		}
@@ -83,7 +84,7 @@ func randomTree(t *testing.T, rng *rand.Rand) (*Namespace, []string) {
 		}
 		owner, domain := pick("u1", "u2"), pick("sdsc", "cern")
 		if rng.Intn(3) == 0 {
-			if ns.MkCollection(path, owner, domain, sim.Epoch) == nil {
+			if ns.MkCollectionAll(path, owner, domain, sim.Epoch) == nil {
 				dirs = append(dirs, path)
 			}
 			continue
@@ -91,7 +92,7 @@ func randomTree(t *testing.T, rng *rand.Rand) (*Namespace, []string) {
 		_ = ns.CreateObject(path+pick(".dat", ".pdf", ""), owner, domain, rng.Int63n(3000), sim.Epoch) // a name taken is skipped
 	}
 	var all []Entry
-	_ = ns.Walk("/", func(e Entry) error { all = append(all, e); return nil })
+	_ = ns.walk("/", func(n *node, path string) error { all = append(all, n.entry(path)); return nil })
 	for _, e := range all {
 		for _, k := range []string{"stage", "tag", "n"} {
 			if rng.Intn(2) == 0 {
@@ -142,7 +143,7 @@ func TestSearchMatchesWalkReference(t *testing.T) {
 	}
 }
 
-// FuzzMetadataMatchesMap drives SetMeta, DeleteMeta, GetMeta and Move
+// FuzzMetadataMatchesMap drives SetMeta, GetMeta and Move
 // on four objects from the fuzzer's bytes, and holds the sorted pairs a
 // node keeps its metadata in to a map per object: GetMeta, Lookup's
 // Metadata and a Search on each attribute answer as the map does, and
@@ -164,7 +165,7 @@ func FuzzMetadataMatchesMap(f *testing.F) {
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		ns := New("admin")
 		for _, dir := range []string{"/a", "/b"} {
-			if err := ns.MkCollection(dir, "u", "d", sim.Epoch); err != nil {
+			if err := ns.MkCollectionAll(dir, "u", "d", sim.Epoch); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -186,11 +187,6 @@ func FuzzMetadataMatchesMap(f *testing.F) {
 					t.Fatal(err)
 				}
 				model[obj][key] = value
-			case 1:
-				if err := ns.DeleteMeta(paths[obj], key); err != nil {
-					t.Fatal(err)
-				}
-				delete(model[obj], key)
 			case 2:
 				v, ok, err := ns.GetMeta(paths[obj], key)
 				if want, wantOK := model[obj][key]; err != nil || v != want || ok != wantOK {

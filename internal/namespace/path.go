@@ -27,8 +27,6 @@ var (
 	ErrNotCollection = dgferr.Mark(dgferr.ErrInvalid, "namespace: not a collection")
 	// ErrNotObject reports a collection used where an object is needed.
 	ErrNotObject = dgferr.Mark(dgferr.ErrInvalid, "namespace: not a data object")
-	// ErrNotEmpty reports a non-recursive remove of a non-empty collection.
-	ErrNotEmpty = dgferr.Mark(dgferr.ErrInvalid, "namespace: collection not empty")
 	// ErrBadPath reports a malformed logical path.
 	ErrBadPath = dgferr.Mark(dgferr.ErrInvalid, "namespace: bad path")
 	// ErrDenied reports an access-control rejection.
@@ -118,9 +116,4 @@ func Base(p string) string {
 		return ""
 	}
 	return clean[strings.LastIndexByte(clean, '/')+1:]
-}
-
-// Join concatenates path components under a base path.
-func Join(base string, elems ...string) string {
-	return base + "/" + strings.Join(elems, "/")
 }

@@ -152,5 +152,5 @@ func (ns *Namespace) Search(q Query) ([]Entry, error) {
 	return out, nil
 }
 
-// errStopWalk is a sentinel for early termination of Walk from Search.
+// errStopWalk is a sentinel for early termination of the walk from Search.
 var errStopWalk = fmt.Errorf("namespace: stop walk")

@@ -118,17 +118,6 @@ func (ns *refNS) createAt(clean string, n *refNode) error {
 	return nil
 }
 
-func (ns *refNS) MkCollection(path, owner, domain string, now time.Time) error {
-	clean, err := CleanPath(path)
-	if err != nil {
-		return err
-	}
-	if clean == "/" {
-		return fmt.Errorf("%w: /", ErrExists)
-	}
-	return ns.createAt(clean, &refNode{kind: KindCollection, owner: owner, domain: domain, created: now, children: make(map[string]*refNode)})
-}
-
 func (ns *refNS) MkCollectionAll(path, owner, domain string, now time.Time) error {
 	parts, err := SplitPath(path)
 	if err != nil {
@@ -178,31 +167,6 @@ func (ns *refNS) Lookup(path string) (Entry, error) {
 	return n.entry(clean), nil
 }
 
-func (ns *refNS) List(path string) ([]Entry, error) {
-	clean, err := CleanPath(path)
-	if err != nil {
-		return nil, err
-	}
-	_, _, n, err := ns.find(clean, clean, nil)
-	if err != nil {
-		return nil, err
-	}
-	if n.kind != KindCollection {
-		return nil, fmt.Errorf("%w: %s", ErrNotCollection, clean)
-	}
-	names := make([]string, 0, len(n.children))
-	for name := range n.children {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]Entry, 0, len(names))
-	base := strings.TrimSuffix(clean, "/")
-	for _, name := range names {
-		out = append(out, n.children[name].entry(base+"/"+name))
-	}
-	return out, nil
-}
-
 func (ns *refNS) walk(root string, fn func(n *refNode, path string) error) error {
 	clean, err := CleanPath(root)
 	if err != nil {
@@ -247,28 +211,6 @@ func (ns *refNS) Remove(path string) error {
 	}
 	if n.kind != KindObject {
 		return fmt.Errorf("%w: %s", ErrNotObject, clean)
-	}
-	delete(parent.children, name)
-	return nil
-}
-
-func (ns *refNS) RemoveCollection(path string, recursive bool) error {
-	clean, err := CleanPath(path)
-	if err != nil {
-		return err
-	}
-	if clean == "/" {
-		return fmt.Errorf("%w: cannot remove /", ErrBadPath)
-	}
-	parent, name, n, err := ns.find(clean, clean, nil)
-	if err != nil {
-		return err
-	}
-	if n.kind != KindCollection {
-		return fmt.Errorf("%w: %s", ErrNotCollection, clean)
-	}
-	if !recursive && len(n.children) > 0 {
-		return fmt.Errorf("%w: %s", ErrNotEmpty, clean)
 	}
 	delete(parent.children, name)
 	return nil
@@ -378,17 +320,6 @@ func (ns *refNS) SetMeta(path, attr, value string) error {
 		n.meta = slices.Insert(n.meta, i, metaPair{key: attr})
 	}
 	n.meta[i].value = value
-	return nil
-}
-
-func (ns *refNS) DeleteMeta(path, attr string) error {
-	n, err := ns.resolve(path)
-	if err != nil {
-		return err
-	}
-	if i, ok := n.metaIndex(attr); ok {
-		n.meta = slices.Delete(n.meta, i, i+1)
-	}
 	return nil
 }
 
@@ -513,7 +444,7 @@ func utcEntries(es []Entry) []Entry {
 // through one sequence of creates, mkdir -p, moves, removes, replica
 // adds and removes, metadata writes and grants taken from the fuzzer's
 // bytes, and after each holds every answer to the reference's: the
-// operation's error, then Lookup, List, Walk, Search, Stats, Replicas,
+// operation's error, then Lookup, the walk, Search, Stats, Replicas,
 // FirstReplica and Permission. Times are given in two zones and as the
 // zero Time; they come back as the same instants in UTC. Run as a plain
 // test it replays the seed corpus.
@@ -556,8 +487,6 @@ func FuzzNamespaceMatchesReference(f *testing.F) {
 				got, want = ns.CreateObject(path, user, "d"+strconv.Itoa(b%2), int64(b)-2, now), ref.CreateObject(path, user, "d"+strconv.Itoa(b%2), int64(b)-2, now)
 			case 1:
 				got, want = ns.MkCollectionAll(path, user, "d", now), ref.MkCollectionAll(path, user, "d", now)
-			case 2:
-				got, want = ns.MkCollection(path, user, "d", now), ref.MkCollection(path, user, "d", now)
 			case 3:
 				got, want = ns.Move(path, other), ref.Move(path, other)
 			case 4:
@@ -570,12 +499,10 @@ func FuzzNamespaceMatchesReference(f *testing.F) {
 				got, want = ns.RemoveReplica(path, resources[b%len(resources)]), ref.RemoveReplica(path, resources[b%len(resources)])
 			case 7:
 				got, want = ns.SetMeta(path, attrs[b%len(attrs)], values[b/4%len(values)]), ref.SetMeta(path, attrs[b%len(attrs)], values[b/4%len(values)])
-			case 8:
-				got, want = ns.DeleteMeta(path, attrs[b%len(attrs)]), ref.DeleteMeta(path, attrs[b%len(attrs)])
 			case 9:
 				got, want = ns.SetPermission(path, user, Perm(b%4)), ref.SetPermission(path, user, Perm(b%4))
-			case 10:
-				got, want = ns.RemoveCollection(path, b%2 == 0), ref.RemoveCollection(path, b%2 == 0)
+			default: // 2, 8 and 10 name no operation; the seeds above keep these codes
+				continue
 			}
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("step %d, op %d on %q, %q: %v; the reference: %v", step, op%11, path, other, got, want)
@@ -597,9 +524,9 @@ func sameAnswers(t *testing.T, step int, ns *Namespace, ref *refNS, paths, users
 		}
 	}
 	var walked, refWalked []Entry
-	err := ns.Walk("/", func(e Entry) error { walked = append(walked, e); return nil })
+	err := ns.walk("/", func(n *node, path string) error { walked = append(walked, n.entry(path)); return nil })
 	refErr := ref.walk("/", func(n *refNode, path string) error { refWalked = append(refWalked, n.entry(path)); return nil })
-	check("Walk(/)", walked, utcEntries(refWalked), err, refErr)
+	check("walk(/)", walked, utcEntries(refWalked), err, refErr)
 	check("Stats", ns.Stats(), ref.Stats(), nil, nil)
 	got, err := ns.Search(q)
 	want, refErr := ref.Search(q)
@@ -608,9 +535,6 @@ func sameAnswers(t *testing.T, step int, ns *Namespace, ref *refNS, paths, users
 		e, err := ns.Lookup(p)
 		refE, refErr := ref.Lookup(p)
 		check("Lookup("+p+")", e, utcEntries([]Entry{refE})[0], err, refErr)
-		l, err := ns.List(p)
-		refL, refErr := ref.List(p)
-		check("List("+p+")", l, utcEntries(refL), err, refErr)
 		reps, err := ns.Replicas(p)
 		refReps, refErr := ref.Replicas(p)
 		check("Replicas("+p+")", reps, utcEntries([]Entry{{Replicas: refReps}})[0].Replicas, err, refErr)

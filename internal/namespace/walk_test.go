@@ -27,9 +27,9 @@ func aclNS(t *testing.T) *Namespace {
 			t.Fatal(err)
 		}
 	}
-	must(ns.MkCollection("/proj", "lead", "sdsc", sim.Epoch))
+	must(ns.MkCollectionAll("/proj", "lead", "sdsc", sim.Epoch))
 	must(ns.MkCollectionAll("/proj/data/raw", "admin", "sdsc", sim.Epoch))
-	must(ns.MkCollection("/proj/data/pub", "admin", "sdsc", sim.Epoch))
+	must(ns.MkCollectionAll("/proj/data/pub", "admin", "sdsc", sim.Epoch))
 	must(ns.CreateObject("/proj/data/raw/x.dat", "carol", "sdsc", 1, sim.Epoch))
 	must(ns.SetPermission("/proj", "alice", PermRead))
 	must(ns.SetPermission("/proj", Wildcard, PermRead))
@@ -137,24 +137,19 @@ func TestUncleanPathsNameOneNode(t *testing.T) {
 		}
 	}
 	quotes("SetMeta", ns.SetMeta(raw, "k", "v"), ErrNotFound, raw)
-	quotes("DeleteMeta", ns.DeleteMeta(raw, "k"), ErrNotFound, raw)
 	_, _, err := ns.GetMeta(raw, "k")
 	quotes("GetMeta", err, ErrNotFound, raw)
 	quotes("SetPermission", ns.SetPermission(raw, "u", PermRead), ErrNotFound, raw)
 	quotes("Check", ns.Check(raw, "u", PermRead), ErrNotFound, raw)
 	_, err = ns.Lookup(raw)
 	quotes("Lookup", err, ErrNotFound, "/a/missing")
-	_, err = ns.List(raw)
-	quotes("List", err, ErrNotFound, "/a/missing")
 	_, err = ns.Replicas(raw)
 	quotes("Replicas", err, ErrNotFound, "/a/missing")
 	quotes("Remove", ns.Remove(raw), ErrNotFound, "/a/missing")
 	quotes("Remove through an object", ns.Remove("/a/b/o1//x"), ErrNotCollection, "/a/b/o1/x")
-	quotes("RemoveCollection", ns.RemoveCollection(raw, true), ErrNotFound, "/a/missing")
 	quotes("CreateObject", ns.CreateObject(raw+"x", "u", "d", 1, sim.Epoch), ErrNotFound, "/a/missing")
 	quotes("CreateObject under an object", ns.CreateObject("/a/b/o1//x", "u", "d", 1, sim.Epoch), ErrNotCollection, "/a/b/o1")
 	quotes("CreateObject twice", ns.CreateObject("/a/b//o1", "u", "d", 1, sim.Epoch), ErrExists, "/a/b/o1")
-	quotes("MkCollection", ns.MkCollection(raw+"x", "u", "d", sim.Epoch), ErrNotFound, "/a/missing")
 	quotes("Move from", ns.Move(raw, "/a/c"), ErrNotFound, "/a/missing")
 	quotes("Move to", ns.Move("/a/b/o1", raw+"x"), ErrNotFound, "/a/missing")
 	quotes("Move onto", ns.Move("/a/b/o1", "/a/b//o2"), ErrExists, "/a/b/o2")
@@ -177,7 +172,7 @@ func TestNodesDoNotPinCallerBuffers(t *testing.T) {
 	if err := ns.CreateObject(doc[1<<16:1<<16+16], "u", "d", 1, sim.Epoch); err != nil {
 		t.Fatal(err)
 	}
-	if err := ns.MkCollection(doc[1<<16:1<<16+5]+"/sub", "u", "d", sim.Epoch); err != nil {
+	if err := ns.MkCollectionAll(doc[1<<16:1<<16+5]+"/sub", "u", "d", sim.Epoch); err != nil {
 		t.Fatal(err)
 	}
 	if err := ns.Move("/grid/sub", doc[1<<16:1<<16+10]+"/sub"); err != nil {
@@ -363,7 +358,7 @@ func TestStatsAllocs(t *testing.T) {
 
 // TestMetadataOfUntaggedEntries: an entry whose metadata map was never
 // made answers every metadata question as an empty map would — before
-// any SetMeta, after its only attribute is removed, and across a move.
+// any SetMeta, and across a move.
 func TestMetadataOfUntaggedEntries(t *testing.T) {
 	ns := New("admin")
 	for _, dir := range []string{"/grid/a", "/grid/b"} {
@@ -371,28 +366,20 @@ func TestMetadataOfUntaggedEntries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, p := range []string{"/grid/a/never.dat", "/grid/a/removed.dat", "/grid/a/moving.dat", "/grid/a/tagged.dat"} {
+	for _, p := range []string{"/grid/a/never.dat", "/grid/a/moving.dat", "/grid/a/tagged.dat"} {
 		if err := ns.CreateObject(p, "user", "d", 1, sim.Epoch); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, p := range []string{"/grid/a/removed.dat", "/grid/a/tagged.dat"} {
-		if err := ns.SetMeta(p, "tag", "v"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ns.DeleteMeta("/grid/a/removed.dat", "tag"); err != nil {
+	if err := ns.SetMeta("/grid/a/tagged.dat", "tag", "v"); err != nil {
 		t.Fatal(err)
 	}
 	if err := ns.Move("/grid/a/moving.dat", "/grid/b/moved.dat"); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []string{"/grid/a/never.dat", "/grid/a/removed.dat", "/grid/b/moved.dat", "/grid/b"} {
+	for _, p := range []string{"/grid/a/never.dat", "/grid/b/moved.dat", "/grid/b"} {
 		if v, ok, err := ns.GetMeta(p, "tag"); v != "" || ok || err != nil {
 			t.Errorf("GetMeta(%s) = %q, %v, %v", p, v, ok, err)
-		}
-		if err := ns.DeleteMeta(p, "tag"); err != nil {
-			t.Errorf("DeleteMeta(%s) on an entry without metadata: %v", p, err)
 		}
 		if e, err := ns.Lookup(p); err != nil || e.Metadata != nil {
 			t.Errorf("Lookup(%s).Metadata = %v, %v; want nil", p, e.Metadata, err)

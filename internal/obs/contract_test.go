@@ -184,7 +184,17 @@ func TestRuntimeRegistryMatchesDocs(t *testing.T) {
 	}
 
 	doc := docTokens(t)
-	names := reg.Names()
+	var names []string
+	snapAll := reg.Snapshot()
+	for _, c := range snapAll.Counters {
+		names = append(names, c.Name)
+	}
+	for _, g := range snapAll.Gauges {
+		names = append(names, g.Name)
+	}
+	for _, h := range snapAll.Histograms {
+		names = append(names, h.Name)
+	}
 	if len(names) < 10 {
 		t.Fatalf("scenario registered only %d metrics: %v", len(names), names)
 	}

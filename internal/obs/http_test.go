@@ -10,7 +10,7 @@ import (
 func TestServeMetricsAndPprof(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("demo_total", "k", "v").Add(3)
-	r.Point("flow", "f", "id-1")
+	r.StartSpan("flow", "f", "id-1")
 
 	srv, addr, err := Serve("127.0.0.1:0", r)
 	if err != nil {

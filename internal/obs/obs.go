@@ -1,6 +1,6 @@
 // Package obs is the observability substrate of the reproduction: a
 // stdlib-only metrics registry (counters, gauges, histograms) and a
-// structured trace-event stream (ring buffer plus subscriber API) that
+// structured trace-event stream (a ring buffer) that
 // every layer — the matrix engine, the wire network, triggers, ILM and
 // the scheduler — emits into.
 //
@@ -104,16 +104,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum += v
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i]++
-}
-
-// ObserveDuration records a duration in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
 }
 
 // Registry holds one process's (or one grid's) metrics and its trace
@@ -336,51 +326,6 @@ func (r *Registry) Snapshot() Snapshot {
 		snap.Histograms = append(snap.Histograms, hp)
 	}
 	return snap
-}
-
-// Names returns the distinct metric names registered so far, sorted —
-// the list the docs-contract test diffs against docs/METRICS.md.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	set := make(map[string]bool)
-	for _, c := range r.counters {
-		set[c.name] = true
-	}
-	for _, g := range r.gauges {
-		set[g.name] = true
-	}
-	for _, h := range r.hists {
-		set[h.name] = true
-	}
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Reset zeroes every metric (series identities survive, values clear)
-// and does not touch the trace buffer. Benchmarks reset between phases
-// so each phase's snapshot stands alone.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.v.Store(0)
-	}
-	for _, g := range r.gauges {
-		g.v.Store(0)
-	}
-	for _, h := range r.hists {
-		h.mu.Lock()
-		h.count, h.sum, h.min, h.max = 0, 0, 0, 0
-		for i := range h.counts {
-			h.counts[i] = 0
-		}
-		h.mu.Unlock()
-	}
 }
 
 func sortedKeys[M ~map[string]V, V any](m M) []string {

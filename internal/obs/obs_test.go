@@ -69,10 +69,6 @@ func TestHistogramConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	h := r.Histogram("h_seconds", "op", "x")
-	if got := h.Count(); got != workers*per {
-		t.Fatalf("count = %d, want %d", got, workers*per)
-	}
 	snap := r.Snapshot()
 	if len(snap.Histograms) != 1 {
 		t.Fatalf("histograms in snapshot = %d, want 1", len(snap.Histograms))
@@ -136,7 +132,7 @@ func TestSnapshotDeterministicVirtualClock(t *testing.T) {
 		for _, name := range order {
 			r.Counter(name, "k", "v").Inc()
 		}
-		clock.Advance(90 * time.Minute)
+		clock.Sleep(90 * time.Minute)
 		r.Gauge("running").Set(4)
 		r.Histogram("lat_seconds").Observe(clock.Now().Sub(sim.Epoch).Seconds())
 		data, err := json.Marshal(r.Snapshot())
@@ -159,41 +155,5 @@ func TestSnapshotDeterministicVirtualClock(t *testing.T) {
 	}
 	if snap.Histograms[0].Sum != (90 * time.Minute).Seconds() {
 		t.Fatalf("histogram sum = %v, want %v", snap.Histograms[0].Sum, (90 * time.Minute).Seconds())
-	}
-}
-
-func TestResetClearsValuesKeepsSeries(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c_total").Add(7)
-	r.Gauge("g").Set(3)
-	r.Histogram("h_seconds").Observe(1.5)
-	r.Reset()
-	snap := r.Snapshot()
-	if len(snap.Counters) != 1 || snap.Counters[0].Value != 0 {
-		t.Fatalf("counter after reset: %+v", snap.Counters)
-	}
-	if snap.Gauges[0].Value != 0 {
-		t.Fatalf("gauge after reset: %+v", snap.Gauges)
-	}
-	if snap.Histograms[0].Count != 0 || snap.Histograms[0].Sum != 0 {
-		t.Fatalf("histogram after reset: %+v", snap.Histograms[0])
-	}
-}
-
-func TestNames(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("b_total", "x", "1")
-	r.Counter("b_total", "x", "2")
-	r.Gauge("a")
-	r.Histogram("c_seconds")
-	got := r.Names()
-	want := []string{"a", "b_total", "c_seconds"}
-	if len(got) != len(want) {
-		t.Fatalf("Names() = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Names() = %v, want %v", got, want)
-		}
 	}
 }

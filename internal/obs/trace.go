@@ -3,10 +3,8 @@ package obs
 import (
 	"encoding/binary"
 	"encoding/json"
-	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -29,7 +27,7 @@ const (
 // (Scope, ID) brackets one lifecycle.
 type Event struct {
 	// Seq is a monotonically increasing sequence number, assigned at
-	// emission; subscribers use it to detect gaps after drops.
+	// emission.
 	Seq uint64 `json:"seq"`
 	// Time is the emission instant on the emitting component's clock
 	// (virtual under simulation).
@@ -57,16 +55,6 @@ type Attr struct {
 // maxAttrs is the most attributes one event carries; no span documented
 // in docs/METRICS.md has more.
 const maxAttrs = 2
-
-// Attr returns the value of the event's attribute key, "" when unset.
-func (e *Event) Attr(key string) string {
-	for _, a := range e.attrs {
-		if a.Key == key && key != "" {
-			return a.Value
-		}
-	}
-	return ""
-}
 
 // eventJSON is the wire shape of an Event: its exported fields, and the
 // attrs as one JSON object, absent when empty.
@@ -112,17 +100,15 @@ func (e *Event) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// TraceBuffer is a fixed-capacity ring of recent events with a
-// non-blocking subscriber fan-out. Emission never blocks: the ring
-// overwrites its oldest event when full, and a subscriber whose channel
-// is full loses the event (counted in Dropped). This keeps the
+// TraceBuffer is a fixed-capacity ring of recent events. Emission never
+// blocks: the ring overwrites its oldest event when full. This keeps the
 // observability path incapable of stalling the engine it observes.
 //
 // The ring holds its events as bytes (appendEvent) in chunks it owns:
 // the garbage collector never scans them, no string an emitter passed
 // stays alive in them, and the chunks grow with what the ring holds, so
 // a ring that never emits costs only its header. Events decodes them
-// back; a subscriber is sent the event as emitted.
+// back.
 type TraceBuffer struct {
 	mu  sync.Mutex
 	max int // the most events the ring holds
@@ -136,9 +122,6 @@ type TraceBuffer struct {
 	spare []byte
 	n     int    // events currently in the ring
 	seq   uint64 // the sequence number of the newest event
-	// subs is rebuilt, never edited, by Subscribe and cancel.
-	subs    []chan Event
-	dropped atomic.Uint64
 }
 
 // A ring's first chunk takes traceChunkMin bytes, some sixty events,
@@ -156,16 +139,9 @@ func NewTraceBuffer(capacity int) *TraceBuffer {
 	return &TraceBuffer{max: max(capacity, 1)}
 }
 
-// Emit appends the event, assigning its sequence number (and stamping
-// Time with the wall clock only if the caller left it zero). The
-// completed event is returned, its Time as the UTC instant the ring
-// keeps.
-func (b *TraceBuffer) Emit(ev Event) Event {
-	b.emit(&ev)
-	return ev
-}
-
-// emit is Emit completing the caller's event in place.
+// emit appends the event, completing it in place: it assigns its
+// sequence number, stamps Time with the wall clock only if the caller
+// left it zero, and sets Time to the UTC instant the ring keeps.
 func (b *TraceBuffer) emit(ev *Event) {
 	if ev.Time.IsZero() {
 		ev.Time = time.Now()
@@ -182,15 +158,6 @@ func (b *TraceBuffer) emit(ev *Event) {
 	last := b.room(bound)
 	b.chunks[last] = appendEvent(b.chunks[last], ev)
 	b.n++
-	// The fan-out runs under the lock, so a cancel cannot close a
-	// channel between reading the list and sending on it.
-	for _, ch := range b.subs {
-		select {
-		case ch <- *ev:
-		default:
-			b.dropped.Add(1)
-		}
-	}
 }
 
 // room returns the index of the chunk that has room for size more
@@ -260,36 +227,6 @@ func (b *TraceBuffer) Events() []Event {
 	}
 	return out
 }
-
-// Len returns how many events the ring currently holds.
-func (b *TraceBuffer) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.n
-}
-
-// Subscribe registers a live event channel with the given buffer size
-// (minimum 1). The returned cancel function unregisters and closes the
-// channel; events emitted while the channel is full are dropped, never
-// blocked on.
-func (b *TraceBuffer) Subscribe(buf int) (<-chan Event, func()) {
-	ch := make(chan Event, max(buf, 1))
-	b.mu.Lock()
-	b.subs = append(slices.Clip(b.subs), ch)
-	b.mu.Unlock()
-	cancel := func() {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		if i := slices.Index(b.subs, ch); i >= 0 {
-			b.subs = slices.Delete(slices.Clone(b.subs), i, i+1)
-			close(ch)
-		}
-	}
-	return ch, cancel
-}
-
-// Dropped returns how many events were lost to full subscriber channels.
-func (b *TraceBuffer) Dropped() uint64 { return b.dropped.Load() }
 
 // An event's bytes in the ring: the length of the rest, then a code
 // byte, the time as Unix seconds (zigzag) and nanoseconds, and the
@@ -425,9 +362,4 @@ func (r *Registry) StartSpan(scope, name, id string, attrs ...Attr) {
 // EndSpan emits an EventEnd stamped with the registry's clock.
 func (r *Registry) EndSpan(scope, name, id string, attrs ...Attr) {
 	r.span(EventEnd, scope, name, id, attrs)
-}
-
-// Point emits an instantaneous event stamped with the registry's clock.
-func (r *Registry) Point(scope, name, id string, attrs ...Attr) {
-	r.span(EventPoint, scope, name, id, attrs)
 }

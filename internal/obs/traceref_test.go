@@ -105,15 +105,14 @@ func FuzzTraceMatchesReference(f *testing.F) {
 			case 3:
 				ev.attrs[1] = Attr{"k", "only the second slot"}
 			}
-			if got := tb.Emit(ev); got.Seq != uint64(i+1) || !got.Time.Equal(ev.Time) {
-				t.Fatalf("emit %d returned seq %d, time %v", i, got.Seq, got.Time)
+			got := ev
+			tb.emit(&got)
+			if got.Seq != uint64(i+1) || !got.Time.Equal(ev.Time) {
+				t.Fatalf("emit %d completed seq %d, time %v", i, got.Seq, got.Time)
 			}
 			ref.emit(ev)
 			if !sameEvents(t, tb.Events(), ref.events()) {
 				t.Fatalf("after emit %d", i)
-			}
-			if tb.Len() != ref.n {
-				t.Fatalf("Len = %d, the reference holds %d", tb.Len(), ref.n)
 			}
 		}
 	})
@@ -142,13 +141,13 @@ func TestTraceFootprint(t *testing.T) {
 	full := heapGrowth(func() {
 		keep = NewTraceBuffer(DefaultTraceCap)
 		for i := 0; i < 3*DefaultTraceCap; i++ {
-			keep.Emit(ev)
+			keep.emit(&ev)
 		}
 	})
 	runtime.KeepAlive(keep)
 	t.Logf("a full default ring of %d-byte events takes %d KB", size, full>>10)
-	if keep.Len() != DefaultTraceCap || full > 320<<10 {
-		t.Errorf("a full ring (%d events) takes %d KB, want at most 320", keep.Len(), full>>10)
+	if n := len(keep.Events()); n != DefaultTraceCap || full > 320<<10 {
+		t.Errorf("a full ring (%d events) takes %d KB, want at most 320", n, full>>10)
 	}
 }
 

@@ -65,16 +65,6 @@ type Attr struct {
 // Attrs is a record's detail, a list of pairs.
 type Attrs []Attr
 
-// Get returns the value of key, or "" when there is no such pair.
-func (d Attrs) Get(key string) string {
-	for _, a := range d {
-		if a.Key == key {
-			return a.Value
-		}
-	}
-	return ""
-}
-
 func sortAttrs(d Attrs) {
 	slices.SortFunc(d, func(a, b Attr) int { return strings.Compare(a.Key, b.Key) })
 }
@@ -137,7 +127,6 @@ type Store struct {
 	// only past its length, so a reader may walk what it saw under the
 	// lock after letting go of it (frames).
 	chunks [][]byte
-	n      int // records held
 	// enc and detail are Append's scratch: its encoder, and the caller's
 	// pairs sorted by key. Both are emptied once a record is kept, so
 	// they keep no caller's string.
@@ -208,7 +197,6 @@ func (s *Store) replay(path string) error {
 	}
 	end := log.Frames[len(log.Frames)-1].End
 	s.chunks = [][]byte{log.Buf[:end:end]}
-	s.n = len(log.Frames)
 	return nil
 }
 
@@ -272,7 +260,6 @@ func (s *Store) Append(r Record, detail ...Attr) (int64, error) {
 	}
 	s.chunks[k] = append(s.chunks[k], frame...)
 	s.nextSeq++
-	s.n++
 	return r.Seq, nil
 }
 
@@ -317,13 +304,6 @@ func (s *Store) Close() error {
 		return s.log.Close()
 	}
 	return nil
-}
-
-// Len returns the number of records.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.n
 }
 
 // Filter selects records; zero-value fields match everything.
@@ -446,34 +426,6 @@ func (s *Store) Count(f Filter) int {
 		return true
 	})
 	return n
-}
-
-// Last returns the most recent record matching f, if any. It walks the
-// chunks newest first, and within the first chunk that holds a match
-// takes the last one.
-func (s *Store) Last(f Filter) (Record, bool) {
-	var w walker
-	defer w.release()
-	w.needle = []byte(f.needle())
-	full, last := s.frames()
-	for i := len(full); i >= 0; i-- {
-		c := last
-		if i < len(full) {
-			c = full[i]
-		}
-		at := -1
-		w.chunk(c, func() bool {
-			if f.matches(&w.v) {
-				at = w.at
-			}
-			return true
-		})
-		if at >= 0 {
-			w.chunk(c[at:], func() bool { return false })
-			return w.record(), true
-		}
-	}
-	return Record{}, false
 }
 
 // view is a record where its frame holds it: each string a slice of the

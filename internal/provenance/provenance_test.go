@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -33,8 +34,8 @@ func TestAppendAndSeq(t *testing.T) {
 			t.Errorf("seq = %d, want %d", seq, i)
 		}
 	}
-	if s.Len() != 5 {
-		t.Errorf("Len = %d", s.Len())
+	if s.Count(Filter{}) != 5 {
+		t.Errorf("Count = %d", s.Count(Filter{}))
 	}
 	// Default outcome is ok.
 	rs := s.Query(Filter{Outcome: OutcomeOK})
@@ -87,13 +88,6 @@ func TestQueryFilters(t *testing.T) {
 	if n := s.Count(Filter{FlowID: "f2"}); n != 2 {
 		t.Errorf("Count = %d", n)
 	}
-	last, ok := s.Last(Filter{FlowID: "f2"})
-	if !ok || last.Action != "step.finish" {
-		t.Errorf("Last = %+v, %v", last, ok)
-	}
-	if _, ok := s.Last(Filter{FlowID: "zzz"}); ok {
-		t.Errorf("Last on empty match should report false")
-	}
 }
 
 func TestPersistenceAcrossReopen(t *testing.T) {
@@ -125,11 +119,11 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if s2.Len() != 10 {
-		t.Fatalf("reloaded %d records, want 10", s2.Len())
+	if s2.Count(Filter{}) != 10 {
+		t.Fatalf("reloaded %d records, want 10", s2.Count(Filter{}))
 	}
 	got := s2.Query(Filter{FlowID: "ilm-2005", TargetPrefix: "/grid/obj"})
-	if len(got) != 10 || got[0].Detail.Get("bytes") != "1024" {
+	if len(got) != 10 || !slices.Contains(got[0].Detail, Attr{"bytes", "1024"}) {
 		t.Errorf("reloaded query: %d records", len(got))
 	}
 	// Sequence numbering continues after reload.
@@ -220,8 +214,8 @@ func TestOpenRefusesNonBinaryLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.Len() != 1 {
-		t.Fatalf("an empty log appended to replays %d records, want 1", s.Len())
+	if s.Count(Filter{}) != 1 {
+		t.Fatalf("an empty log appended to replays %d records, want 1", s.Count(Filter{}))
 	}
 }
 
@@ -270,8 +264,8 @@ func TestOpenRepairsTornTail(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut at %d: a torn last record stopped Open: %v", cut, err)
 		}
-		if s2.Len() != 3 {
-			t.Fatalf("cut at %d: reopened with %d records, want the 3 complete ones", cut, s2.Len())
+		if s2.Count(Filter{}) != 3 {
+			t.Fatalf("cut at %d: reopened with %d records, want the 3 complete ones", cut, s2.Count(Filter{}))
 		}
 		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, whole) {
 			t.Fatalf("cut at %d: the log is %d bytes after Open, want it truncated to its %d whole bytes (%v)",
@@ -287,8 +281,8 @@ func TestOpenRepairsTornTail(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut at %d: reopen after an append: %v", cut, err)
 		}
-		if last, ok := s3.Last(Filter{}); s3.Len() != 4 || !ok || last.Action != "after" {
-			t.Fatalf("cut at %d: the record appended after the repair was lost: %d records, last %+v", cut, s3.Len(), last)
+		if recs := s3.Query(Filter{}); len(recs) != 4 || recs[3].Action != "after" {
+			t.Fatalf("cut at %d: the record appended after the repair was lost: %+v", cut, recs)
 		}
 		if err := s3.Close(); err != nil {
 			t.Fatal(err)
@@ -310,7 +304,7 @@ func TestAppendRefusesOversizeRecord(t *testing.T) {
 	if _, err := s.Append(rec("meta.set", "f1", sim.Epoch), huge); !errors.Is(err, dgferr.ErrInvalid) {
 		t.Fatalf("oversize append: %v, want ErrInvalid", err)
 	}
-	if s.Len() != 0 {
+	if s.Count(Filter{}) != 0 {
 		t.Fatal("the refused record was kept")
 	}
 	if seq, err := s.Append(rec("small", "f1", sim.Epoch), Attr{Key: "k", Value: "v"}); err != nil || seq != 1 {
@@ -338,8 +332,8 @@ func TestFlushMemoryStore(t *testing.T) {
 		t.Errorf("Close on memory store: %v", err)
 	}
 	// Reads still work after close.
-	if s.Len() != 0 {
-		t.Errorf("Len after close")
+	if s.Count(Filter{}) != 0 {
+		t.Errorf("Count after close")
 	}
 }
 

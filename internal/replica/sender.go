@@ -179,13 +179,6 @@ func (s *Sender) SetFollowers(names []string) {
 	}
 }
 
-// Followers returns the current follower names in placement order.
-func (s *Sender) Followers() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]string(nil), s.order...)
-}
-
 // Status reports each follower's last acknowledged sequence.
 func (s *Sender) Status() []FollowerStatus {
 	s.mu.Lock()
@@ -197,13 +190,6 @@ func (s *Sender) Status() []FollowerStatus {
 		}
 	}
 	return out
-}
-
-// LastSeq returns the highest sequence the tap has handed the sender.
-func (s *Sender) LastSeq() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastSeq
 }
 
 // Close stops every outbox worker and waits for them to exit.

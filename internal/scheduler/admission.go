@@ -196,22 +196,6 @@ func (a *Admission) Acquire(ctx context.Context, user string) error {
 	}
 }
 
-// TryAcquire admits without waiting: it returns false when the pool is
-// saturated instead of queueing. Used by callers that prefer shedding
-// to blocking.
-func (a *Admission) TryAcquire() bool {
-	a.lock()
-	if a.inflight < a.capacity && len(a.ring) == 0 {
-		a.inflight++
-		a.unlock()
-		a.reg.Counter("sched_admitted_total").Inc()
-		return true
-	}
-	a.unlock()
-	a.reg.Counter("sched_rejected_total").Inc()
-	return false
-}
-
 // dropWaiter unlinks a cancelled waiter. Caller holds the lock.
 func (a *Admission) dropWaiter(user string, grant chan struct{}) {
 	q := a.queues[user]

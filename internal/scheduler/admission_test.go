@@ -171,21 +171,6 @@ func TestAdmissionConcurrencyBound(t *testing.T) {
 	}
 }
 
-func TestAdmissionTryAcquire(t *testing.T) {
-	a := NewAdmission(1, 4, obs.NewRegistry())
-	if !a.TryAcquire() {
-		t.Fatal("first TryAcquire refused")
-	}
-	if a.TryAcquire() {
-		t.Fatal("second TryAcquire admitted past capacity")
-	}
-	a.Release()
-	if !a.TryAcquire() {
-		t.Fatal("TryAcquire refused after release")
-	}
-	a.Release()
-}
-
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

@@ -19,7 +19,7 @@ func derivationKey(b *Broker, op string, inputs ...string) string {
 // lookupOutputs returns the outputs of the derivation of op over inputs,
 // and whether one is recorded.
 func lookupOutputs(b *Broker, op string, inputs ...string) ([]string, bool) {
-	ent, ok := b.Catalog().Lookup(b.user, derivationKey(b, op, inputs...))
+	ent, ok := b.catalog.Lookup(b.user, derivationKey(b, op, inputs...))
 	return ent.Outputs, ok
 }
 
@@ -46,16 +46,16 @@ func TestCatalog(t *testing.T) {
 	if _, ok := lookupOutputs(b, "other", "/grid/in/a", "/grid/in/b"); ok {
 		t.Errorf("transformation not part of key")
 	}
-	if n := b.Catalog().Len(); n != 1 {
+	if n := b.catalog.Len(); n != 1 {
 		t.Errorf("Len = %d", n)
 	}
-	if n, err := b.Catalog().Invalidate(g.Admin(), "/grid/in/out"); n != 1 || err != nil {
+	if n, err := b.catalog.Invalidate(g.Admin(), "/grid/in/out"); n != 1 || err != nil {
 		t.Errorf("Invalidate = %d, %v", n, err)
 	}
 	if _, ok := lookupOutputs(b, "fft", "/grid/in/a", "/grid/in/b"); ok {
 		t.Errorf("Invalidate failed")
 	}
-	if n, err := b.Catalog().Invalidate(g.Admin(), "/never-recorded"); n != 0 || err != nil {
+	if n, err := b.catalog.Invalidate(g.Admin(), "/never-recorded"); n != 0 || err != nil {
 		t.Errorf("Invalidate of an unknown output = %d, %v", n, err)
 	}
 }
@@ -72,7 +72,7 @@ func TestCatalogRerecordRetiresStaleReverseEntry(t *testing.T) {
 	task.Output = "/grid/in/v2"
 	execute(t, b, task)
 
-	if n, err := b.Catalog().Invalidate(g.Admin(), "/grid/in/v1"); n != 0 || err != nil {
+	if n, err := b.catalog.Invalidate(g.Admin(), "/grid/in/v1"); n != 0 || err != nil {
 		t.Fatalf("invalidating the retired path = %d, %v; want 0", n, err)
 	}
 	out, ok := lookupOutputs(b, "fft", "/grid/in/raw")
@@ -85,13 +85,13 @@ func TestCatalogRerecordRetiresStaleReverseEntry(t *testing.T) {
 		t.Fatalf("rerun of the live derivation: executed %d, skipped %d; want 2, 1", executed, skipped)
 	}
 
-	if n, err := b.Catalog().Invalidate(g.Admin(), "/grid/in/v2"); n != 1 || err != nil {
+	if n, err := b.catalog.Invalidate(g.Admin(), "/grid/in/v2"); n != 1 || err != nil {
 		t.Fatalf("invalidating the live path = %d, %v; want 1", n, err)
 	}
 	if _, ok := lookupOutputs(b, "fft", "/grid/in/raw"); ok {
 		t.Fatal("invalidating the live path left the derivation recorded")
 	}
-	if n := b.Catalog().Len(); n != 0 {
+	if n := b.catalog.Len(); n != 0 {
 		t.Fatalf("catalog not empty after invalidation: %d entries", n)
 	}
 }
@@ -112,11 +112,11 @@ func TestCatalogSharedOutputInvalidatesAllKeys(t *testing.T) {
 	}
 	execute(t, b, &Task{Name: "t", Transformation: "wavelet", CPUSeconds: 1,
 		Inputs: []string{"/grid/in/b"}, Output: "/grid/in/shared", OutputSize: 1024})
-	if n := b.Catalog().Len(); n != 2 {
+	if n := b.catalog.Len(); n != 2 {
 		t.Fatalf("expected 2 derivations, got %d", n)
 	}
 
-	if n, err := b.Catalog().Invalidate(g.Admin(), "/grid/in/shared"); n != 2 || err != nil {
+	if n, err := b.catalog.Invalidate(g.Admin(), "/grid/in/shared"); n != 2 || err != nil {
 		t.Fatalf("invalidating the shared output = %d, %v; want 2", n, err)
 	}
 	if _, ok := lookupOutputs(b, "fft", "/grid/in/a"); ok {
@@ -125,7 +125,7 @@ func TestCatalogSharedOutputInvalidatesAllKeys(t *testing.T) {
 	if _, ok := lookupOutputs(b, "wavelet", "/grid/in/b"); ok {
 		t.Fatal("wavelet derivation dangled after its output was invalidated")
 	}
-	if n := b.Catalog().Len(); n != 0 {
+	if n := b.catalog.Len(); n != 0 {
 		t.Fatalf("catalog not empty after shared-output invalidation: %d entries", n)
 	}
 }
@@ -145,7 +145,7 @@ func TestCatalogKeyCanonicalization(t *testing.T) {
 	if executed, skipped := b.Stats(); executed != 1 || skipped != 1 {
 		t.Fatalf("input order changed the derivation key: executed %d, skipped %d", executed, skipped)
 	}
-	if n, err := b.Catalog().Invalidate(g.Admin(), "/grid/in/never-recorded"); n != 0 || err != nil {
+	if n, err := b.catalog.Invalidate(g.Admin(), "/grid/in/never-recorded"); n != 0 || err != nil {
 		t.Fatalf("Invalidate of an unknown output = %d, %v", n, err)
 	}
 	execute(t, b, &reordered)

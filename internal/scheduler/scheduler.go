@@ -156,11 +156,6 @@ func NewBroker(g *dgms.Grid, nodes []infra.ComputeNode, seed int64) *Broker {
 	return b
 }
 
-// Catalog exposes the broker's virtual-data catalog, a memory-only
-// vdata.Catalog: a task's derivation is recorded under the broker's user
-// as tenant.
-func (b *Broker) Catalog() *vdata.Catalog { return b.catalog }
-
 // SetUser changes the grid identity broker actions run as (default: the
 // grid admin). The user is the tenant of the broker's derivations, so
 // tasks run under different users do not share them.
@@ -409,7 +404,7 @@ func (b *Broker) Execute(task *Task, strategy Strategy, outputResource string) (
 	b.executed++
 	b.mu.Unlock()
 	b.grid.Obs().Counter("scheduler_tasks_executed_total").Inc()
-	b.grid.Meter().Charge(chosen.Node.Name, compute, 0)
+	b.grid.Meter().Charge(chosen.Node.Name, compute)
 	// Register the output.
 	if task.Output != "" {
 		res := outputResource

@@ -187,7 +187,7 @@ func TestExecuteRegistersOutputAndDerivation(t *testing.T) {
 		t.Errorf("output in %s, node in %s", res.Domain(), chosen.Node.Domain)
 	}
 	key := vdata.Key("fft", []string{"/grid/in/raw"}, nil, g.Admin())
-	if ent, ok := b.Catalog().Lookup(g.Admin(), key); !ok || !slices.Equal(ent.Outputs, []string{"/grid/in/spectrum"}) {
+	if ent, ok := b.catalog.Lookup(g.Admin(), key); !ok || !slices.Equal(ent.Outputs, []string{"/grid/in/spectrum"}) {
 		t.Errorf("derivation not recorded: %+v, %v", ent, ok)
 	}
 	executed, skipped := b.Stats()
@@ -209,7 +209,7 @@ func TestExecuteRegistersOutputAndDerivation(t *testing.T) {
 	if err := g.Delete(g.Admin(), "/grid/in/spectrum"); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := b.Catalog().Invalidate(g.Admin(), "/grid/in/spectrum"); n != 1 || err != nil {
+	if n, err := b.catalog.Invalidate(g.Admin(), "/grid/in/spectrum"); n != 1 || err != nil {
 		t.Fatalf("invalidate the deleted output: %d, %v", n, err)
 	}
 	if _, err := b.Execute(task, CostBased, ""); err != nil {

@@ -35,9 +35,6 @@ func NewLeaseTable(shards int) *LeaseTable {
 	return &LeaseTable{shards: shards, leases: make(map[int]lease)}
 }
 
-// Shards returns the configured shard count.
-func (t *LeaseTable) Shards() int { return t.shards }
-
 // Claim attempts to grant shard to holder for ttl from now. It
 // succeeds when the shard is unheld, its lease has expired, or holder
 // already holds it (renewal). It returns the resulting holder — the

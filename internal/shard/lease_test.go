@@ -40,9 +40,6 @@ func TestLeaseClaimRejectsBadInput(t *testing.T) {
 	if _, ok := lt.Claim(0, "", now, time.Second); ok {
 		t.Errorf("empty holder granted")
 	}
-	if lt.Shards() != 4 {
-		t.Errorf("Shards() = %d", lt.Shards())
-	}
 }
 
 func TestLeaseRenewAndOwners(t *testing.T) {

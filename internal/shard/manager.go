@@ -62,9 +62,6 @@ func NewManager(cfg Config) *Manager {
 	}
 }
 
-// Self returns the peer name the manager claims leases under.
-func (m *Manager) Self() string { return m.cfg.Self }
-
 // Shards returns the network's shard count.
 func (m *Manager) Shards() int { return m.cfg.Shards }
 

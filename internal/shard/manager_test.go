@@ -166,8 +166,8 @@ func TestManagerRebalanceRegistryUnreachable(t *testing.T) {
 
 func TestManagerDefaults(t *testing.T) {
 	m := NewManager(Config{Self: "x", Shards: 4})
-	if m.Self() != "x" || m.Shards() != 4 {
-		t.Errorf("Self/Shards = %q/%d", m.Self(), m.Shards())
+	if m.Shards() != 4 {
+		t.Errorf("Shards = %d", m.Shards())
 	}
 	if m.cfg.VNodes != DefaultVNodes || m.cfg.Seed != DefaultSeed || m.cfg.Obs == nil {
 		t.Errorf("defaults not applied: %+v", m.cfg)

@@ -81,8 +81,7 @@ type point struct {
 // K/n of them — which is what bounds ownership churn on membership
 // change (tested in ring_test.go).
 type Ring struct {
-	points  []point
-	members []string
+	points []point
 }
 
 // NewRing builds a ring over members with vnodes virtual nodes per
@@ -100,7 +99,6 @@ func NewRing(members []string, vnodes int, seed uint64) *Ring {
 			continue
 		}
 		seen[m] = true
-		r.members = append(r.members, m)
 		for v := 0; v < vnodes; v++ {
 			r.points = append(r.points, point{hash: vnodeHash(m, v, seed), member: m})
 		}
@@ -112,7 +110,6 @@ func NewRing(members []string, vnodes int, seed uint64) *Ring {
 		}
 		return a.member < b.member // deterministic tie-break
 	})
-	sort.Strings(r.members)
 	return r
 }
 
@@ -128,11 +125,6 @@ func vnodeHash(member string, v int, seed uint64) uint64 {
 	h.Write([]byte(member))
 	fmt.Fprintf(h, "#%d", v)
 	return mix64(h.Sum64())
-}
-
-// Members returns the ring's member set, sorted.
-func (r *Ring) Members() []string {
-	return append([]string(nil), r.members...)
 }
 
 // Owner returns the member owning a raw key (the first virtual node at
@@ -157,18 +149,6 @@ func (r *Ring) ownerOfHash(h uint64) (string, bool) {
 		i = 0 // wrap: the ring is circular
 	}
 	return r.points[i].member, true
-}
-
-// Assign places every shard in [0, shards) on the ring, returning the
-// desired owner map all peers agree on.
-func (r *Ring) Assign(shards int) map[int]string {
-	out := make(map[int]string, shards)
-	for s := 0; s < shards; s++ {
-		if m, ok := r.OwnerOfShard(s); ok {
-			out[s] = m
-		}
-	}
-	return out
 }
 
 // shardKey is the ring key of a shard index.

@@ -90,17 +90,3 @@ func (c *VirtualClock) Sleep(d time.Duration) {
 	c.now = c.now.Add(d)
 	c.mu.Unlock()
 }
-
-// Advance moves the clock forward by d (alias of Sleep, reads better at
-// call sites that drive the simulation rather than model work).
-func (c *VirtualClock) Advance(d time.Duration) { c.Sleep(d) }
-
-// Set jumps the clock to t if t is later than the current time; earlier
-// values are ignored so time never flows backwards.
-func (c *VirtualClock) Set(t time.Time) {
-	c.mu.Lock()
-	if t.After(c.now) {
-		c.now = t
-	}
-	c.mu.Unlock()
-}

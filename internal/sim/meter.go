@@ -5,38 +5,28 @@ import (
 	"time"
 )
 
-// Meter accumulates simulated cost along named lanes. A lane is anything
-// that does work serially — a storage resource, a compute node, a network
-// link. Charging work to a lane extends that lane's busy time; the
-// simulated makespan of a parallel phase is the maximum busy time across
-// lanes, while total work is the sum.
+// Meter accumulates simulated busy time along named lanes. A lane is
+// anything that does work serially — a storage resource, a compute node,
+// a network link. Charging work to a lane extends that lane's busy time.
 //
 // This is how the reproduction accounts for parallelism without running a
 // full discrete-event scheduler: the engines decide *what* runs *where*,
-// and the meter turns those decisions into the same aggregate numbers a
-// testbed would report (makespan, per-resource utilization, bytes, ops).
+// and the meter turns those decisions into per-lane utilization, the
+// figure a testbed would report.
 type Meter struct {
-	mu    sync.Mutex
-	busy  map[string]time.Duration
-	bytes map[string]int64
-	ops   map[string]int64
+	mu   sync.Mutex
+	busy map[string]time.Duration
 }
 
 // NewMeter returns an empty meter.
 func NewMeter() *Meter {
-	return &Meter{
-		busy:  make(map[string]time.Duration),
-		bytes: make(map[string]int64),
-		ops:   make(map[string]int64),
-	}
+	return &Meter{busy: make(map[string]time.Duration)}
 }
 
-// Charge adds d of busy time, b bytes and one operation to the lane.
-func (m *Meter) Charge(lane string, d time.Duration, b int64) {
+// Charge adds d of busy time to the lane.
+func (m *Meter) Charge(lane string, d time.Duration) {
 	m.mu.Lock()
 	m.busy[lane] += d
-	m.bytes[lane] += b
-	m.ops[lane]++
 	m.mu.Unlock()
 }
 
@@ -45,85 +35,4 @@ func (m *Meter) Busy(lane string) time.Duration {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.busy[lane]
-}
-
-// Bytes returns the accumulated bytes of the lane.
-func (m *Meter) Bytes(lane string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.bytes[lane]
-}
-
-// Ops returns the operation count of the lane.
-func (m *Meter) Ops(lane string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ops[lane]
-}
-
-// Makespan returns the maximum busy time across all lanes: the simulated
-// wall-clock of a phase where all lanes proceed in parallel.
-func (m *Meter) Makespan() time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var max time.Duration
-	for _, d := range m.busy {
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-// TotalWork returns the sum of busy time across lanes (serialized cost).
-func (m *Meter) TotalWork() time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var sum time.Duration
-	for _, d := range m.busy {
-		sum += d
-	}
-	return sum
-}
-
-// TotalBytes returns the sum of bytes across lanes.
-func (m *Meter) TotalBytes() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var sum int64
-	for _, b := range m.bytes {
-		sum += b
-	}
-	return sum
-}
-
-// TotalOps returns the sum of operations across lanes.
-func (m *Meter) TotalOps() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var sum int64
-	for _, o := range m.ops {
-		sum += o
-	}
-	return sum
-}
-
-// Lanes returns the names of all lanes that received at least one charge.
-func (m *Meter) Lanes() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.busy))
-	for lane := range m.busy {
-		out = append(out, lane)
-	}
-	return out
-}
-
-// Reset clears all accumulated charges.
-func (m *Meter) Reset() {
-	m.mu.Lock()
-	m.busy = make(map[string]time.Duration)
-	m.bytes = make(map[string]int64)
-	m.ops = make(map[string]int64)
-	m.mu.Unlock()
 }

@@ -46,13 +46,6 @@ func NewNetwork() *Network {
 
 func pairKey(src, dst string) string { return src + "\x00" + dst }
 
-// SetDefault replaces the fallback link used for unconfigured pairs.
-func (n *Network) SetDefault(l Link) {
-	n.mu.Lock()
-	n.def = l
-	n.mu.Unlock()
-}
-
 // SetLink configures the directed link from src to dst.
 func (n *Network) SetLink(src, dst string, l Link) {
 	n.mu.Lock()

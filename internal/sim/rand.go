@@ -19,30 +19,11 @@ func NewRand(seed int64) *Rand {
 	return &Rand{rng: rand.New(rand.NewSource(seed))}
 }
 
-// Int63n returns a uniform integer in [0, n). n must be > 0.
-func (r *Rand) Int63n(n int64) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.rng.Int63n(n)
-}
-
 // Intn returns a uniform integer in [0, n). n must be > 0.
 func (r *Rand) Intn(n int) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.rng.Intn(n)
-}
-
-// Float64 returns a uniform float in [0, 1).
-func (r *Rand) Float64() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.rng.Float64()
-}
-
-// Uniform returns a uniform float in [lo, hi).
-func (r *Rand) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
 }
 
 // LogNormal samples a log-normal value with the given parameters of the
@@ -94,9 +75,4 @@ func (r *Rand) Perm(n int) []int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.rng.Perm(n)
-}
-
-// Pick returns a uniformly random element of the non-empty slice.
-func Pick[T any](r *Rand, xs []T) T {
-	return xs[r.Intn(len(xs))]
 }

@@ -15,22 +15,13 @@ func TestVirtualClock(t *testing.T) {
 	if got := c.Now().Sub(Epoch); got != 90*time.Second {
 		t.Errorf("after Sleep: %v", got)
 	}
-	c.Advance(time.Hour)
+	c.Sleep(time.Hour)
 	if got := c.Now().Sub(Epoch); got != time.Hour+90*time.Second {
-		t.Errorf("after Advance: %v", got)
+		t.Errorf("after a second Sleep: %v", got)
 	}
 	c.Sleep(-time.Hour)
 	if got := c.Now().Sub(Epoch); got != time.Hour+90*time.Second {
 		t.Errorf("negative sleep must be a no-op: %v", got)
-	}
-	c.Set(Epoch) // earlier — ignored
-	if got := c.Now().Sub(Epoch); got != time.Hour+90*time.Second {
-		t.Errorf("Set backwards must be ignored: %v", got)
-	}
-	later := Epoch.Add(48 * time.Hour)
-	c.Set(later)
-	if !c.Now().Equal(later) {
-		t.Errorf("Set forward failed: %v", c.Now())
 	}
 }
 
@@ -66,14 +57,14 @@ func TestRealClock(t *testing.T) {
 func TestRandDeterminism(t *testing.T) {
 	a, b := NewRand(42), NewRand(42)
 	for i := 0; i < 100; i++ {
-		if a.Int63n(1000) != b.Int63n(1000) {
+		if a.Intn(1000) != b.Intn(1000) {
 			t.Fatalf("same seed diverged at %d", i)
 		}
 	}
 	c := NewRand(43)
 	same := true
 	for i := 0; i < 20; i++ {
-		if NewRand(42).Int63n(1<<40) != c.Int63n(1<<40) {
+		if NewRand(42).Intn(1<<40) != c.Intn(1<<40) {
 			same = false
 		}
 	}
@@ -85,9 +76,6 @@ func TestRandDeterminism(t *testing.T) {
 func TestRandDistributions(t *testing.T) {
 	r := NewRand(7)
 	for i := 0; i < 1000; i++ {
-		if v := r.Uniform(5, 10); v < 5 || v >= 10 {
-			t.Fatalf("Uniform out of range: %v", v)
-		}
 		if s := r.FileSize(1<<20, 1.0); s < 1 || s > 1<<40 {
 			t.Fatalf("FileSize out of range: %d", s)
 		}
@@ -115,9 +103,6 @@ func TestRandDistributions(t *testing.T) {
 	}
 	if len(seen) != 10 {
 		t.Errorf("Perm not a permutation: %v", p)
-	}
-	if x := Pick(r, []string{"only"}); x != "only" {
-		t.Errorf("Pick singleton = %q", x)
 	}
 }
 
@@ -154,11 +139,6 @@ func TestNetworkConfiguredLinks(t *testing.T) {
 	if _, err := n.TransferTime("a", "b", 1); err == nil {
 		t.Errorf("zero-bandwidth link should error")
 	}
-	n.SetDefault(Link{Bandwidth: 1 << 20, Latency: 0})
-	d3, _ := n.TransferTime("x", "y", 1<<20)
-	if d3 != time.Second {
-		t.Errorf("new default not honored: %v", d3)
-	}
 }
 
 func TestNetworkTrafficAccounting(t *testing.T) {
@@ -193,30 +173,14 @@ func TestNetworkTrafficAccounting(t *testing.T) {
 
 func TestMeter(t *testing.T) {
 	m := NewMeter()
-	m.Charge("disk1", 2*time.Second, 100)
-	m.Charge("disk1", 3*time.Second, 200)
-	m.Charge("disk2", 4*time.Second, 50)
+	m.Charge("disk1", 2*time.Second)
+	m.Charge("disk1", 3*time.Second)
+	m.Charge("disk2", 4*time.Second)
 	if m.Busy("disk1") != 5*time.Second {
 		t.Errorf("Busy(disk1) = %v", m.Busy("disk1"))
 	}
-	if m.Makespan() != 5*time.Second {
-		t.Errorf("Makespan = %v", m.Makespan())
-	}
-	if m.TotalWork() != 9*time.Second {
-		t.Errorf("TotalWork = %v", m.TotalWork())
-	}
-	if m.TotalBytes() != 350 || m.Bytes("disk2") != 50 {
-		t.Errorf("bytes accounting wrong")
-	}
-	if m.TotalOps() != 3 || m.Ops("disk1") != 2 {
-		t.Errorf("ops accounting wrong")
-	}
-	if len(m.Lanes()) != 2 {
-		t.Errorf("Lanes = %v", m.Lanes())
-	}
-	m.Reset()
-	if m.TotalOps() != 0 || m.Makespan() != 0 {
-		t.Errorf("Reset did not clear meter")
+	if m.Busy("disk2") != 4*time.Second || m.Busy("idle") != 0 {
+		t.Errorf("Busy(disk2) = %v, Busy(idle) = %v", m.Busy("disk2"), m.Busy("idle"))
 	}
 }
 
@@ -259,18 +223,22 @@ func TestQuickTransferMonotone(t *testing.T) {
 	}
 }
 
-// Property: meter makespan ≤ total work, and total bytes is the sum of
-// per-lane charges.
+// Property: a lane's busy time is the sum of the charges made to it.
 func TestQuickMeterInvariants(t *testing.T) {
 	f := func(charges []uint16) bool {
 		m := NewMeter()
-		var sum int64
+		sums := map[string]time.Duration{}
 		for i, c := range charges {
 			lane := string(rune('a' + i%5))
-			m.Charge(lane, time.Duration(c)*time.Millisecond, int64(c))
-			sum += int64(c)
+			m.Charge(lane, time.Duration(c)*time.Millisecond)
+			sums[lane] += time.Duration(c) * time.Millisecond
 		}
-		return m.Makespan() <= m.TotalWork() && m.TotalBytes() == sum
+		for lane, want := range sums {
+			if m.Busy(lane) != want {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -330,9 +330,6 @@ func (s *Store) recordsCounter(typ string) *obs.Counter {
 	return s.opt.Obs.Counter("store_records_total", "type", typ)
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
 // folding is one record on its way into the index, in the form it came
 // in: a Record an Append wrote (recordFold), or the view of a frame
 // AppendFrames wrote as it came (viewFold). fold reads it only through

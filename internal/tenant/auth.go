@@ -53,21 +53,19 @@ var (
 	ErrExpired = dgferr.Mark(dgferr.ErrAuth, "tenant: token expired")
 )
 
-// DefaultSkew is the clock-skew allowance applied to token expiry when
-// the authority is not configured otherwise: a token is accepted until
-// expiry+skew, absorbing modest clock drift between minting and
-// verifying hosts.
-const DefaultSkew = 30 * time.Second
+// Skew is the clock-skew allowance applied to token expiry: a token is
+// accepted until expiry+Skew, absorbing modest clock drift between
+// minting and verifying hosts.
+const Skew = 30 * time.Second
 
 // Authority mints and verifies bearer tokens for tenant identities. It
 // is keyed off a shared secret (every peer in a deployment loads the
 // same key file, so any peer can verify any peer's tokens — federated
 // hops re-verify rather than re-mint). All methods are safe for
-// concurrent use after construction; SetClock/SetSkew are
-// construction-time knobs only.
+// concurrent use after construction; SetClock is a construction-time
+// knob only.
 type Authority struct {
 	secret  []byte
-	skew    time.Duration
 	now     func() time.Time
 	signers sync.Pool // of *signer, keyed with secret
 }
@@ -104,18 +102,9 @@ func NewAuthority(secret []byte) (*Authority, error) {
 	}
 	k := make([]byte, len(secret))
 	copy(k, secret)
-	a := &Authority{secret: k, skew: DefaultSkew, now: time.Now}
+	a := &Authority{secret: k, now: time.Now}
 	a.signers.New = func() any { return &signer{mac: hmac.New(sha256.New, a.secret)} }
 	return a, nil
-}
-
-// SetSkew overrides the clock-skew allowance (construction time only).
-// d < 0 is clamped to zero.
-func (a *Authority) SetSkew(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	a.skew = d
 }
 
 // SetClock overrides the time source (construction time only; tests).
@@ -178,7 +167,7 @@ func (a *Authority) Verify(token string) (string, error) {
 	if err != nil {
 		return "", ErrToken
 	}
-	if a.now().After(time.Unix(exp, 0).Add(a.skew)) {
+	if a.now().After(time.Unix(exp, 0).Add(Skew)) {
 		return "", ErrExpired
 	}
 	return string(s.name[:n]), nil

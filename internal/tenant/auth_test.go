@@ -95,7 +95,6 @@ func TestTokenExpiryAndClockSkew(t *testing.T) {
 	base := time.Unix(1_700_000_000, 0)
 	now := base
 	a.SetClock(func() time.Time { return now })
-	a.SetSkew(30 * time.Second)
 
 	tok, err := a.Mint("alice", time.Minute)
 	if err != nil {
@@ -126,26 +125,6 @@ func TestTokenExpiryAndClockSkew(t *testing.T) {
 	now = base.Add(-10 * time.Minute)
 	if _, err := a.Verify(tok); err != nil {
 		t.Fatalf("verifier behind minter: %v", err)
-	}
-}
-
-func TestSetSkewClampsNegative(t *testing.T) {
-	a := newTestAuthority(t)
-	base := time.Unix(1_700_000_000, 0)
-	now := base
-	a.SetClock(func() time.Time { return now })
-	a.SetSkew(-time.Hour)
-	tok, err := a.Mint("alice", time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now = base.Add(59 * time.Second)
-	if _, err := a.Verify(tok); err != nil {
-		t.Fatalf("negative skew must clamp to zero, not reject live tokens: %v", err)
-	}
-	now = base.Add(61 * time.Second)
-	if _, err := a.Verify(tok); !errors.Is(err, ErrExpired) {
-		t.Fatalf("zero skew past expiry: got %v, want ErrExpired", err)
 	}
 }
 
@@ -241,7 +220,7 @@ func verifyRef(a *Authority, token string) (string, error) {
 	if err != nil {
 		return "", ErrToken
 	}
-	if a.now().After(time.Unix(exp, 0).Add(a.skew)) {
+	if a.now().After(time.Unix(exp, 0).Add(Skew)) {
 		return "", ErrExpired
 	}
 	return string(name), nil

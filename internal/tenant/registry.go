@@ -142,13 +142,6 @@ func NewRegistry(defaults Quota, reg *obs.Registry) *Registry {
 	}
 }
 
-// SetClock overrides the time source (construction time only; tests).
-func (r *Registry) SetClock(now func() time.Time) {
-	if now != nil {
-		r.now = now
-	}
-}
-
 // Register pins a custom quota (and weight) for a tenant, replacing any
 // previous registration.
 func (r *Registry) Register(name string, q Quota) {

@@ -134,7 +134,7 @@ func TestSubmitRateBucket(t *testing.T) {
 	r := NewRegistry(Quota{}, obs.NewRegistry())
 	base := time.Unix(1_700_000_000, 0)
 	now := base
-	r.SetClock(func() time.Time { return now })
+	r.now = func() time.Time { return now }
 	r.Register("alice", Quota{SubmitRate: 10, SubmitBurst: 2})
 
 	// Burst of 2, then empty.

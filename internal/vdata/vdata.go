@@ -386,13 +386,6 @@ func (c *Catalog) SetAnnounce(fn func(key string)) {
 	c.mu.Unlock()
 }
 
-// Peer returns the configured peer name.
-func (c *Catalog) Peer() string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.peer
-}
-
 func outputKey(tenant, output string) string { return tenant + "\x00" + output }
 
 // applyPut updates the in-memory index only (replay and Publish share

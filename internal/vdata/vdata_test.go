@@ -167,7 +167,7 @@ func TestDurabilityAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.SetPeer("peer-a")
-	if c.Peer() != "peer-a" {
+	if c.peer != "peer-a" {
 		t.Fatal("peer name not set")
 	}
 	keys := make([]string, 0, 5)

@@ -16,7 +16,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -207,13 +206,6 @@ func New(name, domain string, class Class, capacity int64) *Resource {
 	}
 }
 
-// NewWithProfile creates a resource with an explicit profile.
-func NewWithProfile(name, domain string, class Class, capacity int64, p Profile) *Resource {
-	r := New(name, domain, class, capacity)
-	r.profile = p
-	return r
-}
-
 // Name returns the resource's unique name.
 func (r *Resource) Name() string { return r.name }
 
@@ -222,12 +214,6 @@ func (r *Resource) Domain() string { return r.domain }
 
 // Class returns the storage class.
 func (r *Resource) Class() Class { return r.class }
-
-// Profile returns the performance/cost profile.
-func (r *Resource) Profile() Profile { return r.profile }
-
-// Capacity returns the configured capacity in bytes (0 = unlimited).
-func (r *Resource) Capacity() int64 { return r.capacity }
 
 // Used returns the bytes currently stored.
 func (r *Resource) Used() int64 {
@@ -274,9 +260,6 @@ func (r *Resource) readTime(size int64) time.Duration {
 // ReadTime predicts the duration of reading size bytes without touching
 // any object — schedulers use it to price candidate placements.
 func (r *Resource) ReadTime(size int64) time.Duration { return r.readTime(size) }
-
-// WriteTime predicts the duration of writing size bytes.
-func (r *Resource) WriteTime(size int64) time.Duration { return r.writeTime(size) }
 
 // Put stores an object. data may be nil, in which case the object is
 // synthetic and only size is tracked. When data is non-nil its length must
@@ -423,18 +406,6 @@ func (r *Resource) Corrupt(id string) error {
 		o.body.corrupted = true
 	}
 	return nil
-}
-
-// List returns the ids of all stored objects, sorted.
-func (r *Resource) List() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.objects))
-	for id := range r.objects {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Count returns the number of stored objects.

@@ -4,7 +4,6 @@ import (
 	"crypto/md5"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -172,9 +171,13 @@ func TestListAndStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	list := r.List()
-	if strings.Join(list, ",") != "a,b,c" {
-		t.Errorf("List = %v", list)
+	for _, id := range []string{"a", "b", "c"} {
+		if _, ok := r.Stat(id); !ok {
+			t.Errorf("Stat(%s) found nothing", id)
+		}
+	}
+	if n := r.Count(); n != 3 {
+		t.Errorf("Count = %d, want 3", n)
 	}
 	_, _, _ = r.Get("a")
 	_, _, _ = r.Get("b")

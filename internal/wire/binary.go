@@ -32,10 +32,8 @@ func appendControl(e *codec.Encoder, c *Control) {
 	e.Sym(7, c.User)
 	// Key is a high-entropy derivation hash: a plain string, like Token.
 	e.Str(8, c.Key)
-	// 9 was a publish's JSON entry; retired.
-	if c.Entry != nil {
-		e.Msg(10, func(e *codec.Encoder) { vdata.AppendEntry(e, c.Entry) })
-	}
+	// 9 and 10 carried a vdata publish's entry (JSON, then binary);
+	// retired with the publish sub-operation.
 	e.Sym(11, c.Name)
 	e.Sym(12, c.Addr)
 	if c.Load != nil {
@@ -108,8 +106,6 @@ func decodeControl(payload []byte) (Control, error) {
 			c.User = d.Sym()
 		case 8:
 			c.Key = d.Str()
-		case 10:
-			c.Entry = decodeEntry(&d)
 		case 11:
 			c.Name = d.Sym()
 		case 12:
@@ -207,7 +203,7 @@ func appendControlResult(e *codec.Encoder, r *ControlResult) {
 			}
 		})
 	}
-	e.Sym(10, r.Tenant)
+	// 10 was the tenant a hello's token verified to; retired.
 	if t := r.Tenants; t != nil {
 		e.Msg(11, func(e *codec.Encoder) {
 			e.Bool(1, t.Enabled)
@@ -419,8 +415,6 @@ func decodeControlResult(payload []byte) (ControlResult, error) {
 			}
 			d.MsgExit(end)
 			r.Repl = rp
-		case 10:
-			r.Tenant = d.Sym()
 		case 11:
 			t := &TenantsInfo{}
 			end := d.MsgEnter()

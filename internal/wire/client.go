@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"datagridflow/internal/codec"
@@ -33,28 +32,19 @@ const dialTimeout = 10 * time.Second
 // network. A connection lost with requests in flight fails every one
 // of them with a resource-down class error — never a hang.
 type Client struct {
-	// addr is the dial target, retained so Redial can re-establish the
-	// session after a connection drop.
-	addr string
-	// timeout bounds each request in nanoseconds (atomic: SetTimeout
-	// may race with in-flight round trips).
-	timeout atomic.Int64
-
 	mu      sync.Mutex
 	fc      *frameConn
 	closed  bool
 	nextID  uint64
 	pending map[uint64]*muxCall
-	readErr error // terminal until Redial: set once the read loop exits
+	readErr error // terminal: set once the read loop exits
 	// xml is set by DisableBinary: DGL documents go out as XML.
 	// Responses are decoded by sniffing, so it only governs what this
 	// client sends.
 	xml bool
 	// token is the tenant bearer token attached to every frame that
-	// carries one (SetToken, docs/TENANCY.md). tenant records the
-	// identity the server verified in the last hello reply.
-	token  string
-	tenant string
+	// carries one (SetToken, docs/TENANCY.md).
+	token string
 }
 
 // muxCall is the slot one pipelined request waits in. Slots are reused
@@ -94,36 +84,14 @@ func DialContext(ctx context.Context, addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
-	c := &Client{addr: addr}
-	if err := c.open(conn); err != nil {
-		return nil, err
-	}
+	c := &Client{fc: newFrameConn(conn, nil), pending: make(map[uint64]*muxCall)}
+	go c.readLoop()
 	if _, err := c.hello(ctx); err != nil {
 		c.Close()
 		return nil, err
 	}
 	return c, nil
 }
-
-// open makes conn the client's connection and starts its read loop.
-func (c *Client) open(conn net.Conn) error {
-	fc := newFrameConn(conn, nil)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		fc.Close()
-		return fmt.Errorf("%w: wire: client closed", dgferr.ErrCancelled)
-	}
-	c.fc, c.pending, c.readErr = fc, make(map[uint64]*muxCall), nil
-	go c.readLoop(fc)
-	return nil
-}
-
-// SetTimeout bounds every subsequent request (write + read) by d on the
-// wall clock; zero restores unbounded requests. Per-request contexts
-// (Submit) compose with it — whichever limit is tighter wins. Safe to
-// call concurrently with in-flight requests.
-func (c *Client) SetTimeout(d time.Duration) { c.timeout.Store(int64(d)) }
 
 // SetToken attaches a tenant bearer token (tenant.Authority.Mint,
 // docs/TENANCY.md) to every subsequent submit, batch, control and route
@@ -140,14 +108,6 @@ func (c *Client) Token() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.token
-}
-
-// Tenant returns the identity the server verified during the last
-// hello, or "" when no token was offered.
-func (c *Client) Tenant() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.tenant
 }
 
 // Close closes the connection. Pipelined requests still in flight fail
@@ -184,11 +144,6 @@ func (c *Client) DisableBinary() {
 // disturbing other in-flight requests. The response frame's payload is
 // pooled: the caller parses it and releases the frame.
 func (c *Client) roundTrip(ctx context.Context, kind byte, payload []byte) (frame, error) {
-	if d := time.Duration(c.timeout.Load()); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
 	call := muxCalls.Get().(*muxCall)
 	c.mu.Lock()
 	if c.readErr != nil {
@@ -200,10 +155,9 @@ func (c *Client) roundTrip(ctx context.Context, kind byte, payload []byte) (fram
 	c.nextID++
 	id := c.nextID
 	c.pending[id] = call
-	fc := c.fc
 	c.mu.Unlock()
 
-	if err := fc.w.write(kind, id, payload); err != nil {
+	if err := c.fc.w.write(kind, id, payload); err != nil {
 		if rerr := c.abandon(id, call); rerr != nil {
 			return frame{}, rerr
 		}
@@ -238,14 +192,12 @@ func (c *Client) abandon(id uint64, call *muxCall) error {
 
 // readLoop is the response pump: it matches response ids to pending
 // requests until the connection dies, then fails everything still in
-// flight. It is pinned to the connection it was started for: after a
-// Redial the stale loop's exit must not poison the fresh session, so
-// failure is scoped through failAllFor.
-func (c *Client) readLoop(fc *frameConn) {
+// flight.
+func (c *Client) readLoop() {
 	for {
-		fr, err := fc.r.next()
+		fr, err := c.fc.r.next()
 		if err != nil {
-			c.failAllFor(fc, err)
+			c.failAll(err)
 			return
 		}
 		c.mu.Lock()
@@ -260,24 +212,16 @@ func (c *Client) readLoop(fc *frameConn) {
 	}
 }
 
-// failAllFor records the terminal connection error and fails every
+// failAll records the terminal connection error and fails every
 // in-flight request with a typed error: cancelled if the client closed
-// the connection itself, resource-down (transient — retry after Redial
-// or on a fresh connection) otherwise. A loop whose connection has
-// already been replaced by Redial is stale: its error belongs to the
-// old session and is dropped.
-func (c *Client) failAllFor(fc *frameConn, cause error) {
+// the connection itself, resource-down (transient — retry on a fresh
+// connection) otherwise.
+func (c *Client) failAll(cause error) {
 	c.mu.Lock()
-	if c.fc != fc {
-		c.mu.Unlock()
-		return
-	}
-	if c.readErr == nil {
-		if c.closed {
-			c.readErr = fmt.Errorf("%w: wire: client closed", dgferr.ErrCancelled)
-		} else {
-			c.readErr = fmt.Errorf("%w: wire: connection lost: %v", dgferr.ErrResourceDown, cause)
-		}
+	if c.closed {
+		c.readErr = fmt.Errorf("%w: wire: client closed", dgferr.ErrCancelled)
+	} else {
+		c.readErr = fmt.Errorf("%w: wire: connection lost: %v", dgferr.ErrResourceDown, cause)
 	}
 	pending, err := c.pending, c.readErr
 	c.pending = make(map[uint64]*muxCall)
@@ -285,32 +229,6 @@ func (c *Client) failAllFor(fc *frameConn, cause error) {
 	for _, call := range pending {
 		call.reply <- muxReply{err: err}
 	}
-}
-
-// Redial replaces the connection with a fresh one to the same server and
-// runs the hello exchange on it, offering the session token again.
-// Requests still in flight on the old connection fail with a
-// resource-down error, and so do requests issued before the new
-// connection is in place.
-func (c *Client) Redial(ctx context.Context) error {
-	c.mu.Lock()
-	closed, old := c.closed, c.fc
-	c.mu.Unlock()
-	if closed {
-		return fmt.Errorf("%w: wire: client closed", dgferr.ErrCancelled)
-	}
-	_ = old.Close()
-	c.failAllFor(old, errors.New("redialled"))
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", c.addr)
-	if err != nil {
-		return fmt.Errorf("%w: wire: redial %s: %v", dgferr.ErrResourceDown, c.addr, err)
-	}
-	if err := c.open(conn); err != nil {
-		return err
-	}
-	_, err = c.hello(ctx)
-	return err
 }
 
 // submitOne is the single-request transport core of Submit.
@@ -444,24 +362,6 @@ func (c *Client) SubmitFlow(user string, flow dgl.Flow) (*dgl.Response, error) {
 	return c.submitOne(context.Background(), dgl.NewRequest(user, "", flow))
 }
 
-// RunFlow submits a flow synchronously and returns its final status
-// tree, decoding a server-side failure into a typed error — the
-// convenience entry point for "run this and tell me, typed, why it
-// failed".
-func (c *Client) RunFlow(ctx context.Context, user string, flow dgl.Flow) (*dgl.FlowStatus, error) {
-	resp, err := c.submitOne(ctx, dgl.NewRequest(user, "", flow))
-	if err != nil {
-		return nil, err
-	}
-	if resp.Error != "" {
-		return resp.Status, dgferr.Decode(resp.Error)
-	}
-	if resp.Status == nil {
-		return nil, errors.New("wire: empty response")
-	}
-	return resp.Status, nil
-}
-
 // Status queries the status of an execution, flow or step id. A server
 // that belongs to a peer network answers for an id any peer owns
 // (docs/WIRE.md), asking the owner with the session's token.
@@ -509,9 +409,9 @@ func (c *Client) controlMsg(ctx context.Context, msg Control) (ControlResult, er
 }
 
 // Hello repeats the hello exchange Dial ran, offering the token set
-// with SetToken since: the server verifies it — a forged or expired one
-// fails with a typed dgferr.ErrAuth — and Tenant reports the identity
-// it verified. It returns the server's protocol version.
+// with SetToken since: the server verifies it, and a forged or expired
+// one fails with a typed dgferr.ErrAuth. It returns the server's
+// protocol version.
 func (c *Client) Hello() (serverProto string, err error) {
 	return c.hello(context.Background())
 }
@@ -527,9 +427,6 @@ func (c *Client) hello(ctx context.Context) (string, error) {
 	if res.Proto != ProtoVersion {
 		return "", fmt.Errorf("%w: server speaks protocol %q, client %q", dgferr.ErrProtocol, res.Proto, ProtoVersion)
 	}
-	c.mu.Lock()
-	c.tenant = res.Tenant
-	c.mu.Unlock()
 	return res.Proto, nil
 }
 
@@ -663,14 +560,6 @@ func (c *Client) VdataLookup(user, key string) (*vdata.Entry, bool, error) {
 		return nil, false, nil
 	}
 	return info.Entry, true, nil
-}
-
-// VdataPublish records a derivation in the server's catalog under the
-// caller's resolved tenant (the entry's own Tenant field is overridden
-// server-side — no cross-tenant writes).
-func (c *Client) VdataPublish(user string, ent vdata.Entry) error {
-	_, err := c.vdataMsg(Control{Sub: "publish", User: user, Entry: &ent})
-	return err
 }
 
 // VdataInvalidate drops the tenant's derivations matching target — a

@@ -9,7 +9,6 @@ import (
 	"datagridflow/internal/codec"
 	"datagridflow/internal/dgl"
 	"datagridflow/internal/scheduler"
-	"datagridflow/internal/vdata"
 )
 
 // TestDecodeReplicateResultAllocs: a replication ack holds no string but
@@ -72,8 +71,6 @@ func TestConcurrentDecodesShareThePool(t *testing.T) {
 
 	e.Reset()
 	appendControl(e, &Control{Op: "vput", ID: "dgf-000003", User: "alice", Name: "peerB", Addr: "127.0.0.1:7401",
-		Entry: &vdata.Entry{Key: "k-1", Tenant: "alice", Op: dgl.OpSetMeta, Inputs: chain[:6], Outputs: chain[6:12],
-			Params: map[string]string{"attr": "a"}, Peer: "peerB"},
 		Load: &scheduler.PeerLoad{Inflight: 3, Resources: chain[12:]}, Shards: []int{0, 5}})
 	control := append([]byte(nil), e.Bytes()...)
 

@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -65,9 +66,9 @@ func TestDelegateRoundTrip(t *testing.T) {
 	if serve == nil {
 		t.Fatal("no deleg.serve provenance record")
 	}
-	if serve.FlowID+"/sub" != resp.Status.ID || serve.Detail.Get("origin") != "origin-peer" ||
-		serve.Detail.Get("parentExec") != "origin-peer:dgf-000001" ||
-		serve.Detail.Get("parentNode") != "origin-peer:dgf-000001/parent/sub" {
+	if serve.FlowID+"/sub" != resp.Status.ID || !slices.Contains(serve.Detail, provenance.Attr{Key: "origin", Value: "origin-peer"}) ||
+		!slices.Contains(serve.Detail, provenance.Attr{Key: "parentExec", Value: "origin-peer:dgf-000001"}) ||
+		!slices.Contains(serve.Detail, provenance.Attr{Key: "parentNode", Value: "origin-peer:dgf-000001/parent/sub"}) {
 		t.Errorf("deleg.serve record = %+v (run %s)", serve, resp.Status.ID)
 	}
 }

@@ -103,14 +103,14 @@ func FuzzEnvelopes(f *testing.F) {
 			Outputs: []string{a, b}, Result: c, Peer: user, Unix: int64(n)}
 		load := scheduler.PeerLoad{Inflight: int64(n), Queued: int64(seq), Running: int64(n) - 1, Capacity: int64(seq) + 1,
 			Resources: chain}
-		ctl := Control{Op: a, ID: b, Proto: c, Token: token, Limit: n, Sub: c, User: user, Key: b, Entry: ent,
+		ctl := Control{Op: a, ID: b, Proto: c, Token: token, Limit: n, Sub: c, User: user, Key: b,
 			Name: user, Addr: c, Load: &load, Shards: []int{n, 0, n + 1}, Keys: chain}
 		appendControl(e, &ctl)
 		if got, err := decodeControl(e.Bytes()); err != nil || !reflect.DeepEqual(got, ctl) {
 			t.Fatalf("control round trip: %+v, %v, want %+v", got, err, ctl)
 		}
 
-		res := ControlResult{OK: ok, ID: b, Error: c, Proto: a, Tenant: user,
+		res := ControlResult{OK: ok, ID: b, Error: c, Proto: a,
 			Executions: []ExecutionInfo{{ID: a, Name: b, State: c, User: user}},
 			Metrics:    metrics,
 			Store: &StoreInfo{Segments: n, Records: n + 1, ReplayRecords: n + 2, Live: n + 3, Passivated: n + 4,
@@ -143,7 +143,7 @@ func FuzzEnvelopes(f *testing.F) {
 		}
 		// A lookup's reply, with the entry found and without one.
 		for _, v := range []*VdataInfo{{Enabled: true, Found: true, Entry: ent}, {Enabled: true, Found: true}} {
-			vr := ControlResult{OK: true, Tenant: user, Vdata: v}
+			vr := ControlResult{OK: true, Vdata: v}
 			e.Reset()
 			appendControlResult(e, &vr)
 			if got, err := decodeControlResult(e.Bytes()); err != nil || !reflect.DeepEqual(got, vr) {

@@ -120,7 +120,11 @@ func TestTypedErrorsOverWire(t *testing.T) {
 			"path": "/grid/f.dat", "size": "100", "resource": "disk",
 		}),
 	}
-	_, err = c.RunFlow(context.Background(), "user", dgl.NewFlow("f").StepWith(st).Flow())
+	resp, err := c.SubmitFlow("user", dgl.NewFlow("f").StepWith(st).Flow())
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = dgferr.Decode(resp.Error)
 	if !errors.Is(err, dgferr.ErrRetryExhausted) {
 		t.Errorf("errors.Is(err, ErrRetryExhausted) = false over the wire: %v", err)
 	}
@@ -153,14 +157,18 @@ func TestPeerCrashDropsConnections(t *testing.T) {
 	})).Flow()
 
 	c := dial(t, addr)
-	if _, err := c.RunFlow(context.Background(), "user", flow); err != nil {
+	resp, err := c.SubmitFlow("user", flow)
+	if err != nil {
 		t.Fatalf("before crash window: %v", err)
 	}
-	clock.Advance(90 * time.Second) // into the crash window
+	if resp.Error != "" {
+		t.Fatalf("before crash window: %s", resp.Error)
+	}
+	clock.Sleep(90 * time.Second) // into the crash window
 	if _, err := c.submitOne(context.Background(), dgl.NewStatusRequest("user", "x", false)); err == nil {
 		t.Fatal("request survived the crash window")
 	}
-	clock.Advance(time.Minute) // the server "restarts"
+	clock.Sleep(time.Minute) // the server "restarts"
 	c2 := dial(t, addr)
 	if _, err := c2.Status("user", "no-such", false); !errors.Is(err, dgferr.ErrNotFound) {
 		t.Errorf("after restart: %v, want a served (typed) response", err)

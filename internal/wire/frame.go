@@ -96,11 +96,10 @@ type Control struct {
 	// Proto is the client's ProtoVersion, for "hello".
 	Proto string
 	// Token is the tenant bearer token (docs/TENANCY.md). On "hello" it
-	// is the credential exchange: the server verifies it and echoes the
-	// tenant identity, failing the handshake on a forged or expired
-	// token. Every other verb carries the session's token too; those
-	// resolved per tenant (pause, resume, cancel, restart, vdata) are
-	// refused when it does not verify.
+	// is the credential exchange: the server verifies it, failing the
+	// handshake on a forged or expired token. Every other verb carries
+	// the session's token too; those resolved per tenant (pause, resume,
+	// cancel, restart, vdata) are refused when it does not verify.
 	Token string
 	// Limit bounds the "tenants" verb's reply rows (0 = server default).
 	Limit int
@@ -115,8 +114,6 @@ type Control struct {
 	// Key is the "vdata" verb's target: a derivation key for lookup, a
 	// key or output path for invalidate.
 	Key string
-	// Entry carries the derivation of a "vdata" publish.
-	Entry *vdata.Entry
 	// Name is the peer a registry op names or acts for, Addr its wire
 	// address (register, heartbeat).
 	Name string
@@ -152,9 +149,6 @@ type ControlResult struct {
 	// Repl carries the replication summary for the "repl" verb
 	// (docs/REPLICATION.md).
 	Repl *ReplInfo
-	// Tenant is the authenticated tenant identity, echoed by "hello"
-	// when the client's token verified (docs/TENANCY.md).
-	Tenant string
 	// Tenants carries the tenancy summary for the "tenants" verb.
 	Tenants *TenantsInfo
 	// Vdata carries the virtual-data reply for the "vdata" verb

@@ -196,62 +196,6 @@ func TestBatchSubmit(t *testing.T) {
 	}
 }
 
-// TestSetTimeoutRace hammers SetTimeout from one goroutine while others
-// run round trips — the -race regression test for the unsynchronized
-// timeout write.
-func TestSetTimeoutRace(t *testing.T) {
-	e := newEngine(t, "")
-	_, addr := startServer(t, e)
-	c := dial(t, addr)
-
-	stop := make(chan struct{})
-	churnDone := make(chan struct{})
-	var wg sync.WaitGroup
-	go func() {
-		defer close(churnDone)
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			c.SetTimeout(time.Duration(i%5) * time.Second)
-		}
-	}()
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 25; j++ {
-				if _, err := c.List(); err != nil {
-					t.Errorf("list under SetTimeout churn: %v", err)
-					return
-				}
-			}
-		}()
-	}
-	// A second connection races the same way.
-	cs, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cs.Close()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for j := 0; j < 25; j++ {
-			cs.SetTimeout(time.Duration(j%3) * time.Second)
-			if _, err := cs.List(); err != nil {
-				t.Errorf("second connection's list under SetTimeout churn: %v", err)
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	close(stop)
-	<-churnDone
-}
-
 // TestMuxRequestContextCancel abandons one pipelined request and checks
 // its neighbours are untouched.
 func TestMuxRequestContextCancel(t *testing.T) {

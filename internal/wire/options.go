@@ -2,7 +2,6 @@ package wire
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"datagridflow/internal/dgferr"
@@ -172,16 +171,4 @@ func (r *SubmitResult) Err() error {
 		return nil
 	}
 	return dgferr.Decode(r.Response.Error)
-}
-
-// Status returns the primary response's status tree, decoding a
-// server-side failure into a typed error.
-func (r *SubmitResult) Status() (*dgl.FlowStatus, error) {
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if r.Response == nil || r.Response.Status == nil {
-		return nil, errors.New("wire: response carries no status")
-	}
-	return r.Response.Status, nil
 }

@@ -91,9 +91,6 @@ func (p *Peer) EnableReplication(cfg ReplicationConfig) error {
 	return nil
 }
 
-// Replicating reports whether EnableReplication has been called.
-func (p *Peer) Replicating() bool { return p.replSender != nil }
-
 // replDeliver carries one replicate frame to a named peer over the
 // pooled clients — the Sender's transport and the Receiver's chain hop.
 func (p *Peer) replDeliver(peerName string, f Replicate) (ReplicateResult, error) {

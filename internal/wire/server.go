@@ -873,16 +873,13 @@ func serveHello(c Control, auth *tenant.Authority, failures *obs.Counter) Contro
 	if c.Proto != ProtoVersion {
 		return refused(fmt.Errorf("%w: client speaks protocol %q, server %q", dgferr.ErrProtocol, c.Proto, ProtoVersion))
 	}
-	res := ControlResult{OK: true, Proto: ProtoVersion}
 	if c.Token != "" && auth != nil {
-		id, err := auth.Verify(c.Token)
-		if err != nil {
+		if _, err := auth.Verify(c.Token); err != nil {
 			failures.Inc()
 			return refused(err)
 		}
-		res.Tenant = id
 	}
-	return res
+	return ControlResult{OK: true, Proto: ProtoVersion}
 }
 
 // serveControlOp services the non-hello control verbs.
@@ -1013,8 +1010,8 @@ func (s *Server) serveExecOp(c Control) ControlResult {
 	return ControlResult{OK: true, ID: c.ID}
 }
 
-// serveVdata services the "vdata" control verb (docs/VDATA.md): stats, lookup, publish and invalidate against the
-// engine's derivation catalog. Every sub-operation resolves the caller's
+// serveVdata services the "vdata" control verb (docs/VDATA.md): stats,
+// lookup and invalidate against the engine's derivation catalog. Every sub-operation resolves the caller's
 // tenant exactly as submissions do — the bearer token on the frame is
 // re-verified, and with an authority attached it must agree with the
 // claimed user — so no tenant can read or drop another's derivations.
@@ -1050,17 +1047,6 @@ func (s *Server) serveVdata(c Control) ControlResult {
 			info.Found = true
 			info.Entry = &ent
 		}
-	case "publish":
-		if c.Entry == nil {
-			return refused(fmt.Errorf("%w: vdata publish needs an entry", dgferr.ErrInvalid))
-		}
-		ent := *c.Entry
-		// A caller may only ever write its own tenant scope.
-		ent.Tenant = ten
-		if err := cat.Publish(ent); err != nil {
-			return refused(err)
-		}
-		info.Entries = cat.Len()
 	case "invalidate":
 		if c.Key == "" {
 			return refused(fmt.Errorf("%w: vdata invalidate needs a key or output path", dgferr.ErrInvalid))

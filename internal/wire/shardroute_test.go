@@ -12,9 +12,7 @@ import (
 	"datagridflow/internal/dgferr"
 	"datagridflow/internal/dgl"
 	"datagridflow/internal/matrix"
-	"datagridflow/internal/obs"
 	"datagridflow/internal/shard"
-	"datagridflow/internal/tenant"
 )
 
 const testShards = 32
@@ -294,8 +292,8 @@ func TestSubmitOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, serr := res.Status(); serr != nil || st.State != "succeeded" {
-		t.Fatalf("sync status = %+v, %v", st, serr)
+	if serr := res.Err(); serr != nil || res.Response.Status == nil || res.Response.Status.State != "succeeded" {
+		t.Fatalf("sync status = %+v, %v", res.Response.Status, serr)
 	}
 	if res.ID != "" {
 		t.Errorf("sync submit produced an async id %q", res.ID)
@@ -346,80 +344,6 @@ func TestSubmitOptions(t *testing.T) {
 	// No requests at all is a typed invalid.
 	if _, err := c.Submit(context.Background(), nil); !errors.Is(err, dgferr.ErrInvalid) {
 		t.Errorf("empty submit = %v, want ErrInvalid", err)
-	}
-}
-
-// TestRedialRefreshesNegotiation: Redial fails what was in flight on
-// the old connection and puts the client on a fresh one that has run
-// its own hello — the session token offered and verified again, so a
-// server that came back with another secret refuses it.
-func TestRedialRefreshesNegotiation(t *testing.T) {
-	e := newEngine(t, "")
-	reached, release := registerParkOp(e)
-	tenancy := func(secret string) (*Server, *tenant.Authority) {
-		s := NewServer(e)
-		auth, err := tenant.NewAuthority([]byte(secret))
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.SetTenancy(auth, tenant.NewRegistry(tenant.Quota{}, obs.NewRegistry()), false)
-		return s, auth
-	}
-	s, auth := tenancy("first-secret")
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := dial(t, addr)
-	c.SetToken(mint(t, auth, "alice"))
-	if _, err := c.Hello(); err != nil || c.Tenant() != "alice" {
-		t.Fatalf("hello: tenant %q, %v", c.Tenant(), err)
-	}
-
-	// A request in flight on the old connection fails, typed, once the
-	// client redials.
-	inflight := make(chan error, 1)
-	go func() {
-		_, err := c.submitOne(context.Background(), dgl.NewRequest("alice", "", parkFlow("held")))
-		inflight <- err
-	}()
-	<-reached
-	if err := c.Redial(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-inflight:
-		if !errors.Is(err, dgferr.ErrResourceDown) {
-			t.Errorf("request in flight across a redial = %v, want ErrResourceDown", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("request in flight across a redial hung")
-	}
-	if c.Tenant() != "alice" {
-		t.Errorf("redialled session verified tenant %q, want alice", c.Tenant())
-	}
-	if _, err := c.Status("alice", "nope", false); !errors.Is(err, dgferr.ErrNotFound) {
-		t.Errorf("post-redial request = %v, want typed ErrNotFound", err)
-	}
-
-	// The server comes back with another secret: the redial's hello
-	// offers the old token, which no longer verifies.
-	close(release)
-	s.Close()
-	s2, auth2 := tenancy("second-secret")
-	if _, err := s2.Listen(addr); err != nil {
-		t.Fatalf("rebind %s: %v", addr, err)
-	}
-	t.Cleanup(s2.Close)
-	if err := c.Redial(context.Background()); !errors.Is(err, dgferr.ErrAuth) {
-		t.Fatalf("redial offering a token the server cannot verify = %v, want ErrAuth", err)
-	}
-	c.SetToken(mint(t, auth2, "alice"))
-	if err := c.Redial(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.List(); err != nil {
-		t.Errorf("request after a redial with a fresh token: %v", err)
 	}
 }
 

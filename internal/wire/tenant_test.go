@@ -62,9 +62,6 @@ func TestHelloTokenExchange(t *testing.T) {
 	if _, err := c.Hello(); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Tenant(); got != "alice" {
-		t.Errorf("Tenant() = %q, want alice", got)
-	}
 
 	// Forged token: handshake refused.
 	bad, err := Dial(addr)
@@ -139,9 +136,6 @@ func TestUntokenedClientIsAnonymousButAdmitted(t *testing.T) {
 	c := dial(t, addr)
 	if _, err := c.Hello(); err != nil {
 		t.Fatal(err)
-	}
-	if got := c.Tenant(); got != "" {
-		t.Errorf("tokenless hello verified tenant %q", got)
 	}
 	resp, err := c.SubmitFlow("user", noopFlow("f"))
 	if err != nil || resp.Error != "" {

@@ -62,7 +62,7 @@ func wirePureFlow() dgl.Flow {
 }
 
 // TestVdataVerbRoundTrip covers the vdata verb end to end over
-// a plain client: stats, publish, tenant-scoped lookup, invalidate.
+// a plain client: stats, tenant-scoped lookup, invalidate.
 func TestVdataVerbRoundTrip(t *testing.T) {
 	reg := obs.NewRegistry()
 	e := newEngine(t, "")
@@ -85,9 +85,9 @@ func TestVdataVerbRoundTrip(t *testing.T) {
 	}
 	ent := vdata.Entry{
 		Key: vdata.Key("fft", []string{"/grid/derived/a"}, map[string]string{"n": "1"}, "user"),
-		Op:  "fft", Outputs: []string{"/grid/derived/a"}, Result: "done",
+		Op:  "fft", Outputs: []string{"/grid/derived/a"}, Result: "done", Tenant: "user",
 	}
-	if err := c.VdataPublish("user", ent); err != nil {
+	if err := cat.Publish(ent); err != nil {
 		t.Fatal(err)
 	}
 	got, ok, err := c.VdataLookup("user", ent.Key)
@@ -160,16 +160,13 @@ func TestVdataVerbRequiresTenantMatch(t *testing.T) {
 	}
 	ent := vdata.Entry{
 		Key: vdata.Key("fft", []string{"/grid/derived/a"}, nil, "alice"),
-		Op:  "fft", Outputs: []string{"/grid/derived/a"}, Result: "done",
-		// A forged tenant claim inside the entry is overridden server-side.
-		Tenant: "bob",
+		Op:  "fft", Outputs: []string{"/grid/derived/a"}, Result: "done", Tenant: "alice",
 	}
-	if err := c.VdataPublish("alice", ent); err != nil {
+	if err := cat.Publish(ent); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := cat.Lookup("alice", ent.Key)
-	if !ok || got.Tenant != "alice" {
-		t.Fatalf("published entry = %+v ok=%v, want tenant alice", got, ok)
+	if got, ok, err := c.VdataLookup("alice", ent.Key); err != nil || !ok || got.Tenant != "alice" {
+		t.Fatalf("own lookup = %+v ok=%v err=%v", got, ok, err)
 	}
 	// A lookup claiming another tenant's identity is refused.
 	if _, _, err := c.VdataLookup("bob", ent.Key); !errors.Is(err, dgferr.ErrAuth) {
