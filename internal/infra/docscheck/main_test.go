@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -246,6 +247,25 @@ func TestNestedModuleCounts(t *testing.T) {
 		"internal/a/a.go": "package a\n\nfunc BenchOnly() {}\n",
 		"bench/go.mod":    "module x/bench\n\ngo 1.22\n\nrequire x v0.0.0\n\nreplace x => ../\n",
 		"bench/main.go":   "package main\n\nimport \"x/internal/a\"\n\nfunc main() { a.BenchOnly() }\n",
+	})
+	wantProblems(t, root)
+}
+
+// TestBuildConstraintsHonoured: files a build of this platform leaves
+// out, by a //go:build line or a GOOS suffix, are not type-checked, so
+// a declaration repeated per platform is no duplicate.
+func TestBuildConstraintsHonoured(t *testing.T) {
+	other := "plan9"
+	if runtime.GOOS == other {
+		other = "windows"
+	}
+	root := moduleRepo(t, map[string]string{
+		"internal/a/a.go":                         "package a\n\nfunc Used() int { return page }\n",
+		"internal/a/page_" + runtime.GOOS + ".go": "package a\n\nconst page = 1\n",
+		"internal/a/page_" + other + ".go":        "package a\n\nconst page = 2\n",
+		"internal/a/page_other.go":                "//go:build ignore\n\npackage a\n\nconst page = 3\n",
+		"internal/gen/gen.go":                     "//go:build ignore\n\npackage main\n\nfunc main() {}\n",
+		"cmd/srv/main.go":                         "package main\n\nimport \"x/internal/a\"\n\nfunc main() { a.Used() }\n",
 	})
 	wantProblems(t, root)
 }

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -302,16 +304,19 @@ func (l *loader) Import(path string) (*types.Package, error) {
 	if !ok {
 		return l.std.Import(path)
 	}
-	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	// go/build picks the files a build would compile: no tests, and no
+	// file its build constraints or GOOS/GOARCH suffix leave out.
+	bp, err := build.Default.ImportDir(dir, 0)
+	var noGo *build.NoGoError
+	if errors.As(err, &noGo) {
+		bp, err = &build.Package{}, nil // every file is left out here
+	}
 	if err != nil {
 		return nil, err
 	}
 	var files []*ast.File
-	for _, name := range names {
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(l.fset, name, nil, parser.SkipObjectResolution)
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}

@@ -74,6 +74,9 @@ func TestHistogramConcurrent(t *testing.T) {
 		t.Fatalf("histograms in snapshot = %d, want 1", len(snap.Histograms))
 	}
 	hp := snap.Histograms[0]
+	if hp.Count != workers*per {
+		t.Fatalf("count = %d, want %d", hp.Count, workers*per)
+	}
 	if hp.Min != 0.5 || hp.Max != 3.5 {
 		t.Fatalf("min/max = %v/%v, want 0.5/3.5", hp.Min, hp.Max)
 	}

@@ -18,8 +18,6 @@ const (
 	EventStart = "start"
 	// EventEnd closes a span; Attrs carry the outcome.
 	EventEnd = "end"
-	// EventPoint is an instantaneous event with no duration.
-	EventPoint = "point"
 )
 
 // Event is one structured trace event. Span pairs share Scope and ID:
@@ -32,7 +30,7 @@ type Event struct {
 	// Time is the emission instant on the emitting component's clock
 	// (virtual under simulation).
 	Time time.Time `json:"time"`
-	// Type is EventStart, EventEnd or EventPoint.
+	// Type is EventStart or EventEnd.
 	Type string `json:"type"`
 	// Scope names the lifecycle kind: "flow", "step" or "request".
 	Scope string `json:"scope"`
@@ -238,7 +236,7 @@ func (b *TraceBuffer) Events() []Event {
 //
 // The code's low two bits name the type (typeCodes), 0 for any other;
 // the bits above them count the attributes.
-var typeCodes = [...]string{1: EventStart, 2: EventEnd, 3: EventPoint}
+var typeCodes = [...]string{1: EventStart, 2: EventEnd}
 
 func typeCode(typ string) byte {
 	for c := byte(1); c < byte(len(typeCodes)); c++ {

@@ -13,7 +13,7 @@ import (
 func TestTraceRingWraps(t *testing.T) {
 	tb := NewTraceBuffer(4)
 	for i := 0; i < 10; i++ {
-		tb.emit(&Event{Type: EventPoint, Scope: "flow", Name: "n", ID: "x"})
+		tb.emit(&Event{Type: EventStart, Scope: "flow", Name: "n", ID: "x"})
 	}
 	evs := tb.Events()
 	if len(evs) != 4 {
@@ -109,7 +109,7 @@ func TestTraceConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 2000; j++ {
-				tb.emit(&Event{Type: EventPoint, Scope: "flow", Name: "n", ID: strings.Repeat("x", j%200)})
+				tb.emit(&Event{Type: EventStart, Scope: "flow", Name: "n", ID: strings.Repeat("x", j%200)})
 			}
 		}()
 	}

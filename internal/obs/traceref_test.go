@@ -91,7 +91,7 @@ func FuzzTraceMatchesReference(f *testing.F) {
 			c := script[i]
 			ev := Event{
 				Time:  time.Unix(nanos/1e9+int64(i), nanos%1e9).In(zone),
-				Type:  []string{EventStart, EventEnd, EventPoint, word(i + 1)}[c%4],
+				Type:  []string{EventStart, EventEnd, "point", word(i + 1)}[c%4],
 				Scope: word(i + 2), Name: word(i + 3), ID: word(i + 4),
 			}
 			if c&0x10 != 0 {
