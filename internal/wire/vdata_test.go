@@ -108,6 +108,44 @@ func TestVdataVerbRoundTrip(t *testing.T) {
 	}
 }
 
+// TestVdataUnknownSubMintsNoSeries: a sub-operation the server does not
+// know is refused, and counted nowhere — the op label takes only the
+// three values docs/METRICS.md lists, whatever a peer sends.
+func TestVdataUnknownSubMintsNoSeries(t *testing.T) {
+	e := newEngine(t, "")
+	cat, err := vdata.Open("", obs.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetVdata(cat)
+	_, addr := startServer(t, e)
+	c := dial(t, addr)
+	if _, err := c.VdataStats(); err != nil {
+		t.Fatal(err)
+	}
+	series := func() (ops []string) {
+		for _, p := range e.Obs().Snapshot().Counters {
+			if p.Name == "wire_vdata_ops_total" {
+				ops = append(ops, p.Labels["op"])
+			}
+		}
+		return ops
+	}
+	before := series()
+	for i := 0; i < 20; i++ {
+		sub := "bogus-" + strings.Repeat("x", i)
+		if _, err := c.vdataMsg(Control{Sub: sub}); !errors.Is(err, dgferr.ErrInvalid) {
+			t.Fatalf("unknown sub %q: err %v, want ErrInvalid", sub, err)
+		}
+	}
+	if got := series(); strings.Join(got, ",") != strings.Join(before, ",") {
+		t.Fatalf("wire_vdata_ops_total series went from %v to %v: unknown sub-operations minted series", before, got)
+	}
+	if got := e.Obs().Counter("wire_vdata_ops_total", "op", "stats").Value(); got != 1 {
+		t.Fatalf("stats counted %d times, want 1", got)
+	}
+}
+
 // TestVdataVerbWithoutCatalog: a server with no catalog attached
 // answers stats with Enabled false instead of erroring.
 func TestVdataVerbWithoutCatalog(t *testing.T) {
