@@ -1030,7 +1030,6 @@ func (s *Server) serveVdata(c Control) ControlResult {
 	if sub == "" {
 		sub = "stats"
 	}
-	s.engine.Obs().Counter("wire_vdata_ops_total", "op", sub).Inc()
 	switch sub {
 	case "stats":
 		st := cat.Stats()
@@ -1059,6 +1058,9 @@ func (s *Server) serveVdata(c Control) ControlResult {
 	default:
 		return refused(fmt.Errorf("%w: unknown vdata sub-operation %q", dgferr.ErrInvalid, c.Sub))
 	}
+	// Counted once accepted: the label takes only the three known values,
+	// whatever a peer sends.
+	s.engine.Obs().Counter("wire_vdata_ops_total", "op", sub).Inc()
 	return ControlResult{OK: true, Vdata: info}
 }
 
