@@ -70,6 +70,9 @@ const (
 	MsgVdata byte = 14
 	// MsgProv is one record of the provenance log (a provenance.Record).
 	MsgProv byte = 15
+	// MsgEnded is what an engine keeps in memory of an ended execution:
+	// its status tree, root variables and perhaps its request.
+	MsgEnded byte = 16
 )
 
 // Wire types, the low two bits of every field tag.

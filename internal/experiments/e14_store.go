@@ -271,7 +271,7 @@ func runStore(scale Scale) (*storeReport, error) {
 	}
 	// Sweep stragglers (none expected) through the production API.
 	e.PassivateIdle(0)
-	rep.residentAfterSweep = len(e.Executions())
+	rep.residentAfterSweep = e.Resident()
 	rep.passivated = st.Stats().Passivated
 	rep.heapAfterMB = heapMB()
 
@@ -329,7 +329,7 @@ func runStore(scale Scale) (*storeReport, error) {
 		return nil, err
 	}
 	rep.recoverMs = float64(time.Since(t0).Microseconds()) / 1000
-	rep.residentAfterRecovery = len(e2.Executions()) + len(resumed)
+	rep.residentAfterRecovery = e2.Resident() + len(resumed)
 
 	// Prove a passivated flow is actually reachable after the restart:
 	// resurrect one, check its burst steps are checkpoint-complete,

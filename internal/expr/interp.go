@@ -192,7 +192,7 @@ func (t *Template) Append(buf []byte, env Env) (s string, out []byte, err error)
 		if sg.name == "" {
 			buf = append(buf, sg.lit...)
 		} else if v, ok := env.Lookup(sg.name); ok {
-			buf = v.appendTo(buf)
+			buf = v.AppendTo(buf)
 		}
 	}
 	return "", buf, nil

@@ -163,9 +163,9 @@ func (v Value) AsString() string {
 	}
 }
 
-// appendTo appends AsString's rendering to b without the intermediate
+// AppendTo appends AsString's rendering to b without the intermediate
 // string.
-func (v Value) appendTo(b []byte) []byte {
+func (v Value) AppendTo(b []byte) []byte {
 	if v.kind == KindNumber && v.n == math.Trunc(v.n) && math.Abs(v.n) < 1e15 {
 		return strconv.AppendInt(b, int64(v.n), 10)
 	}

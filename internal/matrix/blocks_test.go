@@ -194,6 +194,7 @@ func TestBlocksShowTheTreeIterationsShowed(t *testing.T) {
 
 	t.Run("errors in two iterations of a parallel loop", func(t *testing.T) {
 		e := NewEngineConfig(newTestEngine(t).Grid(), Config{MaxParallel: 3})
+		tree := keepTrees(e)
 		e.RegisterOp("boom", func(c *OpContext) error {
 			if x := c.ParamOr("x", ""); x == "40" || x == "7" {
 				return errors.New("boom " + x)
@@ -215,12 +216,13 @@ func TestBlocksShowTheTreeIterationsShowed(t *testing.T) {
 				want = append(want, iterLines(i, StateSucceeded, StateSucceeded, StateSucceeded)...)
 			}
 		}
-		diffLines(t, treeLines(&ex.root), want)
-		checkWalk(t, &ex.root, true)
+		diffLines(t, treeLines(tree(ex)), want)
+		checkWalk(t, tree(ex), true)
 	})
 
 	t.Run("cancel in the middle of a sequential loop's block", func(t *testing.T) {
 		e := newTestEngine(t)
+		tree := keepTrees(e)
 		e.RegisterOp("stop", func(c *OpContext) error {
 			if c.ParamOr("x", "") == "40" {
 				ex, _ := c.Engine.Execution(c.ExecID)
@@ -242,12 +244,13 @@ func TestBlocksShowTheTreeIterationsShowed(t *testing.T) {
 		// Iteration 40's last step is reached and refused; 41 and after,
 		// eight of them in the open block, are never attached.
 		want = append(want, iterLines(40, StateCancelled, StateSucceeded, StateCancelled)...)
-		diffLines(t, treeLines(&ex.root), want)
-		checkWalk(t, &ex.root, true)
+		diffLines(t, treeLines(tree(ex)), want)
+		checkWalk(t, tree(ex), true)
 	})
 
 	t.Run("cancel with a parallel loop's first block in flight", func(t *testing.T) {
 		e := NewEngineConfig(newTestEngine(t).Grid(), Config{MaxParallel: 3})
+		tree := keepTrees(e)
 		var reached atomic.Int32
 		inFlight := make(chan struct{})
 		e.RegisterOp("gate", func(c *OpContext) error {
@@ -269,7 +272,7 @@ func TestBlocksShowTheTreeIterationsShowed(t *testing.T) {
 				want = append(want, "["+strconv.Itoa(i)+"] pending")
 			}
 		}
-		diffLines(t, treeLines(&ex.root), want)
+		diffLines(t, treeLines(tree(ex)), want)
 		ex.Cancel()
 		if werr := ex.Wait(); !errors.Is(werr, ErrCancelled) || strings.Count(werr.Error(), "\n") != items-1 {
 			t.Errorf("run error = %v, want %d joined cancellations", werr, items)
@@ -282,8 +285,8 @@ func TestBlocksShowTheTreeIterationsShowed(t *testing.T) {
 				want = append(want, "["+strconv.Itoa(i)+"] cancelled")
 			}
 		}
-		diffLines(t, treeLines(&ex.root), want)
-		checkWalk(t, &ex.root, true)
+		diffLines(t, treeLines(tree(ex)), want)
+		checkWalk(t, tree(ex), true)
 	})
 }
 
@@ -390,6 +393,7 @@ func whileStatusDump(t *testing.T) []byte {
 	var out []byte
 	for _, n := range []int{1, 3, 40} {
 		e := dagEngine(t)
+		tree := keepTrees(e)
 		ex, err := e.Run("user", whileFlow(n))
 		if err != nil || ex.Err() != nil {
 			t.Fatalf("%d passes: %v / %v", n, err, ex.Err())
@@ -408,7 +412,7 @@ func whileStatusDump(t *testing.T) []byte {
 			out = append(out, xw.End("")...)
 			out = append(out, '\n')
 		}
-		checkWalk(t, &ex.root, true)
+		checkWalk(t, tree(ex), true)
 	}
 	return out
 }
@@ -433,6 +437,7 @@ func TestGoldenWhileStatus(t *testing.T) {
 // opened, and invisible.
 func TestWhileStatusMidLoop(t *testing.T) {
 	e := newTestEngine(t)
+	tree := keepTrees(e)
 	const stopAt = 9 // passes 7–14 are one block
 	reached, release := make(chan struct{}), make(chan struct{})
 	e.RegisterOp("hold", func(c *OpContext) error {
@@ -454,9 +459,9 @@ func TestWhileStatusMidLoop(t *testing.T) {
 	}
 	at := "[" + strconv.Itoa(stopAt-1) + "]"
 	want = append(want, at+" running", at+"/inc succeeded", at+"/wait running")
-	diffLines(t, treeLines(&ex.root), want)
-	checkWalk(t, &ex.root, true)
-	if _, err := e.Status(ex.root.id+"["+strconv.Itoa(stopAt)+"]", false); err == nil {
+	diffLines(t, treeLines(tree(ex)), want)
+	checkWalk(t, tree(ex), true)
+	if _, err := e.Status(tree(ex).id+"["+strconv.Itoa(stopAt)+"]", false); err == nil {
 		t.Error("a pass not yet reached resolved by id")
 	}
 	close(release)

@@ -157,7 +157,7 @@ func shardFlow(f *dgl.Flow, i int) *dgl.Flow {
 // (no delegator attached, or the delegator declined with
 // ErrDelegateLocal); handled=true means the node reached a terminal
 // state here and err is the subflow's outcome.
-func (ex *Execution) maybeDelegate(pf *planFlow, f *dgl.Flow, n *node, scope *Scope) (handled bool, err error) {
+func (ex *execRun) maybeDelegate(pf *planFlow, f *dgl.Flow, n *node, scope *Scope) (handled bool, err error) {
 	d := ex.engine.delegator()
 	if d == nil {
 		return false, nil
@@ -289,8 +289,10 @@ func (e *Engine) delegateProcedure(c *OpContext, name string, args map[string]st
 	ctx := context.Background()
 	token := ""
 	if ex, ok := e.Execution(c.ExecID); ok {
-		ctx = ex.delegContext()
-		token = ex.req.Token
+		if r := ex.live.Load(); r != nil {
+			ctx = r.delegContext()
+			token = r.req.Token
+		}
 	}
 	resp, derr := d.Delegate(ctx, DelegateRequest{
 		User:       c.User,

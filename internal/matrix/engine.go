@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"datagridflow/internal/codec"
 	"datagridflow/internal/dgferr"
 	"datagridflow/internal/dgl"
 	"datagridflow/internal/dgms"
@@ -129,8 +130,13 @@ type Engine struct {
 
 	nextExec atomic.Int64
 
-	mu       sync.RWMutex
-	execs    map[string]*Execution
+	mu    sync.RWMutex
+	execs map[string]*Execution
+	// heads is the block new execution headers are taken from, and users
+	// the interned grid users they name: a header costs its run no
+	// allocation of its own, and keeps no string of its request alive.
+	heads []Execution
+	users map[string]string
 	handlers map[string]OpHandler
 	known    map[string]bool // handlers' keys; see RegisterOp
 	procs    map[string]*storedProc
@@ -147,7 +153,15 @@ type Engine struct {
 	// steps holds each operation type's per-step series (opSeries),
 	// resolved in the registry once per type.
 	steps sync.Map
+	records endedRecords
+	// ending, when set, sees each run state as its run ends, before its
+	// record is made and it is let go: the window tests take the live
+	// tree through, to hold a record to the tree it was encoded from.
+	ending func(*execRun)
 }
+
+// headBlock is how many execution headers one allocation makes.
+const headBlock = 64
 
 // opSeries are the series every step of one operation type updates.
 type opSeries struct {
@@ -185,6 +199,7 @@ func NewEngineConfig(grid *dgms.Grid, cfg Config) *Engine {
 		grid:     grid,
 		cfg:      cfg,
 		execs:    make(map[string]*Execution),
+		users:    make(map[string]string),
 		handlers: make(map[string]OpHandler),
 		procs:    make(map[string]*storedProc),
 	}
@@ -306,7 +321,7 @@ func (e *Engine) SubmitTo(req *dgl.Request, sink dgl.ReplySink) (id string, err 
 		return exec.ID, nil
 	}
 	exec.run()
-	exec.root.walk(true, sink)
+	exec.WalkStatus(true, sink)
 	return exec.ID, exec.Err()
 }
 
@@ -321,12 +336,12 @@ func (e *Engine) Launch(req *dgl.Request) (*Execution, error) {
 		return nil, err
 	}
 	go exec.run()
-	return exec, nil
+	return exec.Execution, nil
 }
 
 // prepare checks a flow request's shape — a flow, no status query, a
 // grid user — and begins its execution, not yet started.
-func (e *Engine) prepare(req *dgl.Request) (*Execution, error) {
+func (e *Engine) prepare(req *dgl.Request) (*execRun, error) {
 	if req.StatusQuery != nil {
 		return nil, fmt.Errorf("%w: request has both flow and status query", dgl.ErrInvalid)
 	}
@@ -345,7 +360,7 @@ func (e *Engine) prepare(req *dgl.Request) (*Execution, error) {
 // — and registers its execution under a fresh id, not yet started. skip
 // carries a prior run's succeeded node ids. Nothing is registered when
 // it refuses.
-func (e *Engine) begin(req *dgl.Request, p *plan, skip map[string]bool) (*Execution, error) {
+func (e *Engine) begin(req *dgl.Request, p *plan, skip map[string]bool) (*execRun, error) {
 	if p == nil {
 		var err error
 		if p, err = buildPlan(req.Flow, e.knownOps()); err != nil {
@@ -369,7 +384,7 @@ func (e *Engine) Start(user string, flow dgl.Flow) (*Execution, error) {
 		return nil, err
 	}
 	go exec.run()
-	return exec, nil
+	return exec.Execution, nil
 }
 
 // Run validates and executes a flow synchronously, returning the
@@ -395,7 +410,7 @@ func (e *Engine) RunContext(ctx context.Context, user string, flow dgl.Flow) (*E
 		exec.Cancel()
 		<-exec.done
 	}
-	return exec, nil
+	return exec.Execution, nil
 }
 
 // Restart re-runs a terminal (failed or cancelled) execution, skipping
@@ -417,18 +432,28 @@ func (e *Engine) Restart(execID string) (*Execution, error) {
 	if prior.Err() == nil {
 		return nil, fmt.Errorf("%w: %s already succeeded", ErrNotRestartable, execID)
 	}
-	// Checkpoint ids are recorded relative to the prior execution id;
-	// newExecution rewrites them for the new one. The prior run dropped
-	// its plan when it ended, so begin lowers the flow again.
+	// The prior run's record keeps its request (a failed or cancelled
+	// flow's does) and its tree. Checkpoint ids are recorded relative to
+	// the prior execution id; newExecution rewrites them for the new one.
+	doc, err := codec.EndedRequest(prior.ended)
+	if err != nil || doc == "" {
+		return nil, fmt.Errorf("%w: %s keeps no request", ErrNotRestartable, execID)
+	}
+	req, err := codec.DecodeRequestDoc(doc)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrNotRestartable, execID, err)
+	}
 	skip := make(map[string]bool)
-	prior.root.collectSucceeded(skip)
-	next, err := e.begin(prior.req, nil, skip)
+	if _, err := codec.WalkEnded(prior.ended, "", true, &doneSink{into: skip}); err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrNotRestartable, execID, err)
+	}
+	next, err := e.begin(req, nil, skip)
 	if err != nil {
 		return nil, err
 	}
 	e.Obs().Counter("matrix_flows_restarted_total").Inc()
 	go next.run()
-	return next, nil
+	return next.Execution, nil
 }
 
 // RestartFromProvenance re-runs a request whose prior execution is known
@@ -473,7 +498,7 @@ func (e *Engine) RestartFromProvenance(priorExecID string, req *dgl.Request) (*E
 	}
 	e.Obs().Counter("matrix_flows_restarted_total").Inc()
 	go next.run()
-	return next, nil
+	return next.Execution, nil
 }
 
 // Execution returns a tracked execution by id.
@@ -496,6 +521,14 @@ func (e *Engine) Executions() []string {
 	return out
 }
 
+// Resident counts the tracked executions — running, paused and ended —
+// without listing them.
+func (e *Engine) Resident() int {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return len(e.execs)
+}
+
 // ExecutionSummary is one row of a server-side execution listing.
 type ExecutionSummary struct {
 	ID    string
@@ -514,9 +547,14 @@ func (e *Engine) ListExecutions() []ExecutionSummary {
 	e.mu.RUnlock()
 	out := make([]ExecutionSummary, 0, len(execs))
 	for _, ex := range execs {
-		out = append(out, ExecutionSummary{
-			ID: ex.ID, Name: ex.req.Flow.Name, State: ex.root.stateNow(), User: ex.req.User.Name,
-		})
+		sum := ExecutionSummary{ID: ex.ID, User: ex.user}
+		if r := ex.live.Load(); r != nil {
+			sum.Name, sum.State = r.root.name, r.root.stateNow()
+		} else {
+			root, _ := codec.EndedRoot(ex.ended)
+			sum.Name, sum.State = root.Name, State(root.State)
+		}
+		out = append(out, sum)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -576,28 +614,19 @@ func (e *Engine) Prune(keep int) int {
 // Status resolves an id — an execution id or any node id within one — to
 // a status snapshot. This is the "query the status of any task in the
 // workflow at any level of granularity" API.
-func (e *Engine) Status(id string, detail bool) (dgl.FlowStatus, error) {
-	n, err := e.statusNode(id)
+func (e *Engine) Status(id string, detail bool) (st dgl.FlowStatus, err error) {
+	st = snapshot(func(sink dgl.StatusSink) { err = e.WalkStatus(id, detail, sink) })
 	if err != nil {
 		return dgl.FlowStatus{}, err
 	}
-	return n.snapshot(detail), nil
+	return st, nil
 }
 
 // WalkStatus is Status written into a sink instead of returned: the
-// form a reply is encoded from. An id that does not resolve is reported
+// form a reply is encoded from. A running flow answers from its tree, an
+// ended one from its record. An id that does not resolve is reported
 // before the sink sees anything.
 func (e *Engine) WalkStatus(id string, detail bool, sink dgl.StatusSink) error {
-	n, err := e.statusNode(id)
-	if err != nil {
-		return err
-	}
-	n.walk(detail, sink)
-	return nil
-}
-
-// statusNode resolves an execution or node id to its status node.
-func (e *Engine) statusNode(id string) (*node, error) {
 	execID := id
 	if i := indexByte(id, '/'); i >= 0 {
 		execID = id[:i]
@@ -610,18 +639,32 @@ func (e *Engine) statusNode(id string) (*node, error) {
 		// status queries are a resurrection path (docs/STORE.md).
 		resurrected, err := e.ResurrectFor(execID, "status")
 		if err != nil {
-			return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
+			return fmt.Errorf("%w: %s", ErrNotFound, id)
 		}
 		exec = resurrected
 	}
+	if r := exec.live.Load(); r != nil {
+		n := &r.root
+		if execID != id {
+			if n, ok = r.root.find(id); !ok {
+				return fmt.Errorf("%w: %s", ErrNotFound, id)
+			}
+		}
+		n.walk(detail, sink)
+		return nil
+	}
+	node := id
 	if execID == id {
-		return &exec.root, nil
+		node = "" // the root
 	}
-	n, ok := exec.root.find(id)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
+	found, err := codec.WalkEnded(exec.ended, node, detail, sink)
+	if err != nil {
+		return fmt.Errorf("matrix: record of %s: %w", execID, err)
 	}
-	return n, nil
+	if !found {
+		return fmt.Errorf("%w: %s", ErrNotFound, id)
+	}
+	return nil
 }
 
 func indexByte(s string, b byte) int {
@@ -637,7 +680,7 @@ func indexByte(s string, b byte) int {
 // with no admission: begin admits it first, and a procedure call runs
 // inside a flow already admitted. skip carries checkpoint ids from a
 // prior run; they are rebased here to generic node paths.
-func (e *Engine) newExecution(req *dgl.Request, skip map[string]bool, p *plan) *Execution {
+func (e *Engine) newExecution(req *dgl.Request, skip map[string]bool, p *plan) *execRun {
 	var rebased []string
 	for k := range skip {
 		// Stored ids look like "dgf-000001/root/step"; keep only the
@@ -664,9 +707,9 @@ func (e *Engine) newExecution(req *dgl.Request, skip map[string]bool, p *plan) *
 	b.WriteByte('/')
 	b.WriteString(name)
 	rootID := b.String()
-	exec := e.execution(rootID[:idLen], rootID, req, p, slices.Compact(rebased))
+	exec := e.execution(rootID, req, p, slices.Compact(rebased))
 	e.mu.Lock()
-	e.execs[exec.ID] = exec
+	e.register(exec, rootID[:idLen])
 	n := len(e.execs)
 	st := e.store
 	e.mu.Unlock()
@@ -676,18 +719,16 @@ func (e *Engine) newExecution(req *dgl.Request, skip map[string]bool, p *plan) *
 	return exec
 }
 
-// execution builds an execution of req under id, whose root node is
-// rootID ("<id>/<flow>"), skipping the node paths in skip (sorted). Its
-// status root, run control and root scope are part of it: with the
-// channels and rootID that is the whole of its fixed cost.
-func (e *Engine) execution(id, rootID string, req *dgl.Request, p *plan, skip []string) *Execution {
-	ex := &Execution{
-		ID:     id,
+// execution builds the run state of an execution of req whose root
+// node is rootID ("<id>/<flow>"), skipping the node paths in skip
+// (sorted). Its status root, run control and root scope are part of it:
+// with the channels and rootID that is the whole of its fixed cost.
+func (e *Engine) execution(rootID string, req *dgl.Request, p *plan, skip []string) *execRun {
+	ex := &execRun{
 		engine: e,
 		req:    req,
 		plan:   p,
 		skip:   skip,
-		done:   make(chan struct{}),
 	}
 	ex.root.id, ex.root.name, ex.root.kind, ex.root.state = rootID, req.Flow.Name, "flow", StatePending
 	ex.ctrl.init()
@@ -695,6 +736,26 @@ func (e *Engine) execution(id, rootID string, req *dgl.Request, p *plan, skip []
 	ex.slab.Start(p.paramBytes)
 	ex.lastActive.Store(e.Clock().Now().UnixNano())
 	return ex
+}
+
+// register gives ex its header, under id and taken from the engine's
+// block, and tracks it. Caller holds e.mu.
+func (e *Engine) register(ex *execRun, id string) {
+	if len(e.heads) == 0 {
+		e.heads = make([]Execution, headBlock)
+	}
+	h := &e.heads[0]
+	e.heads = e.heads[1:]
+	name := ex.req.User.Name
+	user, ok := e.users[name]
+	if !ok {
+		user = strings.Clone(name)
+		e.users[user] = user
+	}
+	h.ID, h.user, h.done = id, user, make(chan struct{})
+	h.live.Store(ex)
+	ex.Execution = h
+	e.execs[id] = h
 }
 
 // record writes an engine provenance record.

@@ -71,7 +71,7 @@ func (e *Engine) admit(user string) (bool, error) {
 // once per execution. Called from the run goroutine's unwind — both
 // the terminal transition and the passivation early-return, since a
 // passivated flow no longer occupies an in-flight slot.
-func (ex *Execution) endGoverned() {
+func (ex *execRun) endGoverned() {
 	if !ex.governed.CompareAndSwap(true, false) {
 		return
 	}
@@ -79,7 +79,7 @@ func (ex *Execution) endGoverned() {
 	g := ex.engine.governor
 	ex.engine.mu.RUnlock()
 	if g != nil {
-		g.EndFlow(ex.req.User.Name)
+		g.EndFlow(ex.user)
 	}
 }
 
@@ -109,7 +109,7 @@ func (e *Engine) chargeRecord(rec *store.Record) {
 	var owner string
 	if g != nil {
 		if ex, ok := e.execs[rec.ID]; ok {
-			owner = ex.req.User.Name
+			owner = ex.user
 		}
 	}
 	e.mu.RUnlock()

@@ -86,9 +86,9 @@ func storeRecord(st *store.Store, rec store.Record) error {
 // scope's variables, and every node path proven complete — succeeded
 // and skipped steps, whole delegated subtrees, plus the not-yet-reached
 // checkpoint set a restart or resurrection seeded this run with.
-func (ex *Execution) snapshotRecord() store.Record {
+func (ex *execRun) snapshotRecord() store.Record {
 	abs := make(map[string]bool)
-	ex.root.collectSucceeded(abs)
+	ex.root.walk(true, &doneSink{into: abs})
 	done := make(map[string]bool, len(abs)+len(ex.skip))
 	for id := range abs {
 		done[ex.relID(id)] = true
@@ -125,16 +125,12 @@ func (e *Engine) SnapshotAll() int {
 	e.mu.RUnlock()
 	count := 0
 	for _, ex := range execs {
-		select {
-		case <-ex.done:
-			continue // terminal: its exec.end record is the truth
-		default:
+		r := ex.live.Load()
+		if r == nil || !r.dirty.Load() {
+			continue // terminal (its exec.end record is the truth), or nothing new
 		}
-		if !ex.dirty.Load() {
-			continue
-		}
-		if e.storeAppend(ex.snapshotRecord()) == nil {
-			ex.dirty.Store(false)
+		if e.storeAppend(r.snapshotRecord()) == nil {
+			r.dirty.Store(false)
 			count++
 		}
 	}
@@ -155,22 +151,21 @@ func (e *Engine) Passivate(id string) error {
 	if !ok {
 		return fmt.Errorf("%w: execution %s", ErrNotFound, id)
 	}
-	select {
-	case <-ex.done:
+	r := ex.live.Load()
+	if r == nil {
 		return fmt.Errorf("%w: %s already terminal", ErrNotRestartable, id)
-	default:
 	}
-	if err := e.storeAppend(ex.snapshotRecord()); err != nil {
+	if err := e.storeAppend(r.snapshotRecord()); err != nil {
 		return err
 	}
 	if err := e.storeAppend(store.Record{
-		Type: store.TypeExecPassivate, ID: id, Paused: ex.Paused(),
+		Type: store.TypeExecPassivate, ID: id, Paused: r.ctrl.paused(),
 	}); err != nil {
 		return err
 	}
 	// Order matters: the flag must be visible before Cancel unwinds the
 	// run goroutine, so its epilogue suppresses the exec.end record.
-	ex.passivated.Store(true)
+	r.passivated.Store(true)
 	ex.Cancel()
 	e.mu.Lock()
 	delete(e.execs, id)
@@ -180,8 +175,8 @@ func (e *Engine) Passivate(id string) error {
 	o.Counter("matrix_flows_passivated_total").Inc()
 	o.Gauge("store_resident").Set(int64(n))
 	e.record(provenance.Record{
-		Actor: ex.req.User.Name, Action: "flow.passivate",
-		FlowID: id, Target: ex.req.Flow.Name,
+		Actor: ex.user, Action: "flow.passivate",
+		FlowID: id, Target: r.root.name,
 	})
 	return nil
 }
@@ -208,15 +203,11 @@ func (e *Engine) PassivateIdle(idle time.Duration) int {
 	e.mu.RUnlock()
 	count := 0
 	for _, c := range cands {
-		select {
-		case <-c.ex.done:
-			continue
-		default:
+		r := c.ex.live.Load()
+		if r == nil || r.delegating.Load() > 0 {
+			continue // terminal, or a peer is working for it
 		}
-		if c.ex.delegating.Load() > 0 {
-			continue
-		}
-		if now.Sub(time.Unix(0, c.ex.lastActive.Load())) < idle {
+		if now.Sub(time.Unix(0, r.lastActive.Load())) < idle {
 			continue
 		}
 		if e.Passivate(c.id) == nil {
@@ -249,13 +240,13 @@ func (e *Engine) ResurrectFor(id, path string) (*Execution, error) {
 	if err != nil {
 		return nil, err
 	}
-	ex, created := e.adoptExecution(ent, req, p, "flow.resurrect", provenance.Attr{Key: "path", Value: path})
-	if !created {
+	ex, run := e.adoptExecution(ent, req, p, "flow.resurrect", provenance.Attr{Key: "path", Value: path})
+	if run == nil {
 		return ex, nil // lost a resurrection race: the winner's handle
 	}
 	_ = e.storeAppend(store.Record{Type: store.TypeExecResurrect, ID: id})
 	e.Obs().Counter("store_resurrections_total", "path", path).Inc()
-	go ex.resume()
+	go run.resume()
 	return ex, nil
 }
 
@@ -285,11 +276,12 @@ func (e *Engine) storedRequest(ent store.Entry) (*dgl.Request, *plan, error) {
 // number of steps already done. The entry's done list (sorted, as Entry
 // keeps it) is the checkpoint skip set, its variables are restored into
 // the root scope when the run starts, and a paused entry resurrects
-// paused. Returns created=false, recording nothing, if the id is
-// already resident (a concurrent resume registered it).
-func (e *Engine) adoptExecution(ent store.Entry, req *dgl.Request, p *plan, action string, cause provenance.Attr) (*Execution, bool) {
+// paused. It returns the execution and its run, not yet started — or,
+// recording nothing, the resident one and no run if the id is already
+// resident (a concurrent resume registered it).
+func (e *Engine) adoptExecution(ent store.Entry, req *dgl.Request, p *plan, action string, cause provenance.Attr) (*Execution, *execRun) {
 	id := ent.ID
-	ex := e.execution(id, id+"/"+req.Flow.Name, req, p, ent.Done)
+	ex := e.execution(id+"/"+req.Flow.Name, req, p, ent.Done)
 	ex.restoreVars = ent.Vars
 	if ent.Paused {
 		ex.ctrl.pause()
@@ -297,9 +289,9 @@ func (e *Engine) adoptExecution(ent store.Entry, req *dgl.Request, p *plan, acti
 	e.mu.Lock()
 	if cur, ok := e.execs[id]; ok {
 		e.mu.Unlock()
-		return cur, false
+		return cur, nil
 	}
-	e.execs[id] = ex
+	e.register(ex, id)
 	n := len(e.execs)
 	e.mu.Unlock()
 	e.Obs().Gauge("store_resident").Set(int64(n))
@@ -312,7 +304,7 @@ func (e *Engine) adoptExecution(ent store.Entry, req *dgl.Request, p *plan, acti
 	} else {
 		e.record(r, cause, done)
 	}
-	return ex, true
+	return ex.Execution, ex
 }
 
 // RecoverFromStore resumes every execution the attached store proves
@@ -350,12 +342,12 @@ func (e *Engine) RecoverFromStore() ([]*Execution, error) {
 			errs = append(errs, err)
 			continue
 		}
-		ex, created := e.adoptExecution(ent, req, p, "flow.recover", provenance.Attr{})
-		if !created {
+		ex, run := e.adoptExecution(ent, req, p, "flow.recover", provenance.Attr{})
+		if run == nil {
 			continue
 		}
 		e.Obs().Counter("matrix_recoveries_total").Inc()
-		go ex.resume()
+		go run.resume()
 		out = append(out, ex)
 	}
 	return out, errors.Join(errs...)
@@ -418,12 +410,12 @@ func (e *Engine) AdoptEntries(entries []store.Entry, source string) []AdoptedFlo
 			out = append(out, AdoptedFlow{ID: ent.ID, User: req.User.Name, Flow: req.Flow.Name})
 			continue
 		}
-		ex, created := e.adoptExecution(ent, req, p, "flow.adopt", provenance.Attr{Key: "source", Value: source})
-		if !created {
+		_, run := e.adoptExecution(ent, req, p, "flow.adopt", provenance.Attr{Key: "source", Value: source})
+		if run == nil {
 			continue // already resident (duplicate promotion race)
 		}
 		o.Counter("matrix_adoptions_total", "outcome", "resumed").Inc()
-		go ex.resume()
+		go run.resume()
 		out = append(out, AdoptedFlow{ID: ent.ID, User: req.User.Name, Flow: req.Flow.Name, Resumed: true})
 	}
 	return out

@@ -120,13 +120,14 @@ func TestFanOutBoundsGoroutines(t *testing.T) {
 
 // TestPlanReleasedAtRunExit: the plan serves the run goroutine only. A
 // terminal execution and a passivated one — the populations a long-lived
-// engine retains by the thousand — hold none.
+// engine retains by the thousand — hold none: their whole run state,
+// the plan in it, is let go.
 func TestPlanReleasedAtRunExit(t *testing.T) {
 	e, _ := newStoreEngine(t, t.TempDir())
 	b := registerBlockingOp(e, "work", "1")
 
 	done := mustRun(t, e, workFlow("short", 1))
-	if done.plan != nil {
+	if done.live.Load() != nil {
 		t.Error("terminal execution still holds its plan")
 	}
 
@@ -136,7 +137,7 @@ func TestPlanReleasedAtRunExit(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = parked.Wait()
-	if parked.plan != nil {
+	if parked.live.Load() != nil {
 		t.Error("passivated execution still holds its plan")
 	}
 
@@ -144,8 +145,8 @@ func TestPlanReleasedAtRunExit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if failed.Err() == nil || failed.plan != nil {
-		t.Errorf("failed execution: err %v, plan held %v", failed.Err(), failed.plan != nil)
+	if failed.Err() == nil || failed.live.Load() != nil {
+		t.Errorf("failed execution: err %v, plan held %v", failed.Err(), failed.live.Load() != nil)
 	}
 }
 

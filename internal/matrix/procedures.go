@@ -121,7 +121,7 @@ func (e *Engine) CallProcedure(user, name string, args map[string]string) (*Exec
 		exec.scope.Declare(k, expr.String(v))
 	}
 	exec.run()
-	return exec, nil
+	return exec.Execution, nil
 }
 
 // registerCallOp installs the "call" operation: parameters other than

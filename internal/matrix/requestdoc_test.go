@@ -105,7 +105,7 @@ func TestXMLRequestStoreUpgrades(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(recovered) != 1 || recovered[0].req.Flow.Name != "abandoned-job" {
+			if len(recovered) != 1 || recovered[0].Status(false).Name != "abandoned-job" {
 				t.Fatalf("recovered %d executions, want the one crash-abandoned flow", len(recovered))
 			}
 			if err := recovered[0].Wait(); err != nil {

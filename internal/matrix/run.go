@@ -24,7 +24,7 @@ import (
 // execution's exec.start record, when a store is attached, and then
 // runs it as resume does. It is called on the caller's goroutine for
 // synchronous requests and on a fresh goroutine for asynchronous ones.
-func (ex *Execution) run() {
+func (ex *execRun) run() {
 	if ex.engine.Store() != nil {
 		// Encoding the request document is only worth paying for when a
 		// store will actually persist it.
@@ -39,17 +39,8 @@ func (ex *Execution) run() {
 // exec.start: a stored execution's entry holds its request already, so
 // the resume doors (RecoverFromStore, ResurrectFor, AdoptEntries) call
 // it directly and pay no second encode, fsync or store charge for it.
-func (ex *Execution) resume() {
-	defer close(ex.done)
-	// The plan and the slab serve the run and nothing after it: a terminal
-	// or passivated execution keeps its request and status tree, as
-	// before, and a string cut from the slab keeps its own chunk.
-	defer func() {
-		ex.plan = nil
-		ex.slabMu.Lock()
-		ex.slab = codec.Arena{}
-		ex.slabMu.Unlock()
-	}()
+func (ex *execRun) resume() {
+	defer ex.end()               // the record made, the run let go
 	defer ex.endGoverned()       // release the tenant admission slot
 	defer ex.cancelDelegations() // release any outstanding delegations
 	o := ex.engine.Obs()
@@ -66,9 +57,7 @@ func (ex *Execution) resume() {
 		reg = ex.plan.shape.open(root, []*node{&ex.root})
 	}
 	err := ex.runFlowScoped(root, &ex.root, &ex.scope, reg)
-	ex.mu.Lock()
 	ex.err = err
-	ex.mu.Unlock()
 	if ex.passivated.Load() {
 		// Passivation unwound this run through the cancellation path;
 		// the execution is not terminal — its resumable state is in
@@ -104,24 +93,24 @@ func (ex *Execution) resume() {
 
 // relID strips the execution prefix from a node id, yielding the
 // restart-stable node path.
-func (ex *Execution) relID(id string) string {
+func (ex *execRun) relID(id string) string {
 	return strings.TrimPrefix(id, ex.ID)
 }
 
-func (ex *Execution) now() time.Time { return ex.engine.Clock().Now() }
+func (ex *execRun) now() time.Time { return ex.engine.Clock().Now() }
 
 // runFlow interprets the child flow k into its status node n with the
 // enclosing variable environment parent, pushing the flow's scope — its
 // slot of reg, the region n belongs to, which also holds the nodes of the
 // flow's children unless it loops.
-func (ex *Execution) runFlow(k *planChild, n *node, parent *Scope, reg region) error {
+func (ex *execRun) runFlow(k *planChild, n *node, parent *Scope, reg region) error {
 	return ex.runFlowScoped(k.flow, n, reg.scopes[k.idx].init(parent), reg)
 }
 
 // runFlowScoped interprets one flow using scope as the flow's own scope.
 // The root flow runs directly in the execution scope so its variables are
 // visible through Execution.Vars.
-func (ex *Execution) runFlowScoped(pf *planFlow, n *node, scope *Scope, reg region) error {
+func (ex *execRun) runFlowScoped(pf *planFlow, n *node, scope *Scope, reg region) error {
 	f := pf.src
 	if err := ex.ctrl.checkpoint(); err != nil {
 		n.setState(StateCancelled, ex.now())
@@ -197,7 +186,7 @@ func (ex *Execution) runFlowScoped(pf *planFlow, n *node, scope *Scope, reg regi
 var scopeDepthBuckets = []float64{1, 2, 4, 8, 16, 32, 64}
 
 // runChild dispatches one child (sub-flow or step) under the given node.
-func (ex *Execution) runChild(pf *planFlow, i int, under *node, scope *Scope, reg region) error {
+func (ex *execRun) runChild(pf *planFlow, i int, under *node, scope *Scope, reg region) error {
 	k, n := &pf.kids[i], reg.attach(pf, i, under)
 	if k.flow != nil {
 		return ex.runFlow(k, n, scope, reg)
@@ -205,7 +194,7 @@ func (ex *Execution) runChild(pf *planFlow, i int, under *node, scope *Scope, re
 	return ex.runStep(k.step, n, scope, &reg.ctxs[k.idx])
 }
 
-func (ex *Execution) runChildrenSequential(pf *planFlow, under *node, scope *Scope, reg region) error {
+func (ex *execRun) runChildrenSequential(pf *planFlow, under *node, scope *Scope, reg region) error {
 	for i := range pf.kids {
 		if err := ex.runChild(pf, i, under, scope, reg); err != nil {
 			return err
@@ -219,7 +208,7 @@ func (ex *Execution) runChildrenSequential(pf *planFlow, under *node, scope *Sco
 // without a parked goroutine per item of a forEach over a query that
 // matched a million objects. Every index runs to completion whatever its
 // neighbours return; the errors join in index order.
-func (ex *Execution) fanOut(n int, fn func(i int) error) error {
+func (ex *execRun) fanOut(n int, fn func(i int) error) error {
 	errs := make([]error, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -238,7 +227,7 @@ func (ex *Execution) fanOut(n int, fn func(i int) error) error {
 	return errors.Join(errs...)
 }
 
-func (ex *Execution) runChildrenParallel(pf *planFlow, under *node, scope *Scope, reg region) error {
+func (ex *execRun) runChildrenParallel(pf *planFlow, under *node, scope *Scope, reg region) error {
 	return ex.fanOut(len(pf.kids), func(i int) error {
 		return ex.runChildDelegable(pf, i, under, scope, reg)
 	})
@@ -247,7 +236,7 @@ func (ex *Execution) runChildrenParallel(pf *planFlow, under *node, scope *Scope
 // runChildDelegable runs one parallel child, offering child *flows* to
 // the delegation plane first — parallel branches are the natural
 // distribution unit (steps and sequential children always run locally).
-func (ex *Execution) runChildDelegable(pf *planFlow, i int, under *node, scope *Scope, reg region) error {
+func (ex *execRun) runChildDelegable(pf *planFlow, i int, under *node, scope *Scope, reg region) error {
 	if k := &pf.kids[i]; k.flow != nil && ex.engine.delegator() != nil {
 		n := reg.attach(pf, i, under)
 		if handled, err := ex.maybeDelegate(k.flow, k.flow.src, n, scope); handled {
@@ -307,7 +296,7 @@ func iterNodes(parent *node, m int) []node {
 
 // runIteration runs the loop body once under the iteration node in,
 // whose static subtree is the region reg.
-func (ex *Execution) runIteration(pf *planFlow, in *node, scope *Scope, reg region) error {
+func (ex *execRun) runIteration(pf *planFlow, in *node, scope *Scope, reg region) error {
 	in.setState(StateRunning, ex.now())
 	if err := ex.runChildrenSequential(pf, in, scope, reg); err != nil {
 		in.setError(err)
@@ -322,7 +311,7 @@ func (ex *Execution) runIteration(pf *planFlow, in *node, scope *Scope, reg regi
 	return nil
 }
 
-func (ex *Execution) runWhile(pf *planFlow, n *node, scope *Scope) error {
+func (ex *execRun) runWhile(pf *planFlow, n *node, scope *Scope) error {
 	name, limit := pf.src.Name, ex.engine.cfg.MaxLoopIterations
 	// How many passes there will be is the guard's to say, so a while
 	// loop opens its passes by the block, each block twice the last, up
@@ -359,7 +348,7 @@ func (ex *Execution) runWhile(pf *planFlow, n *node, scope *Scope) error {
 	}
 }
 
-func (ex *Execution) runForEach(pf *planFlow, n *node, scope *Scope) error {
+func (ex *execRun) runForEach(pf *planFlow, n *node, scope *Scope) error {
 	it := pf.iter
 	items, err := ex.iterItems(it, scope)
 	if err != nil {
@@ -387,7 +376,7 @@ func (ex *Execution) runForEach(pf *planFlow, n *node, scope *Scope) error {
 
 // runForEachParallel fans iterations out under the engine's parallelism
 // cap. All iterations run to completion; errors join.
-func (ex *Execution) runForEachParallel(pf *planFlow, n *node, scope *Scope, items []string, regs *iterRegions) error {
+func (ex *execRun) runForEachParallel(pf *planFlow, n *node, scope *Scope, items []string, regs *iterRegions) error {
 	// Attach the iteration nodes up front so status ids stay ordered.
 	for i := range regs.iters {
 		n.addChild(&regs.iters[i])
@@ -415,7 +404,7 @@ func (ex *Execution) runForEachParallel(pf *planFlow, n *node, scope *Scope, ite
 // iterItems materializes the forEach item list: an inline list, a repeat
 // count, or the paths matched by a datagrid query evaluated *now* — late
 // binding of the working set, per the paper.
-func (ex *Execution) iterItems(pi *planIter, scope *Scope) ([]string, error) {
+func (ex *execRun) iterItems(pi *planIter, scope *Scope) ([]string, error) {
 	it := pi.src
 	switch {
 	case it.In != "":
@@ -465,7 +454,7 @@ func (ex *Execution) iterItems(pi *planIter, scope *Scope) ([]string, error) {
 	}
 }
 
-func (ex *Execution) runSwitch(pf *planFlow, n *node, scope *Scope, reg region) error {
+func (ex *execRun) runSwitch(pf *planFlow, n *node, scope *Scope, reg region) error {
 	sel, err := pf.cond.Eval(scope)
 	if err != nil {
 		return fmt.Errorf("matrix: switch condition in %s: %w", pf.src.Name, err)
@@ -500,7 +489,7 @@ func (ex *Execution) runSwitch(pf *planFlow, n *node, scope *Scope, reg region) 
 
 // runStep executes one step with fault handling and rules. c is the
 // step's context in its region, which its first attempt runs on.
-func (ex *Execution) runStep(ps *planStep, n *node, parent *Scope, c *OpContext) error {
+func (ex *execRun) runStep(ps *planStep, n *node, parent *Scope, c *OpContext) error {
 	st := ps.src
 	if err := ex.ctrl.checkpoint(); err != nil {
 		n.setState(StateCancelled, ex.now())
@@ -671,7 +660,7 @@ func (ex *Execution) runStep(ps *planStep, n *node, parent *Scope, c *OpContext)
 // noteProgress records step progress: the execution has new state worth
 // snapshotting (dirty) and is not idle (lastActive) — the two signals
 // SnapshotAll and PassivateIdle consult.
-func (ex *Execution) noteProgress() {
+func (ex *execRun) noteProgress() {
 	ex.dirty.Store(true)
 	ex.lastActive.Store(ex.engine.Clock().Now().UnixNano())
 }
@@ -704,7 +693,7 @@ func retryDelay(t dgl.RetryTiming, nodeID string, attempt int) time.Duration {
 // Actions are executed if the condition statement evaluates to the name
 // of the action"). Boolean conditions select the actions named
 // "true"/"false".
-func (ex *Execution) fireRule(rule *planRule, scope *Scope, nodeID string) error {
+func (ex *execRun) fireRule(rule *planRule, scope *Scope, nodeID string) error {
 	if rule == nil {
 		return nil
 	}
@@ -732,7 +721,7 @@ func (ex *Execution) fireRule(rule *planRule, scope *Scope, nodeID string) error
 // bind renders the operation's parameters against the live scope (late
 // binding) into c, the context its handler will read them from — a slot
 // of the step's region or a fresh one, never one a handler has seen.
-func (ex *Execution) bind(c *OpContext, op *planOp, scope *Scope, nodeID string) error {
+func (ex *execRun) bind(c *OpContext, op *planOp, scope *Scope, nodeID string) error {
 	*c = OpContext{
 		Engine: ex.engine,
 		Grid:   ex.engine.grid,
@@ -761,7 +750,7 @@ func (ex *Execution) bind(c *OpContext, op *planOp, scope *Scope, nodeID string)
 // cut copies a parameter rendered from several pieces into the
 // execution's slab; a constant or a lone reference is the string it
 // already was.
-func (ex *Execution) cut(b []byte) string {
+func (ex *execRun) cut(b []byte) string {
 	ex.slabMu.Lock()
 	defer ex.slabMu.Unlock()
 	return ex.slab.Cut(b)
@@ -770,7 +759,7 @@ func (ex *Execution) cut(b []byte) string {
 // execOperation binds the operation's parameters into c — unless the
 // caller already has (a pure step binds once, for its derivation key and
 // for its first attempt) — and dispatches to the registered handler.
-func (ex *Execution) execOperation(op *planOp, scope *Scope, nodeID string, c *OpContext, bound bool) error {
+func (ex *execRun) execOperation(op *planOp, scope *Scope, nodeID string, c *OpContext, bound bool) error {
 	h, ok := ex.engine.handler(op.typ)
 	if !ok {
 		return fmt.Errorf("matrix: no handler for operation %q", op.typ)

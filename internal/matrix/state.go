@@ -152,41 +152,41 @@ func (n *node) walk(detail bool, sink dgl.StatusSink) {
 // the call returns.
 var builders = sync.Pool{New: func() any { return new(dgl.StatusBuilder) }}
 
-// snapshot builds the subtree's status as a DGL FlowStatus.
-func (n *node) snapshot(detail bool) dgl.FlowStatus {
+// snapshot builds the status tree walk writes as a DGL FlowStatus.
+func snapshot(walk func(dgl.StatusSink)) dgl.FlowStatus {
 	b := builders.Get().(*dgl.StatusBuilder)
-	n.walk(detail, b)
+	walk(b)
 	st := b.Status()
 	*b = dgl.StatusBuilder{} // keep nothing of the tree it built
 	builders.Put(b)
 	return st
 }
 
-// collectSucceeded gathers the ids of terminally successful step nodes —
-// the checkpoint set Restart consults. A delegated subtree is one unit:
-// its node id joins the set when the remote run succeeded, and its
-// grafted children (which carry remote ids from another peer's id
-// space) are not descended into.
-func (n *node) collectSucceeded(into map[string]bool) {
-	n.mu.Lock()
-	state := n.state
-	kind := n.kind
-	remote := n.remote
-	kids := n.children
-	n.mu.Unlock()
-	if remote != "" {
-		if state == StateSucceeded || state == StateSkipped {
-			into[n.id] = true
-		}
+// doneSink gathers, from a status walk, the ids of terminally
+// successful step nodes — the checkpoint set Restart and snapshots
+// carry. A delegated subtree is one unit: its node id joins the set when
+// the remote run succeeded, and its grafted children (which carry
+// remote ids from another peer's id space) are passed over.
+type doneSink struct {
+	into   map[string]bool
+	inside []bool // per open node: within a delegated subtree
+}
+
+// Open implements dgl.StatusSink.
+func (s *doneSink) Open(n dgl.StatusNode) {
+	within := len(s.inside) > 0 && s.inside[len(s.inside)-1]
+	s.inside = append(s.inside, within || n.Delegated != "")
+	if within {
 		return
 	}
-	if kind == "step" && (state == StateSucceeded || state == StateSkipped) {
-		into[n.id] = true
-	}
-	for _, c := range kids {
-		c.collectSucceeded(into)
+	ok := n.State == string(StateSucceeded) || n.State == string(StateSkipped)
+	if ok && (n.Delegated != "" || n.Kind == "step") {
+		s.into[n.ID] = true
 	}
 }
+
+// Close implements dgl.StatusSink.
+func (s *doneSink) Close() { s.inside = s.inside[:len(s.inside)-1] }
 
 // graftRemote marks the node as delegated to remoteID and replaces its
 // children with the remote status tree's children — remote ids intact,
@@ -302,18 +302,39 @@ func (c *control) paused() bool {
 	return c.state == ctrlPaused
 }
 
-// Execution is one run of a DGL request on the engine.
+// Execution is one run of a DGL request on the engine: the small header
+// the engine's table and every caller hold. While the flow runs, live
+// points at its run state. At the terminal transition the run's status
+// tree, its final root variables and — when the flow did not succeed,
+// so Restart may run it again — its request are encoded into one
+// pointer-free record, and the run state is released: an ended flow
+// keeps its answer, not its run (DESIGN.md, "What an ended flow keeps").
+// Every method answers the same before and after.
 type Execution struct {
 	// ID is the unique request identifier returned in acknowledgements.
 	ID string
 
+	user string // the grid user, interned by the engine
+	done chan struct{}
+	// err is the final error, nil on success; set before done closes.
+	err error
+	// ended is the record (codec.MsgEnded) of a run that is over, set
+	// before live is cleared and read in place.
+	ended string
+	live  atomic.Pointer[execRun]
+}
+
+// execRun is an execution's run state: everything its run reads and
+// writes, dropped whole when the run is over.
+type execRun struct {
+	*Execution
+
 	engine *Engine
 	req    *dgl.Request
-	// plan is req.Flow lowered for the interpreter (plan.go). The run
-	// goroutine drops it on exit; nothing outside the run reads it.
+	// plan is req.Flow lowered for the interpreter (plan.go).
 	plan *plan
 	// root, ctrl and scope — the status tree's root, run control and the
-	// root variable scope — live in the Execution itself: one allocation
+	// root variable scope — live in the run state itself: one allocation
 	// builds them all.
 	root  node
 	ctrl  control
@@ -328,11 +349,10 @@ type Execution struct {
 	// first one (delegContext), cancelled by Cancel and when the run
 	// finishes, so remote subflows are released when the parent stops
 	// waiting for them. Guarded by mu.
+	mu          sync.Mutex
 	delegCtx    context.Context
 	delegCancel context.CancelFunc
 	delegDone   bool // cancelled: a context made from now on starts so
-
-	done chan struct{}
 
 	// passivated marks an execution being evicted to the flow-state
 	// store (Engine.Passivate): the run goroutine unwinds through the
@@ -356,18 +376,14 @@ type Execution struct {
 	restoreVars map[string]string
 
 	// slab holds the parameters bind renders from more than one piece,
-	// its first chunk sized by the plan; the run goroutine drops it on
-	// exit. slabMu guards it: the iterations of a parallel forEach bind
-	// at once.
+	// its first chunk sized by the plan. slabMu guards it: the
+	// iterations of a parallel forEach bind at once.
 	slabMu sync.Mutex
 	slab   codec.Arena
-
-	mu  sync.Mutex
-	err error // final error, nil on success
 }
 
 // skipped reports whether the node at path rel succeeded in a prior run.
-func (ex *Execution) skipped(rel string) bool {
+func (ex *execRun) skipped(rel string) bool {
 	_, ok := slices.BinarySearch(ex.skip, rel)
 	return ok
 }
@@ -375,7 +391,7 @@ func (ex *Execution) skipped(rel string) bool {
 // delegContext returns the context the execution's delegations run
 // under, making it on the first: most executions never delegate, and
 // this way pay nothing for it.
-func (ex *Execution) delegContext() context.Context {
+func (ex *execRun) delegContext() context.Context {
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
 	if ex.delegCtx == nil {
@@ -389,13 +405,57 @@ func (ex *Execution) delegContext() context.Context {
 
 // cancelDelegations releases the execution's delegations, those in
 // flight and any yet to start.
-func (ex *Execution) cancelDelegations() {
+func (ex *execRun) cancelDelegations() {
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
 	ex.delegDone = true
 	if ex.delegCancel != nil {
 		ex.delegCancel()
 	}
+}
+
+// end is the run's last act, at the terminal transition or at the end
+// of a passivated run's unwind: the status tree, the root variables and
+// — for a flow that failed or was cancelled — the request become the
+// execution's record, the run state is let go and done closes.
+func (ex *execRun) end() {
+	e := ex.engine
+	if e.ending != nil {
+		e.ending(ex)
+	}
+	e.records.mu.Lock()
+	ex.ended = e.records.encode(ex)
+	e.records.mu.Unlock()
+	ex.live.Store(nil)
+	close(ex.done)
+}
+
+// endedRecords is where an engine makes its ended executions' records:
+// one encoder and writer, never given back to a pool a collection
+// empties, and the arena the records are cut from.
+type endedRecords struct {
+	mu    sync.Mutex
+	enc   codec.Encoder
+	w     codec.EndedWriter
+	arena codec.Arena
+}
+
+// encode makes the record of ex, whose run is over, and cuts it from
+// the arena. Caller holds mu.
+func (r *endedRecords) encode(ex *execRun) string {
+	r.enc.Reset()
+	r.w.Begin(&r.enc)
+	ex.root.walk(true, &r.w)
+	var val [256]byte // a value rendered here, not into a string of its own
+	ex.scope.mu.RLock()
+	for _, b := range ex.scope.vars {
+		r.w.Var(b.name, b.val.AppendTo(val[:0]))
+	}
+	ex.scope.mu.RUnlock()
+	if ex.err != nil && !ex.passivated.Load() {
+		r.w.Request(ex.req)
+	}
+	return r.arena.Cut(r.enc.Bytes())
 }
 
 // Done returns a channel closed when the execution reaches a terminal
@@ -405,8 +465,6 @@ func (e *Execution) Done() <-chan struct{} { return e.done }
 // Wait blocks until the execution finishes and returns its final error.
 func (e *Execution) Wait() error {
 	<-e.done
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return e.err
 }
 
@@ -417,8 +475,6 @@ func (e *Execution) Wait() error {
 func (e *Execution) WaitContext(ctx context.Context) error {
 	select {
 	case <-e.done:
-		e.mu.Lock()
-		defer e.mu.Unlock()
 		return e.err
 	case <-ctx.Done():
 		return fmt.Errorf("%w: %v", dgferr.ErrCancelled, ctx.Err())
@@ -445,8 +501,6 @@ func (e *Execution) Settle(ctx context.Context, grace time.Duration) error {
 func (e *Execution) Err() error {
 	select {
 	case <-e.done:
-		e.mu.Lock()
-		defer e.mu.Unlock()
 		return e.err
 	default:
 		return nil
@@ -455,34 +509,60 @@ func (e *Execution) Err() error {
 
 // Status snapshots the execution's status tree.
 func (e *Execution) Status(detail bool) dgl.FlowStatus {
-	return e.root.snapshot(detail)
+	return snapshot(func(sink dgl.StatusSink) { e.WalkStatus(detail, sink) })
 }
 
 // WalkStatus writes the execution's status tree into sink, as
-// Engine.WalkStatus does for its id.
-func (e *Execution) WalkStatus(detail bool, sink dgl.StatusSink) { e.root.walk(detail, sink) }
+// Engine.WalkStatus does for its id: from the run's tree while it runs,
+// from its record once it is over.
+func (e *Execution) WalkStatus(detail bool, sink dgl.StatusSink) {
+	if r := e.live.Load(); r != nil {
+		r.root.walk(detail, sink)
+		return
+	}
+	_, _ = codec.WalkEnded(e.ended, "", detail, sink)
+}
 
 // User returns the grid user the execution runs as: on a tenancy
 // server, the tenant its submission was accounted to.
-func (e *Execution) User() string { return e.req.User.Name }
+func (e *Execution) User() string { return e.user }
 
 // Pause suspends the execution at the next checkpoint (between steps and
 // loop iterations). Pausing a terminal execution is a no-op.
-func (e *Execution) Pause() { e.ctrl.pause() }
+func (e *Execution) Pause() {
+	if r := e.live.Load(); r != nil {
+		r.ctrl.pause()
+	}
+}
 
 // Resume continues a paused execution.
-func (e *Execution) Resume() { e.ctrl.resume() }
+func (e *Execution) Resume() {
+	if r := e.live.Load(); r != nil {
+		r.ctrl.resume()
+	}
+}
 
 // Cancel stops the execution; in-flight steps finish, pending work is
 // abandoned (delegated subflows are released via their context), and
 // Wait returns ErrCancelled.
 func (e *Execution) Cancel() {
-	e.ctrl.cancel()
-	e.cancelDelegations()
+	if r := e.live.Load(); r != nil {
+		r.ctrl.cancel()
+		r.cancelDelegations()
+	}
 }
 
 // Paused reports whether the execution is currently paused.
-func (e *Execution) Paused() bool { return e.ctrl.paused() }
+func (e *Execution) Paused() bool {
+	r := e.live.Load()
+	return r != nil && r.ctrl.paused()
+}
 
 // Vars snapshots the root variable scope.
-func (e *Execution) Vars() map[string]string { return e.scope.Snapshot() }
+func (e *Execution) Vars() map[string]string {
+	if r := e.live.Load(); r != nil {
+		return r.scope.Snapshot()
+	}
+	vars, _ := codec.EndedVars(e.ended)
+	return vars
+}

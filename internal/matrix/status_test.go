@@ -48,7 +48,7 @@ func (n *node) status(detail bool) dgl.FlowStatus {
 func checkWalk(t testing.TB, n *node, detail bool) {
 	t.Helper()
 	want := n.status(detail)
-	if got := n.snapshot(detail); !reflect.DeepEqual(got, want) {
+	if got := snapshot(func(s dgl.StatusSink) { n.walk(detail, s) }); !reflect.DeepEqual(got, want) {
 		t.Fatalf("detail=%v: walk + builder\n got %+v\nwant %+v", detail, got, want)
 	}
 	resp := &dgl.Response{Status: &want}
@@ -83,6 +83,7 @@ func checkWalk(t testing.TB, n *node, detail bool) {
 // reference status on each.
 func TestWalkMatchesReferenceStatus(t *testing.T) {
 	e := dagEngine(t)
+	tree := keepTrees(e)
 	ex, err := e.Run("user", dagFlow(1))
 	if err != nil || ex.Err() != nil {
 		t.Fatalf("dag flow: %v / %v", err, ex.Err())
@@ -94,11 +95,11 @@ func TestWalkMatchesReferenceStatus(t *testing.T) {
 		t.Fatalf("failing flow: %v / %v", err, failing.Err())
 	}
 	// A delegated subtree: grafted children under foreign ids.
-	failing.root.kids()[0].graftRemote("peerB:dgf-000042", &dgl.FlowStatus{Children: []dgl.FlowStatus{
+	tree(failing).kids()[0].graftRemote("peerB:dgf-000042", &dgl.FlowStatus{Children: []dgl.FlowStatus{
 		{ID: "peerB:dgf-000042/sub/a", Name: "a", Kind: "step", State: "succeeded",
 			Started: "2026-10-03T09:00:00.5Z", Finished: "2026-10-03T09:00:01Z"},
 	}})
-	for _, root := range []*node{&ex.root, &failing.root} {
+	for _, root := range []*node{tree(ex), tree(failing)} {
 		for _, detail := range []bool{false, true} {
 			checkWalk(t, root, detail)
 		}
@@ -209,6 +210,7 @@ func TestStatusOfLeafAllocs(t *testing.T) {
 // each a prefix of what the end state holds.
 func TestPollRacesForEach(t *testing.T) {
 	e := newTestEngine(t)
+	tree := keepTrees(e)
 	const items = 48
 	list := make([]string, items)
 	for i := range list {
@@ -273,5 +275,5 @@ func TestPollRacesForEach(t *testing.T) {
 	if len(final.Children) != 3 || len(final.Children[1].Children) != items || len(final.Children[2].Children) != items {
 		t.Fatalf("final tree: %d top-level children, want 3 with %d iterations in each loop", len(final.Children), items)
 	}
-	checkWalk(t, &ex.root, true)
+	checkWalk(t, tree(ex), true)
 }

@@ -92,7 +92,7 @@ type vdataBinding struct {
 // attached or when the step's parameters do not interpolate — execution
 // then proceeds normally and surfaces the same interpolation error
 // itself.
-func (ex *Execution) vdataResolve(ps *planStep, scope *Scope, nodeID string, ctx *OpContext) (vdataBinding, bool) {
+func (ex *execRun) vdataResolve(ps *planStep, scope *Scope, nodeID string, ctx *OpContext) (vdataBinding, bool) {
 	cat, remote := ex.engine.vdataHooks()
 	if cat == nil && remote == nil {
 		return vdataBinding{}, false
@@ -131,7 +131,7 @@ func (ex *Execution) vdataResolve(ps *planStep, scope *Scope, nodeID string, ctx
 // effort by construction: a step whose parameters do not interpolate
 // under the delegating scope simply contributes no hint, and a stale
 // hint only costs the fallback to least-loaded.
-func (ex *Execution) vdataPeerHint(pf *planFlow, scope *Scope) string {
+func (ex *execRun) vdataPeerHint(pf *planFlow, scope *Scope) string {
 	cat, _ := ex.engine.vdataHooks()
 	locate := ex.engine.vdataLocator()
 	if cat == nil && locate == nil {
@@ -173,7 +173,7 @@ func (ex *Execution) vdataPeerHint(pf *planFlow, scope *Scope) string {
 // provenance record, and a step.done store record (carrying the
 // holder peer) checkpoints it for recovery. Returns true when the step
 // was skipped.
-func (ex *Execution) vdataHit(vd *vdataBinding, st *dgl.Step, n *node, scope *Scope) bool {
+func (ex *execRun) vdataHit(vd *vdataBinding, st *dgl.Step, n *node, scope *Scope) bool {
 	cat, remote := ex.engine.vdataHooks()
 	o := ex.engine.Obs()
 	var ent vdata.Entry
@@ -221,7 +221,7 @@ func (ex *Execution) vdataHit(vd *vdataBinding, st *dgl.Step, n *node, scope *Sc
 // vdataPublish memoizes a pure step's completed derivation: the result
 // variable's value (when the step declares one) and the binding computed
 // before execution, durably when the catalog has a log.
-func (ex *Execution) vdataPublish(vd *vdataBinding, st *dgl.Step, n *node, scope *Scope) {
+func (ex *execRun) vdataPublish(vd *vdataBinding, st *dgl.Step, n *node, scope *Scope) {
 	cat, _ := ex.engine.vdataHooks()
 	if cat == nil {
 		return

@@ -78,7 +78,7 @@ func TestVdataMemoizesPureStep(t *testing.T) {
 		t.Fatalf("warm step state = %s, want skipped", st.Children[0].State)
 	}
 	// The grafted result variable is visible in the flow scope.
-	if got := ex2.scope.Snapshot()["spectrum"]; got != "done:fft /grid/raw" {
+	if got := ex2.Vars()["spectrum"]; got != "done:fft /grid/raw" {
 		t.Fatalf("grafted result = %q", got)
 	}
 	// A vdata.hit provenance record marks the graft.

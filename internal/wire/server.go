@@ -1074,7 +1074,7 @@ func storeInfo(engine *matrix.Engine, st *store.Store) *StoreInfo {
 		ReplayRecords: stats.ReplayRecords,
 		Live:          stats.Live,
 		Passivated:    stats.Passivated,
-		Resident:      len(engine.Executions()),
+		Resident:      engine.Resident(),
 		SnapshotLag:   stats.SnapshotLag,
 		Pending:       stats.Pending,
 		Failed:        stats.Failed,
