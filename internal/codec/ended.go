@@ -1,6 +1,8 @@
 package codec
 
 import (
+	"encoding/binary"
+	"fmt"
 	"strings"
 	"time"
 
@@ -20,25 +22,35 @@ const (
 	endVar      = 2 // bytes: a root variable's name; its value follows
 	endVarValue = 3 // bytes, written even when empty
 	endRequest  = 4 // bytes: a MsgRequest payload, header included
+	endBase     = 5 // bytes: the base time's UnixNano, 8 bytes little-endian, before the root
+	endBaseSec  = 6 // varint (zigzag): the base time's Unix seconds, when UnixNano cannot hold it
+	endBaseNs   = 7 // varint: their nanoseconds
 )
 
-// Ended node field numbers (nested). A node's own fields come before its
-// children.
+// An ended node message starts with a head of no tags: the id (a
+// length and its bytes), one byte holding the kind and state code
+// (kind code × 8 + state code, see kinds and states) in its low five
+// bits and which of the two times follow in its top two (started 32,
+// finished 64), then each time present, as the zigzag varint of its
+// nanoseconds from the base. Tagged fields follow it: what a usual node
+// lacks, then its children.
 const (
-	enID         = 1  // bytes
-	enName       = 2  // bytes, when the name is not the id's tail
-	enNameTail   = 3  // varint: the name is the id's last n bytes
-	enKind       = 4  // varint code (kinds)
-	enKindText   = 5  // bytes, a kind without a code
-	enState      = 6  // varint code (states)
-	enStateText  = 7  // bytes, a state without a code
-	enStarted    = 8  // varint (zigzag): Unix seconds; absent = zero time
-	enStartedNs  = 9  // varint: the nanoseconds within that second
-	enFinished   = 10 // varint (zigzag)
-	enFinishedNs = 11 // varint
-	enDelegated  = 12 // bytes
-	enErr        = 13 // bytes
-	enChild      = 14 // repeated msg (endNode)
+	headStarted  = 1 << 5
+	headFinished = 1 << 6
+)
+
+// Ended node field numbers (nested, after the head).
+const (
+	enName        = 1  // bytes, written even when empty: a name that is not the id's last segment
+	enKind        = 2  // bytes, a kind without a code
+	enState       = 3  // bytes, a state without a code
+	enStartedSec  = 4  // varint (zigzag): Unix seconds of a start too far from the base
+	enStartedNs   = 5  // varint: its nanoseconds
+	enFinishedSec = 6  // varint (zigzag)
+	enFinishedNs  = 7  // varint
+	enDelegated   = 8  // bytes
+	enErr         = 9  // bytes
+	enChild       = 10 // repeated msg (endNode)
 )
 
 // kinds and states are the node kinds and states the engine writes,
@@ -57,15 +69,9 @@ func code(set []string, s string) uint64 {
 	return 0
 }
 
-// coded reads a code field back into the string it stands for.
-func coded(d *Decoder, set []string) string {
-	c := d.Uint()
-	if c == 0 || c > uint64(len(set)) {
-		d.fail("unknown code")
-		return ""
-	}
-	return set[c-1]
-}
+// lastSegment is the name a node of id has unless its record says
+// otherwise: what follows the id's last '/'.
+func lastSegment(id string) string { return id[strings.LastIndexByte(id, '/')+1:] }
 
 // EndedWriter writes an ended record: Begin, the status tree (the
 // writer is the dgl.StatusSink a live tree walks into, its times given
@@ -75,6 +81,9 @@ func coded(d *Decoder, set []string) string {
 type EndedWriter struct {
 	e     *Encoder
 	marks []int // of the node messages still open
+	// base is the root's start (or end): every time is written as the
+	// nanoseconds from it, a few bytes for a run's spread.
+	base time.Time
 }
 
 // Begin starts a record in e.
@@ -89,40 +98,74 @@ func (w *EndedWriter) Open(n dgl.StatusNode) {
 	num := enChild
 	if len(w.marks) == 0 {
 		num = endRoot
+		w.base = n.Started.Time
+		if w.base.IsZero() {
+			w.base = n.Finished.Time
+		}
+		if ns := w.base.UnixNano(); time.Unix(0, ns).Equal(w.base) {
+			e.Blob(endBase, binary.LittleEndian.AppendUint64(make([]byte, 0, 8), uint64(ns)))
+		} else if !w.base.IsZero() {
+			e.Int(endBaseSec, w.base.Unix())
+			e.Uint(endBaseNs, uint64(w.base.Nanosecond()))
+		}
 	}
 	e.tag(num, wtMsg)
 	w.marks = append(w.marks, e.reserve())
-	e.Str(enID, n.ID)
-	if strings.HasSuffix(n.ID, n.Name) {
-		e.Uint(enNameTail, uint64(len(n.Name)))
-	} else {
-		e.Str(enName, n.Name)
+	e.uvarint(uint64(len(n.ID)))
+	e.buf = append(e.buf, n.ID...)
+	k, st := code(kinds[:], n.Kind), code(states[:], n.State)
+	head, at := byte(k<<3|st), len(e.buf)
+	e.buf = append(e.buf, head)
+	if d, ok := w.near(n.Started.Time); ok {
+		head |= headStarted
+		e.buf = binary.AppendVarint(e.buf, d)
 	}
-	if c := code(kinds[:], n.Kind); c != 0 {
-		e.Uint(enKind, c)
-	} else {
-		e.Str(enKindText, n.Kind)
+	if d, ok := w.near(n.Finished.Time); ok {
+		head |= headFinished
+		e.buf = binary.AppendVarint(e.buf, d)
 	}
-	if c := code(states[:], n.State); c != 0 {
-		e.Uint(enState, c)
-	} else {
-		e.Str(enStateText, n.State)
+	e.buf[at] = head
+	if n.Name != lastSegment(n.ID) {
+		w.bytes(enName, n.Name)
 	}
-	endTime(e, enStarted, n.Started.Time)
-	endTime(e, enFinished, n.Finished.Time)
+	if k == 0 {
+		e.Str(enKind, n.Kind)
+	}
+	if st == 0 {
+		e.Str(enState, n.State)
+	}
+	w.far(enStartedSec, enStartedNs, n.Started.Time)
+	w.far(enFinishedSec, enFinishedNs, n.Finished.Time)
 	e.Str(enDelegated, n.Delegated)
 	e.Str(enErr, n.Error)
 }
 
-// endTime writes a time as its Unix seconds and nanoseconds, the pair
-// time.Unix takes back: the instant exactly, so a reader renders it as
-// the live node would. The zero time is not written.
-func endTime(e *Encoder, num int, t time.Time) {
-	if t.IsZero() {
+// near returns a time as the nanoseconds from the base, and false for
+// the zero time and for one a Duration cannot reach from the base.
+func (w *EndedWriter) near(t time.Time) (int64, bool) {
+	if t.IsZero() || w.base.IsZero() {
+		return 0, false
+	}
+	d := t.Sub(w.base)
+	return int64(d), w.base.Add(d).Equal(t)
+}
+
+// far writes a time near does not take, as Unix seconds and
+// nanoseconds: a reader takes the instant back exactly and renders it
+// as the live node would.
+func (w *EndedWriter) far(sec, ns int, t time.Time) {
+	if _, ok := w.near(t); ok || t.IsZero() {
 		return
 	}
-	e.Int(num, t.Unix())
-	e.Uint(num+1, uint64(t.Nanosecond()))
+	w.e.Int(sec, t.Unix())
+	w.e.Uint(ns, uint64(t.Nanosecond()))
+}
+
+// bytes writes a bytes field even when s is empty.
+func (w *EndedWriter) bytes(num int, s string) {
+	w.e.tag(num, wtBytes)
+	w.e.uvarint(uint64(len(s)))
+	w.e.buf = append(w.e.buf, s...)
 }
 
 // Close implements dgl.StatusSink.
@@ -135,9 +178,7 @@ func (w *EndedWriter) Close() {
 // Var writes one root variable, after the tree.
 func (w *EndedWriter) Var(name string, value []byte) {
 	w.e.Str(endVar, name)
-	w.e.tag(endVarValue, wtBytes)
-	w.e.uvarint(uint64(len(value)))
-	w.e.buf = append(w.e.buf, value...)
+	w.bytes(endVarValue, string(value))
 }
 
 // Request writes the request the record keeps, last: its document is
@@ -148,171 +189,282 @@ func (w *EndedWriter) Request(req *dgl.Request) {
 	w.e.EndBlob(mark)
 }
 
-// WalkEnded streams the status subtree of node id in an ended record
-// into sink — the root's when id is "" — with its children when detail
-// is set. It reports false, with nothing written, when no node of the
-// record has that id. Every string it hands the sink is a slice of rec.
-func WalkEnded(rec, id string, detail bool, sink dgl.StatusSink) (bool, error) {
-	d, err := newStringDecoder(rec, MsgEnded)
-	if err != nil {
-		return false, err
-	}
-	for d.Next() {
-		if d.Field() != endRoot {
-			d.Skip()
-			continue
-		}
-		end := d.MsgEnter()
-		var n dgl.StatusNode
-		more := endedFields(&d, &n)
-		if id == "" {
-			id = n.ID
-		}
-		found := findEnded(&d, id, n, more, detail, sink)
-		d.MsgExit(end)
-		return found, d.Err()
-	}
-	return false, d.Err()
+// endedReader reads an ended record in place, its fields straight from
+// the string: no symbol table to borrow and no call per byte, so a
+// status answer from a record costs about what one from a live tree
+// does. The record is the engine's own, but a reader checks every
+// length and wire type all the same.
+type endedReader struct {
+	rec string
+	s   string // rec up to the end of the message being read
+	pos int
+	// baseSec and baseNs are the base time, as time.Unix takes it.
+	baseSec, baseNs int64
+	err             error
 }
 
-// EndedRoot returns the root node of an ended record, without its
-// children.
-func EndedRoot(rec string) (dgl.StatusNode, error) {
-	var n dgl.StatusNode
-	d, err := newStringDecoder(rec, MsgEnded)
-	if err != nil {
-		return n, err
+// wire types of the ended record's fields and of its nodes' fields, by
+// field number, plus one: 0 is a field this reader skips by the wire
+// type its tag gives.
+var (
+	endWire = [...]byte{endRoot: 1 + wtMsg, endVar: 1 + wtBytes, endVarValue: 1 + wtBytes, endRequest: 1 + wtBytes,
+		endBase: 1 + wtBytes, endBaseSec: 1 + wtVarint, endBaseNs: 1 + wtVarint}
+	nodeWire = [...]byte{enName: 1 + wtBytes, enKind: 1 + wtBytes, enState: 1 + wtBytes,
+		enStartedSec: 1 + wtVarint, enStartedNs: 1 + wtVarint, enFinishedSec: 1 + wtVarint, enFinishedNs: 1 + wtVarint,
+		enDelegated: 1 + wtBytes, enErr: 1 + wtBytes, enChild: 1 + wtMsg}
+)
+
+func (r *endedReader) fail(msg string) {
+	if r.err == nil {
+		r.err = fmt.Errorf("codec: ended record: %s at offset %d", msg, r.pos)
 	}
-	for d.Next() {
-		if d.Field() == endRoot {
-			end := d.MsgEnter()
-			endedFields(&d, &n)
-			d.MsgExit(end)
-			break
-		}
-		d.Skip()
-	}
-	return n, d.Err()
+	r.s, r.pos = "", 0
 }
 
-// EndedVars returns the root variables of an ended record.
-func EndedVars(rec string) (map[string]string, error) {
-	out := make(map[string]string)
-	d, err := newStringDecoder(rec, MsgEnded)
-	if err != nil {
-		return out, err
+func (r *endedReader) uvarint() uint64 {
+	if p := r.pos; p < len(r.s) {
+		if b := r.s[p]; b < 0x80 {
+			r.pos = p + 1
+			return uint64(b)
+		}
 	}
-	var name string
-	for d.Next() {
-		switch d.Field() {
-		case endVar:
-			name = d.Str()
-		case endVarValue:
-			out[name] = d.Str()
+	return r.uvarintLong()
+}
+
+// uvarintLong reads a varint of more than one byte.
+func (r *endedReader) uvarintLong() uint64 {
+	v, n := uvarintString(r.s[r.pos:])
+	if n <= 0 {
+		r.fail("bad varint")
+		return 0
+	}
+	r.pos += n
+	return v
+}
+
+// int reads a zigzag varint.
+func (r *endedReader) int() int64 {
+	u := r.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// str reads a length and the bytes it counts, a slice of the record.
+func (r *endedReader) str() string {
+	n := r.uvarint()
+	if n > uint64(len(r.s)-r.pos) {
+		r.fail("length beyond message")
+		return ""
+	}
+	at := r.pos
+	r.pos += int(n)
+	return r.s[at:r.pos]
+}
+
+// next reads the next field's tag in the current message, checks it
+// against wire, and returns its number: 0 at the message's end or on an
+// error. A field wire does not know is skipped.
+func (r *endedReader) next(wire []byte) int {
+	for r.pos < len(r.s) {
+		tag := r.uvarint()
+		num, wt := tag>>2, byte(tag&3)
+		if num < uint64(len(wire)) && wire[num] != 0 {
+			if wire[num] != 1+wt {
+				r.fail("wrong wire type")
+				return 0
+			}
+			return int(num)
+		}
+		r.skip(wt)
+	}
+	return 0
+}
+
+// enter narrows the reader to the message field just read and returns
+// the enclosing message's end, for exit.
+func (r *endedReader) enter() int {
+	n := r.uvarint()
+	if n > uint64(len(r.s)-r.pos) {
+		r.fail("message beyond its parent")
+		return 0
+	}
+	parent := len(r.s)
+	r.s = r.s[:r.pos+int(n)]
+	return parent
+}
+
+// exit leaves the message entered, skipping what is left of it.
+func (r *endedReader) exit(parent int) {
+	if r.err == nil {
+		r.pos, r.s = len(r.s), r.rec[:parent]
+	}
+}
+
+// open readies the reader at the record's first field.
+func (r *endedReader) open(rec string) error {
+	if err := checkHeader(rec, MsgEnded); err != nil {
+		return err
+	}
+	r.rec, r.s, r.pos = rec, rec, headerLen
+	return nil
+}
+
+// root positions the reader inside the root node's message, its own
+// fields not yet read, and returns the record's end for exit; ok is
+// false when the record holds no root.
+func (r *endedReader) root(rec string) (end int, ok bool, err error) {
+	if err := r.open(rec); err != nil {
+		return 0, false, err
+	}
+	var sec, ns int64
+	for f := r.next(endWire[:]); f != 0; f = r.next(endWire[:]) {
+		switch f {
+		case endBase:
+			if b := r.str(); len(b) == 8 {
+				ns = int64(uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+					uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56)
+			} else {
+				r.fail("base is not 8 bytes")
+			}
+		case endBaseSec:
+			sec = r.int()
+		case endBaseNs:
+			ns = int64(r.uvarint())
+		case endRoot:
+			r.baseSec, r.baseNs = sec+ns/1e9, ns%1e9
+			if r.baseNs < 0 {
+				r.baseSec, r.baseNs = r.baseSec-1, r.baseNs+1e9
+			}
+			return r.enter(), r.err == nil, r.err
 		default:
-			d.Skip()
+			r.skip(endWire[f] - 1)
 		}
 	}
-	return out, d.Err()
+	return 0, false, r.err
 }
 
-// EndedRequest returns the request document an ended record keeps, a
-// slice of rec, or "" when it keeps none.
-func EndedRequest(rec string) (string, error) {
-	d, err := newStringDecoder(rec, MsgEnded)
-	if err != nil {
-		return "", err
+// skip passes over a field of wire type wt.
+func (r *endedReader) skip(wt byte) {
+	switch wt {
+	case wtVarint:
+		r.uvarint()
+	case wtBytes, wtMsg:
+		r.str()
+	default:
+		r.fail("unexpected symbol")
 	}
-	for d.Next() {
-		if d.Field() == endRequest {
-			return d.Str(), d.Err()
+}
+
+// fields reads the own fields of the node message the reader has
+// entered into n: its head, then its tagged fields up to its first
+// child. It reports whether there is a child, with the reader on that
+// child's message.
+func (r *endedReader) fields(n *dgl.StatusNode) (child bool) {
+	n.ID = r.str()
+	if r.pos >= len(r.s) {
+		r.fail("node has no head")
+		return false
+	}
+	head := r.s[r.pos]
+	r.pos++
+	if k, st := head>>3&3, head&7; int(k) > len(kinds) || int(st) > len(states) {
+		r.fail("unknown code")
+		return false
+	} else {
+		if k > 0 {
+			n.Kind = kinds[k-1]
 		}
-		d.Skip()
+		if st > 0 {
+			n.State = states[st-1]
+		}
 	}
-	return "", d.Err()
-}
-
-// endedFields reads the own fields of the node message d has entered
-// into n. It stops at the node's first child and reports whether there
-// is one, with d on that child's field.
-func endedFields(d *Decoder, n *dgl.StatusNode) (child bool) {
-	tail := -1
-	var started, finished [2]int64 // Unix seconds and nanoseconds
-	var hasStarted, hasFinished bool
-	for !child && d.Next() {
-		switch d.Field() {
-		case enID:
-			n.ID = d.Str()
+	if head&headStarted != 0 {
+		n.Started.Time = r.near(r.int())
+	}
+	if head&headFinished != 0 {
+		n.Finished.Time = r.near(r.int())
+	}
+	named := false
+	var started, finished [2]int64 // Unix seconds and nanoseconds, far from the base
+	for f := r.next(nodeWire[:]); f != 0 && !child; {
+		switch f {
 		case enName:
-			n.Name = d.Str()
-		case enNameTail:
-			tail = int(min(d.Uint(), uint64(len(n.ID))))
+			n.Name, named = r.str(), true
 		case enKind:
-			n.Kind = coded(d, kinds[:])
-		case enKindText:
-			n.Kind = d.Str()
+			n.Kind = r.str()
 		case enState:
-			n.State = coded(d, states[:])
-		case enStateText:
-			n.State = d.Str()
-		case enStarted:
-			started[0], hasStarted = d.Int(), true
+			n.State = r.str()
+		case enStartedSec:
+			started[0] = r.int()
+			n.Started.Time = time.Unix(started[0], started[1])
 		case enStartedNs:
-			started[1] = int64(d.Uint())
-		case enFinished:
-			finished[0], hasFinished = d.Int(), true
+			started[1] = int64(r.uvarint())
+			n.Started.Time = time.Unix(started[0], started[1])
+		case enFinishedSec:
+			finished[0] = r.int()
+			n.Finished.Time = time.Unix(finished[0], finished[1])
 		case enFinishedNs:
-			finished[1] = int64(d.Uint())
+			finished[1] = int64(r.uvarint())
+			n.Finished.Time = time.Unix(finished[0], finished[1])
 		case enDelegated:
-			n.Delegated = d.Str()
+			n.Delegated = r.str()
 		case enErr:
-			n.Error = d.Str()
+			n.Error = r.str()
 		case enChild:
 			child = true
-		default:
-			d.Skip()
+			continue
 		}
+		f = r.next(nodeWire[:])
 	}
-	if tail >= 0 {
-		n.Name = n.ID[len(n.ID)-tail:]
-	}
-	if hasStarted {
-		n.Started.Time = time.Unix(started[0], started[1])
-	}
-	if hasFinished {
-		n.Finished.Time = time.Unix(finished[0], finished[1])
+	if !named {
+		n.Name = lastSegment(n.ID)
 	}
 	return child
 }
 
-// nextChild moves d to the next child field of the node message it is
-// in, reporting false at the message's end.
-func nextChild(d *Decoder) bool {
-	for d.Next() {
-		if d.Field() == enChild {
+// near returns the time d nanoseconds from the base.
+func (r *endedReader) near(d int64) time.Time {
+	sec, ns := r.baseSec+d/1e9, r.baseNs+d%1e9
+	if ns < 0 {
+		sec, ns = sec-1, ns+1e9
+	} else if ns >= 1e9 {
+		sec, ns = sec+1, ns-1e9
+	}
+	return time.Unix(sec, ns)
+}
+
+// nextChild moves the reader to the next child message of the node
+// message it is in, reporting false at the message's end.
+func (r *endedReader) nextChild() bool {
+	for f := r.next(nodeWire[:]); f != 0; f = r.next(nodeWire[:]) {
+		if f == enChild {
 			return true
 		}
-		d.Skip()
+		r.skip(nodeWire[f] - 1)
 	}
 	return false
 }
 
-// findEnded looks for node id in the subtree of n, the node message d
-// has entered (its own fields read, more telling whether a child
-// follows), and streams the subtree of the node it finds into sink. A
-// child is entered only if its id leads to the one sought, as a live
-// node's find does.
-func findEnded(d *Decoder, id string, n dgl.StatusNode, more, detail bool, sink dgl.StatusSink) bool {
-	if n.ID == id {
-		walkEnded(d, n, more, detail, sink)
+// find looks for node id — any node, when id is "" — in the subtree of
+// the node message the reader has entered, and streams the subtree of
+// the node it finds into sink. A child is entered only if its node's id
+// leads to the one sought, as a live node's find does.
+func (r *endedReader) find(id string, detail bool, sink dgl.StatusSink) bool {
+	var n dgl.StatusNode
+	more := r.fields(&n)
+	if r.err != nil {
+		return false
+	}
+	if id == "" || n.ID == id {
+		r.emit(&n, more, detail, sink)
 		return true
 	}
-	for ; more; more = nextChild(d) {
-		end := d.MsgEnter()
-		var c dgl.StatusNode
-		cmore := endedFields(d, &c)
-		found := leadsTo(c.ID, id) && findEnded(d, id, c, cmore, detail, sink)
-		d.MsgExit(end)
+	if !leadsTo(n.ID, id) {
+		return false
+	}
+	for ; more; more = r.nextChild() {
+		end := r.enter()
+		found := r.find(id, detail, sink)
+		r.exit(end)
 		if found {
 			return true
 		}
@@ -328,16 +480,93 @@ func leadsTo(at, id string) bool {
 	return ok && (rest == "" || rest[0] == '/' || rest[0] == '[')
 }
 
-// walkEnded streams n, the node message d has entered, into sink, and
+// emit streams n — the node message the reader has entered, its own
+// fields read, more telling whether a child follows — into sink, and
 // its children after it when detail is set.
-func walkEnded(d *Decoder, n dgl.StatusNode, more, detail bool, sink dgl.StatusSink) {
-	sink.Open(n)
-	for ; more && detail; more = nextChild(d) {
-		end := d.MsgEnter()
-		var c dgl.StatusNode
-		cmore := endedFields(d, &c)
-		walkEnded(d, c, cmore, true, sink)
-		d.MsgExit(end)
+func (r *endedReader) emit(n *dgl.StatusNode, more, detail bool, sink dgl.StatusSink) {
+	sink.Open(*n)
+	for ; more && detail; more = r.nextChild() {
+		end := r.enter()
+		r.walk(sink)
+		r.exit(end)
 	}
 	sink.Close()
+}
+
+// walk streams the node message the reader has entered, and its
+// children, into sink.
+func (r *endedReader) walk(sink dgl.StatusSink) {
+	var n dgl.StatusNode
+	more := r.fields(&n)
+	sink.Open(n)
+	for ; more; more = r.nextChild() {
+		end := r.enter()
+		r.walk(sink)
+		r.exit(end)
+	}
+	sink.Close()
+}
+
+// WalkEnded streams the status subtree of node id in an ended record
+// into sink — the root's when id is "" — with its children when detail
+// is set. It reports false, with nothing written, when no node of the
+// record has that id. Every string it hands the sink is a slice of rec.
+func WalkEnded(rec, id string, detail bool, sink dgl.StatusSink) (bool, error) {
+	var r endedReader
+	end, ok, err := r.root(rec)
+	if !ok {
+		return false, err
+	}
+	found := r.find(id, detail, sink)
+	r.exit(end)
+	return found, r.err
+}
+
+// EndedRoot returns the root node of an ended record, without its
+// children.
+func EndedRoot(rec string) (dgl.StatusNode, error) {
+	var r endedReader
+	var n dgl.StatusNode
+	if _, ok, err := r.root(rec); !ok {
+		return n, err
+	}
+	r.fields(&n)
+	return n, r.err
+}
+
+// EndedVars returns the root variables of an ended record.
+func EndedVars(rec string) (map[string]string, error) {
+	out := make(map[string]string)
+	var r endedReader
+	if err := r.open(rec); err != nil {
+		return out, err
+	}
+	var name string
+	for f := r.next(endWire[:]); f != 0; f = r.next(endWire[:]) {
+		switch f {
+		case endVar:
+			name = r.str()
+		case endVarValue:
+			out[name] = r.str()
+		default:
+			r.skip(endWire[f] - 1)
+		}
+	}
+	return out, r.err
+}
+
+// EndedRequest returns the request document an ended record keeps, a
+// slice of rec, or "" when it keeps none.
+func EndedRequest(rec string) (string, error) {
+	var r endedReader
+	if err := r.open(rec); err != nil {
+		return "", err
+	}
+	for f := r.next(endWire[:]); f != 0; f = r.next(endWire[:]) {
+		if f == endRequest {
+			return r.str(), r.err
+		}
+		r.skip(endWire[f] - 1)
+	}
+	return "", r.err
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+	"time"
 )
 
 func statusTree() *FlowStatus {
@@ -76,4 +77,28 @@ func TestStatusBuilderRebuildsTree(t *testing.T) {
 	if got := d.Status(); !reflect.DeepEqual(&got, deep) {
 		t.Error("a 21-level chain did not rebuild")
 	}
+}
+
+// FuzzStatusTimeMatchesFormat holds a status time's rendering to the
+// time package's RFC 3339 with nanoseconds, in UTC, for any instant and
+// any location it is held in.
+func FuzzStatusTimeMatchesFormat(f *testing.F) {
+	f.Add(int64(1790000000), int64(123456789), 0)
+	f.Add(int64(-62135596800), int64(1), 3600)
+	f.Add(int64(253402300800), int64(0), -7200)
+	f.Add(int64(0), int64(100), 0)
+	f.Fuzz(func(t *testing.T, sec, nsec int64, offset int) {
+		at := time.Unix(sec, nsec).In(time.FixedZone("z", offset%86400))
+		if at.IsZero() {
+			return
+		}
+		want := at.UTC().Format(time.RFC3339Nano)
+		st := StatusTime{Time: at}
+		if got := string(st.Append([]byte("x"))); got != "x"+want {
+			t.Fatalf("Append(%v) = %q, want %q", at, got, "x"+want)
+		}
+		if got := st.String(); got != want {
+			t.Fatalf("String(%v) = %q, want %q", at, got, want)
+		}
+	})
 }

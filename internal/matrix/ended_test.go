@@ -103,7 +103,7 @@ func fuzzFlow(shape []byte) dgl.Flow {
 		case 2:
 			sub.Parallel()
 			for j := 0; j < k; j++ {
-				sub.SubFlow(dgl.NewFlow("p" + strconv.Itoa(j)).
+				sub.SubFlow(dgl.NewFlow("p"+strconv.Itoa(j)).
 					Step("s", dgl.Op(dgl.OpSetVariable, map[string]string{"name": "v" + strconv.Itoa(j), "value": "x"})))
 			}
 		case 3:
@@ -116,7 +116,7 @@ func fuzzFlow(shape []byte) dgl.Flow {
 			sub.WhileLoop("$w"+name+" < "+strconv.Itoa(k)).
 				Step("inc", dgl.Op(dgl.OpSetVariable, map[string]string{"name": "w" + name, "expr": "$w" + name + " + 1"}))
 		case 5:
-			sub.SwitchOn(`"arm" + ` + strconv.Itoa(k%2)).
+			sub.SwitchOn(`"arm" + `+strconv.Itoa(k%2)).
 				Step("arm0", dgl.Op(dgl.OpNoop, nil)).
 				Step("arm1", dgl.Op(dgl.OpNoop, nil))
 		case 6:

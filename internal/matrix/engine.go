@@ -135,8 +135,8 @@ type Engine struct {
 	// heads is the block new execution headers are taken from, and users
 	// the interned grid users they name: a header costs its run no
 	// allocation of its own, and keeps no string of its request alive.
-	heads []Execution
-	users map[string]string
+	heads    []Execution
+	users    map[string]string
 	handlers map[string]OpHandler
 	known    map[string]bool // handlers' keys; see RegisterOp
 	procs    map[string]*storedProc
@@ -152,7 +152,7 @@ type Engine struct {
 	vlocate VdataLocator
 	// steps holds each operation type's per-step series (opSeries),
 	// resolved in the registry once per type.
-	steps sync.Map
+	steps   sync.Map
 	records endedRecords
 	// ending, when set, sees each run state as its run ends, before its
 	// record is made and it is let go: the window tests take the live
