@@ -178,7 +178,9 @@ func (w *EndedWriter) Close() {
 // Var writes one root variable, after the tree.
 func (w *EndedWriter) Var(name string, value []byte) {
 	w.e.Str(endVar, name)
-	w.bytes(endVarValue, string(value))
+	w.e.tag(endVarValue, wtBytes)
+	w.e.uvarint(uint64(len(value)))
+	w.e.buf = append(w.e.buf, value...)
 }
 
 // Request writes the request the record keeps, last: its document is

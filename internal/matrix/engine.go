@@ -152,7 +152,8 @@ type Engine struct {
 	vlocate VdataLocator
 	// steps holds each operation type's per-step series (opSeries),
 	// resolved in the registry once per type.
-	steps   sync.Map
+	steps sync.Map
+	// records makes the records ended executions keep (state.go).
 	records endedRecords
 	// ending, when set, sees each run state as its run ends, before its
 	// record is made and it is let go: the window tests take the live
@@ -203,6 +204,7 @@ func NewEngineConfig(grid *dgms.Grid, cfg Config) *Engine {
 		handlers: make(map[string]OpHandler),
 		procs:    make(map[string]*storedProc),
 	}
+	e.records.arena.Chunks(recordChunk)
 	e.registerBuiltins()
 	e.registerCallOp()
 	e.rebuildKnown()
@@ -722,7 +724,8 @@ func (e *Engine) newExecution(req *dgl.Request, skip map[string]bool, p *plan) *
 // execution builds the run state of an execution of req whose root
 // node is rootID ("<id>/<flow>"), skipping the node paths in skip
 // (sorted). Its status root, run control and root scope are part of it:
-// with the channels and rootID that is the whole of its fixed cost.
+// with the control's channel and rootID that is the whole of its fixed
+// cost, beside the header register gives it.
 func (e *Engine) execution(rootID string, req *dgl.Request, p *plan, skip []string) *execRun {
 	ex := &execRun{
 		engine: e,

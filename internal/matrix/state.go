@@ -430,6 +430,11 @@ func (ex *execRun) end() {
 	close(ex.done)
 }
 
+// recordChunk is the size of the chunks ended records are cut from: a
+// record of up to an eighth of it — a flow of a few steps, even with a
+// kilobyte of variables — costs no allocation of its own.
+const recordChunk = 16 << 10
+
 // endedRecords is where an engine makes its ended executions' records:
 // one encoder and writer, never given back to a pool a collection
 // empties, and the arena the records are cut from.
