@@ -19,12 +19,10 @@ import (
 // Ended record field numbers (MsgEnded).
 const (
 	endRoot     = 1 // msg (endNode)
-	endVar      = 2 // bytes: a root variable's name; its value follows
+	endVar      = 2 // bytes, written even when empty: a root variable's name; its value follows
 	endVarValue = 3 // bytes, written even when empty
 	endRequest  = 4 // bytes: a MsgRequest payload, header included
-	endBase     = 5 // bytes: the base time's UnixNano, 8 bytes little-endian, before the root
-	endBaseSec  = 6 // varint (zigzag): the base time's Unix seconds, when UnixNano cannot hold it
-	endBaseNs   = 7 // varint: their nanoseconds
+	endBase     = 5 // bytes: the base time, before the root: Unix seconds (8 bytes) and nanoseconds (4), little-endian
 )
 
 // An ended node message starts with a head of no tags: the id (a
@@ -81,10 +79,15 @@ func lastSegment(id string) string { return id[strings.LastIndexByte(id, '/')+1:
 type EndedWriter struct {
 	e     *Encoder
 	marks []int // of the node messages still open
-	// base is the root's start (or end): every time is written as the
-	// nanoseconds from it, a few bytes for a run's spread.
-	base time.Time
+	// The base is the root's start (or end): every time is written as
+	// the nanoseconds from it, a few bytes for a run's spread.
+	hasBase         bool
+	baseSec, baseNs int64
 }
+
+// maxNear is how many seconds from the base a time written as
+// nanoseconds from it may be: about 285 years, within an int64.
+const maxNear = 9_000_000_000
 
 // Begin starts a record in e.
 func (w *EndedWriter) Begin(e *Encoder) {
@@ -98,15 +101,17 @@ func (w *EndedWriter) Open(n dgl.StatusNode) {
 	num := enChild
 	if len(w.marks) == 0 {
 		num = endRoot
-		w.base = n.Started.Time
-		if w.base.IsZero() {
-			w.base = n.Finished.Time
+		base := n.Started.Time
+		if base.IsZero() {
+			base = n.Finished.Time
 		}
-		if ns := w.base.UnixNano(); time.Unix(0, ns).Equal(w.base) {
-			e.Blob(endBase, binary.LittleEndian.AppendUint64(make([]byte, 0, 8), uint64(ns)))
-		} else if !w.base.IsZero() {
-			e.Int(endBaseSec, w.base.Unix())
-			e.Uint(endBaseNs, uint64(w.base.Nanosecond()))
+		w.hasBase = !base.IsZero()
+		if w.hasBase {
+			w.baseSec, w.baseNs = base.Unix(), int64(base.Nanosecond())
+			var b [12]byte
+			binary.LittleEndian.PutUint64(b[:], uint64(w.baseSec))
+			binary.LittleEndian.PutUint32(b[8:], uint32(w.baseNs))
+			e.Blob(endBase, b[:])
 		}
 	}
 	e.tag(num, wtMsg)
@@ -116,13 +121,15 @@ func (w *EndedWriter) Open(n dgl.StatusNode) {
 	k, st := code(kinds[:], n.Kind), code(states[:], n.State)
 	head, at := byte(k<<3|st), len(e.buf)
 	e.buf = append(e.buf, head)
-	if d, ok := w.near(n.Started.Time); ok {
+	started, nearStart := w.near(n.Started.Time)
+	if nearStart {
 		head |= headStarted
-		e.buf = binary.AppendVarint(e.buf, d)
+		e.buf = binary.AppendVarint(e.buf, started)
 	}
-	if d, ok := w.near(n.Finished.Time); ok {
+	finished, nearEnd := w.near(n.Finished.Time)
+	if nearEnd {
 		head |= headFinished
-		e.buf = binary.AppendVarint(e.buf, d)
+		e.buf = binary.AppendVarint(e.buf, finished)
 	}
 	e.buf[at] = head
 	if n.Name != lastSegment(n.ID) {
@@ -134,27 +141,34 @@ func (w *EndedWriter) Open(n dgl.StatusNode) {
 	if st == 0 {
 		e.Str(enState, n.State)
 	}
-	w.far(enStartedSec, enStartedNs, n.Started.Time)
-	w.far(enFinishedSec, enFinishedNs, n.Finished.Time)
+	if !nearStart {
+		w.far(enStartedSec, enStartedNs, n.Started.Time)
+	}
+	if !nearEnd {
+		w.far(enFinishedSec, enFinishedNs, n.Finished.Time)
+	}
 	e.Str(enDelegated, n.Delegated)
 	e.Str(enErr, n.Error)
 }
 
 // near returns a time as the nanoseconds from the base, and false for
-// the zero time and for one a Duration cannot reach from the base.
+// the zero time and for one more than maxNear seconds from it.
 func (w *EndedWriter) near(t time.Time) (int64, bool) {
-	if t.IsZero() || w.base.IsZero() {
+	if t.IsZero() || !w.hasBase {
 		return 0, false
 	}
-	d := t.Sub(w.base)
-	return int64(d), w.base.Add(d).Equal(t)
+	ds := t.Unix() - w.baseSec
+	if ds < -maxNear || ds > maxNear {
+		return 0, false
+	}
+	return ds*1e9 + int64(t.Nanosecond()) - w.baseNs, true
 }
 
-// far writes a time near does not take, as Unix seconds and
+// far writes a non-zero time near does not take, as Unix seconds and
 // nanoseconds: a reader takes the instant back exactly and renders it
 // as the live node would.
 func (w *EndedWriter) far(sec, ns int, t time.Time) {
-	if _, ok := w.near(t); ok || t.IsZero() {
+	if t.IsZero() {
 		return
 	}
 	w.e.Int(sec, t.Unix())
@@ -177,7 +191,7 @@ func (w *EndedWriter) Close() {
 
 // Var writes one root variable, after the tree.
 func (w *EndedWriter) Var(name string, value []byte) {
-	w.e.Str(endVar, name)
+	w.bytes(endVar, name)
 	w.e.tag(endVarValue, wtBytes)
 	w.e.uvarint(uint64(len(value)))
 	w.e.buf = append(w.e.buf, value...)
@@ -210,7 +224,7 @@ type endedReader struct {
 // type its tag gives.
 var (
 	endWire = [...]byte{endRoot: 1 + wtMsg, endVar: 1 + wtBytes, endVarValue: 1 + wtBytes, endRequest: 1 + wtBytes,
-		endBase: 1 + wtBytes, endBaseSec: 1 + wtVarint, endBaseNs: 1 + wtVarint}
+		endBase: 1 + wtBytes}
 	nodeWire = [...]byte{enName: 1 + wtBytes, enKind: 1 + wtBytes, enState: 1 + wtBytes,
 		enStartedSec: 1 + wtVarint, enStartedNs: 1 + wtVarint, enFinishedSec: 1 + wtVarint, enFinishedNs: 1 + wtVarint,
 		enDelegated: 1 + wtBytes, enErr: 1 + wtBytes, enChild: 1 + wtMsg}
@@ -317,25 +331,18 @@ func (r *endedReader) root(rec string) (end int, ok bool, err error) {
 	if err := r.open(rec); err != nil {
 		return 0, false, err
 	}
-	var sec, ns int64
 	for f := r.next(endWire[:]); f != 0; f = r.next(endWire[:]) {
 		switch f {
 		case endBase:
-			if b := r.str(); len(b) == 8 {
-				ns = int64(uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-					uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56)
-			} else {
-				r.fail("base is not 8 bytes")
+			b := r.str()
+			if len(b) != 12 {
+				r.fail("base is not 12 bytes")
+				break
 			}
-		case endBaseSec:
-			sec = r.int()
-		case endBaseNs:
-			ns = int64(r.uvarint())
+			r.baseSec = int64(uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+				uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56)
+			r.baseNs = int64(uint32(b[8]) | uint32(b[9])<<8 | uint32(b[10])<<16 | uint32(b[11])<<24)
 		case endRoot:
-			r.baseSec, r.baseNs = sec+ns/1e9, ns%1e9
-			if r.baseNs < 0 {
-				r.baseSec, r.baseNs = r.baseSec-1, r.baseNs+1e9
-			}
 			return r.enter(), r.err == nil, r.err
 		default:
 			r.skip(endWire[f] - 1)
