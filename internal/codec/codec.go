@@ -488,39 +488,16 @@ func (d *Decoder) fail(msg string) {
 // uvarint reads the uvarint at pos from the payload in whichever form
 // it is held.
 func (d *Decoder) uvarint() (uint64, int) {
-	if d.data == nil {
-		if d.pos < d.end && d.str[d.pos] < 0x80 {
-			return uint64(d.str[d.pos]), 1 // one byte: most tags and lengths
-		}
-		return uvarintString(d.str[d.pos:d.end])
+	if d.data != nil && d.pos < d.end && d.data[d.pos] < 0x80 {
+		return uint64(d.data[d.pos]), 1 // one byte: most tags and lengths
 	}
-	if d.pos < d.end && d.data[d.pos] < 0x80 {
-		return uint64(d.data[d.pos]), 1
+	if d.data == nil {
+		// A varint is at most MaxVarintLen64 bytes: that much copied to
+		// the stack is all binary.Uvarint needs to see.
+		var buf [binary.MaxVarintLen64]byte
+		return binary.Uvarint(buf[:copy(buf[:], d.str[d.pos:d.end])])
 	}
 	return binary.Uvarint(d.data[d.pos:d.end])
-}
-
-// uvarintString is binary.Uvarint over a string, read where it lies:
-// the value and the bytes it took, 0 bytes when s ends first and fewer
-// than 0 when the value overflows 64 bits.
-func uvarintString(s string) (uint64, int) {
-	var x uint64
-	var shift uint
-	for i := 0; i < len(s) && i < binary.MaxVarintLen64; i++ {
-		b := s[i]
-		if b < 0x80 {
-			if i == binary.MaxVarintLen64-1 && b > 1 {
-				return 0, -(i + 1)
-			}
-			return x | uint64(b)<<shift, i + 1
-		}
-		x |= uint64(b&0x7f) << shift
-		shift += 7
-	}
-	if len(s) >= binary.MaxVarintLen64 {
-		return 0, -binary.MaxVarintLen64
-	}
-	return 0, 0
 }
 
 func (d *Decoder) uvarintVal() uint64 {

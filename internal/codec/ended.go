@@ -579,3 +579,26 @@ func EndedRequest(rec string) (string, error) {
 	}
 	return "", r.err
 }
+
+// uvarintString is binary.Uvarint over a string, read where it lies:
+// the value and the bytes it took, 0 bytes when s ends first and fewer
+// than 0 when the value overflows 64 bits.
+func uvarintString(s string) (uint64, int) {
+	var x uint64
+	var shift uint
+	for i := 0; i < len(s) && i < binary.MaxVarintLen64; i++ {
+		b := s[i]
+		if b < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				return 0, -(i + 1)
+			}
+			return x | uint64(b)<<shift, i + 1
+		}
+		x |= uint64(b&0x7f) << shift
+		shift += 7
+	}
+	if len(s) >= binary.MaxVarintLen64 {
+		return 0, -binary.MaxVarintLen64
+	}
+	return 0, 0
+}
