@@ -303,8 +303,8 @@ func liveHeap() int64 {
 // of them ended, per flow (the table's own entry, which a Go map keeps
 // after a delete, is not in it). Kept as their whole runs — Execution,
 // request, tree and scope — they measured 1 735, 3 831 and 3 684 bytes
-// on amd64; as a header and a record, 330, 1 495 (the variables are
-// 1 100 of it) and 594. The budgets sit a little above the second.
+// on amd64; as a header and a record, 308, 1 381 (the variables are
+// 1 100 of it) and 480. The budgets sit a little above the second.
 func TestEndedExecutionFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap figures are not meaningful under -race")
@@ -317,17 +317,17 @@ func TestEndedExecutionFootprint(t *testing.T) {
 		budget int64
 		flow   func(i int) dgl.Flow
 	}{
-		{"client_mix preload", 384, func(i int) dgl.Flow {
+		{"client_mix preload", 352, func(i int) dgl.Flow {
 			return dgl.NewFlow("pre-"+strconv.Itoa(i)).Step("noop", dgl.Op(dgl.OpNoop, nil)).Flow()
 		}},
-		{"client_mix submit", 1664, func(i int) dgl.Flow {
+		{"client_mix submit", 1536, func(i int) dgl.Flow {
 			b := dgl.NewFlow("mix-" + strconv.Itoa(i%1024))
 			for v := 0; v < 8; v++ {
 				b.Var("v"+strconv.Itoa(v), payload(i, v))
 			}
 			return b.Step("noop", dgl.Op(dgl.OpNoop, nil)).Flow()
 		}},
-		{"fleet_submit", 704, func(i int) dgl.Flow {
+		{"fleet_submit", 576, func(i int) dgl.Flow {
 			path := "/grid/w/" + strconv.Itoa(i) + ".dat"
 			binding := "fresh-" + strconv.Itoa(i)
 			return dgl.NewFlow("job-"+strconv.Itoa(i%1024)).
