@@ -432,6 +432,9 @@ func (r *endedReader) fields(n *dgl.StatusNode) (child bool) {
 
 // near returns the time d nanoseconds from the base.
 func (r *endedReader) near(d int64) time.Time {
+	if d >= 0 && d < 1e9-r.baseNs { // within the base's second: most times
+		return time.Unix(r.baseSec, r.baseNs+d)
+	}
 	sec, ns := r.baseSec+d/1e9, r.baseNs+d%1e9
 	if ns < 0 {
 		sec, ns = sec-1, ns+1e9
