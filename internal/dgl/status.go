@@ -35,23 +35,25 @@ func (t StatusTime) String() string {
 }
 
 // appendRFC3339Nano appends t, a UTC time, as its Format with
-// time.RFC3339Nano does, in three quarters of the time: every node of a
-// status reply renders two.
+// time.RFC3339Nano does, in three quarters of the time or less: every
+// node of a status reply renders two.
 func appendRFC3339Nano(dst []byte, t time.Time) []byte {
 	y, mo, d := t.Date()
 	if y < 0 || y > 9999 {
 		return t.AppendFormat(dst, time.RFC3339Nano)
 	}
 	h, mi, s := t.Clock()
-	dst = append(dst, byte('0'+y/1000), byte('0'+y/100%10), byte('0'+y/10%10), byte('0'+y%10), '-',
-		byte('0'+mo/10), byte('0'+mo%10), '-', byte('0'+d/10), byte('0'+d%10), 'T',
-		byte('0'+h/10), byte('0'+h%10), ':', byte('0'+mi/10), byte('0'+mi%10), ':', byte('0'+s/10), byte('0'+s%10))
+	dst = append(dst, pairs[2*(y/100)], pairs[2*(y/100)+1], pairs[2*(y%100)], pairs[2*(y%100)+1], '-',
+		pairs[2*mo], pairs[2*mo+1], '-', pairs[2*d], pairs[2*d+1], 'T',
+		pairs[2*h], pairs[2*h+1], ':', pairs[2*mi], pairs[2*mi+1], ':', pairs[2*s], pairs[2*s+1])
 	if ns := t.Nanosecond(); ns != 0 {
 		frac := [10]byte{'.'}
-		for i := 9; i > 0; i-- {
-			frac[i] = byte('0' + ns%10)
-			ns /= 10
+		for i := 9; i > 1; i -= 2 {
+			q := ns / 100
+			frac[i-1], frac[i] = pairs[2*(ns-q*100)], pairs[2*(ns-q*100)+1]
+			ns = q
 		}
+		frac[1] = byte('0' + ns)
 		n := len(frac)
 		for frac[n-1] == '0' {
 			n--
@@ -60,6 +62,13 @@ func appendRFC3339Nano(dst []byte, t time.Time) []byte {
 	}
 	return append(dst, 'Z')
 }
+
+// pairs holds the two digits of every number below 100.
+const pairs = "0001020304050607080910111213141516171819" +
+	"2021222324252627282930313233343536373839" +
+	"4041424344454647484950515253545556575859" +
+	"6061626364656667686970717273747576777879" +
+	"8081828384858687888990919293949596979899"
 
 // StatusNode is one node of a status tree without its children: the
 // fields of a FlowStatus, times not yet rendered.
