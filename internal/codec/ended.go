@@ -22,8 +22,12 @@ const (
 	endVar      = 2 // bytes, written even when empty: a root variable's name; its value follows
 	endVarValue = 3 // bytes, written even when empty
 	endRequest  = 4 // bytes: a MsgRequest payload, header included
-	endBase     = 5 // bytes: the base time, before the root: Unix seconds (8 bytes) and nanoseconds (4), little-endian
 )
+
+// baseLen is the length of the base time at the start of the root's
+// message: Unix seconds (8 bytes) and nanoseconds (4), little-endian;
+// all zero when the root has no time.
+const baseLen = 12
 
 // An ended node message starts with a head of no tags: the id (a
 // length and its bytes), one byte holding the kind and state code
@@ -98,24 +102,25 @@ func (w *EndedWriter) Begin(e *Encoder) {
 // Open implements dgl.StatusSink.
 func (w *EndedWriter) Open(n dgl.StatusNode) {
 	e := w.e
-	num := enChild
-	if len(w.marks) == 0 {
-		num = endRoot
+	root := len(w.marks) == 0
+	if root {
+		e.tag(endRoot, wtMsg)
+	} else {
+		e.tag(enChild, wtMsg)
+	}
+	w.marks = append(w.marks, e.reserve())
+	if root {
 		base := n.Started.Time
 		if base.IsZero() {
 			base = n.Finished.Time
 		}
-		w.hasBase = !base.IsZero()
+		w.hasBase, w.baseSec, w.baseNs = !base.IsZero(), 0, 0
 		if w.hasBase {
 			w.baseSec, w.baseNs = base.Unix(), int64(base.Nanosecond())
-			var b [12]byte
-			binary.LittleEndian.PutUint64(b[:], uint64(w.baseSec))
-			binary.LittleEndian.PutUint32(b[8:], uint32(w.baseNs))
-			e.Blob(endBase, b[:])
 		}
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(w.baseSec))
+		e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(w.baseNs))
 	}
-	e.tag(num, wtMsg)
-	w.marks = append(w.marks, e.reserve())
 	e.uvarint(uint64(len(n.ID)))
 	e.buf = append(e.buf, n.ID...)
 	k, st := code(kinds[:], n.Kind), code(states[:], n.State)
@@ -223,8 +228,7 @@ type endedReader struct {
 // field number, plus one: 0 is a field this reader skips by the wire
 // type its tag gives.
 var (
-	endWire = [...]byte{endRoot: 1 + wtMsg, endVar: 1 + wtBytes, endVarValue: 1 + wtBytes, endRequest: 1 + wtBytes,
-		endBase: 1 + wtBytes}
+	endWire  = [...]byte{endRoot: 1 + wtMsg, endVar: 1 + wtBytes, endVarValue: 1 + wtBytes, endRequest: 1 + wtBytes}
 	nodeWire = [...]byte{enName: 1 + wtBytes, enKind: 1 + wtBytes, enState: 1 + wtBytes,
 		enStartedSec: 1 + wtVarint, enStartedNs: 1 + wtVarint, enFinishedSec: 1 + wtVarint, enFinishedNs: 1 + wtVarint,
 		enDelegated: 1 + wtBytes, enErr: 1 + wtBytes, enChild: 1 + wtMsg}
@@ -332,21 +336,25 @@ func (r *endedReader) root(rec string) (end int, ok bool, err error) {
 		return 0, false, err
 	}
 	for f := r.next(endWire[:]); f != 0; f = r.next(endWire[:]) {
-		switch f {
-		case endBase:
-			b := r.str()
-			if len(b) != 12 {
-				r.fail("base is not 12 bytes")
-				break
-			}
-			r.baseSec = int64(uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-				uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56)
-			r.baseNs = int64(uint32(b[8]) | uint32(b[9])<<8 | uint32(b[10])<<16 | uint32(b[11])<<24)
-		case endRoot:
-			return r.enter(), r.err == nil, r.err
-		default:
+		if f != endRoot {
 			r.skip(endWire[f] - 1)
+			continue
 		}
+		end = r.enter()
+		if len(r.s)-r.pos < baseLen {
+			r.fail("root has no base")
+			return 0, false, r.err
+		}
+		b := r.s[r.pos : r.pos+baseLen]
+		r.pos += baseLen
+		r.baseSec = int64(uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+			uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56)
+		r.baseNs = int64(uint32(b[8]) | uint32(b[9])<<8 | uint32(b[10])<<16 | uint32(b[11])<<24)
+		if r.baseNs >= 1e9 {
+			r.fail("base nanoseconds out of range")
+			return 0, false, r.err
+		}
+		return end, r.err == nil, r.err
 	}
 	return 0, false, r.err
 }

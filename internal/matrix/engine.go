@@ -616,8 +616,12 @@ func (e *Engine) Prune(keep int) int {
 // Status resolves an id — an execution id or any node id within one — to
 // a status snapshot. This is the "query the status of any task in the
 // workflow at any level of granularity" API.
-func (e *Engine) Status(id string, detail bool) (st dgl.FlowStatus, err error) {
-	st = snapshot(func(sink dgl.StatusSink) { err = e.WalkStatus(id, detail, sink) })
+func (e *Engine) Status(id string, detail bool) (dgl.FlowStatus, error) {
+	b := builders.Get().(*dgl.StatusBuilder)
+	err := e.WalkStatus(id, detail, b)
+	st := b.Status()
+	*b = dgl.StatusBuilder{} // keep nothing of the tree it built
+	builders.Put(b)
 	if err != nil {
 		return dgl.FlowStatus{}, err
 	}
@@ -630,7 +634,7 @@ func (e *Engine) Status(id string, detail bool) (st dgl.FlowStatus, err error) {
 // before the sink sees anything.
 func (e *Engine) WalkStatus(id string, detail bool, sink dgl.StatusSink) error {
 	execID := id
-	if i := indexByte(id, '/'); i >= 0 {
+	if i := strings.IndexByte(id, '/'); i >= 0 {
 		execID = id[:i]
 	}
 	e.mu.RLock()
@@ -669,15 +673,6 @@ func (e *Engine) WalkStatus(id string, detail bool, sink dgl.StatusSink) error {
 	return nil
 }
 
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
-}
-
 // newExecution registers a fresh execution of p, the plan of req.Flow,
 // with no admission: begin admits it first, and a procedure call runs
 // inside a flow already admitted. skip carries checkpoint ids from a
@@ -687,7 +682,7 @@ func (e *Engine) newExecution(req *dgl.Request, skip map[string]bool, p *plan) *
 	for k := range skip {
 		// Stored ids look like "dgf-000001/root/step"; keep only the
 		// node path so they match the new execution's ids.
-		if i := indexByte(k, '/'); i >= 0 {
+		if i := strings.IndexByte(k, '/'); i >= 0 {
 			rebased = append(rebased, k[i:])
 		}
 	}
