@@ -62,6 +62,7 @@ var (
 	states = [...]string{"pending", "running", "succeeded", "failed", "cancelled", "skipped"}
 )
 
+// code returns the code of s in set, 0 when set does not hold it.
 func code(set []string, s string) uint64 {
 	for i, v := range set {
 		if v == s {
