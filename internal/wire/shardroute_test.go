@@ -400,3 +400,80 @@ func TestRoutedSyncRunCancelledWhenHopDrops(t *testing.T) {
 		t.Errorf("submit after the hop dropped: %v", err)
 	}
 }
+
+// TestControlVerbsRouteToOwner: pause, resume, cancel and restart sent
+// to the peer that accepted a routed flow act on the flow at its owner,
+// as a status query does, so a routed id answers from any peer.
+func TestControlVerbsRouteToOwner(t *testing.T) {
+	_, lookupAddr := startLookupSharded(t, testShards)
+	peerA := startShardedPeer(t, lookupAddr, "siteA")
+	peerB := startShardedPeer(t, lookupAddr, "siteB")
+	settle(t, peerA, peerB)
+	release := make(chan struct{})
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
+	defer free()
+	started := make(chan struct{}, 2)
+	for _, p := range []*Peer{peerA, peerB} {
+		p.Engine().RegisterOp("gate", func(*matrix.OpContext) error {
+			started <- struct{}{}
+			<-release
+			return nil
+		})
+	}
+	flowName, _ := flowOwnedBy(t, peerB, "user")
+	b := dgl.NewFlow(flowName)
+	b.Step("gate", dgl.Op("gate", nil))
+	b.Step("after", dgl.Op(dgl.OpNoop, nil))
+	c := dial(t, peerA.Addr())
+	id, err := submitAsync(c, "user", b.Flow())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(id, "siteB:") {
+		t.Fatalf("id = %q, want siteB-prefixed (owner accepted)", id)
+	}
+	<-started
+	exec, ok := peerB.Engine().Execution(id)
+	if !ok {
+		t.Fatal("execution not resident on the owner")
+	}
+
+	if err := c.Pause(id); err != nil {
+		t.Fatalf("pause through the accepting peer: %v", err)
+	}
+	if !exec.Paused() {
+		t.Error("the owner's execution is not paused")
+	}
+	if err := c.Resume(id); err != nil {
+		t.Fatalf("resume through the accepting peer: %v", err)
+	}
+	if exec.Paused() {
+		t.Error("the owner's execution is still paused")
+	}
+	// Paused again, the flow holds after the gate opens, so the cancel
+	// finds it running.
+	if err := c.Pause(id); err != nil {
+		t.Fatal(err)
+	}
+	free()
+	if err := c.Cancel(id); err != nil {
+		t.Fatalf("cancel through the accepting peer: %v", err)
+	}
+	if err := exec.Wait(); !errors.Is(err, dgferr.ErrCancelled) {
+		t.Fatalf("cancelled execution ended with %v", err)
+	}
+	next, err := c.Restart(id)
+	if err != nil {
+		t.Fatalf("restart through the accepting peer: %v", err)
+	}
+	if !strings.HasPrefix(next, "siteB:") {
+		t.Errorf("restarted id = %q, want siteB-prefixed", next)
+	}
+	if _, ok := peerB.Engine().Execution(next); !ok {
+		t.Errorf("restarted execution %s not resident on the owner", next)
+	}
+	if _, ok := peerA.Engine().Execution(next); ok {
+		t.Errorf("restarted execution %s resident on the accepting peer", next)
+	}
+}
