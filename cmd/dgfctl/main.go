@@ -23,7 +23,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -32,8 +31,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"datagridflow/internal/dgferr"
 
 	"datagridflow/internal/dgl"
 	"datagridflow/internal/obs"
@@ -75,16 +72,16 @@ transparently.`,
 status is resolved at any granularity. -detail expands the full tree
 with per-step state, timing and errors. Querying a passivated
 execution resurrects it transparently from the flow-state store; on a
-peer network the query is routed to the owning peer, and on a sharded
-network an id the server cannot resolve is auto-followed: dgfctl asks
-"owner", dials the owning peer, and retries there.`,
+peer network the server routes the query to the owning peer.`,
 	},
 	{
 		name:     "pause",
 		synopsis: "pause <id>",
 		summary:  "suspend a running execution",
 		detail: `The execution stops starting new steps; steps already in flight run
-to completion. The paused state survives restarts and passivation.`,
+to completion. The paused state survives restarts and passivation. On
+a peer network the server routes pause, resume, cancel and restart to
+the owning peer, as it routes status.`,
 	},
 	{
 		name:     "resume",
@@ -451,29 +448,6 @@ func main() {
 			verbUsage("status")
 		}
 		st, err := client.Status(*user, rest[0], detail)
-		if err != nil && errors.Is(err, dgferr.ErrNotFound) {
-			// Auto-follow on a sharded network: ask the server who owns
-			// the id, dial the owner, and retry there.
-			if info, oerr := client.Owner(rest[0]); oerr == nil && info.Addr != "" && info.Addr != *addr {
-				if oc, derr := wire.Dial(info.Addr); derr == nil {
-					defer oc.Close()
-					oc.SetToken(*token)
-					if _, herr := oc.Hello(); herr != nil {
-						log.Fatalf("dgfctl: %s: %v", info.Addr, herr)
-					}
-					if ost, serr := oc.Status(*user, rest[0], detail); serr == nil {
-						fmt.Printf("(followed to owner %s at %s)\n", info.Peer, info.Addr)
-						// Surface the owner's replication role: whether the
-						// answer came from a replicating owner or from a
-						// follower that promoted the flow after a failover.
-						if ri, rerr := oc.Repl(); rerr == nil && ri != nil {
-							fmt.Printf("(replication: %s)\n", replSummary(ri))
-						}
-						st, err = ost, nil
-					}
-				}
-			}
-		}
 		if err != nil {
 			log.Fatalf("dgfctl: %v", err)
 		}
@@ -705,22 +679,6 @@ func printVdataEntry(ent *vdata.Entry) {
 	if ent.Unix > 0 {
 		fmt.Printf("derived: %s\n", time.Unix(ent.Unix, 0).UTC().Format(time.RFC3339))
 	}
-}
-
-// replSummary renders a one-line replication role for status
-// auto-follow output.
-func replSummary(info *wire.ReplInfo) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "mode=%s seq=%d", info.Mode, info.Seq)
-	for _, f := range info.Followers {
-		fmt.Fprintf(&b, " follower=%s@%d", f.Peer, f.AckedSeq)
-	}
-	for _, s := range info.Sources {
-		if s.Promoted {
-			fmt.Fprintf(&b, " promoted=%s@%d", s.Source, s.LastSeq)
-		}
-	}
-	return b.String()
 }
 
 // printStore renders the store summary the "store"/"compact" control

@@ -40,10 +40,9 @@ type CronScript struct {
 	// Window gates runs (the admin schedules cron for the night shift).
 	Window ilm.Window
 
-	// RunsAttempted, RunsSucceeded and OpsExecuted count activity across
-	// all runs, including every redundantly re-executed op.
+	// RunsAttempted and OpsExecuted count activity across all runs,
+	// including every redundantly re-executed op.
 	RunsAttempted int
-	RunsSucceeded int
 	OpsExecuted   int
 }
 
@@ -57,7 +56,6 @@ func (s *CronScript) Run(g *dgms.Grid) error {
 			return fmt.Errorf("baseline: script %s aborted: %w", s.Name, err)
 		}
 	}
-	s.RunsSucceeded++
 	return nil
 }
 

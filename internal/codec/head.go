@@ -4,21 +4,20 @@ import "datagridflow/internal/dgl"
 
 // RequestHead is what placing a request needs of it: who sends it, with
 // which token, how it asks to be routed, and whether it carries a flow
-// (and the flow's name) or a status query. A sharded peer reads it with
+// (and the flow's name). A sharded peer reads it with
 // ReadRequestHead and routes a binary document onward without decoding
 // it; only the peer that runs the flow decodes it.
 type RequestHead struct {
 	User, Token, Route string
 	// Flow is the flow's name; HasFlow reports whether there is a flow.
-	Flow     string
-	HasFlow  bool
-	HasQuery bool
+	Flow    string
+	HasFlow bool
 }
 
 // RequestHeadOf is the head of a decoded request.
 func RequestHeadOf(req *dgl.Request) RequestHead {
 	h := RequestHead{User: req.User.Name, Token: req.Token, Route: req.Route,
-		HasFlow: req.Flow != nil, HasQuery: req.StatusQuery != nil}
+		HasFlow: req.Flow != nil}
 	if req.Flow != nil {
 		h.Flow = req.Flow.Name
 	}
@@ -99,9 +98,6 @@ func (w *headWalk) read(doc string) (RequestHead, error) {
 				}
 			}
 			d.MsgExit(end)
-		case reqQuery:
-			h.HasQuery = true
-			w.skip(&d, requestMsg)
 		case reqRoute:
 			w.sym(&d, &w.route)
 		case reqToken:

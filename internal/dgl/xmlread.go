@@ -69,9 +69,9 @@ func (r *reader) owning() {
 	}
 }
 
-func (r *reader) fail(kind errKind, format string, args ...any) {
+func (r *reader) fail(format string, args ...any) {
 	if r.err == nil {
-		r.err = r.s.fail(kind, r.s.pos, format, args...)
+		r.err = r.s.fail(r.s.pos, format, args...)
 	}
 }
 
@@ -84,10 +84,10 @@ func (r *reader) root(want string) {
 		switch tok, r.err = r.s.next(); {
 		case r.err != nil:
 		case tok == tokEOF:
-			r.fail(errSyntax, "no root element")
+			r.fail("no root element")
 		case tok == tokStart:
 			if string(r.s.name) != want {
-				r.fail(errSyntax, "expected element <%s> but have <%s>", want, r.s.name)
+				r.fail("expected element <%s> but have <%s>", want, r.s.name)
 			}
 			return
 		}
@@ -143,7 +143,7 @@ func (r *reader) child() (name []byte, ok bool) {
 // struct decoder would, runs a flow nobody wrote.
 func (r *reader) once(seen *uint8, bit uint8) bool {
 	if *seen&bit != 0 {
-		r.fail(errRepeated, "element <%s> appears more than once in its parent", r.s.name)
+		r.fail("element <%s> appears more than once in its parent", r.s.name)
 	}
 	*seen |= bit
 	return r.err == nil
@@ -218,7 +218,7 @@ func (r *reader) parseBool(b []byte) bool {
 	case "0", "f", "F", "FALSE", "false", "False":
 		return false
 	}
-	r.fail(errSyntax, "%q is not a boolean", b)
+	r.fail("%q is not a boolean", b)
 	return false
 }
 
@@ -228,7 +228,7 @@ func (r *reader) parseInt(b []byte) int {
 	}
 	n, err := strconv.ParseInt(string(bytes.TrimSpace(b)), 10, strconv.IntSize)
 	if err != nil {
-		r.fail(errSyntax, "%q is not an integer", b)
+		r.fail("%q is not an integer", b)
 	}
 	return int(n)
 }

@@ -29,22 +29,9 @@ const (
 // levels, so nothing this reader accepts was refused there.
 const maxDepth = 5000
 
-// errKind says why a document was refused. Everything but errSyntax is
-// a case this reader refuses where encoding/xml went on.
-type errKind uint8
-
-const (
-	errSyntax    errKind = iota // not well-formed, or a value that does not parse
-	errRepeated                 // an element the schema allows once appears twice
-	errTrailing                 // something other than comments and space after the root
-	errDirective                // <!DOCTYPE …> or another <!…> directive
-	errDepth                    // elements nested deeper than maxDepth
-)
-
 // parseError is the one error type of the reader: ErrInvalid class,
 // with the line the scanner stood on.
 type parseError struct {
-	kind errKind
 	line int
 	msg  string
 }
@@ -123,13 +110,13 @@ type scanner struct {
 	buf []byte
 }
 
-func (s *scanner) fail(kind errKind, at int, format string, args ...any) error {
+func (s *scanner) fail(at int, format string, args ...any) error {
 	at = min(at, len(s.data))
-	return &parseError{kind: kind, line: 1 + bytes.Count(s.data[:at], []byte{'\n'}), msg: fmt.Sprintf(format, args...)}
+	return &parseError{line: 1 + bytes.Count(s.data[:at], []byte{'\n'}), msg: fmt.Sprintf(format, args...)}
 }
 
 func (s *scanner) eof() error {
-	return s.fail(errSyntax, len(s.data), "unexpected end of document")
+	return s.fail(len(s.data), "unexpected end of document")
 }
 
 func (s *scanner) push(n nameSpan) {
@@ -189,9 +176,9 @@ func (s *scanner) next() (token, error) {
 			case bytes.HasPrefix(rest, []byte("<![CDATA[")):
 				return s.cdata()
 			case len(rest) == 2, rest[2] == '-', rest[2] == '[':
-				err = s.fail(errSyntax, s.pos, "invalid <! sequence")
+				err = s.fail(s.pos, "invalid <! sequence")
 			default:
-				err = s.fail(errDirective, s.pos, "document type declarations and other <!…> directives are not accepted")
+				err = s.fail(s.pos, "document type declarations and other <!…> directives are not accepted")
 			}
 		default:
 			return s.startTag()
@@ -209,7 +196,7 @@ func (s *scanner) startTag() (token, error) {
 		return 0, err
 	}
 	if s.depth == maxDepth {
-		return 0, s.fail(errDepth, s.pos, "elements nested deeper than %d", maxDepth)
+		return 0, s.fail(s.pos, "elements nested deeper than %d", maxDepth)
 	}
 	s.push(nameSpan{int32(at), int32(end)})
 	s.pos, s.inTag = end, true
@@ -228,13 +215,13 @@ func (s *scanner) endTag() (token, error) {
 		return 0, s.eof()
 	}
 	if s.data[i] != '>' {
-		return 0, s.fail(errSyntax, i, "invalid characters between </%s and >", raw)
+		return 0, s.fail(i, "invalid characters between </%s and >", raw)
 	}
 	if s.depth == 0 {
-		return 0, s.fail(errSyntax, s.pos, "unexpected end element </%s>", raw)
+		return 0, s.fail(s.pos, "unexpected end element </%s>", raw)
 	}
 	if open := s.top(); !bytes.Equal(open, raw) {
-		return 0, s.fail(errSyntax, s.pos, "element <%s> closed by </%s>", open, raw)
+		return 0, s.fail(s.pos, "element <%s> closed by </%s>", open, raw)
 	}
 	s.depth--
 	s.pos = i + 1
@@ -259,7 +246,7 @@ func (s *scanner) attr() (name, val []byte, ok bool, err error) {
 			return nil, nil, false, s.eof()
 		}
 		if d[i+1] != '>' {
-			return nil, nil, false, s.fail(errSyntax, i, "expected /> in element")
+			return nil, nil, false, s.fail(i, "expected /> in element")
 		}
 		s.pos, s.inTag, s.selfClosed = i+2, false, true
 		return nil, nil, false, nil
@@ -271,14 +258,14 @@ func (s *scanner) attr() (name, val []byte, ok bool, err error) {
 		return nil, nil, false, s.eof()
 	}
 	if d[i] != '=' {
-		return nil, nil, false, s.fail(errSyntax, i, "attribute name without = in element")
+		return nil, nil, false, s.fail(i, "attribute name without = in element")
 	}
 	if i = s.space(i + 1); i >= len(d) {
 		return nil, nil, false, s.eof()
 	}
 	quote := d[i]
 	if quote != '"' && quote != '\'' {
-		return nil, nil, false, s.fail(errSyntax, i, "unquoted or missing attribute value in element")
+		return nil, nil, false, s.fail(i, "unquoted or missing attribute value in element")
 	}
 	other := byte('"' + '\'' - quote) // the quote that does not end the value
 	from := i + 1
@@ -287,7 +274,7 @@ func (s *scanner) attr() (name, val []byte, ok bool, err error) {
 	plain := i < len(d) && d[i] == quote
 	for ; i < len(d) && d[i] != quote; i++ {
 		if d[i] == '<' {
-			return nil, nil, false, s.fail(errSyntax, i, "unescaped < inside quoted string")
+			return nil, nil, false, s.fail(i, "unescaped < inside quoted string")
 		}
 	}
 	if i >= len(d) {
@@ -318,7 +305,7 @@ func (s *scanner) charData() (token, error) {
 			i = len(d)
 		}
 		if j := bytes.Index(d[from:i], []byte("]]>")); j >= 0 {
-			return 0, s.fail(errSyntax, from+j, "unescaped ]]> not in CDATA section")
+			return 0, s.fail(from+j, "unescaped ]]> not in CDATA section")
 		}
 		var err error
 		if s.text, err = s.decode(d[from:i], from, true); err != nil {
@@ -334,7 +321,7 @@ func (s *scanner) cdata() (token, error) {
 	from := s.pos + len("<![CDATA[")
 	n := bytes.Index(s.data[from:], []byte("]]>"))
 	if n < 0 {
-		return 0, s.fail(errSyntax, len(s.data), "unexpected end of document in CDATA section")
+		return 0, s.fail(len(s.data), "unexpected end of document in CDATA section")
 	}
 	var err error
 	if s.text, err = s.decode(s.data[from:from+n], from, false); err != nil {
@@ -352,7 +339,7 @@ func (s *scanner) comment() error {
 		return s.eof()
 	}
 	if s.data[from+n+2] != '>' {
-		return s.fail(errSyntax, from+n, `invalid sequence "--" not allowed in comments`)
+		return s.fail(from+n, `invalid sequence "--" not allowed in comments`)
 	}
 	s.pos = from + n + 3
 	return nil
@@ -375,10 +362,10 @@ func (s *scanner) procInst() error {
 	if string(target) == "xml" {
 		content := s.data[from : from+n]
 		if v := pseudoAttr(content, "version="); len(v) > 0 && string(v) != "1.0" {
-			return s.fail(errSyntax, s.pos, "unsupported version %q; only version 1.0 is supported", v)
+			return s.fail(s.pos, "unsupported version %q; only version 1.0 is supported", v)
 		}
 		if enc := pseudoAttr(content, "encoding="); len(enc) > 0 && !bytes.EqualFold(enc, []byte("utf-8")) {
-			return s.fail(errSyntax, s.pos, "encoding %q declared; only UTF-8 is supported", enc)
+			return s.fail(s.pos, "encoding %q declared; only UTF-8 is supported", enc)
 		}
 	}
 	s.pos = from + n + 2
@@ -421,10 +408,10 @@ func (s *scanner) trailer() error {
 		case bytes.HasPrefix(s.data[s.pos:], []byte("<?")):
 			err = s.procInst()
 		default:
-			err = s.fail(errTrailing, s.pos, "content after the root element")
+			return s.fail(s.pos, "content after the root element")
 		}
 		if err != nil {
-			err.(*parseError).kind = errTrailing
+			err.(*parseError).msg += " after the root element"
 			return err
 		}
 	}
@@ -448,7 +435,7 @@ func (s *scanner) qname(from int, missing string) (end int, err error) {
 	raw := s.data[from:end]
 	colon := bytes.IndexByte(raw, ':')
 	if colon >= 0 && bytes.IndexByte(raw[colon+1:], ':') >= 0 {
-		return 0, s.fail(errSyntax, from, "%s", missing)
+		return 0, s.fail(from, "%s", missing)
 	}
 	s.name, s.prefix = raw, nil
 	if colon > 0 && colon < len(raw)-1 {
@@ -469,11 +456,11 @@ func (s *scanner) ncname(from int, missing string) (end int, err error) {
 		if i >= len(d) {
 			return 0, s.eof()
 		}
-		return 0, s.fail(errSyntax, from, "%s", missing)
+		return 0, s.fail(from, "%s", missing)
 	}
 	raw := d[from:i]
 	if c := raw[0]; or >= utf8.RuneSelf && !isName(raw) || c >= '0' && c <= '9' || c == '-' || c == '.' {
-		return 0, s.fail(errSyntax, from, "invalid XML name: %s", raw)
+		return 0, s.fail(from, "invalid XML name: %s", raw)
 	}
 	return i, nil
 }
@@ -515,7 +502,7 @@ func (s *scanner) decode(raw []byte, at int, refs bool) ([]byte, error) {
 			r, n := reference(raw[i:])
 			if n == 0 {
 				s.buf = buf
-				return nil, s.fail(errSyntax, at+i, "invalid character entity %s", raw[i:min(i+12, len(raw))])
+				return nil, s.fail(at+i, "invalid character entity %s", raw[i:min(i+12, len(raw))])
 			}
 			buf = utf8.AppendRune(buf, r)
 			i += n - 1
@@ -535,11 +522,11 @@ func (s *scanner) decode(raw []byte, at int, refs bool) ([]byte, error) {
 		r, n := rune(buf[i]), 1
 		if r >= utf8.RuneSelf {
 			if r, n = utf8.DecodeRune(buf[i:]); r == utf8.RuneError && n == 1 {
-				return nil, s.fail(errSyntax, at, "invalid UTF-8")
+				return nil, s.fail(at, "invalid UTF-8")
 			}
 		}
 		if !isChar(r) {
-			return nil, s.fail(errSyntax, at, "illegal character code %U", r)
+			return nil, s.fail(at, "illegal character code %U", r)
 		}
 		i += n
 	}

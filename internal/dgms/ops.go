@@ -19,11 +19,11 @@ import (
 // still carry its old path. When such a copy holds id on res, the new
 // copy is written under the first free id~N instead. The common case
 // costs nothing more than the Put.
-func putCopy(res *vfs.Resource, id string, size int64, data []byte, now time.Time) (string, time.Duration, error) {
-	d, err := res.Put(id, size, data, now)
+func putCopy(res *vfs.Resource, id string, size int64, data []byte) (string, time.Duration, error) {
+	d, err := res.Put(id, size, data)
 	for n := 1; errors.Is(err, vfs.ErrExists); n++ {
 		minted := id + "~" + strconv.Itoa(n)
-		if d, err = res.Put(minted, size, data, now); err == nil {
+		if d, err = res.Put(minted, size, data); err == nil {
 			return minted, d, nil
 		}
 	}
@@ -93,7 +93,7 @@ func (g *Grid) Ingest(user, path string, size int64, data []byte, resource strin
 		if err != nil {
 			return err
 		}
-		id, d, err := putCopy(res, clean, size, data, g.clock.Now())
+		id, d, err := putCopy(res, clean, size, data)
 		if err != nil {
 			_ = g.ns.Remove(clean) // roll back the logical entry
 			return err
@@ -192,7 +192,7 @@ func (g *Grid) ReplicateFrom(user, path, fromResource, toResource string) error 
 			return err
 		}
 		g.clock.Sleep(td)
-		id, wd, err := putCopy(dst, copyID(path, srcRep.PhysicalID), info.Size, data, g.clock.Now())
+		id, wd, err := putCopy(dst, copyID(path, srcRep.PhysicalID), info.Size, data)
 		if err != nil {
 			return err
 		}
@@ -490,18 +490,11 @@ func (g *Grid) Get(user, fromDomain, path string) ([]byte, error) {
 	return data, nil
 }
 
-// VerifyResult reports the fixity state of one replica.
-type VerifyResult struct {
-	Resource string
-	Expected vfs.Digest // digest recorded at write time (zero if never recorded)
-	Actual   vfs.Digest
-	OK       bool
-}
-
 // Verify recomputes every replica's checksum and compares it against the
-// digest recorded at write time — the data-integrity flow run for the
-// UCSD Libraries in the paper.
-func (g *Grid) Verify(user, path string) ([]VerifyResult, error) {
+// digest recorded at write time (a replica with none recorded passes) —
+// the data-integrity flow run for the UCSD Libraries in the paper. It
+// returns the resources whose replica fails.
+func (g *Grid) Verify(user, path string) (failed []string, err error) {
 	if err := g.ns.Check(path, user, namespace.PermRead); err != nil {
 		g.recordErr(user, "verify", path, err)
 		return nil, err
@@ -511,7 +504,6 @@ func (g *Grid) Verify(user, path string) ([]VerifyResult, error) {
 		g.recordErr(user, "verify", path, err)
 		return nil, err
 	}
-	out := make([]VerifyResult, 0, len(reps))
 	for _, rep := range reps {
 		res, err := g.Resource(rep.Resource)
 		if err != nil {
@@ -528,11 +520,12 @@ func (g *Grid) Verify(user, path string) ([]VerifyResult, error) {
 		}
 		g.clock.Sleep(d)
 		g.meter.Charge(rep.Resource, d)
-		ok := rep.Checksum.IsZero() || rep.Checksum == sum
-		out = append(out, VerifyResult{Resource: rep.Resource, Expected: rep.Checksum, Actual: sum, OK: ok})
+		if !rep.Checksum.IsZero() && rep.Checksum != sum {
+			failed = append(failed, rep.Resource)
+		}
 	}
-	g.record(user, "verify", path, provenance.OutcomeOK, "", provenance.Attr{Key: "replicas", Value: strconv.Itoa(len(out))})
-	return out, nil
+	g.record(user, "verify", path, provenance.OutcomeOK, "", provenance.Attr{Key: "replicas", Value: strconv.Itoa(len(reps))})
+	return failed, nil
 }
 
 // SetMeta attaches user-defined metadata to an entry and publishes the

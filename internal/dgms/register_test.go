@@ -13,7 +13,7 @@ func TestRegisterInPlace(t *testing.T) {
 	g := testGrid(t)
 	disk, _ := g.Resource("sdsc-disk")
 	// Legacy data written outside the grid.
-	if _, err := disk.Put("hpss/archive/0042", 9, []byte("old bytes"), g.Clock().Now()); err != nil {
+	if _, err := disk.Put("hpss/archive/0042", 9, []byte("old bytes")); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.RegisterInPlace("user", "/grid/data/onboarded", "sdsc-disk", "hpss/archive/0042"); err != nil {
@@ -38,9 +38,8 @@ func TestRegisterInPlace(t *testing.T) {
 	if err != nil || string(data) != "old bytes" {
 		t.Errorf("Get = %q, %v", data, err)
 	}
-	results, err := g.Verify("user", "/grid/data/onboarded")
-	if err != nil || len(results) != 1 || !results[0].OK {
-		t.Errorf("Verify = %+v, %v", results, err)
+	if failed, err := g.Verify("user", "/grid/data/onboarded"); err != nil || len(failed) != 0 {
+		t.Errorf("Verify = %v, %v", failed, err)
 	}
 	// Error paths.
 	if err := g.RegisterInPlace("user", "/grid/data/x", "nope", "id"); !errors.Is(err, ErrNoResource) {
@@ -176,23 +175,12 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 		if err := cern.Corrupt(o.path); err != nil {
 			t.Fatal(err)
 		}
-		results, err := g.Verify("user", o.path)
+		failed, err := g.Verify("user", o.path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		good, bad := 0, 0
-		for _, r := range results {
-			if r.OK {
-				good++
-			} else {
-				bad++
-				if r.Resource != "cern-disk" {
-					t.Errorf("%s: wrong replica flagged: %+v", o.path, r)
-				}
-			}
-		}
-		if good != 1 || bad != 1 {
-			t.Errorf("%s: verify results = %+v", o.path, results)
+		if len(failed) != 1 || failed[0] != "cern-disk" {
+			t.Errorf("%s: failed replicas = %v, want only cern-disk's", o.path, failed)
 		}
 	}
 	// Verify denied without read permission.

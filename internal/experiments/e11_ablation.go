@@ -94,12 +94,12 @@ func E11HSMvsILM(s Scale) (*Report, error) {
 		// The next month of accesses, same Zipf law: what do users wait?
 		tapeReadsBefore, _ := tape.Stats()
 		month := workload.AccessTrace(sim.NewRand(13), paths, nAccesses, 20*time.Minute, 1.4)
-		stats, err := workload.Replay(g, g.Admin(), month)
+		service, err := workload.Replay(g, g.Admin(), month)
 		if err != nil {
 			return outcome{}, err
 		}
 		tapeReadsAfter, _ := tape.Stats()
-		out.serviceTime = stats.ServiceTime
+		out.serviceTime = service
 		out.tapeReads = tapeReadsAfter - tapeReadsBefore
 		out.monthlyCost = fast.RetentionCost(30*24*time.Hour) + tape.RetentionCost(30*24*time.Hour)
 		return out, nil

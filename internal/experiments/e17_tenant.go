@@ -90,9 +90,8 @@ type tenantReport struct {
 	minFairAttained float64
 
 	// falseRejections counts quota rejections in the steady phase, where
-	// no tenant has a resource limit — must be 0. submitErrors counts
-	// every other error (transport, timeout) for information.
-	falseRejections, submitErrors int
+	// no tenant has a resource limit — must be 0.
+	falseRejections int
 	// breachRejections is the positive control: rejections observed when
 	// a 2-flow quota is flooded — must be >= 1 or enforcement is dead.
 	breachRejections int
@@ -246,7 +245,7 @@ func runTenant(window time.Duration, registryTenants, workers int, step time.Dur
 	}
 
 	flow := sleepFlow(step)
-	var falseRejects, otherErrs atomic.Int64
+	var falseRejects atomic.Int64
 	deadline := time.Now().Add(window)
 	var wg sync.WaitGroup
 	for _, l := range lanes {
@@ -262,14 +261,11 @@ func runTenant(window time.Duration, registryTenants, workers int, step time.Dur
 				for time.Now().Before(deadline) {
 					resp, err := c.SubmitFlow(l.name, flow)
 					if err != nil {
-						otherErrs.Add(1)
 						return // a broken connection ends this worker
 					}
 					if resp.Error != "" {
 						if quotaRejected(resp.Error) {
 							falseRejects.Add(1)
-						} else {
-							otherErrs.Add(1)
 						}
 						continue
 					}
@@ -298,7 +294,6 @@ func runTenant(window time.Duration, registryTenants, workers int, step time.Dur
 		}
 	}
 	rep.falseRejections = int(falseRejects.Load())
-	rep.submitErrors = int(otherErrs.Load())
 
 	// Phase 3 — positive control: a 2-flow quota flooded with async
 	// long-ish sleeps must draw rejections, proving enforcement was live
@@ -315,12 +310,8 @@ func runTenant(window time.Duration, registryTenants, workers int, step time.Dur
 		if err == nil {
 			err = res.Err()
 		}
-		if err != nil {
-			if quotaRejected(err.Error()) {
-				rep.breachRejections++
-			} else {
-				rep.submitErrors++
-			}
+		if err != nil && quotaRejected(err.Error()) {
+			rep.breachRejections++
 		}
 	}
 	return rep, nil

@@ -43,7 +43,7 @@ func baseTenant() tenantReport {
 	return tenantReport{
 		registryTenants: 100000, registryBytesPerTenant: 110.4,
 		totalFlows: 1856, minFairAttained: 1,
-		falseRejections: 0, submitErrors: 0, breachRejections: 22,
+		falseRejections: 0, breachRejections: 22,
 	}
 }
 

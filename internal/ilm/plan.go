@@ -49,8 +49,6 @@ type Decision struct {
 	Action string // "migrate", "replicate", "delete"
 	From   string // resource (migrate)
 	To     string // resource (migrate/replicate)
-	Value  float64
-	Size   int64
 }
 
 // PlanStats aggregates a plan.
@@ -144,9 +142,7 @@ func (p *Policy) Plan(g *dgms.Grid, valuer Valuer, now time.Time) ([]Decision, P
 		stats.Examined++
 		value := valuer.Value(e, now)
 		if p.DeleteBelow > 0 && value < p.DeleteBelow {
-			decisions = append(decisions, Decision{
-				Path: e.Path, Action: "delete", Value: value, Size: e.Size,
-			})
+			decisions = append(decisions, Decision{Path: e.Path, Action: "delete"})
 			stats.Deletes++
 			continue
 		}
@@ -165,15 +161,11 @@ func (p *Policy) Plan(g *dgms.Grid, valuer Valuer, now time.Time) ([]Decision, P
 			continue
 		}
 		if p.KeepReplica {
-			decisions = append(decisions, Decision{
-				Path: e.Path, Action: "replicate", To: target, Value: value, Size: e.Size,
-			})
+			decisions = append(decisions, Decision{Path: e.Path, Action: "replicate", To: target})
 			stats.Replicas++
 		} else {
 			from := e.Replicas[0].Resource
-			decisions = append(decisions, Decision{
-				Path: e.Path, Action: "migrate", From: from, To: target, Value: value, Size: e.Size,
-			})
+			decisions = append(decisions, Decision{Path: e.Path, Action: "migrate", From: from, To: target})
 			stats.Migrates++
 		}
 		stats.BytesToMove += e.Size

@@ -21,7 +21,10 @@
 //     cannot live on in the prose);
 //   - every exported identifier declared under internal/ must have a
 //     user in non-test Go, or be listed with its reason in unused.txt
-//     (unused.go).
+//     (unused.go);
+//   - no struct field or package-level var declared under internal/,
+//     exported or not, may be written by non-test Go and never read,
+//     unless unused.txt lists it (writeonly.go), on the same type-check.
 //
 // CI runs it from the repository root in the docs job:
 //

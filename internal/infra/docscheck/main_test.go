@@ -327,6 +327,80 @@ func TestAllowListOnlyShrinks(t *testing.T) {
 		"unused.txt lists a.NowUsed, which has a non-test caller now")
 }
 
+// TestCatchesWriteOnlyState: a field or package-level var that non-test
+// Go writes and never reads is a finding, whatever the write's form: =,
+// op=, ++, x.f = append(x.f, …), x.f[k] = v, delete(x.f, k), a struct
+// literal's key, or a sync/atomic Store, Add or Swap whose result is
+// unused. A field read only through a method value or &x.f is read; so
+// is an atomic Add whose result is used; a tagged field is read by
+// reflection. A listed finding passes, and a listed field that is read
+// now fails as stale.
+func TestCatchesWriteOnlyState(t *testing.T) {
+	root := moduleRepo(t, map[string]string{
+		"internal/a/a.go": `package a
+
+import (
+	"strings"
+	"sync/atomic"
+)
+
+// T holds one field per write form, and the reads that are none.
+type T struct {
+	assigned  int
+	opAssign  int
+	incd      int
+	appended  []int
+	indexed   map[string]int
+	deleted   map[string]int
+	keyed     int
+	stored    atomic.Int64
+	added     atomic.Int64
+	swapped   int64
+	listed    int
+	methodVal strings.Builder
+	addressed int
+	lenRead   []int
+	addUsed   atomic.Int64
+	tagged    int ` + "`json:\"tagged\"`" + `
+}
+
+var hits int
+
+// Run writes every field and reads some.
+func Run() int {
+	x := &T{keyed: 1, tagged: 2}
+	x.assigned = 1
+	x.opAssign += 2
+	x.incd++
+	x.appended = append(x.appended, 3)
+	x.indexed["k"] = 4
+	delete(x.deleted, "k")
+	x.stored.Store(5)
+	x.added.Add(1)
+	atomic.SwapInt64(&x.swapped, 6)
+	x.listed = 7
+	hits++
+	x.methodVal = strings.Builder{}
+	s := x.methodVal.String
+	x.addressed = 8
+	p := &x.addressed
+	x.lenRead = append(x.lenRead, 9)
+	return len(s()) + *p + len(x.lenRead) + int(x.addUsed.Add(1))
+}
+`,
+		"cmd/srv/main.go": "package main\n\nimport \"x/internal/a\"\n\nfunc main() { a.Run() }\n",
+		"internal/infra/docscheck/unused.txt": "a.T.listed bench: set only by the benchmark; ROADMAP item 16\n" +
+			"a.T.lenRead seam: kept for a test; TestLen (internal/b)\n",
+	})
+	var want []string
+	for _, f := range []string{"assigned", "opAssign", "incd", "appended", "indexed", "deleted", "keyed", "stored", "added", "swapped"} {
+		want = append(want, "a.T."+f+" is written but never read in non-test Go")
+	}
+	want = append(want, "a.hits is written but never read in non-test Go",
+		"unused.txt lists a.T.lenRead, which has a non-test reader now")
+	wantProblems(t, root, want...)
+}
+
 // TestFlagTokenBoundaries: -o must not be satisfied by -open.
 func TestFlagTokenBoundaries(t *testing.T) {
 	if mentionsFlag("use -open for demo mode", "o") {

@@ -22,11 +22,13 @@ import (
 // its key (`pkg.Name` or `pkg.Type.Name`), then its reason.
 const allowFile = "internal/infra/docscheck/unused.txt"
 
-// allowReasonRe accepts the two reasons an identifier may stay unused:
-// a test seam, naming the test in another package that needs it, or a
-// capability of the paper's system inventory (PAPER.md §1, S1–S13) that
-// no real path drives yet, naming its ROADMAP item or Deferred entry.
-var allowReasonRe = regexp.MustCompile(`^(seam: .*\bTest\w+|S\d+\b.*\bROADMAP (item \d+|Deferred))`)
+// allowReasonRe accepts the three reasons an entry may stay: a test
+// seam, naming the test in another package that needs it; a capability
+// of the paper's system inventory (PAPER.md §1, S1–S13) that no real
+// path drives yet, naming its ROADMAP item or Deferred entry; or a field
+// only bench/ sets, naming ROADMAP item 16, whose benchmark change
+// deletes it.
+var allowReasonRe = regexp.MustCompile(`^(seam: .*\bTest\w+|S\d+\b.*\bROADMAP (item \d+|Deferred)|bench: .*\bROADMAP item 16\b)`)
 
 // conventional are methods the standard library calls through unnamed
 // interfaces (errors.Is, errors.As and errors.Unwrap declare theirs
@@ -70,15 +72,17 @@ func unusedAPI(root string) ([]string, error) {
 	}
 
 	ifaces := l.interfaces()
-	unused := map[string]token.Pos{} // key -> declaration, for each finding
-	exists := map[string]bool{}      // key -> true, for each candidate
+	internal := l.module + "/internal/"
+	exists := map[string]string{} // candidate key -> what would make it stale
+	unused := l.writeOnly(internal, exists)
 	add := func(key string, obj types.Object) {
-		exists[key] = true
+		if exists[key] == "" {
+			exists[key] = "caller"
+		}
 		if !used[obj] {
-			unused[key] = obj.Pos()
+			unused[key] = finding{obj.Pos(), "has no user in non-test Go"}
 		}
 	}
-	internal := l.module + "/internal/"
 	for _, p := range paths {
 		if !strings.HasPrefix(p, internal) {
 			continue
@@ -135,25 +139,32 @@ func unusedAPI(root string) ([]string, error) {
 	for key, reason := range allowed {
 		switch {
 		case !allowReasonRe.MatchString(reason):
-			problems = append(problems, fmt.Sprintf("%s lists %s for %q, which is neither a test seam naming its test nor an S-number with its ROADMAP item", allowFile, key, reason))
-		case !exists[key]:
-			problems = append(problems, fmt.Sprintf("%s lists %s, which names no exported identifier that needs a caller; delete the entry", allowFile, key))
-		case unused[key] == token.NoPos:
-			problems = append(problems, fmt.Sprintf("%s lists %s, which has a non-test caller now; delete the entry", allowFile, key))
+			problems = append(problems, fmt.Sprintf("%s lists %s for %q, which is neither a test seam naming its test, an S-number with its ROADMAP item, nor a bench-only field naming ROADMAP item 16", allowFile, key, reason))
+		case exists[key] == "":
+			problems = append(problems, fmt.Sprintf("%s lists %s, which names no exported identifier, field or var either rule checks; delete the entry", allowFile, key))
+		case unused[key].pos == token.NoPos:
+			problems = append(problems, fmt.Sprintf("%s lists %s, which has a non-test %s now; delete the entry", allowFile, key, exists[key]))
 		}
 	}
-	for key, pos := range unused {
+	for key, f := range unused {
 		if _, ok := allowed[key]; ok {
 			continue
 		}
-		at := l.fset.Position(pos)
+		at := l.fset.Position(f.pos)
 		rel, err := filepath.Rel(root, at.Filename)
 		if err != nil {
 			rel = at.Filename
 		}
-		problems = append(problems, fmt.Sprintf("%s:%d: %s has no user in non-test Go; delete it, or list it in %s with its reason", filepath.ToSlash(rel), at.Line, key, allowFile))
+		problems = append(problems, fmt.Sprintf("%s:%d: %s %s; delete it, or list it in %s with its reason", filepath.ToSlash(rel), at.Line, key, f.what, allowFile))
 	}
 	return problems, nil
+}
+
+// finding is an identifier a rule reports: where it is declared, and
+// what is wrong with it.
+type finding struct {
+	pos  token.Pos
+	what string
 }
 
 // readAllowList returns allowFile's entries, key -> reason. Blank lines
@@ -216,6 +227,7 @@ type loader struct {
 	pkgs   map[string]*types.Package
 	fset   *token.FileSet
 	info   *types.Info
+	files  []*ast.File
 	recv   map[*ast.Ident]bool // the type names of method receivers
 	std    types.Importer
 }
@@ -226,6 +238,7 @@ func newLoader(root string) (*loader, error) {
 		pkgs: map[string]*types.Package{},
 		fset: token.NewFileSet(),
 		info: &types.Info{
+			Defs:       map[*ast.Ident]types.Object{},
 			Uses:       map[*ast.Ident]types.Object{},
 			Selections: map[*ast.SelectorExpr]*types.Selection{},
 			Types:      map[ast.Expr]types.TypeAndValue{},
@@ -321,6 +334,7 @@ func (l *loader) Import(path string) (*types.Package, error) {
 			return nil, err
 		}
 		files = append(files, f)
+		l.files = append(l.files, f)
 		for _, decl := range f.Decls {
 			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv != nil {
 				ast.Inspect(fn.Recv.List[0].Type, func(n ast.Node) bool {

@@ -280,7 +280,7 @@ func (run *recordedRun) promoteAfter(t *testing.T, k int) {
 	heir.SetStore(st)
 	for _, a := range heir.AdoptEntries(entries, "peerA") {
 		ex, ok := heir.Execution(a.ID)
-		if !ok || !a.Resumed {
+		if !ok {
 			t.Fatalf("%s: adopted %+v is not resident", label, a)
 		}
 		if err := ex.Wait(); err != nil {

@@ -218,12 +218,12 @@ func FuzzEndedStatusMatchesTree(f *testing.F) {
 		if got := ex.Vars(); !maps.Equal(got, at.vars) {
 			t.Fatalf("Vars from the record %v, from the scope %v", got, at.vars)
 		}
-		done := map[string]bool{}
-		if _, err := codec.WalkEnded(ex.ended, "", true, &doneSink{into: done}); err != nil {
+		done := doneSink{ids: map[string]bool{}}
+		if _, err := codec.WalkEnded(ex.ended, "", true, &done); err != nil {
 			t.Fatal(err)
 		}
-		if !maps.Equal(done, at.done) {
-			t.Fatalf("checkpoint set from the record %v, from the tree %v", done, at.done)
+		if !maps.Equal(done.ids, at.done) {
+			t.Fatalf("checkpoint set from the record %v, from the tree %v", done.ids, at.done)
 		}
 	})
 }

@@ -445,11 +445,11 @@ func (e *Engine) Restart(execID string) (*Execution, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrNotRestartable, execID, err)
 	}
-	skip := make(map[string]bool)
-	if _, err := codec.WalkEnded(prior.ended, "", true, &doneSink{into: skip}); err != nil {
+	skip := doneSink{ids: map[string]bool{}}
+	if _, err := codec.WalkEnded(prior.ended, "", true, &skip); err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrNotRestartable, execID, err)
 	}
-	next, err := e.begin(req, nil, skip)
+	next, err := e.begin(req, nil, skip.ids)
 	if err != nil {
 		return nil, err
 	}

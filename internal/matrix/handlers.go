@@ -175,16 +175,11 @@ func (e *Engine) registerBuiltins() {
 		if err != nil {
 			return err
 		}
-		results, err := c.Grid.Verify(c.User, path)
+		failed, err := c.Grid.Verify(c.User, path)
 		if err != nil {
 			return err
 		}
-		bad := 0
-		for _, r := range results {
-			if !r.OK {
-				bad++
-			}
-		}
+		bad := len(failed)
 		if v := c.ParamOr("resultVar", ""); v != "" {
 			c.Scope.Set(v, expr.Int(int64(bad)))
 		}

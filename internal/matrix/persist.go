@@ -87,10 +87,10 @@ func storeRecord(st *store.Store, rec store.Record) error {
 // and skipped steps, whole delegated subtrees, plus the not-yet-reached
 // checkpoint set a restart or resurrection seeded this run with.
 func (ex *execRun) snapshotRecord() store.Record {
-	abs := make(map[string]bool)
-	ex.root.walk(true, &doneSink{into: abs})
-	done := make(map[string]bool, len(abs)+len(ex.skip))
-	for id := range abs {
+	abs := doneSink{ids: map[string]bool{}}
+	ex.root.walk(true, &abs)
+	done := make(map[string]bool, len(abs.ids)+len(ex.skip))
+	for id := range abs.ids {
 		done[ex.relID(id)] = true
 	}
 	for _, rel := range ex.skip {
@@ -364,10 +364,6 @@ type AdoptedFlow struct {
 	User string
 	// Flow is the flow name (the routing-key half alongside User).
 	Flow string
-	// Resumed is true when the flow was brought into memory and its run
-	// restarted; false when it was passivated at the source and stays
-	// parked in this engine's store, to resurrect on demand.
-	Resumed bool
 }
 
 // AdoptEntries takes over live executions recovered from a *replica* of
@@ -416,7 +412,7 @@ func (e *Engine) AdoptEntries(entries []store.Entry, source string) []AdoptedFlo
 		}
 		o.Counter("matrix_adoptions_total", "outcome", "resumed").Inc()
 		go run.resume()
-		out = append(out, AdoptedFlow{ID: ent.ID, User: req.User.Name, Flow: req.Flow.Name, Resumed: true})
+		out = append(out, AdoptedFlow{ID: ent.ID, User: req.User.Name, Flow: req.Flow.Name})
 	}
 	return out
 }

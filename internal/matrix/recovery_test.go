@@ -157,7 +157,7 @@ func TestRegisterInPlaceOperation(t *testing.T) {
 	// Pre-existing data written to the resource out of band (legacy
 	// storage the middleware is deployed over).
 	disk, _ := g.Resource("disk1")
-	if _, err := disk.Put("legacy/tape-dump-0042", 12, []byte("legacy bytes"), g.Clock().Now()); err != nil {
+	if _, err := disk.Put("legacy/tape-dump-0042", 12, []byte("legacy bytes")); err != nil {
 		t.Fatal(err)
 	}
 	flow := dgl.NewFlow("onboard").

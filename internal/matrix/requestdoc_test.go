@@ -206,7 +206,7 @@ func TestAdoptBinaryRequestFromJSONReplica(t *testing.T) {
 	defer hst.Close()
 	heir.SetStore(hst)
 	adopted := heir.AdoptEntries(entries, "peerA")
-	if len(adopted) != 1 || !adopted[0].Resumed || adopted[0].Flow != "long-job" {
+	if len(adopted) != 1 || adopted[0].Flow != "long-job" {
 		t.Fatalf("adopted = %+v", adopted)
 	}
 	got, ok := heir.Execution(ex.ID)

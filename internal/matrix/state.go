@@ -168,7 +168,7 @@ func snapshot(walk func(dgl.StatusSink)) dgl.FlowStatus {
 // the remote run succeeded, and its grafted children (which carry
 // remote ids from another peer's id space) are passed over.
 type doneSink struct {
-	into   map[string]bool
+	ids    map[string]bool
 	inside []bool // per open node: within a delegated subtree
 }
 
@@ -181,7 +181,7 @@ func (s *doneSink) Open(n dgl.StatusNode) {
 	}
 	ok := n.State == string(StateSucceeded) || n.State == string(StateSkipped)
 	if ok && (n.Delegated != "" || n.Kind == "step") {
-		s.into[n.ID] = true
+		s.ids[n.ID] = true
 	}
 }
 

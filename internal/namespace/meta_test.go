@@ -22,11 +22,11 @@ func refSearch(ns *Namespace, q Query) ([]Entry, error) {
 	var out []Entry
 	err := ns.walk(scope, func(n *node, path string) error {
 		e := n.entry(path)
-		if q.ObjectsOnly && e.Kind != KindObject {
+		if q.ObjectsOnly && n.kind != KindObject {
 			return nil
 		}
 		for _, c := range q.Conditions {
-			ok, err := c.test(refAttr(e, c.Attr))
+			ok, err := c.test(refAttr(n, e, c.Attr))
 			if err != nil {
 				return err
 			}
@@ -47,19 +47,20 @@ func refSearch(ns *Namespace, q Query) ([]Entry, error) {
 }
 
 // refAttr reads an attribute from a copied-out entry, as the reference
-// search did.
-func refAttr(e Entry, attr string) (string, bool) {
+// search did, and the kind, owner and domain, which no entry carries,
+// from its node.
+func refAttr(n *node, e Entry, attr string) (string, bool) {
 	switch attr {
 	case "name":
 		return Base(e.Path), true
 	case "path":
 		return e.Path, true
 	case "owner":
-		return e.Owner, true
+		return n.who.owner, true
 	case "domain":
-		return e.Domain, true
+		return n.who.domain, true
 	case "kind":
-		return e.Kind.String(), true
+		return n.kind.String(), true
 	case "size":
 		return strconv.FormatInt(e.Size, 10), true
 	default:
@@ -91,19 +92,24 @@ func randomTree(t *testing.T, rng *rand.Rand) (*Namespace, []string) {
 		}
 		_ = ns.CreateObject(path+pick(".dat", ".pdf", ""), owner, domain, rng.Int63n(3000), sim.Epoch) // a name taken is skipped
 	}
-	var all []Entry
-	_ = ns.walk("/", func(n *node, path string) error { all = append(all, n.entry(path)); return nil })
-	for _, e := range all {
+	var all []string
+	objects := map[string]bool{}
+	_ = ns.walk("/", func(n *node, path string) error {
+		all = append(all, path)
+		objects[path] = n.kind == KindObject
+		return nil
+	})
+	for _, path := range all {
 		for _, k := range []string{"stage", "tag", "n"} {
 			if rng.Intn(2) == 0 {
-				if err := ns.SetMeta(e.Path, k, pick("raw", "10", "9", "x", "")); err != nil {
+				if err := ns.SetMeta(path, k, pick("raw", "10", "9", "x", "")); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		if e.Kind == KindObject {
+		if objects[path] {
 			for _, r := range []string{"disk", "tape"}[:rng.Intn(3)] {
-				if err := ns.AddReplica(e.Path, Replica{Resource: r, PhysicalID: e.Path}); err != nil {
+				if err := ns.AddReplica(path, Replica{Resource: r, PhysicalID: path}); err != nil {
 					t.Fatal(err)
 				}
 			}

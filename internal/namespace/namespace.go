@@ -48,10 +48,7 @@ func (k EntryKind) String() string {
 // namespace. Times are in UTC.
 type Entry struct {
 	Path     string
-	Kind     EntryKind
-	Owner    string
-	Domain   string // owning administrative domain
-	Size     int64  // objects only
+	Size     int64 // objects only
 	Created  time.Time
 	Metadata map[string]string
 	Replicas []Replica // objects only
@@ -174,9 +171,6 @@ func (n *node) getMeta(attr string) (string, bool) {
 func (n *node) entry(path string) Entry {
 	e := Entry{
 		Path:     path,
-		Kind:     n.kind,
-		Owner:    n.who.owner,
-		Domain:   n.who.domain,
 		Size:     n.size,
 		Created:  n.created.Time(),
 		Replicas: n.replicas(),
@@ -642,10 +636,7 @@ func (ns *Namespace) GetMeta(path, attr string) (string, bool, error) {
 
 // Stats summarizes the namespace.
 type Stats struct {
-	Collections int
-	Objects     int
-	TotalBytes  int64
-	Replicas    int
+	Objects int
 }
 
 // Stats counts the whole tree, in no particular order and without
@@ -661,11 +652,8 @@ func (ns *Namespace) Stats() Stats {
 func (n *node) count(s *Stats) {
 	if n.kind == KindObject {
 		s.Objects++
-		s.TotalBytes += n.size
-		s.Replicas += n.replicaCount()
 		return
 	}
-	s.Collections++
 	for _, c := range n.children() {
 		c.count(s)
 	}

@@ -44,7 +44,7 @@ func (n *refNode) metaIndex(attr string) (int, bool) {
 }
 
 func (n *refNode) entry(path string) Entry {
-	e := Entry{Path: path, Kind: n.kind, Owner: n.owner, Domain: n.domain, Size: n.size, Created: n.created}
+	e := Entry{Path: path, Size: n.size, Created: n.created}
 	if len(n.meta) > 0 {
 		e.Metadata = make(map[string]string, len(n.meta))
 		for _, p := range n.meta {
@@ -363,11 +363,8 @@ func (ns *refNS) Stats() Stats {
 	count = func(n *refNode) {
 		if n.kind == KindObject {
 			s.Objects++
-			s.TotalBytes += n.size
-			s.Replicas += len(n.replicas)
 			return
 		}
-		s.Collections++
 		for _, c := range n.children {
 			count(c)
 		}
@@ -523,10 +520,22 @@ func sameAnswers(t *testing.T, step int, ns *Namespace, ref *refNS, paths, users
 			t.Fatalf("step %d: %s = %+v, %v\nthe reference: %+v, %v", step, what, got, gotErr, want, wantErr)
 		}
 	}
+	// Each node's kind, owner and domain, which no Entry carries, are
+	// compared beside the walk's entries.
 	var walked, refWalked []Entry
-	err := ns.walk("/", func(n *node, path string) error { walked = append(walked, n.entry(path)); return nil })
-	refErr := ref.walk("/", func(n *refNode, path string) error { refWalked = append(refWalked, n.entry(path)); return nil })
+	var who, refWho []string
+	err := ns.walk("/", func(n *node, path string) error {
+		walked = append(walked, n.entry(path))
+		who = append(who, fmt.Sprint(n.kind, n.who.owner, n.who.domain))
+		return nil
+	})
+	refErr := ref.walk("/", func(n *refNode, path string) error {
+		refWalked = append(refWalked, n.entry(path))
+		refWho = append(refWho, fmt.Sprint(n.kind, n.owner, n.domain))
+		return nil
+	})
 	check("walk(/)", walked, utcEntries(refWalked), err, refErr)
+	check("kind, owner and domain", who, refWho, nil, nil)
 	check("Stats", ns.Stats(), ref.Stats(), nil, nil)
 	got, err := ns.Search(q)
 	want, refErr := ref.Search(q)

@@ -188,8 +188,8 @@ func TestNodesDoNotPinCallerBuffers(t *testing.T) {
 		}
 	}
 	check("", ns.root)
-	if got := ns.Stats(); got.Collections != 4 || got.Objects != 1 {
-		t.Errorf("stats = %+v, want 4 collections and 1 object", got)
+	if got := ns.Stats(); got.Objects != 1 {
+		t.Errorf("stats = %+v, want 1 object", got)
 	}
 }
 
@@ -351,8 +351,8 @@ func TestStatsAllocs(t *testing.T) {
 	var s Stats
 	got := testing.AllocsPerRun(20, func() { s = ns.Stats() })
 	t.Logf("Stats over %d objects: %.0f allocations (parent commit: 809)", s.Objects, got)
-	if got != 0 || s.Objects != len(paths) || s.Replicas != len(paths) || s.Collections != 3 {
-		t.Errorf("Stats = %+v in %.0f allocations, want %d objects and replicas in 3 collections, in none", s, got, len(paths))
+	if got != 0 || s.Objects != len(paths) {
+		t.Errorf("Stats = %+v in %.0f allocations, want %d objects in none", s, got, len(paths))
 	}
 }
 

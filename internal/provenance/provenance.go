@@ -448,9 +448,8 @@ func (v *view) time() time.Time {
 // walker views the frames of a store one at a time and materialises the
 // records a read returns.
 type walker struct {
-	d  codec.Decoder
-	v  view
-	at int // where the viewed frame starts in its chunk
+	d codec.Decoder
+	v view
 	// needle, when set, is what a frame must contain to be viewed at all
 	// (Filter.needle).
 	needle []byte
@@ -475,7 +474,7 @@ func (w *walker) chunk(c []byte, fn func() bool) bool {
 		if err != nil {
 			panic(fmt.Sprintf("provenance: a held frame does not parse: %v", err))
 		}
-		w.at, off = off, f.End
+		off = f.End
 		if len(w.needle) > 0 && !bytes.Contains(c[f.Body:f.End], w.needle) {
 			continue
 		}

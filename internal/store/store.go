@@ -61,7 +61,7 @@ type Store struct {
 	failed   error // sticky: first write/fsync failure poisons the store
 	records  int   // live records across current segments (incl. replayed)
 	replayed int   // records replayed at Open
-	torn     int   // torn trailing frames discarded at Open
+	torn     int   // torn trailing frames Open discarded, until a registry counts them
 	// pending holds records written to the active segment but not yet
 	// proven durable by a group commit, in write order. They fold into
 	// the index only once an fsync covers them, so Entry/Live/Stats
@@ -305,6 +305,11 @@ func (s *Store) SetObs(reg *obs.Registry) {
 		reg.Gauge("store_recovery_replay_records").Set(int64(s.replayed))
 		reg.Gauge("store_segments").Set(int64(len(s.segs)))
 		reg.Gauge("store_passivated").Set(int64(s.passive))
+		if s.torn > 0 {
+			// Registered only then: a store opened intact adds no series.
+			reg.Counter("store_torn_frames_total").Add(int64(s.torn))
+			s.torn = 0
+		}
 	}
 }
 

@@ -293,7 +293,11 @@ func TestStoreTornTail(t *testing.T) {
 	appendBytes(t, dir, 1, frameBlock(Record{Type: TypeStepDone, ID: "a", Node: "/f/s2"})[:3])
 	before, _ := os.Stat(seg)
 
-	s = mustOpen(t, dir, Options{})
+	reg := obs.NewRegistry()
+	s = mustOpen(t, dir, Options{Obs: reg})
+	if n, ok := tornFrames(reg); !ok || n != 1 {
+		t.Errorf("store_torn_frames_total = %d (registered %v), want 1", n, ok)
+	}
 	st := s.Stats()
 	if st.ReplayRecords != 2 {
 		t.Fatalf("replayed = %d, want torn tail discarded", st.ReplayRecords)
@@ -312,12 +316,28 @@ func TestStoreTornTail(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	reg = obs.NewRegistry()
 	s = mustOpen(t, dir, Options{})
 	defer s.Close()
+	s.SetObs(reg)
+	if n, ok := tornFrames(reg); ok {
+		t.Errorf("an intact store registered store_torn_frames_total = %d", n)
+	}
 	ent, _ = s.Entry("a")
 	if len(ent.Done) != 2 || ent.Done[1] != "/f/s3" {
 		t.Fatalf("done after repair+append = %v", ent.Done)
 	}
+}
+
+// tornFrames reads store_torn_frames_total from reg, and whether the
+// series is registered at all.
+func tornFrames(reg *obs.Registry) (int64, bool) {
+	for _, p := range reg.Snapshot().Counters {
+		if p.Name == "store_torn_frames_total" {
+			return p.Value, true
+		}
+	}
+	return 0, false
 }
 
 // TestStoreTornTailCompleteRecord reproduces the subtler crash shape: a

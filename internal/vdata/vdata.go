@@ -273,7 +273,6 @@ type Stats struct {
 	Tenants       int
 	Publishes     uint64
 	Invalidations uint64
-	ReplayRecords int
 	Durable       bool
 }
 
@@ -299,7 +298,6 @@ type Catalog struct {
 
 	publishes     uint64
 	invalidations uint64
-	replayed      int
 }
 
 // LogName is the catalog log's file name inside its directory.
@@ -363,7 +361,6 @@ func (c *Catalog) replay(path string) error {
 		case e.Key != "":
 			c.applyPut(&e)
 		}
-		c.replayed++
 	}
 	return nil
 }
@@ -553,7 +550,6 @@ func (c *Catalog) Stats() Stats {
 		Tenants:       len(tenants),
 		Publishes:     c.publishes,
 		Invalidations: c.invalidations,
-		ReplayRecords: c.replayed,
 		Durable:       c.log != nil,
 	}
 }

@@ -97,10 +97,7 @@ var (
 
 // ObjectInfo describes a stored object.
 type ObjectInfo struct {
-	ID        string
-	Size      int64
-	Synthetic bool // true when no real bytes are held
-	StoredAt  time.Time
+	Size int64
 }
 
 // Digest is an object's MD5 fixity digest. The zero value stands for no
@@ -147,9 +144,8 @@ func (s Stamp) Time() time.Time {
 // synthetic object is its size and time alone: its digest is computed
 // from id and size on each Checksum, which costs no allocation.
 type record struct {
-	size     int64
-	storedAt Stamp
-	body     *body // nil for a synthetic object that was never corrupted
+	size int64
+	body *body // nil for a synthetic object that was never corrupted
 }
 
 // body is what only some objects have: real bytes with their cached
@@ -264,7 +260,7 @@ func (r *Resource) ReadTime(size int64) time.Duration { return r.readTime(size) 
 // Put stores an object. data may be nil, in which case the object is
 // synthetic and only size is tracked. When data is non-nil its length must
 // equal size. The returned duration is the simulated write time.
-func (r *Resource) Put(id string, size int64, data []byte, now time.Time) (time.Duration, error) {
+func (r *Resource) Put(id string, size int64, data []byte) (time.Duration, error) {
 	if size < 0 {
 		return 0, fmt.Errorf("vfs: negative size %d for %q", size, id)
 	}
@@ -282,7 +278,7 @@ func (r *Resource) Put(id string, size int64, data []byte, now time.Time) (time.
 	if r.capacity > 0 && r.used+size > r.capacity {
 		return 0, fmt.Errorf("%w: %s needs %d, free %d", ErrCapacity, r.name, size, r.capacity-r.used)
 	}
-	rec := record{size: size, storedAt: StampOf(now)}
+	rec := record{size: size}
 	if data != nil {
 		rec.body = &body{data: bytes.Clone(data)}
 	}
@@ -332,7 +328,7 @@ func (r *Resource) Stat(id string) (ObjectInfo, bool) {
 	if !ok {
 		return ObjectInfo{}, false
 	}
-	return ObjectInfo{ID: id, Size: o.size, Synthetic: o.content().data == nil, StoredAt: o.storedAt.Time()}, true
+	return ObjectInfo{Size: o.size}, true
 }
 
 // Checksum returns the MD5 of the object's content, plus the simulated

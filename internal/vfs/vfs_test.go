@@ -8,14 +8,12 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"datagridflow/internal/sim"
 )
 
 func TestPutGetDelete(t *testing.T) {
 	r := New("disk1", "sdsc", Disk, 0)
 	data := []byte("hello datagrid")
-	d, err := r.Put("obj1", int64(len(data)), data, sim.Epoch)
+	d, err := r.Put("obj1", int64(len(data)), data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,22 +55,22 @@ func TestPutGetDelete(t *testing.T) {
 
 func TestPutErrors(t *testing.T) {
 	r := New("d", "x", Disk, 100)
-	if _, err := r.Put("a", -1, nil, sim.Epoch); err == nil {
+	if _, err := r.Put("a", -1, nil); err == nil {
 		t.Errorf("negative size accepted")
 	}
-	if _, err := r.Put("a", 5, []byte("four"), sim.Epoch); err == nil {
+	if _, err := r.Put("a", 5, []byte("four")); err == nil {
 		t.Errorf("size/data mismatch accepted")
 	}
-	if _, err := r.Put("a", 60, nil, sim.Epoch); err != nil {
+	if _, err := r.Put("a", 60, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Put("a", 10, nil, sim.Epoch); !errors.Is(err, ErrExists) {
+	if _, err := r.Put("a", 10, nil); !errors.Is(err, ErrExists) {
 		t.Errorf("duplicate id: %v", err)
 	}
-	if _, err := r.Put("b", 50, nil, sim.Epoch); !errors.Is(err, ErrCapacity) {
+	if _, err := r.Put("b", 50, nil); !errors.Is(err, ErrCapacity) {
 		t.Errorf("over capacity: %v", err)
 	}
-	if _, err := r.Put("b", 40, nil, sim.Epoch); err != nil {
+	if _, err := r.Put("b", 40, nil); err != nil {
 		t.Errorf("exact fit rejected: %v", err)
 	}
 	if r.Free() != 0 {
@@ -83,11 +81,11 @@ func TestPutErrors(t *testing.T) {
 func TestSyntheticObjects(t *testing.T) {
 	r := New("tape", "archive.org", Archive, 0)
 	const size = int64(5 << 30) // 5 GiB — never materialized
-	if _, err := r.Put("big", size, nil, sim.Epoch); err != nil {
+	if _, err := r.Put("big", size, nil); err != nil {
 		t.Fatal(err)
 	}
 	info, ok := r.Stat("big")
-	if !ok || !info.Synthetic || info.Size != size {
+	if !ok || info.Size != size {
 		t.Fatalf("Stat = %+v, %v", info, ok)
 	}
 	data, d, err := r.Get("big")
@@ -102,7 +100,7 @@ func TestSyntheticObjects(t *testing.T) {
 
 func TestChecksum(t *testing.T) {
 	r := New("d", "x", Disk, 0)
-	if _, err := r.Put("real", 3, []byte("abc"), sim.Epoch); err != nil {
+	if _, err := r.Put("real", 3, []byte("abc")); err != nil {
 		t.Fatal(err)
 	}
 	sum, d, err := r.Checksum("real")
@@ -116,7 +114,7 @@ func TestChecksum(t *testing.T) {
 		t.Errorf("checksum should cost read time")
 	}
 	// Deterministic and stable for synthetic objects too.
-	if _, err := r.Put("syn", 1000, nil, sim.Epoch); err != nil {
+	if _, err := r.Put("syn", 1000, nil); err != nil {
 		t.Fatal(err)
 	}
 	s1, _, _ := r.Checksum("syn")
@@ -125,7 +123,7 @@ func TestChecksum(t *testing.T) {
 		t.Errorf("synthetic checksum unstable: %s vs %s", s1, s2)
 	}
 	// Two synthetic objects with different ids differ.
-	if _, err := r.Put("syn2", 1000, nil, sim.Epoch); err != nil {
+	if _, err := r.Put("syn2", 1000, nil); err != nil {
 		t.Fatal(err)
 	}
 	s3, _, _ := r.Checksum("syn2")
@@ -139,14 +137,14 @@ func TestChecksum(t *testing.T) {
 
 func TestOffline(t *testing.T) {
 	r := New("d", "x", Disk, 0)
-	if _, err := r.Put("a", 1, nil, sim.Epoch); err != nil {
+	if _, err := r.Put("a", 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	r.SetOffline(true)
 	if !r.Offline() {
 		t.Fatalf("Offline() = false")
 	}
-	if _, err := r.Put("b", 1, nil, sim.Epoch); !errors.Is(err, ErrOffline) {
+	if _, err := r.Put("b", 1, nil); !errors.Is(err, ErrOffline) {
 		t.Errorf("Put offline: %v", err)
 	}
 	if _, _, err := r.Get("a"); !errors.Is(err, ErrOffline) {
@@ -167,7 +165,7 @@ func TestOffline(t *testing.T) {
 func TestListAndStats(t *testing.T) {
 	r := New("d", "x", ParallelFS, 0)
 	for _, id := range []string{"c", "a", "b"} {
-		if _, err := r.Put(id, 1, nil, sim.Epoch); err != nil {
+		if _, err := r.Put(id, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -215,10 +213,10 @@ func TestRetentionCost(t *testing.T) {
 	disk := New("d", "x", Disk, 0)
 	tape := New("t", "x", Archive, 0)
 	const month = 30 * 24 * time.Hour
-	if _, err := disk.Put("a", 10<<30, nil, sim.Epoch); err != nil {
+	if _, err := disk.Put("a", 10<<30, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tape.Put("a", 10<<30, nil, sim.Epoch); err != nil {
+	if _, err := tape.Put("a", 10<<30, nil); err != nil {
 		t.Fatal(err)
 	}
 	cd, ct := disk.RetentionCost(month), tape.RetentionCost(month)
@@ -241,7 +239,7 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
 				id := fmt.Sprintf("w%d-%d", i, j)
-				if _, err := r.Put(id, 10, nil, sim.Epoch); err != nil {
+				if _, err := r.Put(id, 10, nil); err != nil {
 					errs <- err
 					return
 				}
@@ -272,7 +270,7 @@ func TestQuickUsedAccounting(t *testing.T) {
 		r := New("d", "x", Disk, 0)
 		var want int64
 		for i, s := range sizes {
-			if _, err := r.Put(fmt.Sprintf("o%d", i), int64(s), nil, sim.Epoch); err != nil {
+			if _, err := r.Put(fmt.Sprintf("o%d", i), int64(s), nil); err != nil {
 				return false
 			}
 			want += int64(s)
@@ -303,8 +301,8 @@ func TestQuickWriteTimeMonotone(t *testing.T) {
 		if x > y {
 			x, y = y, x
 		}
-		dx, err1 := r.Put("x", x, nil, sim.Epoch)
-		dy, err2 := r.Put("y", y, nil, sim.Epoch)
+		dx, err1 := r.Put("x", x, nil)
+		dy, err2 := r.Put("y", y, nil)
 		return err1 == nil && err2 == nil && dx <= dy
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -316,7 +314,7 @@ func BenchmarkPutSynthetic(b *testing.B) {
 	r := New("d", "x", Disk, 0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Put(fmt.Sprintf("o%d", i), 1<<20, nil, sim.Epoch); err != nil {
+		if _, err := r.Put(fmt.Sprintf("o%d", i), 1<<20, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -348,10 +346,10 @@ func TestChecksumAllocs(t *testing.T) {
 // before still names the same content after.
 func TestGoldenDigests(t *testing.T) {
 	r := New("d", "x", Disk, 0)
-	if _, err := r.Put("real", 3, []byte("abc"), sim.Epoch); err != nil {
+	if _, err := r.Put("real", 3, []byte("abc")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Put("syn", 1000, nil, sim.Epoch); err != nil {
+	if _, err := r.Put("syn", 1000, nil); err != nil {
 		t.Fatal(err)
 	}
 	checksum := func(id string) string {
@@ -381,7 +379,7 @@ func TestGoldenDigests(t *testing.T) {
 func BenchmarkChecksumReal(b *testing.B) {
 	r := New("d", "x", Disk, 0)
 	data := make([]byte, 1<<16)
-	if _, err := r.Put("o", int64(len(data)), data, sim.Epoch); err != nil {
+	if _, err := r.Put("o", int64(len(data)), data); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -406,7 +404,7 @@ func TestCorrupt(t *testing.T) {
 		{"empty", []byte{}, 0},
 		{"syn", nil, 100},
 	} {
-		if _, err := r.Put(o.id, o.size, o.data, sim.Epoch); err != nil {
+		if _, err := r.Put(o.id, o.size, o.data); err != nil {
 			t.Fatal(err)
 		}
 		before, _, _ := r.Checksum(o.id)

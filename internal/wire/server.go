@@ -75,7 +75,8 @@ type Server struct {
 	cfg    ServerConfig
 	adm    *scheduler.Admission
 	// statusRouter, when set (by a Peer, before Listen), places DGL
-	// status queries on the peer network: it returns the pooled client of
+	// status queries and the verbs that act on one execution on the peer
+	// network: it returns the pooled client of
 	// the peer that owns the id, or nil when this server answers from its
 	// own engine. Plain servers leave it nil and always answer locally.
 	statusRouter func(id string) (*Client, error)
@@ -975,11 +976,26 @@ func (s *Server) serveControlOp(c Control) ControlResult {
 // resume, cancel and restart. The caller's identity is resolved first,
 // as a submission's is, so a refused caller wakes nothing; with an
 // authority attached, an execution of another tenant is refused with a
-// typed dgferr.ErrAuth.
+// typed dgferr.ErrAuth. The status router places the verb as it places
+// a status query: one it puts on another peer is sent there as it came,
+// with the caller's token, and the owner applies the same rule.
 func (s *Server) serveExecOp(c Control) ControlResult {
 	ten, err := s.resolveTenant(c.Token, c.User)
 	if err != nil {
 		return refused(err)
+	}
+	if s.statusRouter != nil {
+		owner, err := s.statusRouter(c.ID)
+		if err != nil {
+			return refused(err)
+		}
+		if owner != nil {
+			res, err := owner.controlMsg(context.Background(), c)
+			if err != nil && res.Error == "" {
+				return refused(err)
+			}
+			return res
+		}
 	}
 	exec, ok := s.engine.Execution(c.ID)
 	if !ok {

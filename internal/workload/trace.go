@@ -37,32 +37,19 @@ func AccessTrace(r *sim.Rand, paths []string, n int, meanGap time.Duration, s fl
 	return out
 }
 
-// ReplayStats summarizes a trace replay.
-type ReplayStats struct {
-	Reads int
-	// Elapsed is the simulated time the replay spanned (gaps + IO).
-	Elapsed time.Duration
-	// ServiceTime is the simulated time spent inside reads (IO +
-	// transfer), i.e. what the users actually waited.
-	ServiceTime time.Duration
-}
-
 // Replay performs the trace against the grid as user, advancing the
-// grid clock by each gap and measuring per-read service time. Read
-// errors abort the replay.
-func Replay(g *dgms.Grid, user string, trace []Access) (ReplayStats, error) {
-	var stats ReplayStats
+// grid clock by each gap, and returns the service time: the simulated
+// time spent inside reads (IO + transfer), i.e. what the users actually
+// waited. Read errors abort the replay.
+func Replay(g *dgms.Grid, user string, trace []Access) (service time.Duration, err error) {
 	clock := g.Clock()
-	start := clock.Now()
 	for i, a := range trace {
 		clock.Sleep(a.Gap)
 		before := clock.Now()
 		if _, err := g.Get(user, "", a.Path); err != nil {
-			return stats, fmt.Errorf("workload: replay access %d (%s): %w", i, a.Path, err)
+			return service, fmt.Errorf("workload: replay access %d (%s): %w", i, a.Path, err)
 		}
-		stats.Reads++
-		stats.ServiceTime += clock.Now().Sub(before)
+		service += clock.Now().Sub(before)
 	}
-	stats.Elapsed = clock.Now().Sub(start)
-	return stats, nil
+	return service, nil
 }
