@@ -184,15 +184,15 @@ func (g *Grid) ReplicateFrom(user, path, fromResource, toResource string) error 
 		if err != nil {
 			return err
 		}
-		info, _ := src.Stat(srcRep.PhysicalID)
+		size, _ := src.Stat(srcRep.PhysicalID)
 		g.clock.Sleep(rd)
 		g.meter.Charge(srcRep.Resource, rd)
-		td, err := g.net.RecordTransfer(src.Domain(), dst.Domain(), info.Size)
+		td, err := g.net.RecordTransfer(src.Domain(), dst.Domain(), size)
 		if err != nil {
 			return err
 		}
 		g.clock.Sleep(td)
-		id, wd, err := putCopy(dst, copyID(path, srcRep.PhysicalID), info.Size, data)
+		id, wd, err := putCopy(dst, copyID(path, srcRep.PhysicalID), size, data)
 		if err != nil {
 			return err
 		}
@@ -361,7 +361,7 @@ func (g *Grid) RegisterInPlace(user, path, resource, physID string) error {
 		g.recordErr(user, "register", path, err)
 		return err
 	}
-	info, ok := res.Stat(physID)
+	size, ok := res.Stat(physID)
 	if !ok {
 		err := fmt.Errorf("%w: physical object %q on %s", ErrNoReplica, physID, resource)
 		g.recordErr(user, "register", path, err)
@@ -379,7 +379,7 @@ func (g *Grid) RegisterInPlace(user, path, resource, physID string) error {
 	ev.set("resource", resource)
 	ev.set("physicalID", physID)
 	err = g.publish2(&ev, func() error {
-		if err := g.ns.CreateObject(path, user, res.Domain(), info.Size, g.clock.Now()); err != nil {
+		if err := g.ns.CreateObject(path, user, res.Domain(), size, g.clock.Now()); err != nil {
 			return err
 		}
 		rep := namespace.Replica{Resource: resource, PhysicalID: strings.Clone(physID), StoredAt: g.clock.Now()}
@@ -471,11 +471,11 @@ func (g *Grid) Get(user, fromDomain, path string) ([]byte, error) {
 		g.recordErr(user, "get", path, err)
 		return nil, err
 	}
-	info, _ := res.Stat(rep.PhysicalID)
+	size, _ := res.Stat(rep.PhysicalID)
 	g.clock.Sleep(rd)
 	g.meter.Charge(rep.Resource, rd)
 	if fromDomain != "" && fromDomain != res.Domain() {
-		td, err := g.net.RecordTransfer(res.Domain(), fromDomain, info.Size)
+		td, err := g.net.RecordTransfer(res.Domain(), fromDomain, size)
 		if err != nil {
 			g.recordErr(user, "get", path, err)
 			return nil, err

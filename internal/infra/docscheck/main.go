@@ -151,29 +151,30 @@ func check(root string) ([]string, error) {
 	return problems, nil
 }
 
-// goAPI returns the exported identifiers of the Go sources in dir —
-// package-level names as "pkg.X", methods and struct fields as "T.X" —
-// and the exported types by name. Test files count only when tests is
-// set.
-func goAPI(dir, pkg string, tests bool) (api, types map[string]bool, err error) {
+// goAPI returns the exported identifiers of the non-test Go sources in
+// dir — package-level names as "pkg.X", methods and struct fields as
+// "T.X" — the exported types by name, and the bare exported names the
+// test sources declare beside theirs.
+func goAPI(dir, pkg string) (api, types, names map[string]bool, err error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	api, types = map[string]bool{}, map[string]bool{}
-	add := func(owner string, name *ast.Ident) {
-		if name.IsExported() {
-			api[owner+"."+name.Name] = true
-		}
-	}
+	api, types, names = map[string]bool{}, map[string]bool{}, map[string]bool{}
 	fset := token.NewFileSet()
 	for _, p := range paths {
-		if !tests && strings.HasSuffix(p, "_test.go") {
-			continue
+		test := strings.HasSuffix(p, "_test.go")
+		add := func(owner string, name *ast.Ident) {
+			if name.IsExported() {
+				names[name.Name] = true
+				if !test {
+					api[owner+"."+name.Name] = true
+				}
+			}
 		}
 		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
@@ -194,7 +195,7 @@ func goAPI(dir, pkg string, tests bool) (api, types map[string]bool, err error) 
 					switch s := spec.(type) {
 					case *ast.TypeSpec:
 						add(pkg, s.Name)
-						if s.Name.IsExported() && !s.Assign.IsValid() { // an alias declares no type
+						if s.Name.IsExported() && !s.Assign.IsValid() && !test { // an alias declares no type
 							types[s.Name.Name] = true
 						}
 						if st, ok := s.Type.(*ast.StructType); ok {
@@ -213,7 +214,7 @@ func goAPI(dir, pkg string, tests bool) (api, types map[string]bool, err error) 
 			}
 		}
 	}
-	return api, types, nil
+	return api, types, names, nil
 }
 
 // staleRefs reports each identifier the corpus shows in code that the
@@ -236,16 +237,15 @@ func staleRefs(root, corpus string) ([]string, error) {
 			return filepath.SkipDir
 		}
 		pkg := filepath.Base(dir)
-		all, _, err := goAPI(dir, pkg, true)
+		a, types, declared, err := goAPI(dir, pkg)
 		if err != nil {
 			return err
 		}
-		for k := range all {
-			names[k[strings.LastIndexByte(k, '.')+1:]] = true
+		for n := range declared {
+			names[n] = true
 		}
-		a, types, err := goAPI(dir, pkg, false)
-		if err != nil || len(a) == 0 {
-			return err
+		if len(a) == 0 {
+			return nil
 		}
 		if !strings.HasPrefix(dir, internal) {
 			for t := range types {

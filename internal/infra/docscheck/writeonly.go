@@ -4,8 +4,13 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"regexp"
 	"strings"
 )
+
+// atomicWriteRe matches the sync/atomic functions and methods that store
+// into their target: Store, Add and Swap, and their typed forms.
+var atomicWriteRe = regexp.MustCompile(`^(Store|Add|Swap)`)
 
 // writeOnly reports each struct field and package-level var declared
 // under internal/ (the prefix given) that non-test Go writes and never
@@ -49,25 +54,16 @@ func (l *loader) writeOnly(internal string, exists map[string]string) map[string
 	}
 
 	writes := l.writes()
-	read, written := map[*types.Var]bool{}, map[*types.Var]bool{}
+	read := map[*types.Var]bool{} // each candidate that appears: whether any appearance reads it
 	for id, obj := range l.info.Uses {
-		v, ok := obj.(*types.Var)
-		if !ok {
-			continue
-		}
-		if v = v.Origin(); cands[v] == "" {
-			continue
-		}
-		if writes[id] {
-			written[v] = true
-		} else {
-			read[v] = true
+		if v, ok := obj.(*types.Var); ok && cands[v.Origin()] != "" {
+			read[v.Origin()] = read[v.Origin()] || !writes[id]
 		}
 	}
 	found := map[string]finding{}
 	for v, key := range cands {
 		exists[key] = "reader"
-		if written[v] && !read[v] {
+		if r, ok := read[v]; ok && !r {
 			found[key] = finding{v.Pos(), "is written but never read in non-test Go"}
 		}
 	}
@@ -79,43 +75,38 @@ func (l *loader) writeOnly(internal string, exists map[string]string) map[string
 // x.f inside x.f = append(x.f, …); a struct literal's key; and what a
 // sync/atomic Store, Add or Swap whose result is unused stores into.
 func (l *loader) writes() map[*ast.Ident]bool {
-	w := map[*ast.Ident]bool{}
-	mark := func(id *ast.Ident) {
-		if id != nil {
-			w[id] = true
-		}
-	}
+	w := map[*ast.Ident]bool{} // a nil key, for what writes no identifier, is never looked up
 	for _, f := range l.files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
 				for i, lhs := range n.Lhs {
 					t := target(lhs)
-					mark(t)
+					w[t] = true
 					if t == nil || len(n.Rhs) != len(n.Lhs) {
 						continue
 					}
 					if call, ok := n.Rhs[i].(*ast.CallExpr); ok && l.isBuiltin(call, "append") {
 						if a := target(call.Args[0]); a != nil && l.info.Uses[a] == l.info.Uses[t] {
-							mark(a)
+							w[a] = true
 						}
 					}
 				}
 			case *ast.IncDecStmt:
-				mark(target(n.X))
+				w[target(n.X)] = true
 			case *ast.KeyValueExpr:
 				if k, ok := n.Key.(*ast.Ident); ok {
 					if v, ok := l.info.Uses[k].(*types.Var); ok && v.IsField() {
-						mark(k)
+						w[k] = true
 					}
 				}
 			case *ast.CallExpr:
 				if l.isBuiltin(n, "delete") {
-					mark(target(n.Args[0]))
+					w[target(n.Args[0])] = true
 				}
 			case *ast.ExprStmt:
 				if call, ok := n.X.(*ast.CallExpr); ok {
-					mark(l.atomicTarget(call))
+					w[l.atomicTarget(call)] = true
 				}
 			}
 			return true
@@ -141,11 +132,7 @@ func target(e ast.Expr) *ast.Ident {
 // isBuiltin reports whether call calls the named builtin function.
 func (l *loader) isBuiltin(call *ast.CallExpr, name string) bool {
 	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	b, ok := l.info.Uses[id].(*types.Builtin)
-	return ok && b.Name() == name
+	return ok && l.info.Uses[id] == types.Universe.Lookup(name)
 }
 
 // atomicTarget returns what a sync/atomic Store, Add or Swap call
@@ -157,18 +144,11 @@ func (l *loader) atomicTarget(call *ast.CallExpr) *ast.Ident {
 		return nil
 	}
 	fn, ok := l.info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" || !atomicWriteRe.MatchString(fn.Name()) {
 		return nil
 	}
-	name := fn.Name()
 	if fn.Type().(*types.Signature).Recv() != nil {
-		if name == "Store" || name == "Add" || name == "Swap" {
-			return target(sel.X)
-		}
-		return nil
-	}
-	if !strings.HasPrefix(name, "Store") && !strings.HasPrefix(name, "Add") && !strings.HasPrefix(name, "Swap") {
-		return nil
+		return target(sel.X)
 	}
 	if u, ok := call.Args[0].(*ast.UnaryExpr); ok && u.Op == token.AND {
 		return target(u.X)

@@ -215,17 +215,17 @@ func (b *Broker) estimate(task *Task, node infra.ComputeNode, now time.Time) (Pl
 			if err != nil || res.Offline() {
 				continue
 			}
-			info, ok := res.Stat(rep.PhysicalID)
+			size, ok := res.Stat(rep.PhysicalID)
 			if !ok {
 				continue
 			}
-			rd := res.ReadTime(info.Size)
+			rd := res.ReadTime(size)
 			var tt time.Duration
 			if res.Domain() == node.Domain {
 				// Local read: only the storage cost.
 				tt = rd
 			} else {
-				net, err := b.grid.Network().TransferTime(res.Domain(), node.Domain, info.Size)
+				net, err := b.grid.Network().TransferTime(res.Domain(), node.Domain, size)
 				if err != nil {
 					continue
 				}
@@ -236,7 +236,7 @@ func (b *Broker) estimate(task *Task, node infra.ComputeNode, now time.Time) (Pl
 				if res.Domain() == node.Domain {
 					bestBytes = 0
 				} else {
-					bestBytes = info.Size
+					bestBytes = size
 				}
 			}
 		}
@@ -372,12 +372,12 @@ func (b *Broker) Execute(task *Task, strategy Strategy, outputResource string) (
 		if err != nil {
 			return chosen, err
 		}
-		info, ok := res.Stat(in)
+		size, ok := res.Stat(in)
 		if !ok {
 			return chosen, fmt.Errorf("%w: %s vanished from %s", ErrNoInput, in, resName)
 		}
 		if res.Domain() != chosen.Node.Domain {
-			if _, err := b.grid.Network().RecordTransfer(res.Domain(), chosen.Node.Domain, info.Size); err != nil {
+			if _, err := b.grid.Network().RecordTransfer(res.Domain(), chosen.Node.Domain, size); err != nil {
 				return chosen, err
 			}
 		}

@@ -80,12 +80,9 @@ func (r *refResource) Delete(id string) error {
 	return nil
 }
 
-func (r *refResource) Stat(id string) (ObjectInfo, bool) {
+func (r *refResource) Stat(id string) (int64, bool) {
 	o, ok := r.objects[id]
-	if !ok {
-		return ObjectInfo{}, false
-	}
-	return ObjectInfo{Size: o.size}, true
+	return o.size, ok
 }
 
 func (r *refResource) Checksum(id string) (Digest, error) {

@@ -95,11 +95,6 @@ var (
 	ErrOffline = dgferr.Mark(dgferr.ErrResourceDown, "vfs: resource offline")
 )
 
-// ObjectInfo describes a stored object.
-type ObjectInfo struct {
-	Size int64
-}
-
 // Digest is an object's MD5 fixity digest. The zero value stands for no
 // digest at all: the chance of a real MD5 being all zeros is 2⁻¹²⁸.
 type Digest [md5.Size]byte
@@ -320,15 +315,12 @@ func (r *Resource) Delete(id string) (time.Duration, error) {
 	return r.profile.Latency, nil
 }
 
-// Stat returns metadata about an object without charging read time.
-func (r *Resource) Stat(id string) (ObjectInfo, bool) {
+// Stat returns an object's size without charging read time.
+func (r *Resource) Stat(id string) (size int64, ok bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	o, ok := r.objects[id]
-	if !ok {
-		return ObjectInfo{}, false
-	}
-	return ObjectInfo{Size: o.size}, true
+	return o.size, ok
 }
 
 // Checksum returns the MD5 of the object's content, plus the simulated

@@ -84,9 +84,8 @@ func TestSyntheticObjects(t *testing.T) {
 	if _, err := r.Put("big", size, nil); err != nil {
 		t.Fatal(err)
 	}
-	info, ok := r.Stat("big")
-	if !ok || info.Size != size {
-		t.Fatalf("Stat = %+v, %v", info, ok)
+	if got, ok := r.Stat("big"); !ok || got != size {
+		t.Fatalf("Stat = %d, %v", got, ok)
 	}
 	data, d, err := r.Get("big")
 	if err != nil || data != nil {
