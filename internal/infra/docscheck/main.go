@@ -153,8 +153,8 @@ func check(root string) ([]string, error) {
 
 // goAPI returns the exported identifiers of the non-test Go sources in
 // dir — package-level names as "pkg.X", methods and struct fields as
-// "T.X" — the exported types by name, and the bare exported names the
-// test sources declare beside theirs.
+// "T.X" — the exported types by name, and the bare exported names every
+// source in dir declares, tests included.
 func goAPI(dir, pkg string) (api, types, names map[string]bool, err error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {

@@ -403,15 +403,14 @@ func (e *Engine) AdoptEntries(entries []store.Entry, source string) []AdoptedFlo
 			// Parked at the source, parked here: it now lives in our store
 			// and resurrects on demand through the usual wake paths.
 			o.Counter("matrix_adoptions_total", "outcome", "parked").Inc()
-			out = append(out, AdoptedFlow{ID: ent.ID, User: req.User.Name, Flow: req.Flow.Name})
-			continue
+		} else {
+			_, run := e.adoptExecution(ent, req, p, "flow.adopt", provenance.Attr{Key: "source", Value: source})
+			if run == nil {
+				continue // already resident (duplicate promotion race)
+			}
+			o.Counter("matrix_adoptions_total", "outcome", "resumed").Inc()
+			go run.resume()
 		}
-		_, run := e.adoptExecution(ent, req, p, "flow.adopt", provenance.Attr{Key: "source", Value: source})
-		if run == nil {
-			continue // already resident (duplicate promotion race)
-		}
-		o.Counter("matrix_adoptions_total", "outcome", "resumed").Inc()
-		go run.resume()
 		out = append(out, AdoptedFlow{ID: ent.ID, User: req.User.Name, Flow: req.Flow.Name})
 	}
 	return out
