@@ -63,6 +63,11 @@ type ServerConfig struct {
 	// deterministic-shutdown budget for runs other peers wait on.
 	// Default 3s.
 	DelegateGrace time.Duration
+	// HeartbeatInterval paces a Peer's membership loop (wall clock):
+	// each tick renews its registration with its load, adopts the owner
+	// map, rebalances shards and places followers. Default 5s; keep it
+	// well under the registry's TTL. A bare Server ignores it.
+	HeartbeatInterval time.Duration
 }
 
 // Server exposes a matrix engine over the framed TCP protocol. Frames
