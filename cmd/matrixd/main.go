@@ -9,7 +9,7 @@
 //	matrixd -addr :7401                          # demo grid
 //	matrixd -addr :7401 -infra grid.xml          # described grid
 //	matrixd -name matrixA -lookup host:7400      # join a peer network
-//	matrixd -placement locality -heartbeat 2s    # federation tuning
+//	matrixd -placement locality -heartbeat 2s    # placement and membership tuning
 //	matrixd -shards 64 -lookup host:7400         # sharded flow ownership
 //	matrixd -repl-followers 2 -repl-ack quorum   # replicated lifecycle store
 //	matrixd -repl-dir /var/lib/matrix-replica    # replica root override
@@ -69,7 +69,7 @@ func main() {
 	name := flag.String("name", "", "peer name (required with -lookup)")
 	lookup := flag.String("lookup", "", "lookup server address to register with")
 	placement := flag.String("placement", "least-loaded", "federation placement policy: least-loaded, round-robin, locality or vdata-locality (docs/FEDERATION.md, docs/VDATA.md)")
-	heartbeat := flag.Duration("heartbeat", 5*time.Second, "federation heartbeat interval (lookup lease renewal and load gossip)")
+	heartbeat := flag.Duration("heartbeat", 5*time.Second, "membership interval of a -lookup peer: registration and lease renewal with load gossip, owner map, shard rebalance, follower placement")
 	shards := flag.Int("shards", 0, "shard count for consistent-hash flow ownership (0 disables; requires -lookup and a lookupd started with the same -shards)")
 	infraPath := flag.String("infra", "", "infrastructure description XML (default: demo topology)")
 	triggerPath := flag.String("triggers", "", "trigger definitions XML to install at startup")
@@ -253,8 +253,9 @@ func main() {
 	}
 
 	srvCfg := wire.ServerConfig{
-		MaxInflight:  *maxInflight,
-		MaxUserQueue: *maxUserQueue,
+		MaxInflight:       *maxInflight,
+		MaxUserQueue:      *maxUserQueue,
+		HeartbeatInterval: *heartbeat,
 	}
 	var tAuth *tenant.Authority
 	var tReg *tenant.Registry
@@ -344,10 +345,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("matrixd: %v", err)
 		}
-		fed := federation.New(peer, federation.Config{
-			Policy:            policy,
-			HeartbeatInterval: *heartbeat,
-		})
+		fed := federation.New(peer, federation.Config{Policy: policy})
 		fed.Start()
 		closeFn = func() {
 			fed.Close() // drain in-flight delegations first

@@ -25,7 +25,6 @@ import (
 	"datagridflow/internal/dgl"
 	"datagridflow/internal/dgms"
 	"datagridflow/internal/expr"
-	"datagridflow/internal/ilm"
 )
 
 // ScriptOp is one hard-wired step of a cron script.
@@ -36,9 +35,6 @@ type ScriptOp func(g *dgms.Grid) error
 type CronScript struct {
 	Name string
 	Ops  []ScriptOp
-
-	// Window gates runs (the admin schedules cron for the night shift).
-	Window ilm.Window
 
 	// RunsAttempted and OpsExecuted count activity across all runs,
 	// including every redundantly re-executed op.
@@ -60,17 +56,12 @@ func (s *CronScript) Run(g *dgms.Grid) error {
 }
 
 // RunUntilSuccess models the operational reality of a failing cron job:
-// every interval inside the window the script re-runs from the top until
-// one run completes or maxRuns is exhausted. The grid's clock advances
+// every interval the script re-runs from the top until one run
+// completes or maxRuns is exhausted. The grid's clock advances
 // by `interval` between attempts.
 func (s *CronScript) RunUntilSuccess(g *dgms.Grid, interval time.Duration, maxRuns int) error {
 	var lastErr error
 	for i := 0; i < maxRuns; i++ {
-		now := g.Clock().Now()
-		if !s.Window.Contains(now) {
-			next := s.Window.NextOpen(now)
-			g.Clock().Sleep(next.Sub(now))
-		}
 		if lastErr = s.Run(g); lastErr == nil {
 			return nil
 		}

@@ -9,7 +9,6 @@ import (
 	"datagridflow/internal/dgl"
 	"datagridflow/internal/dgms"
 	"datagridflow/internal/expr"
-	"datagridflow/internal/ilm"
 	"datagridflow/internal/matrix"
 	"datagridflow/internal/namespace"
 	"datagridflow/internal/vfs"
@@ -85,25 +84,6 @@ func TestCronScriptAbortsAndReruns(t *testing.T) {
 	}
 	if bad.RunsAttempted != 3 {
 		t.Errorf("attempts = %d", bad.RunsAttempted)
-	}
-}
-
-func TestCronScriptWindow(t *testing.T) {
-	g := newGrid(t)
-	// Window opens at 20:00; clock starts at midnight... sim.Epoch is
-	// 00:00, which is inside a 20→6 window. Use a day window instead.
-	s := &CronScript{
-		Name:   "windowed",
-		Window: ilm.Window{StartHour: 9, EndHour: 17},
-		Ops:    []ScriptOp{func(g *dgms.Grid) error { return nil }},
-	}
-	start := g.Clock().Now() // 00:00 UTC
-	if err := s.RunUntilSuccess(g, time.Hour, 5); err != nil {
-		t.Fatal(err)
-	}
-	ranAt := g.Clock().Now()
-	if ranAt.Sub(start) < 9*time.Hour {
-		t.Errorf("script ran outside the window at %v", ranAt)
 	}
 }
 

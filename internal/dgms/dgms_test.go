@@ -458,24 +458,6 @@ func TestCollectionOps(t *testing.T) {
 	}
 }
 
-func TestChecksumOnIngestDisabled(t *testing.T) {
-	off := false
-	g := New(Options{ChecksumOnIngest: &off})
-	if err := g.RegisterResource(vfs.New("d", "x", vfs.Disk, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.CreateCollectionAll(g.Admin(), "/grid"); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Ingest(g.Admin(), "/grid/a", 10, nil, "d"); err != nil {
-		t.Fatal(err)
-	}
-	reps, _ := g.Namespace().Replicas("/grid/a")
-	if !reps[0].Checksum.IsZero() {
-		t.Errorf("checksum recorded despite option off")
-	}
-}
-
 func TestUserDomain(t *testing.T) {
 	g := testGrid(t)
 	if d := g.userDomain("alice@sdsc"); d != "sdsc" {

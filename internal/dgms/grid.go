@@ -38,10 +38,6 @@ type Options struct {
 	Network *sim.Network
 	// Provenance receives operation records. Default: in-memory store.
 	Provenance *provenance.Store
-	// ChecksumOnIngest computes and records an MD5 digest for every new
-	// replica (costs a simulated read). Default true — fixity on ingest
-	// is the UCSD library scenario.
-	ChecksumOnIngest *bool
 	// Obs receives metrics and trace events from every component built
 	// on this grid (engine, wire, triggers, ILM, scheduler). Default:
 	// the process-wide obs.Default() registry. Tests that assert on
@@ -64,8 +60,6 @@ type Grid struct {
 	bus   *Bus
 	obs   *obs.Registry
 
-	checksumOnIngest bool
-
 	mu        sync.RWMutex
 	resources map[string]*vfs.Resource
 	fault     *fault.Injector
@@ -86,10 +80,6 @@ func New(opts Options) *Grid {
 	if opts.Provenance == nil {
 		opts.Provenance = provenance.NewMemory()
 	}
-	cs := true
-	if opts.ChecksumOnIngest != nil {
-		cs = *opts.ChecksumOnIngest
-	}
 	if opts.Obs == nil {
 		opts.Obs = obs.Default()
 	}
@@ -97,17 +87,16 @@ func New(opts Options) *Grid {
 		opts.Fault.SetObs(opts.Obs)
 	}
 	return &Grid{
-		admin:            opts.Admin,
-		clock:            opts.Clock,
-		net:              opts.Network,
-		meter:            sim.NewMeter(),
-		ns:               namespace.New(opts.Admin),
-		prov:             opts.Provenance,
-		bus:              NewBus(),
-		obs:              opts.Obs,
-		checksumOnIngest: cs,
-		resources:        make(map[string]*vfs.Resource),
-		fault:            opts.Fault,
+		admin:     opts.Admin,
+		clock:     opts.Clock,
+		net:       opts.Network,
+		meter:     sim.NewMeter(),
+		ns:        namespace.New(opts.Admin),
+		prov:      opts.Provenance,
+		bus:       NewBus(),
+		obs:       opts.Obs,
+		resources: make(map[string]*vfs.Resource),
+		fault:     opts.Fault,
 	}
 }
 

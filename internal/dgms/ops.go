@@ -100,17 +100,15 @@ func (g *Grid) Ingest(user, path string, size int64, data []byte, resource strin
 		}
 		g.clock.Sleep(d)
 		g.meter.Charge(res.Name(), d)
-		rep := namespace.Replica{Resource: resource, PhysicalID: id, StoredAt: g.clock.Now()}
-		if g.checksumOnIngest {
-			sum, cd, err := res.Checksum(id)
-			if err != nil {
-				return err
-			}
-			g.clock.Sleep(cd)
-			g.meter.Charge(res.Name(), cd)
-			rep.Checksum = sum
+		sum, cd, err := res.Checksum(id)
+		if err != nil {
+			return err
 		}
-		return g.ns.AddReplica(clean, rep)
+		g.clock.Sleep(cd)
+		g.meter.Charge(res.Name(), cd)
+		return g.ns.AddReplica(clean, namespace.Replica{
+			Resource: resource, PhysicalID: id, StoredAt: g.clock.Now(), Checksum: sum,
+		})
 	})
 	if err != nil {
 		g.recordErr(user, "ingest", path, err)
@@ -354,7 +352,7 @@ func (g *Grid) Migrate(user, path, fromResource, toResource string) error {
 // on top of their existing physical storage resources without any
 // changes to the existing system". The physical object (by physID)
 // must exist on the resource; its size is taken from the store and a
-// digest is recorded when ChecksumOnIngest is on.
+// digest is recorded, as on every ingest.
 func (g *Grid) RegisterInPlace(user, path, resource, physID string) error {
 	res, err := g.Resource(resource)
 	if err != nil {
@@ -383,16 +381,14 @@ func (g *Grid) RegisterInPlace(user, path, resource, physID string) error {
 			return err
 		}
 		rep := namespace.Replica{Resource: resource, PhysicalID: strings.Clone(physID), StoredAt: g.clock.Now()}
-		if g.checksumOnIngest {
-			sum, cd, err := res.Checksum(physID)
-			if err != nil {
-				_ = g.ns.Remove(path)
-				return err
-			}
-			g.clock.Sleep(cd)
-			g.meter.Charge(res.Name(), cd)
-			rep.Checksum = sum
+		sum, cd, err := res.Checksum(physID)
+		if err != nil {
+			_ = g.ns.Remove(path)
+			return err
 		}
+		g.clock.Sleep(cd)
+		g.meter.Charge(res.Name(), cd)
+		rep.Checksum = sum
 		if err := g.ns.AddReplica(path, rep); err != nil {
 			_ = g.ns.Remove(path)
 			return err

@@ -68,7 +68,7 @@ func E13Federation(s Scale) (*Report, error) {
 	r.Note("workload: %d flows × %d parallel subflows × %d sleep(%s) steps; per-peer subflow concurrency %d (admission capacity = federation local slots)",
 		parents, subflows, steps, stepSleep, capacity)
 	r.Note("placement: round-robin for scale-out (deterministic spread); failover pins peer B then falls back least-loaded")
-	r.Note("failover run: peer B's server is torn down with the delegation in flight; the delegating peer quarantines B and re-places the subflow")
+	r.Note("failover run: peer B's server and registry link are torn down with the delegation in flight; the delegating peer quarantines B and re-places the subflow")
 	return r, nil
 }
 
@@ -89,13 +89,14 @@ type cluster struct {
 
 // newCluster stands up a lookup server plus n federated peers on
 // loopback TCP, each with its own grid, registry and engine. Heartbeats
-// are forced (Beat) so membership is deterministic, not timer-paced.
+// are forced (Peer.Beat) so membership is deterministic, not timer-paced.
 func newCluster(n, capacity int, policy scheduler.PlacementPolicy) (*cluster, error) {
 	cl := &cluster{lookup: wire.NewLookupServer()}
 	lookupAddr, err := cl.lookup.Listen("127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
+	var peers []*wire.Peer
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("fed%c", 'A'+i)
 		p, err := newFedPeer(name, lookupAddr, capacity, policy)
@@ -104,15 +105,43 @@ func newCluster(n, capacity int, policy scheduler.PlacementPolicy) (*cluster, er
 			return nil, err
 		}
 		cl.peers = append(cl.peers, p)
+		peers = append(peers, p.peer)
 	}
-	// Two rounds: first spreads registrations, second lets every peer see
-	// the completed roster.
+	beatAll(peers)
+	return cl, nil
+}
+
+// beatAll forces two membership ticks on every peer: the first round
+// spreads registrations (and releases what the ring moved away), the
+// second reads the completed roster (and claims what the first freed).
+func beatAll(peers []*wire.Peer) {
 	for range [2]int{} {
-		for _, p := range cl.peers {
-			p.fed.Beat()
+		for _, p := range peers {
+			_ = p.Beat()
 		}
 	}
-	return cl, nil
+}
+
+// beatEvery is a cluster's membership interval: a third of its registry
+// TTL, or once a minute without one, so that no tick lands inside a
+// measured phase or undoes a topology the harness imposed (funnelTo).
+func beatEvery(ttl time.Duration) time.Duration {
+	if ttl > 0 {
+		return ttl / 3
+	}
+	return time.Minute
+}
+
+// stillRegistered reports whether the registry lists p live, asked over
+// p's own registry link.
+func stillRegistered(p *wire.Peer) (bool, error) {
+	infos, err := p.Lookup().Peers()
+	for _, in := range infos {
+		if in.Name == p.Name {
+			return true, err
+		}
+	}
+	return false, err
 }
 
 func newFedPeer(name, lookupAddr string, capacity int, policy scheduler.PlacementPolicy) (*fedPeer, error) {
@@ -123,14 +152,13 @@ func newFedPeer(name, lookupAddr string, capacity int, policy scheduler.Placemen
 		return nil, err
 	}
 	e := matrix.NewEngineConfig(g, matrix.Config{IDPrefix: name + ":", MaxParallel: 64})
-	p := wire.NewPeerConfig(name, e, wire.ServerConfig{MaxInflight: capacity})
+	p := wire.NewPeerConfig(name, e, wire.ServerConfig{MaxInflight: capacity, HeartbeatInterval: 50 * time.Millisecond})
 	if _, err := p.Start("127.0.0.1:0", lookupAddr); err != nil {
 		return nil, err
 	}
 	fed := federation.New(p, federation.Config{
-		Policy:            policy,
-		HeartbeatInterval: 50 * time.Millisecond,
-		Backoff:           20 * time.Millisecond,
+		Policy:  policy,
+		Backoff: 20 * time.Millisecond,
 	})
 	fed.Start()
 	return &fedPeer{name: name, reg: reg, grid: g, engine: e, peer: p, fed: fed}, nil
@@ -223,11 +251,13 @@ func runFailover(s Scale) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Crash B with the delegation in flight: stop its heartbeats, then
-	// tear down its server (connections die, no graceful unregister).
+	// Crash B with the delegation in flight: tear down its server and its
+	// registry link (connections die, heartbeats stop, no graceful
+	// unregister).
 	time.Sleep(crashAt)
 	b.fed.Close()
 	b.peer.Server().Close()
+	b.peer.Lookup().Close()
 	runErr := ex.Wait()
 	wall := time.Since(t0)
 

@@ -27,9 +27,10 @@ import (
 //   - Failover: the owner of half the key space is killed without
 //     drain. Submissions keyed to its shards must keep succeeding
 //     (accepted locally by the surviving peer) throughout, the
-//     survivor must take the leases over within the registry TTL, and
-//     none of the dead peer's completed flows may be re-executed —
-//     placement moves, history does not ("no replay from genesis").
+//     survivor's own membership loop must take the leases over within
+//     the registry TTL while keeping itself registered, and none of the
+//     dead peer's completed flows may be re-executed — placement moves,
+//     history does not ("no replay from genesis").
 func E15Shard(s Scale) (*Report, error) {
 	rep, err := runShard(s)
 	if err != nil {
@@ -55,7 +56,7 @@ func E15Shard(s Scale) (*Report, error) {
 	r.Note("workload: %d sync flows per phase, one %gms sleep step each; %d shards; per-peer admission %d, %d submit workers per peer (workers < admission so two-slot routed submissions cannot deadlock)",
 		rep.flowsPerPhase, rep.stepMs, rep.shards, rep.capacity, rep.workersPerPeer)
 	r.Note("single-owner row: same 4-peer network and offered load, every shard leased to peer 1 — throughput collapses to that peer's admission capacity")
-	r.Note("failover: owner killed without drain; lease takeover bounded by the registry TTL (%gms here); submissions during the window fall back to local accepts (shard_routes_total{outcome=failover})",
+	r.Note("failover: owner killed without drain (server and registry link); the survivor's membership loop, beating at a third of the registry TTL (%gms here), takes the leases over once the TTL evicts the dead owner; submissions during the window fall back to local accepts (shard_routes_total{outcome=failover})",
 		rep.failoverTTLMs)
 	return r, nil
 }
@@ -80,6 +81,7 @@ type shardReport struct {
 	// (bounded by failoverTTLMs, the registry TTL of the run).
 	failoverMs, failoverTTLMs float64
 	takeoverOwned             bool
+	survivorRegistered        bool // the registry lists the survivor after the takeover
 	acceptedDuringFailover    int
 	failoverSubmitErrors      int
 	// replayedFromGenesis counts the dead owner's completed flows found
@@ -88,13 +90,17 @@ type shardReport struct {
 }
 
 // check returns an error naming the first broken failover invariant:
-// the survivor must hold the dead owner's lease, any-peer submit must
-// have stayed available throughout, and placement moves while history
-// does not.
+// the survivor must hold the dead owner's lease and still be
+// registered, any-peer submit must have stayed available throughout,
+// and placement moves while history does not.
 func (rep *shardReport) check() error {
 	if !rep.takeoverOwned {
 		return fmt.Errorf("E15: survivor never took over the dead owner's shard lease (waited %.0fms, TTL %.0fms)",
 			rep.failoverMs, rep.failoverTTLMs)
+	}
+	if !rep.survivorRegistered {
+		return fmt.Errorf("E15: survivor_registered false: the registry evicted the survivor by the takeover (TTL %.0fms)",
+			rep.failoverTTLMs)
 	}
 	if rep.failoverSubmitErrors > 0 {
 		return fmt.Errorf("E15: failover_submit_errors %d during the takeover window (any-peer submit must stay available)",
@@ -184,9 +190,9 @@ type shardCluster struct {
 }
 
 // newShardCluster stands up a shard-lease lookup plus n sharded peers
-// on loopback TCP and settles ring ownership deterministically (two
-// rebalance rounds, no heartbeat timers). ttl > 0 arms registry
-// eviction for the failover run.
+// on loopback TCP and settles ring ownership deterministically
+// (beatAll). ttl > 0 arms registry eviction for the failover run and
+// sets the membership interval (beatEvery).
 func newShardCluster(n int, rep *shardReport, ttl time.Duration) (*shardCluster, error) {
 	cl := &shardCluster{lookup: wire.NewLookupServer()}
 	cl.lookup.SetShards(rep.shards)
@@ -197,19 +203,21 @@ func newShardCluster(n int, rep *shardReport, ttl time.Duration) (*shardCluster,
 	if err != nil {
 		return nil, err
 	}
+	var peers []*wire.Peer
 	for i := 0; i < n; i++ {
-		p, err := newShardPeer(fmt.Sprintf("shard%c", 'A'+i), lookupAddr, rep)
+		p, err := newShardPeer(fmt.Sprintf("shard%c", 'A'+i), lookupAddr, rep, beatEvery(ttl))
 		if err != nil {
 			cl.close()
 			return nil, err
 		}
 		cl.peers = append(cl.peers, p)
+		peers = append(peers, p.peer)
 	}
-	cl.settle()
+	beatAll(peers)
 	return cl, nil
 }
 
-func newShardPeer(name, lookupAddr string, rep *shardReport) (*shardPeer, error) {
+func newShardPeer(name, lookupAddr string, rep *shardReport, beat time.Duration) (*shardPeer, error) {
 	// Real clock: the sleep step must consume wall time for admission
 	// capacity to be the resource that scales with peers.
 	g, reg, err := newRealGrid(name)
@@ -217,7 +225,7 @@ func newShardPeer(name, lookupAddr string, rep *shardReport) (*shardPeer, error)
 		return nil, err
 	}
 	e := matrix.NewEngineConfig(g, matrix.Config{IDPrefix: name + ":", MaxParallel: 64})
-	p := wire.NewPeerConfig(name, e, wire.ServerConfig{MaxInflight: rep.capacity})
+	p := wire.NewPeerConfig(name, e, wire.ServerConfig{MaxInflight: rep.capacity, HeartbeatInterval: beat})
 	p.EnableSharding(shard.NewManager(shard.Config{
 		Self:   name,
 		Shards: rep.shards,
@@ -231,21 +239,6 @@ func newShardPeer(name, lookupAddr string, rep *shardReport) (*shardPeer, error)
 		return nil, err
 	}
 	return &shardPeer{name: name, reg: reg, engine: e, peer: p}, nil
-}
-
-// settle runs two rebalance rounds over the full roster: the first
-// releases what the ring moved away, the second claims what the first
-// freed.
-func (cl *shardCluster) settle() {
-	var names []string
-	for _, p := range cl.peers {
-		names = append(names, p.name)
-	}
-	for range [2]int{} {
-		for _, p := range cl.peers {
-			p.peer.RebalanceShards(names)
-		}
-	}
 }
 
 // funnelTo re-leases every shard to one peer — the single-owner
@@ -390,8 +383,10 @@ func runShardFailover(s Scale, rep *shardReport) error {
 	}
 	cb.Close()
 
-	// Kill B without drain: server down, leases left live until the TTL.
+	// Kill B without drain: server and registry link down, so its loop
+	// renews nothing and its leases stay live until the TTL.
 	b.peer.Server().Close()
+	b.peer.Lookup().Close()
 
 	// A flow name keyed to a B-owned shard keeps being submitted through
 	// A until A holds the lease. Every submission must succeed — the
@@ -418,6 +413,8 @@ func runShardFailover(s Scale, rep *shardReport) error {
 	sh := a.peer.ShardManager().ShardOf(wire.RoutingKey("user", victim))
 	t0 := time.Now()
 	deadline := t0.Add(ttl + 5*time.Second)
+	// A's own membership loop takes the lease over; until it does, the
+	// victim's submissions keep coming.
 	for !a.peer.ShardManager().Owns(sh) {
 		if time.Now().After(deadline) {
 			break
@@ -430,12 +427,12 @@ func runShardFailover(s Scale, rep *shardReport) error {
 		} else {
 			rep.acceptedDuringFailover++
 		}
-		// The federation heartbeat would drive this; here it ticks inline.
-		a.peer.RebalanceShards([]string{a.name})
-		time.Sleep(20 * time.Millisecond)
 	}
 	rep.failoverMs = float64(time.Since(t0)) / float64(time.Millisecond)
 	rep.takeoverOwned = a.peer.ShardManager().Owns(sh)
+	if rep.survivorRegistered, err = stillRegistered(a.peer); err != nil {
+		return err
+	}
 
 	// History stayed where it was: none of B's completed flows run on A.
 	for _, id := range warmIDs {

@@ -56,7 +56,7 @@ func E16Replica(s Scale) (*Report, error) {
 	r.Row("catch-up", "snapshots shipped", fmt.Sprintf("%d", rep.snapshotsShipped))
 	r.Note("workload: %d sync flows per submit phase, one %gms sleep step each; %d shards; quorum ack to %d follower(s)",
 		rep.flowsPerPhase, rep.stepMs, rep.shards, rep.followers)
-	r.Note("takeover: owner killed without drain, its store abandoned (disk loss); survivor promotes the replica when the member set shrinks — acked flows resume from the follower's copy")
+	r.Note("takeover: owner killed without drain (server and registry link), its store abandoned (disk loss); the survivor's membership loop, beating at a third of the registry TTL, promotes the replica once the TTL evicts the owner — acked flows resume from the follower's copy")
 	return r, nil
 }
 
@@ -80,7 +80,8 @@ type replReport struct {
 	ackedLiveFlows, lostFlows int
 	promotedFlows             int64
 	// takeoverMs is kill → every acked flow present on the survivor.
-	takeoverMs float64
+	takeoverMs         float64
+	survivorRegistered bool // the registry lists the survivor after the takeover
 	// snapshotsShipped counts catch-up snapshots shipped to cold
 	// followers during the takeover phase. Its peers carry history from
 	// before the tap attached, so the first streamed frame is a gap and
@@ -89,7 +90,7 @@ type replReport struct {
 }
 
 // check returns an error naming the first broken replication invariant.
-// A replication bug is a data-loss bug, so all three are absolute.
+// A replication bug is a data-loss bug, so all of them are absolute.
 func (rep *replReport) check() error {
 	if rep.lostFlows > 0 {
 		return fmt.Errorf("E16: lost_flows %d of %d acknowledged live flows missing after promotion",
@@ -101,6 +102,9 @@ func (rep *replReport) check() error {
 	}
 	if rep.snapshotsShipped < 1 {
 		return fmt.Errorf("E16: snapshots_shipped 0 (the behind-follower catch-up path never ran)")
+	}
+	if !rep.survivorRegistered {
+		return fmt.Errorf("E16: survivor_registered false: the registry evicted the survivor by the takeover")
 	}
 	return nil
 }
@@ -206,19 +210,21 @@ func newReplCluster(n int, rep *replReport, ttl time.Duration, replicated bool, 
 	if err != nil {
 		return nil, err
 	}
+	var peers []*wire.Peer
 	for i := 0; i < n; i++ {
-		p, err := newReplPeer(fmt.Sprintf("repl%c", 'A'+i), lookupAddr, rep, replicated, history)
+		p, err := newReplPeer(fmt.Sprintf("repl%c", 'A'+i), lookupAddr, rep, replicated, history, beatEvery(ttl))
 		if err != nil {
 			cl.close()
 			return nil, err
 		}
 		cl.peers = append(cl.peers, p)
+		peers = append(peers, p.peer)
 	}
-	cl.settle()
+	beatAll(peers)
 	return cl, nil
 }
 
-func newReplPeer(name, lookupAddr string, rep *replReport, replicated bool, history int) (*replPeer, error) {
+func newReplPeer(name, lookupAddr string, rep *replReport, replicated bool, history int, beat time.Duration) (*replPeer, error) {
 	dir, err := os.MkdirTemp("", "e16-"+name+"-*")
 	if err != nil {
 		return nil, err
@@ -246,7 +252,7 @@ func newReplPeer(name, lookupAddr string, rep *replReport, replicated bool, hist
 		}
 	}
 	e.SetStore(st)
-	p := wire.NewPeerConfig(name, e, wire.ServerConfig{MaxInflight: rep.capacity})
+	p := wire.NewPeerConfig(name, e, wire.ServerConfig{MaxInflight: rep.capacity, HeartbeatInterval: beat})
 	p.EnableSharding(shard.NewManager(shard.Config{
 		Self:   name,
 		Shards: rep.shards,
@@ -269,18 +275,6 @@ func newReplPeer(name, lookupAddr string, rep *replReport, replicated bool, hist
 		return nil, err
 	}
 	return &replPeer{name: name, reg: reg, engine: e, peer: p, store: st, dir: dir}, nil
-}
-
-func (cl *replCluster) settle() {
-	var names []string
-	for _, p := range cl.peers {
-		names = append(names, p.name)
-	}
-	for range [2]int{} {
-		for _, p := range cl.peers {
-			p.peer.RebalanceShards(names)
-		}
-	}
 }
 
 func (cl *replCluster) close() {
@@ -398,8 +392,10 @@ func runReplTakeover(s Scale, rep *replReport) error {
 	// promotion.
 	rep.ackedLiveFlows = len(acked)
 
-	// Kill B without drain; its store is never reopened (disk loss).
+	// Kill B without drain: server and registry link down, so its loop
+	// renews nothing; its store is never reopened (disk loss).
 	b.peer.Server().Close()
+	b.peer.Lookup().Close()
 
 	t0 := time.Now()
 	present := func() int {
@@ -415,17 +411,15 @@ func runReplTakeover(s Scale, rep *replReport) error {
 		}
 		return n
 	}
-	// The federation heartbeat would drive this; here it ticks inline
-	// with the shrunken member set, exactly what TTL eviction yields.
+	// A's own membership loop promotes the replica once the TTL evicts B.
 	deadline = t0.Add(ttl + 10*time.Second)
-	for present() < len(acked) {
-		if time.Now().After(deadline) {
-			break
-		}
-		a.peer.RebalanceShards([]string{a.name})
-		time.Sleep(20 * time.Millisecond)
+	for present() < len(acked) && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
 	}
 	rep.takeoverMs = float64(time.Since(t0)) / float64(time.Millisecond)
+	if rep.survivorRegistered, err = stillRegistered(a.peer); err != nil {
+		return err
+	}
 	rep.lostFlows = len(acked) - present()
 	rep.promotedFlows = a.reg.Counter("repl_promoted_flows_total", "source", b.name).Value()
 	rep.snapshotsShipped = b.reg.Counter("repl_snapshots_shipped_total").Value() +

@@ -25,7 +25,7 @@ func baseShard() shardReport {
 		shards: 32, capacity: 12, workersPerPeer: 6, flowsPerPhase: 120, stepMs: 4,
 		speedup2: 1.73, speedup4: 2.57, speedupVsSingleOwner: 1.34,
 		failoverMs: 327, failoverTTLMs: 300,
-		takeoverOwned: true, acceptedDuringFailover: 15,
+		takeoverOwned: true, survivorRegistered: true, acceptedDuringFailover: 15,
 		failoverSubmitErrors: 0, replayedFromGenesis: 0,
 	}
 }
@@ -35,7 +35,7 @@ func baseRepl() replReport {
 		followers: 1, shards: 16, capacity: 16, workersPerPeer: 8, flowsPerPhase: 800, stepMs: 4,
 		quorumOverheadFrac: 0.117,
 		ackedLiveFlows:     6, lostFlows: 0, promotedFlows: 6,
-		takeoverMs: 22.9, snapshotsShipped: 1,
+		takeoverMs: 22.9, snapshotsShipped: 1, survivorRegistered: true,
 	}
 }
 
@@ -79,6 +79,7 @@ func TestInvariantsBite(t *testing.T) {
 
 		{"E15 baseline", func() error { r := baseShard(); return r.check() }, ""},
 		{"E15 lease not taken over", func() error { r := baseShard(); r.takeoverOwned = false; return r.check() }, "lease"},
+		{"E15 survivor evicted", func() error { r := baseShard(); r.survivorRegistered = false; return r.check() }, "survivor_registered"},
 		{"E15 submit errors", func() error { r := baseShard(); r.failoverSubmitErrors = 1; return r.check() }, "failover_submit_errors"},
 		{"E15 replayed from genesis", func() error { r := baseShard(); r.replayedFromGenesis = 1; return r.check() }, "replayed_from_genesis"},
 		{"E15 poor scaling is not an error", func() error { r := baseShard(); r.speedup4 = 1.2; return r.check() }, ""},
@@ -91,6 +92,7 @@ func TestInvariantsBite(t *testing.T) {
 			r.ackedLiveFlows, r.promotedFlows = 0, 0
 			return r.check()
 		}, ""},
+		{"E16 survivor evicted", func() error { r := baseRepl(); r.survivorRegistered = false; return r.check() }, "survivor_registered"},
 		{"E16 no snapshot shipped", func() error { r := baseRepl(); r.snapshotsShipped = 0; return r.check() }, "snapshots_shipped"},
 		{"E16 high overhead is not an error", func() error { r := baseRepl(); r.quorumOverheadFrac = 0.4; return r.check() }, ""},
 

@@ -5,12 +5,13 @@
 // (parallel branches, parallel foreach shards, stored-procedure calls)
 // delegated to other peers over the wire protocol's route frame, one
 // that names its parent node, with placement decided by a pluggable
-// scheduler policy fed by heartbeat load gossip, and ownership failing
-// over to a surviving peer when the executing peer dies mid-subflow.
+// scheduler policy fed by the load gossip of the peer's membership loop,
+// and ownership failing over to a surviving peer when the executing
+// peer dies mid-subflow.
 //
 // The package sits between internal/matrix (it implements
 // matrix.Delegator) and internal/wire (it speaks through wire.Peer's
-// pooled clients and heartbeats through the lookup registry). Protocol,
+// pooled clients and places over wire.Peer's Members). Protocol,
 // placement and failover semantics are specified in docs/FEDERATION.md;
 // metrics in docs/METRICS.md.
 package federation
@@ -36,9 +37,6 @@ import (
 type Config struct {
 	// Policy places delegated subflows. Default scheduler.LeastLoaded.
 	Policy scheduler.PlacementPolicy
-	// HeartbeatInterval paces lease renewal and load gossip against the
-	// lookup registry (wall clock). Default 5s.
-	HeartbeatInterval time.Duration
 	// MinSteps is the smallest subflow (by step count, recursive) worth
 	// delegating; smaller ones run inline in the parent. Default 1.
 	MinSteps int
@@ -60,27 +58,25 @@ type Config struct {
 	LocalSlots int
 	// DeadFor quarantines a peer after a transport failure: it is not
 	// offered to placement again until the window passes (its heartbeat
-	// re-registering it in the meantime). Default 3x HeartbeatInterval.
+	// re-registering it in the meantime). Default 3x the peer's interval.
 	DeadFor time.Duration
 }
 
-// Federation runs the delegation plane of one peer. Create with New,
-// wire in with Start, shut down with Close.
+// Federation runs the delegation plane of one peer, placing over the
+// peer's Members. Create with New, wire in with Start, shut down with
+// Close.
 type Federation struct {
 	peer *wire.Peer
 	cfg  Config
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	stopHB chan struct{}
-	hbWg   sync.WaitGroup
 	wg     sync.WaitGroup // in-flight delegations
 
 	localSlots chan struct{}
 
 	mu     sync.Mutex
 	closed bool
-	gossip []wire.PeerInfo
 	dead   map[string]time.Time // peer -> quarantined until
 }
 
@@ -88,9 +84,6 @@ type Federation struct {
 func New(peer *wire.Peer, cfg Config) *Federation {
 	if cfg.Policy == nil {
 		cfg.Policy = scheduler.LeastLoaded{}
-	}
-	if cfg.HeartbeatInterval <= 0 {
-		cfg.HeartbeatInterval = 5 * time.Second
 	}
 	if cfg.MinSteps <= 0 {
 		cfg.MinSteps = 1
@@ -108,12 +101,11 @@ func New(peer *wire.Peer, cfg Config) *Federation {
 		cfg.LocalSlots = peer.Server().Admission().Capacity()
 	}
 	if cfg.DeadFor <= 0 {
-		cfg.DeadFor = 3 * cfg.HeartbeatInterval
+		cfg.DeadFor = 3 * peer.HeartbeatInterval()
 	}
 	f := &Federation{
 		peer:       peer,
 		cfg:        cfg,
-		stopHB:     make(chan struct{}),
 		localSlots: make(chan struct{}, cfg.LocalSlots),
 		dead:       make(map[string]time.Time),
 	}
@@ -121,75 +113,12 @@ func New(peer *wire.Peer, cfg Config) *Federation {
 	return f
 }
 
-// Start attaches the federation to its engine (as the Delegator),
-// sends an immediate heartbeat, and begins the heartbeat loop. Call
-// after Peer.Start — heartbeats need the registered address.
+// Start attaches the federation to its engine as the Delegator and
+// forces one membership tick, so the first placement sees the peers
+// that joined since the peer started. Call after Peer.Start.
 func (f *Federation) Start() {
 	f.peer.Engine().SetDelegator(f)
-	f.beat()
-	f.hbWg.Add(1)
-	go f.heartbeatLoop()
-}
-
-// heartbeatLoop renews the peer's lookup lease with its load on every
-// tick, keeping the local gossip table fresh.
-func (f *Federation) heartbeatLoop() {
-	defer f.hbWg.Done()
-	t := time.NewTicker(f.cfg.HeartbeatInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			f.beat()
-		case <-f.stopHB:
-			return
-		}
-	}
-}
-
-// beat sends one heartbeat and refreshes the gossip table.
-func (f *Federation) beat() {
-	o := f.peer.Engine().Obs()
-	infos, err := f.peer.Heartbeat(f.load())
-	if err != nil {
-		o.Counter("federation_heartbeat_errors_total").Inc()
-		return
-	}
-	o.Counter("federation_heartbeats_total").Inc()
-	o.Gauge("federation_peers_alive").Set(int64(len(infos)))
-	f.mu.Lock()
-	f.gossip = infos
-	f.mu.Unlock()
-	// Sharded networks: the heartbeat doubles as the rebalance tick.
-	// Membership just refreshed, so re-derive the desired shard set and
-	// claim/drain the difference — this is how ownership fails over to
-	// surviving peers after a death and spreads back out after a join.
-	if f.peer.ShardManager() != nil {
-		members := make([]string, 0, len(infos))
-		for _, info := range infos {
-			members = append(members, info.Name)
-		}
-		f.peer.RebalanceShards(members)
-	}
-}
-
-// load snapshots this peer's self-reported figures: admission pool
-// state, running executions, hosted resources — the gossip other peers
-// rank it by.
-func (f *Federation) load() scheduler.PeerLoad {
-	adm := f.peer.Server().Admission()
-	eng := f.peer.Engine()
-	var resources []string
-	for _, r := range eng.Grid().Resources() {
-		resources = append(resources, r.Name())
-	}
-	return scheduler.PeerLoad{
-		Inflight:  int64(adm.Inflight()),
-		Queued:    int64(adm.Waiting()),
-		Running:   eng.Obs().Gauge("matrix_executions_running").Value(),
-		Capacity:  int64(adm.Capacity()),
-		Resources: resources,
-	}
+	_ = f.peer.Beat()
 }
 
 // candidates builds the placement slate: this peer (with live local
@@ -197,8 +126,8 @@ func (f *Federation) load() scheduler.PeerLoad {
 // already tried.
 func (f *Federation) candidates(tried map[string]bool) []scheduler.Candidate {
 	now := time.Now()
+	gossip := f.peer.Members()
 	f.mu.Lock()
-	gossip := f.gossip
 	var out []scheduler.Candidate
 	seenSelf := false
 	for _, info := range gossip {
@@ -216,7 +145,7 @@ func (f *Federation) candidates(tried map[string]bool) []scheduler.Candidate {
 	}
 	f.mu.Unlock()
 	if (seenSelf || len(gossip) == 0) && !tried[f.peer.Name] {
-		out = append(out, scheduler.Candidate{Name: f.peer.Name, Load: f.load()})
+		out = append(out, scheduler.Candidate{Name: f.peer.Name, Load: f.peer.Load()})
 	}
 	return out
 }
@@ -404,17 +333,12 @@ func (f *Federation) runLocal(ctx context.Context, req matrix.DelegateRequest) (
 	}, nil
 }
 
-// Beat forces one immediate heartbeat/gossip refresh — tests and
-// experiments use it to synchronize membership deterministically
-// instead of sleeping through HeartbeatInterval.
-func (f *Federation) Beat() { f.beat() }
-
 // Close shuts the federation down deterministically: new delegations
 // decline to local/inline immediately; in-flight ones get DrainGrace to
 // finish, then are cancelled (a serving peer cancels its run when the
-// hop's connection ends or it closes itself); the heartbeat loop stops.
-// The peer itself is not closed — callers own that ordering (federation
-// first, then peer).
+// hop's connection ends or it closes itself). The peer itself, and its
+// membership loop, are not closed — callers own that ordering
+// (federation first, then peer).
 func (f *Federation) Close() {
 	f.mu.Lock()
 	if f.closed {
@@ -424,7 +348,6 @@ func (f *Federation) Close() {
 	f.closed = true
 	f.mu.Unlock()
 	f.peer.Engine().SetDelegator(nil)
-	close(f.stopHB)
 	done := make(chan struct{})
 	go func() { f.wg.Wait(); close(done) }()
 	select {
@@ -434,5 +357,4 @@ func (f *Federation) Close() {
 		<-done
 	}
 	f.cancel()
-	f.hbWg.Wait()
 }

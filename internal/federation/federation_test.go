@@ -58,12 +58,12 @@ func newTestPeer(t *testing.T, name, lookupAddr string, scfg wire.ServerConfig, 
 	return &testPeer{name: name, reg: reg, grid: g, eng: e, peer: p, fed: fed}
 }
 
-// sync lets every peer see the completed roster: one round to gossip
-// registrations, one to read everyone else's.
+// syncBeats lets every peer see the completed roster: one round to
+// gossip registrations, one to read everyone else's.
 func syncBeats(peers ...*testPeer) {
 	for range [2]int{} {
 		for _, p := range peers {
-			p.fed.Beat()
+			_ = p.peer.Beat()
 		}
 	}
 }
@@ -107,16 +107,13 @@ func delegations(p *testPeer, peerName string) int64 {
 // delegated ones resolve to peer-B execution ids.
 func TestFederationSpreadsSubflows(t *testing.T) {
 	lookup := startLookup(t)
-	a := newTestPeer(t, "fedA", lookup, wire.ServerConfig{MaxInflight: 4},
-		Config{Policy: &scheduler.RoundRobin{}, HeartbeatInterval: time.Minute})
-	b := newTestPeer(t, "fedB", lookup, wire.ServerConfig{MaxInflight: 4},
-		Config{Policy: &scheduler.RoundRobin{}, HeartbeatInterval: time.Minute})
+	a := newTestPeer(t, "fedA", lookup, wire.ServerConfig{MaxInflight: 4, HeartbeatInterval: time.Minute},
+		Config{Policy: &scheduler.RoundRobin{}})
+	b := newTestPeer(t, "fedB", lookup, wire.ServerConfig{MaxInflight: 4, HeartbeatInterval: time.Minute},
+		Config{Policy: &scheduler.RoundRobin{}})
 	syncBeats(a, b)
 
-	a.fed.mu.Lock()
-	gossip := append([]wire.PeerInfo(nil), a.fed.gossip...)
-	a.fed.mu.Unlock()
-	if len(gossip) != 2 {
+	if gossip := a.peer.Members(); len(gossip) != 2 {
 		t.Fatalf("gossip = %+v", gossip)
 	}
 	ex, err := a.eng.Start("user", fanout(4, 2))
@@ -158,10 +155,10 @@ func TestFederationSpreadsSubflows(t *testing.T) {
 // failover visible in metrics and provenance.
 func TestFederationCrashFailover(t *testing.T) {
 	lookup := startLookup(t)
-	a := newTestPeer(t, "fedA", lookup, wire.ServerConfig{MaxInflight: 4},
-		Config{Policy: &pinTo{target: "fedB"}, HeartbeatInterval: time.Minute, Backoff: 10 * time.Millisecond})
-	b := newTestPeer(t, "fedB", lookup, wire.ServerConfig{MaxInflight: 4, DelegateGrace: 50 * time.Millisecond},
-		Config{HeartbeatInterval: time.Minute})
+	a := newTestPeer(t, "fedA", lookup, wire.ServerConfig{MaxInflight: 4, HeartbeatInterval: time.Minute},
+		Config{Policy: &pinTo{target: "fedB"}, Backoff: 10 * time.Millisecond})
+	b := newTestPeer(t, "fedB", lookup, wire.ServerConfig{MaxInflight: 4, DelegateGrace: 50 * time.Millisecond, HeartbeatInterval: time.Minute},
+		Config{})
 
 	// The subflow's first step blocks on B (and only B) until released;
 	// on A it completes immediately, so the failover re-run succeeds.
@@ -195,9 +192,11 @@ func TestFederationCrashFailover(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("delegation never reached fedB")
 	}
-	// Crash B: heartbeats stop, server torn down, no graceful unregister.
+	// Crash B: server and registry link torn down (its heartbeats stop),
+	// no graceful unregister.
 	b.fed.Close()
 	b.peer.Server().Close()
+	b.peer.Lookup().Close()
 
 	if err := ex.Wait(); err != nil {
 		t.Fatalf("flow did not survive peer crash: %v", err)
@@ -224,8 +223,8 @@ func TestFederationCrashFailover(t *testing.T) {
 // answer ErrDelegateLocal so the engine runs them inline.
 func TestFederationMinStepsDeclines(t *testing.T) {
 	lookup := startLookup(t)
-	a := newTestPeer(t, "minA", lookup, wire.ServerConfig{MaxInflight: 4},
-		Config{MinSteps: 3, HeartbeatInterval: time.Minute})
+	a := newTestPeer(t, "minA", lookup, wire.ServerConfig{MaxInflight: 4, HeartbeatInterval: time.Minute},
+		Config{MinSteps: 3})
 
 	small := dgl.NewFlow("small").Step("s", dgl.Op(dgl.OpNoop, nil)).Flow()
 	if _, err := a.fed.Delegate(context.Background(), matrix.DelegateRequest{
@@ -248,8 +247,8 @@ func TestFederationMinStepsDeclines(t *testing.T) {
 // answers ErrDelegateLocal.
 func TestFederationCloseDrains(t *testing.T) {
 	lookup := startLookup(t)
-	a := newTestPeer(t, "drainA", lookup, wire.ServerConfig{MaxInflight: 4},
-		Config{HeartbeatInterval: time.Minute, DrainGrace: 2 * time.Second})
+	a := newTestPeer(t, "drainA", lookup, wire.ServerConfig{MaxInflight: 4, HeartbeatInterval: time.Minute},
+		Config{DrainGrace: 2 * time.Second})
 
 	release := make(chan struct{})
 	entered := make(chan struct{}, 1)
@@ -301,8 +300,8 @@ func TestFederationCloseDrains(t *testing.T) {
 // delegation outlives DrainGrace, Close cancels it and still returns.
 func TestFederationCloseCancelsStuckDelegation(t *testing.T) {
 	lookup := startLookup(t)
-	a := newTestPeer(t, "stuckA", lookup, wire.ServerConfig{MaxInflight: 4},
-		Config{HeartbeatInterval: time.Minute, DrainGrace: 100 * time.Millisecond})
+	a := newTestPeer(t, "stuckA", lookup, wire.ServerConfig{MaxInflight: 4, HeartbeatInterval: time.Minute},
+		Config{DrainGrace: 100 * time.Millisecond})
 	release := make(chan struct{})
 	t.Cleanup(func() { close(release) })
 	entered := make(chan struct{}, 1)
@@ -343,24 +342,30 @@ func TestFederationCloseCancelsStuckDelegation(t *testing.T) {
 	}
 }
 
-// TestFederationHeartbeatErrors: a dead lookup turns beats into counted
-// errors instead of panics or stale success.
+// TestFederationHeartbeatErrors: a dead lookup turns the peer's beats
+// into counted errors instead of panics or stale success, and the
+// federation keeps placing over the last good gossip.
 func TestFederationHeartbeatErrors(t *testing.T) {
 	ls := wire.NewLookupServer()
 	addr, err := ls.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := newTestPeer(t, "hbA", addr, wire.ServerConfig{MaxInflight: 4},
-		Config{HeartbeatInterval: time.Minute})
-	before := a.reg.Counter("federation_heartbeats_total").Value()
+	a := newTestPeer(t, "hbA", addr, wire.ServerConfig{MaxInflight: 4, HeartbeatInterval: time.Minute},
+		Config{})
+	before := a.reg.Counter("wire_peer_heartbeats_total").Value()
 	ls.Close()
-	a.fed.Beat()
-	if a.reg.Counter("federation_heartbeat_errors_total").Value() == 0 {
+	if err := a.peer.Beat(); err == nil {
+		t.Error("beat against dead lookup succeeded")
+	}
+	if a.reg.Counter("wire_peer_heartbeat_errors_total").Value() == 0 {
 		t.Error("heartbeat against dead lookup not counted as error")
 	}
-	if got := a.reg.Counter("federation_heartbeats_total").Value(); got != before {
+	if got := a.reg.Counter("wire_peer_heartbeats_total").Value(); got != before {
 		t.Errorf("successful-beat counter moved on failure: %d -> %d", before, got)
+	}
+	if cands := a.fed.candidates(map[string]bool{}); len(cands) != 1 || cands[0].Name != "hbA" {
+		t.Errorf("slate after a failed beat = %+v, want hbA alone", cands)
 	}
 }
 
@@ -381,11 +386,12 @@ func TestFederationNoGoroutineLeak(t *testing.T) {
 			reg := obs.NewRegistry()
 			g := dgms.New(dgms.Options{Obs: reg})
 			e := matrix.NewEngineConfig(g, matrix.Config{IDPrefix: fmt.Sprintf("lk%d:", i), MaxParallel: 16})
-			p := wire.NewPeerConfig(fmt.Sprintf("lk%d", i), e, wire.ServerConfig{MaxInflight: 4})
+			p := wire.NewPeerConfig(fmt.Sprintf("lk%d", i), e,
+				wire.ServerConfig{MaxInflight: 4, HeartbeatInterval: 20 * time.Millisecond})
 			if _, err := p.Start("127.0.0.1:0", addr); err != nil {
 				t.Fatal(err)
 			}
-			fed := New(p, Config{Policy: &scheduler.RoundRobin{}, HeartbeatInterval: 20 * time.Millisecond})
+			fed := New(p, Config{Policy: &scheduler.RoundRobin{}})
 			fed.Start()
 			peers = append(peers, &testPeer{name: p.Name, reg: reg, grid: g, eng: e, peer: p, fed: fed})
 		}
@@ -428,7 +434,7 @@ func newVdataTestPeer(t *testing.T, name, lookupAddr string, fcfg Config) *testP
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := wire.NewPeerConfig(name, e, wire.ServerConfig{MaxInflight: 4})
+	p := wire.NewPeerConfig(name, e, wire.ServerConfig{MaxInflight: 4, HeartbeatInterval: time.Minute})
 	p.EnableVdata(cat)
 	if _, err := p.Start("127.0.0.1:0", lookupAddr); err != nil {
 		t.Fatal(err)
@@ -455,9 +461,9 @@ func pureSubParent() dgl.Flow {
 func TestFederationVdataLocalityRoutesToHolder(t *testing.T) {
 	lookup := startLookup(t)
 	a := newVdataTestPeer(t, "vdA", lookup,
-		Config{Policy: scheduler.VdataLocality{}, HeartbeatInterval: time.Minute})
+		Config{Policy: scheduler.VdataLocality{}})
 	b := newVdataTestPeer(t, "vdB", lookup,
-		Config{Policy: scheduler.VdataLocality{}, HeartbeatInterval: time.Minute})
+		Config{Policy: scheduler.VdataLocality{}})
 	syncBeats(a, b)
 
 	// peerB computes (and announces) the derivation.
@@ -498,10 +504,10 @@ func TestFederationVdataLocalityRoutesToHolder(t *testing.T) {
 // peer that ran it is not quarantined.
 func TestFederationRemoteFlowFailureStays(t *testing.T) {
 	lookup := startLookup(t)
-	a := newTestPeer(t, "fedA", lookup, wire.ServerConfig{MaxInflight: 4},
-		Config{Policy: &pinTo{target: "fedB"}, HeartbeatInterval: time.Minute, Backoff: time.Millisecond})
-	b := newTestPeer(t, "fedB", lookup, wire.ServerConfig{MaxInflight: 4},
-		Config{HeartbeatInterval: time.Minute})
+	a := newTestPeer(t, "fedA", lookup, wire.ServerConfig{MaxInflight: 4, HeartbeatInterval: time.Minute},
+		Config{Policy: &pinTo{target: "fedB"}, Backoff: time.Millisecond})
+	b := newTestPeer(t, "fedB", lookup, wire.ServerConfig{MaxInflight: 4, HeartbeatInterval: time.Minute},
+		Config{})
 	var ranA, ranB atomic.Int64
 	b.eng.RegisterOp("fetch", func(c *matrix.OpContext) error {
 		ranB.Add(1)
@@ -540,4 +546,43 @@ func TestFederationRemoteFlowFailureStays(t *testing.T) {
 	if quarantined {
 		t.Error("the peer that ran the failing subflow was quarantined")
 	}
+}
+
+// TestFederationSlateFollowsPeerMembership: the federation has no
+// heartbeat of its own — its placement slate follows the peer's
+// membership loop, which sees a peer join and a peer leave.
+func TestFederationSlateFollowsPeerMembership(t *testing.T) {
+	lookup := startLookup(t)
+	fast := wire.ServerConfig{MaxInflight: 4, HeartbeatInterval: 20 * time.Millisecond}
+	a := newTestPeer(t, "memA", lookup, fast, Config{})
+	offered := func(name string) bool {
+		for _, c := range a.fed.candidates(map[string]bool{}) {
+			if c.Name == name {
+				return true
+			}
+		}
+		return false
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("slate never %s: %+v", what, a.fed.candidates(map[string]bool{}))
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	if offered("memB") {
+		t.Fatal("slate offers a peer that has not joined")
+	}
+	reg := obs.NewRegistry()
+	e := matrix.NewEngineConfig(dgms.New(dgms.Options{Obs: reg}), matrix.Config{IDPrefix: "memB:"})
+	b := wire.NewPeerConfig("memB", e, fast)
+	if _, err := b.Start("127.0.0.1:0", lookup); err != nil {
+		t.Fatal(err)
+	}
+	waitFor("saw memB join", func() bool { return offered("memB") })
+	b.Close() // unregisters
+	waitFor("saw memB leave", func() bool { return !offered("memB") })
 }

@@ -78,6 +78,10 @@ type Trigger struct {
 	Flow *dgl.Flow
 }
 
+// firingTail is how many of the latest activations Firings keeps; the
+// trigger_* counters count them all.
+const firingTail = 1024
+
 // Firing records one trigger activation for audit and experiments.
 type Firing struct {
 	Trigger string
@@ -97,7 +101,7 @@ type Manager struct {
 	mu       sync.Mutex
 	closed   bool
 	triggers map[string]*registered
-	firings  []Firing
+	firings  []Firing // the last firingTail activations, and up to as many older
 
 	queue chan work
 	wg    sync.WaitGroup
@@ -227,11 +231,21 @@ func (m *Manager) FireCount(name string) int64 {
 	return 0
 }
 
-// Firings returns a copy of the firing log.
+// Firings returns a copy of the firing log: the last firingTail
+// activations, oldest first.
 func (m *Manager) Firings() []Firing {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return append([]Firing(nil), m.firings...)
+	return append([]Firing(nil), m.firings[max(0, len(m.firings)-firingTail):]...)
+}
+
+// logFiring appends one activation, dropping the older half of the log
+// once it holds twice the tail. Caller holds m.mu.
+func (m *Manager) logFiring(f Firing) {
+	if len(m.firings) == 2*firingTail {
+		m.firings = append(m.firings[:0], m.firings[firingTail:]...)
+	}
+	m.firings = append(m.firings, f)
 }
 
 // eventEnv builds the expression environment for an event. Besides the
@@ -273,8 +287,7 @@ func (m *Manager) dispatch(reg *registered, ev dgms.Event) error {
 	reg.fired++
 	m.grid.Obs().Counter("trigger_firings_total", "trigger", reg.def.Name).Inc()
 	if reg.def.Phase == dgms.Before {
-		firing := Firing{Trigger: reg.def.Name, Event: ev, At: m.grid.Clock().Now(), Vetoed: reg.def.Veto}
-		m.firings = append(m.firings, firing)
+		m.logFiring(Firing{Trigger: reg.def.Name, Event: ev, At: m.grid.Clock().Now(), Vetoed: reg.def.Veto})
 		m.mu.Unlock()
 		if reg.def.Veto {
 			m.grid.Obs().Counter("trigger_vetoes_total", "trigger", reg.def.Name).Inc()
@@ -295,7 +308,7 @@ func (m *Manager) dispatch(reg *registered, ev dgms.Event) error {
 		m.grid.Obs().Counter("trigger_queue_drops_total").Inc()
 		m.mu.Lock()
 		m.pend--
-		m.firings = append(m.firings, Firing{
+		m.logFiring(Firing{
 			Trigger: reg.def.Name, Event: ev, At: m.grid.Clock().Now(),
 			Err: ErrQueueFull,
 		})
@@ -312,7 +325,7 @@ func (m *Manager) worker() {
 			m.grid.Obs().Counter("trigger_action_errors_total", "trigger", w.trig.def.Name).Inc()
 		}
 		m.mu.Lock()
-		m.firings = append(m.firings, Firing{
+		m.logFiring(Firing{
 			Trigger: w.trig.def.Name, Event: w.ev,
 			At: m.grid.Clock().Now(), Err: err,
 		})

@@ -11,6 +11,7 @@ import (
 	"datagridflow/internal/dgms"
 	"datagridflow/internal/matrix"
 	"datagridflow/internal/namespace"
+	"datagridflow/internal/obs"
 	"datagridflow/internal/vfs"
 )
 
@@ -494,5 +495,43 @@ func TestUnmatchedTriggerAllocs(t *testing.T) {
 	m.Flush()
 	if n := m.FireCount("rare"); n != 1 {
 		t.Errorf("FireCount = %d after one matching event, want 1", n)
+	}
+}
+
+// TestFiringLogKeepsTail: the firing log holds the last firingTail
+// activations, oldest first, while the counters count every one.
+func TestFiringLogKeepsTail(t *testing.T) {
+	reg := obs.NewRegistry()
+	g := dgms.New(dgms.Options{Obs: reg})
+	if err := g.RegisterResource(vfs.New("disk1", "sdsc", vfs.Disk, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.CreateCollectionAll(g.Admin(), "/grid/in"); err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(g, matrix.NewEngine(g), 1, 8)
+	t.Cleanup(m.Close)
+	if err := m.Define(Trigger{
+		Name: "audit", Owner: g.Admin(),
+		Events: []dgms.EventType{dgms.EventIngest}, Phase: dgms.Before,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const extra = 5
+	for i := 0; i < firingTail+extra; i++ {
+		if err := g.Ingest(g.Admin(), fmt.Sprintf("/grid/in/f%05d", i), 1, nil, "disk1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := m.Firings()
+	if len(f) != firingTail {
+		t.Fatalf("firing log holds %d, want %d", len(f), firingTail)
+	}
+	if first, last := f[0].Event.Path, f[len(f)-1].Event.Path; first != fmt.Sprintf("/grid/in/f%05d", extra) ||
+		last != fmt.Sprintf("/grid/in/f%05d", firingTail+extra-1) {
+		t.Errorf("log spans %s..%s, want the last %d activations", first, last, firingTail)
+	}
+	if n := reg.Counter("trigger_firings_total", "trigger", "audit").Value(); n != firingTail+extra {
+		t.Errorf("trigger_firings_total = %d, want %d", n, firingTail+extra)
 	}
 }

@@ -464,6 +464,10 @@ type Peer struct {
 	clients map[string]*Client
 	// credRenew is when the registry credential is next minted (registry).
 	credRenew time.Time
+	members   []PeerInfo // gossip of the last successful beat
+
+	beatMu             sync.Mutex    // serializes membership ticks
+	stopLoop, loopDone chan struct{} // end the membership loop; closed once it has
 }
 
 // NewPeer creates a peer over an engine. The engine should have been
@@ -604,17 +608,92 @@ func (p *Peer) Start(addr, lookupAddr string) (string, error) {
 			p.server.Engine().Obs().Counter("wire_vdata_announce_errors_total").Inc()
 		}
 	}
-	if p.shardMgr != nil {
-		// Take an initial position on the ring: one heartbeat learns the
-		// live member set and the current owner map, then a rebalance
-		// claims whatever the ring assigns us. Later heartbeats (the
-		// federation loop) keep it reconciled.
-		if infos, owners, err := lc.Heartbeat(p.Name, bound, scheduler.PeerLoad{}); err == nil {
-			p.shardMgr.SetOwners(owners)
-			p.RebalanceShards(infoNames(infos))
+	// The membership loop's first tick runs before Start returns, so a
+	// started peer has read the gossip and taken its place on the ring.
+	_ = p.Beat()
+	p.stopLoop, p.loopDone = make(chan struct{}), make(chan struct{})
+	go p.membership(p.server.cfg.HeartbeatInterval)
+	return bound, nil
+}
+
+// membership is the peer's membership loop: one Beat every interval
+// until Close, so a peer keeps its own registration, leases and
+// followers alive, whether or not a federation runs beside it.
+func (p *Peer) membership(interval time.Duration) {
+	defer close(p.loopDone)
+	t := time.NewTicker(interval)
+	defer t.Stop()
+	for {
+		select {
+		case <-t.C:
+			_ = p.Beat()
+		case <-p.stopLoop:
+			return
 		}
 	}
-	return bound, nil
+}
+
+// Beat runs one membership tick now: a heartbeat renews the peer's
+// registration and leases with its load and reads back the gossip
+// (Members); a sharded peer adopts the owner map it carried; then
+// RebalanceShards runs over the gossiped members. Tests and experiments
+// call Beat to settle membership without waiting for a tick.
+func (p *Peer) Beat() error {
+	if p.lookup == nil {
+		return errors.New("wire: peer not connected to a lookup server")
+	}
+	p.beatMu.Lock()
+	defer p.beatMu.Unlock()
+	o := p.server.Engine().Obs()
+	infos, owners, err := p.registry().Heartbeat(p.Name, p.addr, p.Load())
+	if err != nil {
+		o.Counter("wire_peer_heartbeat_errors_total").Inc()
+		return err
+	}
+	o.Counter("wire_peer_heartbeats_total").Inc()
+	o.Gauge("wire_peers_alive").Set(int64(len(infos)))
+	p.mu.Lock()
+	p.members = infos
+	p.mu.Unlock()
+	if p.shardMgr != nil {
+		p.shardMgr.SetOwners(owners)
+	}
+	names := make([]string, len(infos))
+	for i, in := range infos {
+		names[i] = in.Name
+	}
+	p.RebalanceShards(names)
+	return nil
+}
+
+// Members returns the live peers of the last successful beat, sorted by
+// name; the slice is shared, do not modify it.
+func (p *Peer) Members() []PeerInfo {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.members
+}
+
+// HeartbeatInterval returns the membership loop's interval.
+func (p *Peer) HeartbeatInterval() time.Duration { return p.server.cfg.HeartbeatInterval }
+
+// Load snapshots this peer's self-reported figures: admission pool
+// state, running executions, hosted resources — the gossip other peers
+// rank it by.
+func (p *Peer) Load() scheduler.PeerLoad {
+	adm := p.server.Admission()
+	eng := p.server.Engine()
+	var resources []string
+	for _, r := range eng.Grid().Resources() {
+		resources = append(resources, r.Name())
+	}
+	return scheduler.PeerLoad{
+		Inflight:  int64(adm.Inflight()),
+		Queued:    int64(adm.Waiting()),
+		Running:   eng.Obs().Gauge("matrix_executions_running").Value(),
+		Capacity:  int64(adm.Capacity()),
+		Resources: resources,
+	}
 }
 
 // Addr returns the peer's bound address (empty before Start).
@@ -626,37 +705,6 @@ func (p *Peer) Server() *Server { return p.server }
 // Lookup returns the peer's lookup registry connection (nil before
 // Start).
 func (p *Peer) Lookup() *Client { return p.lookup }
-
-// Heartbeat renews this peer's registration with its current load and
-// returns the registry's live-peer gossip. The federation layer calls
-// it on a timer (docs/FEDERATION.md).
-func (p *Peer) Heartbeat(load scheduler.PeerLoad) ([]PeerInfo, error) {
-	if p.lookup == nil {
-		return nil, errors.New("wire: peer not connected to a lookup server")
-	}
-	infos, owners, err := p.registry().Heartbeat(p.Name, p.addr, load)
-	if err != nil {
-		return nil, err
-	}
-	if p.shardMgr != nil {
-		// On a sharded network the same renewal round trip carries the
-		// live owner map back — adopt it so routing always follows the
-		// registry.
-		p.shardMgr.SetOwners(owners)
-	}
-	p.refreshReplication(infoNames(infos))
-	return infos, nil
-}
-
-// infoNames projects gossip rows to the bare member-name list follower
-// placement and promotion work over.
-func infoNames(infos []PeerInfo) []string {
-	names := make([]string, 0, len(infos))
-	for _, in := range infos {
-		names = append(names, in.Name)
-	}
-	return names
-}
 
 // OwnerOf extracts the peer name from an execution or node id
 // ("matrixA:dgf-000001/flow/step" → "matrixA"); ids without a prefix
@@ -781,10 +829,17 @@ func (p *Peer) clientFor(name string) (*Client, error) {
 	return c, nil
 }
 
-// Close shuts the peer down: server, lookup registration and connection,
-// and peer clients. Unregistering is best-effort — a crashed peer never
-// gets to; the TTL sweep covers it.
+// Close shuts the peer down: membership loop, shard drain, server,
+// lookup registration and connection, and peer clients. Unregistering
+// is best-effort — a crashed peer never gets to; the TTL sweep covers
+// it.
 func (p *Peer) Close() {
+	if p.stopLoop != nil {
+		// No tick may re-claim what the drain below releases.
+		close(p.stopLoop)
+		<-p.loopDone
+		p.stopLoop = nil
+	}
 	if p.shardMgr != nil && p.lookup != nil {
 		// Drain before the server stops: park tracked flows and release
 		// every owned lease so successors claim them immediately instead

@@ -237,12 +237,16 @@ func TestPeerHeartbeatAndDropClient(t *testing.T) {
 	}
 	defer peerB.Close()
 
-	infos, err := peerA.Heartbeat(scheduler.PeerLoad{Inflight: 1, Capacity: 4})
-	if err != nil {
+	if err := peerA.Beat(); err != nil {
 		t.Fatal(err)
 	}
+	infos := peerA.Members()
 	if len(infos) != 2 {
 		t.Fatalf("gossip = %+v", infos)
+	}
+	// The beat published the peer's own load: its admission capacity.
+	if infos[0].Name != "hbA" || infos[0].Load.Capacity != 64 {
+		t.Errorf("gossiped self = %+v, want hbA at capacity 64", infos[0])
 	}
 	// The pooled client has run its hello: it serves at once.
 	c, err := peerA.Client("hbB")
@@ -266,7 +270,7 @@ func TestPeerHeartbeatAndDropClient(t *testing.T) {
 	}
 	// Peer without a lookup cannot heartbeat.
 	solo := NewPeer("solo", newEngine(t, "solo:"))
-	if _, err := solo.Heartbeat(scheduler.PeerLoad{}); err == nil {
+	if err := solo.Beat(); err == nil {
 		t.Error("heartbeat without lookup accepted")
 	}
 	// Resolve-miss through the peer's client pool.

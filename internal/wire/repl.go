@@ -24,7 +24,7 @@ import (
 //   - replDeliver: the shared transport callback (sender sends, the
 //     receiver's chain hop forwards) over the pooled peer clients.
 //   - refreshReplication: follower placement + dead-owner promotion,
-//     driven from the same heartbeat/rebalance cycle as shard leases.
+//     driven from the same membership tick as shard leases (Beat).
 
 // ReplicationConfig configures EnableReplication.
 type ReplicationConfig struct {

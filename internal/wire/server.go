@@ -63,10 +63,8 @@ type ServerConfig struct {
 	// deterministic-shutdown budget for runs other peers wait on.
 	// Default 3s.
 	DelegateGrace time.Duration
-	// HeartbeatInterval paces a Peer's membership loop (wall clock):
-	// each tick renews its registration with its load, adopts the owner
-	// map, rebalances shards and places followers. Default 5s; keep it
-	// well under the registry's TTL. A bare Server ignores it.
+	// HeartbeatInterval paces a Peer's membership loop (Peer.Beat).
+	// Default 5s; keep it well under the registry's TTL.
 	HeartbeatInterval time.Duration
 }
 
@@ -141,6 +139,9 @@ func NewServerConfig(engine *matrix.Engine, cfg ServerConfig) *Server {
 	}
 	if cfg.DelegateGrace <= 0 {
 		cfg.DelegateGrace = 3 * time.Second
+	}
+	if cfg.HeartbeatInterval <= 0 {
+		cfg.HeartbeatInterval = 5 * time.Second
 	}
 	return &Server{
 		engine: engine,

@@ -23,8 +23,8 @@ import (
 //   - routeLease and routeServed: the Server hooks that are this peer's
 //     part of the terminal hop on the owning peer (Server.serveRoute).
 //   - resolveOwner: the "owner" control verb.
-//   - RebalanceShards: the claim → drain cycle, driven from the
-//     federation heartbeat.
+//   - RebalanceShards: the claim → drain cycle, driven from the peer's
+//     membership loop (Beat).
 //
 // Every availability edge falls back to accepting locally rather than
 // refusing the flow: an unassigned shard, an unreachable owner after
@@ -260,21 +260,20 @@ func (p *Peer) fillOwnerAddr(info *OwnerInfo) {
 }
 
 // RebalanceShards runs one claim → drain cycle over the live member
-// set (the federation heartbeat's gossip view): claim what the ring
-// assigns us, adopt the registry's owner map, and drain shards the
-// ring moved away — parking their tracked flows in the flow-state
-// store so only new submissions land on the new owner. Reports whether
-// the owned set changed.
+// set (a membership tick's gossip view): claim what the ring assigns
+// us, adopt the registry's owner map, and drain shards the ring moved
+// away — parking their tracked flows in the flow-state store so only
+// new submissions land on the new owner. Reports whether the owned set
+// changed.
 func (p *Peer) RebalanceShards(members []string) bool {
+	// Replication follows the same membership view, sharded or not:
+	// follower placement tracks the ring, and a vanished member's
+	// replica is promoted by its successor (repl.go).
+	defer p.refreshReplication(members)
 	mgr := p.shardMgr
 	if mgr == nil || p.lookup == nil {
 		return false
 	}
-	// Replication follows the same membership view: follower placement
-	// tracks the ring, and a vanished member's replica is promoted by
-	// its successor (repl.go) — the disk-loss half of the failover this
-	// claim/drain cycle handles the lease half of.
-	defer p.refreshReplication(members)
 	return mgr.Rebalance(members,
 		func(shards []int) (map[int]string, error) {
 			return p.registry().ClaimShards(p.Name, shards)

@@ -514,7 +514,7 @@ func TestLookupAuthGating(t *testing.T) {
 		t.Fatalf("peerB registration = %q / %v", got, err)
 	}
 	first := p.Lookup().Token()
-	if _, err := p.Heartbeat(scheduler.PeerLoad{}); err != nil || p.Lookup().Token() != first {
+	if err := p.Beat(); err != nil || p.Lookup().Token() != first {
 		t.Fatalf("heartbeat inside the credential's first half: %v, re-minted %v", err, p.Lookup().Token() != first)
 	}
 	// Forty minutes on, the next call finds the credential past half its
@@ -523,7 +523,7 @@ func TestLookupAuthGating(t *testing.T) {
 	p.mu.Lock()
 	p.credRenew = time.Now()
 	p.mu.Unlock()
-	if _, err := p.Heartbeat(scheduler.PeerLoad{}); err != nil || p.Lookup().Token() == first {
+	if err := p.Beat(); err != nil || p.Lookup().Token() == first {
 		t.Fatalf("heartbeat past the credential's half-life: %v, re-minted %v", err, p.Lookup().Token() != first)
 	}
 }
