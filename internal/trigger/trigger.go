@@ -101,7 +101,7 @@ type Manager struct {
 	mu       sync.Mutex
 	closed   bool
 	triggers map[string]*registered
-	firings  []Firing // the last firingTail activations, and up to as many older
+	firings  []Firing // newest last; at most 2*firingTail (logFiring)
 
 	queue chan work
 	wg    sync.WaitGroup

@@ -610,6 +610,7 @@ func (p *Peer) Start(addr, lookupAddr string) (string, error) {
 	}
 	// The membership loop's first tick runs before Start returns, so a
 	// started peer has read the gossip and taken its place on the ring.
+	// A failed tick is counted, and the loop's next one retries it.
 	_ = p.Beat()
 	p.stopLoop, p.loopDone = make(chan struct{}), make(chan struct{})
 	go p.membership(p.server.cfg.HeartbeatInterval)
