@@ -84,6 +84,7 @@ type fedPeer struct {
 
 type cluster struct {
 	lookup *wire.LookupServer
+	reg    *obs.Registry // the lookup server's: no cluster counts into obs.Default()
 	peers  []*fedPeer
 }
 
@@ -91,7 +92,8 @@ type cluster struct {
 // loopback TCP, each with its own grid, registry and engine. Heartbeats
 // are forced (Peer.Beat) so membership is deterministic, not timer-paced.
 func newCluster(n, capacity int, policy scheduler.PlacementPolicy) (*cluster, error) {
-	cl := &cluster{lookup: wire.NewLookupServer()}
+	cl := &cluster{lookup: wire.NewLookupServer(), reg: obs.NewRegistry()}
+	cl.lookup.SetObs(cl.reg)
 	lookupAddr, err := cl.lookup.Listen("127.0.0.1:0")
 	if err != nil {
 		return nil, err

@@ -186,6 +186,7 @@ type shardPeer struct {
 
 type shardCluster struct {
 	lookup *wire.LookupServer
+	reg    *obs.Registry // the lookup server's: no cluster counts into obs.Default()
 	peers  []*shardPeer
 }
 
@@ -194,7 +195,8 @@ type shardCluster struct {
 // (beatAll). ttl > 0 arms registry eviction for the failover run and
 // sets the membership interval (beatEvery).
 func newShardCluster(n int, rep *shardReport, ttl time.Duration) (*shardCluster, error) {
-	cl := &shardCluster{lookup: wire.NewLookupServer()}
+	cl := &shardCluster{lookup: wire.NewLookupServer(), reg: obs.NewRegistry()}
+	cl.lookup.SetObs(cl.reg)
 	cl.lookup.SetShards(rep.shards)
 	if ttl > 0 {
 		cl.lookup.SetTTL(ttl)

@@ -197,11 +197,13 @@ type replPeer struct {
 
 type replCluster struct {
 	lookup *wire.LookupServer
+	reg    *obs.Registry // the lookup server's: no cluster counts into obs.Default()
 	peers  []*replPeer
 }
 
 func newReplCluster(n int, rep *replReport, ttl time.Duration, replicated bool, history int) (*replCluster, error) {
-	cl := &replCluster{lookup: wire.NewLookupServer()}
+	cl := &replCluster{lookup: wire.NewLookupServer(), reg: obs.NewRegistry()}
+	cl.lookup.SetObs(cl.reg)
 	cl.lookup.SetShards(rep.shards)
 	if ttl > 0 {
 		cl.lookup.SetTTL(ttl)

@@ -319,6 +319,13 @@ func (e *Engine) SubmitTo(req *dgl.Request, sink dgl.ReplySink) (id string, err 
 	}
 	if req.Async {
 		go exec.run()
+		// The ack hands out an id that must survive a restart: it waits
+		// for the fsync the run waits for before its first step, and for
+		// no follower (store.Waits asks no quorum of exec.start).
+		if err := exec.started.Sync(); err != nil {
+			exec.Cancel()
+			return exec.ID, errUnrecorded(err)
+		}
 		sink.Ack(dgl.Ack{ID: exec.ID, Status: string(StatePending), Valid: true})
 		return exec.ID, nil
 	}
@@ -359,9 +366,9 @@ func (e *Engine) prepare(req *dgl.Request) (*execRun, error) {
 // begin is the one way a new execution comes to exist: it lowers
 // req.Flow unless the caller already has (p), admits the flow — the
 // store must be able to record it and the flow governor must charge it
-// — and registers its execution under a fresh id, not yet started. skip
-// carries a prior run's succeeded node ids. Nothing is registered when
-// it refuses.
+// — registers its execution under a fresh id, not yet started, and
+// writes its exec.start (writeStart). skip carries a prior run's
+// succeeded node ids. Nothing stays registered when it refuses.
 func (e *Engine) begin(req *dgl.Request, p *plan, skip map[string]bool) (*execRun, error) {
 	if p == nil {
 		var err error
@@ -375,7 +382,22 @@ func (e *Engine) begin(req *dgl.Request, p *plan, skip map[string]bool) (*execRu
 	}
 	exec := e.newExecution(req, skip, p)
 	exec.governed.Store(governed)
+	if err := exec.writeStart(); err != nil {
+		exec.endGoverned()
+		e.mu.Lock()
+		delete(e.execs, exec.ID)
+		n := len(e.execs)
+		e.mu.Unlock()
+		e.Obs().Gauge("store_resident").Set(int64(n))
+		return nil, errUnrecorded(err)
+	}
 	return exec, nil
+}
+
+// errUnrecorded refuses a flow whose exec.start the store could not
+// write or sync, with the class a poisoned store's refusal has.
+func errUnrecorded(err error) error {
+	return fmt.Errorf("%w: matrix: the flow-state store cannot record the flow: %v", dgferr.ErrResourceDown, err)
 }
 
 // Start validates and launches a flow asynchronously, returning the

@@ -53,32 +53,75 @@ func (e *Engine) Store() *store.Store {
 var errNoStore = fmt.Errorf("matrix: no store attached: %w", dgferr.ErrInvalid)
 
 // storeAppend stamps and writes one lifecycle record to the attached
-// store, returning errNoStore on a bare engine: callers that only log
-// progress ignore the error, as a run goes on without a store. A failed
-// write is counted — a dead store must not stop the engine, but it must
-// not die silently either: a restart would replay stale state.
+// store with the verb its type calls for (store.Waits): Append where the
+// writer waits for the fsync, Write where it does not (a step.done is
+// written and left to ride the next commit). It returns errNoStore on a
+// bare engine: callers that only log progress ignore the error, as a
+// run goes on without a store.
 func (e *Engine) storeAppend(rec store.Record) error {
-	st := e.Store()
-	if st == nil {
-		return errNoStore
-	}
-	rec.Time = e.Clock().Now()
-	if err := storeRecord(st, rec); err != nil {
-		e.Obs().Counter("store_append_errors_total").Inc()
-		return err
-	}
-	e.chargeRecord(&rec)
-	return nil
+	fsync, _ := store.Waits(rec.Type)
+	_, err := e.storeWrite(rec, fsync)
+	return err
 }
 
-// storeRecord writes rec to st with the verb its type calls for: Append
-// where the writer waits for the fsync, Write where it does not (a
-// step.done is written and left to ride the next commit).
-func storeRecord(st *store.Store, rec store.Record) error {
-	if fsync, _ := store.Waits(rec.Type); fsync {
-		return st.Append(rec)
+// storeWrite stamps and writes one lifecycle record to the attached
+// store, waiting for its sync when wait is set and otherwise returning
+// the ticket store.Wait takes. A failed write is counted — a dead store
+// must not stop the engine, but it must not die silently either: a
+// restart would replay stale state.
+func (e *Engine) storeWrite(rec store.Record, wait bool) (store.Ticket, error) {
+	st := e.Store()
+	if st == nil {
+		return store.Ticket{}, errNoStore
 	}
-	return st.Write(rec)
+	rec.Time = e.Clock().Now()
+	var t store.Ticket
+	var err error
+	if wait {
+		err = st.Append(rec)
+	} else {
+		t, err = st.Write(rec)
+	}
+	if err != nil {
+		e.Obs().Counter("store_append_errors_total").Inc()
+		return t, err
+	}
+	e.chargeRecord(&rec)
+	return t, nil
+}
+
+// writeStart writes the execution's exec.start, when a store is
+// attached, on the caller's goroutine and without waiting for its sync:
+// a caller that starts many flows shares their fsyncs. The record is
+// still the commit point store.Waits makes it — run waits on its ticket
+// before the first step (awaitStart), and an async acknowledgement for
+// its fsync before it is sent.
+func (ex *execRun) writeStart() error {
+	if ex.engine.Store() == nil {
+		return nil
+	}
+	// Encoding the request document is only worth paying for when a
+	// store will actually persist it.
+	t, err := ex.engine.storeWrite(store.Record{
+		Type: store.TypeExecStart, ID: ex.ID, Request: codec.RequestDoc(ex.req),
+	}, false)
+	ex.started = t
+	return err
+}
+
+// awaitStart returns once the exec.start writeStart wrote is durable,
+// indexed and handed to the replication tap, as an Append of it would
+// have: the run waits so before its first step.
+func (ex *execRun) awaitStart() error {
+	st := ex.engine.Store()
+	if st == nil {
+		return nil
+	}
+	if err := st.Wait(ex.started); err != nil {
+		ex.engine.Obs().Counter("store_append_errors_total").Inc()
+		return err
+	}
+	return nil
 }
 
 // snapshotRecord captures the execution's resumable state as one

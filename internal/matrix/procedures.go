@@ -120,6 +120,7 @@ func (e *Engine) CallProcedure(user, name string, args map[string]string) (*Exec
 	for k, v := range args {
 		exec.scope.Declare(k, expr.String(v))
 	}
+	_ = exec.writeStart() // counted; a call is not refused for it
 	exec.run()
 	return exec.Execution, nil
 }

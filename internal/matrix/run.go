@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"datagridflow/internal/codec"
 	"datagridflow/internal/dgferr"
 	"datagridflow/internal/dgl"
 	"datagridflow/internal/expr"
@@ -20,18 +19,13 @@ import (
 	"datagridflow/internal/store"
 )
 
-// run drives a new execution to a terminal state: it writes the
-// execution's exec.start record, when a store is attached, and then
-// runs it as resume does. It is called on the caller's goroutine for
-// synchronous requests and on a fresh goroutine for asynchronous ones.
+// run drives a new execution to a terminal state: it waits until the
+// exec.start its begin wrote is durable, so no step has an effect a
+// restart would not know the flow for, and then runs it as resume does.
+// It is called on the caller's goroutine for synchronous requests and on
+// a fresh goroutine for asynchronous ones.
 func (ex *execRun) run() {
-	if ex.engine.Store() != nil {
-		// Encoding the request document is only worth paying for when a
-		// store will actually persist it.
-		_ = ex.engine.storeAppend(store.Record{
-			Type: store.TypeExecStart, ID: ex.ID, Request: codec.RequestDoc(ex.req),
-		})
-	}
+	_ = ex.awaitStart() // counted; a failed store refuses the next flow
 	ex.resume()
 }
 

@@ -12,6 +12,7 @@ import (
 	"datagridflow/internal/codec"
 	"datagridflow/internal/dgferr"
 	"datagridflow/internal/dgl"
+	"datagridflow/internal/store"
 )
 
 // State is the lifecycle state of a flow or step node.
@@ -371,6 +372,10 @@ type execRun struct {
 	// delegating counts in-flight outbound delegations; PassivateIdle
 	// leaves such executions alone (a peer is working for them).
 	delegating atomic.Int64
+	// started is the ticket of the exec.start writeStart wrote: run
+	// waits on it (awaitStart), and an async acknowledgement for its
+	// fsync.
+	started store.Ticket
 	// restoreVars holds root-scope variables from a store snapshot,
 	// re-declared over the flow's variable block when the run starts.
 	restoreVars map[string]string

@@ -121,3 +121,31 @@ func TestPoisonedStoreRefusesSubmissions(t *testing.T) {
 		t.Errorf("the flow accepted before the failure did not finish: %v", err)
 	}
 }
+
+// TestUnwritableStartRefusesTheFlow: a new flow's exec.start is written
+// before the flow is handed back, and a write the store refuses — here
+// the store was closed under an engine that still holds it — refuses
+// the flow with a typed ErrResourceDown and leaves no execution behind,
+// rather than running a flow no restart would know.
+func TestUnwritableStartRefusesTheFlow(t *testing.T) {
+	e := newTestEngine(t)
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetStore(st)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	noop := dgl.NewFlow("n").Step("n", dgl.Op(dgl.OpNoop, nil)).Flow()
+	before := len(e.Executions())
+	if _, err := e.Start("user", noop); !errors.Is(err, dgferr.ErrResourceDown) {
+		t.Errorf("Start over a closed store: %v, want ErrResourceDown", err)
+	}
+	if _, err := e.Submit(dgl.NewAsyncRequest("user", "", noop)); !errors.Is(err, dgferr.ErrResourceDown) {
+		t.Errorf("async Submit over a closed store: %v, want ErrResourceDown", err)
+	}
+	if n := len(e.Executions()); n != before {
+		t.Errorf("refused flows left %d executions behind", n-before)
+	}
+}

@@ -210,10 +210,10 @@ func (s *Store) replay(path string) error {
 // pooled encoder's symbol table, so a Detail set in r would have to be
 // built on the heap too.
 //
-// A file-backed store writes the record's frame to its log before
-// returning but does not wait for the sync: a record is a memo, on disk
-// within 2×store.Linger or at the next Flush (docs/STORE.md,
-// "Durability"). A store refuses, with dgferr.ErrInvalid, a record too
+// A file-backed store adds the record's frame to its log's tail before
+// returning, with no syscall, and does not wait for the sync: a record
+// is a memo, written and on disk within 2×store.Linger or at the next
+// Flush (docs/STORE.md, "Durability"). A store refuses, with dgferr.ErrInvalid, a record too
 // large for one frame (codec.MaxFrameBody), which is then neither kept
 // nor numbered.
 func (s *Store) Append(r Record, detail ...Attr) (int64, error) {
@@ -240,8 +240,8 @@ func (s *Store) Append(r Record, detail ...Attr) (int64, error) {
 	}
 	frame := enc.Bytes()
 	if s.log != nil {
-		// Under s.mu, so frames land in seq order; the sync is left to
-		// the linger.
+		// Under s.mu, so frames land in seq order; the write and the
+		// sync are left to the linger.
 		ticket, err := s.log.WriteBlock(frame, 1)
 		if err != nil {
 			return 0, fmt.Errorf("provenance: %w", err)

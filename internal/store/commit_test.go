@@ -52,7 +52,7 @@ func (r *lingerRun) write(rec Record) {
 	if r.armed.IsZero() {
 		r.armed = time.Now()
 	}
-	if err := r.s.Write(rec); err != nil {
+	if _, err := r.s.Write(rec); err != nil {
 		r.t.Fatal(err)
 	}
 }
@@ -142,7 +142,7 @@ func TestLingerSyncsIdleWrite(t *testing.T) {
 	taps := &tapLog{}
 	s.SetTap(taps.tap)
 	appendAll(t, s, Record{Type: TypeExecStart, ID: "a", Request: "<r/>"})
-	if err := s.Write(stepDone("a", 0)); err != nil {
+	if _, err := s.Write(stepDone("a", 0)); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * Linger)
@@ -207,10 +207,10 @@ func TestBackgroundSyncFailurePoisons(t *testing.T) {
 		s.SetTap(taps.tap)
 		appendAll(t, s, Record{Type: TypeExecStart, ID: "a", Request: "<r/>"})
 		start := time.Now()
-		if err := s.Write(stepDone("a", 0)); err != nil {
+		if _, err := s.Write(stepDone("a", 0)); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Write(stepDone("a", 1)); err != nil {
+		if _, err := s.Write(stepDone("a", 1)); err != nil {
 			t.Fatal(err)
 		}
 		// The disk goes away under the segment: writes landed, the fsync
@@ -246,7 +246,7 @@ func TestBackgroundSyncFailurePoisons(t *testing.T) {
 		if err == nil || !strings.Contains(st.Failed, err.Error()) {
 			t.Errorf("Append on the poisoned store = %v; want the sticky error in %q", err, st.Failed)
 		}
-		if err := s.Write(stepDone("a", 2)); err == nil {
+		if _, err := s.Write(stepDone("a", 2)); err == nil {
 			t.Error("Write on the poisoned store succeeded")
 		}
 		if err := s.Flush(); err == nil {
@@ -254,6 +254,165 @@ func TestBackgroundSyncFailurePoisons(t *testing.T) {
 		}
 		s.Close()
 		return
+	}
+}
+
+// TestFailedWriteAtSyncPoisons: the write a sync makes can fail where
+// its fsync would not — here the segment's handle stops taking writes
+// between the Write and the Flush — and it poisons the store exactly as
+// a failed fsync does (TestBackgroundSyncFailurePoisons): the unsynced
+// records never reach the index or the tap, Stats says how many were
+// thrown away, and every later call returns the sticky error.
+func TestFailedWriteAtSyncPoisons(t *testing.T) {
+	for try := 0; ; try++ {
+		if try == 50 {
+			t.Skipf("no attempt in 50 broke the file inside the %v linger", Linger)
+		}
+		reg := obs.NewRegistry()
+		s := mustOpen(t, t.TempDir(), Options{Obs: reg})
+		taps := &tapLog{}
+		s.SetTap(taps.tap)
+		appendAll(t, s, Record{Type: TypeExecStart, ID: "a", Request: "<r/>"})
+		start := time.Now()
+		for n := 0; n < 2; n++ {
+			if _, err := s.Write(stepDone("a", n)); err != nil {
+				t.Fatalf("Write made a syscall and failed: %v", err)
+			}
+		}
+		g := s.active
+		ro, err := os.Open(g.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.mu.Lock()
+		g.f.Close()
+		g.f = ro // an fsync of it succeeds; a write does not
+		g.mu.Unlock()
+		if time.Since(start) >= Linger {
+			s.Close()
+			continue // the linger may have synced first; try again
+		}
+		if err := s.Flush(); err == nil {
+			t.Fatal("Flush over a segment that takes no writes reported success")
+		}
+		st := s.Stats()
+		if !strings.Contains(st.Failed, "2 pending record(s) discarded") || st.Pending != 0 || st.Records != 1 {
+			t.Errorf("poisoned stats = %+v", st)
+		}
+		if reg.Gauge("store_failed").Value() != 1 || reg.Gauge("store_pending_records").Value() != 0 {
+			t.Errorf("gauges: failed %d pending %d", reg.Gauge("store_failed").Value(), reg.Gauge("store_pending_records").Value())
+		}
+		if ent, _ := s.Entry("a"); len(ent.Done) != 0 {
+			t.Errorf("index took records whose write failed: %v", ent.Done)
+		}
+		if n := len(taps.snapshot()); n != 1 {
+			t.Errorf("tap saw %d batches; the unwritten records must not replicate", n)
+		}
+		err = s.Append(Record{Type: TypeExecEnd, ID: "a"})
+		if err == nil || !strings.Contains(st.Failed, err.Error()) {
+			t.Errorf("Append on the poisoned store = %v; want the sticky error in %q", err, st.Failed)
+		}
+		if _, err := s.Write(stepDone("a", 2)); err == nil {
+			t.Error("Write on the poisoned store succeeded")
+		}
+		if err := s.Flush(); err == nil {
+			t.Error("Flush on the poisoned store reported success")
+		}
+		s.Close()
+		return
+	}
+}
+
+// TestWriteReachesFileWithItsCommit: a record written without waiting is
+// in no file until a sync carries it — the next Append's, Flush's or
+// the linger's — and it reaches the segment in that sync's write,
+// together with the record that waited.
+func TestWriteReachesFileWithItsCommit(t *testing.T) {
+	size := func(s *Store) int64 {
+		t.Helper()
+		fi, err := os.Stat(s.active.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	frame := func(rec Record) int64 { return int64(len(frameBlock(rec))) }
+	start, step0, step1 := Record{Type: TypeExecStart, ID: "a", Request: "<r/>"}, stepDone("a", 0), stepDone("a", 1)
+	other := Record{Type: TypeExecStart, ID: "b", Request: "<r/>"}
+	insideLinger(t, func(r *lingerRun) func() {
+		s := r.s
+		appendAll(t, s, start)
+		base := size(s)
+		r.write(step0)
+		afterWrite := size(s)
+		appendAll(t, s, other)
+		afterAppend := size(s)
+		r.write(step1)
+		afterSecond := size(s)
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		afterFlush := size(s)
+		return func() {
+			if afterWrite != base || afterSecond != afterAppend {
+				t.Errorf("a Write changed the segment's size: %d → %d, %d → %d", base, afterWrite, afterAppend, afterSecond)
+			}
+			if want := base + frame(step0) + frame(other); afterAppend != want {
+				t.Errorf("after the next Append the segment holds %d bytes, want %d", afterAppend, want)
+			}
+			if want := afterSecond + frame(step1); afterFlush != want {
+				t.Errorf("after Flush the segment holds %d bytes, want %d", afterFlush, want)
+			}
+		}
+	})
+	insideLinger(t, func(r *lingerRun) func() {
+		s := r.s
+		appendAll(t, s, start)
+		base := size(s)
+		r.write(step0)
+		afterWrite := size(s)
+		return func() {
+			if afterWrite != base {
+				t.Errorf("a Write changed the segment's size: %d → %d", base, afterWrite)
+			}
+			deadline := time.Now().Add(10 * Linger)
+			for size(s) != base+frame(step0) {
+				if time.Now().After(deadline) {
+					t.Fatalf("10×linger after an idle write the segment holds %d bytes, want %d", size(s), base+frame(step0))
+				}
+				time.Sleep(Linger / 5)
+			}
+		}
+	})
+}
+
+// TestWaitAllocs: waiting on the ticket of a Write — for its fsync, as
+// an async submit's acknowledgement does before it is sent, and then as
+// its run does before the first step — allocates nothing: no goroutine
+// and no channel per wait.
+func TestWaitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are measured without the race detector")
+	}
+	s := mustOpen(t, t.TempDir(), Options{})
+	defer s.Close()
+	s.SetTap(func([]TapRecord) func() { return nil })
+	appendAll(t, s, Record{Type: TypeExecStart, ID: "a", Request: "<r/>"})
+	rec := Record{Type: TypeExecStart, ID: "b", Request: "<r/>"}
+	allocs := testing.AllocsPerRun(200, func() {
+		ticket, err := s.Write(rec)
+		if err == nil {
+			err = ticket.Sync()
+		}
+		if err == nil {
+			err = s.Wait(ticket)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a Write and the waits on its ticket allocate %.2f times, want 0", allocs)
 	}
 }
 
@@ -276,7 +435,7 @@ func TestWriteConcurrentWithAppends(t *testing.T) {
 				t.Error(err)
 			}
 			for n := 0; n < steps; n++ {
-				if err := s.Write(stepDone(id, n)); err != nil {
+				if _, err := s.Write(stepDone(id, n)); err != nil {
 					t.Error(err)
 				}
 			}
@@ -284,7 +443,7 @@ func TestWriteConcurrentWithAppends(t *testing.T) {
 				if err := s.Append(Record{Type: TypeExecSnap, ID: id, Request: "<r/>", Done: []string{"/f/s0"}}); err != nil {
 					t.Error(err)
 				}
-				if err := s.Write(stepDone(id, steps)); err != nil {
+				if _, err := s.Write(stepDone(id, steps)); err != nil {
 					t.Error(err)
 				}
 			}
@@ -338,7 +497,7 @@ func TestWriteAllocs(t *testing.T) {
 	appendAll(t, s, Record{Type: TypeExecStart, ID: "a", Request: "<r/>"})
 	rec := stepDone("a", 0)
 	allocs := testing.AllocsPerRun(2000, func() {
-		if err := s.Write(rec); err != nil {
+		if _, err := s.Write(rec); err != nil {
 			t.Fatal(err)
 		}
 	})

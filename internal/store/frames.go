@@ -15,14 +15,17 @@ var ErrBadBlock = dgferr.Mark(dgferr.ErrInvalid, "store: bad record block")
 
 // AppendFrames is the replica's verb (docs/REPLICATION.md): it writes a
 // block of n binary record frames — the bytes another store's writer
-// made — to the active segment as they are, in one write, and folds each
-// record into the index from a view of its frame, cutting the ids and
-// done paths the index keeps from the store's arena.
+// made — to the active segment as they are, and folds each record into
+// the index from a view of its frame, cutting the ids and done paths
+// the index keeps from the store's arena.
 //
 // The block is checked whole first, as replay checks a segment but with
 // nothing torn forgiven: one that is not exactly n MsgRecord frames, each
 // of which decodes, is refused with ErrBadBlock and nothing is written.
 //
+// The block is in the file when the call returns: the segment's tail,
+// then the block, are handed to the OS in one write
+// (GroupFile.writeThrough), for a replica acks its owner on that write.
 // The records enter the index at the write, without waiting for an
 // fsync: a replica's durability is its owner's copy and the snapshot
 // that re-syncs it, so a crash may lose or tear the unsynced tail, which
@@ -43,7 +46,7 @@ func (s *Store) AppendFrames(block []byte, n int) error {
 		return err
 	}
 	var err error
-	if _, _, rotated, err = s.writeLocked(block, n); err != nil {
+	if _, _, rotated, err = s.writeLocked(block, n, true); err != nil {
 		return err
 	}
 	for off := 0; off < len(block); {

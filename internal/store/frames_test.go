@@ -69,6 +69,28 @@ func TestAppendFramesDurability(t *testing.T) {
 	}
 }
 
+// TestAppendFramesWritesThrough: a replica acks its owner on the OS
+// write, so the block is in the segment file when AppendFrames returns —
+// behind the store's own tail, in order — though no sync covers it.
+func TestAppendFramesWritesThrough(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{})
+	defer s.Close()
+	own := Record{Type: TypeExecStart, ID: "own", Request: "<r/>"}
+	if _, err := s.Write(own); err != nil {
+		t.Fatal(err)
+	}
+	recs := []Record{{Type: TypeExecStart, ID: "a"}, {Type: TypeStepDone, ID: "a", Node: "/f/s0"}}
+	block := frameBlock(recs...)
+	if err := s.AppendFrames(block, len(recs)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, segName(1)))
+	if want := append(frameBlock(own), block...); err != nil || !bytes.Equal(data, want) {
+		t.Fatalf("the segment when AppendFrames returned (%v):\n got %x\nwant %x", err, data, want)
+	}
+}
+
 // TestAppendFramesRefusesBadBlocks: a block that is not exactly the
 // records it claims, as whole binary frames that decode, is refused with
 // a typed error and nothing written — nor is the store poisoned: the

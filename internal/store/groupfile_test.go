@@ -1,7 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -200,5 +202,156 @@ func TestGroupFileCloseWakesWaiters(t *testing.T) {
 	// must come back nil.
 	if err := <-done; err != nil {
 		t.Fatalf("sync after close: %v", err)
+	}
+}
+
+// FuzzGroupFileMatchesWritePerBlock holds the GroupFile that keeps
+// blocks in a tail until a flush to the one that wrote each block at
+// WriteBlock (refGroupFile): for any sequence of WriteBlock,
+// writeThrough, Sync of the newest or an older ticket, SyncSoon and
+// Close, both hand out the same tickets, sizes and errors, and their
+// files are byte for byte the same whenever the tail-keeping one has
+// written everything — after a writeThrough, after a Sync of the newest
+// ticket, and after Close. One op a byte: the low three bits pick it,
+// the rest its argument. The seeds run with every go test.
+func FuzzGroupFileMatchesWritePerBlock(f *testing.F) {
+	f.Add([]byte{0x00, 0x08, 0x03, 0x10, 0x04, 0x0b, 0x02, 0x05, 0x00, 0x03})
+	f.Add([]byte{0x00, 0x00, 0x04, 0x02, 0x00, 0x1b, 0x03, 0x05, 0x05, 0x00, 0x03})
+	f.Add([]byte{0x02, 0x02, 0x10, 0x02, 0x0b, 0x13, 0x04, 0x04, 0x00, 0x06})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		dir := t.TempDir()
+		gPath, rPath := filepath.Join(dir, "g.log"), filepath.Join(dir, "ref.log")
+		g, err := OpenGroupFile(gPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := openRefGroupFile(rPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.Close()
+		defer r.Close()
+		sameFiles := func(after string) {
+			t.Helper()
+			got, err1 := os.ReadFile(gPath)
+			want, err2 := os.ReadFile(rPath)
+			if err1 != nil || err2 != nil || !bytes.Equal(got, want) {
+				t.Fatalf("after %s: the file holds %d bytes, the reference %d (%v, %v)", after, len(got), len(want), err1, err2)
+			}
+		}
+		sameErr := func(op string, eg, er error) {
+			t.Helper()
+			if (eg == nil) != (er == nil) {
+				t.Fatalf("%s: %v, the reference %v", op, eg, er)
+			}
+		}
+		records, newest := 0, int64(0)
+		for _, op := range prog {
+			arg := int(op >> 3)
+			switch op & 7 {
+			case 0, 1, 2: // write 1-3 records; 2 writes them through
+				n := arg%3 + 1
+				var block []byte
+				for i := 0; i < n; i++ {
+					block = append(block, testFrame(fmt.Sprintf("r%04d", records+i))...)
+				}
+				write, name := g.WriteBlock, "WriteBlock"
+				if op&7 == 2 {
+					write, name = g.writeThrough, "writeThrough"
+				}
+				gt, gerr := write(block, int64(n))
+				rt, rerr := r.WriteBlock(block, int64(n))
+				sameErr(name, gerr, rerr)
+				if gt != rt {
+					t.Fatalf("%s: ticket %d, the reference %d", name, gt, rt)
+				}
+				if gerr == nil {
+					records += n
+					newest = gt
+					if op&7 == 2 {
+						sameFiles(name)
+					}
+				}
+			case 3, 4: // sync the newest ticket, or one arg older
+				ticket := newest
+				if op&7 == 4 {
+					ticket = max(newest-int64(arg), 0)
+				}
+				gerr, rerr := g.Sync(ticket), r.Sync(ticket)
+				sameErr("Sync", gerr, rerr)
+				if gerr == nil && ticket == newest {
+					sameFiles("Sync")
+				}
+			case 5:
+				g.SyncSoon()
+				r.SyncSoon()
+			case 6:
+				sameErr("Close", g.Close(), r.Close())
+				sameFiles("Close")
+			}
+			if gs, rs := g.Size(), r.Size(); gs != rs {
+				t.Fatalf("size %d, the reference %d", gs, rs)
+			}
+		}
+		sameErr("Close", g.Close(), r.Close())
+		sameFiles("the last Close")
+	})
+}
+
+// TestGroupFileOrderIsTicketOrder: writers that wait, write through, or
+// leave their blocks to the linger, all at once — the file holds every
+// block once, in the order of the tickets WriteBlock handed out, however
+// the flushes that carried them fell.
+func TestGroupFileOrderIsTicketOrder(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.log")
+	g, err := OpenGroupFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, each = 8, 40
+	var mu sync.Mutex
+	ticketOf := map[string]int64{}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				id := fmt.Sprintf("w%02d-%03d", w, i)
+				var ticket int64
+				var err error
+				switch (w + i) % 3 {
+				case 0:
+					if ticket, err = g.WriteBlock(testFrame(id), 1); err == nil {
+						err = g.Sync(ticket)
+					}
+				case 1:
+					ticket, err = g.writeThrough(testFrame(id), 1)
+				default:
+					ticket, err = g.WriteBlock(testFrame(id), 1)
+					g.SyncSoon()
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				ticketOf[id] = ticket
+				mu.Unlock()
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ids := readIDs(t, path)
+	if len(ids) != writers*each {
+		t.Fatalf("%d records in the file, want %d", len(ids), writers*each)
+	}
+	for i, id := range ids {
+		if ticketOf[id] != int64(i+1) {
+			t.Fatalf("record %d of the file is %s, whose ticket is %d", i+1, id, ticketOf[id])
+		}
 	}
 }

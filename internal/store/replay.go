@@ -314,20 +314,24 @@ func (rp *replayer) root(e *replayID) {
 // root.
 func (rp *replayer) finish() {
 	s := rp.s
-	kept := rp.ids[:0]
-	for _, e := range rp.ids {
-		if e.rooted {
-			kept = append(kept, e)
+	// What is sorted is each kept entry's root position and place, not
+	// the entry: a replayID is some two hundred bytes to move.
+	type kept struct{ first, i int }
+	order := make([]kept, 0, len(rp.ids))
+	for i := range rp.ids {
+		if rp.ids[i].rooted {
+			order = append(order, kept{rp.ids[i].first, i})
 		}
 	}
-	slices.SortFunc(kept, func(a, b replayID) int { return cmp.Compare(b.first, a.first) })
-	slab := make([]execState, len(kept))
-	s.index = make(map[string]*execState, len(kept))
-	s.order = make([]string, len(kept))
-	for i := range kept {
-		slab[i] = kept[i].st
-		s.index[kept[i].id], s.order[i] = &slab[i], kept[i].id
-		if slab[i].passivated {
+	slices.SortFunc(order, func(a, b kept) int { return cmp.Compare(b.first, a.first) })
+	slab := make([]execState, len(order))
+	s.index = make(map[string]*execState, len(order))
+	s.order = make([]string, len(order))
+	for k, o := range order {
+		e := &rp.ids[o.i]
+		slab[k] = e.st
+		s.index[e.id], s.order[k] = &slab[k], e.id
+		if slab[k].passivated {
 			s.passive++
 		}
 	}

@@ -255,11 +255,14 @@ func (p *replayProgram) run(prog []byte, tear bool) {
 		default:
 			// Waited and non-waited writes mixed, whatever the type: the
 			// index must come out as if every record had been synced alone.
-			rec, write := p.record(action, arg), p.s.Append
+			rec := p.record(action, arg)
+			var err error
 			if (action^arg)&1 != 0 {
-				write = p.s.Write
+				_, err = p.s.Write(rec)
+			} else {
+				err = p.s.Append(rec)
 			}
-			if err := write(rec); err != nil {
+			if err != nil {
 				p.t.Fatalf("append %s %s: %v", rec.Type, rec.ID, err)
 			}
 		}

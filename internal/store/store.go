@@ -313,12 +313,14 @@ func (s *Store) SetObs(reg *obs.Registry) {
 	}
 }
 
-// recordSeries are the series countLocked updates on every record, held
-// by handle: each is resolved in the registry the first time it is
+// recordSeries are the series the write path updates on every record,
+// held by handle: each is resolved in the registry the first time it is
 // updated.
 type recordSeries struct {
 	records    [len(recordTypes)]*obs.Counter // store_records_total{type}
+	snapshots  *obs.Counter                   // store_snapshots_total
 	passivated *obs.Gauge                     // store_passivated
+	pending    *obs.Gauge                     // store_pending_records
 }
 
 // recordsCounter returns the store_records_total series of typ. Caller
@@ -461,36 +463,74 @@ func (s *Store) setPassivated(st *execState, on bool) {
 // segment share fsyncs (group commit); rotation happens transparently
 // when the active segment exceeds SegmentMaxBytes. The record enters
 // the in-memory index only after its group commit succeeds — a failed
-// fsync poisons the store instead of letting the index run ahead of
-// what a reopen would rebuild.
+// write or fsync poisons the store instead of letting the index run
+// ahead of what a reopen would rebuild.
 func (s *Store) Append(rec Record) error {
 	return s.AppendBatch([]Record{rec})
 }
 
 // AppendBatch writes many records durably in one shot: the whole batch
-// is serialized into one block of frames, appended with a single write
-// syscall (GroupFile.WriteBlock) and covered by one shared fsync. A
-// record too large to be read back (checkRecordSize) refuses the whole
-// batch before anything is written.
+// is serialized into one block of frames, reaches the segment in the
+// write of its group commit (GroupFile.WriteBlock) and is covered by
+// that commit's one fsync. A record too large to be read back
+// (checkRecordSize) refuses the whole batch before anything is written.
 func (s *Store) AppendBatch(recs []Record) error {
-	return s.write(recs, true)
+	_, err := s.write(recs, true)
+	return err
 }
 
 // Write is Append without the wait, for a record that completes no
-// promise (Waits): it is written to the segment, in order, and the call
-// returns. The record enters the index, is numbered and reaches the
-// replication tap when the next sync covers it — a later Append's, a
+// promise (Waits): it joins the segment's tail, in order, and the call
+// returns with no syscall made. The record reaches the file, enters the
+// index, is numbered and reaches the replication tap with the next sync
+// that covers it — Wait on the returned ticket, a later Append's, a
 // neighbour's, Flush, Close, or the segment's linger (GroupFile.SyncSoon)
-// when nothing else commits — so until then no reader of this store can
-// tell it from a record a crash lost. An error means the record was not
-// written; a failed sync later poisons the store as it would under Append.
-func (s *Store) Write(rec Record) error {
+// when nothing else commits — so until then it is only in this process,
+// and no reader of this store can tell it from a record a crash lost. An
+// error means the record was not written; a failed write or sync later
+// poisons the store as it would under Append.
+func (s *Store) Write(rec Record) (Ticket, error) {
 	return s.write([]Record{rec}, false)
 }
 
-func (s *Store) write(recs []Record, wait bool) error {
-	if len(recs) == 0 {
+// Ticket names the record one Write wrote, for Wait and Sync. The zero
+// Ticket names none.
+type Ticket struct {
+	gw  *GroupFile
+	seq int64
+}
+
+// Sync returns once the record t names is on this disk's stable storage,
+// with the records written before it on the same segment: all an
+// acknowledgement that promises no replication needs. It neither folds
+// the record into the index nor hands it to the replication tap — a
+// Wait on the same ticket does, as do the store's other syncs — so it
+// sits out no follower's ack. It allocates nothing. A failed sync
+// poisons the store at that Wait.
+func (t Ticket) Sync() error {
+	if t.gw == nil {
 		return nil
+	}
+	return t.gw.Sync(t.seq)
+}
+
+// Wait returns once the record t names is durable, indexed and handed to
+// the replication tap, as though it had been appended: the records
+// written before it on the same segment are carried by the same sync,
+// and the tap's ack wait, when the batch holds a commit point, is sat
+// out like Append's. It allocates nothing.
+func (s *Store) Wait(t Ticket) error {
+	if t.gw == nil {
+		return nil
+	}
+	err := s.synced(t.gw, t.gw.Sync(t.seq))
+	s.flushTap()
+	return err
+}
+
+func (s *Store) write(recs []Record, wait bool) (Ticket, error) {
+	if len(recs) == 0 {
+		return Ticket{}, nil
 	}
 	enc := codec.GetEncoder()
 	for i := range recs {
@@ -498,7 +538,7 @@ func (s *Store) write(recs []Record, wait bool) error {
 		codec.AppendRecordFrame(enc, &recs[i])
 		if err := checkRecordSize(&recs[i], enc.Len()-before); err != nil {
 			codec.PutEncoder(enc)
-			return err
+			return Ticket{}, err
 		}
 	}
 	return s.appendBlock(enc, recs, wait)
@@ -520,11 +560,11 @@ func checkRecordSize(rec *Record, n int) error {
 
 // appendBlock appends the serialized block enc holds, covering recs (in
 // order), and, if wait is set, blocks until its group commit. enc goes
-// back to the pool as soon as the block is written, before any wait:
-// appenders waiting on a sync hold no encoder, so the pool stays as
-// small as the number of writes at once, and a collection that empties
-// it costs that many encoders to make again, not one per waiter.
-func (s *Store) appendBlock(enc *codec.Encoder, recs []Record, wait bool) error {
+// back to the pool as soon as the block is in the segment's tail, before
+// any wait: appenders waiting on a sync hold no encoder, so the pool
+// stays as small as the number of writes at once, and a collection that
+// empties it costs that many encoders to make again, not one per waiter.
+func (s *Store) appendBlock(enc *codec.Encoder, recs []Record, wait bool) (Ticket, error) {
 	// Deliver whatever this append (or a rotation inside it) proved
 	// durable to the replication tap once the store lock is released.
 	// In quorum/chain ack modes the tap blocks until followers ack, so
@@ -538,31 +578,33 @@ func (s *Store) appendBlock(enc *codec.Encoder, recs []Record, wait bool) error 
 		}
 	}()
 	s.mu.Lock()
-	gw, ticket, rotated, err := s.writeLocked(enc.Bytes(), len(recs))
-	codec.PutEncoder(enc) // the write keeps nothing of the block
+	gw, ticket, rotated, err := s.writeLocked(enc.Bytes(), len(recs), false)
+	codec.PutEncoder(enc) // the tail keeps a copy of the block
 	flush = flush || rotated
 	if err != nil {
 		s.mu.Unlock()
-		return err
+		return Ticket{}, err
 	}
 	for i := range recs {
 		s.pending = append(s.pending, pendingRec{gw: gw, ticket: ticket, rec: recs[i]})
 	}
 	s.gaugePendingLocked()
 	s.mu.Unlock()
+	t := Ticket{gw: gw, seq: ticket}
 	if !wait {
 		gw.SyncSoon()
-		return nil
+		return t, nil
 	}
-	return s.synced(gw, gw.Sync(ticket))
+	return t, s.synced(gw, gw.Sync(ticket))
 }
 
-// writeLocked writes a block of n records to the active segment in one
-// write, rotating first when the block would take the segment past
-// SegmentMaxBytes — then rotated is set: the old segment's final sync
-// drained its pending records, which the tap is owed. A failed write
-// poisons the store. Caller holds s.mu.
-func (s *Store) writeLocked(block []byte, n int) (gw *GroupFile, ticket int64, rotated bool, err error) {
+// writeLocked adds a block of n records to the active segment's tail —
+// and, when through is set, hands the tail to the OS before it returns
+// (GroupFile.writeThrough) — rotating first when the block would take
+// the segment past SegmentMaxBytes: then rotated is set, because the old
+// segment's final sync drained its pending records, which the tap is
+// owed. A failed write poisons the store. Caller holds s.mu.
+func (s *Store) writeLocked(block []byte, n int, through bool) (gw *GroupFile, ticket int64, rotated bool, err error) {
 	if s.closed {
 		return nil, 0, false, fmt.Errorf("store: %s: %w", s.dir, os.ErrClosed)
 	}
@@ -576,7 +618,12 @@ func (s *Store) writeLocked(block []byte, n int) (gw *GroupFile, ticket int64, r
 		rotated = true
 	}
 	gw = s.active
-	if ticket, err = gw.WriteBlock(block, int64(n)); err != nil {
+	if through {
+		ticket, err = gw.writeThrough(block, int64(n))
+	} else {
+		ticket, err = gw.WriteBlock(block, int64(n))
+	}
+	if err != nil {
 		s.poisonLocked(err)
 	}
 	return gw, ticket, rotated, err
@@ -610,9 +657,7 @@ func (s *Store) Flush() error {
 	}
 	last := s.pending[len(s.pending)-1]
 	s.mu.Unlock()
-	err := s.synced(last.gw, last.gw.Sync(last.ticket))
-	s.flushTap()
-	return err
+	return s.Wait(Ticket{gw: last.gw, seq: last.ticket})
 }
 
 // poisonLocked records the first write/fsync failure as the store's
@@ -642,7 +687,10 @@ func (s *Store) Err() error {
 
 func (s *Store) gaugePendingLocked() {
 	if reg := s.opt.Obs; reg != nil {
-		reg.Gauge("store_pending_records").Set(int64(len(s.pending)))
+		if s.series.pending == nil {
+			s.series.pending = reg.Gauge("store_pending_records")
+		}
+		s.series.pending.Set(int64(len(s.pending)))
 	}
 }
 
@@ -705,7 +753,10 @@ func (s *Store) countLocked(typ string) {
 	if reg := s.opt.Obs; reg != nil {
 		s.recordsCounter(typ).Inc()
 		if typ == TypeExecSnap {
-			reg.Counter("store_snapshots_total").Inc()
+			if s.series.snapshots == nil {
+				s.series.snapshots = reg.Counter("store_snapshots_total")
+			}
+			s.series.snapshots.Inc()
 		}
 		if s.series.passivated == nil {
 			s.series.passivated = reg.Gauge("store_passivated")
