@@ -274,3 +274,52 @@ func TestSnapshotRecordsOfParkedEntry(t *testing.T) {
 		t.Fatalf("parked entry's catch-up record %+v", p)
 	}
 }
+
+// TestNonQuorumCommitSitsOutNoAck: only a writer whose own records wait
+// for the quorum (Waits) sits out a follower's ack. While one flow's
+// exec.end holds its ack open, another flow's snapshot Append and the
+// Wait on an exec.start's ticket — the one every synchronous submit
+// makes before its first step — return.
+func TestNonQuorumCommitSitsOutNoAck(t *testing.T) {
+	st := openTap(t, Options{})
+	held, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	st.SetTap(func(batch []TapRecord) func() {
+		for _, tr := range batch {
+			if tr.Rec.Type == TypeExecEnd {
+				return func() { once.Do(func() { close(held) }); <-release }
+			}
+		}
+		return nil
+	})
+	ended := make(chan error, 1)
+	go func() { ended <- st.Append(Record{Type: TypeExecEnd, ID: "a"}) }()
+	<-held
+	returns := func(what string, call func() error) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- call() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Errorf("%s sat out another flow's quorum ack", what)
+		}
+	}
+	returns("an exec.snap Append", func() error {
+		return st.Append(Record{Type: TypeExecSnap, ID: "b"})
+	})
+	returns("a Wait on an exec.start ticket", func() error {
+		tk, err := st.Write(Record{Type: TypeExecStart, ID: "c", Request: "<r/>"})
+		if err != nil {
+			return err
+		}
+		return st.Wait(tk)
+	})
+	close(release)
+	if err := <-ended; err != nil {
+		t.Fatal(err)
+	}
+}
