@@ -10,6 +10,14 @@ import (
 	"datagridflow/internal/store"
 )
 
+// tapFunc is a store.Tap that hands each batch to a function and waits
+// for no follower.
+type tapFunc func([]store.TapRecord)
+
+func (f tapFunc) Replicate(batch []store.TapRecord) { f(batch) }
+
+func (tapFunc) Await(uint64) {}
+
 // TestCommitPointsPerFlow holds the engine to the durability budget of
 // docs/STORE.md "Durability", as counts: a flow pays for its commit
 // points, not for its records.
@@ -31,7 +39,7 @@ func TestCommitPointsPerFlow(t *testing.T) {
 		}
 		t.Cleanup(func() { st.Close() })
 		batches := new(atomic.Int64)
-		st.SetTap(func([]store.TapRecord) func() { batches.Add(1); return nil })
+		st.SetTap(tapFunc(func([]store.TapRecord) { batches.Add(1) }))
 		e.SetStore(st)
 		return e, st, batches
 	}
@@ -131,7 +139,7 @@ func TestCommitPointsPerFlow(t *testing.T) {
 		})
 		defer sender.Close()
 		sender.SetFollowers([]string{"peerB"})
-		st.SetTap(sender.Replicate)
+		st.SetTap(sender)
 		e.SetStore(st)
 		b := registerBlockingOp(e, "work", "2")
 		ex := startFlow(t, e, workFlow("long-job", 4))

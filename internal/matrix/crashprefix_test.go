@@ -71,7 +71,7 @@ func recordRun(t *testing.T, flows int) *recordedRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SetTap(func(batch []store.TapRecord) func() {
+	st.SetTap(tapFunc(func(batch []store.TapRecord) {
 		recs := make([]store.Record, len(batch))
 		for i := range batch {
 			recs[i] = batch[i].Rec
@@ -79,13 +79,12 @@ func recordRun(t *testing.T, flows int) *recordedRun {
 		block, err := replica.EncodeBlock(recs, true)
 		if err != nil {
 			t.Error(err)
-			return nil
+			return
 		}
 		run.frames = append(run.frames, replica.Frame{ // the tap is called in sequence order, one batch at a time
 			Op: replica.OpAppend, Source: "peerA", Seq: batch[0].Seq, Count: len(recs), Block: block,
 		})
-		return nil
-	})
+	}))
 	e := newTestEngine(t)
 	registerCountingOp(e)
 	e.SetStore(st)

@@ -162,13 +162,12 @@ func (ex *execRun) maybeDelegate(pf *planFlow, f *dgl.Flow, n *node, scope *Scop
 	if d == nil {
 		return false, nil
 	}
-	o := ex.engine.Obs()
 	rel := ex.relID(n.id)
 	if ex.skipped(rel) {
 		// Restart checkpointing: a delegated subtree that already
 		// succeeded is one unit — skip it wholesale.
 		n.setState(StateSkipped, ex.now())
-		o.Counter("matrix_checkpoint_skips_total").Inc()
+		ex.engine.countSkip()
 		ex.engine.record(provenance.Record{
 			Actor: ex.req.User.Name, Action: "deleg.skip",
 			FlowID: ex.ID, StepID: n.id, Target: f.Name,

@@ -151,8 +151,10 @@ type Engine struct {
 	vremote VdataRemote
 	vlocate VdataLocator
 	// steps holds each operation type's per-step series (opSeries),
-	// resolved in the registry once per type.
+	// resolved in the registry once per type; skips is
+	// matrix_checkpoint_skips_total, resolved at the first skip.
 	steps sync.Map
+	skips atomic.Pointer[obs.Counter]
 	// records makes the records ended executions keep (state.go).
 	records endedRecords
 	// ending, when set, sees each run state as its run ends, before its
@@ -181,6 +183,17 @@ func (e *Engine) stepSeries(op string) *opSeries {
 		seconds: o.Histogram("matrix_step_seconds", "op", op),
 	})
 	return s.(*opSeries)
+}
+
+// countSkip counts one node a restart skipped because its prior run
+// finished it.
+func (e *Engine) countSkip() {
+	c := e.skips.Load()
+	if c == nil {
+		c = e.Obs().Counter("matrix_checkpoint_skips_total")
+		e.skips.Store(c)
+	}
+	c.Inc()
 }
 
 // NewEngine creates an engine over the grid with default configuration.

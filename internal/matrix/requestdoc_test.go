@@ -157,7 +157,7 @@ func TestAdoptBinaryRequestFromJSONReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ost.Close()
-	ost.SetTap(func(batch []store.TapRecord) func() {
+	ost.SetTap(tapFunc(func(batch []store.TapRecord) {
 		recs := make([]store.Record, len(batch))
 		for i := range batch {
 			recs[i] = batch[i].Rec
@@ -165,14 +165,13 @@ func TestAdoptBinaryRequestFromJSONReplica(t *testing.T) {
 		block, err := replica.EncodeBlock(recs, true)
 		if err != nil {
 			t.Error(err)
-			return nil
+			return
 		}
 		if ack := recv.Apply(replica.Frame{Op: replica.OpAppend, Source: "peerA",
 			Seq: batch[0].Seq, Count: len(recs), Block: block}); !ack.OK {
 			t.Errorf("replica apply: %+v", ack)
 		}
-		return nil
-	})
+	}))
 	owner.SetStore(ost)
 	b := registerBlockingOp(owner, "work", "2")
 	ex := startFlow(t, owner, workFlow("long-job", 4))

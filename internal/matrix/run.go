@@ -494,7 +494,7 @@ func (ex *execRun) runStep(ps *planStep, n *node, parent *Scope, c *OpContext) e
 	// skipped wholesale.
 	if ex.skipped(ex.relID(n.id)) {
 		n.setState(StateSkipped, ex.now())
-		o.Counter("matrix_checkpoint_skips_total").Inc()
+		ex.engine.countSkip()
 		ex.engine.record(provenance.Record{
 			Actor: ex.req.User.Name, Action: "step.skip",
 			FlowID: ex.ID, StepID: n.id, Target: st.Name,

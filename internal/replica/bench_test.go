@@ -99,7 +99,7 @@ func BenchmarkApplyAppend(b *testing.B) {
 }
 
 // BenchmarkSenderLoopback times the sender machinery end to end with a
-// zero-cost transport: outbox hand-off, coalescing, ack fan-in. The
+// zero-cost transport: outbox hand-off, coalescing, the ack watermark. The
 // delta against the full wire round trip (BenchmarkReplicateRoundTrip
 // in internal/wire) is the transport's share.
 func BenchmarkSenderLoopback(b *testing.B) {
@@ -115,8 +115,7 @@ func BenchmarkSenderLoopback(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rec := store.TapRecord{Seq: uint64(i + 1), Rec: store.Record{Type: store.TypeExecSnap, ID: "x"}}
-		if wait := s.Replicate([]store.TapRecord{rec}); wait != nil {
-			wait()
-		}
+		s.Replicate([]store.TapRecord{rec})
+		s.Await(rec.Seq)
 	}
 }

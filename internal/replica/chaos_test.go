@@ -139,7 +139,9 @@ type chaosOwner struct {
 	live map[string]bool
 }
 
-func (o *chaosOwner) step(recs ...store.Record) func() {
+// step hands recs to the sender as one batch and returns the sequence
+// of the last, for Await.
+func (o *chaosOwner) step(recs ...store.Record) uint64 {
 	o.mu.Lock()
 	batch := make([]store.TapRecord, len(recs))
 	for i, r := range recs {
@@ -152,8 +154,10 @@ func (o *chaosOwner) step(recs ...store.Record) func() {
 			delete(o.live, r.ID)
 		}
 	}
+	seq := o.seq
 	o.mu.Unlock()
-	return o.s.Replicate(batch)
+	o.s.Replicate(batch)
+	return seq
 }
 
 func (o *chaosOwner) snapshot() (Frame, error) {
@@ -208,9 +212,7 @@ func runChaos(t *testing.T, seed int64, plan func(r *sim.Rand, net *chaosNet, ro
 		id := fmt.Sprintf("flow%d", round)
 		own.step(snapRec(id)) // start: no commit point, streams
 		if r.Intn(2) == 0 {   // half the flows finish
-			if wait := own.step(endRec(id)); wait != nil {
-				wait()
-			}
+			own.s.Await(own.step(endRec(id)))
 		}
 	}
 
@@ -220,9 +222,7 @@ func runChaos(t *testing.T, seed int64, plan func(r *sim.Rand, net *chaosNet, ro
 	net.down = false
 	net.snapCrash = false
 	net.mu.Unlock()
-	if fin := own.step(snapRec("final"), endRec("final")); fin != nil {
-		fin()
-	}
+	own.s.Await(own.step(snapRec("final"), endRec("final")))
 	own.mu.Lock()
 	seq := own.seq
 	want := make([]string, 0, len(own.live))

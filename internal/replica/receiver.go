@@ -21,9 +21,6 @@ type ReceiverConfig struct {
 	// blocks its owner shipped. The field goes once the benchmark stops
 	// setting it (ROADMAP item 16).
 	Binary bool
-	// Forward delivers a chain-mode frame to the next hop. Optional;
-	// nil disables chain forwarding (the chain truncates here).
-	Forward func(peer string, f Frame) (Ack, error)
 	// Obs receives the repl_* metrics. Optional.
 	Obs *obs.Registry
 }
@@ -149,17 +146,6 @@ func (r *Receiver) Apply(f Frame) Ack {
 		r.count("repl_frames_applied_total", "op", f.Op)
 		if r.cfg.Obs != nil {
 			r.cfg.Obs.Gauge("repl_source_last_seq", "source", f.Source).Set(int64(src.lastSeq))
-		}
-		// Chain mode: relay down the chain before the upstream sees our
-		// ack. A broken link degrades that link to async (metric below)
-		// rather than failing the whole chain — the downstream heals by
-		// snapshot when the link returns.
-		if len(f.Chain) > 0 && r.cfg.Forward != nil {
-			fwd := f
-			fwd.Chain = f.Chain[1:]
-			if _, ferr := r.cfg.Forward(f.Chain[0], fwd); ferr != nil {
-				r.count("repl_chain_forward_errors_total")
-			}
 		}
 	}
 	return ack

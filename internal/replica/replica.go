@@ -47,9 +47,6 @@ type Frame struct {
 	// Block holds the records as binary record frames, which the
 	// receiver writes as they came.
 	Block []byte `json:"block,omitempty"`
-	// Chain lists downstream followers (chain ack mode): the receiver
-	// forwards the frame to Chain[0] with Chain[1:] before acking.
-	Chain []string `json:"chain,omitempty"`
 }
 
 // Ack is the receiver's reply to one Frame.
@@ -64,8 +61,8 @@ type Ack struct {
 	Error        string `json:"error,omitempty"`
 }
 
-// AckMode selects how many follower acknowledgements an owner append
-// waits for (docs/REPLICATION.md, "Ack modes").
+// AckMode selects whether an owner's quorum commit point waits for
+// follower acknowledgements (docs/REPLICATION.md, "Ack modes").
 type AckMode string
 
 // Ack modes.
@@ -74,18 +71,15 @@ const (
 	ModeAsync AckMode = "async"
 	// ModeQuorum waits for a majority of the follower set.
 	ModeQuorum AckMode = "quorum"
-	// ModeChain sends to the first follower only, which forwards down
-	// the chain; Append waits for the head's ack.
-	ModeChain AckMode = "chain"
 )
 
 // ParseAckMode validates a -repl-ack flag value.
 func ParseAckMode(s string) (AckMode, error) {
 	switch AckMode(s) {
-	case ModeAsync, ModeQuorum, ModeChain:
+	case ModeAsync, ModeQuorum:
 		return AckMode(s), nil
 	}
-	return "", fmt.Errorf("replica: unknown ack mode %q (want quorum, chain or async)", s)
+	return "", fmt.Errorf("replica: unknown ack mode %q (want quorum or async)", s)
 }
 
 // EncodeBlock serializes records as the block an append frame carries:

@@ -115,13 +115,15 @@ func TestDecodeBlockDamage(t *testing.T) {
 }
 
 func TestParseAckMode(t *testing.T) {
-	for _, ok := range []string{"quorum", "chain", "async"} {
+	for _, ok := range []string{"quorum", "async"} {
 		if _, err := ParseAckMode(ok); err != nil {
 			t.Fatalf("%s: %v", ok, err)
 		}
 	}
-	if _, err := ParseAckMode("paxos"); err == nil {
-		t.Fatal("unknown mode accepted")
+	for _, bad := range []string{"chain", "paxos"} {
+		if _, err := ParseAckMode(bad); err == nil {
+			t.Fatalf("mode %q accepted", bad)
+		}
 	}
 }
 
@@ -297,7 +299,7 @@ func TestMixedCodecReplication(t *testing.T) {
 			}})
 		defer s.Close()
 		s.SetFollowers([]string{"f"})
-		owner.SetTap(s.Replicate)
+		owner.SetTap(s)
 		// f1 carries a binary request document: it must reach the
 		// replica byte for byte.
 		f1 := snapRec("f1")
@@ -364,6 +366,18 @@ func waitAcked(t *testing.T, s *Sender, peer string, seq uint64) {
 	t.Fatalf("follower %s never acked seq %d: %+v", peer, seq, s.Status())
 }
 
+// returnsSoon fails the test unless call returns within 5 s.
+func returnsSoon(t *testing.T, what string, call func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { call(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s never returned", what)
+	}
+}
+
 func TestSenderQuorumRoundTrip(t *testing.T) {
 	reg := obs.NewRegistry()
 	recv := newTestReceiver(t, reg)
@@ -372,11 +386,8 @@ func TestSenderQuorumRoundTrip(t *testing.T) {
 	if got := followers(s); !reflect.DeepEqual(got, []string{"f1"}) {
 		t.Fatalf("followers: %v", got)
 	}
-	wait := s.Replicate(taps(1, snapRec("x"), endRec("x")))
-	if wait == nil {
-		t.Fatal("commit-point batch returned no wait")
-	}
-	wait()
+	s.Replicate(taps(1, snapRec("x"), endRec("x")))
+	s.Await(2)
 	if got := reg.Counter("repl_acks_total").Value(); got != 1 {
 		t.Fatalf("repl_acks_total = %d", got)
 	}
@@ -386,90 +397,36 @@ func TestSenderQuorumRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSenderCommitPointGate: a batch with no terminal/passivation
-// record streams without a wait — the next commit point's cumulative
-// ack covers it.
-func TestSenderCommitPointGate(t *testing.T) {
-	recv := newTestReceiver(t, nil)
-	s := senderTo(t, recv, ModeQuorum, nil, nil)
-	s.SetFollowers([]string{"f1"})
-	if wait := s.Replicate(taps(1, store.Record{Type: store.TypeExecStart, ID: "x"})); wait != nil {
-		t.Fatal("mid-flight batch demanded a wait")
-	}
-	if wait := s.Replicate(taps(2, store.Record{Type: store.TypeExecPassivate, ID: "x"})); wait == nil {
-		t.Fatal("passivation batch returned no wait")
-	} else {
-		wait()
-	}
-	waitAcked(t, s, "f1", 2)
-}
-
 func TestSenderAsyncNeverWaits(t *testing.T) {
-	recv := newTestReceiver(t, nil)
-	s := senderTo(t, recv, ModeAsync, nil, nil)
+	reg := obs.NewRegistry()
+	gate := make(chan struct{})
+	s := NewSender(SenderConfig{Source: "own", Mode: ModeAsync, Obs: reg,
+		Send: func(_ string, f Frame) (Ack, error) {
+			<-gate
+			return Ack{OK: true, AckSeq: f.Seq + uint64(f.Count) - 1}, nil
+		}})
 	s.SetFollowers([]string{"f1"})
-	if wait := s.Replicate(taps(1, snapRec("x"), endRec("x"))); wait != nil {
-		t.Fatal("async mode returned a wait")
-	}
+	s.Replicate(taps(1, snapRec("x"), endRec("x")))
+	returnsSoon(t, "an async Await on an unacknowledged seq", func() { s.Await(2) })
+	close(gate)
 	waitAcked(t, s, "f1", 2)
+	s.Close()
+	if got := reg.Counter("repl_acks_total").Value(); got != 0 {
+		t.Fatalf("async mode counted %d quorum acks", got)
+	}
 }
 
 func TestSenderNoFollowersNoWait(t *testing.T) {
-	recv := newTestReceiver(t, nil)
-	s := senderTo(t, recv, ModeQuorum, nil, nil)
-	if wait := s.Replicate(taps(1, endRec("x"))); wait != nil {
-		t.Fatal("followerless sender returned a wait")
-	}
-	if wait := s.Replicate(nil); wait != nil {
-		t.Fatal("empty batch returned a wait")
-	}
-}
-
-// TestSenderChainForwards: chain mode sends to the head only; the head
-// relays down the chain before acking upstream.
-func TestSenderChainForwards(t *testing.T) {
-	regTail := obs.NewRegistry()
-	tail := newTestReceiver(t, regTail)
-	head, err := NewReceiver(ReceiverConfig{
-		Dir: t.TempDir(),
-		Forward: func(peer string, f Frame) (Ack, error) {
-			if peer != "f2" {
-				return Ack{}, fmt.Errorf("forwarded to %s, want f2", peer)
-			}
-			return tail.Apply(f), nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(head.Close)
-	s := NewSender(SenderConfig{
-		Source: "own",
-		Mode:   ModeChain,
-		Send: func(peer string, f Frame) (Ack, error) {
-			if peer != "f1" {
-				return Ack{}, fmt.Errorf("chain mode sent to %s, want head f1", peer)
-			}
-			return head.Apply(f), nil
-		},
-	})
-	t.Cleanup(s.Close)
-	s.SetFollowers([]string{"f1", "f2"})
-	wait := s.Replicate(taps(1, snapRec("x"), endRec("x")))
-	if wait == nil {
-		t.Fatal("chain commit point returned no wait")
-	}
-	wait()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		srcs := tail.Sources()
-		if len(srcs) == 1 && srcs[0].LastSeq == 2 {
-			break
+	reg := obs.NewRegistry()
+	recv := newTestReceiver(t, reg)
+	s := senderTo(t, recv, ModeQuorum, reg, nil)
+	s.Replicate(nil)
+	s.Replicate(taps(1, endRec("x")))
+	returnsSoon(t, "a followerless Await", func() { s.Await(1) })
+	for _, name := range []string{"repl_acks_total", "repl_ack_failures_total", "repl_ack_timeouts_total", "repl_frames_sent_total"} {
+		if got := reg.Counter(name).Value(); got != 0 {
+			t.Fatalf("a followerless sender counted %s = %d", name, got)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("tail never caught up: %+v", srcs)
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -489,17 +446,8 @@ func TestSenderAckTimeoutDegradesToAsync(t *testing.T) {
 		Obs: reg,
 	})
 	s.SetFollowers([]string{"slow"})
-	wait := s.Replicate(taps(1, endRec("x")))
-	if wait == nil {
-		t.Fatal("no wait")
-	}
-	done := make(chan struct{})
-	go func() { wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("wait did not time out")
-	}
+	s.Replicate(taps(1, endRec("x")))
+	returnsSoon(t, "a wait on a stalled follower", func() { s.Await(1) })
 	if got := reg.Counter("repl_ack_timeouts_total").Value(); got != 1 {
 		t.Fatalf("repl_ack_timeouts_total = %d", got)
 	}
@@ -508,12 +456,14 @@ func TestSenderAckTimeoutDegradesToAsync(t *testing.T) {
 }
 
 // TestSenderFailedDeliveryCountsFailure: a dead follower fails the
-// quorum wait promptly (no timeout needed — the error is definitive).
+// quorum wait promptly (no timeout needed — the error is definitive):
+// a failed delivery settles the follower's mark.
 func TestSenderFailedDeliveryCountsFailure(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := NewSender(SenderConfig{
-		Source: "own",
-		Mode:   ModeQuorum,
+		Source:     "own",
+		Mode:       ModeQuorum,
+		AckTimeout: time.Hour,
 		Send: func(peer string, f Frame) (Ack, error) {
 			return Ack{}, errors.New("connection refused")
 		},
@@ -521,11 +471,8 @@ func TestSenderFailedDeliveryCountsFailure(t *testing.T) {
 	})
 	t.Cleanup(s.Close)
 	s.SetFollowers([]string{"dead"})
-	wait := s.Replicate(taps(1, endRec("x")))
-	if wait == nil {
-		t.Fatal("no wait")
-	}
-	wait()
+	s.Replicate(taps(1, endRec("x")))
+	returnsSoon(t, "a wait on a failed delivery", func() { s.Await(1) })
 	if got := reg.Counter("repl_ack_failures_total").Value(); got != 1 {
 		t.Fatalf("repl_ack_failures_total = %d", got)
 	}
@@ -536,7 +483,8 @@ func TestSenderFailedDeliveryCountsFailure(t *testing.T) {
 
 // TestSenderOutboxOverflowDrops: a follower that can't drain its outbox
 // has frames dropped (and will re-sync by snapshot), never blocking the
-// owner's append path.
+// owner's append path; a drop settles the follower's mark, so a wait on
+// a dropped frame returns without waiting out AckTimeout.
 func TestSenderOutboxOverflowDrops(t *testing.T) {
 	reg := obs.NewRegistry()
 	gate := make(chan struct{})
@@ -544,7 +492,8 @@ func TestSenderOutboxOverflowDrops(t *testing.T) {
 	var once sync.Once
 	s := NewSender(SenderConfig{
 		Source:     "own",
-		Mode:       ModeAsync,
+		Mode:       ModeQuorum,
+		AckTimeout: time.Hour,
 		QueueDepth: 1,
 		Send: func(peer string, f Frame) (Ack, error) {
 			once.Do(func() { close(started) })
@@ -558,11 +507,17 @@ func TestSenderOutboxOverflowDrops(t *testing.T) {
 	<-started
 	s.Replicate(taps(2, snapRec("b"))) // fills the queue
 	deadline := time.Now().Add(5 * time.Second)
+	seq := uint64(2)
 	for reg.Counter("repl_frames_dropped_total", "peer", "stuck").Value() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("overflow never dropped")
 		}
-		s.Replicate(taps(3, snapRec("c"))) // must be dropped or queued, never block
+		seq++
+		s.Replicate(taps(seq, endRec("c"))) // must be dropped or queued, never block
+	}
+	returnsSoon(t, "a wait on a dropped frame", func() { s.Await(seq) })
+	if got := reg.Counter("repl_ack_failures_total").Value(); got != 1 {
+		t.Fatalf("repl_ack_failures_total = %d after a wait on a dropped frame", got)
 	}
 	close(gate)
 	s.Close()
@@ -579,11 +534,8 @@ func TestSenderShipsSnapshotOnGap(t *testing.T) {
 	}
 	s := senderTo(t, recv, ModeQuorum, reg, snap)
 	s.SetFollowers([]string{"f1"})
-	wait := s.Replicate(taps(5, endRec("f2")))
-	if wait == nil {
-		t.Fatal("no wait")
-	}
-	wait()
+	s.Replicate(taps(5, endRec("f2")))
+	s.Await(5)
 	waitAcked(t, s, "f1", 5)
 	if got := reg.Counter("repl_snapshots_shipped_total").Value(); got != 1 {
 		t.Fatalf("repl_snapshots_shipped_total = %d", got)
@@ -711,6 +663,33 @@ func TestSenderSetFollowersReplacesSet(t *testing.T) {
 	if got := followers(s); len(got) != 0 {
 		t.Fatalf("followers after close: %v", got)
 	}
+
+	// A follower removed while a wait counts on it settles the wait: the
+	// follower that replaces it owes nothing handed over before it came.
+	reg := obs.NewRegistry()
+	gate := make(chan struct{})
+	stuck := NewSender(SenderConfig{Source: "own", Mode: ModeQuorum, AckTimeout: time.Hour, Obs: reg,
+		Send: func(string, Frame) (Ack, error) {
+			<-gate
+			return Ack{}, errors.New("gone")
+		}})
+	defer func() { close(gate); stuck.Close() }()
+	stuck.SetFollowers([]string{"f1"})
+	stuck.Replicate(taps(1, endRec("x")))
+	returnsSoon(t, "a wait on a removed follower", func() {
+		go func() {
+			for waiting := false; !waiting; time.Sleep(time.Millisecond) {
+				stuck.mu.Lock()
+				waiting = stuck.moved != nil
+				stuck.mu.Unlock()
+			}
+			stuck.SetFollowers([]string{"f2"})
+		}()
+		stuck.Await(1)
+	})
+	if got := reg.Counter("repl_ack_failures_total").Value(); got != 1 {
+		t.Fatalf("repl_ack_failures_total = %d after the follower left", got)
+	}
 }
 
 // TestReceiverRestartHealsBySnapshot: a restarted receiver's cursors
@@ -771,11 +750,8 @@ func TestSenderAckTimerIsReusable(t *testing.T) {
 	round := func(wantTimeouts, wantAcks int64) {
 		t.Helper()
 		seq++
-		wait := s.Replicate(taps(seq, endRec("x")))
-		if wait == nil {
-			t.Fatal("no wait")
-		}
-		wait()
+		s.Replicate(taps(seq, endRec("x")))
+		s.Await(seq)
 		if got := reg.Counter("repl_ack_timeouts_total").Value(); got != wantTimeouts {
 			t.Fatalf("batch %d: repl_ack_timeouts_total = %d, want %d", seq, got, wantTimeouts)
 		}
@@ -795,8 +771,8 @@ func TestSenderAckTimerIsReusable(t *testing.T) {
 }
 
 // TestReplicateAllocs: the tap's hand-off encodes straight from the
-// batch it was given and takes its ack timer from the pool — no record
-// copy, no timer per waited batch.
+// batch it was given and the wait takes its ack timer from the pool —
+// no record copy, no timer per waited batch.
 func TestReplicateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are measured without the race detector")
@@ -821,15 +797,12 @@ func TestReplicateAllocs(t *testing.T) {
 			seq++
 			batch[i].Seq = seq
 		}
-		wait := s.Replicate(batch)
-		if wait == nil {
-			t.Fatal("no wait")
-		}
-		wait()
+		s.Replicate(batch)
+		s.Await(seq)
 	})
 	t.Logf("%.1f allocations per waited 5-record batch, outbox worker included", allocs)
-	if allocs > 6 {
-		t.Errorf("Replicate + wait allocates %.1f times per batch, budget 6", allocs)
+	if allocs > 2 {
+		t.Errorf("Replicate + Await allocates %.1f times per batch, budget 2", allocs)
 	}
 }
 

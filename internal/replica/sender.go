@@ -2,7 +2,6 @@ package replica
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"datagridflow/internal/obs"
@@ -14,10 +13,11 @@ type SenderConfig struct {
 	// Source names this peer; every frame carries it so receivers keep
 	// one replica store per source.
 	Source string
-	// Mode selects how many follower acks an append waits for.
+	// Mode selects whether a quorum commit point waits for follower
+	// acks (quorum) or not (async).
 	Mode AckMode
-	// AckTimeout bounds how long a quorum/chain append waits before
-	// degrading to async for that batch (repl_ack_timeouts_total).
+	// AckTimeout bounds how long Await waits before giving up on the
+	// followers for that commit point (repl_ack_timeouts_total).
 	// Default 2s. A dead follower must slow the owner, not halt it —
 	// the gap it accrues is healed by snapshot on reconnect.
 	AckTimeout time.Duration
@@ -27,8 +27,8 @@ type SenderConfig struct {
 	QueueDepth int
 	// Send delivers one frame to a named follower and returns its ack.
 	Send func(peer string, f Frame) (Ack, error)
-	// Snapshot builds a catch-up snapshot frame (Op, Source, Seq and
-	// Block unset — the sender fills Source and Chain).
+	// Snapshot builds a catch-up snapshot frame: its Seq, Count and
+	// Block; the sender fills Op and Source.
 	Snapshot func() (Frame, error)
 	// Obs receives the repl_* metrics. Optional.
 	Obs *obs.Registry
@@ -43,49 +43,63 @@ type FollowerStatus struct {
 
 // Sender fans the store's replication tap out to the follower set. One
 // goroutine per follower drains an ordered outbox, so a slow follower
-// never blocks the others; the tap call itself blocks only for the acks
-// the configured mode demands.
+// never blocks the others, and Replicate never blocks on one. What a
+// follower has done with the stream is two cumulative sequence marks,
+// and Await is a check of them (docs/REPLICATION.md, "Ack modes").
 type Sender struct {
 	cfg SenderConfig
 
 	mu      sync.Mutex
-	order   []string // follower names in placement order (chain order)
+	order   []string // follower names in placement order
 	outbox  map[string]*outbox
 	lastSeq uint64 // highest seq handed to Replicate
 	closed  bool
+	// moved, once an Await made it, is closed and dropped the next time
+	// a follower's mark moves or the follower set changes: the waiters
+	// then check the marks again.
+	moved chan struct{}
+
+	// The series every batch or wait counts, resolved once.
+	sent, coalesced, acks, failures, timeouts *obs.Counter
 
 	timers sync.Pool // stopped *time.Timer, for the ack waits
 }
 
 // An outbox is one follower's queue of frames. Its array grows with
-// the backlog, up to QueueDepth jobs, and the worker takes the whole
+// the backlog, up to QueueDepth frames, and the worker takes the whole
 // queue in one swap.
 type outbox struct {
 	peer string
 	mu   sync.Mutex
-	jobs []senderJob
+	jobs []Frame
 	// spare is the array the worker gave back after its last batch, for
-	// the next swap; one that grew past outboxKeep jobs is dropped.
-	spare []senderJob
-	// wake holds one token while jobs wait for the worker.
-	wake    chan struct{}
-	quit    chan struct{}
-	done    chan struct{}
-	lastAck atomic.Uint64
+	// the next swap; one that grew past outboxKeep frames is dropped.
+	spare []Frame
+	// wake holds one token while frames wait for the worker.
+	wake chan struct{}
+	quit chan struct{}
+	done chan struct{}
+	// acked is the highest sequence the follower has acknowledged;
+	// settled the highest that needs nothing more from it — acked,
+	// failed, dropped on a full outbox, or handed over before the
+	// follower joined. Both only grow, under Sender.mu.
+	acked, settled uint64
+	// lag and ackedSeq are the follower's repl_follower_* gauges.
+	lag, ackedSeq *obs.Gauge
 }
 
 // outboxKeep is the largest queue array an outbox keeps between
 // batches: a burst's backlog is not held on to once it is sent.
 const outboxKeep = 64
 
-// push queues j unless depth jobs already wait, and wakes the worker.
-func (ob *outbox) push(j senderJob, depth int) bool {
+// push queues f unless depth frames already wait, and wakes the worker.
+func (ob *outbox) push(f Frame, depth int) bool {
 	ob.mu.Lock()
 	if len(ob.jobs) >= depth {
 		ob.mu.Unlock()
 		return false
 	}
-	ob.jobs = append(ob.jobs, j)
+	ob.jobs = append(ob.jobs, f)
 	ob.mu.Unlock()
 	select {
 	case ob.wake <- struct{}{}:
@@ -95,7 +109,7 @@ func (ob *outbox) push(j senderJob, depth int) bool {
 }
 
 // take swaps out everything queued; nil when nothing is.
-func (ob *outbox) take() []senderJob {
+func (ob *outbox) take() []Frame {
 	ob.mu.Lock()
 	defer ob.mu.Unlock()
 	if len(ob.jobs) == 0 {
@@ -107,7 +121,7 @@ func (ob *outbox) take() []senderJob {
 }
 
 // giveBack returns a taken array, emptied, for a later swap.
-func (ob *outbox) giveBack(jobs []senderJob) {
+func (ob *outbox) giveBack(jobs []Frame) {
 	clear(jobs)
 	if cap(jobs) > outboxKeep {
 		return
@@ -115,13 +129,6 @@ func (ob *outbox) giveBack(jobs []senderJob) {
 	ob.mu.Lock()
 	ob.spare = jobs[:0]
 	ob.mu.Unlock()
-}
-
-type senderJob struct {
-	frame Frame
-	// ack, when non-nil, receives one true/false per delivery attempt
-	// (buffered by the caller to the fan-out width).
-	ack chan bool
 }
 
 // NewSender starts a sender with no followers; SetFollowers arms it.
@@ -135,12 +142,25 @@ func NewSender(cfg SenderConfig) *Sender {
 	if cfg.Mode == "" {
 		cfg.Mode = ModeQuorum
 	}
-	return &Sender{cfg: cfg, outbox: map[string]*outbox{}}
+	if cfg.Obs == nil {
+		cfg.Obs = obs.NewRegistry() // counted, read by nobody
+	}
+	reg := cfg.Obs
+	return &Sender{
+		cfg: cfg, outbox: map[string]*outbox{},
+		sent:      reg.Counter("repl_frames_sent_total"),
+		coalesced: reg.Counter("repl_frames_coalesced_total"),
+		acks:      reg.Counter("repl_acks_total"),
+		failures:  reg.Counter("repl_ack_failures_total"),
+		timeouts:  reg.Counter("repl_ack_timeouts_total"),
+	}
 }
 
-// SetFollowers replaces the follower set (placement order = chain
-// order). New followers start cold: their first frame reports a gap and
-// triggers a snapshot ship. Removed followers' outboxes stop.
+// SetFollowers replaces the follower set (in placement order). New
+// followers start cold: their first frame reports a gap and triggers a
+// snapshot ship, and they owe no ack for what was handed over before
+// they joined. Removed followers' outboxes stop, and no wait counts
+// them any more.
 func (s *Sender) SetFollowers(names []string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -155,10 +175,13 @@ func (s *Sender) SetFollowers(names []string) {
 		keep[n] = true
 		if s.outbox[n] == nil {
 			ob := &outbox{
-				peer: n,
-				wake: make(chan struct{}, 1),
-				quit: make(chan struct{}),
-				done: make(chan struct{}),
+				peer:     n,
+				wake:     make(chan struct{}, 1),
+				quit:     make(chan struct{}),
+				done:     make(chan struct{}),
+				settled:  s.lastSeq,
+				lag:      s.cfg.Obs.Gauge("repl_follower_lag_records", "peer", n),
+				ackedSeq: s.cfg.Obs.Gauge("repl_follower_acked_seq", "peer", n),
 			}
 			s.outbox[n] = ob
 			go s.run(ob)
@@ -177,6 +200,7 @@ func (s *Sender) SetFollowers(names []string) {
 			keep[n] = false // dedupe: record each follower once
 		}
 	}
+	s.wakeLocked()
 }
 
 // Status reports each follower's last acknowledged sequence.
@@ -185,9 +209,7 @@ func (s *Sender) Status() []FollowerStatus {
 	defer s.mu.Unlock()
 	out := make([]FollowerStatus, 0, len(s.order))
 	for _, n := range s.order {
-		if ob := s.outbox[n]; ob != nil {
-			out = append(out, FollowerStatus{Peer: n, AckedSeq: ob.lastAck.Load()})
-		}
+		out = append(out, FollowerStatus{Peer: n, AckedSeq: s.outbox[n].acked})
 	}
 	return out
 }
@@ -207,23 +229,20 @@ func (s *Sender) Close() {
 		delete(s.outbox, n)
 	}
 	s.order = nil
+	s.wakeLocked()
 	s.mu.Unlock()
 	for _, ob := range workers {
 		<-ob.done
 	}
 }
 
-// Replicate is the store tap (store.SetTap): it turns one batch of
-// durable records into an append frame and enqueues it per the ack
-// mode's fan-out. The returned wait function — nil when nothing needs
-// waiting on — blocks until enough follower acks arrive (quorum: a
-// majority of the follower set; chain: the head of the chain; async:
-// none). The enqueue/wait split lets the store release its ordering
-// lock before waiting, so concurrent appenders' round trips overlap.
+// Replicate is the store tap's hand-off (store.Tap): it turns one batch
+// of durable records into an append frame and queues it for every
+// follower. It never waits for one; a full outbox drops the frame.
 // Called with batches in strict sequence order.
-func (s *Sender) Replicate(batch []store.TapRecord) func() {
+func (s *Sender) Replicate(batch []store.TapRecord) {
 	if len(batch) == 0 {
-		return nil
+		return
 	}
 	f := Frame{
 		Op:     OpAppend,
@@ -232,94 +251,107 @@ func (s *Sender) Replicate(batch []store.TapRecord) func() {
 		Count:  len(batch),
 		Block:  encodeBlock(len(batch), func(i int) *store.Record { return &batch[i].Rec }),
 	}
-
+	end := batch[len(batch)-1].Seq
 	s.mu.Lock()
-	s.lastSeq = batch[len(batch)-1].Seq
-	var targets []*outbox
-	need := 0
-	switch s.cfg.Mode {
-	case ModeChain:
-		if len(s.order) > 0 {
-			if head := s.outbox[s.order[0]]; head != nil {
-				f.Chain = append([]string(nil), s.order[1:]...)
-				targets = append(targets, head)
-				need = 1
-			}
-		}
-	default: // quorum and async fan out to every follower
-		for _, n := range s.order {
-			if ob := s.outbox[n]; ob != nil {
-				targets = append(targets, ob)
-			}
-		}
-		if s.cfg.Mode == ModeQuorum {
-			need = (len(targets) + 1) / 2 // majority of the follower set
-		}
+	defer s.mu.Unlock()
+	s.lastSeq = end
+	if len(s.order) == 0 {
+		return
 	}
-	s.mu.Unlock()
-	if len(targets) == 0 {
-		return nil
-	}
-	// Wait only at commit points. Acks are cumulative by sequence, so a
-	// batch carrying no record that completes a promise to a caller
-	// (terminal outcome, passivation) streams without blocking its
-	// appender — the next commit-point wait covers the whole prefix.
-	// This is log shipping's classic shape: the stream pipelines, the
-	// sync points are where durability was promised.
-	if need > 0 && !hasCommitPoint(batch) {
-		need = 0
-	}
-
-	var ack chan bool
-	if need > 0 {
-		ack = make(chan bool, len(targets))
-	}
-	enqueued := 0
-	for _, ob := range targets {
-		if ob.push(senderJob{frame: f, ack: ack}, s.cfg.QueueDepth) {
-			enqueued++
-		} else {
+	for _, n := range s.order {
+		if ob := s.outbox[n]; !ob.push(f, s.cfg.QueueDepth) {
 			// Outbox full: the follower is too far behind for streaming.
 			// Drop — the gap it sees next forces a snapshot re-sync.
-			s.count("repl_frames_dropped_total", "peer", ob.peer)
+			s.cfg.Obs.Counter("repl_frames_dropped_total", "peer", ob.peer).Inc()
+			s.markLocked(ob, 0, end)
 		}
 	}
-	s.count("repl_frames_sent_total")
-	if need == 0 || enqueued == 0 {
-		return nil
+	s.sent.Inc()
+}
+
+// Await is the store tap's wait (store.Tap): in quorum mode it returns
+// once a majority of the current follower set has acknowledged seq
+// (repl_acks_total), or every follower has settled it without that
+// majority (repl_ack_failures_total), or AckTimeout passes — degrading
+// that commit point to async rather than stalling the owner on a dead
+// follower (repl_ack_timeouts_total). Acks are cumulative by sequence,
+// so one wait covers every record before seq. In async mode, or with no
+// followers, it returns at once.
+func (s *Sender) Await(seq uint64) {
+	if s.cfg.Mode != ModeQuorum {
+		return
 	}
-	if need > enqueued {
-		need = enqueued
+	var timer *time.Timer
+	outcome, moved := s.check(seq)
+	for moved != nil {
+		if timer == nil {
+			timer = s.ackTimer()
+		}
+		select {
+		case <-moved:
+			outcome, moved = s.check(seq)
+		case <-timer.C:
+			outcome, moved = s.timeouts, nil
+		}
 	}
-	return func() {
-		timer := s.ackTimer()
-		defer s.putAckTimer(timer)
-		got := 0
-		for pending := enqueued; got < need && pending > 0; {
-			select {
-			case ok := <-ack:
-				pending--
-				if ok {
-					got++
-				}
-			case <-timer.C:
-				// Degrade to async for this batch rather than stalling the
-				// owner's append path on a dead follower.
-				s.count("repl_ack_timeouts_total")
-				return
-			}
+	if timer != nil {
+		s.putAckTimer(timer)
+	}
+	if outcome != nil {
+		outcome.Inc()
+	}
+}
+
+// check reports where a wait for seq stands: the counter of its outcome
+// once it has one (nil when there are no followers to wait for), or else
+// the channel the next move of a mark closes.
+func (s *Sender) check(seq uint64) (*obs.Counter, chan struct{}) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	acked, settled := 0, 0
+	for _, n := range s.order {
+		ob := s.outbox[n]
+		if ob.acked >= seq {
+			acked++
 		}
-		if got >= need {
-			s.count("repl_acks_total")
-		} else {
-			s.count("repl_ack_failures_total")
+		if ob.settled >= seq {
+			settled++
 		}
+	}
+	switch {
+	case len(s.order) == 0:
+		return nil, nil
+	case acked >= (len(s.order)+1)/2:
+		return s.acks, nil
+	case settled == len(s.order):
+		return s.failures, nil
+	}
+	if s.moved == nil {
+		s.moved = make(chan struct{})
+	}
+	return nil, s.moved
+}
+
+// markLocked moves ob's marks up to acked and settled (an ack settles
+// too) and wakes the waiters. Caller holds s.mu.
+func (s *Sender) markLocked(ob *outbox, acked, settled uint64) {
+	ob.acked = max(ob.acked, acked)
+	ob.settled = max(ob.settled, settled, ob.acked)
+	s.wakeLocked()
+}
+
+// wakeLocked wakes every Await to check the marks again. Caller holds
+// s.mu.
+func (s *Sender) wakeLocked() {
+	if s.moved != nil {
+		close(s.moved)
+		s.moved = nil
 	}
 }
 
 // ackTimer takes a stopped timer from the pool (or makes one) and sets
 // it to the ack timeout; putAckTimer stops it, empties its channel and
-// gives it back. Ack waits of successive batches overlap, so there is
+// gives it back. Waits of concurrent commit points overlap, so there is
 // one timer per wait in flight, not one per sender.
 func (s *Sender) ackTimer() *time.Timer {
 	if t, ok := s.timers.Get().(*time.Timer); ok {
@@ -339,31 +371,13 @@ func (s *Sender) putAckTimer(t *time.Timer) {
 	s.timers.Put(t)
 }
 
-// hasCommitPoint reports whether the batch carries a record whose
-// writer waits for the quorum ack (store.Waits) — one that completes a
-// promise to a caller. Start/step records are progress, not promises: a
-// mid-flight flow has acknowledged nothing to anyone yet.
-func hasCommitPoint(batch []store.TapRecord) bool {
-	for i := range batch {
-		if _, quorum := store.Waits(batch[i].Rec.Type); quorum {
-			return true
-		}
-	}
-	return false
-}
-
-// run drains one follower's outbox in order.
+// run drains one follower's outbox in order until the follower is
+// removed; what is still queued then is abandoned with it.
 func (s *Sender) run(ob *outbox) {
 	defer close(ob.done)
 	for {
 		select {
 		case <-ob.quit:
-			// Unblock any Replicate still waiting on queued jobs.
-			for _, j := range ob.take() {
-				if j.ack != nil {
-					j.ack <- false
-				}
-			}
 			return
 		case <-ob.wake:
 			s.drainBatch(ob)
@@ -387,10 +401,8 @@ func (s *Sender) drainBatch(ob *outbox) {
 			// durable order.
 			end := start + 1
 			for ; end < len(jobs); end++ {
-				last, j := jobs[end-1].frame, jobs[end].frame
-				if !(last.Op == OpAppend && j.Op == OpAppend &&
-					j.Seq == last.Seq+uint64(last.Count) &&
-					sameChain(jobs[start].frame.Chain, j.Chain)) {
+				last, f := &jobs[end-1], &jobs[end]
+				if !(last.Op == OpAppend && f.Op == OpAppend && f.Seq == last.Seq+uint64(last.Count)) {
 					break
 				}
 			}
@@ -401,102 +413,73 @@ func (s *Sender) drainBatch(ob *outbox) {
 	}
 }
 
-// deliverRun sends a run of contiguous jobs as one frame and answers
-// each job's ack.
-func (s *Sender) deliverRun(ob *outbox, run []senderJob) {
-	f := run[0].frame
+// deliverRun sends a run of contiguous frames as one frame and moves
+// the follower's marks: acked to what it acknowledged, settled to the
+// run's last record whether the delivery worked or not.
+func (s *Sender) deliverRun(ob *outbox, run []Frame) {
+	f := run[0]
 	if len(run) > 1 {
 		merged := make([]byte, 0, len(f.Block)*len(run))
 		merged = append(merged, f.Block...)
 		for _, j := range run[1:] {
-			merged = append(merged, j.frame.Block...)
-			f.Count += j.frame.Count
+			merged = append(merged, j.Block...)
+			f.Count += j.Count
 		}
 		f.Block = merged
-		s.count("repl_frames_coalesced_total")
+		s.coalesced.Inc()
 	}
-	ok := s.deliver(ob, f)
-	for _, j := range run {
-		if j.ack != nil {
-			j.ack <- ok
-		}
+	acked := s.deliver(ob, f)
+	s.mu.Lock()
+	s.markLocked(ob, acked, f.Seq+uint64(f.Count)-1)
+	lag := int64(0)
+	if s.lastSeq > ob.acked {
+		lag = int64(s.lastSeq - ob.acked)
 	}
-}
-
-func sameChain(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	ob.lag.Set(lag)
+	ob.ackedSeq.Set(int64(ob.acked))
+	s.mu.Unlock()
 }
 
 // deliver sends one frame, shipping a snapshot first when the follower
-// reports a gap (cold follower, dropped frames, or follower restart).
-func (s *Sender) deliver(ob *outbox, f Frame) bool {
+// reports a gap (cold follower, dropped frames, or follower restart),
+// and returns the highest sequence the follower acknowledged on the
+// way — 0 when it acknowledged nothing.
+func (s *Sender) deliver(ob *outbox, f Frame) (acked uint64) {
 	ack, err := s.cfg.Send(ob.peer, f)
 	if err != nil {
-		s.count("repl_send_errors_total", "peer", ob.peer)
-		return false
+		s.countPeer("repl_send_errors_total", ob.peer)
+		return 0
 	}
 	if ack.NeedSnapshot && s.cfg.Snapshot != nil {
 		snap, serr := s.cfg.Snapshot()
 		if serr != nil {
-			s.count("repl_snapshot_errors_total")
-			return false
+			s.cfg.Obs.Counter("repl_snapshot_errors_total").Inc()
+			return 0
 		}
 		snap.Op = OpSnapshot
 		snap.Source = s.cfg.Source
-		snap.Chain = f.Chain
 		sack, serr := s.cfg.Send(ob.peer, snap)
 		if serr != nil || !sack.OK {
-			s.count("repl_send_errors_total", "peer", ob.peer)
-			return false
+			s.countPeer("repl_send_errors_total", ob.peer)
+			return 0
 		}
-		s.count("repl_snapshots_shipped_total")
-		ob.lastAck.Store(sack.AckSeq)
-		if f.Seq+uint64(f.Count)-1 <= sack.AckSeq {
-			// The snapshot already covers this frame.
-			s.gaugeLag(ob)
-			return true
+		s.cfg.Obs.Counter("repl_snapshots_shipped_total").Inc()
+		if acked = sack.AckSeq; f.Seq+uint64(f.Count)-1 <= acked {
+			return acked // the snapshot already covers this frame
 		}
 		ack, err = s.cfg.Send(ob.peer, f)
 		if err != nil || ack.NeedSnapshot {
-			s.count("repl_send_errors_total", "peer", ob.peer)
-			return false
+			s.countPeer("repl_send_errors_total", ob.peer)
+			return acked
 		}
 	}
 	if !ack.OK {
-		s.count("repl_apply_rejected_total", "peer", ob.peer)
-		return false
+		s.countPeer("repl_apply_rejected_total", ob.peer)
+		return acked
 	}
-	ob.lastAck.Store(ack.AckSeq)
-	s.gaugeLag(ob)
-	return true
+	return ack.AckSeq
 }
 
-func (s *Sender) gaugeLag(ob *outbox) {
-	if s.cfg.Obs == nil {
-		return
-	}
-	s.mu.Lock()
-	last := s.lastSeq
-	s.mu.Unlock()
-	acked := ob.lastAck.Load()
-	lag := int64(0)
-	if last > acked {
-		lag = int64(last - acked)
-	}
-	s.cfg.Obs.Gauge("repl_follower_lag_records", "peer", ob.peer).Set(lag)
-	s.cfg.Obs.Gauge("repl_follower_acked_seq", "peer", ob.peer).Set(int64(acked))
-}
-
-func (s *Sender) count(name string, labels ...string) {
-	if s.cfg.Obs != nil {
-		s.cfg.Obs.Counter(name, labels...).Inc()
-	}
+func (s *Sender) countPeer(name, peer string) {
+	s.cfg.Obs.Counter(name, "peer", peer).Inc()
 }

@@ -20,12 +20,13 @@ type tapLog struct {
 	batches [][]TapRecord
 }
 
-func (l *tapLog) tap(batch []TapRecord) func() {
+func (l *tapLog) Replicate(batch []TapRecord) {
 	l.mu.Lock()
 	l.batches = append(l.batches, append([]TapRecord(nil), batch...))
 	l.mu.Unlock()
-	return nil
 }
+
+func (l *tapLog) Await(uint64) {}
 
 func (l *tapLog) snapshot() [][]TapRecord {
 	l.mu.Lock()
@@ -68,7 +69,7 @@ func insideLinger(t *testing.T, attempt func(r *lingerRun) (check func())) {
 	for try := 0; try < 50; try++ {
 		r := &lingerRun{t: t, reg: obs.NewRegistry(), taps: &tapLog{}}
 		r.s = mustOpen(t, t.TempDir(), Options{Obs: r.reg})
-		r.s.SetTap(r.taps.tap)
+		r.s.SetTap(r.taps)
 		check := attempt(r)
 		clean := r.armed.IsZero() || time.Since(r.armed) < Linger
 		if clean {
@@ -140,7 +141,7 @@ func TestLingerSyncsIdleWrite(t *testing.T) {
 	s := mustOpen(t, t.TempDir(), Options{Obs: reg})
 	defer s.Close()
 	taps := &tapLog{}
-	s.SetTap(taps.tap)
+	s.SetTap(taps)
 	appendAll(t, s, Record{Type: TypeExecStart, ID: "a", Request: "<r/>"})
 	if _, err := s.Write(stepDone("a", 0)); err != nil {
 		t.Fatal(err)
@@ -204,7 +205,7 @@ func TestBackgroundSyncFailurePoisons(t *testing.T) {
 		reg := obs.NewRegistry()
 		s := mustOpen(t, t.TempDir(), Options{Obs: reg})
 		taps := &tapLog{}
-		s.SetTap(taps.tap)
+		s.SetTap(taps)
 		appendAll(t, s, Record{Type: TypeExecStart, ID: "a", Request: "<r/>"})
 		start := time.Now()
 		if _, err := s.Write(stepDone("a", 0)); err != nil {
@@ -271,7 +272,7 @@ func TestFailedWriteAtSyncPoisons(t *testing.T) {
 		reg := obs.NewRegistry()
 		s := mustOpen(t, t.TempDir(), Options{Obs: reg})
 		taps := &tapLog{}
-		s.SetTap(taps.tap)
+		s.SetTap(taps)
 		appendAll(t, s, Record{Type: TypeExecStart, ID: "a", Request: "<r/>"})
 		start := time.Now()
 		for n := 0; n < 2; n++ {
@@ -396,7 +397,7 @@ func TestWaitAllocs(t *testing.T) {
 	}
 	s := mustOpen(t, t.TempDir(), Options{})
 	defer s.Close()
-	s.SetTap(func([]TapRecord) func() { return nil })
+	s.SetTap(tapFuncs{})
 	appendAll(t, s, Record{Type: TypeExecStart, ID: "a", Request: "<r/>"})
 	rec := Record{Type: TypeExecStart, ID: "b", Request: "<r/>"}
 	allocs := testing.AllocsPerRun(200, func() {
@@ -423,7 +424,7 @@ func TestWriteConcurrentWithAppends(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{SegmentMaxBytes: 2048})
 	taps := &tapLog{}
-	s.SetTap(taps.tap)
+	s.SetTap(taps)
 	const flows, steps = 8, 12
 	var wg sync.WaitGroup
 	for f := 0; f < flows; f++ {

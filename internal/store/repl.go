@@ -7,9 +7,10 @@ package store
 // that survives its fsync is assigned a monotonically increasing
 // sequence number (replSeq) under s.mu, and — when a tap is attached —
 // queued for delivery. Delivery happens outside s.mu, serialized by
-// tapMu, so a blocking tap (quorum ack waiting on a follower) stalls
-// the appender that owns the batch without deadlocking the store, and
-// the tap always observes records in strict sequence order.
+// tapMu, so the tap always observes records in strict sequence order.
+// The store also decides who waits for followers: only a writer whose
+// own records include a quorum commit point (Waits), and only for the
+// sequence its sync left (Tap.Await).
 
 // TapRecord is one durable record paired with its replication sequence
 // number.
@@ -23,23 +24,29 @@ type TapRecord struct {
 	Rec Record
 }
 
-// SetTap attaches (or, with nil, detaches) the replication tap. The tap
-// is invoked with batches of fsync-proven records in sequence order,
-// outside the store's index lock, and returns a wait function (or nil):
-// the two-phase shape lets the store hand off the batch under the
-// ordering lock but wait for follower acknowledgements outside it, so
-// concurrent appenders' ack round trips overlap instead of queueing.
-// The Append/AppendBatch call whose records a batch carries does not
-// return until the wait completes — that coupling is what makes a
-// quorum-acked Append mean "durable here AND acknowledged by a
-// follower". The tap must not keep the batch past its return: the store
-// reuses its array for a later one.
-func (s *Store) SetTap(fn func([]TapRecord) func()) {
+// Tap is where a store's durable records go for replication
+// (replica.Sender).
+type Tap interface {
+	// Replicate takes one batch of fsync-proven records, in sequence
+	// order, outside the store's index lock. It must not block on a
+	// follower, and must not keep the batch past its return: the store
+	// reuses its array for a later one.
+	Replicate(batch []TapRecord)
+	// Await returns once the followers have acknowledged every record
+	// through seq, or the tap has given up on them. The store calls it
+	// after handing seq over, for a writer whose records include a
+	// quorum commit point, so that such an Append means "durable here
+	// AND acknowledged by a follower".
+	Await(seq uint64)
+}
+
+// SetTap attaches (or, with nil, detaches) the replication tap.
+func (s *Store) SetTap(t Tap) {
 	s.tapMu.Lock()
 	defer s.tapMu.Unlock()
 	s.mu.Lock()
-	s.tap = fn
-	if fn == nil {
+	s.tap = t
+	if t == nil {
 		s.tapQueue, s.tapSpare = nil, nil
 	}
 	s.mu.Unlock()
@@ -53,64 +60,35 @@ func (s *Store) ReplSeq() uint64 {
 	return s.replSeq
 }
 
-// flushTap delivers every queued tap record. Callers must NOT hold
-// s.mu. tapMu makes hand-off single-file: two appenders that both
-// proved records durable race to this point, but whichever wins the
-// lock hands the whole queue (its own records and the loser's) to the
-// tap in sequence order, and the loser finds an empty queue — its
-// records were piggybacked on the winner's delivery, mirroring how
-// group commit shares fsyncs.
-//
-// The ack wait happens outside tapMu: each deliverer parks its wait
-// handle in tapWaits, and every flusher — deliverer or piggybacked —
-// waits out the handles outstanding at its hand-off point, which by
-// construction cover its own records. Round trips for successive
-// batches therefore overlap, and the sender coalesces what queues
-// behind an in-flight one.
+// flushTap delivers every queued tap record and returns the tap, nil
+// when none is attached. Callers must NOT hold s.mu. tapMu makes
+// hand-off single-file: two appenders that both proved records durable
+// race to this point, but whichever wins the lock hands the whole queue
+// (its own records and the loser's) to the tap in sequence order, and
+// the loser finds an empty queue once the winner's hand-off is over —
+// its records were piggybacked on the winner's delivery, mirroring how
+// group commit shares fsyncs. So when flushTap returns, every record
+// made durable before the call has reached the tap.
 //
 // The queue is two arrays taking turns: the one handed off becomes the
 // spare once the tap returns — it keeps nothing of a batch — so commits
 // do not regrow the queue.
-func (s *Store) flushTap() {
+func (s *Store) flushTap() Tap {
 	s.tapMu.Lock()
+	defer s.tapMu.Unlock()
 	s.mu.Lock()
 	tap := s.tap
 	batch := s.tapQueue
 	s.tapQueue, s.tapSpare = s.tapSpare, nil
 	s.mu.Unlock()
-	var wait func()
 	if tap != nil && len(batch) > 0 {
-		wait = tap(batch) // ordered hand-off under tapMu
+		tap.Replicate(batch)
 	}
 	if cap(batch) <= tapKeep {
 		clear(batch) // the records' strings are not the queue's to keep
 		s.tapSpare = batch[:0]
 	}
-	var handle chan struct{}
-	if wait != nil {
-		handle = make(chan struct{})
-		s.tapWaits = append(s.tapWaits, handle)
-	}
-	pending := append([]chan struct{}(nil), s.tapWaits...)
-	s.tapMu.Unlock()
-
-	if wait != nil {
-		wait()
-		close(handle)
-		s.tapMu.Lock()
-		for i, h := range s.tapWaits {
-			if h == handle {
-				s.tapWaits = append(s.tapWaits[:i], s.tapWaits[i+1:]...)
-				break
-			}
-		}
-		s.tapMu.Unlock()
-	}
-	for _, h := range pending {
-		if h != handle {
-			<-h
-		}
-	}
+	return tap
 }
 
 // SnapshotRecords builds the follower catch-up payload: one merged

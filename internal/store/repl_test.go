@@ -8,6 +8,24 @@ import (
 	"time"
 )
 
+// tapFuncs is a Tap made of two functions; a nil one does nothing.
+type tapFuncs struct {
+	replicate func([]TapRecord)
+	await     func(seq uint64)
+}
+
+func (f tapFuncs) Replicate(batch []TapRecord) {
+	if f.replicate != nil {
+		f.replicate(batch)
+	}
+}
+
+func (f tapFuncs) Await(seq uint64) {
+	if f.await != nil {
+		f.await(seq)
+	}
+}
+
 func openTap(t *testing.T, opt Options) *Store {
 	t.Helper()
 	st, err := Open(t.TempDir(), opt)
@@ -25,12 +43,11 @@ func TestTapSequenceOrder(t *testing.T) {
 	st := openTap(t, Options{})
 	var mu sync.Mutex
 	var seen []TapRecord
-	st.SetTap(func(batch []TapRecord) func() {
+	st.SetTap(tapFuncs{replicate: func(batch []TapRecord) {
 		mu.Lock()
 		seen = append(seen, batch...)
 		mu.Unlock()
-		return nil
-	})
+	}})
 	const workers, per = 4, 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -65,25 +82,23 @@ func TestTapSequenceOrder(t *testing.T) {
 	}
 }
 
-// TestTapWaitBlocksAppend: an Append whose batch demands a wait must
-// not return before the wait completes — that coupling is what makes a
+// TestTapWaitBlocksAppend: an Append of a quorum commit point must not
+// return before the tap's Await does — that coupling is what makes a
 // quorum-acked append a durability promise.
 func TestTapWaitBlocksAppend(t *testing.T) {
 	st := openTap(t, Options{})
 	release := make(chan struct{})
-	st.SetTap(func(batch []TapRecord) func() {
-		return func() { <-release }
-	})
+	st.SetTap(tapFuncs{await: func(uint64) { <-release }})
 	done := make(chan struct{})
 	go func() {
-		if err := st.Append(Record{Type: TypeExecSnap, ID: "x"}); err != nil {
+		if err := st.Append(Record{Type: TypeExecEnd, ID: "x"}); err != nil {
 			t.Error(err)
 		}
 		close(done)
 	}()
 	select {
 	case <-done:
-		t.Fatal("append returned before the tap wait completed")
+		t.Fatal("append returned before the tap's Await did")
 	case <-time.After(30 * time.Millisecond):
 	}
 	close(release)
@@ -94,26 +109,30 @@ func TestTapWaitBlocksAppend(t *testing.T) {
 	}
 }
 
-// TestTapWaitsOverlap: with the two-phase tap, a second appender's
-// hand-off proceeds while the first appender's wait is still pending —
-// ack round trips overlap instead of queueing — and both appends
-// complete once all waits release, in any order.
+// TestTapWaitsOverlap: a second appender's hand-off proceeds while the
+// first appender's Await is still pending — ack round trips overlap
+// instead of queueing — and both appends complete once all waits
+// release, in any order.
 func TestTapWaitsOverlap(t *testing.T) {
 	st := openTap(t, Options{})
 	type waitReq struct {
-		id      string
+		seq     uint64
 		release chan struct{}
 	}
-	handed := make(chan waitReq, 4)
-	st.SetTap(func(batch []TapRecord) func() {
-		req := waitReq{id: batch[0].Rec.ID, release: make(chan struct{})}
-		handed <- req
-		return func() { <-req.release }
+	handed := make(chan string, 4)
+	waiting := make(chan waitReq, 4)
+	st.SetTap(tapFuncs{
+		replicate: func(batch []TapRecord) { handed <- batch[0].Rec.ID },
+		await: func(seq uint64) {
+			req := waitReq{seq: seq, release: make(chan struct{})}
+			waiting <- req
+			<-req.release
+		},
 	})
 	appendDone := func(id string) chan struct{} {
 		done := make(chan struct{})
 		go func() {
-			if err := st.Append(Record{Type: TypeExecSnap, ID: id}); err != nil {
+			if err := st.Append(Record{Type: TypeExecEnd, ID: id}); err != nil {
 				t.Error(err)
 			}
 			close(done)
@@ -121,18 +140,24 @@ func TestTapWaitsOverlap(t *testing.T) {
 		return done
 	}
 	d1 := appendDone("a")
-	w1 := <-handed
+	if id := <-handed; id != "a" {
+		t.Fatalf("first hand-off carried %q", id)
+	}
+	w1 := <-waiting
 	// First wait is pending; the second appender must still get its
-	// batch handed off (possibly group-committed with nothing else).
+	// batch handed off.
 	d2 := appendDone("b")
 	var w2 waitReq
 	select {
-	case w2 = <-handed:
+	case id := <-handed:
+		if id != "b" {
+			t.Fatalf("second hand-off carried %q", id)
+		}
+		w2 = <-waiting
 	case <-time.After(5 * time.Second):
 		t.Fatal("second hand-off blocked behind the first wait")
 	}
-	// Release in reverse order: the piggyback bookkeeping must not
-	// deadlock on completion order.
+	// Release in reverse order: completion order must not matter.
 	close(w2.release)
 	close(w1.release)
 	for _, d := range []chan struct{}{d1, d2} {
@@ -142,19 +167,66 @@ func TestTapWaitsOverlap(t *testing.T) {
 			t.Fatal("append never completed")
 		}
 	}
-	if w1.id == w2.id {
-		t.Fatalf("both hand-offs carried %q", w1.id)
+	if w1.seq != 1 || w2.seq != 2 {
+		t.Fatalf("the appends awaited seqs %d and %d, want 1 and 2", w1.seq, w2.seq)
 	}
+}
+
+// TestQuorumCommitPointGate: the store calls Await only for a writer
+// whose own records include a quorum commit point (Waits), and for the
+// sequence its sync reached — which covers the records streamed before
+// it, because acks are cumulative.
+func TestQuorumCommitPointGate(t *testing.T) {
+	st := openTap(t, Options{})
+	var mu sync.Mutex
+	var awaited []uint64
+	st.SetTap(tapFuncs{await: func(seq uint64) {
+		mu.Lock()
+		awaited = append(awaited, seq)
+		mu.Unlock()
+	}})
+	check := func(what string, want ...uint64) {
+		t.Helper()
+		mu.Lock()
+		defer mu.Unlock()
+		if !reflect.DeepEqual(awaited, want) {
+			t.Fatalf("after %s the store awaited %v, want %v", what, awaited, want)
+		}
+	}
+	appendAll(t, st, Record{Type: TypeExecStart, ID: "x", Request: "<r/>"})
+	check("an exec.start Append")
+	tk, err := st.Write(stepDone("x", 1))
+	if err == nil {
+		err = st.Wait(tk)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, st, Record{Type: TypeExecSnap, ID: "x"})
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check("a step.done, an exec.snap and a Flush")
+	appendAll(t, st, Record{Type: TypeExecPassivate, ID: "x"})
+	check("an exec.passivate Append", 4)
+	if tk, err = st.Write(Record{Type: TypeExecEnd, ID: "x"}); err == nil {
+		err = st.Wait(tk)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("a Wait on an exec.end ticket", 4, 5)
+	if err := st.AppendBatch([]Record{{Type: TypeExecStart, ID: "y", Request: "<r/>"}, {Type: TypeExecEnd, ID: "y"}}); err != nil {
+		t.Fatal(err)
+	}
+	check("a batch ending in exec.end", 4, 5, 7)
 }
 
 // TestTapDetach: a nil tap detaches cleanly and drops queued delivery.
 func TestTapDetach(t *testing.T) {
 	st := openTap(t, Options{})
 	calls := 0
-	st.SetTap(func(batch []TapRecord) func() {
-		calls++
-		return nil
-	})
+	st.SetTap(tapFuncs{replicate: func([]TapRecord) { calls++ }})
 	if err := st.Append(Record{Type: TypeExecSnap, ID: "x"}); err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +298,7 @@ func TestTapHandOffAllocs(t *testing.T) {
 		s := mustOpen(t, t.TempDir(), Options{})
 		defer s.Close()
 		if tapped {
-			s.SetTap(func([]TapRecord) func() { return nil })
+			s.SetTap(tapFuncs{})
 		}
 		return testing.AllocsPerRun(500, func() {
 			if err := s.AppendBatch(recs); err != nil {
@@ -284,14 +356,10 @@ func TestNonQuorumCommitSitsOutNoAck(t *testing.T) {
 	st := openTap(t, Options{})
 	held, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
-	st.SetTap(func(batch []TapRecord) func() {
-		for _, tr := range batch {
-			if tr.Rec.Type == TypeExecEnd {
-				return func() { once.Do(func() { close(held) }); <-release }
-			}
-		}
-		return nil
-	})
+	st.SetTap(tapFuncs{await: func(uint64) {
+		once.Do(func() { close(held) })
+		<-release
+	}})
 	ended := make(chan error, 1)
 	go func() { ended <- st.Append(Record{Type: TypeExecEnd, ID: "a"}) }()
 	<-held

@@ -89,13 +89,12 @@ type Store struct {
 	replSeq uint64
 	// tap receives durable records for replication; tapQueue buffers
 	// them under s.mu and tapMu serializes hand-off so the tap observes
-	// strict seq order, while ack waits run outside tapMu via tapWaits
-	// (see flushTap). tapSpare, under tapMu, is the queue's other array.
-	tap      func([]TapRecord) func()
+	// strict seq order (see flushTap). tapSpare, under tapMu, is the
+	// queue's other array.
+	tap      Tap
 	tapMu    sync.Mutex
 	tapQueue []TapRecord
 	tapSpare []TapRecord
-	tapWaits []chan struct{}
 	// series holds the per-record metric series by handle; SetObs
 	// resets it.
 	series recordSeries
@@ -285,7 +284,7 @@ func (s *Store) openSegment(n int) (*GroupFile, error) {
 		gw.SetObs(s.opt.Obs)
 	}
 	gw.onLinger = func(err error) {
-		_ = s.synced(gw, err) // poisons on failure: the next Append reports it
+		_, _ = s.synced(gw, err) // poisons on failure: the next Append reports it
 		s.flushTap()
 	}
 	return gw, nil
@@ -498,6 +497,9 @@ func (s *Store) Write(rec Record) (Ticket, error) {
 type Ticket struct {
 	gw  *GroupFile
 	seq int64
+	// quorum is set when the records the ticket covers include one whose
+	// writer waits for the followers (Waits).
+	quorum bool
 }
 
 // Sync returns once the record t names is on this disk's stable storage,
@@ -516,15 +518,19 @@ func (t Ticket) Sync() error {
 
 // Wait returns once the record t names is durable, indexed and handed to
 // the replication tap, as though it had been appended: the records
-// written before it on the same segment are carried by the same sync,
-// and the tap's ack wait, when the batch holds a commit point, is sat
-// out like Append's. It allocates nothing.
+// written before it on the same segment are carried by the same sync.
+// When the write the ticket names holds a quorum commit point (Waits),
+// Wait then awaits the followers' acknowledgement of everything its sync
+// made durable (Tap.Await); any other record sits out no follower. It
+// allocates nothing.
 func (s *Store) Wait(t Ticket) error {
 	if t.gw == nil {
 		return nil
 	}
-	err := s.synced(t.gw, t.gw.Sync(t.seq))
-	s.flushTap()
+	seq, err := s.synced(t.gw, t.gw.Sync(t.seq))
+	if tap := s.flushTap(); tap != nil && t.quorum && err == nil {
+		tap.Await(seq)
+	}
 	return err
 }
 
@@ -532,6 +538,7 @@ func (s *Store) write(recs []Record, wait bool) (Ticket, error) {
 	if len(recs) == 0 {
 		return Ticket{}, nil
 	}
+	quorum := false
 	enc := codec.GetEncoder()
 	for i := range recs {
 		before := enc.Len()
@@ -540,8 +547,19 @@ func (s *Store) write(recs []Record, wait bool) (Ticket, error) {
 			codec.PutEncoder(enc)
 			return Ticket{}, err
 		}
+		_, q := Waits(recs[i].Type)
+		quorum = quorum || q
 	}
-	return s.appendBlock(enc, recs, wait)
+	t, err := s.appendBlock(enc, recs)
+	if err != nil {
+		return Ticket{}, err
+	}
+	t.quorum = quorum
+	if !wait {
+		t.gw.SyncSoon()
+		return t, nil
+	}
+	return t, s.Wait(t)
 }
 
 // checkRecordSize refuses a record whose frame replay would reject as
@@ -559,43 +577,27 @@ func checkRecordSize(rec *Record, n int) error {
 }
 
 // appendBlock appends the serialized block enc holds, covering recs (in
-// order), and, if wait is set, blocks until its group commit. enc goes
-// back to the pool as soon as the block is in the segment's tail, before
-// any wait: appenders waiting on a sync hold no encoder, so the pool
-// stays as small as the number of writes at once, and a collection that
-// empties it costs that many encoders to make again, not one per waiter.
-func (s *Store) appendBlock(enc *codec.Encoder, recs []Record, wait bool) (Ticket, error) {
-	// Deliver whatever this append (or a rotation inside it) proved
-	// durable to the replication tap once the store lock is released.
-	// In quorum/chain ack modes the tap blocks until followers ack, so
-	// Append returning success implies the records are replicated. A
-	// write that proved nothing has nothing to deliver, and must not
-	// sit out its neighbours' ack waits.
-	flush := wait
-	defer func() {
-		if flush {
-			s.flushTap()
-		}
-	}()
+// order), to the active segment's tail and returns its ticket, leaving
+// its sync to the caller. enc goes back to the pool as soon as the
+// block is in the tail, before any wait: appenders waiting on a sync
+// hold no encoder, so the pool stays as small as the number of writes at
+// once, and a collection that empties it costs that many encoders to
+// make again, not one per waiter.
+func (s *Store) appendBlock(enc *codec.Encoder, recs []Record) (Ticket, error) {
 	s.mu.Lock()
 	gw, ticket, rotated, err := s.writeLocked(enc.Bytes(), len(recs), false)
 	codec.PutEncoder(enc) // the tail keeps a copy of the block
-	flush = flush || rotated
-	if err != nil {
-		s.mu.Unlock()
-		return Ticket{}, err
+	if err == nil {
+		for i := range recs {
+			s.pending = append(s.pending, pendingRec{gw: gw, ticket: ticket, rec: recs[i]})
+		}
+		s.gaugePendingLocked()
 	}
-	for i := range recs {
-		s.pending = append(s.pending, pendingRec{gw: gw, ticket: ticket, rec: recs[i]})
-	}
-	s.gaugePendingLocked()
 	s.mu.Unlock()
-	t := Ticket{gw: gw, seq: ticket}
-	if !wait {
-		gw.SyncSoon()
-		return t, nil
+	if rotated {
+		s.flushTap() // the old segment's final sync drained records the tap is owed
 	}
-	return t, s.synced(gw, gw.Sync(ticket))
+	return Ticket{gw: gw, seq: ticket}, err
 }
 
 // writeLocked adds a block of n records to the active segment's tail —
@@ -632,22 +634,23 @@ func (s *Store) writeLocked(block []byte, n int, through bool) (gw *GroupFile, t
 // synced takes in the outcome of one sync of gw, whoever ran it: a
 // failure poisons the store, a success folds in every pending record
 // the file has proven durable — the caller's own and any written
-// without waiting that the same fsync carried.
-func (s *Store) synced(gw *GroupFile, err error) error {
+// without waiting that the same fsync carried — and returns the
+// replication sequence they reached, at or past the caller's records.
+func (s *Store) synced(gw *GroupFile, err error) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err != nil {
 		s.poisonLocked(err)
-		return err
+		return 0, err
 	}
 	s.drainLocked(gw, gw.syncedSeq())
-	return nil
+	return s.replSeq, nil
 }
 
 // Flush is the explicit barrier for records written without waiting: it
 // returns once everything written before the call is durable, indexed
-// and handed to the replication tap (whose ack wait, if the batch holds
-// a commit point, it sits out like Append).
+// and handed to the replication tap. It waits for no follower: a quorum
+// commit point's own writer does that.
 func (s *Store) Flush() error {
 	s.mu.Lock()
 	if s.failed != nil || len(s.pending) == 0 {

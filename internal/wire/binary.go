@@ -707,9 +707,7 @@ func appendReplicate(e *codec.Encoder, f *Replicate) {
 	e.Uint(3, f.Seq)
 	e.Uint(4, uint64(f.Count))
 	e.Blob(5, f.Block)
-	for _, peer := range f.Chain {
-		e.Sym(6, peer)
-	}
+	// Field 6 is retired (docs/CODEC.md): the decoder skips it.
 }
 
 // decodeReplicate decodes a binary replication envelope. Transient
@@ -737,8 +735,6 @@ func decodeReplicate(payload []byte) (Replicate, error) {
 			f.Count = int(d.Uint())
 		case 5:
 			f.Block = d.Blob()
-		case 6:
-			f.Chain = append(f.Chain, d.Sym())
 		default:
 			d.Skip()
 		}

@@ -61,17 +61,28 @@ func TestConcurrentDecodesShareThePool(t *testing.T) {
 	codec.AppendResponse(e, &dgl.Response{Status: &root})
 	response := append([]byte(nil), e.Bytes()...)
 
-	var chain []string
+	var peers []string
 	for i := range 20 {
-		chain = append(chain, fmt.Sprintf("peer-%d", i))
+		peers = append(peers, fmt.Sprintf("peer-%d", i))
 	}
+	// A replicate frame whose retired field 6 comes first, as a build
+	// that still wrote it might have sent: its symbols are skipped but
+	// fill the table, so the op and source resolve past its first 16.
 	e.Reset()
-	appendReplicate(e, &Replicate{Op: "append", Source: "peerA", Seq: 9, Count: 2, Block: []byte{1, 2, 3}, Chain: chain})
+	e.Begin(codec.MsgReplicate)
+	for _, p := range peers {
+		e.Sym(6, p)
+	}
+	e.Sym(1, "append")
+	e.Sym(2, "peerA")
+	e.Uint(3, 9)
+	e.Uint(4, 2)
+	e.Blob(5, []byte{1, 2, 3})
 	replicate := append([]byte(nil), e.Bytes()...)
 
 	e.Reset()
 	appendControl(e, &Control{Op: "vput", ID: "dgf-000003", User: "alice", Name: "peerB", Addr: "127.0.0.1:7401",
-		Load: &scheduler.PeerLoad{Inflight: 3, Resources: chain[12:]}, Shards: []int{0, 5}})
+		Load: &scheduler.PeerLoad{Inflight: 3, Resources: peers[12:]}, Shards: []int{0, 5}})
 	control := append([]byte(nil), e.Bytes()...)
 
 	decodes := []func() (any, error){

@@ -179,11 +179,17 @@ func FuzzEnvelopes(f *testing.F) {
 			t.Fatalf("delegation round trip: %+v, %v, want %+v", got, err, rt)
 		}
 
-		rf := Replicate{Op: a, Source: b, Seq: seq, Count: n, Block: block, Chain: chain}
+		rf := Replicate{Op: a, Source: b, Seq: seq, Count: n, Block: block}
 		e.Reset()
 		appendReplicate(e, &rf)
 		if got, err := decodeReplicate(e.Bytes()); err != nil || !reflect.DeepEqual(got, rf) {
 			t.Fatalf("replicate round trip: %+v, %v, want %+v", got, err, rf)
+		}
+		for _, peer := range chain { // the retired field 6, as older builds wrote it
+			e.Sym(6, peer)
+		}
+		if got, err := decodeReplicate(e.Bytes()); err != nil || !reflect.DeepEqual(got, rf) {
+			t.Fatalf("replicate with retired field 6: %+v, %v, want %+v", got, err, rf)
 		}
 		ra := ReplicateResult{OK: ok, AckSeq: seq, NeedSnapshot: !ok, Error: c}
 		e.Reset()

@@ -352,7 +352,7 @@ type TenantsInfo struct {
 // replication posture — the followers it streams to and the sources it
 // stands by for (docs/REPLICATION.md, "Observability").
 type ReplInfo struct {
-	// Mode is the ack mode ("quorum", "chain" or "async").
+	// Mode is the ack mode ("quorum" or "async").
 	Mode string
 	// Seq is the local store's replication cursor: the sequence number
 	// of its last durable record.

@@ -21,8 +21,8 @@ import (
 //
 //   - EnableReplication: wires a replica.Sender to the store tap and a
 //     replica.Receiver to the server's kind-6 handler.
-//   - replDeliver: the shared transport callback (sender sends, the
-//     receiver's chain hop forwards) over the pooled peer clients.
+//   - replDeliver: the sender's transport callback over the pooled
+//     peer clients.
 //   - refreshReplication: follower placement + dead-owner promotion,
 //     driven from the same membership tick as shard leases (Beat).
 
@@ -33,7 +33,7 @@ type ReplicationConfig struct {
 	// successors in the live member set — deterministically anti-affine
 	// to the owner.
 	Followers int
-	// Mode is the ack mode (`-repl-ack`): quorum, chain or async.
+	// Mode is the ack mode (`-repl-ack`): quorum or async.
 	Mode replica.AckMode
 	// Dir is the replica root; each followed source gets a full replica
 	// store under <Dir>/<source> (`-repl-dir`).
@@ -43,7 +43,7 @@ type ReplicationConfig struct {
 	// (docs/REPLICATION.md). The field goes once the benchmark stops
 	// setting it (ROADMAP item 16).
 	Binary bool
-	// AckTimeout bounds quorum/chain waits (default 2s).
+	// AckTimeout bounds quorum waits (default 2s).
 	AckTimeout time.Duration
 }
 
@@ -61,9 +61,8 @@ func (p *Peer) EnableReplication(cfg ReplicationConfig) error {
 		cfg.Followers = 1
 	}
 	recv, err := replica.NewReceiver(replica.ReceiverConfig{
-		Dir:     cfg.Dir,
-		Forward: p.replDeliver,
-		Obs:     engine.Obs(),
+		Dir: cfg.Dir,
+		Obs: engine.Obs(),
 	})
 	if err != nil {
 		return err
@@ -87,12 +86,12 @@ func (p *Peer) EnableReplication(cfg ReplicationConfig) error {
 	})
 	p.server.replHandler = recv.Apply
 	p.server.replResolver = p.replInfo
-	st.SetTap(p.replSender.Replicate)
+	st.SetTap(p.replSender)
 	return nil
 }
 
 // replDeliver carries one replicate frame to a named peer over the
-// pooled clients — the Sender's transport and the Receiver's chain hop.
+// pooled clients: the Sender's transport.
 func (p *Peer) replDeliver(peerName string, f Replicate) (ReplicateResult, error) {
 	client, err := p.clientFor(peerName)
 	if err != nil {
