@@ -830,3 +830,43 @@ func TestReceiverApplyAllocs(t *testing.T) {
 		t.Fatalf("after %d flows: %+v", n, srcs)
 	}
 }
+
+// TestSenderStartsEachFollowerFromASnapshot: sequence numbers restart
+// at 1 with every owner process, so a sender over a store that already
+// held records must bring each follower that state by snapshot before
+// streaming. A cold follower would otherwise never see the flows that
+// were live before the restart, and a follower still holding the
+// previous incarnation's replica would take the new numbers for
+// duplicates and drop them.
+func TestSenderStartsEachFollowerFromASnapshot(t *testing.T) {
+	// The owner reopened its store with f1 and f2 live; nothing has been
+	// made durable since.
+	snap := func() (Frame, error) {
+		return Frame{Seq: 0, Count: 2, Block: mustBlock(t, snapRec("f1"), snapRec("f2"))}, nil
+	}
+	for _, c := range []struct {
+		name  string
+		prior []store.Record // the follower's replica of the previous incarnation
+	}{
+		{"cold follower", nil},
+		{"follower of the previous incarnation", []store.Record{snapRec("old1"), snapRec("old2"), snapRec("old3")}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			recv := newTestReceiver(t, reg)
+			if len(c.prior) > 0 {
+				if ack := recv.Apply(Frame{Op: OpAppend, Source: "own", Seq: 1, Count: len(c.prior),
+					Block: mustBlock(t, c.prior...)}); !ack.OK {
+					t.Fatalf("seed: %+v", ack)
+				}
+			}
+			s := senderTo(t, recv, ModeQuorum, reg, snap)
+			s.SetFollowers([]string{"f1"})
+			s.Replicate(taps(1, snapRec("f3")))
+			waitAcked(t, s, "f1", 1)
+			if ids := liveIDs(t, recv, "own"); !reflect.DeepEqual(ids, []string{"f1", "f2", "f3"}) {
+				t.Fatalf("follower's replica holds %v, want the owner's live flows [f1 f2 f3]", ids)
+			}
+		})
+	}
+}
