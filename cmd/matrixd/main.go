@@ -25,6 +25,15 @@
 //	matrixd -vdata                               # memoize pure steps
 //	matrixd -vdata-dir /var/lib/matrix-vdata     # durable derivation catalog
 //
+// Each line shows one flag group; some need others beside them.
+// -shards and -repl-followers need -lookup (which needs -name), and
+// -repl-followers also needs -store-dir; -snapshot-every and
+// -passivate-idle act only with -store-dir; -tenant-require needs
+// -tenant-auth. matrixd is flag parsing into a node.Config, node.Start
+// and the signal wait: Start refuses a combination it cannot boot,
+// naming every problem, before it opens, recovers, listens or
+// registers anything (docs/ARCHITECTURE.md, "Booting a peer").
+//
 // With -tenant-auth and -lookup the peer presents the registry a
 // credential it mints for its own -name (a lookupd started with the same
 // -tenant-auth requires one), and a flow's cross-peer derivation lookups
@@ -44,23 +53,13 @@ import (
 	"syscall"
 	"time"
 
-	"datagridflow/internal/dgms"
 	"datagridflow/internal/fault"
-	"datagridflow/internal/federation"
 	"datagridflow/internal/infra"
-	"datagridflow/internal/matrix"
-	"datagridflow/internal/namespace"
-	"datagridflow/internal/obs"
-	"datagridflow/internal/provenance"
+	"datagridflow/internal/node"
 	"datagridflow/internal/replica"
 	"datagridflow/internal/scheduler"
-	"datagridflow/internal/shard"
-	"datagridflow/internal/sim"
-	"datagridflow/internal/store"
 	"datagridflow/internal/tenant"
 	"datagridflow/internal/trigger"
-	"datagridflow/internal/vdata"
-	"datagridflow/internal/vfs"
 	"datagridflow/internal/wire"
 )
 
@@ -93,297 +92,80 @@ func main() {
 	vdataDir := flag.String("vdata-dir", "", "durable virtual-data catalog directory; derivations survive restart (implies -vdata)")
 	flag.Parse()
 
-	var prov *provenance.Store
-	if *provPath != "" {
-		var err error
-		prov, err = provenance.Open(*provPath)
-		if err != nil {
-			log.Fatalf("matrixd: %v", err)
-		}
-		defer prov.Close()
+	cfg := node.Config{
+		Addr:          *addr,
+		Name:          *name,
+		Lookup:        *lookup,
+		Admin:         *admin,
+		Open:          *openWrite,
+		ProvPath:      *provPath,
+		MetricsAddr:   *metricsAddr,
+		Server:        wire.ServerConfig{MaxInflight: *maxInflight, MaxUserQueue: *maxUserQueue, HeartbeatInterval: *heartbeat},
+		StoreDir:      *storeDir,
+		SnapshotEvery: *snapshotEvery,
+		PassivateIdle: *passivateIdle,
+		Vdata:         *vdataOn,
+		VdataDir:      *vdataDir,
+		TenantRequire: *tenantRequire,
+		Shards:        *shards,
+		Replication:   wire.ReplicationConfig{Followers: *replFollowers, Dir: *replDir},
 	}
-	grid := dgms.New(dgms.Options{
-		Admin:      *admin,
-		Clock:      sim.RealClock{},
-		Provenance: prov,
-	})
-	if *infraPath != "" {
-		data, err := os.ReadFile(*infraPath)
-		if err != nil {
-			log.Fatalf("matrixd: %v", err)
-		}
-		desc, err := infra.Parse(data)
-		if err != nil {
-			log.Fatalf("matrixd: %v", err)
-		}
-		if _, err := desc.Apply(grid); err != nil {
-			log.Fatalf("matrixd: %v", err)
-		}
-		log.Printf("matrixd: applied infrastructure %q (%d domains)", desc.Name, len(desc.Domains))
-	} else {
-		for _, r := range []*vfs.Resource{
-			vfs.New("local-disk", "local", vfs.Disk, 0),
-			vfs.New("local-archive", "local", vfs.Archive, 0),
-		} {
-			if err := grid.RegisterResource(r); err != nil {
-				log.Fatalf("matrixd: %v", err)
-			}
-		}
-		log.Printf("matrixd: using demo topology (local-disk, local-archive)")
-	}
-	if err := grid.CreateCollectionAll(*admin, "/grid"); err != nil {
+	var err error
+	if cfg.Replication.Mode, err = replica.ParseAckMode(*replAck); err != nil {
 		log.Fatalf("matrixd: %v", err)
 	}
-	if *openWrite {
-		// Demo convenience: a real deployment manages ACLs explicitly.
-		if err := grid.Namespace().SetPermission("/grid", "*", namespace.PermWrite); err != nil {
-			log.Fatalf("matrixd: %v", err)
+	if cfg.Federation.Policy, err = scheduler.NewPolicy(*placement); err != nil {
+		log.Fatalf("matrixd: %v", err)
+	}
+	if *infraPath != "" {
+		cfg.Infra, err = readDoc(*infraPath, infra.Parse)
+	}
+	if err == nil && *triggerPath != "" {
+		cfg.Triggers, err = readDoc(*triggerPath, trigger.ParseDefinitions)
+	}
+	if err == nil && *faultPath != "" {
+		cfg.Fault, err = readDoc(*faultPath, fault.ParsePlan)
+	}
+	if err == nil && *tenantAuth != "" {
+		var secret []byte
+		if secret, err = tenant.LoadSecret(*tenantAuth); err == nil {
+			cfg.TenantAuth, err = tenant.NewAuthority(secret)
 		}
 	}
-
-	var injector *fault.Injector
-	if *faultPath != "" {
-		data, err := os.ReadFile(*faultPath)
-		if err != nil {
-			log.Fatalf("matrixd: %v", err)
-		}
-		plan, err := fault.ParsePlan(data)
-		if err != nil {
-			log.Fatalf("matrixd: %v", err)
-		}
-		injector, err = fault.NewInjector(grid.Clock(), *plan)
-		if err != nil {
-			log.Fatalf("matrixd: %v", err)
-		}
-		grid.SetFault(injector)
-		log.Printf("matrixd: fault plan %s armed (%d events, seed %d)", *faultPath, len(plan.Events), plan.Seed)
+	if err == nil && *tenantConf != "" {
+		cfg.Tenants, err = tenant.LoadConfig(*tenantConf)
 	}
-
-	cfg := matrix.Config{}
-	if *name != "" {
-		cfg.IDPrefix = *name + ":"
+	if err != nil {
+		log.Fatalf("matrixd: %v", err)
 	}
-	engine := matrix.NewEngineConfig(grid, cfg)
-
-	if *storeDir != "" {
-		st, err := store.Open(*storeDir, store.Options{Obs: grid.Obs()})
-		if err != nil {
-			log.Fatalf("matrixd: store: %v", err)
-		}
-		defer st.Close()
-		engine.SetStore(st)
-		resumed, err := engine.RecoverFromStore()
-		if err != nil {
-			// One flow per failure, each left in the store; the valid ones
-			// are resumed and the server keeps serving.
-			log.Printf("matrixd: store recovery left flows behind:\n%v", err)
-		}
-		stats := st.Stats()
-		log.Printf("matrixd: store %s: %d segment(s), %d record(s) replayed, %d resumed, %d passivated",
-			*storeDir, stats.Segments, stats.ReplayRecords, len(resumed), stats.Passivated)
-		if *snapshotEvery > 0 || *passivateIdle > 0 {
-			interval := *snapshotEvery
-			if interval <= 0 {
-				interval = *passivateIdle
-			}
-			stop := make(chan struct{})
-			defer close(stop)
-			go func() {
-				tick := time.NewTicker(interval)
-				defer tick.Stop()
-				for {
-					select {
-					case <-stop:
-						return
-					case <-tick.C:
-						if *snapshotEvery > 0 {
-							engine.SnapshotAll()
-						}
-						if *passivateIdle > 0 {
-							engine.PassivateIdle(*passivateIdle)
-						}
-					}
-				}
-			}()
-		}
-	} else if *snapshotEvery != 30*time.Second || *passivateIdle > 0 {
+	if *storeDir == "" && (*snapshotEvery != 30*time.Second || *passivateIdle > 0) {
 		log.Printf("matrixd: -snapshot-every/-passivate-idle have no effect without -store-dir")
 	}
 
-	var vcat *vdata.Catalog
-	if *vdataDir != "" || *vdataOn {
-		var err error
-		vcat, err = vdata.Open(*vdataDir, grid.Obs())
-		if err != nil {
-			log.Fatalf("matrixd: vdata: %v", err)
-		}
-		defer vcat.Close()
-		if *vdataDir != "" {
-			log.Printf("matrixd: virtual-data catalog %s (%d derivation(s) replayed)", *vdataDir, vcat.Len())
-		} else {
-			log.Printf("matrixd: virtual-data catalog enabled (memory-only)")
-		}
+	n, err := node.Start(cfg)
+	if err != nil {
+		log.Fatalf("matrixd: %v", err)
 	}
-
-	if *metricsAddr != "" {
-		msrv, maddr, err := obs.Serve(*metricsAddr, grid.Obs())
-		if err != nil {
-			log.Fatalf("matrixd: metrics: %v", err)
-		}
-		defer msrv.Close()
-		fmt.Printf("matrixd: serving metrics on http://%s/metrics (pprof on /debug/pprof/)\n", maddr)
+	for _, line := range n.Log() {
+		log.Printf("matrixd: %s", line)
 	}
-
-	if *triggerPath != "" {
-		data, err := os.ReadFile(*triggerPath)
-		if err != nil {
-			log.Fatalf("matrixd: %v", err)
-		}
-		doc, err := trigger.ParseDefinitions(data)
-		if err != nil {
-			log.Fatalf("matrixd: %v", err)
-		}
-		triggers := trigger.NewManager(grid, engine, 4, 4096)
-		defer triggers.Close()
-		names, err := triggers.DefineAll(doc)
-		if err != nil {
-			log.Fatalf("matrixd: %v", err)
-		}
-		log.Printf("matrixd: installed %d trigger(s): %v", len(names), names)
+	if a := n.MetricsAddr(); a != "" {
+		fmt.Printf("matrixd: serving metrics on http://%s/metrics (pprof on /debug/pprof/)\n", a)
 	}
-
-	srvCfg := wire.ServerConfig{
-		MaxInflight:       *maxInflight,
-		MaxUserQueue:      *maxUserQueue,
-		HeartbeatInterval: *heartbeat,
-	}
-	var tAuth *tenant.Authority
-	var tReg *tenant.Registry
-	tRequire := *tenantRequire
-	if *tenantAuth != "" {
-		secret, err := tenant.LoadSecret(*tenantAuth)
-		if err != nil {
-			log.Fatalf("matrixd: %v", err)
-		}
-		if tAuth, err = tenant.NewAuthority(secret); err != nil {
-			log.Fatalf("matrixd: %v", err)
-		}
-	}
-	if *tenantConf != "" {
-		tc, err := tenant.LoadConfig(*tenantConf)
-		if err != nil {
-			log.Fatalf("matrixd: %v", err)
-		}
-		tReg = tc.Build(grid.Obs())
-		if tc.Require {
-			tRequire = true
-		}
-		log.Printf("matrixd: tenancy enabled (%d registered tenant(s))", tReg.Len())
-	}
-	if tRequire && tAuth == nil {
-		log.Fatal("matrixd: -tenant-require needs -tenant-auth")
-	}
-	if tAuth != nil && tReg == nil {
-		// Auth without quotas: identities are verified and accounted but
-		// every tenant is unlimited.
-		tReg = tenant.NewRegistry(tenant.Quota{}, grid.Obs())
-	}
-	var bound string
-	var closeFn func()
-	if *lookup != "" {
-		if *name == "" {
-			log.Fatal("matrixd: -lookup requires -name")
-		}
-		peer := wire.NewPeerConfig(*name, engine, srvCfg)
-		if tAuth != nil || tReg != nil {
-			peer.Server().SetTenancy(tAuth, tReg, tRequire)
-		}
-		if vcat != nil {
-			peer.EnableVdata(vcat)
-			log.Printf("matrixd: vdata fleet reuse enabled (announcing derivation keys to %s)", *lookup)
-		}
-		if *shards > 0 {
-			mgr := shard.NewManager(shard.Config{
-				Self:   *name,
-				Shards: *shards,
-				Obs:    grid.Obs(),
-				Resident: func(execID string) bool {
-					_, ok := engine.Execution(execID)
-					return ok
-				},
-			})
-			peer.EnableSharding(mgr)
-			log.Printf("matrixd: sharded ownership enabled (%d shards)", *shards)
-		}
-		if *replFollowers > 0 {
-			if *storeDir == "" {
-				log.Fatal("matrixd: -repl-followers requires -store-dir")
-			}
-			mode, err := replica.ParseAckMode(*replAck)
-			if err != nil {
-				log.Fatalf("matrixd: %v", err)
-			}
-			dir := *replDir
-			if dir == "" {
-				dir = *storeDir + ".replica"
-			}
-			if err := peer.EnableReplication(wire.ReplicationConfig{
-				Followers: *replFollowers,
-				Mode:      mode,
-				Dir:       dir,
-			}); err != nil {
-				log.Fatalf("matrixd: %v", err)
-			}
-			log.Printf("matrixd: replication enabled (%d follower(s), %s ack) into %s", *replFollowers, mode, dir)
-		}
-		var err error
-		bound, err = peer.Start(*addr, *lookup)
-		if err != nil {
-			log.Fatalf("matrixd: %v", err)
-		}
-		policy, err := scheduler.NewPolicy(*placement)
-		if err != nil {
-			log.Fatalf("matrixd: %v", err)
-		}
-		fed := federation.New(peer, federation.Config{Policy: policy})
-		fed.Start()
-		closeFn = func() {
-			fed.Close() // drain in-flight delegations first
-			peer.Close()
-		}
-		log.Printf("matrixd: peer %q registered with %s (placement %s)", *name, *lookup, policy.Name())
-	} else {
-		srv := wire.NewServerConfig(engine, srvCfg)
-		if tAuth != nil || tReg != nil {
-			srv.SetTenancy(tAuth, tReg, tRequire)
-		}
-		if vcat != nil {
-			// No fleet without -lookup: the catalog still memoizes local
-			// pure steps and answers the wire vdata verb.
-			engine.SetVdata(vcat)
-		}
-		if injector != nil {
-			target := *name
-			if target == "" {
-				target = "matrixd"
-			}
-			srv.SetFault(injector, target)
-		}
-		var err error
-		bound, err = srv.Listen(*addr)
-		if err != nil {
-			log.Fatalf("matrixd: %v", err)
-		}
-		if *replFollowers > 0 {
-			log.Printf("matrixd: -repl-followers has no effect without -lookup")
-		}
-		closeFn = srv.Close
-	}
-	fmt.Printf("matrixd: serving DGL on %s\n", bound)
+	fmt.Printf("matrixd: serving DGL on %s\n", n.Addr())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	log.Printf("matrixd: shutting down")
-	closeFn()
+	n.Close()
+}
+
+// readDoc reads the file at path and parses it.
+func readDoc[T any](path string, parse func([]byte) (*T, error)) (*T, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return parse(data)
 }

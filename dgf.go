@@ -49,7 +49,6 @@ import (
 	"datagridflow/internal/namespace"
 	"datagridflow/internal/provenance"
 	"datagridflow/internal/scheduler"
-	"datagridflow/internal/shard"
 	"datagridflow/internal/sim"
 	"datagridflow/internal/trigger"
 	"datagridflow/internal/vfs"
@@ -345,10 +344,6 @@ type (
 	MatrixServer = wire.Server
 	// MatrixClient talks to a matrix server.
 	MatrixClient = wire.Client
-	// MatrixPeer is one node of the P2P datagridflow network.
-	MatrixPeer = wire.Peer
-	// LookupServer is the peer registry.
-	LookupServer = wire.LookupServer
 	// SubmitOption configures one MatrixClient.Submit call (WithAsync,
 	// WithBatch, WithRoute).
 	SubmitOption = wire.SubmitOption
@@ -356,10 +351,6 @@ type (
 	SubmitResult = wire.SubmitResult
 	// RouteMode is a submission's shard-placement preference.
 	RouteMode = wire.RouteMode
-	// ShardManager reconciles a peer's shard leases against the ring.
-	ShardManager = shard.Manager
-	// ShardConfig tunes a ShardManager.
-	ShardConfig = shard.Config
 )
 
 // Shard-routing modes for WithRoute.
@@ -379,9 +370,6 @@ func WithBatch(reqs ...*Request) SubmitOption { return wire.WithBatch(reqs...) }
 
 // WithRoute sets the submission's shard-placement preference.
 func WithRoute(mode RouteMode) SubmitOption { return wire.WithRoute(mode) }
-
-// NewShardManager builds a shard manager for MatrixPeer.EnableSharding.
-func NewShardManager(cfg ShardConfig) *ShardManager { return shard.NewManager(cfg) }
 
 // NewMatrixServer wraps an engine for network service.
 func NewMatrixServer(e *Engine) *MatrixServer { return wire.NewServer(e) }

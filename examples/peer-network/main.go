@@ -12,6 +12,8 @@ import (
 
 	datagridflow "datagridflow"
 
+	"datagridflow/internal/infra"
+	"datagridflow/internal/node"
 	"datagridflow/internal/wire"
 )
 
@@ -25,26 +27,27 @@ func main() {
 	defer lookup.Close()
 	fmt.Printf("lookup server on %s\n", lookupAddr)
 
-	// Three sites, each with its own grid and matrix server. In a real
-	// deployment these are separate processes on separate machines
-	// (`matrixd -name siteX -lookup ...`).
-	mkPeer := func(name string) *wire.Peer {
-		grid := datagridflow.NewGrid(datagridflow.GridOptions{})
-		if err := grid.RegisterResource(
-			datagridflow.NewResource(name+"-disk", name, datagridflow.Disk, 0)); err != nil {
-			log.Fatal(err)
-		}
-		if err := grid.CreateCollectionAll(grid.Admin(), "/grid/"+name); err != nil {
-			log.Fatal(err)
-		}
-		engine := datagridflow.NewEngineConfig(grid, datagridflow.EngineConfig{IDPrefix: name + ":"})
-		peer := wire.NewPeer(name, engine)
-		addr, err := peer.Start("127.0.0.1:0", lookupAddr)
+	// Three sites, each with its own grid and matrix server, booted the
+	// way matrixd boots one. In a real deployment these are separate
+	// processes on separate machines (`matrixd -name siteX -lookup ...`).
+	mkPeer := func(name string) *node.Node {
+		nd, err := node.Start(node.Config{
+			Name:   name,
+			Lookup: lookupAddr,
+			Infra: &infra.Description{Domains: []infra.Domain{{
+				Name:    name,
+				Storage: []infra.Storage{{Name: name + "-disk", Class: "disk"}},
+			}}},
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("peer %s serving on %s\n", name, addr)
-		return peer
+		grid := nd.Engine().Grid()
+		if err := grid.CreateCollectionAll(grid.Admin(), "/grid/"+name); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("peer %s serving on %s\n", name, nd.Addr())
+		return nd
 	}
 	sdsc := mkPeer("sdsc")
 	cern := mkPeer("cern")
@@ -61,7 +64,7 @@ func main() {
 			Step("ingest", datagridflow.Op(datagridflow.OpIngest, map[string]string{
 				"path": "/grid/" + site + "/data.set", "size": "1048576", "resource": site + "-disk",
 			})).Flow()
-		resp, err := sdsc.SubmitTo(site, "admin", flow)
+		resp, err := sdsc.Peer().SubmitTo(site, "admin", flow)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -69,9 +72,9 @@ func main() {
 		ids = append(ids, resp.Ack.ID)
 	}
 	// Wait for completion on the owning engines.
-	for _, peer := range []*wire.Peer{sdsc, cern, ncsa} {
+	for _, nd := range []*node.Node{sdsc, cern, ncsa} {
 		for _, id := range ids {
-			if exec, ok := peer.Engine().Execution(id); ok {
+			if exec, ok := nd.Engine().Execution(id); ok {
 				if err := exec.Wait(); err != nil {
 					log.Fatal(err)
 				}

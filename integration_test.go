@@ -18,6 +18,7 @@ import (
 	"datagridflow/internal/infra"
 	"datagridflow/internal/matrix"
 	"datagridflow/internal/namespace"
+	"datagridflow/internal/node"
 	"datagridflow/internal/sim"
 	"datagridflow/internal/wire"
 	"datagridflow/internal/workload"
@@ -188,21 +189,13 @@ func TestIntegrationPeerNetworkStatusRouting(t *testing.T) {
 	}
 	defer lookup.Close()
 
-	mkPeer := func(name string) *MatrixPeer {
-		g := NewGrid(GridOptions{})
-		if err := g.RegisterResource(NewResource("disk-"+name, name, Disk, 0)); err != nil {
+	mkPeer := func(name string) *wire.Peer {
+		nd, err := node.Start(node.Config{Name: name, Lookup: lookupAddr})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := g.CreateCollectionAll(g.Admin(), "/grid"); err != nil {
-			t.Fatal(err)
-		}
-		e := NewEngineConfig(g, EngineConfig{IDPrefix: name + ":"})
-		p := wire.NewPeer(name, e)
-		if _, err := p.Start("127.0.0.1:0", lookupAddr); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(p.Close)
-		return p
+		t.Cleanup(nd.Close)
+		return nd.Peer()
 	}
 	peerA, peerB := mkPeer("siteA"), mkPeer("siteB")
 

@@ -5,10 +5,9 @@ import (
 	"time"
 
 	"datagridflow/internal/dgl"
-	"datagridflow/internal/dgms"
 	"datagridflow/internal/federation"
 	"datagridflow/internal/matrix"
-	"datagridflow/internal/obs"
+	"datagridflow/internal/node"
 	"datagridflow/internal/provenance"
 	"datagridflow/internal/scheduler"
 	"datagridflow/internal/wire"
@@ -72,117 +71,28 @@ func E13Federation(s Scale) (*Report, error) {
 	return r, nil
 }
 
-// fedPeer is one member of an in-process federation cluster.
-type fedPeer struct {
-	name   string
-	reg    *obs.Registry
-	grid   *dgms.Grid
-	engine *matrix.Engine
-	peer   *wire.Peer
-	fed    *federation.Federation
-}
-
-type cluster struct {
-	lookup *wire.LookupServer
-	reg    *obs.Registry // the lookup server's: no cluster counts into obs.Default()
-	peers  []*fedPeer
-}
-
-// newCluster stands up a lookup server plus n federated peers on
-// loopback TCP, each with its own grid, registry and engine. Heartbeats
-// are forced (Peer.Beat) so membership is deterministic, not timer-paced.
-func newCluster(n, capacity int, policy scheduler.PlacementPolicy) (*cluster, error) {
-	cl := &cluster{lookup: wire.NewLookupServer(), reg: obs.NewRegistry()}
-	cl.lookup.SetObs(cl.reg)
-	lookupAddr, err := cl.lookup.Listen("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	var peers []*wire.Peer
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("fed%c", 'A'+i)
-		p, err := newFedPeer(name, lookupAddr, capacity, policy)
-		if err != nil {
-			cl.close()
-			return nil, err
-		}
-		cl.peers = append(cl.peers, p)
-		peers = append(peers, p.peer)
-	}
-	beatAll(peers)
-	return cl, nil
-}
-
-// beatAll forces two membership ticks on every peer: the first round
-// spreads registrations (and releases what the ring moved away), the
-// second reads the completed roster (and claims what the first freed).
-func beatAll(peers []*wire.Peer) {
-	for range [2]int{} {
-		for _, p := range peers {
-			_ = p.Beat()
-		}
-	}
-}
-
-// beatEvery is a cluster's membership interval: a third of its registry
-// TTL, or once a minute without one, so that no tick lands inside a
-// measured phase or undoes a topology the harness imposed (funnelTo).
-func beatEvery(ttl time.Duration) time.Duration {
-	if ttl > 0 {
-		return ttl / 3
-	}
-	return time.Minute
-}
-
-// stillRegistered reports whether the registry lists p live, asked over
-// p's own registry link.
-func stillRegistered(p *wire.Peer) (bool, error) {
-	infos, err := p.Lookup().Peers()
-	for _, in := range infos {
-		if in.Name == p.Name {
-			return true, err
-		}
-	}
-	return false, err
-}
-
-func newFedPeer(name, lookupAddr string, capacity int, policy scheduler.PlacementPolicy) (*fedPeer, error) {
-	// Real clock: sleep steps must consume wall time for scale-out to be
-	// measurable (the virtual clock completes sleeps instantly).
-	g, reg, err := newRealGrid(name)
-	if err != nil {
-		return nil, err
-	}
-	e := matrix.NewEngineConfig(g, matrix.Config{IDPrefix: name + ":", MaxParallel: 64})
-	p := wire.NewPeerConfig(name, e, wire.ServerConfig{MaxInflight: capacity, HeartbeatInterval: 50 * time.Millisecond})
-	if _, err := p.Start("127.0.0.1:0", lookupAddr); err != nil {
-		return nil, err
-	}
-	fed := federation.New(p, federation.Config{
-		Policy:  policy,
-		Backoff: 20 * time.Millisecond,
+// newCluster stands up a lookup server plus n federated peers (fleet):
+// each peer offers capacity subflows over the wire and the same number
+// of local federation slots.
+func newCluster(n, capacity int, policy scheduler.PlacementPolicy) (*fleet, error) {
+	return newFleet(n, "fed", 0, 0, func(string) (node.Config, error) {
+		return node.Config{
+			Matrix:     matrix.Config{MaxParallel: 64},
+			Server:     wire.ServerConfig{MaxInflight: capacity, HeartbeatInterval: 50 * time.Millisecond},
+			Federation: federation.Config{Policy: policy, Backoff: 20 * time.Millisecond},
+		}, nil
 	})
-	fed.Start()
-	return &fedPeer{name: name, reg: reg, grid: g, engine: e, peer: p, fed: fed}, nil
-}
-
-func (cl *cluster) close() {
-	for _, p := range cl.peers {
-		p.fed.Close()
-		p.peer.Close()
-	}
-	cl.lookup.Close()
 }
 
 // runWorkload submits the concurrent-flows workload on the first peer
 // and reports wall time plus how many subflows the federation placed.
-func (cl *cluster) runWorkload(parents, subflows, steps int, stepSleep time.Duration) (time.Duration, int64, error) {
-	a := cl.peers[0]
+func (cl *fleet) runWorkload(parents, subflows, steps int, stepSleep time.Duration) (time.Duration, int64, error) {
+	a := cl.nodes[0].Engine()
 	flow := workloadFlow(subflows, steps, stepSleep)
 	t0 := time.Now()
 	execs := make([]*matrix.Execution, parents)
 	for i := range execs {
-		ex, err := a.engine.Start("user", flow)
+		ex, err := a.Start("user", flow)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -197,8 +107,8 @@ func (cl *cluster) runWorkload(parents, subflows, steps int, stepSleep time.Dura
 	// All delegations originate on the submission peer; its registry
 	// labels each with the executing peer's name.
 	var delegated int64
-	for _, p := range cl.peers {
-		delegated += a.reg.Counter("federation_delegations_total", "peer", p.name).Value()
+	for _, nd := range cl.nodes {
+		delegated += a.Obs().Counter("federation_delegations_total", "peer", nd.Peer().Name).Value()
 	}
 	return wall, delegated, nil
 }
@@ -246,25 +156,22 @@ func runFailover(s Scale) ([]string, error) {
 		return nil, err
 	}
 	defer cl.close()
-	a, b := cl.peers[0], cl.peers[1]
+	a := cl.nodes[0].Engine()
 	flow := workloadFlow(1, steps, stepSleep)
 	t0 := time.Now()
-	ex, err := a.engine.Start("user", flow)
+	ex, err := a.Start("user", flow)
 	if err != nil {
 		return nil, err
 	}
-	// Crash B with the delegation in flight: tear down its server and its
-	// registry link (connections die, heartbeats stop, no graceful
-	// unregister).
+	// Crash B with the delegation in flight: connections die, heartbeats
+	// stop, no graceful unregister.
 	time.Sleep(crashAt)
-	b.fed.Close()
-	b.peer.Server().Close()
-	b.peer.Lookup().Close()
+	cl.nodes[1].Kill()
 	runErr := ex.Wait()
 	wall := time.Since(t0)
 
-	failovers := a.reg.Counter("federation_failovers_total", "peer", "fedB").Value()
-	provFailovers := a.grid.Provenance().Count(provenance.Filter{Action: "deleg.failover"})
+	failovers := a.Obs().Counter("federation_failovers_total", "peer", "fedB").Value()
+	provFailovers := a.Grid().Provenance().Count(provenance.Filter{Action: "deleg.failover"})
 	finalPeer := "?"
 	st := ex.Status(true)
 	for i := range st.Children {

@@ -3,14 +3,11 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"datagridflow/internal/dgl"
 	"datagridflow/internal/matrix"
-	"datagridflow/internal/obs"
-	"datagridflow/internal/shard"
+	"datagridflow/internal/node"
 	"datagridflow/internal/wire"
 )
 
@@ -137,7 +134,7 @@ func runShard(s Scale) (*shardReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		rate, err := cl.runPhase(rep)
+		rate, err := cl.submitSleeps(len(cl.nodes), rep.workersPerPeer, rep.flowsPerPhase, rep.stepMs)
 		if n == 4 {
 			rep.routed4, rep.local4 = cl.routeSplit()
 		}
@@ -159,7 +156,7 @@ func runShard(s Scale) (*shardReport, error) {
 		return nil, err
 	}
 	cl.funnelTo(0)
-	rate, err := cl.runPhase(rep)
+	rate, err := cl.submitSleeps(len(cl.nodes), rep.workersPerPeer, rep.flowsPerPhase, rep.stepMs)
 	cl.close()
 	if err != nil {
 		return nil, err
@@ -176,170 +173,50 @@ func runShard(s Scale) (*shardReport, error) {
 	return rep, nil
 }
 
-// shardPeer is one member of an in-process sharded cluster.
-type shardPeer struct {
-	name   string
-	reg    *obs.Registry
-	engine *matrix.Engine
-	peer   *wire.Peer
-}
-
-type shardCluster struct {
-	lookup *wire.LookupServer
-	reg    *obs.Registry // the lookup server's: no cluster counts into obs.Default()
-	peers  []*shardPeer
-}
-
 // newShardCluster stands up a shard-lease lookup plus n sharded peers
-// on loopback TCP and settles ring ownership deterministically
-// (beatAll). ttl > 0 arms registry eviction for the failover run and
-// sets the membership interval (beatEvery).
-func newShardCluster(n int, rep *shardReport, ttl time.Duration) (*shardCluster, error) {
-	cl := &shardCluster{lookup: wire.NewLookupServer(), reg: obs.NewRegistry()}
-	cl.lookup.SetObs(cl.reg)
-	cl.lookup.SetShards(rep.shards)
-	if ttl > 0 {
-		cl.lookup.SetTTL(ttl)
-	}
-	lookupAddr, err := cl.lookup.Listen("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	var peers []*wire.Peer
-	for i := 0; i < n; i++ {
-		p, err := newShardPeer(fmt.Sprintf("shard%c", 'A'+i), lookupAddr, rep, beatEvery(ttl))
-		if err != nil {
-			cl.close()
-			return nil, err
-		}
-		cl.peers = append(cl.peers, p)
-		peers = append(peers, p.peer)
-	}
-	beatAll(peers)
-	return cl, nil
-}
-
-func newShardPeer(name, lookupAddr string, rep *shardReport, beat time.Duration) (*shardPeer, error) {
-	// Real clock: the sleep step must consume wall time for admission
-	// capacity to be the resource that scales with peers.
-	g, reg, err := newRealGrid(name)
-	if err != nil {
-		return nil, err
-	}
-	e := matrix.NewEngineConfig(g, matrix.Config{IDPrefix: name + ":", MaxParallel: 64})
-	p := wire.NewPeerConfig(name, e, wire.ServerConfig{MaxInflight: rep.capacity, HeartbeatInterval: beat})
-	p.EnableSharding(shard.NewManager(shard.Config{
-		Self:   name,
-		Shards: rep.shards,
-		Obs:    reg,
-		Resident: func(id string) bool {
-			_, ok := e.Execution(id)
-			return ok
-		},
-	}))
-	if _, err := p.Start("127.0.0.1:0", lookupAddr); err != nil {
-		return nil, err
-	}
-	return &shardPeer{name: name, reg: reg, engine: e, peer: p}, nil
+// (fleet). ttl > 0 arms registry eviction for the failover run and sets
+// the membership interval (beatEvery).
+func newShardCluster(n int, rep *shardReport, ttl time.Duration) (*fleet, error) {
+	return newFleet(n, "shard", rep.shards, ttl, func(string) (node.Config, error) {
+		return node.Config{
+			Matrix: matrix.Config{MaxParallel: 64},
+			Server: wire.ServerConfig{MaxInflight: rep.capacity, HeartbeatInterval: beatEvery(ttl)},
+			Shards: rep.shards,
+		}, nil
+	})
 }
 
 // funnelTo re-leases every shard to one peer — the single-owner
 // counterfactual topology.
-func (cl *shardCluster) funnelTo(i int) {
-	owner := cl.peers[i]
+func (cl *fleet) funnelTo(i int) {
+	owner := cl.nodes[i].Peer()
 	var all []int
-	for s := 0; s < owner.peer.ShardManager().Shards(); s++ {
+	for s := 0; s < owner.ShardManager().Shards(); s++ {
 		all = append(all, s)
 	}
-	for j, p := range cl.peers {
+	for j, nd := range cl.nodes {
 		if j != i {
-			p.peer.RebalanceShards([]string{owner.name}) // ring of one: drain everything
+			nd.Peer().RebalanceShards([]string{owner.Name}) // ring of one: drain everything
 		}
 	}
-	owners, err := owner.peer.Lookup().ClaimShards(owner.name, all)
+	owners, err := owner.Lookup().ClaimShards(owner.Name, all)
 	if err != nil {
 		return
 	}
-	for _, p := range cl.peers {
-		p.peer.ShardManager().SetOwners(owners)
+	for _, nd := range cl.nodes {
+		nd.Peer().ShardManager().SetOwners(owners)
 	}
-}
-
-func (cl *shardCluster) close() {
-	for _, p := range cl.peers {
-		p.peer.Close()
-	}
-	cl.lookup.Close()
 }
 
 // routeSplit sums the accepting peers' routed vs locally-accepted
 // submissions.
-func (cl *shardCluster) routeSplit() (routed, local int64) {
-	for _, p := range cl.peers {
-		routed += p.reg.Counter("shard_routes_total", "outcome", "routed").Value()
-		local += p.reg.Counter("shard_routes_total", "outcome", "local").Value()
+func (cl *fleet) routeSplit() (routed, local int64) {
+	for _, nd := range cl.nodes {
+		reg := nd.Engine().Obs()
+		routed += reg.Counter("shard_routes_total", "outcome", "routed").Value()
+		local += reg.Counter("shard_routes_total", "outcome", "local").Value()
 	}
 	return routed, local
-}
-
-// runPhase drives FlowsPerPhase synchronous sleep flows through the
-// cluster — WorkersPerPeer closed-loop workers per peer, each submitting
-// to its local peer over a multiplexed session, flow names and users
-// spread uniformly over the key space — and returns flows/sec.
-func (cl *shardCluster) runPhase(rep *shardReport) (float64, error) {
-	sleep := time.Duration(rep.stepMs * float64(time.Millisecond))
-	var next atomic.Int64
-	var failed atomic.Int64
-	var wg sync.WaitGroup
-	clients := make([]*wire.Client, len(cl.peers))
-	for i, p := range cl.peers {
-		c, err := wire.Dial(p.peer.Addr())
-		if err == nil {
-			_, err = c.Hello()
-		}
-		if err != nil {
-			for _, prev := range clients {
-				if prev != nil {
-					prev.Close()
-				}
-			}
-			return 0, err
-		}
-		clients[i] = c
-	}
-	defer func() {
-		for _, c := range clients {
-			c.Close()
-		}
-	}()
-	t0 := time.Now()
-	for _, c := range clients {
-		for w := 0; w < rep.workersPerPeer; w++ {
-			wg.Add(1)
-			go func(c *wire.Client) {
-				defer wg.Done()
-				for {
-					i := next.Add(1)
-					if i > int64(rep.flowsPerPhase) {
-						return
-					}
-					flow := dgl.NewFlow(fmt.Sprintf("job%d", i)).
-						Step("op", dgl.Op(dgl.OpSleep, map[string]string{"duration": sleep.String()})).Flow()
-					req := dgl.NewRequest(fmt.Sprintf("u%d", i%16), "", flow)
-					res, err := c.Submit(context.Background(), req)
-					if err != nil || res.Err() != nil {
-						failed.Add(1)
-					}
-				}
-			}(c)
-		}
-	}
-	wg.Wait()
-	wall := time.Since(t0)
-	if n := failed.Load(); n > 0 {
-		return 0, fmt.Errorf("e15: %d of %d submissions failed", n, rep.flowsPerPhase)
-	}
-	return float64(rep.flowsPerPhase) / wall.Seconds(), nil
 }
 
 // runShardFailover kills the owner of half the key space and measures
@@ -352,23 +229,19 @@ func runShardFailover(s Scale, rep *shardReport) error {
 		return err
 	}
 	defer cl.close()
-	a, b := cl.peers[0], cl.peers[1]
+	a, b := cl.nodes[0].Peer(), cl.nodes[1].Peer()
 
 	// Warm flows on B: completed executions whose ids must NOT reappear
 	// on A after the takeover.
-	cb, err := wire.Dial(b.peer.Addr())
+	cb, err := wire.Dial(b.Addr())
 	if err != nil {
-		return err
-	}
-	if _, err := cb.Hello(); err != nil {
-		cb.Close()
 		return err
 	}
 	warm := pick(s, 8, 24)
 	var warmIDs []string
 	for i := 0; len(warmIDs) < warm && i < 4096; i++ {
 		name := fmt.Sprintf("warm%d", i)
-		if !b.peer.ShardManager().Owns(b.peer.ShardManager().ShardOf(wire.RoutingKey("user", name))) {
+		if !b.ShardManager().Owns(b.ShardManager().ShardOf(wire.RoutingKey("user", name))) {
 			continue
 		}
 		flow := dgl.NewFlow(name).
@@ -387,8 +260,7 @@ func runShardFailover(s Scale, rep *shardReport) error {
 
 	// Kill B without drain: server and registry link down, so its loop
 	// renews nothing and its leases stay live until the TTL.
-	b.peer.Server().Close()
-	b.peer.Lookup().Close()
+	cl.nodes[1].Kill()
 
 	// A flow name keyed to a B-owned shard keeps being submitted through
 	// A until A holds the lease. Every submission must succeed — the
@@ -396,7 +268,7 @@ func runShardFailover(s Scale, rep *shardReport) error {
 	victim := ""
 	for i := 0; i < 4096; i++ {
 		name := fmt.Sprintf("after%d", i)
-		if h, _, ok := a.peer.ShardManager().OwnerOf(wire.RoutingKey("user", name)); ok && h == b.name {
+		if h, _, ok := a.ShardManager().OwnerOf(wire.RoutingKey("user", name)); ok && h == b.Name {
 			victim = name
 			break
 		}
@@ -404,20 +276,17 @@ func runShardFailover(s Scale, rep *shardReport) error {
 	if victim == "" {
 		return fmt.Errorf("e15: no key routes to the dead owner")
 	}
-	ca, err := wire.Dial(a.peer.Addr())
+	ca, err := wire.Dial(a.Addr())
 	if err != nil {
 		return err
 	}
 	defer ca.Close()
-	if _, err := ca.Hello(); err != nil {
-		return err
-	}
-	sh := a.peer.ShardManager().ShardOf(wire.RoutingKey("user", victim))
+	sh := a.ShardManager().ShardOf(wire.RoutingKey("user", victim))
 	t0 := time.Now()
 	deadline := t0.Add(ttl + 5*time.Second)
 	// A's own membership loop takes the lease over; until it does, the
 	// victim's submissions keep coming.
-	for !a.peer.ShardManager().Owns(sh) {
+	for !a.ShardManager().Owns(sh) {
 		if time.Now().After(deadline) {
 			break
 		}
@@ -431,14 +300,14 @@ func runShardFailover(s Scale, rep *shardReport) error {
 		}
 	}
 	rep.failoverMs = float64(time.Since(t0)) / float64(time.Millisecond)
-	rep.takeoverOwned = a.peer.ShardManager().Owns(sh)
-	if rep.survivorRegistered, err = stillRegistered(a.peer); err != nil {
+	rep.takeoverOwned = a.ShardManager().Owns(sh)
+	if rep.survivorRegistered, err = stillRegistered(a); err != nil {
 		return err
 	}
 
 	// History stayed where it was: none of B's completed flows run on A.
 	for _, id := range warmIDs {
-		if _, resident := a.engine.Execution(id); resident {
+		if _, resident := a.Engine().Execution(id); resident {
 			rep.replayedFromGenesis++
 		}
 	}

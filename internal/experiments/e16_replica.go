@@ -5,16 +5,15 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"datagridflow/internal/dgl"
 	"datagridflow/internal/matrix"
+	"datagridflow/internal/node"
 	"datagridflow/internal/obs"
 	"datagridflow/internal/replica"
-	"datagridflow/internal/shard"
 	"datagridflow/internal/store"
 	"datagridflow/internal/wire"
 )
@@ -83,9 +82,9 @@ type replReport struct {
 	takeoverMs         float64
 	survivorRegistered bool // the registry lists the survivor after the takeover
 	// snapshotsShipped counts catch-up snapshots shipped to cold
-	// followers during the takeover phase. Its peers carry history from
-	// before the tap attached, so the first streamed frame is a gap and
-	// the snapshot catch-up path must fire — at least once.
+	// followers during the takeover phase. Its peers boot over stores
+	// that already hold records, so the catch-up path must fire — at
+	// least once.
 	snapshotsShipped int64
 }
 
@@ -142,7 +141,10 @@ func runRepl(s Scale) (*replReport, error) {
 		if err != nil {
 			return 0, err
 		}
-		rate, err := cl.runSubmitPhase(rep)
+		// Pinned local to the first peer, so bare and replicated runs
+		// execute on the identical path: the only variable is the store
+		// tap's quorum wait.
+		rate, err := cl.submitSleeps(1, rep.workersPerPeer, rep.flowsPerPhase, rep.stepMs, wire.WithRoute(wire.RouteLocal))
 		cl.close()
 		// Quiesce before the paired phase measures: reclaim the torn-down
 		// cluster's heap and let deferred teardown I/O drain, so cleanup
@@ -183,152 +185,72 @@ func runRepl(s Scale) (*replReport, error) {
 	return rep, nil
 }
 
-// replPeer is one member of an in-process replicated cluster: a sharded
-// peer with a real flow-state store (and, when replicated, a sender/
-// receiver pair wired through EnableReplication).
-type replPeer struct {
-	name   string
-	reg    *obs.Registry
-	engine *matrix.Engine
-	peer   *wire.Peer
-	store  *store.Store
-	dir    string
-}
-
+// replCluster is a fleet of sharded peers with real flow-state stores
+// under one temporary directory, replicating them when asked.
 type replCluster struct {
-	lookup *wire.LookupServer
-	reg    *obs.Registry // the lookup server's: no cluster counts into obs.Default()
-	peers  []*replPeer
+	*fleet
+	dir string
 }
 
+// newReplCluster boots n sharded peers with stores (and, when
+// replicated, quorum replication to rep.followers followers). Each
+// store first gets history ended flows, written in a store session
+// closed before the peer boots, so replication starts over a store
+// that already holds records, as a restarted owner's does: the stream
+// alone cannot bring a follower up to it, and a snapshot must.
 func newReplCluster(n int, rep *replReport, ttl time.Duration, replicated bool, history int) (*replCluster, error) {
-	cl := &replCluster{lookup: wire.NewLookupServer(), reg: obs.NewRegistry()}
-	cl.lookup.SetObs(cl.reg)
-	cl.lookup.SetShards(rep.shards)
-	if ttl > 0 {
-		cl.lookup.SetTTL(ttl)
-	}
-	lookupAddr, err := cl.lookup.Listen("127.0.0.1:0")
+	dir, err := os.MkdirTemp("", "e16-*")
 	if err != nil {
 		return nil, err
 	}
-	var peers []*wire.Peer
-	for i := 0; i < n; i++ {
-		p, err := newReplPeer(fmt.Sprintf("repl%c", 'A'+i), lookupAddr, rep, replicated, history, beatEvery(ttl))
-		if err != nil {
-			cl.close()
-			return nil, err
+	f, err := newFleet(n, "repl", rep.shards, ttl, func(name string) (node.Config, error) {
+		cfg := node.Config{
+			Matrix:   matrix.Config{MaxParallel: 64},
+			Server:   wire.ServerConfig{MaxInflight: rep.capacity, HeartbeatInterval: beatEvery(ttl)},
+			Shards:   rep.shards,
+			StoreDir: filepath.Join(dir, name, "store"),
 		}
-		cl.peers = append(cl.peers, p)
-		peers = append(peers, p.peer)
+		if replicated {
+			cfg.Replication = wire.ReplicationConfig{
+				Followers: rep.followers,
+				Mode:      replica.ModeQuorum,
+				Dir:       filepath.Join(dir, name, "replica"),
+			}
+		}
+		return cfg, writeHistory(cfg.StoreDir, name, history)
+	})
+	if err != nil {
+		_ = os.RemoveAll(dir)
+		return nil, err
 	}
-	beatAll(peers)
-	return cl, nil
+	return &replCluster{fleet: f, dir: dir}, nil
 }
 
-func newReplPeer(name, lookupAddr string, rep *replReport, replicated bool, history int, beat time.Duration) (*replPeer, error) {
-	dir, err := os.MkdirTemp("", "e16-"+name+"-*")
-	if err != nil {
-		return nil, err
+// writeHistory appends n ended flows to the store at dir and closes it.
+func writeHistory(dir, name string, n int) error {
+	if n == 0 {
+		return nil
 	}
-	g, reg, err := newRealGrid(name)
+	st, err := store.Open(dir, store.Options{Obs: obs.NewRegistry()})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	e := matrix.NewEngineConfig(g, matrix.Config{IDPrefix: name + ":", MaxParallel: 64})
-	st, err := store.Open(dir+"/store", store.Options{Obs: reg})
-	if err != nil {
-		return nil, err
-	}
-	// History appended before the replication tap attaches: the durable
-	// cursor advances past it, so the follower's first streamed frame
-	// arrives as a gap and forces the snapshot catch-up path — the
-	// late-attached-tap case every cold follower hits.
-	for i := 0; i < history; i++ {
+	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("%s:hist%d", name, i)
 		if err := st.AppendBatch([]store.Record{
 			{Type: store.TypeExecSnap, ID: id},
 			{Type: store.TypeExecEnd, ID: id},
 		}); err != nil {
-			return nil, err
+			st.Close()
+			return err
 		}
 	}
-	e.SetStore(st)
-	p := wire.NewPeerConfig(name, e, wire.ServerConfig{MaxInflight: rep.capacity, HeartbeatInterval: beat})
-	p.EnableSharding(shard.NewManager(shard.Config{
-		Self:   name,
-		Shards: rep.shards,
-		Obs:    reg,
-		Resident: func(id string) bool {
-			_, ok := e.Execution(id)
-			return ok
-		},
-	}))
-	if replicated {
-		if err := p.EnableReplication(wire.ReplicationConfig{
-			Followers: rep.followers,
-			Mode:      replica.ModeQuorum,
-			Dir:       dir + "/replica",
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if _, err := p.Start("127.0.0.1:0", lookupAddr); err != nil {
-		return nil, err
-	}
-	return &replPeer{name: name, reg: reg, engine: e, peer: p, store: st, dir: dir}, nil
+	return st.Close()
 }
 
 func (cl *replCluster) close() {
-	for _, p := range cl.peers {
-		p.peer.Close()
-		_ = p.store.Close()
-		_ = os.RemoveAll(p.dir)
-	}
-	cl.lookup.Close()
-}
-
-// runSubmitPhase drives FlowsPerPhase synchronous sleep flows, pinned
-// local to the first peer so bare and replicated runs execute on the
-// identical path — the only variable is the store tap's quorum wait.
-func (cl *replCluster) runSubmitPhase(rep *replReport) (float64, error) {
-	sleep := time.Duration(rep.stepMs * float64(time.Millisecond))
-	c, err := wire.Dial(cl.peers[0].peer.Addr())
-	if err != nil {
-		return 0, err
-	}
-	defer c.Close()
-	if _, err := c.Hello(); err != nil {
-		return 0, err
-	}
-	var next, failed atomic.Int64
-	var wg sync.WaitGroup
-	t0 := time.Now()
-	for w := 0; w < rep.workersPerPeer; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := next.Add(1)
-				if i > int64(rep.flowsPerPhase) {
-					return
-				}
-				flow := dgl.NewFlow(fmt.Sprintf("job%d", i)).
-					Step("op", dgl.Op(dgl.OpSleep, map[string]string{"duration": sleep.String()})).Flow()
-				res, err := c.Submit(context.Background(),
-					dgl.NewRequest(fmt.Sprintf("u%d", i%16), "", flow), wire.WithRoute(wire.RouteLocal))
-				if err != nil || res.Err() != nil {
-					failed.Add(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	wall := time.Since(t0)
-	if n := failed.Load(); n > 0 {
-		return 0, fmt.Errorf("e16: %d of %d submissions failed", n, rep.flowsPerPhase)
-	}
-	return float64(rep.flowsPerPhase) / wall.Seconds(), nil
+	cl.fleet.close()
+	_ = os.RemoveAll(cl.dir)
 }
 
 // runReplTakeover kills a replicated owner without drain, abandons its
@@ -340,17 +262,14 @@ func runReplTakeover(s Scale, rep *replReport) error {
 		return err
 	}
 	defer cl.close()
-	a, b := cl.peers[0], cl.peers[1]
+	a, b := cl.nodes[0], cl.nodes[1]
+	aStore, bStore := a.Engine().Store(), b.Engine().Store()
 
 	// Live flows on B: long sleeps still running at the kill, pinned
 	// local so B owns them. Synchronous accept + quorum mode means the
 	// exec.start record is follower-acknowledged before the ack returns.
-	cb, err := wire.Dial(b.peer.Addr())
+	cb, err := wire.Dial(b.Addr())
 	if err != nil {
-		return err
-	}
-	if _, err := cb.Hello(); err != nil {
-		cb.Close()
 		return err
 	}
 	liveFlows := pick(s, 6, 16)
@@ -369,12 +288,12 @@ func runReplTakeover(s Scale, rep *replReport) error {
 	// invariant is defined over: all live flows durable on B, and the
 	// follower's acked cursor at or past B's cursor as read AFTER the
 	// live set — so every captured entry is covered by the ack.
-	b.engine.SnapshotAll()
+	b.Engine().SnapshotAll()
 	deadline := time.Now().Add(10 * time.Second)
 	var acked []store.Entry
 	for {
-		live := b.store.Live()
-		seq := b.store.ReplSeq()
+		live := bStore.Live()
+		seq := bStore.ReplSeq()
 		if len(live) >= liveFlows && seq > 0 {
 			if ri, err := cb.Repl(); err == nil && ri != nil &&
 				len(ri.Followers) > 0 && ri.Followers[0].AckedSeq >= seq {
@@ -396,18 +315,17 @@ func runReplTakeover(s Scale, rep *replReport) error {
 
 	// Kill B without drain: server and registry link down, so its loop
 	// renews nothing; its store is never reopened (disk loss).
-	b.peer.Server().Close()
-	b.peer.Lookup().Close()
+	b.Kill()
 
 	t0 := time.Now()
 	present := func() int {
 		n := 0
 		live := make(map[string]bool)
-		for _, ent := range a.store.Live() {
+		for _, ent := range aStore.Live() {
 			live[ent.ID] = true
 		}
 		for _, ent := range acked {
-			if _, ok := a.engine.Execution(ent.ID); ok || live[ent.ID] {
+			if _, ok := a.Engine().Execution(ent.ID); ok || live[ent.ID] {
 				n++
 			}
 		}
@@ -419,12 +337,13 @@ func runReplTakeover(s Scale, rep *replReport) error {
 		time.Sleep(5 * time.Millisecond)
 	}
 	rep.takeoverMs = float64(time.Since(t0)) / float64(time.Millisecond)
-	if rep.survivorRegistered, err = stillRegistered(a.peer); err != nil {
+	if rep.survivorRegistered, err = stillRegistered(a.Peer()); err != nil {
 		return err
 	}
 	rep.lostFlows = len(acked) - present()
-	rep.promotedFlows = a.reg.Counter("repl_promoted_flows_total", "source", b.name).Value()
-	rep.snapshotsShipped = b.reg.Counter("repl_snapshots_shipped_total").Value() +
-		a.reg.Counter("repl_snapshots_shipped_total").Value()
+	aReg, bReg := a.Engine().Obs(), b.Engine().Obs()
+	rep.promotedFlows = aReg.Counter("repl_promoted_flows_total", "source", b.Peer().Name).Value()
+	rep.snapshotsShipped = bReg.Counter("repl_snapshots_shipped_total").Value() +
+		aReg.Counter("repl_snapshots_shipped_total").Value()
 	return nil
 }

@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"datagridflow/internal/dgl"
-	"datagridflow/internal/matrix"
+	"datagridflow/internal/node"
 	"datagridflow/internal/obs"
 	"datagridflow/internal/tenant"
 	"datagridflow/internal/wire"
@@ -193,22 +193,10 @@ func runTenant(window time.Duration, registryTenants, workers int, step time.Dur
 
 	// Phase 2 — isolation. One narrow server, tokens verified, weights
 	// enforced; every lane floods it with more demand than its share.
-	g, _, err := newRealGrid("tenant")
-	if err != nil {
-		return nil, err
-	}
-	server := wire.NewServerConfig(matrix.NewEngine(g), wire.ServerConfig{MaxInflight: tenantMaxInflight})
-	addr, err := server.Listen("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	defer server.Close()
 	auth, err := tenant.NewAuthority([]byte("e17-tenant-secret"))
 	if err != nil {
 		return nil, err
 	}
-	treg := tenant.NewRegistry(tenant.Quota{}, obs.NewRegistry())
-	server.SetTenancy(auth, treg, true)
 
 	type lane struct {
 		name    string
@@ -220,11 +208,25 @@ func runTenant(window time.Duration, registryTenants, workers int, step time.Dur
 	for i := 0; i < tenantFairLanes; i++ {
 		lanes = append(lanes, &lane{name: fmt.Sprintf("fair%d", i), weight: 1, workers: workers})
 	}
+	// Weights only — no resource limits, so the steady phase must see
+	// zero quota rejections. The breach tenant of phase 3 submits nothing
+	// before it.
+	tenants := &tenant.Config{Tenants: map[string]tenant.Quota{"breach": {Weight: 1, MaxFlows: 2}}}
 	for _, l := range lanes {
-		// Weights only — no resource limits, so the steady phase must see
-		// zero quota rejections.
-		treg.Register(l.name, tenant.Quota{Weight: l.weight})
+		tenants.Tenants[l.name] = tenant.Quota{Weight: l.weight}
 	}
+	server, err := node.Start(node.Config{
+		Open:          true,
+		Server:        wire.ServerConfig{MaxInflight: tenantMaxInflight},
+		TenantAuth:    auth,
+		Tenants:       tenants,
+		TenantRequire: true,
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer server.Close()
+	addr := server.Addr()
 
 	// dial opens a hello'd session authenticated as the named tenant.
 	dial := func(name string) (*wire.Client, error) {
@@ -298,7 +300,6 @@ func runTenant(window time.Duration, registryTenants, workers int, step time.Dur
 	// Phase 3 — positive control: a 2-flow quota flooded with async
 	// long-ish sleeps must draw rejections, proving enforcement was live
 	// during the phases above rather than silently disabled.
-	treg.Register("breach", tenant.Quota{Weight: 1, MaxFlows: 2})
 	bc, err := dial("breach")
 	if err != nil {
 		return nil, err

@@ -8,9 +8,9 @@ import (
 
 	"datagridflow/internal/dgl"
 	"datagridflow/internal/matrix"
+	"datagridflow/internal/node"
 	"datagridflow/internal/obs"
 	"datagridflow/internal/vdata"
-	"datagridflow/internal/wire"
 )
 
 // E18Vdata quantifies the virtual-data derivation catalog
@@ -129,32 +129,27 @@ func runVdata(flows int, step time.Duration) (*vdataReport, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	g, reg, err := newRealGrid("local")
+	local, err := node.Start(node.Config{Open: true, VdataDir: dir})
 	if err != nil {
 		return nil, err
 	}
-	cat, err := vdata.Open(dir, reg)
-	if err != nil {
-		return nil, err
-	}
-	e := matrix.NewEngine(g)
-	e.SetVdata(cat)
+	e := local.Engine()
 	if rep.coldMs, err = runVdataSet(e, flows, step); err != nil {
+		local.Close()
 		return nil, err
 	}
 	if rep.warmMs, err = runVdataSet(e, flows, step); err != nil {
+		local.Close()
 		return nil, err
 	}
-	rep.hitRate = float64(reg.Counter("vdata_hits_total").Value()) / float64(flows)
+	rep.hitRate = float64(e.Obs().Counter("vdata_hits_total").Value()) / float64(flows)
 	if rep.warmMs > 0 {
 		rep.warmSpeedup = rep.coldMs / rep.warmMs
 	}
-	rep.entries = cat.Len()
+	rep.entries = e.Vdata().Len()
 
-	// Durability: reopen the log and count what replays.
-	if err := cat.Close(); err != nil {
-		return nil, err
-	}
+	// Durability: close the node, reopen its log and count what replays.
+	local.Close()
 	reopened, err := vdata.Open(dir, obs.NewRegistry())
 	if err != nil {
 		return nil, err
@@ -165,47 +160,21 @@ func runVdata(flows int, step time.Duration) (*vdataReport, error) {
 	}
 
 	// Phase 2 — cross-peer reuse over the vdata verb and the lookup registry.
-	ls := wire.NewLookupServer()
-	ls.SetObs(obs.NewRegistry())
-	lookupAddr, err := ls.Listen("127.0.0.1:0")
+	f, err := newFleet(2, "peer", 0, 0, func(string) (node.Config, error) {
+		return node.Config{Vdata: true}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer ls.Close()
-	newPeer := func(name string) (*wire.Peer, *matrix.Engine, *obs.Registry, error) {
-		pg, preg, err := newRealGrid(name)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		pe := matrix.NewEngineConfig(pg, matrix.Config{IDPrefix: name + ":"})
-		pcat, err := vdata.Open("", preg)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		p := wire.NewPeer(name, pe)
-		p.EnableVdata(pcat)
-		if _, err := p.Start("127.0.0.1:0", lookupAddr); err != nil {
-			return nil, nil, nil, err
-		}
-		return p, pe, preg, nil
-	}
-	pa, ea, _, err := newPeer("peerA")
-	if err != nil {
-		return nil, err
-	}
-	defer pa.Close()
-	pb, eb, regB, err := newPeer("peerB")
-	if err != nil {
-		return nil, err
-	}
-	defer pb.Close()
+	defer f.close()
+	ea, eb := f.nodes[0].Engine(), f.nodes[1].Engine()
 	if rep.remoteColdMs, err = runVdataSet(ea, flows, step); err != nil {
 		return nil, err
 	}
 	if rep.remoteMs, err = runVdataSet(eb, flows, step); err != nil {
 		return nil, err
 	}
-	rep.remoteHits = int(regB.Counter("vdata_remote_hits_total").Value())
+	rep.remoteHits = int(eb.Obs().Counter("vdata_remote_hits_total").Value())
 	if rep.remoteMs > 0 {
 		rep.remoteSpeedup = rep.remoteColdMs / rep.remoteMs
 	}

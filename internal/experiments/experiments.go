@@ -10,15 +10,21 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
+	"time"
 
+	"datagridflow/internal/dgl"
 	"datagridflow/internal/dgms"
 	"datagridflow/internal/matrix"
 	"datagridflow/internal/namespace"
+	"datagridflow/internal/node"
 	"datagridflow/internal/obs"
-	"datagridflow/internal/sim"
 	"datagridflow/internal/vfs"
+	"datagridflow/internal/wire"
 )
 
 // Scale selects experiment sizes: Small keeps everything under a second
@@ -137,23 +143,136 @@ func newGrid() (*dgms.Grid, error) {
 	return g, nil
 }
 
-// newRealGrid builds a one-resource grid on the real clock with its own
-// metrics registry, writable by every user: the grid of the networked
-// experiments (E13–E18), where a sleep step must consume wall time and
-// counters must not cross phases.
-func newRealGrid(name string) (*dgms.Grid, *obs.Registry, error) {
-	reg := obs.NewRegistry()
-	g := dgms.New(dgms.Options{Obs: reg, Clock: sim.RealClock{}})
-	if err := g.RegisterResource(vfs.New(name+"-disk", name, vfs.Disk, 0)); err != nil {
-		return nil, nil, err
+// fleet is a lookup server and the peers registered with it, each
+// booted by node.Start on loopback with a registry of its own: the
+// network of the networked experiments (E13, E15, E16, E18).
+type fleet struct {
+	lookup *wire.LookupServer
+	reg    *obs.Registry // the lookup server's: no fleet counts into obs.Default()
+	nodes  []*node.Node
+}
+
+// newFleet starts a lookup server — the lease authority of shards
+// shards when shards > 0, evicting peers silent for ttl when ttl > 0 —
+// and n peers on it, named prefix+"A", prefix+"B", …, each booted from
+// peer(name) with its name and lookup filled in and /grid writable by
+// every user. Every peer runs on the real clock, so a sleep step
+// consumes wall time. Membership is settled by forced ticks (beatAll),
+// not by the timer.
+func newFleet(n int, prefix string, shards int, ttl time.Duration, peer func(name string) (node.Config, error)) (*fleet, error) {
+	f := &fleet{lookup: wire.NewLookupServer(), reg: obs.NewRegistry()}
+	f.lookup.SetObs(f.reg)
+	f.lookup.SetShards(shards)
+	if ttl > 0 {
+		f.lookup.SetTTL(ttl)
 	}
-	if err := g.CreateCollectionAll(g.Admin(), "/grid"); err != nil {
-		return nil, nil, err
+	addr, err := f.lookup.Listen("127.0.0.1:0")
+	if err != nil {
+		return nil, err
 	}
-	if err := g.Namespace().SetPermission("/grid", "*", namespace.PermWrite); err != nil {
-		return nil, nil, err
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("%s%c", prefix, 'A'+i)
+		cfg, err := peer(name)
+		var nd *node.Node
+		if err == nil {
+			cfg.Name, cfg.Lookup, cfg.Open = name, addr, true
+			nd, err = node.Start(cfg)
+		}
+		if err != nil {
+			f.close()
+			return nil, err
+		}
+		f.nodes = append(f.nodes, nd)
 	}
-	return g, reg, nil
+	beatAll(f.nodes)
+	return f, nil
+}
+
+func (cl *fleet) close() {
+	for _, nd := range cl.nodes {
+		nd.Close()
+	}
+	cl.lookup.Close()
+}
+
+// submitSleeps drives flows synchronous one-step sleep flows of stepMs
+// through the first peers peers of the fleet — workers closed-loop
+// workers per peer, each submitting to its peer over one multiplexed
+// session, flow names and users spread uniformly over the key space —
+// and returns flows/sec. Every submission must succeed.
+func (cl *fleet) submitSleeps(peers, workers, flows int, stepMs float64, opts ...wire.SubmitOption) (float64, error) {
+	sleep := time.Duration(stepMs * float64(time.Millisecond))
+	var clients []*wire.Client
+	defer func() {
+		for _, c := range clients {
+			c.Close()
+		}
+	}()
+	for _, nd := range cl.nodes[:peers] {
+		c, err := wire.Dial(nd.Addr())
+		if err != nil {
+			return 0, err
+		}
+		clients = append(clients, c)
+	}
+	var next, failed atomic.Int64
+	var wg sync.WaitGroup
+	t0 := time.Now()
+	for _, c := range clients {
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := next.Add(1); i <= int64(flows); i = next.Add(1) {
+					flow := dgl.NewFlow(fmt.Sprintf("job%d", i)).
+						Step("op", dgl.Op(dgl.OpSleep, map[string]string{"duration": sleep.String()})).Flow()
+					res, err := c.Submit(context.Background(), dgl.NewRequest(fmt.Sprintf("u%d", i%16), "", flow), opts...)
+					if err != nil || res.Err() != nil {
+						failed.Add(1)
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	wall := time.Since(t0)
+	if n := failed.Load(); n > 0 {
+		return 0, fmt.Errorf("%d of %d submissions failed", n, flows)
+	}
+	return float64(flows) / wall.Seconds(), nil
+}
+
+// beatAll forces two membership ticks on every peer: the first round
+// spreads registrations (and releases what the ring moved away), the
+// second reads the completed roster (and claims what the first freed).
+func beatAll(nodes []*node.Node) {
+	for range [2]int{} {
+		for _, nd := range nodes {
+			_ = nd.Peer().Beat()
+		}
+	}
+}
+
+// beatEvery is a fleet's membership interval: a third of its registry
+// TTL, or once a minute without one, so that no tick lands inside a
+// measured phase or undoes a topology the harness imposed (funnelTo).
+func beatEvery(ttl time.Duration) time.Duration {
+	if ttl > 0 {
+		return ttl / 3
+	}
+	return time.Minute
+}
+
+// stillRegistered reports whether the registry lists p live, asked over
+// p's own registry link.
+func stillRegistered(p *wire.Peer) (bool, error) {
+	infos, err := p.Lookup().Peers()
+	for _, in := range infos {
+		if in.Name == p.Name {
+			return true, err
+		}
+	}
+	return false, err
 }
 
 func newEngine() (*dgms.Grid, *matrix.Engine, error) {

@@ -86,6 +86,9 @@ type outbox struct {
 	acked, settled uint64
 	// lag and ackedSeq are the follower's repl_follower_* gauges.
 	lag, ackedSeq *obs.Gauge
+	// synced is set once the follower took a snapshot from this sender
+	// and cleared when it reports a gap; only the worker touches it.
+	synced bool
 }
 
 // outboxKeep is the largest queue array an outbox keeps between
@@ -157,9 +160,9 @@ func NewSender(cfg SenderConfig) *Sender {
 }
 
 // SetFollowers replaces the follower set (in placement order). New
-// followers start cold: their first frame reports a gap and triggers a
-// snapshot ship, and they owe no ack for what was handed over before
-// they joined. Removed followers' outboxes stop, and no wait counts
+// followers start cold: a snapshot is shipped ahead of their first
+// frame, and they owe no ack for what was handed over before they
+// joined. Removed followers' outboxes stop, and no wait counts
 // them any more.
 func (s *Sender) SetFollowers(names []string) {
 	s.mu.Lock()
@@ -440,44 +443,50 @@ func (s *Sender) deliverRun(ob *outbox, run []Frame) {
 	s.mu.Unlock()
 }
 
-// deliver sends one frame, shipping a snapshot first when the follower
-// reports a gap (cold follower, dropped frames, or follower restart),
-// and returns the highest sequence the follower acknowledged on the
-// way — 0 when it acknowledged nothing.
+// deliver sends one frame, shipping a snapshot first to a follower
+// that has had none from this sender, or that reports a gap (dropped
+// frames, or follower restart), and returns the highest sequence the
+// follower acknowledged on the way — 0 when it acknowledged nothing.
+// Sequence numbers restart at 1 with every owner process, so without
+// the first snapshot a new follower would miss what the store held
+// before this sender, and a follower holding an earlier incarnation's
+// replica would take the new numbers for duplicates.
 func (s *Sender) deliver(ob *outbox, f Frame) (acked uint64) {
-	ack, err := s.cfg.Send(ob.peer, f)
-	if err != nil {
-		s.countPeer("repl_send_errors_total", ob.peer)
-		return 0
-	}
-	if ack.NeedSnapshot && s.cfg.Snapshot != nil {
-		snap, serr := s.cfg.Snapshot()
-		if serr != nil {
-			s.cfg.Obs.Counter("repl_snapshot_errors_total").Inc()
-			return 0
+	for retried := false; ; retried = true {
+		if !ob.synced && s.cfg.Snapshot != nil {
+			snap, err := s.cfg.Snapshot()
+			if err != nil {
+				s.cfg.Obs.Counter("repl_snapshot_errors_total").Inc()
+				return 0
+			}
+			snap.Op = OpSnapshot
+			snap.Source = s.cfg.Source
+			sack, err := s.cfg.Send(ob.peer, snap)
+			if err != nil || !sack.OK {
+				s.countPeer("repl_send_errors_total", ob.peer)
+				return 0
+			}
+			s.cfg.Obs.Counter("repl_snapshots_shipped_total").Inc()
+			ob.synced = true
+			if acked = sack.AckSeq; f.Seq+uint64(f.Count)-1 <= acked {
+				return acked // the snapshot already covers this frame
+			}
 		}
-		snap.Op = OpSnapshot
-		snap.Source = s.cfg.Source
-		sack, serr := s.cfg.Send(ob.peer, snap)
-		if serr != nil || !sack.OK {
-			s.countPeer("repl_send_errors_total", ob.peer)
-			return 0
+		ack, err := s.cfg.Send(ob.peer, f)
+		if err == nil && ack.NeedSnapshot && s.cfg.Snapshot != nil && !retried {
+			ob.synced = false
+			continue
 		}
-		s.cfg.Obs.Counter("repl_snapshots_shipped_total").Inc()
-		if acked = sack.AckSeq; f.Seq+uint64(f.Count)-1 <= acked {
-			return acked // the snapshot already covers this frame
-		}
-		ack, err = s.cfg.Send(ob.peer, f)
-		if err != nil || ack.NeedSnapshot {
+		if err != nil || (ack.NeedSnapshot && s.cfg.Snapshot != nil) {
 			s.countPeer("repl_send_errors_total", ob.peer)
 			return acked
 		}
+		if !ack.OK {
+			s.countPeer("repl_apply_rejected_total", ob.peer)
+			return acked
+		}
+		return ack.AckSeq
 	}
-	if !ack.OK {
-		s.countPeer("repl_apply_rejected_total", ob.peer)
-		return acked
-	}
-	return ack.AckSeq
 }
 
 func (s *Sender) countPeer(name, peer string) {

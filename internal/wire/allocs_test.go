@@ -101,7 +101,7 @@ func TestStatusReplyAllocs(t *testing.T) {
 	}
 	_, lookupAddr := startLookup(t)
 	start := func(name string) *Peer {
-		p := NewPeer(name, newEngine(t, name+":"))
+		p := newPeer(name, newEngine(t, name+":"))
 		if _, err := p.Start("127.0.0.1:0", lookupAddr); err != nil {
 			t.Fatal(err)
 		}

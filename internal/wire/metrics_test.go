@@ -88,13 +88,13 @@ func TestWireStatusRouting(t *testing.T) {
 	defer ls.Close()
 
 	engineA, _ := newObservedEngine(t, "matrixA:")
-	peerA := NewPeer("matrixA", engineA)
+	peerA := newPeer("matrixA", engineA)
 	if _, err := peerA.Start("127.0.0.1:0", lookupAddr); err != nil {
 		t.Fatal(err)
 	}
 	defer peerA.Close()
 	engineB, regB := newObservedEngine(t, "matrixB:")
-	peerB := NewPeer("matrixB", engineB)
+	peerB := newPeer("matrixB", engineB)
 	addrB, err := peerB.Start("127.0.0.1:0", lookupAddr)
 	if err != nil {
 		t.Fatal(err)

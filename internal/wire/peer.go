@@ -470,15 +470,10 @@ type Peer struct {
 	stopLoop, loopDone chan struct{} // end the membership loop; closed once it has
 }
 
-// NewPeer creates a peer over an engine. The engine should have been
-// built with matrix.Config{IDPrefix: name + ":"} so its execution ids
-// route back to this peer.
-func NewPeer(name string, engine *matrix.Engine) *Peer {
-	return NewPeerConfig(name, engine, ServerConfig{})
-}
-
-// NewPeerConfig is NewPeer with explicit wire-server tuning (admission
-// pool size, queue bounds, delegation grace).
+// NewPeerConfig creates a peer over an engine with the given wire-server
+// tuning (admission pool size, queue bounds, delegation grace). The
+// engine should have been built with matrix.Config{IDPrefix: name + ":"}
+// so its execution ids route back to this peer; node.Start builds both.
 func NewPeerConfig(name string, engine *matrix.Engine, cfg ServerConfig) *Peer {
 	return &Peer{Name: name, server: NewServerConfig(engine, cfg), clients: make(map[string]*Client)}
 }

@@ -226,12 +226,12 @@ func TestLookupShutdownWithOpenConns(t *testing.T) {
 
 func TestPeerHeartbeatAndDropClient(t *testing.T) {
 	_, lookupAddr := startLookup(t)
-	peerA := NewPeer("hbA", newEngine(t, "hbA:"))
+	peerA := newPeer("hbA", newEngine(t, "hbA:"))
 	if _, err := peerA.Start("127.0.0.1:0", lookupAddr); err != nil {
 		t.Fatal(err)
 	}
 	defer peerA.Close()
-	peerB := NewPeer("hbB", newEngine(t, "hbB:"))
+	peerB := newPeer("hbB", newEngine(t, "hbB:"))
 	if _, err := peerB.Start("127.0.0.1:0", lookupAddr); err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestPeerHeartbeatAndDropClient(t *testing.T) {
 		t.Error("DropClient did not evict the pooled connection")
 	}
 	// Peer without a lookup cannot heartbeat.
-	solo := NewPeer("solo", newEngine(t, "solo:"))
+	solo := newPeer("solo", newEngine(t, "solo:"))
 	if err := solo.Beat(); err == nil {
 		t.Error("heartbeat without lookup accepted")
 	}

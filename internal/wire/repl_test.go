@@ -16,7 +16,7 @@ func startReplPeer(t *testing.T, lookupAddr, name string, mode replica.AckMode) 
 	t.Helper()
 	e := newEngine(t, name+":")
 	attachStore(t, e)
-	p := NewPeer(name, e)
+	p := newPeer(name, e)
 	if err := p.EnableReplication(ReplicationConfig{
 		Followers:  1,
 		Mode:       mode,

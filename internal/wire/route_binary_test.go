@@ -153,7 +153,7 @@ func TestCrossPeerStatusRequiresToken(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := func(name string) *Peer {
-		p := NewPeer(name, newEngine(t, name+":"))
+		p := newPeer(name, newEngine(t, name+":"))
 		p.Server().SetTenancy(auth, tenant.NewRegistry(tenant.Quota{}, obs.NewRegistry()), true)
 		if _, err := p.Start("127.0.0.1:0", lookupAddr); err != nil {
 			t.Fatal(err)

@@ -22,7 +22,7 @@ const testShards = 32
 func startShardedPeer(t *testing.T, lookupAddr, name string) *Peer {
 	t.Helper()
 	e := newEngine(t, name+":")
-	p := NewPeer(name, e)
+	p := newPeer(name, e)
 	p.EnableSharding(shard.NewManager(shard.Config{
 		Self:   name,
 		Shards: testShards,

@@ -241,7 +241,7 @@ func TestResurrectOnWireControl(t *testing.T) {
 // "federation" label before answering.
 func TestPeerStatusResurrectsFederation(t *testing.T) {
 	_, lookupAddr := startLookup(t)
-	peerA := NewPeer("fedA", newEngine(t, "fedA:"))
+	peerA := newPeer("fedA", newEngine(t, "fedA:"))
 	if _, err := peerA.Start("127.0.0.1:0", lookupAddr); err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestPeerStatusResurrectsFederation(t *testing.T) {
 	engineB := newEngine(t, "fedB:")
 	attachStore(t, engineB)
 	reached, release := registerParkOp(engineB)
-	peerB := NewPeer("fedB", engineB)
+	peerB := newPeer("fedB", engineB)
 	if _, err := peerB.Start("127.0.0.1:0", lookupAddr); err != nil {
 		t.Fatal(err)
 	}

@@ -504,7 +504,7 @@ func TestLookupAuthGating(t *testing.T) {
 
 	// End to end: a peer with the tenant authority registers itself.
 	e := newEngine(t, "lk")
-	p := NewPeer("peerB", e)
+	p := newPeer("peerB", e)
 	p.Server().SetTenancy(auth, nil, false)
 	if _, err := p.Start("127.0.0.1:0", addr); err != nil {
 		t.Fatal(err)
@@ -540,7 +540,7 @@ func TestRouteFrameCannotSpoofUser(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := newEngine(t, "siteA:")
-	p := NewPeer("siteA", e)
+	p := newPeer("siteA", e)
 	p.EnableSharding(shard.NewManager(shard.Config{Self: "siteA", Shards: testShards, Obs: e.Obs()}))
 	p.Server().SetTenancy(auth, tenant.NewRegistry(tenant.Quota{}, obs.NewRegistry()), true)
 	if _, err := p.Start("127.0.0.1:0", lookupAddr); err != nil {

@@ -41,7 +41,7 @@ func newVdataPeer(t testing.TB, name, lookupAddr string, auth *tenant.Authority)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPeer(name, e)
+	p := newPeer(name, e)
 	if auth != nil {
 		p.Server().SetTenancy(auth, tenant.NewRegistry(tenant.Quota{}, reg), true)
 	}

@@ -33,6 +33,11 @@ func newEngine(t testing.TB, prefix string) *matrix.Engine {
 	return matrix.NewEngineConfig(g, matrix.Config{IDPrefix: prefix})
 }
 
+// newPeer is a peer with the default wire-server tuning.
+func newPeer(name string, e *matrix.Engine) *Peer {
+	return NewPeerConfig(name, e, ServerConfig{})
+}
+
 func startServer(t testing.TB, e *matrix.Engine) (*Server, string) {
 	t.Helper()
 	s := NewServer(e)
@@ -281,12 +286,12 @@ func TestPeerNetwork(t *testing.T) {
 	}
 	defer ls.Close()
 
-	peerA := NewPeer("matrixA", newEngine(t, "matrixA:"))
+	peerA := newPeer("matrixA", newEngine(t, "matrixA:"))
 	if _, err := peerA.Start("127.0.0.1:0", lookupAddr); err != nil {
 		t.Fatal(err)
 	}
 	defer peerA.Close()
-	peerB := NewPeer("matrixB", newEngine(t, "matrixB:"))
+	peerB := newPeer("matrixB", newEngine(t, "matrixB:"))
 	if _, err := peerB.Start("127.0.0.1:0", lookupAddr); err != nil {
 		t.Fatal(err)
 	}
@@ -472,18 +477,18 @@ func TestSubmitAsyncErrorPaths(t *testing.T) {
 
 func TestPeerStartErrors(t *testing.T) {
 	e := newEngine(t, "p:")
-	p := NewPeer("p", e)
+	p := newPeer("p", e)
 	// Bad listen address.
 	if _, err := p.Start("256.256.256.256:0", "127.0.0.1:1"); err == nil {
 		t.Errorf("bad peer address accepted")
 	}
 	// Dead lookup server.
-	p2 := NewPeer("p2", newEngine(t, "p2:"))
+	p2 := newPeer("p2", newEngine(t, "p2:"))
 	if _, err := p2.Start("127.0.0.1:0", "127.0.0.1:1"); err == nil {
 		t.Errorf("dead lookup accepted")
 	}
 	// Peer without a lookup connection cannot route.
-	p3 := NewPeer("p3", newEngine(t, "p3:"))
+	p3 := newPeer("p3", newEngine(t, "p3:"))
 	if _, err := p3.placeStatus("other:dgf-000001"); err == nil {
 		t.Errorf("routing without lookup accepted")
 	}
