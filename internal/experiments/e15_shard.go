@@ -81,6 +81,7 @@ type shardReport struct {
 	survivorRegistered        bool // the registry lists the survivor after the takeover
 	acceptedDuringFailover    int
 	failoverSubmitErrors      int
+	failoverFirstErr          error // the first of failoverSubmitErrors, for the report
 	// replayedFromGenesis counts the dead owner's completed flows found
 	// re-executing on the survivor after takeover — must be 0.
 	replayedFromGenesis int
@@ -100,8 +101,8 @@ func (rep *shardReport) check() error {
 			rep.failoverTTLMs)
 	}
 	if rep.failoverSubmitErrors > 0 {
-		return fmt.Errorf("E15: failover_submit_errors %d during the takeover window (any-peer submit must stay available)",
-			rep.failoverSubmitErrors)
+		return fmt.Errorf("E15: failover_submit_errors %d during the takeover window (any-peer submit must stay available); the first: %v",
+			rep.failoverSubmitErrors, rep.failoverFirstErr)
 	}
 	if rep.replayedFromGenesis > 0 {
 		return fmt.Errorf("E15: replayed_from_genesis %d of the dead owner's completed flows re-executed on the survivor",
@@ -293,8 +294,13 @@ func runShardFailover(s Scale, rep *shardReport) error {
 		flow := dgl.NewFlow(victim).
 			Step("op", dgl.Op(dgl.OpSleep, map[string]string{"duration": "1ms"})).Flow()
 		res, err := ca.Submit(context.Background(), dgl.NewRequest("user", "", flow))
-		if err != nil || res.Err() != nil {
-			rep.failoverSubmitErrors++
+		if err == nil {
+			err = res.Err()
+		}
+		if err != nil {
+			if rep.failoverSubmitErrors++; rep.failoverFirstErr == nil {
+				rep.failoverFirstErr = err
+			}
 		} else {
 			rep.acceptedDuringFailover++
 		}
