@@ -111,6 +111,8 @@ const headerLen = 3
 type Encoder struct {
 	buf  []byte
 	syms map[string]uint32
+	// nsyms counts the table's entries, those SymOnce defined too.
+	nsyms uint32
 	// strs backs the table's keys that SymBytes makes.
 	strs Arena
 }
@@ -119,6 +121,7 @@ type Encoder struct {
 func (e *Encoder) Reset() {
 	e.buf = e.buf[:0]
 	clear(e.syms)
+	e.nsyms = 0
 }
 
 // Bytes returns the encoded payload(s). The slice aliases the encoder's
@@ -137,6 +140,7 @@ func (e *Encoder) Begin(msgType byte) {
 	} else {
 		clear(e.syms)
 	}
+	e.nsyms = 0
 }
 
 // BeginFrame starts a self-delimiting frame for append-only streams
@@ -252,12 +256,30 @@ func (e *Encoder) SymBytes(num int, b []byte) {
 	e.define(e.strs.Cut(b))
 }
 
+// SymOnce writes a string that does not repeat in the payload — a
+// status node's id — as a new table entry that no later field refers
+// to: a decoder reads it as Sym wrote it, and the table keeps no
+// reference to s, which may be a buffer the caller reuses.
+func (e *Encoder) SymOnce(num int, s string) {
+	if s == "" {
+		return
+	}
+	e.tag(num, wtSym)
+	e.inline(s)
+}
+
 // define writes s inline and gives it the next table index.
 func (e *Encoder) define(s string) {
+	e.inline(s)
+	e.syms[s] = e.nsyms
+}
+
+// inline writes s as the next table entry.
+func (e *Encoder) inline(s string) {
 	e.uvarint(0)
 	e.uvarint(uint64(len(s)))
 	e.buf = append(e.buf, s...)
-	e.syms[s] = uint32(len(e.syms)) + 1
+	e.nsyms++
 }
 
 // Msg writes a nested message field. The nested fields share the

@@ -624,8 +624,10 @@ func statusFields(e *Encoder, st *dgl.FlowStatus) {
 }
 
 // nodeFields writes a status node's own fields; its children follow.
+// Node ids do not repeat in a tree, and are valid only until the node's
+// Close (dgl.StatusSink): the table is not given them.
 func nodeFields(e *Encoder, n *dgl.StatusNode) {
-	e.Sym(fsID, n.ID)
+	e.SymOnce(fsID, n.ID)
 	e.Sym(fsName, n.Name)
 	e.Sym(fsKind, n.Kind)
 	e.Sym(fsState, n.State)

@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"strings"
+	"sync"
 	"time"
+	"unsafe"
 
 	"datagridflow/internal/dgl"
 )
@@ -15,6 +17,10 @@ import (
 // held in memory as one string and read in place; it never reaches a
 // disk or a wire. It uses no string table, so a reader can pass over a
 // subtree without reading into it.
+//
+// A node's id extends its parent's, so the record keeps each id once:
+// as how much of the parent's id it drops and the suffix it adds. A
+// reader builds a node's id back from its parent's.
 
 // Ended record field numbers (MsgEnded).
 const (
@@ -29,8 +35,12 @@ const (
 // all zero when the root has no time.
 const baseLen = 12
 
-// An ended node message starts with a head of no tags: the id (a
-// length and its bytes), one byte holding the kind and state code
+// An ended node message starts with a head of no tags: the id, as the
+// number of bytes of the parent's id it does not share (a varint, 0 for
+// a child named under its parent; the root's parent's id is empty) and
+// the suffix that follows what it shares (a length and its bytes), cut
+// so that the suffix holds the id's whole last segment; one byte
+// holding the kind and state code
 // (kind code × 8 + state code, see kinds and states) in its low five
 // bits and which of the two times follow in its top two (started 32,
 // finished 64), then each time present, as the zigzag varint of its
@@ -76,6 +86,19 @@ func code(set []string, s string) uint64 {
 // otherwise: what follows the id's last '/'.
 func lastSegment(id string) string { return id[strings.LastIndexByte(id, '/')+1:] }
 
+// shared is how many leading bytes of its parent's id the record of the
+// node id takes for it: as many as the two have in common, but none of
+// id's last segment, so that the suffix holds the node's default name.
+func shared(parent, id string) int {
+	n := min(len(parent), strings.LastIndexByte(id, '/')+1)
+	for i := 0; i < n; i++ {
+		if parent[i] != id[i] {
+			return i
+		}
+	}
+	return n
+}
+
 // EndedWriter writes an ended record: Begin, the status tree (the
 // writer is the dgl.StatusSink a live tree walks into, its times given
 // as time.Time), the root variables, the request if it is kept, and
@@ -83,7 +106,8 @@ func lastSegment(id string) string { return id[strings.LastIndexByte(id, '/')+1:
 // ready, and reusable after the next Begin.
 type EndedWriter struct {
 	e     *Encoder
-	marks []int // of the node messages still open
+	marks []int    // of the node messages still open
+	ids   []string // their ids, read until their Close
 	// The base is the root's start (or end): every time is written as
 	// the nanoseconds from it, a few bytes for a run's spread.
 	hasBase         bool
@@ -98,6 +122,8 @@ const maxNear = 9_000_000_000
 func (w *EndedWriter) Begin(e *Encoder) {
 	e.Begin(MsgEnded)
 	w.e, w.marks = e, w.marks[:0]
+	clear(w.ids)
+	w.ids = w.ids[:0]
 }
 
 // Open implements dgl.StatusSink.
@@ -122,8 +148,15 @@ func (w *EndedWriter) Open(n dgl.StatusNode) {
 		e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(w.baseSec))
 		e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(w.baseNs))
 	}
-	e.uvarint(uint64(len(n.ID)))
-	e.buf = append(e.buf, n.ID...)
+	parent := ""
+	if !root {
+		parent = w.ids[len(w.ids)-1]
+	}
+	keep := shared(parent, n.ID)
+	e.uvarint(uint64(len(parent) - keep))
+	e.uvarint(uint64(len(n.ID) - keep))
+	e.buf = append(e.buf, n.ID[keep:]...)
+	w.ids = append(w.ids, n.ID)
 	k, st := code(kinds[:], n.Kind), code(states[:], n.State)
 	head, at := byte(k<<3|st), len(e.buf)
 	e.buf = append(e.buf, head)
@@ -193,6 +226,8 @@ func (w *EndedWriter) Close() {
 	last := len(w.marks) - 1
 	w.e.patch(w.marks[last])
 	w.marks = w.marks[:last]
+	w.ids[last] = ""
+	w.ids = w.ids[:last]
 }
 
 // Var writes one root variable, after the tree.
@@ -222,8 +257,16 @@ type endedReader struct {
 	pos int
 	// baseSec and baseNs are the base time, as time.Unix takes it.
 	baseSec, baseNs int64
-	err             error
+	// ids holds the ids the reader built, of the nodes open on the path
+	// it walks, each after its parent's: a node's stays put until the
+	// reader leaves the node. It is borrowed from idBufs.
+	ids []byte
+	err error
 }
+
+// idBufs holds the buffers readers build ids in, so that a status
+// answer from a record allocates none.
+var idBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // wire types of the ended record's fields and of its nodes' fields, by
 // field number, plus one: 0 is a field this reader skips by the wire
@@ -372,12 +415,37 @@ func (r *endedReader) skip(wt byte) {
 	}
 }
 
+// idParts reads the id at the start of the node message the reader has
+// entered, as the record keeps it: how much of its parent's id, of
+// parentLen bytes, it keeps, and the suffix it adds.
+func (r *endedReader) idParts(parentLen int) (keep int, suffix string) {
+	drop := r.uvarint()
+	suffix = r.str()
+	if drop > uint64(parentLen) {
+		r.fail("id drops more than its parent's")
+		return 0, ""
+	}
+	return parentLen - int(drop), suffix
+}
+
+// join builds the id of a node that keeps keep bytes of parent's id and
+// adds suffix. It is suffix itself when it keeps nothing, and otherwise
+// built in r.ids, where it stays until the caller truncates r.ids.
+func (r *endedReader) join(parent string, keep int, suffix string) string {
+	if keep == 0 {
+		return suffix
+	}
+	at := len(r.ids)
+	r.ids = append(append(r.ids, parent[:keep]...), suffix...)
+	return unsafe.String(&r.ids[at], len(r.ids)-at)
+}
+
 // fields reads the own fields of the node message the reader has
-// entered into n: its head, then its tagged fields up to its first
-// child. It reports whether there is a child, with the reader on that
-// child's message.
-func (r *endedReader) fields(n *dgl.StatusNode) (child bool) {
-	n.ID = r.str()
+// entered into n, after its id: its head, then its tagged fields up to
+// its first child. suffix is the id's suffix, which holds the node's
+// default name. It reports whether there is a child, with the reader on
+// that child's message.
+func (r *endedReader) fields(n *dgl.StatusNode, suffix string) (child bool) {
 	if r.pos >= len(r.s) {
 		r.fail("node has no head")
 		return false
@@ -434,7 +502,7 @@ func (r *endedReader) fields(n *dgl.StatusNode) (child bool) {
 		f = r.next(nodeWire[:])
 	}
 	if !named {
-		n.Name = lastSegment(n.ID)
+		n.Name = lastSegment(suffix)
 	}
 	return child
 }
@@ -466,12 +534,26 @@ func (r *endedReader) nextChild() bool {
 }
 
 // find looks for node id — any node, when id is "" — in the subtree of
-// the node message the reader has entered, and streams the subtree of
-// the node it finds into sink. A child is entered only if its node's id
-// leads to the one sought, as a live node's find does.
-func (r *endedReader) find(id string, detail bool, sink dgl.StatusSink) bool {
+// the node message the reader has entered, whose parent's id is parent,
+// and streams the subtree of the node it finds into sink. A child is
+// entered only if its node's id leads to the one sought, as a live
+// node's find does. The parent's id leads to id, so the ids on the way
+// are id's own prefixes and none is built.
+func (r *endedReader) find(id, parent string, detail bool, sink dgl.StatusSink) bool {
+	keep, suffix := r.idParts(len(parent))
+	if r.err != nil {
+		return false
+	}
 	var n dgl.StatusNode
-	more := r.fields(&n)
+	switch {
+	case id == "":
+		n.ID = r.join(parent, keep, suffix)
+	case strings.HasPrefix(id[keep:], suffix):
+		n.ID = id[:keep+len(suffix)]
+	default:
+		return false
+	}
+	more := r.fields(&n, suffix)
 	if r.err != nil {
 		return false
 	}
@@ -484,7 +566,7 @@ func (r *endedReader) find(id string, detail bool, sink dgl.StatusSink) bool {
 	}
 	for ; more; more = r.nextChild() {
 		end := r.enter()
-		found := r.find(id, detail, sink)
+		found := r.find(id, n.ID, detail, sink)
 		r.exit(end)
 		if found {
 			return true
@@ -508,38 +590,48 @@ func (r *endedReader) emit(n *dgl.StatusNode, more, detail bool, sink dgl.Status
 	sink.Open(*n)
 	for ; more && detail; more = r.nextChild() {
 		end := r.enter()
-		r.walk(sink)
+		r.walk(n.ID, sink)
 		r.exit(end)
 	}
 	sink.Close()
 }
 
-// walk streams the node message the reader has entered, and its
-// children, into sink.
-func (r *endedReader) walk(sink dgl.StatusSink) {
-	var n dgl.StatusNode
-	more := r.fields(&n)
+// walk streams the node message the reader has entered, whose parent's
+// id is parent, and its children, into sink.
+func (r *endedReader) walk(parent string, sink dgl.StatusSink) {
+	at := len(r.ids)
+	keep, suffix := r.idParts(len(parent))
+	n := dgl.StatusNode{ID: r.join(parent, keep, suffix)}
+	more := r.fields(&n, suffix)
 	sink.Open(n)
 	for ; more; more = r.nextChild() {
 		end := r.enter()
-		r.walk(sink)
+		r.walk(n.ID, sink)
 		r.exit(end)
 	}
 	sink.Close()
+	r.ids = r.ids[:at]
 }
 
 // WalkEnded streams the status subtree of node id in an ended record
 // into sink — the root's when id is "" — with its children when detail
 // is set. It reports false, with nothing written, when no node of the
-// record has that id. Every string it hands the sink is a slice of rec.
+// record has that id. The ids of the nodes below the one found are
+// built in a buffer the next walk reuses: each is valid until its
+// node's Close (dgl.StatusSink). Every other string it hands the sink
+// is a slice of rec, or of id.
 func WalkEnded(rec, id string, detail bool, sink dgl.StatusSink) (bool, error) {
 	var r endedReader
 	end, ok, err := r.root(rec)
 	if !ok {
 		return false, err
 	}
-	found := r.find(id, detail, sink)
+	buf := idBufs.Get().(*[]byte)
+	r.ids = (*buf)[:0]
+	found := r.find(id, "", detail, sink)
 	r.exit(end)
+	*buf = r.ids[:0]
+	idBufs.Put(buf)
 	return found, r.err
 }
 
@@ -551,7 +643,8 @@ func EndedRoot(rec string) (dgl.StatusNode, error) {
 	if _, ok, err := r.root(rec); !ok {
 		return n, err
 	}
-	r.fields(&n)
+	_, n.ID = r.idParts(0)
+	r.fields(&n, n.ID)
 	return n, r.err
 }
 

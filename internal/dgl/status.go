@@ -80,7 +80,9 @@ type StatusNode struct {
 
 // StatusSink consumes a status tree in document order: Open starts a
 // node, the Open/Close pairs of its children follow, Close ends it.
-// A sink keeps nothing of a node beyond the call.
+// A node's ID is valid until its Close and no longer: a producer may
+// build ids in a buffer it reuses (an ended record keeps each id as a
+// suffix of its parent's). A sink that keeps an id past that copies it.
 type StatusSink interface {
 	Open(n StatusNode)
 	Close()
@@ -148,19 +150,18 @@ func (b *StatusBuilder) Open(n StatusNode) {
 		st = &parent.Children[len(parent.Children)-1]
 	}
 	*st = FlowStatus{
-		ID: n.ID, Name: n.Name, Kind: n.Kind, State: n.State,
+		Name: n.Name, Kind: n.Kind, State: n.State,
 		Delegated: n.Delegated, Error: n.Error,
 	}
-	if n.Started.Text == "" && n.Finished.Text == "" {
-		// Both times rendered into one string, cut in two.
-		var buf [80]byte
-		times := n.Started.Append(buf[:0])
-		at := len(times)
-		s := string(n.Finished.Append(times))
-		st.Started, st.Finished = s[:at], s[at:]
-	} else {
-		st.Started, st.Finished = n.Started.String(), n.Finished.String()
-	}
+	// The id and both times in one string, cut in three: the id is the
+	// sink's to copy.
+	var buf [160]byte
+	text := append(buf[:0], n.ID...)
+	id := len(text)
+	text = n.Started.Append(text)
+	at := len(text)
+	s := string(n.Finished.Append(text))
+	st.ID, st.Started, st.Finished = s[:id], s[id:at], s[at:]
 	b.open = append(b.open, st)
 }
 

@@ -211,8 +211,9 @@ func (f *Federation) Delegate(ctx context.Context, req matrix.DelegateRequest) (
 	stop := context.AfterFunc(f.ctx, cancel)
 	defer stop()
 
-	o := f.peer.Engine().Obs()
-	o.StartSpan("delegate", req.Flow.Name, req.ParentNode)
+	e := f.peer.Engine()
+	o := e.Obs()
+	o.StartSpan(e.Clock().Now(), "delegate", req.Flow.Name, req.ParentNode)
 	resp, err := f.place(dctx, req)
 	outcome := "ok"
 	switch {
@@ -225,7 +226,7 @@ func (f *Federation) Delegate(ctx context.Context, req matrix.DelegateRequest) (
 	if resp != nil {
 		peerName = resp.Peer
 	}
-	o.EndSpan("delegate", req.Flow.Name, req.ParentNode,
+	o.EndSpan(e.Clock().Now(), "delegate", req.Flow.Name, req.ParentNode,
 		obs.Attr{Key: "outcome", Value: outcome}, obs.Attr{Key: "peer", Value: peerName})
 	return resp, err
 }

@@ -166,9 +166,9 @@ func (ex *execRun) maybeDelegate(pf *planFlow, f *dgl.Flow, n *node, scope *Scop
 	if ex.skipped(rel) {
 		// Restart checkpointing: a delegated subtree that already
 		// succeeded is one unit — skip it wholesale.
-		n.setState(StateSkipped, ex.now())
+		at := ex.mark(n, StateSkipped)
 		ex.engine.countSkip()
-		ex.engine.record(provenance.Record{
+		ex.engine.record(at, provenance.Record{
 			Actor: ex.req.User.Name, Action: "deleg.skip",
 			FlowID: ex.ID, StepID: n.id, Target: f.Name,
 			Outcome: provenance.OutcomeSkipped,
@@ -192,8 +192,7 @@ func (ex *execRun) maybeDelegate(pf *planFlow, f *dgl.Flow, n *node, scope *Scop
 		ParentExec: ex.ID,
 		ParentNode: n.id,
 	}
-	n.setState(StateRunning, ex.now())
-	ex.engine.record(provenance.Record{
+	ex.engine.record(ex.mark(n, StateRunning), provenance.Record{
 		Actor: ex.req.User.Name, Action: "deleg.start",
 		FlowID: ex.ID, StepID: n.id, Target: f.Name,
 	})
@@ -214,8 +213,7 @@ func (ex *execRun) maybeDelegate(pf *planFlow, f *dgl.Flow, n *node, scope *Scop
 		if errors.Is(derr, dgferr.ErrCancelled) {
 			state = StateCancelled
 		}
-		n.setState(state, ex.now())
-		ex.engine.record(provenance.Record{
+		ex.engine.record(ex.mark(n, state), provenance.Record{
 			Actor: ex.req.User.Name, Action: "deleg.finish",
 			FlowID: ex.ID, StepID: n.id, Target: f.Name,
 			Outcome: provenance.OutcomeError, Err: derr.Error(),
@@ -233,23 +231,22 @@ func (ex *execRun) maybeDelegate(pf *planFlow, f *dgl.Flow, n *node, scope *Scop
 	remote := provenance.Attr{Key: "remote", Value: resp.RemoteID}
 	if resp.Err != nil {
 		n.setError(resp.Err)
-		n.setState(StateFailed, ex.now())
-		ex.engine.record(provenance.Record{
+		ex.engine.record(ex.mark(n, StateFailed), provenance.Record{
 			Actor: ex.req.User.Name, Action: "deleg.finish",
 			FlowID: ex.ID, StepID: n.id, Target: f.Name,
 			Outcome: provenance.OutcomeError, Err: resp.Err.Error(),
 		}, peer, remote)
 		return true, resp.Err
 	}
-	n.setState(StateSucceeded, ex.now())
-	ex.engine.record(provenance.Record{
+	at := ex.mark(n, StateSucceeded)
+	ex.engine.record(at, provenance.Record{
 		Actor: ex.req.User.Name, Action: "deleg.finish",
 		FlowID: ex.ID, StepID: n.id, Target: f.Name,
 	}, peer, remote)
 	_ = ex.engine.storeAppend(store.Record{
 		Type: store.TypeDelegDone, ID: ex.ID, Node: rel, Peer: resp.Peer,
 	})
-	ex.noteProgress()
+	ex.noteProgress(at)
 	return true, nil
 }
 

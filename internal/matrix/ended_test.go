@@ -87,8 +87,10 @@ func (n *node) ids(into []string) []string {
 
 // fuzzFlow builds a flow from shape: each byte adds one sub-flow to a
 // sequential root — a step, a variable update, a parallel set of
-// subflows (delegable), a forEach, a while loop, a switch or a failing
-// step, which fails the flow unless the byte lets it continue.
+// subflows (delegable; the first one a while loop when the byte's top
+// bit is set, so a delegated subtree holds remote "[i]" ids), a
+// forEach, a while loop, a switch or a failing step, which fails the
+// flow unless the byte lets it continue.
 func fuzzFlow(shape []byte) dgl.Flow {
 	b := dgl.NewFlow("f").Var("acc", "").Var("n", "0")
 	for i, c := range shape {
@@ -103,8 +105,14 @@ func fuzzFlow(shape []byte) dgl.Flow {
 		case 2:
 			sub.Parallel()
 			for j := 0; j < k; j++ {
-				sub.SubFlow(dgl.NewFlow("p"+strconv.Itoa(j)).
-					Step("s", dgl.Op(dgl.OpSetVariable, map[string]string{"name": "v" + strconv.Itoa(j), "value": "x"})))
+				branch := dgl.NewFlow("p" + strconv.Itoa(j))
+				if j == 0 && c&0x80 != 0 {
+					branch.Var("l", "0").WhileLoop("$l < "+strconv.Itoa(k)).
+						Step("inc", dgl.Op(dgl.OpSetVariable, map[string]string{"name": "l", "expr": "$l + 1"}))
+				} else {
+					branch.Step("s", dgl.Op(dgl.OpSetVariable, map[string]string{"name": "v" + strconv.Itoa(j), "value": "x"}))
+				}
+				sub.SubFlow(branch)
 			}
 		case 3:
 			sub.ForEachIn("it", strings.Repeat("a,", k)+"z").Step("s", dgl.Op(dgl.OpNoop, nil))
@@ -169,6 +177,10 @@ func FuzzEndedStatusMatchesTree(f *testing.F) {
 	f.Add([]byte{0x83, 0x22, 0x46, 0x14, 0x5}, false)
 	f.Add([]byte{1, 6, 0}, true)
 	f.Add([]byte{2, 0x32, 0x93, 0x24, 0x15, 0x01}, true)
+	// Delegated subtrees, one holding a while loop's remote "[i]" ids,
+	// beside local while loops of one to three passes.
+	f.Add([]byte{0x80, 0x12, 0xaa, 0x20, 0x04, 0x25}, true)
+	f.Add([]byte{0x80, 0x12, 0xaa, 0x20, 0x04, 0x25}, false)
 	f.Fuzz(func(t *testing.T, shape []byte, delegate bool) {
 		if len(shape) > 12 {
 			shape = shape[:12]
@@ -304,7 +316,8 @@ func liveHeap() int64 {
 // after a delete, is not in it). Kept as their whole runs — Execution,
 // request, tree and scope — they measured 1 735, 3 831 and 3 684 bytes
 // on amd64; as a header and a record, 308, 1 381 (the variables are
-// 1 100 of it) and 480. The budgets sit a little above the second.
+// 1 100 of it) and 480; with each id kept as a suffix of its parent's,
+// 283, 1 381 and 381. The budgets sit a little above the last.
 func TestEndedExecutionFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap figures are not meaningful under -race")
@@ -317,7 +330,7 @@ func TestEndedExecutionFootprint(t *testing.T) {
 		budget int64
 		flow   func(i int) dgl.Flow
 	}{
-		{"client_mix preload", 352, func(i int) dgl.Flow {
+		{"client_mix preload", 320, func(i int) dgl.Flow {
 			return dgl.NewFlow("pre-"+strconv.Itoa(i)).Step("noop", dgl.Op(dgl.OpNoop, nil)).Flow()
 		}},
 		{"client_mix submit", 1536, func(i int) dgl.Flow {
@@ -327,7 +340,7 @@ func TestEndedExecutionFootprint(t *testing.T) {
 			}
 			return b.Step("noop", dgl.Op(dgl.OpNoop, nil)).Flow()
 		}},
-		{"fleet_submit", 576, func(i int) dgl.Flow {
+		{"fleet_submit", 448, func(i int) dgl.Flow {
 			path := "/grid/w/" + strconv.Itoa(i) + ".dat"
 			binding := "fresh-" + strconv.Itoa(i)
 			return dgl.NewFlow("job-"+strconv.Itoa(i%1024)).

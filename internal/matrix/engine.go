@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"datagridflow/internal/codec"
 	"datagridflow/internal/dgferr"
@@ -155,6 +156,8 @@ type Engine struct {
 	// matrix_checkpoint_skips_total, resolved at the first skip.
 	steps sync.Map
 	skips atomic.Pointer[obs.Counter]
+	// depth is matrix_scope_depth, resolved at the first flow node.
+	depth atomic.Pointer[obs.Histogram]
 	// records makes the records ended executions keep (state.go).
 	records endedRecords
 	// ending, when set, sees each run state as its run ends, before its
@@ -194,6 +197,21 @@ func (e *Engine) countSkip() {
 		e.skips.Store(c)
 	}
 	c.Inc()
+}
+
+// scopeDepthBuckets bound the matrix_scope_depth histogram in scope
+// levels (not seconds): deeply nested flow documents surface here.
+var scopeDepthBuckets = []float64{1, 2, 4, 8, 16, 32, 64}
+
+// scopeDepth returns the matrix_scope_depth histogram every flow node
+// observes.
+func (e *Engine) scopeDepth() *obs.Histogram {
+	h := e.depth.Load()
+	if h == nil {
+		h = e.Obs().HistogramBuckets("matrix_scope_depth", scopeDepthBuckets)
+		e.depth.Store(h)
+	}
+	return h
 }
 
 // NewEngine creates an engine over the grid with default configuration.
@@ -791,8 +809,8 @@ func (e *Engine) register(ex *execRun, id string) {
 	e.execs[id] = h
 }
 
-// record writes an engine provenance record.
-func (e *Engine) record(r provenance.Record, detail ...provenance.Attr) {
-	r.Time = e.grid.Clock().Now()
+// record writes an engine provenance record of the instant at.
+func (e *Engine) record(at time.Time, r provenance.Record, detail ...provenance.Attr) {
+	r.Time = at
 	_, _ = e.grid.Provenance().Append(r, detail...)
 }

@@ -1,12 +1,14 @@
 package matrix
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"datagridflow/internal/dgl"
 	"datagridflow/internal/dgms"
+	"datagridflow/internal/namespace"
 	"datagridflow/internal/obs"
 	"datagridflow/internal/provenance"
 	"datagridflow/internal/sim"
@@ -128,5 +130,62 @@ func TestOneInstantPerTransition(t *testing.T) {
 	// flow.complete.
 	if want := 2*15 + 2; records != want {
 		t.Errorf("%d node records, want %d", records, want)
+	}
+}
+
+// TestDAGFlowWatchCost counts what watching the 137-step flow of the
+// engine_dag benchmark emits per run, on a virtual clock: the span
+// events its flow and step nodes put into the trace ring (read from the
+// ring's sequence numbers, so a ring that wrapped still counts) and the
+// provenance records the run offers. Each is a start and an end per
+// node: 101 flow nodes and 137 steps (a forEach's iterations and a
+// switch's skipped arm have no span).
+func TestDAGFlowWatchCost(t *testing.T) {
+	e, reg, prov := instantEngine(t)
+	g := e.Grid()
+	for _, dir := range []string{"/grid/work", "/grid/pre"} {
+		if err := g.CreateCollectionAll(g.Admin(), dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.Namespace().SetPermission("/grid", "*", namespace.PermWrite); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 32; i++ {
+		if err := g.Ingest(g.Admin(), "/grid/pre/"+strconv.Itoa(i)+".dat", 1024, nil, "disk1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lastSeq := func() uint64 {
+		evs := reg.Trace().Events()
+		if len(evs) == 0 {
+			return 0
+		}
+		return evs[len(evs)-1].Seq
+	}
+	const runs = 3
+	seq0, recs0 := lastSeq(), prov.Count(provenance.Filter{})
+	engineRecs := 0
+	for i := 0; i < runs; i++ {
+		ex, err := e.Run("user", dagFlow(i))
+		if err != nil || ex.Err() != nil {
+			t.Fatalf("run %d: %v / %v", i, err, ex.Err())
+		}
+		engineRecs += prov.Count(provenance.Filter{FlowID: ex.ID})
+	}
+	spans := (lastSeq() - seq0) / runs
+	records := (prov.Count(provenance.Filter{}) - recs0) / runs
+	t.Logf("per run: %d span events, %d provenance records (%d of them the engine's)", spans, records, engineRecs/runs)
+	if want := uint64(2 * (101 + 137)); spans != want {
+		t.Errorf("%d span events per run, want %d", spans, want)
+	}
+	// The engine's own: a start and a finish per node, and the run's
+	// flow.submit and flow.complete.
+	if want := 2*(101+137) + 2; engineRecs/runs != want {
+		t.Errorf("%d engine provenance records per run, want %d", engineRecs/runs, want)
+	}
+	// And the grid's: one per ingest, setMeta and delete.
+	if want := 2*(101+137) + 2 + 3*32; records != want {
+		t.Errorf("%d provenance records per run, want %d", records, want)
 	}
 }

@@ -217,7 +217,7 @@ func (e *Engine) Passivate(id string) error {
 	o := e.Obs()
 	o.Counter("matrix_flows_passivated_total").Inc()
 	o.Gauge("store_resident").Set(int64(n))
-	e.record(provenance.Record{
+	e.record(e.Clock().Now(), provenance.Record{
 		Actor: ex.user, Action: "flow.passivate",
 		FlowID: id, Target: r.root.name,
 	})
@@ -342,10 +342,10 @@ func (e *Engine) adoptExecution(ent store.Entry, req *dgl.Request, p *plan, acti
 	done := provenance.Attr{Key: "steps-done", Value: strconv.Itoa(len(ent.Done))}
 	// One call per arity: a detail list built with append would cost a
 	// recovery an allocation per resumed flow (TestRecoverAllocs).
-	if cause.Key == "" {
-		e.record(r, done)
+	if at := e.Clock().Now(); cause.Key == "" {
+		e.record(at, r, done)
 	} else {
-		e.record(r, cause, done)
+		e.record(at, r, cause, done)
 	}
 	return ex.Execution, ex
 }

@@ -41,7 +41,7 @@ func (ex *execRun) resume() {
 	o.Counter("matrix_flows_started_total").Inc()
 	o.Gauge("matrix_executions_running").Add(1)
 	defer o.Gauge("matrix_executions_running").Add(-1)
-	ex.engine.record(provenance.Record{
+	ex.engine.record(ex.now(), provenance.Record{
 		Actor: ex.req.User.Name, Action: "flow.submit",
 		FlowID: ex.ID, Target: ex.req.Flow.Name,
 	})
@@ -72,7 +72,7 @@ func (ex *execRun) resume() {
 		o.Counter("matrix_flows_failed_total").Inc()
 		outcome, errText = provenance.OutcomeError, err.Error()
 	}
-	ex.engine.record(provenance.Record{
+	ex.engine.record(ex.now(), provenance.Record{
 		Actor: ex.req.User.Name, Action: "flow.complete",
 		FlowID: ex.ID, Target: ex.req.Flow.Name,
 		Outcome: outcome, Err: errText,
@@ -92,6 +92,15 @@ func (ex *execRun) relID(id string) string {
 }
 
 func (ex *execRun) now() time.Time { return ex.engine.Clock().Now() }
+
+// mark moves n to state s at one reading of the clock and returns that
+// instant: the transition's span, provenance record and metrics carry
+// it too, so watching a node costs no clock reading of its own.
+func (ex *execRun) mark(n *node, s State) time.Time {
+	at := ex.now()
+	n.setState(s, at)
+	return at
+}
 
 // runFlow interprets the child flow k into its status node n with the
 // enclosing variable environment parent, pushing the flow's scope — its
@@ -124,11 +133,11 @@ func (ex *execRun) runFlowScoped(pf *planFlow, n *node, scope *Scope, reg region
 		}
 		ex.restoreVars = nil
 	}
-	n.setState(StateRunning, ex.now())
+	at := ex.mark(n, StateRunning)
 	o := ex.engine.Obs()
-	o.HistogramBuckets("matrix_scope_depth", scopeDepthBuckets).Observe(float64(scope.Depth()))
-	o.StartSpan("flow", f.Name, n.id, obs.Attr{Key: "control", Value: string(f.Logic.Control)})
-	ex.engine.record(provenance.Record{
+	ex.engine.scopeDepth().Observe(float64(scope.Depth()))
+	o.StartSpan(at, "flow", f.Name, n.id, obs.Attr{Key: "control", Value: string(f.Logic.Control)})
+	ex.engine.record(at, provenance.Record{
 		Actor: ex.req.User.Name, Action: "flow.start",
 		FlowID: ex.ID, StepID: n.id, Target: f.Name,
 	})
@@ -138,8 +147,7 @@ func (ex *execRun) runFlowScoped(pf *planFlow, n *node, scope *Scope, reg region
 		if errors.Is(err, ErrCancelled) {
 			state = StateCancelled
 		}
-		n.setState(state, ex.now())
-		o.EndSpan("flow", f.Name, n.id, obs.Attr{Key: "state", Value: string(state)})
+		o.EndSpan(ex.mark(n, state), "flow", f.Name, n.id, obs.Attr{Key: "state", Value: string(state)})
 		return err
 	}
 	if err := ex.fireRule(pf.before, scope, n.id); err != nil {
@@ -166,18 +174,14 @@ func (ex *execRun) runFlowScoped(pf *planFlow, n *node, scope *Scope, reg region
 	if err := ex.fireRule(pf.after, scope, n.id); err != nil {
 		return fail(err)
 	}
-	n.setState(StateSucceeded, ex.now())
-	o.EndSpan("flow", f.Name, n.id, obs.Attr{Key: "state", Value: string(StateSucceeded)})
-	ex.engine.record(provenance.Record{
+	at = ex.mark(n, StateSucceeded)
+	o.EndSpan(at, "flow", f.Name, n.id, obs.Attr{Key: "state", Value: string(StateSucceeded)})
+	ex.engine.record(at, provenance.Record{
 		Actor: ex.req.User.Name, Action: "flow.finish",
 		FlowID: ex.ID, StepID: n.id, Target: f.Name,
 	})
 	return nil
 }
-
-// scopeDepthBuckets bound the matrix_scope_depth histogram in scope
-// levels (not seconds): deeply nested flow documents surface here.
-var scopeDepthBuckets = []float64{1, 2, 4, 8, 16, 32, 64}
 
 // runChild dispatches one child (sub-flow or step) under the given node.
 func (ex *execRun) runChild(pf *planFlow, i int, under *node, scope *Scope, reg region) error {
@@ -493,9 +497,9 @@ func (ex *execRun) runStep(ps *planStep, n *node, parent *Scope, c *OpContext) e
 	// Restart checkpointing: steps that succeeded in the prior run are
 	// skipped wholesale.
 	if ex.skipped(ex.relID(n.id)) {
-		n.setState(StateSkipped, ex.now())
+		at := ex.mark(n, StateSkipped)
 		ex.engine.countSkip()
-		ex.engine.record(provenance.Record{
+		ex.engine.record(at, provenance.Record{
 			Actor: ex.req.User.Name, Action: "step.skip",
 			FlowID: ex.ID, StepID: n.id, Target: st.Name,
 			Outcome: provenance.OutcomeSkipped,
@@ -503,7 +507,7 @@ func (ex *execRun) runStep(ps *planStep, n *node, parent *Scope, c *OpContext) e
 		_ = ex.engine.storeAppend(store.Record{
 			Type: store.TypeStepDone, ID: ex.ID, Node: ex.relID(n.id),
 		})
-		ex.noteProgress()
+		ex.noteProgress(at)
 		return nil
 	}
 	// Steps without their own variable block execute directly in the
@@ -531,26 +535,25 @@ func (ex *execRun) runStep(ps *planStep, n *node, parent *Scope, c *OpContext) e
 		}
 	}
 	op := ps.op.typ
-	started := ex.now()
-	n.setState(StateRunning, started)
+	started := ex.mark(n, StateRunning)
 	series := ex.engine.stepSeries(op)
 	series.steps.Inc()
-	o.StartSpan("step", st.Name, n.id, obs.Attr{Key: "op", Value: op})
-	finish := func(state State) {
-		now := ex.now()
-		series.seconds.Observe(now.Sub(started).Seconds())
-		o.EndSpan("step", st.Name, n.id, obs.Attr{Key: "op", Value: op}, obs.Attr{Key: "state", Value: string(state)})
+	o.StartSpan(started, "step", st.Name, n.id, obs.Attr{Key: "op", Value: op})
+	// finish ends the step in state, and returns the instant it did.
+	finish := func(state State) time.Time {
+		at := ex.mark(n, state)
+		series.seconds.Observe(at.Sub(started).Seconds())
+		o.EndSpan(at, "step", st.Name, n.id, obs.Attr{Key: "op", Value: op}, obs.Attr{Key: "state", Value: string(state)})
+		return at
 	}
-	ex.engine.record(provenance.Record{
+	ex.engine.record(started, provenance.Record{
 		Actor: ex.req.User.Name, Action: "step.start",
 		FlowID: ex.ID, StepID: n.id, Target: st.Name,
 	})
 	fail := func(err error) error {
 		n.setError(err)
-		n.setState(StateFailed, ex.now())
 		o.Counter("matrix_step_failures_total", "op", op).Inc()
-		finish(StateFailed)
-		ex.engine.record(provenance.Record{
+		ex.engine.record(finish(StateFailed), provenance.Record{
 			Actor: ex.req.User.Name, Action: "step.finish",
 			FlowID: ex.ID, StepID: n.id, Target: st.Name,
 			Outcome: provenance.OutcomeError, Err: err.Error(),
@@ -569,7 +572,7 @@ func (ex *execRun) runStep(ps *planStep, n *node, parent *Scope, c *OpContext) e
 				ex.engine.Clock().Sleep(d)
 			}
 			o.Counter("matrix_step_retries_total", "op", op).Inc()
-			ex.engine.record(provenance.Record{
+			ex.engine.record(ex.now(), provenance.Record{
 				Actor: ex.req.User.Name, Action: "step.retry",
 				FlowID: ex.ID, StepID: n.id, Target: st.Name,
 			}, provenance.Attr{Key: "attempt", Value: fmt.Sprint(attempt + 1)})
@@ -578,7 +581,10 @@ func (ex *execRun) runStep(ps *planStep, n *node, parent *Scope, c *OpContext) e
 			// failed attempt's.
 			c, bound = new(OpContext), false
 		}
-		attemptStart := ex.now()
+		var attemptStart time.Time
+		if timing.Timeout > 0 {
+			attemptStart = ex.now()
+		}
 		opErr = ex.execOperation(&ps.op, scope, n.id, c, bound)
 		if timing.Timeout > 0 {
 			// Under the virtual clock an operation cannot be interrupted
@@ -598,7 +604,6 @@ func (ex *execRun) runStep(ps *planStep, n *node, parent *Scope, c *OpContext) e
 			break
 		}
 		if err := ex.ctrl.checkpoint(); err != nil {
-			n.setState(StateCancelled, ex.now())
 			finish(StateCancelled)
 			return err
 		}
@@ -607,7 +612,6 @@ func (ex *execRun) runStep(ps *planStep, n *node, parent *Scope, c *OpContext) e
 		// The operation itself was interrupted (a cancellable sleep,
 		// typically — the passivation path): the step is cancelled, not
 		// failed, so a resurrected run re-executes it cleanly.
-		n.setState(StateCancelled, ex.now())
 		finish(StateCancelled)
 		return opErr
 	}
@@ -620,10 +624,8 @@ func (ex *execRun) runStep(ps *planStep, n *node, parent *Scope, c *OpContext) e
 		if st.OnError == dgl.OnErrorContinue {
 			// Record the failure but do not propagate: the flow carries on.
 			n.setError(opErr)
-			n.setState(StateFailed, ex.now())
 			o.Counter("matrix_step_failures_total", "op", op).Inc()
-			finish(StateFailed)
-			ex.engine.record(provenance.Record{
+			ex.engine.record(finish(StateFailed), provenance.Record{
 				Actor: ex.req.User.Name, Action: "step.finish",
 				FlowID: ex.ID, StepID: n.id, Target: st.Name,
 				Outcome: provenance.OutcomeError, Err: opErr.Error(),
@@ -635,28 +637,27 @@ func (ex *execRun) runStep(ps *planStep, n *node, parent *Scope, c *OpContext) e
 	if err := ex.fireRule(ps.after, scope, n.id); err != nil {
 		return fail(err)
 	}
-	n.setState(StateSucceeded, ex.now())
-	finish(StateSucceeded)
+	at := finish(StateSucceeded)
 	if vd.ctx != nil {
 		ex.vdataPublish(&vd, st, n, scope)
 	}
-	ex.engine.record(provenance.Record{
+	ex.engine.record(at, provenance.Record{
 		Actor: ex.req.User.Name, Action: "step.finish",
 		FlowID: ex.ID, StepID: n.id, Target: st.Name,
 	})
 	_ = ex.engine.storeAppend(store.Record{
 		Type: store.TypeStepDone, ID: ex.ID, Node: ex.relID(n.id),
 	})
-	ex.noteProgress()
+	ex.noteProgress(at)
 	return nil
 }
 
-// noteProgress records step progress: the execution has new state worth
-// snapshotting (dirty) and is not idle (lastActive) — the two signals
-// SnapshotAll and PassivateIdle consult.
-func (ex *execRun) noteProgress() {
+// noteProgress records step progress at the instant at: the execution
+// has new state worth snapshotting (dirty) and is not idle (lastActive)
+// — the two signals SnapshotAll and PassivateIdle consult.
+func (ex *execRun) noteProgress(at time.Time) {
 	ex.dirty.Store(true)
-	ex.lastActive.Store(ex.engine.Clock().Now().UnixNano())
+	ex.lastActive.Store(at.UnixNano())
 }
 
 // retryDelay computes the virtual-clock pause before retry attempt

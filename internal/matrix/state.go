@@ -182,7 +182,7 @@ func (s *doneSink) Open(n dgl.StatusNode) {
 	}
 	ok := n.State == string(StateSucceeded) || n.State == string(StateSkipped)
 	if ok && (n.Delegated != "" || n.Kind == "step") {
-		s.ids[n.ID] = true
+		s.ids[strings.Clone(n.ID)] = true // valid only until Close
 	}
 }
 

@@ -199,13 +199,13 @@ func (ex *execRun) vdataHit(vd *vdataBinding, st *dgl.Step, n *node, scope *Scop
 	if v, _ := vd.ctx.Lookup("resultVar"); v != "" && ent.Result != "" {
 		scope.Set(v, expr.String(ent.Result))
 	}
-	n.setState(StateSkipped, ex.now())
+	at := ex.mark(n, StateSkipped)
 	o.Counter("vdata_hits_total").Inc()
 	o.Counter("scheduler_virtual_data_hits_total").Inc()
 	if remoteHit {
 		o.Counter("vdata_remote_hits_total").Inc()
 	}
-	ex.engine.record(provenance.Record{
+	ex.engine.record(at, provenance.Record{
 		Actor: ex.req.User.Name, Action: "vdata.hit",
 		FlowID: ex.ID, StepID: n.id, Target: st.Name,
 		Outcome: provenance.OutcomeSkipped,
@@ -214,7 +214,7 @@ func (ex *execRun) vdataHit(vd *vdataBinding, st *dgl.Step, n *node, scope *Scop
 	_ = ex.engine.storeAppend(store.Record{
 		Type: store.TypeStepDone, ID: ex.ID, Node: ex.relID(n.id), Peer: ent.Peer,
 	})
-	ex.noteProgress()
+	ex.noteProgress(at)
 	return true
 }
 
@@ -235,16 +235,17 @@ func (ex *execRun) vdataPublish(vd *vdataBinding, st *dgl.Step, n *node, scope *
 	// The catalog keeps the bindings as a map.
 	params := make(map[string]string, len(vd.ctx.vals))
 	vd.ctx.EachParam(func(k, v string) { params[k] = v })
+	now := ex.now()
 	ent := vdata.Entry{
 		Key: vd.key, Tenant: vd.tenant, Op: st.Operation.Type,
 		Params: params, Outputs: vd.outputs, Result: result,
-		Unix: ex.engine.Clock().Now().Unix(),
+		Unix: now.Unix(),
 	}
 	if err := cat.Publish(ent); err != nil {
 		ex.engine.Obs().Counter("vdata_publish_errors_total").Inc()
 		return
 	}
-	ex.engine.record(provenance.Record{
+	ex.engine.record(now, provenance.Record{
 		Actor: ex.req.User.Name, Action: "vdata.publish",
 		FlowID: ex.ID, StepID: n.id, Target: st.Name,
 	}, provenance.Attr{Key: "key", Value: vd.key})

@@ -51,7 +51,7 @@ func docTokens(t *testing.T) map[string]bool {
 func sourceMetricNames(t *testing.T) (metrics, scopes []string) {
 	t.Helper()
 	metricRe := regexp.MustCompile(`\.(Counter|Gauge|Histogram|HistogramBuckets)\(\s*"([a-z][a-z0-9_]*)"`)
-	scopeRe := regexp.MustCompile(`\.(StartSpan|EndSpan|Point)\(\s*"([a-z]+)"`)
+	scopeRe := regexp.MustCompile(`\.(StartSpan|EndSpan)\(\s*[^,]+,\s*"([a-z]+)"`)
 	mset, sset := make(map[string]bool), make(map[string]bool)
 	root := filepath.Join("..", "..")
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {

@@ -5,12 +5,13 @@ import (
 	"io"
 	"net/http"
 	"testing"
+	"time"
 )
 
 func TestServeMetricsAndPprof(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("demo_total", "k", "v").Add(3)
-	r.StartSpan("flow", "f", "id-1")
+	r.StartSpan(time.Now(), "flow", "f", "id-1")
 
 	srv, addr, err := Serve("127.0.0.1:0", r)
 	if err != nil {

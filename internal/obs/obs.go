@@ -13,9 +13,10 @@
 // what ILM moved overnight.
 //
 // A Registry is safe for concurrent use. Time is pluggable via SetNow so
-// simulations stamp snapshots and trace events with the virtual clock;
-// components measure durations against their own grid clock, so latency
-// histograms are meaningful under both real and simulated time.
+// simulations stamp snapshots with the virtual clock; components measure
+// durations against their own grid clock, and hand a trace event the
+// instant they read from it, so latency histograms and spans are
+// meaningful under both real and simulated time.
 //
 // The metric and trace-event contract — every name, type, label and
 // emission point — is documented in docs/METRICS.md. That document is
@@ -109,8 +110,8 @@ func (h *Histogram) Observe(v float64) {
 // Registry holds one process's (or one grid's) metrics and its trace
 // stream. The zero value is not usable; call NewRegistry.
 type Registry struct {
-	// now is the clock, read without the lock: every span and many
-	// histograms read it.
+	// now is the clock snapshots are stamped with, read without the
+	// lock.
 	now      atomic.Pointer[func() time.Time]
 	mu       sync.RWMutex
 	counters map[string]*Counter
@@ -143,7 +144,8 @@ var std = NewRegistry()
 func Default() *Registry { return std }
 
 // SetNow replaces the registry's time source (e.g. a sim.VirtualClock's
-// Now) so snapshots and trace events carry simulated timestamps.
+// Now) so snapshots carry simulated timestamps. Trace events carry the
+// instant their emitter passes.
 func (r *Registry) SetNow(now func() time.Time) { r.now.Store(&now) }
 
 // Now returns the registry's current time.

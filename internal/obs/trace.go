@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/binary"
 	"encoding/json"
+	"math/bits"
 	"strings"
 	"sync"
 	"time"
@@ -102,7 +103,7 @@ func (e *Event) UnmarshalJSON(data []byte) error {
 // blocks: the ring overwrites its oldest event when full. This keeps the
 // observability path incapable of stalling the engine it observes.
 //
-// The ring holds its events as bytes (appendEvent) in chunks it owns:
+// The ring holds its events as bytes (emit) in chunks it owns:
 // the garbage collector never scans them, no string an emitter passed
 // stays alive in them, and the chunks grow with what the ring holds, so
 // a ring that never emits costs only its header. Events decodes them
@@ -137,24 +138,46 @@ func NewTraceBuffer(capacity int) *TraceBuffer {
 	return &TraceBuffer{max: max(capacity, 1)}
 }
 
-// emit appends the event, completing it in place: it assigns its
-// sequence number, stamps Time with the wall clock only if the caller
-// left it zero, and sets Time to the UTC instant the ring keeps.
-func (b *TraceBuffer) emit(ev *Event) {
-	if ev.Time.IsZero() {
-		ev.Time = time.Now()
+// emit appends one event, its fields encoded straight into the ring
+// under the lock: no Event is built and nothing is copied twice. Keys
+// left empty in attrs are not written.
+func (b *TraceBuffer) emit(at time.Time, typ, scope, name, id string, attrs []Attr) {
+	code, kept := typeCode(typ), byte(0)
+	sec, ns := zigzag(at.Unix()), uint64(at.Nanosecond())
+	size := 1 + uvarintLen(sec) + uvarintLen(ns) + strLen(scope) + strLen(name) + strLen(id)
+	if code == 0 {
+		size += strLen(typ)
 	}
-	ev.Time = ev.Time.UTC()
-	bound := eventBound(ev)
+	for i := range attrs {
+		if a := &attrs[i]; a.Key != "" {
+			kept++
+			size += strLen(a.Key) + strLen(a.Value)
+		}
+	}
+	if kept > maxAttrs {
+		panic("obs: too many attributes for one trace event")
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.seq++
-	ev.Seq = b.seq
 	if b.n == b.max {
 		b.dropOldest()
 	}
-	last := b.room(bound)
-	b.chunks[last] = appendEvent(b.chunks[last], ev)
+	last := b.room(uvarintLen(uint64(size)) + size)
+	c := binary.AppendUvarint(b.chunks[last], uint64(size))
+	c = append(c, code|kept<<2)
+	c = binary.AppendUvarint(c, sec)
+	c = binary.AppendUvarint(c, ns)
+	if code == 0 {
+		c = appendStr(c, typ)
+	}
+	c = appendStr(appendStr(appendStr(c, scope), name), id)
+	for i := range attrs {
+		if a := &attrs[i]; a.Key != "" {
+			c = appendStr(appendStr(c, a.Key), a.Value)
+		}
+	}
+	b.chunks[last] = c
 	b.n++
 }
 
@@ -247,56 +270,15 @@ func typeCode(typ string) byte {
 	return 0
 }
 
-// eventBound is at least the number of bytes appendEvent writes for ev:
-// the code byte, the strings, and the most a varint takes for the
-// length, the two time fields and each string's length.
-func eventBound(ev *Event) int {
-	n := 1 + 7*binary.MaxVarintLen64 + len(ev.Type) + len(ev.Scope) + len(ev.Name) + len(ev.ID)
-	for i := range ev.attrs {
-		n += 2*binary.MaxVarintLen64 + len(ev.attrs[i].Key) + len(ev.attrs[i].Value)
-	}
-	return n
-}
-
-// appendEvent appends ev's bytes to b, which has room for them
-// (eventBound).
-func appendEvent(b []byte, ev *Event) []byte {
-	code, attrs := typeCode(ev.Type), byte(0)
-	for i := range ev.attrs {
-		if ev.attrs[i].Key != "" {
-			attrs++
-		}
-	}
-	at := len(b)
-	b = append(b, 0, code|attrs<<2) // the length, patched below
-	b = binary.AppendUvarint(b, zigzag(ev.Time.Unix()))
-	b = binary.AppendUvarint(b, uint64(ev.Time.Nanosecond()))
-	if code == 0 {
-		b = appendStr(b, ev.Type)
-	}
-	b = appendStr(appendStr(appendStr(b, ev.Scope), ev.Name), ev.ID)
-	for i := range ev.attrs {
-		if a := &ev.attrs[i]; a.Key != "" {
-			b = appendStr(appendStr(b, a.Key), a.Value)
-		}
-	}
-	n := len(b) - at - 1
-	if n < 0x80 {
-		b[at] = byte(n)
-		return b
-	}
-	// A length past one byte: move the event up to make room for it.
-	var tmp [binary.MaxVarintLen64]byte
-	k := binary.PutUvarint(tmp[:], uint64(n))
-	b = append(b, tmp[1:k]...)
-	copy(b[at+k:], b[at+1:at+1+n])
-	copy(b[at:], tmp[:k])
-	return b
-}
-
 func appendStr(b []byte, s string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
+
+// strLen is how many bytes appendStr writes for s.
+func strLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
+
+// uvarintLen is how many bytes the uvarint of v takes.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
@@ -342,22 +324,14 @@ func (r *eventReader) event(ev *Event) {
 	}
 }
 
-// span emits one event stamped with the registry's clock. attrs are
-// copied into the event, so a caller's argument list stays on its stack.
-func (r *Registry) span(typ, scope, name, id string, attrs []Attr) {
-	ev := Event{Time: r.Now(), Type: typ, Scope: scope, Name: name, ID: id}
-	if copy(ev.attrs[:], attrs) < len(attrs) {
-		panic("obs: too many attributes for one trace event")
-	}
-	r.trace.emit(&ev)
+// StartSpan emits an EventStart at the instant at, read by the caller
+// from its own clock (virtual under simulation): the one reading it
+// also stamps its state or metrics with.
+func (r *Registry) StartSpan(at time.Time, scope, name, id string, attrs ...Attr) {
+	r.trace.emit(at, EventStart, scope, name, id, attrs)
 }
 
-// StartSpan emits an EventStart stamped with the registry's clock.
-func (r *Registry) StartSpan(scope, name, id string, attrs ...Attr) {
-	r.span(EventStart, scope, name, id, attrs)
-}
-
-// EndSpan emits an EventEnd stamped with the registry's clock.
-func (r *Registry) EndSpan(scope, name, id string, attrs ...Attr) {
-	r.span(EventEnd, scope, name, id, attrs)
+// EndSpan emits an EventEnd at the instant at, as StartSpan does.
+func (r *Registry) EndSpan(at time.Time, scope, name, id string, attrs ...Attr) {
+	r.trace.emit(at, EventEnd, scope, name, id, attrs)
 }

@@ -13,7 +13,7 @@ import (
 func TestTraceRingWraps(t *testing.T) {
 	tb := NewTraceBuffer(4)
 	for i := 0; i < 10; i++ {
-		tb.emit(&Event{Type: EventStart, Scope: "flow", Name: "n", ID: "x"})
+		tb.emit(sim.Epoch, EventStart, "flow", "n", "x", nil)
 	}
 	evs := tb.Events()
 	if len(evs) != 4 {
@@ -30,10 +30,9 @@ func TestTraceRingWraps(t *testing.T) {
 func TestRegistrySpansStampVirtualTime(t *testing.T) {
 	clock := sim.NewVirtualClock(sim.Epoch)
 	r := NewRegistry()
-	r.SetNow(clock.Now)
-	r.StartSpan("flow", "f", "id-1", Attr{"control", "sequential"})
+	r.StartSpan(clock.Now(), "flow", "f", "id-1", Attr{"control", "sequential"})
 	clock.Sleep(2 * time.Hour)
-	r.EndSpan("flow", "f", "id-1", Attr{"state", "succeeded"})
+	r.EndSpan(clock.Now(), "flow", "f", "id-1", Attr{"state", "succeeded"})
 	evs := r.Trace().Events()
 	if len(evs) != 2 {
 		t.Fatalf("events = %d, want 2", len(evs))
@@ -58,9 +57,8 @@ func TestRegistrySpansStampVirtualTime(t *testing.T) {
 // restores them.
 func TestEventJSONShape(t *testing.T) {
 	r := NewRegistry()
-	r.SetNow(func() time.Time { return sim.Epoch })
-	r.StartSpan("request", "dgl", "127.0.0.1:9")
-	r.EndSpan("step", "put", "dgf-000001/f/put", Attr{"state", "succeeded"}, Attr{"op", "ingest"})
+	r.StartSpan(sim.Epoch, "request", "dgl", "127.0.0.1:9")
+	r.EndSpan(sim.Epoch, "step", "put", "dgf-000001/f/put", Attr{"state", "succeeded"}, Attr{"op", "ingest"})
 	got, err := json.Marshal(r.Trace().Events())
 	if err != nil {
 		t.Fatal(err)
@@ -91,8 +89,8 @@ func TestSpanAllocs(t *testing.T) {
 	r := NewRegistry()
 	op, state := "ingest", "succeeded"
 	emit := func() {
-		r.StartSpan("step", "put", "dgf-000001/f/put", Attr{"op", op})
-		r.EndSpan("step", "put", "dgf-000001/f/put", Attr{"op", op}, Attr{"state", state})
+		r.StartSpan(sim.Epoch, "step", "put", "dgf-000001/f/put", Attr{"op", op})
+		r.EndSpan(sim.Epoch, "step", "put", "dgf-000001/f/put", Attr{"op", op}, Attr{"state", state})
 	}
 	if got := testing.AllocsPerRun(100, emit); got != 0 {
 		t.Errorf("two span events: %.0f allocations, want 0", got)
@@ -109,7 +107,7 @@ func TestTraceConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 2000; j++ {
-				tb.emit(&Event{Type: EventStart, Scope: "flow", Name: "n", ID: strings.Repeat("x", j%200)})
+				tb.emit(sim.Epoch, EventStart, "flow", "n", strings.Repeat("x", j%200), nil)
 			}
 		}()
 	}
@@ -133,20 +131,30 @@ func TestTraceConcurrentUse(t *testing.T) {
 	}
 }
 
-// BenchmarkTraceEmit emits a step's end span into a full default ring,
-// and reads the ring back whole.
-func BenchmarkTraceEmit(b *testing.B) {
+// BenchmarkSpanEmit is what watching a node costs the trace: a step's
+// start and end spans emitted into a full default ring, each op one
+// event (ns and allocations per event), and the ring read back whole.
+func BenchmarkSpanEmit(b *testing.B) {
 	r := NewRegistry()
-	emit := func() {
-		r.EndSpan("step", "put", "dgf-000001/f/put", Attr{"op", "ingest"}, Attr{"state", "succeeded"})
+	at := time.Now()
+	const id = "matrixA:dgf-000001/dag-3/fan[17]/put/ingest"
+	start := func() { r.StartSpan(at, "step", "ingest", id, Attr{"op", "ingest"}) }
+	end := func() {
+		r.EndSpan(at, "step", "ingest", id, Attr{"op", "ingest"}, Attr{"state", "succeeded"})
 	}
 	for i := 0; i < DefaultTraceCap; i++ {
-		emit()
+		end()
 	}
-	b.Run("emit", func(b *testing.B) {
+	b.Run("start", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			emit()
+			start()
+		}
+	})
+	b.Run("end", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			end()
 		}
 	})
 	b.Run("events", func(b *testing.B) {

@@ -105,11 +105,7 @@ func FuzzTraceMatchesReference(f *testing.F) {
 			case 3:
 				ev.attrs[1] = Attr{"k", "only the second slot"}
 			}
-			got := ev
-			tb.emit(&got)
-			if got.Seq != uint64(i+1) || !got.Time.Equal(ev.Time) {
-				t.Fatalf("emit %d completed seq %d, time %v", i, got.Seq, got.Time)
-			}
+			tb.emit(ev.Time, ev.Type, ev.Scope, ev.Name, ev.ID, ev.attrs[:])
 			ref.emit(ev)
 			if !sameEvents(t, tb.Events(), ref.events()) {
 				t.Fatalf("after emit %d", i)
@@ -140,16 +136,18 @@ func TestTraceFootprint(t *testing.T) {
 	if idle > 1<<10 {
 		t.Errorf("an idle ring takes %d bytes, want only its header", idle)
 	}
-	ev := Event{Time: sim.Epoch, Type: EventEnd, Scope: "step", Name: "put", ID: "dgf-000001/f/put"}
-	ev.attrs[0], ev.attrs[1] = Attr{"op", "ingest"}, Attr{"state", "ok"}
-	size := len(appendEvent(nil, &ev))
+	attrs := []Attr{{"op", "ingest"}, {"state", "ok"}}
+	emit := func(tb *TraceBuffer) { tb.emit(sim.Epoch, EventEnd, "step", "put", "dgf-000001/f/put", attrs) }
+	one := NewTraceBuffer(1)
+	emit(one)
+	size := len(one.chunks[0])
 	if size < 45 || size > 55 {
 		t.Fatalf("the test event is %d bytes, want about 50", size)
 	}
 	full := heapGrowth(func() {
 		keep = NewTraceBuffer(DefaultTraceCap)
 		for i := 0; i < 3*DefaultTraceCap; i++ {
-			keep.emit(&ev)
+			emit(keep)
 		}
 	})
 	runtime.KeepAlive(keep)
@@ -181,7 +179,7 @@ func TestTraceKeepsNoCallerString(t *testing.T) {
 		runtime.SetFinalizer(unsafe.StringData(buf), func(*byte) { close(collected) })
 		r := NewRegistry()
 		r.trace = tb
-		r.StartSpan(buf[:4], buf[4:8], buf[8:20], Attr{buf[20:22], buf[22:30]})
+		r.StartSpan(sim.Epoch, buf[:4], buf[4:8], buf[8:20], Attr{buf[20:22], buf[22:30]})
 	}()
 	if !collectedAfterGC(collected) {
 		t.Fatal("a 1 MB string the emitter dropped is still reachable after GC")

@@ -13,6 +13,7 @@ package sim
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -57,16 +58,18 @@ func (RealClock) Sleep(d time.Duration) {
 // while still producing meaningful timestamps for provenance records and
 // ILM schedules.
 //
-// Concurrent sleepers serialize their advances; simulations that need true
+// The clock is its start instant and an atomic offset from it: every
+// status transition of a flow reads it, so neither Now nor Sleep takes a
+// lock. Concurrent sleepers' advances add up; simulations that need true
 // parallel-makespan accounting use Meter, which tracks per-lane busy time.
 type VirtualClock struct {
-	mu  sync.Mutex
-	now time.Time
+	start time.Time
+	off   atomic.Int64 // nanoseconds slept since start
 }
 
 // NewVirtualClock returns a VirtualClock starting at start.
 func NewVirtualClock(start time.Time) *VirtualClock {
-	return &VirtualClock{now: start}
+	return &VirtualClock{start: start}
 }
 
 // Epoch is the default start instant for simulations: a fixed, readable
@@ -75,18 +78,13 @@ var Epoch = time.Date(2005, time.August, 1, 0, 0, 0, 0, time.UTC)
 
 // Now implements Clock.
 func (c *VirtualClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
+	return c.start.Add(time.Duration(c.off.Load()))
 }
 
 // Sleep implements Clock by advancing the clock d into the future.
 // Negative durations are ignored.
 func (c *VirtualClock) Sleep(d time.Duration) {
-	if d <= 0 {
-		return
+	if d > 0 {
+		c.off.Add(int64(d))
 	}
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	c.mu.Unlock()
 }

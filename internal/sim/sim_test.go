@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -42,6 +43,56 @@ func TestVirtualClockConcurrent(t *testing.T) {
 	}
 	if got := c.Now().Sub(Epoch); got != n*per*time.Millisecond {
 		t.Errorf("concurrent advances lost: %v", got)
+	}
+}
+
+// TestVirtualClockConcurrentSleeps: sleepers of different lengths on
+// many goroutines lose no advance — the clock ends at its start plus
+// their sum — and a reader racing them never sees it go backwards.
+func TestVirtualClockConcurrentSleeps(t *testing.T) {
+	c := NewVirtualClock(Epoch)
+	const sleepers, per = 8, 200
+	var want time.Duration
+	for g := 1; g <= sleepers; g++ {
+		want += per * time.Duration(g) * time.Microsecond
+	}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			last := c.Now()
+			for {
+				now := c.Now()
+				if now.Before(last) {
+					t.Errorf("Now went back from %v to %v", last, now)
+					return
+				}
+				last = now
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	var sleepersDone sync.WaitGroup
+	for g := 1; g <= sleepers; g++ {
+		sleepersDone.Add(1)
+		go func(d time.Duration) {
+			defer sleepersDone.Done()
+			for j := 0; j < per; j++ {
+				c.Sleep(d)
+			}
+		}(time.Duration(g) * time.Microsecond)
+	}
+	sleepersDone.Wait()
+	close(stop)
+	readers.Wait()
+	if got := c.Now().Sub(Epoch); got != want {
+		t.Errorf("after the sleeps the clock reads start+%v, want start+%v", got, want)
 	}
 }
 

@@ -91,6 +91,9 @@ func (rp *replayer) segment(path string, repair bool) error {
 	if torn {
 		rp.s.torn++
 	}
+	// Each record names one execution, so the segment meets at most as
+	// many new ones as it holds records.
+	rp.ids = slices.Grow(rp.ids, len(rp.seg.Frames))
 	for i := len(rp.seg.Frames) - 1; i >= 0; i-- {
 		f := rp.seg.Frames[i]
 		if err := rp.view.DecodeFields(rp.seg.Buf, f.Body, f.End); err != nil {
@@ -131,7 +134,17 @@ func (ff *FrameFile) Read(path string, msgType byte, repair bool) (torn bool, er
 		return false, fmt.Errorf("store: %s is not a file of binary frames (first byte %#02x): %w",
 			path, ff.Buf[0], dgferr.ErrInvalid)
 	}
-	ff.Frames = ff.Frames[:0]
+	// Count the frames first, so that Frames is sized once: a frame's
+	// head is all the count reads.
+	count := 0
+	for off := 0; ; count++ {
+		f, err := codec.NextFrame(ff.Buf, off)
+		if err != nil {
+			break
+		}
+		off = f.End
+	}
+	ff.Frames = slices.Grow(ff.Frames[:0], count)
 	valid := 0
 	for {
 		f, err := codec.NextFrame(ff.Buf, valid)

@@ -286,7 +286,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			return // injected crash/drop: sever without a response
 		}
 		if k == "unknown" {
-			o.EndSpan("request", k, ms.remote, obs.Attr{Key: "outcome", Value: "protocol-violation"})
+			o.EndSpan(s.engine.Clock().Now(), "request", k, ms.remote, obs.Attr{Key: "outcome", Value: "protocol-violation"})
 			return // protocol violation: sever
 		}
 		select {
@@ -319,10 +319,11 @@ func (ms *muxSession) handle(fr frame, rp *reply) {
 	o := s.engine.Obs()
 	k := kindName(fr.kind)
 	started := s.engine.Clock().Now()
-	o.StartSpan("request", k, remote)
+	o.StartSpan(started, "request", k, remote)
 	s.handleFrame(ms.ctx, fr.kind, fr.payload, rp)
-	o.Histogram("wire_request_seconds", "type", k).Observe(s.engine.Clock().Now().Sub(started).Seconds())
-	o.EndSpan("request", k, remote, obs.Attr{Key: "outcome", Value: "ok"})
+	done := s.engine.Clock().Now()
+	o.Histogram("wire_request_seconds", "type", k).Observe(done.Sub(started).Seconds())
+	o.EndSpan(done, "request", k, remote, obs.Attr{Key: "outcome", Value: "ok"})
 	err := ms.fc.w.write(fr.kind, fr.id, rp.bytes())
 	sent := len(rp.bytes())
 	rp.release()
