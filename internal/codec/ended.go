@@ -88,9 +88,13 @@ func lastSegment(id string) string { return id[strings.LastIndexByte(id, '/')+1:
 
 // shared is how many leading bytes of its parent's id the record of the
 // node id takes for it: as many as the two have in common, but none of
-// id's last segment, so that the suffix holds the node's default name.
-func shared(parent, id string) int {
-	n := min(len(parent), strings.LastIndexByte(id, '/')+1)
+// id's last segment, which starts at seg, so that the suffix holds the
+// node's default name.
+func shared(parent, id string, seg int) int {
+	n := min(len(parent), seg)
+	if strings.HasPrefix(id, parent) { // a child named under its parent
+		return n
+	}
 	for i := 0; i < n; i++ {
 		if parent[i] != id[i] {
 			return i
@@ -152,7 +156,8 @@ func (w *EndedWriter) Open(n dgl.StatusNode) {
 	if !root {
 		parent = w.ids[len(w.ids)-1]
 	}
-	keep := shared(parent, n.ID)
+	seg := strings.LastIndexByte(n.ID, '/') + 1
+	keep := shared(parent, n.ID, seg)
 	e.uvarint(uint64(len(parent) - keep))
 	e.uvarint(uint64(len(n.ID) - keep))
 	e.buf = append(e.buf, n.ID[keep:]...)
@@ -171,7 +176,7 @@ func (w *EndedWriter) Open(n dgl.StatusNode) {
 		e.buf = binary.AppendVarint(e.buf, finished)
 	}
 	e.buf[at] = head
-	if n.Name != lastSegment(n.ID) {
+	if n.Name != n.ID[seg:] { // not lastSegment(n.ID)
 		w.bytes(enName, n.Name)
 	}
 	if k == 0 {

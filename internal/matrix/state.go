@@ -131,11 +131,7 @@ func (n *node) stateNow() State {
 // times left for the sink to render.
 func (n *node) walk(detail bool, sink dgl.StatusSink) {
 	n.mu.Lock()
-	sn := dgl.StatusNode{
-		ID: n.id, Name: n.name, Kind: n.kind, State: string(n.state),
-		Started: dgl.StatusTime{Time: n.started}, Finished: dgl.StatusTime{Time: n.finished},
-		Delegated: n.remote, Error: n.err,
-	}
+	sn := n.fields()
 	kids := n.children
 	n.mu.Unlock()
 	sink.Open(sn)
@@ -145,6 +141,27 @@ func (n *node) walk(detail bool, sink dgl.StatusSink) {
 		}
 	}
 	sink.Close()
+}
+
+// walkEnded is walk, with children, of a tree whose run is over: no
+// writer is left, so the fields are read without the locks, which
+// readers only share.
+func (n *node) walkEnded(sink dgl.StatusSink) {
+	sink.Open(n.fields())
+	for _, c := range n.children {
+		c.walkEnded(sink)
+	}
+	sink.Close()
+}
+
+// fields returns the node's own fields, its times left for a sink to
+// render.
+func (n *node) fields() dgl.StatusNode {
+	return dgl.StatusNode{
+		ID: n.id, Name: n.name, Kind: n.kind, State: string(n.state),
+		Started: dgl.StatusTime{Time: n.started}, Finished: dgl.StatusTime{Time: n.finished},
+		Delegated: n.remote, Error: n.err,
+	}
 }
 
 // builders holds the FlowStatus builders snapshots and Engine.Submit's
@@ -455,7 +472,7 @@ type endedRecords struct {
 func (r *endedRecords) encode(ex *execRun) string {
 	r.enc.Reset()
 	r.w.Begin(&r.enc)
-	ex.root.walk(true, &r.w)
+	ex.root.walkEnded(&r.w)
 	var val [256]byte // a value rendered here, not into a string of its own
 	ex.scope.mu.RLock()
 	for _, b := range ex.scope.vars {
