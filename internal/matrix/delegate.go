@@ -168,11 +168,7 @@ func (ex *execRun) maybeDelegate(pf *planFlow, f *dgl.Flow, n *node, scope *Scop
 		// succeeded is one unit — skip it wholesale.
 		at := ex.mark(n, StateSkipped)
 		ex.engine.countSkip()
-		ex.engine.record(at, provenance.Record{
-			Actor: ex.req.User.Name, Action: "deleg.skip",
-			FlowID: ex.ID, StepID: n.id, Target: f.Name,
-			Outcome: provenance.OutcomeSkipped,
-		})
+		ex.record(at, "deleg.skip", n.id, f.Name, provenance.OutcomeSkipped, "")
 		_ = ex.engine.storeAppend(store.Record{
 			Type: store.TypeDelegDone, ID: ex.ID, Node: rel,
 		})
@@ -192,10 +188,7 @@ func (ex *execRun) maybeDelegate(pf *planFlow, f *dgl.Flow, n *node, scope *Scop
 		ParentExec: ex.ID,
 		ParentNode: n.id,
 	}
-	ex.engine.record(ex.mark(n, StateRunning), provenance.Record{
-		Actor: ex.req.User.Name, Action: "deleg.start",
-		FlowID: ex.ID, StepID: n.id, Target: f.Name,
-	})
+	ex.record(ex.mark(n, StateRunning), "deleg.start", n.id, f.Name, "", "")
 	_ = ex.engine.storeAppend(store.Record{
 		Type: store.TypeDelegStart, ID: ex.ID, Node: rel,
 	})
@@ -213,11 +206,7 @@ func (ex *execRun) maybeDelegate(pf *planFlow, f *dgl.Flow, n *node, scope *Scop
 		if errors.Is(derr, dgferr.ErrCancelled) {
 			state = StateCancelled
 		}
-		ex.engine.record(ex.mark(n, state), provenance.Record{
-			Actor: ex.req.User.Name, Action: "deleg.finish",
-			FlowID: ex.ID, StepID: n.id, Target: f.Name,
-			Outcome: provenance.OutcomeError, Err: derr.Error(),
-		})
+		ex.record(ex.mark(n, state), "deleg.finish", n.id, f.Name, provenance.OutcomeError, derr.Error())
 		return true, derr
 	}
 	if resp.RemoteID != "" || resp.Status != nil {
@@ -231,18 +220,11 @@ func (ex *execRun) maybeDelegate(pf *planFlow, f *dgl.Flow, n *node, scope *Scop
 	remote := provenance.Attr{Key: "remote", Value: resp.RemoteID}
 	if resp.Err != nil {
 		n.setError(resp.Err)
-		ex.engine.record(ex.mark(n, StateFailed), provenance.Record{
-			Actor: ex.req.User.Name, Action: "deleg.finish",
-			FlowID: ex.ID, StepID: n.id, Target: f.Name,
-			Outcome: provenance.OutcomeError, Err: resp.Err.Error(),
-		}, peer, remote)
+		ex.record(ex.mark(n, StateFailed), "deleg.finish", n.id, f.Name, provenance.OutcomeError, resp.Err.Error(), peer, remote)
 		return true, resp.Err
 	}
 	at := ex.mark(n, StateSucceeded)
-	ex.engine.record(at, provenance.Record{
-		Actor: ex.req.User.Name, Action: "deleg.finish",
-		FlowID: ex.ID, StepID: n.id, Target: f.Name,
-	}, peer, remote)
+	ex.record(at, "deleg.finish", n.id, f.Name, "", "", peer, remote)
 	_ = ex.engine.storeAppend(store.Record{
 		Type: store.TypeDelegDone, ID: ex.ID, Node: rel, Peer: resp.Peer,
 	})

@@ -41,10 +41,7 @@ func (ex *execRun) resume() {
 	o.Counter("matrix_flows_started_total").Inc()
 	o.Gauge("matrix_executions_running").Add(1)
 	defer o.Gauge("matrix_executions_running").Add(-1)
-	ex.engine.record(ex.now(), provenance.Record{
-		Actor: ex.req.User.Name, Action: "flow.submit",
-		FlowID: ex.ID, Target: ex.req.Flow.Name,
-	})
+	ex.record(ex.now(), "flow.submit", "", ex.req.Flow.Name, "", "")
 	root := ex.plan.root
 	var reg region // stays empty when the root flow loops: its iterations open their own
 	if root.body == nil {
@@ -72,11 +69,7 @@ func (ex *execRun) resume() {
 		o.Counter("matrix_flows_failed_total").Inc()
 		outcome, errText = provenance.OutcomeError, err.Error()
 	}
-	ex.engine.record(ex.now(), provenance.Record{
-		Actor: ex.req.User.Name, Action: "flow.complete",
-		FlowID: ex.ID, Target: ex.req.Flow.Name,
-		Outcome: outcome, Err: errText,
-	})
+	ex.record(ex.now(), "flow.complete", "", ex.req.Flow.Name, outcome, errText)
 	// A flow reported finished has its provenance on disk. A closed
 	// provenance store (one that retains nothing) answers ErrClosed.
 	_ = ex.engine.grid.Provenance().Flush()
@@ -92,6 +85,16 @@ func (ex *execRun) relID(id string) string {
 }
 
 func (ex *execRun) now() time.Time { return ex.engine.Clock().Now() }
+
+// record writes the engine's provenance record of action on the node
+// nodeID ("" for the execution itself), whose name is target, at the
+// instant at.
+func (ex *execRun) record(at time.Time, action, nodeID, target, outcome, errText string, detail ...provenance.Attr) {
+	ex.engine.record(at, provenance.Record{
+		Actor: ex.req.User.Name, Action: action, FlowID: ex.ID, StepID: nodeID,
+		Target: target, Outcome: outcome, Err: errText,
+	}, detail...)
+}
 
 // mark moves n to state s at one reading of the clock and returns that
 // instant: the transition's span, provenance record and metrics carry
@@ -137,10 +140,7 @@ func (ex *execRun) runFlowScoped(pf *planFlow, n *node, scope *Scope, reg region
 	o := ex.engine.Obs()
 	ex.engine.scopeDepth().Observe(float64(scope.Depth()))
 	o.StartSpan(at, "flow", f.Name, n.id, obs.Attr{Key: "control", Value: string(f.Logic.Control)})
-	ex.engine.record(at, provenance.Record{
-		Actor: ex.req.User.Name, Action: "flow.start",
-		FlowID: ex.ID, StepID: n.id, Target: f.Name,
-	})
+	ex.record(at, "flow.start", n.id, f.Name, "", "")
 	fail := func(err error) error {
 		n.setError(err)
 		state := StateFailed
@@ -176,10 +176,7 @@ func (ex *execRun) runFlowScoped(pf *planFlow, n *node, scope *Scope, reg region
 	}
 	at = ex.mark(n, StateSucceeded)
 	o.EndSpan(at, "flow", f.Name, n.id, obs.Attr{Key: "state", Value: string(StateSucceeded)})
-	ex.engine.record(at, provenance.Record{
-		Actor: ex.req.User.Name, Action: "flow.finish",
-		FlowID: ex.ID, StepID: n.id, Target: f.Name,
-	})
+	ex.record(at, "flow.finish", n.id, f.Name, "", "")
 	return nil
 }
 
@@ -499,15 +496,8 @@ func (ex *execRun) runStep(ps *planStep, n *node, parent *Scope, c *OpContext) e
 	if ex.skipped(ex.relID(n.id)) {
 		at := ex.mark(n, StateSkipped)
 		ex.engine.countSkip()
-		ex.engine.record(at, provenance.Record{
-			Actor: ex.req.User.Name, Action: "step.skip",
-			FlowID: ex.ID, StepID: n.id, Target: st.Name,
-			Outcome: provenance.OutcomeSkipped,
-		})
-		_ = ex.engine.storeAppend(store.Record{
-			Type: store.TypeStepDone, ID: ex.ID, Node: ex.relID(n.id),
-		})
-		ex.noteProgress(at)
+		ex.record(at, "step.skip", n.id, st.Name, provenance.OutcomeSkipped, "")
+		ex.stepDone(n, "", at)
 		return nil
 	}
 	// Steps without their own variable block execute directly in the
@@ -546,18 +536,11 @@ func (ex *execRun) runStep(ps *planStep, n *node, parent *Scope, c *OpContext) e
 		o.EndSpan(at, "step", st.Name, n.id, obs.Attr{Key: "op", Value: op}, obs.Attr{Key: "state", Value: string(state)})
 		return at
 	}
-	ex.engine.record(started, provenance.Record{
-		Actor: ex.req.User.Name, Action: "step.start",
-		FlowID: ex.ID, StepID: n.id, Target: st.Name,
-	})
+	ex.record(started, "step.start", n.id, st.Name, "", "")
 	fail := func(err error) error {
 		n.setError(err)
 		o.Counter("matrix_step_failures_total", "op", op).Inc()
-		ex.engine.record(finish(StateFailed), provenance.Record{
-			Actor: ex.req.User.Name, Action: "step.finish",
-			FlowID: ex.ID, StepID: n.id, Target: st.Name,
-			Outcome: provenance.OutcomeError, Err: err.Error(),
-		})
+		ex.record(finish(StateFailed), "step.finish", n.id, st.Name, provenance.OutcomeError, err.Error())
 		return err
 	}
 	if err := ex.fireRule(ps.before, scope, n.id); err != nil {
@@ -572,10 +555,7 @@ func (ex *execRun) runStep(ps *planStep, n *node, parent *Scope, c *OpContext) e
 				ex.engine.Clock().Sleep(d)
 			}
 			o.Counter("matrix_step_retries_total", "op", op).Inc()
-			ex.engine.record(ex.now(), provenance.Record{
-				Actor: ex.req.User.Name, Action: "step.retry",
-				FlowID: ex.ID, StepID: n.id, Target: st.Name,
-			}, provenance.Attr{Key: "attempt", Value: fmt.Sprint(attempt + 1)})
+			ex.record(ex.now(), "step.retry", n.id, st.Name, "", "", provenance.Attr{Key: "attempt", Value: fmt.Sprint(attempt + 1)})
 			// A retry binds afresh, against the scope as it is then, and
 			// into a context of its own: the handler may have kept the
 			// failed attempt's.
@@ -625,11 +605,7 @@ func (ex *execRun) runStep(ps *planStep, n *node, parent *Scope, c *OpContext) e
 			// Record the failure but do not propagate: the flow carries on.
 			n.setError(opErr)
 			o.Counter("matrix_step_failures_total", "op", op).Inc()
-			ex.engine.record(finish(StateFailed), provenance.Record{
-				Actor: ex.req.User.Name, Action: "step.finish",
-				FlowID: ex.ID, StepID: n.id, Target: st.Name,
-				Outcome: provenance.OutcomeError, Err: opErr.Error(),
-			}, provenance.Attr{Key: "policy", Value: dgl.OnErrorContinue})
+			ex.record(finish(StateFailed), "step.finish", n.id, st.Name, provenance.OutcomeError, opErr.Error(), provenance.Attr{Key: "policy", Value: dgl.OnErrorContinue})
 			return nil
 		}
 		return fail(opErr)
@@ -641,15 +617,19 @@ func (ex *execRun) runStep(ps *planStep, n *node, parent *Scope, c *OpContext) e
 	if vd.ctx != nil {
 		ex.vdataPublish(&vd, st, n, scope)
 	}
-	ex.engine.record(at, provenance.Record{
-		Actor: ex.req.User.Name, Action: "step.finish",
-		FlowID: ex.ID, StepID: n.id, Target: st.Name,
-	})
+	ex.record(at, "step.finish", n.id, st.Name, "", "")
+	ex.stepDone(n, "", at)
+	return nil
+}
+
+// stepDone records that step n finished at the instant at — done by
+// peer, when another peer did it: its step.done in the store and the
+// progress mark.
+func (ex *execRun) stepDone(n *node, peer string, at time.Time) {
 	_ = ex.engine.storeAppend(store.Record{
-		Type: store.TypeStepDone, ID: ex.ID, Node: ex.relID(n.id),
+		Type: store.TypeStepDone, ID: ex.ID, Node: ex.relID(n.id), Peer: peer,
 	})
 	ex.noteProgress(at)
-	return nil
 }
 
 // noteProgress records step progress at the instant at: the execution

@@ -11,7 +11,6 @@ import (
 	"datagridflow/internal/dgl"
 	"datagridflow/internal/expr"
 	"datagridflow/internal/provenance"
-	"datagridflow/internal/store"
 	"datagridflow/internal/tenant"
 	"datagridflow/internal/vdata"
 )
@@ -205,16 +204,9 @@ func (ex *execRun) vdataHit(vd *vdataBinding, st *dgl.Step, n *node, scope *Scop
 	if remoteHit {
 		o.Counter("vdata_remote_hits_total").Inc()
 	}
-	ex.engine.record(at, provenance.Record{
-		Actor: ex.req.User.Name, Action: "vdata.hit",
-		FlowID: ex.ID, StepID: n.id, Target: st.Name,
-		Outcome: provenance.OutcomeSkipped,
-	}, provenance.Attr{Key: "key", Value: vd.key},
-		provenance.Attr{Key: "peer", Value: ent.Peer})
-	_ = ex.engine.storeAppend(store.Record{
-		Type: store.TypeStepDone, ID: ex.ID, Node: ex.relID(n.id), Peer: ent.Peer,
-	})
-	ex.noteProgress(at)
+	ex.record(at, "vdata.hit", n.id, st.Name, provenance.OutcomeSkipped, "",
+		provenance.Attr{Key: "key", Value: vd.key}, provenance.Attr{Key: "peer", Value: ent.Peer})
+	ex.stepDone(n, ent.Peer, at)
 	return true
 }
 
@@ -245,8 +237,5 @@ func (ex *execRun) vdataPublish(vd *vdataBinding, st *dgl.Step, n *node, scope *
 		ex.engine.Obs().Counter("vdata_publish_errors_total").Inc()
 		return
 	}
-	ex.engine.record(now, provenance.Record{
-		Actor: ex.req.User.Name, Action: "vdata.publish",
-		FlowID: ex.ID, StepID: n.id, Target: st.Name,
-	}, provenance.Attr{Key: "key", Value: vd.key})
+	ex.record(now, "vdata.publish", n.id, st.Name, "", "", provenance.Attr{Key: "key", Value: vd.key})
 }
