@@ -9,17 +9,17 @@
 //	dgfbench              # run everything at full scale
 //	dgfbench -exp E6,E7   # run a subset
 //	dgfbench -small       # quick pass (CI-sized)
-//	dgfbench -metrics=false   # suppress the engine metrics snapshot
+//	dgfbench -metrics=false   # suppress the engine metrics
 //
-// After the experiment tables, dgfbench emits the process-wide engine
-// metrics snapshot (docs/METRICS.md) as JSON: engine-level counters
-// (flows run, steps executed, bytes tiered, placements evaluated)
-// alongside the wall-clock numbers. Timings are judged by the contract
-// benchmark (bench/README.md), not here.
+// After the experiment tables, dgfbench prints the process-wide engine
+// metrics (docs/METRICS.md) as Prometheus text exposition, the bytes a
+// server's GET /metrics serves: engine-level counters (flows run, steps
+// executed, bytes tiered, placements evaluated) alongside the
+// wall-clock numbers. Timings are judged by the contract benchmark
+// (bench/README.md), not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -65,7 +65,7 @@ func selectExperiments(list string) ([]experiments.Experiment, error) {
 func main() {
 	expFlag := flag.String("exp", "all", "comma-separated experiment ids (E1..E18) or 'all'")
 	small := flag.Bool("small", false, "run at small (CI) scale instead of full scale")
-	metrics := flag.Bool("metrics", true, "emit the engine metrics snapshot (JSON) after the experiment tables")
+	metrics := flag.Bool("metrics", true, "print the engine metrics (Prometheus text exposition) after the experiment tables")
 	flag.Parse()
 
 	picked, err := selectExperiments(*expFlag)
@@ -90,12 +90,10 @@ func main() {
 		fmt.Printf("(%s completed in %v)\n\n", exp.ID, time.Since(t0).Round(time.Millisecond))
 	}
 	if *metrics {
-		// Experiment grids emit into obs.Default(), so this snapshot
-		// aggregates engine counters across every experiment just run.
-		data, err := json.Marshal(obs.Default().Snapshot())
-		if err == nil {
-			fmt.Printf("== engine metrics snapshot (docs/METRICS.md) ==\n%s\n", data)
-		}
+		// Experiment grids emit into obs.Default(), so these metrics
+		// aggregate engine counters across every experiment just run.
+		fmt.Println("== engine metrics (docs/METRICS.md) ==")
+		os.Stdout.Write(obs.Default().Exposition())
 	}
 	if failed > 0 {
 		os.Exit(1)

@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"datagridflow/internal/dgl"
-	"datagridflow/internal/obs"
 	"datagridflow/internal/tenant"
 	"datagridflow/internal/vdata"
 	"datagridflow/internal/wire"
@@ -115,10 +114,10 @@ not repeated. Prints the new id.`,
 	{
 		name:     "metrics",
 		synopsis: "metrics",
-		summary:  "fetch the server's metrics snapshot",
-		detail: `Fetches the observability snapshot (docs/METRICS.md) over the wire
-control extension and prints counters, gauges and histogram summaries
-as aligned name{labels} rows.`,
+		summary:  "fetch the server's metrics",
+		detail: `Fetches the server's metrics (docs/METRICS.md) over the wire control
+extension and prints them as the server rendered them: Prometheus text
+exposition, the bytes its -metrics-addr serves at GET /metrics.`,
 	},
 	{
 		name:     "store",
@@ -505,11 +504,13 @@ func main() {
 			fmt.Printf("%-24s %-20s %-10s %s\n", row.ID, row.Name, row.State, row.User)
 		}
 	case "metrics":
-		snap, err := client.Metrics()
+		text, err := client.Metrics()
 		if err != nil {
 			log.Fatalf("dgfctl: %v", err)
 		}
-		printMetrics(snap)
+		if _, err := os.Stdout.Write(text); err != nil {
+			log.Fatalf("dgfctl: %v", err)
+		}
 	case "repl":
 		info, err := client.Repl()
 		if err != nil {
@@ -695,50 +696,6 @@ func printStore(info *wire.StoreInfo) {
 	if info.Failed != "" {
 		fmt.Printf("FAILED:         %s (store rejects appends; restart matrixd)\n", info.Failed)
 	}
-}
-
-// printMetrics renders a snapshot as aligned name{labels} value rows.
-func printMetrics(snap *obs.Snapshot) {
-	fmt.Printf("at %s\n", snap.At.UTC().Format(time.RFC3339))
-	if len(snap.Counters) > 0 {
-		fmt.Println("\ncounters:")
-		for _, p := range snap.Counters {
-			fmt.Printf("  %-48s %d\n", series(p.Name, p.Labels), p.Value)
-		}
-	}
-	if len(snap.Gauges) > 0 {
-		fmt.Println("\ngauges:")
-		for _, p := range snap.Gauges {
-			fmt.Printf("  %-48s %d\n", series(p.Name, p.Labels), p.Value)
-		}
-	}
-	if len(snap.Histograms) > 0 {
-		fmt.Println("\nhistograms:")
-		for _, h := range snap.Histograms {
-			mean := 0.0
-			if h.Count > 0 {
-				mean = h.Sum / float64(h.Count)
-			}
-			fmt.Printf("  %-48s count=%d mean=%.6g min=%.6g max=%.6g\n",
-				series(h.Name, h.Labels), h.Count, mean, h.Min, h.Max)
-		}
-	}
-}
-
-func series(name string, labels map[string]string) string {
-	if len(labels) == 0 {
-		return name
-	}
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, k+"="+labels[k])
-	}
-	return name + "{" + strings.Join(parts, ",") + "}"
 }
 
 func printStatus(st *dgl.FlowStatus, depth int) {

@@ -9,7 +9,7 @@
 //	lookupd -addr :7400
 //	lookupd -addr :7400 -ttl 30s              # evict silent peers sooner
 //	lookupd -addr :7400 -shards 64            # shard-lease authority (sharded networks)
-//	lookupd -addr :7400 -metrics-addr :7480   # JSON metrics + pprof
+//	lookupd -addr :7400 -metrics-addr :7480   # Prometheus text metrics + pprof
 //	lookupd -addr :7400 -tenant-auth key.txt  # token-gate peer registration
 //
 // The registry speaks the wire's frames and binary control envelopes
@@ -35,7 +35,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7400", "listen address")
 	ttl := flag.Duration("ttl", wire.DefaultLookupTTL, "liveness TTL: peers silent for longer are evicted (0 disables)")
 	shards := flag.Int("shards", 0, "shard count of a sharded network: the registry becomes the lease authority (0 disables; must match matrixd -shards)")
-	metricsAddr := flag.String("metrics-addr", "", "serve JSON metrics and pprof on this address (empty disables)")
+	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus text metrics and pprof on this address (empty disables)")
 	tenantAuth := flag.String("tenant-auth", "", "shared-secret key file: require a valid tenant token on register/heartbeat/lease operations (docs/TENANCY.md)")
 	flag.Parse()
 

@@ -14,7 +14,7 @@
 //	matrixd -repl-followers 2 -repl-ack quorum   # replicated lifecycle store
 //	matrixd -repl-dir /var/lib/matrix-replica    # replica root override
 //	matrixd -prov /var/log/matrix-prov.log       # durable provenance
-//	matrixd -metrics-addr :7481                  # JSON metrics + pprof
+//	matrixd -metrics-addr :7481                  # Prometheus text metrics + pprof
 //	matrixd -store-dir /var/lib/matrix-store     # crash recovery, durable flow state
 //	matrixd -snapshot-every 30s -passivate-idle 5m # store maintenance
 //	matrixd -fault plan.json                     # fault injection
@@ -40,8 +40,9 @@
 // carry the flow's own token (docs/TENANCY.md, docs/VDATA.md).
 //
 // With -metrics-addr the server exposes the observability surface
-// documented in docs/METRICS.md: /metrics (JSON snapshot), /trace
-// (recent trace events) and /debug/pprof/.
+// documented in docs/METRICS.md: /metrics (Prometheus text
+// exposition), /trace (recent trace events, one logfmt line each) and
+// /debug/pprof/.
 package main
 
 import (
@@ -75,7 +76,7 @@ func main() {
 	provPath := flag.String("prov", "", "durable provenance log of binary frames (default: in-memory)")
 	admin := flag.String("admin", "admin", "grid administrator user")
 	openWrite := flag.Bool("open", true, "grant every user write access under /grid (demo mode)")
-	metricsAddr := flag.String("metrics-addr", "", "serve JSON metrics, trace events and pprof on this address (\":0\" for ephemeral; empty disables)")
+	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus text metrics, trace events and pprof on this address (\":0\" for ephemeral; empty disables)")
 	storeDir := flag.String("store-dir", "", "flow-state store directory: the lifecycle log crashed runs are recovered from on startup, with snapshots, compaction and passivation (docs/STORE.md)")
 	snapshotEvery := flag.Duration("snapshot-every", 30*time.Second, "how often to snapshot dirty executions into the store (0 disables; requires -store-dir)")
 	passivateIdle := flag.Duration("passivate-idle", 0, "evict executions idle this long from memory into the store (0 disables; requires -store-dir)")

@@ -150,7 +150,8 @@ func (s *ScopeEnv) Set(name string, v expr.Value) {
 func (c *ClientEngine) runFlow(f *dgl.Flow, env *ScopeEnv, path string) error {
 	scope := NewScopeEnv(env)
 	for _, v := range f.Variables {
-		val, err := expr.Interpolate(v.Value, scope)
+		tmpl := expr.CompileTemplate(v.Value)
+		val, err := tmpl.Render(scope)
 		if err != nil {
 			return err
 		}
@@ -187,7 +188,8 @@ func (c *ClientEngine) runFlow(f *dgl.Flow, env *ScopeEnv, path string) error {
 		var items []string
 		switch {
 		case it.In != "":
-			raw, err := expr.Interpolate(it.In, scope)
+			tmpl := expr.CompileTemplate(it.In)
+			raw, err := tmpl.Render(scope)
 			if err != nil {
 				return err
 			}
@@ -264,7 +266,8 @@ func (c *ClientEngine) runStep(st *dgl.Step, env *ScopeEnv, path string) error {
 	}
 	params := map[string]string{}
 	for _, p := range st.Operation.Params {
-		v, err := expr.Interpolate(p.Value, env)
+		tmpl := expr.CompileTemplate(p.Value)
+		v, err := tmpl.Render(env)
 		if err != nil {
 			return err
 		}

@@ -5,72 +5,17 @@ import (
 	"strings"
 )
 
-// Interpolate substitutes $name and ${name} references in s with the
-// string form of their bound values. Unbound variables substitute to the
-// empty string. "$$" escapes a literal dollar sign.
+// Template is a string with $name and ${name} references to bound
+// values, split once into literal and variable segments. Unbound
+// variables render as the empty string, and "$$" escapes a literal
+// dollar sign. This is how DGL step parameters reference flow
+// variables, e.g. "/grid/scec/${run}/output.dat".
 //
-// This is how DGL step parameters reference flow variables, e.g.
-// "/grid/scec/${run}/output.dat".
-func Interpolate(s string, env Env) (string, error) {
-	if !strings.ContainsRune(s, '$') {
-		return s, nil
-	}
-	if env == nil {
-		env = MapEnv(nil)
-	}
-	var sb strings.Builder
-	sb.Grow(len(s))
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c != '$' {
-			sb.WriteByte(c)
-			i++
-			continue
-		}
-		// c == '$'
-		if i+1 >= len(s) {
-			sb.WriteByte('$')
-			break
-		}
-		next := s[i+1]
-		switch {
-		case next == '$':
-			sb.WriteByte('$')
-			i += 2
-		case next == '{':
-			end := strings.IndexByte(s[i+2:], '}')
-			if end < 0 {
-				return "", fmt.Errorf("expr: unterminated ${...} in %q", s)
-			}
-			name := s[i+2 : i+2+end]
-			if name == "" {
-				return "", fmt.Errorf("expr: empty ${} in %q", s)
-			}
-			if v, ok := env.Lookup(name); ok {
-				sb.WriteString(v.AsString())
-			}
-			i += 2 + end + 1
-		case startsIdent(s, i+1):
-			j := identEnd(s, i+1)
-			name := s[i+1 : j]
-			if v, ok := env.Lookup(name); ok {
-				sb.WriteString(v.AsString())
-			}
-			i = j
-		default:
-			sb.WriteByte('$')
-			i++
-		}
-	}
-	return sb.String(), nil
-}
-
-// Template is Interpolate split once into literal and variable
-// segments, for strings rendered many times against changing bindings: a
-// step parameter inside a loop, a variable declaration re-run per
-// iteration. A string with no reference in it is a constant; a malformed
-// one carries its error and reports it from every Render, with the text
-// Interpolate would give.
+// A template is compiled once for strings rendered many times against
+// changing bindings: a step parameter inside a loop, a variable
+// declaration re-run per iteration. A string with no reference in it is
+// a constant; a malformed one carries its error and reports it from
+// every Render.
 type Template struct {
 	src  string
 	segs []segment // nil when there is nothing to substitute
@@ -83,9 +28,9 @@ type segment struct {
 	lit, name string
 }
 
-// CompileTemplate splits s the way Interpolate scans it. It never
-// fails: a compile error is kept in the Template and surfaces when the
-// string would have been interpolated.
+// CompileTemplate splits s into its segments. It never fails: a compile
+// error is kept in the Template and surfaces when the string is
+// rendered.
 func CompileTemplate(s string) Template {
 	t := Template{src: s}
 	if strings.IndexByte(s, '$') < 0 {
@@ -154,9 +99,8 @@ func CompileTemplate(s string) Template {
 // Src returns the string the template was compiled from.
 func (t *Template) Src() string { return t.src }
 
-// Render substitutes the template's references from env, exactly as
-// Interpolate does for the source string: unbound variables render
-// empty, a nil env binds nothing.
+// Render substitutes the template's references from env: unbound
+// variables render empty, a nil env binds nothing.
 func (t *Template) Render(env Env) (string, error) {
 	var stack [128]byte
 	s, buf, err := t.Append(stack[:0], env)

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -13,6 +14,65 @@ import (
 var templateEnv = MapEnv{
 	"a": String("alpha"), "it": String("17"), "n": Number(3), "f": Number(2.5),
 	"ok": Bool(true), "nil": Null, "a.b": String("dotted"), "é": String("accent"),
+}
+
+// Interpolate is the one-shot scan Template replaced, kept as the
+// reference CompileTemplate(s).Render is held to: it substitutes $name
+// and ${name} references in s with the string form of their bound
+// values, unbound variables with the empty string, and reads "$$" as a
+// literal dollar sign.
+func Interpolate(s string, env Env) (string, error) {
+	if !strings.ContainsRune(s, '$') {
+		return s, nil
+	}
+	if env == nil {
+		env = MapEnv(nil)
+	}
+	var sb strings.Builder
+	sb.Grow(len(s))
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c != '$' {
+			sb.WriteByte(c)
+			i++
+			continue
+		}
+		// c == '$'
+		if i+1 >= len(s) {
+			sb.WriteByte('$')
+			break
+		}
+		next := s[i+1]
+		switch {
+		case next == '$':
+			sb.WriteByte('$')
+			i += 2
+		case next == '{':
+			end := strings.IndexByte(s[i+2:], '}')
+			if end < 0 {
+				return "", fmt.Errorf("expr: unterminated ${...} in %q", s)
+			}
+			name := s[i+2 : i+2+end]
+			if name == "" {
+				return "", fmt.Errorf("expr: empty ${} in %q", s)
+			}
+			if v, ok := env.Lookup(name); ok {
+				sb.WriteString(v.AsString())
+			}
+			i += 2 + end + 1
+		case startsIdent(s, i+1):
+			j := identEnd(s, i+1)
+			name := s[i+1 : j]
+			if v, ok := env.Lookup(name); ok {
+				sb.WriteString(v.AsString())
+			}
+			i = j
+		default:
+			sb.WriteByte('$')
+			i++
+		}
+	}
+	return sb.String(), nil
 }
 
 // sameAsInterpolate holds CompileTemplate(s).Render(env) to the one-shot

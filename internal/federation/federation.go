@@ -40,27 +40,17 @@ type Config struct {
 	// MinSteps is the smallest subflow (by step count, recursive) worth
 	// delegating; smaller ones run inline in the parent. Default 1.
 	MinSteps int
-	// MaxAttempts bounds placement attempts (distinct peers tried,
-	// including failovers) before the subflow settles locally. Default 3.
-	MaxAttempts int
 	// Backoff is the wall-clock pause between failover attempts.
 	// Default 200ms.
 	Backoff time.Duration
 	// DrainGrace bounds how long Close waits for in-flight delegations
 	// to finish before cancelling them. Default 5s.
 	DrainGrace time.Duration
-	// LocalSlots bounds subflows executing locally on this peer via the
-	// federation (whether placement picked the local peer or remote
-	// attempts were exhausted) — sized to the wire server's admission
-	// capacity by default, so every peer offers the same concurrency to
-	// the federation whether work arrives over the wire or from a local
-	// parent.
-	LocalSlots int
-	// DeadFor quarantines a peer after a transport failure: it is not
-	// offered to placement again until the window passes (its heartbeat
-	// re-registering it in the meantime). Default 3x the peer's interval.
-	DeadFor time.Duration
 }
+
+// maxAttempts bounds placement attempts (distinct peers tried,
+// including failovers) before a subflow settles locally.
+const maxAttempts = 3
 
 // Federation runs the delegation plane of one peer, placing over the
 // peer's Members. Create with New, wire in with Start, shut down with
@@ -73,6 +63,12 @@ type Federation struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup // in-flight delegations
 
+	// localSlots bounds subflows executing locally on this peer via the
+	// federation (whether placement picked the local peer or remote
+	// attempts were exhausted). It is sized to the wire server's
+	// admission capacity, so every peer offers the same concurrency to
+	// the federation whether work arrives over the wire or from a local
+	// parent.
 	localSlots chan struct{}
 
 	mu     sync.Mutex
@@ -88,25 +84,16 @@ func New(peer *wire.Peer, cfg Config) *Federation {
 	if cfg.MinSteps <= 0 {
 		cfg.MinSteps = 1
 	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
-	}
 	if cfg.Backoff <= 0 {
 		cfg.Backoff = 200 * time.Millisecond
 	}
 	if cfg.DrainGrace <= 0 {
 		cfg.DrainGrace = 5 * time.Second
 	}
-	if cfg.LocalSlots <= 0 {
-		cfg.LocalSlots = peer.Server().Admission().Capacity()
-	}
-	if cfg.DeadFor <= 0 {
-		cfg.DeadFor = 3 * peer.HeartbeatInterval()
-	}
 	f := &Federation{
 		peer:       peer,
 		cfg:        cfg,
-		localSlots: make(chan struct{}, cfg.LocalSlots),
+		localSlots: make(chan struct{}, peer.Server().Admission().Capacity()),
 		dead:       make(map[string]time.Time),
 	}
 	f.ctx, f.cancel = context.WithCancel(context.Background())
@@ -151,10 +138,12 @@ func (f *Federation) candidates(tried map[string]bool) []scheduler.Candidate {
 }
 
 // markDead quarantines a peer after a transport failure and drops its
-// pooled connection so the next use re-resolves.
+// pooled connection so the next use re-resolves. The peer is not
+// offered to placement again for three of this peer's heartbeat
+// intervals (its heartbeat re-registering it in the meantime).
 func (f *Federation) markDead(name string) {
 	f.mu.Lock()
-	f.dead[name] = time.Now().Add(f.cfg.DeadFor)
+	f.dead[name] = time.Now().Add(3 * f.peer.HeartbeatInterval())
 	f.mu.Unlock()
 	f.peer.DropClient(name)
 }
@@ -235,7 +224,7 @@ func (f *Federation) Delegate(ctx context.Context, req matrix.DelegateRequest) (
 func (f *Federation) place(ctx context.Context, req matrix.DelegateRequest) (*matrix.DelegateResponse, error) {
 	o := f.peer.Engine().Obs()
 	tried := make(map[string]bool)
-	for attempt := 0; attempt < f.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("%w: delegation cancelled: %v", dgferr.ErrCancelled, err)
 		}

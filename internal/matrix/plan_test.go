@@ -163,7 +163,8 @@ func TestPlanErrorsSurfaceWhereTheyDid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, want := expr.Interpolate("/grid/${unclosed", nil)
+	tmpl := expr.CompileTemplate("/grid/${unclosed")
+	_, want := tmpl.Render(nil)
 	if got := ex.Err(); got == nil || got.Error() != `parameter "path": `+want.Error() {
 		t.Errorf("run error = %v, want the interpolation error of parameter path", got)
 	}

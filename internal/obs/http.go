@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -9,18 +8,25 @@ import (
 
 // Handler serves a registry over HTTP:
 //
-//	GET /metrics        the JSON metrics Snapshot
-//	GET /trace          the buffered trace events (oldest first)
+//	GET /metrics        the registry's Exposition (Prometheus text 0.0.4)
+//	GET /trace          the buffered trace events, one logfmt line each,
+//	                    oldest first
 //	GET /debug/pprof/*  the standard net/http/pprof endpoints
 //
 // This is the -metrics-addr surface of matrixd and lookupd.
 func Handler(r *Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, r.Snapshot())
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_, _ = w.Write(r.Exposition())
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, r.Trace().Events())
+		var b []byte
+		for _, ev := range r.Trace().Events() {
+			b = appendEvent(b, &ev)
+		}
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		_, _ = w.Write(b)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -36,13 +42,6 @@ func Handler(r *Registry) http.Handler {
 		_, _ = w.Write([]byte("datagridflow observability\n\n/metrics\n/trace\n/debug/pprof/\n"))
 	})
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }
 
 // Serve binds addr (":0" for ephemeral) and serves Handler(r) on a

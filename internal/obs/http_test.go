@@ -1,17 +1,20 @@
 package obs
 
 import (
-	"encoding/json"
+	"bytes"
 	"io"
 	"net/http"
 	"testing"
 	"time"
+
+	"datagridflow/internal/sim"
 )
 
 func TestServeMetricsAndPprof(t *testing.T) {
 	r := NewRegistry()
+	r.SetNow(func() time.Time { return sim.Epoch })
 	r.Counter("demo_total", "k", "v").Add(3)
-	r.StartSpan(time.Now(), "flow", "f", "id-1")
+	r.StartSpan(sim.Epoch, "flow", "f", "id-1")
 
 	srv, addr, err := Serve("127.0.0.1:0", r)
 	if err != nil {
@@ -35,20 +38,11 @@ func TestServeMetricsAndPprof(t *testing.T) {
 		return body
 	}
 
-	var snap Snapshot
-	if err := json.Unmarshal(get("/metrics"), &snap); err != nil {
-		t.Fatalf("/metrics is not JSON: %v", err)
+	if got, want := get("/metrics"), r.Exposition(); !bytes.Equal(got, want) {
+		t.Fatalf("/metrics serves\n%s\nwant the registry's exposition\n%s", got, want)
 	}
-	if len(snap.Counters) != 1 || snap.Counters[0].Name != "demo_total" || snap.Counters[0].Value != 3 {
-		t.Fatalf("unexpected /metrics counters: %+v", snap.Counters)
-	}
-
-	var evs []Event
-	if err := json.Unmarshal(get("/trace"), &evs); err != nil {
-		t.Fatalf("/trace is not JSON: %v", err)
-	}
-	if len(evs) != 1 || evs[0].Scope != "flow" {
-		t.Fatalf("unexpected /trace events: %+v", evs)
+	if got, want := string(get("/trace")), "seq=1 time=2005-08-01T00:00:00Z type=start scope=flow name=f id=id-1\n"; got != want {
+		t.Fatalf("/trace serves %q, want %q", got, want)
 	}
 
 	get("/debug/pprof/")

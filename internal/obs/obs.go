@@ -269,33 +269,33 @@ func (r *Registry) HistogramBuckets(name string, bounds []float64, kv ...string)
 
 // Point is one counter or gauge sample in a snapshot.
 type Point struct {
-	Name   string            `json:"name"`
-	Labels map[string]string `json:"labels,omitempty"`
-	Value  int64             `json:"value"`
+	Name   string
+	Labels map[string]string
+	Value  int64
 }
 
 // HistPoint is one histogram sample in a snapshot. Counts[i] holds the
 // observations ≤ Bounds[i]; the final element counts the overflow
 // (+Inf) bucket.
 type HistPoint struct {
-	Name   string            `json:"name"`
-	Labels map[string]string `json:"labels,omitempty"`
-	Count  int64             `json:"count"`
-	Sum    float64           `json:"sum"`
-	Min    float64           `json:"min"`
-	Max    float64           `json:"max"`
-	Bounds []float64         `json:"bounds"`
-	Counts []int64           `json:"counts"`
+	Name   string
+	Labels map[string]string
+	Count  int64
+	Sum    float64
+	Min    float64
+	Max    float64
+	Bounds []float64
+	Counts []int64
 }
 
 // Snapshot is a point-in-time copy of every metric, ordered
 // deterministically (by name, then by canonical label string) so equal
-// registry states marshal to equal JSON.
+// registry states render equal text (Exposition).
 type Snapshot struct {
-	At         time.Time   `json:"at"`
-	Counters   []Point     `json:"counters,omitempty"`
-	Gauges     []Point     `json:"gauges,omitempty"`
-	Histograms []HistPoint `json:"histograms,omitempty"`
+	At         time.Time
+	Counters   []Point
+	Gauges     []Point
+	Histograms []HistPoint
 }
 
 // Snapshot copies the registry's current state.
@@ -330,11 +330,21 @@ func (r *Registry) Snapshot() Snapshot {
 	return snap
 }
 
+// sortedKeys orders canonical keys by name, then by the whole key: a
+// plain sort would put "a_total_x" between "a_total" and "a_total|k=v",
+// splitting one family's series around another's.
 func sortedKeys[M ~map[string]V, V any](m M) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}
-	sort.Strings(out)
+	sort.Slice(out, func(i, j int) bool {
+		ni, _, _ := strings.Cut(out[i], "|")
+		nj, _, _ := strings.Cut(out[j], "|")
+		if ni != nj {
+			return ni < nj
+		}
+		return out[i] < out[j]
+	})
 	return out
 }

@@ -2,7 +2,9 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -124,39 +126,58 @@ func TestLabelsSeparateSeries(t *testing.T) {
 	}
 }
 
-// TestSnapshotDeterministicVirtualClock is the sim-time contract: two
-// registries fed the same operations on the same virtual clock produce
-// byte-identical snapshot JSON, regardless of registration order.
-func TestSnapshotDeterministicVirtualClock(t *testing.T) {
+var update = flag.Bool("update", false, "rewrite golden files under testdata/")
+
+// TestExpositionGolden pins the text a registry leaves a process as
+// (testdata/exposition.txt): a family's one TYPE line even where the
+// canonical key order would interleave it with another that shares its
+// prefix, a label value holding a quote, a backslash and a newline,
+// cumulative buckets up to +Inf, then _sum, _count, _min and _max. It
+// is also the sim-time contract: two registries fed the same
+// operations in another registration order on the same virtual clock
+// render byte-identical text, stamped with the virtual instant.
+func TestExpositionGolden(t *testing.T) {
 	build := func(order []string) []byte {
 		clock := sim.NewVirtualClock(sim.Epoch)
 		r := NewRegistry()
 		r.SetNow(clock.Now)
-		for _, name := range order {
-			r.Counter(name, "k", "v").Inc()
+		for _, kv := range order {
+			switch kv {
+			case "plain":
+				r.Counter("flows_total").Add(3)
+			case "labelled":
+				r.Counter("flows_total", "user", "say \"hi\" \\ then\nbye").Inc()
+			case "prefixed":
+				r.Counter("flows_total_failed").Inc()
+			}
 		}
+		h := r.HistogramBuckets("step_seconds", []float64{1, 60, 3600}, "op", "ingest")
+		h.Observe(0.5)
+		h.Observe(30)
 		clock.Sleep(90 * time.Minute)
-		r.Gauge("running").Set(4)
-		r.Histogram("lat_seconds").Observe(clock.Now().Sub(sim.Epoch).Seconds())
-		data, err := json.Marshal(r.Snapshot())
-		if err != nil {
+		r.Gauge("running", "peer", "A").Set(4)
+		h.Observe(clock.Now().Sub(sim.Epoch).Seconds())
+		return r.Exposition()
+	}
+	got := build([]string{"plain", "labelled", "prefixed"})
+	if again := build([]string{"prefixed", "labelled", "plain"}); !bytes.Equal(got, again) {
+		t.Fatalf("expositions differ:\n%s\n%s", got, again)
+	}
+	path := filepath.Join("testdata", "exposition.txt")
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return data
+		return
 	}
-	a := build([]string{"c1_total", "c2_total", "c3_total"})
-	b := build([]string{"c3_total", "c1_total", "c2_total"})
-	if !bytes.Equal(a, b) {
-		t.Fatalf("snapshots differ:\n%s\n%s", a, b)
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run `go test ./internal/obs -run Golden -update` after an intentional format change)", err)
 	}
-	var snap Snapshot
-	if err := json.Unmarshal(a, &snap); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("exposition diverges from %s:\n%s\nwant\n%s", path, got, want)
 	}
-	if !snap.At.Equal(sim.Epoch.Add(90 * time.Minute)) {
-		t.Fatalf("snapshot At = %v, want virtual %v", snap.At, sim.Epoch.Add(90*time.Minute))
-	}
-	if snap.Histograms[0].Sum != (90 * time.Minute).Seconds() {
-		t.Fatalf("histogram sum = %v, want %v", snap.Histograms[0].Sum, (90 * time.Minute).Seconds())
+	if at := "# at " + sim.Epoch.Add(90*time.Minute).Format(time.RFC3339Nano) + "\n"; !bytes.HasPrefix(got, []byte(at)) {
+		t.Fatalf("exposition does not open with the virtual instant %q", at)
 	}
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"math/bits"
 	"strings"
 	"sync"
@@ -27,19 +26,19 @@ const (
 type Event struct {
 	// Seq is a monotonically increasing sequence number, assigned at
 	// emission.
-	Seq uint64 `json:"seq"`
+	Seq uint64
 	// Time is the emission instant on the emitting component's clock
 	// (virtual under simulation).
-	Time time.Time `json:"time"`
+	Time time.Time
 	// Type is EventStart or EventEnd.
-	Type string `json:"type"`
+	Type string
 	// Scope names the lifecycle kind: "flow", "step" or "request".
-	Scope string `json:"scope"`
+	Scope string
 	// Name is the human name (flow name, step name, request kind).
-	Name string `json:"name"`
+	Name string
 	// ID is the hierarchical identifier (execution/node id, connection
 	// address) correlating start and end.
-	ID string `json:"id"`
+	ID string
 	// attrs carry scope-specific details (operation type, outcome state),
 	// inline: emitting a span builds no map whether or not anyone reads
 	// it. An empty Key marks an unused slot.
@@ -54,50 +53,6 @@ type Attr struct {
 // maxAttrs is the most attributes one event carries; no span documented
 // in docs/METRICS.md has more.
 const maxAttrs = 2
-
-// eventJSON is the wire shape of an Event: its exported fields, and the
-// attrs as one JSON object, absent when empty.
-type eventJSON struct {
-	eventFields
-	Attrs map[string]string `json:"attrs,omitempty"`
-}
-
-// eventFields is Event without its methods, so that encoding/json
-// handles the exported fields itself.
-type eventFields Event
-
-// MarshalJSON implements json.Marshaler.
-func (e Event) MarshalJSON() ([]byte, error) {
-	out := eventJSON{eventFields: eventFields(e)}
-	for _, a := range e.attrs {
-		if a.Key == "" {
-			continue
-		}
-		if out.Attrs == nil {
-			out.Attrs = make(map[string]string, maxAttrs)
-		}
-		out.Attrs[a.Key] = a.Value
-	}
-	return json.Marshal(out)
-}
-
-// UnmarshalJSON implements json.Unmarshaler. Attributes beyond the
-// event's inline capacity are dropped.
-func (e *Event) UnmarshalJSON(data []byte) error {
-	var in eventJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return err
-	}
-	*e = Event(in.eventFields)
-	i := 0
-	for k, v := range in.Attrs {
-		if i < maxAttrs {
-			e.attrs[i] = Attr{Key: k, Value: v}
-			i++
-		}
-	}
-	return nil
-}
 
 // TraceBuffer is a fixed-capacity ring of recent events. Emission never
 // blocks: the ring overwrites its oldest event when full. This keeps the

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -51,32 +50,25 @@ func TestRegistrySpansStampVirtualTime(t *testing.T) {
 	}
 }
 
-// TestEventJSONShape pins the wire form of an event: attrs are one JSON
-// object keyed by attribute, absent when the event has none — what the
-// /trace endpoint served when attributes were a map — and decoding
-// restores them.
-func TestEventJSONShape(t *testing.T) {
+// TestEventLineShape pins the form /trace serves an event in: one
+// logfmt line, the fields in a fixed order and then the attributes in
+// key order, a value quoted when it is empty or holds a space, '=' or
+// '"'.
+func TestEventLineShape(t *testing.T) {
 	r := NewRegistry()
 	r.StartSpan(sim.Epoch, "request", "dgl", "127.0.0.1:9")
 	r.EndSpan(sim.Epoch, "step", "put", "dgf-000001/f/put", Attr{"state", "succeeded"}, Attr{"op", "ingest"})
-	got, err := json.Marshal(r.Trace().Events())
-	if err != nil {
-		t.Fatal(err)
+	r.EndSpan(sim.Epoch.Add(time.Millisecond), "flow", `a "b"=c`, "", Attr{"state", "x y"})
+	var got []byte
+	for _, ev := range r.Trace().Events() {
+		got = appendEvent(got, &ev)
 	}
-	at := sim.Epoch.Format(time.RFC3339Nano)
-	want := `[{"seq":1,"time":"` + at + `","type":"start","scope":"request","name":"dgl","id":"127.0.0.1:9"},` +
-		`{"seq":2,"time":"` + at + `","type":"end","scope":"step","name":"put","id":"dgf-000001/f/put","attrs":{"op":"ingest","state":"succeeded"}}]`
+	want := `seq=1 time=2005-08-01T00:00:00Z type=start scope=request name=dgl id=127.0.0.1:9
+seq=2 time=2005-08-01T00:00:00Z type=end scope=step name=put id=dgf-000001/f/put op=ingest state=succeeded
+seq=3 time=2005-08-01T00:00:00.001Z type=end scope=flow name="a \"b\"=c" id="" state="x y"
+`
 	if string(got) != want {
-		t.Fatalf("events marshal as\n%s\nwant\n%s", got, want)
-	}
-	var back []Event
-	if err := json.Unmarshal(got, &back); err != nil {
-		t.Fatal(err)
-	}
-	// Decoding reads the attrs from a map, so in either order.
-	op, state := Attr{"op", "ingest"}, Attr{"state", "succeeded"}
-	if len(back) != 2 || (back[1].attrs != [maxAttrs]Attr{op, state} && back[1].attrs != [maxAttrs]Attr{state, op}) || back[1].Seq != 2 {
-		t.Fatalf("decoded events = %+v", back)
+		t.Fatalf("events render as\n%s\nwant\n%s", got, want)
 	}
 }
 

@@ -1,8 +1,8 @@
 package obs
 
 import (
-	"encoding/json"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -42,26 +42,32 @@ func (b *refRing) events() []Event {
 }
 
 // sameEvents reports whether got, read back from a TraceBuffer, are the
-// reference's events as JSON — which carries every field and ignores
-// where in the event an attribute sat — with the reference's times read
-// as their UTC instants.
+// reference's events: every field, the reference's times read as their
+// UTC instants, and the attributes in order wherever in the event they
+// sat.
 func sameEvents(t *testing.T, got, ref []Event) bool {
 	t.Helper()
 	if len(got) != len(ref) {
 		t.Errorf("%d events, the reference holds %d", len(got), len(ref))
 		return false
 	}
+	attrs := func(ev Event) (out []Attr) {
+		for _, a := range ev.attrs {
+			if a.Key != "" {
+				out = append(out, a)
+			}
+		}
+		return out
+	}
 	for i := range got {
-		want := ref[i]
-		want.Time = want.Time.UTC()
-		if !got[i].Time.Equal(want.Time) || got[i].Time.Location() != time.UTC {
-			t.Errorf("event %d: time %v, want %v in UTC", i, got[i].Time, want.Time)
+		g, want := got[i], ref[i]
+		if !g.Time.Equal(want.Time) || g.Time.Location() != time.UTC {
+			t.Errorf("event %d: time %v, want %v in UTC", i, g.Time, want.Time.UTC())
 			return false
 		}
-		g, _ := json.Marshal(got[i])
-		w, _ := json.Marshal(want)
-		if string(g) != string(w) {
-			t.Errorf("event %d:\n got %s\nwant %s", i, g, w)
+		if g.Seq != want.Seq || g.Type != want.Type || g.Scope != want.Scope || g.Name != want.Name || g.ID != want.ID ||
+			!slices.Equal(attrs(g), attrs(want)) {
+			t.Errorf("event %d:\n got %+v\nwant %+v", i, g, want)
 			return false
 		}
 	}

@@ -14,11 +14,6 @@ type Config struct {
 	// Shards is the shard count of the network. Every peer and the
 	// lookup registry must agree on it.
 	Shards int
-	// VNodes is the virtual-node count per ring member (DefaultVNodes
-	// if <= 0).
-	VNodes int
-	// Seed is the ring hash seed (DefaultSeed if 0).
-	Seed uint64
 	// Obs receives the shard metrics (obs.Default() if nil):
 	// shard_owned_flows, shard_owned_shards, shard_rebalances_total.
 	Obs *obs.Registry
@@ -45,12 +40,6 @@ type Manager struct {
 
 // NewManager builds a manager. Shards must be > 0 and Self non-empty.
 func NewManager(cfg Config) *Manager {
-	if cfg.VNodes <= 0 {
-		cfg.VNodes = DefaultVNodes
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = DefaultSeed
-	}
 	if cfg.Obs == nil {
 		cfg.Obs = obs.Default()
 	}
@@ -71,7 +60,7 @@ func (m *Manager) ShardOf(key string) int { return ShardOf(key, m.cfg.Shards) }
 // Desired computes the shards the ring assigns to this peer over the
 // given live member set, sorted.
 func (m *Manager) Desired(members []string) []int {
-	ring := NewRing(members, m.cfg.VNodes, m.cfg.Seed)
+	ring := NewRing(members, DefaultVNodes, DefaultSeed)
 	var out []int
 	for s := 0; s < m.cfg.Shards; s++ {
 		if owner, ok := ring.OwnerOfShard(s); ok && owner == m.cfg.Self {

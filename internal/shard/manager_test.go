@@ -169,7 +169,7 @@ func TestManagerDefaults(t *testing.T) {
 	if m.Shards() != 4 {
 		t.Errorf("Shards = %d", m.Shards())
 	}
-	if m.cfg.VNodes != DefaultVNodes || m.cfg.Seed != DefaultSeed || m.cfg.Obs == nil {
+	if m.cfg.Obs == nil {
 		t.Errorf("defaults not applied: %+v", m.cfg)
 	}
 }

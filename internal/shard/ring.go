@@ -31,9 +31,9 @@ import (
 	"sort"
 )
 
-// DefaultSeed is the ring hash seed every peer uses unless configured
-// otherwise. All peers of one network must share a seed, or they will
-// disagree about shard placement.
+// DefaultSeed is the ring hash seed every peer's Manager uses. All
+// peers of one network must share a seed, or they will disagree about
+// shard placement.
 const DefaultSeed uint64 = 0xd6f5_10ad_9e3b_0001
 
 // DefaultVNodes is the virtual-node count per member. More virtual

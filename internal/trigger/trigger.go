@@ -350,7 +350,8 @@ func (m *Manager) runActions(reg *registered, ev dgms.Event) error {
 		for i, op := range reg.def.Operations {
 			interp := dgl.Operation{Type: op.Type}
 			for _, p := range op.Params {
-				val, err := expr.Interpolate(p.Value, env)
+				tmpl := expr.CompileTemplate(p.Value)
+				val, err := tmpl.Render(env)
 				if err != nil {
 					return err
 				}

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/json"
 	"math"
 
 	"datagridflow/internal/codec"
@@ -147,8 +146,6 @@ func appendControlResult(e *codec.Encoder, r *ControlResult) {
 			e.Sym(4, x.User)
 		})
 	}
-	// Metrics stay a JSON blob: obs.Snapshot is operator-facing and
-	// cold-path, not worth a binary schema.
 	e.Blob(6, r.Metrics)
 	if r.Store != nil {
 		s := r.Store
@@ -296,7 +293,7 @@ func decodeControlResult(payload []byte) (ControlResult, error) {
 			d.MsgExit(end)
 			r.Executions = append(r.Executions, x)
 		case 6:
-			r.Metrics = json.RawMessage(append([]byte(nil), d.Blob()...))
+			r.Metrics = append([]byte(nil), d.Blob()...)
 		case 7:
 			s := &StoreInfo{}
 			end := d.MsgEnter()

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -12,7 +11,6 @@ import (
 	"datagridflow/internal/codec"
 	"datagridflow/internal/dgferr"
 	"datagridflow/internal/dgl"
-	"datagridflow/internal/obs"
 	"datagridflow/internal/vdata"
 )
 
@@ -649,9 +647,10 @@ func (c *Client) Compact() (*StoreInfo, error) {
 	return res.Store, nil
 }
 
-// Metrics retrieves the server engine's metrics snapshot over the
-// control extension — the wire twin of the -metrics-addr HTTP endpoint.
-func (c *Client) Metrics() (*obs.Snapshot, error) {
+// Metrics retrieves the server engine's metrics over the control
+// extension: the text exposition the -metrics-addr HTTP endpoint
+// serves, as the server rendered it.
+func (c *Client) Metrics() ([]byte, error) {
 	res, err := c.control("metrics", "")
 	if err != nil {
 		return nil, err
@@ -659,9 +658,5 @@ func (c *Client) Metrics() (*obs.Snapshot, error) {
 	if len(res.Metrics) == 0 {
 		return nil, errors.New("wire: empty metrics reply")
 	}
-	var snap obs.Snapshot
-	if err := json.Unmarshal(res.Metrics, &snap); err != nil {
-		return nil, fmt.Errorf("wire: bad metrics reply: %w", err)
-	}
-	return &snap, nil
+	return res.Metrics, nil
 }

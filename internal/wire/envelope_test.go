@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"net"
 	"os"
@@ -87,10 +86,9 @@ func FuzzEnvelopes(f *testing.F) {
 	f.Fuzz(func(t *testing.T, a, b, c, token, user string, n int, ok bool, seq uint64, blob, raw []byte) {
 		e := codec.GetEncoder()
 		defer codec.PutEncoder(e)
-		var metrics json.RawMessage
-		var block []byte
+		var metrics, block []byte
 		if len(blob) > 0 {
-			metrics, block = json.RawMessage(blob), blob
+			metrics, block = blob, blob
 		}
 		var chain []string // peer names: an empty one is no peer
 		for _, peer := range []string{user, a} {

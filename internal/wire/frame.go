@@ -27,7 +27,6 @@
 package wire
 
 import (
-	"encoding/json"
 	"errors"
 
 	"datagridflow/internal/replica"
@@ -136,9 +135,9 @@ type ControlResult struct {
 	Proto string
 	// Executions carries the listing for the "list" verb.
 	Executions []ExecutionInfo
-	// Metrics carries the engine's obs.Snapshot (JSON) for the
-	// "metrics" verb.
-	Metrics json.RawMessage
+	// Metrics carries the engine registry's text exposition
+	// (obs.Registry.Exposition) for the "metrics" verb.
+	Metrics []byte
 	// Store carries the flow-state store summary for the "store" and
 	// "compact" verbs.
 	Store *StoreInfo

@@ -1,13 +1,19 @@
 package wire
 
 import (
+	"bytes"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 
+	"datagridflow/internal/codec"
 	"datagridflow/internal/dgl"
 	"datagridflow/internal/dgms"
 	"datagridflow/internal/matrix"
 	"datagridflow/internal/namespace"
 	"datagridflow/internal/obs"
+	"datagridflow/internal/sim"
 	"datagridflow/internal/vfs"
 )
 
@@ -29,8 +35,32 @@ func newObservedEngine(t testing.TB, prefix string) (*matrix.Engine, *obs.Regist
 	return matrix.NewEngineConfig(g, matrix.Config{IDPrefix: prefix}), reg
 }
 
-// TestMetricsControlOp fetches the engine's snapshot over the wire and
-// checks the wire layer's own traffic shows up in it.
+// TestMetricsVerbCarriesTheExposition: the metrics verb's reply carries
+// in field 6 exactly the bytes the engine registry's Exposition renders,
+// through the binary envelope and back.
+func TestMetricsVerbCarriesTheExposition(t *testing.T) {
+	e, reg := newObservedEngine(t, "")
+	reg.SetNow(func() time.Time { return sim.Epoch })
+	if _, err := e.Run("user", dgl.NewFlow("f").Step("s", dgl.Op(dgl.OpNoop, nil)).Flow()); err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(e)
+	t.Cleanup(s.Close)
+	res := s.serveControlOp(Control{Op: "metrics"})
+	enc := codec.GetEncoder()
+	defer codec.PutEncoder(enc)
+	appendControlResult(enc, &res)
+	back, err := decodeControlResult(enc.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := reg.Exposition(); !back.OK || !bytes.Equal(back.Metrics, want) {
+		t.Fatalf("metrics reply carries\n%s\nwant the registry's exposition\n%s", back.Metrics, want)
+	}
+}
+
+// TestMetricsControlOp fetches the engine's metrics over the wire and
+// checks the wire layer's own traffic shows up in them.
 func TestMetricsControlOp(t *testing.T) {
 	e, _ := newObservedEngine(t, "")
 	_, addr := startServer(t, e)
@@ -48,16 +78,22 @@ func TestMetricsControlOp(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap, err := c.Metrics()
+	text, err := c.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
+	// counter sums the values of every series of one family.
 	counter := func(name string) int64 {
 		var total int64
-		for _, p := range snap.Counters {
-			if p.Name == name {
-				total += p.Value
+		for _, line := range strings.Split(string(text), "\n") {
+			if rest, ok := strings.CutPrefix(line, name); !ok || rest == "" || (rest[0] != ' ' && rest[0] != '{') {
+				continue
 			}
+			v, err := strconv.ParseInt(line[strings.LastIndexByte(line, ' ')+1:], 10, 64)
+			if err != nil {
+				t.Fatalf("series line %q: %v", line, err)
+			}
+			total += v
 		}
 		return total
 	}

@@ -211,3 +211,95 @@ func TestReplicateClientRoundTrip(t *testing.T) {
 		t.Fatal("bogus op acked")
 	}
 }
+
+// TestRestartedOwnerSnapshotsLiveFlowToFollower: a flow live before its
+// owner restarts reaches the follower through the new incarnation's
+// first frame, a snapshot, and is promoted and finished there once the
+// owner dies. Sequence numbers restart at 1 with every owner process,
+// so the stream alone would never carry it.
+func TestRestartedOwnerSnapshotsLiveFlowToFollower(t *testing.T) {
+	_, lookupAddr := startLookup(t)
+	storeDir := t.TempDir()
+	// startA boots an incarnation of owner A over storeDir, resuming
+	// what the store holds, with the park op blocking until release.
+	startA := func() (a *Peer, st *store.Store, reached, release chan struct{}) {
+		e := newEngine(t, "peerA:")
+		st, err := store.Open(storeDir, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		e.SetStore(st)
+		reached, release = registerParkOp(e)
+		if _, err := e.RecoverFromStore(); err != nil {
+			t.Fatal(err)
+		}
+		a = newPeer("peerA", e)
+		if err := a.EnableReplication(ReplicationConfig{
+			Followers: 1, Mode: replica.ModeQuorum, Dir: t.TempDir(), AckTimeout: 2 * time.Second,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Start("127.0.0.1:0", lookupAddr); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(a.Close)
+		return a, st, reached, release
+	}
+
+	// The first incarnation parks a flow with no follower to stream
+	// to, then crashes: its store takes no further write.
+	a1, st1, reached1, release1 := startA()
+	defer close(release1)
+	execID := startParked(t, a1.server.Engine(), reached1)
+	a1.Close()
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	b := startReplPeer(t, lookupAddr, "peerB", replica.ModeQuorum)
+	eb := b.server.Engine()
+	_, releaseB := registerParkOp(eb)
+	close(releaseB) // the promoted run continues straight through on B
+	a2, _, reached2, release2 := startA()
+	defer close(release2)
+	<-reached2 // the recovered flow is parked again on A
+	members := []string{"peerA", "peerB"}
+	a2.refreshReplication(members)
+	b.refreshReplication(members)
+	// A commits its next record; the follower's first frame from this
+	// incarnation is the snapshot that carries the live flow.
+	if resp, err := a2.server.Engine().Submit(dgl.NewRequest("user", "", dgl.NewFlow("quick").
+		Step("only", dgl.Op(dgl.OpNoop, nil)).Flow())); err != nil || resp.Error != "" {
+		t.Fatalf("sync submit: %v %+v", err, resp)
+	}
+	waitFollowerCaughtUp(t, a2)
+	if got := eb.Obs().Counter("repl_snapshots_applied_total").Value(); got < 1 {
+		t.Fatalf("repl_snapshots_applied_total = %d, want the new incarnation's snapshot", got)
+	}
+	info, err := dial(t, b.Addr()).Repl()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(info.Sources) != 1 || info.Sources[0].Source != "peerA" || info.Sources[0].Live != 1 {
+		t.Fatalf("follower sources: %+v, want peerA's one live flow", info.Sources)
+	}
+
+	// A dies; B promotes the replica and runs the flow to its end.
+	a2.Close()
+	b.refreshReplication([]string{"peerB"})
+	if got := eb.Obs().Counter("repl_promoted_flows_total", "source", "peerA").Value(); got != 1 {
+		t.Fatalf("repl_promoted_flows_total = %d, want 1", got)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		status, err := eb.Status(execID, false)
+		if err == nil && status.State == "succeeded" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("promoted flow %s never completed on B: %+v err %v", execID, status, err)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -946,11 +945,7 @@ func (s *Server) serveControlOp(c Control) ControlResult {
 		}
 		return ControlResult{OK: true, Executions: rows}
 	case "metrics":
-		raw, err := json.Marshal(s.engine.Obs().Snapshot())
-		if err != nil {
-			return ControlResult{Error: "snapshot: " + err.Error()}
-		}
-		return ControlResult{OK: true, Metrics: raw}
+		return ControlResult{OK: true, Metrics: s.engine.Obs().Exposition()}
 	case "store":
 		st := s.engine.Store()
 		if st == nil {
